@@ -11,7 +11,7 @@ use crate::rng::SplitMix64;
 use mfbc_algebra::kernel::{BellmanFordKernel, BrandesKernel, KernelOut, TropicalKernel};
 use mfbc_algebra::{Centpath, Dist, Multpath, SpMulKernel};
 use mfbc_core::oracle::{brandes_unweighted, brandes_weighted};
-use mfbc_core::{mfbc_dist, MfbcConfig, PlanMode};
+use mfbc_core::{mfbc_dist, mfbc_seq, MfbcConfig, PlanMode};
 use mfbc_fault::{FaultKind, FaultPlan, RetryPolicy, ScheduledFault};
 use mfbc_graph::Graph;
 use mfbc_machine::{Machine, MachineSpec, RedistMode};
@@ -723,6 +723,29 @@ impl CaseSpec for DriverCase {
                 "driver ({:?}) diverges from Brandes: max |Δλ| = {:.3e}",
                 cfg.plan_mode,
                 run.scores.max_abs_diff(&oracle)
+            ));
+        }
+        // One algorithm, two backends: the shared-memory run of the
+        // same batches sees the same blocks in the same order at
+        // p = 1, so it must agree bit for bit there; elsewhere the
+        // plans group floating-point accumulations differently.
+        let (local, _) =
+            mfbc_parallel::with_threads(self.threads, || mfbc_seq(&g, self.batch.clamp(1, self.n)));
+        let agree = if self.p == 1 {
+            local.lambda.iter().map(|v| v.to_bits()).eq(run
+                .scores
+                .lambda
+                .iter()
+                .map(|v| v.to_bits()))
+        } else {
+            local.approx_eq(&run.scores, 1e-9)
+        };
+        if !agree {
+            return Err(format!(
+                "driver ({:?}) diverges from the local backend at p={}: max |Δλ| = {:.3e}",
+                cfg.plan_mode,
+                self.p,
+                run.scores.max_abs_diff(&local)
             ));
         }
         if self.masked {

@@ -1,0 +1,423 @@
+//! Where a sweep's matrices live and where its products run.
+//!
+//! Algorithms 1–3 are written once, in [`crate::sweep`], over the
+//! [`Backend`] operations; the two implementations decide what a
+//! matrix is and what an operation costs:
+//!
+//! * [`Local`] — `Csr` matrices and the `mfbc-sparse` kernels in one
+//!   address space. Infallible, charges nothing, announces nothing.
+//! * [`Simulated`] — canonically distributed [`DistMat`]s on a
+//!   [`Machine`]: products charge their communication to the critical
+//!   path, elementwise steps charge local compute, termination checks
+//!   charge an allreduce, tables charge memory. It owns what a run
+//!   keeps resident: `A`, `Aᵀ` and (Theorem 5.1's amortization) the
+//!   prepared-adjacency caches.
+
+use mfbc_algebra::kernel::KernelOut;
+use mfbc_algebra::monoid::Monoid;
+use mfbc_algebra::{Dist, SpMulKernel};
+use mfbc_graph::Graph;
+use mfbc_machine::{Machine, MachineError};
+use mfbc_sparse::{elementwise, spgemm_opt, Csr, Mask, MaskKind};
+use mfbc_tensor::cache::{CacheStats, MmCache};
+use mfbc_tensor::{autotune, canonical_layout, ops, DistMat, MmPlan};
+
+/// Matrix element types (what every sparse and tensor kernel asks).
+pub trait Elem: Clone + PartialEq + Send + Sync + std::fmt::Debug {}
+impl<T: Clone + PartialEq + Send + Sync + std::fmt::Debug> Elem for T {}
+
+/// The resident operand a product multiplies by.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Adj {
+    /// The adjacency matrix `A` (forward sweeps).
+    A,
+    /// Its transpose `Aᵀ` (backward sweeps).
+    At,
+}
+
+/// The operations Algorithms 1–3 are made of. Elementwise operands
+/// must share a shape (and, distributed, a layout); closures receive
+/// global coordinates and must be pure.
+pub trait Backend {
+    /// A batch-by-vertex sparse matrix.
+    type Mat<T: Elem>;
+    /// What a charged operation can fail with.
+    type Error;
+
+    /// Places a replicated global matrix.
+    fn place<T: Elem>(&self, m: Csr<T>) -> Self::Mat<T>;
+
+    /// The per-superstep termination check: the global nonzero count
+    /// of `frontier`, announced as superstep `step` of `phase` when
+    /// the sweep goes on.
+    fn nnz_sync<T: Elem>(
+        &self,
+        phase: &'static str,
+        step: usize,
+        frontier: &Self::Mat<T>,
+    ) -> Result<usize, Self::Error>;
+
+    /// Brackets a sweep's superstep loop for timeline views.
+    fn span(&self, _phase: &'static str) -> Option<mfbc_trace::Span> {
+        None
+    }
+
+    /// `frontier •⟨⊕,f⟩ adj` under an optional output mask; returns
+    /// the product and its elementary-product count `ops`.
+    #[allow(clippy::type_complexity)]
+    fn mm<K: SpMulKernel<Right = Dist>>(
+        &mut self,
+        frontier: &Self::Mat<K::Left>,
+        adj: Adj,
+        mask: Option<&Mask>,
+    ) -> Result<(Self::Mat<KernelOut<K>>, u64), Self::Error>;
+
+    /// An output mask of `kind` over `m`'s pattern, or `None` where
+    /// masking could change a result: on weighted graphs a rediscovery
+    /// can still improve a settled distance.
+    fn mask_of<T: Elem>(&self, kind: MaskKind, m: &Self::Mat<T>) -> Option<Mask>;
+
+    /// `A ⊕ B`.
+    fn combine<M: Monoid>(
+        &self,
+        a: &Self::Mat<M::Elem>,
+        b: &Self::Mat<M::Elem>,
+    ) -> Self::Mat<M::Elem>;
+
+    /// `base ⊕ update` on `base`'s pattern; other updates are dropped.
+    fn combine_anchored<M: Monoid>(
+        &self,
+        base: &Self::Mat<M::Elem>,
+        update: &Self::Mat<M::Elem>,
+    ) -> Self::Mat<M::Elem>;
+
+    /// `f(i, j, a_val, b_val_opt)` over `a`'s entries; `None` and
+    /// `M`'s identity drop the entry.
+    fn zip_filter<M: Monoid, T: Elem, U: Elem>(
+        &self,
+        a: &Self::Mat<T>,
+        b: &Self::Mat<U>,
+        f: impl Fn(usize, usize, &T, Option<&U>) -> Option<M::Elem> + Sync,
+    ) -> Self::Mat<M::Elem>;
+
+    /// `f(i, j, a_val)` over `a`'s entries; `None` and `M`'s identity
+    /// drop the entry.
+    fn map_filter<M: Monoid, T: Elem>(
+        &self,
+        a: &Self::Mat<T>,
+        f: impl Fn(usize, usize, &T) -> Option<M::Elem> + Sync,
+    ) -> Self::Mat<M::Elem>;
+
+    /// `acc[j] += a(i, j)`, one addition per entry, in ascending
+    /// `(j, i)` order — so `acc` is independent of how rows were
+    /// batched.
+    fn fold_columns(&self, a: &Self::Mat<f64>, acc: &mut [f64]) -> Result<(), Self::Error>;
+
+    /// Makes a table resident (a memory charge).
+    fn charge<T: Elem>(&self, m: &Self::Mat<T>) -> Result<(), Self::Error>;
+
+    /// Ends a table's residency.
+    fn release<T: Elem>(&self, m: &Self::Mat<T>);
+}
+
+/// Shared-memory execution on CSR matrices.
+pub struct Local<'g> {
+    a: &'g Csr<Dist>,
+    at: Csr<Dist>,
+    /// Whether sweeps run under output masks: on unit-weighted graphs,
+    /// exactly where [`crate::MfbcConfig::default`] masks.
+    pub(crate) masked: bool,
+}
+
+impl<'g> Local<'g> {
+    /// A backend multiplying by `g`'s adjacency and its transpose.
+    pub fn new(g: &'g Graph) -> Local<'g> {
+        Local {
+            a: g.adjacency(),
+            at: g.adjacency_t(),
+            masked: g.is_unit_weighted(),
+        }
+    }
+}
+
+impl Backend for Local<'_> {
+    type Mat<T: Elem> = Csr<T>;
+    type Error = std::convert::Infallible;
+
+    fn place<T: Elem>(&self, m: Csr<T>) -> Csr<T> {
+        m
+    }
+
+    fn nnz_sync<T: Elem>(
+        &self,
+        _: &'static str,
+        _: usize,
+        f: &Csr<T>,
+    ) -> Result<usize, Self::Error> {
+        Ok(f.nnz())
+    }
+
+    fn mm<K: SpMulKernel<Right = Dist>>(
+        &mut self,
+        frontier: &Csr<K::Left>,
+        adj: Adj,
+        mask: Option<&Mask>,
+    ) -> Result<(Csr<KernelOut<K>>, u64), Self::Error> {
+        let out = spgemm_opt::<K>(frontier, [self.a, &self.at][adj as usize], mask);
+        Ok((out.mat, out.ops))
+    }
+
+    fn mask_of<T: Elem>(&self, kind: MaskKind, m: &Csr<T>) -> Option<Mask> {
+        self.masked.then(|| Mask::of_pattern(kind, m))
+    }
+
+    fn combine<M: Monoid>(&self, a: &Csr<M::Elem>, b: &Csr<M::Elem>) -> Csr<M::Elem> {
+        elementwise::combine::<M, _>(a, b)
+    }
+
+    fn combine_anchored<M: Monoid>(
+        &self,
+        base: &Csr<M::Elem>,
+        update: &Csr<M::Elem>,
+    ) -> Csr<M::Elem> {
+        elementwise::combine_anchored::<M, _>(base, update)
+    }
+
+    fn zip_filter<M: Monoid, T: Elem, U: Elem>(
+        &self,
+        a: &Csr<T>,
+        b: &Csr<U>,
+        f: impl Fn(usize, usize, &T, Option<&U>) -> Option<M::Elem> + Sync,
+    ) -> Csr<M::Elem> {
+        elementwise::zip_filter::<M, _, _, _>(a, b, f)
+    }
+
+    fn map_filter<M: Monoid, T: Elem>(
+        &self,
+        a: &Csr<T>,
+        f: impl Fn(usize, usize, &T) -> Option<M::Elem> + Sync,
+    ) -> Csr<M::Elem> {
+        elementwise::map_filter::<M, _, _>(a, f)
+    }
+
+    fn fold_columns(&self, a: &Csr<f64>, acc: &mut [f64]) -> Result<(), Self::Error> {
+        for (_, j, v) in a.iter() {
+            acc[j] += v;
+        }
+        Ok(())
+    }
+
+    fn charge<T: Elem>(&self, _: &Csr<T>) -> Result<(), Self::Error> {
+        Ok(())
+    }
+
+    fn release<T: Elem>(&self, _: &Csr<T>) {}
+}
+
+/// Execution on the simulated machine, every matrix in the canonical
+/// world layout.
+pub struct Simulated {
+    /// The machine every operation charges.
+    pub(crate) m: Machine,
+    /// `A` and `Aᵀ`, indexed by [`Adj`].
+    adj: [DistMat<Dist>; 2],
+    /// Prepared forms of each, kept across products when `amortize`
+    /// is set.
+    caches: [MmCache<Dist>; 2],
+    /// The plan every product runs; `None` autotunes each one.
+    plan: Option<MmPlan>,
+    amortize: bool,
+    masked: bool,
+    /// Batch index stamped on superstep events and phase spans.
+    pub(crate) batch: usize,
+    closed: bool,
+}
+
+impl Simulated {
+    /// Distributes `g`'s adjacency and its transpose on `m` and charges
+    /// their residency, held until [`Simulated::close`].
+    ///
+    /// `amortize = false` re-pays the adjacency's preparation on every
+    /// product; `masked` is the caller's word that masks cannot change
+    /// a result (see [`Backend::mask_of`]).
+    ///
+    /// # Errors
+    /// Propagates memory-budget failures.
+    pub fn new(
+        m: &Machine,
+        g: &Graph,
+        plan: Option<MmPlan>,
+        amortize: bool,
+        masked: bool,
+    ) -> Result<Simulated, MachineError> {
+        let (n, at) = (g.n(), g.adjacency_t());
+        let adj = [g.adjacency(), &at].map(|a| DistMat::from_global(canonical_layout(m, n, n), a));
+        for a in &adj {
+            a.charge_memory(m)?;
+        }
+        Ok(Simulated {
+            m: m.clone(),
+            adj,
+            caches: [MmCache::new(), MmCache::new()],
+            plan,
+            amortize,
+            masked,
+            batch: 0,
+            closed: false,
+        })
+    }
+
+    /// Releases the adjacency and every cached form, so the memory
+    /// meter balances. Idempotent.
+    pub fn close(&mut self) {
+        if !std::mem::replace(&mut self.closed, true) {
+            self.caches.iter_mut().for_each(|c| c.release_all(&self.m));
+            self.adj.iter().for_each(|a| a.release_memory(&self.m));
+        }
+    }
+
+    /// Whether [`Simulated::close`] has run.
+    pub(crate) fn closed(&self) -> bool {
+        self.closed
+    }
+
+    /// Prepared-adjacency cache activity, both orientations.
+    pub(crate) fn cache_stats(&self) -> CacheStats {
+        let mut total = CacheStats::default();
+        self.caches.iter().for_each(|c| total.absorb(c.stats()));
+        total
+    }
+
+    /// The cached forms present now; a rollback keeps only these.
+    pub(crate) fn cache_keys(&self) -> [Vec<String>; 2] {
+        self.caches.each_ref().map(|c| c.keys())
+    }
+
+    /// Drops (and stops charging) every cached form not in `keep`.
+    pub(crate) fn discard_cached_except(&mut self, keep: &[Vec<String>; 2]) {
+        for (c, k) in self.caches.iter_mut().zip(keep) {
+            c.discard_except(k);
+        }
+    }
+}
+
+/// `f(r0 + i, c0 + j)` over every stored coordinate of `m`, blocks in
+/// row-major order. The pattern is read off the resident blocks; like
+/// canonical output assembly, its movement is not charged (DESIGN.md
+/// §7, deviation 6).
+fn for_each_coord<T: Elem>(m: &DistMat<T>, mut f: impl FnMut(usize, usize)) {
+    let l = m.layout();
+    for bi in 0..l.br() {
+        let r0 = l.row_range(bi).start;
+        for bj in 0..l.bc() {
+            let c0 = l.col_range(bj).start;
+            for (i, j, _) in m.block(bi, bj).iter() {
+                f(r0 + i, c0 + j);
+            }
+        }
+    }
+}
+
+impl Backend for Simulated {
+    type Mat<T: Elem> = DistMat<T>;
+    type Error = MachineError;
+
+    fn place<T: Elem>(&self, m: Csr<T>) -> DistMat<T> {
+        DistMat::from_global(canonical_layout(&self.m, m.nrows(), m.ncols()), &m)
+    }
+
+    fn nnz_sync<T: Elem>(
+        &self,
+        phase: &'static str,
+        step: usize,
+        frontier: &DistMat<T>,
+    ) -> Result<usize, MachineError> {
+        let nnz = ops::nnz_sync(&self.m, frontier)?;
+        if nnz > 0 {
+            mfbc_trace::emit(|| {
+                // Rows still holding an entry: the batch sources that
+                // have not converged.
+                let mut active = vec![false; frontier.nrows()];
+                for_each_coord(frontier, |i, _| active[i] = true);
+                mfbc_trace::TraceEvent::Superstep {
+                    phase,
+                    batch: self.batch,
+                    step,
+                    frontier_nnz: nnz as u64,
+                    active_rows: active.iter().filter(|&&b| b).count() as u64,
+                }
+            });
+        }
+        Ok(nnz)
+    }
+
+    fn span(&self, phase: &'static str) -> Option<mfbc_trace::Span> {
+        Some(mfbc_trace::span(|| format!("batch{}/{phase}", self.batch)))
+    }
+
+    fn mm<K: SpMulKernel<Right = Dist>>(
+        &mut self,
+        frontier: &DistMat<K::Left>,
+        adj: Adj,
+        mask: Option<&Mask>,
+    ) -> Result<(DistMat<KernelOut<K>>, u64), MachineError> {
+        let (m, f) = (&self.m, frontier);
+        let (a, cache) = (&self.adj[adj as usize], &mut self.caches[adj as usize]);
+        let out = match (self.amortize, &self.plan) {
+            (true, Some(p)) => mfbc_tensor::mm_exec_cached_masked::<K>(m, p, f, a, mask, cache),
+            (true, None) => autotune::mm_auto_cached_masked::<K>(m, f, a, mask, cache).map(|o| o.0),
+            (false, Some(p)) => mfbc_tensor::mm_exec_masked::<K>(m, p, f, a, mask),
+            (false, None) => autotune::mm_auto_masked::<K>(m, f, a, mask).map(|o| o.0),
+        }?;
+        Ok((out.c, out.ops))
+    }
+
+    fn mask_of<T: Elem>(&self, kind: MaskKind, m: &DistMat<T>) -> Option<Mask> {
+        self.masked.then(|| {
+            let mut coords = Vec::with_capacity(m.nnz());
+            for_each_coord(m, |i, j| coords.push((i, j)));
+            Mask::from_coords(kind, m.nrows(), m.ncols(), &coords)
+        })
+    }
+
+    fn combine<M: Monoid>(&self, a: &DistMat<M::Elem>, b: &DistMat<M::Elem>) -> DistMat<M::Elem> {
+        ops::dmat_combine::<M, _>(&self.m, a, b)
+    }
+
+    fn combine_anchored<M: Monoid>(
+        &self,
+        base: &DistMat<M::Elem>,
+        update: &DistMat<M::Elem>,
+    ) -> DistMat<M::Elem> {
+        ops::dmat_combine_anchored::<M, _>(&self.m, base, update)
+    }
+
+    fn zip_filter<M: Monoid, T: Elem, U: Elem>(
+        &self,
+        a: &DistMat<T>,
+        b: &DistMat<U>,
+        f: impl Fn(usize, usize, &T, Option<&U>) -> Option<M::Elem> + Sync,
+    ) -> DistMat<M::Elem> {
+        ops::dmat_zip_filter::<M, _, _, _>(&self.m, a, b, f)
+    }
+
+    fn map_filter<M: Monoid, T: Elem>(
+        &self,
+        a: &DistMat<T>,
+        f: impl Fn(usize, usize, &T) -> Option<M::Elem> + Sync,
+    ) -> DistMat<M::Elem> {
+        ops::dmat_map_filter::<M, _, _>(&self.m, a, f)
+    }
+
+    fn fold_columns(&self, a: &DistMat<f64>, acc: &mut [f64]) -> Result<(), MachineError> {
+        ops::dmat_fold_columns(&self.m, a, acc)
+    }
+
+    fn charge<T: Elem>(&self, m: &DistMat<T>) -> Result<(), MachineError> {
+        m.charge_memory(&self.m)
+    }
+
+    fn release<T: Elem>(&self, m: &DistMat<T>) {
+        m.release_memory(&self.m)
+    }
+}

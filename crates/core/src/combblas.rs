@@ -13,15 +13,15 @@
 //! * every SpGEMM runs the SUMMA stationary-C schedule (broadcast
 //!   both operands), CombBLAS's algorithm.
 
+use crate::backend::{Adj, Backend, Simulated};
 use crate::scores::BcScores;
 use mfbc_algebra::kernel::CountKernel;
 use mfbc_algebra::monoid::SumF64;
 use mfbc_graph::Graph;
 use mfbc_machine::{Machine, MachineError};
 use mfbc_sparse::{Coo, MaskKind};
-use mfbc_tensor::cache::MmCache;
-use mfbc_tensor::ops::{dmat_column_sums, dmat_combine, dmat_zip_filter, nnz_sync};
-use mfbc_tensor::{canonical_layout, mm_exec_cached_masked, DistMat, MmPlan, Variant1D, Variant2D};
+use mfbc_tensor::ops::{dmat_column_sums, nnz_sync};
+use mfbc_tensor::{DistMat, MmPlan, Variant1D, Variant2D};
 
 /// Failure modes of the baseline.
 #[derive(Clone, Debug, PartialEq)]
@@ -106,11 +106,8 @@ pub fn combblas_bc(
 
     let n = g.n();
     let nb = cfg.batch_size.unwrap_or_else(|| n.min(512)).max(1);
-    let da = DistMat::from_global(canonical_layout(machine, n, n), g.adjacency());
-    let dat = DistMat::from_global(canonical_layout(machine, n, n), &g.adjacency_t());
-    da.charge_memory(machine)?;
-    dat.charge_memory(machine)?;
-
+    // Unit weights: a mask can never change a result.
+    let mut be = Simulated::new(machine, g, Some(plan), true, true)?;
     let mut run = CombBlasRun {
         scores: BcScores::zeros(n),
         batches: 0,
@@ -118,149 +115,91 @@ pub fn combblas_bc(
         levels: 0,
         ops: 0,
     };
-    let mut fwd_cache: MmCache<mfbc_algebra::Dist> = MmCache::new();
-    let mut back_cache: MmCache<mfbc_algebra::Dist> = MmCache::new();
-
     let sources: Vec<usize> = (0..n).collect();
-    let result = (|| -> Result<(), BaselineError> {
-        for chunk in sources.chunks(nb) {
-            if let Some(max) = cfg.max_batches {
-                if run.batches >= max {
-                    break;
-                }
-            }
-            batch(
-                machine,
-                g,
-                &da,
-                &dat,
-                chunk,
-                &plan,
-                &mut fwd_cache,
-                &mut back_cache,
-                &mut run,
-            )?;
+    let result = sources
+        .chunks(nb)
+        .take(cfg.max_batches.unwrap_or(usize::MAX))
+        .try_for_each(|chunk| {
+            batch(&mut be, chunk, &mut run)?;
             run.batches += 1;
             run.sources_processed += chunk.len();
-        }
-        Ok(())
-    })();
-
-    fwd_cache.release_all(machine);
-    back_cache.release_all(machine);
-    da.release_memory(machine);
-    dat.release_memory(machine);
+            Ok(())
+        });
+    be.close();
     result.map(|()| run)
 }
 
-#[allow(clippy::too_many_arguments)]
-fn batch(
-    machine: &Machine,
-    g: &Graph,
-    da: &DistMat<mfbc_algebra::Dist>,
-    dat: &DistMat<mfbc_algebra::Dist>,
-    chunk: &[usize],
-    plan: &MmPlan,
-    fwd_cache: &mut MmCache<mfbc_algebra::Dist>,
-    back_cache: &mut MmCache<mfbc_algebra::Dist>,
-    run: &mut CombBlasRun,
-) -> Result<(), BaselineError> {
-    let n = g.n();
-    let nbatch = chunk.len();
-    let layout = canonical_layout(machine, nbatch, n);
+fn batch(be: &mut Simulated, chunk: &[usize], run: &mut CombBlasRun) -> Result<(), BaselineError> {
+    let n = run.scores.n();
 
     // Level 0: each source visits itself with σ = 1.
-    let mut seed = Coo::new(nbatch, n);
+    let mut seed = Coo::new(chunk.len(), n);
     for (s, &src) in chunk.iter().enumerate() {
         seed.push(s, src, 1.0f64);
     }
-    let f0 = DistMat::from_global(layout.clone(), &seed.into_csr::<SumF64>());
+    let f0 = be.place(seed.into_csr::<SumF64>());
 
     // Forward BFS, storing the per-level frontier stack (σ values) —
     // the CombBLAS memory profile.
     let mut fronts: Vec<DistMat<f64>> = vec![f0.clone()];
     let mut sigma = f0;
-    sigma.charge_memory(machine)?;
-    fronts[0].charge_memory(machine)?;
+    be.charge(&sigma)?;
+    be.charge(&fronts[0])?;
 
     loop {
         let cur = fronts.last().expect("at least the seed level");
-        if nnz_sync(machine, cur)? == 0 {
+        if nnz_sync(&be.m, cur)? == 0 {
             if let Some(f) = fronts.pop() {
-                f.release_memory(machine)
+                be.release(&f)
             }
             break;
         }
         // Unvisited vertices only: the complement of σ's pattern as
         // an output mask prunes already-discovered products inside
         // the multiply instead of filtering them out afterwards.
-        let unvisited = crate::dist::pattern_mask_of(MaskKind::Complement, &sigma);
-        let explored = mm_exec_cached_masked::<CountKernel>(
-            machine,
-            plan,
-            cur,
-            da,
-            Some(&unvisited),
-            fwd_cache,
-        )?;
-        run.ops += explored.ops;
-        let next = explored.c;
-        let sigma_new = dmat_combine::<SumF64, _>(machine, &sigma, &next);
-        sigma.release_memory(machine);
+        let unvisited = be.mask_of(MaskKind::Complement, &sigma);
+        let (next, ops) = be.mm::<CountKernel>(cur, Adj::A, unvisited.as_ref())?;
+        run.ops += ops;
+        let sigma_new = be.combine::<SumF64>(&sigma, &next);
+        be.release(&sigma);
         sigma = sigma_new;
-        sigma.charge_memory(machine)?;
-        next.charge_memory(machine)?;
+        be.charge(&sigma)?;
+        be.charge(&next)?;
         fronts.push(next);
         run.levels += 1;
     }
 
     // Backward dependency sweep over the stored stack.
-    let mut delta = DistMat::<f64>::zero(layout.clone());
+    let mut delta = DistMat::<f64>::zero(fronts[0].layout().clone());
     for l in (1..fronts.len()).rev() {
         // wₗ(s,v) = (1 + δ(s,v)) / σ(s,v) on level-l vertices.
-        let wl =
-            dmat_zip_filter::<SumF64, _, _, f64>(machine, &fronts[l], &delta, |_, _, s_v, d| {
-                Some((1.0 + d.copied().unwrap_or(0.0)) / *s_v)
-            });
+        let wl = be.zip_filter::<SumF64, _, _>(&fronts[l], &delta, |_, _, s_v, d| {
+            Some((1.0 + d.copied().unwrap_or(0.0)) / *s_v)
+        });
         // Restrict to true predecessors (level l−1) via a structural
         // output mask on the multiply; the zip then only scales by σ.
-        let preds = crate::dist::pattern_mask_of(MaskKind::Structural, &fronts[l - 1]);
-        let contrib = mm_exec_cached_masked::<CountKernel>(
-            machine,
-            plan,
-            &wl,
-            dat,
-            Some(&preds),
-            back_cache,
-        )?;
-        run.ops += contrib.ops;
-        let upd = dmat_zip_filter::<SumF64, _, _, f64>(
-            machine,
-            &contrib.c,
-            &fronts[l - 1],
-            |_, _, x, pred| pred.map(|s_v| x * s_v),
-        );
-        delta = dmat_combine::<SumF64, _>(machine, &delta, &upd);
+        let preds = be.mask_of(MaskKind::Structural, &fronts[l - 1]);
+        let (contrib, ops) = be.mm::<CountKernel>(&wl, Adj::At, preds.as_ref())?;
+        run.ops += ops;
+        let upd = be.zip_filter::<SumF64, _, _>(&contrib, &fronts[l - 1], |_, _, x, pred| {
+            pred.map(|s_v| x * s_v)
+        });
+        delta = be.combine::<SumF64>(&delta, &upd);
     }
 
     // λ(v) += Σ_s δ(s,v), excluding the sources themselves.
-    let masked =
-        dmat_zip_filter::<SumF64, _, _, f64>(machine, &delta, &fronts[0], |_, _, d, is_source| {
-            if is_source.is_none() {
-                Some(*d)
-            } else {
-                None
-            }
-        });
-    let partial = dmat_column_sums(machine, &masked)?;
+    let masked = be.zip_filter::<SumF64, _, _>(&delta, &fronts[0], |_, _, d, is_source| {
+        is_source.is_none().then_some(*d)
+    });
+    let partial = dmat_column_sums(&be.m, &masked)?;
     for (v, x) in partial.into_iter().enumerate() {
         run.scores.lambda[v] += x;
     }
 
     for f in &fronts {
-        f.release_memory(machine);
+        be.release(f);
     }
-    sigma.release_memory(machine);
+    be.release(&sigma);
     Ok(())
 }
 

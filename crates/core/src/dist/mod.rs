@@ -11,28 +11,19 @@
 //! * [`PlanMode::Fixed`] pins one explicit plan for every product
 //!   (used by the ablation benchmarks).
 //!
-//! The driver mirrors `seq::{mfbf, mfbr, mfbc}` step for step; the
-//! frontier-rule helpers are shared so the two implementations cannot
-//! drift. Every matrix is canonically distributed; products charge
-//! their communication to the machine's critical path; elementwise
-//! steps charge local compute; per-iteration termination checks
-//! charge an allreduce.
+//! The algorithm itself is [`crate::sweep`], the code `seq` runs, here
+//! over the [`Simulated`] backend (which does all the charging). What
+//! this module adds is what only a machine needs: plan resolution,
+//! the resumable [`MfbcSession`], and its batch-boundary checkpoint /
+//! rollback / shrink-and-replan recovery.
 
+use crate::backend::Simulated;
 use crate::scores::BcScores;
-use crate::seq::{mfbf_keep_in_frontier, mfbr_anchor, mfbr_fire};
-use mfbc_algebra::kernel::{BellmanFordKernel, BrandesKernel};
-use mfbc_algebra::monoid::SumF64;
-use mfbc_algebra::{Centpath, CentpathMonoid, Multpath, MultpathMonoid};
+use crate::sweep::batch;
 use mfbc_graph::Graph;
 use mfbc_machine::{Machine, MachineError};
-use mfbc_sparse::{Coo, Mask, MaskKind};
-use mfbc_tensor::autotune::mm_auto_cached_masked;
-use mfbc_tensor::cache::{CacheStats, MmCache};
-use mfbc_tensor::ops::{
-    dmat_combine, dmat_combine_anchored, dmat_fold_columns, dmat_map_filter, dmat_zip_filter,
-    nnz_sync,
-};
-use mfbc_tensor::{canonical_layout, mm_exec_cached_masked, DistMat, MmPlan, Variant1D, Variant2D};
+use mfbc_tensor::cache::CacheStats;
+use mfbc_tensor::{MmPlan, Variant1D, Variant2D};
 
 /// How multiplication plans are chosen.
 #[derive(Clone, Debug)]
@@ -263,8 +254,8 @@ const MAX_BATCH_RETRIES: u32 = 8;
 
 /// Runs distributed MFBC on `machine`.
 ///
-/// When [`MfbcConfig::threads`] is set, the whole run executes under
-/// an `mfbc_parallel::with_threads` override, sizing every local
+/// When [`MfbcConfig::threads`] is set, every batch executes under an
+/// `mfbc_parallel::with_threads` override, sizing every local
 /// kernel's pool; results are bit-identical at any thread count.
 ///
 /// # Fault tolerance
@@ -288,47 +279,12 @@ const MAX_BATCH_RETRIES: u32 = 8;
 /// batch-size retreat, collective failures that outlive the retry
 /// budget, and invalid plan configuration.
 pub fn mfbc_dist(machine: &Machine, g: &Graph, cfg: &MfbcConfig) -> Result<MfbcRun, MachineError> {
-    match cfg.threads {
-        Some(t) => mfbc_parallel::with_threads(t, || mfbc_dist_inner(machine, g, cfg)),
-        None => mfbc_dist_inner(machine, g, cfg),
-    }
-}
-
-/// Releases everything a run keeps resident — on the way out of a
-/// terminal (unrecoverable) error, so the meter balances.
-fn release_run_state(
-    m: &Machine,
-    fwd_cache: &mut MmCache<mfbc_algebra::Dist>,
-    back_cache: &mut MmCache<mfbc_algebra::Dist>,
-    da: &DistMat<mfbc_algebra::Dist>,
-    dat: &DistMat<mfbc_algebra::Dist>,
-) {
-    fwd_cache.release_all(m);
-    back_cache.release_all(m);
-    da.release_memory(m);
-    dat.release_memory(m);
-}
-
-fn mfbc_dist_inner(
-    machine: &Machine,
-    g: &Graph,
-    cfg: &MfbcConfig,
-) -> Result<MfbcRun, MachineError> {
     let mut session = MfbcSession::new(machine, g, cfg)?;
-    loop {
-        match session.step() {
-            Ok(SessionStep::Done) => break,
-            Ok(SessionStep::Committed { .. }) => {}
-            Err(e) => {
-                // One-shot semantics: any error ends the run, so the
-                // resident state is released before propagating (a
-                // long-lived caller may instead keep the session and
-                // retry the step — see `MfbcSession::step`).
-                session.abort();
-                return Err(e);
-            }
-        }
-    }
+    // One-shot semantics: any error ends the run, and dropping the
+    // session releases its resident state (a long-lived caller may
+    // instead keep the session and retry the step — see
+    // `MfbcSession::step`).
+    while session.step()? != SessionStep::Done {}
     Ok(session.finish())
 }
 
@@ -375,15 +331,11 @@ pub enum SessionStep {
 pub struct MfbcSession {
     g: Graph,
     cfg: MfbcConfig,
-    /// Current machine; a crash recovery swaps in the shrunk one.
-    m: Machine,
+    /// The machine (a crash recovery swaps in the shrunk one), the
+    /// resident adjacency, the plan and the prepared-adjacency caches.
+    be: Simulated,
     /// Current batch size; the OOM retreat halves it.
     nb: usize,
-    da: DistMat<mfbc_algebra::Dist>,
-    dat: DistMat<mfbc_algebra::Dist>,
-    plan: Option<MmPlan>,
-    fwd_cache: MmCache<mfbc_algebra::Dist>,
-    back_cache: MmCache<mfbc_algebra::Dist>,
     /// Counts folded in from caches retired by a crash replan, so
     /// [`cache_stats`](MfbcSession::cache_stats) spans cache
     /// generations.
@@ -394,8 +346,19 @@ pub struct MfbcSession {
     /// Batch cursor over `sources`; advances only when a batch
     /// commits, so every recovery resumes exactly where it left off.
     cursor: usize,
-    released: bool,
     poisoned: bool,
+}
+
+/// The backend a session runs on: `g` resident on `m`, masked where
+/// the configuration asks for it and the graph allows it.
+fn backend(
+    m: &Machine,
+    g: &Graph,
+    cfg: &MfbcConfig,
+    plan: Option<MmPlan>,
+) -> Result<Simulated, MachineError> {
+    let masked = cfg.masked && g.is_unit_weighted();
+    Simulated::new(m, g, plan, cfg.amortize_adjacency, masked)
 }
 
 impl MfbcSession {
@@ -417,17 +380,7 @@ impl MfbcSession {
     ) -> Result<MfbcSession, MachineError> {
         let n = g.n();
         let nb = cfg.batch_size.unwrap_or_else(|| n.min(512)).max(1);
-        let m = machine.clone();
-
-        // Adjacency and its transpose, canonically distributed and
-        // resident for the whole session (rebuilt after a shrink —
-        // the canonical layout depends on p).
-        let da = DistMat::from_global(canonical_layout(&m, n, n), g.adjacency());
-        let dat = DistMat::from_global(canonical_layout(&m, n, n), &g.adjacency_t());
-        da.charge_memory(&m)?;
-        dat.charge_memory(&m)?;
-
-        let plan = cfg.plan_mode.plan_for(&m)?;
+        let plan = cfg.plan_mode.plan_for(machine)?;
         let sources: Vec<usize> = match &cfg.sources {
             Some(s) => {
                 for &v in s {
@@ -440,16 +393,8 @@ impl MfbcSession {
         Ok(MfbcSession {
             g: g.clone(),
             cfg: cfg.clone(),
-            m,
+            be: backend(machine, g, cfg, plan)?,
             nb,
-            da,
-            dat,
-            plan,
-            // Prepared-adjacency caches: the Theorem-5.1
-            // amortization. One cache per orientation; both released
-            // (with their simulated residency) at end of session.
-            fwd_cache: MmCache::new(),
-            back_cache: MmCache::new(),
             retired_cache_stats: CacheStats::default(),
             run: MfbcRun {
                 scores: BcScores::zeros(n),
@@ -466,7 +411,6 @@ impl MfbcSession {
             recovery: RecoveryStats::default(),
             sources,
             cursor: 0,
-            released: false,
             poisoned: false,
         })
     }
@@ -474,8 +418,7 @@ impl MfbcSession {
     /// Commits the next batch (or reports [`SessionStep::Done`]).
     ///
     /// When [`MfbcConfig::threads`] is set the step runs under an
-    /// `mfbc_parallel::with_threads` override (reentrant, so the
-    /// [`mfbc_dist`] wrapper's own override composes).
+    /// `mfbc_parallel::with_threads` override.
     ///
     /// # Errors
     /// Retryable errors (`CollectiveFailed` past the per-step retry
@@ -484,7 +427,7 @@ impl MfbcSession {
     /// Unrecoverable errors poison the session (see
     /// [`poisoned`](MfbcSession::poisoned)).
     pub fn step(&mut self) -> Result<SessionStep, MachineError> {
-        if self.released {
+        if self.be.closed() {
             return Err(MachineError::invalid(
                 "MFBC session is poisoned (resident state already released)",
             ));
@@ -504,42 +447,29 @@ impl MfbcSession {
     }
 
     fn step_inner(&mut self) -> Result<SessionStep, MachineError> {
-        let n = self.g.n();
         'batches: loop {
             // ---- checkpoint (batch boundary) ----
             // Scores + progress are cloned; the memory meter and the
             // set of cached adjacency forms are snapshotted so a
             // rollback can discard mid-batch allocations and cache
             // entries without double-counting.
-            let snapshot = self.m.memory_snapshot();
-            let fwd_keys = self.fwd_cache.keys();
-            let back_keys = self.back_cache.keys();
+            let snapshot = self.be.m.memory_snapshot();
+            let cache_keys = self.be.cache_keys();
             let run_ckpt = self.run.clone();
             let mut batch_attempts = 0u32;
             loop {
                 let end = (self.cursor + self.nb).min(self.sources.len());
                 let chunk = &self.sources[self.cursor..end];
-                let started_s = self.m.report().critical.total_time();
+                let started_s = self.be.m.report().critical.total_time();
                 let _span = mfbc_trace::span(|| format!("batch {}", self.run.batches));
-                let caches = if self.cfg.amortize_adjacency {
-                    Some((&mut self.fwd_cache, &mut self.back_cache))
-                } else {
-                    None
-                };
-                let masked = self.cfg.masked && self.g.is_unit_weighted();
-                match batch(
-                    &self.m,
-                    &self.g,
-                    &self.da,
-                    &self.dat,
-                    chunk,
-                    self.plan.as_ref(),
-                    masked,
-                    caches,
-                    &mut self.run,
-                ) {
-                    Ok(()) => {
+                self.be.batch = self.run.batches;
+                match batch(&mut self.be, &self.g, chunk, &mut self.run.scores.lambda) {
+                    Ok((fwd, back)) => {
                         let committed = chunk.len();
+                        self.run.forward_iterations += fwd.iterations;
+                        self.run.backward_iterations += back.iterations;
+                        self.run.frontier_nnz += fwd.frontier_nnz;
+                        self.run.ops += fwd.ops + back.ops;
                         self.run.batches += 1;
                         self.run.sources_processed += committed;
                         self.cursor = end;
@@ -549,13 +479,12 @@ impl MfbcSession {
                         // Roll back to the checkpoint. Modeled time is
                         // *not* rolled back: the failed attempt's seconds
                         // stay on the clock and are reported as waste.
-                        let wasted = self.m.report().critical.total_time() - started_s;
+                        let wasted = self.be.m.report().critical.total_time() - started_s;
                         self.recovery.wasted_modeled_s += wasted;
                         self.recovery.checkpoints_restored += 1;
                         self.run = run_ckpt.clone();
-                        self.m.restore_memory(&snapshot);
-                        self.fwd_cache.discard_except(&fwd_keys);
-                        self.back_cache.discard_except(&back_keys);
+                        self.be.m.restore_memory(&snapshot);
+                        self.be.discard_cached_except(&cache_keys);
                         match e {
                             MachineError::CollectiveFailed { .. } => {
                                 batch_attempts += 1;
@@ -577,53 +506,32 @@ impl MfbcSession {
                                 // Graceful degradation: release everything
                                 // from the dead configuration, shrink to
                                 // the survivors, rebuild the distributed
-                                // state, and let the autotuner replan for
-                                // the smaller machine.
-                                release_run_state(
-                                    &self.m,
-                                    &mut self.fwd_cache,
-                                    &mut self.back_cache,
-                                    &self.da,
-                                    &self.dat,
-                                );
-                                // Between here and the successful
-                                // rebuild nothing is resident — a
-                                // failure in the window must not
-                                // release again.
-                                self.released = true;
-                                let old_p = self.m.p();
-                                self.m = match self.m.shrink(rank) {
+                                // state (the canonical layout depends on
+                                // p), and let the autotuner replan for the
+                                // smaller machine. A failure before the
+                                // rebuild succeeds finds nothing resident
+                                // to release again.
+                                self.be.close();
+                                let old_p = self.be.m.p();
+                                self.be.m = match self.be.m.shrink(rank) {
                                     Ok(m) => m,
                                     Err(e) => return Err(self.poison(e)),
                                 };
-                                self.da = DistMat::from_global(
-                                    canonical_layout(&self.m, n, n),
-                                    self.g.adjacency(),
-                                );
-                                self.dat = DistMat::from_global(
-                                    canonical_layout(&self.m, n, n),
-                                    &self.g.adjacency_t(),
-                                );
-                                if let Err(e) = self.da.charge_memory(&self.m) {
-                                    return Err(self.poison(e));
+                                match backend(&self.be.m, &self.g, &self.cfg, None) {
+                                    Ok(be) => {
+                                        // Fold the retired caches' activity
+                                        // in before replacing them (their
+                                        // release already counted the
+                                        // evictions).
+                                        self.retired_cache_stats.absorb(self.be.cache_stats());
+                                        self.be = be;
+                                    }
+                                    Err(e) => return Err(self.poison(e)),
                                 }
-                                if let Err(e) = self.dat.charge_memory(&self.m) {
-                                    return Err(self.poison(e));
-                                }
-                                // Fold the retired caches' activity in
-                                // before replacing them (release_all
-                                // above already counted their
-                                // evictions).
-                                self.retired_cache_stats.absorb(self.fwd_cache.stats());
-                                self.retired_cache_stats.absorb(self.back_cache.stats());
-                                self.fwd_cache = MmCache::new();
-                                self.back_cache = MmCache::new();
-                                self.released = false;
-                                self.plan = None; // degraded mode: autotune on the survivors
                                 self.recovery.replans += 1;
                                 mfbc_trace::emit(|| mfbc_trace::TraceEvent::Recovery {
                                     action: "replan",
-                                    detail: format!("p={old_p}->{} plan=auto", self.m.p()),
+                                    detail: format!("p={old_p}->{} plan=auto", self.be.m.p()),
                                     wasted_s: wasted,
                                 });
                                 // The snapshot predates the shrink (wrong
@@ -669,27 +577,14 @@ impl MfbcSession {
     /// releases its resident state so the memory meter balances.
     fn poison(&mut self, e: MachineError) -> MachineError {
         self.poisoned = true;
-        self.release();
+        self.be.close();
         e
-    }
-
-    fn release(&mut self) {
-        if !self.released {
-            release_run_state(
-                &self.m,
-                &mut self.fwd_cache,
-                &mut self.back_cache,
-                &self.da,
-                &self.dat,
-            );
-            self.released = true;
-        }
     }
 
     /// Releases the session's resident state without producing a run
     /// (idempotent; also done on drop).
     pub fn abort(&mut self) {
-        self.release();
+        self.be.close();
     }
 
     /// Whether an unrecoverable error has poisoned the session: its
@@ -702,7 +597,7 @@ impl MfbcSession {
     /// The machine the session currently runs on — after a crash
     /// recovery, the shrunk one.
     pub fn machine(&self) -> &Machine {
-        &self.m
+        &self.be.m
     }
 
     /// The partial (or, once [`remaining_sources`](MfbcSession::
@@ -722,8 +617,7 @@ impl MfbcSession {
     /// spanning cache generations retired by crash replans.
     pub fn cache_stats(&self) -> CacheStats {
         let mut total = self.retired_cache_stats;
-        total.absorb(self.fwd_cache.stats());
-        total.absorb(self.back_cache.stats());
+        total.absorb(self.be.cache_stats());
         total
     }
 
@@ -757,15 +651,16 @@ impl MfbcSession {
     /// [`MfbcRun`], exactly as the one-shot driver does on the way
     /// out. Idempotent in effect; the session is unusable afterwards.
     pub fn finish(&mut self) -> MfbcRun {
-        self.release();
-        let stats = self.m.fault_stats();
+        self.be.close();
+        let m = &self.be.m;
+        let stats = m.fault_stats();
         let mut recovery = self.recovery.clone();
         recovery.faults_injected = stats.faults_injected;
         recovery.collective_retries = stats.retries;
-        recovery.final_p = self.m.p();
+        recovery.final_p = m.p();
         let mut run = self.run.clone();
-        run.report = self.m.report();
-        run.peak_bytes = self.m.memory_peaks();
+        run.report = m.report();
+        run.peak_bytes = m.memory_peaks();
         run.recovery = recovery;
         run
     }
@@ -773,264 +668,8 @@ impl MfbcSession {
 
 impl Drop for MfbcSession {
     fn drop(&mut self) {
-        self.release();
+        self.be.close();
     }
-}
-
-fn mm_step<K: mfbc_algebra::SpMulKernel>(
-    machine: &Machine,
-    plan: Option<&MmPlan>,
-    f: &DistMat<K::Left>,
-    a: &DistMat<K::Right>,
-    mask: Option<&Mask>,
-    cache: Option<&mut MmCache<K::Right>>,
-) -> Result<mfbc_tensor::MmOut<mfbc_algebra::kernel::KernelOut<K>>, MachineError> {
-    match cache {
-        Some(cache) => match plan {
-            Some(p) => mm_exec_cached_masked::<K>(machine, p, f, a, mask, cache),
-            None => mm_auto_cached_masked::<K>(machine, f, a, mask, cache).map(|(out, _)| out),
-        },
-        // Un-amortized: every product pays its own preparation.
-        None => match plan {
-            Some(p) => mfbc_tensor::mm_exec_masked::<K>(machine, p, f, a, mask),
-            None => mfbc_tensor::mm_auto_masked::<K>(machine, f, a, mask).map(|(out, _)| out),
-        },
-    }
-}
-
-/// The complement mask of a distributed matrix's pattern — for the
-/// forward step, `T` (`Numsp`) holds every vertex already discovered
-/// per source, so its complement admits exactly the undiscovered
-/// coordinates. The mask pattern is assembled from the resident
-/// blocks; like canonical output assembly, its movement is not
-/// charged (see DESIGN.md).
-fn complement_mask_of<T: Clone + Send + Sync + PartialEq + std::fmt::Debug>(
-    t: &DistMat<T>,
-) -> Mask {
-    pattern_mask_of(MaskKind::Complement, t)
-}
-
-/// A mask of the given kind over a distributed matrix's pattern. The
-/// pattern is assembled from the resident blocks; like canonical
-/// output assembly, its movement is not charged (see DESIGN.md).
-pub(crate) fn pattern_mask_of<T: Clone + Send + Sync + PartialEq + std::fmt::Debug>(
-    kind: MaskKind,
-    t: &DistMat<T>,
-) -> Mask {
-    let l = t.layout();
-    let mut coords = Vec::with_capacity(t.nnz());
-    for bi in 0..l.br() {
-        let r0 = l.row_range(bi).start;
-        for bj in 0..l.bc() {
-            let c0 = l.col_range(bj).start;
-            for (i, j, _) in t.block(bi, bj).iter() {
-                coords.push((r0 + i, c0 + j));
-            }
-        }
-    }
-    Mask::from_coords(kind, t.nrows(), t.ncols(), &coords)
-}
-
-#[allow(clippy::too_many_arguments)]
-fn batch(
-    machine: &Machine,
-    g: &Graph,
-    da: &DistMat<mfbc_algebra::Dist>,
-    dat: &DistMat<mfbc_algebra::Dist>,
-    chunk: &[usize],
-    plan: Option<&MmPlan>,
-    masked: bool,
-    mut caches: Option<(
-        &mut MmCache<mfbc_algebra::Dist>,
-        &mut MmCache<mfbc_algebra::Dist>,
-    )>,
-    run: &mut MfbcRun,
-) -> Result<(), MachineError> {
-    let n = g.n();
-    let nbatch = chunk.len();
-
-    // ---- MFBF (Algorithm 1) ----
-    // One-edge seeds form the initial frontier; the table also gets
-    // the (0, 1) diagonal — see seq::mfbf's module docs.
-    let mut init = Coo::new(nbatch, n);
-    for (s, &src) in chunk.iter().enumerate() {
-        for (v, w) in g.neighbors(src) {
-            init.push(s, v, Multpath::new(w, 1.0));
-        }
-    }
-    let mut with_diag = Coo::new(nbatch, n);
-    for (s, &src) in chunk.iter().enumerate() {
-        with_diag.push(s, src, Multpath::trivial());
-    }
-    let frontier_layout = canonical_layout(machine, nbatch, n);
-    let frontier_init =
-        DistMat::from_global(frontier_layout.clone(), &init.into_csr::<MultpathMonoid>());
-    let diag = DistMat::from_global(
-        frontier_layout.clone(),
-        &with_diag.into_csr::<MultpathMonoid>(),
-    );
-    let mut t = dmat_combine::<MultpathMonoid, _>(machine, &frontier_init, &diag);
-    t.charge_memory(machine)?;
-    let mut frontier = frontier_init;
-
-    let batch_idx = run.batches;
-    // Phase spans bracket the BSP loops so timeline/Chrome views can
-    // attribute supersteps to their MFBF/MFBr phase; the profiler and
-    // cost meters ignore spans entirely.
-    let forward_span = mfbc_trace::span(|| format!("batch{batch_idx}/forward"));
-    let mut step = 0usize;
-    while nnz_sync(machine, &frontier)? > 0 {
-        mfbc_trace::emit(|| mfbc_trace::TraceEvent::Superstep {
-            phase: "forward",
-            batch: batch_idx,
-            step,
-            frontier_nnz: frontier.nnz() as u64,
-            active_rows: active_rows(&frontier),
-        });
-        step += 1;
-        run.forward_iterations += 1;
-        run.frontier_nnz += frontier.nnz() as u64;
-        // T holds every (source, vertex) pair already discovered;
-        // expansion only needs the rest. On unit-weighted graphs a
-        // rediscovery always loses the distance combine *and* the
-        // frontier filter, so pruning it at the multiply changes
-        // nothing downstream — it just skips the products (and lets
-        // redistribution skip B columns the mask rules out).
-        let mask = masked.then(|| complement_mask_of(&t));
-        let explored = mm_step::<BellmanFordKernel>(
-            machine,
-            plan,
-            &frontier,
-            da,
-            mask.as_ref(),
-            caches.as_mut().map(|(f, _)| &mut **f),
-        )?;
-        run.ops += explored.ops;
-        let t_new = dmat_combine::<MultpathMonoid, _>(machine, &t, &explored.c);
-        frontier = dmat_zip_filter::<MultpathMonoid, _, _, _>(
-            machine,
-            &explored.c,
-            &t_new,
-            |_, _, gv, tv| mfbf_keep_in_frontier(gv, tv),
-        );
-        t.release_memory(machine);
-        t = t_new;
-        t.charge_memory(machine)?;
-    }
-    drop(forward_span);
-
-    // ---- MFBr (Algorithm 2) ----
-    // Every backward product is consumed anchored on T's pattern:
-    // `counted` through a zip keyed on T, the loop updates through
-    // `combine_anchored` (Z's pattern ⊆ T's, fixed). Contributions at
-    // (source, vertex) pairs outside T are inert garbage the anchors
-    // drop, so a structural mask of T skips those products — and lets
-    // redistribution drop Aᵀ columns of vertices no source discovered.
-    let bmask = masked.then(|| pattern_mask_of(MaskKind::Structural, &t));
-    let seeds = dmat_map_filter::<CentpathMonoid, _, _>(machine, &t, |_, _, mp: &Multpath| {
-        Some(Centpath::new(mp.w, 0.0, 1))
-    });
-    let counted = mm_step::<BrandesKernel>(
-        machine,
-        plan,
-        &seeds,
-        dat,
-        bmask.as_ref(),
-        caches.as_mut().map(|(_, b)| &mut **b),
-    )?;
-    run.ops += counted.ops;
-    let mut z =
-        dmat_zip_filter::<CentpathMonoid, _, _, _>(machine, &t, &counted.c, |_, _, mp, d| {
-            Some(mfbr_anchor(mp, d))
-        });
-    z.charge_memory(machine)?;
-
-    let mut bfrontier = fire_and_pin(machine, &mut z, &t);
-    let backward_span = mfbc_trace::span(|| format!("batch{batch_idx}/backward"));
-    let mut step = 0usize;
-    while nnz_sync(machine, &bfrontier)? > 0 {
-        mfbc_trace::emit(|| mfbc_trace::TraceEvent::Superstep {
-            phase: "backward",
-            batch: batch_idx,
-            step,
-            frontier_nnz: bfrontier.nnz() as u64,
-            active_rows: active_rows(&bfrontier),
-        });
-        step += 1;
-        run.backward_iterations += 1;
-        let back = mm_step::<BrandesKernel>(
-            machine,
-            plan,
-            &bfrontier,
-            dat,
-            bmask.as_ref(),
-            caches.as_mut().map(|(_, b)| &mut **b),
-        )?;
-        run.ops += back.ops;
-        z = dmat_combine_anchored::<CentpathMonoid, _>(machine, &z, &back.c);
-        bfrontier = fire_and_pin(machine, &mut z, &t);
-    }
-    drop(backward_span);
-
-    // ---- λ accumulation (Algorithm 3, line 5) ----
-    let products = dmat_zip_filter::<SumF64, _, _, f64>(machine, &z, &t, |s, v, zv, tv| {
-        if v == chunk[s] {
-            return None; // δ(s,s) is excluded by definition
-        }
-        tv.map(|mp| zv.p * mp.m)
-    });
-    // Fold per-source contributions into λ in ascending global source
-    // order: the accumulation each λ[v] sees is independent of the
-    // batch size, so an OOM retreat or a post-crash replan reproduces
-    // the fault-free scores bit for bit.
-    dmat_fold_columns(machine, &products, &mut run.scores.lambda)?;
-
-    z.release_memory(machine);
-    t.release_memory(machine);
-    Ok(())
-}
-
-/// Number of distinct non-empty rows of a frontier — the batch
-/// sources still active this superstep (`nbatch − active` have
-/// converged). Only invoked from trace-event closures, so untraced
-/// runs never pay for the scan.
-fn active_rows<T: Clone + Send + Sync + PartialEq + std::fmt::Debug>(f: &DistMat<T>) -> u64 {
-    let l = f.layout();
-    let mut present = vec![false; f.nrows()];
-    for bi in 0..l.br() {
-        let r0 = l.row_range(bi).start;
-        for bj in 0..l.bc() {
-            for (i, _, _) in f.block(bi, bj).iter() {
-                present[r0 + i] = true;
-            }
-        }
-    }
-    present.iter().filter(|&&b| b).count() as u64
-}
-
-/// Distributed counterpart of `seq::mfbr`'s fire-and-pin: emits the
-/// frontier of zero-counter entries (carrying `ζ + 1/σ̄`) and pins
-/// them to −1 in `Z`.
-fn fire_and_pin(
-    machine: &Machine,
-    z: &mut DistMat<Centpath>,
-    t: &DistMat<Multpath>,
-) -> DistMat<Centpath> {
-    let fired = dmat_zip_filter::<CentpathMonoid, _, _, _>(machine, z, t, |_, _, zv, tv| {
-        if zv.c != 0 {
-            return None;
-        }
-        let sigma = tv.expect("Z pattern ⊆ T pattern").m;
-        mfbr_fire(zv, sigma)
-    });
-    *z = dmat_map_filter::<CentpathMonoid, _, _>(machine, z, |_, _, zv| {
-        if zv.c == 0 {
-            Some(Centpath::new(zv.w, zv.p, -1))
-        } else {
-            Some(*zv)
-        }
-    });
-    fired
 }
 
 #[cfg(test)]
@@ -1154,7 +793,22 @@ mod tests {
 
     #[test]
     fn masked_forward_is_bit_identical_and_cheaper() {
+        use crate::backend::Local;
+        use crate::sweep::{backward, forward};
         let g = ladder();
+        // The local backend, where the tables themselves are visible.
+        let sources: Vec<usize> = (0..g.n()).collect();
+        let local = |masked: bool| {
+            let mut be = Local::new(&g);
+            be.masked = masked;
+            let Ok((t, fwd)) = forward(&mut be, &g, &sources);
+            let Ok((z, back)) = backward(&mut be, &t);
+            (t, z, fwd.ops + back.ops)
+        };
+        let ((ut, uz, uops), (mt, mz, mops)) = (local(false), local(true));
+        assert_eq!(ut.first_difference(&mt), None, "masking changed T");
+        assert_eq!(uz.first_difference(&mz), None, "masking changed Z");
+        assert!(mops < uops, "local: masked {mops} !< unmasked {uops}");
         for p in [1usize, 4] {
             let run_with = |masked: bool| {
                 let m = Machine::new(MachineSpec::test(p));

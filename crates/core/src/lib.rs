@@ -5,10 +5,12 @@
 //! communication-efficient generalized sparse matrix multiplication
 //! over the multpath and centpath monoids.
 //!
-//! * [`seq`] — Algorithms 1–3 on CSR matrices (shared-memory
-//!   reference, `mfbc-parallel` pooled kernels);
-//! * [`dist`] — the distributed drivers over the simulated machine:
-//!   autotuned **CTF-MFBC** and fixed-grid **CA-MFBC** (§6);
+//! * [`sweep`] — Algorithms 1–3, written once over a [`backend`]:
+//!   `Local` (CSR matrices, `mfbc-parallel` pooled kernels) or
+//!   `Simulated` (distributed matrices on the simulated machine);
+//! * [`seq`] — `sweep` on `Local`: the shared-memory entry points;
+//! * [`dist`] — `sweep` on `Simulated`: autotuned **CTF-MFBC** and
+//!   fixed-grid **CA-MFBC** (§6), resumable, fault-tolerant;
 //! * [`combblas`] — the CombBLAS-style comparison baseline: batched
 //!   BFS-Brandes on a square 2D grid, unweighted only (§7);
 //! * [`approx`] — unbiased sampled-source approximation (the Bader
@@ -28,6 +30,7 @@
 
 pub mod approx;
 pub mod apsp;
+pub mod backend;
 pub mod bfs;
 pub mod cc;
 pub mod combblas;
@@ -35,6 +38,7 @@ pub mod dist;
 pub mod oracle;
 pub mod scores;
 pub mod seq;
+pub mod sweep;
 
 pub use approx::{approx_from_sources, mfbc_approx, sample_rel_se, sample_sources};
 pub use dist::{mfbc_dist, MfbcConfig, MfbcRun, MfbcSession, PlanMode, SessionStep};

@@ -1,8 +1,8 @@
 //! MFBC — the combined batched algorithm (Algorithm 3), sequential.
 
+use crate::backend::Local;
 use crate::scores::BcScores;
-use crate::seq::mfbf::mfbf_seq;
-use crate::seq::mfbr::mfbr_seq;
+use crate::sweep::batch;
 use mfbc_graph::Graph;
 
 /// Aggregate statistics of a sequential MFBC run.
@@ -36,24 +36,14 @@ pub fn mfbc_seq(g: &Graph, nb: usize) -> (BcScores, MfbcSeqStats) {
     assert!(nb > 0, "batch size must be positive");
 
     let sources: Vec<usize> = (0..n).collect();
+    let mut be = Local::new(g);
     for chunk in sources.chunks(nb) {
-        let fwd = mfbf_seq(g, chunk);
-        let back = mfbr_seq(g, &fwd.t);
+        let Ok((fwd, back)) = batch(&mut be, g, chunk, &mut scores.lambda);
         stats.batches += 1;
         stats.forward_iterations += fwd.iterations;
         stats.backward_iterations += back.iterations;
         stats.ops += fwd.ops + back.ops;
         stats.frontier_nnz += fwd.frontier_nnz;
-
-        // Line 5: λ(v) += Σ_s Z(s,v).p · T(s,v).m, skipping the
-        // diagonal (δ(s,s) is excluded by the definition of σ(s,t,v)).
-        for (s, v, z) in back.z.iter() {
-            if v == chunk[s] {
-                continue;
-            }
-            let sigma = fwd.t.get(s, v).expect("Z pattern ⊆ T pattern").m;
-            scores.lambda[v] += z.p * sigma;
-        }
     }
     (scores, stats)
 }

@@ -1,31 +1,11 @@
-//! MFBF — Maximal Frontier Bellman-Ford (Algorithm 1), sequential.
-//!
-//! Computes, for a batch of source vertices `®s`, the multpath matrix
-//! `T` with `T(s,v) = (τ(®s(s),v), σ̄(®s(s),v))`: shortest-path
-//! distances *and* multiplicities, by relaxing all edges adjacent to
-//! vertices whose path information changed in the previous iteration
-//! (the *maximal frontier*).
-//!
-//! Sparse-representation note: the paper initializes `T(s,v) =
-//! (A(®s(s),v), 1)` including `(∞, 1)` entries for non-edges so they
-//! are "considered in the main loop". Under our sparse-zero
-//! convention `(∞, ·)` entries are never stored — the Bellman–Ford
-//! kernel annihilates them — which realizes the same semantics
-//! without materializing `n·n_b` placeholder entries. The diagonal
-//! is seeded as the ground truth `T(s, ®s(s)) = (0, 1)` — present in
-//! the table but *not* in the initial frontier (seeding it in the
-//! frontier would double-count the pre-seeded one-edge paths). With
-//! the paper's literal `(A(s,s), 1) = (∞, 1)` diagonal, a
-//! finite-weight cycle back to the source would overwrite `τ(s,s)`
-//! with the cycle length and let MFBr back-propagate spurious factors
-//! onto cycle vertices (see the `cycle_back_to_source` test).
+//! MFBF — Maximal Frontier Bellman-Ford (Algorithm 1), sequential:
+//! [`crate::sweep::forward`] on the local backend.
 
-use crate::seq::mfbf_keep_in_frontier;
-use mfbc_algebra::kernel::BellmanFordKernel;
-use mfbc_algebra::{Multpath, MultpathMonoid};
+use crate::backend::Local;
+use crate::sweep::forward;
+use mfbc_algebra::Multpath;
 use mfbc_graph::Graph;
-use mfbc_sparse::elementwise::combine;
-use mfbc_sparse::{spgemm, Coo, Csr};
+use mfbc_sparse::Csr;
 
 /// Result of a sequential MFBF run.
 #[derive(Clone, Debug)]
@@ -38,64 +18,18 @@ pub struct MfbfOut {
     pub iterations: usize,
     /// `Σᵢ nnz(Fᵢ)` — the frontier-volume term of Theorem 5.1.
     pub frontier_nnz: u64,
-    /// `Σᵢ nnz(Gᵢ)` — the explored-volume term.
-    pub explored_nnz: u64,
     /// Total elementary relaxations (`ops`).
     pub ops: u64,
 }
 
 /// Runs Algorithm 1 for the given source vertices.
 pub fn mfbf_seq(g: &Graph, sources: &[usize]) -> MfbfOut {
-    let n = g.n();
-    let nb = sources.len();
-    let a = g.adjacency();
-
-    // Line 1: T(s,v) := (A(®s(s),v), 1) — one-edge paths.
-    let mut init = Coo::new(nb, n);
-    for (s, &src) in sources.iter().enumerate() {
-        assert!(src < n, "source {src} out of range");
-        for (v, w) in g.neighbors(src) {
-            init.push(s, v, Multpath::new(w, 1.0));
-        }
-    }
-    // Line 2: the initial frontier is the one-edge table (without
-    // the diagonal — see the module docs).
-    let frontier_init = init.into_csr::<MultpathMonoid>();
-    let mut diag = Coo::new(nb, n);
-    for (s, &src) in sources.iter().enumerate() {
-        diag.push(s, src, Multpath::trivial());
-    }
-    let mut t = combine::<MultpathMonoid, _>(&frontier_init, &diag.into_csr::<MultpathMonoid>());
-    let mut frontier = frontier_init;
-
-    let mut iterations = 0usize;
-    let mut frontier_nnz = frontier.nnz() as u64;
-    let mut explored_nnz = 0u64;
-    let mut ops = 0u64;
-
-    // Line 3: loop while the frontier carries any path.
-    while !frontier.is_empty() {
-        iterations += 1;
-        // Line 4: explore nodes adjacent to the frontier.
-        let explored = spgemm::<BellmanFordKernel>(&frontier, a);
-        ops += explored.ops;
-        let g_mat = explored.mat;
-        explored_nnz += g_mat.nnz() as u64;
-        // Line 5: accumulate multiplicities.
-        let t_new = combine::<MultpathMonoid, _>(&t, &g_mat);
-        // Line 6: the next frontier keeps explored entries whose
-        // weight survived the accumulation.
-        frontier = g_mat.filter(|s, v, gv| mfbf_keep_in_frontier(gv, t_new.get(s, v)).is_some());
-        frontier_nnz += frontier.nnz() as u64;
-        t = t_new;
-    }
-
+    let Ok((t, st)) = forward(&mut Local::new(g), g, sources);
     MfbfOut {
         t,
-        iterations,
-        frontier_nnz,
-        explored_nnz,
-        ops,
+        iterations: st.iterations,
+        frontier_nnz: st.frontier_nnz,
+        ops: st.ops,
     }
 }
 

@@ -1,26 +1,11 @@
-//! MFBr — Maximal Frontier Brandes (Algorithm 2), sequential.
-//!
-//! Given the multpath table `T` from MFBF, back-propagates partial
-//! centrality *factors* `ζ(s,v) = δ(s,v)/σ̄(s,v)` from the leaves of
-//! each shortest-path tree toward the root. Each table entry keeps a
-//! counter of shortest-path children that have not yet reported;
-//! a vertex joins the backward frontier exactly when its counter
-//! hits zero, then is pinned to −1 so it fires once (the paper's
-//! optimal-progress property).
-//!
-//! Back-propagated contributions are merged with the *anchored* `⊗`:
-//! an update only lands on positions already present in `Z` (pairs
-//! with a finite shortest path). Contributions to other positions —
-//! possible when an edge leads to a vertex unreachable from the
-//! batch's sources — are inert by the paper's `(∞,0,0)` semantics and
-//! are dropped rather than stored.
+//! MFBr — Maximal Frontier Brandes (Algorithm 2), sequential:
+//! [`crate::sweep::backward`] on the local backend.
 
-use crate::seq::{mfbr_anchor, mfbr_fire};
-use mfbc_algebra::kernel::BrandesKernel;
-use mfbc_algebra::{Centpath, CentpathMonoid, Multpath};
+use crate::backend::Local;
+use crate::sweep::backward;
+use mfbc_algebra::{Centpath, Multpath};
 use mfbc_graph::Graph;
-use mfbc_sparse::elementwise::combine_anchored;
-use mfbc_sparse::{spgemm, Csr};
+use mfbc_sparse::Csr;
 
 /// Result of a sequential MFBr run.
 #[derive(Clone, Debug)]
@@ -37,65 +22,13 @@ pub struct MfbrOut {
 
 /// Runs Algorithm 2: `Z = MFBr(A, T)`.
 pub fn mfbr_seq(g: &Graph, t: &Csr<Multpath>) -> MfbrOut {
-    let at = g.adjacency_t();
-    let mut ops = 0u64;
-
-    // Lines 1–2: count each vertex's shortest-path children by one
-    // generalized product of per-entry (τ, 0, 1) seeds with Aᵀ.
-    let seeds = t.map(|_, _, mp| Centpath::new(mp.w, 0.0, 1));
-    let counted = spgemm::<BrandesKernel>(&seeds, &at);
-    ops += counted.ops;
-    let mut z = t.map(|s, v, mp| mfbr_anchor(mp, counted.mat.get(s, v)));
-
-    // Lines 3–4: leaves (counter 0) form the first frontier.
-    let mut frontier = fire_and_pin(&mut z, t);
-    let mut iterations = 0usize;
-    let mut frontier_nnz = frontier.nnz() as u64;
-
-    // Lines 5–12.
-    while !frontier.is_empty() {
-        iterations += 1;
-        // Line 6: back-propagate the frontier of centralities.
-        let back = spgemm::<BrandesKernel>(&frontier, &at);
-        ops += back.ops;
-        // Line 8: accumulate centralities and decrement counters
-        // (frontier entries carry c = −1 each).
-        z = combine_anchored::<CentpathMonoid, _>(&z, &back.mat);
-        // Lines 9–11: vertices whose counter reached zero fire.
-        frontier = fire_and_pin(&mut z, t);
-        frontier_nnz += frontier.nnz() as u64;
-    }
-
+    let Ok((z, st)) = backward(&mut Local::new(g), t);
     MfbrOut {
         z,
-        iterations,
-        frontier_nnz,
-        ops,
+        iterations: st.iterations,
+        frontier_nnz: st.frontier_nnz,
+        ops: st.ops,
     }
-}
-
-/// Extracts the next frontier (entries with counter 0, carrying
-/// `ζ + 1/σ̄`) and pins those entries to −1 in `Z`.
-fn fire_and_pin(z: &mut Csr<Centpath>, t: &Csr<Multpath>) -> Csr<Centpath> {
-    let frontier = z.filter(|s, v, zv| {
-        let _ = (s, v);
-        zv.c == 0
-    });
-    if frontier.is_empty() {
-        return frontier;
-    }
-    let fired = frontier.map(|s, v, zv| {
-        let sigma = t.get(s, v).expect("Z pattern is a subset of T's").m;
-        mfbr_fire(zv, sigma).expect("filtered to c == 0")
-    });
-    *z = z.map(|_, _, zv| {
-        if zv.c == 0 {
-            Centpath::new(zv.w, zv.p, -1)
-        } else {
-            *zv
-        }
-    });
-    fired
 }
 
 #[cfg(test)]

@@ -1,54 +1,15 @@
-//! Sequential (single address space) MFBC: the paper's Algorithms
-//! 1–3 executed directly on CSR matrices with the generalized-SpGEMM
-//! kernels. This is both the `p = 1` reference the distributed driver
-//! is tested against and a usable shared-memory BC implementation in
-//! its own right (the local SpGEMM runs on the `mfbc-parallel` pool).
+//! Sequential (single address space) MFBC: Algorithms 1–3 of
+//! [`crate::sweep`] on the [`Local`](crate::backend::Local) backend —
+//! CSR matrices and the generalized-SpGEMM kernels, which run on the
+//! `mfbc-parallel` pool. This is both a usable shared-memory BC
+//! implementation and the reference the simulated backend at `p = 1`
+//! must reproduce bit for bit.
 
 pub mod mfbc;
 pub mod mfbf;
 pub mod mfbr;
 
+pub use crate::sweep::{mfbf_keep_in_frontier, mfbr_anchor, mfbr_fire};
 pub use mfbc::{mfbc_seq, MfbcSeqStats};
 pub use mfbf::{mfbf_seq, MfbfOut};
 pub use mfbr::mfbr_seq;
-
-use mfbc_algebra::{Centpath, Multpath};
-
-/// The frontier-update rule of Algorithm 1, line 6, applied per
-/// explored entry: the freshly-explored multpath `g` stays in the
-/// next frontier iff it carries paths and its weight survived the
-/// accumulation `T := T ⊕ G` (i.e. matches the updated table entry
-/// `t_new`).
-#[inline]
-pub fn mfbf_keep_in_frontier(g: &Multpath, t_new: Option<&Multpath>) -> Option<Multpath> {
-    match t_new {
-        Some(t) if g.is_path() && g.w == t.w => Some(*g),
-        _ => None,
-    }
-}
-
-/// The dependency-counter anchor of Algorithm 2: given the
-/// child-count accumulation `d` for a vertex whose shortest-path
-/// weight is `tau_w`, the initial centpath is `(τ, 0, #children)` —
-/// contributions of other weights are discarded (they come from
-/// non-shortest-path edges).
-#[inline]
-pub fn mfbr_anchor(tau: &Multpath, d: Option<&Centpath>) -> Centpath {
-    let deps = match d {
-        Some(c) if c.w == tau.w => c.c,
-        _ => 0,
-    };
-    Centpath::new(tau.w, 0.0, deps)
-}
-
-/// The frontier-emission rule of Algorithm 2, lines 3/9–10: a vertex
-/// whose counter reached zero fires once, carrying
-/// `p = ζ(s,v) + 1/σ̄(s,v)`; its table entry is pinned to `c = −1`.
-#[inline]
-pub fn mfbr_fire(z: &Centpath, sigma: f64) -> Option<Centpath> {
-    if z.c == 0 {
-        Some(Centpath::new(z.w, z.p + 1.0 / sigma, -1))
-    } else {
-        None
-    }
-}

@@ -50,6 +50,32 @@ fn merge_ranges<A, B>(a: &Csr<A>, b: &Csr<B>, nparts: usize) -> Vec<std::ops::Ra
     balanced_ranges(&weights, nparts)
 }
 
+/// Runs a two-operand row merge — serially, or over nnz-balanced row
+/// ranges on the pool — and concatenates the chunks in row order.
+///
+/// # Panics
+/// Panics if the shapes disagree.
+fn row_merge<T: Send + Sync>(
+    a: &Csr<T>,
+    b: &Csr<T>,
+    what: &str,
+    rows: impl Fn(std::ops::Range<usize>) -> (Vec<usize>, Vec<Idx>, Vec<T>) + Sync,
+) -> Csr<T> {
+    assert_eq!(
+        (a.nrows(), a.ncols()),
+        (b.nrows(), b.ncols()),
+        "{what} shape mismatch"
+    );
+    let pool = mfbc_parallel::current();
+    let chunks = if pool.threads() == 1 || a.nnz() + b.nnz() < PAR_MIN_NNZ {
+        vec![rows(0..a.nrows())]
+    } else {
+        let ranges = merge_ranges(a, b, pool.threads() * TASKS_PER_THREAD);
+        pool.par_map_collect(ranges.len(), |t| rows(ranges[t].clone()))
+    };
+    assemble_rows(a.nrows(), a.ncols(), chunks)
+}
+
 fn combine_rows<M, T>(
     a: &Csr<T>,
     b: &Csr<T>,
@@ -104,21 +130,9 @@ where
     M: Monoid<Elem = T>,
     T: Clone + PartialEq + Send + Sync + std::fmt::Debug,
 {
-    assert_eq!(
-        (a.nrows(), a.ncols()),
-        (b.nrows(), b.ncols()),
-        "elementwise combine shape mismatch"
-    );
-    let pool = mfbc_parallel::current();
-    if pool.threads() == 1 || a.nnz() + b.nnz() < PAR_MIN_NNZ {
-        let chunk = combine_rows::<M, T>(a, b, 0..a.nrows());
-        return assemble_rows(a.nrows(), a.ncols(), vec![chunk]);
-    }
-    let ranges = merge_ranges(a, b, pool.threads() * TASKS_PER_THREAD);
-    let chunks = pool.par_map_collect(ranges.len(), |t| {
-        combine_rows::<M, T>(a, b, ranges[t].clone())
-    });
-    assemble_rows(a.nrows(), a.ncols(), chunks)
+    row_merge(a, b, "elementwise combine", |rows| {
+        combine_rows::<M, T>(a, b, rows)
+    })
 }
 
 fn combine_anchored_rows<M, T>(
@@ -168,21 +182,71 @@ where
     M: Monoid<Elem = T>,
     T: Clone + PartialEq + Send + Sync + std::fmt::Debug,
 {
-    assert_eq!(
-        (base.nrows(), base.ncols()),
-        (update.nrows(), update.ncols()),
-        "anchored combine shape mismatch"
-    );
-    let pool = mfbc_parallel::current();
-    if pool.threads() == 1 || base.nnz() + update.nnz() < PAR_MIN_NNZ {
-        let chunk = combine_anchored_rows::<M, T>(base, update, 0..base.nrows());
-        return assemble_rows(base.nrows(), base.ncols(), vec![chunk]);
+    row_merge(base, update, "anchored combine", |rows| {
+        combine_anchored_rows::<M, T>(base, update, rows)
+    })
+}
+
+/// Map-with-filter over the stored entries, in row-major order:
+/// `f(i, j, a_val)` returning `None` drops the entry, as does an
+/// output equal to `Mo`'s identity. Rows are already sorted, so the
+/// result is emitted directly in CSR order.
+pub fn map_filter<Mo, T, O>(a: &Csr<T>, mut f: impl FnMut(usize, usize, &T) -> Option<O>) -> Csr<O>
+where
+    Mo: Monoid<Elem = O>,
+{
+    let mut rowptr = Vec::with_capacity(a.nrows() + 1);
+    rowptr.push(0usize);
+    // At most every entry survives: reserving that up front trades
+    // the doubling-growth copies for one trim at the end.
+    let (mut colind, mut vals) = (Vec::with_capacity(a.nnz()), Vec::with_capacity(a.nnz()));
+    for i in 0..a.nrows() {
+        for (j, v) in a.row(i) {
+            if let Some(o) = f(i, j, v).filter(|o| !Mo::is_identity(o)) {
+                colind.push(j as Idx);
+                vals.push(o);
+            }
+        }
+        rowptr.push(colind.len());
     }
-    let ranges = merge_ranges(base, update, pool.threads() * TASKS_PER_THREAD);
-    let chunks = pool.par_map_collect(ranges.len(), |t| {
-        combine_anchored_rows::<M, T>(base, update, ranges[t].clone())
-    });
-    assemble_rows(base.nrows(), base.ncols(), chunks)
+    colind.shrink_to_fit();
+    vals.shrink_to_fit();
+    Csr::from_parts(a.nrows(), a.ncols(), rowptr, colind, vals)
+}
+
+/// Zip of `a`'s entries against `b`'s at the same coordinates:
+/// [`map_filter`] with `f(i, j, a_val, b_val_opt)`. A per-row cursor
+/// into `b` replaces one binary search per entry: it steps when the
+/// patterns are aligned and gallops over `b`-only stretches.
+///
+/// # Panics
+/// Panics if the shapes disagree.
+pub fn zip_filter<Mo, T, U, O>(
+    a: &Csr<T>,
+    b: &Csr<U>,
+    f: impl Fn(usize, usize, &T, Option<&U>) -> Option<O>,
+) -> Csr<O>
+where
+    Mo: Monoid<Elem = O>,
+{
+    assert_eq!(
+        (a.nrows(), a.ncols()),
+        (b.nrows(), b.ncols()),
+        "elementwise zip shape mismatch"
+    );
+    let (mut row, mut y) = (usize::MAX, 0usize);
+    map_filter::<Mo, _, _>(a, |i, j, v| {
+        if row != i {
+            (row, y) = (i, 0);
+        }
+        let bc = b.row_cols(i);
+        if y < bc.len() && (bc[y] as usize) < j {
+            y += bc[y..].partition_point(|&c| (c as usize) < j);
+        }
+        let hit = (y < bc.len() && bc[y] as usize == j).then(|| &b.row_vals(i)[y]);
+        y += usize::from(hit.is_some());
+        f(i, j, v, hit)
+    })
 }
 
 /// In-structure value update (CTF `Transform`): applies `f` to every
@@ -274,6 +338,31 @@ mod tests {
             );
         }
         coo.into_csr::<SumU64>()
+    }
+
+    #[test]
+    fn zip_and_map_filter_match_lookup_reference() {
+        // Patterns that overlap, interleave and leave long b-only
+        // stretches; outputs of 0 (SumU64's identity) must be pruned.
+        let a = random_mat(7, 40, 300, 900);
+        let b = random_mat(8, 40, 300, 4000);
+        let f = |i: usize, j: usize, x: &u64, y: Option<&u64>| match y {
+            Some(y) if !(i + j).is_multiple_of(3) => Some((x + y) % 5),
+            Some(_) => None,
+            None => Some(*x % 2),
+        };
+        let mut want = Coo::new(40, 300);
+        for (i, j, x) in a.iter() {
+            if let Some(o) = f(i, j, x, b.get(i, j)) {
+                want.push(i, j, o);
+            }
+        }
+        let want = want.into_csr::<SumU64>();
+        let got = zip_filter::<SumU64, _, _, _>(&a, &b, f);
+        assert!(got.nnz() < a.nnz(), "test must exercise pruning");
+        assert_eq!(got.first_difference(&want), None);
+        let mapped = map_filter::<SumU64, _, _>(&a, |i, j, x| f(i, j, x, b.get(i, j)));
+        assert_eq!(mapped.first_difference(&want), None);
     }
 
     #[test]

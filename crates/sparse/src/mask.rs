@@ -48,7 +48,8 @@ impl Mask {
         Mask::of_pattern(MaskKind::Complement, m)
     }
 
-    fn of_pattern<T>(kind: MaskKind, m: &Csr<T>) -> Mask {
+    /// A mask of `kind` with the pattern of `m` (values ignored).
+    pub fn of_pattern<T>(kind: MaskKind, m: &Csr<T>) -> Mask {
         Mask {
             kind,
             nrows: m.nrows(),

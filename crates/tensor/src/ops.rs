@@ -11,12 +11,12 @@
 //! accumulates an `f64` per rank, and floating-point addition order
 //! must not depend on scheduling for runs to stay bit-reproducible.
 
-use crate::dist::DistMat;
+use crate::dist::{DistMat, Layout};
 use mfbc_algebra::monoid::Monoid;
 use mfbc_machine::cost::CollectiveKind;
 use mfbc_machine::{Machine, MachineError};
-use mfbc_sparse::elementwise::{combine, combine_anchored};
-use mfbc_sparse::Coo;
+use mfbc_sparse::elementwise::{combine, combine_anchored, map_filter, zip_filter};
+use mfbc_sparse::Csr;
 
 /// Asserts two distributed matrices share cuts and owners.
 fn assert_aligned<T, U>(a: &DistMat<T>, b: &DistMat<U>)
@@ -41,6 +41,28 @@ fn emit_pool(kernel: &'static str, stats: &mfbc_parallel::ExecStats) {
     });
 }
 
+/// One blockwise fan-out: `block(bi, bj)` computes each output block
+/// on the pool; afterwards `cost(bi, bj)` operations are charged to
+/// each block's owner, serially in block order (see the module docs).
+fn blockwise<O: Clone + Send + Sync>(
+    m: &Machine,
+    kernel: &'static str,
+    l: &Layout,
+    block: impl Fn(usize, usize) -> Csr<O> + Sync,
+    cost: impl Fn(usize, usize) -> usize,
+) -> DistMat<O> {
+    let coords: Vec<(usize, usize)> = (0..l.br())
+        .flat_map(|bi| (0..l.bc()).map(move |bj| (bi, bj)))
+        .collect();
+    let (blocks, stats) = mfbc_parallel::current()
+        .par_map_collect_stats(coords.len(), |t| block(coords[t].0, coords[t].1));
+    emit_pool(kernel, &stats);
+    for &(bi, bj) in &coords {
+        m.charge_compute(l.owner(bi, bj), cost(bi, bj) as u64);
+    }
+    DistMat::from_blocks(l.clone(), blocks)
+}
+
 /// `C = A ⊕ B` blockwise; layouts must align. Charges each owner's
 /// compute for the merge.
 pub fn dmat_combine<M, T>(m: &Machine, a: &DistMat<T>, b: &DistMat<T>) -> DistMat<T>
@@ -49,22 +71,13 @@ where
     T: Clone + PartialEq + Send + Sync + std::fmt::Debug,
 {
     assert_aligned(a, b);
-    let l = a.layout().clone();
-    let coords: Vec<(usize, usize)> = (0..l.br())
-        .flat_map(|bi| (0..l.bc()).map(move |bj| (bi, bj)))
-        .collect();
-    let (blocks, stats) = mfbc_parallel::current().par_map_collect_stats(coords.len(), |t| {
-        let (bi, bj) = coords[t];
-        combine::<M, _>(a.block(bi, bj), b.block(bi, bj))
-    });
-    emit_pool("dmat_combine", &stats);
-    for &(bi, bj) in &coords {
-        m.charge_compute(
-            l.owner(bi, bj),
-            (a.block(bi, bj).nnz() + b.block(bi, bj).nnz()) as u64,
-        );
-    }
-    DistMat::from_blocks(l, blocks)
+    blockwise(
+        m,
+        "dmat_combine",
+        a.layout(),
+        |bi, bj| combine::<M, _>(a.block(bi, bj), b.block(bi, bj)),
+        |bi, bj| a.block(bi, bj).nnz() + b.block(bi, bj).nnz(),
+    )
 }
 
 /// Anchored merge `Z := Z ⊗ G` blockwise (updates outside the base
@@ -76,22 +89,13 @@ where
     T: Clone + PartialEq + Send + Sync + std::fmt::Debug,
 {
     assert_aligned(base, upd);
-    let l = base.layout().clone();
-    let coords: Vec<(usize, usize)> = (0..l.br())
-        .flat_map(|bi| (0..l.bc()).map(move |bj| (bi, bj)))
-        .collect();
-    let (blocks, stats) = mfbc_parallel::current().par_map_collect_stats(coords.len(), |t| {
-        let (bi, bj) = coords[t];
-        combine_anchored::<M, _>(base.block(bi, bj), upd.block(bi, bj))
-    });
-    emit_pool("dmat_anchored", &stats);
-    for &(bi, bj) in &coords {
-        m.charge_compute(
-            l.owner(bi, bj),
-            (base.block(bi, bj).nnz() + upd.block(bi, bj).nnz()) as u64,
-        );
-    }
-    DistMat::from_blocks(l, blocks)
+    blockwise(
+        m,
+        "dmat_anchored",
+        base.layout(),
+        |bi, bj| combine_anchored::<M, _>(base.block(bi, bj), upd.block(bi, bj)),
+        |bi, bj| base.block(bi, bj).nnz() + upd.block(bi, bj).nnz(),
+    )
 }
 
 /// Zip of `a`'s entries against `b`'s at the same coordinates:
@@ -111,27 +115,14 @@ where
     O: Clone + PartialEq + Send + Sync + std::fmt::Debug,
 {
     assert_aligned(a, b);
-    let l = a.layout().clone();
-    let coords: Vec<(usize, usize)> = (0..l.br())
-        .flat_map(|bi| (0..l.bc()).map(move |bj| (bi, bj)))
-        .collect();
-    let (blocks, stats) = mfbc_parallel::current().par_map_collect_stats(coords.len(), |t| {
-        let (bi, bj) = coords[t];
+    let l = a.layout();
+    let block = |bi, bj| {
         let (r0, c0) = (l.row_range(bi).start, l.col_range(bj).start);
-        let (ab, bb) = (a.block(bi, bj), b.block(bi, bj));
-        let mut coo = Coo::new(ab.nrows(), ab.ncols());
-        for (i, j, v) in ab.iter() {
-            if let Some(o) = f(r0 + i, c0 + j, v, bb.get(i, j)) {
-                coo.push(i, j, o);
-            }
-        }
-        coo.into_csr::<Mo>()
-    });
-    emit_pool("dmat_zip", &stats);
-    for &(bi, bj) in &coords {
-        m.charge_compute(l.owner(bi, bj), a.block(bi, bj).nnz() as u64);
-    }
-    DistMat::from_blocks(l, blocks)
+        zip_filter::<Mo, _, _, _>(a.block(bi, bj), b.block(bi, bj), |i, j, v, w| {
+            f(r0 + i, c0 + j, v, w)
+        })
+    };
+    blockwise(m, "dmat_zip", l, block, |bi, bj| a.block(bi, bj).nnz())
 }
 
 /// Blockwise map-with-filter over a single distributed matrix
@@ -147,27 +138,12 @@ where
     T: Clone + Send + Sync,
     O: Clone + PartialEq + Send + Sync + std::fmt::Debug,
 {
-    let l = a.layout().clone();
-    let coords: Vec<(usize, usize)> = (0..l.br())
-        .flat_map(|bi| (0..l.bc()).map(move |bj| (bi, bj)))
-        .collect();
-    let (blocks, stats) = mfbc_parallel::current().par_map_collect_stats(coords.len(), |t| {
-        let (bi, bj) = coords[t];
+    let l = a.layout();
+    let block = |bi, bj| {
         let (r0, c0) = (l.row_range(bi).start, l.col_range(bj).start);
-        let ab = a.block(bi, bj);
-        let mut coo = Coo::new(ab.nrows(), ab.ncols());
-        for (i, j, v) in ab.iter() {
-            if let Some(o) = f(r0 + i, c0 + j, v) {
-                coo.push(i, j, o);
-            }
-        }
-        coo.into_csr::<Mo>()
-    });
-    emit_pool("dmat_map", &stats);
-    for &(bi, bj) in &coords {
-        m.charge_compute(l.owner(bi, bj), a.block(bi, bj).nnz() as u64);
-    }
-    DistMat::from_blocks(l, blocks)
+        map_filter::<Mo, _, _>(a.block(bi, bj), |i, j, v| f(r0 + i, c0 + j, v))
+    };
+    blockwise(m, "dmat_map", l, block, |bi, bj| a.block(bi, bj).nnz())
 }
 
 /// Global nonzero count with the termination-check allreduce charged
@@ -284,10 +260,9 @@ pub fn dmat_fold_columns(
 mod tests {
     use super::*;
     use crate::grid::Grid2;
-    use crate::Layout;
     use mfbc_algebra::monoid::{SumF64, SumU64};
     use mfbc_machine::{Group, MachineSpec};
-    use mfbc_sparse::Csr;
+    use mfbc_sparse::Coo;
 
     fn machine(p: usize) -> Machine {
         Machine::new(MachineSpec::test(p))

@@ -31,8 +31,32 @@ fn full_pipeline_rmat_to_report() {
 fn scores_identical_across_all_execution_paths() {
     let g = uniform(64, 256, false, None, 7);
     let oracle = brandes_unweighted(&g);
-    let (seq, _) = mfbc_seq(&g, 16);
+    let (seq, stats) = mfbc_seq(&g, 16);
     assert!(seq.approx_eq(&oracle, 1e-8));
+
+    // One algorithm over two backends: the simulated machine at p = 1
+    // reproduces the shared-memory run bit for bit, counters included.
+    let cfg = MfbcConfig::default().with_batch_size(16);
+    let run = mfbc_dist(&Machine::new(MachineSpec::test(1)), &g, &cfg).unwrap();
+    let bits = |s: &BcScores| s.lambda.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+    assert_eq!(bits(&seq), bits(&run.scores), "p=1 scores differ from seq");
+    assert_eq!(
+        (
+            stats.batches,
+            stats.forward_iterations,
+            stats.backward_iterations,
+            stats.frontier_nnz,
+            stats.ops
+        ),
+        (
+            run.batches,
+            run.forward_iterations,
+            run.backward_iterations,
+            run.frontier_nnz,
+            run.ops
+        ),
+        "p=1 counters differ from seq"
+    );
 
     for p in [4usize, 16] {
         for mode in [PlanMode::Auto, PlanMode::Ca { c: p / 4 }] {
