@@ -18,9 +18,9 @@ use mfbc_algebra::monoid::Monoid;
 use mfbc_algebra::{Dist, SpMulKernel};
 use mfbc_graph::Graph;
 use mfbc_machine::{Machine, MachineError};
-use mfbc_sparse::{elementwise, spgemm_opt, Csr, Mask, MaskKind};
+use mfbc_sparse::{elementwise, spgemm_opt, Csr, Idx, Mask, MaskKind, Table};
 use mfbc_tensor::cache::{CacheStats, MmCache};
-use mfbc_tensor::{autotune, canonical_layout, ops, DistMat, MmPlan};
+use mfbc_tensor::{autotune, canonical_layout, ops, DistMat, DistTable, Layout, MmPlan};
 
 /// Matrix element types (what every sparse and tensor kernel asks).
 pub trait Elem: Clone + PartialEq + Send + Sync + std::fmt::Debug {}
@@ -41,6 +41,9 @@ pub enum Adj {
 pub trait Backend {
     /// A batch-by-vertex sparse matrix.
     type Mat<T: Elem>;
+    /// A matrix while it grows in place: the forward table, sorted
+    /// into a [`Backend::Mat`] once, by [`Backend::freeze`].
+    type Table<T: Elem>;
     /// What a charged operation can fail with.
     type Error;
 
@@ -84,11 +87,41 @@ pub trait Backend {
         b: &Self::Mat<M::Elem>,
     ) -> Self::Mat<M::Elem>;
 
-    /// `base ⊕ update` on `base`'s pattern; other updates are dropped.
-    fn combine_anchored<M: Monoid>(
+    /// Opens the table a sweep grows, holding `seed`'s entries and
+    /// taking over its residency charge.
+    fn table<T: Elem>(&self, seed: Self::Mat<T>) -> Self::Table<T>;
+
+    /// The complement mask of `table`'s pattern — [`Backend::mask_of`]
+    /// read off the growing table.
+    fn table_mask<T: Elem>(&self, table: &Self::Table<T>) -> Option<Mask>;
+
+    /// `table := table ⊕ explored` in place, the table's residency
+    /// re-charged at its new size; returns the entries of `explored`
+    /// that `keep(explored_val, updated_table_val)` lets through
+    /// (`None` and `M`'s identity drop an entry). Work is proportional
+    /// to `explored`, not to the table.
+    fn accumulate<M: Monoid>(
         &self,
-        base: &Self::Mat<M::Elem>,
+        table: &mut Self::Table<M::Elem>,
+        explored: &Self::Mat<M::Elem>,
+        keep: impl Fn(&M::Elem, &M::Elem) -> Option<M::Elem> + Sync,
+    ) -> Result<Self::Mat<M::Elem>, Self::Error>;
+
+    /// Closes a table into the matrix it describes, its residency
+    /// charge carried over.
+    fn freeze<T: Elem>(&self, table: Self::Table<T>) -> Self::Mat<T>;
+
+    /// `z := z ⊕ update` in place on `z`'s pattern (other updates are
+    /// dropped); on each entry just updated, `fire(&mut z_val,
+    /// side_val)` may rewrite it and emit an entry of the returned
+    /// matrix. `side` stores every coordinate `z` does. Work is
+    /// proportional to `update`, not to `z`.
+    fn settle<M: Monoid, U: Elem>(
+        &self,
+        z: &mut Self::Mat<M::Elem>,
         update: &Self::Mat<M::Elem>,
+        side: &Self::Mat<U>,
+        fire: impl Fn(&mut M::Elem, &U) -> Option<M::Elem> + Sync,
     ) -> Self::Mat<M::Elem>;
 
     /// `f(i, j, a_val, b_val_opt)` over `a`'s entries; `None` and
@@ -142,6 +175,7 @@ impl<'g> Local<'g> {
 
 impl Backend for Local<'_> {
     type Mat<T: Elem> = Csr<T>;
+    type Table<T: Elem> = Table<T>;
     type Error = std::convert::Infallible;
 
     fn place<T: Elem>(&self, m: Csr<T>) -> Csr<T> {
@@ -175,12 +209,38 @@ impl Backend for Local<'_> {
         elementwise::combine::<M, _>(a, b)
     }
 
-    fn combine_anchored<M: Monoid>(
+    fn table<T: Elem>(&self, seed: Csr<T>) -> Table<T> {
+        Table::from_csr(&seed, self.masked)
+    }
+
+    fn table_mask<T: Elem>(&self, t: &Table<T>) -> Option<Mask> {
+        self.masked.then(|| {
+            let rows = (0..t.nrows()).map(|i| t.pattern_row(i).iter().copied());
+            Mask::from_sorted_rows(MaskKind::Complement, t.nrows(), t.ncols(), rows)
+        })
+    }
+
+    fn accumulate<M: Monoid>(
         &self,
-        base: &Csr<M::Elem>,
+        table: &mut Table<M::Elem>,
+        explored: &Csr<M::Elem>,
+        keep: impl Fn(&M::Elem, &M::Elem) -> Option<M::Elem> + Sync,
+    ) -> Result<Csr<M::Elem>, Self::Error> {
+        Ok(table.accumulate::<M>(explored, keep))
+    }
+
+    fn freeze<T: Elem>(&self, table: Table<T>) -> Csr<T> {
+        table.freeze()
+    }
+
+    fn settle<M: Monoid, U: Elem>(
+        &self,
+        z: &mut Csr<M::Elem>,
         update: &Csr<M::Elem>,
+        side: &Csr<U>,
+        fire: impl Fn(&mut M::Elem, &U) -> Option<M::Elem> + Sync,
     ) -> Csr<M::Elem> {
-        elementwise::combine_anchored::<M, _>(base, update)
+        elementwise::settle::<M, U>(z, update, side, fire)
     }
 
     fn zip_filter<M: Monoid, T: Elem, U: Elem>(
@@ -318,8 +378,30 @@ fn for_each_coord<T: Elem>(m: &DistMat<T>, mut f: impl FnMut(usize, usize)) {
     }
 }
 
+/// A global mask of `kind` over blocks stored by layout `l`, where
+/// `row(bi, bj, i)` is the ascending local pattern of row `i` of block
+/// `(bi, bj)`: block-columns ascend, so each global row is its blocks'
+/// rows end to end. Like the coordinates [`for_each_coord`] reads,
+/// the pattern's movement is not charged.
+fn mask_of_blocks<'a>(
+    kind: MaskKind,
+    l: &Layout,
+    row: impl Fn(usize, usize, usize) -> &'a [Idx] + Copy,
+) -> Mask {
+    let rows = (0..l.br()).flat_map(|bi| {
+        (0..l.row_range(bi).len()).map(move |i| {
+            (0..l.bc()).flat_map(move |bj| {
+                let c0 = l.col_range(bj).start as Idx;
+                row(bi, bj, i).iter().map(move |&j| c0 + j)
+            })
+        })
+    });
+    Mask::from_sorted_rows(kind, l.nrows(), l.ncols(), rows)
+}
+
 impl Backend for Simulated {
     type Mat<T: Elem> = DistMat<T>;
+    type Table<T: Elem> = DistTable<T>;
     type Error = MachineError;
 
     fn place<T: Elem>(&self, m: Csr<T>) -> DistMat<T> {
@@ -373,23 +455,47 @@ impl Backend for Simulated {
     }
 
     fn mask_of<T: Elem>(&self, kind: MaskKind, m: &DistMat<T>) -> Option<Mask> {
-        self.masked.then(|| {
-            let mut coords = Vec::with_capacity(m.nnz());
-            for_each_coord(m, |i, j| coords.push((i, j)));
-            Mask::from_coords(kind, m.nrows(), m.ncols(), &coords)
-        })
+        self.masked
+            .then(|| mask_of_blocks(kind, m.layout(), |bi, bj, i| m.block(bi, bj).row_cols(i)))
     }
 
     fn combine<M: Monoid>(&self, a: &DistMat<M::Elem>, b: &DistMat<M::Elem>) -> DistMat<M::Elem> {
         ops::dmat_combine::<M, _>(&self.m, a, b)
     }
 
-    fn combine_anchored<M: Monoid>(
+    fn table<T: Elem>(&self, seed: DistMat<T>) -> DistTable<T> {
+        DistTable::from_dmat(&seed, self.masked)
+    }
+
+    fn table_mask<T: Elem>(&self, t: &DistTable<T>) -> Option<Mask> {
+        self.masked.then(|| {
+            mask_of_blocks(MaskKind::Complement, t.layout(), |bi, bj, i| {
+                t.block(bi, bj).pattern_row(i)
+            })
+        })
+    }
+
+    fn accumulate<M: Monoid>(
         &self,
-        base: &DistMat<M::Elem>,
+        table: &mut DistTable<M::Elem>,
+        explored: &DistMat<M::Elem>,
+        keep: impl Fn(&M::Elem, &M::Elem) -> Option<M::Elem> + Sync,
+    ) -> Result<DistMat<M::Elem>, MachineError> {
+        ops::dmat_accumulate::<M, _>(&self.m, table, explored, keep)
+    }
+
+    fn freeze<T: Elem>(&self, table: DistTable<T>) -> DistMat<T> {
+        table.freeze()
+    }
+
+    fn settle<M: Monoid, U: Elem>(
+        &self,
+        z: &mut DistMat<M::Elem>,
         update: &DistMat<M::Elem>,
+        side: &DistMat<U>,
+        fire: impl Fn(&mut M::Elem, &U) -> Option<M::Elem> + Sync,
     ) -> DistMat<M::Elem> {
-        ops::dmat_combine_anchored::<M, _>(&self.m, base, update)
+        ops::dmat_settle::<M, U>(&self.m, z, update, side, fire)
     }
 
     fn zip_filter<M: Monoid, T: Elem, U: Elem>(

@@ -116,8 +116,11 @@ pub fn forward<B: Backend>(
     }
     let mut frontier = be.place(init.into_csr::<MultpathMonoid>());
     let diag = be.place(diag.into_csr::<MultpathMonoid>());
-    let mut t = be.combine::<MultpathMonoid>(&frontier, &diag);
-    be.charge(&t)?;
+    let seeded = be.combine::<MultpathMonoid>(&frontier, &diag);
+    be.charge(&seeded)?;
+    // From here T is updated in place: a superstep costs what its
+    // frontier and products cost, never a pass over the table.
+    let mut t = be.table(seeded);
 
     let mut st = SweepStats::default();
     let _span = be.span("forward");
@@ -125,7 +128,7 @@ pub fn forward<B: Backend>(
     loop {
         let nnz = be.nnz_sync("forward", st.iterations, &frontier)?;
         if nnz == 0 {
-            return Ok((t, st));
+            return Ok((be.freeze(t), st));
         }
         st.iterations += 1;
         st.frontier_nnz += nnz as u64;
@@ -136,19 +139,14 @@ pub fn forward<B: Backend>(
         // multiply changes nothing downstream — it just skips the
         // products (and lets redistribution skip B columns the mask
         // rules out).
-        let mask = be.mask_of(MaskKind::Complement, &t);
+        let mask = be.table_mask(&t);
         let (explored, ops) = be.mm::<BellmanFordKernel>(&frontier, Adj::A, mask.as_ref())?;
         st.ops += ops;
-        // Line 5: accumulate multiplicities.
-        let t_new = be.combine::<MultpathMonoid>(&t, &explored);
-        // Line 6: the next frontier keeps explored entries whose
-        // weight survived the accumulation.
-        frontier = be.zip_filter::<MultpathMonoid, _, _>(&explored, &t_new, |_, _, gv, tv| {
-            mfbf_keep_in_frontier(gv, tv)
-        });
-        be.release(&t);
-        t = t_new;
-        be.charge(&t)?;
+        // Lines 5–6: accumulate multiplicities; the next frontier
+        // keeps explored entries whose weight survived.
+        frontier = be.accumulate::<MultpathMonoid>(&mut t, &explored, |gv, tv| {
+            mfbf_keep_in_frontier(gv, Some(tv))
+        })?;
     }
 }
 
@@ -160,7 +158,7 @@ pub fn backward<B: Backend>(
 ) -> Result<(B::Mat<Centpath>, SweepStats), B::Error> {
     // Every backward product is consumed anchored on T's pattern:
     // `counted` through a zip keyed on T, the loop updates through
-    // `combine_anchored` (Z's pattern ⊆ T's, fixed). Contributions at
+    // `settle` (Z's pattern ⊆ T's, fixed). Contributions at
     // (source, vertex) pairs outside T — possible when an edge leads
     // to a vertex no source reaches — are inert by the paper's
     // `(∞,0,0)` semantics and the anchors drop them, so a structural
@@ -179,8 +177,14 @@ pub fn backward<B: Backend>(
         be.zip_filter::<CentpathMonoid, _, _>(t, &counted, |_, _, mp, d| Some(mfbr_anchor(mp, d)));
     be.charge(&z)?;
 
-    // Lines 3–4: leaves (counter 0) form the first frontier.
-    let mut frontier = fire_and_pin(be, &mut z, t);
+    // Lines 3–4: leaves (counter 0) form the first frontier and are
+    // pinned — the one pass over all of Z.
+    let mut frontier = be.zip_filter::<CentpathMonoid, _, _>(&z, t, |_, _, zv, tv| {
+        mfbr_fire(zv, tv.expect("Z pattern ⊆ T pattern").m)
+    });
+    z = be.map_filter::<CentpathMonoid, _>(&z, |_, _, zv| {
+        Some(Centpath::new(zv.w, zv.p, if zv.c == 0 { -1 } else { zv.c }))
+    });
     let _span = be.span("backward");
     // Lines 5–12.
     loop {
@@ -193,28 +197,17 @@ pub fn backward<B: Backend>(
         // Line 6: back-propagate the frontier of centralities.
         let (back, ops) = be.mm::<BrandesKernel>(&frontier, Adj::At, mask.as_ref())?;
         st.ops += ops;
-        // Line 8: accumulate centralities and decrement counters
-        // (frontier entries carry c = −1 each).
-        z = be.combine_anchored::<CentpathMonoid>(&z, &back);
-        // Lines 9–11: vertices whose counter reached zero fire.
-        frontier = fire_and_pin(be, &mut z, t);
+        // Lines 8–11: accumulate centralities and decrement counters
+        // (frontier entries carry c = −1 each) in place; a vertex
+        // whose counter reached zero fires and is pinned. Every zero
+        // was pinned by the step that produced it, so only an entry
+        // just decremented can fire.
+        frontier = be.settle::<CentpathMonoid, _>(&mut z, &back, t, |zv, tv| {
+            let fired = mfbr_fire(zv, tv.m)?;
+            zv.c = -1;
+            Some(fired)
+        });
     }
-}
-
-/// Extracts the next backward frontier (entries with counter 0,
-/// carrying `ζ + 1/σ̄`) and pins those entries to −1 in `Z`.
-fn fire_and_pin<B: Backend>(
-    be: &B,
-    z: &mut B::Mat<Centpath>,
-    t: &B::Mat<Multpath>,
-) -> B::Mat<Centpath> {
-    let fired = be.zip_filter::<CentpathMonoid, _, _>(z, t, |_, _, zv, tv| {
-        mfbr_fire(zv, tv.expect("Z pattern ⊆ T pattern").m)
-    });
-    *z = be.map_filter::<CentpathMonoid, _>(z, |_, _, zv| {
-        Some(Centpath::new(zv.w, zv.p, if zv.c == 0 { -1 } else { zv.c }))
-    });
-    fired
 }
 
 /// Algorithm 3, line 5: `acc[v] += Z(s,v).p · T(s,v).m`, skipping the

@@ -145,6 +145,15 @@ impl<T> Csr<T> {
         &self.vals[self.rowptr[i]..self.rowptr[i + 1]]
     }
 
+    /// The column indices of row `i` next to its values, mutably: the
+    /// in-structure update (CTF `Transform`, §6.1) — values change,
+    /// the pattern cannot.
+    #[inline]
+    pub fn row_mut(&mut self, i: usize) -> (&[Idx], &mut [T]) {
+        let span = self.rowptr[i]..self.rowptr[i + 1];
+        (&self.colind[span.clone()], &mut self.vals[span])
+    }
+
     /// Iterates `(col, &value)` over row `i`.
     #[inline]
     pub fn row(&self, i: usize) -> impl Iterator<Item = (usize, &T)> + '_ {
@@ -337,6 +346,17 @@ mod tests {
         assert_eq!(m.row(2).collect::<Vec<_>>(), vec![(0, &3), (1, &4)]);
         let triples: Vec<_> = m.iter().map(|(i, j, v)| (i, j, *v)).collect();
         assert_eq!(triples, vec![(0, 0, 1), (0, 2, 2), (2, 0, 3), (2, 1, 4)]);
+    }
+
+    #[test]
+    fn row_mut_updates_values_in_structure() {
+        let mut m = sample();
+        let (cols, vals) = m.row_mut(2);
+        assert_eq!(cols, &[0, 1]);
+        vals[1] = 40;
+        assert_eq!(m.get(2, 1), Some(&40));
+        assert!(m.row_mut(1).1.is_empty());
+        assert!(m.validate().is_ok());
     }
 
     #[test]

@@ -2,8 +2,10 @@
 //!
 //! Implements the paper's `A ⊕ B` (elementwise application of a
 //! monoid operator to a pair of matrices, §2.2) plus the anchored
-//! merge MFBr needs, and `Transform`-style in-structure updates
-//! (§6.1's CTF `Transform`). The merges are row-parallel on the
+//! merge MFBr needs — whole-table ([`combine_anchored`]) and in place
+//! on the entries an update touches ([`settle`]) — and
+//! `Transform`-style in-structure updates (§6.1's CTF `Transform`).
+//! The whole-table merges are row-parallel on the
 //! [`mfbc_parallel::current`] pool: rows are split into nnz-balanced
 //! contiguous ranges, each range merged by one task, and the chunks
 //! concatenated in row order — bit-identical to the serial merge at
@@ -214,10 +216,23 @@ where
     Csr::from_parts(a.nrows(), a.ncols(), rowptr, colind, vals)
 }
 
+/// Steps `*at` to the first position of the ascending `cols` holding
+/// a column `≥ j` and reports whether that column is `j`: one step
+/// when the patterns are aligned, a gallop over the stretch between.
+#[inline]
+fn seek(cols: &[Idx], at: &mut usize, j: Idx) -> bool {
+    if *at < cols.len() && cols[*at] < j {
+        *at += 1;
+        if *at < cols.len() && cols[*at] < j {
+            *at += cols[*at..].partition_point(|&c| c < j);
+        }
+    }
+    *at < cols.len() && cols[*at] == j
+}
+
 /// Zip of `a`'s entries against `b`'s at the same coordinates:
 /// [`map_filter`] with `f(i, j, a_val, b_val_opt)`. A per-row cursor
-/// into `b` replaces one binary search per entry: it steps when the
-/// patterns are aligned and gallops over `b`-only stretches.
+/// into `b` ([`seek`]) replaces one binary search per entry.
 ///
 /// # Panics
 /// Panics if the shapes disagree.
@@ -239,14 +254,59 @@ where
         if row != i {
             (row, y) = (i, 0);
         }
-        let bc = b.row_cols(i);
-        if y < bc.len() && (bc[y] as usize) < j {
-            y += bc[y..].partition_point(|&c| (c as usize) < j);
-        }
-        let hit = (y < bc.len() && bc[y] as usize == j).then(|| &b.row_vals(i)[y]);
-        y += usize::from(hit.is_some());
+        let hit = seek(b.row_cols(i), &mut y, j as Idx).then(|| &b.row_vals(i)[y]);
         f(i, j, v, hit)
     })
+}
+
+/// `Z := Z ⊗ G` in place on `Z`'s fixed pattern, with a hook on the
+/// entries just touched: per entry `g` of `update` whose coordinate
+/// `z` stores, the stored value becomes `M::combine(old, g)` and
+/// `fire(&mut value, side_value)` may rewrite it once more and emit
+/// an output entry there (`None` and `M`'s identity emit nothing).
+/// Updates outside `z`'s pattern are dropped; `side` must store every
+/// coordinate `z` does.
+///
+/// Equal to [`combine_anchored`] followed by a [`zip_filter`] against
+/// `side` and a map over `Z`, provided the hook leaves untouched
+/// entries alone in that composition too — at `O(nnz(G) · log)`
+/// instead of `O(nnz(Z))`.
+///
+/// # Panics
+/// Panics if the shapes disagree or `side` lacks a touched coordinate.
+pub fn settle<M, U>(
+    z: &mut Csr<M::Elem>,
+    update: &Csr<M::Elem>,
+    side: &Csr<U>,
+    fire: impl Fn(&mut M::Elem, &U) -> Option<M::Elem>,
+) -> Csr<M::Elem>
+where
+    M: Monoid,
+{
+    let shape = (z.nrows(), z.ncols());
+    assert_eq!(shape, (update.nrows(), update.ncols()), "settle shape");
+    assert_eq!(shape, (side.nrows(), side.ncols()), "settle side shape");
+    let mut rowptr = Vec::with_capacity(shape.0 + 1);
+    rowptr.push(0usize);
+    let (mut colind, mut fired) = (Vec::new(), Vec::new());
+    for i in 0..shape.0 {
+        let (zc, zv) = z.row_mut(i);
+        let (sc, sv) = (side.row_cols(i), side.row_vals(i));
+        let (mut y, mut x) = (0usize, 0usize);
+        for (&j, g) in update.row_cols(i).iter().zip(update.row_vals(i)) {
+            if !seek(zc, &mut y, j) {
+                continue; // update entry outside z's pattern: dropped
+            }
+            assert!(seek(sc, &mut x, j), "settle side lacks ({i},{j})");
+            zv[y] = M::combine(&zv[y], g);
+            if let Some(o) = fire(&mut zv[y], &sv[x]).filter(|o| !M::is_identity(o)) {
+                colind.push(j);
+                fired.push(o);
+            }
+        }
+        rowptr.push(colind.len());
+    }
+    Csr::from_parts(shape.0, shape.1, rowptr, colind, fired)
 }
 
 /// In-structure value update (CTF `Transform`): applies `f` to every

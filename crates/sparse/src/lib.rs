@@ -34,12 +34,14 @@ pub mod elementwise;
 pub mod mask;
 pub mod slice;
 pub mod spgemm;
+pub mod table;
 pub mod transpose;
 
 pub use coo::Coo;
 pub use csr::{Csr, Idx};
 pub use mask::{Mask, MaskKind};
 pub use spgemm::{spgemm, spgemm_masked, spgemm_masked_serial, spgemm_opt, spgemm_serial};
+pub use table::Table;
 
 /// Estimated in-memory payload bytes of one stored entry of type `T`
 /// in CSR/COO form: the value plus one column index. Used by the

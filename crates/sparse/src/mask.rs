@@ -92,6 +92,47 @@ impl Mask {
         }
     }
 
+    /// Builds a mask from exactly `nrows` rows of strictly ascending
+    /// columns — the pattern as sorted storage already holds it, so
+    /// nothing is sorted or deduplicated.
+    ///
+    /// # Panics
+    /// Panics on a wrong row count, an out-of-range column or a row
+    /// that is not strictly ascending.
+    pub fn from_sorted_rows<R>(
+        kind: MaskKind,
+        nrows: usize,
+        ncols: usize,
+        rows: impl IntoIterator<Item = R>,
+    ) -> Mask
+    where
+        R: IntoIterator<Item = Idx>,
+    {
+        let mut rowptr = Vec::with_capacity(nrows + 1);
+        rowptr.push(0usize);
+        let mut cols: Vec<Idx> = Vec::new();
+        for row in rows {
+            let start = cols.len();
+            for j in row {
+                assert!(
+                    (j as usize) < ncols && (cols.len() == start || cols[cols.len() - 1] < j),
+                    "mask row {} not ascending within {ncols} columns at {j}",
+                    rowptr.len() - 1
+                );
+                cols.push(j);
+            }
+            rowptr.push(cols.len());
+        }
+        assert_eq!(rowptr.len(), nrows + 1, "mask row count");
+        Mask {
+            kind,
+            nrows,
+            ncols,
+            rowptr,
+            cols,
+        }
+    }
+
     /// The selection kind.
     #[inline]
     pub fn kind(&self) -> MaskKind {
@@ -288,6 +329,24 @@ mod tests {
         );
         assert_eq!(m.pattern_nnz(), 3);
         assert_eq!(m.row_cols(1), &[0, 2]);
+    }
+
+    #[test]
+    fn from_sorted_rows_equals_from_coords() {
+        let p = pattern();
+        let coords: Vec<(usize, usize)> = p.iter().map(|(i, j, _)| (i, j)).collect();
+        for kind in [MaskKind::Structural, MaskKind::Complement] {
+            let sorted =
+                Mask::from_sorted_rows(kind, 3, 4, (0..3).map(|i| p.row_cols(i).iter().copied()));
+            assert_eq!(sorted, Mask::from_coords(kind, 3, 4, &coords));
+            assert_eq!(sorted, Mask::of_pattern(kind, &p));
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "not ascending")]
+    fn from_sorted_rows_rejects_unsorted_rows() {
+        let _ = Mask::from_sorted_rows(MaskKind::Structural, 1, 4, [[2, 1]]);
     }
 
     #[test]

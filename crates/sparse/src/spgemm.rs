@@ -141,8 +141,9 @@ impl MaskStamp {
 
 /// Masked [`multiply_rows`]: elementary products whose output column
 /// the mask excludes are skipped before `f` is applied — they neither
-/// accumulate nor count toward `ops`. A structural mask with an empty
-/// pattern row skips that output row outright.
+/// accumulate nor count toward `ops`. An empty left-operand row, or a
+/// structural mask with an empty pattern row, skips that output row
+/// outright.
 fn multiply_rows_masked<K: SpMulKernel>(
     a: &Csr<K::Left>,
     b: &Csr<K::Right>,
@@ -158,7 +159,9 @@ fn multiply_rows_masked<K: SpMulKernel>(
     let mut ops = 0u64;
     for i in rows {
         let pattern = mask.row_cols(i);
-        if structural && pattern.is_empty() {
+        // Nothing to multiply, or nothing allowed: the row is empty
+        // without stamping its pattern.
+        if a.row_nnz(i) == 0 || (structural && pattern.is_empty()) {
             rowlen.push(0);
             continue;
         }

@@ -10,9 +10,11 @@
 
 use mfbc_algebra::monoid::Monoid;
 use mfbc_machine::{Machine, MachineError};
+use mfbc_parallel::ExecStats;
 use mfbc_sparse::slice::{even_ranges, slice};
-use mfbc_sparse::{Coo, Csr};
+use mfbc_sparse::{Coo, Csr, Table};
 use std::ops::Range;
+use std::sync::Mutex;
 
 use crate::grid::Grid2;
 
@@ -126,6 +128,12 @@ impl Layout {
         bi * self.bc() + bj
     }
 
+    /// Every block's `(bi, bj)`, in flat block id (row-major) order.
+    pub fn blocks(&self) -> impl Iterator<Item = (usize, usize)> {
+        let bc = self.bc();
+        (0..self.nblocks()).map(move |id| (id / bc, id % bc))
+    }
+
     /// Block row containing matrix row `i` (ranges are even, so this
     /// is a two-candidate computation rather than a search).
     pub fn find_row_block(&self, i: usize) -> usize {
@@ -170,6 +178,23 @@ fn find_even(ranges: &[Range<usize>], x: usize) -> usize {
         guess += 1;
     }
     guess
+}
+
+/// `f(bi, bj, cell)` over the per-block `cells` of layout `l`, on the
+/// `mfbc-parallel` pool, results in block order. Every cell is handed
+/// to exactly one job, so the outcome does not depend on scheduling.
+fn par_update<X: Send, R: Send>(
+    l: &Layout,
+    cells: &mut [X],
+    f: impl Fn(usize, usize, &mut X) -> R + Sync,
+) -> (Vec<R>, ExecStats) {
+    assert_eq!(cells.len(), l.nblocks());
+    let cells: Vec<Mutex<&mut X>> = cells.iter_mut().map(Mutex::new).collect();
+    mfbc_parallel::current().par_map_collect_stats(cells.len(), |id| {
+        // Uncontended: job `id` is the only one that takes cell `id`.
+        let mut cell = cells[id].lock().expect("a block job panicked");
+        f(id / l.bc(), id % l.bc(), &mut cell)
+    })
 }
 
 /// A block-distributed sparse matrix: a layout plus one CSR per
@@ -292,6 +317,26 @@ impl<T: Clone + Send + Sync> DistMat<T> {
         self.content_id = next_content_id();
     }
 
+    /// Mutates every block in place — `f(bi, bj, block)` on the
+    /// `mfbc-parallel` pool, results in block order — and mints a
+    /// fresh content id like [`DistMat::set_block`], so the mutated
+    /// matrix can never answer to a cache key of its old contents.
+    ///
+    /// # Panics
+    /// Panics if `f` changes a block's shape.
+    pub fn update_blocks<R: Send>(
+        &mut self,
+        f: impl Fn(usize, usize, &mut Csr<T>) -> R + Sync,
+    ) -> (Vec<R>, ExecStats) {
+        let out = par_update(&self.layout, &mut self.blocks, f);
+        self.content_id = next_content_id();
+        for ((bi, bj), b) in self.layout.blocks().zip(&self.blocks) {
+            assert_eq!(b.nrows(), self.layout.row_range(bi).len(), "block rows");
+            assert_eq!(b.ncols(), self.layout.col_range(bj).len(), "block cols");
+        }
+        out
+    }
+
     /// Total stored entries.
     pub fn nnz(&self) -> usize {
         self.blocks.iter().map(Csr::nnz).sum()
@@ -396,6 +441,57 @@ impl<T: Clone + Send + Sync> DistMat<T> {
     }
 }
 
+/// A growing table distributed like a [`DistMat`]: one
+/// [`Table`] per block of the layout (the forward table of MFBF while
+/// the sweep runs; [`DistTable::freeze`] turns it into the matrix).
+#[derive(Clone, Debug)]
+pub struct DistTable<T> {
+    layout: Layout,
+    blocks: Vec<Table<T>>,
+}
+
+impl<T: Clone + Send + Sync> DistTable<T> {
+    /// A table holding `seed`'s entries, block for block; see
+    /// [`Table::from_csr`] for `track_pattern`.
+    pub fn from_dmat(seed: &DistMat<T>, track_pattern: bool) -> DistTable<T> {
+        DistTable {
+            layout: seed.layout.clone(),
+            blocks: seed
+                .blocks
+                .iter()
+                .map(|b| Table::from_csr(b, track_pattern))
+                .collect(),
+        }
+    }
+
+    /// The layout.
+    #[inline]
+    pub fn layout(&self) -> &Layout {
+        &self.layout
+    }
+
+    /// Block `(bi, bj)`.
+    #[inline]
+    pub fn block(&self, bi: usize, bj: usize) -> &Table<T> {
+        &self.blocks[self.layout.block_id(bi, bj)]
+    }
+
+    /// [`DistMat::update_blocks`] for a table (which is never a
+    /// cached operand, so there is no id to mint).
+    pub fn update_blocks<R: Send>(
+        &mut self,
+        f: impl Fn(usize, usize, &mut Table<T>) -> R + Sync,
+    ) -> (Vec<R>, ExecStats) {
+        par_update(&self.layout, &mut self.blocks, f)
+    }
+
+    /// The table as a matrix, every block sorted once.
+    pub fn freeze(self) -> DistMat<T> {
+        let blocks = self.blocks.into_iter().map(Table::freeze).collect();
+        DistMat::from_blocks(self.layout, blocks)
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -482,6 +578,56 @@ mod tests {
         // 5 rows over 2 block rows split 3/2.
         assert_eq!(dm.block(0, 0).nrows(), 3);
         assert_eq!(dm.block(1, 1).nrows(), 2);
+    }
+
+    #[test]
+    fn update_blocks_mints_a_fresh_content_id() {
+        let mut dm = DistMat::from_global(Layout::on_grid(4, 6, &grid22()), &sample_global());
+        let (clone, before) = (dm.clone(), dm.content_id());
+        let (sums, _) = dm.update_blocks(|bi, bj, b| {
+            let mut sum = 0;
+            for i in 0..b.nrows() {
+                for v in b.row_mut(i).1 {
+                    *v *= 10;
+                    sum += *v;
+                }
+            }
+            (bi, bj, sum)
+        });
+        // Results come back in block order, one per block.
+        assert_eq!(sums, vec![(0, 0, 40), (0, 1, 20), (1, 0, 50), (1, 1, 100)]);
+        assert_ne!(dm.content_id(), before);
+        assert_eq!(clone.content_id(), before, "clones keep the old token");
+        dm.validate().unwrap();
+        assert_eq!(dm.block(1, 1).get(1, 2), Some(&60));
+        assert_eq!(clone.block(1, 1).get(1, 2), Some(&6));
+    }
+
+    #[test]
+    #[should_panic(expected = "block rows")]
+    fn update_blocks_rejects_a_reshaped_block() {
+        let mut dm = DistMat::from_global(Layout::on_grid(4, 6, &grid22()), &sample_global());
+        dm.update_blocks(|_, _, b| *b = Csr::zero(1, b.ncols()));
+    }
+
+    #[test]
+    fn dist_table_round_trips_through_freeze() {
+        let dm = DistMat::from_global(Layout::on_grid(4, 6, &grid22()), &sample_global());
+        let mut table = DistTable::from_dmat(&dm, true);
+        assert_eq!(table.block(1, 1).get(1, 2), Some(&6));
+        // Insert (global) (0, 1) = 9 through block (0, 0).
+        let add = DistMat::from_global(
+            dm.layout().clone(),
+            &Coo::from_triples(4, 6, vec![(0usize, 1usize, 9u64)]).into_csr::<SumU64>(),
+        );
+        table.update_blocks(|bi, bj, t| {
+            t.accumulate::<SumU64>(add.block(bi, bj), |_, _| None);
+        });
+        assert_eq!(table.block(0, 0).pattern_row(0), &[0, 1]);
+        let frozen = table.freeze();
+        frozen.validate().unwrap();
+        assert_eq!(frozen.nnz(), dm.nnz() + 1);
+        assert_eq!(frozen.to_global::<SumU64>().get(0, 1), Some(&9));
     }
 
     #[test]

@@ -43,7 +43,7 @@ pub use autotune::{
 };
 pub use cache::{CacheStats, MmCache};
 pub use costmodel::MmStats;
-pub use dist::{DistMat, Layout};
+pub use dist::{DistMat, DistTable, Layout};
 pub use grid::{Grid2, Grid3};
 pub use mfbc_sparse::{Mask, MaskKind};
 pub use mm::{

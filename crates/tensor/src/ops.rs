@@ -1,9 +1,10 @@
 //! Distributed elementwise operations on [`DistMat`]s sharing a
-//! layout: monoid combination, zip-filter/map, and counting — the
-//! distributed counterparts of CTF's elementwise `Function` /
-//! `Transform` operations (§6.1). All are communication-free except
-//! [`nnz_sync`], which models the allreduce a bulk-synchronous loop
-//! uses to agree on termination.
+//! layout: monoid combination, zip-filter/map, the two fused in-place
+//! superstep updates ([`dmat_accumulate`], [`dmat_settle`]) and
+//! counting — the distributed counterparts of CTF's elementwise
+//! `Function` / `Transform` operations and sparse writes (§6.1). All
+//! are communication-free except [`nnz_sync`], which models the
+//! allreduce a bulk-synchronous loop uses to agree on termination.
 //!
 //! Blocks are independent, so the block loop fans out on the
 //! `mfbc-parallel` pool. Cost-model charges are applied *serially in
@@ -11,11 +12,11 @@
 //! accumulates an `f64` per rank, and floating-point addition order
 //! must not depend on scheduling for runs to stay bit-reproducible.
 
-use crate::dist::{DistMat, Layout};
+use crate::dist::{DistMat, DistTable, Layout};
 use mfbc_algebra::monoid::Monoid;
 use mfbc_machine::cost::CollectiveKind;
 use mfbc_machine::{Machine, MachineError};
-use mfbc_sparse::elementwise::{combine, combine_anchored, map_filter, zip_filter};
+use mfbc_sparse::elementwise::{combine, map_filter, settle, zip_filter};
 use mfbc_sparse::Csr;
 
 /// Asserts two distributed matrices share cuts and owners.
@@ -51,16 +52,19 @@ fn blockwise<O: Clone + Send + Sync>(
     block: impl Fn(usize, usize) -> Csr<O> + Sync,
     cost: impl Fn(usize, usize) -> usize,
 ) -> DistMat<O> {
-    let coords: Vec<(usize, usize)> = (0..l.br())
-        .flat_map(|bi| (0..l.bc()).map(move |bj| (bi, bj)))
-        .collect();
     let (blocks, stats) = mfbc_parallel::current()
-        .par_map_collect_stats(coords.len(), |t| block(coords[t].0, coords[t].1));
+        .par_map_collect_stats(l.nblocks(), |id| block(id / l.bc(), id % l.bc()));
     emit_pool(kernel, &stats);
-    for &(bi, bj) in &coords {
+    charge_blocks(m, l, cost);
+    DistMat::from_blocks(l.clone(), blocks)
+}
+
+/// Charges `cost(bi, bj)` operations to each block's owner, serially
+/// in block order (see the module docs).
+fn charge_blocks(m: &Machine, l: &Layout, cost: impl Fn(usize, usize) -> usize) {
+    for (bi, bj) in l.blocks() {
         m.charge_compute(l.owner(bi, bj), cost(bi, bj) as u64);
     }
-    DistMat::from_blocks(l.clone(), blocks)
 }
 
 /// `C = A ⊕ B` blockwise; layouts must align. Charges each owner's
@@ -80,22 +84,88 @@ where
     )
 }
 
-/// Anchored merge `Z := Z ⊗ G` blockwise (updates outside the base
-/// pattern are dropped — see
-/// [`combine_anchored`]).
-pub fn dmat_combine_anchored<M, T>(m: &Machine, base: &DistMat<T>, upd: &DistMat<T>) -> DistMat<T>
+/// Algorithm 1, lines 5–6 fused: [`mfbc_sparse::Table::accumulate`]
+/// block by block — `T := T ⊕ G` in place plus the entries of `G`
+/// that `keep` lets into the next frontier — with `T`'s residency
+/// re-charged at its new size.
+///
+/// Billed as the composition it replaces, so modeled costs stay
+/// comparable across revisions (DESIGN.md §7, deviation 8): the merge
+/// `nnz(T) + nnz(G)` of a [`dmat_combine`], then the `nnz(G)` of a
+/// [`dmat_zip_filter`], per block.
+///
+/// # Errors
+/// Propagates a memory-budget failure of the grown table.
+pub fn dmat_accumulate<M, T>(
+    m: &Machine,
+    table: &mut DistTable<T>,
+    explored: &DistMat<T>,
+    keep: impl Fn(&T, &T) -> Option<T> + Sync,
+) -> Result<DistMat<T>, MachineError>
 where
     M: Monoid<Elem = T>,
-    T: Clone + PartialEq + Send + Sync + std::fmt::Debug,
+    T: Clone + Send + Sync,
 {
-    assert_aligned(base, upd);
-    blockwise(
-        m,
-        "dmat_anchored",
-        base.layout(),
-        |bi, bj| combine_anchored::<M, _>(base.block(bi, bj), upd.block(bi, bj)),
-        |bi, bj| base.block(bi, bj).nnz() + upd.block(bi, bj).nnz(),
-    )
+    let l = explored.layout();
+    assert!(
+        table.layout().same_cuts(l),
+        "distributed accumulate requires aligned layouts"
+    );
+    let old_nnz: Vec<usize> = l
+        .blocks()
+        .map(|(bi, bj)| table.block(bi, bj).nnz())
+        .collect();
+    let (blocks, stats) =
+        table.update_blocks(|bi, bj, t| t.accumulate::<M>(explored.block(bi, bj), &keep));
+    emit_pool("dmat_accumulate", &stats);
+    charge_blocks(m, l, |bi, bj| {
+        old_nnz[l.block_id(bi, bj)] + explored.block(bi, bj).nnz()
+    });
+    charge_blocks(m, l, |bi, bj| explored.block(bi, bj).nnz());
+    // What `DistMat::{release,charge}_memory` would move for the table
+    // as a matrix, before and after.
+    let entry = mfbc_sparse::entry_bytes::<T>() as u64;
+    for (bi, bj) in l.blocks() {
+        m.release(l.owner(bi, bj), old_nnz[l.block_id(bi, bj)] as u64 * entry);
+    }
+    for (bi, bj) in l.blocks() {
+        m.charge_alloc(l.owner(bi, bj), table.block(bi, bj).nnz() as u64 * entry)?;
+    }
+    Ok(DistMat::from_blocks(l.clone(), blocks))
+}
+
+/// Algorithm 2, lines 8–11 fused: [`settle`] block by block —
+/// `Z := Z ⊗ G` in place on `Z`'s pattern, `fire` on the entries just
+/// touched (against `side` at the same coordinates) emitting the next
+/// frontier.
+///
+/// Billed as the composition it replaces (DESIGN.md §7, deviation 8):
+/// an anchored merge `nnz(Z) + nnz(G)`, then the `nnz(Z)` of a zip and
+/// of a map, per block.
+pub fn dmat_settle<M, U>(
+    m: &Machine,
+    z: &mut DistMat<M::Elem>,
+    update: &DistMat<M::Elem>,
+    side: &DistMat<U>,
+    fire: impl Fn(&mut M::Elem, &U) -> Option<M::Elem> + Sync,
+) -> DistMat<M::Elem>
+where
+    M: Monoid,
+    M::Elem: Clone + Send + Sync,
+    U: Clone + Send + Sync,
+{
+    assert_aligned(z, update);
+    assert_aligned(z, side);
+    let l = z.layout().clone();
+    let (blocks, stats) = z.update_blocks(|bi, bj, zb| {
+        settle::<M, U>(zb, update.block(bi, bj), side.block(bi, bj), &fire)
+    });
+    emit_pool("dmat_settle", &stats);
+    let z_nnz = |bi, bj| z.block(bi, bj).nnz();
+    charge_blocks(m, &l, |bi, bj| z_nnz(bi, bj) + update.block(bi, bj).nnz());
+    charge_blocks(m, &l, z_nnz); // the fire zip
+    charge_blocks(m, &l, z_nnz); // the pin map
+    DistMat::from_blocks(l, blocks)
 }
 
 /// Zip of `a`'s entries against `b`'s at the same coordinates:

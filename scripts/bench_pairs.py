@@ -1,0 +1,140 @@
+#!/usr/bin/env python3
+"""Parent/change pairing protocol for the wall-clock benchmark.
+
+Runs N pairs of two already-built `mfbc-benchmark` binaries on seeds
+1..N, alternating which side goes first, and prints the markdown table
+EXPERIMENTS.md records: per workload x metric the medians and quartiles
+of both sides, the change of the median, in how many pairs the change
+was better, and a verdict against the bound BENCHMARK.json fixes.
+
+    scripts/bench_pairs.py PARENT_BIN CHANGE_BIN \
+        [--workloads seq-road,dist-p1] [-n 10] [--seconds 10] \
+        [--trace 0|1] [--metrics core.ops,core.mfbf_s]
+
+`--trace 0` runs print the end-to-end metrics, `--trace 1` runs the
+per-layer ones (name those with `--metrics`).
+
+Verdicts (metrics BENCHMARK.json bounds):
+  unresolved     a side's quartile distance exceeds the bound
+  regressed      the change's median is worse by more than the bound
+  improved       the change is better in >= 9/10 of the pairs and the
+                 medians differ by more than the parent's quartile distance
+  no regression  otherwise
+Exits 1 if any run reports failed != 0 or any row is `regressed`.
+"""
+
+import argparse
+import json
+import pathlib
+import statistics
+import subprocess
+import sys
+import tempfile
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+
+
+def run(binary, workload, seed, seconds, trace, cwd):
+    """One driver-mode run; returns its metrics as {name: value}."""
+    cmd = [binary, "--workload", workload, "--seed", str(seed),
+           "--seconds", str(seconds), "--trace", str(trace)]
+    out = subprocess.run(cmd, cwd=cwd, check=True, capture_output=True, text=True)
+    result = json.loads(out.stdout.strip().splitlines()[-1])
+    if result["failed"] != 0 or not result["correct"]:
+        print(f"FAILED: {' '.join(cmd)}: {result['failed']} of "
+              f"{result['attempted']} output checks", file=sys.stderr)
+        return None
+    return {k: v["value"] for k, v in result["metrics"].items()}
+
+
+def fmt(x):
+    """Counts exactly, measurements to four significant digits."""
+    return f"{x:.0f}" if float(x).is_integer() and abs(x) < 1e15 else f"{x:.4g}"
+
+
+def quartiles(xs):
+    q1, med, q3 = statistics.quantiles(xs, n=4, method="inclusive")
+    return q1, med, q3
+
+
+def verdict(parent_q, change_q, pairs, wins, better, bound):
+    (pq1, pmed, pq3), (cq1, cmed, cq3) = parent_q, change_q
+    if pmed == 0 or cmed == 0:
+        return "–"
+    if (pq3 - pq1) / abs(pmed) > bound or (cq3 - cq1) / abs(cmed) > bound:
+        return "unresolved"
+    worse = (cmed - pmed) / abs(pmed) * (1 if better == "lower" else -1)
+    if worse > bound:
+        return "regressed"
+    # Ties count for neither side: only outright wins reach 9/10.
+    if wins >= 0.9 * pairs and abs(cmed - pmed) > pq3 - pq1:
+        return "improved"
+    return "no regression"
+
+
+def main():
+    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    ap.add_argument("parent")
+    ap.add_argument("change")
+    ap.add_argument("--manifest", default=str(ROOT / "BENCHMARK.json"))
+    ap.add_argument("--workloads", help="comma-separated; default: all in the manifest")
+    ap.add_argument("-n", "--pairs", type=int, default=10)
+    ap.add_argument("--seconds", type=float, help="default: the manifest's run_seconds")
+    ap.add_argument("--trace", type=int, choices=[0, 1], default=0)
+    ap.add_argument("--metrics", help="comma-separated; default: the end-to-end metrics")
+    args = ap.parse_args()
+
+    manifest = json.loads(pathlib.Path(args.manifest).read_text())
+    declared = {m["name"]: m for m in manifest["end_to_end"] + manifest["per_layer"]}
+    workloads = (args.workloads.split(",") if args.workloads
+                 else [w["name"] for w in manifest["workloads"]])
+    metrics = (args.metrics.split(",") if args.metrics
+               else [m["name"] for m in manifest["end_to_end"]])
+    seconds = args.seconds if args.seconds is not None else manifest["run_seconds"]
+    sides = {"parent": str(pathlib.Path(args.parent).resolve()),
+             "change": str(pathlib.Path(args.change).resolve())}
+
+    failed = False
+    samples = {}  # (workload, metric) -> {"parent": [...], "change": [...]}
+    with tempfile.TemporaryDirectory() as cwd:  # the binary writes benchmark/out/
+        for workload in workloads:
+            for seed in range(1, args.pairs + 1):
+                order = ["parent", "change"] if seed % 2 else ["change", "parent"]
+                for side in order:
+                    got = run(sides[side], workload, seed, seconds, args.trace, cwd)
+                    if got is None:
+                        failed = True
+                        continue
+                    for name in metrics:
+                        if name not in got:
+                            sys.exit(f"{name}: not printed by --trace {args.trace} runs")
+                        cell = samples.setdefault((workload, name),
+                                                  {"parent": [], "change": []})
+                        cell[side].append(got[name])
+                print(f"{workload} seed {seed} done", file=sys.stderr)
+
+    print("| workload | metric | parent median [q1, q3] | change median [q1, q3] "
+          "| Δ median | change better in | verdict |")
+    print("|---|---|---|---|---|---|---|")
+    for (workload, name), cell in samples.items():
+        parent, change = cell["parent"], cell["change"]
+        if len(parent) != len(change) or len(parent) < 2:
+            print(f"| {workload} | {name} | – | – | – | – | incomplete |")
+            continue
+        decl = declared[name]
+        sign = 1 if decl["better"] == "lower" else -1
+        wins = sum(sign * (c - p) < 0 for p, c in zip(parent, change))
+        parent_q, change_q = quartiles(parent), quartiles(change)
+        (pq1, pmed, pq3), (cq1, cmed, cq3) = parent_q, change_q
+        delta = f"{(cmed - pmed) / abs(pmed):+.1%}" if pmed else "–"
+        v = (verdict(parent_q, change_q, len(parent), wins, decl["better"], decl["bound"])
+             if "bound" in decl else "–")
+        failed |= v == "regressed"
+        print(f"| {workload} | {name} | {fmt(pmed)} [{fmt(pq1)}, {fmt(pq3)}] "
+              f"| {fmt(cmed)} [{fmt(cq1)}, {fmt(cq3)}] | {delta} "
+              f"| {wins}/{len(parent)} | {v} |")
+    sys.exit(1 if failed else 0)
+
+
+if __name__ == "__main__":
+    main()
