@@ -1,6 +1,7 @@
 //! Regression alarm for per-superstep table copies: the bytes one
 //! `mfbc_seq` call requests from the allocator stay within a small
-//! multiple of the tables it builds.
+//! multiple of the tables it builds, and `mfbc_dist` on one simulated
+//! rank stays within a small multiple of that.
 //!
 //! A superstep is priced by its frontier and the products it induces
 //! (Theorem 5.1). Rebuilding the `n_b × n` tables `T` and `Z` around
@@ -9,9 +10,11 @@
 //! tables themselves. This binary holds one test so that nothing else
 //! allocates while it counts.
 
+use mfbc_core::dist::{mfbc_dist, MfbcConfig};
 use mfbc_core::seq::{mfbc_seq, mfbf_seq, mfbr_seq};
 use mfbc_graph::prep::randomize_weights;
 use mfbc_graph::Graph;
+use mfbc_machine::{Machine, MachineSpec};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -75,8 +78,16 @@ fn weighted_grid(side: usize) -> Graph {
 /// 2.5 from either.
 const MAX_REQUESTED_PER_TABLE_BYTE: f64 = 50.0;
 
+/// Bytes `mfbc_dist` at `p = 1` may request per byte `mfbc_seq`
+/// requests for the same sweep. One rank moves nothing, so what the
+/// tensor layer adds — placing operands, re-assembling every product —
+/// has to stay a fraction of the sweep itself. Measured: 1.11 with
+/// slab-wise movement (whole blocks cloned or moved), 2.80 when every
+/// product and operand went through a coordinate list and a sort.
+const MAX_DIST_OVER_SEQ_REQUESTED: f64 = 1.5;
+
 #[test]
-fn mfbc_seq_requests_a_small_multiple_of_its_tables() {
+fn mfbc_requests_a_small_multiple_of_its_tables() {
     let (g, nb) = (weighted_grid(16), 128);
     // One kernel thread: the pool's fan-out allocates per participant.
     mfbc_parallel::with_threads(1, || {
@@ -105,6 +116,21 @@ fn mfbc_seq_requests_a_small_multiple_of_its_tables() {
             ratio < MAX_REQUESTED_PER_TABLE_BYTE,
             "{requested} bytes requested for {table_bytes} bytes of tables over \
              {supersteps} supersteps: {ratio:.1}x"
+        );
+
+        // The same sweep on a one-rank simulated machine.
+        let m = Machine::new(MachineSpec::gemini(1));
+        let cfg = MfbcConfig::default().with_batch_size(nb).with_threads(1);
+        let before = REQUESTED.load(Ordering::Relaxed);
+        let run = mfbc_dist(&m, &g, &cfg).expect("fault-free");
+        let dist_requested = REQUESTED.load(Ordering::Relaxed) - before;
+        assert_eq!(run.forward_iterations + run.backward_iterations, supersteps);
+        assert_eq!(run.scores.lambda, scores.lambda);
+        let dist_over_seq = dist_requested as f64 / requested as f64;
+        assert!(
+            dist_over_seq < MAX_DIST_OVER_SEQ_REQUESTED,
+            "mfbc_dist at p=1 requested {dist_requested} bytes, {dist_over_seq:.2}x the \
+             {requested} of mfbc_seq"
         );
     });
 }

@@ -145,6 +145,12 @@ impl<T> Csr<T> {
         &self.vals[self.rowptr[i]..self.rowptr[i + 1]]
     }
 
+    /// Every stored value, in row-major order.
+    #[inline]
+    pub fn vals(&self) -> &[T] {
+        &self.vals
+    }
+
     /// The column indices of row `i` next to its values, mutably: the
     /// in-structure update (CTF `Transform`, §6.1) — values change,
     /// the pattern cannot.

@@ -1,9 +1,158 @@
-//! Sub-matrix extraction — the analogue of CTF's `Tensor::slice()`
-//! (§6.1), used to cut adjacency blocks for distribution and to pull
-//! source-vertex batches out of frontier matrices.
+//! Sub-matrix extraction and assembly — the analogue of CTF's
+//! `Tensor::slice()` (§6.1) and of its block-to-block redistribution
+//! kernels (§6.2). One routine, [`stitch`], cuts a window out of any
+//! set of disjoint rectangular slabs; [`slice`] is its one-slab case,
+//! and every layout change of the tensor layer is a grid of windows.
 
 use crate::csr::{Csr, Idx};
+use std::borrow::Cow;
 use std::ops::Range;
+
+/// One source of a [`stitch`]: a matrix whose entry `(i, j)` sits at
+/// `(row_off + i, col_off + j)` of the index space the window is cut
+/// from. A borrowed slab is copied from; an owned one may be moved.
+pub type Slab<'a, T> = (usize, usize, Cow<'a, Csr<T>>);
+
+/// The part of one slab that lies inside a window.
+struct Cut {
+    /// Index of the slab.
+    k: usize,
+    /// Slab-local rows and columns inside the window.
+    src_rows: Range<usize>,
+    src_cols: Range<usize>,
+    /// Window-local position of `(src_rows.start, src_cols.start)`.
+    out_row: usize,
+    out_col: usize,
+    /// Entries of the slab inside the window.
+    entries: usize,
+    /// Where this cut's per-row column spans start in the shared span
+    /// list; `None` when `src_cols` spans the slab, so whole rows go.
+    spans_at: Option<usize>,
+}
+
+/// Where a slab's extent `off..off + len` meets `window`: the
+/// slab-local range inside the window and the window-local position
+/// where it starts.
+fn meet(off: usize, len: usize, window: &Range<usize>) -> (Range<usize>, usize) {
+    let lo = off.max(window.start);
+    let hi = (off + len).min(window.end).max(lo);
+    (lo - off..hi - off, lo - window.start)
+}
+
+/// Builds the window `[rows, cols]` of the matrix that the pairwise
+/// disjoint `slabs` tile, reindexed to start at `(0, 0)`: the
+/// analogue of CTF's block-to-block redistribution kernels (§6.2).
+///
+/// Slab rows are sorted and slabs are rectangles, so an output row is
+/// the concatenation, in column order, of column sub-ranges of slab
+/// rows: nothing is located entry by entry and nothing is sorted.
+/// Entries `keep` rejects are skipped. Also returns `(slab index,
+/// entries)` for every slab with entries inside the window (kept or
+/// not) — what a redistribution has to move.
+///
+/// A slab that *is* the window is handed over whole: cloned when
+/// borrowed, moved when owned (an empty `0 × 0` slab is left behind).
+///
+/// # Panics
+/// Panics if overlapping slabs put two entries on one coordinate.
+pub fn stitch<T: Clone>(
+    rows: Range<usize>,
+    cols: Range<usize>,
+    slabs: &mut [Slab<'_, T>],
+    keep: impl Fn(&T) -> bool,
+) -> (Csr<T>, Vec<(usize, usize)>) {
+    let (nrows, ncols) = (rows.len(), cols.len());
+    let mut cuts: Vec<Cut> = Vec::new();
+    // Per row of every column-cut slab: the positions of its sorted
+    // columns that fall inside the window, found once by bisection.
+    let mut spans: Vec<Range<usize>> = Vec::new();
+    for (k, (row_off, col_off, mat)) in slabs.iter().enumerate() {
+        let (src_rows, out_row) = meet(*row_off, mat.nrows(), &rows);
+        let (src_cols, out_col) = meet(*col_off, mat.ncols(), &cols);
+        if src_rows.is_empty() || src_cols.is_empty() {
+            continue;
+        }
+        let mut entries = mat.rowptr()[src_rows.end] - mat.rowptr()[src_rows.start];
+        if entries == 0 {
+            continue;
+        }
+        let mut spans_at = None;
+        if src_cols != (0..mat.ncols()) {
+            spans_at = Some(spans.len());
+            spans.extend(src_rows.clone().map(|i| {
+                let row = mat.row_cols(i);
+                row.partition_point(|&c| (c as usize) < src_cols.start)
+                    ..row.partition_point(|&c| (c as usize) < src_cols.end)
+            }));
+            entries = spans[spans.len() - src_rows.len()..]
+                .iter()
+                .map(ExactSizeIterator::len)
+                .sum();
+        }
+        if entries > 0 {
+            cuts.push(Cut {
+                k,
+                src_rows,
+                src_cols,
+                out_row,
+                out_col,
+                entries,
+                spans_at,
+            });
+        }
+    }
+    let moved = cuts.iter().map(|c| (c.k, c.entries)).collect();
+    if cuts.is_empty() {
+        return (Csr::zero(nrows, ncols), moved);
+    }
+    if let [cut] = &cuts[..] {
+        let slab = &mut slabs[cut.k].2;
+        if (slab.nrows(), slab.ncols()) == (nrows, ncols)
+            && cut.src_rows.len() == nrows
+            && cut.spans_at.is_none()
+            && slab.vals().iter().all(&keep)
+        {
+            let whole = match slab {
+                Cow::Borrowed(m) => (*m).clone(),
+                Cow::Owned(m) => std::mem::replace(m, Csr::zero(0, 0)),
+            };
+            return (whole, moved);
+        }
+    }
+
+    // Column order, so that each output row is filled left to right.
+    cuts.sort_by_key(|c| c.out_col);
+    let reserve = cuts.iter().map(|c| c.entries).sum();
+    let mut rowptr = Vec::with_capacity(nrows + 1);
+    rowptr.push(0usize);
+    let mut colind: Vec<Idx> = Vec::with_capacity(reserve);
+    let mut vals: Vec<T> = Vec::with_capacity(reserve);
+    for i in 0..nrows {
+        for cut in &cuts {
+            // Rows above the cut wrap around and fail the bound too.
+            let at = i.wrapping_sub(cut.out_row);
+            if at >= cut.src_rows.len() {
+                continue;
+            }
+            let (mat, src_row) = (&slabs[cut.k].2, cut.src_rows.start + at);
+            if mat.row_nnz(src_row) == 0 {
+                continue;
+            }
+            let (row_cols, row_vals) = (mat.row_cols(src_row), mat.row_vals(src_row));
+            let span = match cut.spans_at {
+                Some(first) => spans[first + at].clone(),
+                None => 0..row_cols.len(),
+            };
+            let seg = row_cols[span.clone()].iter().zip(&row_vals[span]);
+            for (c, v) in seg.filter(|(_, v)| keep(v)) {
+                colind.push((*c as usize - cut.src_cols.start + cut.out_col) as Idx);
+                vals.push(v.clone());
+            }
+        }
+        rowptr.push(colind.len());
+    }
+    (Csr::from_parts(nrows, ncols, rowptr, colind, vals), moved)
+}
 
 /// Extracts the sub-matrix `a[rows, cols]`, reindexed to start at
 /// `(0, 0)`.
@@ -15,25 +164,7 @@ pub fn slice<T: Clone>(a: &Csr<T>, rows: Range<usize>, cols: Range<usize>) -> Cs
         rows.end <= a.nrows() && cols.end <= a.ncols(),
         "slice out of bounds"
     );
-    let nrows = rows.len();
-    let ncols = cols.len();
-    let mut rowptr = Vec::with_capacity(nrows + 1);
-    rowptr.push(0usize);
-    let mut colind: Vec<Idx> = Vec::new();
-    let mut vals: Vec<T> = Vec::new();
-    for i in rows {
-        let rc = a.row_cols(i);
-        let rv = a.row_vals(i);
-        // Binary search the column window within the sorted row.
-        let lo = rc.partition_point(|&c| (c as usize) < cols.start);
-        let hi = rc.partition_point(|&c| (c as usize) < cols.end);
-        for k in lo..hi {
-            colind.push(rc[k] - cols.start as Idx);
-            vals.push(rv[k].clone());
-        }
-        rowptr.push(colind.len());
-    }
-    Csr::from_parts(nrows, ncols, rowptr, colind, vals)
+    stitch(rows, cols, &mut [(0, 0, Cow::Borrowed(a))], |_| true).0
 }
 
 /// Extracts full rows `rows`, reindexed to start at row 0.
@@ -62,56 +193,6 @@ pub fn even_ranges(n: usize, parts: usize) -> Vec<Range<usize>> {
     }
     debug_assert_eq!(start, n);
     out
-}
-
-/// Pastes `parts` vertically (all must share `ncols`); inverse of
-/// row-slicing along [`even_ranges`].
-pub fn vstack<T: Clone>(parts: &[Csr<T>]) -> Csr<T> {
-    assert!(!parts.is_empty(), "vstack of nothing");
-    let ncols = parts[0].ncols();
-    let nrows: usize = parts.iter().map(Csr::nrows).sum();
-    let nnz: usize = parts.iter().map(Csr::nnz).sum();
-    let mut rowptr = Vec::with_capacity(nrows + 1);
-    rowptr.push(0usize);
-    let mut colind: Vec<Idx> = Vec::with_capacity(nnz);
-    let mut vals: Vec<T> = Vec::with_capacity(nnz);
-    for p in parts {
-        assert_eq!(p.ncols(), ncols, "vstack column mismatch");
-        for i in 0..p.nrows() {
-            for (j, v) in p.row(i) {
-                colind.push(j as Idx);
-                vals.push(v.clone());
-            }
-            rowptr.push(colind.len());
-        }
-    }
-    Csr::from_parts(nrows, ncols, rowptr, colind, vals)
-}
-
-/// Pastes `parts` horizontally (all must share `nrows`); inverse of
-/// column-slicing along [`even_ranges`].
-pub fn hstack<T: Clone>(parts: &[Csr<T>]) -> Csr<T> {
-    assert!(!parts.is_empty(), "hstack of nothing");
-    let nrows = parts[0].nrows();
-    let ncols: usize = parts.iter().map(Csr::ncols).sum();
-    let nnz: usize = parts.iter().map(Csr::nnz).sum();
-    let mut rowptr = Vec::with_capacity(nrows + 1);
-    rowptr.push(0usize);
-    let mut colind: Vec<Idx> = Vec::with_capacity(nnz);
-    let mut vals: Vec<T> = Vec::with_capacity(nnz);
-    for i in 0..nrows {
-        let mut offset = 0usize;
-        for p in parts {
-            assert_eq!(p.nrows(), nrows, "hstack row mismatch");
-            for (j, v) in p.row(i) {
-                colind.push((j + offset) as Idx);
-                vals.push(v.clone());
-            }
-            offset += p.ncols();
-        }
-        rowptr.push(colind.len());
-    }
-    Csr::from_parts(nrows, ncols, rowptr, colind, vals)
 }
 
 #[cfg(test)]
@@ -184,23 +265,83 @@ mod tests {
         }
     }
 
-    #[test]
-    fn vstack_inverts_row_slicing() {
-        let a = sample();
-        let parts: Vec<_> = even_ranges(a.nrows(), 3)
-            .into_iter()
-            .map(|r| slice_rows(&a, r))
-            .collect();
-        assert_eq!(vstack(&parts), a);
+    /// `a` cut along a `br × bc` even grid, as borrowed slabs.
+    fn grid_slabs(a: &Csr<u64>, br: usize, bc: usize) -> Vec<(usize, usize, Csr<u64>)> {
+        let mut out = Vec::new();
+        for r in even_ranges(a.nrows(), br) {
+            for c in even_ranges(a.ncols(), bc) {
+                out.push((r.start, c.start, slice(a, r.clone(), c)));
+            }
+        }
+        out
+    }
+
+    fn borrowed(owned: &[(usize, usize, Csr<u64>)]) -> Vec<Slab<'_, u64>> {
+        owned
+            .iter()
+            .map(|(r, c, m)| (*r, *c, Cow::Borrowed(m)))
+            .collect()
     }
 
     #[test]
-    fn hstack_inverts_col_slicing() {
+    fn stitch_inverts_grid_slicing() {
         let a = sample();
-        let parts: Vec<_> = even_ranges(a.ncols(), 3)
-            .into_iter()
-            .map(|r| slice_cols(&a, r))
-            .collect();
-        assert_eq!(hstack(&parts), a);
+        for (br, bc) in [(1, 1), (3, 1), (1, 3), (2, 3), (4, 4), (5, 7)] {
+            let owned = grid_slabs(&a, br, bc);
+            let (back, moved) = stitch(0..4, 0..4, &mut borrowed(&owned), |_| true);
+            assert_eq!(back, a, "{br}x{bc}");
+            let nnz = owned.iter().map(|(_, _, m)| m.nnz()).enumerate();
+            let nonempty: Vec<_> = nnz.filter(|&(_, n)| n > 0).collect();
+            assert_eq!(moved, nonempty, "{br}x{bc}");
+        }
+    }
+
+    #[test]
+    fn stitch_cuts_windows_that_straddle_slabs() {
+        let a = sample();
+        let owned = grid_slabs(&a, 2, 2);
+        for rows in [0..4, 1..3, 0..1, 3..4, 2..2] {
+            for cols in [0..4, 1..3, 1..4, 0..1, 3..3] {
+                let (w, moved) =
+                    stitch(rows.clone(), cols.clone(), &mut borrowed(&owned), |_| true);
+                assert_eq!(
+                    w,
+                    slice(&a, rows.clone(), cols.clone()),
+                    "{rows:?} {cols:?}"
+                );
+                assert_eq!(moved.iter().map(|m| m.1).sum::<usize>(), w.nnz());
+            }
+        }
+    }
+
+    #[test]
+    fn stitch_skips_rejected_entries_but_counts_them() {
+        let a = sample();
+        let odd = |v: &u64| v % 2 == 1;
+        // Cut path and whole-slab path prune alike.
+        for (br, bc) in [(2, 2), (1, 1)] {
+            let owned = grid_slabs(&a, br, bc);
+            let (w, moved) = stitch(0..4, 0..4, &mut borrowed(&owned), odd);
+            assert_eq!(w, a.filter(|_, _, v| odd(v)));
+            assert_eq!(moved.iter().map(|m| m.1).sum::<usize>(), a.nnz());
+        }
+    }
+
+    #[test]
+    fn stitch_moves_an_owned_slab_that_is_the_window() {
+        let a = sample();
+        let mut slabs = vec![(0, 0, Cow::Owned(a.clone())), (4, 0, Cow::Owned(a.clone()))];
+        let (w, moved) = stitch(4..8, 0..4, &mut slabs, |_| true);
+        assert_eq!((w, moved), (a.clone(), vec![(1, 6)]));
+        assert_eq!(*slabs[0].2, a);
+        assert_eq!((slabs[1].2.nrows(), slabs[1].2.nnz()), (0, 0), "moved out");
+    }
+
+    #[test]
+    #[should_panic(expected = "invalid CSR parts")]
+    fn stitch_rejects_slabs_that_collide() {
+        let a = sample();
+        let twice = [(0, 0, a.clone()), (0, 0, a)];
+        stitch(0..4, 0..4, &mut borrowed(&twice), |_| true);
     }
 }

@@ -7,11 +7,12 @@ use mfbc_algebra::kernel::{BellmanFordKernel, TropicalKernel};
 use mfbc_algebra::monoid::{MinDist, Monoid};
 use mfbc_algebra::{Dist, Multpath, MultpathMonoid, SpMulKernel};
 use mfbc_sparse::elementwise::combine;
-use mfbc_sparse::slice::{even_ranges, hstack, slice_cols, slice_rows, vstack};
+use mfbc_sparse::slice::{even_ranges, slice, stitch, Slab};
 use mfbc_sparse::transpose::transpose;
 use mfbc_sparse::{spgemm, spgemm_serial, Coo, Csr};
 use proptest::collection::vec;
 use proptest::prelude::*;
+use std::borrow::Cow;
 
 /// Random sparse Dist matrix as (shape, triples).
 fn arb_dist_mat(max_n: usize) -> impl Strategy<Value = Csr<Dist>> {
@@ -153,13 +154,20 @@ proptest! {
     }
 
     #[test]
-    fn stacking_round_trips(a in arb_dist_mat(24), parts in 1usize..5) {
-        let rows: Vec<_> = even_ranges(a.nrows(), parts)
-            .into_iter().map(|r| slice_rows(&a, r)).collect();
-        prop_assert_eq!(vstack(&rows), a.clone());
-        let cols: Vec<_> = even_ranges(a.ncols(), parts)
-            .into_iter().map(|r| slice_cols(&a, r)).collect();
-        prop_assert_eq!(hstack(&cols), a.clone());
+    fn stitching_inverts_slicing(a in arb_dist_mat(24), br in 1usize..5, bc in 1usize..5) {
+        let mut blocks = Vec::new();
+        for r in even_ranges(a.nrows(), br) {
+            for c in even_ranges(a.ncols(), bc) {
+                blocks.push((r.start, c.start, slice(&a, r.clone(), c)));
+            }
+        }
+        let mut slabs: Vec<Slab<'_, Dist>> = blocks
+            .iter()
+            .map(|(r, c, m)| (*r, *c, Cow::Borrowed(m)))
+            .collect();
+        let (back, moved) = stitch(0..a.nrows(), 0..a.ncols(), &mut slabs, |_| true);
+        prop_assert_eq!(back, a.clone());
+        prop_assert_eq!(moved.iter().map(|m| m.1).sum::<usize>(), a.nnz());
     }
 
     #[test]

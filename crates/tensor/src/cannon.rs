@@ -16,7 +16,6 @@
 use crate::cache::MmCache;
 use crate::dist::{DistMat, Layout};
 use crate::grid::Grid2;
-use crate::mm::assemble_canonical;
 use crate::mm1d::{FirstWins, Piece};
 use crate::redist::redistribute;
 use mfbc_algebra::kernel::KernelOut;
@@ -193,20 +192,6 @@ fn charge_shift_all<L, R>(
     Ok(handles)
 }
 
-/// Assembled-run wrapper mirroring the other variants.
-pub(crate) fn run<K: SpMulKernel>(
-    m: &Machine,
-    grid: &Grid2,
-    a: &DistMat<K::Left>,
-    b: &DistMat<K::Right>,
-    mask: Option<&Mask>,
-    cache: &mut MmCache<K::Right>,
-) -> Result<crate::mm::MmOut<KernelOut<K>>, MachineError> {
-    let (pieces, ops) = run_pieces::<K>(m, grid, a, b, mask, cache)?;
-    let c = assemble_canonical::<K::Acc, _>(m, a.nrows(), b.ncols(), pieces);
-    Ok(crate::mm::MmOut { c, ops })
-}
-
 /// Predicted time of Cannon's algorithm (the §5.2.2 formula):
 /// `α·√p + β·(nnz(A)+nnz(B))/√p` plus compute, with the shift
 /// bandwidth overlappable under compute when the spec overlaps.
@@ -267,12 +252,10 @@ mod tests {
             let b = random_mat(2, n, 200);
             let want = spgemm_serial::<TropicalKernel>(&a, &b);
             let m = Machine::new(MachineSpec::test(p));
-            let grid = Grid2::new(Group::all(p), q, q).unwrap();
             let da = DistMat::from_global(crate::canonical_layout(&m, n, n), &a);
             let db = DistMat::from_global(crate::canonical_layout(&m, n, n), &b);
-            let mut cache = MmCache::new();
-            let out = run::<TropicalKernel>(&m, &grid, &da, &db, None, &mut cache).unwrap();
-            cache.release_all(&m);
+            let plan = crate::MmPlan::Cannon { q };
+            let out = crate::mm_exec::<TropicalKernel>(&m, &plan, &da, &db).unwrap();
             assert_eq!(out.c.to_global::<MinDist>(), want.mat, "q={q}");
             assert_eq!(out.ops, want.ops, "q={q}");
         }
@@ -288,7 +271,7 @@ mod tests {
         let da = DistMat::from_global(crate::canonical_layout(&m, n, n), &a);
         let db = da.clone();
         let mut cache = MmCache::new();
-        let _ = run::<TropicalKernel>(&m, &grid, &da, &db, None, &mut cache).unwrap();
+        let _ = run_pieces::<TropicalKernel>(&m, &grid, &da, &db, None, &mut cache).unwrap();
         cache.release_all(&m);
         // q shift rounds × 2 directions = 2q point-to-point messages
         // per rank on the critical path, plus the redistribution
@@ -305,6 +288,6 @@ mod tests {
         let a = random_mat(5, 12, 40);
         let da = DistMat::from_global(crate::canonical_layout(&m, 12, 12), &a);
         let mut cache = MmCache::new();
-        let _ = run::<TropicalKernel>(&m, &grid, &da, &da.clone(), None, &mut cache);
+        let _ = run_pieces::<TropicalKernel>(&m, &grid, &da, &da.clone(), None, &mut cache);
     }
 }

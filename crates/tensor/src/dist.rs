@@ -11,8 +11,9 @@
 use mfbc_algebra::monoid::Monoid;
 use mfbc_machine::{Machine, MachineError};
 use mfbc_parallel::ExecStats;
-use mfbc_sparse::slice::{even_ranges, slice};
-use mfbc_sparse::{Coo, Csr, Table};
+use mfbc_sparse::slice::{even_ranges, slice, stitch, Slab};
+use mfbc_sparse::{Csr, Table};
+use std::borrow::Cow;
 use std::ops::Range;
 use std::sync::Mutex;
 
@@ -120,6 +121,12 @@ impl Layout {
     #[inline]
     pub fn owner(&self, bi: usize, bj: usize) -> usize {
         self.owners[bi * self.bc() + bj]
+    }
+
+    /// Every block's owner rank, in flat block id order.
+    #[inline]
+    pub fn owners(&self) -> &[usize] {
+        &self.owners
     }
 
     /// Flat block id.
@@ -419,25 +426,32 @@ impl<T: Clone + Send + Sync> DistMat<T> {
         Ok(())
     }
 
-    /// Reassembles the global matrix (gather for verification/output;
-    /// combines with `M` since block cuts are disjoint this is pure
-    /// concatenation, but duplicate tolerance makes testing easier).
+    /// Every block as a borrowed slab at its global offset, in flat
+    /// block id order — the source form of every slab-wise move.
+    pub(crate) fn slabs(&self) -> Vec<Slab<'_, T>> {
+        self.layout
+            .blocks()
+            .zip(&self.blocks)
+            .map(|((bi, bj), b)| {
+                let (r0, c0) = (
+                    self.layout.row_range(bi).start,
+                    self.layout.col_range(bj).start,
+                );
+                (r0, c0, Cow::Borrowed(b))
+            })
+            .collect()
+    }
+
+    /// Reassembles the global matrix (gather for verification/output):
+    /// block cuts are disjoint, so this is pure concatenation, minus
+    /// any entries that are `M`'s identity.
     pub fn to_global<M>(&self) -> Csr<T>
     where
         M: Monoid<Elem = T>,
         T: PartialEq + std::fmt::Debug,
     {
-        let mut coo = Coo::new(self.nrows(), self.ncols());
-        for bi in 0..self.layout.br() {
-            let r0 = self.layout.row_range(bi).start;
-            for bj in 0..self.layout.bc() {
-                let c0 = self.layout.col_range(bj).start;
-                for (i, j, v) in self.block(bi, bj).iter() {
-                    coo.push(r0 + i, c0 + j, v.clone());
-                }
-            }
-        }
-        coo.into_csr::<M>()
+        let (rows, cols) = (0..self.nrows(), 0..self.ncols());
+        stitch(rows, cols, &mut self.slabs(), |v| !M::is_identity(v)).0
     }
 }
 
@@ -497,6 +511,7 @@ mod tests {
     use super::*;
     use mfbc_algebra::monoid::SumU64;
     use mfbc_machine::Group;
+    use mfbc_sparse::Coo;
 
     fn sample_global() -> Csr<u64> {
         Coo::from_triples(

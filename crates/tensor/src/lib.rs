@@ -30,6 +30,8 @@ pub mod cache;
 pub mod cannon;
 pub mod costmodel;
 pub mod dist;
+#[cfg(test)]
+mod entrywise;
 pub mod grid;
 pub mod mm;
 mod mm1d;

@@ -28,12 +28,15 @@
 use crate::cache::MmCache;
 use crate::dist::{DistMat, Layout};
 use crate::grid::{Grid2, Grid3};
+use crate::mm1d::Piece;
 use crate::{mm1d, mm2d, mm3d};
 use mfbc_algebra::kernel::KernelOut;
 use mfbc_algebra::monoid::Monoid;
 use mfbc_algebra::SpMulKernel;
 use mfbc_machine::{Machine, MachineError};
-use mfbc_sparse::{Coo, Mask};
+use mfbc_sparse::slice::{stitch, Slab};
+use mfbc_sparse::Mask;
+use std::borrow::Cow;
 
 /// The 1D algorithm variants of §5.2.1, named by the matrix they
 /// replicate (`A`, `B`) or reduce (`C`).
@@ -280,37 +283,54 @@ pub fn squarest_grid(p: usize) -> (usize, usize) {
 }
 
 /// Assembles per-block outputs (with global offsets) into a canonical
-/// [`DistMat`]. Local bookkeeping only — not charged (see module
+/// [`DistMat`]: each canonical block is stitched from the pieces it
+/// overlaps, and a piece that already is a canonical block (every
+/// piece at `p = 1`, stationary-C plans on the canonical grid) is
+/// moved into place. Local bookkeeping only — not charged (see module
 /// docs).
+///
+/// # Panics
+/// Panics if two pieces overlap: plans partition the output, and
+/// concatenation (unlike the monoid) would not reconcile a collision.
 pub(crate) fn assemble_canonical<M, T>(
     m: &Machine,
     nrows: usize,
     ncols: usize,
-    pieces: Vec<(usize, usize, usize, mfbc_sparse::Csr<T>)>,
+    pieces: Vec<Piece<T>>,
 ) -> DistMat<T>
 where
     M: Monoid<Elem = T>,
     T: Clone + Send + Sync + PartialEq + std::fmt::Debug,
 {
-    let layout = canonical_layout(m, nrows, ncols);
-    let mut per_block: Vec<Coo<T>> = (0..layout.br())
-        .flat_map(|bi| (0..layout.bc()).map(move |bj| (bi, bj)))
-        .map(|(bi, bj)| Coo::new(layout.row_range(bi).len(), layout.col_range(bj).len()))
-        .collect();
-    for (r0, c0, _pos, piece) in pieces {
-        for (i, j, v) in piece.iter() {
-            let (gi, gj) = (r0 + i, c0 + j);
-            let bi = layout.find_row_block(gi);
-            let bj = layout.find_col_block(gj);
-            per_block[bi * layout.bc() + bj].push(
-                gi - layout.row_range(bi).start,
-                gj - layout.col_range(bj).start,
-                v.clone(),
-            );
-        }
+    if let Some((a, b)) = first_overlap(&pieces) {
+        panic!("output pieces {a} and {b} overlap");
     }
-    let blocks = per_block.into_iter().map(|c| c.into_csr::<M>()).collect();
+    let layout = canonical_layout(m, nrows, ncols);
+    let mut slabs: Vec<Slab<'_, T>> = pieces
+        .into_iter()
+        .map(|(r0, c0, _pos, piece)| (r0, c0, Cow::Owned(piece)))
+        .collect();
+    let blocks = layout
+        .blocks()
+        .map(|(bi, bj)| {
+            let (rows, cols) = (layout.row_range(bi), layout.col_range(bj));
+            stitch(rows, cols, &mut slabs, |v| !M::is_identity(v)).0
+        })
+        .collect();
     DistMat::from_blocks(layout, blocks)
+}
+
+/// The first two pieces (by index) whose rectangles share a cell.
+fn first_overlap<T>(pieces: &[Piece<T>]) -> Option<(usize, usize)> {
+    let meet = |a0: usize, an: usize, b0: usize, bn: usize| a0.max(b0) < (a0 + an).min(b0 + bn);
+    pieces.iter().enumerate().find_map(|(k, (r0, c0, _, x))| {
+        pieces[..k]
+            .iter()
+            .position(|(s0, d0, _, y)| {
+                meet(*r0, x.nrows(), *s0, y.nrows()) && meet(*c0, x.ncols(), *d0, y.ncols())
+            })
+            .map(|j| (j, k))
+    })
 }
 
 /// Drops right-operand entries in output columns the mask excludes
@@ -344,6 +364,40 @@ pub(crate) fn shrink_rhs_against_mask<T: Clone + Send + Sync>(
         return None;
     }
     Some(out)
+}
+
+/// Runs `plan`'s communication schedule and local multiplies,
+/// returning its output pieces (pairwise disjoint, at global offsets)
+/// and `ops`.
+fn plan_pieces<K: SpMulKernel>(
+    m: &Machine,
+    plan: &MmPlan,
+    a: &DistMat<K::Left>,
+    b: &DistMat<K::Right>,
+    mask: Option<&Mask>,
+    cache: &mut MmCache<K::Right>,
+) -> Result<(Vec<Piece<KernelOut<K>>>, u64), MachineError> {
+    match *plan {
+        MmPlan::OneD(v) => mm1d::run_pieces::<K>(m, &m.world(), v, a, b, mask, cache),
+        MmPlan::TwoD { variant, p2, p3 } => {
+            let grid = Grid2::new(m.world(), p2, p3)?;
+            mm2d::run_pieces::<K>(m, &grid, variant, a, b, mask, cache)
+        }
+        MmPlan::Cannon { q } => {
+            let grid = Grid2::new(m.world(), q, q)?;
+            crate::cannon::run_pieces::<K>(m, &grid, a, b, mask, cache)
+        }
+        MmPlan::ThreeD {
+            split,
+            inner,
+            p1,
+            p2,
+            p3,
+        } => {
+            let grid = Grid3::new(m.world(), p1, p2, p3)?;
+            mm3d::run_pieces::<K>(m, &grid, split, inner, a, b, mask, cache)
+        }
+    }
 }
 
 /// Executes `C = A •⟨⊕,f⟩ B` under `plan`.
@@ -428,41 +482,19 @@ pub fn mm_exec_cached_masked<K: SpMulKernel>(
     }
     plan.check(m.p())?;
     let _span = mfbc_trace::span(|| format!("spgemm {plan}"));
-    let out = match *plan {
-        MmPlan::OneD(v) => mm1d::run::<K>(m, &m.world(), v, a, b, mask, cache),
-        MmPlan::TwoD { variant, p2, p3 } => {
-            let grid = Grid2::new(m.world(), p2, p3)?;
-            mm2d::run::<K>(m, &grid, variant, a, b, mask, cache)
+    let out = plan_pieces::<K>(m, plan, a, b, mask, cache).map(|(pieces, ops)| {
+        let c = assemble_canonical::<K::Acc, _>(m, a.nrows(), b.ncols(), pieces);
+        let mut out = MmOut { c, ops };
+        if mfbc_fault::sabotage::armed_for(&plan.to_string()) {
+            apply_fault(&mut out);
         }
-        MmPlan::Cannon { q } => {
-            let grid = Grid2::new(m.world(), q, q)?;
-            crate::cannon::run::<K>(m, &grid, a, b, mask, cache)
-        }
-        MmPlan::ThreeD {
-            split,
-            inner,
-            p1,
-            p2,
-            p3,
-        } => {
-            let grid = Grid3::new(m.world(), p1, p2, p3)?;
-            mm3d::run::<K>(m, &grid, split, inner, a, b, mask, cache)
-        }
-    };
-    let out = match out {
-        Ok(mut out) => {
-            if mfbc_fault::sabotage::armed_for(&plan.to_string()) {
-                apply_fault(&mut out);
-            }
-            debug_assert!(
-                out.c.validate().is_ok(),
-                "mm_exec produced an invalid result: {:?}",
-                out.c.validate()
-            );
-            Ok(out)
-        }
-        err => err,
-    };
+        debug_assert!(
+            out.c.validate().is_ok(),
+            "mm_exec produced an invalid result: {:?}",
+            out.c.validate()
+        );
+        out
+    });
     if let Ok(out) = &out {
         mfbc_trace::emit(|| mfbc_trace::TraceEvent::Spgemm {
             plan: plan.to_string(),
@@ -481,6 +513,69 @@ pub fn mm_exec_cached_masked<K: SpMulKernel>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use mfbc_algebra::kernel::TropicalKernel;
+    use mfbc_algebra::monoid::{MinDist, SumU64};
+    use mfbc_algebra::Dist;
+    use mfbc_machine::MachineSpec;
+    use mfbc_sparse::{Coo, Csr};
+    use std::collections::BTreeSet;
+
+    /// A deterministic `n × n` tropical operand with a few entries per
+    /// row, so every block of every grid below holds some.
+    fn operand(n: usize, stride: usize) -> Csr<Dist> {
+        let triples = (0..n).flat_map(|i| {
+            (0..4).map(move |k| (i, (i * stride + k * 5) % n, Dist::new((1 + i + k) as u64)))
+        });
+        Coo::from_triples(n, n, triples).into_csr::<MinDist>()
+    }
+
+    #[test]
+    fn every_plan_family_hands_over_disjoint_pieces() {
+        let n = 29;
+        let (a, b) = (operand(n, 3), operand(n, 7));
+        let mut families = BTreeSet::new();
+        for p in [4usize, 8, 16] {
+            let m = Machine::new(MachineSpec::test(p));
+            let da = DistMat::from_global(canonical_layout(&m, n, n), &a);
+            let db = DistMat::from_global(canonical_layout(&m, n, n), &b);
+            for plan in enumerate_plans(p) {
+                let mut cache = MmCache::new();
+                let (pieces, _) =
+                    plan_pieces::<TropicalKernel>(&m, &plan, &da, &db, None, &mut cache).unwrap();
+                cache.release_all(&m);
+                assert!(!pieces.is_empty(), "{plan} produced nothing at p={p}");
+                assert_eq!(first_overlap(&pieces), None, "{plan} at p={p}");
+                families.insert(plan.family());
+            }
+        }
+        assert_eq!(
+            families.len(),
+            16,
+            "1D×3 + 2D×3 + 3D×9 + cannon: {families:?}"
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "output pieces 0 and 1 overlap")]
+    fn overlapping_pieces_are_rejected() {
+        let m = Machine::new(MachineSpec::test(4));
+        let piece = |v| Coo::from_triples(3, 3, [(1, 1, v)]).into_csr::<SumU64>();
+        // Rows 2..3 and columns 2..3 are claimed twice.
+        let pieces = vec![(0, 0, 0, piece(1u64)), (2, 2, 1, piece(2))];
+        assemble_canonical::<SumU64, _>(&m, 6, 6, pieces);
+    }
+
+    #[test]
+    fn empty_and_touching_pieces_do_not_overlap() {
+        let z = |r, c| Csr::<u64>::zero(r, c);
+        let pieces = vec![
+            (0, 0, 0, z(2, 2)),
+            (2, 0, 1, z(2, 2)),
+            (1, 1, 2, z(0, 5)),
+            (0, 2, 3, z(4, 1)),
+        ];
+        assert_eq!(first_overlap(&pieces), None);
+    }
 
     #[test]
     fn squarest_grids() {

@@ -16,7 +16,6 @@
 
 use crate::cache::{CachedRhs, Fingerprint, MmCache};
 use crate::dist::{DistMat, Layout};
-use crate::mm::{assemble_canonical, MmOut};
 use mfbc_algebra::kernel::KernelOut;
 use mfbc_algebra::monoid::Monoid;
 use mfbc_algebra::SpMulKernel;
@@ -36,21 +35,6 @@ use crate::redist::redistribute;
 /// position lets 3D wrappers reduce matching pieces across layers
 /// over the right fiber groups.
 pub(crate) type Piece<T> = (usize, usize, usize, Csr<T>);
-
-/// Runs a 1D variant over `group`, returning the canonical result.
-pub(crate) fn run<K: SpMulKernel>(
-    m: &Machine,
-    group: &Group,
-    variant: Variant1D,
-    a: &DistMat<K::Left>,
-    b: &DistMat<K::Right>,
-    mask: Option<&Mask>,
-    cache: &mut MmCache<K::Right>,
-) -> Result<MmOut<KernelOut<K>>, MachineError> {
-    let (pieces, ops) = run_pieces::<K>(m, group, variant, a, b, mask, cache)?;
-    let c = assemble_canonical::<K::Acc, _>(m, a.nrows(), b.ncols(), pieces);
-    Ok(MmOut { c, ops })
-}
 
 /// Issues an allgather charge for `bytes` over `group`: nonblocking
 /// (returning the handle) when the machine's spec overlaps, blocking
@@ -164,6 +148,7 @@ fn release_replica<T>(machine: &Machine, group: &Group, global: &Csr<T>) {
     }
 }
 
+/// Runs a 1D variant over `group`, returning its output pieces.
 pub(crate) fn run_pieces<K: SpMulKernel>(
     m: &Machine,
     group: &Group,

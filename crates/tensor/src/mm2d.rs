@@ -24,7 +24,7 @@
 use crate::cache::{CachedRhs, Fingerprint, MmCache};
 use crate::dist::{DistMat, Layout};
 use crate::grid::{lcm, Grid2};
-use crate::mm::{assemble_canonical, MmOut, Variant2D};
+use crate::mm::Variant2D;
 use crate::mm1d::{FirstWins, Piece};
 use crate::redist::redistribute;
 use mfbc_algebra::kernel::KernelOut;
@@ -35,21 +35,6 @@ use mfbc_sparse::elementwise::combine;
 use mfbc_sparse::slice::even_ranges;
 use mfbc_sparse::{entry_bytes, spgemm_opt, Csr, Mask};
 use std::sync::Arc;
-
-/// Runs a 2D variant over `grid`, returning the canonical result.
-pub(crate) fn run<K: SpMulKernel>(
-    m: &Machine,
-    grid: &Grid2,
-    variant: Variant2D,
-    a: &DistMat<K::Left>,
-    b: &DistMat<K::Right>,
-    mask: Option<&Mask>,
-    cache: &mut MmCache<K::Right>,
-) -> Result<MmOut<KernelOut<K>>, MachineError> {
-    let (pieces, ops) = run_pieces::<K>(m, grid, variant, a, b, mask, cache)?;
-    let c = assemble_canonical::<K::Acc, _>(m, a.nrows(), b.ncols(), pieces);
-    Ok(MmOut { c, ops })
-}
 
 /// Fetches (or builds, charges residency, and caches) the right
 /// operand redistributed into `lb` for this grid/variant.

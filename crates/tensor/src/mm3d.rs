@@ -20,7 +20,7 @@
 use crate::cache::{CachedRhs, Fingerprint, MmCache};
 use crate::dist::{DistMat, Layout};
 use crate::grid::Grid3;
-use crate::mm::{assemble_canonical, MmOut, Variant1D, Variant2D};
+use crate::mm::{Variant1D, Variant2D};
 use crate::mm1d::{FirstWins, Piece};
 use crate::mm2d;
 use crate::redist::{extract_windows, redistribute};
@@ -33,9 +33,9 @@ use mfbc_sparse::{entry_bytes, Csr, Mask};
 use std::collections::HashMap;
 use std::sync::Arc;
 
-/// Runs a 3D variant over `grid`, returning the canonical result.
+/// Runs a 3D variant over `grid`, returning its output pieces.
 #[allow(clippy::too_many_arguments)]
-pub(crate) fn run<K: SpMulKernel>(
+pub(crate) fn run_pieces<K: SpMulKernel>(
     m: &Machine,
     grid: &Grid3,
     split: Variant1D,
@@ -44,14 +44,12 @@ pub(crate) fn run<K: SpMulKernel>(
     b: &DistMat<K::Right>,
     mask: Option<&Mask>,
     cache: &mut MmCache<K::Right>,
-) -> Result<MmOut<KernelOut<K>>, MachineError> {
-    let (pieces, ops) = match split {
-        Variant1D::A => split_a::<K>(m, grid, inner, a, b, mask, cache)?,
-        Variant1D::B => split_b::<K>(m, grid, inner, a, b, mask, cache)?,
-        Variant1D::C => split_c::<K>(m, grid, inner, a, b, mask, cache)?,
-    };
-    let c = assemble_canonical::<K::Acc, _>(m, a.nrows(), b.ncols(), pieces);
-    Ok(MmOut { c, ops })
+) -> Result<(Vec<Piece<KernelOut<K>>>, u64), MachineError> {
+    match split {
+        Variant1D::A => split_a::<K>(m, grid, inner, a, b, mask, cache),
+        Variant1D::B => split_b::<K>(m, grid, inner, a, b, mask, cache),
+        Variant1D::C => split_c::<K>(m, grid, inner, a, b, mask, cache),
+    }
 }
 
 /// Fetches (or builds, charges, and caches) the per-layer slices of

@@ -1,22 +1,28 @@
 //! Sparse redistribution between block layouts.
 //!
 //! CTF transitions tensors between data distributions with dedicated
-//! kernels and converts index–value pairs to CSR afterwards (§6.2).
-//! This module implements the sparse-to-sparse redistribution: every
-//! entry is re-bucketed to its destination block, the per-rank
-//! payloads travel through a personalized all-to-all (charged on the
+//! kernels (§6.2). This module implements the sparse-to-sparse
+//! redistribution slab-wise: layouts are grids of rectangular cuts
+//! over blocks with sorted rows, so every destination block is
+//! stitched from column sub-ranges of source-block rows
+//! ([`mfbc_sparse::slice::stitch`]) — no entry is located or sorted.
+//! What each source block contributes to a block on another rank
+//! travels through a personalized all-to-all (charged on the
 //! machine's critical path; entries that stay on their rank are
-//! free), and destination blocks are rebuilt as CSR.
+//! free).
 
 use crate::dist::{DistMat, Layout};
 use mfbc_algebra::monoid::Monoid;
 use mfbc_machine::cost::CollectiveKind;
 use mfbc_machine::{Machine, MachineError, RedistMode};
-use mfbc_sparse::{entry_bytes, Coo};
+use mfbc_sparse::entry_bytes;
+use mfbc_sparse::slice::stitch;
+use std::borrow::Borrow;
+use std::ops::Range;
 
-/// Moves `src` into `dst_layout`, combining duplicate coordinates
-/// with `M` (layout cuts are disjoint so duplicates only arise if the
-/// source itself had overlapping blocks, which [`DistMat`] forbids).
+/// Moves `src` into `dst_layout`; entries that are `M`'s identity are
+/// dropped on the way (layout cuts are disjoint, so nothing is ever
+/// combined).
 pub fn redistribute<M, T>(
     m: &Machine,
     src: &DistMat<T>,
@@ -39,161 +45,116 @@ where
     if src.layout().same_as(dst_layout) {
         return Ok(src.clone());
     }
-
-    let p = m.p();
-    // Per destination block: COO with block-local coordinates.
-    let mut dst_coo: Vec<Coo<T>> = (0..dst_layout.br())
-        .flat_map(|bi| (0..dst_layout.bc()).map(move |bj| (bi, bj)))
-        .map(|(bi, bj)| {
-            Coo::new(
-                dst_layout.row_range(bi).len(),
-                dst_layout.col_range(bj).len(),
-            )
-        })
-        .collect();
-
-    // Bytes leaving each source rank for each destination rank.
-    let mut traffic = vec![vec![0u64; p]; p];
-    let ebytes = entry_bytes::<T>() as u64;
-
-    let sl = src.layout();
-    for sbi in 0..sl.br() {
-        let r0 = sl.row_range(sbi).start;
-        for sbj in 0..sl.bc() {
-            let c0 = sl.col_range(sbj).start;
-            let src_rank = sl.owner(sbi, sbj);
-            let block = src.block(sbi, sbj);
-            for (i, j, v) in block.iter() {
-                let (gi, gj) = (r0 + i, c0 + j);
-                let dbi = dst_layout.find_row_block(gi);
-                let dbj = dst_layout.find_col_block(gj);
-                let dst_rank = dst_layout.owner(dbi, dbj);
-                if dst_rank != src_rank {
-                    traffic[src_rank][dst_rank] += ebytes;
-                }
-                dst_coo[dbi * dst_layout.bc() + dbj].push(
-                    gi - dst_layout.row_range(dbi).start,
-                    gj - dst_layout.col_range(dbj).start,
-                    v.clone(),
-                );
-            }
-        }
-    }
-
-    // Charge the movement over the ranks actually involved (senders
-    // and receivers): a redistribution confined to a subset of ranks
-    // — e.g. one layer of a 3D algorithm — must not synchronize the
-    // others.
-    charge_redist(
-        m,
-        &traffic,
-        collect_owners(src.layout(), dst_layout),
-        "redistribute",
-    )?;
-
-    let blocks = dst_coo.into_iter().map(|coo| coo.into_csr::<M>()).collect();
-    Ok(DistMat::from_blocks(dst_layout.clone(), blocks))
+    let whole = (0..src.nrows(), 0..src.ncols(), dst_layout);
+    let mut out = move_windows::<M, T, _>(m, src, &[whole], "redistribute")?;
+    Ok(out.pop().expect("one window in, one matrix out"))
 }
 
-/// Extracts the window `src[rows, cols]` into `dst_layout` (whose
-/// shape must equal the window's), reindexed to the window origin.
-/// Charged like [`redistribute`]: entries that change ranks travel in
-/// a personalized all-to-all. Used by 3D algorithms to hand each
-/// layer its slice of the split matrix.
-pub fn extract_window<M, T>(
+/// Extracts several windows `src[rows, cols]` (each into a layout of
+/// the window's shape, reindexed to the window origin), moving all of
+/// them through a *single* personalized all-to-all — what a real
+/// implementation does when slicing a matrix across the layers of a
+/// 3D algorithm (per-layer extraction would serialize the layers on
+/// the critical path).
+pub fn extract_windows<M, T>(
     m: &Machine,
     src: &DistMat<T>,
-    rows: std::ops::Range<usize>,
-    cols: std::ops::Range<usize>,
-    dst_layout: &Layout,
-) -> Result<DistMat<T>, MachineError>
+    specs: &[(Range<usize>, Range<usize>, Layout)],
+) -> Result<Vec<DistMat<T>>, MachineError>
 where
     M: Monoid<Elem = T>,
     T: Clone + Send + Sync + PartialEq + std::fmt::Debug,
 {
-    assert_eq!(rows.len(), dst_layout.nrows(), "window height mismatch");
-    assert_eq!(cols.len(), dst_layout.ncols(), "window width mismatch");
-    assert!(
-        rows.end <= src.nrows() && cols.end <= src.ncols(),
-        "window out of bounds"
-    );
+    move_windows::<M, T, _>(m, src, specs, "windows")
+}
 
-    let p = m.p();
-    let mut dst_coo: Vec<Coo<T>> = (0..dst_layout.br())
-        .flat_map(|bi| (0..dst_layout.bc()).map(move |bj| (bi, bj)))
-        .map(|(bi, bj)| {
-            Coo::new(
-                dst_layout.row_range(bi).len(),
-                dst_layout.col_range(bj).len(),
-            )
-        })
-        .collect();
-    // True source→destination traffic: the hybrid redistribution
-    // modes price each sender's fan-out from its per-destination
-    // volumes (for the all-to-all charge only the row sums matter).
-    let mut traffic = vec![vec![0u64; p]; p];
+/// The one redistribution body: stitches the windows, then charges,
+/// in one [`charge_redist`] labeled `what`, the bytes that changed
+/// rank.
+fn move_windows<M, T, L>(
+    m: &Machine,
+    src: &DistMat<T>,
+    specs: &[(Range<usize>, Range<usize>, L)],
+    what: &'static str,
+) -> Result<Vec<DistMat<T>>, MachineError>
+where
+    M: Monoid<Elem = T>,
+    T: Clone + Send + Sync + PartialEq + std::fmt::Debug,
+    L: Borrow<Layout>,
+{
+    let (outputs, traffic, participants) = stitch_windows::<M, T, L>(m.p(), src, specs);
+    charge_redist(m, &traffic, participants, what)?;
+    Ok(outputs)
+}
+
+/// Stitches every destination block of every window from the source
+/// blocks. Also returns the true source→destination traffic
+/// (`traffic[src_rank * p + dst_rank]` bytes; the hybrid
+/// redistribution modes price each sender's fan-out from its
+/// per-destination volumes) and the ranks actually involved (senders
+/// and receivers): a redistribution confined to a subset of ranks —
+/// e.g. one layer of a 3D algorithm — must not synchronize the others.
+pub(crate) fn stitch_windows<M, T, L>(
+    p: usize,
+    src: &DistMat<T>,
+    specs: &[(Range<usize>, Range<usize>, L)],
+) -> (Vec<DistMat<T>>, Vec<u64>, Vec<usize>)
+where
+    M: Monoid<Elem = T>,
+    T: Clone + Send + Sync + PartialEq + std::fmt::Debug,
+    L: Borrow<Layout>,
+{
+    let mut traffic = vec![0u64; p * p];
     let ebytes = entry_bytes::<T>() as u64;
-
-    let sl = src.layout();
-    for sbi in 0..sl.br() {
-        let rr = sl.row_range(sbi);
-        if rr.end <= rows.start || rr.start >= rows.end {
-            continue;
-        }
-        for sbj in 0..sl.bc() {
-            let cr = sl.col_range(sbj);
-            if cr.end <= cols.start || cr.start >= cols.end {
-                continue;
-            }
-            let src_rank = sl.owner(sbi, sbj);
-            for (i, j, v) in src.block(sbi, sbj).iter() {
-                let (gi, gj) = (rr.start + i, cr.start + j);
-                if !rows.contains(&gi) || !cols.contains(&gj) {
-                    continue;
-                }
-                let (wi, wj) = (gi - rows.start, gj - cols.start);
-                let dbi = dst_layout.find_row_block(wi);
-                let dbj = dst_layout.find_col_block(wj);
-                let dst_rank = dst_layout.owner(dbi, dbj);
-                if dst_rank != src_rank {
-                    traffic[src_rank][dst_rank] += ebytes;
-                }
-                dst_coo[dbi * dst_layout.bc() + dbj].push(
-                    wi - dst_layout.row_range(dbi).start,
-                    wj - dst_layout.col_range(dbj).start,
-                    v.clone(),
+    let mut slabs = src.slabs();
+    let src_ranks = src.layout().owners();
+    let mut participants: Vec<usize> = Vec::new();
+    let mut outputs = Vec::with_capacity(specs.len());
+    for (rows, cols, dst_layout) in specs {
+        let dst_layout: &Layout = dst_layout.borrow();
+        assert_eq!(rows.len(), dst_layout.nrows(), "window height mismatch");
+        assert_eq!(cols.len(), dst_layout.ncols(), "window width mismatch");
+        assert!(
+            rows.end <= src.nrows() && cols.end <= src.ncols(),
+            "window out of bounds"
+        );
+        participants.extend(collect_owners(src.layout(), dst_layout));
+        let blocks = dst_layout
+            .blocks()
+            .map(|(bi, bj)| {
+                let (rr, cr) = (dst_layout.row_range(bi), dst_layout.col_range(bj));
+                let (block, moved) = stitch(
+                    rows.start + rr.start..rows.start + rr.end,
+                    cols.start + cr.start..cols.start + cr.end,
+                    &mut slabs,
+                    |v| !M::is_identity(v),
                 );
-            }
-        }
+                let dst_rank = dst_layout.owner(bi, bj);
+                for (k, entries) in moved {
+                    if src_ranks[k] != dst_rank {
+                        traffic[src_ranks[k] * p + dst_rank] += entries as u64 * ebytes;
+                    }
+                }
+                block
+            })
+            .collect();
+        outputs.push(DistMat::from_blocks(dst_layout.clone(), blocks));
     }
-    charge_redist(
-        m,
-        &traffic,
-        collect_owners(src.layout(), dst_layout),
-        "window",
-    )?;
-    let blocks = dst_coo.into_iter().map(|c| c.into_csr::<M>()).collect();
-    Ok(DistMat::from_blocks(dst_layout.clone(), blocks))
+    participants.sort_unstable();
+    participants.dedup();
+    (outputs, traffic, participants)
 }
 
 /// Union of the owner ranks of two layouts, ascending.
-fn collect_owners(a: &Layout, b: &Layout) -> Vec<usize> {
-    let mut ranks: Vec<usize> = (0..a.br())
-        .flat_map(|bi| (0..a.bc()).map(move |bj| (bi, bj)))
-        .map(|(bi, bj)| a.owner(bi, bj))
-        .chain(
-            (0..b.br())
-                .flat_map(|bi| (0..b.bc()).map(move |bj| (bi, bj)))
-                .map(|(bi, bj)| b.owner(bi, bj)),
-        )
-        .collect();
+pub(crate) fn collect_owners(a: &Layout, b: &Layout) -> Vec<usize> {
+    let mut ranks: Vec<usize> = a.owners().iter().chain(b.owners()).copied().collect();
     ranks.sort_unstable();
     ranks.dedup();
     ranks
 }
 
 /// Charges the movement described by `traffic` (true source→destination
-/// byte counts, diagonal-free) according to the machine's
+/// byte counts, `p` rows of `p`, diagonal-free) according to the machine's
 /// redistribution mode and emits one
 /// [`mfbc_trace::TraceEvent::Redist`] labeled `what` with the total
 /// bytes that changed owner.
@@ -217,28 +178,27 @@ fn collect_owners(a: &Layout, b: &Layout) -> Vec<usize> {
 ///   groups share ranks serialize on the machine, so the sum is the
 ///   conservative estimate) against the all-to-all's closed form on
 ///   the largest per-sender volume.
-fn charge_redist(
+pub(crate) fn charge_redist(
     m: &Machine,
-    traffic: &[Vec<u64>],
+    traffic: &[u64],
     participants: Vec<usize>,
     what: &'static str,
 ) -> Result<(), MachineError> {
-    let total: u64 = traffic.iter().map(|row| row.iter().sum::<u64>()).sum();
+    let total: u64 = traffic.iter().sum();
     if total == 0 || participants.len() <= 1 {
         return Ok(());
     }
     let nparticipants = participants.len();
     let spec = m.spec();
-    let max_send = traffic
-        .iter()
+    let senders = || traffic.chunks(m.p());
+    let max_send = senders()
         .map(|row| row.iter().sum::<u64>())
         .max()
         .unwrap_or(0);
     let mode = match spec.redist {
         RedistMode::Auto => {
             let alltoall_t = CollectiveKind::AllToAll.time(spec, nparticipants, max_send);
-            let hybrid_t: f64 = traffic
-                .iter()
+            let hybrid_t: f64 = senders()
                 .enumerate()
                 .map(|(r, row)| {
                     let b_r: u64 = row
@@ -279,7 +239,7 @@ fn charge_redist(
             // per-destination volumes; ranks and destinations are
             // walked in ascending order so the schedule (and hence
             // the modeled clocks) is deterministic.
-            for (r, row) in traffic.iter().enumerate() {
+            for (r, row) in senders().enumerate() {
                 let dests: Vec<(usize, u64)> = row
                     .iter()
                     .enumerate()
@@ -327,95 +287,13 @@ fn charge_redist(
     Ok(())
 }
 
-/// Extracts several windows of `src` in one pass, moving all of them
-/// through a *single* personalized all-to-all — what a real
-/// implementation does when slicing a matrix across the layers of a
-/// 3D algorithm (per-layer extraction would serialize the layers on
-/// the critical path).
-pub fn extract_windows<M, T>(
-    m: &Machine,
-    src: &DistMat<T>,
-    specs: &[(std::ops::Range<usize>, std::ops::Range<usize>, Layout)],
-) -> Result<Vec<DistMat<T>>, MachineError>
-where
-    M: Monoid<Elem = T>,
-    T: Clone + Send + Sync + PartialEq + std::fmt::Debug,
-{
-    let p = m.p();
-    let mut traffic = vec![vec![0u64; p]; p];
-    let ebytes = entry_bytes::<T>() as u64;
-    let mut outputs: Vec<Vec<Coo<T>>> = Vec::with_capacity(specs.len());
-    let mut participants: Vec<usize> = Vec::new();
-    for (rows, cols, dst_layout) in specs {
-        assert_eq!(rows.len(), dst_layout.nrows(), "window height mismatch");
-        assert_eq!(cols.len(), dst_layout.ncols(), "window width mismatch");
-        assert!(
-            rows.end <= src.nrows() && cols.end <= src.ncols(),
-            "window out of bounds"
-        );
-        outputs.push(
-            (0..dst_layout.br())
-                .flat_map(|bi| (0..dst_layout.bc()).map(move |bj| (bi, bj)))
-                .map(|(bi, bj)| {
-                    Coo::new(
-                        dst_layout.row_range(bi).len(),
-                        dst_layout.col_range(bj).len(),
-                    )
-                })
-                .collect(),
-        );
-        participants.extend(collect_owners(src.layout(), dst_layout));
-    }
-    participants.sort_unstable();
-    participants.dedup();
-
-    let sl = src.layout();
-    for sbi in 0..sl.br() {
-        let rr = sl.row_range(sbi);
-        for sbj in 0..sl.bc() {
-            let cr = sl.col_range(sbj);
-            let src_rank = sl.owner(sbi, sbj);
-            for (i, j, v) in src.block(sbi, sbj).iter() {
-                let (gi, gj) = (rr.start + i, cr.start + j);
-                for (w, (rows, cols, dst_layout)) in specs.iter().enumerate() {
-                    if !rows.contains(&gi) || !cols.contains(&gj) {
-                        continue;
-                    }
-                    let (wi, wj) = (gi - rows.start, gj - cols.start);
-                    let dbi = dst_layout.find_row_block(wi);
-                    let dbj = dst_layout.find_col_block(wj);
-                    if dst_layout.owner(dbi, dbj) != src_rank {
-                        traffic[src_rank][dst_layout.owner(dbi, dbj)] += ebytes;
-                    }
-                    outputs[w][dbi * dst_layout.bc() + dbj].push(
-                        wi - dst_layout.row_range(dbi).start,
-                        wj - dst_layout.col_range(dbj).start,
-                        v.clone(),
-                    );
-                }
-            }
-        }
-    }
-    charge_redist(m, &traffic, participants, "windows")?;
-    Ok(outputs
-        .into_iter()
-        .zip(specs)
-        .map(|(coos, (_, _, dst_layout))| {
-            DistMat::from_blocks(
-                dst_layout.clone(),
-                coos.into_iter().map(|c| c.into_csr::<M>()).collect(),
-            )
-        })
-        .collect())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::grid::Grid2;
     use mfbc_algebra::monoid::SumU64;
     use mfbc_machine::{Group, MachineSpec};
-    use mfbc_sparse::Csr;
+    use mfbc_sparse::{Coo, Csr};
 
     fn machine(p: usize) -> Machine {
         Machine::new(MachineSpec::test(p))
@@ -476,8 +354,8 @@ mod tests {
             &g,
         );
         let dst_layout = Layout::on_grid(3, 4, &Grid2::new(Group::all(4), 2, 2).unwrap());
-        let w = extract_window::<SumU64, _>(&m, &src, 2..5, 1..5, &dst_layout).unwrap();
-        let wg = w.to_global::<SumU64>();
+        let w = extract_windows::<SumU64, _>(&m, &src, &[(2..5, 1..5, dst_layout)]).unwrap();
+        let wg = w[0].to_global::<SumU64>();
         assert_eq!(wg, mfbc_sparse::slice::slice(&g, 2..5, 1..5));
     }
 
@@ -490,9 +368,10 @@ mod tests {
             &g,
         );
         let dst_layout = Layout::on_grid(6, 6, &Grid2::new(Group::all(4), 4, 1).unwrap());
-        let a = extract_window::<SumU64, _>(&m, &src, 0..6, 0..6, &dst_layout).unwrap();
+        let whole = [(0..6, 0..6, dst_layout.clone())];
+        let a = extract_windows::<SumU64, _>(&m, &src, &whole).unwrap();
         let b = redistribute::<SumU64, _>(&m, &src, &dst_layout).unwrap();
-        assert_eq!(a.to_global::<SumU64>(), b.to_global::<SumU64>());
+        assert_eq!(a[0].to_global::<SumU64>(), b.to_global::<SumU64>());
     }
 
     #[test]
