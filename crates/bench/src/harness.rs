@@ -104,7 +104,7 @@ pub fn verify_against_trace(
             total,
             records
                 .iter()
-                .filter(|r| matches!(r.event, mfbc_trace::TraceEvent::Collective { .. }))
+                .filter(|r| r.event.collective().is_some())
                 .count()
         ));
     }

@@ -5,7 +5,7 @@
 //! The modeled outputs (α–β–γ seconds, critical-path counts, memory
 //! high-water marks) are deterministic, so the suite's results can be
 //! compared bit-exact against the committed `BENCH_mfbc.json`
-//! baseline; wall-clock is measured too but only band-compared.
+//! baseline; wall-clock is measured too but only reported.
 
 use std::sync::Arc;
 use std::time::Instant;
@@ -206,12 +206,12 @@ mod tests {
     #[test]
     fn identical_suite_passes_its_own_baseline() {
         let measured = cases(&run_suite(&SuiteOptions::default()));
-        let baseline = Baseline::new(mfbc_profile::DEFAULT_WALL_BAND, measured.clone());
+        let baseline = Baseline::new(measured.clone());
         // Wall-clock differs between the two runs; modeled metrics are
-        // bit-equal, and only wall is band-compared, so re-measuring
-        // must pass.
+        // bit-equal and wall is not compared, so re-measuring must
+        // pass.
         let rerun = cases(&run_suite(&SuiteOptions::default()));
-        let findings = baseline.compare(&rerun, Some(100.0));
+        let findings = baseline.compare(&rerun);
         assert!(
             findings.is_empty(),
             "unexpected findings: {:?}",
@@ -225,12 +225,12 @@ mod tests {
     #[test]
     fn inflated_alpha_fails_the_gate() {
         let healthy = cases(&run_suite(&SuiteOptions::default()));
-        let baseline = Baseline::new(mfbc_profile::DEFAULT_WALL_BAND, healthy);
+        let baseline = Baseline::new(healthy);
         let degraded = cases(&run_suite(&SuiteOptions {
             alpha_scale: 10.0,
             ..SuiteOptions::default()
         }));
-        let findings = baseline.compare(&degraded, Some(100.0));
+        let findings = baseline.compare(&degraded);
         assert!(!findings.is_empty(), "degraded run slipped past the gate");
         assert!(
             findings

@@ -317,19 +317,21 @@ mod tests {
 
     #[test]
     fn trace_summary_tabulates_collectives() {
-        use mfbc_trace::{TraceEvent, TraceRecord};
+        use mfbc_trace::{CollectiveCharge, TraceEvent, TraceRecord};
         let rec = |kind, bytes, modeled_s| TraceRecord {
             ts_us: 0,
             tid: 0,
             event: TraceEvent::Collective {
-                kind,
-                group: 4,
-                ranks: vec![0, 1, 2, 3],
-                seq: 0,
-                bytes,
-                msgs: 2,
-                bytes_charged: bytes,
-                modeled_s,
+                charge: CollectiveCharge {
+                    kind,
+                    group: 4,
+                    ranks: vec![0, 1, 2, 3],
+                    seq: 0,
+                    bytes,
+                    msgs: 2,
+                    bytes_charged: bytes,
+                    modeled_s,
+                },
             },
         };
         let records = vec![

@@ -17,14 +17,14 @@
 //! The report's modeled fields (requests served per modeled second,
 //! p99 modeled latency, store version, quality counts) are
 //! deterministic and compared bit-exact against `BENCH_serve.json`;
-//! wall-clock is band-compared one-sidedly, like `BENCH_mfbc.json`.
+//! wall-clock is reported only, like `BENCH_mfbc.json`'s.
 
 use mfbc_core::dist::{mfbc_dist, MfbcConfig};
 use mfbc_fault::{FaultPlan, RetryPolicy};
 use mfbc_graph::gen::uniform;
 use mfbc_machine::{Machine, MachineSpec};
-use mfbc_profile::jsonio::{self, Json};
 use mfbc_serve::{Admission, Engine, EngineConfig, Payload, Quality, Query, Request};
+use mfbc_trace::json::{self, Json};
 use std::time::Instant;
 
 /// The pinned fault schedule of the faulted case: one crash early,
@@ -79,7 +79,8 @@ pub struct ServeLoadReport {
     pub p99_latency_modeled_s: f64,
     /// Responses per modeled second.
     pub rps_modeled: f64,
-    /// Wall-clock seconds (band-compared only).
+    /// Wall-clock seconds (reported only: not in the baseline file,
+    /// `0.0` after a parse).
     pub wall_s: f64,
 }
 
@@ -269,12 +270,13 @@ pub fn run_suite(seed: u64) -> Vec<ServeLoadReport> {
     ]
 }
 
+/// Schema version of `BENCH_serve.json`. Version 2 dropped
+/// `wall_band` and the per-case `wall_s`.
+const VERSION: u64 = 2;
+
 /// Serializes reports as the `BENCH_serve.json` baseline document.
-pub fn to_json(wall_band: f64, reports: &[ServeLoadReport]) -> String {
-    let mut s = format!(
-        "{{\n  \"version\": 1,\n  \"wall_band\": {},\n  \"cases\": [\n",
-        jsonio::num(wall_band)
-    );
+pub fn to_json(reports: &[ServeLoadReport]) -> String {
+    let mut s = format!("{{\n  \"version\": {VERSION},\n  \"cases\": [\n");
     for (i, r) in reports.iter().enumerate() {
         if i > 0 {
             s.push_str(",\n");
@@ -283,8 +285,8 @@ pub fn to_json(wall_band: f64, reports: &[ServeLoadReport]) -> String {
             "    {{\"name\": \"{}\", \"requests\": {}, \"admitted\": {}, \"shed\": {}, \
              \"exact\": {}, \"approx\": {}, \"stale\": {}, \"retries\": {}, \
              \"store_version\": {}, \"modeled_s\": {}, \"p99_latency_modeled_s\": {}, \
-             \"rps_modeled\": {}, \"wall_s\": {}}}",
-            jsonio::esc(&r.name),
+             \"rps_modeled\": {}}}",
+            json::esc(&r.name),
             r.requests,
             r.admitted,
             r.shed,
@@ -293,10 +295,9 @@ pub fn to_json(wall_band: f64, reports: &[ServeLoadReport]) -> String {
             r.stale,
             r.retries,
             r.store_version,
-            jsonio::num(r.modeled_s),
-            jsonio::num(r.p99_latency_modeled_s),
-            jsonio::num(r.rps_modeled),
-            jsonio::num(r.wall_s),
+            json::num(r.modeled_s),
+            json::num(r.p99_latency_modeled_s),
+            json::num(r.rps_modeled),
         ));
     }
     s.push_str("\n  ]\n}\n");
@@ -307,12 +308,14 @@ pub fn to_json(wall_band: f64, reports: &[ServeLoadReport]) -> String {
 ///
 /// # Errors
 /// Returns a message naming the malformed field.
-pub fn from_json(text: &str) -> Result<(f64, Vec<ServeLoadReport>), String> {
-    let v = jsonio::parse(text)?;
-    let band = v
-        .get("wall_band")
-        .and_then(Json::as_f64)
-        .ok_or("baseline needs a numeric wall_band")?;
+pub fn from_json(text: &str) -> Result<Vec<ServeLoadReport>, String> {
+    let v = json::parse(text)?;
+    let version = v.get("version").and_then(Json::as_u64);
+    if version != Some(VERSION) {
+        return Err(format!(
+            "baseline version {version:?} unsupported (expected {VERSION})"
+        ));
+    }
     let mut out = Vec::new();
     for c in v
         .get("cases")
@@ -346,22 +349,16 @@ pub fn from_json(text: &str) -> Result<(f64, Vec<ServeLoadReport>), String> {
             modeled_s: field_f("modeled_s")?,
             p99_latency_modeled_s: field_f("p99_latency_modeled_s")?,
             rps_modeled: field_f("rps_modeled")?,
-            wall_s: field_f("wall_s")?,
+            wall_s: 0.0,
         });
     }
-    Ok((band, out))
+    Ok(out)
 }
 
 /// Compares a fresh suite run against the baseline: counts and
-/// modeled seconds bit-exact, wall-clock one-sided within the band.
-/// Returns human-readable findings; empty means the gate passes.
-pub fn compare(
-    baseline_band: f64,
-    baseline: &[ServeLoadReport],
-    current: &[ServeLoadReport],
-    band_override: Option<f64>,
-) -> Vec<String> {
-    let band = band_override.unwrap_or(baseline_band);
+/// modeled seconds bit-exact. Returns human-readable findings; empty
+/// means the gate passes.
+pub fn compare(baseline: &[ServeLoadReport], current: &[ServeLoadReport]) -> Vec<String> {
     let mut findings = Vec::new();
     if baseline.len() != current.len() {
         findings.push(format!(
@@ -408,16 +405,6 @@ pub fn compare(
                 ));
             }
         }
-        // Wall-clock: one-sided — only slower-than-band is a finding.
-        if c.wall_s > b.wall_s * (1.0 + band) {
-            findings.push(format!(
-                "{}: wall regression: {:.3}s vs baseline {:.3}s (band {:.0}%)",
-                b.name,
-                c.wall_s,
-                b.wall_s,
-                band * 100.0
-            ));
-        }
     }
     findings
 }
@@ -441,16 +428,16 @@ mod tests {
             modeled_s: 123.456,
             p99_latency_modeled_s: 0.5,
             rps_modeled: 0.38,
-            wall_s: 0.9,
+            wall_s: 0.0,
         }];
-        let (band, parsed) = from_json(&to_json(0.5, &reports)).unwrap();
-        assert_eq!(band, 0.5);
+        let parsed = from_json(&to_json(&reports)).unwrap();
         assert_eq!(parsed, reports);
-        assert!(compare(band, &reports, &parsed, None).is_empty());
+        assert!(compare(&reports, &parsed).is_empty());
+        assert!(from_json(&to_json(&reports).replace("\"version\": 2", "\"version\": 1")).is_err());
     }
 
     #[test]
-    fn compare_flags_modeled_drift_and_wall_regressions() {
+    fn compare_flags_modeled_drift_and_ignores_wall() {
         let base = vec![ServeLoadReport {
             name: "faulted".into(),
             requests: 50,
@@ -470,14 +457,10 @@ mod tests {
         drifted[0].modeled_s = 100.1;
         drifted[0].exact = 49;
         drifted[0].stale = 1;
-        let findings = compare(0.5, &base, &drifted, None);
+        let findings = compare(&base, &drifted);
         assert_eq!(findings.len(), 3, "{findings:?}");
-        // Faster wall is fine; slower beyond the band is not.
-        let mut faster = base.clone();
-        faster[0].wall_s = 0.1;
-        assert!(compare(0.5, &base, &faster, None).is_empty());
         let mut slower = base.clone();
         slower[0].wall_s = 2.0;
-        assert_eq!(compare(0.5, &base, &slower, None).len(), 1);
+        assert!(compare(&base, &slower).is_empty());
     }
 }

@@ -354,6 +354,22 @@ impl Machine {
         let seq = self.fault_gate(group, kind)?;
         self.with_tracker(|t| t.collective(&self.spec, group.ranks(), kind, bytes));
         mfbc_trace::emit(|| mfbc_trace::TraceEvent::Collective {
+            charge: self.trace_charge(group, kind, seq, bytes),
+        });
+        Ok(())
+    }
+
+    /// What a collective over `group` is charged, as the trace carries
+    /// it: the modeled α–β time and the critical-path message/byte
+    /// charges.
+    fn trace_charge(
+        &self,
+        group: &Group,
+        kind: CollectiveKind,
+        seq: u64,
+        bytes: u64,
+    ) -> mfbc_trace::CollectiveCharge {
+        mfbc_trace::CollectiveCharge {
             kind: kind.name(),
             group: group.len(),
             ranks: group.ranks().to_vec(),
@@ -362,8 +378,7 @@ impl Machine {
             msgs: kind.msgs(group.len()),
             bytes_charged: kind.bytes_charged(bytes),
             modeled_s: kind.time(&self.spec, group.len(), bytes),
-        });
-        Ok(())
+        }
     }
 
     /// Issues a nonblocking collective and returns its handle. The
@@ -396,14 +411,7 @@ impl Machine {
             h
         };
         mfbc_trace::emit(|| mfbc_trace::TraceEvent::CollectiveIssue {
-            kind: kind.name(),
-            group: group.len(),
-            ranks: group.ranks().to_vec(),
-            seq,
-            bytes,
-            msgs: kind.msgs(group.len()),
-            bytes_charged: kind.bytes_charged(bytes),
-            modeled_s: kind.time(&self.spec, group.len(), bytes),
+            charge: self.trace_charge(group, kind, seq, bytes),
             handle,
         });
         Ok(handle)

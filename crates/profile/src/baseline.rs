@@ -11,15 +11,11 @@
 //! an unexplained improvement is drift that must be acknowledged by
 //! refreshing the baseline (`--write`), never silently absorbed.
 //!
-//! Wall-clock seconds are noisy, so they get a one-sided band: only
-//! `current > baseline * (1 + band)` fails. Speedups never fail and
-//! never require a refresh.
+//! Wall-clock seconds are measured and printed but neither written to
+//! the file nor compared: real time is judged by the `BENCHMARK.json`
+//! workloads, on the machine that runs them.
 
-use crate::jsonio::{esc, num, parse, Json};
-
-/// Default wall-clock tolerance band (fraction above baseline that
-/// still passes). Generous because CI machines are shared.
-pub const DEFAULT_WALL_BAND: f64 = 1.0;
+use mfbc_trace::json::{esc, num, parse, Json};
 
 /// One pinned experiment's measurements.
 #[derive(Clone, Debug, Default, PartialEq)]
@@ -47,7 +43,8 @@ pub struct BaselineCase {
     /// overlapped accounting this is where comm/compute overlap
     /// shows up, so the gate pins it directly.
     pub makespan_s: f64,
-    /// Measured wall-clock seconds (noisy; band-compared).
+    /// Measured wall-clock seconds of the run that produced the case
+    /// (reported only: not in the file, `0.0` after a parse).
     pub wall_s: f64,
 }
 
@@ -56,8 +53,6 @@ pub struct BaselineCase {
 pub struct Baseline {
     /// Schema version.
     pub version: u64,
-    /// Wall-clock band this file was written with.
-    pub band: f64,
     /// Pinned cases, in suite order.
     pub cases: Vec<BaselineCase>,
 }
@@ -66,8 +61,9 @@ pub struct Baseline {
 /// `critical_comm_share` (the timeline analyzer's communication share
 /// of the causal critical path). Version 3 added `makespan_s` (the
 /// modeled causal makespan, pinned bit-exact so communication overlap
-/// wins — and regressions — are gated directly).
-pub const BASELINE_VERSION: u64 = 3;
+/// wins — and regressions — are gated directly). Version 4 dropped
+/// `wall_band` and the per-case `wall_s`.
+pub const BASELINE_VERSION: u64 = 4;
 
 /// How badly a comparison failed.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -111,10 +107,9 @@ impl Finding {
 
 impl Baseline {
     /// A baseline wrapping freshly measured cases.
-    pub fn new(band: f64, cases: Vec<BaselineCase>) -> Baseline {
+    pub fn new(cases: Vec<BaselineCase>) -> Baseline {
         Baseline {
             version: BASELINE_VERSION,
-            band,
             cases,
         }
     }
@@ -124,14 +119,13 @@ impl Baseline {
         let mut out = String::new();
         out.push_str("{\n");
         out.push_str(&format!("  \"version\": {},\n", self.version));
-        out.push_str(&format!("  \"wall_band\": {},\n", num(self.band)));
         out.push_str("  \"cases\": [\n");
         for (i, c) in self.cases.iter().enumerate() {
             let comma = if i + 1 == self.cases.len() { "" } else { "," };
             out.push_str(&format!(
                 "    {{\"name\": \"{}\", \"modeled_comm_s\": {}, \"modeled_comp_s\": {}, \
                  \"msgs\": {}, \"bytes\": {}, \"total_ops\": {}, \"max_peak_bytes\": {}, \
-                 \"critical_comm_share\": {}, \"makespan_s\": {}, \"wall_s\": {}}}{comma}\n",
+                 \"critical_comm_share\": {}, \"makespan_s\": {}}}{comma}\n",
                 esc(&c.name),
                 num(c.modeled_comm_s),
                 num(c.modeled_comp_s),
@@ -140,8 +134,7 @@ impl Baseline {
                 c.total_ops,
                 c.max_peak_bytes,
                 num(c.critical_comm_share),
-                num(c.makespan_s),
-                num(c.wall_s)
+                num(c.makespan_s)
             ));
         }
         out.push_str("  ]\n}\n");
@@ -160,10 +153,6 @@ impl Baseline {
                 "baseline version {version} unsupported (expected {BASELINE_VERSION})"
             ));
         }
-        let band = v
-            .get("wall_band")
-            .and_then(Json::as_f64)
-            .ok_or("baseline missing `wall_band`")?;
         let cases = v
             .get("cases")
             .and_then(Json::as_array)
@@ -194,22 +183,16 @@ impl Baseline {
                     max_peak_bytes: field_u64("max_peak_bytes")?,
                     critical_comm_share: field_f64("critical_comm_share")?,
                     makespan_s: field_f64("makespan_s")?,
-                    wall_s: field_f64("wall_s")?,
+                    wall_s: 0.0,
                 })
             })
             .collect::<Result<Vec<_>, String>>()?;
-        Ok(Baseline {
-            version,
-            band,
-            cases,
-        })
+        Ok(Baseline { version, cases })
     }
 
     /// Compares freshly measured `current` cases against this
-    /// baseline. `band_override` replaces the file's wall band when
-    /// given. An empty result means the gate passes.
-    pub fn compare(&self, current: &[BaselineCase], band_override: Option<f64>) -> Vec<Finding> {
-        let band = band_override.unwrap_or(self.band);
+    /// baseline. An empty result means the gate passes.
+    pub fn compare(&self, current: &[BaselineCase]) -> Vec<Finding> {
         let mut findings = Vec::new();
 
         for cur in current {
@@ -223,7 +206,7 @@ impl Baseline {
                 });
                 continue;
             };
-            compare_case(base, cur, band, &mut findings);
+            compare_case(base, cur, &mut findings);
         }
         for base in &self.cases {
             if !current.iter().any(|c| c.name == base.name) {
@@ -240,7 +223,7 @@ impl Baseline {
     }
 }
 
-fn compare_case(base: &BaselineCase, cur: &BaselineCase, band: f64, out: &mut Vec<Finding>) {
+fn compare_case(base: &BaselineCase, cur: &BaselineCase, out: &mut Vec<Finding>) {
     let mut exact_f64 = |metric: &'static str, b: f64, c: f64| {
         if b.to_bits() != c.to_bits() {
             out.push(Finding {
@@ -284,16 +267,6 @@ fn compare_case(base: &BaselineCase, cur: &BaselineCase, band: f64, out: &mut Ve
     exact_u64("bytes", base.bytes, cur.bytes);
     exact_u64("total_ops", base.total_ops, cur.total_ops);
     exact_u64("max_peak_bytes", base.max_peak_bytes, cur.max_peak_bytes);
-
-    if cur.wall_s > base.wall_s * (1.0 + band) {
-        out.push(Finding {
-            case: cur.name.clone(),
-            metric: "wall_s",
-            baseline: num(base.wall_s),
-            current: num(cur.wall_s),
-            severity: Severity::Regression,
-        });
-    }
 }
 
 #[cfg(test)]
@@ -311,16 +284,16 @@ mod tests {
             max_peak_bytes: 1 << 20,
             critical_comm_share: 0.625,
             makespan_s: 0.875,
-            wall_s: 0.01,
+            wall_s: 0.0,
         }
     }
 
     #[test]
     fn makespan_is_compared_bit_exact() {
-        let b = Baseline::new(1.0, vec![case("a")]);
+        let b = Baseline::new(vec![case("a")]);
         let mut cur = case("a");
         cur.makespan_s = f64::from_bits(cur.makespan_s.to_bits() + 1);
-        let findings = b.compare(&[cur], None);
+        let findings = b.compare(&[cur]);
         assert_eq!(findings.len(), 1);
         assert_eq!(findings[0].metric, "makespan_s");
         assert_eq!(findings[0].severity, Severity::Regression);
@@ -328,7 +301,7 @@ mod tests {
 
     #[test]
     fn json_round_trip_is_exact() {
-        let b = Baseline::new(0.75, vec![case("a"), case("b \"quoted\"")]);
+        let b = Baseline::new(vec![case("a"), case("b \"quoted\"")]);
         let parsed = Baseline::from_json(&b.to_json()).unwrap();
         assert_eq!(parsed, b);
         assert_eq!(
@@ -339,16 +312,16 @@ mod tests {
 
     #[test]
     fn identical_runs_pass() {
-        let b = Baseline::new(1.0, vec![case("a")]);
-        assert!(b.compare(&[case("a")], None).is_empty());
+        let b = Baseline::new(vec![case("a")]);
+        assert!(b.compare(&[case("a")]).is_empty());
     }
 
     #[test]
     fn slower_modeled_time_is_a_regression() {
-        let b = Baseline::new(1.0, vec![case("a")]);
+        let b = Baseline::new(vec![case("a")]);
         let mut cur = case("a");
         cur.modeled_comm_s *= 10.0;
-        let findings = b.compare(&[cur], None);
+        let findings = b.compare(&[cur]);
         assert_eq!(findings.len(), 1);
         assert_eq!(findings[0].metric, "modeled_comm_s");
         assert_eq!(findings[0].severity, Severity::Regression);
@@ -356,45 +329,27 @@ mod tests {
 
     #[test]
     fn faster_modeled_time_is_drift_not_pass() {
-        let b = Baseline::new(1.0, vec![case("a")]);
+        let b = Baseline::new(vec![case("a")]);
         let mut cur = case("a");
         cur.modeled_comp_s /= 2.0;
-        let findings = b.compare(&[cur], None);
+        let findings = b.compare(&[cur]);
         assert_eq!(findings.len(), 1);
         assert_eq!(findings[0].severity, Severity::Drift);
     }
 
     #[test]
-    fn wall_clock_is_one_sided_band() {
-        let b = Baseline::new(1.0, vec![case("a")]);
-        let mut fast = case("a");
-        fast.wall_s = 1e-9; // much faster: fine
-        assert!(b.compare(&[fast], None).is_empty());
-
+    fn wall_clock_is_neither_written_nor_compared() {
+        let b = Baseline::new(vec![case("a")]);
+        assert!(!b.to_json().contains("wall"));
         let mut slow = case("a");
-        slow.wall_s = case("a").wall_s * 2.01; // past the 100% band
-        let findings = b.compare(&[slow], None);
-        assert_eq!(findings.len(), 1);
-        assert_eq!(findings[0].metric, "wall_s");
-
-        let mut in_band = case("a");
-        in_band.wall_s = case("a").wall_s * 1.99;
-        assert!(b.compare(&[in_band], None).is_empty());
-    }
-
-    #[test]
-    fn band_override_tightens_the_gate() {
-        let b = Baseline::new(1.0, vec![case("a")]);
-        let mut slow = case("a");
-        slow.wall_s = case("a").wall_s * 1.5;
-        assert!(b.compare(&[slow.clone()], None).is_empty());
-        assert_eq!(b.compare(&[slow], Some(0.25)).len(), 1);
+        slow.wall_s = 1e6;
+        assert!(b.compare(&[slow]).is_empty());
     }
 
     #[test]
     fn missing_and_new_cases_are_flagged() {
-        let b = Baseline::new(1.0, vec![case("a")]);
-        let findings = b.compare(&[case("b")], None);
+        let b = Baseline::new(vec![case("a")]);
+        let findings = b.compare(&[case("b")]);
         assert_eq!(findings.len(), 2);
         assert!(findings
             .iter()
@@ -406,20 +361,20 @@ mod tests {
 
     #[test]
     fn critical_comm_share_is_compared_bit_exact() {
-        let b = Baseline::new(1.0, vec![case("a")]);
+        let b = Baseline::new(vec![case("a")]);
         let mut cur = case("a");
         cur.critical_comm_share = f64::from_bits(cur.critical_comm_share.to_bits() + 1);
-        let findings = b.compare(&[cur], None);
+        let findings = b.compare(&[cur]);
         assert_eq!(findings.len(), 1);
         assert_eq!(findings[0].metric, "critical_comm_share");
     }
 
     #[test]
     fn peak_memory_growth_is_a_regression() {
-        let b = Baseline::new(1.0, vec![case("a")]);
+        let b = Baseline::new(vec![case("a")]);
         let mut cur = case("a");
         cur.max_peak_bytes += 1;
-        let findings = b.compare(&[cur], None);
+        let findings = b.compare(&[cur]);
         assert_eq!(findings.len(), 1);
         assert_eq!(findings[0].metric, "max_peak_bytes");
         assert_eq!(findings[0].severity, Severity::Regression);

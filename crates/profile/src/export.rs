@@ -5,9 +5,9 @@
 
 use std::fmt::Write as _;
 
-use crate::jsonio::{esc, num, parse, Json};
 use crate::profiler::Profile;
 use crate::registry::{Histogram, MetricsRegistry, SampleValue};
+use mfbc_trace::json::{esc, num, parse, Json};
 
 /// Schema version stamped into `profile.json`.
 pub const PROFILE_JSON_VERSION: u64 = 1;
@@ -331,16 +331,16 @@ mod tests {
     #[test]
     fn emitted_document_is_valid_json() {
         let doc = profile_to_json(&sample_profile());
-        let v = crate::jsonio::parse(&doc).unwrap();
+        let v = mfbc_trace::json::parse(&doc).unwrap();
         assert_eq!(
-            v.get("version").and_then(crate::jsonio::Json::as_u64),
+            v.get("version").and_then(mfbc_trace::json::Json::as_u64),
             Some(1)
         );
-        assert_eq!(v.get("p").and_then(crate::jsonio::Json::as_u64), Some(2));
+        assert_eq!(v.get("p").and_then(mfbc_trace::json::Json::as_u64), Some(2));
         assert_eq!(
             v.get("critical")
                 .and_then(|c| c.get("total_ops"))
-                .and_then(crate::jsonio::Json::as_u64),
+                .and_then(mfbc_trace::json::Json::as_u64),
             Some(1234)
         );
     }

@@ -6,8 +6,8 @@
 
 use std::fmt::Write as _;
 
-use crate::jsonio::num;
 use crate::profiler::Profile;
+use mfbc_trace::json::num;
 
 /// Escapes text for an HTML context (element content and quoted
 /// attribute values).

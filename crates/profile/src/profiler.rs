@@ -12,7 +12,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
 
 use mfbc_machine::Machine;
-use mfbc_trace::{Recorder, TraceEvent};
+use mfbc_trace::{Recorder, Summary, TraceEvent};
 
 use crate::registry::{MetricKind, MetricsRegistry};
 
@@ -188,14 +188,6 @@ impl Profile {
 }
 
 #[derive(Debug, Default)]
-struct CollAgg {
-    count: u64,
-    modeled_s: f64,
-    msgs: u64,
-    bytes: u64,
-}
-
-#[derive(Debug, Default)]
 struct PlanAgg {
     count: u64,
     ops: u64,
@@ -203,18 +195,17 @@ struct PlanAgg {
     wins: u64,
 }
 
+/// The per-kind, pool, fault and recovery totals are `mfbc-trace`'s
+/// [`Summary`] fold; the rest is what only a profile attributes.
 #[derive(Debug, Default)]
 struct State {
     events: u64,
-    collectives: BTreeMap<String, CollAgg>,
+    summary: Summary,
     setup_comm_s: f64,
     supersteps: Vec<SuperstepProfile>,
     plan_mix: BTreeMap<String, PlanAgg>,
     autotune_decisions: u64,
     autotune_infeasible: u64,
-    faults: BTreeMap<String, u64>,
-    recoveries: BTreeMap<String, (u64, f64)>,
-    pool: BTreeMap<String, (u64, u64, u64)>,
 }
 
 /// A [`Recorder`] that aggregates trace events into a [`Profile`].
@@ -296,18 +287,18 @@ impl Profiler {
         };
         let imbalance = if mean_t > 0.0 { max_t / mean_t } else { 0.0 };
 
-        let coll_total: f64 = state.collectives.values().map(|a| a.modeled_s).sum();
-        let collectives: Vec<CollectiveProfile> = state
-            .collectives
-            .iter()
-            .map(|(kind, a)| CollectiveProfile {
-                kind: kind.clone(),
-                count: a.count,
-                modeled_s: a.modeled_s,
-                msgs: a.msgs,
-                bytes: a.bytes,
+        let kinds = state.summary.kinds();
+        let coll_total: f64 = kinds.iter().map(|k| k.modeled_s).sum();
+        let collectives: Vec<CollectiveProfile> = kinds
+            .into_iter()
+            .map(|k| CollectiveProfile {
+                kind: k.kind,
+                count: k.count,
+                modeled_s: k.modeled_s,
+                msgs: k.msgs,
+                bytes: k.bytes_charged,
                 share: if coll_total > 0.0 {
-                    a.modeled_s / coll_total
+                    k.modeled_s / coll_total
                 } else {
                     0.0
                 },
@@ -326,11 +317,12 @@ impl Profiler {
             })
             .collect();
 
-        let recoveries: Vec<RecoveryProfile> = state
-            .recoveries
-            .iter()
-            .map(|(action, &(count, wasted_s))| RecoveryProfile {
-                action: action.clone(),
+        let recovery = state.summary.recovery();
+        let recoveries: Vec<RecoveryProfile> = recovery
+            .actions
+            .into_iter()
+            .map(|(action, count, wasted_s, _)| RecoveryProfile {
+                action,
                 count,
                 wasted_s,
             })
@@ -338,13 +330,14 @@ impl Profiler {
         let wasted_s = recoveries.iter().map(|r| r.wasted_s).sum();
 
         let pool: Vec<PoolProfile> = state
-            .pool
-            .iter()
-            .map(|(kernel, &(calls, tasks, busy_us))| PoolProfile {
-                kernel: kernel.clone(),
-                calls,
-                tasks,
-                busy_us,
+            .summary
+            .pool()
+            .into_iter()
+            .map(|k| PoolProfile {
+                kernel: k.kernel,
+                calls: k.calls,
+                tasks: k.tasks,
+                busy_us: k.busy_us,
             })
             .collect();
 
@@ -387,7 +380,7 @@ impl Profiler {
             plan_mix,
             autotune_decisions: state.autotune_decisions,
             autotune_infeasible: state.autotune_infeasible,
-            faults: state.faults.iter().map(|(k, &n)| (k.clone(), n)).collect(),
+            faults: recovery.faults,
             recoveries,
             wasted_s,
             pool,
@@ -550,60 +543,25 @@ impl Recorder for Profiler {
         let mut st = self.state.lock().expect("profiler state lock");
         st.events += 1;
         reg.counter_add("mfbc_trace_events_total", &[], 1.0);
+        st.summary.observe(&event);
+        // Nonblocking collectives carry their full cost on the issue
+        // event; the superstep attribution happens at issue so
+        // overlapped and blocking runs bucket identically.
+        if let Some(c) = event.collective() {
+            match st.supersteps.last_mut() {
+                Some(step) => {
+                    step.comm_s += c.modeled_s;
+                    step.collectives += 1;
+                }
+                None => st.setup_comm_s += c.modeled_s,
+            }
+            let l = [("kind", c.kind)];
+            reg.counter_add("mfbc_collectives_total", &l, 1.0);
+            reg.counter_add("mfbc_collective_modeled_seconds_total", &l, c.modeled_s);
+            reg.observe("mfbc_collective_payload_bytes", &[], c.bytes as f64);
+            return;
+        }
         match event {
-            TraceEvent::Collective {
-                kind,
-                bytes,
-                msgs,
-                bytes_charged,
-                modeled_s,
-                ..
-            } => {
-                let agg = st.collectives.entry(kind.to_string()).or_default();
-                agg.count += 1;
-                agg.modeled_s += modeled_s;
-                agg.msgs += msgs;
-                agg.bytes += bytes_charged;
-                match st.supersteps.last_mut() {
-                    Some(step) => {
-                        step.comm_s += modeled_s;
-                        step.collectives += 1;
-                    }
-                    None => st.setup_comm_s += modeled_s,
-                }
-                let l = [("kind", kind)];
-                reg.counter_add("mfbc_collectives_total", &l, 1.0);
-                reg.counter_add("mfbc_collective_modeled_seconds_total", &l, modeled_s);
-                reg.observe("mfbc_collective_payload_bytes", &[], bytes as f64);
-            }
-            // Nonblocking collectives carry their full cost on the
-            // issue event; the superstep attribution happens at issue
-            // so overlapped and blocking runs bucket identically.
-            TraceEvent::CollectiveIssue {
-                kind,
-                bytes,
-                msgs,
-                bytes_charged,
-                modeled_s,
-                ..
-            } => {
-                let agg = st.collectives.entry(kind.to_string()).or_default();
-                agg.count += 1;
-                agg.modeled_s += modeled_s;
-                agg.msgs += msgs;
-                agg.bytes += bytes_charged;
-                match st.supersteps.last_mut() {
-                    Some(step) => {
-                        step.comm_s += modeled_s;
-                        step.collectives += 1;
-                    }
-                    None => st.setup_comm_s += modeled_s,
-                }
-                let l = [("kind", kind)];
-                reg.counter_add("mfbc_collectives_total", &l, 1.0);
-                reg.counter_add("mfbc_collective_modeled_seconds_total", &l, modeled_s);
-                reg.observe("mfbc_collective_payload_bytes", &[], bytes as f64);
-            }
             TraceEvent::Spgemm {
                 plan, ops, nnz_c, ..
             } => {
@@ -667,24 +625,16 @@ impl Recorder for Profiler {
                 ..
             } => {
                 let busy: u64 = busy_us.iter().sum();
-                let agg = st.pool.entry(kernel.to_string()).or_default();
-                agg.0 += 1;
-                agg.1 += tasks;
-                agg.2 += busy;
                 let l = [("kernel", kernel)];
                 reg.counter_add("mfbc_pool_tasks_total", &l, tasks as f64);
                 reg.counter_add("mfbc_pool_busy_microseconds_total", &l, busy as f64);
             }
             TraceEvent::Fault { kind, .. } => {
-                *st.faults.entry(kind.to_string()).or_default() += 1;
                 reg.counter_add("mfbc_faults_total", &[("kind", kind)], 1.0);
             }
             TraceEvent::Recovery {
                 action, wasted_s, ..
             } => {
-                let agg = st.recoveries.entry(action.to_string()).or_default();
-                agg.0 += 1;
-                agg.1 += wasted_s;
                 reg.counter_add("mfbc_recovery_total", &[("action", action)], 1.0);
                 reg.counter_add("mfbc_recovery_wasted_seconds_total", &[], wasted_s);
             }
@@ -701,20 +651,13 @@ impl Recorder for Profiler {
                     1.0,
                 );
             }
-            // Per-rank compute/backoff/shrink attribution is the
-            // timeline analyzer's domain; the profiler's per-rank
-            // numbers are sealed from the machine meters in `finish`.
-            // Request/round provenance beyond the counts above is the
-            // serve engine's flight recorder's domain.
-            TraceEvent::Compute { .. }
-            | TraceEvent::CollectiveWait { .. }
-            | TraceEvent::Backoff { .. }
-            | TraceEvent::Shrink { .. }
-            | TraceEvent::SpanBegin { .. }
-            | TraceEvent::SpanEnd { .. }
-            | TraceEvent::RequestAdmitted { .. }
-            | TraceEvent::RoundEnd { .. }
-            | TraceEvent::Log { .. } => {}
+            // Everything else is counted in `events` and otherwise
+            // ignored. Per-rank compute/backoff/shrink attribution is
+            // the timeline analyzer's domain (the profiler's per-rank
+            // numbers are sealed from the machine meters in `finish`);
+            // request/round provenance beyond the counts above is the
+            // serve engine's flight recorder's.
+            _ => {}
         }
     }
 

@@ -158,6 +158,88 @@ fn profiler_attributes_stream_aggregates() {
     assert_eq!(step_comm.to_bits(), kind_comm.to_bits());
 }
 
+/// The trace summaries and the profiler are two readings of one fold:
+/// per-kind, pool, fault and recovery totals of the same tee'd stream
+/// must agree to the bit, blocking and nonblocking collectives alike.
+#[test]
+fn profile_equals_trace_summaries_of_the_same_stream() {
+    use mfbc_trace::{MemoryRecorder, Recorder, TeeRecorder};
+    let machine = Machine::new(MachineSpec::test(4));
+    let profiler = Arc::new(Profiler::new());
+    let memory = Arc::new(MemoryRecorder::new());
+    let tee = Arc::new(TeeRecorder::over(vec![
+        memory.clone() as Arc<dyn Recorder>,
+        profiler.clone() as Arc<dyn Recorder>,
+    ]));
+    scoped(tee, || {
+        let world = machine.world();
+        drive(&machine);
+        let h = machine
+            .icharge_collective(&world, CollectiveKind::Allgather, 777)
+            .expect("issue");
+        machine.charge_compute(2, 30_000);
+        machine.wait_collective(h).expect("wait");
+        for (kernel, threads, tasks) in [("spgemm", 4, 8), ("transpose", 2, 3), ("spgemm", 2, 5)] {
+            emit(|| TraceEvent::Pool {
+                kernel,
+                threads,
+                tasks,
+                busy_us: vec![7; threads],
+                chunk_hist: vec![1, tasks],
+            });
+        }
+        for (kind, rank) in [("transient", None), ("crash", Some(1)), ("transient", None)] {
+            emit(|| TraceEvent::Fault { kind, rank, seq: 9 });
+        }
+        for (action, wasted_s) in [("retry", 0.1), ("replan", 0.7), ("retry", 0.2)] {
+            emit(|| TraceEvent::Recovery {
+                action,
+                detail: format!("after {wasted_s}"),
+                wasted_s,
+            });
+        }
+    });
+    let profile = profiler.finish(&machine);
+    let records = memory.take();
+    assert_eq!(profile.events, records.len() as u64);
+
+    let mut kinds = mfbc_trace::collective_summary(&records);
+    kinds.sort_by(|a, b| a.kind.cmp(&b.kind));
+    assert_eq!(
+        kinds.len(),
+        2,
+        "allgather (blocking + issued) and allreduce"
+    );
+    assert_eq!(profile.collectives.len(), kinds.len());
+    for (p, k) in profile.collectives.iter().zip(&kinds) {
+        assert_eq!(p.kind, k.kind);
+        assert_eq!(p.count, k.count);
+        assert_eq!(p.msgs, k.msgs);
+        assert_eq!(p.bytes, k.bytes_charged);
+        assert_eq!(p.modeled_s.to_bits(), k.modeled_s.to_bits(), "{}", p.kind);
+    }
+    assert_eq!(kinds[0].count, 2, "the issued allgather counts once");
+
+    let mut pool = mfbc_trace::pool_summary(&records);
+    pool.sort_by(|a, b| a.kernel.cmp(&b.kernel));
+    assert_eq!(profile.pool.len(), pool.len());
+    for (p, k) in profile.pool.iter().zip(&pool) {
+        assert_eq!(
+            (p.kernel.as_str(), p.calls, p.tasks, p.busy_us),
+            (k.kernel.as_str(), k.calls, k.tasks, k.busy_us)
+        );
+    }
+
+    let recovery = mfbc_trace::recovery_summary(&records);
+    assert_eq!(profile.faults, recovery.faults);
+    assert_eq!(profile.recoveries.len(), recovery.actions.len());
+    for (p, (action, count, wasted_s, _)) in profile.recoveries.iter().zip(&recovery.actions) {
+        assert_eq!((&p.action, p.count), (action, *count));
+        assert_eq!(p.wasted_s.to_bits(), wasted_s.to_bits(), "{action}");
+    }
+    assert_eq!(profile.wasted_s.to_bits(), recovery.wasted_s().to_bits());
+}
+
 #[test]
 fn peaks_in_profile_bound_machine_snapshots() {
     let machine = Machine::new(MachineSpec::test(2));
@@ -246,10 +328,10 @@ fn registry_exporters_agree_bit_for_bit() {
     // JSON: parse back and compare bit patterns against the text
     // endpoint's parsed values.
     let doc = export::registry_to_json(&reg);
-    let root = mfbc_profile::jsonio::parse(&doc).expect("metrics json parses");
+    let root = mfbc_trace::json::parse(&doc).expect("metrics json parses");
     let families = root
         .get("families")
-        .and_then(mfbc_profile::jsonio::Json::as_array)
+        .and_then(mfbc_trace::json::Json::as_array)
         .expect("families array");
     let mut json_checked = 0usize;
     for fam in families {
@@ -260,7 +342,7 @@ fn registry_exporters_agree_bit_for_bit() {
             .to_string();
         for s in fam
             .get("samples")
-            .and_then(mfbc_profile::jsonio::Json::as_array)
+            .and_then(mfbc_trace::json::Json::as_array)
             .unwrap()
         {
             if let Some(v) = s.get("value").and_then(|v| v.as_f64()) {

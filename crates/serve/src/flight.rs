@@ -11,7 +11,7 @@
 //! dumps it automatically when it poisons or the breaker trips, and
 //! on demand via the wire `{"cmd":"dump"}` command.
 
-use mfbc_profile::jsonio::{esc, num};
+use mfbc_trace::json::{esc, num};
 use std::collections::VecDeque;
 use std::fmt::Write as _;
 
@@ -475,25 +475,25 @@ mod tests {
         let b = build().dump();
         assert_eq!(a, b, "identical histories dump identical bytes");
         assert!(!a.contains('\n'), "dump is one line");
-        let v = mfbc_profile::jsonio::parse(&a).expect("dump parses as JSON");
+        let v = mfbc_trace::json::parse(&a).expect("dump parses as JSON");
         assert_eq!(
-            v.get("flight").and_then(mfbc_profile::jsonio::Json::as_u64),
+            v.get("flight").and_then(mfbc_trace::json::Json::as_u64),
             Some(1)
         );
         let journeys = v
             .get("journeys")
-            .and_then(mfbc_profile::jsonio::Json::as_array)
+            .and_then(mfbc_trace::json::Json::as_array)
             .unwrap();
         assert_eq!(journeys.len(), 1);
         // Infinite deadline survives as null, per the shared formatter.
         assert!(matches!(
             journeys[0].get("deadline_s"),
-            Some(mfbc_profile::jsonio::Json::Null)
+            Some(mfbc_trace::json::Json::Null)
         ));
         assert_eq!(
             journeys[0]
                 .get("rung")
-                .and_then(mfbc_profile::jsonio::Json::as_str),
+                .and_then(mfbc_trace::json::Json::as_str),
             Some("approx")
         );
     }

@@ -2,7 +2,7 @@
 //!
 //! One request per line; a blank line is the flush boundary that
 //! triggers a coalesced [`crate::Engine::drain`]. Score values are
-//! rendered with `mfbc_profile::jsonio::num`, which round-trips f64
+//! rendered with `mfbc_trace::json::num`, which round-trips f64
 //! bits exactly — the conformance harness compares exact-mode
 //! responses to one-shot runs *through* this format.
 //!
@@ -17,7 +17,7 @@
 //! ```
 
 use crate::engine::{Health, Payload, Quality, Query, Request, Response, ShedReason};
-use mfbc_profile::jsonio::{self, Json};
+use mfbc_trace::json::{self, Json};
 
 /// A parsed input line.
 #[derive(Clone, Debug, PartialEq)]
@@ -36,7 +36,7 @@ pub enum WireCmd {
 /// Returns a message describing the malformed field; the caller
 /// answers with a `shed: invalid-request` line rather than dying.
 pub fn parse_line(line: &str) -> Result<WireCmd, String> {
-    let v = jsonio::parse(line)?;
+    let v = json::parse(line)?;
     if let Some(cmd) = v.get("cmd").and_then(Json::as_str) {
         return match cmd {
             "health" => Ok(WireCmd::Health),
@@ -82,7 +82,7 @@ pub fn render_response(r: &Response) -> String {
     match r.quality {
         Quality::Exact => {}
         Quality::Approx { k, ci } => {
-            s.push_str(&format!(",\"approx_k\":{k},\"ci\":{}", jsonio::num(ci)));
+            s.push_str(&format!(",\"approx_k\":{k},\"ci\":{}", json::num(ci)));
         }
         Quality::Stale { version } => {
             s.push_str(&format!(",\"stale_version\":{version}"));
@@ -91,7 +91,7 @@ pub fn render_response(r: &Response) -> String {
     s.push_str(&format!(
         ",\"version\":{},\"latency_modeled_s\":{},\"retries\":{}",
         r.version,
-        jsonio::num(r.latency_modeled_s),
+        json::num(r.latency_modeled_s),
         r.retries
     ));
     match &r.payload {
@@ -101,12 +101,12 @@ pub fn render_response(r: &Response) -> String {
                 if i > 0 {
                     s.push(',');
                 }
-                s.push_str(&format!("[{v},{}]", jsonio::num(*score)));
+                s.push_str(&format!("[{v},{}]", json::num(*score)));
             }
             s.push(']');
         }
         Payload::Vertex { v, score } => {
-            s.push_str(&format!(",\"v\":{v},\"score\":{}", jsonio::num(*score)));
+            s.push_str(&format!(",\"v\":{v},\"score\":{}", json::num(*score)));
         }
         Payload::Full(scores) => {
             s.push_str(",\"scores\":[");
@@ -114,7 +114,7 @@ pub fn render_response(r: &Response) -> String {
                 if i > 0 {
                     s.push(',');
                 }
-                s.push_str(&jsonio::num(*score));
+                s.push_str(&json::num(*score));
             }
             s.push(']');
         }
@@ -133,7 +133,7 @@ pub fn render_shed(id: u64, reason: ShedReason) -> String {
 pub fn render_invalid(detail: &str) -> String {
     format!(
         "{{\"shed\":\"invalid-request\",\"detail\":\"{}\"}}",
-        jsonio::esc(detail)
+        json::esc(detail)
     )
 }
 
@@ -147,14 +147,14 @@ pub fn render_health(h: &Health) -> String {
     );
     s.push_str(&format!(",\"breaker\":\"{}\"", h.breaker));
     match &h.last_poison {
-        Some(detail) => s.push_str(&format!(",\"last_poison\":\"{}\"", jsonio::esc(detail))),
+        Some(detail) => s.push_str(&format!(",\"last_poison\":\"{}\"", json::esc(detail))),
         None => s.push_str(",\"last_poison\":null"),
     }
     s.push_str(&format!(
         ",\"window\":{{\"len\":{},\"deadline_met\":{},\"max_latency_s\":{}}}",
         h.window_len,
         h.window_deadline_met,
-        jsonio::num(h.window_max_latency_s)
+        json::num(h.window_max_latency_s)
     ));
     s.push_str(&format!(
         ",\"mm_cache\":{{\"hits\":{},\"misses\":{},\"inserts\":{},\"evictions\":{}}}}}",
@@ -228,7 +228,7 @@ mod tests {
             retries: 1,
         };
         let line = render_response(&r);
-        let v = jsonio::parse(&line).unwrap();
+        let v = json::parse(&line).unwrap();
         let score = v.get("score").and_then(Json::as_f64).unwrap();
         assert_eq!(score.to_bits(), (0.1_f64 + 0.2).to_bits());
         assert_eq!(v.get("approx_k").and_then(Json::as_u64), Some(4));
@@ -238,7 +238,7 @@ mod tests {
     #[test]
     fn shed_and_health_lines_parse_back() {
         let shed = render_shed(4, ShedReason::QueueFull);
-        let v = jsonio::parse(&shed).unwrap();
+        let v = json::parse(&shed).unwrap();
         assert_eq!(v.get("shed").and_then(Json::as_str), Some("queue-full"));
         let h = Health {
             ready: true,
@@ -261,7 +261,7 @@ mod tests {
                 evictions: 0,
             },
         };
-        let v = jsonio::parse(&render_health(&h)).unwrap();
+        let v = json::parse(&render_health(&h)).unwrap();
         assert_eq!(v.get("queue_depth").and_then(Json::as_u64), Some(1));
         assert_eq!(v.get("p").and_then(Json::as_u64), Some(4));
         assert_eq!(v.get("breaker").and_then(Json::as_str), Some("closed"));
@@ -284,7 +284,7 @@ mod tests {
             breaker: "open",
             ..h
         };
-        let v = jsonio::parse(&render_health(&poisoned)).unwrap();
+        let v = json::parse(&render_health(&poisoned)).unwrap();
         assert_eq!(
             v.get("last_poison").and_then(Json::as_str),
             Some("rank 0 crashed \"hard\"")

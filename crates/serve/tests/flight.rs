@@ -6,8 +6,8 @@ use mfbc_core::dist::MfbcConfig;
 use mfbc_fault::{FaultPlan, RetryPolicy};
 use mfbc_graph::gen::uniform;
 use mfbc_machine::{Machine, MachineSpec};
-use mfbc_profile::jsonio::{self, Json};
 use mfbc_serve::{wire, Engine, EngineConfig, Query, Request};
+use mfbc_trace::json::{self, Json};
 use mfbc_trace::MemoryRecorder;
 use std::sync::Arc;
 
@@ -53,7 +53,7 @@ fn poison_auto_dumps_and_final_dump_explains_the_journey() {
     let auto = engine
         .take_auto_dump()
         .expect("poisoning auto-dumps the flight recorder");
-    let v = jsonio::parse(&auto).expect("auto-dump parses as JSON");
+    let v = json::parse(&auto).expect("auto-dump parses as JSON");
     assert_eq!(v.get("flight").and_then(Json::as_u64), Some(1));
     let kinds: Vec<&str> = v
         .get("events")
@@ -72,7 +72,7 @@ fn poison_auto_dumps_and_final_dump_explains_the_journey() {
     // response from the journey record alone.
     let dump = engine.flight_dump().expect("recorder is enabled");
     assert!(!dump.contains('\n'), "dump is one JSON line");
-    let v = jsonio::parse(&dump).unwrap();
+    let v = json::parse(&dump).unwrap();
     let journeys = v.get("journeys").and_then(Json::as_array).unwrap();
     let j = journeys
         .iter()
@@ -87,7 +87,7 @@ fn poison_auto_dumps_and_final_dump_explains_the_journey() {
     let h = engine.health();
     assert!(h.last_poison.is_some(), "health keeps the poison detail");
     let line = wire::render_health(&h);
-    let v = jsonio::parse(&line).unwrap();
+    let v = json::parse(&line).unwrap();
     assert!(matches!(v.get("last_poison"), Some(Json::Str(_))));
 }
 

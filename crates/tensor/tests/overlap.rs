@@ -32,25 +32,8 @@ type ChargedCollective = (&'static str, Vec<usize>, u64, u64, u64);
 fn charged_collectives(records: &[mfbc_trace::TraceRecord]) -> Vec<ChargedCollective> {
     let mut out: Vec<ChargedCollective> = records
         .iter()
-        .filter_map(|r| match &r.event {
-            mfbc_trace::TraceEvent::Collective {
-                kind,
-                ranks,
-                bytes,
-                msgs,
-                bytes_charged,
-                ..
-            }
-            | mfbc_trace::TraceEvent::CollectiveIssue {
-                kind,
-                ranks,
-                bytes,
-                msgs,
-                bytes_charged,
-                ..
-            } => Some((*kind, ranks.clone(), *bytes, *msgs, *bytes_charged)),
-            _ => None,
-        })
+        .filter_map(|r| r.event.collective())
+        .map(|c| (c.kind, c.ranks.clone(), c.bytes, c.msgs, c.bytes_charged))
         .collect();
     // Issue order differs between modes (overlap prefetches ahead of
     // compute), so compare as a multiset.

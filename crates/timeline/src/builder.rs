@@ -23,7 +23,7 @@
 //! against the live machine to prove the trace is complete.
 
 use mfbc_machine::{CollectiveKind, Machine, MachineSpec, RankCost};
-use mfbc_trace::{Recorder, TraceEvent, TraceRecord};
+use mfbc_trace::{CollectiveCharge, Recorder, TraceEvent, TraceRecord};
 use std::sync::Mutex;
 
 /// What a timeline segment spent its modeled time on.
@@ -313,25 +313,25 @@ impl Timeline {
     /// Replays an already-captured record stream (e.g. from a
     /// [`mfbc_trace::MemoryRecorder`]).
     pub fn from_records(spec: &MachineSpec, records: &[TraceRecord]) -> Timeline {
-        let builder = TimelineBuilder::new(spec.clone());
+        let mut st = BuildState::new(spec.p, spec.overlap);
         for rec in records {
-            builder.record(rec.event.clone());
+            st.apply(spec, &rec.event);
         }
-        builder.finish()
+        st.seal(spec.clone())
     }
 }
 
-/// A nonblocking collective between its issue and wait events.
-#[derive(Debug)]
+/// A collective priced at its issue point, waiting to be charged: a
+/// nonblocking one between its issue and wait events, a blocking one
+/// for the length of one call.
+#[derive(Clone, Debug)]
 struct PendingColl {
-    kind: String,
+    /// The [`SegmentKind::Collective`] it will become.
+    segment: SegmentKind,
     alpha_s: f64,
-    beta_s: f64,
-    bytes: u64,
     msgs: u64,
     bytes_charged: u64,
     modeled_s: f64,
-    seq: u64,
     lanes: Vec<usize>,
     issue_s: f64,
     issue_pred: Option<usize>,
@@ -339,7 +339,7 @@ struct PendingColl {
 }
 
 /// Mutable replay state behind the recorder's lock.
-#[derive(Debug)]
+#[derive(Clone, Debug)]
 struct BuildState {
     /// Replica of `MachineSpec::overlap` (which clock recurrence the
     /// machine ran).
@@ -388,6 +388,19 @@ impl BuildState {
             current_round: None,
             dropped: 0,
             total_ops: 0,
+        }
+    }
+
+    fn seal(self, spec: MachineSpec) -> Timeline {
+        Timeline {
+            spec,
+            nodes: self.nodes,
+            lanes: self.lanes,
+            supersteps: self.supersteps,
+            rounds: self.rounds,
+            markers: self.markers,
+            dropped: self.dropped,
+            total_ops: self.total_ops,
         }
     }
 
@@ -521,110 +534,78 @@ impl BuildState {
         });
     }
 
-    fn marker(&mut self, label: String, detail: String) {
+    /// Records a zero-duration annotation for `event`, labeled by its
+    /// title.
+    fn marker(&mut self, event: &TraceEvent, detail: String) {
         let at_s = self.now_s();
         self.markers.push(Marker {
             at_s,
-            label,
+            label: event.title().into_owned(),
             detail,
         });
     }
 
-    fn apply(&mut self, spec: &MachineSpec, event: TraceEvent) {
+    /// Charges a priced collective as one synchronizing segment.
+    fn complete(&mut self, pc: PendingColl) {
+        self.sync_segment(
+            pc.segment,
+            pc.lanes,
+            pc.modeled_s,
+            pc.msgs,
+            pc.bytes_charged,
+            Some((pc.alpha_s, pc.issue_s, pc.issue_pred, pc.issue_at)),
+        );
+    }
+
+    /// Prices a collective at its issue point: lane slots, exact α/β
+    /// split, and the group's issue clock. `None` (and a dropped-event
+    /// count) on out-of-range ranks.
+    fn price(&mut self, spec: &MachineSpec, c: &CollectiveCharge) -> Option<PendingColl> {
+        let lanes = self.map_ranks(&c.ranks)?;
+        let (alpha_s, beta_s) = cost_split(spec, c.kind, c.group, c.bytes, c.modeled_s);
+        let (issue_s, issue_pred) = self.issue_point(&lanes);
+        Some(PendingColl {
+            segment: SegmentKind::Collective {
+                kind: c.kind.to_string(),
+                alpha_s,
+                beta_s,
+                bytes: c.bytes,
+                msgs: c.msgs,
+                seq: c.seq,
+            },
+            alpha_s,
+            msgs: c.msgs,
+            bytes_charged: c.bytes_charged,
+            modeled_s: c.modeled_s,
+            lanes,
+            issue_s,
+            issue_pred,
+            issue_at: self.nodes.len(),
+        })
+    }
+
+    fn apply(&mut self, spec: &MachineSpec, event: &TraceEvent) {
         match event {
-            TraceEvent::Collective {
-                kind,
-                group,
-                ranks,
-                seq,
-                bytes,
-                msgs,
-                bytes_charged,
-                modeled_s,
-            } => {
-                let Some(lanes) = self.map_ranks(&ranks) else {
-                    return;
-                };
-                let (alpha_s, beta_s) = cost_split(spec, kind, group, bytes, modeled_s);
-                // A blocking collective issues at its own stream
-                // position: its transfer window cannot start earlier
-                // than the call, so nothing hides under prior compute
-                // unless the group had already synchronized.
-                let (issue_s, issue_pred) = self.issue_point(&lanes);
-                let issue_at = self.nodes.len();
-                self.sync_segment(
-                    SegmentKind::Collective {
-                        kind: kind.to_string(),
-                        alpha_s,
-                        beta_s,
-                        bytes,
-                        msgs,
-                        seq,
-                    },
-                    lanes,
-                    modeled_s,
-                    msgs,
-                    bytes_charged,
-                    Some((alpha_s, issue_s, issue_pred, issue_at)),
-                );
+            // A blocking collective issues at its own stream position:
+            // its transfer window cannot start earlier than the call,
+            // so nothing hides under prior compute unless the group
+            // had already synchronized.
+            TraceEvent::Collective { charge } => {
+                if let Some(pc) = self.price(spec, charge) {
+                    self.complete(pc);
+                }
             }
-            TraceEvent::CollectiveIssue {
-                kind,
-                group,
-                ranks,
-                seq,
-                bytes,
-                msgs,
-                bytes_charged,
-                modeled_s,
-                handle,
-            } => {
-                let Some(lanes) = self.map_ranks(&ranks) else {
-                    return;
-                };
-                let (alpha_s, beta_s) = cost_split(spec, kind, group, bytes, modeled_s);
-                let (issue_s, issue_pred) = self.issue_point(&lanes);
-                self.pending.insert(
-                    handle,
-                    PendingColl {
-                        kind: kind.to_string(),
-                        alpha_s,
-                        beta_s,
-                        bytes,
-                        msgs,
-                        bytes_charged,
-                        modeled_s,
-                        seq,
-                        lanes,
-                        issue_s,
-                        issue_pred,
-                        issue_at: self.nodes.len(),
-                    },
-                );
+            TraceEvent::CollectiveIssue { charge, handle } => {
+                if let Some(pc) = self.price(spec, charge) {
+                    self.pending.insert(*handle, pc);
+                }
             }
-            TraceEvent::CollectiveWait { handle } => {
-                let Some(pc) = self.pending.remove(&handle) else {
-                    // A wait with no matching issue: malformed trace.
-                    self.dropped += 1;
-                    return;
-                };
-                self.sync_segment(
-                    SegmentKind::Collective {
-                        kind: pc.kind,
-                        alpha_s: pc.alpha_s,
-                        beta_s: pc.beta_s,
-                        bytes: pc.bytes,
-                        msgs: pc.msgs,
-                        seq: pc.seq,
-                    },
-                    pc.lanes,
-                    pc.modeled_s,
-                    pc.msgs,
-                    pc.bytes_charged,
-                    Some((pc.alpha_s, pc.issue_s, pc.issue_pred, pc.issue_at)),
-                );
-            }
-            TraceEvent::Compute {
+            TraceEvent::CollectiveWait { handle } => match self.pending.remove(handle) {
+                Some(pc) => self.complete(pc),
+                // A wait with no matching issue: malformed trace.
+                None => self.dropped += 1,
+            },
+            &TraceEvent::Compute {
                 rank,
                 ops,
                 modeled_s,
@@ -656,24 +637,21 @@ impl BuildState {
                 });
             }
             TraceEvent::Backoff { ranks, seconds } => {
-                let Some(lanes) = self.map_ranks(&ranks) else {
+                let Some(lanes) = self.map_ranks(ranks) else {
                     return;
                 };
-                self.sync_segment(SegmentKind::Backoff, lanes, seconds, 0, 0, None);
+                self.sync_segment(SegmentKind::Backoff, lanes, *seconds, 0, 0, None);
             }
-            TraceEvent::Shrink { failed, p_before } => {
+            &TraceEvent::Shrink { failed, p_before } => {
                 if self.slots.len() != p_before || failed >= self.slots.len() {
                     self.dropped += 1;
                     return;
                 }
                 let slot = self.slots.remove(failed);
                 self.lanes[slot].alive = false;
-                self.marker(
-                    format!("shrink -rank{failed}"),
-                    format!("p={}->{}", p_before, p_before - 1),
-                );
+                self.marker(event, format!("p={}->{}", p_before, p_before - 1));
             }
-            TraceEvent::Superstep {
+            &TraceEvent::Superstep {
                 phase, batch, step, ..
             } => {
                 self.current_step = Some(self.supersteps.len());
@@ -687,50 +665,36 @@ impl BuildState {
             TraceEvent::Spgemm { plan, .. } => {
                 if let Some(i) = self.current_step {
                     let plans = &mut self.supersteps[i].plans;
-                    if !plans.contains(&plan) {
-                        plans.push(plan);
+                    if !plans.contains(plan) {
+                        plans.push(plan.clone());
                     }
                 }
             }
-            TraceEvent::Fault { kind, rank, seq } => {
+            TraceEvent::Fault { rank, seq, .. } => {
                 let detail = match rank {
                     Some(r) => format!("rank={r} seq={seq}"),
                     None => format!("seq={seq}"),
                 };
-                self.marker(format!("fault {kind}"), detail);
+                self.marker(event, detail);
             }
             TraceEvent::Recovery {
-                action,
-                detail,
-                wasted_s,
-            } => {
-                self.marker(
-                    format!("recovery {action}"),
-                    format!("{detail} wasted_s={wasted_s:?}"),
-                );
-            }
+                detail, wasted_s, ..
+            } => self.marker(event, format!("{detail} wasted_s={wasted_s:?}")),
             TraceEvent::Redist {
-                what,
                 bytes_moved,
                 participants,
-            } => {
-                self.marker(
-                    format!("redist {what}"),
-                    format!("bytes={bytes_moved} p={participants}"),
-                );
-            }
+                ..
+            } => self.marker(event, format!("bytes={bytes_moved} p={participants}")),
             TraceEvent::RequestAdmitted {
-                request_id,
                 query,
                 deadline_s,
                 queue_depth,
-            } => {
-                self.marker(
-                    format!("request {request_id} admitted"),
-                    format!("query={query} deadline_s={deadline_s:?} depth={queue_depth}"),
-                );
-            }
-            TraceEvent::RoundStart {
+                ..
+            } => self.marker(
+                event,
+                format!("query={query} deadline_s={deadline_s:?} depth={queue_depth}"),
+            ),
+            &TraceEvent::RoundStart {
                 round,
                 requests,
                 budget_s,
@@ -751,7 +715,7 @@ impl BuildState {
                     nodes: 0,
                 });
             }
-            TraceEvent::DegradeDecision {
+            &TraceEvent::DegradeDecision {
                 round,
                 rung,
                 reason,
@@ -765,12 +729,9 @@ impl BuildState {
                     // A decision outside its round: malformed stream.
                     _ => self.dropped += 1,
                 }
-                self.marker(
-                    format!("degrade -> {rung}"),
-                    format!("round={round} reason={reason}"),
-                );
+                self.marker(event, format!("round={round} reason={reason}"));
             }
-            TraceEvent::RoundEnd {
+            &TraceEvent::RoundEnd {
                 round, responses, ..
             } => {
                 let end_s = self.now_s();
@@ -785,12 +746,9 @@ impl BuildState {
                     _ => self.dropped += 1,
                 }
             }
-            TraceEvent::Autotune { .. }
-            | TraceEvent::Pool { .. }
-            | TraceEvent::SpanBegin { .. }
-            | TraceEvent::SpanEnd { .. }
-            | TraceEvent::Counter { .. }
-            | TraceEvent::Log { .. } => {}
+            // Autotune tables, pool fan-outs, spans, counters and logs
+            // carry no modeled time and no annotation.
+            _ => {}
         }
     }
 }
@@ -848,22 +806,13 @@ impl TimelineBuilder {
     /// state), but typical callers finish once, after the run.
     pub fn finish(&self) -> Timeline {
         let st = self.state.lock().expect("timeline state lock");
-        Timeline {
-            spec: self.spec.clone(),
-            nodes: st.nodes.clone(),
-            lanes: st.lanes.clone(),
-            supersteps: st.supersteps.clone(),
-            rounds: st.rounds.clone(),
-            markers: st.markers.clone(),
-            dropped: st.dropped,
-            total_ops: st.total_ops,
-        }
+        st.clone().seal(self.spec.clone())
     }
 }
 
 impl Recorder for TimelineBuilder {
     fn record(&self, event: TraceEvent) {
         let mut st = self.state.lock().expect("timeline state lock");
-        st.apply(&self.spec, event);
+        st.apply(&self.spec, &event);
     }
 }

@@ -3,15 +3,15 @@
 //! Gantt-style HTML view, and metric-registry mirroring.
 //!
 //! Every number is written with the exact `{:?}` formatter shared
-//! with the profile/Prometheus exporters ([`mfbc_profile::jsonio`]),
+//! with the profile/Prometheus exporters ([`mfbc_trace::json`]),
 //! so documents can be compared bit-for-bit across exporters and
 //! across runs.
 
 use crate::builder::{SegmentKind, Timeline};
 use crate::critical::Analysis;
 use crate::whatif::WhatIfReport;
-use mfbc_profile::jsonio::{esc, num, parse, Json};
 use mfbc_profile::{MetricKind, MetricsRegistry};
+use mfbc_trace::json::{esc, num, parse, Json};
 use std::fmt::Write as _;
 
 /// Format version of the `timeline.json` document. Version 2 added

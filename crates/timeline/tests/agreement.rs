@@ -85,11 +85,11 @@ fn timeline_and_profile_exporters_agree_bitwise() {
     let prom = prometheus::render(profiler.registry());
     let expect_makespan = format!(
         "mfbc_timeline_makespan_seconds {}",
-        mfbc_profile::jsonio::num(tl_doc.makespan_s)
+        mfbc_trace::json::num(tl_doc.makespan_s)
     );
     let expect_share = format!(
         "mfbc_timeline_critical_comm_share {}",
-        mfbc_profile::jsonio::num(tl_doc.comm_share)
+        mfbc_trace::json::num(tl_doc.comm_share)
     );
     assert!(
         prom.contains(&expect_makespan),

@@ -3,20 +3,24 @@
 //! The output opens directly in `chrome://tracing` or Perfetto
 //! (<https://ui.perfetto.dev>, "Open trace file"). Spans become
 //! nested `B`/`E` slices per thread, counters become counter tracks,
-//! and everything else becomes instant events with the structured
-//! payload in `args`.
+//! and everything else becomes instant events named by
+//! [`TraceEvent::title`] with the structured payload in `args`.
 //!
-//! Rank-attributed events (collectives, compute charges, backoff
-//! waits, rank-targeted faults) are fanned out into **one process
-//! lane per rank** (`pid = rank + 1`, labeled `rank N` via
-//! `process_name` metadata), so the per-rank concurrency structure is
-//! visible instead of being flattened into a single lane. Events with
-//! no rank attribution (spans, counters, autotune decisions, …) stay
-//! on `pid 0` (`stream`), keyed by emitting thread. Faults,
-//! recoveries and shrinks are rendered as **global-scoped** instants
-//! (`"s":"g"`) so recovery gaps draw a line across every lane.
+//! Rank-attributed events ([`TraceEvent::lanes`]: collectives, compute
+//! charges, backoff waits, rank-targeted faults) are fanned out into
+//! **one process lane per rank** (`pid = rank + 1`, labeled `rank N`
+//! via `process_name` metadata), so the per-rank concurrency structure
+//! is visible instead of being flattened into a single lane. Events
+//! with no rank attribution (spans, counters, autotune decisions, …)
+//! stay on `pid 0` (`stream`), keyed by emitting thread.
+//! [Global](TraceEvent::is_global) events are rendered as
+//! global-scoped instants (`"s":"g"`) so recovery gaps draw a line
+//! across every lane.
+//!
+//! `args` is the JSON-lines field list minus the `ranks` list that
+//! became the lanes.
 
-use crate::event::{TraceEvent, TraceRecord};
+use crate::event::{TraceEvent, TraceRecord, Value};
 use crate::json::{esc, num};
 use std::fmt::Write as _;
 
@@ -28,465 +32,53 @@ fn rank_pid(rank: usize) -> u64 {
     rank as u64 + 1
 }
 
-fn head(out: &mut String, name: &str, cat: &str, ph: &str, ts_us: u64, pid: u64, tid: u64) {
-    let _ = write!(
-        out,
+/// Starts one event object (left open for `args` or the closing brace).
+fn head(name: &str, cat: &str, ph: &str, ts_us: u64, pid: u64, tid: u64) -> String {
+    format!(
         "{{\"name\":\"{}\",\"cat\":\"{cat}\",\"ph\":\"{ph}\",\"ts\":{ts_us},\"pid\":{pid},\"tid\":{tid}",
         esc(name),
-    );
-}
-
-/// Appends one instant event (`ph:"i"`) with the given scope and a
-/// pre-rendered `args` object body (without braces).
-fn instant(
-    events: &mut Vec<String>,
-    name: &str,
-    cat: &str,
-    ts_us: u64,
-    pid: u64,
-    scope: &str,
-    args_body: &str,
-) {
-    let mut out = String::with_capacity(96 + args_body.len());
-    head(&mut out, name, cat, "i", ts_us, pid, 0);
-    let _ = write!(out, ",\"s\":\"{scope}\",\"args\":{{{args_body}}}}}");
-    events.push(out);
+    )
 }
 
 fn one_event(events: &mut Vec<String>, rec: &TraceRecord) {
-    match &rec.event {
-        TraceEvent::SpanBegin { name } => {
-            let mut out = String::new();
-            head(&mut out, name, "span", "B", rec.ts_us, STREAM_PID, rec.tid);
-            out.push('}');
+    let event = &rec.event;
+    let (name, cat) = (event.title(), event.category());
+    match event {
+        TraceEvent::SpanBegin { .. } => {
+            events.push(head(&name, cat, "B", rec.ts_us, STREAM_PID, rec.tid) + "}");
+        }
+        TraceEvent::SpanEnd { .. } => {
+            events.push(head(&name, cat, "E", rec.ts_us, STREAM_PID, rec.tid) + "}");
+        }
+        TraceEvent::Counter { value, .. } => {
+            let mut out = head(&name, cat, "C", rec.ts_us, STREAM_PID, rec.tid);
+            let _ = write!(out, ",\"args\":{{\"{}\":{}}}}}", esc(&name), num(*value));
             events.push(out);
         }
-        TraceEvent::SpanEnd { name } => {
-            let mut out = String::new();
-            head(&mut out, name, "span", "E", rec.ts_us, STREAM_PID, rec.tid);
-            out.push('}');
-            events.push(out);
-        }
-        TraceEvent::Counter { name, value } => {
-            let mut out = String::new();
-            head(
-                &mut out, name, "counter", "C", rec.ts_us, STREAM_PID, rec.tid,
-            );
-            let _ = write!(out, ",\"args\":{{\"{name}\":{}}}}}", num(*value));
-            events.push(out);
-        }
-        TraceEvent::Collective {
-            kind,
-            group,
-            ranks,
-            seq,
-            bytes,
-            msgs,
-            bytes_charged,
-            modeled_s,
-        } => {
-            let args = format!(
-                "\"group\":{group},\"seq\":{seq},\"bytes\":{bytes},\"msgs\":{msgs},\"bytes_charged\":{bytes_charged},\"modeled_s\":{}",
-                num(*modeled_s)
-            );
-            if ranks.is_empty() {
-                instant(
-                    events,
-                    kind,
-                    "collective",
-                    rec.ts_us,
-                    STREAM_PID,
-                    "t",
-                    &args,
-                );
-            }
-            for &r in ranks {
-                instant(
-                    events,
-                    kind,
-                    "collective",
-                    rec.ts_us,
-                    rank_pid(r),
-                    "t",
-                    &args,
-                );
-            }
-        }
-        TraceEvent::CollectiveIssue {
-            kind,
-            group,
-            ranks,
-            seq,
-            bytes,
-            msgs,
-            bytes_charged,
-            modeled_s,
-            handle,
-        } => {
-            let args = format!(
-                "\"group\":{group},\"seq\":{seq},\"bytes\":{bytes},\"msgs\":{msgs},\"bytes_charged\":{bytes_charged},\"modeled_s\":{},\"handle\":{handle}",
-                num(*modeled_s)
-            );
-            let name = format!("{kind} (issue)");
-            if ranks.is_empty() {
-                instant(
-                    events,
-                    &name,
-                    "collective",
-                    rec.ts_us,
-                    STREAM_PID,
-                    "t",
-                    &args,
-                );
-            }
-            for &r in ranks {
-                instant(
-                    events,
-                    &name,
-                    "collective",
-                    rec.ts_us,
-                    rank_pid(r),
-                    "t",
-                    &args,
-                );
-            }
-        }
-        TraceEvent::CollectiveWait { handle } => {
-            instant(
-                events,
-                "wait",
-                "collective",
-                rec.ts_us,
-                STREAM_PID,
-                "t",
-                &format!("\"handle\":{handle}"),
-            );
-        }
-        TraceEvent::Compute {
-            rank,
-            ops,
-            modeled_s,
-        } => {
-            instant(
-                events,
-                "compute",
-                "compute",
-                rec.ts_us,
-                rank_pid(*rank),
-                "t",
-                &format!("\"ops\":{ops},\"modeled_s\":{}", num(*modeled_s)),
-            );
-        }
-        TraceEvent::Backoff { ranks, seconds } => {
-            let args = format!("\"seconds\":{}", num(*seconds));
-            for &r in ranks {
-                instant(
-                    events,
-                    "backoff",
-                    "backoff",
-                    rec.ts_us,
-                    rank_pid(r),
-                    "t",
-                    &args,
-                );
-            }
-        }
-        TraceEvent::Shrink { failed, p_before } => {
-            instant(
-                events,
-                &format!("shrink -rank{failed}"),
-                "fault",
-                rec.ts_us,
-                STREAM_PID,
-                "g",
-                &format!("\"failed\":{failed},\"p_before\":{p_before}"),
-            );
-        }
-        TraceEvent::Spgemm {
-            plan,
-            m,
-            k,
-            n,
-            nnz_a,
-            nnz_b,
-            nnz_c,
-            ops,
-        } => {
-            instant(
-                events,
-                &format!("spgemm {plan}"),
-                "spgemm",
-                rec.ts_us,
-                STREAM_PID,
-                "t",
-                &format!(
-                    "\"plan\":\"{}\",\"m\":{m},\"k\":{k},\"n\":{n},\"nnz_a\":{nnz_a},\"nnz_b\":{nnz_b},\"nnz_c\":{nnz_c},\"ops\":{ops}",
-                    esc(plan)
-                ),
-            );
-        }
-        TraceEvent::Redist {
-            what,
-            bytes_moved,
-            participants,
-        } => {
-            instant(
-                events,
-                &format!("redist {what}"),
-                "redist",
-                rec.ts_us,
-                STREAM_PID,
-                "t",
-                &format!("\"bytes_moved\":{bytes_moved},\"participants\":{participants}"),
-            );
-        }
-        TraceEvent::Autotune {
-            m,
-            k,
-            n,
-            nnz_a,
-            nnz_b,
-            candidates,
-            winner,
-            winner_cost_s,
-        } => {
-            let mut args = format!(
-                "\"m\":{m},\"k\":{k},\"n\":{n},\"nnz_a\":{nnz_a},\"nnz_b\":{nnz_b},\"winner\":\"{}\",\"winner_cost_s\":{},\"candidates\":[",
-                esc(winner),
-                num(*winner_cost_s)
-            );
-            for (i, c) in candidates.iter().enumerate() {
-                if i > 0 {
+        _ => {
+            let mut args = String::new();
+            event.fields(&mut |key, value| {
+                if matches!(value, Value::Ranks(_)) {
+                    return;
+                }
+                if !args.is_empty() {
                     args.push(',');
                 }
-                let _ = write!(
-                    args,
-                    "{{\"plan\":\"{}\",\"cost_s\":{},\"mem_bytes\":{},\"feasible\":{}}}",
-                    esc(&c.plan),
-                    num(c.cost_s),
-                    c.mem_bytes,
-                    c.feasible
-                );
+                let _ = write!(args, "\"{key}\":");
+                value.write_json(&mut args);
+            });
+            let scope = if event.is_global() { "g" } else { "t" };
+            let mut instant = |pid: u64| {
+                let mut out = head(&name, cat, "i", rec.ts_us, pid, 0);
+                let _ = write!(out, ",\"s\":\"{scope}\",\"args\":{{{args}}}}}");
+                events.push(out);
+            };
+            match event.lanes() {
+                [] => instant(STREAM_PID),
+                ranks => ranks.iter().for_each(|&r| instant(rank_pid(r))),
             }
-            args.push(']');
-            instant(
-                events,
-                &format!("autotune -> {winner}"),
-                "autotune",
-                rec.ts_us,
-                STREAM_PID,
-                "t",
-                &args,
-            );
-        }
-        TraceEvent::Superstep {
-            phase,
-            batch,
-            step,
-            frontier_nnz,
-            active_rows,
-        } => {
-            instant(
-                events,
-                &format!("superstep {phase}"),
-                "superstep",
-                rec.ts_us,
-                STREAM_PID,
-                "t",
-                &format!(
-                    "\"batch\":{batch},\"step\":{step},\"frontier_nnz\":{frontier_nnz},\"active_rows\":{active_rows}"
-                ),
-            );
-        }
-        TraceEvent::Pool {
-            kernel,
-            threads,
-            tasks,
-            busy_us,
-            chunk_hist,
-        } => {
-            let mut args = format!("\"threads\":{threads},\"tasks\":{tasks},\"busy_us\":[");
-            for (i, b) in busy_us.iter().enumerate() {
-                if i > 0 {
-                    args.push(',');
-                }
-                let _ = write!(args, "{b}");
-            }
-            args.push_str("],\"chunk_hist\":[");
-            for (i, c) in chunk_hist.iter().enumerate() {
-                if i > 0 {
-                    args.push(',');
-                }
-                let _ = write!(args, "{c}");
-            }
-            args.push(']');
-            instant(
-                events,
-                &format!("pool {kernel}"),
-                "pool",
-                rec.ts_us,
-                STREAM_PID,
-                "t",
-                &args,
-            );
-        }
-        TraceEvent::Fault { kind, rank, seq } => {
-            let mut args = String::from("\"rank\":");
-            match rank {
-                Some(r) => {
-                    let _ = write!(args, "{r}");
-                }
-                None => args.push_str("null"),
-            }
-            let _ = write!(args, ",\"seq\":{seq}");
-            let pid = rank.map_or(STREAM_PID, rank_pid);
-            instant(
-                events,
-                &format!("fault {kind}"),
-                "fault",
-                rec.ts_us,
-                pid,
-                "g",
-                &args,
-            );
-        }
-        TraceEvent::Recovery {
-            action,
-            detail,
-            wasted_s,
-        } => {
-            instant(
-                events,
-                &format!("recovery {action}"),
-                "recovery",
-                rec.ts_us,
-                STREAM_PID,
-                "g",
-                &format!(
-                    "\"detail\":\"{}\",\"wasted_s\":{}",
-                    esc(detail),
-                    num(*wasted_s)
-                ),
-            );
-        }
-        TraceEvent::RequestAdmitted {
-            request_id,
-            query,
-            deadline_s,
-            queue_depth,
-        } => {
-            instant(
-                events,
-                &format!("request {request_id} admitted"),
-                "serve",
-                rec.ts_us,
-                STREAM_PID,
-                "t",
-                &format!(
-                    "\"request_id\":{request_id},\"query\":\"{query}\",\"deadline_s\":{},\"queue_depth\":{queue_depth}",
-                    num(*deadline_s)
-                ),
-            );
-        }
-        TraceEvent::RoundStart {
-            round,
-            requests,
-            budget_s,
-            store_version,
-        } => {
-            instant(
-                events,
-                &format!("round {round} start"),
-                "serve",
-                rec.ts_us,
-                STREAM_PID,
-                "t",
-                &format!(
-                    "\"round\":{round},\"requests\":{requests},\"budget_s\":{},\"store_version\":{store_version}",
-                    num(*budget_s)
-                ),
-            );
-        }
-        TraceEvent::DegradeDecision {
-            round,
-            rung,
-            reason,
-            budget_s,
-            spent_s,
-            est_batch_s,
-            approx_k,
-            store_version,
-        } => {
-            // Global-scoped like faults/recoveries: a degradation
-            // decision draws a line across every lane.
-            instant(
-                events,
-                &format!("degrade -> {rung}"),
-                "serve",
-                rec.ts_us,
-                STREAM_PID,
-                "g",
-                &format!(
-                    "\"round\":{round},\"rung\":\"{rung}\",\"reason\":\"{reason}\",\"budget_s\":{},\"spent_s\":{},\"est_batch_s\":{},\"approx_k\":{approx_k},\"store_version\":{store_version}",
-                    num(*budget_s),
-                    num(*spent_s),
-                    num(*est_batch_s)
-                ),
-            );
-        }
-        TraceEvent::RoundEnd {
-            round,
-            responses,
-            elapsed_s,
-            store_version,
-        } => {
-            instant(
-                events,
-                &format!("round {round} end"),
-                "serve",
-                rec.ts_us,
-                STREAM_PID,
-                "t",
-                &format!(
-                    "\"round\":{round},\"responses\":{responses},\"elapsed_s\":{},\"store_version\":{store_version}",
-                    num(*elapsed_s)
-                ),
-            );
-        }
-        TraceEvent::Log { level, message } => {
-            instant(
-                events,
-                message,
-                "log",
-                rec.ts_us,
-                STREAM_PID,
-                "t",
-                &format!("\"level\":\"{}\"", level.name()),
-            );
         }
     }
-}
-
-/// Largest rank id attributed anywhere in the trace, if any.
-fn max_rank(records: &[TraceRecord]) -> Option<usize> {
-    let mut mx: Option<usize> = None;
-    let mut bump = |r: usize| mx = Some(mx.map_or(r, |m: usize| m.max(r)));
-    for rec in records {
-        match &rec.event {
-            TraceEvent::Collective { ranks, .. }
-            | TraceEvent::CollectiveIssue { ranks, .. }
-            | TraceEvent::Backoff { ranks, .. } => {
-                for &r in ranks {
-                    bump(r);
-                }
-            }
-            TraceEvent::Compute { rank, .. } => bump(*rank),
-            TraceEvent::Fault { rank: Some(r), .. } => bump(*r),
-            TraceEvent::Shrink { p_before, .. } if *p_before > 0 => bump(*p_before - 1),
-            _ => {}
-        }
-    }
-    mx
 }
 
 /// Serializes records as a complete Chrome `trace_event` JSON
@@ -498,7 +90,7 @@ pub fn to_chrome_trace(records: &[TraceRecord]) -> String {
     events.push(format!(
         "{{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":{STREAM_PID},\"tid\":0,\"args\":{{\"name\":\"stream\"}}}}"
     ));
-    if let Some(mx) = max_rank(records) {
+    if let Some(mx) = records.iter().filter_map(|r| r.event.max_rank()).max() {
         for r in 0..=mx {
             events.push(format!(
                 "{{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":{},\"tid\":0,\"args\":{{\"name\":\"rank {r}\"}}}}",
@@ -519,118 +111,4 @@ pub fn to_chrome_trace(records: &[TraceRecord]) -> String {
     }
     out.push_str("\n]}\n");
     out
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::event::PlanChoice;
-
-    fn rec(ts_us: u64, event: TraceEvent) -> TraceRecord {
-        TraceRecord {
-            ts_us,
-            tid: 0,
-            event,
-        }
-    }
-
-    #[test]
-    fn spans_emit_b_and_e_phases() {
-        let text = to_chrome_trace(&[
-            rec(1, TraceEvent::SpanBegin { name: "mm".into() }),
-            rec(9, TraceEvent::SpanEnd { name: "mm".into() }),
-        ]);
-        assert!(text.contains("\"ph\":\"B\""));
-        assert!(text.contains("\"ph\":\"E\""));
-        assert!(text.starts_with("{\"displayTimeUnit\":\"ms\",\"traceEvents\":["));
-        assert!(text.trim_end().ends_with("]}"));
-    }
-
-    #[test]
-    fn collectives_fan_out_one_lane_per_rank() {
-        let text = to_chrome_trace(&[rec(
-            3,
-            TraceEvent::Collective {
-                kind: "bcast",
-                group: 4,
-                ranks: vec![0, 1, 2, 3],
-                seq: 0,
-                bytes: 64,
-                msgs: 4,
-                bytes_charged: 128,
-                modeled_s: 2e-6,
-            },
-        )]);
-        assert!(text.contains("\"ph\":\"i\""));
-        assert!(text.contains("\"bytes_charged\":128"));
-        // One instant per participating rank, on that rank's pid lane.
-        for r in 0..4u64 {
-            assert!(text.contains(&format!("\"pid\":{}", r + 1)), "lane {r}");
-            assert!(text.contains(&format!("\"args\":{{\"name\":\"rank {r}\"}}")));
-        }
-    }
-
-    #[test]
-    fn compute_lands_on_its_ranks_lane() {
-        let text = to_chrome_trace(&[rec(
-            2,
-            TraceEvent::Compute {
-                rank: 2,
-                ops: 100,
-                modeled_s: 1e-7,
-            },
-        )]);
-        assert!(text.contains("\"name\":\"compute\""));
-        assert!(text.contains("\"pid\":3"));
-        assert!(text.contains("\"ops\":100"));
-    }
-
-    #[test]
-    fn faults_and_recoveries_are_global_instants() {
-        let text = to_chrome_trace(&[
-            rec(
-                1,
-                TraceEvent::Fault {
-                    kind: "crash",
-                    rank: Some(1),
-                    seq: 5,
-                },
-            ),
-            rec(
-                2,
-                TraceEvent::Recovery {
-                    action: "replan",
-                    detail: "p=4->3".into(),
-                    wasted_s: 0.25,
-                },
-            ),
-        ]);
-        assert!(text.contains("\"name\":\"fault crash\""));
-        assert!(text.contains("\"name\":\"recovery replan\""));
-        assert_eq!(text.matches("\"s\":\"g\"").count(), 2);
-    }
-
-    #[test]
-    fn autotune_candidates_serialize_as_array() {
-        let text = to_chrome_trace(&[rec(
-            5,
-            TraceEvent::Autotune {
-                m: 2,
-                k: 2,
-                n: 2,
-                nnz_a: 3,
-                nnz_b: 3,
-                candidates: vec![PlanChoice {
-                    plan: "1d(B)".into(),
-                    cost_s: 0.5,
-                    mem_bytes: 10,
-                    feasible: false,
-                }],
-                winner: "1d(B)".into(),
-                winner_cost_s: 0.5,
-            },
-        )]);
-        assert!(text.contains("\"candidates\":[{\"plan\":\"1d(B)\""));
-        assert!(text.contains("\"feasible\":false"));
-    }
 }

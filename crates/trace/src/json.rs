@@ -1,9 +1,12 @@
-//! Minimal hand-rolled JSON emission (keeps this crate dependency-free).
+//! Minimal hand-rolled JSON, the one copy in the workspace: emission
+//! helpers shared by every exporter, plus a small recursive-descent
+//! parser used to read committed baselines and wire requests back in.
+//! Keeps the stack dependency-free.
 
 use std::fmt::Write as _;
 
 /// Escapes `s` for inclusion inside a JSON string literal.
-pub(crate) fn esc(s: &str) -> String {
+pub fn esc(s: &str) -> String {
     let mut out = String::with_capacity(s.len() + 2);
     for c in s.chars() {
         match c {
@@ -21,14 +24,274 @@ pub(crate) fn esc(s: &str) -> String {
     out
 }
 
-/// Formats an `f64` as a valid JSON number (non-finite values become
-/// `null`, which JSON requires).
-pub(crate) fn num(x: f64) -> String {
+/// Formats an `f64` as a JSON number. `{:?}` round-trips the exact
+/// bit pattern, which the baseline's exact-compare policy relies on;
+/// non-finite values become `null` as JSON requires.
+pub fn num(x: f64) -> String {
     if x.is_finite() {
-        // `{:?}` round-trips f64 and always includes enough digits.
         format!("{x:?}")
     } else {
         "null".to_string()
+    }
+}
+
+/// A parsed JSON value.
+#[derive(Clone, Debug, PartialEq)]
+pub enum Json {
+    /// `null`.
+    Null,
+    /// `true` / `false`.
+    Bool(bool),
+    /// Any number (parsed as `f64`; integers below 2⁵³ are exact).
+    Num(f64),
+    /// A string.
+    Str(String),
+    /// An array.
+    Arr(Vec<Json>),
+    /// An object; insertion order preserved.
+    Obj(Vec<(String, Json)>),
+}
+
+impl Json {
+    /// Looks up `key` in an object; `None` for missing keys or
+    /// non-objects.
+    pub fn get(&self, key: &str) -> Option<&Json> {
+        match self {
+            Json::Obj(pairs) => pairs.iter().find(|(k, _)| k == key).map(|(_, v)| v),
+            _ => None,
+        }
+    }
+
+    /// The numeric value, if this is a number.
+    pub fn as_f64(&self) -> Option<f64> {
+        match self {
+            Json::Num(x) => Some(*x),
+            _ => None,
+        }
+    }
+
+    /// The numeric value as a non-negative integer, if exact.
+    pub fn as_u64(&self) -> Option<u64> {
+        match self {
+            Json::Num(x) if *x >= 0.0 && x.fract() == 0.0 && *x <= 2f64.powi(53) => Some(*x as u64),
+            _ => None,
+        }
+    }
+
+    /// The string value, if this is a string.
+    pub fn as_str(&self) -> Option<&str> {
+        match self {
+            Json::Str(s) => Some(s),
+            _ => None,
+        }
+    }
+
+    /// The elements, if this is an array.
+    pub fn as_array(&self) -> Option<&[Json]> {
+        match self {
+            Json::Arr(v) => Some(v),
+            _ => None,
+        }
+    }
+}
+
+/// Parses a complete JSON document; trailing non-whitespace is an
+/// error. Errors carry a byte offset and a short reason.
+pub fn parse(input: &str) -> Result<Json, String> {
+    let mut p = Parser {
+        bytes: input.as_bytes(),
+        pos: 0,
+    };
+    p.skip_ws();
+    let v = p.value()?;
+    p.skip_ws();
+    if p.pos != p.bytes.len() {
+        return Err(p.err("trailing characters after document"));
+    }
+    Ok(v)
+}
+
+struct Parser<'a> {
+    bytes: &'a [u8],
+    pos: usize,
+}
+
+impl Parser<'_> {
+    fn err(&self, msg: &str) -> String {
+        format!("json parse error at byte {}: {}", self.pos, msg)
+    }
+
+    fn peek(&self) -> Option<u8> {
+        self.bytes.get(self.pos).copied()
+    }
+
+    fn skip_ws(&mut self) {
+        while matches!(self.peek(), Some(b' ' | b'\t' | b'\n' | b'\r')) {
+            self.pos += 1;
+        }
+    }
+
+    fn eat(&mut self, c: u8) -> Result<(), String> {
+        if self.peek() == Some(c) {
+            self.pos += 1;
+            Ok(())
+        } else {
+            Err(self.err(&format!("expected {:?}", c as char)))
+        }
+    }
+
+    fn lit(&mut self, word: &str, value: Json) -> Result<Json, String> {
+        if self.bytes[self.pos..].starts_with(word.as_bytes()) {
+            self.pos += word.len();
+            Ok(value)
+        } else {
+            Err(self.err(&format!("expected `{word}`")))
+        }
+    }
+
+    fn value(&mut self) -> Result<Json, String> {
+        match self.peek() {
+            Some(b'{') => self.object(),
+            Some(b'[') => self.array(),
+            Some(b'"') => Ok(Json::Str(self.string()?)),
+            Some(b't') => self.lit("true", Json::Bool(true)),
+            Some(b'f') => self.lit("false", Json::Bool(false)),
+            Some(b'n') => self.lit("null", Json::Null),
+            Some(c) if c == b'-' || c.is_ascii_digit() => self.number(),
+            _ => Err(self.err("expected a value")),
+        }
+    }
+
+    fn object(&mut self) -> Result<Json, String> {
+        self.eat(b'{')?;
+        let mut pairs = Vec::new();
+        self.skip_ws();
+        if self.peek() == Some(b'}') {
+            self.pos += 1;
+            return Ok(Json::Obj(pairs));
+        }
+        loop {
+            self.skip_ws();
+            let key = self.string()?;
+            self.skip_ws();
+            self.eat(b':')?;
+            self.skip_ws();
+            let val = self.value()?;
+            pairs.push((key, val));
+            self.skip_ws();
+            match self.peek() {
+                Some(b',') => self.pos += 1,
+                Some(b'}') => {
+                    self.pos += 1;
+                    return Ok(Json::Obj(pairs));
+                }
+                _ => return Err(self.err("expected `,` or `}` in object")),
+            }
+        }
+    }
+
+    fn array(&mut self) -> Result<Json, String> {
+        self.eat(b'[')?;
+        let mut items = Vec::new();
+        self.skip_ws();
+        if self.peek() == Some(b']') {
+            self.pos += 1;
+            return Ok(Json::Arr(items));
+        }
+        loop {
+            self.skip_ws();
+            items.push(self.value()?);
+            self.skip_ws();
+            match self.peek() {
+                Some(b',') => self.pos += 1,
+                Some(b']') => {
+                    self.pos += 1;
+                    return Ok(Json::Arr(items));
+                }
+                _ => return Err(self.err("expected `,` or `]` in array")),
+            }
+        }
+    }
+
+    fn string(&mut self) -> Result<String, String> {
+        self.eat(b'"')?;
+        let mut out = String::new();
+        loop {
+            match self.peek() {
+                None => return Err(self.err("unterminated string")),
+                Some(b'"') => {
+                    self.pos += 1;
+                    return Ok(out);
+                }
+                Some(b'\\') => {
+                    self.pos += 1;
+                    match self.peek() {
+                        Some(b'"') => out.push('"'),
+                        Some(b'\\') => out.push('\\'),
+                        Some(b'/') => out.push('/'),
+                        Some(b'n') => out.push('\n'),
+                        Some(b'r') => out.push('\r'),
+                        Some(b't') => out.push('\t'),
+                        Some(b'b') => out.push('\u{8}'),
+                        Some(b'f') => out.push('\u{c}'),
+                        Some(b'u') => {
+                            if self.pos + 5 > self.bytes.len() {
+                                return Err(self.err("truncated \\u escape"));
+                            }
+                            let hex = std::str::from_utf8(&self.bytes[self.pos + 1..self.pos + 5])
+                                .map_err(|_| self.err("non-utf8 \\u escape"))?;
+                            let code = u32::from_str_radix(hex, 16)
+                                .map_err(|_| self.err("bad \\u escape"))?;
+                            // Surrogate pairs are not produced by our
+                            // emitters; map lone surrogates to U+FFFD.
+                            out.push(char::from_u32(code).unwrap_or('\u{fffd}'));
+                            self.pos += 4;
+                        }
+                        _ => return Err(self.err("bad escape")),
+                    }
+                    self.pos += 1;
+                }
+                Some(_) => {
+                    // Consume one UTF-8 scalar (input is a &str, so
+                    // slicing at char boundaries is safe).
+                    let rest = std::str::from_utf8(&self.bytes[self.pos..])
+                        .map_err(|_| self.err("invalid utf8"))?;
+                    let c = rest.chars().next().expect("non-empty rest");
+                    out.push(c);
+                    self.pos += c.len_utf8();
+                }
+            }
+        }
+    }
+
+    fn number(&mut self) -> Result<Json, String> {
+        let start = self.pos;
+        if self.peek() == Some(b'-') {
+            self.pos += 1;
+        }
+        while matches!(self.peek(), Some(c) if c.is_ascii_digit()) {
+            self.pos += 1;
+        }
+        if self.peek() == Some(b'.') {
+            self.pos += 1;
+            while matches!(self.peek(), Some(c) if c.is_ascii_digit()) {
+                self.pos += 1;
+            }
+        }
+        if matches!(self.peek(), Some(b'e' | b'E')) {
+            self.pos += 1;
+            if matches!(self.peek(), Some(b'+' | b'-')) {
+                self.pos += 1;
+            }
+            while matches!(self.peek(), Some(c) if c.is_ascii_digit()) {
+                self.pos += 1;
+            }
+        }
+        let text = std::str::from_utf8(&self.bytes[start..self.pos])
+            .map_err(|_| self.err("invalid utf8 in number"))?;
+        text.parse::<f64>()
+            .map(Json::Num)
+            .map_err(|_| self.err("bad number"))
     }
 }
 
@@ -37,15 +300,48 @@ mod tests {
     use super::*;
 
     #[test]
-    fn escapes_specials() {
-        assert_eq!(esc("a\"b\\c\nd"), "a\\\"b\\\\c\\nd");
-        assert_eq!(esc("\u{1}"), "\\u0001");
+    fn parses_round_trip_of_emitted_numbers() {
+        for &x in &[0.0, 1.5, -2.25e-9, 1.234_567_890_123_456_7e300, 3.0e-45] {
+            let s = num(x);
+            let parsed = parse(&s).unwrap().as_f64().unwrap();
+            assert_eq!(parsed.to_bits(), x.to_bits(), "round trip of {s}");
+        }
     }
 
     #[test]
-    fn numbers_are_json_safe() {
-        assert_eq!(num(1.5), "1.5");
-        assert_eq!(num(f64::NAN), "null");
-        assert_eq!(num(f64::INFINITY), "null");
+    fn parses_nested_structure() {
+        let doc = r#"{"a": [1, 2.5, "x\"y"], "b": {"c": null, "d": true}, "e": -3e2}"#;
+        let v = parse(doc).unwrap();
+        assert_eq!(v.get("a").unwrap().as_array().unwrap().len(), 3);
+        assert_eq!(
+            v.get("a").unwrap().as_array().unwrap()[2].as_str(),
+            Some("x\"y")
+        );
+        assert_eq!(v.get("b").unwrap().get("c"), Some(&Json::Null));
+        assert_eq!(v.get("b").unwrap().get("d"), Some(&Json::Bool(true)));
+        assert_eq!(v.get("e").unwrap().as_f64(), Some(-300.0));
+    }
+
+    #[test]
+    fn escaped_strings_round_trip() {
+        let original = "plan \"cannon(q=4)\",\nwith\ttabs\\slashes\u{1}";
+        let doc = format!("\"{}\"", esc(original));
+        assert_eq!(parse(&doc).unwrap().as_str(), Some(original));
+    }
+
+    #[test]
+    fn rejects_garbage() {
+        assert!(parse("").is_err());
+        assert!(parse("{").is_err());
+        assert!(parse("[1,]").is_err());
+        assert!(parse("{\"a\":1} extra").is_err());
+        assert!(parse("nul").is_err());
+    }
+
+    #[test]
+    fn u64_exactness_window() {
+        assert_eq!(parse("9007199254740992").unwrap().as_u64(), Some(1 << 53));
+        assert_eq!(parse("-1").unwrap().as_u64(), None);
+        assert_eq!(parse("1.5").unwrap().as_u64(), None);
     }
 }

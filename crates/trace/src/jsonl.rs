@@ -3,12 +3,12 @@
 //! Machine-friendly for ad-hoc analysis (`jq`, pandas, …); see
 //! [`crate::chrome`] for the timeline-viewer format.
 
-use crate::event::{TraceEvent, TraceRecord};
-use crate::json::{esc, num};
+use crate::event::TraceRecord;
 use std::fmt::Write as _;
 
 /// Serializes one record as a single-line JSON object (no trailing
-/// newline).
+/// newline): the recorder's stamps, the event's tag as `type`, then
+/// every declared field in order.
 pub fn record_to_json(rec: &TraceRecord) -> String {
     let mut s = String::with_capacity(128);
     let _ = write!(
@@ -18,267 +18,10 @@ pub fn record_to_json(rec: &TraceRecord) -> String {
         rec.tid,
         rec.event.tag()
     );
-    match &rec.event {
-        TraceEvent::Collective {
-            kind,
-            group,
-            ranks,
-            seq,
-            bytes,
-            msgs,
-            bytes_charged,
-            modeled_s,
-        } => {
-            let _ = write!(
-                s,
-                ",\"kind\":\"{kind}\",\"group\":{group},\"seq\":{seq},\"bytes\":{bytes},\"msgs\":{msgs},\"bytes_charged\":{bytes_charged},\"modeled_s\":{},\"ranks\":[",
-                num(*modeled_s)
-            );
-            for (i, r) in ranks.iter().enumerate() {
-                if i > 0 {
-                    s.push(',');
-                }
-                let _ = write!(s, "{r}");
-            }
-            s.push(']');
-        }
-        TraceEvent::CollectiveIssue {
-            kind,
-            group,
-            ranks,
-            seq,
-            bytes,
-            msgs,
-            bytes_charged,
-            modeled_s,
-            handle,
-        } => {
-            let _ = write!(
-                s,
-                ",\"kind\":\"{kind}\",\"group\":{group},\"seq\":{seq},\"bytes\":{bytes},\"msgs\":{msgs},\"bytes_charged\":{bytes_charged},\"modeled_s\":{},\"handle\":{handle},\"ranks\":[",
-                num(*modeled_s)
-            );
-            for (i, r) in ranks.iter().enumerate() {
-                if i > 0 {
-                    s.push(',');
-                }
-                let _ = write!(s, "{r}");
-            }
-            s.push(']');
-        }
-        TraceEvent::CollectiveWait { handle } => {
-            let _ = write!(s, ",\"handle\":{handle}");
-        }
-        TraceEvent::Compute {
-            rank,
-            ops,
-            modeled_s,
-        } => {
-            let _ = write!(
-                s,
-                ",\"rank\":{rank},\"ops\":{ops},\"modeled_s\":{}",
-                num(*modeled_s)
-            );
-        }
-        TraceEvent::Backoff { ranks, seconds } => {
-            let _ = write!(s, ",\"seconds\":{},\"ranks\":[", num(*seconds));
-            for (i, r) in ranks.iter().enumerate() {
-                if i > 0 {
-                    s.push(',');
-                }
-                let _ = write!(s, "{r}");
-            }
-            s.push(']');
-        }
-        TraceEvent::Shrink { failed, p_before } => {
-            let _ = write!(s, ",\"failed\":{failed},\"p_before\":{p_before}");
-        }
-        TraceEvent::Spgemm {
-            plan,
-            m,
-            k,
-            n,
-            nnz_a,
-            nnz_b,
-            nnz_c,
-            ops,
-        } => {
-            let _ = write!(
-                s,
-                ",\"plan\":\"{}\",\"m\":{m},\"k\":{k},\"n\":{n},\"nnz_a\":{nnz_a},\"nnz_b\":{nnz_b},\"nnz_c\":{nnz_c},\"ops\":{ops}",
-                esc(plan)
-            );
-        }
-        TraceEvent::Redist {
-            what,
-            bytes_moved,
-            participants,
-        } => {
-            let _ = write!(
-                s,
-                ",\"what\":\"{what}\",\"bytes_moved\":{bytes_moved},\"participants\":{participants}"
-            );
-        }
-        TraceEvent::Autotune {
-            m,
-            k,
-            n,
-            nnz_a,
-            nnz_b,
-            candidates,
-            winner,
-            winner_cost_s,
-        } => {
-            let _ = write!(
-                s,
-                ",\"m\":{m},\"k\":{k},\"n\":{n},\"nnz_a\":{nnz_a},\"nnz_b\":{nnz_b},\"winner\":\"{}\",\"winner_cost_s\":{},\"candidates\":[",
-                esc(winner),
-                num(*winner_cost_s)
-            );
-            for (i, c) in candidates.iter().enumerate() {
-                if i > 0 {
-                    s.push(',');
-                }
-                let _ = write!(
-                    s,
-                    "{{\"plan\":\"{}\",\"cost_s\":{},\"mem_bytes\":{},\"feasible\":{}}}",
-                    esc(&c.plan),
-                    num(c.cost_s),
-                    c.mem_bytes,
-                    c.feasible
-                );
-            }
-            s.push(']');
-        }
-        TraceEvent::Superstep {
-            phase,
-            batch,
-            step,
-            frontier_nnz,
-            active_rows,
-        } => {
-            let _ = write!(
-                s,
-                ",\"phase\":\"{phase}\",\"batch\":{batch},\"step\":{step},\"frontier_nnz\":{frontier_nnz},\"active_rows\":{active_rows}"
-            );
-        }
-        TraceEvent::Pool {
-            kernel,
-            threads,
-            tasks,
-            busy_us,
-            chunk_hist,
-        } => {
-            let _ = write!(
-                s,
-                ",\"kernel\":\"{kernel}\",\"threads\":{threads},\"tasks\":{tasks},\"busy_us\":["
-            );
-            for (i, b) in busy_us.iter().enumerate() {
-                if i > 0 {
-                    s.push(',');
-                }
-                let _ = write!(s, "{b}");
-            }
-            s.push_str("],\"chunk_hist\":[");
-            for (i, c) in chunk_hist.iter().enumerate() {
-                if i > 0 {
-                    s.push(',');
-                }
-                let _ = write!(s, "{c}");
-            }
-            s.push(']');
-        }
-        TraceEvent::Fault { kind, rank, seq } => {
-            let _ = write!(s, ",\"kind\":\"{kind}\",\"rank\":");
-            match rank {
-                Some(r) => {
-                    let _ = write!(s, "{r}");
-                }
-                None => s.push_str("null"),
-            }
-            let _ = write!(s, ",\"seq\":{seq}");
-        }
-        TraceEvent::Recovery {
-            action,
-            detail,
-            wasted_s,
-        } => {
-            let _ = write!(
-                s,
-                ",\"action\":\"{action}\",\"detail\":\"{}\",\"wasted_s\":{}",
-                esc(detail),
-                num(*wasted_s)
-            );
-        }
-        TraceEvent::SpanBegin { name } | TraceEvent::SpanEnd { name } => {
-            let _ = write!(s, ",\"name\":\"{}\"", esc(name));
-        }
-        TraceEvent::RequestAdmitted {
-            request_id,
-            query,
-            deadline_s,
-            queue_depth,
-        } => {
-            let _ = write!(
-                s,
-                ",\"request_id\":{request_id},\"query\":\"{query}\",\"deadline_s\":{},\"queue_depth\":{queue_depth}",
-                num(*deadline_s)
-            );
-        }
-        TraceEvent::RoundStart {
-            round,
-            requests,
-            budget_s,
-            store_version,
-        } => {
-            let _ = write!(
-                s,
-                ",\"round\":{round},\"requests\":{requests},\"budget_s\":{},\"store_version\":{store_version}",
-                num(*budget_s)
-            );
-        }
-        TraceEvent::DegradeDecision {
-            round,
-            rung,
-            reason,
-            budget_s,
-            spent_s,
-            est_batch_s,
-            approx_k,
-            store_version,
-        } => {
-            let _ = write!(
-                s,
-                ",\"round\":{round},\"rung\":\"{rung}\",\"reason\":\"{reason}\",\"budget_s\":{},\"spent_s\":{},\"est_batch_s\":{},\"approx_k\":{approx_k},\"store_version\":{store_version}",
-                num(*budget_s),
-                num(*spent_s),
-                num(*est_batch_s)
-            );
-        }
-        TraceEvent::RoundEnd {
-            round,
-            responses,
-            elapsed_s,
-            store_version,
-        } => {
-            let _ = write!(
-                s,
-                ",\"round\":{round},\"responses\":{responses},\"elapsed_s\":{},\"store_version\":{store_version}",
-                num(*elapsed_s)
-            );
-        }
-        TraceEvent::Counter { name, value } => {
-            let _ = write!(s, ",\"name\":\"{name}\",\"value\":{}", num(*value));
-        }
-        TraceEvent::Log { level, message } => {
-            let _ = write!(
-                s,
-                ",\"level\":\"{}\",\"message\":\"{}\"",
-                level.name(),
-                esc(message)
-            );
-        }
-    }
+    rec.event.fields(&mut |name, value| {
+        let _ = write!(s, ",\"{name}\":");
+        value.write_json(&mut s);
+    });
     s.push('}');
     s
 }
@@ -292,114 +35,4 @@ pub fn to_jsonl(records: &[TraceRecord]) -> String {
         out.push('\n');
     }
     out
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::event::{Level, PlanChoice};
-
-    fn rec(event: TraceEvent) -> TraceRecord {
-        TraceRecord {
-            ts_us: 7,
-            tid: 1,
-            event,
-        }
-    }
-
-    #[test]
-    fn collective_line_is_flat_json() {
-        let line = record_to_json(&rec(TraceEvent::Collective {
-            kind: "allgather",
-            group: 8,
-            ranks: (0..8).collect(),
-            seq: 3,
-            bytes: 1024,
-            msgs: 3,
-            bytes_charged: 1024,
-            modeled_s: 1.5e-6,
-        }));
-        assert!(line.starts_with("{\"ts_us\":7,\"tid\":1,\"type\":\"collective\""));
-        assert!(line.contains("\"kind\":\"allgather\""));
-        assert!(line.contains("\"seq\":3"));
-        assert!(line.contains("\"modeled_s\":1.5e-6"));
-        assert!(line.contains("\"ranks\":[0,1,2,3,4,5,6,7]"));
-        assert!(line.ends_with('}'));
-    }
-
-    #[test]
-    fn compute_backoff_and_shrink_lines() {
-        let line = record_to_json(&rec(TraceEvent::Compute {
-            rank: 2,
-            ops: 1000,
-            modeled_s: 1e-6,
-        }));
-        assert!(line.contains("\"type\":\"compute\""));
-        assert!(line.contains("\"rank\":2,\"ops\":1000"));
-        let line = record_to_json(&rec(TraceEvent::Backoff {
-            ranks: vec![0, 1],
-            seconds: 0.5,
-        }));
-        assert!(line.contains("\"type\":\"backoff\""));
-        assert!(line.contains("\"seconds\":0.5,\"ranks\":[0,1]"));
-        let line = record_to_json(&rec(TraceEvent::Shrink {
-            failed: 3,
-            p_before: 8,
-        }));
-        assert!(line.contains("\"type\":\"shrink\""));
-        assert!(line.contains("\"failed\":3,\"p_before\":8"));
-    }
-
-    #[test]
-    fn autotune_line_includes_candidate_table() {
-        let line = record_to_json(&rec(TraceEvent::Autotune {
-            m: 4,
-            k: 4,
-            n: 4,
-            nnz_a: 9,
-            nnz_b: 9,
-            candidates: vec![
-                PlanChoice {
-                    plan: "1d(A)".into(),
-                    cost_s: 2.0,
-                    mem_bytes: 100,
-                    feasible: true,
-                },
-                PlanChoice {
-                    plan: "2d(AB,2x2)".into(),
-                    cost_s: 1.0,
-                    mem_bytes: 60,
-                    feasible: true,
-                },
-            ],
-            winner: "2d(AB,2x2)".into(),
-            winner_cost_s: 1.0,
-        }));
-        assert!(line.contains("\"candidates\":[{\"plan\":\"1d(A)\""));
-        assert!(line.contains("\"winner\":\"2d(AB,2x2)\""));
-        assert!(line.contains("\"feasible\":true"));
-    }
-
-    #[test]
-    fn log_messages_are_escaped() {
-        let line = record_to_json(&rec(TraceEvent::Log {
-            level: Level::Warn,
-            message: "path \"a\\b\"\nnext".into(),
-        }));
-        assert!(line.contains("\\\"a\\\\b\\\"\\n"));
-    }
-
-    #[test]
-    fn jsonl_one_line_per_record() {
-        let records = vec![
-            rec(TraceEvent::Counter {
-                name: "x",
-                value: 1.0,
-            }),
-            rec(TraceEvent::SpanBegin { name: "s".into() }),
-        ];
-        let text = to_jsonl(&records);
-        assert_eq!(text.lines().count(), 2);
-        assert!(text.ends_with('\n'));
-    }
 }

@@ -18,21 +18,19 @@
 
 mod chrome;
 mod event;
-mod json;
+pub mod json;
 mod jsonl;
 mod recorder;
 mod summary;
 
 pub use chrome::to_chrome_trace;
-pub use event::{Level, PlanChoice, TraceEvent, TraceRecord};
+pub use event::{CollectiveCharge, Level, PlanChoice, TraceEvent, TraceRecord, Value};
 pub use jsonl::{record_to_json, to_jsonl};
-pub use recorder::{
-    current_tid, MemoryRecorder, NoopRecorder, Recorder, StderrRecorder, TeeRecorder,
-};
+pub use recorder::{current_tid, MemoryRecorder, Recorder, StderrRecorder, TeeRecorder};
 pub use summary::{
     collective_summary, pool_summary, recovery_summary, render_pool_summary,
-    render_recovery_summary, render_serve_summary, render_summary, serve_summary,
-    total_modeled_comm_s, KindTotals, PoolTotals, RecoveryTotals, ServeTotals,
+    render_recovery_summary, render_summary, total_modeled_comm_s, KindTotals, PoolTotals,
+    RecoveryTotals, Summary,
 };
 
 use std::cell::RefCell;

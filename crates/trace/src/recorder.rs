@@ -1,6 +1,7 @@
 //! Recorder sinks: where emitted events go.
 
 use crate::event::{TraceEvent, TraceRecord};
+use std::fmt::Write as _;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 use std::time::Instant;
@@ -31,35 +32,14 @@ pub trait Recorder: Send + Sync {
 /// sink receives the event by value; earlier ones get clones; sinks
 /// whose [`Recorder::enabled`] returns `false` are skipped without a
 /// clone being made for them.
-#[derive(Default)]
 pub struct TeeRecorder {
     sinks: Vec<std::sync::Arc<dyn Recorder>>,
 }
 
 impl TeeRecorder {
-    /// An empty tee (records to nobody until sinks are added).
-    pub fn new() -> TeeRecorder {
-        TeeRecorder::default()
-    }
-
     /// Builds a tee over `sinks`, delivered to in the given order.
     pub fn over(sinks: Vec<std::sync::Arc<dyn Recorder>>) -> TeeRecorder {
         TeeRecorder { sinks }
-    }
-
-    /// Appends a sink; it will receive events after all earlier sinks.
-    pub fn push(&mut self, sink: std::sync::Arc<dyn Recorder>) {
-        self.sinks.push(sink);
-    }
-
-    /// Number of attached sinks (enabled or not).
-    pub fn len(&self) -> usize {
-        self.sinks.len()
-    }
-
-    /// Whether the tee has no sinks at all.
-    pub fn is_empty(&self) -> bool {
-        self.sinks.is_empty()
     }
 }
 
@@ -95,32 +75,6 @@ thread_local! {
 /// Small dense id of the calling thread (stable for its lifetime).
 pub fn current_tid() -> u64 {
     TID.with(|t| *t)
-}
-
-/// Counts events and discards them. Useful for overhead measurements
-/// and for asserting *that* instrumentation fired without retaining
-/// anything.
-#[derive(Debug, Default)]
-pub struct NoopRecorder {
-    count: AtomicU64,
-}
-
-impl NoopRecorder {
-    /// A fresh counter-only recorder.
-    pub fn new() -> NoopRecorder {
-        NoopRecorder::default()
-    }
-
-    /// Number of events received so far.
-    pub fn count(&self) -> u64 {
-        self.count.load(Ordering::Relaxed)
-    }
-}
-
-impl Recorder for NoopRecorder {
-    fn record(&self, _event: TraceEvent) {
-        self.count.fetch_add(1, Ordering::Relaxed);
-    }
 }
 
 /// Thread-safe in-memory recorder stamping wall-clock microseconds
@@ -179,7 +133,9 @@ impl Recorder for MemoryRecorder {
 }
 
 /// Human-readable recorder writing one line per event to stderr.
-/// Backs `--verbose` modes; span ends and counters are kept terse.
+/// Backs `--verbose` modes: log messages print as `[level] text`,
+/// every other event as `[trace] <tag> name=value …` over its
+/// declared fields (values in their JSON form).
 #[derive(Debug, Default)]
 pub struct StderrRecorder;
 
@@ -192,128 +148,15 @@ impl StderrRecorder {
 
 impl Recorder for StderrRecorder {
     fn record(&self, event: TraceEvent) {
-        match &event {
-            TraceEvent::Log { level, message } => {
-                eprintln!("[{}] {message}", level.name());
-            }
-            TraceEvent::SpanBegin { name } => eprintln!("[trace] >> {name}"),
-            TraceEvent::SpanEnd { name } => eprintln!("[trace] << {name}"),
-            TraceEvent::Collective {
-                kind,
-                group,
-                bytes,
-                modeled_s,
-                ..
-            } => eprintln!("[trace] collective {kind} p={group} bytes={bytes} t={modeled_s:.3e}s"),
-            TraceEvent::CollectiveIssue {
-                kind,
-                group,
-                bytes,
-                modeled_s,
-                handle,
-                ..
-            } => eprintln!(
-                "[trace] icollective {kind} p={group} bytes={bytes} t={modeled_s:.3e}s handle={handle}"
-            ),
-            TraceEvent::CollectiveWait { handle } => {
-                eprintln!("[trace] wait handle={handle}")
-            }
-            TraceEvent::Spgemm {
-                plan,
-                m,
-                k,
-                n,
-                nnz_c,
-                ops,
-                ..
-            } => eprintln!("[trace] spgemm {plan} {m}x{k}x{n} nnz_c={nnz_c} ops={ops}"),
-            TraceEvent::Redist {
-                what,
-                bytes_moved,
-                participants,
-            } => eprintln!("[trace] redist {what} bytes={bytes_moved} p={participants}"),
-            TraceEvent::Autotune {
-                winner,
-                winner_cost_s,
-                candidates,
-                ..
-            } => eprintln!(
-                "[trace] autotune -> {winner} ({winner_cost_s:.3e}s, {} candidates)",
-                candidates.len()
-            ),
-            TraceEvent::Superstep {
-                phase,
-                batch,
-                step,
-                frontier_nnz,
-                active_rows,
-            } => eprintln!(
-                "[trace] superstep {phase} batch={batch} step={step} frontier={frontier_nnz} active={active_rows}"
-            ),
-            TraceEvent::Pool {
-                kernel,
-                threads,
-                tasks,
-                busy_us,
-                ..
-            } => eprintln!(
-                "[trace] pool {kernel} threads={threads} tasks={tasks} busy_us={}",
-                busy_us.iter().sum::<u64>()
-            ),
-            TraceEvent::Fault { kind, rank, seq } => match rank {
-                Some(r) => eprintln!("[trace] fault {kind} rank={r} seq={seq}"),
-                None => eprintln!("[trace] fault {kind} seq={seq}"),
-            },
-            TraceEvent::Recovery {
-                action,
-                detail,
-                wasted_s,
-            } => eprintln!("[trace] recovery {action} {detail} wasted={wasted_s:.3e}s"),
-            TraceEvent::Compute {
-                rank,
-                ops,
-                modeled_s,
-            } => eprintln!("[trace] compute rank={rank} ops={ops} t={modeled_s:.3e}s"),
-            TraceEvent::Backoff { ranks, seconds } => {
-                eprintln!("[trace] backoff p={} wait={seconds:.3e}s", ranks.len())
-            }
-            TraceEvent::Shrink { failed, p_before } => {
-                eprintln!("[trace] shrink -rank{failed} p={p_before}->{}", p_before - 1)
-            }
-            TraceEvent::RequestAdmitted {
-                request_id,
-                query,
-                deadline_s,
-                queue_depth,
-            } => eprintln!(
-                "[trace] admitted id={request_id} query={query} deadline={deadline_s:.3e}s depth={queue_depth}"
-            ),
-            TraceEvent::RoundStart {
-                round,
-                requests,
-                budget_s,
-                ..
-            } => eprintln!("[trace] round {round} start requests={requests} budget={budget_s:.3e}s"),
-            TraceEvent::DegradeDecision {
-                round,
-                rung,
-                reason,
-                budget_s,
-                spent_s,
-                ..
-            } => eprintln!(
-                "[trace] round {round} degrade -> {rung} ({reason}) budget={budget_s:.3e}s spent={spent_s:.3e}s"
-            ),
-            TraceEvent::RoundEnd {
-                round,
-                responses,
-                elapsed_s,
-                ..
-            } => eprintln!("[trace] round {round} end responses={responses} elapsed={elapsed_s:.3e}s"),
-            TraceEvent::Counter { name, value } => {
-                eprintln!("[trace] counter {name}={value}")
-            }
+        if let Some((level, message)) = event.as_log() {
+            return eprintln!("[{}] {message}", level.name());
         }
+        let mut line = format!("[trace] {}", event.tag());
+        event.fields(&mut |name, value| {
+            let _ = write!(line, " {name}=");
+            value.write_json(&mut line);
+        });
+        eprintln!("{line}");
     }
 }
 
@@ -344,14 +187,6 @@ mod tests {
         }
         assert_eq!(rec.take().len(), 4);
         assert!(rec.is_empty());
-    }
-
-    #[test]
-    fn noop_recorder_counts() {
-        let rec = NoopRecorder::new();
-        rec.record(warn_event("x"));
-        rec.record(warn_event("y"));
-        assert_eq!(rec.count(), 2);
     }
 
     #[test]
@@ -408,11 +243,7 @@ mod tests {
         let journal = Arc::new(Mutex::new(Vec::new()));
         let a = Arc::new(Journaling::new("a", journal.clone()));
         let b = Arc::new(Journaling::new("b", journal.clone()));
-        let mut tee = TeeRecorder::new();
-        assert!(tee.is_empty());
-        tee.push(a.clone());
-        tee.push(b.clone());
-        assert_eq!(tee.len(), 2);
+        let tee = TeeRecorder::over(vec![a.clone(), b.clone()]);
         tee.record(counter_event(1.0));
         tee.record(warn_event("y"));
         let got = journal.lock().unwrap().clone();
@@ -455,7 +286,7 @@ mod tests {
 
     #[test]
     fn empty_tee_is_disabled_noop() {
-        let tee = TeeRecorder::new();
+        let tee = TeeRecorder::over(Vec::new());
         assert!(!tee.enabled());
         tee.record(counter_event(0.0)); // must not panic
     }

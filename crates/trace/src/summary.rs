@@ -22,42 +22,118 @@ pub struct KindTotals {
     pub modeled_s: f64,
 }
 
-/// Aggregates all [`TraceEvent::Collective`] and
-/// [`TraceEvent::CollectiveIssue`] records per kind, sorted by
-/// descending modeled time (nonblocking collectives carry their cost
-/// on the issue event, so both shapes count once each).
-pub fn collective_summary(records: &[TraceRecord]) -> Vec<KindTotals> {
-    let mut by_kind: BTreeMap<&str, KindTotals> = BTreeMap::new();
-    for rec in records {
-        if let TraceEvent::Collective {
-            kind,
-            bytes,
-            msgs,
-            bytes_charged,
-            modeled_s,
-            ..
+/// The streaming fold behind every summary in this module: feed it
+/// events in stream order ([`Summary::observe`]), read totals out at
+/// any point. [`collective_summary`], [`pool_summary`] and
+/// [`recovery_summary`] are this fold over a recorded slice;
+/// `mfbc-profile`'s `Profiler` holds one live, so the two can never
+/// disagree (same additions in the same order, bit for bit).
+#[derive(Clone, Debug, Default)]
+pub struct Summary {
+    kinds: BTreeMap<&'static str, KindTotals>,
+    pool: BTreeMap<&'static str, PoolTotals>,
+    faults: BTreeMap<&'static str, u64>,
+    actions: BTreeMap<&'static str, (u64, f64, String)>,
+}
+
+impl Summary {
+    /// The fold of a recorded run.
+    fn of(records: &[TraceRecord]) -> Summary {
+        let mut summary = Summary::default();
+        for rec in records {
+            summary.observe(&rec.event);
         }
-        | TraceEvent::CollectiveIssue {
-            kind,
-            bytes,
-            msgs,
-            bytes_charged,
-            modeled_s,
-            ..
-        } = &rec.event
-        {
-            let entry = by_kind.entry(kind).or_insert_with(|| KindTotals {
-                kind: (*kind).to_string(),
+        summary
+    }
+
+    /// Folds one event in. Nonblocking collectives carry their cost
+    /// on the issue event, so both collective shapes count once each.
+    pub fn observe(&mut self, event: &TraceEvent) {
+        if let Some(c) = event.collective() {
+            let entry = self.kinds.entry(c.kind).or_insert_with(|| KindTotals {
+                kind: c.kind.to_string(),
                 ..KindTotals::default()
             });
             entry.count += 1;
-            entry.bytes += bytes;
-            entry.bytes_charged += bytes_charged;
-            entry.msgs += msgs;
-            entry.modeled_s += modeled_s;
+            entry.bytes += c.bytes;
+            entry.bytes_charged += c.bytes_charged;
+            entry.msgs += c.msgs;
+            entry.modeled_s += c.modeled_s;
+            return;
+        }
+        match event {
+            TraceEvent::Pool {
+                kernel,
+                threads,
+                tasks,
+                busy_us,
+                chunk_hist,
+            } => {
+                let entry = self.pool.entry(kernel).or_insert_with(|| PoolTotals {
+                    kernel: (*kernel).to_string(),
+                    ..PoolTotals::default()
+                });
+                entry.calls += 1;
+                entry.tasks += tasks;
+                entry.busy_us += busy_us.iter().sum::<u64>();
+                entry.max_threads = entry.max_threads.max(*threads);
+                if entry.chunk_hist.len() < chunk_hist.len() {
+                    entry.chunk_hist.resize(chunk_hist.len(), 0);
+                }
+                for (slot, c) in entry.chunk_hist.iter_mut().zip(chunk_hist) {
+                    *slot += c;
+                }
+            }
+            TraceEvent::Fault { kind, .. } => *self.faults.entry(kind).or_insert(0) += 1,
+            TraceEvent::Recovery {
+                action,
+                detail,
+                wasted_s,
+            } => {
+                let entry = self
+                    .actions
+                    .entry(action)
+                    .or_insert((0, 0.0, String::new()));
+                entry.0 += 1;
+                entry.1 += wasted_s;
+                entry.2.clone_from(detail);
+            }
+            _ => {}
         }
     }
-    let mut totals: Vec<KindTotals> = by_kind.into_values().collect();
+
+    /// Per-collective-kind totals, sorted by kind.
+    pub fn kinds(&self) -> Vec<KindTotals> {
+        self.kinds.values().cloned().collect()
+    }
+
+    /// Per-pool-kernel totals, sorted by kernel.
+    pub fn pool(&self) -> Vec<PoolTotals> {
+        self.pool.values().cloned().collect()
+    }
+
+    /// Fault and recovery totals, sorted by kind / action.
+    pub fn recovery(&self) -> RecoveryTotals {
+        RecoveryTotals {
+            faults: self
+                .faults
+                .iter()
+                .map(|(k, c)| (k.to_string(), *c))
+                .collect(),
+            actions: self
+                .actions
+                .iter()
+                .map(|(a, (c, w, d))| (a.to_string(), *c, *w, d.clone()))
+                .collect(),
+        }
+    }
+}
+
+/// Aggregates all [`TraceEvent::Collective`] and
+/// [`TraceEvent::CollectiveIssue`] records per kind, sorted by
+/// descending modeled time.
+pub fn collective_summary(records: &[TraceRecord]) -> Vec<KindTotals> {
+    let mut totals = Summary::of(records).kinds();
     totals.sort_by(|a, b| b.modeled_s.total_cmp(&a.modeled_s));
     totals
 }
@@ -71,11 +147,8 @@ pub fn collective_summary(records: &[TraceRecord]) -> Vec<KindTotals> {
 pub fn total_modeled_comm_s(records: &[TraceRecord]) -> f64 {
     records
         .iter()
-        .filter_map(|r| match &r.event {
-            TraceEvent::Collective { modeled_s, .. }
-            | TraceEvent::CollectiveIssue { modeled_s, .. } => Some(*modeled_s),
-            _ => None,
-        })
+        .filter_map(|r| r.event.collective())
+        .map(|c| c.modeled_s)
         .sum()
 }
 
@@ -121,33 +194,7 @@ pub struct PoolTotals {
 /// Aggregates all [`TraceEvent::Pool`] records per kernel, sorted by
 /// descending total busy time.
 pub fn pool_summary(records: &[TraceRecord]) -> Vec<PoolTotals> {
-    let mut by_kernel: BTreeMap<&str, PoolTotals> = BTreeMap::new();
-    for rec in records {
-        if let TraceEvent::Pool {
-            kernel,
-            threads,
-            tasks,
-            busy_us,
-            chunk_hist,
-        } = &rec.event
-        {
-            let entry = by_kernel.entry(kernel).or_insert_with(|| PoolTotals {
-                kernel: (*kernel).to_string(),
-                ..PoolTotals::default()
-            });
-            entry.calls += 1;
-            entry.tasks += tasks;
-            entry.busy_us += busy_us.iter().sum::<u64>();
-            entry.max_threads = entry.max_threads.max(*threads);
-            if entry.chunk_hist.len() < chunk_hist.len() {
-                entry.chunk_hist.resize(chunk_hist.len(), 0);
-            }
-            for (slot, c) in entry.chunk_hist.iter_mut().zip(chunk_hist) {
-                *slot += c;
-            }
-        }
-    }
-    let mut totals: Vec<PoolTotals> = by_kernel.into_values().collect();
+    let mut totals = Summary::of(records).pool();
     totals.sort_by(|a, b| b.busy_us.cmp(&a.busy_us).then(a.kernel.cmp(&b.kernel)));
     totals
 }
@@ -212,34 +259,7 @@ impl RecoveryTotals {
 /// Aggregates [`TraceEvent::Fault`] and [`TraceEvent::Recovery`]
 /// records into per-kind / per-action totals.
 pub fn recovery_summary(records: &[TraceRecord]) -> RecoveryTotals {
-    let mut faults: BTreeMap<&str, u64> = BTreeMap::new();
-    let mut actions: BTreeMap<&str, (u64, f64, String)> = BTreeMap::new();
-    for rec in records {
-        match &rec.event {
-            TraceEvent::Fault { kind, .. } => *faults.entry(kind).or_insert(0) += 1,
-            TraceEvent::Recovery {
-                action,
-                detail,
-                wasted_s,
-            } => {
-                let entry = actions.entry(action).or_insert((0, 0.0, String::new()));
-                entry.0 += 1;
-                entry.1 += wasted_s;
-                entry.2 = detail.clone();
-            }
-            _ => {}
-        }
-    }
-    RecoveryTotals {
-        faults: faults
-            .into_iter()
-            .map(|(k, c)| (k.to_string(), c))
-            .collect(),
-        actions: actions
-            .into_iter()
-            .map(|(a, (c, w, d))| (a.to_string(), c, w, d))
-            .collect(),
-    }
+    Summary::of(records).recovery()
 }
 
 /// Renders the fault/recovery totals as an aligned text table; empty
@@ -277,89 +297,26 @@ pub fn render_recovery_summary(totals: &RecoveryTotals) -> String {
     out
 }
 
-/// Request/round totals of a recorded serve stream.
-#[derive(Clone, Debug, Default, PartialEq)]
-pub struct ServeTotals {
-    /// Requests admitted ([`TraceEvent::RequestAdmitted`]).
-    pub admitted: u64,
-    /// Coalesced rounds started.
-    pub rounds: u64,
-    /// Responses across every finished round.
-    pub responses: u64,
-    /// Summed modeled seconds across finished rounds.
-    pub elapsed_s: f64,
-    /// Degradation decisions: `(rung, reason, count)`, sorted.
-    pub decisions: Vec<(String, String, u64)>,
-}
-
-/// Aggregates the serve-scoped events (request admissions, round
-/// boundaries, degradation decisions) into totals.
-pub fn serve_summary(records: &[TraceRecord]) -> ServeTotals {
-    let mut t = ServeTotals::default();
-    let mut decisions: BTreeMap<(&str, &str), u64> = BTreeMap::new();
-    for rec in records {
-        match &rec.event {
-            TraceEvent::RequestAdmitted { .. } => t.admitted += 1,
-            TraceEvent::RoundStart { .. } => t.rounds += 1,
-            TraceEvent::RoundEnd {
-                responses,
-                elapsed_s,
-                ..
-            } => {
-                t.responses += responses;
-                t.elapsed_s += elapsed_s;
-            }
-            TraceEvent::DegradeDecision { rung, reason, .. } => {
-                *decisions.entry((rung, reason)).or_insert(0) += 1;
-            }
-            _ => {}
-        }
-    }
-    t.decisions = decisions
-        .into_iter()
-        .map(|((rung, reason), c)| (rung.to_string(), reason.to_string(), c))
-        .collect();
-    t
-}
-
-/// Renders the serve totals as an aligned text table; empty output
-/// for a stream with no serve events.
-pub fn render_serve_summary(totals: &ServeTotals) -> String {
-    let mut out = String::new();
-    if totals.admitted == 0 && totals.rounds == 0 {
-        return out;
-    }
-    let _ = writeln!(
-        out,
-        "serve: {} admitted, {} rounds, {} responses, {:.3e}s modeled",
-        totals.admitted, totals.rounds, totals.responses, totals.elapsed_s
-    );
-    if !totals.decisions.is_empty() {
-        let _ = writeln!(out, "{:<10} {:<14} {:>8}", "rung", "reason", "rounds");
-        for (rung, reason, count) in &totals.decisions {
-            let _ = writeln!(out, "{rung:<10} {reason:<14} {count:>8}");
-        }
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::event::CollectiveCharge;
 
     fn coll(kind: &'static str, bytes: u64, modeled_s: f64) -> TraceRecord {
         TraceRecord {
             ts_us: 0,
             tid: 0,
             event: TraceEvent::Collective {
-                kind,
-                group: 4,
-                ranks: vec![0, 1, 2, 3],
-                seq: 0,
-                bytes,
-                msgs: 2,
-                bytes_charged: 2 * bytes,
-                modeled_s,
+                charge: CollectiveCharge {
+                    kind,
+                    group: 4,
+                    ranks: vec![0, 1, 2, 3],
+                    seq: 0,
+                    bytes,
+                    msgs: 2,
+                    bytes_charged: 2 * bytes,
+                    modeled_s,
+                },
             },
         }
     }

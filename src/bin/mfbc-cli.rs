@@ -13,7 +13,7 @@
 //!                    [--fault-seed S] [--trace-out FILE]
 //!                    [--trace-format chrome|jsonl] [--profile-out FILE]
 //!                    [--profile-html FILE] [--timeline-out FILE]
-//! mfbc-cli bench     [--baseline FILE] [--write FILE] [--band F]
+//! mfbc-cli bench     [--baseline FILE] [--write FILE]
 //!                    [--case NAME] [--profile-out FILE] [--html-out FILE]
 //!                    [--prom-out FILE] [--timeline-out FILE]
 //!                    [--timeline-html FILE]
@@ -55,8 +55,8 @@
 //! committed baseline (`BENCH_mfbc.json`), `--baseline` compares the
 //! current run against it and exits nonzero on any finding. Modeled
 //! α–β–γ seconds and counts are compared bit-exact (they are
-//! deterministic); wall-clock only one-sidedly, within the baseline's
-//! band (or `--band F`, a fraction, e.g. `1.0` = may be 2× slower).
+//! deterministic); wall-clock is printed per case but not gated here
+//! (`BENCHMARK.json` is the wall-clock instrument).
 //! `--serve-write`/`--serve-baseline` do the same for the serve load
 //! suite ([`mfbc_bench::serveload`], baseline `BENCH_serve.json`).
 //!
@@ -165,7 +165,7 @@ const USAGE: &str = "usage:
   mfbc-cli components [--directed] <edge-list|->
   mfbc-cli stats [--directed] <edge-list|->
   mfbc-cli simulate --nodes P [--plan auto|ca:C|combblas] [--batch N] [--graph rmat:S,E|uniform:N,M|FILE] [--directed] [--threads T] [--no-masked] [--no-overlap] [--hybrid-redist auto|bcast|p2p|alltoall] [--faults SPEC] [--fault-seed S] [--trace-out FILE] [--trace-format chrome|jsonl] [--profile-out FILE] [--profile-html FILE] [--timeline-out FILE]
-  mfbc-cli bench [--baseline FILE] [--write FILE] [--serve-baseline FILE] [--serve-write FILE] [--band F] [--case NAME] [--no-overlap] [--hybrid-redist auto|bcast|p2p|alltoall] [--profile-out FILE] [--html-out FILE] [--prom-out FILE] [--timeline-out FILE] [--timeline-html FILE]
+  mfbc-cli bench [--baseline FILE] [--write FILE] [--serve-baseline FILE] [--serve-write FILE] [--case NAME] [--no-overlap] [--hybrid-redist auto|bcast|p2p|alltoall] [--profile-out FILE] [--html-out FILE] [--prom-out FILE] [--timeline-out FILE] [--timeline-html FILE]
   mfbc-cli analyze [--case NAME] [--timeline-out FILE] [--html-out FILE] [--what-if SPEC] [--compare FILE] [--top K]
   mfbc-cli generate (rmat:S,E | uniform:N,M) [--weighted MAX] [--seed S]
   mfbc-cli serve --nodes P [--graph rmat:S,E|uniform:N,M|FILE] [--batch N] [--queue N] [--deadline S] [--faults SPEC] [--fault-seed S] [--seed S] [--threads T] [--warm] [--prom-out FILE] [--flight-out FILE] [--mem-bytes B] [--directed]
@@ -736,7 +736,6 @@ fn cmd_bench(args: &[String]) -> Result<(), CliError> {
             "write",
             "serve-baseline",
             "serve-write",
-            "band",
             "case",
             "profile-out",
             "html-out",
@@ -748,10 +747,6 @@ fn cmd_bench(args: &[String]) -> Result<(), CliError> {
     )?;
     if let Some(p) = &o.positional {
         return Err(format!("bench takes no positional argument, got {p:?}").into());
-    }
-    let band = o.get_parsed::<f64>("band")?;
-    if band.is_some_and(|b| !(b.is_finite() && b >= 0.0)) {
-        return Err("--band must be a finite fraction >= 0".into());
     }
 
     let opts = mfbc_bench::regress::SuiteOptions {
@@ -831,10 +826,7 @@ fn cmd_bench(args: &[String]) -> Result<(), CliError> {
     }
 
     if let Some(path) = o.get("write") {
-        let baseline = mfbc_profile::Baseline::new(
-            band.unwrap_or(mfbc_profile::DEFAULT_WALL_BAND),
-            cases.clone(),
-        );
+        let baseline = mfbc_profile::Baseline::new(cases.clone());
         std::fs::write(path, baseline.to_json()).map_err(|e| format!("{path}: {e}"))?;
         eprintln!("bench: wrote baseline ({} cases) -> {path}", cases.len());
     }
@@ -843,7 +835,7 @@ fn cmd_bench(args: &[String]) -> Result<(), CliError> {
         let text = std::fs::read_to_string(path).map_err(|e| format!("{path}: {e}"))?;
         let baseline =
             mfbc_profile::Baseline::from_json(&text).map_err(|e| format!("{path}: {e}"))?;
-        let findings = baseline.compare(&cases, band);
+        let findings = baseline.compare(&cases);
         if findings.is_empty() {
             eprintln!("bench: OK — {} case(s) within baseline {path}", cases.len());
         } else {
@@ -890,10 +882,7 @@ fn cmd_bench(args: &[String]) -> Result<(), CliError> {
             );
         }
         if let Some(path) = serve_write {
-            let text = mfbc_bench::serveload::to_json(
-                band.unwrap_or(mfbc_profile::DEFAULT_WALL_BAND),
-                &reports,
-            );
+            let text = mfbc_bench::serveload::to_json(&reports);
             std::fs::write(path, text).map_err(|e| format!("{path}: {e}"))?;
             eprintln!(
                 "bench: wrote serve baseline ({} cases) -> {path}",
@@ -902,9 +891,9 @@ fn cmd_bench(args: &[String]) -> Result<(), CliError> {
         }
         if let Some(path) = serve_baseline {
             let text = std::fs::read_to_string(path).map_err(|e| format!("{path}: {e}"))?;
-            let (bband, base) =
+            let base =
                 mfbc_bench::serveload::from_json(&text).map_err(|e| format!("{path}: {e}"))?;
-            let findings = mfbc_bench::serveload::compare(bband, &base, &reports, band);
+            let findings = mfbc_bench::serveload::compare(&base, &reports);
             if findings.is_empty() {
                 eprintln!(
                     "bench: OK — serve load ({} cases) within baseline {path}",
