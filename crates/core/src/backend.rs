@@ -18,7 +18,7 @@ use mfbc_algebra::monoid::Monoid;
 use mfbc_algebra::{Dist, SpMulKernel};
 use mfbc_graph::Graph;
 use mfbc_machine::{Machine, MachineError};
-use mfbc_sparse::{elementwise, spgemm_opt, Csr, Idx, Mask, MaskKind, Table};
+use mfbc_sparse::{elementwise, spgemm_opt, Csr, Idx, Mask, MaskKind, SortedRows, Table};
 use mfbc_tensor::cache::{CacheStats, MmCache};
 use mfbc_tensor::{autotune, canonical_layout, ops, DistMat, DistTable, Layout, MmPlan};
 
@@ -35,6 +35,23 @@ pub enum Adj {
     At,
 }
 
+/// `Z` while the backward sweep settles it in place
+/// ([`Backend::anchor`] opens it, [`Backend::settle`] updates it), with
+/// — on a backend that masks — the *pending* set beside it: the
+/// coordinates that have not fired yet, as `P` stores them.
+#[derive(Clone, Debug)]
+pub struct Settling<M, P> {
+    pub(crate) z: M,
+    pub(crate) pending: Option<P>,
+}
+
+impl<M, P> Settling<M, P> {
+    /// The settled matrix.
+    pub fn into_mat(self) -> M {
+        self.z
+    }
+}
+
 /// The operations Algorithms 1–3 are made of. Elementwise operands
 /// must share a shape (and, distributed, a layout); closures receive
 /// global coordinates and must be pure.
@@ -44,6 +61,8 @@ pub trait Backend {
     /// A matrix while it grows in place: the forward table, sorted
     /// into a [`Backend::Mat`] once, by [`Backend::freeze`].
     type Table<T: Elem>;
+    /// How the pending set of a [`Settling`] matrix is stored.
+    type Pending;
     /// What a charged operation can fail with.
     type Error;
 
@@ -67,18 +86,32 @@ pub trait Backend {
 
     /// `frontier •⟨⊕,f⟩ adj` under an optional output mask; returns
     /// the product and its elementary-product count `ops`.
+    ///
+    /// `priced` is the mask a backend that picks a plan prices the
+    /// product under. It allows at least what `mask` does and is the
+    /// one a sweep holds still while `mask` shrinks — the table's
+    /// pattern, not the pending set — so the plans of a sweep follow
+    /// its frontiers rather than its masks, and what Theorem 5.1
+    /// amortizes stays amortized.
     #[allow(clippy::type_complexity)]
     fn mm<K: SpMulKernel<Right = Dist>>(
         &mut self,
         frontier: &Self::Mat<K::Left>,
         adj: Adj,
         mask: Option<&Mask>,
+        priced: Option<&Mask>,
     ) -> Result<(Self::Mat<KernelOut<K>>, u64), Self::Error>;
 
-    /// An output mask of `kind` over `m`'s pattern, or `None` where
-    /// masking could change a result: on weighted graphs a rediscovery
-    /// can still improve a settled distance.
-    fn mask_of<T: Elem>(&self, kind: MaskKind, m: &Self::Mat<T>) -> Option<Mask>;
+    /// An output mask of `kind` over `m`'s pattern, or `None` on a
+    /// backend that does not mask. The backends refuse on weighted
+    /// graphs, and that refusal is a forward-sweep argument: a
+    /// rediscovery can still improve a settled distance there, so the
+    /// complement of the table would drop a product that matters.
+    /// Every backward mask (the table's pattern, the pending set) is
+    /// inert for any weights — `⊗` discards what it skips — and is
+    /// left out on weighted graphs only because it does not pay
+    /// there (ROADMAP item 1).
+    fn mask_of<'a, T: Elem>(&self, kind: MaskKind, m: &'a Self::Mat<T>) -> Option<Mask<'a>>;
 
     /// `A ⊕ B`.
     fn combine<M: Monoid>(
@@ -93,7 +126,7 @@ pub trait Backend {
 
     /// The complement mask of `table`'s pattern — [`Backend::mask_of`]
     /// read off the growing table.
-    fn table_mask<T: Elem>(&self, table: &Self::Table<T>) -> Option<Mask>;
+    fn table_mask<'a, T: Elem>(&self, table: &'a Self::Table<T>) -> Option<Mask<'a>>;
 
     /// `table := table ⊕ explored` in place, the table's residency
     /// re-charged at its new size; returns the entries of `explored`
@@ -111,14 +144,43 @@ pub trait Backend {
     /// charge carried over.
     fn freeze<T: Elem>(&self, table: Self::Table<T>) -> Self::Mat<T>;
 
+    /// Opens the matrix [`Backend::settle`] updates, resident, in one
+    /// pass over `base`: `init(base_val, other_val_opt)` is stored at
+    /// each of `base`'s coordinates, then `fire(&mut z_val, base_val)`
+    /// may rewrite it and emit an entry of the matrix returned beside
+    /// it. The coordinates `fire` passes on are pending.
+    #[allow(clippy::type_complexity)]
+    fn anchor<M: Monoid, T: Elem, U: Elem>(
+        &self,
+        base: &Self::Mat<T>,
+        other: &Self::Mat<U>,
+        init: impl Fn(&T, Option<&U>) -> M::Elem + Sync,
+        fire: impl Fn(&mut M::Elem, &T) -> Option<M::Elem> + Sync,
+    ) -> Result<
+        (
+            Settling<Self::Mat<M::Elem>, Self::Pending>,
+            Self::Mat<M::Elem>,
+        ),
+        Self::Error,
+    >;
+
+    /// The structural mask of `z`'s pending set — the only outputs a
+    /// product can still matter at — or `None` on a backend that does
+    /// not mask.
+    fn pending_mask<'a, T: Elem>(
+        &self,
+        z: &'a Settling<Self::Mat<T>, Self::Pending>,
+    ) -> Option<Mask<'a>>;
+
     /// `z := z ⊕ update` in place on `z`'s pattern (other updates are
     /// dropped); on each entry just updated, `fire(&mut z_val,
     /// side_val)` may rewrite it and emit an entry of the returned
-    /// matrix. `side` stores every coordinate `z` does. Work is
-    /// proportional to `update`, not to `z`.
+    /// matrix, and an entry it fires on is no longer pending. `side`
+    /// stores every coordinate `z` does. Work is proportional to
+    /// `update`, not to `z`.
     fn settle<M: Monoid, U: Elem>(
         &self,
-        z: &mut Self::Mat<M::Elem>,
+        z: &mut Settling<Self::Mat<M::Elem>, Self::Pending>,
         update: &Self::Mat<M::Elem>,
         side: &Self::Mat<U>,
         fire: impl Fn(&mut M::Elem, &U) -> Option<M::Elem> + Sync,
@@ -176,6 +238,7 @@ impl<'g> Local<'g> {
 impl Backend for Local<'_> {
     type Mat<T: Elem> = Csr<T>;
     type Table<T: Elem> = Table<T>;
+    type Pending = SortedRows;
     type Error = std::convert::Infallible;
 
     fn place<T: Elem>(&self, m: Csr<T>) -> Csr<T> {
@@ -196,12 +259,13 @@ impl Backend for Local<'_> {
         frontier: &Csr<K::Left>,
         adj: Adj,
         mask: Option<&Mask>,
+        _priced: Option<&Mask>,
     ) -> Result<(Csr<KernelOut<K>>, u64), Self::Error> {
         let out = spgemm_opt::<K>(frontier, [self.a, &self.at][adj as usize], mask);
         Ok((out.mat, out.ops))
     }
 
-    fn mask_of<T: Elem>(&self, kind: MaskKind, m: &Csr<T>) -> Option<Mask> {
+    fn mask_of<'a, T: Elem>(&self, kind: MaskKind, m: &'a Csr<T>) -> Option<Mask<'a>> {
         self.masked.then(|| Mask::of_pattern(kind, m))
     }
 
@@ -213,11 +277,9 @@ impl Backend for Local<'_> {
         Table::from_csr(&seed, self.masked)
     }
 
-    fn table_mask<T: Elem>(&self, t: &Table<T>) -> Option<Mask> {
-        self.masked.then(|| {
-            let rows = (0..t.nrows()).map(|i| t.pattern_row(i).iter().copied());
-            Mask::from_sorted_rows(MaskKind::Complement, t.nrows(), t.ncols(), rows)
-        })
+    fn table_mask<'a, T: Elem>(&self, t: &'a Table<T>) -> Option<Mask<'a>> {
+        self.masked
+            .then(|| Mask::over_rows(MaskKind::Complement, t.pattern()))
     }
 
     fn accumulate<M: Monoid>(
@@ -233,14 +295,31 @@ impl Backend for Local<'_> {
         table.freeze()
     }
 
+    fn anchor<M: Monoid, T: Elem, U: Elem>(
+        &self,
+        base: &Csr<T>,
+        other: &Csr<U>,
+        init: impl Fn(&T, Option<&U>) -> M::Elem + Sync,
+        fire: impl Fn(&mut M::Elem, &T) -> Option<M::Elem> + Sync,
+    ) -> Result<(Settling<Csr<M::Elem>, SortedRows>, Csr<M::Elem>), Self::Error> {
+        let (z, frontier, pending) =
+            elementwise::anchor::<M, T, U>(base, other, init, fire, self.masked);
+        Ok((Settling { z, pending }, frontier))
+    }
+
+    fn pending_mask<'a, T: Elem>(&self, z: &'a Settling<Csr<T>, SortedRows>) -> Option<Mask<'a>> {
+        let rows = z.pending.as_ref()?;
+        Some(Mask::over_rows(MaskKind::Structural, rows))
+    }
+
     fn settle<M: Monoid, U: Elem>(
         &self,
-        z: &mut Csr<M::Elem>,
+        z: &mut Settling<Csr<M::Elem>, SortedRows>,
         update: &Csr<M::Elem>,
         side: &Csr<U>,
         fire: impl Fn(&mut M::Elem, &U) -> Option<M::Elem> + Sync,
     ) -> Csr<M::Elem> {
-        elementwise::settle::<M, U>(z, update, side, fire)
+        elementwise::settle::<M, U>(&mut z.z, z.pending.as_mut(), update, side, fire)
     }
 
     fn zip_filter<M: Monoid, T: Elem, U: Elem>(
@@ -387,7 +466,7 @@ fn mask_of_blocks<'a>(
     kind: MaskKind,
     l: &Layout,
     row: impl Fn(usize, usize, usize) -> &'a [Idx] + Copy,
-) -> Mask {
+) -> Mask<'static> {
     let rows = (0..l.br()).flat_map(|bi| {
         (0..l.row_range(bi).len()).map(move |i| {
             (0..l.bc()).flat_map(move |bj| {
@@ -402,6 +481,8 @@ fn mask_of_blocks<'a>(
 impl Backend for Simulated {
     type Mat<T: Elem> = DistMat<T>;
     type Table<T: Elem> = DistTable<T>;
+    /// One [`SortedRows`] per block, in block order.
+    type Pending = Vec<SortedRows>;
     type Error = MachineError;
 
     fn place<T: Elem>(&self, m: Csr<T>) -> DistMat<T> {
@@ -442,19 +523,26 @@ impl Backend for Simulated {
         frontier: &DistMat<K::Left>,
         adj: Adj,
         mask: Option<&Mask>,
+        priced: Option<&Mask>,
     ) -> Result<(DistMat<KernelOut<K>>, u64), MachineError> {
         let (m, f) = (&self.m, frontier);
         let (a, cache) = (&self.adj[adj as usize], &mut self.caches[adj as usize]);
-        let out = match (self.amortize, &self.plan) {
-            (true, Some(p)) => mfbc_tensor::mm_exec_cached_masked::<K>(m, p, f, a, mask, cache),
-            (true, None) => autotune::mm_auto_cached_masked::<K>(m, f, a, mask, cache).map(|o| o.0),
-            (false, Some(p)) => mfbc_tensor::mm_exec_masked::<K>(m, p, f, a, mask),
-            (false, None) => autotune::mm_auto_masked::<K>(m, f, a, mask).map(|o| o.0),
+        let _span = self
+            .plan
+            .is_none()
+            .then(|| mfbc_trace::span(|| "mm_auto".to_string()));
+        let tuned =
+            || autotune::best_plan(m.spec(), &autotune::stats_for_masked::<K>(f, a, priced)).0;
+        let plan = self.plan.clone().unwrap_or_else(tuned);
+        let out = if self.amortize {
+            mfbc_tensor::mm_exec_cached_masked::<K>(m, &plan, f, a, mask, cache)
+        } else {
+            mfbc_tensor::mm_exec_masked::<K>(m, &plan, f, a, mask)
         }?;
         Ok((out.c, out.ops))
     }
 
-    fn mask_of<T: Elem>(&self, kind: MaskKind, m: &DistMat<T>) -> Option<Mask> {
+    fn mask_of<'a, T: Elem>(&self, kind: MaskKind, m: &'a DistMat<T>) -> Option<Mask<'a>> {
         self.masked
             .then(|| mask_of_blocks(kind, m.layout(), |bi, bj, i| m.block(bi, bj).row_cols(i)))
     }
@@ -467,10 +555,10 @@ impl Backend for Simulated {
         DistTable::from_dmat(&seed, self.masked)
     }
 
-    fn table_mask<T: Elem>(&self, t: &DistTable<T>) -> Option<Mask> {
+    fn table_mask<'a, T: Elem>(&self, t: &'a DistTable<T>) -> Option<Mask<'a>> {
         self.masked.then(|| {
             mask_of_blocks(MaskKind::Complement, t.layout(), |bi, bj, i| {
-                t.block(bi, bj).pattern_row(i)
+                t.block(bi, bj).pattern().row(i)
             })
         })
     }
@@ -488,14 +576,49 @@ impl Backend for Simulated {
         table.freeze()
     }
 
+    fn anchor<M: Monoid, T: Elem, U: Elem>(
+        &self,
+        base: &DistMat<T>,
+        other: &DistMat<U>,
+        init: impl Fn(&T, Option<&U>) -> M::Elem + Sync,
+        fire: impl Fn(&mut M::Elem, &T) -> Option<M::Elem> + Sync,
+    ) -> Result<
+        (
+            Settling<DistMat<M::Elem>, Vec<SortedRows>>,
+            DistMat<M::Elem>,
+        ),
+        MachineError,
+    > {
+        let (z, frontier, pending) =
+            ops::dmat_anchor::<M, T, U>(&self.m, base, other, init, fire, self.masked)?;
+        Ok((Settling { z, pending }, frontier))
+    }
+
+    fn pending_mask<'a, T: Elem>(
+        &self,
+        z: &'a Settling<DistMat<T>, Vec<SortedRows>>,
+    ) -> Option<Mask<'a>> {
+        let (rows, l) = (z.pending.as_ref()?, z.z.layout());
+        Some(mask_of_blocks(MaskKind::Structural, l, |bi, bj, i| {
+            rows[l.block_id(bi, bj)].row(i)
+        }))
+    }
+
     fn settle<M: Monoid, U: Elem>(
         &self,
-        z: &mut DistMat<M::Elem>,
+        z: &mut Settling<DistMat<M::Elem>, Vec<SortedRows>>,
         update: &DistMat<M::Elem>,
         side: &DistMat<U>,
         fire: impl Fn(&mut M::Elem, &U) -> Option<M::Elem> + Sync,
     ) -> DistMat<M::Elem> {
-        ops::dmat_settle::<M, U>(&self.m, z, update, side, fire)
+        ops::dmat_settle::<M, U>(
+            &self.m,
+            &mut z.z,
+            z.pending.as_deref_mut(),
+            update,
+            side,
+            fire,
+        )
     }
 
     fn zip_filter<M: Monoid, T: Elem, U: Elem>(

@@ -158,7 +158,8 @@ fn batch(be: &mut Simulated, chunk: &[usize], run: &mut CombBlasRun) -> Result<(
         // an output mask prunes already-discovered products inside
         // the multiply instead of filtering them out afterwards.
         let unvisited = be.mask_of(MaskKind::Complement, &sigma);
-        let (next, ops) = be.mm::<CountKernel>(cur, Adj::A, unvisited.as_ref())?;
+        let (next, ops) =
+            be.mm::<CountKernel>(cur, Adj::A, unvisited.as_ref(), unvisited.as_ref())?;
         run.ops += ops;
         let sigma_new = be.combine::<SumF64>(&sigma, &next);
         be.release(&sigma);
@@ -179,7 +180,7 @@ fn batch(be: &mut Simulated, chunk: &[usize], run: &mut CombBlasRun) -> Result<(
         // Restrict to true predecessors (level l−1) via a structural
         // output mask on the multiply; the zip then only scales by σ.
         let preds = be.mask_of(MaskKind::Structural, &fronts[l - 1]);
-        let (contrib, ops) = be.mm::<CountKernel>(&wl, Adj::At, preds.as_ref())?;
+        let (contrib, ops) = be.mm::<CountKernel>(&wl, Adj::At, preds.as_ref(), preds.as_ref())?;
         run.ops += ops;
         let upd = be.zip_filter::<SumF64, _, _>(&contrib, &fronts[l - 1], |_, _, x, pred| {
             pred.map(|s_v| x * s_v)

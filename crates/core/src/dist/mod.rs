@@ -116,13 +116,14 @@ pub struct MfbcConfig {
     /// env, else available parallelism). Results are bit-identical at
     /// any value.
     pub threads: Option<usize>,
-    /// Whether forward frontier expansion runs under a
-    /// complement-of-`Numsp` output mask (default true), pruning
-    /// elementary products into already-discovered vertices before
-    /// they are formed. Only applied on unit-weighted graphs, where a
-    /// rediscovery can never improve a settled distance, so the
-    /// masked run is score-bit-identical to the unmasked one; on
-    /// weighted graphs the flag is ignored.
+    /// Whether the sweeps run under output masks (default true):
+    /// forward frontier expansion under the complement of `Numsp`'s
+    /// pattern, pruning elementary products into already-discovered
+    /// vertices before they are formed, and back-propagation under
+    /// the entries of `Z` still pending. Only applied on unit-weighted
+    /// graphs, where a rediscovery can never improve a settled
+    /// distance, so the masked run is score-bit-identical to the
+    /// unmasked one; on weighted graphs the flag is ignored.
     pub masked: bool,
 }
 

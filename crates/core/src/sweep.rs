@@ -28,10 +28,15 @@
 //! with the cycle length and let MFBr back-propagate spurious factors
 //! onto cycle vertices (see `seq::mfbf`'s `cycle_back_to_source`).
 //!
-//! Masks: where the backend allows them (unit-weighted graphs),
-//! forward expansion runs under the complement of `T`'s pattern and
-//! every backward product under `T`'s pattern itself — see the two
-//! loops for why neither can change a result.
+//! Masks: where the backend masks (unit-weighted graphs), forward
+//! expansion runs under the complement of `T`'s pattern, the
+//! child-count product under `T`'s pattern itself and every
+//! back-propagation under the *pending* set — the entries of `Z` whose
+//! counter is still positive, which only shrinks. None of the three
+//! can change a result (see the loops for why); they change which
+//! elementary products are formed, so `ops` counts the products
+//! towards entries that can still use them and Theorem 5.1's `ops` is
+//! its upper bound. Only the forward mask needs unit weights.
 
 use crate::backend::{Adj, Backend};
 use mfbc_algebra::kernel::{BellmanFordKernel, BrandesKernel};
@@ -77,6 +82,16 @@ pub fn mfbr_fire(z: &Centpath, sigma: f64) -> Option<Centpath> {
     } else {
         None
     }
+}
+
+/// [`mfbr_fire`] as the hook of [`Backend::anchor`] and
+/// [`Backend::settle`]: a vertex whose counter reached zero fires and
+/// is pinned. Every zero is pinned by the step that produced it, so
+/// only an entry just written can fire.
+fn fire_and_pin(z: &mut Centpath, t: &Multpath) -> Option<Centpath> {
+    let fired = mfbr_fire(z, t.m)?;
+    z.c = -1;
+    Some(fired)
 }
 
 /// What one sweep did.
@@ -140,7 +155,8 @@ pub fn forward<B: Backend>(
         // products (and lets redistribution skip B columns the mask
         // rules out).
         let mask = be.table_mask(&t);
-        let (explored, ops) = be.mm::<BellmanFordKernel>(&frontier, Adj::A, mask.as_ref())?;
+        let (explored, ops) =
+            be.mm::<BellmanFordKernel>(&frontier, Adj::A, mask.as_ref(), mask.as_ref())?;
         st.ops += ops;
         // Lines 5–6: accumulate multiplicities; the next frontier
         // keeps explored entries whose weight survived.
@@ -156,57 +172,51 @@ pub fn backward<B: Backend>(
     be: &mut B,
     t: &B::Mat<Multpath>,
 ) -> Result<(B::Mat<Centpath>, SweepStats), B::Error> {
-    // Every backward product is consumed anchored on T's pattern:
-    // `counted` through a zip keyed on T, the loop updates through
-    // `settle` (Z's pattern ⊆ T's, fixed). Contributions at
-    // (source, vertex) pairs outside T — possible when an edge leads
-    // to a vertex no source reaches — are inert by the paper's
-    // `(∞,0,0)` semantics and the anchors drop them, so a structural
-    // mask of T skips those products (and lets redistribution drop Aᵀ
-    // columns of vertices no source discovered).
-    let mask = be.mask_of(MaskKind::Structural, t);
     let mut st = SweepStats::default();
     // Lines 1–2: count each vertex's shortest-path children by one
-    // generalized product of per-entry (τ, 0, 1) seeds with Aᵀ.
+    // generalized product of per-entry (τ, 0, 1) seeds with Aᵀ. The
+    // count is consumed anchored on T's pattern, and a contribution at
+    // a (source, vertex) pair outside it — possible when an edge leads
+    // to a vertex no source reaches — is inert by the paper's
+    // `(∞,0,0)` semantics, so a structural mask of T skips those
+    // products (and lets redistribution drop Aᵀ columns of vertices no
+    // source discovered).
     let seeds = be.map_filter::<CentpathMonoid, _>(t, |_, _, mp: &Multpath| {
         Some(Centpath::new(mp.w, 0.0, 1))
     });
-    let (counted, ops) = be.mm::<BrandesKernel>(&seeds, Adj::At, mask.as_ref())?;
+    let reached = be.mask_of(MaskKind::Structural, t);
+    let reached = reached.as_ref();
+    let (counted, ops) = be.mm::<BrandesKernel>(&seeds, Adj::At, reached, reached)?;
     st.ops += ops;
-    let mut z =
-        be.zip_filter::<CentpathMonoid, _, _>(t, &counted, |_, _, mp, d| Some(mfbr_anchor(mp, d)));
-    be.charge(&z)?;
-
-    // Lines 3–4: leaves (counter 0) form the first frontier and are
-    // pinned — the one pass over all of Z.
-    let mut frontier = be.zip_filter::<CentpathMonoid, _, _>(&z, t, |_, _, zv, tv| {
-        mfbr_fire(zv, tv.expect("Z pattern ⊆ T pattern").m)
-    });
-    z = be.map_filter::<CentpathMonoid, _>(&z, |_, _, zv| {
-        Some(Centpath::new(zv.w, zv.p, if zv.c == 0 { -1 } else { zv.c }))
-    });
+    // Lines 1–4, the one pass over all of Z: anchor every entry at
+    // (τ, 0, #children); the leaves (counter 0) form the first
+    // frontier and are pinned, every other entry is pending.
+    let (mut z, mut frontier) =
+        be.anchor::<CentpathMonoid, _, _>(t, &counted, mfbr_anchor, fire_and_pin)?;
     let _span = be.span("backward");
     // Lines 5–12.
     loop {
         let nnz = be.nnz_sync("backward", st.iterations, &frontier)?;
         if nnz == 0 {
-            return Ok((z, st));
+            return Ok((z.into_mat(), st));
         }
         st.iterations += 1;
         st.frontier_nnz += nnz as u64;
-        // Line 6: back-propagate the frontier of centralities.
-        let (back, ops) = be.mm::<BrandesKernel>(&frontier, Adj::At, mask.as_ref())?;
+        // Line 6: back-propagate the frontier of centralities — to the
+        // pending entries only. An entry is pinned once its last
+        // shortest-path child has reported, so whatever a later firing
+        // (s,v) sends a pinned (s,u) travels a non-shortest edge: its
+        // weight is below τ(s,u) and `⊗` ("greater wins") would
+        // discard it. Skipping those products changes `ops` and
+        // nothing else, for any edge weights. The product is still
+        // priced under T's pattern, which holds for the whole sweep.
+        let pending = be.pending_mask(&z);
+        let (back, ops) = be.mm::<BrandesKernel>(&frontier, Adj::At, pending.as_ref(), reached)?;
         st.ops += ops;
         // Lines 8–11: accumulate centralities and decrement counters
-        // (frontier entries carry c = −1 each) in place; a vertex
-        // whose counter reached zero fires and is pinned. Every zero
-        // was pinned by the step that produced it, so only an entry
-        // just decremented can fire.
-        frontier = be.settle::<CentpathMonoid, _>(&mut z, &back, t, |zv, tv| {
-            let fired = mfbr_fire(zv, tv.m)?;
-            zv.c = -1;
-            Some(fired)
-        });
+        // (frontier entries carry c = −1 each) in place; what fires
+        // leaves the pending set.
+        frontier = be.settle::<CentpathMonoid, _>(&mut z, &back, t, fire_and_pin);
     }
 }
 
@@ -244,4 +254,167 @@ pub fn batch<B: Backend>(
     be.release(&z);
     be.release(&t);
     Ok((fwd, back))
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::backend::{Local, Simulated};
+    use mfbc_graph::gen::{rmat, uniform, RmatConfig};
+    use mfbc_graph::prep::randomize_weights;
+    use mfbc_machine::{Machine, MachineSpec};
+    use mfbc_sparse::{Csr, Idx, Mask};
+
+    /// [`backward`] with its loop mask chosen by the caller: the
+    /// pending set, as `backward` itself does, or `T`'s pattern
+    /// throughout, as it did before the pending set existed. `each`
+    /// sees the pending mask and `Z` ahead of every loop product.
+    fn backward_masked_by<B: Backend>(
+        be: &mut B,
+        t: &B::Mat<Multpath>,
+        by_pending: bool,
+        mut each: impl FnMut(Option<&Mask>, &B::Mat<Centpath>),
+    ) -> Result<(B::Mat<Centpath>, SweepStats), B::Error> {
+        let mut st = SweepStats::default();
+        let seeds = be.map_filter::<CentpathMonoid, _>(t, |_, _, mp: &Multpath| {
+            Some(Centpath::new(mp.w, 0.0, 1))
+        });
+        let reached = be.mask_of(MaskKind::Structural, t);
+        let reached = reached.as_ref();
+        let (counted, ops) = be.mm::<BrandesKernel>(&seeds, Adj::At, reached, reached)?;
+        st.ops += ops;
+        let (mut z, mut frontier) =
+            be.anchor::<CentpathMonoid, _, _>(t, &counted, mfbr_anchor, fire_and_pin)?;
+        loop {
+            let nnz = be.nnz_sync("backward", st.iterations, &frontier)?;
+            let pending = be.pending_mask(&z);
+            each(pending.as_ref(), &z.z);
+            if nnz == 0 {
+                return Ok((z.into_mat(), st));
+            }
+            st.iterations += 1;
+            st.frontier_nnz += nnz as u64;
+            let mask = if by_pending {
+                pending.as_ref()
+            } else {
+                reached
+            };
+            let (back, ops) = be.mm::<BrandesKernel>(&frontier, Adj::At, mask, reached)?;
+            st.ops += ops;
+            frontier = be.settle::<CentpathMonoid, _>(&mut z, &back, t, fire_and_pin);
+        }
+    }
+
+    /// A `side × side` grid with seeded weights 1..=4.
+    fn weighted_grid(side: usize, seed: u64) -> Graph {
+        let at = |r: usize, c: usize| r * side + c;
+        let across = (0..side).flat_map(|r| (1..side).map(move |c| (at(r, c - 1), at(r, c))));
+        let down = (1..side).flat_map(|r| (0..side).map(move |c| (at(r - 1, c), at(r, c))));
+        let edges: Vec<(usize, usize)> = across.chain(down).collect();
+        randomize_weights(&Graph::unweighted(side * side, false, edges), 4, seed)
+    }
+
+    #[test]
+    fn pending_mask_is_inert() {
+        let graphs = [
+            rmat(&RmatConfig::paper(7, 4, 5)),
+            rmat(&RmatConfig::paper(6, 8, 9)),
+            uniform(60, 200, false, None, 3),
+            uniform(50, 120, true, None, 4),
+            weighted_grid(7, 1),
+            weighted_grid(6, 2),
+        ];
+        for (k, g) in graphs.iter().enumerate() {
+            let sources: Vec<usize> = (0..g.n()).step_by(2).collect();
+            let mut be = Local::new(g);
+            // T under the backend's own forward policy; the backward
+            // masks are then forced on, weighted or not.
+            let Ok((t, _)) = forward(&mut be, g, &sources);
+            be.masked = false;
+            let Ok((z_none, none)) = backward(&mut be, &t);
+            be.masked = true;
+            let Ok((z_table, table)) = backward_masked_by(&mut be, &t, false, |_, _| ());
+            let Ok((z_pending, pending)) = backward(&mut be, &t);
+            assert_eq!(z_none.first_difference(&z_table), None, "graph {k}: T mask");
+            assert_eq!(
+                z_none.first_difference(&z_pending),
+                None,
+                "graph {k}: pending"
+            );
+            assert!(
+                none.ops >= table.ops && table.ops > pending.ops,
+                "graph {k}: ops {} / {} / {} must fall",
+                none.ops,
+                table.ops,
+                pending.ops
+            );
+            let steps = |st: &SweepStats| (st.iterations, st.frontier_nnz);
+            assert_eq!(steps(&none), steps(&pending), "graph {k}: supersteps");
+            // The harness above, told to mask by the pending set, is
+            // `backward`.
+            let Ok((z_again, again)) = backward_masked_by(&mut be, &t, true, |_, _| ());
+            assert_eq!(z_again.first_difference(&z_pending), None, "graph {k}");
+            assert_eq!(again, pending, "graph {k}");
+        }
+    }
+
+    /// Asserts `mask` lists exactly the coordinates of `z` whose
+    /// counter is still positive; returns how many there are.
+    fn assert_pending_is_positive_counters(mask: &Mask, z: &Csr<Centpath>, what: &str) -> usize {
+        for i in 0..z.nrows() {
+            let waits = z.row(i).filter(|(_, zv)| zv.c > 0);
+            let waits: Vec<Idx> = waits.map(|(j, _)| j as Idx).collect();
+            assert_eq!(mask.row_cols(i), waits, "{what}: row {i}");
+        }
+        mask.pattern_nnz()
+    }
+
+    #[test]
+    fn pending_rows_are_the_positive_counters_after_every_superstep() {
+        for (k, g) in [
+            rmat(&RmatConfig::paper(7, 4, 5)),
+            uniform(60, 200, false, None, 3),
+        ]
+        .iter()
+        .enumerate()
+        {
+            let sources: Vec<usize> = (0..g.n()).step_by(3).collect();
+            let mut be = Local::new(g);
+            let Ok((t, _)) = forward(&mut be, g, &sources);
+            let mut sizes = Vec::new();
+            let Ok((z, st)) = backward_masked_by(&mut be, &t, true, |mask, z| {
+                let mask = mask.expect("unit weights mask");
+                sizes.push(assert_pending_is_positive_counters(mask, z, "local"));
+            });
+            // Checked before every product and once more at the end,
+            // shrinking from "not a leaf" to nothing (the sources fire
+            // last, into a product nothing is pending for).
+            assert_eq!(sizes.len(), st.iterations + 1, "graph {k}");
+            let shrinks = |w: &[usize]| w[0] > w[1] || w[0] == 0;
+            assert!(sizes.windows(2).all(shrinks), "graph {k}: {sizes:?}");
+            assert_eq!(sizes.last(), Some(&0), "graph {k}: every entry fires");
+
+            for p in [1usize, 4] {
+                let m = Machine::new(MachineSpec::test(p));
+                let mut sim = Simulated::new(&m, g, None, true, true).unwrap();
+                let (dt, _) = forward(&mut sim, g, &sources).unwrap();
+                let mut checks = 0;
+                let (dz, dst) = backward_masked_by(&mut sim, &dt, true, |mask, z| {
+                    let (mask, z) = (mask.expect("masked"), z.to_global::<CentpathMonoid>());
+                    assert_pending_is_positive_counters(mask, &z, "simulated");
+                    checks += 1;
+                })
+                .unwrap();
+                sim.close();
+                assert_eq!(checks, st.iterations + 1, "graph {k} p={p}");
+                assert_eq!(dst, st, "graph {k} p={p}: counters");
+                // One rank forms the sums in the local order; several
+                // regroup them.
+                if p == 1 {
+                    let dz = dz.to_global::<CentpathMonoid>();
+                    assert_eq!(dz.first_difference(&z), None, "graph {k}: Z");
+                }
+            }
+        }
+    }
 }

@@ -133,6 +133,12 @@ impl<T> Csr<T> {
         &self.rowptr
     }
 
+    /// Every stored column index, in row-major order.
+    #[inline]
+    pub fn colind(&self) -> &[Idx] {
+        &self.colind
+    }
+
     /// The column indices of row `i`.
     #[inline]
     pub fn row_cols(&self, i: usize) -> &[Idx] {

@@ -12,6 +12,7 @@
 //! any thread count.
 
 use crate::csr::{Csr, Idx};
+use crate::rows::SortedRows;
 use mfbc_algebra::monoid::Monoid;
 use mfbc_parallel::balanced_ranges;
 
@@ -259,13 +260,88 @@ where
     })
 }
 
+/// Opens the matrix [`settle`] updates, in one pass over `base`: per
+/// entry `a` of `base`, `init(a, b_opt)` — `b_opt` being `other`'s
+/// entry at the coordinate — is stored (`M`'s identity stores
+/// nothing), then `fire(&mut value, a)` may rewrite it and emit an
+/// entry of the second matrix returned (`None` and `M`'s identity
+/// emit nothing). With `track`, the third result is the *pending*
+/// set: the stored coordinates `fire` returned `None` on.
+///
+/// Equal to a [`zip_filter`] of `base` against `other`, a second of
+/// the result against `base` and a map over it (MFBr's anchor, leaf
+/// and pin passes, Algorithm 2 lines 1–4), provided the hook leaves an
+/// entry it does not fire on alone.
+///
+/// # Panics
+/// Panics if the shapes disagree.
+pub fn anchor<M, T, U>(
+    base: &Csr<T>,
+    other: &Csr<U>,
+    init: impl Fn(&T, Option<&U>) -> M::Elem,
+    fire: impl Fn(&mut M::Elem, &T) -> Option<M::Elem>,
+    track: bool,
+) -> (Csr<M::Elem>, Csr<M::Elem>, Option<SortedRows>)
+where
+    M: Monoid,
+{
+    let shape = (base.nrows(), base.ncols());
+    assert_eq!(shape, (other.nrows(), other.ncols()), "anchor shape");
+    let (mut zptr, mut fptr) = (
+        Vec::with_capacity(shape.0 + 1),
+        Vec::with_capacity(shape.0 + 1),
+    );
+    zptr.push(0usize);
+    fptr.push(0usize);
+    let (mut zcols, mut zvals) = (
+        Vec::with_capacity(base.nnz()),
+        Vec::with_capacity(base.nnz()),
+    );
+    let (mut fcols, mut fired) = (Vec::new(), Vec::new());
+    let mut pending = track.then(|| Vec::with_capacity(shape.0));
+    for i in 0..shape.0 {
+        let (oc, ov) = (other.row_cols(i), other.row_vals(i));
+        // At most the whole row waits: reserved once, not grown.
+        let mut waits: Vec<Idx> = Vec::with_capacity(if track { base.row_nnz(i) } else { 0 });
+        let mut y = 0usize;
+        for (&j, a) in base.row_cols(i).iter().zip(base.row_vals(i)) {
+            let mut v = init(a, seek(oc, &mut y, j).then(|| &ov[y]));
+            if M::is_identity(&v) {
+                continue;
+            }
+            match fire(&mut v, a) {
+                Some(o) if M::is_identity(&o) => {}
+                Some(o) => {
+                    fcols.push(j);
+                    fired.push(o);
+                }
+                None if track => waits.push(j),
+                None => {}
+            }
+            zcols.push(j);
+            zvals.push(v);
+        }
+        zptr.push(zcols.len());
+        fptr.push(fcols.len());
+        if let Some(p) = &mut pending {
+            p.push(waits);
+        }
+    }
+    (
+        Csr::from_parts(shape.0, shape.1, zptr, zcols, zvals),
+        Csr::from_parts(shape.0, shape.1, fptr, fcols, fired),
+        pending.map(|rows| SortedRows::from_rows(shape.1, rows)),
+    )
+}
+
 /// `Z := Z ⊗ G` in place on `Z`'s fixed pattern, with a hook on the
 /// entries just touched: per entry `g` of `update` whose coordinate
 /// `z` stores, the stored value becomes `M::combine(old, g)` and
 /// `fire(&mut value, side_value)` may rewrite it once more and emit
 /// an output entry there (`None` and `M`'s identity emit nothing).
 /// Updates outside `z`'s pattern are dropped; `side` must store every
-/// coordinate `z` does.
+/// coordinate `z` does. Every coordinate `fire` returns `Some` on
+/// leaves `pending` (the set [`anchor`] opened), which must hold it.
 ///
 /// Equal to [`combine_anchored`] followed by a [`zip_filter`] against
 /// `side` and a map over `Z`, provided the hook leaves untouched
@@ -273,9 +349,11 @@ where
 /// instead of `O(nnz(Z))`.
 ///
 /// # Panics
-/// Panics if the shapes disagree or `side` lacks a touched coordinate.
+/// Panics if the shapes disagree, `side` lacks a touched coordinate or
+/// `pending` a fired one.
 pub fn settle<M, U>(
     z: &mut Csr<M::Elem>,
+    mut pending: Option<&mut SortedRows>,
     update: &Csr<M::Elem>,
     side: &Csr<U>,
     fire: impl Fn(&mut M::Elem, &U) -> Option<M::Elem>,
@@ -289,6 +367,7 @@ where
     let mut rowptr = Vec::with_capacity(shape.0 + 1);
     rowptr.push(0usize);
     let (mut colind, mut fired) = (Vec::new(), Vec::new());
+    let mut gone: Vec<Idx> = Vec::new();
     for i in 0..shape.0 {
         let (zc, zv) = z.row_mut(i);
         let (sc, sv) = (side.row_cols(i), side.row_vals(i));
@@ -299,12 +378,21 @@ where
             }
             assert!(seek(sc, &mut x, j), "settle side lacks ({i},{j})");
             zv[y] = M::combine(&zv[y], g);
-            if let Some(o) = fire(&mut zv[y], &sv[x]).filter(|o| !M::is_identity(o)) {
-                colind.push(j);
-                fired.push(o);
+            if let Some(o) = fire(&mut zv[y], &sv[x]) {
+                if pending.is_some() {
+                    gone.push(j);
+                }
+                if !M::is_identity(&o) {
+                    colind.push(j);
+                    fired.push(o);
+                }
             }
         }
         rowptr.push(colind.len());
+        if let Some(p) = &mut pending {
+            p.remove(i, &gone);
+            gone.clear();
+        }
     }
     Csr::from_parts(shape.0, shape.1, rowptr, colind, fired)
 }

@@ -32,6 +32,7 @@ pub mod coo;
 pub mod csr;
 pub mod elementwise;
 pub mod mask;
+pub mod rows;
 pub mod slice;
 pub mod spgemm;
 pub mod table;
@@ -40,6 +41,7 @@ pub mod transpose;
 pub use coo::Coo;
 pub use csr::{Csr, Idx};
 pub use mask::{Mask, MaskKind};
+pub use rows::SortedRows;
 pub use spgemm::{spgemm, spgemm_masked, spgemm_masked_serial, spgemm_opt, spgemm_serial};
 pub use table::Table;
 

@@ -10,13 +10,16 @@
 //! multiply-then-filter on sparse frontiers (Burkhardt's algebraic
 //! BFS argument).
 //!
-//! The pattern is structure only (no values): a sorted CSR-style
-//! (rowptr, cols) pair. Masks are cheap to window into sub-rectangles
+//! The pattern is structure only (no values), ascending within each
+//! row, and a mask over a matrix or over [`SortedRows`] reads it where
+//! it lies. Masks are cheap to window into sub-rectangles
 //! (the distributed layers re-base one global mask per output block),
 //! and windowing commutes with complementation, so a windowed
 //! complement mask is the complement of the windowed pattern.
 
 use crate::csr::{Csr, Idx};
+use crate::rows::SortedRows;
+use std::borrow::Cow;
 
 /// How a mask's pattern selects output coordinates.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -27,38 +30,91 @@ pub enum MaskKind {
     Complement,
 }
 
-/// An output mask: a selection kind plus a sparse coordinate pattern.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct Mask {
+/// Where a mask's pattern is stored. A mask over a matrix or over
+/// [`SortedRows`] borrows the pattern in place, so building one costs
+/// nothing and reading it costs the rows that are read.
+#[derive(Clone, Debug)]
+enum Pattern<'a> {
+    /// CSR-style row pointers and ascending columns.
+    Flat {
+        rowptr: Cow<'a, [usize]>,
+        cols: Cow<'a, [Idx]>,
+    },
+    /// Per-row lists that change between multiplications.
+    Rows(&'a SortedRows),
+}
+
+/// An output mask: a selection kind plus a sparse coordinate pattern,
+/// owned or borrowed for `'a`.
+#[derive(Clone, Debug)]
+pub struct Mask<'a> {
     kind: MaskKind,
     nrows: usize,
     ncols: usize,
-    rowptr: Vec<usize>,
-    cols: Vec<Idx>,
+    pattern: Pattern<'a>,
 }
 
-impl Mask {
+/// Masks are equal when they select the same coordinates the same
+/// way, however the pattern is stored.
+impl PartialEq for Mask<'_> {
+    fn eq(&self, other: &Mask<'_>) -> bool {
+        (self.kind, self.nrows, self.ncols) == (other.kind, other.nrows, other.ncols)
+            && (0..self.nrows).all(|i| self.row_cols(i) == other.row_cols(i))
+    }
+}
+
+impl Eq for Mask<'_> {}
+
+impl<'a> Mask<'a> {
     /// A structural mask with the pattern of `m` (values ignored).
-    pub fn structural_of<T>(m: &Csr<T>) -> Mask {
+    pub fn structural_of<T>(m: &'a Csr<T>) -> Mask<'a> {
         Mask::of_pattern(MaskKind::Structural, m)
     }
 
     /// A complement mask with the pattern of `m` (values ignored).
-    pub fn complement_of<T>(m: &Csr<T>) -> Mask {
+    pub fn complement_of<T>(m: &'a Csr<T>) -> Mask<'a> {
         Mask::of_pattern(MaskKind::Complement, m)
     }
 
-    /// A mask of `kind` with the pattern of `m` (values ignored).
-    pub fn of_pattern<T>(kind: MaskKind, m: &Csr<T>) -> Mask {
+    /// A mask of `kind` with the pattern of `m` (values ignored),
+    /// read in place.
+    pub fn of_pattern<T>(kind: MaskKind, m: &'a Csr<T>) -> Mask<'a> {
         Mask {
             kind,
             nrows: m.nrows(),
             ncols: m.ncols(),
-            rowptr: m.rowptr().to_vec(),
-            cols: (0..m.nrows())
-                .flat_map(|i| m.row_cols(i))
-                .copied()
-                .collect(),
+            pattern: Pattern::Flat {
+                rowptr: Cow::Borrowed(m.rowptr()),
+                cols: Cow::Borrowed(m.colind()),
+            },
+        }
+    }
+
+    /// A mask of `kind` over `rows`, read in place.
+    pub fn over_rows(kind: MaskKind, rows: &'a SortedRows) -> Mask<'a> {
+        Mask {
+            kind,
+            nrows: rows.nrows(),
+            ncols: rows.ncols(),
+            pattern: Pattern::Rows(rows),
+        }
+    }
+
+    fn owned(
+        kind: MaskKind,
+        nrows: usize,
+        ncols: usize,
+        rowptr: Vec<usize>,
+        cols: Vec<Idx>,
+    ) -> Mask<'a> {
+        Mask {
+            kind,
+            nrows,
+            ncols,
+            pattern: Pattern::Flat {
+                rowptr: Cow::Owned(rowptr),
+                cols: Cow::Owned(cols),
+            },
         }
     }
 
@@ -68,7 +124,7 @@ impl Mask {
         nrows: usize,
         ncols: usize,
         coords: &[(usize, usize)],
-    ) -> Mask {
+    ) -> Mask<'a> {
         let mut per_row: Vec<Vec<Idx>> = vec![Vec::new(); nrows];
         for &(i, j) in coords {
             assert!(i < nrows && j < ncols, "mask coord ({i},{j}) out of range");
@@ -83,13 +139,7 @@ impl Mask {
             cols.extend_from_slice(row);
             rowptr.push(cols.len());
         }
-        Mask {
-            kind,
-            nrows,
-            ncols,
-            rowptr,
-            cols,
-        }
+        Mask::owned(kind, nrows, ncols, rowptr, cols)
     }
 
     /// Builds a mask from exactly `nrows` rows of strictly ascending
@@ -104,7 +154,7 @@ impl Mask {
         nrows: usize,
         ncols: usize,
         rows: impl IntoIterator<Item = R>,
-    ) -> Mask
+    ) -> Mask<'a>
     where
         R: IntoIterator<Item = Idx>,
     {
@@ -124,13 +174,7 @@ impl Mask {
             rowptr.push(cols.len());
         }
         assert_eq!(rowptr.len(), nrows + 1, "mask row count");
-        Mask {
-            kind,
-            nrows,
-            ncols,
-            rowptr,
-            cols,
-        }
+        Mask::owned(kind, nrows, ncols, rowptr, cols)
     }
 
     /// The selection kind.
@@ -154,11 +198,14 @@ impl Mask {
     /// Stored pattern coordinates.
     #[inline]
     pub fn pattern_nnz(&self) -> usize {
-        self.cols.len()
+        match &self.pattern {
+            Pattern::Flat { cols, .. } => cols.len(),
+            Pattern::Rows(rows) => rows.nnz(),
+        }
     }
 
     /// The same pattern under the opposite kind.
-    pub fn inverted(&self) -> Mask {
+    pub fn inverted(&self) -> Mask<'a> {
         let kind = match self.kind {
             MaskKind::Structural => MaskKind::Complement,
             MaskKind::Complement => MaskKind::Structural,
@@ -172,7 +219,10 @@ impl Mask {
     /// Pattern columns of row `i`, sorted ascending.
     #[inline]
     pub fn row_cols(&self, i: usize) -> &[Idx] {
-        &self.cols[self.rowptr[i]..self.rowptr[i + 1]]
+        match &self.pattern {
+            Pattern::Flat { rowptr, cols } => &cols[rowptr[i]..rowptr[i + 1]],
+            Pattern::Rows(rows) => rows.row(i),
+        }
     }
 
     /// Whether output coordinate `(i, j)` may be produced.
@@ -185,7 +235,11 @@ impl Mask {
     /// kind; windowing commutes with complementation). This is how
     /// the distributed multiplication layers carve one global output
     /// mask into per-block masks.
-    pub fn window(&self, rows: std::ops::Range<usize>, cols: std::ops::Range<usize>) -> Mask {
+    pub fn window(
+        &self,
+        rows: std::ops::Range<usize>,
+        cols: std::ops::Range<usize>,
+    ) -> Mask<'static> {
         assert!(rows.end <= self.nrows && cols.end <= self.ncols);
         let mut rowptr = Vec::with_capacity(rows.len() + 1);
         rowptr.push(0usize);
@@ -197,13 +251,7 @@ impl Mask {
             out_cols.extend(rc[lo..hi].iter().map(|&j| j - cols.start as Idx));
             rowptr.push(out_cols.len());
         }
-        Mask {
-            kind: self.kind,
-            nrows: rows.len(),
-            ncols: cols.len(),
-            rowptr,
-            cols: out_cols,
-        }
+        Mask::owned(self.kind, rows.len(), cols.len(), rowptr, out_cols)
     }
 
     /// Per-column flags marking columns excluded for *every* output
@@ -214,7 +262,7 @@ impl Mask {
     /// changing any kept output or the `ops` counter.
     pub fn fully_excluded_cols(&self) -> Vec<bool> {
         let mut count = vec![0usize; self.ncols];
-        for &j in &self.cols {
+        for &j in (0..self.nrows).flat_map(|i| self.row_cols(i)) {
             count[j as usize] += 1;
         }
         match self.kind {
@@ -262,15 +310,17 @@ mod tests {
 
     #[test]
     fn structural_allows_pattern_coords_only() {
-        let m = Mask::structural_of(&pattern());
+        let p = pattern();
+        let m = Mask::structural_of(&p);
         assert!(m.allows(0, 1) && m.allows(0, 3) && m.allows(2, 0));
         assert!(!m.allows(0, 0) && !m.allows(1, 2) && !m.allows(2, 3));
     }
 
     #[test]
     fn complement_inverts_structural() {
-        let s = Mask::structural_of(&pattern());
-        let c = Mask::complement_of(&pattern());
+        let p = pattern();
+        let s = Mask::structural_of(&p);
+        let c = Mask::complement_of(&p);
         for i in 0..3 {
             for j in 0..4 {
                 assert_ne!(s.allows(i, j), c.allows(i, j), "({i},{j})");
@@ -281,10 +331,8 @@ mod tests {
 
     #[test]
     fn window_matches_global_coordinates() {
-        for mask in [
-            Mask::structural_of(&pattern()),
-            Mask::complement_of(&pattern()),
-        ] {
+        let p = pattern();
+        for mask in [Mask::structural_of(&p), Mask::complement_of(&p)] {
             let w = mask.window(1..3, 1..4);
             assert_eq!((w.nrows(), w.ncols()), (2, 3));
             for i in 0..2 {
@@ -297,11 +345,12 @@ mod tests {
 
     #[test]
     fn fully_excluded_cols_by_kind() {
+        let p = pattern();
         // Pattern touches columns 0, 1, 3; column 2 is untouched.
-        let s = Mask::structural_of(&pattern());
+        let s = Mask::structural_of(&p);
         assert_eq!(s.fully_excluded_cols(), vec![false, false, true, false]);
         // Complement: no column is present in all 3 rows.
-        let c = Mask::complement_of(&pattern());
+        let c = Mask::complement_of(&p);
         assert_eq!(c.fully_excluded_cols(), vec![false; 4]);
         // A full column under complement is fully excluded.
         let full_col =
@@ -314,7 +363,8 @@ mod tests {
 
     #[test]
     fn allowed_fraction_by_kind() {
-        let s = Mask::structural_of(&pattern());
+        let p = pattern();
+        let s = Mask::structural_of(&p);
         assert_eq!(s.allowed_fraction(), 4.0 / 12.0);
         assert!((s.inverted().allowed_fraction() - 8.0 / 12.0).abs() < 1e-12);
     }

@@ -29,16 +29,26 @@ pub struct SpGemmOut<T> {
     pub ops: u64,
 }
 
-/// Dense sparse-accumulator for one output row.
+/// A row's output is emitted without sorting once it has touched at
+/// least one in this many of the columns an ordered walk would visit.
+const DENSE_DRAIN: usize = 8;
+
+/// Dense sparse-accumulator for one output row, the row's mask
+/// included.
 ///
-/// `stamp[j] == row_tag` marks column `j` as touched in the current
-/// row; values are lazily reset by overwrite-on-first-touch, so the
-/// per-row cost is proportional to the row's flops, not to `ncols`.
+/// One stamp per column answers everything the row kernel asks about
+/// it. Every row takes a fresh even `mark`: `stamp[j] == mark` is the
+/// mask's word on column `j` (the pattern row lists it — allowed under
+/// a structural mask, excluded under a complement one), `mark + 1`
+/// says the row has accumulated into `j`, and any other value that
+/// neither holds. Values are lazily reset by overwrite-on-first-touch,
+/// so the per-row cost is proportional to the row's flops plus its
+/// mask row, not to `ncols`.
 struct Spa<T> {
-    stamp: Vec<u64>,
+    stamp: Vec<u32>,
     vals: Vec<T>,
     touched: Vec<Idx>,
-    tag: u64,
+    mark: u32,
 }
 
 impl<T: Clone> Spa<T> {
@@ -47,148 +57,150 @@ impl<T: Clone> Spa<T> {
             stamp: vec![0; ncols],
             vals: vec![fill; ncols],
             touched: Vec::new(),
-            tag: 0,
+            mark: 0,
         }
     }
 
+    /// Opens a row whose mask pattern is `pattern` (empty without a
+    /// mask) and returns its `mark`.
     #[inline]
-    fn begin_row(&mut self) {
-        self.tag += 1;
+    fn begin_row(&mut self, pattern: &[Idx]) -> u32 {
+        // Marks are even and `mark + 1` must fit: start over before
+        // the last even value would be passed.
+        if self.mark > u32::MAX - 3 {
+            self.stamp.fill(0);
+            self.mark = 0;
+        }
+        self.mark += 2;
         self.touched.clear();
-    }
-
-    #[inline]
-    fn accumulate<M: Monoid<Elem = T>>(&mut self, j: usize, v: T) {
-        if self.stamp[j] == self.tag {
-            M::fold_into(&mut self.vals[j], &v);
-        } else {
-            self.stamp[j] = self.tag;
-            self.vals[j] = v;
-            self.touched.push(j as Idx);
+        for &j in pattern {
+            self.stamp[j as usize] = self.mark;
         }
+        self.mark
     }
 
     /// Emits the touched entries in column order, skipping identities.
-    fn drain_into<M: Monoid<Elem = T>>(&mut self, colind: &mut Vec<Idx>, vals: &mut Vec<T>) {
-        self.touched.sort_unstable();
-        for &j in &self.touched {
+    /// `walk` is an ascending superset of the touched columns (the
+    /// structural mask row) or empty. A dense row is read off `walk`,
+    /// or off the stamps themselves, in order; only a sparse one sorts
+    /// what it touched.
+    fn drain_into<M: Monoid<Elem = T>>(
+        &mut self,
+        walk: &[Idx],
+        colind: &mut Vec<Idx>,
+        vals: &mut Vec<T>,
+    ) {
+        if self.touched.is_empty() {
+            return;
+        }
+        let on = self.mark + 1;
+        let dense = self.touched.len() * DENSE_DRAIN;
+        let mut emit = |j: Idx| {
             let v = &self.vals[j as usize];
             if !M::is_identity(v) {
                 colind.push(j);
                 vals.push(v.clone());
             }
+        };
+        if !walk.is_empty() && dense >= walk.len() {
+            walk.iter()
+                .filter(|&&j| self.stamp[j as usize] == on)
+                .for_each(|&j| emit(j));
+        } else if dense >= self.stamp.len() {
+            (0..self.stamp.len() as Idx)
+                .filter(|&j| self.stamp[j as usize] == on)
+                .for_each(emit);
+        } else {
+            self.touched.sort_unstable();
+            self.touched.iter().for_each(|&j| emit(j));
         }
     }
 }
 
-fn multiply_rows<K: SpMulKernel>(
+/// One task's output rows: `(row lengths, colind, vals, ops)`.
+type Chunk<K> = (Vec<usize>, Vec<Idx>, Vec<KernelOut<K>>, u64);
+
+/// The mask modes of [`multiply_rows`].
+const UNMASKED: u8 = 0;
+const STRUCTURAL: u8 = 1;
+const COMPLEMENT: u8 = 2;
+
+/// The row kernel: Gustavson over `rows`, under `mask` read the way
+/// `MODE` says. An elementary product whose output column the mask
+/// excludes is skipped before `f` is applied — it neither accumulates
+/// nor counts toward `ops` — at one stamp load per candidate, masked
+/// or not. An empty left-operand row, or a structural mask with an
+/// empty pattern row, skips that output row outright.
+fn multiply_rows<K: SpMulKernel, const MODE: u8>(
     a: &Csr<K::Left>,
     b: &Csr<K::Right>,
+    mask: Option<&Mask>,
     rows: std::ops::Range<usize>,
     spa: &mut Spa<KernelOut<K>>,
-) -> (Vec<usize>, Vec<Idx>, Vec<KernelOut<K>>, u64) {
+) -> Chunk<K> {
     let mut rowlen = Vec::with_capacity(rows.len());
     let mut colind = Vec::new();
     let mut vals = Vec::new();
     let mut ops = 0u64;
     for i in rows {
-        spa.begin_row();
-        for (k, av) in a.row(i) {
-            for (j, bv) in b.row(k) {
-                if let Some(c) = K::mul(av, bv) {
-                    ops += 1;
-                    spa.accumulate::<K::Acc>(j, c);
-                }
-            }
-        }
-        let before = colind.len();
-        spa.drain_into::<K::Acc>(&mut colind, &mut vals);
-        rowlen.push(colind.len() - before);
-    }
-    (rowlen, colind, vals, ops)
-}
-
-/// Per-row mask marker, the mask-side analogue of [`Spa`]: the
-/// current row's pattern columns are stamped with a row tag, so
-/// allowed-column checks are O(1) per product and per-row setup costs
-/// only the pattern row's length.
-struct MaskStamp {
-    stamp: Vec<u64>,
-    tag: u64,
-}
-
-impl MaskStamp {
-    fn new(ncols: usize) -> MaskStamp {
-        MaskStamp {
-            stamp: vec![0; ncols],
-            tag: 0,
-        }
-    }
-
-    #[inline]
-    fn begin_row(&mut self, pattern_cols: &[Idx]) {
-        self.tag += 1;
-        for &j in pattern_cols {
-            self.stamp[j as usize] = self.tag;
-        }
-    }
-
-    #[inline]
-    fn in_pattern(&self, j: usize) -> bool {
-        self.stamp[j] == self.tag
-    }
-}
-
-/// Masked [`multiply_rows`]: elementary products whose output column
-/// the mask excludes are skipped before `f` is applied — they neither
-/// accumulate nor count toward `ops`. An empty left-operand row, or a
-/// structural mask with an empty pattern row, skips that output row
-/// outright.
-fn multiply_rows_masked<K: SpMulKernel>(
-    a: &Csr<K::Left>,
-    b: &Csr<K::Right>,
-    mask: &Mask,
-    rows: std::ops::Range<usize>,
-    spa: &mut Spa<KernelOut<K>>,
-    ms: &mut MaskStamp,
-) -> (Vec<usize>, Vec<Idx>, Vec<KernelOut<K>>, u64) {
-    let structural = mask.kind() == MaskKind::Structural;
-    let mut rowlen = Vec::with_capacity(rows.len());
-    let mut colind = Vec::new();
-    let mut vals = Vec::new();
-    let mut ops = 0u64;
-    for i in rows {
-        let pattern = mask.row_cols(i);
-        // Nothing to multiply, or nothing allowed: the row is empty
-        // without stamping its pattern.
-        if a.row_nnz(i) == 0 || (structural && pattern.is_empty()) {
+        let pattern = mask.map_or(&[][..], |m| m.row_cols(i));
+        if a.row_nnz(i) == 0 || (MODE == STRUCTURAL && pattern.is_empty()) {
             rowlen.push(0);
             continue;
         }
-        ms.begin_row(pattern);
-        spa.begin_row();
+        let mark = spa.begin_row(pattern);
+        let on = mark + 1;
         for (k, av) in a.row(i) {
             for (j, bv) in b.row(k) {
-                if ms.in_pattern(j) != structural {
+                let s = spa.stamp[j];
+                let fresh = s != on;
+                let excluded = match MODE {
+                    STRUCTURAL => s != mark,
+                    COMPLEMENT => s == mark,
+                    _ => false,
+                };
+                if fresh && excluded {
                     continue;
                 }
                 if let Some(c) = K::mul(av, bv) {
                     ops += 1;
-                    spa.accumulate::<K::Acc>(j, c);
+                    if fresh {
+                        spa.stamp[j] = on;
+                        spa.vals[j] = c;
+                        spa.touched.push(j as Idx);
+                    } else {
+                        K::Acc::fold_into(&mut spa.vals[j], &c);
+                    }
                 }
             }
         }
         let before = colind.len();
-        spa.drain_into::<K::Acc>(&mut colind, &mut vals);
+        let walk = if MODE == STRUCTURAL { pattern } else { &[] };
+        spa.drain_into::<K::Acc>(walk, &mut colind, &mut vals);
         rowlen.push(colind.len() - before);
     }
     (rowlen, colind, vals, ops)
+}
+
+/// [`multiply_rows`] in the mode `mask` asks for.
+fn multiply<K: SpMulKernel>(
+    a: &Csr<K::Left>,
+    b: &Csr<K::Right>,
+    mask: Option<&Mask>,
+    rows: std::ops::Range<usize>,
+    spa: &mut Spa<KernelOut<K>>,
+) -> Chunk<K> {
+    match mask.map(Mask::kind) {
+        None => multiply_rows::<K, UNMASKED>(a, b, None, rows, spa),
+        Some(MaskKind::Structural) => multiply_rows::<K, STRUCTURAL>(a, b, mask, rows, spa),
+        Some(MaskKind::Complement) => multiply_rows::<K, COMPLEMENT>(a, b, mask, rows, spa),
+    }
 }
 
 fn assemble<K: SpMulKernel>(
     nrows: usize,
     ncols: usize,
-    chunks: Vec<(Vec<usize>, Vec<Idx>, Vec<KernelOut<K>>, u64)>,
+    chunks: Vec<Chunk<K>>,
 ) -> SpGemmOut<KernelOut<K>> {
     let mut rowptr = Vec::with_capacity(nrows + 1);
     rowptr.push(0usize);
@@ -209,69 +221,6 @@ fn assemble<K: SpMulKernel>(
         mat: Csr::from_parts(nrows, ncols, rowptr, colind, vals),
         ops,
     }
-}
-
-/// Sequential generalized SpGEMM (row-wise Gustavson).
-///
-/// # Panics
-/// Panics if the inner dimensions disagree.
-pub fn spgemm_serial<K: SpMulKernel>(
-    a: &Csr<K::Left>,
-    b: &Csr<K::Right>,
-) -> SpGemmOut<KernelOut<K>> {
-    assert_eq!(
-        a.ncols(),
-        b.nrows(),
-        "spgemm inner dimension mismatch: {}x{} by {}x{}",
-        a.nrows(),
-        a.ncols(),
-        b.nrows(),
-        b.ncols()
-    );
-    let mut spa = Spa::new(b.ncols(), <K::Acc as Monoid>::identity());
-    let chunk = multiply_rows::<K>(a, b, 0..a.nrows(), &mut spa);
-    assemble::<K>(a.nrows(), b.ncols(), vec![chunk])
-}
-
-/// Checks operand and mask shapes for a masked multiplication.
-fn check_mask_shapes<L, R>(a: &Csr<L>, b: &Csr<R>, mask: &Mask) {
-    assert_eq!(
-        a.ncols(),
-        b.nrows(),
-        "spgemm inner dimension mismatch: {}x{} by {}x{}",
-        a.nrows(),
-        a.ncols(),
-        b.nrows(),
-        b.ncols()
-    );
-    assert_eq!(
-        (mask.nrows(), mask.ncols()),
-        (a.nrows(), b.ncols()),
-        "mask shape {}x{} does not match output shape {}x{}",
-        mask.nrows(),
-        mask.ncols(),
-        a.nrows(),
-        b.ncols()
-    );
-}
-
-/// Sequential masked SpGEMM: like [`spgemm_serial`] but elementary
-/// products whose output coordinate `mask` excludes are skipped
-/// before they are formed (not accumulated, not counted in `ops`).
-///
-/// # Panics
-/// Panics if the inner dimensions disagree or the mask shape differs
-/// from the output shape.
-pub fn spgemm_masked_serial<K: SpMulKernel>(
-    a: &Csr<K::Left>,
-    b: &Csr<K::Right>,
-    mask: &Mask,
-) -> SpGemmOut<KernelOut<K>> {
-    check_mask_shapes(a, b, mask);
-    let mut spa = Spa::new(b.ncols(), <K::Acc as Monoid>::identity());
-    let mut ms = MaskStamp::new(b.ncols());
-    let chunk = multiply_rows_masked::<K>(a, b, mask, 0..a.nrows(), &mut spa, &mut ms);
-    assemble::<K>(a.nrows(), b.ncols(), vec![chunk])
 }
 
 /// Minimum row count before the parallel SpGEMM fans out; below this
@@ -299,6 +248,86 @@ fn flops_weights<L, R>(a: &Csr<L>, b: &Csr<R>) -> Vec<u64> {
         .collect()
 }
 
+/// Every public entry point: checks shapes, then multiplies on the
+/// calling thread (`serial`, one pool thread or few rows) or over
+/// flops-balanced row ranges on the pool, one SPA per participant.
+/// Row partitioning ignores the mask — the unmasked flops are a valid
+/// upper bound per row, and identical partitions keep the trace
+/// stream stable whether or not a mask is present.
+fn run<K: SpMulKernel>(
+    a: &Csr<K::Left>,
+    b: &Csr<K::Right>,
+    mask: Option<&Mask>,
+    serial: bool,
+) -> SpGemmOut<KernelOut<K>> {
+    assert_eq!(
+        a.ncols(),
+        b.nrows(),
+        "spgemm inner dimension mismatch: {}x{} by {}x{}",
+        a.nrows(),
+        a.ncols(),
+        b.nrows(),
+        b.ncols()
+    );
+    if let Some(mask) = mask {
+        assert_eq!(
+            (mask.nrows(), mask.ncols()),
+            (a.nrows(), b.ncols()),
+            "mask shape {}x{} does not match output shape {}x{}",
+            mask.nrows(),
+            mask.ncols(),
+            a.nrows(),
+            b.ncols()
+        );
+    }
+    let nrows = a.nrows();
+    let spa = || Spa::new(b.ncols(), <K::Acc as Monoid>::identity());
+    let pool = mfbc_parallel::current();
+    if serial || pool.threads() == 1 || nrows < PAR_MIN_ROWS {
+        let chunk = multiply::<K>(a, b, mask, 0..nrows, &mut spa());
+        return assemble::<K>(nrows, b.ncols(), vec![chunk]);
+    }
+    let weights = flops_weights(a, b);
+    let ranges = balanced_ranges(&weights, pool.threads() * TASKS_PER_THREAD);
+    let (chunks, stats) = pool.par_ranges_scratch(&ranges, spa, |spa, rows| {
+        multiply::<K>(a, b, mask, rows, spa)
+    });
+    mfbc_trace::emit(|| mfbc_trace::TraceEvent::Pool {
+        kernel: "spgemm",
+        threads: stats.threads,
+        tasks: stats.tasks,
+        busy_us: stats.busy.iter().map(|d| d.as_micros() as u64).collect(),
+        chunk_hist: chunk_histogram(ranges.iter().map(|r| r.len())),
+    });
+    assemble::<K>(nrows, b.ncols(), chunks)
+}
+
+/// Sequential generalized SpGEMM (row-wise Gustavson).
+///
+/// # Panics
+/// Panics if the inner dimensions disagree.
+pub fn spgemm_serial<K: SpMulKernel>(
+    a: &Csr<K::Left>,
+    b: &Csr<K::Right>,
+) -> SpGemmOut<KernelOut<K>> {
+    run::<K>(a, b, None, true)
+}
+
+/// Sequential masked SpGEMM: like [`spgemm_serial`] but elementary
+/// products whose output coordinate `mask` excludes are skipped
+/// before they are formed (not accumulated, not counted in `ops`).
+///
+/// # Panics
+/// Panics if the inner dimensions disagree or the mask shape differs
+/// from the output shape.
+pub fn spgemm_masked_serial<K: SpMulKernel>(
+    a: &Csr<K::Left>,
+    b: &Csr<K::Right>,
+    mask: &Mask,
+) -> SpGemmOut<KernelOut<K>> {
+    run::<K>(a, b, Some(mask), true)
+}
+
 /// Row-parallel generalized SpGEMM on the `mfbc-parallel` pool
 /// ([`mfbc_parallel::current`]), with flops-balanced row partitioning
 /// and one reusable SPA per pool participant.
@@ -310,88 +339,28 @@ fn flops_weights<L, R>(a: &Csr<L>, b: &Csr<R>) -> Vec<u64> {
 /// thread count, even for non-commutative payload effects like `f64`
 /// summation order.
 pub fn spgemm<K: SpMulKernel>(a: &Csr<K::Left>, b: &Csr<K::Right>) -> SpGemmOut<KernelOut<K>> {
-    assert_eq!(
-        a.ncols(),
-        b.nrows(),
-        "spgemm inner dimension mismatch: {}x{} by {}x{}",
-        a.nrows(),
-        a.ncols(),
-        b.nrows(),
-        b.ncols()
-    );
-    let nrows = a.nrows();
-    let pool = mfbc_parallel::current();
-    if pool.threads() == 1 || nrows < PAR_MIN_ROWS {
-        return spgemm_serial::<K>(a, b);
-    }
-    let weights = flops_weights(a, b);
-    let ranges = balanced_ranges(&weights, pool.threads() * TASKS_PER_THREAD);
-    let (chunks, stats) = pool.par_ranges_scratch(
-        &ranges,
-        || Spa::new(b.ncols(), <K::Acc as Monoid>::identity()),
-        |spa, rows| multiply_rows::<K>(a, b, rows, spa),
-    );
-    mfbc_trace::emit(|| mfbc_trace::TraceEvent::Pool {
-        kernel: "spgemm",
-        threads: stats.threads,
-        tasks: stats.tasks,
-        busy_us: stats.busy.iter().map(|d| d.as_micros() as u64).collect(),
-        chunk_hist: chunk_histogram(ranges.iter().map(|r| r.len())),
-    });
-    assemble::<K>(nrows, b.ncols(), chunks)
+    run::<K>(a, b, None, false)
 }
 
 /// Row-parallel masked SpGEMM. Same determinism contract as
 /// [`spgemm`]: results (entries *and* `ops`) are bit-identical to
-/// [`spgemm_masked_serial`] at any thread count. Row partitioning
-/// reuses the unmasked flops weights — a valid upper bound per row,
-/// and identical partitions keep the trace stream stable whether or
-/// not a mask is present.
+/// [`spgemm_masked_serial`] at any thread count.
 pub fn spgemm_masked<K: SpMulKernel>(
     a: &Csr<K::Left>,
     b: &Csr<K::Right>,
     mask: &Mask,
 ) -> SpGemmOut<KernelOut<K>> {
-    check_mask_shapes(a, b, mask);
-    let nrows = a.nrows();
-    let pool = mfbc_parallel::current();
-    if pool.threads() == 1 || nrows < PAR_MIN_ROWS {
-        return spgemm_masked_serial::<K>(a, b, mask);
-    }
-    let weights = flops_weights(a, b);
-    let ranges = balanced_ranges(&weights, pool.threads() * TASKS_PER_THREAD);
-    let (chunks, stats) = pool.par_ranges_scratch(
-        &ranges,
-        || {
-            (
-                Spa::new(b.ncols(), <K::Acc as Monoid>::identity()),
-                MaskStamp::new(b.ncols()),
-            )
-        },
-        |(spa, ms), rows| multiply_rows_masked::<K>(a, b, mask, rows, spa, ms),
-    );
-    mfbc_trace::emit(|| mfbc_trace::TraceEvent::Pool {
-        kernel: "spgemm",
-        threads: stats.threads,
-        tasks: stats.tasks,
-        busy_us: stats.busy.iter().map(|d| d.as_micros() as u64).collect(),
-        chunk_hist: chunk_histogram(ranges.iter().map(|r| r.len())),
-    });
-    assemble::<K>(nrows, b.ncols(), chunks)
+    run::<K>(a, b, Some(mask), false)
 }
 
-/// Dispatches to the masked or unmasked parallel kernel — the form
-/// the distributed multiplication layers call with their per-block
-/// mask windows.
+/// The masked or unmasked parallel multiplication — the form the
+/// distributed layers call with their per-block mask windows.
 pub fn spgemm_opt<K: SpMulKernel>(
     a: &Csr<K::Left>,
     b: &Csr<K::Right>,
     mask: Option<&Mask>,
 ) -> SpGemmOut<KernelOut<K>> {
-    match mask {
-        Some(m) => spgemm_masked::<K>(a, b, m),
-        None => spgemm::<K>(a, b),
-    }
+    run::<K>(a, b, mask, false)
 }
 
 /// Log2-bucketed size histogram: slot `b` counts chunks whose size
@@ -586,6 +555,153 @@ mod tests {
                 );
                 assert_eq!(reference.ops, p.ops, "{kind:?} ops at {threads} threads");
             }
+        }
+    }
+
+    /// `rows × inner` by `inner × ncols` operands with exactly
+    /// `a_row` / `b_row` entries in every row.
+    fn operands(
+        rng: &mut rand_chacha::ChaCha8Rng,
+        (rows, inner, ncols): (usize, usize, usize),
+        (a_row, b_row): (usize, usize),
+    ) -> (Csr<Dist>, Csr<Dist>) {
+        use rand::Rng;
+        let mut fill = |n: usize, m: usize, per_row: usize| {
+            let mut coo = Coo::new(n, m);
+            for i in 0..n {
+                let mut taken = vec![false; m];
+                while taken.iter().filter(|&&t| t).count() < per_row {
+                    let j = rng.gen_range(0..m);
+                    if !std::mem::replace(&mut taken[j], true) {
+                        coo.push(i, j, Dist::new(rng.gen_range(1..50)));
+                    }
+                }
+            }
+            coo.into_csr::<MinDist>()
+        };
+        (fill(rows, inner, a_row), fill(inner, ncols, b_row))
+    }
+
+    /// Multiply-then-filter: the entries `mask` allows of the unmasked
+    /// product, and the elementary products that land on them.
+    fn filter_oracle(a: &Csr<Dist>, b: &Csr<Dist>, mask: Option<&Mask>) -> (Csr<Dist>, u64) {
+        let full = spgemm_serial::<TropicalKernel>(a, b).mat;
+        let mut ops = 0;
+        for (i, k, av) in a.iter() {
+            for (j, bv) in b.row(k) {
+                let allowed = mask.is_none_or(|m| m.allows(i, j));
+                ops += u64::from(allowed && TropicalKernel::mul(av, bv).is_some());
+            }
+        }
+        (mask.map_or(full.clone(), |m| m.filter_allowed(&full)), ops)
+    }
+
+    #[derive(Clone, Copy, Debug, PartialEq)]
+    enum Drain {
+        Walk,
+        Scan,
+        Sort,
+    }
+
+    /// The drain path `Spa::drain_into` takes for a row that touched
+    /// `touched` columns under a structural pattern row of `walk`
+    /// columns (0 otherwise).
+    fn drain_of(touched: usize, walk: usize, ncols: usize) -> Drain {
+        if walk > 0 && touched * DENSE_DRAIN >= walk {
+            Drain::Walk
+        } else if touched * DENSE_DRAIN >= ncols {
+            Drain::Scan
+        } else {
+            Drain::Sort
+        }
+    }
+
+    #[test]
+    fn mask_modes_and_drain_paths_match_the_filter_oracle_at_any_thread_count() {
+        use crate::mask::{Mask, MaskKind};
+        use rand::{Rng, SeedableRng};
+        const SHAPE: (usize, usize, usize) = (48, 40, 256);
+        // (mask kind, pattern columns per row, entries per row of A
+        // and B, the drain path that density forces on every row).
+        let cases = [
+            (None, 0, (2, 3), Drain::Sort),
+            (None, 0, (8, 64), Drain::Scan),
+            (Some(MaskKind::Complement), 20, (2, 3), Drain::Sort),
+            (Some(MaskKind::Complement), 20, (8, 64), Drain::Scan),
+            (Some(MaskKind::Structural), 16, (8, 64), Drain::Walk),
+            (Some(MaskKind::Structural), 200, (2, 3), Drain::Sort),
+        ];
+        for (seed, (kind, pattern_cols, density, want_path)) in cases.into_iter().enumerate() {
+            let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(100 + seed as u64);
+            let (a, b) = operands(&mut rng, SHAPE, density);
+            let coords: Vec<(usize, usize)> = (0..SHAPE.0 * pattern_cols)
+                .map(|x| (x / pattern_cols, rng.gen_range(0..SHAPE.2)))
+                .collect();
+            let mask = kind.map(|kind| Mask::from_coords(kind, SHAPE.0, SHAPE.2, &coords));
+            let mask = mask.as_ref();
+            let (want, want_ops) = filter_oracle(&a, &b, mask);
+            assert!(want_ops > 0, "{kind:?} {density:?}: no product survives");
+
+            // The tropical kernel forms no identity, so a row touched
+            // what it emitted.
+            for i in (0..SHAPE.0).filter(|&i| want.row_nnz(i) > 0) {
+                let walk = match kind {
+                    Some(MaskKind::Structural) => mask.unwrap().row_cols(i).len(),
+                    _ => 0,
+                };
+                let path = drain_of(want.row_nnz(i), walk, SHAPE.2);
+                assert_eq!(path, want_path, "{kind:?} {density:?}: row {i}");
+            }
+
+            let serial = run::<TropicalKernel>(&a, &b, mask, true);
+            assert_eq!(
+                serial.mat.first_difference(&want),
+                None,
+                "{kind:?} {density:?}"
+            );
+            assert_eq!(serial.ops, want_ops, "{kind:?} {density:?}: ops");
+            for threads in [1, 2, 4, 8] {
+                let p = mfbc_parallel::with_threads(threads, || {
+                    spgemm_opt::<TropicalKernel>(&a, &b, mask)
+                });
+                assert_eq!(
+                    p.mat, serial.mat,
+                    "{kind:?} {density:?} at {threads} threads"
+                );
+                assert_eq!(
+                    p.ops, want_ops,
+                    "{kind:?} {density:?} ops at {threads} threads"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn stamp_mark_wraps_without_changing_results() {
+        use crate::mask::{Mask, MaskKind};
+        use rand::{Rng, SeedableRng};
+        let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(5);
+        let (a, b) = operands(&mut rng, (8, 12, 30), (4, 6));
+        let coords: Vec<(usize, usize)> = (0..80)
+            .map(|_| (rng.gen_range(0..8), rng.gen_range(0..30)))
+            .collect();
+        let masks = [
+            None,
+            Some(Mask::from_coords(MaskKind::Structural, 8, 30, &coords)),
+            Some(Mask::from_coords(MaskKind::Complement, 8, 30, &coords)),
+        ];
+        for mask in &masks {
+            let mut fresh = Spa::new(30, MinDist::identity());
+            let want = multiply::<TropicalKernel>(&a, &b, mask.as_ref(), 0..8, &mut fresh);
+            assert!(want.3 > 0, "the rows must form products");
+            // Two rows fit below the last even mark; the third starts
+            // over — with stamps of both kinds left behind.
+            let mut old = Spa::new(30, MinDist::identity());
+            old.mark = u32::MAX - 5;
+            old.stamp.fill(u32::MAX - 5);
+            let got = multiply::<TropicalKernel>(&a, &b, mask.as_ref(), 0..8, &mut old);
+            assert_eq!(got, want, "{:?}", mask.as_ref().map(Mask::kind));
+            assert!(old.mark < 16, "the mark must have wrapped: {}", old.mark);
         }
     }
 

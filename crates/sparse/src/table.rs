@@ -9,9 +9,10 @@
 //! to maintain — and is sorted exactly once, by [`Table::freeze`].
 //!
 //! Where output masks read the table's pattern every superstep, the
-//! pattern is kept as sorted per-row column lists, merged in place.
+//! pattern is kept beside it as [`SortedRows`], merged in place.
 
 use crate::csr::{Csr, Idx};
+use crate::rows::SortedRows;
 use mfbc_algebra::monoid::Monoid;
 
 /// An insert-or-combine table over a fixed `rows × cols` shape.
@@ -23,13 +24,13 @@ pub struct Table<T> {
     /// `vals`, or 0 where no entry is stored.
     slot: Vec<u32>,
     vals: Vec<T>,
-    /// Sorted stored columns of each row; kept only on request.
-    pattern: Option<Vec<Vec<Idx>>>,
+    /// The stored coordinates; kept only on request.
+    pattern: Option<SortedRows>,
 }
 
 impl<T: Clone> Table<T> {
     /// A table holding `seed`'s entries. With `track_pattern` the
-    /// sorted pattern rows are maintained for [`Table::pattern_row`].
+    /// sorted pattern rows are maintained for [`Table::pattern`].
     ///
     /// # Panics
     /// Panics if the shape's area does not fit the slot index.
@@ -48,7 +49,7 @@ impl<T: Clone> Table<T> {
             ncols,
             slot,
             vals,
-            pattern: track_pattern.then(|| (0..nrows).map(|i| seed.row_cols(i).to_vec()).collect()),
+            pattern: track_pattern.then(|| SortedRows::of_pattern(seed)),
         }
     }
 
@@ -79,13 +80,13 @@ impl<T: Clone> Table<T> {
         }
     }
 
-    /// The stored columns of row `i`, ascending.
+    /// The stored coordinates.
     ///
     /// # Panics
     /// Panics if the table was built without `track_pattern`.
     #[inline]
-    pub fn pattern_row(&self, i: usize) -> &[Idx] {
-        &self.pattern.as_ref().expect("table tracks no pattern")[i]
+    pub fn pattern(&self) -> &SortedRows {
+        self.pattern.as_ref().expect("table tracks no pattern")
     }
 
     /// `T := T ⊕ G` in place, and the entries of `G` that `keep` lets
@@ -146,7 +147,7 @@ impl<T: Clone> Table<T> {
             }
             rowptr.push(colind.len());
             if let Some(p) = &mut self.pattern {
-                merge_sorted(&mut p[i], &fresh);
+                p.insert(i, &fresh);
             }
             fresh.clear();
         }
@@ -173,22 +174,6 @@ impl<T: Clone> Table<T> {
     }
 }
 
-/// Merges the ascending `new` (disjoint from `row`) into the ascending
-/// `row` in place, back to front.
-fn merge_sorted(row: &mut Vec<Idx>, new: &[Idx]) {
-    let (mut old, mut w) = (row.len(), row.len() + new.len());
-    row.resize(w, 0);
-    for &c in new.iter().rev() {
-        while old > 0 && row[old - 1] > c {
-            w -= 1;
-            old -= 1;
-            row[w] = row[old];
-        }
-        w -= 1;
-        row[w] = c;
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -200,18 +185,6 @@ mod tests {
     }
 
     #[test]
-    fn merge_sorted_interleaves() {
-        let mut row = vec![2, 5, 9];
-        merge_sorted(&mut row, &[0, 3, 4, 11]);
-        assert_eq!(row, vec![0, 2, 3, 4, 5, 9, 11]);
-        merge_sorted(&mut row, &[]);
-        assert_eq!(row.len(), 7);
-        let mut empty = Vec::new();
-        merge_sorted(&mut empty, &[1, 7]);
-        assert_eq!(empty, vec![1, 7]);
-    }
-
-    #[test]
     fn accumulate_inserts_combines_and_filters() {
         let mut t = Table::from_csr(&m_u64(2, 4, &[(0, 1, 10), (1, 3, 20)]), true);
         // (0,1) collides, (0,0) and (1,2) are new; keep only entries
@@ -220,8 +193,8 @@ mod tests {
         let kept = t.accumulate::<SumU64>(&g, |g, t| (t % 2 == 1).then_some(*g));
         assert_eq!(kept, m_u64(2, 4, &[(0, 0, 3), (0, 1, 5)]));
         assert_eq!((t.nnz(), t.get(0, 1), t.get(1, 0)), (4, Some(&15), None));
-        assert_eq!(t.pattern_row(0), &[0, 1]);
-        assert_eq!(t.pattern_row(1), &[2, 3]);
+        assert_eq!(t.pattern().row(0), &[0, 1]);
+        assert_eq!(t.pattern().row(1), &[2, 3]);
         let want = m_u64(2, 4, &[(0, 0, 3), (0, 1, 15), (1, 2, 4), (1, 3, 20)]);
         assert_eq!(t.freeze().first_difference(&want), None);
     }
@@ -230,6 +203,6 @@ mod tests {
     #[should_panic(expected = "tracks no pattern")]
     fn pattern_is_opt_in() {
         let t = Table::from_csr(&m_u64(1, 2, &[(0, 1, 1)]), false);
-        let _ = t.pattern_row(0);
+        let _ = t.pattern();
     }
 }

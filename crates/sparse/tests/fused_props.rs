@@ -1,13 +1,15 @@
 //! The fused in-place superstep bodies equal the whole-table
 //! compositions they replace: `Table::accumulate` + `freeze` against
-//! `combine` + `zip_filter` (Algorithm 1, lines 5–6), and `settle`
-//! against `combine_anchored` + a fire zip + a pin map (Algorithm 2,
-//! lines 8–11) — chained over seeded random supersteps, compared
-//! entry for entry with `Csr::first_difference`.
+//! `combine` + `zip_filter` (Algorithm 1, lines 5–6), `anchor` against
+//! two zips and a pin map (Algorithm 2, lines 1–4), and `settle`
+//! against `combine_anchored` + a fire zip + a pin map (lines 8–11)
+//! with the pending set it maintains recomputed from scratch —
+//! chained over seeded random supersteps, compared entry for entry
+//! with `Csr::first_difference`.
 
 use mfbc_algebra::{Centpath, CentpathMonoid, Dist, Multpath, MultpathMonoid};
-use mfbc_sparse::elementwise::{combine, combine_anchored, map_filter, settle, zip_filter};
-use mfbc_sparse::{Coo, Csr, Mask, MaskKind, Table};
+use mfbc_sparse::elementwise::{anchor, combine, combine_anchored, map_filter, settle, zip_filter};
+use mfbc_sparse::{Coo, Csr, Idx, Mask, MaskKind, SortedRows, Table};
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 
@@ -71,9 +73,8 @@ fn accumulate_then_freeze_equals_combine_then_zip_filter() {
             if track {
                 // The pattern read off the table is the mask the
                 // whole-table path derives from T.
-                let rows = (0..ROWS).map(|i| table.pattern_row(i).iter().copied());
                 assert_eq!(
-                    Mask::from_sorted_rows(MaskKind::Complement, ROWS, COLS, rows),
+                    Mask::over_rows(MaskKind::Complement, table.pattern()),
                     Mask::complement_of(&composed),
                     "seed {seed} step {step}: mask"
                 );
@@ -88,6 +89,72 @@ fn accumulate_then_freeze_equals_combine_then_zip_filter() {
             inserted > 0 && combined > 0 && dropped > 0,
             "seed {seed}: chain must insert, collide and filter"
         );
+    }
+}
+
+/// The entries still waiting on a child, read off `z` itself.
+fn pending_of(z: &Csr<Centpath>) -> SortedRows {
+    let waits = |i: usize| {
+        let row = z.row(i).filter(|(_, zv)| zv.c > 0);
+        row.map(|(j, _)| j as Idx).collect::<Vec<Idx>>()
+    };
+    SortedRows::from_rows(COLS, (0..ROWS).map(waits))
+}
+
+/// `settle`'s hook in MFBr: fire at counter zero, and pin.
+fn fire_and_pin(zv: &mut Centpath, tv: &Multpath) -> Option<Centpath> {
+    let f = fire(zv, tv.m)?;
+    zv.c = -1;
+    Some(f)
+}
+
+#[test]
+fn anchor_equals_anchor_zip_then_leaf_zip_then_pin() {
+    for seed in 0..40u64 {
+        let mut rng = ChaCha8Rng::seed_from_u64(2000 + seed);
+        let t = explored(&mut rng, 200);
+        // Child counts at a random half of T's coordinates (some at a
+        // foreign weight, which the anchor discards) and outside it.
+        let mut coo = Coo::new(ROWS, COLS);
+        for (i, j, mp) in t.iter() {
+            if rng.gen_bool(0.5) {
+                let w = if rng.gen_bool(0.8) {
+                    mp.w
+                } else {
+                    Dist::new(9)
+                };
+                coo.push(i, j, Centpath::new(w, 0.0, rng.gen_range(1..3)));
+            }
+        }
+        for _ in 0..20 {
+            let at = (rng.gen_range(0..ROWS), rng.gen_range(0..COLS));
+            coo.push(at.0, at.1, Centpath::new(Dist::new(1), 0.0, 1));
+        }
+        let counted = coo.into_csr::<CentpathMonoid>();
+        let init = |mp: &Multpath, d: Option<&Centpath>| {
+            Centpath::new(mp.w, 0.0, d.filter(|c| c.w == mp.w).map_or(0, |c| c.c))
+        };
+
+        let z0 =
+            zip_filter::<CentpathMonoid, _, _, _>(&t, &counted, |_, _, mp, d| Some(init(mp, d)));
+        let leaves = zip_filter::<CentpathMonoid, _, _, _>(&z0, &t, |_, _, zv, tv| {
+            fire(zv, tv.expect("Z pattern ⊆ T pattern").m)
+        });
+        let pinned = map_filter::<CentpathMonoid, _, _>(&z0, |_, _, zv| {
+            Some(Centpath::new(zv.w, zv.p, if zv.c == 0 { -1 } else { zv.c }))
+        });
+        assert!(
+            leaves.nnz() > 0 && leaves.nnz() < z0.nnz(),
+            "seed {seed}: some entries must fire and some wait"
+        );
+
+        for track in [false, true] {
+            let (z, front, pending) =
+                anchor::<CentpathMonoid, _, _>(&t, &counted, init, fire_and_pin, track);
+            assert_eq!(z.first_difference(&pinned), None, "seed {seed}: Z");
+            assert_eq!(front.first_difference(&leaves), None, "seed {seed}: leaves");
+            assert_eq!(pending, track.then(|| pending_of(&pinned)), "seed {seed}");
+        }
     }
 }
 
@@ -107,6 +174,8 @@ fn settle_equals_combine_anchored_then_fire_then_pin() {
         // The leaf pass: afterwards no entry holds counter 0.
         composed = pin(&composed);
         let mut fused = composed.clone();
+        let waiting = pending_of(&composed);
+        let mut pending = waiting.clone();
         let mut fired_at = std::collections::BTreeSet::new();
         let (mut outside, mut repinned) = (0, 0);
         for step in 0..12 {
@@ -131,11 +200,9 @@ fn settle_equals_combine_anchored_then_fire_then_pin() {
             });
             composed = pin(&merged);
 
-            let got = settle::<CentpathMonoid, _>(&mut fused, &back, &t, |zv, tv| {
-                let f = fire(zv, tv.m)?;
-                zv.c = -1;
-                Some(f)
-            });
+            // Every other seed settles without a pending set to keep.
+            let tracked = (seed % 2 == 0).then_some(&mut pending);
+            let got = settle::<CentpathMonoid, _>(&mut fused, tracked, &back, &t, fire_and_pin);
             assert_eq!(
                 got.first_difference(&want),
                 None,
@@ -151,6 +218,18 @@ fn settle_equals_combine_anchored_then_fire_then_pin() {
                     fired_at.insert((i, j)),
                     "seed {seed}: ({i},{j}) fired twice"
                 );
+            }
+            if seed % 2 == 0 {
+                // Pending is what waited at the start and has not
+                // fired (a heavier update can also overwrite a
+                // counter here, which MFBr's never do).
+                let unfired = |i: usize| {
+                    let row = waiting.row(i).iter().copied();
+                    row.filter(|&j| !fired_at.contains(&(i, j as usize)))
+                        .collect::<Vec<Idx>>()
+                };
+                let want = SortedRows::from_rows(COLS, (0..ROWS).map(unfired));
+                assert_eq!(pending, want, "seed {seed} step {step}: pending");
             }
         }
         assert!(

@@ -162,24 +162,9 @@ pub fn mm_auto_cached<K: SpMulKernel>(
     b: &DistMat<K::Right>,
     cache: &mut MmCache<K::Right>,
 ) -> Result<(MmOut<KernelOut<K>>, MmPlan), MachineError> {
-    mm_auto_cached_masked::<K>(m, a, b, None, cache)
-}
-
-/// [`mm_auto_cached`] with an optional output mask. Cached right-hand
-/// forms are mask-independent (they key on content, and masking never
-/// alters what a cached form holds), so amortization across masked
-/// and unmasked calls is preserved.
-pub fn mm_auto_cached_masked<K: SpMulKernel>(
-    m: &Machine,
-    a: &DistMat<K::Left>,
-    b: &DistMat<K::Right>,
-    mask: Option<&Mask>,
-    cache: &mut MmCache<K::Right>,
-) -> Result<(MmOut<KernelOut<K>>, MmPlan), MachineError> {
     let _span = mfbc_trace::span(|| "mm_auto".to_string());
-    let st = stats_for_masked::<K>(a, b, mask);
-    let (plan, _) = best_plan(m.spec(), &st);
-    let out = crate::mm::mm_exec_cached_masked::<K>(m, &plan, a, b, mask, cache)?;
+    let (plan, _) = best_plan(m.spec(), &stats_for::<K>(a, b));
+    let out = crate::mm::mm_exec_cached::<K>(m, &plan, a, b, cache)?;
     Ok((out, plan))
 }
 

@@ -96,6 +96,7 @@ impl CacheStats {
 pub struct MmCache<T> {
     entries: HashMap<String, Entry<T>>,
     stats: Cell<CacheStats>,
+    one_shot: bool,
 }
 
 impl<T> Default for MmCache<T> {
@@ -103,6 +104,7 @@ impl<T> Default for MmCache<T> {
         MmCache {
             entries: HashMap::new(),
             stats: Cell::new(CacheStats::default()),
+            one_shot: false,
         }
     }
 }
@@ -111,6 +113,24 @@ impl<T> MmCache<T> {
     /// An empty cache.
     pub fn new() -> MmCache<T> {
         MmCache::default()
+    }
+
+    /// An empty cache that serves a single multiplication and is
+    /// released after it: what it holds is never asked for again.
+    pub fn one_shot() -> MmCache<T> {
+        MmCache {
+            one_shot: true,
+            ..MmCache::default()
+        }
+    }
+
+    /// Whether a later multiplication can hit what this one stores.
+    /// A plan then builds the whole right-hand form — the next product
+    /// gets it for free whatever its mask — where for a one-shot
+    /// product it may build the smaller form this product's mask
+    /// leaves.
+    pub fn amortizes(&self) -> bool {
+        !self.one_shot
     }
 
     /// Number of cached forms.

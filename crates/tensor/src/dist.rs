@@ -638,7 +638,7 @@ mod tests {
         table.update_blocks(|bi, bj, t| {
             t.accumulate::<SumU64>(add.block(bi, bj), |_, _| None);
         });
-        assert_eq!(table.block(0, 0).pattern_row(0), &[0, 1]);
+        assert_eq!(table.block(0, 0).pattern().row(0), &[0, 1]);
         let frozen = table.freeze();
         frozen.validate().unwrap();
         assert_eq!(frozen.nnz(), dm.nnz() + 1);

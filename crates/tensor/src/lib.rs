@@ -40,9 +40,7 @@ mod mm3d;
 pub mod ops;
 pub mod redist;
 
-pub use autotune::{
-    best_plan, mm_auto, mm_auto_cached, mm_auto_cached_masked, mm_auto_masked, stats_for_masked,
-};
+pub use autotune::{best_plan, mm_auto, mm_auto_cached, mm_auto_masked, stats_for_masked};
 pub use cache::{CacheStats, MmCache};
 pub use costmodel::MmStats;
 pub use dist::{DistMat, DistTable, Layout};

@@ -426,7 +426,7 @@ pub fn mm_exec_masked<K: SpMulKernel>(
     b: &DistMat<K::Right>,
     mask: Option<&Mask>,
 ) -> Result<MmOut<KernelOut<K>>, MachineError> {
-    let mut cache = MmCache::new();
+    let mut cache = MmCache::one_shot();
     let out = mm_exec_cached_masked::<K>(m, plan, a, b, mask, &mut cache);
     cache.release_all(m);
     out
@@ -449,9 +449,9 @@ pub fn mm_exec_cached<K: SpMulKernel>(
 /// Masked, cached execution — the full-generality entry point. Cached
 /// right-operand forms are mask-*independent* (they key on the
 /// operand alone), so Theorem 5.1's amortization survives a mask that
-/// changes every iteration; only the uncached fresh-per-product
-/// B-panel paths shrink operand volume against the mask (see
-/// DESIGN.md).
+/// changes every iteration; only B-panel paths that nothing will reuse
+/// — a plan that never caches, or a [`MmCache::one_shot`] cache —
+/// shrink operand volume against the mask (see DESIGN.md).
 pub fn mm_exec_cached_masked<K: SpMulKernel>(
     m: &Machine,
     plan: &MmPlan,

@@ -176,15 +176,20 @@ pub(crate) fn run_pieces<K: SpMulKernel>(
             // applies to it exactly as to the replicated/blocked
             // forms of the other variants; a cached form serves
             // masked calls too (compute is mask-windowed either way).
-            // On a miss, a mask whose fully-excluded output columns
-            // strand B entries at home ships the shrunk operand
-            // instead — that form is mask-specific, so it is built
-            // fresh and never cached.
+            // A miss on a cache that amortizes therefore builds and
+            // keeps the whole form, whatever the mask: a sweep's masks
+            // change every product and the next one hits. Only a
+            // one-shot product ships the operand shrunk by the mask's
+            // fully-excluded output columns, whose entries would
+            // strand at home.
             let fp = Fingerprint::of(b);
             let key = format!("1d:A:{}:{}", group.len(), b.content_id());
             let b2: Arc<DistMat<K::Right>> = if let Some(CachedRhs::Dist(d)) = cache.get(&key, fp) {
                 Arc::clone(d)
-            } else if let Some(s) = mask.and_then(|mk| crate::mm::shrink_rhs_against_mask(b, mk)) {
+            } else if let Some(s) = mask
+                .filter(|_| !cache.amortizes())
+                .and_then(|mk| crate::mm::shrink_rhs_against_mask(b, mk))
+            {
                 Arc::new(redistribute::<FirstWins<K::Right>, _>(m, &s, &lb)?)
             } else {
                 let built = Arc::new(redistribute::<FirstWins<K::Right>, _>(m, b, &lb)?);

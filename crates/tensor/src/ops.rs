@@ -1,6 +1,7 @@
 //! Distributed elementwise operations on [`DistMat`]s sharing a
 //! layout: monoid combination, zip-filter/map, the two fused in-place
-//! superstep updates ([`dmat_accumulate`], [`dmat_settle`]) and
+//! superstep updates ([`dmat_accumulate`], [`dmat_settle`]), the pass
+//! that opens the second ([`dmat_anchor`]) and
 //! counting — the distributed counterparts of CTF's elementwise
 //! `Function` / `Transform` operations and sparse writes (§6.1). All
 //! are communication-free except [`nnz_sync`], which models the
@@ -16,8 +17,9 @@ use crate::dist::{DistMat, DistTable, Layout};
 use mfbc_algebra::monoid::Monoid;
 use mfbc_machine::cost::CollectiveKind;
 use mfbc_machine::{Machine, MachineError};
-use mfbc_sparse::elementwise::{combine, map_filter, settle, zip_filter};
-use mfbc_sparse::Csr;
+use mfbc_sparse::elementwise::{anchor, combine, map_filter, settle, zip_filter};
+use mfbc_sparse::{Csr, SortedRows};
+use std::sync::Mutex;
 
 /// Asserts two distributed matrices share cuts and owners.
 fn assert_aligned<T, U>(a: &DistMat<T>, b: &DistMat<U>)
@@ -134,10 +136,60 @@ where
     Ok(DistMat::from_blocks(l.clone(), blocks))
 }
 
+/// Algorithm 2, lines 1–4 fused: [`anchor`] block by block — the
+/// matrix `init` stores on `base`'s pattern with its residency
+/// charged, the entries `fire` emits from it, and (with `track`) each
+/// block's pending rows, in block order.
+///
+/// Billed as the composition it replaces (DESIGN.md §7, deviation 8):
+/// the `nnz(base)` of a [`dmat_zip_filter`], the memory charge, then
+/// the `nnz(Z)` of a second zip and of a [`dmat_map_filter`], per
+/// block.
+///
+/// # Errors
+/// Propagates a memory-budget failure of the opened matrix.
+#[allow(clippy::type_complexity)]
+pub fn dmat_anchor<M, T, U>(
+    m: &Machine,
+    base: &DistMat<T>,
+    other: &DistMat<U>,
+    init: impl Fn(&T, Option<&U>) -> M::Elem + Sync,
+    fire: impl Fn(&mut M::Elem, &T) -> Option<M::Elem> + Sync,
+    track: bool,
+) -> Result<(DistMat<M::Elem>, DistMat<M::Elem>, Option<Vec<SortedRows>>), MachineError>
+where
+    M: Monoid,
+    M::Elem: Clone + Send + Sync,
+    T: Clone + Send + Sync,
+    U: Clone + Send + Sync,
+{
+    assert_aligned(base, other);
+    let l = base.layout();
+    let (parts, stats) = mfbc_parallel::current().par_map_collect_stats(l.nblocks(), |id| {
+        let (bi, bj) = (id / l.bc(), id % l.bc());
+        anchor::<M, T, U>(base.block(bi, bj), other.block(bi, bj), &init, &fire, track)
+    });
+    emit_pool("dmat_anchor", &stats);
+    let (mut zs, mut fronts, mut pending) = (Vec::new(), Vec::new(), Vec::new());
+    for (z, front, rows) in parts {
+        zs.push(z);
+        fronts.push(front);
+        pending.extend(rows);
+    }
+    let z = DistMat::from_blocks(l.clone(), zs);
+    let z_nnz = |bi, bj| z.block(bi, bj).nnz();
+    charge_blocks(m, l, |bi, bj| base.block(bi, bj).nnz());
+    z.charge_memory(m)?;
+    charge_blocks(m, l, z_nnz); // the leaf zip
+    charge_blocks(m, l, z_nnz); // the pin map
+    let frontier = DistMat::from_blocks(l.clone(), fronts);
+    Ok((z, frontier, track.then_some(pending)))
+}
+
 /// Algorithm 2, lines 8–11 fused: [`settle`] block by block —
 /// `Z := Z ⊗ G` in place on `Z`'s pattern, `fire` on the entries just
 /// touched (against `side` at the same coordinates) emitting the next
-/// frontier.
+/// frontier and leaving `pending` ([`dmat_anchor`]'s, in block order).
 ///
 /// Billed as the composition it replaces (DESIGN.md §7, deviation 8):
 /// an anchored merge `nnz(Z) + nnz(G)`, then the `nnz(Z)` of a zip and
@@ -145,6 +197,7 @@ where
 pub fn dmat_settle<M, U>(
     m: &Machine,
     z: &mut DistMat<M::Elem>,
+    pending: Option<&mut [SortedRows]>,
     update: &DistMat<M::Elem>,
     side: &DistMat<U>,
     fire: impl Fn(&mut M::Elem, &U) -> Option<M::Elem> + Sync,
@@ -157,8 +210,15 @@ where
     assert_aligned(z, update);
     assert_aligned(z, side);
     let l = z.layout().clone();
+    // One lock per block, taken by the one job that settles it.
+    let pending: Option<Vec<Mutex<&mut SortedRows>>> =
+        pending.map(|p| p.iter_mut().map(Mutex::new).collect());
     let (blocks, stats) = z.update_blocks(|bi, bj, zb| {
-        settle::<M, U>(zb, update.block(bi, bj), side.block(bi, bj), &fire)
+        let mut rows = pending
+            .as_ref()
+            .map(|p| p[l.block_id(bi, bj)].lock().expect("a block job panicked"));
+        let rows = rows.as_deref_mut().map(|rows| &mut **rows);
+        settle::<M, U>(zb, rows, update.block(bi, bj), side.block(bi, bj), &fire)
     });
     emit_pool("dmat_settle", &stats);
     let z_nnz = |bi, bj| z.block(bi, bj).nnz();

@@ -235,4 +235,34 @@ fn mask_shrinks_variant_a_communication() {
         masked_ops < unmasked_ops,
         "masked {masked_ops} !< unmasked {unmasked_ops}"
     );
+
+    // Under a cache that amortizes, the same masked miss builds and
+    // keeps the whole panel — a sweep's next mask is another one — so
+    // the second product moves only its frontier.
+    let m = Machine::new(MachineSpec::test(4));
+    let df = DistMat::from_global(canonical_layout(&m, nb, n), &f);
+    let da = DistMat::from_global(canonical_layout(&m, n, n), &a);
+    let mut cache = mfbc_tensor::MmCache::new();
+    let mut product = || {
+        let before = m.report().critical.bytes;
+        let plan = MmPlan::OneD(Variant1D::A);
+        let out = mfbc_tensor::mm_exec_cached_masked::<BellmanFordKernel>(
+            &m,
+            &plan,
+            &df,
+            &da,
+            Some(&mask),
+            &mut cache,
+        )
+        .unwrap();
+        assert_eq!(out.ops, masked_ops);
+        m.report().critical.bytes - before
+    };
+    let (first, second) = (product(), product());
+    assert_eq!(first, unmasked_bytes, "a kept panel is the whole panel");
+    assert!(
+        second < masked_bytes,
+        "hit {second} !< shrunk {masked_bytes}"
+    );
+    cache.release_all(&m);
 }

@@ -53,7 +53,7 @@ fn random_dist_mat(rng: &mut ChaCha8Rng, n: usize, nnz: usize) -> Csr<Dist> {
     coo.into_csr::<MinDist>()
 }
 
-fn random_mask(rng: &mut ChaCha8Rng, n: usize) -> Mask {
+fn random_mask(rng: &mut ChaCha8Rng, n: usize) -> Mask<'static> {
     let coords: Vec<(usize, usize)> = (0..(n * n / 3))
         .map(|_| (rng.gen_range(0..n), rng.gen_range(0..n)))
         .collect();

@@ -14,6 +14,13 @@ was better, and a verdict against the bound BENCHMARK.json fixes.
 `--trace 0` runs print the end-to-end metrics, `--trace 1` runs the
 per-layer ones (name those with `--metrics`).
 
+`wall_vs_brandes` divides the program's `wall_s` by an in-process
+Brandes run whose own time depends on the heap the program leaves
+behind, so every `wall_vs_brandes` row also shows each side's median
+`wall_s` (from the run's samples line) and is marked `yardstick moved`
+when the ratio and `wall_s` change in opposite directions by more than
+10 %: the program did one thing and the reference another.
+
 Verdicts (metrics BENCHMARK.json bounds):
   unresolved     a side's quartile distance exceeds the bound
   regressed      the change's median is worse by more than the bound
@@ -33,18 +40,36 @@ import tempfile
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 
+RATIO = "wall_vs_brandes"
+WALL_S = "wall_s (samples)"
+# Opposite moves of the ratio and of wall_s beyond this are the
+# reference's doing, not the program's.
+YARDSTICK_TOLERANCE = 0.10
+
+
+def yardstick_moved(ratio_delta, wall_delta):
+    """Whether the ratio and wall_s moved apart by > 10 % each."""
+    return (min(abs(ratio_delta), abs(wall_delta)) > YARDSTICK_TOLERANCE
+            and (ratio_delta > 0) != (wall_delta > 0))
+
 
 def run(binary, workload, seed, seconds, trace, cwd):
-    """One driver-mode run; returns its metrics as {name: value}."""
+    """One driver-mode run; returns its metrics as {name: value}, plus
+    the median of its `wall_s` samples under the key WALL_S."""
     cmd = [binary, "--workload", workload, "--seed", str(seed),
            "--seconds", str(seconds), "--trace", str(trace)]
     out = subprocess.run(cmd, cwd=cwd, check=True, capture_output=True, text=True)
-    result = json.loads(out.stdout.strip().splitlines()[-1])
+    lines = out.stdout.strip().splitlines()
+    result = json.loads(lines[-1])
     if result["failed"] != 0 or not result["correct"]:
         print(f"FAILED: {' '.join(cmd)}: {result['failed']} of "
               f"{result['attempted']} output checks", file=sys.stderr)
         return None
-    return {k: v["value"] for k, v in result["metrics"].items()}
+    got = {k: v["value"] for k, v in result["metrics"].items()}
+    walls = json.loads(lines[-2])["samples"].get("wall_s") if len(lines) > 1 else None
+    if walls:
+        got[WALL_S] = statistics.median(walls)
+    return got
 
 
 def fmt(x):
@@ -105,7 +130,7 @@ def main():
                     if got is None:
                         failed = True
                         continue
-                    for name in metrics:
+                    for name in metrics + [WALL_S] * (RATIO in metrics):
                         if name not in got:
                             sys.exit(f"{name}: not printed by --trace {args.trace} runs")
                         cell = samples.setdefault((workload, name),
@@ -118,6 +143,8 @@ def main():
     print("|---|---|---|---|---|---|---|")
     for (workload, name), cell in samples.items():
         parent, change = cell["parent"], cell["change"]
+        if name == WALL_S:
+            continue  # shown inside the workload's ratio row
         if len(parent) != len(change) or len(parent) < 2:
             print(f"| {workload} | {name} | – | – | – | – | incomplete |")
             continue
@@ -130,8 +157,16 @@ def main():
         v = (verdict(parent_q, change_q, len(parent), wins, decl["better"], decl["bound"])
              if "bound" in decl else "–")
         failed |= v == "regressed"
-        print(f"| {workload} | {name} | {fmt(pmed)} [{fmt(pq1)}, {fmt(pq3)}] "
-              f"| {fmt(cmed)} [{fmt(cq1)}, {fmt(cq3)}] | {delta} "
+        pwall = cwall = ""
+        if name == RATIO:
+            walls = samples[(workload, WALL_S)]
+            pw, cw = (statistics.median(walls[side]) for side in ("parent", "change"))
+            pwall, cwall = f"; wall_s {fmt(pw)}", f"; wall_s {fmt(cw)}"
+            delta += f"; wall_s {(cw - pw) / pw:+.1%}"
+            if pmed and yardstick_moved((cmed - pmed) / abs(pmed), (cw - pw) / pw):
+                v += ", yardstick moved"
+        print(f"| {workload} | {name} | {fmt(pmed)} [{fmt(pq1)}, {fmt(pq3)}]{pwall} "
+              f"| {fmt(cmed)} [{fmt(cq1)}, {fmt(cq3)}]{cwall} | {delta} "
               f"| {wins}/{len(parent)} | {v} |")
     sys.exit(1 if failed else 0)
 
