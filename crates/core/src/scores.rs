@@ -1,5 +1,7 @@
 //! Betweenness-centrality score vectors and comparison helpers.
 
+use std::cmp::Ordering;
+
 /// Betweenness centrality scores `λ(v)` for every vertex, counting
 /// ordered `(s, t)` pairs (the paper's definition
 /// `λ(v) = Σ_{s,t∈V} σ(s,t,v)/σ̄(s,t)`; for undirected graphs this is
@@ -68,20 +70,36 @@ impl BcScores {
         }
     }
 
-    /// The `k` highest-centrality vertices, ties broken by index
-    /// (what BC applications actually consume).
-    pub fn top_k(&self, k: usize) -> Vec<(usize, f64)> {
-        let mut idx: Vec<usize> = (0..self.n()).collect();
-        idx.sort_by(|&a, &b| {
+    /// The ranking order: higher score first, ties broken by lower
+    /// index (incomparable scores rank as ties).
+    fn by_rank(&self) -> impl Fn(&usize, &usize) -> Ordering + '_ {
+        |&a, &b| {
             self.lambda[b]
                 .partial_cmp(&self.lambda[a])
-                .unwrap_or(std::cmp::Ordering::Equal)
+                .unwrap_or(Ordering::Equal)
                 .then(a.cmp(&b))
-        });
-        idx.into_iter()
-            .take(k)
-            .map(|v| (v, self.lambda[v]))
-            .collect()
+        }
+    }
+
+    /// Every vertex, highest centrality first, ties broken by index:
+    /// `top_k(k)` is the first `k` entries paired with their scores.
+    pub fn ranking(&self) -> Vec<usize> {
+        let mut idx: Vec<usize> = (0..self.n()).collect();
+        idx.sort_unstable_by(self.by_rank());
+        idx
+    }
+
+    /// The `k` highest-centrality vertices, ties broken by index
+    /// (what BC applications actually consume). Selects the `k` best
+    /// and sorts only those.
+    pub fn top_k(&self, k: usize) -> Vec<(usize, f64)> {
+        let mut idx: Vec<usize> = (0..self.n()).collect();
+        if (1..idx.len()).contains(&k) {
+            idx.select_nth_unstable_by(k - 1, self.by_rank());
+        }
+        idx.truncate(k);
+        idx.sort_unstable_by(self.by_rank());
+        idx.into_iter().map(|v| (v, self.lambda[v])).collect()
     }
 }
 
@@ -143,5 +161,41 @@ mod tests {
         assert_eq!(top[0].0, 1); // tie with 3, lower index first
         assert_eq!(top[1].0, 3);
         assert_eq!(top[2].0, 2);
+    }
+
+    /// The full stable sort `top_k` replaced, kept as the reference.
+    fn top_k_by_full_sort(s: &BcScores, k: usize) -> Vec<(usize, f64)> {
+        let mut idx: Vec<usize> = (0..s.n()).collect();
+        idx.sort_by(|&a, &b| {
+            s.lambda[b]
+                .partial_cmp(&s.lambda[a])
+                .unwrap_or(Ordering::Equal)
+                .then(a.cmp(&b))
+        });
+        idx.into_iter().take(k).map(|v| (v, s.lambda[v])).collect()
+    }
+
+    #[test]
+    fn top_k_equals_the_full_sort_on_seeded_vectors() {
+        let mut rng = rand::SplitMix64::new(0x5c0_7e5);
+        for n in [0usize, 1, 2, 7, 64, 257] {
+            // Few distinct values: every prefix boundary falls inside
+            // a run of ties, where only the index decides.
+            for distinct in [1u64, 3, 1 << 40] {
+                let s = BcScores {
+                    lambda: (0..n)
+                        .map(|_| (rng.next_u64() % distinct) as f64 * 0.5)
+                        .collect(),
+                };
+                let order = s.ranking();
+                for k in [0, 1, 2, n / 2, n.saturating_sub(1), n, n + 3] {
+                    let got = s.top_k(k);
+                    assert_eq!(got, top_k_by_full_sort(&s, k), "n={n} k={k}");
+                    assert_eq!(got.len(), k.min(n));
+                    let prefix: Vec<usize> = got.iter().map(|p| p.0).collect();
+                    assert_eq!(prefix, order[..k.min(n)], "ranking prefix, n={n} k={k}");
+                }
+            }
+        }
     }
 }

@@ -61,18 +61,25 @@ impl Histogram {
         }
     }
 
+    /// The finite bucket `v` falls in — the least `b` with
+    /// `v <= 2^b` — or `None` for the overflow bucket. `2^b` is an
+    /// integer, so `v <= 2^b` exactly when `⌈v⌉ <= 2^b`: the bucket is
+    /// the ceiling's integer `⌈log2⌉`. Negatives and NaN count as 0.
+    fn bucket(v: f64) -> Option<usize> {
+        let ceil = v.max(0.0).ceil();
+        if ceil > Histogram::bound(LOG2_BUCKETS - 1) as f64 {
+            return None;
+        }
+        // In 0 ..= 2^31: the cast is exact.
+        let ceil = ceil as u64;
+        Some((u64::BITS - ceil.saturating_sub(1).leading_zeros()) as usize)
+    }
+
     fn observe(&mut self, v: f64) {
         let v = v.max(0.0);
-        let mut placed = false;
-        for b in 0..LOG2_BUCKETS {
-            if v <= (1u64 << b) as f64 {
-                self.buckets[b] += 1;
-                placed = true;
-                break;
-            }
-        }
-        if !placed {
-            self.overflow += 1;
+        match Histogram::bucket(v) {
+            Some(b) => self.buckets[b] += 1,
+            None => self.overflow += 1,
         }
         self.count += 1;
         self.sum += v;
@@ -99,20 +106,41 @@ pub enum SampleValue {
 /// to the same sample regardless of call-site ordering.
 pub type Labels = Vec<(String, String)>;
 
-fn label_key(labels: &[(&str, &str)]) -> Labels {
-    let mut v: Labels = labels
-        .iter()
-        .map(|(k, val)| ((*k).to_string(), (*val).to_string()))
-        .collect();
-    v.sort();
-    v
+/// The pairs of `labels` in sorted order, whatever order the call site
+/// wrote them in. Repeated selection instead of a sorted copy: label
+/// sets hold a handful of pairs, and the lookup of an existing sample
+/// must not allocate.
+fn sorted<'a>(labels: &'a [(&'a str, &'a str)]) -> impl Iterator<Item = (&'a str, &'a str)> {
+    // The position breaks ties, so repeated pairs are each visited.
+    let mut last: Option<((&str, &str), usize)> = None;
+    std::iter::from_fn(move || {
+        last = labels
+            .iter()
+            .copied()
+            .zip(0..)
+            .filter(|pair| last.is_none_or(|last| *pair > last))
+            .min();
+        last.map(|(pair, _)| pair)
+    })
 }
 
 #[derive(Clone, Debug)]
 struct Family {
     help: String,
     kind: MetricKind,
-    samples: BTreeMap<Labels, SampleValue>,
+    /// Ordered by label set: the export order, and what the lookup
+    /// bisects.
+    samples: Vec<(Labels, SampleValue)>,
+}
+
+impl Family {
+    fn new(kind: MetricKind) -> Family {
+        Family {
+            help: String::new(),
+            kind,
+            samples: Vec::new(),
+        }
+    }
 }
 
 /// Snapshot of one family for export.
@@ -155,11 +183,9 @@ impl MetricsRegistry {
     pub fn declare(&self, name: &str, kind: MetricKind, help: &str) {
         assert!(valid_name(name), "invalid metric name {name:?}");
         let mut fams = self.families.lock().expect("metrics registry lock");
-        let fam = fams.entry(name.to_string()).or_insert_with(|| Family {
-            help: String::new(),
-            kind,
-            samples: BTreeMap::new(),
-        });
+        let fam = fams
+            .entry(name.to_string())
+            .or_insert_with(|| Family::new(kind));
         assert_eq!(
             fam.kind, kind,
             "metric {name:?} redeclared with a different kind"
@@ -167,6 +193,11 @@ impl MetricsRegistry {
         fam.help = help.to_string();
     }
 
+    /// Applies `f` to the sample `name{labels}`, creating family and
+    /// sample on first use. An update of an existing sample — every
+    /// update after the first — finds it by the borrowed name and
+    /// labels and allocates nothing; names are validated where they
+    /// are stored, on insertion.
     fn with_sample(
         &self,
         name: &str,
@@ -174,26 +205,38 @@ impl MetricsRegistry {
         labels: &[(&str, &str)],
         f: impl FnOnce(&mut SampleValue),
     ) {
-        assert!(valid_name(name), "invalid metric name {name:?}");
-        for (k, _) in labels {
-            assert!(valid_name(k), "invalid label name {k:?}");
-        }
         let mut fams = self.families.lock().expect("metrics registry lock");
-        let fam = fams.entry(name.to_string()).or_insert_with(|| Family {
-            help: String::new(),
-            kind,
-            samples: BTreeMap::new(),
-        });
+        let fam = match fams.get_mut(name) {
+            Some(fam) => fam,
+            None => {
+                assert!(valid_name(name), "invalid metric name {name:?}");
+                fams.entry(name.to_string())
+                    .or_insert_with(|| Family::new(kind))
+            }
+        };
         assert_eq!(fam.kind, kind, "metric {name:?} used as a different kind");
-        let sample = fam
-            .samples
-            .entry(label_key(labels))
-            .or_insert_with(|| match kind {
+        let found = fam.samples.binary_search_by(|(stored, _)| {
+            stored
+                .iter()
+                .map(|(k, v)| (k.as_str(), v.as_str()))
+                .cmp(sorted(labels))
+        });
+        let at = found.unwrap_or_else(|at| {
+            for (k, _) in labels {
+                assert!(valid_name(k), "invalid label name {k:?}");
+            }
+            let zero = match kind {
                 MetricKind::Counter => SampleValue::Counter(0.0),
                 MetricKind::Gauge => SampleValue::Gauge(0.0),
                 MetricKind::Histogram => SampleValue::Histogram(Histogram::new()),
-            });
-        f(sample);
+            };
+            let key = sorted(labels)
+                .map(|(k, v)| (k.to_string(), v.to_string()))
+                .collect();
+            fam.samples.insert(at, (key, zero));
+            at
+        });
+        f(&mut fam.samples[at].1);
     }
 
     /// Adds `delta` (must be ≥ 0) to a counter sample.
@@ -233,11 +276,7 @@ impl MetricsRegistry {
                 name: name.clone(),
                 help: fam.help.clone(),
                 kind: fam.kind,
-                samples: fam
-                    .samples
-                    .iter()
-                    .map(|(l, v)| (l.clone(), v.clone()))
-                    .collect(),
+                samples: fam.samples.clone(),
             })
             .collect()
     }
@@ -296,6 +335,84 @@ mod tests {
         assert_eq!(h.overflow, 1); // 1e12 > 2^31
         assert_eq!(h.count, 7);
         assert_eq!(h.sum, 15.0 + 1e12);
+    }
+
+    /// The bucket search `Histogram::bucket` replaced, kept as the
+    /// reference.
+    fn bucket_by_search(v: f64) -> Option<usize> {
+        let v = v.max(0.0);
+        (0..LOG2_BUCKETS).find(|&b| v <= (1u64 << b) as f64)
+    }
+
+    #[test]
+    fn direct_log2_bucket_equals_the_search_it_replaced() {
+        let mut probes = vec![
+            0.0,
+            -0.0,
+            -1.0,
+            f64::NEG_INFINITY,
+            f64::MIN_POSITIVE,
+            0.5,
+            1.5,
+            1e12,
+            u64::MAX as f64,
+            f64::MAX,
+            f64::INFINITY,
+            f64::NAN,
+        ];
+        for b in 0..=LOG2_BUCKETS + 1 {
+            let bound = (1u64 << b) as f64;
+            let ulp = |x: f64, up: bool| {
+                f64::from_bits(if up { x.to_bits() + 1 } else { x.to_bits() - 1 })
+            };
+            probes.extend([ulp(bound, false), bound, ulp(bound, true), bound * 1.5]);
+        }
+        for v in probes {
+            assert_eq!(Histogram::bucket(v), bucket_by_search(v), "v = {v:?}");
+        }
+    }
+
+    #[test]
+    fn multi_label_sets_meet_in_one_sample_whatever_the_order() {
+        let r = MetricsRegistry::new();
+        let orders: [&[(&str, &str)]; 4] = [
+            &[("rung", "stale"), ("reason", "budget"), ("zone", "a")],
+            &[("zone", "a"), ("rung", "stale"), ("reason", "budget")],
+            &[("reason", "budget"), ("zone", "a"), ("rung", "stale")],
+            &[("reason", "budget"), ("rung", "stale"), ("zone", "a")],
+        ];
+        for labels in orders {
+            r.counter_add("d_total", labels, 1.0);
+        }
+        // Neighbours on either side of it in the export order.
+        r.counter_add("d_total", &[("rung", "approx"), ("reason", "budget")], 1.0);
+        r.counter_add("d_total", &[("reason", "min-k"), ("rung", "stale")], 1.0);
+        r.counter_add("d_total", &[], 1.0);
+        let snap = r.snapshot();
+        let keys: Vec<Labels> = snap[0].samples.iter().map(|s| s.0.clone()).collect();
+        let mut by_ord = keys.clone();
+        by_ord.sort();
+        assert_eq!(keys, by_ord, "samples export in label-set order");
+        assert_eq!(keys.len(), 4);
+        let own = |k: &str, v: &str| (k.to_string(), v.to_string());
+        let three = vec![
+            own("reason", "budget"),
+            own("rung", "stale"),
+            own("zone", "a"),
+        ];
+        let at = keys
+            .iter()
+            .position(|k| *k == three)
+            .expect("stored sorted");
+        assert_eq!(snap[0].samples[at].1, SampleValue::Counter(4.0));
+    }
+
+    #[test]
+    #[should_panic(expected = "invalid label name")]
+    fn bad_label_names_rejected_when_the_sample_is_created() {
+        let r = MetricsRegistry::new();
+        r.counter_add("x_total", &[("ok", "1")], 1.0);
+        r.counter_add("x_total", &[("not-ok", "1")], 1.0);
     }
 
     #[test]

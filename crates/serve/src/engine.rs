@@ -3,6 +3,7 @@
 //! `MfbcSession`.
 
 use crate::flight::{FlightKind, FlightRecorder, Journey};
+use crate::snapshot::ScoreSnapshot;
 use mfbc_core::dist::{MfbcConfig, MfbcSession, SessionStep};
 use mfbc_core::{mfbc_approx, sample_rel_se, BcScores};
 use mfbc_fault::{BreakerState, CircuitBreaker, RetryPolicy};
@@ -14,6 +15,7 @@ use mfbc_tensor::costmodel::MmStats;
 use mfbc_tensor::CacheStats;
 use mfbc_trace::TraceEvent;
 use std::collections::VecDeque;
+use std::sync::Arc;
 
 /// Responses kept in the rolling SLO window surfaced by
 /// [`Engine::health`].
@@ -144,8 +146,9 @@ pub enum Payload {
         /// Its (possibly estimated or stale) score.
         score: f64,
     },
-    /// The full score vector.
-    Full(Vec<f64>),
+    /// The full score vector: the snapshot the round served from,
+    /// shared rather than copied (derefs to the `[f64]` of scores).
+    Full(Arc<ScoreSnapshot>),
 }
 
 /// A served response.
@@ -247,9 +250,11 @@ impl Default for EngineConfig {
     }
 }
 
-/// Versioned snapshot of the last committed scores.
+/// The last committed scores and their version. Every commit installs
+/// a new snapshot, so nothing derived from an older version can answer
+/// for this one.
 struct ScoreStore {
-    scores: BcScores,
+    scores: Arc<ScoreSnapshot>,
     version: u64,
     exact_complete: bool,
 }
@@ -432,7 +437,7 @@ impl Engine {
             ecfg,
             session: Some(session),
             store: ScoreStore {
-                scores: BcScores::zeros(n),
+                scores: Arc::new(ScoreSnapshot::new(BcScores::zeros(n))),
                 version: 0,
                 exact_complete: false,
             },
@@ -581,11 +586,14 @@ impl Engine {
         if self.queue.is_empty() {
             return Vec::new();
         }
-        let round: Vec<(Request, f64)> = self.queue.drain(..).collect();
+        // The round is the queue as it stands: nothing is admitted
+        // while `drain` holds the engine, and the answering loop below
+        // pops it empty.
+        let requests = self.queue.len();
         self.rounds += 1;
         self.metrics.gauge_set("serve_queue_depth", &[], 0.0);
         self.metrics
-            .observe("serve_coalesced_requests", &[], round.len() as f64);
+            .observe("serve_coalesced_requests", &[], requests as f64);
         self.metrics.counter_add("serve_rounds_total", &[], 1.0);
 
         let start_s = self.clock_s();
@@ -593,7 +601,8 @@ impl Engine {
         let deadline = move |r: &Request| r.deadline_s.unwrap_or(default_deadline);
         // The most patient request funds shared progress; everyone
         // admitted rides along (coalescing).
-        let round_budget = round
+        let round_budget = self
+            .queue
             .iter()
             .map(|(r, _)| deadline(r))
             .fold(0.0_f64, f64::max);
@@ -602,7 +611,7 @@ impl Engine {
         let version_at_start = self.store.version;
         mfbc_trace::emit(|| TraceEvent::RoundStart {
             round: round_id,
-            requests: round.len() as u64,
+            requests: requests as u64,
             budget_s: round_budget,
             store_version: version_at_start,
         });
@@ -611,7 +620,7 @@ impl Engine {
                 start_s,
                 FlightKind::RoundStart {
                     round: round_id,
-                    requests: round.len() as u64,
+                    requests: requests as u64,
                     budget_s: round_budget,
                     store_version: version_at_start,
                 },
@@ -630,12 +639,13 @@ impl Engine {
         // Degraded rung: one shared sample sized to the largest
         // leftover budget among requests that can still afford the
         // minimum sample.
-        let mut approx: Option<(usize, BcScores)> = None;
+        let mut approx: Option<(usize, Arc<ScoreSnapshot>)> = None;
         let mut min_k_refused = false;
         if !self.store.exact_complete && !self.poisoned && !breaker_open {
             let elapsed = self.clock_s() - start_s;
             let est_source_s = (self.est_batch_s() / self.batch_nb.max(1) as f64).max(1e-12);
-            let k_round = round
+            let k_round = self
+                .queue
                 .iter()
                 .map(|(r, _)| ((deadline(r) - elapsed) / est_source_s) as i64)
                 .max()
@@ -651,7 +661,7 @@ impl Engine {
                 // The estimator runs shared-memory; charge its
                 // modeled cost so latencies stay honest.
                 self.extra_modeled_s += k_round as f64 * est_source_s;
-                approx = Some((k_round, est.scores));
+                approx = Some((k_round, Arc::new(ScoreSnapshot::new(est.scores))));
             } else {
                 min_k_refused = true;
             }
@@ -704,8 +714,8 @@ impl Engine {
         }
 
         let n = self.g.n();
-        let mut out = Vec::with_capacity(round.len());
-        for (req, submitted_s) in round {
+        let mut out = Vec::with_capacity(requests);
+        while let Some((req, submitted_s)) = self.queue.pop_front() {
             let (quality, scores) = if self.store.exact_complete {
                 (Quality::Exact, &self.store.scores)
             } else if let Some((k, est)) = &approx {
@@ -723,9 +733,9 @@ impl Engine {
                 Query::TopK { k } => Payload::TopK(scores.top_k(k)),
                 Query::Vertex { v } => Payload::Vertex {
                     v,
-                    score: scores.lambda[v],
+                    score: scores[v],
                 },
-                Query::Full => Payload::Full(scores.lambda.clone()),
+                Query::Full => Payload::Full(Arc::clone(scores)),
             };
             self.metrics
                 .counter_add("serve_responses_total", &[("quality", quality.name())], 1.0);
@@ -832,7 +842,7 @@ impl Engine {
                     let session = self.session.as_ref().expect("still live");
                     self.committed_modeled_s += self.clock_s() - before_s;
                     self.committed_batches += 1;
-                    self.store.scores = session.scores().clone();
+                    self.store.scores = Arc::new(ScoreSnapshot::new(session.scores().clone()));
                     self.store.version += 1;
                     self.metrics.counter_add("serve_batches_total", &[], 1.0);
                     self.metrics
@@ -857,7 +867,7 @@ impl Engine {
                     self.cache_stats = session.cache_stats();
                     let run = session.finish();
                     self.final_clock_s = run.report.critical.total_time();
-                    self.store.scores = run.scores;
+                    self.store.scores = Arc::new(ScoreSnapshot::new(run.scores));
                     self.store.exact_complete = true;
                     return;
                 }

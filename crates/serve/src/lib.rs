@@ -42,6 +42,11 @@
 //!   automatically on poison/breaker-trip and on demand via the wire
 //!   `{"cmd":"dump"}` command. Recording never perturbs responses
 //!   and capacity 0 disables it with zero allocation.
+//! * **Answer-proportional warm path** — the store holds an immutable
+//!   [`ScoreSnapshot`] per version that memoises the rank order and
+//!   the rendered score array, so a `topk` costs O(k), a `full`
+//!   response is one shared `Arc` and one copied string, and a warm
+//!   request allocates a constant number of times.
 //!
 //! The [`wire`] module gives the engine a dependency-free JSON-lines
 //! protocol (requests in, responses out) used by `mfbc-cli serve`.
@@ -51,9 +56,11 @@
 
 pub mod engine;
 pub mod flight;
+pub mod snapshot;
 pub mod wire;
 
 pub use engine::{
     Admission, Engine, EngineConfig, Health, Payload, Quality, Query, Request, Response, ShedReason,
 };
 pub use flight::{FlightEvent, FlightKind, FlightRecorder, Journey};
+pub use snapshot::ScoreSnapshot;

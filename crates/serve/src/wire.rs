@@ -2,7 +2,7 @@
 //!
 //! One request per line; a blank line is the flush boundary that
 //! triggers a coalesced [`crate::Engine::drain`]. Score values are
-//! rendered with `mfbc_trace::json::num`, which round-trips f64
+//! rendered with `mfbc_trace::json::write_num`, which round-trips f64
 //! bits exactly — the conformance harness compares exact-mode
 //! responses to one-shot runs *through* this format.
 //!
@@ -18,6 +18,7 @@
 
 use crate::engine::{Health, Payload, Quality, Query, Request, Response, ShedReason};
 use mfbc_trace::json::{self, Json};
+use std::fmt::Write as _;
 
 /// A parsed input line.
 #[derive(Clone, Debug, PartialEq)]
@@ -76,51 +77,68 @@ pub fn parse_line(line: &str) -> Result<WireCmd, String> {
     }))
 }
 
-/// Renders a served response as one JSON line.
-pub fn render_response(r: &Response) -> String {
-    let mut s = format!("{{\"id\":{},\"quality\":\"{}\"", r.id, r.quality.name());
+/// Appends a served response to `out` as one JSON line (no trailing
+/// newline). Everything is formatted straight into `out`, so a caller
+/// that reuses the buffer renders without allocating; a `full` payload
+/// is one copy of its snapshot's memoised array.
+pub fn write_response(out: &mut String, r: &Response) {
+    // Room for a typical line up front, so a fresh buffer grows once.
+    out.reserve(
+        160 + match &r.payload {
+            Payload::TopK(pairs) => 32 * pairs.len(),
+            Payload::Vertex { .. } => 0,
+            Payload::Full(snapshot) => snapshot.json_array().len(),
+        },
+    );
+    let _ = write!(
+        out,
+        "{{\"id\":{},\"quality\":\"{}\"",
+        r.id,
+        r.quality.name()
+    );
     match r.quality {
         Quality::Exact => {}
         Quality::Approx { k, ci } => {
-            s.push_str(&format!(",\"approx_k\":{k},\"ci\":{}", json::num(ci)));
+            let _ = write!(out, ",\"approx_k\":{k},\"ci\":");
+            json::write_num(out, ci);
         }
         Quality::Stale { version } => {
-            s.push_str(&format!(",\"stale_version\":{version}"));
+            let _ = write!(out, ",\"stale_version\":{version}");
         }
     }
-    s.push_str(&format!(
-        ",\"version\":{},\"latency_modeled_s\":{},\"retries\":{}",
-        r.version,
-        json::num(r.latency_modeled_s),
-        r.retries
-    ));
+    let _ = write!(out, ",\"version\":{},\"latency_modeled_s\":", r.version);
+    json::write_num(out, r.latency_modeled_s);
+    let _ = write!(out, ",\"retries\":{}", r.retries);
     match &r.payload {
         Payload::TopK(pairs) => {
-            s.push_str(",\"topk\":[");
+            out.push_str(",\"topk\":[");
             for (i, (v, score)) in pairs.iter().enumerate() {
                 if i > 0 {
-                    s.push(',');
+                    out.push(',');
                 }
-                s.push_str(&format!("[{v},{}]", json::num(*score)));
+                let _ = write!(out, "[{v},");
+                json::write_num(out, *score);
+                out.push(']');
             }
-            s.push(']');
+            out.push(']');
         }
         Payload::Vertex { v, score } => {
-            s.push_str(&format!(",\"v\":{v},\"score\":{}", json::num(*score)));
+            let _ = write!(out, ",\"v\":{v},\"score\":");
+            json::write_num(out, *score);
         }
-        Payload::Full(scores) => {
-            s.push_str(",\"scores\":[");
-            for (i, score) in scores.iter().enumerate() {
-                if i > 0 {
-                    s.push(',');
-                }
-                s.push_str(&json::num(*score));
-            }
-            s.push(']');
+        Payload::Full(snapshot) => {
+            out.push_str(",\"scores\":");
+            out.push_str(snapshot.json_array());
         }
     }
-    s.push('}');
-    s
+    out.push('}');
+}
+
+/// [`write_response`] into a fresh `String`.
+pub fn render_response(r: &Response) -> String {
+    let mut out = String::new();
+    write_response(&mut out, r);
+    out
 }
 
 /// Renders the refusal line for a shed submission.
@@ -233,6 +251,82 @@ mod tests {
         assert_eq!(score.to_bits(), (0.1_f64 + 0.2).to_bits());
         assert_eq!(v.get("approx_k").and_then(Json::as_u64), Some(4));
         assert_eq!(v.get("quality").and_then(Json::as_str), Some("approx"));
+    }
+
+    /// Every payload shape under every quality, byte for byte — what
+    /// `render_response` produced when it formatted one `String` per
+    /// score. Scores include a non-finite one and `0.1 + 0.2`.
+    #[test]
+    fn response_lines_are_pinned_byte_for_byte() {
+        use crate::ScoreSnapshot;
+        use mfbc_core::BcScores;
+        use std::sync::Arc;
+
+        let scores = vec![0.1 + 0.2, f64::INFINITY, 2.0, 1e-7];
+        let snapshot = Arc::new(ScoreSnapshot::new(BcScores {
+            lambda: scores.clone(),
+        }));
+        let payloads = [
+            (
+                Payload::TopK(vec![(1, scores[1]), (2, scores[2]), (0, scores[0])]),
+                r#""topk":[[1,null],[2,2.0],[0,0.30000000000000004]]"#,
+            ),
+            (
+                Payload::Vertex {
+                    v: 0,
+                    score: scores[0],
+                },
+                r#""v":0,"score":0.30000000000000004"#,
+            ),
+            (
+                Payload::Full(snapshot),
+                r#""scores":[0.30000000000000004,null,2.0,1e-7]"#,
+            ),
+        ];
+        let qualities = [
+            (Quality::Exact, r#""quality":"exact""#),
+            (
+                Quality::Approx { k: 4, ci: 0.25 },
+                r#""quality":"approx","approx_k":4,"ci":0.25"#,
+            ),
+            (
+                Quality::Stale { version: 2 },
+                r#""quality":"stale","stale_version":2"#,
+            ),
+        ];
+        let mut reused = String::from("kept");
+        for (payload, payload_text) in &payloads {
+            for (quality, quality_text) in &qualities {
+                let r = Response {
+                    id: 9,
+                    quality: *quality,
+                    payload: payload.clone(),
+                    version: 3,
+                    latency_modeled_s: 1.5e-6,
+                    retries: 1,
+                };
+                let want = format!(
+                    "{{\"id\":9,{quality_text},\"version\":3,\
+                     \"latency_modeled_s\":1.5e-6,\"retries\":1,{payload_text}}}"
+                );
+                assert_eq!(render_response(&r), want);
+                // Appends: what the buffer held stays.
+                reused.truncate(4);
+                write_response(&mut reused, &r);
+                assert_eq!(reused, format!("kept{want}"));
+            }
+        }
+        assert_eq!(
+            render_response(&Response {
+                id: u64::MAX,
+                quality: Quality::Exact,
+                payload: Payload::TopK(Vec::new()),
+                version: 0,
+                latency_modeled_s: f64::NAN,
+                retries: 0,
+            }),
+            r#"{"id":18446744073709551615,"quality":"exact","version":0,"latency_modeled_s":null,"retries":0,"topk":[]}"#
+        );
     }
 
     #[test]

@@ -316,3 +316,72 @@ fn equal_seeds_produce_bit_identical_response_streams() {
     };
     assert_eq!(run(42), run(42), "same seed, same stream");
 }
+
+#[test]
+fn a_commit_is_never_answered_from_the_previous_versions_caches() {
+    let g = uniform(40, 150, false, None, 13);
+    let cfg = MfbcConfig::default().with_batch_size(4);
+    // Never approx: every degraded answer is the store's snapshot.
+    let ecfg = EngineConfig {
+        min_approx_k: usize::MAX,
+        ..EngineConfig::default()
+    };
+    let engine =
+        || Engine::new(&Machine::new(MachineSpec::test(4)), g.clone(), &cfg, ecfg).unwrap();
+    // One round funded for about one batch, answering `queries`.
+    let round = |engine: &mut Engine, budget: f64, queries: &[Query]| {
+        for (id, query) in queries.iter().enumerate() {
+            engine.submit(Request {
+                id: id as u64,
+                query: *query,
+                deadline_s: Some(budget),
+            });
+        }
+        engine.drain()
+    };
+    let one_batch = |engine: &Engine| 1.25 * engine.est_batch_modeled_s();
+    let asked = [Query::TopK { k: 5 }, Query::Full];
+    let payload_text = |r: &mfbc_serve::Response| {
+        let line = wire::render_response(r);
+        let (_, payload) = line.split_once("\"retries\":").expect("a response line");
+        payload.to_string()
+    };
+
+    // `warm` is asked for topk and full at every version it passes
+    // through, so every one of its snapshots has memoised both.
+    let mut warm = engine();
+    let mut last: Option<(u64, Payload)> = None;
+    let mut versions = 0;
+    while !warm.exact_complete() {
+        let budget = one_batch(&warm);
+        let answers = round(&mut warm, budget, &asked);
+        let version = answers[0].version;
+
+        // `fresh` reaches the same store asking only for a vertex —
+        // nothing memoised on the way — and is then asked once.
+        let mut fresh = engine();
+        while fresh.store_version() < version || fresh.exact_complete() != warm.exact_complete() {
+            let budget = one_batch(&fresh);
+            round(&mut fresh, budget, &[Query::Vertex { v: 0 }]);
+        }
+        assert_eq!(fresh.store_version(), version);
+        let reference = round(&mut fresh, 0.0, &asked);
+        for (got, want) in answers.iter().zip(&reference) {
+            assert_eq!(got.quality, want.quality, "version {version}");
+            assert_eq!(got.payload, want.payload, "version {version}");
+            assert_eq!(payload_text(got), payload_text(want), "version {version}");
+        }
+
+        // The versions really differ, so a cache kept across a commit
+        // would have shown above.
+        let full = answers[1].payload.clone();
+        if let Some((last_version, last_full)) = &last {
+            if *last_version != version {
+                assert_ne!(*last_full, full, "version {version} changed no score");
+                versions += 1;
+            }
+        }
+        last = Some((version, full));
+    }
+    assert!(versions >= 5, "only {versions} commits were observed");
+}

@@ -24,15 +24,23 @@ pub fn esc(s: &str) -> String {
     out
 }
 
-/// Formats an `f64` as a JSON number. `{:?}` round-trips the exact
-/// bit pattern, which the baseline's exact-compare policy relies on;
-/// non-finite values become `null` as JSON requires.
-pub fn num(x: f64) -> String {
+/// Appends an `f64` to `out` as a JSON number, without an intermediate
+/// allocation. `{:?}` round-trips the exact bit pattern, which the
+/// baseline's exact-compare policy relies on; non-finite values become
+/// `null` as JSON requires.
+pub fn write_num(out: &mut String, x: f64) {
     if x.is_finite() {
-        format!("{x:?}")
+        let _ = write!(out, "{x:?}");
     } else {
-        "null".to_string()
+        out.push_str("null");
     }
+}
+
+/// [`write_num`] into a fresh `String`.
+pub fn num(x: f64) -> String {
+    let mut out = String::new();
+    write_num(&mut out, x);
+    out
 }
 
 /// A parsed JSON value.
@@ -306,6 +314,17 @@ mod tests {
             let parsed = parse(&s).unwrap().as_f64().unwrap();
             assert_eq!(parsed.to_bits(), x.to_bits(), "round trip of {s}");
         }
+    }
+
+    #[test]
+    fn write_num_appends_what_num_returns() {
+        let mut out = String::from("[");
+        for &x in &[0.1 + 0.2, -0.0, 1e21, f64::NAN, f64::NEG_INFINITY] {
+            write_num(&mut out, x);
+            out.push(',');
+        }
+        assert_eq!(out, "[0.30000000000000004,-0.0,1e21,null,null,");
+        assert_eq!(num(f64::INFINITY), "null");
     }
 
     #[test]

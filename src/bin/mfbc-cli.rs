@@ -78,19 +78,23 @@ use std::io::Read;
 use std::io::Write as _;
 use std::process::ExitCode;
 
-/// Prints a line to stdout, exiting quietly when the consumer closed
-/// the pipe (e.g. `mfbc-cli bc … | head`).
-macro_rules! outln {
-    ($($arg:tt)*) => {{
-        let mut out = std::io::stdout().lock();
-        if let Err(e) = writeln!(out, $($arg)*) {
-            if e.kind() == std::io::ErrorKind::BrokenPipe {
-                std::process::exit(0);
-            }
-            eprintln!("mfbc-cli: stdout: {e}");
-            std::process::exit(1);
+/// Ends the process when a write to stdout failed: quietly when the
+/// consumer closed the pipe (e.g. `mfbc-cli bc … | head`).
+fn stdout_or_exit(written: std::io::Result<()>) {
+    if let Err(e) = written {
+        if e.kind() == std::io::ErrorKind::BrokenPipe {
+            std::process::exit(0);
         }
-    }};
+        eprintln!("mfbc-cli: stdout: {e}");
+        std::process::exit(1);
+    }
+}
+
+/// Prints a line to stdout; see [`stdout_or_exit`].
+macro_rules! outln {
+    ($($arg:tt)*) => {
+        stdout_or_exit(writeln!(std::io::stdout().lock(), $($arg)*))
+    };
 }
 
 /// Structured CLI failure: the variant picks the process exit code
@@ -1171,14 +1175,23 @@ fn cmd_serve(args: &[String]) -> Result<(), CliError> {
     // Auto-dumps the engine took at poison/breaker-trip, preserved
     // here in arrival order for `--flight-out`.
     let mut flight_lines: Vec<String> = Vec::new();
+    // One round's responses, rendered into one reused buffer and
+    // written under one stdout lock.
+    let mut rendered = String::new();
+    let mut answer_round = |engine: &mut mfbc_serve::Engine| {
+        rendered.clear();
+        for r in engine.drain() {
+            mfbc_serve::wire::write_response(&mut rendered, &r);
+            rendered.push('\n');
+        }
+        stdout_or_exit(std::io::stdout().lock().write_all(rendered.as_bytes()));
+    };
     let stdin = std::io::stdin();
     for line in stdin.lock().lines() {
         let line = line.map_err(|e| format!("stdin: {e}"))?;
         let text = line.trim();
         if text.is_empty() {
-            for r in engine.drain() {
-                outln!("{}", mfbc_serve::wire::render_response(&r));
-            }
+            answer_round(&mut engine);
             flight_lines.extend(engine.take_auto_dump());
             continue;
         }
@@ -1204,9 +1217,7 @@ fn cmd_serve(args: &[String]) -> Result<(), CliError> {
         }
     }
     // EOF: everything still queued gets its answer before shutdown.
-    for r in engine.drain() {
-        outln!("{}", mfbc_serve::wire::render_response(&r));
-    }
+    answer_round(&mut engine);
     flight_lines.extend(engine.take_auto_dump());
 
     if let Some(path) = o.get("flight-out") {
