@@ -238,6 +238,13 @@ fn profile_equals_trace_summaries_of_the_same_stream() {
         assert_eq!(p.wasted_s.to_bits(), wasted_s.to_bits(), "{action}");
     }
     assert_eq!(profile.wasted_s.to_bits(), recovery.wasted_s().to_bits());
+
+    // Every array of the document is populated here; the bytes are
+    // the ones PR 19's hand-serialising writer produced.
+    assert_eq!(
+        export::profile_to_json(&profile),
+        include_str!("golden/stream.profile.json")
+    );
 }
 
 #[test]

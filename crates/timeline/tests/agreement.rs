@@ -190,6 +190,7 @@ fn serve_rounds_round_trip_through_json_and_html() {
     let d = doc(&tl, &an, &[]);
     assert_eq!(d.version, 3, "rounds arrived with format version 3");
     let json = to_json(&d);
+    assert_eq!(json, include_str!("golden/serve_rounds.timeline.json"));
     let parsed = parse_timeline(&json).expect("parse timeline.json");
     assert_eq!(
         parsed.rounds, d.rounds,

@@ -17,9 +17,23 @@
 //! must fold to the makespan 35 bit-for-bit.
 
 use mfbc_machine::{CollectiveKind, Machine, MachineSpec};
-use mfbc_timeline::{analyze, critical_path, evaluate, TimelineBuilder, WhatIf};
+use mfbc_timeline::{
+    analyze, critical_path, doc, evaluate, report, to_json, Timeline, TimelineBuilder, WhatIf,
+};
 use mfbc_trace::scoped;
 use std::sync::Arc;
+
+/// The `timeline.json` text of `tl` with the identity and `overlap`
+/// what-ifs evaluated — compared byte for byte against the files under
+/// `tests/golden/`, which the hand-serialising writer of PR 19 produced.
+fn timeline_json(tl: &Timeline) -> String {
+    let overlap = WhatIf {
+        overlap: true,
+        ..WhatIf::identity()
+    };
+    let what_ifs = [report(tl, &WhatIf::identity()), report(tl, &overlap)];
+    to_json(&doc(tl, &analyze(tl), &what_ifs))
+}
 
 /// Runs the golden schedule on a live machine under a scoped
 /// timeline builder and returns the sealed timeline plus the machine.
@@ -65,6 +79,10 @@ fn golden_chain_segment_by_segment() {
     // rank 0 then rank 1.
     assert_eq!(path.segments[0].lane, 0);
     assert_eq!(path.segments[2].lane, 1);
+    assert_eq!(
+        timeline_json(&tl),
+        include_str!("golden/serialized.timeline.json")
+    );
 }
 
 #[test]
@@ -177,6 +195,10 @@ fn golden_overlapped_run_matches_whatif_and_folds_bit_exactly() {
         ..WhatIf::identity()
     };
     assert_eq!(evaluate(&tl, &overlap).to_bits(), tl.makespan_s().to_bits());
+    assert_eq!(
+        timeline_json(&tl),
+        include_str!("golden/overlapped.timeline.json")
+    );
 }
 
 #[test]
@@ -274,4 +296,8 @@ fn shrink_keeps_dead_lane_history_and_matches_survivors() {
     assert_eq!(path.sum_s().to_bits(), tl.makespan_s().to_bits());
     let labels: Vec<&str> = path.segments.iter().map(|s| s.label.as_str()).collect();
     assert_eq!(labels, vec!["compute", "allgather", "compute", "reduce"]);
+    assert_eq!(
+        timeline_json(&tl),
+        include_str!("golden/shrink.timeline.json")
+    );
 }
