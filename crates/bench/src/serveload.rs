@@ -23,8 +23,10 @@ use mfbc_core::dist::{mfbc_dist, MfbcConfig};
 use mfbc_fault::{FaultPlan, RetryPolicy};
 use mfbc_graph::gen::uniform;
 use mfbc_machine::{Machine, MachineSpec};
+use mfbc_profile::Case;
 use mfbc_serve::{Admission, Engine, EngineConfig, Payload, Quality, Query, Request};
-use mfbc_trace::json::{self, Json};
+use mfbc_trace::json::Version;
+use mfbc_trace::row;
 use std::time::Instant;
 
 /// The pinned fault schedule of the faulted case: one crash early,
@@ -52,8 +54,10 @@ impl Mix {
     }
 }
 
-/// Measured (and contract-checked) outcome of one load case.
-#[derive(Clone, Debug, PartialEq)]
+/// Measured (and contract-checked) outcome of one load case: one
+/// row of `BENCH_serve.json`, gated through
+/// [`mfbc_profile::Baseline`] like the modeled suite's cases.
+#[derive(Clone, Debug, Default, PartialEq)]
 pub struct ServeLoadReport {
     /// Case name (`fault-free` / `faulted`).
     pub name: String,
@@ -82,6 +86,35 @@ pub struct ServeLoadReport {
     /// Wall-clock seconds (reported only: not in the baseline file,
     /// `0.0` after a parse).
     pub wall_s: f64,
+}
+
+row! { ServeLoadReport {
+    "name" => name,
+    "requests" => requests,
+    "admitted" => admitted,
+    "shed" => shed,
+    "exact" => exact,
+    "approx" => approx,
+    "stale" => stale,
+    "retries" => retries,
+    "store_version" => store_version,
+    "modeled_s" => modeled_s,
+    "p99_latency_modeled_s" => p99_latency_modeled_s,
+    "rps_modeled" => rps_modeled,
+} }
+
+/// Schema version of `BENCH_serve.json`. Version 2 dropped
+/// `wall_band` and the per-case `wall_s`.
+pub const SERVE_BASELINE_VERSION: u64 = 2;
+
+impl Case for ServeLoadReport {
+    type Version = Version<SERVE_BASELINE_VERSION>;
+    /// Served-exact counts and throughput are not costs.
+    const COSTS: bool = false;
+
+    fn name(&self) -> &str {
+        &self.name
+    }
 }
 
 /// Runs one load case. `faults` is a `FaultPlan::parse` schedule or
@@ -270,152 +303,14 @@ pub fn run_suite(seed: u64) -> Vec<ServeLoadReport> {
     ]
 }
 
-/// Schema version of `BENCH_serve.json`. Version 2 dropped
-/// `wall_band` and the per-case `wall_s`.
-const VERSION: u64 = 2;
-
-/// Serializes reports as the `BENCH_serve.json` baseline document.
-pub fn to_json(reports: &[ServeLoadReport]) -> String {
-    let mut s = format!("{{\n  \"version\": {VERSION},\n  \"cases\": [\n");
-    for (i, r) in reports.iter().enumerate() {
-        if i > 0 {
-            s.push_str(",\n");
-        }
-        s.push_str(&format!(
-            "    {{\"name\": \"{}\", \"requests\": {}, \"admitted\": {}, \"shed\": {}, \
-             \"exact\": {}, \"approx\": {}, \"stale\": {}, \"retries\": {}, \
-             \"store_version\": {}, \"modeled_s\": {}, \"p99_latency_modeled_s\": {}, \
-             \"rps_modeled\": {}}}",
-            json::esc(&r.name),
-            r.requests,
-            r.admitted,
-            r.shed,
-            r.exact,
-            r.approx,
-            r.stale,
-            r.retries,
-            r.store_version,
-            json::num(r.modeled_s),
-            json::num(r.p99_latency_modeled_s),
-            json::num(r.rps_modeled),
-        ));
-    }
-    s.push_str("\n  ]\n}\n");
-    s
-}
-
-/// Parses a `BENCH_serve.json` baseline.
-///
-/// # Errors
-/// Returns a message naming the malformed field.
-pub fn from_json(text: &str) -> Result<Vec<ServeLoadReport>, String> {
-    let v = json::parse(text)?;
-    let version = v.get("version").and_then(Json::as_u64);
-    if version != Some(VERSION) {
-        return Err(format!(
-            "baseline version {version:?} unsupported (expected {VERSION})"
-        ));
-    }
-    let mut out = Vec::new();
-    for c in v
-        .get("cases")
-        .and_then(Json::as_array)
-        .ok_or("baseline needs a cases array")?
-    {
-        let field_u = |k: &str| -> Result<u64, String> {
-            c.get(k)
-                .and_then(Json::as_u64)
-                .ok_or_else(|| format!("case needs numeric {k:?}"))
-        };
-        let field_f = |k: &str| -> Result<f64, String> {
-            c.get(k)
-                .and_then(Json::as_f64)
-                .ok_or_else(|| format!("case needs numeric {k:?}"))
-        };
-        out.push(ServeLoadReport {
-            name: c
-                .get("name")
-                .and_then(Json::as_str)
-                .ok_or("case needs a name")?
-                .to_string(),
-            requests: field_u("requests")?,
-            admitted: field_u("admitted")?,
-            shed: field_u("shed")?,
-            exact: field_u("exact")?,
-            approx: field_u("approx")?,
-            stale: field_u("stale")?,
-            retries: field_u("retries")?,
-            store_version: field_u("store_version")?,
-            modeled_s: field_f("modeled_s")?,
-            p99_latency_modeled_s: field_f("p99_latency_modeled_s")?,
-            rps_modeled: field_f("rps_modeled")?,
-            wall_s: 0.0,
-        });
-    }
-    Ok(out)
-}
-
-/// Compares a fresh suite run against the baseline: counts and
-/// modeled seconds bit-exact. Returns human-readable findings; empty
-/// means the gate passes.
-pub fn compare(baseline: &[ServeLoadReport], current: &[ServeLoadReport]) -> Vec<String> {
-    let mut findings = Vec::new();
-    if baseline.len() != current.len() {
-        findings.push(format!(
-            "case count changed: baseline {} vs current {}",
-            baseline.len(),
-            current.len()
-        ));
-        return findings;
-    }
-    for (b, c) in baseline.iter().zip(current) {
-        if b.name != c.name {
-            findings.push(format!("case renamed: {} vs {}", b.name, c.name));
-            continue;
-        }
-        let counts = [
-            ("requests", b.requests, c.requests),
-            ("admitted", b.admitted, c.admitted),
-            ("shed", b.shed, c.shed),
-            ("exact", b.exact, c.exact),
-            ("approx", b.approx, c.approx),
-            ("stale", b.stale, c.stale),
-            ("retries", b.retries, c.retries),
-            ("store_version", b.store_version, c.store_version),
-        ];
-        for (what, want, got) in counts {
-            if want != got {
-                findings.push(format!("{}: {what} drifted: {want} -> {got}", b.name));
-            }
-        }
-        let modeled = [
-            ("modeled_s", b.modeled_s, c.modeled_s),
-            (
-                "p99_latency_modeled_s",
-                b.p99_latency_modeled_s,
-                c.p99_latency_modeled_s,
-            ),
-            ("rps_modeled", b.rps_modeled, c.rps_modeled),
-        ];
-        for (what, want, got) in modeled {
-            if want.to_bits() != got.to_bits() {
-                findings.push(format!(
-                    "{}: {what} drifted: {want:?} -> {got:?} (modeled values are deterministic)",
-                    b.name
-                ));
-            }
-        }
-    }
-    findings
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use mfbc_profile::Baseline;
 
     #[test]
     fn baseline_round_trips_through_json() {
-        let reports = vec![ServeLoadReport {
+        let base = Baseline::new(vec![ServeLoadReport {
             name: "fault-free".into(),
             requests: 50,
             admitted: 48,
@@ -429,16 +324,17 @@ mod tests {
             p99_latency_modeled_s: 0.5,
             rps_modeled: 0.38,
             wall_s: 0.0,
-        }];
-        let parsed = from_json(&to_json(&reports)).unwrap();
-        assert_eq!(parsed, reports);
-        assert!(compare(&reports, &parsed).is_empty());
-        assert!(from_json(&to_json(&reports).replace("\"version\": 2", "\"version\": 1")).is_err());
+        }]);
+        let parsed = Baseline::from_json(&base.to_json()).unwrap();
+        assert_eq!(parsed, base);
+        assert!(base.compare(&parsed.cases).is_empty());
+        let v1 = base.to_json().replace("\"version\": 2", "\"version\": 1");
+        assert!(Baseline::<ServeLoadReport>::from_json(&v1).is_err());
     }
 
     #[test]
     fn compare_flags_modeled_drift_and_ignores_wall() {
-        let base = vec![ServeLoadReport {
+        let base = Baseline::new(vec![ServeLoadReport {
             name: "faulted".into(),
             requests: 50,
             admitted: 50,
@@ -452,15 +348,15 @@ mod tests {
             p99_latency_modeled_s: 1.0,
             rps_modeled: 0.5,
             wall_s: 1.0,
-        }];
-        let mut drifted = base.clone();
+        }]);
+        let mut drifted = base.cases.clone();
         drifted[0].modeled_s = 100.1;
         drifted[0].exact = 49;
         drifted[0].stale = 1;
-        let findings = compare(&base, &drifted);
+        let findings = base.compare(&drifted);
         assert_eq!(findings.len(), 3, "{findings:?}");
-        let mut slower = base.clone();
+        let mut slower = base.cases.clone();
         slower[0].wall_s = 2.0;
-        assert!(compare(&base, &slower).is_empty());
+        assert!(base.compare(&slower).is_empty());
     }
 }

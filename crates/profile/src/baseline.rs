@@ -15,7 +15,8 @@
 //! the file nor compared: real time is judged by the `BENCHMARK.json`
 //! workloads, on the machine that runs them.
 
-use mfbc_trace::json::{esc, num, parse, Json};
+use mfbc_trace::json::{diff, parse, write_doc, Cell, Row, Version};
+use mfbc_trace::{row, Value};
 
 /// One pinned experiment's measurements.
 #[derive(Clone, Debug, Default, PartialEq)]
@@ -48,22 +49,62 @@ pub struct BaselineCase {
     pub wall_s: f64,
 }
 
-/// A parsed (or freshly measured) baseline file.
-#[derive(Clone, Debug, Default, PartialEq)]
-pub struct Baseline {
-    /// Schema version.
-    pub version: u64,
-    /// Pinned cases, in suite order.
-    pub cases: Vec<BaselineCase>,
-}
+row! { BaselineCase {
+    "name" => name,
+    "modeled_comm_s" => modeled_comm_s,
+    "modeled_comp_s" => modeled_comp_s,
+    "msgs" => msgs,
+    "bytes" => bytes,
+    "total_ops" => total_ops,
+    "max_peak_bytes" => max_peak_bytes,
+    "critical_comm_share" => critical_comm_share,
+    "makespan_s" => makespan_s,
+} }
 
-/// Schema version written by [`Baseline::to_json`]. Version 2 added
+/// Schema version of `BENCH_mfbc.json`. Version 2 added
 /// `critical_comm_share` (the timeline analyzer's communication share
 /// of the causal critical path). Version 3 added `makespan_s` (the
 /// modeled causal makespan, pinned bit-exact so communication overlap
 /// wins — and regressions — are gated directly). Version 4 dropped
 /// `wall_band` and the per-case `wall_s`.
 pub const BASELINE_VERSION: u64 = 4;
+
+/// One row of a baseline file: a named case whose every declared
+/// field is deterministic and compared bit-exact.
+pub trait Case: Row + Default {
+    /// The file's format version, as a [`Version`].
+    type Version: Cell + Default;
+
+    /// Whether every field is a cost (seconds, bytes, operations), so
+    /// that a larger value is a [`Severity::Regression`]. Where it is
+    /// not, any difference is [`Severity::Drift`].
+    const COSTS: bool;
+
+    /// The case's stable identifier inside its suite.
+    fn name(&self) -> &str;
+}
+
+impl Case for BaselineCase {
+    type Version = Version<BASELINE_VERSION>;
+    const COSTS: bool = true;
+
+    fn name(&self) -> &str {
+        &self.name
+    }
+}
+
+/// A parsed (or freshly measured) baseline file: a format version and
+/// the pinned cases — `BENCH_mfbc.json` over [`BaselineCase`],
+/// `BENCH_serve.json` over the serve-load report.
+#[derive(Clone, Debug, Default, PartialEq)]
+pub struct Baseline<T: Case> {
+    /// Schema version.
+    pub version: T::Version,
+    /// Pinned cases, in suite order.
+    pub cases: Vec<T>,
+}
+
+row! { impl[T: Case] Baseline<T> { "version" => version, "cases" => cases } }
 
 /// How badly a comparison failed.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -105,168 +146,86 @@ impl Finding {
     }
 }
 
-impl Baseline {
+impl<T: Case> Baseline<T> {
     /// A baseline wrapping freshly measured cases.
-    pub fn new(cases: Vec<BaselineCase>) -> Baseline {
+    pub fn new(cases: Vec<T>) -> Baseline<T> {
         Baseline {
-            version: BASELINE_VERSION,
+            version: T::Version::default(),
             cases,
         }
     }
 
     /// Serializes to the committed JSON format.
     pub fn to_json(&self) -> String {
-        let mut out = String::new();
-        out.push_str("{\n");
-        out.push_str(&format!("  \"version\": {},\n", self.version));
-        out.push_str("  \"cases\": [\n");
-        for (i, c) in self.cases.iter().enumerate() {
-            let comma = if i + 1 == self.cases.len() { "" } else { "," };
-            out.push_str(&format!(
-                "    {{\"name\": \"{}\", \"modeled_comm_s\": {}, \"modeled_comp_s\": {}, \
-                 \"msgs\": {}, \"bytes\": {}, \"total_ops\": {}, \"max_peak_bytes\": {}, \
-                 \"critical_comm_share\": {}, \"makespan_s\": {}}}{comma}\n",
-                esc(&c.name),
-                num(c.modeled_comm_s),
-                num(c.modeled_comp_s),
-                c.msgs,
-                c.bytes,
-                c.total_ops,
-                c.max_peak_bytes,
-                num(c.critical_comm_share),
-                num(c.makespan_s)
-            ));
-        }
-        out.push_str("  ]\n}\n");
-        out
+        write_doc(self)
     }
 
     /// Parses a baseline file.
-    pub fn from_json(doc: &str) -> Result<Baseline, String> {
-        let v = parse(doc)?;
-        let version = v
-            .get("version")
-            .and_then(Json::as_u64)
-            .ok_or("baseline missing `version`")?;
-        if version != BASELINE_VERSION {
-            return Err(format!(
-                "baseline version {version} unsupported (expected {BASELINE_VERSION})"
-            ));
-        }
-        let cases = v
-            .get("cases")
-            .and_then(Json::as_array)
-            .ok_or("baseline missing `cases`")?
-            .iter()
-            .map(|c| {
-                let field_u64 = |k: &str| {
-                    c.get(k)
-                        .and_then(Json::as_u64)
-                        .ok_or_else(|| format!("case missing `{k}`"))
-                };
-                let field_f64 = |k: &str| {
-                    c.get(k)
-                        .and_then(Json::as_f64)
-                        .ok_or_else(|| format!("case missing `{k}`"))
-                };
-                Ok(BaselineCase {
-                    name: c
-                        .get("name")
-                        .and_then(Json::as_str)
-                        .ok_or("case missing `name`")?
-                        .to_string(),
-                    modeled_comm_s: field_f64("modeled_comm_s")?,
-                    modeled_comp_s: field_f64("modeled_comp_s")?,
-                    msgs: field_u64("msgs")?,
-                    bytes: field_u64("bytes")?,
-                    total_ops: field_u64("total_ops")?,
-                    max_peak_bytes: field_u64("max_peak_bytes")?,
-                    critical_comm_share: field_f64("critical_comm_share")?,
-                    makespan_s: field_f64("makespan_s")?,
-                    wall_s: 0.0,
-                })
-            })
-            .collect::<Result<Vec<_>, String>>()?;
-        Ok(Baseline { version, cases })
+    ///
+    /// # Errors
+    /// A message naming the malformed field or the unsupported
+    /// version.
+    pub fn from_json(doc: &str) -> Result<Baseline<T>, String> {
+        Self::read(&parse(doc)?)
     }
 
     /// Compares freshly measured `current` cases against this
-    /// baseline. An empty result means the gate passes.
-    pub fn compare(&self, current: &[BaselineCase]) -> Vec<Finding> {
+    /// baseline, field by declared field. An empty result means the
+    /// gate passes.
+    pub fn compare(&self, current: &[T]) -> Vec<Finding> {
         let mut findings = Vec::new();
-
+        let mut push = |case: &T, metric, baseline: String, current: String, severity| {
+            findings.push(Finding {
+                case: case.name().to_string(),
+                metric,
+                baseline,
+                current,
+                severity,
+            });
+        };
+        let text = |v: Value<'_>| {
+            let mut s = String::new();
+            v.write_json(&mut s);
+            s
+        };
         for cur in current {
-            let Some(base) = self.cases.iter().find(|b| b.name == cur.name) else {
-                findings.push(Finding {
-                    case: cur.name.clone(),
-                    metric: "case",
-                    baseline: "<absent>".to_string(),
-                    current: "measured".to_string(),
-                    severity: Severity::Drift,
-                });
+            let Some(base) = self.cases.iter().find(|b| b.name() == cur.name()) else {
+                push(
+                    cur,
+                    "case",
+                    "<absent>".into(),
+                    "measured".into(),
+                    Severity::Drift,
+                );
                 continue;
             };
-            compare_case(base, cur, &mut findings);
+            diff(base, cur, &mut |metric, b, c| {
+                let grew = match (b, c) {
+                    (Value::U64(b), Value::U64(c)) => c > b,
+                    (Value::F64(b), Value::F64(c)) => c > b,
+                    _ => false,
+                };
+                let severity = if T::COSTS && grew {
+                    Severity::Regression
+                } else {
+                    Severity::Drift
+                };
+                push(cur, metric, text(b), text(c), severity);
+            });
         }
         for base in &self.cases {
-            if !current.iter().any(|c| c.name == base.name) {
-                findings.push(Finding {
-                    case: base.name.clone(),
-                    metric: "case",
-                    baseline: "pinned".to_string(),
-                    current: "<missing>".to_string(),
-                    severity: Severity::Regression,
-                });
+            if !current.iter().any(|c| c.name() == base.name()) {
+                push(
+                    base,
+                    "case",
+                    "pinned".into(),
+                    "<missing>".into(),
+                    Severity::Regression,
+                );
             }
         }
         findings
     }
-}
-
-fn compare_case(base: &BaselineCase, cur: &BaselineCase, out: &mut Vec<Finding>) {
-    let mut exact_f64 = |metric: &'static str, b: f64, c: f64| {
-        if b.to_bits() != c.to_bits() {
-            out.push(Finding {
-                case: cur.name.clone(),
-                metric,
-                baseline: num(b),
-                current: num(c),
-                severity: if c > b {
-                    Severity::Regression
-                } else {
-                    Severity::Drift
-                },
-            });
-        }
-    };
-    exact_f64("modeled_comm_s", base.modeled_comm_s, cur.modeled_comm_s);
-    exact_f64("modeled_comp_s", base.modeled_comp_s, cur.modeled_comp_s);
-    exact_f64(
-        "critical_comm_share",
-        base.critical_comm_share,
-        cur.critical_comm_share,
-    );
-    exact_f64("makespan_s", base.makespan_s, cur.makespan_s);
-
-    let mut exact_u64 = |metric: &'static str, b: u64, c: u64| {
-        if b != c {
-            out.push(Finding {
-                case: cur.name.clone(),
-                metric,
-                baseline: b.to_string(),
-                current: c.to_string(),
-                severity: if c > b {
-                    Severity::Regression
-                } else {
-                    Severity::Drift
-                },
-            });
-        }
-    };
-    exact_u64("msgs", base.msgs, cur.msgs);
-    exact_u64("bytes", base.bytes, cur.bytes);
-    exact_u64("total_ops", base.total_ops, cur.total_ops);
-    exact_u64("max_peak_bytes", base.max_peak_bytes, cur.max_peak_bytes);
 }
 
 #[cfg(test)]

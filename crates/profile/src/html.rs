@@ -55,9 +55,9 @@ fn header(out: &mut String, p: &Profile) {
         "<p class=\"kv\">ranks={} &middot; modeled critical path: comm {} s + comp {} s \
          &middot; total ops {} &middot; load imbalance {} &middot; events {}</p>",
         p.p,
-        num(p.critical_comm_s),
-        num(p.critical_comp_s),
-        p.total_ops,
+        num(p.critical.comm_s),
+        num(p.critical.comp_s),
+        p.critical.total_ops,
         num(p.imbalance),
         p.events
     );
@@ -195,7 +195,7 @@ fn plan_mix_table(out: &mut String, p: &Profile) {
     let _ = writeln!(
         out,
         "<p class=\"kv\">autotune decisions: {} (candidates rejected by memory gate: {})</p>",
-        p.autotune_decisions, p.autotune_infeasible
+        p.autotune.decisions, p.autotune.infeasible
     );
     out.push_str(
         "<table><tr><th class=\"l\">plan</th><th>count</th><th>ops</th>\
@@ -226,12 +226,12 @@ fn faults_table(out: &mut String, p: &Profile) {
         num(p.wasted_s)
     );
     out.push_str("<table><tr><th class=\"l\">fault kind</th><th>count</th></tr>\n");
-    for (kind, count) in &p.faults {
+    for f in &p.faults {
         let _ = writeln!(
             out,
             "<tr><td class=\"l\">{}</td><td>{}</td></tr>",
-            esc_html(kind),
-            count
+            esc_html(&f.kind),
+            f.count
         );
     }
     out.push_str("</table>\n");
@@ -317,87 +317,6 @@ pub fn parse_rank_rows(html: &str) -> Vec<(usize, f64, f64, u64)> {
             continue;
         };
         rows.push((rank, comm, comp, peak));
-    }
-    rows
-}
-
-/// Renders a [`MetricsRegistry`] snapshot as a self-contained HTML
-/// table. Each sample row carries the exact Prometheus sample key in
-/// `data-sample` and the exact value string in `data-value` (same
-/// formatting as the text endpoint), so the HTML can be cross-checked
-/// mechanically against the other exporters; histograms contribute
-/// their `_sum` and `_count` series.
-pub fn render_registry(reg: &crate::registry::MetricsRegistry) -> String {
-    use crate::prometheus::{fmt_labels, fmt_value};
-    use crate::registry::SampleValue;
-    let mut out = String::with_capacity(8 * 1024);
-    out.push_str("<!DOCTYPE html>\n<html lang=\"en\">\n<head>\n<meta charset=\"utf-8\">\n");
-    out.push_str("<title>MFBC metrics</title>\n<style>");
-    out.push_str(STYLE);
-    out.push_str("</style>\n</head>\n<body>\n<h1>MFBC metrics</h1>\n");
-    out.push_str(
-        "<table><tr><th class=\"l\">sample</th><th class=\"l\">kind</th><th>value</th></tr>\n",
-    );
-    for fam in reg.snapshot() {
-        for (labels, value) in &fam.samples {
-            let mut row = |sample: String, value: String| {
-                let _ = writeln!(
-                    out,
-                    "<tr data-sample=\"{}\" data-value=\"{}\"><td class=\"l\" title=\"{}\">{}</td>\
-                     <td class=\"l\">{}</td><td>{}</td></tr>",
-                    esc_html(&sample),
-                    esc_html(&value),
-                    esc_html(&fam.help),
-                    esc_html(&sample),
-                    fam.kind.name(),
-                    esc_html(&value)
-                );
-            };
-            match value {
-                SampleValue::Counter(v) | SampleValue::Gauge(v) => row(
-                    format!("{}{}", fam.name, fmt_labels(labels, None)),
-                    fmt_value(*v),
-                ),
-                SampleValue::Histogram(h) => {
-                    row(
-                        format!("{}_sum{}", fam.name, fmt_labels(labels, None)),
-                        fmt_value(h.sum),
-                    );
-                    row(
-                        format!("{}_count{}", fam.name, fmt_labels(labels, None)),
-                        h.count.to_string(),
-                    );
-                }
-            }
-        }
-    }
-    out.push_str("</table>\n</body>\n</html>\n");
-    out
-}
-
-/// Extracts `(sample, value)` strings from a [`render_registry`]
-/// document's `data-*` attributes — the mechanical cross-check used
-/// by the exporter-agreement tests.
-pub fn parse_registry_samples(html: &str) -> Vec<(String, String)> {
-    let mut rows = Vec::new();
-    for chunk in html.split("<tr data-sample=\"").skip(1) {
-        let Some(end) = chunk.find('"') else { continue };
-        let sample = &chunk[..end];
-        let rest = &chunk[end..];
-        let key = "data-value=\"";
-        let Some(start) = rest.find(key).map(|i| i + key.len()) else {
-            continue;
-        };
-        let Some(vend) = rest[start..].find('"').map(|i| i + start) else {
-            continue;
-        };
-        let unesc = |s: &str| {
-            s.replace("&quot;", "\"")
-                .replace("&lt;", "<")
-                .replace("&gt;", ">")
-                .replace("&amp;", "&")
-        };
-        rows.push((unesc(sample), unesc(&rest[start..vend])));
     }
     rows
 }

@@ -21,6 +21,11 @@
 //! [`baseline`] holds the committed-benchmark format and the
 //! comparison policy behind `mfbc-cli bench`: deterministic modeled
 //! metrics compare bit-exact; wall-clock is `BENCHMARK.json`'s job.
+//!
+//! `profile.json` and the baseline files are report rows
+//! ([`mfbc_trace::json::Row`]): [`Profile`], its row types and
+//! [`BaselineCase`] each list their `"key" => field` pairs once, and
+//! the shared walks write, read and compare them.
 
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]
@@ -32,12 +37,12 @@ pub mod profiler;
 pub mod prometheus;
 pub mod registry;
 
-pub use baseline::{Baseline, BaselineCase, Finding, Severity};
+pub use baseline::{Baseline, BaselineCase, Case, Finding, Severity};
 /// The workspace's one JSON module lives in `mfbc-trace`; this path is
 /// kept because the `benchmark/` package names it.
 pub use mfbc_trace::json as jsonio;
 pub use profiler::{
-    CollectiveProfile, PlanMixEntry, PoolProfile, Profile, Profiler, RankProfile, RecoveryProfile,
-    SuperstepProfile,
+    AutotuneProfile, CollectiveProfile, CriticalProfile, PlanMixEntry, PoolProfile, Profile,
+    Profiler, RankProfile, RecoveryProfile, SuperstepProfile,
 };
 pub use registry::{MetricKind, MetricsRegistry};

@@ -12,8 +12,10 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
 
 use mfbc_machine::Machine;
-use mfbc_trace::{Recorder, Summary, TraceEvent};
+use mfbc_trace::json::Version;
+use mfbc_trace::{row, FaultCount, Recorder, Summary, TraceEvent};
 
+use crate::export::PROFILE_JSON_VERSION;
 use crate::registry::{MetricKind, MetricsRegistry};
 
 /// Aggregate over one collective kind.
@@ -34,6 +36,15 @@ pub struct CollectiveProfile {
     pub share: f64,
 }
 
+row! { CollectiveProfile {
+    "kind" => kind,
+    "count" => count,
+    "modeled_s" => modeled_s,
+    "msgs" => msgs,
+    "bytes" => bytes,
+    "share" => share,
+} }
+
 /// Aggregate over one SpGEMM plan label.
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct PlanMixEntry {
@@ -48,6 +59,14 @@ pub struct PlanMixEntry {
     /// Times the autotuner picked this plan as winner.
     pub autotune_wins: u64,
 }
+
+row! { PlanMixEntry {
+    "plan" => plan,
+    "count" => count,
+    "ops" => ops,
+    "nnz_c" => nnz_c,
+    "autotune_wins" => autotune_wins,
+} }
 
 /// One MFBC superstep with the communication attributed to it.
 #[derive(Clone, Debug, Default, PartialEq)]
@@ -70,6 +89,17 @@ pub struct SuperstepProfile {
     pub spgemm_ops: u64,
 }
 
+row! { SuperstepProfile {
+    "phase" => phase,
+    "batch" => batch,
+    "step" => step,
+    "frontier_nnz" => frontier_nnz,
+    "active_rows" => active_rows,
+    "comm_s" => comm_s,
+    "collectives" => collectives,
+    "spgemm_ops" => spgemm_ops,
+} }
+
 /// Aggregate over one recovery action kind.
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct RecoveryProfile {
@@ -80,6 +110,12 @@ pub struct RecoveryProfile {
     /// Summed modeled seconds of discarded work.
     pub wasted_s: f64,
 }
+
+row! { RecoveryProfile {
+    "action" => action,
+    "count" => count,
+    "wasted_s" => wasted_s,
+} }
 
 /// Aggregate over one pool kernel.
 #[derive(Clone, Debug, Default, PartialEq)]
@@ -93,6 +129,13 @@ pub struct PoolProfile {
     /// Total busy microseconds across participants.
     pub busy_us: u64,
 }
+
+row! { PoolProfile {
+    "kernel" => kernel,
+    "calls" => calls,
+    "tasks" => tasks,
+    "busy_us" => busy_us,
+} }
 
 /// Per-rank modeled costs and memory, pulled from the [`Machine`] at
 /// [`Profiler::finish`] time.
@@ -114,6 +157,16 @@ pub struct RankProfile {
     pub peak_bytes: u64,
 }
 
+row! { RankProfile {
+    "rank" => rank,
+    "comm_s" => comm_s,
+    "comp_s" => comp_s,
+    "msgs" => msgs,
+    "bytes" => bytes,
+    "resident_bytes" => resident_bytes,
+    "peak_bytes" => peak_bytes,
+} }
+
 impl RankProfile {
     /// Modeled *busy* seconds for this rank (comm + compute). The
     /// meters behind this are mode-independent: under overlapped
@@ -125,46 +178,89 @@ impl RankProfile {
     }
 }
 
-/// The finished profile: everything the exporters render.
+/// The machine's critical path: the maxima over ranks.
 #[derive(Clone, Debug, Default, PartialEq)]
-pub struct Profile {
-    /// Ranks in the machine the profile was finished against.
-    pub p: usize,
-    /// Per-rank breakdown, indexed by rank.
-    pub ranks: Vec<RankProfile>,
+pub struct CriticalProfile {
     /// Modeled comm seconds on the critical path (max over ranks).
-    pub critical_comm_s: f64,
+    pub comm_s: f64,
     /// Modeled compute seconds on the critical path.
-    pub critical_comp_s: f64,
+    pub comp_s: f64,
     /// Total useful operations across ranks.
     pub total_ops: u64,
+}
+
+row! { CriticalProfile {
+    "comm_s" => comm_s,
+    "comp_s" => comp_s,
+    "total_ops" => total_ops,
+} }
+
+/// Autotuner activity over the run.
+#[derive(Clone, Debug, Default, PartialEq)]
+pub struct AutotuneProfile {
+    /// Autotune decisions observed.
+    pub decisions: u64,
+    /// Candidates rejected by the memory gate across decisions.
+    pub infeasible: u64,
+}
+
+row! { AutotuneProfile { "decisions" => decisions, "infeasible" => infeasible } }
+
+/// The finished profile: everything the exporters render, in the
+/// order `profile.json` lists it.
+#[derive(Clone, Debug, Default, PartialEq)]
+pub struct Profile {
+    /// `profile.json`'s format version.
+    pub version: Version<PROFILE_JSON_VERSION>,
+    /// Ranks in the machine the profile was finished against.
+    pub p: usize,
+    /// Trace events consumed.
+    pub events: u64,
     /// Load imbalance: max over ranks of modeled total time divided
     /// by the mean (1.0 = perfectly balanced; 0 when no time accrued).
     pub imbalance: f64,
-    /// Per-collective-kind aggregates, sorted by kind.
-    pub collectives: Vec<CollectiveProfile>,
+    /// Critical-path seconds and total operations.
+    pub critical: CriticalProfile,
     /// Modeled collective seconds observed before the first superstep
     /// (distribution / setup traffic).
     pub setup_comm_s: f64,
+    /// Modeled seconds of work discarded across all recoveries.
+    pub wasted_s: f64,
+    /// Autotune decisions and memory-gate rejections.
+    pub autotune: AutotuneProfile,
+    /// Per-rank breakdown, indexed by rank.
+    pub ranks: Vec<RankProfile>,
+    /// Per-collective-kind aggregates, sorted by kind.
+    pub collectives: Vec<CollectiveProfile>,
     /// Supersteps in emission order.
     pub supersteps: Vec<SuperstepProfile>,
     /// SpGEMM plan mix, sorted by plan label.
     pub plan_mix: Vec<PlanMixEntry>,
-    /// Autotune decisions observed.
-    pub autotune_decisions: u64,
-    /// Candidates rejected by the memory gate across decisions.
-    pub autotune_infeasible: u64,
     /// Fault counts by kind, sorted by kind.
-    pub faults: Vec<(String, u64)>,
+    pub faults: Vec<FaultCount>,
     /// Recovery actions, sorted by action.
     pub recoveries: Vec<RecoveryProfile>,
-    /// Modeled seconds of work discarded across all recoveries.
-    pub wasted_s: f64,
     /// Shared-memory pool aggregates, sorted by kernel.
     pub pool: Vec<PoolProfile>,
-    /// Trace events consumed.
-    pub events: u64,
 }
+
+row! { Profile {
+    "version" => version,
+    "p" => p,
+    "events" => events,
+    "imbalance" => imbalance,
+    "critical" => critical,
+    "setup_comm_s" => setup_comm_s,
+    "wasted_s" => wasted_s,
+    "autotune" => autotune,
+    "ranks" => ranks,
+    "collectives" => collectives,
+    "supersteps" => supersteps,
+    "plan_mix" => plan_mix,
+    "faults" => faults,
+    "recoveries" => recoveries,
+    "pool" => pool,
+} }
 
 impl Profile {
     /// Largest modeled per-rank total time (the utilization
@@ -204,8 +300,7 @@ struct State {
     setup_comm_s: f64,
     supersteps: Vec<SuperstepProfile>,
     plan_mix: BTreeMap<String, PlanAgg>,
-    autotune_decisions: u64,
-    autotune_infeasible: u64,
+    autotune: AutotuneProfile,
 }
 
 /// A [`Recorder`] that aggregates trace events into a [`Profile`].
@@ -368,23 +463,25 @@ impl Profiler {
             .gauge_set("mfbc_total_ops", &[], report.total_ops as f64);
 
         Profile {
+            version: Version,
             p: ranks.len(),
-            ranks,
-            critical_comm_s: report.critical.comm_time,
-            critical_comp_s: report.critical.comp_time,
-            total_ops: report.total_ops,
+            events: state.events,
             imbalance,
-            collectives,
+            critical: CriticalProfile {
+                comm_s: report.critical.comm_time,
+                comp_s: report.critical.comp_time,
+                total_ops: report.total_ops,
+            },
             setup_comm_s: state.setup_comm_s,
+            wasted_s,
+            autotune: state.autotune.clone(),
+            ranks,
+            collectives,
             supersteps: state.supersteps.clone(),
             plan_mix,
-            autotune_decisions: state.autotune_decisions,
-            autotune_infeasible: state.autotune_infeasible,
             faults: recovery.faults,
             recoveries,
-            wasted_s,
             pool,
-            events: state.events,
         }
     }
 }
@@ -588,8 +685,8 @@ impl Recorder for Profiler {
             TraceEvent::Autotune {
                 candidates, winner, ..
             } => {
-                st.autotune_decisions += 1;
-                st.autotune_infeasible += candidates.iter().filter(|c| !c.feasible).count() as u64;
+                st.autotune.decisions += 1;
+                st.autotune.infeasible += candidates.iter().filter(|c| !c.feasible).count() as u64;
                 st.plan_mix.entry(winner.clone()).or_default().wins += 1;
                 reg.counter_add("mfbc_autotune_total", &[], 1.0);
                 reg.counter_add(

@@ -37,7 +37,7 @@ fn esc_help(v: &str) -> String {
 /// Formats a sample value. Prometheus accepts scientific notation;
 /// `{:?}` round-trips the exact f64 so the text endpoint, the JSON
 /// profile, and the HTML report all print identical numbers.
-pub(crate) fn fmt_value(v: f64) -> String {
+fn fmt_value(v: f64) -> String {
     if v.is_nan() {
         "NaN".to_string()
     } else if v == f64::INFINITY {
@@ -50,7 +50,7 @@ pub(crate) fn fmt_value(v: f64) -> String {
 }
 
 /// Renders a label set, with an optional extra (`le`) label appended.
-pub(crate) fn fmt_labels(labels: &Labels, extra: Option<(&str, &str)>) -> String {
+fn fmt_labels(labels: &Labels, extra: Option<(&str, &str)>) -> String {
     if labels.is_empty() && extra.is_none() {
         return String::new();
     }

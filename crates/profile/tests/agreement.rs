@@ -281,111 +281,3 @@ fn disabled_profiler_observes_nothing() {
     // not the stream.
     assert!(profile.ranks.iter().any(|r| r.comp_s > 0.0));
 }
-
-/// Parses Prometheus text-exposition sample lines into
-/// `(sample-key, value-string)` pairs, skipping comments and
-/// per-bucket histogram series (the JSON/HTML exporters carry
-/// buckets in their own shapes).
-fn prometheus_samples(text: &str) -> Vec<(String, String)> {
-    text.lines()
-        .filter(|l| !l.starts_with('#') && !l.is_empty())
-        .filter_map(|l| {
-            let (key, value) = l.rsplit_once(' ')?;
-            Some((key.to_string(), value.to_string()))
-        })
-        .filter(|(k, _)| !k.contains("_bucket"))
-        .collect()
-}
-
-#[test]
-fn registry_exporters_agree_bit_for_bit() {
-    use mfbc_profile::{MetricKind, MetricsRegistry};
-    let reg = MetricsRegistry::new();
-    reg.declare(
-        "mfbc_serve_mm_cache_hits",
-        MetricKind::Gauge,
-        "Prepared-adjacency cache hits across requests",
-    );
-    reg.gauge_set("mfbc_serve_mm_cache_hits", &[], 7.0);
-    reg.declare(
-        "mfbc_serve_deadline_total",
-        MetricKind::Counter,
-        "Responses by deadline attainment",
-    );
-    reg.counter_add("mfbc_serve_deadline_total", &[("result", "met")], 3.0);
-    reg.counter_add("mfbc_serve_deadline_total", &[("result", "missed")], 1.0);
-    reg.declare(
-        "mfbc_serve_queue_wait_modeled_us",
-        MetricKind::Histogram,
-        "Modeled queue wait per request",
-    );
-    for v in [0.5, 3.0, 1.0e7] {
-        reg.observe("mfbc_serve_queue_wait_modeled_us", &[], v);
-    }
-    reg.gauge_set("awkward", &[("q", "a\"b\\c")], 0.1 + 0.2);
-
-    let prom = prometheus_samples(&prometheus::render(&reg));
-    assert!(!prom.is_empty());
-
-    // HTML: every non-bucket Prometheus sample appears with the
-    // byte-identical value string.
-    let html_rows = html::parse_registry_samples(&html::render_registry(&reg));
-    assert_eq!(html_rows, prom);
-
-    // JSON: parse back and compare bit patterns against the text
-    // endpoint's parsed values.
-    let doc = export::registry_to_json(&reg);
-    let root = mfbc_trace::json::parse(&doc).expect("metrics json parses");
-    let families = root
-        .get("families")
-        .and_then(mfbc_trace::json::Json::as_array)
-        .expect("families array");
-    let mut json_checked = 0usize;
-    for fam in families {
-        let name = fam
-            .get("name")
-            .and_then(|v| v.as_str())
-            .unwrap()
-            .to_string();
-        for s in fam
-            .get("samples")
-            .and_then(mfbc_trace::json::Json::as_array)
-            .unwrap()
-        {
-            if let Some(v) = s.get("value").and_then(|v| v.as_f64()) {
-                let (_, text_value) = prom
-                    .iter()
-                    .find(|(k, _)| k.starts_with(&name))
-                    .expect("sample present in text endpoint");
-                // For multi-sample families match on the exact value
-                // instead: every JSON value must appear verbatim.
-                assert!(
-                    prom.iter().any(|(k, pv)| k.starts_with(&name)
-                        && pv.parse::<f64>().map(f64::to_bits) == Ok(v.to_bits())),
-                    "JSON value {v:?} of {name} missing from text endpoint (first match {text_value})"
-                );
-                json_checked += 1;
-            } else {
-                let sum = s
-                    .get("sum")
-                    .and_then(|v| v.as_f64())
-                    .expect("histogram sum");
-                let count = s.get("count").and_then(|v| v.as_u64()).expect("count");
-                assert!(prom
-                    .iter()
-                    .any(|(k, pv)| k.starts_with(&format!("{name}_sum"))
-                        && pv.parse::<f64>().map(f64::to_bits) == Ok(sum.to_bits())));
-                assert!(prom
-                    .iter()
-                    .any(|(k, pv)| k.starts_with(&format!("{name}_count"))
-                        && *pv == count.to_string()));
-                json_checked += 1;
-            }
-        }
-    }
-    assert_eq!(
-        json_checked,
-        prom.len() - 1,
-        "histogram contributes _sum and _count to text"
-    );
-}

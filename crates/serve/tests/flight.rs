@@ -170,7 +170,7 @@ fn tracing_and_flight_recording_do_not_perturb_responses() {
 }
 
 #[test]
-fn slo_families_reach_snapshot_prometheus_json_and_html() {
+fn slo_families_reach_snapshot_and_prometheus() {
     let g = uniform(24, 90, false, None, 7);
     let machine = Machine::new(MachineSpec::test(4));
     let cfg = MfbcConfig::default().with_batch_size(4);
@@ -210,10 +210,8 @@ fn slo_families_reach_snapshot_prometheus_json_and_html() {
         assert!(names.iter().any(|n| n == family), "missing {family}");
     }
 
-    // All three exporters see the same families.
+    // The Prometheus exporter sees the same families.
     let prom = mfbc_profile::prometheus::render(reg);
-    let json = mfbc_profile::export::registry_to_json(reg);
-    let html = mfbc_profile::html::render_registry(reg);
     for family in [
         "serve_deadline_total",
         "serve_queue_wait_modeled_us",
@@ -221,8 +219,6 @@ fn slo_families_reach_snapshot_prometheus_json_and_html() {
         "serve_degrade_total",
     ] {
         assert!(prom.contains(family), "prometheus missing {family}");
-        assert!(html.contains(family), "html missing {family}");
-        assert!(json.contains(family), "json missing {family}");
     }
 
     // Deadline attainment has both outcomes; the mm-cache saw real

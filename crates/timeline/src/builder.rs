@@ -23,7 +23,7 @@
 //! against the live machine to prove the trace is complete.
 
 use mfbc_machine::{CollectiveKind, Machine, MachineSpec, RankCost};
-use mfbc_trace::{CollectiveCharge, Recorder, TraceEvent, TraceRecord};
+use mfbc_trace::{row, CollectiveCharge, Recorder, TraceEvent, TraceRecord};
 use std::sync::Mutex;
 
 /// What a timeline segment spent its modeled time on.
@@ -168,7 +168,7 @@ pub struct Marker {
 /// `first_node..first_node + nodes` — collectives included — was
 /// emitted between the round's start and end events, attributing the
 /// communication to the round that triggered it.
-#[derive(Clone, Debug, PartialEq)]
+#[derive(Clone, Debug, Default, PartialEq)]
 pub struct RoundInfo {
     /// 1-based round id (the serve engine's drain counter).
     pub round: u64,
@@ -194,6 +194,19 @@ pub struct RoundInfo {
     /// Number of DAG nodes attributed to the round.
     pub nodes: usize,
 }
+
+row! { RoundInfo {
+    "round" => round,
+    "requests" => requests,
+    "budget_s" => budget_s,
+    "rung" => rung,
+    "reason" => reason,
+    "responses" => responses,
+    "start_s" => start_s,
+    "end_s" => end_s,
+    "first_node" => first_node,
+    "nodes" => nodes,
+} }
 
 /// A sealed causal timeline: the BSP dependency DAG plus per-lane
 /// clocks and replica cost meters.

@@ -16,6 +16,7 @@
 //! left-to-right from zero, reproduce the makespan **bit-exactly**.
 
 use crate::builder::Timeline;
+use mfbc_trace::row;
 
 /// One segment on the critical path.
 #[derive(Clone, Debug, PartialEq)]
@@ -108,7 +109,7 @@ pub fn critical_path(tl: &Timeline) -> CriticalPath {
 
 /// Aggregated share of the critical path attributed to one segment
 /// class.
-#[derive(Clone, Debug, PartialEq)]
+#[derive(Clone, Debug, Default, PartialEq)]
 pub struct Bottleneck {
     /// Segment label (collective kind, `compute`, `backoff`).
     pub label: String,
@@ -119,6 +120,13 @@ pub struct Bottleneck {
     /// `seconds / makespan` (0 when the makespan is zero).
     pub share: f64,
 }
+
+row! { Bottleneck {
+    "label" => label,
+    "seconds" => seconds,
+    "count" => count,
+    "share" => share,
+} }
 
 /// Ranks segment classes by their gating seconds, descending (ties
 /// broken by label). Returns every class; callers take the top-k.
@@ -156,10 +164,8 @@ pub fn bottlenecks(path: &CriticalPath) -> Vec<Bottleneck> {
 /// Per-superstep attribution: where the time inside one superstep
 /// went, which lane straggled, and how much of the critical path the
 /// superstep gates.
-#[derive(Clone, Debug, PartialEq)]
+#[derive(Clone, Debug, Default, PartialEq)]
 pub struct StepAttribution {
-    /// Index into [`Timeline::supersteps`].
-    pub step: usize,
     /// Phase name (`forward` / `backward`).
     pub phase: String,
     /// Source-batch index.
@@ -183,6 +189,18 @@ pub struct StepAttribution {
     pub plans: Vec<String>,
 }
 
+row! { StepAttribution {
+    "phase" => phase,
+    "batch" => batch,
+    "step" => step_no,
+    "comm_s" => comm_s,
+    "comp_s" => comp_s,
+    "critical_s" => critical_s,
+    "straggler" => straggler,
+    "imbalance" => imbalance,
+    "plans" => plans,
+} }
+
 /// Attributes segment time, stragglers, and critical-path seconds to
 /// each superstep.
 pub fn step_attribution(tl: &Timeline, path: &CriticalPath) -> Vec<StepAttribution> {
@@ -190,9 +208,7 @@ pub fn step_attribution(tl: &Timeline, path: &CriticalPath) -> Vec<StepAttributi
     let mut out: Vec<StepAttribution> = tl
         .supersteps
         .iter()
-        .enumerate()
-        .map(|(i, s)| StepAttribution {
-            step: i,
+        .map(|s| StepAttribution {
             phase: s.phase.clone(),
             batch: s.batch,
             step_no: s.step,

@@ -1,17 +1,18 @@
-//! Timeline exports: the versioned `timeline.json` document (with a
-//! parser for round-trips and run-vs-run diffs), a self-contained
-//! Gantt-style HTML view, and metric-registry mirroring.
+//! Timeline exports: the versioned `timeline.json` document (written
+//! and parsed by the report-row walks of [`mfbc_trace::json`], with
+//! run-vs-run diffs), a self-contained Gantt-style HTML view, and
+//! metric-registry mirroring.
 //!
 //! Every number is written with the exact `{:?}` formatter shared
-//! with the profile/Prometheus exporters ([`mfbc_trace::json`]),
-//! so documents can be compared bit-for-bit across exporters and
-//! across runs.
+//! with the profile/Prometheus exporters, so documents can be
+//! compared bit-for-bit across exporters and across runs.
 
-use crate::builder::{SegmentKind, Timeline};
-use crate::critical::Analysis;
+use crate::builder::{RoundInfo, SegmentKind, Timeline};
+use crate::critical::{Analysis, Bottleneck, StepAttribution};
 use crate::whatif::WhatIfReport;
 use mfbc_profile::{MetricKind, MetricsRegistry};
-use mfbc_trace::json::{esc, num, parse, Json};
+use mfbc_trace::json::{self, num, parse, Row, Version};
+use mfbc_trace::{row, Value};
 use std::fmt::Write as _;
 
 /// Format version of the `timeline.json` document. Version 2 added
@@ -21,8 +22,9 @@ use std::fmt::Write as _;
 /// degradation decisions and DAG-node attribution).
 pub const TIMELINE_JSON_VERSION: u64 = 3;
 
-/// One rank's row in the document.
-#[derive(Clone, Debug, PartialEq)]
+/// One rank's row in the document: a [`Lane`](crate::Lane) without
+/// its node list, under its slot number.
+#[derive(Clone, Debug, Default, PartialEq)]
 pub struct RankRow {
     /// Lane slot (initial rank id).
     pub lane: u64,
@@ -40,13 +42,24 @@ pub struct RankRow {
     pub bytes: u64,
 }
 
-/// One critical-path segment row.
-#[derive(Clone, Debug, PartialEq)]
+row! { RankRow {
+    "lane" => lane,
+    "alive" => alive,
+    "clock_s" => clock_s,
+    "comm_s" => comm_s,
+    "comp_s" => comp_s,
+    "msgs" => msgs,
+    "bytes" => bytes,
+} }
+
+/// One critical-path segment row: a
+/// [`PathSegment`](crate::PathSegment) without its `comm` flag.
+#[derive(Clone, Debug, Default, PartialEq)]
 pub struct PathRow {
     /// Node index in the timeline.
-    pub node: u64,
+    pub node: usize,
     /// Lane the segment gates.
-    pub lane: u64,
+    pub lane: usize,
     /// Segment label.
     pub label: String,
     /// Causal start in seconds.
@@ -54,87 +67,23 @@ pub struct PathRow {
     /// Duration in seconds.
     pub dt_s: f64,
     /// Superstep index, if inside one.
-    pub superstep: Option<u64>,
+    pub superstep: Option<usize>,
 }
 
-/// One bottleneck-table row.
-#[derive(Clone, Debug, PartialEq)]
-pub struct BottleneckRow {
-    /// Segment class label.
-    pub label: String,
-    /// Gating seconds.
-    pub seconds: f64,
-    /// Gating segment count.
-    pub count: u64,
-    /// Share of the makespan.
-    pub share: f64,
-}
-
-/// One superstep-attribution row.
-#[derive(Clone, Debug, PartialEq)]
-pub struct StepRow {
-    /// Phase name.
-    pub phase: String,
-    /// Batch index.
-    pub batch: u64,
-    /// Step within the phase.
-    pub step: u64,
-    /// Communication seconds inside the superstep.
-    pub comm_s: f64,
-    /// Compute seconds inside the superstep.
-    pub comp_s: f64,
-    /// Critical-path seconds attributed to the superstep.
-    pub critical_s: f64,
-    /// Straggler lane, if compute was charged.
-    pub straggler: Option<u64>,
-    /// Max-over-mean compute imbalance.
-    pub imbalance: f64,
-    /// SpGEMM plans observed.
-    pub plans: Vec<String>,
-}
-
-/// One serve drain-round row (absent for non-serve runs).
-#[derive(Clone, Debug, PartialEq)]
-pub struct RoundRow {
-    /// 1-based round id.
-    pub round: u64,
-    /// Requests coalesced into the round.
-    pub requests: u64,
-    /// Shared budget in modeled seconds (`None` = unbounded).
-    pub budget_s: Option<f64>,
-    /// Chosen degradation rung (`exact`/`approx`/`stale`; empty if
-    /// the round carried no decision event).
-    pub rung: String,
-    /// Why that rung was chosen; empty if undecided.
-    pub reason: String,
-    /// Responses produced by the round.
-    pub responses: u64,
-    /// Causal clock at round start.
-    pub start_s: f64,
-    /// Causal clock at round end.
-    pub end_s: f64,
-    /// Index of the first DAG node emitted inside the round.
-    pub first_node: u64,
-    /// Number of DAG nodes attributed to the round.
-    pub nodes: u64,
-}
-
-/// One evaluated what-if row.
-#[derive(Clone, Debug, PartialEq)]
-pub struct WhatIfRow {
-    /// Edit label.
-    pub label: String,
-    /// Edited makespan in seconds.
-    pub makespan_s: f64,
-    /// Unedited makespan in seconds.
-    pub baseline_s: f64,
-}
+row! { PathRow {
+    "node" => node,
+    "lane" => lane,
+    "label" => label,
+    "start_s" => start_s,
+    "dt_s" => dt_s,
+    "superstep" => superstep,
+} }
 
 /// The parsed/parseable `timeline.json` document.
-#[derive(Clone, Debug, PartialEq)]
+#[derive(Clone, Debug, Default, PartialEq)]
 pub struct TimelineDoc {
     /// Format version.
-    pub version: u64,
+    pub version: Version<TIMELINE_JSON_VERSION>,
     /// Surviving rank count.
     pub p: u64,
     /// Whether the run was modeled under overlapped accounting
@@ -153,20 +102,36 @@ pub struct TimelineDoc {
     /// The gating chain in forward order.
     pub critical_path: Vec<PathRow>,
     /// Ranked bottleneck classes.
-    pub bottlenecks: Vec<BottleneckRow>,
+    pub bottlenecks: Vec<Bottleneck>,
     /// Per-superstep attribution.
-    pub supersteps: Vec<StepRow>,
+    pub supersteps: Vec<StepAttribution>,
     /// Serve drain rounds (empty for non-serve runs).
-    pub rounds: Vec<RoundRow>,
+    pub rounds: Vec<RoundInfo>,
     /// Evaluated what-if edits.
-    pub what_if: Vec<WhatIfRow>,
+    pub what_if: Vec<WhatIfReport>,
 }
+
+row! { TimelineDoc {
+    "version" => version,
+    "p" => p,
+    "overlap" => overlap,
+    "makespan_s" => makespan_s,
+    "comm_share" => comm_share,
+    "events" => events,
+    "dropped" => dropped,
+    "ranks" => ranks,
+    "critical_path" => critical_path,
+    "bottlenecks" => bottlenecks,
+    "supersteps" => supersteps,
+    "rounds" => rounds,
+    "what_if" => what_if,
+} }
 
 /// Builds the document from a sealed timeline, its analysis, and any
 /// evaluated what-if edits.
 pub fn doc(tl: &Timeline, an: &Analysis, what_ifs: &[WhatIfReport]) -> TimelineDoc {
     TimelineDoc {
-        version: TIMELINE_JSON_VERSION,
+        version: Version,
         p: tl.p_alive() as u64,
         overlap: tl.spec.overlap,
         makespan_s: tl.makespan_s(),
@@ -192,350 +157,29 @@ pub fn doc(tl: &Timeline, an: &Analysis, what_ifs: &[WhatIfReport]) -> TimelineD
             .segments
             .iter()
             .map(|s| PathRow {
-                node: s.node as u64,
-                lane: s.lane as u64,
+                node: s.node,
+                lane: s.lane,
                 label: s.label.clone(),
                 start_s: s.start_s,
                 dt_s: s.dt_s,
-                superstep: s.superstep.map(|x| x as u64),
+                superstep: s.superstep,
             })
             .collect(),
-        bottlenecks: an
-            .bottlenecks
-            .iter()
-            .map(|b| BottleneckRow {
-                label: b.label.clone(),
-                seconds: b.seconds,
-                count: b.count,
-                share: b.share,
-            })
-            .collect(),
-        supersteps: an
-            .steps
-            .iter()
-            .map(|s| StepRow {
-                phase: s.phase.clone(),
-                batch: s.batch as u64,
-                step: s.step_no as u64,
-                comm_s: s.comm_s,
-                comp_s: s.comp_s,
-                critical_s: s.critical_s,
-                straggler: s.straggler.map(|x| x as u64),
-                imbalance: s.imbalance,
-                plans: s.plans.clone(),
-            })
-            .collect(),
-        rounds: tl
-            .rounds
-            .iter()
-            .map(|r| RoundRow {
-                round: r.round,
-                requests: r.requests,
-                budget_s: r.budget_s,
-                rung: r.rung.clone(),
-                reason: r.reason.clone(),
-                responses: r.responses,
-                start_s: r.start_s,
-                end_s: r.end_s,
-                first_node: r.first_node as u64,
-                nodes: r.nodes as u64,
-            })
-            .collect(),
-        what_if: what_ifs
-            .iter()
-            .map(|w| WhatIfRow {
-                label: w.label.clone(),
-                makespan_s: w.makespan_s,
-                baseline_s: w.baseline_s,
-            })
-            .collect(),
+        bottlenecks: an.bottlenecks.clone(),
+        supersteps: an.steps.clone(),
+        rounds: tl.rounds.clone(),
+        what_if: what_ifs.to_vec(),
     }
-}
-
-fn opt_u64(x: Option<u64>) -> String {
-    match x {
-        Some(v) => v.to_string(),
-        None => "null".to_string(),
-    }
-}
-
-fn opt_num(x: Option<f64>) -> String {
-    match x {
-        Some(v) => num(v),
-        None => "null".to_string(),
-    }
-}
-
-fn str_array(items: &[String]) -> String {
-    let mut s = String::from("[");
-    for (i, item) in items.iter().enumerate() {
-        if i > 0 {
-            s.push(',');
-        }
-        let _ = write!(s, "\"{}\"", esc(item));
-    }
-    s.push(']');
-    s
 }
 
 /// Serializes the document (one row object per line, exact numbers).
 pub fn to_json(d: &TimelineDoc) -> String {
-    let mut out = String::with_capacity(4096);
-    let _ = writeln!(out, "{{");
-    let _ = writeln!(out, "  \"version\": {},", d.version);
-    let _ = writeln!(out, "  \"p\": {},", d.p);
-    let _ = writeln!(out, "  \"overlap\": {},", d.overlap);
-    let _ = writeln!(out, "  \"makespan_s\": {},", num(d.makespan_s));
-    let _ = writeln!(out, "  \"comm_share\": {},", num(d.comm_share));
-    let _ = writeln!(out, "  \"events\": {},", d.events);
-    let _ = writeln!(out, "  \"dropped\": {},", d.dropped);
-    let _ = writeln!(out, "  \"ranks\": [");
-    for (i, r) in d.ranks.iter().enumerate() {
-        let _ = writeln!(
-            out,
-            "    {{\"lane\": {}, \"alive\": {}, \"clock_s\": {}, \"comm_s\": {}, \"comp_s\": {}, \"msgs\": {}, \"bytes\": {}}}{}",
-            r.lane,
-            r.alive,
-            num(r.clock_s),
-            num(r.comm_s),
-            num(r.comp_s),
-            r.msgs,
-            r.bytes,
-            if i + 1 < d.ranks.len() { "," } else { "" }
-        );
-    }
-    let _ = writeln!(out, "  ],");
-    let _ = writeln!(out, "  \"critical_path\": [");
-    for (i, s) in d.critical_path.iter().enumerate() {
-        let _ = writeln!(
-            out,
-            "    {{\"node\": {}, \"lane\": {}, \"label\": \"{}\", \"start_s\": {}, \"dt_s\": {}, \"superstep\": {}}}{}",
-            s.node,
-            s.lane,
-            esc(&s.label),
-            num(s.start_s),
-            num(s.dt_s),
-            opt_u64(s.superstep),
-            if i + 1 < d.critical_path.len() { "," } else { "" }
-        );
-    }
-    let _ = writeln!(out, "  ],");
-    let _ = writeln!(out, "  \"bottlenecks\": [");
-    for (i, b) in d.bottlenecks.iter().enumerate() {
-        let _ = writeln!(
-            out,
-            "    {{\"label\": \"{}\", \"seconds\": {}, \"count\": {}, \"share\": {}}}{}",
-            esc(&b.label),
-            num(b.seconds),
-            b.count,
-            num(b.share),
-            if i + 1 < d.bottlenecks.len() { "," } else { "" }
-        );
-    }
-    let _ = writeln!(out, "  ],");
-    let _ = writeln!(out, "  \"supersteps\": [");
-    for (i, s) in d.supersteps.iter().enumerate() {
-        let _ = writeln!(
-            out,
-            "    {{\"phase\": \"{}\", \"batch\": {}, \"step\": {}, \"comm_s\": {}, \"comp_s\": {}, \"critical_s\": {}, \"straggler\": {}, \"imbalance\": {}, \"plans\": {}}}{}",
-            esc(&s.phase),
-            s.batch,
-            s.step,
-            num(s.comm_s),
-            num(s.comp_s),
-            num(s.critical_s),
-            opt_u64(s.straggler),
-            num(s.imbalance),
-            str_array(&s.plans),
-            if i + 1 < d.supersteps.len() { "," } else { "" }
-        );
-    }
-    let _ = writeln!(out, "  ],");
-    let _ = writeln!(out, "  \"rounds\": [");
-    for (i, r) in d.rounds.iter().enumerate() {
-        let _ = writeln!(
-            out,
-            "    {{\"round\": {}, \"requests\": {}, \"budget_s\": {}, \"rung\": \"{}\", \"reason\": \"{}\", \"responses\": {}, \"start_s\": {}, \"end_s\": {}, \"first_node\": {}, \"nodes\": {}}}{}",
-            r.round,
-            r.requests,
-            opt_num(r.budget_s),
-            esc(&r.rung),
-            esc(&r.reason),
-            r.responses,
-            num(r.start_s),
-            num(r.end_s),
-            r.first_node,
-            r.nodes,
-            if i + 1 < d.rounds.len() { "," } else { "" }
-        );
-    }
-    let _ = writeln!(out, "  ],");
-    let _ = writeln!(out, "  \"what_if\": [");
-    for (i, w) in d.what_if.iter().enumerate() {
-        let _ = writeln!(
-            out,
-            "    {{\"label\": \"{}\", \"makespan_s\": {}, \"baseline_s\": {}}}{}",
-            esc(&w.label),
-            num(w.makespan_s),
-            num(w.baseline_s),
-            if i + 1 < d.what_if.len() { "," } else { "" }
-        );
-    }
-    let _ = writeln!(out, "  ]");
-    let _ = writeln!(out, "}}");
-    out
-}
-
-fn want<'a>(v: &'a Json, key: &str) -> Result<&'a Json, String> {
-    v.get(key).ok_or_else(|| format!("missing field `{key}`"))
-}
-
-fn want_u64(v: &Json, key: &str) -> Result<u64, String> {
-    want(v, key)?
-        .as_u64()
-        .ok_or_else(|| format!("field `{key}` is not an integer"))
-}
-
-fn want_f64(v: &Json, key: &str) -> Result<f64, String> {
-    want(v, key)?
-        .as_f64()
-        .ok_or_else(|| format!("field `{key}` is not a number"))
-}
-
-fn want_str(v: &Json, key: &str) -> Result<String, String> {
-    Ok(want(v, key)?
-        .as_str()
-        .ok_or_else(|| format!("field `{key}` is not a string"))?
-        .to_string())
-}
-
-fn want_arr<'a>(v: &'a Json, key: &str) -> Result<&'a [Json], String> {
-    want(v, key)?
-        .as_array()
-        .ok_or_else(|| format!("field `{key}` is not an array"))
-}
-
-fn opt_field_u64(v: &Json, key: &str) -> Result<Option<u64>, String> {
-    match want(v, key)? {
-        Json::Null => Ok(None),
-        other => other
-            .as_u64()
-            .map(Some)
-            .ok_or_else(|| format!("field `{key}` is not an integer or null")),
-    }
-}
-
-fn opt_field_f64(v: &Json, key: &str) -> Result<Option<f64>, String> {
-    match want(v, key)? {
-        Json::Null => Ok(None),
-        other => other
-            .as_f64()
-            .map(Some)
-            .ok_or_else(|| format!("field `{key}` is not a number or null")),
-    }
+    json::write_doc(d)
 }
 
 /// Parses a `timeline.json` document back into a [`TimelineDoc`].
 pub fn parse_timeline(text: &str) -> Result<TimelineDoc, String> {
-    let root = parse(text)?;
-    let version = want_u64(&root, "version")?;
-    if version != TIMELINE_JSON_VERSION {
-        return Err(format!(
-            "timeline.json version {version} unsupported (expected {TIMELINE_JSON_VERSION})"
-        ));
-    }
-    let mut ranks = Vec::new();
-    for r in want_arr(&root, "ranks")? {
-        ranks.push(RankRow {
-            lane: want_u64(r, "lane")?,
-            alive: matches!(want(r, "alive")?, Json::Bool(true)),
-            clock_s: want_f64(r, "clock_s")?,
-            comm_s: want_f64(r, "comm_s")?,
-            comp_s: want_f64(r, "comp_s")?,
-            msgs: want_u64(r, "msgs")?,
-            bytes: want_u64(r, "bytes")?,
-        });
-    }
-    let mut critical_path = Vec::new();
-    for s in want_arr(&root, "critical_path")? {
-        critical_path.push(PathRow {
-            node: want_u64(s, "node")?,
-            lane: want_u64(s, "lane")?,
-            label: want_str(s, "label")?,
-            start_s: want_f64(s, "start_s")?,
-            dt_s: want_f64(s, "dt_s")?,
-            superstep: opt_field_u64(s, "superstep")?,
-        });
-    }
-    let mut bottlenecks = Vec::new();
-    for b in want_arr(&root, "bottlenecks")? {
-        bottlenecks.push(BottleneckRow {
-            label: want_str(b, "label")?,
-            seconds: want_f64(b, "seconds")?,
-            count: want_u64(b, "count")?,
-            share: want_f64(b, "share")?,
-        });
-    }
-    let mut supersteps = Vec::new();
-    for s in want_arr(&root, "supersteps")? {
-        let mut plans = Vec::new();
-        for p in want_arr(s, "plans")? {
-            plans.push(
-                p.as_str()
-                    .ok_or_else(|| "plan entry is not a string".to_string())?
-                    .to_string(),
-            );
-        }
-        supersteps.push(StepRow {
-            phase: want_str(s, "phase")?,
-            batch: want_u64(s, "batch")?,
-            step: want_u64(s, "step")?,
-            comm_s: want_f64(s, "comm_s")?,
-            comp_s: want_f64(s, "comp_s")?,
-            critical_s: want_f64(s, "critical_s")?,
-            straggler: opt_field_u64(s, "straggler")?,
-            imbalance: want_f64(s, "imbalance")?,
-            plans,
-        });
-    }
-    let mut rounds = Vec::new();
-    for r in want_arr(&root, "rounds")? {
-        rounds.push(RoundRow {
-            round: want_u64(r, "round")?,
-            requests: want_u64(r, "requests")?,
-            budget_s: opt_field_f64(r, "budget_s")?,
-            rung: want_str(r, "rung")?,
-            reason: want_str(r, "reason")?,
-            responses: want_u64(r, "responses")?,
-            start_s: want_f64(r, "start_s")?,
-            end_s: want_f64(r, "end_s")?,
-            first_node: want_u64(r, "first_node")?,
-            nodes: want_u64(r, "nodes")?,
-        });
-    }
-    let mut what_if = Vec::new();
-    for w in want_arr(&root, "what_if")? {
-        what_if.push(WhatIfRow {
-            label: want_str(w, "label")?,
-            makespan_s: want_f64(w, "makespan_s")?,
-            baseline_s: want_f64(w, "baseline_s")?,
-        });
-    }
-    Ok(TimelineDoc {
-        version,
-        p: want_u64(&root, "p")?,
-        overlap: matches!(want(&root, "overlap")?, Json::Bool(true)),
-        makespan_s: want_f64(&root, "makespan_s")?,
-        comm_share: want_f64(&root, "comm_share")?,
-        events: want_u64(&root, "events")?,
-        dropped: want_u64(&root, "dropped")?,
-        ranks,
-        critical_path,
-        bottlenecks,
-        supersteps,
-        rounds,
-        what_if,
-    })
+    TimelineDoc::read(&parse(text)?)
 }
 
 /// One row of a run-vs-run comparison.
@@ -557,7 +201,8 @@ impl DiffRow {
     }
 }
 
-/// Structured run-vs-run diff: compares makespan, comm share, per-rank
+/// Structured run-vs-run diff: compares the document's real-valued
+/// headline fields (makespan, comm share), the path length, per-rank
 /// clocks, and per-class bottleneck seconds. Rows where both sides
 /// are bit-identical are omitted, so an empty result means the two
 /// runs are indistinguishable at this granularity.
@@ -572,8 +217,11 @@ pub fn diff_docs(before: &TimelineDoc, after: &TimelineDoc) -> Vec<DiffRow> {
             });
         }
     };
-    push("makespan_s".into(), before.makespan_s, after.makespan_s);
-    push("comm_share".into(), before.comm_share, after.comm_share);
+    json::diff(before, after, &mut |key, b, a| {
+        if let (Value::F64(b), Value::F64(a)) = (b, a) {
+            push(key.into(), b, a);
+        }
+    });
     push(
         "critical_path segments".into(),
         before.critical_path.len() as f64,

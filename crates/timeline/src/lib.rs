@@ -27,7 +27,12 @@
 //!    a parser for round-trips and run-vs-run diffs), a
 //!    self-contained Gantt-style HTML view, and metric-registry
 //!    gauges — all using the shared exact-`f64` formatter so numbers
-//!    agree bit-for-bit across exporters.
+//!    agree bit-for-bit across exporters. The document is a report
+//!    row ([`mfbc_trace::json::Row`]): [`Bottleneck`],
+//!    [`StepAttribution`], [`RoundInfo`] and [`WhatIfReport`] list
+//!    their `"key" => field` pairs where they are defined and go into
+//!    the document as they are; only a lane and a path segment are
+//!    projected ([`RankRow`], [`PathRow`]).
 
 #![deny(missing_docs)]
 #![forbid(unsafe_code)]
@@ -46,6 +51,6 @@ pub use critical::{
 };
 pub use export::{
     diff_docs, doc, parse_html_rank_rows, parse_timeline, register_metrics, render_diff, to_html,
-    to_json, DiffRow, RoundRow, TimelineDoc, TIMELINE_JSON_VERSION,
+    to_json, DiffRow, PathRow, RankRow, TimelineDoc, TIMELINE_JSON_VERSION,
 };
 pub use whatif::{evaluate, report, WhatIf, WhatIfReport};

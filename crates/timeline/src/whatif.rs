@@ -39,6 +39,7 @@
 //! the bandwidth term is nonnegative).
 
 use crate::builder::{SegmentKind, Timeline};
+use mfbc_trace::row;
 
 /// A counterfactual edit of the cost model.
 #[derive(Clone, Debug, PartialEq)]
@@ -234,7 +235,7 @@ pub fn evaluate(tl: &Timeline, edit: &WhatIf) -> f64 {
 }
 
 /// A named edit with its evaluated bound.
-#[derive(Clone, Debug, PartialEq)]
+#[derive(Clone, Debug, Default, PartialEq)]
 pub struct WhatIfReport {
     /// Display label of the edit.
     pub label: String,
@@ -243,6 +244,12 @@ pub struct WhatIfReport {
     /// The unedited makespan it is compared against.
     pub baseline_s: f64,
 }
+
+row! { WhatIfReport {
+    "label" => label,
+    "makespan_s" => makespan_s,
+    "baseline_s" => baseline_s,
+} }
 
 impl WhatIfReport {
     /// `baseline / edited` (∞-safe: 1.0 when the edit is a no-op on a

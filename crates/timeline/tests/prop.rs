@@ -299,6 +299,26 @@ fn timeline_json_round_trips_exactly() {
         // Serialize-again equality makes the bit-exactness visible at
         // the byte level too.
         assert_eq!(to_json(&parsed), text, "seed {seed}");
+
+        // A flag that is not a boolean is an error, never `false`.
+        for (flag, bad) in [("alive", "1"), ("overlap", "\"yes\"")] {
+            let doctored = text
+                .replacen(
+                    &format!("\"{flag}\": true"),
+                    &format!("\"{flag}\": {bad}"),
+                    1,
+                )
+                .replacen(
+                    &format!("\"{flag}\": false"),
+                    &format!("\"{flag}\": {bad}"),
+                    1,
+                );
+            assert_eq!(
+                parse_timeline(&doctored),
+                Err(format!("field `{flag}` is not a boolean")),
+                "seed {seed}"
+            );
+        }
     }
 }
 

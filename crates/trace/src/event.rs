@@ -8,7 +8,7 @@
 //! [`TraceEvent::lanes`] and [`TraceEvent::is_global`] say how an
 //! event is drawn; each has a default, so a new variant needs none.
 
-use crate::json::{esc, num};
+use crate::json::{esc, write_num, write_row, Row, Rows};
 use std::borrow::Cow;
 use std::fmt::Write as _;
 
@@ -33,7 +33,7 @@ impl Level {
 
 /// One autotuner candidate: a plan with its modeled cost and memory
 /// footprint, plus whether it passed the per-rank memory gate.
-#[derive(Clone, Debug, PartialEq)]
+#[derive(Clone, Debug, Default, PartialEq)]
 pub struct PlanChoice {
     /// Compact plan label (e.g. `2d(AB,4x4)`).
     pub plan: String,
@@ -44,6 +44,13 @@ pub struct PlanChoice {
     /// Whether the plan fit within the per-rank memory budget.
     pub feasible: bool,
 }
+
+crate::row! { PlanChoice {
+    "plan" => plan,
+    "cost_s" => cost_s,
+    "mem_bytes" => mem_bytes,
+    "feasible" => feasible,
+} }
 
 /// The cost of one collective, as charged to the machine model:
 /// what [`TraceEvent::Collective`] and [`TraceEvent::CollectiveIssue`]
@@ -354,7 +361,7 @@ impl TraceEvent {
     /// Visits the event's fields as ordered `(name, value)` pairs —
     /// the order the JSON-lines exporter writes them in.
     pub fn fields(&self, sink: &mut dyn FnMut(&'static str, Value<'_>)) {
-        use Value::{Plans, Rank, Ranks, Str, U64s, F64, U64};
+        use Value::{Rank, Ranks, Rows, Str, U64s, F64, U64};
         match self {
             TraceEvent::Collective { charge } => charge.fields(None, sink),
             TraceEvent::CollectiveIssue { charge, handle } => charge.fields(Some(*handle), sink),
@@ -421,7 +428,7 @@ impl TraceEvent {
                 sink("nnz_b", U64(*nnz_b));
                 sink("winner", Str(winner));
                 sink("winner_cost_s", F64(*winner_cost_s));
-                sink("candidates", Plans(candidates));
+                sink("candidates", Rows(candidates));
             }
             TraceEvent::Superstep {
                 phase,
@@ -635,14 +642,20 @@ impl TraceEvent {
     }
 }
 
-/// A field value: the closed set of shapes the exporters render.
-#[derive(Clone, Copy, Debug, PartialEq)]
+/// A field value: the closed set of shapes the exporters render —
+/// the trace exports for an event's fields, the report documents for
+/// a [`Row`]'s.
+#[derive(Clone, Copy)]
 pub enum Value<'a> {
     /// An integer count, size or id.
     U64(u64),
     /// A real quantity (modeled seconds, sampled values); non-finite
     /// renders as `null`.
     F64(f64),
+    /// An optional real quantity (`null` when absent).
+    OptF64(Option<f64>),
+    /// A flag.
+    Bool(bool),
     /// Text, escaped on output.
     Str(&'a str),
     /// One optional rank id (`null` when absent).
@@ -652,12 +665,17 @@ pub enum Value<'a> {
     Ranks(&'a [usize]),
     /// A list of counts.
     U64s(&'a [u64]),
-    /// The autotuner's candidate table.
-    Plans(&'a [PlanChoice]),
+    /// A list of labels.
+    Strs(&'a [String]),
+    /// A nested row.
+    Row(&'a dyn Row),
+    /// A list of rows (the autotuner's candidate table, a report
+    /// document's arrays).
+    Rows(&'a dyn Rows),
 }
 
 impl Value<'_> {
-    /// Appends the value as JSON.
+    /// Appends the value as compact JSON (no spaces).
     pub fn write_json(&self, out: &mut String) {
         fn list<T>(out: &mut String, items: &[T], mut one: impl FnMut(&mut String, &T)) {
             out.push('[');
@@ -673,30 +691,51 @@ impl Value<'_> {
             Value::U64(v) => {
                 let _ = write!(out, "{v}");
             }
-            Value::F64(v) => out.push_str(&num(*v)),
+            Value::F64(v) | Value::OptF64(Some(v)) => write_num(out, *v),
+            Value::Bool(v) => {
+                let _ = write!(out, "{v}");
+            }
             Value::Str(v) => {
                 let _ = write!(out, "\"{}\"", esc(v));
             }
             Value::Rank(Some(v)) => {
                 let _ = write!(out, "{v}");
             }
-            Value::Rank(None) => out.push_str("null"),
+            Value::Rank(None) | Value::OptF64(None) => out.push_str("null"),
             Value::Ranks(v) => list(out, v, |out, r| {
                 let _ = write!(out, "{r}");
             }),
             Value::U64s(v) => list(out, v, |out, x| {
                 let _ = write!(out, "{x}");
             }),
-            Value::Plans(v) => list(out, v, |out, c| {
-                let _ = write!(
-                    out,
-                    "{{\"plan\":\"{}\",\"cost_s\":{},\"mem_bytes\":{},\"feasible\":{}}}",
-                    esc(&c.plan),
-                    num(c.cost_s),
-                    c.mem_bytes,
-                    c.feasible
-                );
+            Value::Strs(v) => list(out, v, |out, s| {
+                let _ = write!(out, "\"{}\"", esc(s));
             }),
+            Value::Row(row) => write_row(out, *row, false),
+            Value::Rows(rows) => {
+                out.push('[');
+                let mut sep = "";
+                rows.each(&mut |row| {
+                    out.push_str(sep);
+                    write_row(out, row, false);
+                    sep = ",";
+                });
+                out.push(']');
+            }
+        }
+    }
+
+    /// Exact equality: `f64` by bit pattern, everything else by its
+    /// rendering.
+    pub fn same(&self, other: &Value<'_>) -> bool {
+        match (self, other) {
+            (Value::F64(a), Value::F64(b)) => a.to_bits() == b.to_bits(),
+            _ => {
+                let (mut a, mut b) = (String::new(), String::new());
+                self.write_json(&mut a);
+                other.write_json(&mut b);
+                a == b
+            }
         }
     }
 }

@@ -1,8 +1,11 @@
 //! Minimal hand-rolled JSON, the one copy in the workspace: emission
-//! helpers shared by every exporter, plus a small recursive-descent
-//! parser used to read committed baselines and wire requests back in.
+//! helpers shared by every exporter, a small recursive-descent parser
+//! used to read committed baselines and wire requests back in, and
+//! the report-row declaration ([`Row`], [`row!`](crate::row)) whose
+//! generic walks write, read and compare every report document.
 //! Keeps the stack dependency-free.
 
+use crate::event::Value;
 use std::fmt::Write as _;
 
 /// Escapes `s` for inclusion inside a JSON string literal.
@@ -109,6 +112,7 @@ pub fn parse(input: &str) -> Result<Json, String> {
     let mut p = Parser {
         bytes: input.as_bytes(),
         pos: 0,
+        depth: 0,
     };
     p.skip_ws();
     let v = p.value()?;
@@ -119,9 +123,15 @@ pub fn parse(input: &str) -> Result<Json, String> {
     Ok(v)
 }
 
+/// Deepest `[`/`{` nesting [`parse`] follows. The documents read here
+/// nest at most four levels; the bound keeps a hostile line of
+/// brackets from overflowing the stack of a long-lived reader.
+const MAX_DEPTH: usize = 64;
+
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    depth: usize,
 }
 
 impl Parser<'_> {
@@ -159,8 +169,8 @@ impl Parser<'_> {
 
     fn value(&mut self) -> Result<Json, String> {
         match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
+            Some(b'{') => self.nested(Self::object),
+            Some(b'[') => self.nested(Self::array),
             Some(b'"') => Ok(Json::Str(self.string()?)),
             Some(b't') => self.lit("true", Json::Bool(true)),
             Some(b'f') => self.lit("false", Json::Bool(false)),
@@ -168,6 +178,19 @@ impl Parser<'_> {
             Some(c) if c == b'-' || c.is_ascii_digit() => self.number(),
             _ => Err(self.err("expected a value")),
         }
+    }
+
+    fn nested(
+        &mut self,
+        inner: impl FnOnce(&mut Self) -> Result<Json, String>,
+    ) -> Result<Json, String> {
+        if self.depth == MAX_DEPTH {
+            return Err(self.err("nesting deeper than 64 levels"));
+        }
+        self.depth += 1;
+        let v = inner(self);
+        self.depth -= 1;
+        v
     }
 
     fn object(&mut self) -> Result<Json, String> {
@@ -303,6 +326,289 @@ impl Parser<'_> {
     }
 }
 
+/// A report row: a type that lists its `(key, field)` pairs once, in
+/// export order — with [`row!`](crate::row), which writes both
+/// methods from one list. Every report document (`timeline.json`,
+/// `profile.json`, both `BENCH_*.json`) is a row whose cells are
+/// scalars, nested rows and lists of rows; [`write_doc`], [`Row::read`]
+/// and [`diff`] are the only code that knows their layout.
+pub trait Row {
+    /// Visits the fields as ordered `(key, value)` pairs.
+    fn fields(&self, sink: &mut dyn FnMut(&'static str, Value<'_>));
+
+    /// Reads the row back from a parsed object.
+    ///
+    /// # Errors
+    /// ``missing field `k` `` or ``field `k` is not a …``.
+    fn read(obj: &Json) -> Result<Self, String>
+    where
+        Self: Sized;
+}
+
+/// A list of rows behind one pointer, so a [`Value`] can carry it.
+pub trait Rows {
+    /// Visits the rows in order.
+    fn each(&self, visit: &mut dyn FnMut(&dyn Row));
+}
+
+impl<T: Row> Rows for Vec<T> {
+    fn each(&self, visit: &mut dyn FnMut(&dyn Row)) {
+        self.iter().for_each(|row| visit(row));
+    }
+}
+
+/// A type a row field can have: how it renders, and how it is read
+/// back from the value found under its key.
+pub trait Cell: Sized {
+    /// The field as the exporters see it.
+    fn value(&self) -> Value<'_>;
+
+    /// Reads the field from `j`, the value under `key`.
+    ///
+    /// # Errors
+    /// ``field `key` is not a …`` when `j` has the wrong shape.
+    fn from_json(j: &Json, key: &str) -> Result<Self, String>;
+}
+
+fn not(key: &str, what: &str) -> String {
+    format!("field `{key}` is not {what}")
+}
+
+impl Cell for u64 {
+    fn value(&self) -> Value<'_> {
+        Value::U64(*self)
+    }
+    fn from_json(j: &Json, key: &str) -> Result<u64, String> {
+        j.as_u64().ok_or_else(|| not(key, "an integer"))
+    }
+}
+
+impl Cell for usize {
+    fn value(&self) -> Value<'_> {
+        Value::U64(*self as u64)
+    }
+    fn from_json(j: &Json, key: &str) -> Result<usize, String> {
+        u64::from_json(j, key).map(|v| v as usize)
+    }
+}
+
+impl Cell for f64 {
+    fn value(&self) -> Value<'_> {
+        Value::F64(*self)
+    }
+    fn from_json(j: &Json, key: &str) -> Result<f64, String> {
+        j.as_f64().ok_or_else(|| not(key, "a number"))
+    }
+}
+
+impl Cell for bool {
+    fn value(&self) -> Value<'_> {
+        Value::Bool(*self)
+    }
+    fn from_json(j: &Json, key: &str) -> Result<bool, String> {
+        match j {
+            Json::Bool(b) => Ok(*b),
+            _ => Err(not(key, "a boolean")),
+        }
+    }
+}
+
+impl Cell for String {
+    fn value(&self) -> Value<'_> {
+        Value::Str(self)
+    }
+    fn from_json(j: &Json, key: &str) -> Result<String, String> {
+        j.as_str()
+            .map(str::to_string)
+            .ok_or_else(|| not(key, "a string"))
+    }
+}
+
+impl Cell for Option<usize> {
+    fn value(&self) -> Value<'_> {
+        Value::Rank(*self)
+    }
+    fn from_json(j: &Json, key: &str) -> Result<Option<usize>, String> {
+        match j {
+            Json::Null => Ok(None),
+            _ => usize::from_json(j, key).map(Some),
+        }
+    }
+}
+
+impl Cell for Option<f64> {
+    fn value(&self) -> Value<'_> {
+        Value::OptF64(*self)
+    }
+    fn from_json(j: &Json, key: &str) -> Result<Option<f64>, String> {
+        match j {
+            Json::Null => Ok(None),
+            _ => f64::from_json(j, key).map(Some),
+        }
+    }
+}
+
+impl Cell for Vec<String> {
+    fn value(&self) -> Value<'_> {
+        Value::Strs(self)
+    }
+    fn from_json(j: &Json, key: &str) -> Result<Vec<String>, String> {
+        let items = j.as_array().ok_or_else(|| not(key, "a list of strings"))?;
+        items.iter().map(|s| String::from_json(s, key)).collect()
+    }
+}
+
+impl<T: Row> Cell for T {
+    fn value(&self) -> Value<'_> {
+        Value::Row(self)
+    }
+    fn from_json(j: &Json, _key: &str) -> Result<T, String> {
+        T::read(j)
+    }
+}
+
+impl<T: Row> Cell for Vec<T> {
+    fn value(&self) -> Value<'_> {
+        Value::Rows(self)
+    }
+    fn from_json(j: &Json, key: &str) -> Result<Vec<T>, String> {
+        let items = j.as_array().ok_or_else(|| not(key, "an array"))?;
+        items.iter().map(T::read).collect()
+    }
+}
+
+/// A document's format version as a field: always written as `V`,
+/// and reading any other number fails — declared first, it stops a
+/// reader before it walks a layout it does not know.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct Version<const V: u64>;
+
+impl<const V: u64> Cell for Version<V> {
+    fn value(&self) -> Value<'_> {
+        Value::U64(V)
+    }
+    fn from_json(j: &Json, key: &str) -> Result<Self, String> {
+        match u64::from_json(j, key)? {
+            v if v == V => Ok(Version),
+            v => Err(format!("version {v} unsupported (expected {V})")),
+        }
+    }
+}
+
+impl<const V: u64> PartialEq<u64> for Version<V> {
+    fn eq(&self, other: &u64) -> bool {
+        *other == V
+    }
+}
+
+/// Reads the cell under `key` of `obj` (what [`row!`](crate::row)
+/// expands each field's read to).
+///
+/// # Errors
+/// ``missing field `key` ``, or the cell's own shape error.
+pub fn field<C: Cell>(obj: &Json, key: &str) -> Result<C, String> {
+    let j = obj
+        .get(key)
+        .ok_or_else(|| format!("missing field `{key}`"))?;
+    C::from_json(j, key)
+}
+
+/// Declares a report row: lists the `"key" => field` pairs of a type
+/// once, in export order, and implements [`Row`](crate::json::Row)
+/// from the list. Fields the list leaves out (wall-clock readings that
+/// are reported but never stored) keep their `Default` on a read.
+/// Generic types name their parameters first: `row! { impl[T: Row]
+/// File<T> { … } }`.
+#[macro_export]
+macro_rules! row {
+    (impl[$($gen:tt)*] $ty:ty { $($key:literal => $field:ident),+ $(,)? }) => {
+        impl<$($gen)*> $crate::json::Row for $ty {
+            fn fields(&self, sink: &mut dyn FnMut(&'static str, $crate::Value<'_>)) {
+                $(sink($key, $crate::json::Cell::value(&self.$field));)+
+            }
+
+            fn read(obj: &$crate::json::Json) -> Result<Self, String> {
+                let mut row = <$ty>::default();
+                $(row.$field = $crate::json::field(obj, $key)?;)+
+                Ok(row)
+            }
+        }
+    };
+    ($ty:ty { $($body:tt)+ }) => {
+        $crate::row!(impl[] $ty { $($body)+ });
+    };
+}
+
+/// Appends `row` as a one-line object: `{"k": v, "k": v}` in the
+/// report documents (`spaced`), `{"k":v,"k":v}` in the trace exports.
+pub fn write_row(out: &mut String, row: &dyn Row, spaced: bool) {
+    let (comma, colon) = if spaced {
+        (", \"", "\": ")
+    } else {
+        (",\"", "\":")
+    };
+    out.push('{');
+    let mut sep = "\"";
+    row.fields(&mut |key, value| {
+        // Piecewise pushes, not `write!`: this runs once per field of
+        // every exported row.
+        out.push_str(sep);
+        out.push_str(key);
+        out.push_str(colon);
+        value.write_json(out);
+        sep = comma;
+    });
+    out.push('}');
+}
+
+/// Serializes a report document: one `  "key": value` line per field
+/// of `doc`, a nested row as a one-line object, a list of rows as one
+/// object per line.
+pub fn write_doc(doc: &dyn Row) -> String {
+    let mut out = String::with_capacity(4096);
+    out.push('{');
+    let mut sep = "\n  \"";
+    doc.fields(&mut |key, value| {
+        out.push_str(sep);
+        out.push_str(key);
+        out.push_str("\": ");
+        sep = ",\n  \"";
+        match value {
+            Value::Row(row) => write_row(&mut out, row, true),
+            Value::Rows(rows) => {
+                out.push('[');
+                let mut sep = "\n    ";
+                rows.each(&mut |row| {
+                    out.push_str(sep);
+                    write_row(&mut out, row, true);
+                    sep = ",\n    ";
+                });
+                out.push_str("\n  ]");
+            }
+            scalar => scalar.write_json(&mut out),
+        }
+    });
+    out.push_str("\n}\n");
+    out
+}
+
+/// Exact comparison of two rows of one type: calls `out(key, before,
+/// after)` for every field whose values differ — `f64` by bit
+/// pattern, everything else by equality.
+pub fn diff(
+    before: &dyn Row,
+    after: &dyn Row,
+    out: &mut dyn FnMut(&'static str, Value<'_>, Value<'_>),
+) {
+    before.fields(&mut |key, b| {
+        after.fields(&mut |k, a| {
+            if k == key && !b.same(&a) {
+                out(key, b, a);
+            }
+        });
+    });
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -355,6 +661,22 @@ mod tests {
         assert!(parse("[1,]").is_err());
         assert!(parse("{\"a\":1} extra").is_err());
         assert!(parse("nul").is_err());
+    }
+
+    #[test]
+    fn nesting_is_bounded_not_recursed_to_death() {
+        for open in ["[", "{\"a\":"] {
+            let err = parse(&open.repeat(200_000)).unwrap_err();
+            assert!(
+                err.starts_with("json parse error at byte ") && err.contains("deeper than 64"),
+                "{err}"
+            );
+        }
+        let deep = |n: usize| "[".repeat(n) + &"]".repeat(n);
+        assert!(parse(&deep(MAX_DEPTH)).is_ok());
+        assert!(parse(&deep(MAX_DEPTH + 1)).is_err());
+        // Depth is nesting, not a count of containers.
+        assert!(parse(&format!("[{}]", vec!["[[]]"; 1000].join(","))).is_ok());
     }
 
     #[test]

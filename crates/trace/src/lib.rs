@@ -29,8 +29,8 @@ pub use jsonl::{record_to_json, to_jsonl};
 pub use recorder::{current_tid, MemoryRecorder, Recorder, StderrRecorder, TeeRecorder};
 pub use summary::{
     collective_summary, pool_summary, recovery_summary, render_pool_summary,
-    render_recovery_summary, render_summary, total_modeled_comm_s, KindTotals, PoolTotals,
-    RecoveryTotals, Summary,
+    render_recovery_summary, render_summary, total_modeled_comm_s, FaultCount, KindTotals,
+    PoolTotals, RecoveryTotals, Summary,
 };
 
 use std::cell::RefCell;

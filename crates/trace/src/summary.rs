@@ -118,7 +118,10 @@ impl Summary {
             faults: self
                 .faults
                 .iter()
-                .map(|(k, c)| (k.to_string(), *c))
+                .map(|(kind, &count)| FaultCount {
+                    kind: kind.to_string(),
+                    count,
+                })
                 .collect(),
             actions: self
                 .actions
@@ -233,12 +236,22 @@ pub fn render_pool_summary(totals: &[PoolTotals]) -> String {
     out
 }
 
+/// Injected faults of one kind.
+#[derive(Clone, Debug, Default, PartialEq)]
+pub struct FaultCount {
+    /// Fault kind name (`crash`, `transient`, `oom`).
+    pub kind: String,
+    /// Faults of that kind injected.
+    pub count: u64,
+}
+
+crate::row! { FaultCount { "kind" => kind, "count" => count } }
+
 /// Fault-injection and recovery totals across a recorded run.
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct RecoveryTotals {
-    /// Injected faults per kind name (`crash`, `transient`, `oom`),
-    /// sorted by kind.
-    pub faults: Vec<(String, u64)>,
+    /// Injected faults per kind, sorted by kind.
+    pub faults: Vec<FaultCount>,
     /// Recovery actions: `(action, count, wasted modeled seconds,
     /// last detail string)`, sorted by action.
     pub actions: Vec<(String, u64, f64, String)>,
@@ -247,7 +260,7 @@ pub struct RecoveryTotals {
 impl RecoveryTotals {
     /// Total injected faults across kinds.
     pub fn faults_injected(&self) -> u64 {
-        self.faults.iter().map(|(_, c)| c).sum()
+        self.faults.iter().map(|f| f.count).sum()
     }
 
     /// Total modeled seconds discarded by rollbacks.
@@ -275,12 +288,12 @@ pub fn render_recovery_summary(totals: &RecoveryTotals) -> String {
         "{:<14} {:>8} {:>12}  detail",
         "fault/recovery", "count", "wasted_s"
     );
-    for (kind, count) in &totals.faults {
+    for f in &totals.faults {
         let _ = writeln!(
             out,
             "{:<14} {:>8} {:>12}  -",
-            format!("fault:{kind}"),
-            count,
+            format!("fault:{}", f.kind),
+            f.count,
             "-"
         );
     }

@@ -829,36 +829,7 @@ fn cmd_bench(args: &[String]) -> Result<(), CliError> {
         eprintln!("bench: timeline gantt of {} -> {path}", chosen.case.name);
     }
 
-    if let Some(path) = o.get("write") {
-        let baseline = mfbc_profile::Baseline::new(cases.clone());
-        std::fs::write(path, baseline.to_json()).map_err(|e| format!("{path}: {e}"))?;
-        eprintln!("bench: wrote baseline ({} cases) -> {path}", cases.len());
-    }
-
-    if let Some(path) = o.get("baseline") {
-        let text = std::fs::read_to_string(path).map_err(|e| format!("{path}: {e}"))?;
-        let baseline =
-            mfbc_profile::Baseline::from_json(&text).map_err(|e| format!("{path}: {e}"))?;
-        let findings = baseline.compare(&cases);
-        if findings.is_empty() {
-            eprintln!("bench: OK — {} case(s) within baseline {path}", cases.len());
-        } else {
-            let regressions = findings
-                .iter()
-                .filter(|f| f.severity == mfbc_profile::Severity::Regression)
-                .count();
-            for f in &findings {
-                eprintln!("bench: {}", f.describe());
-            }
-            return Err(CliError::BenchRegression(format!(
-                "FAILED — {} finding(s) against {path} ({} regression(s), {} drift(s); \
-                 drifts mean the baseline is stale: refresh with `mfbc-cli bench --write {path}`)",
-                findings.len(),
-                regressions,
-                findings.len() - regressions,
-            )));
-        }
-    }
+    gate("", "write", cases, o.get("write"), o.get("baseline"))?;
 
     // The serve load suite: same write/compare shape, its own
     // baseline (`BENCH_serve.json`), gated only when asked for.
@@ -885,37 +856,59 @@ fn cmd_bench(args: &[String]) -> Result<(), CliError> {
                 r.wall_s,
             );
         }
-        if let Some(path) = serve_write {
-            let text = mfbc_bench::serveload::to_json(&reports);
-            std::fs::write(path, text).map_err(|e| format!("{path}: {e}"))?;
-            eprintln!(
-                "bench: wrote serve baseline ({} cases) -> {path}",
-                reports.len()
-            );
-        }
-        if let Some(path) = serve_baseline {
-            let text = std::fs::read_to_string(path).map_err(|e| format!("{path}: {e}"))?;
-            let base =
-                mfbc_bench::serveload::from_json(&text).map_err(|e| format!("{path}: {e}"))?;
-            let findings = mfbc_bench::serveload::compare(&base, &reports);
-            if findings.is_empty() {
-                eprintln!(
-                    "bench: OK — serve load ({} cases) within baseline {path}",
-                    reports.len()
-                );
-            } else {
-                for f in &findings {
-                    eprintln!("bench: serve: {f}");
-                }
-                return Err(CliError::BenchRegression(format!(
-                    "FAILED — {} serve finding(s) against {path} (refresh with \
-                     `mfbc-cli bench --serve-write {path}` if the change is intended)",
-                    findings.len(),
-                )));
-            }
-        }
+        gate(
+            "serve ",
+            "serve-write",
+            reports,
+            serve_write,
+            serve_baseline,
+        )?;
     }
     Ok(())
+}
+
+/// The shared tail of both bench suites: writes `cases` as a fresh
+/// baseline file (`write`) and gates them bit-exactly against a
+/// committed one (`baseline`). `what` is the suite's prefix in the
+/// messages, `write_flag` the option a stale baseline is refreshed
+/// with.
+fn gate<T: mfbc_profile::Case>(
+    what: &str,
+    write_flag: &str,
+    cases: Vec<T>,
+    write: Option<&str>,
+    baseline: Option<&str>,
+) -> Result<(), CliError> {
+    let fresh = mfbc_profile::Baseline::new(cases);
+    let n = fresh.cases.len();
+    if let Some(path) = write {
+        std::fs::write(path, fresh.to_json()).map_err(|e| format!("{path}: {e}"))?;
+        eprintln!("bench: wrote {what}baseline ({n} cases) -> {path}");
+    }
+    let Some(path) = baseline else {
+        return Ok(());
+    };
+    let text = std::fs::read_to_string(path).map_err(|e| format!("{path}: {e}"))?;
+    let pinned =
+        mfbc_profile::Baseline::<T>::from_json(&text).map_err(|e| format!("{path}: {e}"))?;
+    let findings = pinned.compare(&fresh.cases);
+    if findings.is_empty() {
+        eprintln!("bench: OK — {n} {what}case(s) within baseline {path}");
+        return Ok(());
+    }
+    let regressions = findings
+        .iter()
+        .filter(|f| f.severity == mfbc_profile::Severity::Regression)
+        .count();
+    for f in &findings {
+        eprintln!("bench: {what}{}", f.describe());
+    }
+    Err(CliError::BenchRegression(format!(
+        "FAILED — {} {what}finding(s) against {path} ({regressions} regression(s), {} drift(s); \
+         drifts mean the baseline is stale: refresh with `mfbc-cli bench --{write_flag} {path}`)",
+        findings.len(),
+        findings.len() - regressions,
+    )))
 }
 
 /// `mfbc-cli analyze`: run one pinned bench case under the timeline

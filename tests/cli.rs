@@ -418,6 +418,36 @@ fn serve_answers_json_lines_and_reports_health() {
 }
 
 #[test]
+fn serve_refuses_a_line_of_brackets_and_keeps_serving() {
+    // 200 kB of `[`: unbounded, the parser's recursion overflowed the
+    // stack and took the engine down with no unwind to catch.
+    let stdin = "[".repeat(200_000) + "\n{\"id\":1,\"query\":\"topk\",\"k\":2}\n\n";
+    let (out, _) = run_ok_capturing(
+        &[
+            "serve",
+            "--nodes",
+            "4",
+            "--graph",
+            "uniform:32,64",
+            "--batch",
+            "8",
+            "--seed",
+            "7",
+        ],
+        Some(&stdin),
+    );
+    let lines: Vec<&str> = out.lines().collect();
+    assert!(
+        lines[0].contains("\"shed\":\"invalid-request\"") && lines[0].contains("deeper than 64"),
+        "hostile line refused: {out}"
+    );
+    assert!(
+        lines[1].contains("\"id\":1") && lines[1].contains("\"quality\":\"exact\""),
+        "next request served: {out}"
+    );
+}
+
+#[test]
 fn serve_dump_command_returns_one_flight_line() {
     let (out, _) = run_ok_capturing(
         &[
