@@ -17,7 +17,7 @@
 //! enters the backward frontier when it reaches zero and is then
 //! pinned to −1 so it never re-enters.
 
-use crate::monoid::{CommutativeMonoid, Monoid};
+use crate::monoid::{under, CommutativeMonoid, Monoid};
 use crate::weight::Dist;
 
 /// A centpath `x = (x.w, x.p, x.c) ∈ C = W × ℝ × ℤ`.
@@ -107,6 +107,10 @@ impl Monoid for CentpathMonoid {
         e.is_none()
     }
 
+    /// Win, lose and tie in one straight line: which side a product
+    /// lands on is the unpredictable branch of the row kernel's inner
+    /// loop, so each side's fields are kept or zeroed by an all-ones /
+    /// all-zeros mask (both kept on a tie) and summed.
     #[inline]
     fn fold_into(acc: &mut Centpath, x: &Centpath) {
         if x.is_none() {
@@ -116,14 +120,11 @@ impl Monoid for CentpathMonoid {
             *acc = *x;
             return;
         }
-        match acc.w.cmp(&x.w) {
-            std::cmp::Ordering::Greater => {}
-            std::cmp::Ordering::Less => *acc = *x,
-            std::cmp::Ordering::Equal => {
-                acc.p += x.p;
-                acc.c += x.c;
-            }
-        }
+        let keep = u64::from(acc.w >= x.w).wrapping_neg();
+        let take = u64::from(acc.w <= x.w).wrapping_neg();
+        acc.p = under(acc.p, keep) + under(x.p, take);
+        acc.c = (acc.c & keep as i64) + (x.c & take as i64);
+        acc.w = acc.w.max(x.w);
     }
 }
 
@@ -184,12 +185,21 @@ mod tests {
 
     #[test]
     fn fold_into_matches_combine() {
-        let xs = samples();
+        // The sample grid, then what it lacks: signed zeros on either
+        // side of a win, a loss and a tie (the masked sum must not turn
+        // a kept `-0.0` into `+0.0`) and a negative factor.
+        let mut xs = samples();
+        for p in [-0.0, 0.0, -1.5] {
+            xs.push(Centpath::new(Dist::new(4), p, 1));
+            xs.push(Centpath::new(Dist::new(6), p, -1));
+        }
+        let bits = |x: &Centpath| (x.w.raw(), x.p.to_bits(), x.c);
         for a in &xs {
             for b in &xs {
                 let mut acc = *a;
                 CentpathMonoid::fold_into(&mut acc, b);
-                assert_eq!(acc, CentpathMonoid::combine(a, b));
+                let want = CentpathMonoid::combine(a, b);
+                assert_eq!(bits(&acc), bits(&want), "{a:?} ⊗ {b:?}");
             }
         }
     }

@@ -43,6 +43,16 @@ pub trait Monoid: Copy + Default + Send + Sync + 'static {
     }
 }
 
+/// `v` under an all-ones `mask`, `-0.0` under an all-zeros one: the
+/// term a branch-free fold adds for the side a comparison may have
+/// dropped. `-0.0` rather than `+0.0` because it is the addend that
+/// changes no `f64` — `x + -0.0` is `x` bit for bit, `x = ±0.0`
+/// included — so the fold reproduces `combine`'s bits for every input.
+#[inline]
+pub(crate) fn under(v: f64, mask: u64) -> f64 {
+    f64::from_bits((v.to_bits() & mask) | ((-0.0f64).to_bits() & !mask))
+}
+
 /// Marker trait asserting that [`Monoid::combine`] is commutative.
 ///
 /// Only commutative monoids may be used as the accumulator `⊕` of a

@@ -7,7 +7,7 @@
 //! multiplicities — exactly the bookkeeping Bellman–Ford needs to
 //! track `(τ(s,v), σ̄(s,v))` simultaneously.
 
-use crate::monoid::{CommutativeMonoid, Monoid};
+use crate::monoid::{under, CommutativeMonoid, Monoid};
 use crate::weight::Dist;
 
 /// Number of shortest paths. Stored as `f64`: path counts are sums of
@@ -100,13 +100,15 @@ impl Monoid for MultpathMonoid {
         !e.is_path()
     }
 
+    /// Branch-free, like [`crate::CentpathMonoid`]'s: the lighter
+    /// side's multiplicity is kept (both on a tie), the other's masked
+    /// away, and the two summed.
     #[inline]
     fn fold_into(acc: &mut Multpath, x: &Multpath) {
-        match acc.w.cmp(&x.w) {
-            std::cmp::Ordering::Less => {}
-            std::cmp::Ordering::Greater => *acc = *x,
-            std::cmp::Ordering::Equal => acc.m += x.m,
-        }
+        let keep = u64::from(acc.w <= x.w).wrapping_neg();
+        let take = u64::from(acc.w >= x.w).wrapping_neg();
+        acc.m = under(acc.m, keep) + under(x.m, take);
+        acc.w = acc.w.min(x.w);
     }
 }
 
@@ -168,12 +170,23 @@ mod tests {
 
     #[test]
     fn fold_into_matches_combine() {
-        let xs = samples();
+        // The sample grid (identity and ties included), then signed
+        // zeros on either side of a win, a loss and a tie — the masked
+        // sum must not turn a kept `-0.0` into `+0.0` — and the
+        // `(∞, 1)` form of the sparse zero.
+        let mut xs = samples();
+        for m in [-0.0, 0.0] {
+            xs.push(Multpath::new(Dist::new(3), m));
+            xs.push(Multpath::new(Dist::new(5), m));
+        }
+        xs.push(Multpath::new(Dist::INF, 1.0));
+        let bits = |x: &Multpath| (x.w.raw(), x.m.to_bits());
         for a in &xs {
             for b in &xs {
                 let mut acc = *a;
                 MultpathMonoid::fold_into(&mut acc, b);
-                assert_eq!(acc, MultpathMonoid::combine(a, b));
+                let want = MultpathMonoid::combine(a, b);
+                assert_eq!(bits(&acc), bits(&want), "{a:?} ⊕ {b:?}");
             }
         }
     }

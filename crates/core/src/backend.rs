@@ -18,7 +18,10 @@ use mfbc_algebra::monoid::Monoid;
 use mfbc_algebra::{Dist, SpMulKernel};
 use mfbc_graph::Graph;
 use mfbc_machine::{Machine, MachineError};
-use mfbc_sparse::{elementwise, spgemm_opt, Csr, Idx, Mask, MaskKind, SortedRows, Table};
+use mfbc_sparse::{
+    elementwise, spgemm_anchor, spgemm_opt, spgemm_settle, Csr, Idx, Mask, MaskKind, SortedRows,
+    Table,
+};
 use mfbc_tensor::cache::{CacheStats, MmCache};
 use mfbc_tensor::{autotune, canonical_layout, ops, DistMat, DistTable, Layout, MmPlan};
 
@@ -36,20 +39,14 @@ pub enum Adj {
 }
 
 /// `Z` while the backward sweep settles it in place
-/// ([`Backend::anchor`] opens it, [`Backend::settle`] updates it), with
-/// — on a backend that masks — the *pending* set beside it: the
-/// coordinates that have not fired yet, as `P` stores them.
+/// ([`Backend::anchor`] opens it, [`Backend::settle`] updates it,
+/// [`Backend::freeze`] closes it), with — on a backend that masks —
+/// the *pending* set beside it: the coordinates that have not fired
+/// yet, as `P` stores them.
 #[derive(Clone, Debug)]
-pub struct Settling<M, P> {
-    pub(crate) z: M,
+pub struct Settling<Z, P> {
+    pub(crate) z: Z,
     pub(crate) pending: Option<P>,
-}
-
-impl<M, P> Settling<M, P> {
-    /// The settled matrix.
-    pub fn into_mat(self) -> M {
-        self.z
-    }
 }
 
 /// The operations Algorithms 1–3 are made of. Elementwise operands
@@ -144,47 +141,64 @@ pub trait Backend {
     /// charge carried over.
     fn freeze<T: Elem>(&self, table: Self::Table<T>) -> Self::Mat<T>;
 
-    /// Opens the matrix [`Backend::settle`] updates, resident, in one
-    /// pass over `base`: `init(base_val, other_val_opt)` is stored at
-    /// each of `base`'s coordinates, then `fire(&mut z_val, base_val)`
-    /// may rewrite it and emit an entry of the matrix returned beside
-    /// it. The coordinates `fire` passes on are pending.
+    /// Algorithm 2, lines 1–4, as one product into a freshly opened
+    /// `Z`: the table on `base`'s pattern, resident, that holds
+    /// `init(base_val, counted_opt)` — `counted` being the product of
+    /// `seed(base_val)` over `base`'s entries with `adj`, under (and
+    /// priced under) `within` — after `fire(&mut z_val, base_val)` has
+    /// had its one chance to rewrite each entry and emit an entry of
+    /// the matrix returned beside it. The coordinates `fire` passes on
+    /// are pending. Also returns the product's `ops`.
     #[allow(clippy::type_complexity)]
-    fn anchor<M: Monoid, T: Elem, U: Elem>(
-        &self,
+    fn anchor<K, T: Elem>(
+        &mut self,
         base: &Self::Mat<T>,
-        other: &Self::Mat<U>,
-        init: impl Fn(&T, Option<&U>) -> M::Elem + Sync,
-        fire: impl Fn(&mut M::Elem, &T) -> Option<M::Elem> + Sync,
+        adj: Adj,
+        within: Option<&Mask>,
+        seed: impl Fn(&T) -> KernelOut<K> + Sync,
+        init: impl Fn(&T, Option<&KernelOut<K>>) -> KernelOut<K> + Sync,
+        fire: impl Fn(&mut KernelOut<K>, &T) -> Option<KernelOut<K>> + Sync,
     ) -> Result<
         (
-            Settling<Self::Mat<M::Elem>, Self::Pending>,
-            Self::Mat<M::Elem>,
+            Settling<Self::Table<KernelOut<K>>, Self::Pending>,
+            Self::Mat<KernelOut<K>>,
+            u64,
         ),
         Self::Error,
-    >;
+    >
+    where
+        K: SpMulKernel<Left = KernelOut<K>, Right = Dist>;
 
     /// The structural mask of `z`'s pending set — the only outputs a
-    /// product can still matter at — or `None` on a backend that does
-    /// not mask.
+    /// product can still matter at — or `None` where none is kept.
     fn pending_mask<'a, T: Elem>(
         &self,
-        z: &'a Settling<Self::Mat<T>, Self::Pending>,
+        z: &'a Settling<Self::Table<T>, Self::Pending>,
     ) -> Option<Mask<'a>>;
 
-    /// `z := z ⊕ update` in place on `z`'s pattern (other updates are
-    /// dropped); on each entry just updated, `fire(&mut z_val,
-    /// side_val)` may rewrite it and emit an entry of the returned
-    /// matrix, and an entry it fires on is no longer pending. `side`
-    /// stores every coordinate `z` does. Work is proportional to
-    /// `update`, not to `z`.
-    fn settle<M: Monoid, U: Elem>(
-        &self,
-        z: &mut Settling<Self::Mat<M::Elem>, Self::Pending>,
-        update: &Self::Mat<M::Elem>,
+    /// Algorithm 2, lines 6–11, as one product into `z`:
+    /// `z := z ⊕ (frontier •⟨⊕,f⟩ adj)` in place on `z`'s pattern
+    /// (products landing elsewhere are dropped); on each entry just
+    /// updated, `fire(&mut z_val, side_val)` may rewrite it and emit an
+    /// entry of the returned matrix, and an entry it fires on is no
+    /// longer pending. `side` is the matrix `z` was opened on. Work is
+    /// proportional to the product, not to `z`.
+    ///
+    /// The product runs under `z`'s pending set where one is kept and
+    /// under `within` otherwise, and is priced under `within` either
+    /// way (see [`Backend::mm`]'s `priced`).
+    #[allow(clippy::type_complexity)]
+    fn settle<K, U: Elem>(
+        &mut self,
+        z: &mut Settling<Self::Table<KernelOut<K>>, Self::Pending>,
+        frontier: &Self::Mat<K::Left>,
+        adj: Adj,
+        within: Option<&Mask>,
         side: &Self::Mat<U>,
-        fire: impl Fn(&mut M::Elem, &U) -> Option<M::Elem> + Sync,
-    ) -> Self::Mat<M::Elem>;
+        fire: impl Fn(&mut KernelOut<K>, &U) -> Option<KernelOut<K>> + Sync,
+    ) -> Result<(Self::Mat<KernelOut<K>>, u64), Self::Error>
+    where
+        K: SpMulKernel<Right = Dist>;
 
     /// `f(i, j, a_val, b_val_opt)` over `a`'s entries; `None` and
     /// `M`'s identity drop the entry.
@@ -295,31 +309,68 @@ impl Backend for Local<'_> {
         table.freeze()
     }
 
-    fn anchor<M: Monoid, T: Elem, U: Elem>(
-        &self,
+    fn anchor<K, T: Elem>(
+        &mut self,
         base: &Csr<T>,
-        other: &Csr<U>,
-        init: impl Fn(&T, Option<&U>) -> M::Elem + Sync,
-        fire: impl Fn(&mut M::Elem, &T) -> Option<M::Elem> + Sync,
-    ) -> Result<(Settling<Csr<M::Elem>, SortedRows>, Csr<M::Elem>), Self::Error> {
-        let (z, frontier, pending) =
-            elementwise::anchor::<M, T, U>(base, other, init, fire, self.masked);
-        Ok((Settling { z, pending }, frontier))
+        adj: Adj,
+        within: Option<&Mask>,
+        seed: impl Fn(&T) -> KernelOut<K> + Sync,
+        init: impl Fn(&T, Option<&KernelOut<K>>) -> KernelOut<K> + Sync,
+        fire: impl Fn(&mut KernelOut<K>, &T) -> Option<KernelOut<K>> + Sync,
+    ) -> Result<
+        (
+            Settling<Table<KernelOut<K>>, SortedRows>,
+            Csr<KernelOut<K>>,
+            u64,
+        ),
+        Self::Error,
+    >
+    where
+        K: SpMulKernel<Left = KernelOut<K>, Right = Dist>,
+    {
+        // One seed per entry of `base`, so its structure is shared
+        // rather than rebuilt; an identity seed would have no place in
+        // it.
+        let seeds = base.map(|_, _, v| {
+            let s = seed(v);
+            assert!(!K::Acc::is_identity(&s), "an identity seed");
+            s
+        });
+        let adj = [self.a, &self.at][adj as usize];
+        let (z, leaves, pending) =
+            spgemm_anchor::<K, T>(&seeds, adj, within, base, init, fire, self.masked);
+        Ok((Settling { z, pending }, leaves.mat, leaves.ops))
     }
 
-    fn pending_mask<'a, T: Elem>(&self, z: &'a Settling<Csr<T>, SortedRows>) -> Option<Mask<'a>> {
+    fn pending_mask<'a, T: Elem>(&self, z: &'a Settling<Table<T>, SortedRows>) -> Option<Mask<'a>> {
         let rows = z.pending.as_ref()?;
         Some(Mask::over_rows(MaskKind::Structural, rows))
     }
 
-    fn settle<M: Monoid, U: Elem>(
-        &self,
-        z: &mut Settling<Csr<M::Elem>, SortedRows>,
-        update: &Csr<M::Elem>,
+    fn settle<K, U: Elem>(
+        &mut self,
+        z: &mut Settling<Table<KernelOut<K>>, SortedRows>,
+        frontier: &Csr<K::Left>,
+        adj: Adj,
+        within: Option<&Mask>,
         side: &Csr<U>,
-        fire: impl Fn(&mut M::Elem, &U) -> Option<M::Elem> + Sync,
-    ) -> Csr<M::Elem> {
-        elementwise::settle::<M, U>(&mut z.z, z.pending.as_mut(), update, side, fire)
+        fire: impl Fn(&mut KernelOut<K>, &U) -> Option<KernelOut<K>> + Sync,
+    ) -> Result<(Csr<KernelOut<K>>, u64), Self::Error>
+    where
+        K: SpMulKernel<Right = Dist>,
+    {
+        let adj = [self.a, &self.at][adj as usize];
+        // The product's mask borrows the pending rows the entries it
+        // fires must leave: the table is settled during the product,
+        // the rows are shrunk after it, by what came out.
+        let pending = z.pending.as_ref();
+        let pending = pending.map(|rows| Mask::over_rows(MaskKind::Structural, rows));
+        let mask = pending.as_ref().or(within);
+        let out = spgemm_settle::<K, U>(frontier, adj, mask, &mut z.z, side, fire);
+        if let Some(rows) = &mut z.pending {
+            rows.remove_pattern(&out.mat);
+        }
+        Ok((out.mat, out.ops))
     }
 
     fn zip_filter<M: Monoid, T: Elem, U: Elem>(
@@ -576,27 +627,36 @@ impl Backend for Simulated {
         table.freeze()
     }
 
-    fn anchor<M: Monoid, T: Elem, U: Elem>(
-        &self,
+    fn anchor<K, T: Elem>(
+        &mut self,
         base: &DistMat<T>,
-        other: &DistMat<U>,
-        init: impl Fn(&T, Option<&U>) -> M::Elem + Sync,
-        fire: impl Fn(&mut M::Elem, &T) -> Option<M::Elem> + Sync,
+        adj: Adj,
+        within: Option<&Mask>,
+        seed: impl Fn(&T) -> KernelOut<K> + Sync,
+        init: impl Fn(&T, Option<&KernelOut<K>>) -> KernelOut<K> + Sync,
+        fire: impl Fn(&mut KernelOut<K>, &T) -> Option<KernelOut<K>> + Sync,
     ) -> Result<
         (
-            Settling<DistMat<M::Elem>, Vec<SortedRows>>,
-            DistMat<M::Elem>,
+            Settling<DistTable<KernelOut<K>>, Vec<SortedRows>>,
+            DistMat<KernelOut<K>>,
+            u64,
         ),
         MachineError,
-    > {
+    >
+    where
+        K: SpMulKernel<Left = KernelOut<K>, Right = Dist>,
+    {
+        // The count has to be communicated, so here it is a matrix.
+        let seeds = self.map_filter::<K::Acc, T>(base, |_, _, v| Some(seed(v)));
+        let (counted, ops) = self.mm::<K>(&seeds, adj, within, within)?;
         let (z, frontier, pending) =
-            ops::dmat_anchor::<M, T, U>(&self.m, base, other, init, fire, self.masked)?;
-        Ok((Settling { z, pending }, frontier))
+            ops::dmat_anchor::<K::Acc, T>(&self.m, base, &counted, init, fire, self.masked)?;
+        Ok((Settling { z, pending }, frontier, ops))
     }
 
     fn pending_mask<'a, T: Elem>(
         &self,
-        z: &'a Settling<DistMat<T>, Vec<SortedRows>>,
+        z: &'a Settling<DistTable<T>, Vec<SortedRows>>,
     ) -> Option<Mask<'a>> {
         let (rows, l) = (z.pending.as_ref()?, z.z.layout());
         Some(mask_of_blocks(MaskKind::Structural, l, |bi, bj, i| {
@@ -604,21 +664,25 @@ impl Backend for Simulated {
         }))
     }
 
-    fn settle<M: Monoid, U: Elem>(
-        &self,
-        z: &mut Settling<DistMat<M::Elem>, Vec<SortedRows>>,
-        update: &DistMat<M::Elem>,
+    fn settle<K, U: Elem>(
+        &mut self,
+        z: &mut Settling<DistTable<KernelOut<K>>, Vec<SortedRows>>,
+        frontier: &DistMat<K::Left>,
+        adj: Adj,
+        within: Option<&Mask>,
         side: &DistMat<U>,
-        fire: impl Fn(&mut M::Elem, &U) -> Option<M::Elem> + Sync,
-    ) -> DistMat<M::Elem> {
-        ops::dmat_settle::<M, U>(
-            &self.m,
-            &mut z.z,
-            z.pending.as_deref_mut(),
-            update,
-            side,
-            fire,
-        )
+        fire: impl Fn(&mut KernelOut<K>, &U) -> Option<KernelOut<K>> + Sync,
+    ) -> Result<(DistMat<KernelOut<K>>, u64), MachineError>
+    where
+        K: SpMulKernel<Right = Dist>,
+    {
+        // The product has to be communicated, so here it is a matrix
+        // (and the mask a copy, which does not borrow the rows).
+        let pending = self.pending_mask(z);
+        let (back, ops) = self.mm::<K>(frontier, adj, pending.as_ref().or(within), within)?;
+        let rows = z.pending.as_deref_mut();
+        let frontier = ops::dmat_settle::<K::Acc, U>(&self.m, &mut z.z, rows, &back, side, fire);
+        Ok((frontier, ops))
     }
 
     fn zip_filter<M: Monoid, T: Elem, U: Elem>(

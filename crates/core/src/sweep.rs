@@ -41,7 +41,7 @@
 use crate::backend::{Adj, Backend};
 use mfbc_algebra::kernel::{BellmanFordKernel, BrandesKernel};
 use mfbc_algebra::monoid::SumF64;
-use mfbc_algebra::{Centpath, CentpathMonoid, Multpath, MultpathMonoid};
+use mfbc_algebra::{Centpath, Multpath, MultpathMonoid};
 use mfbc_graph::Graph;
 use mfbc_sparse::{Coo, MaskKind};
 
@@ -173,36 +173,35 @@ pub fn backward<B: Backend>(
     t: &B::Mat<Multpath>,
 ) -> Result<(B::Mat<Centpath>, SweepStats), B::Error> {
     let mut st = SweepStats::default();
-    // Lines 1–2: count each vertex's shortest-path children by one
-    // generalized product of per-entry (τ, 0, 1) seeds with Aᵀ. The
-    // count is consumed anchored on T's pattern, and a contribution at
-    // a (source, vertex) pair outside it — possible when an edge leads
-    // to a vertex no source reaches — is inert by the paper's
-    // `(∞,0,0)` semantics, so a structural mask of T skips those
-    // products (and lets redistribution drop Aᵀ columns of vertices no
-    // source discovered).
-    let seeds = be.map_filter::<CentpathMonoid, _>(t, |_, _, mp: &Multpath| {
-        Some(Centpath::new(mp.w, 0.0, 1))
-    });
+    // Lines 1–4, one product into a freshly opened Z: count each
+    // vertex's shortest-path children by multiplying per-entry
+    // (τ, 0, 1) seeds with Aᵀ, anchor every entry at (τ, 0, #children);
+    // the leaves (counter 0) form the first frontier and are pinned,
+    // every other entry is pending. The count is consumed anchored on
+    // T's pattern, and a contribution at a (source, vertex) pair
+    // outside it — possible when an edge leads to a vertex no source
+    // reaches — is inert by the paper's `(∞,0,0)` semantics, so a
+    // structural mask of T skips those products (and lets
+    // redistribution drop Aᵀ columns of vertices no source discovered).
     let reached = be.mask_of(MaskKind::Structural, t);
     let reached = reached.as_ref();
-    let (counted, ops) = be.mm::<BrandesKernel>(&seeds, Adj::At, reached, reached)?;
+    let seed = |mp: &Multpath| Centpath::new(mp.w, 0.0, 1);
+    let (mut z, mut frontier, ops) =
+        be.anchor::<BrandesKernel, _>(t, Adj::At, reached, seed, mfbr_anchor, fire_and_pin)?;
     st.ops += ops;
-    // Lines 1–4, the one pass over all of Z: anchor every entry at
-    // (τ, 0, #children); the leaves (counter 0) form the first
-    // frontier and are pinned, every other entry is pending.
-    let (mut z, mut frontier) =
-        be.anchor::<CentpathMonoid, _, _>(t, &counted, mfbr_anchor, fire_and_pin)?;
     let _span = be.span("backward");
     // Lines 5–12.
     loop {
         let nnz = be.nnz_sync("backward", st.iterations, &frontier)?;
         if nnz == 0 {
-            return Ok((z.into_mat(), st));
+            return Ok((be.freeze(z.z), st));
         }
         st.iterations += 1;
         st.frontier_nnz += nnz as u64;
-        // Line 6: back-propagate the frontier of centralities — to the
+        // Lines 6–11, one product into Z: back-propagate the frontier
+        // of centralities, accumulate them and decrement counters
+        // (frontier entries carry c = −1 each) where they land; what
+        // fires leaves the pending set. The product goes to the
         // pending entries only. An entry is pinned once its last
         // shortest-path child has reported, so whatever a later firing
         // (s,v) sends a pinned (s,u) travels a non-shortest edge: its
@@ -210,13 +209,10 @@ pub fn backward<B: Backend>(
         // discard it. Skipping those products changes `ops` and
         // nothing else, for any edge weights. The product is still
         // priced under T's pattern, which holds for the whole sweep.
-        let pending = be.pending_mask(&z);
-        let (back, ops) = be.mm::<BrandesKernel>(&frontier, Adj::At, pending.as_ref(), reached)?;
+        let (fired, ops) =
+            be.settle::<BrandesKernel, _>(&mut z, &frontier, Adj::At, reached, t, fire_and_pin)?;
         st.ops += ops;
-        // Lines 8–11: accumulate centralities and decrement counters
-        // (frontier entries carry c = −1 each) in place; what fires
-        // leaves the pending set.
-        frontier = be.settle::<CentpathMonoid, _>(&mut z, &back, t, fire_and_pin);
+        frontier = fired;
     }
 }
 
@@ -260,6 +256,7 @@ pub fn batch<B: Backend>(
 mod tests {
     use super::*;
     use crate::backend::{Local, Simulated};
+    use mfbc_algebra::CentpathMonoid;
     use mfbc_graph::gen::{rmat, uniform, RmatConfig};
     use mfbc_graph::prep::randomize_weights;
     use mfbc_machine::{Machine, MachineSpec};
@@ -274,34 +271,39 @@ mod tests {
         t: &B::Mat<Multpath>,
         by_pending: bool,
         mut each: impl FnMut(Option<&Mask>, &B::Mat<Centpath>),
-    ) -> Result<(B::Mat<Centpath>, SweepStats), B::Error> {
+    ) -> Result<(B::Mat<Centpath>, SweepStats), B::Error>
+    where
+        B::Table<Centpath>: Clone,
+    {
         let mut st = SweepStats::default();
-        let seeds = be.map_filter::<CentpathMonoid, _>(t, |_, _, mp: &Multpath| {
-            Some(Centpath::new(mp.w, 0.0, 1))
-        });
         let reached = be.mask_of(MaskKind::Structural, t);
         let reached = reached.as_ref();
-        let (counted, ops) = be.mm::<BrandesKernel>(&seeds, Adj::At, reached, reached)?;
+        let seed = |mp: &Multpath| Centpath::new(mp.w, 0.0, 1);
+        let (mut z, mut frontier, ops) =
+            be.anchor::<BrandesKernel, _>(t, Adj::At, reached, seed, mfbr_anchor, fire_and_pin)?;
         st.ops += ops;
-        let (mut z, mut frontier) =
-            be.anchor::<CentpathMonoid, _, _>(t, &counted, mfbr_anchor, fire_and_pin)?;
+        if !by_pending {
+            // No pending set kept: every product runs under `reached`.
+            z.pending = None;
+        }
         loop {
             let nnz = be.nnz_sync("backward", st.iterations, &frontier)?;
-            let pending = be.pending_mask(&z);
-            each(pending.as_ref(), &z.z);
+            each(be.pending_mask(&z).as_ref(), &be.freeze(z.z.clone()));
             if nnz == 0 {
-                return Ok((z.into_mat(), st));
+                return Ok((be.freeze(z.z), st));
             }
             st.iterations += 1;
             st.frontier_nnz += nnz as u64;
-            let mask = if by_pending {
-                pending.as_ref()
-            } else {
-                reached
-            };
-            let (back, ops) = be.mm::<BrandesKernel>(&frontier, Adj::At, mask, reached)?;
+            let (fired, ops) = be.settle::<BrandesKernel, _>(
+                &mut z,
+                &frontier,
+                Adj::At,
+                reached,
+                t,
+                fire_and_pin,
+            )?;
             st.ops += ops;
-            frontier = be.settle::<CentpathMonoid, _>(&mut z, &back, t, fire_and_pin);
+            frontier = fired;
         }
     }
 

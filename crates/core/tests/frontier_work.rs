@@ -1,7 +1,8 @@
 //! Regression alarm for per-superstep table copies: the bytes one
 //! `mfbc_seq` call requests from the allocator stay within a small
-//! multiple of the tables it builds, and `mfbc_dist` on one simulated
-//! rank stays within a small multiple of that.
+//! multiple of the tables it builds, so do those of `mfbc_dist` on one
+//! simulated rank, and a backward superstep of `mfbr_seq` makes the
+//! same few allocation calls however much it fires.
 //!
 //! A superstep is priced by its frontier and the products it induces
 //! (Theorem 5.1). Rebuilding the `n_b × n` tables `T` and `Z` around
@@ -10,17 +11,25 @@
 //! tables themselves. This binary holds one test so that nothing else
 //! allocates while it counts.
 
+use mfbc_algebra::kernel::BrandesKernel;
+use mfbc_algebra::{Centpath, Multpath};
+use mfbc_core::backend::{Adj, Backend, Local};
 use mfbc_core::dist::{mfbc_dist, MfbcConfig};
 use mfbc_core::seq::{mfbc_seq, mfbf_seq, mfbr_seq};
+use mfbc_core::sweep::{mfbr_anchor, mfbr_fire};
 use mfbc_graph::gen::{rmat, RmatConfig};
 use mfbc_graph::prep::{randomize_weights, remove_isolated};
 use mfbc_graph::Graph;
 use mfbc_machine::{Machine, MachineSpec};
+use mfbc_sparse::{Csr, MaskKind};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Bytes requested so far (a statistic: `Relaxed` suffices).
 static REQUESTED: AtomicU64 = AtomicU64::new(0);
+
+/// Allocation calls so far (`alloc`, `alloc_zeroed` and `realloc`).
+static CALLS: AtomicU64 = AtomicU64::new(0);
 
 struct Counting;
 
@@ -29,18 +38,21 @@ struct Counting;
 // only addition and touches no memory the allocator manages.
 unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        CALLS.fetch_add(1, Ordering::Relaxed);
         REQUESTED.fetch_add(layout.size() as u64, Ordering::Relaxed);
         // SAFETY: `layout` is the caller's, passed through.
         unsafe { System.alloc(layout) }
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        CALLS.fetch_add(1, Ordering::Relaxed);
         REQUESTED.fetch_add(layout.size() as u64, Ordering::Relaxed);
         // SAFETY: `layout` is the caller's, passed through.
         unsafe { System.alloc_zeroed(layout) }
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        CALLS.fetch_add(1, Ordering::Relaxed);
         REQUESTED.fetch_add(new_size as u64, Ordering::Relaxed);
         // SAFETY: `ptr` and `layout` are the caller's, passed through.
         unsafe { System.realloc(ptr, layout, new_size) }
@@ -74,26 +86,48 @@ fn weighted_grid(side: usize) -> Graph {
 }
 
 /// Requested bytes per byte of final table. Measured on this graph
-/// (122 supersteps): 19.0 with in-place supersteps and one anchor
-/// pass, 138 with the tables rebuilt around every product — the bound
-/// is the measurement × 1.5.
-const MAX_REQUESTED_PER_TABLE_BYTE: f64 = 28.5;
+/// (122 supersteps): 10.1 with MFBr's products settled into `Z` where
+/// they land, 19.0 when each was built as a matrix and merged on the
+/// next line, 138 with the tables rebuilt around every product — the
+/// bound is the measurement × 1.5.
+const MAX_REQUESTED_PER_TABLE_BYTE: f64 = 15.1;
 
 /// The same ratio on a unit-weighted R-MAT graph, where every product
 /// runs under a mask: the alarm for per-superstep copies of a mask's
-/// pattern. Measured: 10.5 with masks that borrow the table's and the
-/// pending set's rows, 16.4 before (every superstep copied the
-/// pattern into its mask, and `Z` was opened in three passes) —
-/// measurement × 1.5 again.
-const MAX_MASKED_REQUESTED_PER_TABLE_BYTE: f64 = 15.8;
+/// pattern. Measured: 7.8 with MFBr's products settled where they
+/// land, 10.5 when they were matrices, 16.4 when every superstep also
+/// copied the pattern into its mask and `Z` was opened in three
+/// passes. The forward sweep's 4.0 of the 7.8 did not move, so the
+/// usual × 1.5 would let the 10.5 back in: × 1.3 here.
+const MAX_MASKED_REQUESTED_PER_TABLE_BYTE: f64 = 10.0;
 
-/// Bytes `mfbc_dist` at `p = 1` may request per byte `mfbc_seq`
-/// requests for the same sweep. One rank moves nothing, so what the
-/// tensor layer adds — placing operands, re-assembling every product —
-/// has to stay a fraction of the sweep itself. Measured: 1.11 with
-/// slab-wise movement (whole blocks cloned or moved), 2.80 when every
-/// product and operand went through a coordinate list and a sort.
-const MAX_DIST_OVER_SEQ_REQUESTED: f64 = 1.5;
+/// Requested bytes per byte of final table for `mfbc_dist` at `p = 1`
+/// on the grid. One rank moves nothing, so what the simulated backend
+/// adds to the sweep — placing operands, re-assembling every product,
+/// MFBr's products as the matrices a machine would have to communicate
+/// — has to stay a fraction of the sweep itself. Measured: 22.3 (21.1
+/// before `Z` was a slot-addressed table there too), and 53 when every
+/// product and operand went through a coordinate list and a sort. This
+/// guard used to read "1.5 × what `mfbc_seq` requests", 1.5 × 19.0
+/// when `mfbc_seq` last moved; `mfbc_seq` has halved since and the
+/// simulated run has not, so the bound is kept where it was in bytes.
+const MAX_DIST_REQUESTED_PER_TABLE_BYTE: f64 = 28.5;
+
+/// Allocation calls any one backward superstep of `mfbr_seq` may make
+/// on the grid. A superstep allocates its accumulator, its sinks and a
+/// frontier reserved once at the size of the one it multiplies — ten
+/// calls when nothing fires, thirteen when little does — and stages
+/// what each row fires in one vector that doubles up to the most a row
+/// fires: 17 calls in the busiest superstep measured, 10 in the last.
+/// So a superstep's calls follow the logarithm of its busiest row, not
+/// what it fires; when every product was drained into a matrix,
+/// re-assembled and merged from vectors grown entry by entry they
+/// averaged 46.7 — measured maximum × 1.5.
+const MAX_CALLS_PER_BACKWARD_SUPERSTEP: u64 = 25;
+
+/// The same for the opening product of a batch (the table, the seeds,
+/// the leaves). Measured: 37 — × 1.5.
+const MAX_CALLS_TO_OPEN_Z: u64 = 55;
 
 /// Bytes of `T` and `Z` over every batch of `nb` sources, and the
 /// supersteps it takes to build them.
@@ -107,6 +141,59 @@ fn tables_of(g: &Graph, nb: usize) -> (u64, usize) {
         supersteps += fwd.iterations + back.iterations;
     }
     (table_bytes, supersteps)
+}
+
+/// Allocation calls of one `mfbr_seq(g, t)`, taken apart: the opening
+/// product, then every backward superstep. The loop is
+/// `sweep::backward`'s, on the backend `mfbr_seq` runs on, with the
+/// counter read between its steps.
+fn backward_calls(g: &Graph, t: &Csr<Multpath>) -> (u64, Vec<u64>) {
+    let mut be = Local::new(g);
+    let reached = be.mask_of(MaskKind::Structural, t);
+    let seed = |mp: &Multpath| Centpath::new(mp.w, 0.0, 1);
+    let fire = |z: &mut Centpath, tv: &Multpath| {
+        let fired = mfbr_fire(z, tv.m)?;
+        z.c = -1;
+        Some(fired)
+    };
+    let mut steps = Vec::with_capacity(t.ncols());
+    let before = CALLS.load(Ordering::Relaxed);
+    let Ok((mut z, mut frontier, _)) =
+        be.anchor::<BrandesKernel, _>(t, Adj::At, reached.as_ref(), seed, mfbr_anchor, fire);
+    let opening = CALLS.load(Ordering::Relaxed) - before;
+    let mut frontier_nnz = 0;
+    while frontier.nnz() > 0 {
+        frontier_nnz += frontier.nnz() as u64;
+        let before = CALLS.load(Ordering::Relaxed);
+        let Ok((fired, _)) =
+            be.settle::<BrandesKernel, _>(&mut z, &frontier, Adj::At, reached.as_ref(), t, fire);
+        steps.push(CALLS.load(Ordering::Relaxed) - before);
+        frontier = fired;
+    }
+    let seq = mfbr_seq(g, t);
+    assert_eq!(
+        (seq.iterations, seq.frontier_nnz),
+        (steps.len(), frontier_nnz),
+        "the loop above is not mfbr_seq's"
+    );
+    (opening, steps)
+}
+
+/// Asserts, batch by batch of `nb` sources, that opening `Z` and every
+/// single backward superstep stay within their allocation-call bounds.
+fn assert_backward_calls_bounded(g: &Graph, nb: usize) {
+    let sources: Vec<usize> = (0..g.n()).collect();
+    for chunk in sources.chunks(nb) {
+        let (opening, steps) = backward_calls(g, &mfbf_seq(g, chunk).t);
+        assert!(
+            opening <= MAX_CALLS_TO_OPEN_Z,
+            "opening Z allocates {opening} times"
+        );
+        assert!(
+            steps.iter().all(|&c| c <= MAX_CALLS_PER_BACKWARD_SUPERSTEP),
+            "allocation calls per backward superstep of mfbr_seq: {steps:?}"
+        );
+    }
 }
 
 /// One `mfbc_seq` call: the bytes it requests, and its scores.
@@ -129,6 +216,10 @@ fn mfbc_requests_a_small_multiple_of_its_tables() {
     mfbc_parallel::with_threads(1, || {
         let (table_bytes, supersteps) = tables_of(&g, nb);
         assert!(supersteps > 100, "the grid must take many supersteps");
+        // Superstep by superstep, here and on a grid whose supersteps
+        // fire a third as much.
+        assert_backward_calls_bounded(&g, nb);
+        assert_backward_calls_bounded(&weighted_grid(10), 40);
         let (requested, lambda) = requested_by_seq(&g, nb, supersteps);
         let ratio = requested as f64 / table_bytes as f64;
         assert!(
@@ -157,11 +248,11 @@ fn mfbc_requests_a_small_multiple_of_its_tables() {
         let dist_requested = REQUESTED.load(Ordering::Relaxed) - before;
         assert_eq!(run.forward_iterations + run.backward_iterations, supersteps);
         assert_eq!(run.scores.lambda, lambda);
-        let dist_over_seq = dist_requested as f64 / requested as f64;
+        let dratio = dist_requested as f64 / table_bytes as f64;
         assert!(
-            dist_over_seq < MAX_DIST_OVER_SEQ_REQUESTED,
-            "mfbc_dist at p=1 requested {dist_requested} bytes, {dist_over_seq:.2}x the \
-             {requested} of mfbc_seq"
+            dratio < MAX_DIST_REQUESTED_PER_TABLE_BYTE,
+            "mfbc_dist at p=1 requested {dist_requested} bytes for {table_bytes} bytes of \
+             tables: {dratio:.1}x ({requested} by mfbc_seq)"
         );
     });
 }

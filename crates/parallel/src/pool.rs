@@ -401,25 +401,6 @@ impl Pool {
             f(i, &items[lo..hi])
         })
     }
-
-    /// Maps each range of `ranges` through `f(range_index)` with a
-    /// per-participant scratch, results in range order. Convenience
-    /// wrapper used by the flops-balanced kernels; identical to
-    /// [`Pool::par_scratch_map`] over `ranges.len()`.
-    pub fn par_ranges_scratch<S, R, I, F>(
-        &self,
-        ranges: &[std::ops::Range<usize>],
-        init: I,
-        f: F,
-    ) -> (Vec<R>, ExecStats)
-    where
-        S: Send,
-        R: Send,
-        I: Fn() -> S + Sync,
-        F: Fn(&mut S, std::ops::Range<usize>) -> R + Sync,
-    {
-        self.par_scratch_map(init, ranges.len(), |s, i| f(s, ranges[i].clone()))
-    }
 }
 
 impl Drop for Pool {

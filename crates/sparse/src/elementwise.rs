@@ -1,9 +1,9 @@
 //! Elementwise monoid operations on sparse matrices.
 //!
 //! Implements the paper's `A ⊕ B` (elementwise application of a
-//! monoid operator to a pair of matrices, §2.2) plus the anchored
-//! merge MFBr needs — whole-table ([`combine_anchored`]) and in place
-//! on the entries an update touches ([`settle`]) — and
+//! monoid operator to a pair of matrices, §2.2) plus the whole-table
+//! anchored merge MFBr is defined by ([`combine_anchored`]; the sweep
+//! itself settles in place, [`crate::Table::settle`]) and
 //! `Transform`-style in-structure updates (§6.1's CTF `Transform`).
 //! The whole-table merges are row-parallel on the
 //! [`mfbc_parallel::current`] pool: rows are split into nnz-balanced
@@ -12,7 +12,6 @@
 //! any thread count.
 
 use crate::csr::{Csr, Idx};
-use crate::rows::SortedRows;
 use mfbc_algebra::monoid::Monoid;
 use mfbc_parallel::balanced_ranges;
 
@@ -22,13 +21,12 @@ const PAR_MIN_NNZ: usize = 1 << 12;
 /// Tasks created per pool participant (see `spgemm`).
 const TASKS_PER_THREAD: usize = 4;
 
-/// Concatenates per-range `(row lengths, colind, vals)` chunks, in
-/// range order, into a CSR.
-fn assemble_rows<T>(
-    nrows: usize,
-    ncols: usize,
-    chunks: Vec<(Vec<usize>, Vec<Idx>, Vec<T>)>,
-) -> Csr<T> {
+/// Consecutive output rows as one task builds them:
+/// `(row lengths, colind, vals)`.
+pub(crate) type RowChunk<T> = (Vec<usize>, Vec<Idx>, Vec<T>);
+
+/// Concatenates per-range chunks, in range order, into a CSR.
+pub(crate) fn assemble_rows<T>(nrows: usize, ncols: usize, chunks: Vec<RowChunk<T>>) -> Csr<T> {
     let mut rowptr = Vec::with_capacity(nrows + 1);
     rowptr.push(0usize);
     let nnz: usize = chunks.iter().map(|c| c.1.len()).sum();
@@ -62,7 +60,7 @@ fn row_merge<T: Send + Sync>(
     a: &Csr<T>,
     b: &Csr<T>,
     what: &str,
-    rows: impl Fn(std::ops::Range<usize>) -> (Vec<usize>, Vec<Idx>, Vec<T>) + Sync,
+    rows: impl Fn(std::ops::Range<usize>) -> RowChunk<T> + Sync,
 ) -> Csr<T> {
     assert_eq!(
         (a.nrows(), a.ncols()),
@@ -79,11 +77,7 @@ fn row_merge<T: Send + Sync>(
     assemble_rows(a.nrows(), a.ncols(), chunks)
 }
 
-fn combine_rows<M, T>(
-    a: &Csr<T>,
-    b: &Csr<T>,
-    rows: std::ops::Range<usize>,
-) -> (Vec<usize>, Vec<Idx>, Vec<T>)
+fn combine_rows<M, T>(a: &Csr<T>, b: &Csr<T>, rows: std::ops::Range<usize>) -> RowChunk<T>
 where
     M: Monoid<Elem = T>,
     T: Clone + PartialEq + Send + Sync + std::fmt::Debug,
@@ -142,7 +136,7 @@ fn combine_anchored_rows<M, T>(
     base: &Csr<T>,
     update: &Csr<T>,
     rows: std::ops::Range<usize>,
-) -> (Vec<usize>, Vec<Idx>, Vec<T>)
+) -> RowChunk<T>
 where
     M: Monoid<Elem = T>,
     T: Clone + PartialEq + Send + Sync + std::fmt::Debug,
@@ -258,143 +252,6 @@ where
         let hit = seek(b.row_cols(i), &mut y, j as Idx).then(|| &b.row_vals(i)[y]);
         f(i, j, v, hit)
     })
-}
-
-/// Opens the matrix [`settle`] updates, in one pass over `base`: per
-/// entry `a` of `base`, `init(a, b_opt)` — `b_opt` being `other`'s
-/// entry at the coordinate — is stored (`M`'s identity stores
-/// nothing), then `fire(&mut value, a)` may rewrite it and emit an
-/// entry of the second matrix returned (`None` and `M`'s identity
-/// emit nothing). With `track`, the third result is the *pending*
-/// set: the stored coordinates `fire` returned `None` on.
-///
-/// Equal to a [`zip_filter`] of `base` against `other`, a second of
-/// the result against `base` and a map over it (MFBr's anchor, leaf
-/// and pin passes, Algorithm 2 lines 1–4), provided the hook leaves an
-/// entry it does not fire on alone.
-///
-/// # Panics
-/// Panics if the shapes disagree.
-pub fn anchor<M, T, U>(
-    base: &Csr<T>,
-    other: &Csr<U>,
-    init: impl Fn(&T, Option<&U>) -> M::Elem,
-    fire: impl Fn(&mut M::Elem, &T) -> Option<M::Elem>,
-    track: bool,
-) -> (Csr<M::Elem>, Csr<M::Elem>, Option<SortedRows>)
-where
-    M: Monoid,
-{
-    let shape = (base.nrows(), base.ncols());
-    assert_eq!(shape, (other.nrows(), other.ncols()), "anchor shape");
-    let (mut zptr, mut fptr) = (
-        Vec::with_capacity(shape.0 + 1),
-        Vec::with_capacity(shape.0 + 1),
-    );
-    zptr.push(0usize);
-    fptr.push(0usize);
-    let (mut zcols, mut zvals) = (
-        Vec::with_capacity(base.nnz()),
-        Vec::with_capacity(base.nnz()),
-    );
-    let (mut fcols, mut fired) = (Vec::new(), Vec::new());
-    let mut pending = track.then(|| Vec::with_capacity(shape.0));
-    for i in 0..shape.0 {
-        let (oc, ov) = (other.row_cols(i), other.row_vals(i));
-        // At most the whole row waits: reserved once, not grown.
-        let mut waits: Vec<Idx> = Vec::with_capacity(if track { base.row_nnz(i) } else { 0 });
-        let mut y = 0usize;
-        for (&j, a) in base.row_cols(i).iter().zip(base.row_vals(i)) {
-            let mut v = init(a, seek(oc, &mut y, j).then(|| &ov[y]));
-            if M::is_identity(&v) {
-                continue;
-            }
-            match fire(&mut v, a) {
-                Some(o) if M::is_identity(&o) => {}
-                Some(o) => {
-                    fcols.push(j);
-                    fired.push(o);
-                }
-                None if track => waits.push(j),
-                None => {}
-            }
-            zcols.push(j);
-            zvals.push(v);
-        }
-        zptr.push(zcols.len());
-        fptr.push(fcols.len());
-        if let Some(p) = &mut pending {
-            p.push(waits);
-        }
-    }
-    (
-        Csr::from_parts(shape.0, shape.1, zptr, zcols, zvals),
-        Csr::from_parts(shape.0, shape.1, fptr, fcols, fired),
-        pending.map(|rows| SortedRows::from_rows(shape.1, rows)),
-    )
-}
-
-/// `Z := Z ⊗ G` in place on `Z`'s fixed pattern, with a hook on the
-/// entries just touched: per entry `g` of `update` whose coordinate
-/// `z` stores, the stored value becomes `M::combine(old, g)` and
-/// `fire(&mut value, side_value)` may rewrite it once more and emit
-/// an output entry there (`None` and `M`'s identity emit nothing).
-/// Updates outside `z`'s pattern are dropped; `side` must store every
-/// coordinate `z` does. Every coordinate `fire` returns `Some` on
-/// leaves `pending` (the set [`anchor`] opened), which must hold it.
-///
-/// Equal to [`combine_anchored`] followed by a [`zip_filter`] against
-/// `side` and a map over `Z`, provided the hook leaves untouched
-/// entries alone in that composition too — at `O(nnz(G) · log)`
-/// instead of `O(nnz(Z))`.
-///
-/// # Panics
-/// Panics if the shapes disagree, `side` lacks a touched coordinate or
-/// `pending` a fired one.
-pub fn settle<M, U>(
-    z: &mut Csr<M::Elem>,
-    mut pending: Option<&mut SortedRows>,
-    update: &Csr<M::Elem>,
-    side: &Csr<U>,
-    fire: impl Fn(&mut M::Elem, &U) -> Option<M::Elem>,
-) -> Csr<M::Elem>
-where
-    M: Monoid,
-{
-    let shape = (z.nrows(), z.ncols());
-    assert_eq!(shape, (update.nrows(), update.ncols()), "settle shape");
-    assert_eq!(shape, (side.nrows(), side.ncols()), "settle side shape");
-    let mut rowptr = Vec::with_capacity(shape.0 + 1);
-    rowptr.push(0usize);
-    let (mut colind, mut fired) = (Vec::new(), Vec::new());
-    let mut gone: Vec<Idx> = Vec::new();
-    for i in 0..shape.0 {
-        let (zc, zv) = z.row_mut(i);
-        let (sc, sv) = (side.row_cols(i), side.row_vals(i));
-        let (mut y, mut x) = (0usize, 0usize);
-        for (&j, g) in update.row_cols(i).iter().zip(update.row_vals(i)) {
-            if !seek(zc, &mut y, j) {
-                continue; // update entry outside z's pattern: dropped
-            }
-            assert!(seek(sc, &mut x, j), "settle side lacks ({i},{j})");
-            zv[y] = M::combine(&zv[y], g);
-            if let Some(o) = fire(&mut zv[y], &sv[x]) {
-                if pending.is_some() {
-                    gone.push(j);
-                }
-                if !M::is_identity(&o) {
-                    colind.push(j);
-                    fired.push(o);
-                }
-            }
-        }
-        rowptr.push(colind.len());
-        if let Some(p) = &mut pending {
-            p.remove(i, &gone);
-            gone.clear();
-        }
-    }
-    Csr::from_parts(shape.0, shape.1, rowptr, colind, fired)
 }
 
 /// In-structure value update (CTF `Transform`): applies `f` to every

@@ -42,7 +42,10 @@ pub use coo::Coo;
 pub use csr::{Csr, Idx};
 pub use mask::{Mask, MaskKind};
 pub use rows::SortedRows;
-pub use spgemm::{spgemm, spgemm_masked, spgemm_masked_serial, spgemm_opt, spgemm_serial};
+pub use spgemm::{
+    spgemm, spgemm_anchor, spgemm_masked, spgemm_masked_serial, spgemm_opt, spgemm_serial,
+    spgemm_settle,
+};
 pub use table::Table;
 
 /// Estimated in-memory payload bytes of one stored entry of type `T`

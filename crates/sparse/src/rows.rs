@@ -123,6 +123,19 @@ impl SortedRows {
         row.truncate(w);
         self.nnz -= gone.len();
     }
+
+    /// [`SortedRows::remove`], row by row, of every coordinate `gone`
+    /// stores.
+    ///
+    /// # Panics
+    /// Panics if the row counts differ or a coordinate of `gone` is
+    /// not stored.
+    pub fn remove_pattern<T>(&mut self, gone: &Csr<T>) {
+        assert_eq!(gone.nrows(), self.rows.len(), "remove_pattern rows");
+        for i in 0..gone.nrows() {
+            self.remove(i, gone.row_cols(i));
+        }
+    }
 }
 
 #[cfg(test)]

@@ -10,13 +10,25 @@
 //! of *nonzero products* formed — `ops(A, B)` in the paper's §5
 //! notation — which the cost model and the TEPS accounting both
 //! consume.
+//!
+//! A finished accumulator row goes to a *row sink*. Draining it into a
+//! sorted CSR row is one sink (every `spgemm*` entry point); MFBr's
+//! two products are consumed where they land instead —
+//! [`spgemm_settle`] and [`spgemm_anchor`] feed the accumulator's
+//! touched list straight into a [`Table`], so the product matrix is
+//! never built, sorted or copied.
 
 use crate::csr::{Csr, Idx};
+use crate::elementwise::{assemble_rows, RowChunk};
 use crate::mask::{Mask, MaskKind};
+use crate::rows::SortedRows;
+use crate::table::{Rows, Settle, Table};
 use mfbc_algebra::kernel::KernelOut;
 use mfbc_algebra::monoid::Monoid;
 use mfbc_algebra::SpMulKernel;
 use mfbc_parallel::balanced_ranges;
+use std::ops::Range;
+use std::sync::Mutex;
 
 /// Result of a generalized SpGEMM: the product matrix plus the
 /// `ops(A, B)` work counter.
@@ -56,7 +68,9 @@ impl<T: Clone> Spa<T> {
         Spa {
             stamp: vec![0; ncols],
             vals: vec![fill; ncols],
-            touched: Vec::new(),
+            // A row touches a column once: the inner loop's `push`
+            // never reallocates.
+            touched: Vec::with_capacity(ncols),
             mark: 0,
         }
     }
@@ -115,10 +129,68 @@ impl<T: Clone> Spa<T> {
             self.touched.iter().for_each(|&j| emit(j));
         }
     }
+
+    /// The row's accumulated entries in the order they were first
+    /// touched, identities skipped.
+    fn formed<M: Monoid<Elem = T>>(&self) -> impl Iterator<Item = (usize, &T)> {
+        let entry = |&j: &Idx| (j as usize, &self.vals[j as usize]);
+        self.touched
+            .iter()
+            .map(entry)
+            .filter(|(_, v)| !M::is_identity(v))
+    }
 }
 
-/// One task's output rows: `(row lengths, colind, vals, ops)`.
-type Chunk<K> = (Vec<usize>, Vec<Idx>, Vec<KernelOut<K>>, u64);
+/// What becomes of the output rows of one task. The row kernel hands
+/// over every row of its range, in order, as the accumulator holds it;
+/// a row that formed no product arrives with nothing touched. `walk`
+/// is the row's structural mask pattern (an ascending superset of the
+/// touched columns) or empty.
+trait RowSink<T> {
+    fn row(&mut self, i: usize, spa: &mut Spa<T>, walk: &[Idx]);
+}
+
+/// The sink that builds the product matrix: rows drained in column
+/// order into one CSR chunk.
+struct Drain<M: Monoid>(RowChunk<M::Elem>);
+
+impl<M: Monoid> RowSink<M::Elem> for Drain<M> {
+    fn row(&mut self, _: usize, spa: &mut Spa<M::Elem>, walk: &[Idx]) {
+        let (rowlen, colind, vals) = &mut self.0;
+        let before = colind.len();
+        spa.drain_into::<M>(walk, colind, vals);
+        rowlen.push(colind.len() - before);
+    }
+}
+
+/// [`Table::settle`] fed from the accumulator: the sink of
+/// [`spgemm_settle`].
+impl<M, U, F> RowSink<M::Elem> for Settle<'_, M, U, F>
+where
+    M: Monoid,
+    F: Fn(&mut M::Elem, &U) -> Option<M::Elem>,
+{
+    fn row(&mut self, i: usize, spa: &mut Spa<M::Elem>, _: &[Idx]) {
+        Settle::row(self, i, spa.formed::<M>());
+    }
+}
+
+/// The sink of [`spgemm_anchor`]: every formed entry re-initialises
+/// the table entry at its coordinate.
+struct Anchor<'a, M: Monoid, U, I> {
+    rows: Rows<'a, M::Elem, U>,
+    init: &'a I,
+}
+
+impl<M, U, I> RowSink<M::Elem> for Anchor<'_, M, U, I>
+where
+    M: Monoid,
+    I: Fn(&U, Option<&M::Elem>) -> M::Elem,
+{
+    fn row(&mut self, i: usize, spa: &mut Spa<M::Elem>, _: &[Idx]) {
+        self.rows.anchor_row::<M>(i, spa.formed::<M>(), self.init);
+    }
+}
 
 /// The mask modes of [`multiply_rows`].
 const UNMASKED: u8 = 0;
@@ -126,26 +198,26 @@ const STRUCTURAL: u8 = 1;
 const COMPLEMENT: u8 = 2;
 
 /// The row kernel: Gustavson over `rows`, under `mask` read the way
-/// `MODE` says. An elementary product whose output column the mask
+/// `MODE` says, every finished row handed to `sink`; returns the
+/// products formed. An elementary product whose output column the mask
 /// excludes is skipped before `f` is applied — it neither accumulates
 /// nor counts toward `ops` — at one stamp load per candidate, masked
 /// or not. An empty left-operand row, or a structural mask with an
-/// empty pattern row, skips that output row outright.
+/// empty pattern row, forms nothing.
 fn multiply_rows<K: SpMulKernel, const MODE: u8>(
     a: &Csr<K::Left>,
     b: &Csr<K::Right>,
     mask: Option<&Mask>,
-    rows: std::ops::Range<usize>,
+    rows: Range<usize>,
     spa: &mut Spa<KernelOut<K>>,
-) -> Chunk<K> {
-    let mut rowlen = Vec::with_capacity(rows.len());
-    let mut colind = Vec::new();
-    let mut vals = Vec::new();
+    sink: &mut impl RowSink<KernelOut<K>>,
+) -> u64 {
     let mut ops = 0u64;
     for i in rows {
         let pattern = mask.map_or(&[][..], |m| m.row_cols(i));
         if a.row_nnz(i) == 0 || (MODE == STRUCTURAL && pattern.is_empty()) {
-            rowlen.push(0);
+            spa.touched.clear();
+            sink.row(i, spa, &[]);
             continue;
         }
         let mark = spa.begin_row(pattern);
@@ -174,12 +246,9 @@ fn multiply_rows<K: SpMulKernel, const MODE: u8>(
                 }
             }
         }
-        let before = colind.len();
-        let walk = if MODE == STRUCTURAL { pattern } else { &[] };
-        spa.drain_into::<K::Acc>(walk, &mut colind, &mut vals);
-        rowlen.push(colind.len() - before);
+        sink.row(i, spa, if MODE == STRUCTURAL { pattern } else { &[] });
     }
-    (rowlen, colind, vals, ops)
+    ops
 }
 
 /// [`multiply_rows`] in the mode `mask` asks for.
@@ -187,39 +256,14 @@ fn multiply<K: SpMulKernel>(
     a: &Csr<K::Left>,
     b: &Csr<K::Right>,
     mask: Option<&Mask>,
-    rows: std::ops::Range<usize>,
+    rows: Range<usize>,
     spa: &mut Spa<KernelOut<K>>,
-) -> Chunk<K> {
+    sink: &mut impl RowSink<KernelOut<K>>,
+) -> u64 {
     match mask.map(Mask::kind) {
-        None => multiply_rows::<K, UNMASKED>(a, b, None, rows, spa),
-        Some(MaskKind::Structural) => multiply_rows::<K, STRUCTURAL>(a, b, mask, rows, spa),
-        Some(MaskKind::Complement) => multiply_rows::<K, COMPLEMENT>(a, b, mask, rows, spa),
-    }
-}
-
-fn assemble<K: SpMulKernel>(
-    nrows: usize,
-    ncols: usize,
-    chunks: Vec<Chunk<K>>,
-) -> SpGemmOut<KernelOut<K>> {
-    let mut rowptr = Vec::with_capacity(nrows + 1);
-    rowptr.push(0usize);
-    let nnz: usize = chunks.iter().map(|c| c.1.len()).sum();
-    let mut colind = Vec::with_capacity(nnz);
-    let mut vals = Vec::with_capacity(nnz);
-    let mut ops = 0u64;
-    for (rowlen, ci, vs, o) in chunks {
-        for len in rowlen {
-            rowptr.push(rowptr.last().unwrap() + len);
-        }
-        colind.extend(ci);
-        vals.extend(vs);
-        ops += o;
-    }
-    debug_assert_eq!(rowptr.len(), nrows + 1);
-    SpGemmOut {
-        mat: Csr::from_parts(nrows, ncols, rowptr, colind, vals),
-        ops,
+        None => multiply_rows::<K, UNMASKED>(a, b, None, rows, spa, sink),
+        Some(MaskKind::Structural) => multiply_rows::<K, STRUCTURAL>(a, b, mask, rows, spa, sink),
+        Some(MaskKind::Complement) => multiply_rows::<K, COMPLEMENT>(a, b, mask, rows, spa, sink),
     }
 }
 
@@ -251,15 +295,18 @@ fn flops_weights<L, R>(a: &Csr<L>, b: &Csr<R>) -> Vec<u64> {
 /// Every public entry point: checks shapes, then multiplies on the
 /// calling thread (`serial`, one pool thread or few rows) or over
 /// flops-balanced row ranges on the pool, one SPA per participant.
+/// `sinks` makes one sink per row range, in range order; they come
+/// back, having seen their rows, beside the products formed.
 /// Row partitioning ignores the mask — the unmasked flops are a valid
 /// upper bound per row, and identical partitions keep the trace
 /// stream stable whether or not a mask is present.
-fn run<K: SpMulKernel>(
+fn run<K: SpMulKernel, S: RowSink<KernelOut<K>> + Send>(
     a: &Csr<K::Left>,
     b: &Csr<K::Right>,
     mask: Option<&Mask>,
     serial: bool,
-) -> SpGemmOut<KernelOut<K>> {
+    sinks: impl FnOnce(&[Range<usize>]) -> Vec<S>,
+) -> (Vec<S>, u64) {
     assert_eq!(
         a.ncols(),
         b.nrows(),
@@ -284,13 +331,17 @@ fn run<K: SpMulKernel>(
     let spa = || Spa::new(b.ncols(), <K::Acc as Monoid>::identity());
     let pool = mfbc_parallel::current();
     if serial || pool.threads() == 1 || nrows < PAR_MIN_ROWS {
-        let chunk = multiply::<K>(a, b, mask, 0..nrows, &mut spa());
-        return assemble::<K>(nrows, b.ncols(), vec![chunk]);
+        let mut sinks = sinks(std::slice::from_ref(&(0..nrows)));
+        let ops = multiply::<K>(a, b, mask, 0..nrows, &mut spa(), &mut sinks[0]);
+        return (sinks, ops);
     }
     let weights = flops_weights(a, b);
     let ranges = balanced_ranges(&weights, pool.threads() * TASKS_PER_THREAD);
-    let (chunks, stats) = pool.par_ranges_scratch(&ranges, spa, |spa, rows| {
-        multiply::<K>(a, b, mask, rows, spa)
+    // One lock per range, taken by the one task that multiplies it.
+    let sinks: Vec<Mutex<S>> = sinks(&ranges).into_iter().map(Mutex::new).collect();
+    let (ops, stats) = pool.par_scratch_map(spa, ranges.len(), |spa, t| {
+        let mut sink = sinks[t].lock().expect("a row task panicked");
+        multiply::<K>(a, b, mask, ranges[t].clone(), spa, &mut *sink)
     });
     mfbc_trace::emit(|| mfbc_trace::TraceEvent::Pool {
         kernel: "spgemm",
@@ -299,7 +350,115 @@ fn run<K: SpMulKernel>(
         busy_us: stats.busy.iter().map(|d| d.as_micros() as u64).collect(),
         chunk_hist: chunk_histogram(ranges.iter().map(|r| r.len())),
     });
-    assemble::<K>(nrows, b.ncols(), chunks)
+    let sinks = sinks
+        .into_iter()
+        .map(|s| s.into_inner().expect("a row task panicked"));
+    (sinks.collect(), ops.iter().sum())
+}
+
+/// [`run`] into the product matrix.
+fn product<K: SpMulKernel>(
+    a: &Csr<K::Left>,
+    b: &Csr<K::Right>,
+    mask: Option<&Mask>,
+    serial: bool,
+) -> SpGemmOut<KernelOut<K>> {
+    let drains = |ranges: &[Range<usize>]| {
+        let drain =
+            |r: &Range<usize>| Drain::<K::Acc>((Vec::with_capacity(r.len()), vec![], vec![]));
+        ranges.iter().map(drain).collect()
+    };
+    let (drains, ops) = run::<K, _>(a, b, mask, serial, drains);
+    let chunks = drains.into_iter().map(|d| d.0).collect();
+    SpGemmOut {
+        mat: assemble_rows(a.nrows(), b.ncols(), chunks),
+        ops,
+    }
+}
+
+/// `Z := Z ⊗ (A •⟨⊗,g⟩ B)`, the product consumed where it lands
+/// (Algorithm 2, lines 6–11): [`Table::settle`] of the product of `a`
+/// and `b` under `mask` into `z`, which was opened on `side`'s
+/// pattern, with every finished accumulator row as the update — the
+/// product matrix itself is never built. Returns what `fire` emitted
+/// and the products formed, bit-identical to [`spgemm_opt`] followed
+/// by [`Table::settle`] at any thread count: parallel tasks own
+/// disjoint row ranges of `z`.
+///
+/// # Panics
+/// Panics where [`spgemm_opt`] or [`Table::settle`] would.
+pub fn spgemm_settle<K: SpMulKernel, U: Sync>(
+    a: &Csr<K::Left>,
+    b: &Csr<K::Right>,
+    mask: Option<&Mask>,
+    z: &mut Table<KernelOut<K>>,
+    side: &Csr<U>,
+    fire: impl Fn(&mut KernelOut<K>, &U) -> Option<KernelOut<K>> + Sync,
+) -> SpGemmOut<KernelOut<K>> {
+    let shape = (a.nrows(), b.ncols());
+    assert_eq!(shape, (z.nrows(), z.ncols()), "settle shape");
+    let fire = &fire;
+    let settles = move |ranges: &[Range<usize>]| {
+        // Moved in, not reborrowed: the parts outlive this call.
+        let z = z;
+        // A frontier is followed by one of its own order: the rows'
+        // share of `a` is the guess for what they fire.
+        let nnz = |r: &Range<usize>| a.rowptr()[r.end] - a.rowptr()[r.start];
+        let parts = z.split(side, ranges).into_iter().zip(ranges);
+        parts
+            .map(|(rows, r)| Settle::<K::Acc, U, _>::new(rows, fire, nnz(r)))
+            .collect()
+    };
+    let (settles, ops) = run::<K, _>(a, b, mask, false, settles);
+    let chunks = settles.into_iter().map(|s| s.fired).collect();
+    SpGemmOut {
+        mat: assemble_rows(shape.0, shape.1, chunks),
+        ops,
+    }
+}
+
+/// Algorithm 2, lines 1–4, with the child-count product consumed where
+/// it lands: [`Table::anchor`] of `base` against the product of `a`
+/// and `b` under `mask`, which is never built — the table starts as
+/// `init(base_val, None)` everywhere and every finished accumulator
+/// row overwrites the entries it found. Returns the table, what `fire`
+/// emitted with the products formed, and (with `track`) the pending
+/// rows; bit-identical to [`spgemm_opt`] followed by [`Table::anchor`]
+/// at any thread count.
+///
+/// # Panics
+/// Panics where [`spgemm_opt`] or [`Table::anchor`] would.
+pub fn spgemm_anchor<K: SpMulKernel, U: Sync>(
+    a: &Csr<K::Left>,
+    b: &Csr<K::Right>,
+    mask: Option<&Mask>,
+    base: &Csr<U>,
+    init: impl Fn(&U, Option<&KernelOut<K>>) -> KernelOut<K> + Sync,
+    fire: impl Fn(&mut KernelOut<K>, &U) -> Option<KernelOut<K>>,
+    track: bool,
+) -> (
+    Table<KernelOut<K>>,
+    SpGemmOut<KernelOut<K>>,
+    Option<SortedRows>,
+) {
+    assert_eq!(
+        (a.nrows(), b.ncols()),
+        (base.nrows(), base.ncols()),
+        "anchor shape"
+    );
+    let mut z = Table::unanchored::<K::Acc, U>(base, &init);
+    let (table, init) = (&mut z, &init);
+    let anchors = move |ranges: &[Range<usize>]| {
+        // Moved in, not reborrowed: the parts outlive this call.
+        let table = table;
+        let parts = table.split(base, ranges).into_iter();
+        parts
+            .map(|rows| Anchor::<K::Acc, U, _> { rows, init })
+            .collect()
+    };
+    let (_, ops) = run::<K, _>(a, b, mask, false, anchors);
+    let (mat, pending) = z.fire_all::<K::Acc, U>(base, fire, track);
+    (z, SpGemmOut { mat, ops }, pending)
 }
 
 /// Sequential generalized SpGEMM (row-wise Gustavson).
@@ -310,7 +469,7 @@ pub fn spgemm_serial<K: SpMulKernel>(
     a: &Csr<K::Left>,
     b: &Csr<K::Right>,
 ) -> SpGemmOut<KernelOut<K>> {
-    run::<K>(a, b, None, true)
+    product::<K>(a, b, None, true)
 }
 
 /// Sequential masked SpGEMM: like [`spgemm_serial`] but elementary
@@ -325,7 +484,7 @@ pub fn spgemm_masked_serial<K: SpMulKernel>(
     b: &Csr<K::Right>,
     mask: &Mask,
 ) -> SpGemmOut<KernelOut<K>> {
-    run::<K>(a, b, Some(mask), true)
+    product::<K>(a, b, Some(mask), true)
 }
 
 /// Row-parallel generalized SpGEMM on the `mfbc-parallel` pool
@@ -339,7 +498,7 @@ pub fn spgemm_masked_serial<K: SpMulKernel>(
 /// thread count, even for non-commutative payload effects like `f64`
 /// summation order.
 pub fn spgemm<K: SpMulKernel>(a: &Csr<K::Left>, b: &Csr<K::Right>) -> SpGemmOut<KernelOut<K>> {
-    run::<K>(a, b, None, false)
+    product::<K>(a, b, None, false)
 }
 
 /// Row-parallel masked SpGEMM. Same determinism contract as
@@ -350,7 +509,7 @@ pub fn spgemm_masked<K: SpMulKernel>(
     b: &Csr<K::Right>,
     mask: &Mask,
 ) -> SpGemmOut<KernelOut<K>> {
-    run::<K>(a, b, Some(mask), false)
+    product::<K>(a, b, Some(mask), false)
 }
 
 /// The masked or unmasked parallel multiplication — the form the
@@ -360,7 +519,7 @@ pub fn spgemm_opt<K: SpMulKernel>(
     b: &Csr<K::Right>,
     mask: Option<&Mask>,
 ) -> SpGemmOut<KernelOut<K>> {
-    run::<K>(a, b, mask, false)
+    product::<K>(a, b, mask, false)
 }
 
 /// Log2-bucketed size histogram: slot `b` counts chunks whose size
@@ -653,7 +812,7 @@ mod tests {
                 assert_eq!(path, want_path, "{kind:?} {density:?}: row {i}");
             }
 
-            let serial = run::<TropicalKernel>(&a, &b, mask, true);
+            let serial = product::<TropicalKernel>(&a, &b, mask, true);
             assert_eq!(
                 serial.mat.first_difference(&want),
                 None,
@@ -690,18 +849,46 @@ mod tests {
             Some(Mask::from_coords(MaskKind::Structural, 8, 30, &coords)),
             Some(Mask::from_coords(MaskKind::Complement, 8, 30, &coords)),
         ];
+        // One task's rows through the draining sink: (chunk, ops).
+        let rows_of = |mask: Option<&Mask>, spa: &mut Spa<Dist>| {
+            let mut sink = Drain::<MinDist>(RowChunk::default());
+            let ops = multiply::<TropicalKernel>(&a, &b, mask, 0..8, spa, &mut sink);
+            (sink.0, ops)
+        };
+        // The same rows settled into a table on every other coordinate
+        // of the product: (what fired, the table, ops).
+        let side = spgemm_serial::<TropicalKernel>(&a, &b).mat;
+        let side = side
+            .filter(|i, j, _| (i + j) % 2 == 0)
+            .map(|_, _, _| Dist::new(60));
+        let fire = |z: &mut Dist, _: &Dist| z.raw().is_multiple_of(2).then_some(*z);
+        let settled_of = |mask: Option<&Mask>, spa: &mut Spa<Dist>| {
+            let mut z = Table::on_pattern(&side, |s| *s);
+            let mut sink = Settle::<MinDist, Dist, _>::new(z.whole(&side), &fire, 0);
+            let ops = multiply::<TropicalKernel>(&a, &b, mask, 0..8, spa, &mut sink);
+            (sink.fired, z.freeze(), ops)
+        };
         for mask in &masks {
-            let mut fresh = Spa::new(30, MinDist::identity());
-            let want = multiply::<TropicalKernel>(&a, &b, mask.as_ref(), 0..8, &mut fresh);
-            assert!(want.3 > 0, "the rows must form products");
+            let want = rows_of(mask.as_ref(), &mut Spa::new(30, MinDist::identity()));
+            let settled = settled_of(mask.as_ref(), &mut Spa::new(30, MinDist::identity()));
+            assert!(want.1 > 0, "the rows must form products");
+            assert!(!settled.0 .1.is_empty(), "some entries must fire");
             // Two rows fit below the last even mark; the third starts
             // over — with stamps of both kinds left behind.
-            let mut old = Spa::new(30, MinDist::identity());
-            old.mark = u32::MAX - 5;
-            old.stamp.fill(u32::MAX - 5);
-            let got = multiply::<TropicalKernel>(&a, &b, mask.as_ref(), 0..8, &mut old);
+            let old = || {
+                let mut old = Spa::new(30, MinDist::identity());
+                old.mark = u32::MAX - 5;
+                old.stamp.fill(u32::MAX - 5);
+                old
+            };
+            let (mut drained, mut fed) = (old(), old());
+            let got = rows_of(mask.as_ref(), &mut drained);
             assert_eq!(got, want, "{:?}", mask.as_ref().map(Mask::kind));
-            assert!(old.mark < 16, "the mark must have wrapped: {}", old.mark);
+            let got = settled_of(mask.as_ref(), &mut fed);
+            assert_eq!(got, settled, "{:?}", mask.as_ref().map(Mask::kind));
+            for spa in [drained, fed] {
+                assert!(spa.mark < 16, "the mark must have wrapped: {}", spa.mark);
+            }
         }
     }
 

@@ -1,4 +1,4 @@
-//! A sparse matrix that grows in place.
+//! A sparse matrix that is updated in place.
 //!
 //! [`Table`] is the forward (multpath) table of MFBF while it is being
 //! built: every superstep folds a few explored entries into it, and
@@ -8,12 +8,22 @@
 //! append-only value arena — one lookup per explored entry, no order
 //! to maintain — and is sorted exactly once, by [`Table::freeze`].
 //!
+//! It is also MFBr's `Z`, which never grows: opened on `T`'s frozen
+//! pattern ([`Table::on_pattern`]), arena position `p` of `Z` is CSR
+//! position `p` of `T`, so an update finds the entry it settles into
+//! *and* the `T` entry beside it by one slot lookup
+//! ([`Table::settle`]) — from a matrix's rows or straight from the
+//! accumulator of the product that forms them
+//! ([`crate::spgemm_settle`]).
+//!
 //! Where output masks read the table's pattern every superstep, the
 //! pattern is kept beside it as [`SortedRows`], merged in place.
 
 use crate::csr::{Csr, Idx};
+use crate::elementwise::{assemble_rows, RowChunk};
 use crate::rows::SortedRows;
 use mfbc_algebra::monoid::Monoid;
+use std::ops::Range;
 
 /// An insert-or-combine table over a fixed `rows × cols` shape.
 #[derive(Clone, Debug)]
@@ -28,29 +38,49 @@ pub struct Table<T> {
     pattern: Option<SortedRows>,
 }
 
+/// `v`, as an entry of a table whose pattern is fixed: the sparse-zero
+/// convention stores no identity, and a fixed pattern cannot drop one.
+fn stored<M: Monoid>(v: M::Elem) -> M::Elem {
+    assert!(!M::is_identity(&v), "an identity on a fixed pattern");
+    v
+}
+
 impl<T: Clone> Table<T> {
+    /// A table on `base`'s pattern holding `f(base_val)` at each of its
+    /// coordinates, arena position `p` being CSR position `p` of
+    /// `base`.
+    ///
+    /// # Panics
+    /// Panics if the shape's area does not fit the slot index.
+    pub fn on_pattern<U>(base: &Csr<U>, f: impl FnMut(&U) -> T) -> Table<T> {
+        let (nrows, ncols) = (base.nrows(), base.ncols());
+        let area = nrows.checked_mul(ncols).expect("table area overflows");
+        assert!(area < u32::MAX as usize, "table area exceeds slot index");
+        let mut slot = vec![0u32; area];
+        for i in 0..nrows {
+            let (slots, first) = (&mut slot[i * ncols..(i + 1) * ncols], base.rowptr()[i]);
+            for (k, &j) in base.row_cols(i).iter().enumerate() {
+                slots[j as usize] = (first + k + 1) as u32;
+            }
+        }
+        Table {
+            nrows,
+            ncols,
+            slot,
+            vals: base.vals().iter().map(f).collect(),
+            pattern: None,
+        }
+    }
+
     /// A table holding `seed`'s entries. With `track_pattern` the
     /// sorted pattern rows are maintained for [`Table::pattern`].
     ///
     /// # Panics
     /// Panics if the shape's area does not fit the slot index.
     pub fn from_csr(seed: &Csr<T>, track_pattern: bool) -> Table<T> {
-        let (nrows, ncols) = (seed.nrows(), seed.ncols());
-        let area = nrows.checked_mul(ncols).expect("table area overflows");
-        assert!(area < u32::MAX as usize, "table area exceeds slot index");
-        let mut slot = vec![0u32; area];
-        let mut vals = Vec::with_capacity(seed.nnz());
-        for (i, j, v) in seed.iter() {
-            vals.push(v.clone());
-            slot[i * ncols + j] = vals.len() as u32;
-        }
-        Table {
-            nrows,
-            ncols,
-            slot,
-            vals,
-            pattern: track_pattern.then(|| SortedRows::of_pattern(seed)),
-        }
+        let mut table = Table::on_pattern(seed, T::clone);
+        table.pattern = track_pattern.then(|| SortedRows::of_pattern(seed));
+        table
     }
 
     /// Table rows.
@@ -154,23 +184,329 @@ impl<T: Clone> Table<T> {
         Csr::from_parts(self.nrows, self.ncols, rowptr, colind, kept)
     }
 
-    /// The table as a sorted [`Csr`]: one scan of the slot index.
+    /// Asserts that this table was opened on `side`'s pattern and has
+    /// not grown, once per settling pass at `O(rows)`: the shape and
+    /// entry count agree, and each row of `side` begins and ends at the
+    /// arena positions the slot index gives its first and last column.
+    /// A table that never grew holds its arena in row-major order, so
+    /// that pins every row's extent and column range; the columns in
+    /// between are [`Table::on_pattern`]'s construction, re-checked
+    /// per entry in debug builds.
+    fn assert_on<U>(&self, side: &Csr<U>) {
+        assert_eq!(
+            (side.nrows(), side.ncols(), side.nnz()),
+            (self.nrows, self.ncols, self.vals.len()),
+            "table is not on the side matrix's pattern"
+        );
+        for i in 0..self.nrows {
+            let (lo, hi) = (side.rowptr()[i], side.rowptr()[i + 1]);
+            if lo == hi {
+                continue;
+            }
+            let at = |p: usize| self.slot[i * self.ncols + side.colind()[p] as usize] as usize;
+            assert!(
+                at(lo) == lo + 1 && at(hi - 1) == hi,
+                "table is not on the side matrix's pattern (row {i})"
+            );
+        }
+    }
+
+    /// The row ranges `ranges` (ascending, disjoint) of a table opened
+    /// on `side`'s pattern, each with the same rows of `side` beside
+    /// it: what one task of a row-parallel product settles into.
+    ///
+    /// # Panics
+    /// Panics if the table is not on `side`'s pattern or the ranges
+    /// are out of order.
+    pub(crate) fn split<'a, U>(
+        &'a mut self,
+        side: &'a Csr<U>,
+        ranges: &[Range<usize>],
+    ) -> Vec<Rows<'a, T, U>> {
+        self.assert_on(side);
+        let (ncols, slot) = (self.ncols, &self.slot[..]);
+        let (mut rest, mut at) = (&mut self.vals[..], 0usize);
+        let part = |r: &Range<usize>| {
+            let (lo, hi) = (side.rowptr()[r.start], side.rowptr()[r.end]);
+            assert!(at <= lo && lo <= hi, "row ranges out of order");
+            let (vals, tail) = std::mem::take(&mut rest)[lo - at..].split_at_mut(hi - lo);
+            (rest, at) = (tail, hi);
+            Rows {
+                nrows: r.len(),
+                ncols,
+                slot,
+                first: lo,
+                vals,
+                side,
+            }
+        };
+        ranges.iter().map(part).collect()
+    }
+
+    /// Every row, as one part of [`Table::split`].
+    pub(crate) fn whole<'a, U>(&'a mut self, side: &'a Csr<U>) -> Rows<'a, T, U> {
+        let all = 0..self.nrows;
+        let mut parts = self.split(side, std::slice::from_ref(&all));
+        parts.pop().expect("one range, one part")
+    }
+
+    /// Algorithm 2, lines 1–4, from a materialised `other`: the table
+    /// on `base`'s pattern holding `init(base_val, other_val_opt)`,
+    /// after `fire(&mut value, base_val)` has had its one chance to
+    /// rewrite each entry and emit an entry of the matrix returned
+    /// beside it. With `track`, the third result is the *pending* set:
+    /// the coordinates `fire` returned `None` on.
+    ///
+    /// Equal to a [`crate::elementwise::zip_filter`] of `base` against
+    /// `other`, a second of the result against `base` and a map over
+    /// it (MFBr's anchor, leaf and pin passes), provided the hook
+    /// leaves an entry it does not fire on alone.
+    ///
+    /// # Panics
+    /// Panics if the shapes disagree, or `init` or `fire` produces
+    /// `M`'s identity.
+    pub fn anchor<M, U>(
+        base: &Csr<U>,
+        other: &Csr<T>,
+        init: impl Fn(&U, Option<&T>) -> T,
+        fire: impl Fn(&mut T, &U) -> Option<T>,
+        track: bool,
+    ) -> (Table<T>, Csr<T>, Option<SortedRows>)
+    where
+        M: Monoid<Elem = T>,
+    {
+        let shape = (base.nrows(), base.ncols());
+        assert_eq!(shape, (other.nrows(), other.ncols()), "anchor shape");
+        let mut z = Table::unanchored::<M, U>(base, &init);
+        let mut rows = z.whole(base);
+        for i in 0..shape.0 {
+            rows.anchor_row::<M>(i, other.row(i), &init);
+        }
+        let (leaves, pending) = z.fire_all::<M, U>(base, fire, track);
+        (z, leaves, pending)
+    }
+
+    /// [`Table::anchor`] before anything was found beside `base`:
+    /// `init(base_val, None)` everywhere.
+    pub(crate) fn unanchored<M, U>(base: &Csr<U>, init: &impl Fn(&U, Option<&T>) -> T) -> Table<T>
+    where
+        M: Monoid<Elem = T>,
+    {
+        Table::on_pattern(base, |a| stored::<M>(init(a, None)))
+    }
+
+    /// The closing pass of [`Table::anchor`]: `fire` on every entry,
+    /// in `side`'s order.
+    pub(crate) fn fire_all<M, U>(
+        &mut self,
+        side: &Csr<U>,
+        fire: impl Fn(&mut T, &U) -> Option<T>,
+        track: bool,
+    ) -> (Csr<T>, Option<SortedRows>)
+    where
+        M: Monoid<Elem = T>,
+    {
+        self.assert_on(side);
+        let nrows = self.nrows;
+        let mut rowptr = Vec::with_capacity(nrows + 1);
+        rowptr.push(0usize);
+        let (mut colind, mut fired) = (Vec::new(), Vec::new());
+        let mut pending = track.then(|| Vec::with_capacity(nrows));
+        for i in 0..nrows {
+            let span = side.rowptr()[i]..side.rowptr()[i + 1];
+            // At most the whole row waits: reserved once, not grown.
+            let mut waits: Vec<Idx> = Vec::with_capacity(if track { span.len() } else { 0 });
+            for p in span {
+                let j = side.colind()[p];
+                match fire(&mut self.vals[p], &side.vals()[p]) {
+                    Some(o) => {
+                        colind.push(j);
+                        fired.push(stored::<M>(o));
+                    }
+                    None if track => waits.push(j),
+                    None => {}
+                }
+            }
+            rowptr.push(colind.len());
+            if let Some(p) = &mut pending {
+                p.push(waits);
+            }
+        }
+        (
+            Csr::from_parts(nrows, self.ncols, rowptr, colind, fired),
+            pending.map(|rows| SortedRows::from_rows(self.ncols, rows)),
+        )
+    }
+
+    /// `Z := Z ⊗ G` in place on the table's fixed pattern — `side`'s,
+    /// which it was opened on — with a hook on the entries just
+    /// touched: per entry `g` of `update` whose coordinate the table
+    /// stores, the stored value becomes `M::combine(old, g)` and
+    /// `fire(&mut value, side_val)` may rewrite it once more and emit
+    /// an entry of the matrix returned. Updates outside the pattern
+    /// are dropped.
+    ///
+    /// Equal to [`crate::elementwise::combine_anchored`] followed by a
+    /// [`crate::elementwise::zip_filter`] against `side` and a map
+    /// over `Z`, provided the hook leaves untouched entries alone in
+    /// that composition too — at `O(nnz(G))` instead of `O(nnz(Z))`.
+    ///
+    /// # Panics
+    /// Panics if the shapes disagree, the table is not on `side`'s
+    /// pattern, or `fire` emits `M`'s identity.
+    pub fn settle<M, U>(
+        &mut self,
+        update: &Csr<T>,
+        side: &Csr<U>,
+        fire: impl Fn(&mut T, &U) -> Option<T>,
+    ) -> Csr<T>
+    where
+        M: Monoid<Elem = T>,
+    {
+        let shape = (self.nrows, self.ncols);
+        assert_eq!(shape, (update.nrows(), update.ncols()), "settle shape");
+        // No more entries can fire than are updated.
+        let mut settle = Settle::<M, U, _>::new(self.whole(side), &fire, update.nnz());
+        for i in 0..shape.0 {
+            settle.row(i, update.row(i));
+        }
+        assemble_rows(shape.0, shape.1, vec![settle.fired])
+    }
+
+    /// The table as a sorted [`Csr`]: one scan of the slot index. A
+    /// table that never grew past the pattern it was opened on holds
+    /// its arena in that order already and gives it up as it is.
     pub fn freeze(self) -> Csr<T> {
         let mut rowptr = Vec::with_capacity(self.nrows + 1);
         rowptr.push(0usize);
         let mut colind = Vec::with_capacity(self.nnz());
-        let mut vals = Vec::with_capacity(self.nnz());
+        // The values in row-major order, once the arena stops being so.
+        let mut sorted: Option<Vec<T>> = None;
         for i in 0..self.nrows {
             let slots = &self.slot[i * self.ncols..(i + 1) * self.ncols];
-            for (j, &s) in slots.iter().enumerate() {
-                if s != 0 {
-                    colind.push(j as Idx);
-                    vals.push(self.vals[s as usize - 1].clone());
+            for (j, &s) in slots.iter().enumerate().filter(|(_, &s)| s != 0) {
+                let (at, from) = (colind.len(), s as usize - 1);
+                colind.push(j as Idx);
+                if sorted.is_none() && from != at {
+                    let mut head = Vec::with_capacity(self.nnz());
+                    head.extend_from_slice(&self.vals[..at]);
+                    sorted = Some(head);
+                }
+                if let Some(vals) = &mut sorted {
+                    vals.push(self.vals[from].clone());
                 }
             }
             rowptr.push(colind.len());
         }
+        let vals = sorted.unwrap_or(self.vals);
         Csr::from_parts(self.nrows, self.ncols, rowptr, colind, vals)
+    }
+}
+
+/// Consecutive rows of a table opened on `side`'s pattern, with the
+/// part of the arena that holds them: the rows one task owns.
+pub(crate) struct Rows<'a, T, U> {
+    nrows: usize,
+    ncols: usize,
+    slot: &'a [u32],
+    /// Arena position of `vals[0]`.
+    first: usize,
+    vals: &'a mut [T],
+    side: &'a Csr<U>,
+}
+
+impl<T, U> Rows<'_, T, U> {
+    /// Entry `(i, j)` of the table and the `side` entry beside it.
+    #[inline]
+    fn at(&mut self, i: usize, j: usize) -> Option<(&mut T, &U)> {
+        let p = match self.slot[i * self.ncols + j] {
+            0 => return None,
+            s => s as usize - 1,
+        };
+        debug_assert_eq!(self.side.colind()[p] as usize, j, "table not on side");
+        Some((&mut self.vals[p - self.first], &self.side.vals()[p]))
+    }
+
+    /// One row of [`Table::anchor`]: `init(side_val, Some(found_val))`
+    /// over what was `found` in row `i`, in any order; coordinates
+    /// outside the pattern are dropped.
+    pub(crate) fn anchor_row<'f, M>(
+        &mut self,
+        i: usize,
+        found: impl Iterator<Item = (usize, &'f T)>,
+        init: &impl Fn(&U, Option<&T>) -> T,
+    ) where
+        M: Monoid<Elem = T>,
+        T: 'f,
+    {
+        for (j, d) in found {
+            if let Some((zv, sv)) = self.at(i, j) {
+                *zv = stored::<M>(init(sv, Some(d)));
+            }
+        }
+    }
+}
+
+/// [`Table::settle`] over one task's rows: each row's updates go in,
+/// the entries `fire` emits from them collect in `fired`.
+pub(crate) struct Settle<'a, M: Monoid, U, F> {
+    rows: Rows<'a, M::Elem, U>,
+    fire: &'a F,
+    /// What fired, row for row of the rows seen so far.
+    pub(crate) fired: RowChunk<M::Elem>,
+    /// What the row being settled fired, until it is in column order:
+    /// grows to the most any one row fires (a few doublings a pass).
+    row: Vec<(Idx, M::Elem)>,
+}
+
+impl<'a, M, U, F> Settle<'a, M, U, F>
+where
+    M: Monoid,
+    F: Fn(&mut M::Elem, &U) -> Option<M::Elem>,
+{
+    /// Settles into `rows`, with room for `expect` entries to fire
+    /// before a vector of `fired` has to grow: reserving a good guess
+    /// once keeps a superstep's allocation calls from growing with
+    /// how much it fires.
+    pub(crate) fn new(rows: Rows<'a, M::Elem, U>, fire: &'a F, expect: usize) -> Self {
+        let fired = (
+            Vec::with_capacity(rows.nrows),
+            Vec::with_capacity(expect),
+            Vec::with_capacity(expect),
+        );
+        Settle {
+            rows,
+            fire,
+            fired,
+            row: Vec::new(),
+        }
+    }
+
+    /// The one settle body: row `i`'s `updates` (no identities), in
+    /// any column order.
+    #[inline]
+    pub(crate) fn row<'u>(&mut self, i: usize, updates: impl Iterator<Item = (usize, &'u M::Elem)>)
+    where
+        M::Elem: 'u,
+    {
+        for (j, g) in updates {
+            let Some((zv, sv)) = self.rows.at(i, j) else {
+                continue; // update entry outside the pattern: dropped
+            };
+            M::fold_into(zv, g);
+            if let Some(o) = (self.fire)(zv, sv) {
+                self.row.push((j as Idx, stored::<M>(o)));
+            }
+        }
+        // A matrix row arrives in column order, an accumulator's
+        // touched list does not: only what fired is ever sorted.
+        self.row.sort_unstable_by_key(|&(j, _)| j);
+        let (rowlen, colind, vals) = &mut self.fired;
+        rowlen.push(self.row.len());
+        for (j, o) in self.row.drain(..) {
+            colind.push(j);
+            vals.push(o);
+        }
     }
 }
 
@@ -197,6 +533,51 @@ mod tests {
         assert_eq!(t.pattern().row(1), &[2, 3]);
         let want = m_u64(2, 4, &[(0, 0, 3), (0, 1, 15), (1, 2, 4), (1, 3, 20)]);
         assert_eq!(t.freeze().first_difference(&want), None);
+    }
+
+    #[test]
+    fn settle_combines_on_the_pattern_fires_and_drops_the_rest() {
+        let side = m_u64(2, 4, &[(0, 1, 7), (0, 3, 8), (1, 0, 9)]);
+        let mut z = Table::on_pattern(&side, |_| 10u64);
+        // (0,0) and (1,2) miss the pattern; an entry fires when its sum
+        // exceeds twice the side value beside it.
+        let g = m_u64(
+            2,
+            4,
+            &[(0, 0, 1), (0, 1, 5), (0, 3, 2), (1, 0, 4), (1, 2, 6)],
+        );
+        let fire = |z: &mut u64, s: &u64| (*z > 2 * s).then(|| *z + 100);
+        let fired = z.settle::<SumU64, _>(&g, &side, fire);
+        assert_eq!(fired, m_u64(2, 4, &[(0, 1, 115)]));
+        assert_eq!(
+            z.freeze(),
+            m_u64(2, 4, &[(0, 1, 15), (0, 3, 12), (1, 0, 14)])
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "not on the side matrix's pattern")]
+    fn settle_refuses_a_table_that_grew() {
+        let side = m_u64(1, 3, &[(0, 1, 7)]);
+        let mut z = Table::on_pattern(&side, |v| *v);
+        let _ = z.accumulate::<SumU64>(&m_u64(1, 3, &[(0, 2, 1)]), |_, _| None);
+        let _ = z.settle::<SumU64, _>(&m_u64(1, 3, &[]), &side, |_, _| None);
+    }
+
+    #[test]
+    #[should_panic(expected = "not on the side matrix's pattern (row 1)")]
+    fn settle_refuses_another_matrix_of_equal_shape_and_size() {
+        let side = m_u64(2, 4, &[(0, 1, 7), (1, 0, 8), (1, 3, 9)]);
+        let mut z = Table::on_pattern(&side, |v| *v);
+        let other = m_u64(2, 4, &[(0, 1, 7), (1, 0, 8), (1, 2, 9)]);
+        let _ = z.settle::<SumU64, _>(&m_u64(2, 4, &[]), &other, |_, _| None);
+    }
+
+    #[test]
+    #[should_panic(expected = "identity on a fixed pattern")]
+    fn a_fixed_pattern_stores_no_identity() {
+        let base = m_u64(1, 3, &[(0, 1, 7)]);
+        let _ = Table::anchor::<SumU64, _>(&base, &m_u64(1, 3, &[]), |_, _| 0, |_, _| None, false);
     }
 
     #[test]

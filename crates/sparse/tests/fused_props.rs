@@ -1,14 +1,14 @@
 //! The fused in-place superstep bodies equal the whole-table
 //! compositions they replace: `Table::accumulate` + `freeze` against
-//! `combine` + `zip_filter` (Algorithm 1, lines 5–6), `anchor` against
-//! two zips and a pin map (Algorithm 2, lines 1–4), and `settle`
-//! against `combine_anchored` + a fire zip + a pin map (lines 8–11)
-//! with the pending set it maintains recomputed from scratch —
-//! chained over seeded random supersteps, compared entry for entry
-//! with `Csr::first_difference`.
+//! `combine` + `zip_filter` (Algorithm 1, lines 5–6), `Table::anchor`
+//! against two zips and a pin map (Algorithm 2, lines 1–4), and
+//! `Table::settle` against `combine_anchored` + a fire zip + a pin map
+//! (lines 8–11) with the pending set its frontier leaves recomputed
+//! from scratch — chained over seeded random supersteps, compared
+//! entry for entry with `Csr::first_difference`.
 
 use mfbc_algebra::{Centpath, CentpathMonoid, Dist, Multpath, MultpathMonoid};
-use mfbc_sparse::elementwise::{anchor, combine, combine_anchored, map_filter, settle, zip_filter};
+use mfbc_sparse::elementwise::{combine, combine_anchored, map_filter, zip_filter};
 use mfbc_sparse::{Coo, Csr, Idx, Mask, MaskKind, SortedRows, Table};
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
@@ -150,8 +150,8 @@ fn anchor_equals_anchor_zip_then_leaf_zip_then_pin() {
 
         for track in [false, true] {
             let (z, front, pending) =
-                anchor::<CentpathMonoid, _, _>(&t, &counted, init, fire_and_pin, track);
-            assert_eq!(z.first_difference(&pinned), None, "seed {seed}: Z");
+                Table::anchor::<CentpathMonoid, _>(&t, &counted, init, fire_and_pin, track);
+            assert_eq!(z.freeze().first_difference(&pinned), None, "seed {seed}: Z");
             assert_eq!(front.first_difference(&leaves), None, "seed {seed}: leaves");
             assert_eq!(pending, track.then(|| pending_of(&pinned)), "seed {seed}");
         }
@@ -173,7 +173,7 @@ fn settle_equals_combine_anchored_then_fire_then_pin() {
         };
         // The leaf pass: afterwards no entry holds counter 0.
         composed = pin(&composed);
-        let mut fused = composed.clone();
+        let mut fused = Table::on_pattern(&composed, |zv| *zv);
         let waiting = pending_of(&composed);
         let mut pending = waiting.clone();
         let mut fired_at = std::collections::BTreeSet::new();
@@ -200,16 +200,17 @@ fn settle_equals_combine_anchored_then_fire_then_pin() {
             });
             composed = pin(&merged);
 
-            // Every other seed settles without a pending set to keep.
-            let tracked = (seed % 2 == 0).then_some(&mut pending);
-            let got = settle::<CentpathMonoid, _>(&mut fused, tracked, &back, &t, fire_and_pin);
+            let got = fused.settle::<CentpathMonoid, _>(&back, &t, fire_and_pin);
+            // What fired is what leaves the pending set — all of it
+            // still there, or `remove_pattern` panics.
+            pending.remove_pattern(&got);
             assert_eq!(
                 got.first_difference(&want),
                 None,
                 "seed {seed} step {step}: frontier"
             );
             assert_eq!(
-                fused.first_difference(&composed),
+                fused.clone().freeze().first_difference(&composed),
                 None,
                 "seed {seed} step {step}: Z"
             );
@@ -219,18 +220,16 @@ fn settle_equals_combine_anchored_then_fire_then_pin() {
                     "seed {seed}: ({i},{j}) fired twice"
                 );
             }
-            if seed % 2 == 0 {
-                // Pending is what waited at the start and has not
-                // fired (a heavier update can also overwrite a
-                // counter here, which MFBr's never do).
-                let unfired = |i: usize| {
-                    let row = waiting.row(i).iter().copied();
-                    row.filter(|&j| !fired_at.contains(&(i, j as usize)))
-                        .collect::<Vec<Idx>>()
-                };
-                let want = SortedRows::from_rows(COLS, (0..ROWS).map(unfired));
-                assert_eq!(pending, want, "seed {seed} step {step}: pending");
-            }
+            // Pending is what waited at the start and has not fired (a
+            // heavier update can also overwrite a counter here, which
+            // MFBr's never do).
+            let unfired = |i: usize| {
+                let row = waiting.row(i).iter().copied();
+                row.filter(|&j| !fired_at.contains(&(i, j as usize)))
+                    .collect::<Vec<Idx>>()
+            };
+            let want = SortedRows::from_rows(COLS, (0..ROWS).map(unfired));
+            assert_eq!(pending, want, "seed {seed} step {step}: pending");
         }
         assert!(
             !fired_at.is_empty() && outside > 0 && repinned > 0,

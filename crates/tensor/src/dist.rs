@@ -478,6 +478,19 @@ impl<T: Clone + Send + Sync> DistTable<T> {
         }
     }
 
+    /// Builds from per-block tables, in block order.
+    ///
+    /// # Panics
+    /// Panics if a block's shape disagrees with the layout.
+    pub fn from_blocks(layout: Layout, blocks: Vec<Table<T>>) -> DistTable<T> {
+        assert_eq!(blocks.len(), layout.nblocks());
+        for ((bi, bj), b) in layout.blocks().zip(&blocks) {
+            assert_eq!(b.nrows(), layout.row_range(bi).len(), "block row mismatch");
+            assert_eq!(b.ncols(), layout.col_range(bj).len(), "block col mismatch");
+        }
+        DistTable { layout, blocks }
+    }
+
     /// The layout.
     #[inline]
     pub fn layout(&self) -> &Layout {

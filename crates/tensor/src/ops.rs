@@ -17,9 +17,8 @@ use crate::dist::{DistMat, DistTable, Layout};
 use mfbc_algebra::monoid::Monoid;
 use mfbc_machine::cost::CollectiveKind;
 use mfbc_machine::{Machine, MachineError};
-use mfbc_sparse::elementwise::{anchor, combine, map_filter, settle, zip_filter};
-use mfbc_sparse::{Csr, SortedRows};
-use std::sync::Mutex;
+use mfbc_sparse::elementwise::{combine, map_filter, zip_filter};
+use mfbc_sparse::{Csr, SortedRows, Table};
 
 /// Asserts two distributed matrices share cuts and owners.
 fn assert_aligned<T, U>(a: &DistMat<T>, b: &DistMat<U>)
@@ -136,8 +135,8 @@ where
     Ok(DistMat::from_blocks(l.clone(), blocks))
 }
 
-/// Algorithm 2, lines 1–4 fused: [`anchor`] block by block — the
-/// matrix `init` stores on `base`'s pattern with its residency
+/// Algorithm 2, lines 1–4 fused: [`Table::anchor`] block by block —
+/// the table `init` fills on `base`'s pattern with its residency
 /// charged, the entries `fire` emits from it, and (with `track`) each
 /// block's pending rows, in block order.
 ///
@@ -147,27 +146,33 @@ where
 /// block.
 ///
 /// # Errors
-/// Propagates a memory-budget failure of the opened matrix.
+/// Propagates a memory-budget failure of the opened table.
 #[allow(clippy::type_complexity)]
-pub fn dmat_anchor<M, T, U>(
+pub fn dmat_anchor<M, U>(
     m: &Machine,
-    base: &DistMat<T>,
-    other: &DistMat<U>,
-    init: impl Fn(&T, Option<&U>) -> M::Elem + Sync,
-    fire: impl Fn(&mut M::Elem, &T) -> Option<M::Elem> + Sync,
+    base: &DistMat<U>,
+    other: &DistMat<M::Elem>,
+    init: impl Fn(&U, Option<&M::Elem>) -> M::Elem + Sync,
+    fire: impl Fn(&mut M::Elem, &U) -> Option<M::Elem> + Sync,
     track: bool,
-) -> Result<(DistMat<M::Elem>, DistMat<M::Elem>, Option<Vec<SortedRows>>), MachineError>
+) -> Result<
+    (
+        DistTable<M::Elem>,
+        DistMat<M::Elem>,
+        Option<Vec<SortedRows>>,
+    ),
+    MachineError,
+>
 where
     M: Monoid,
     M::Elem: Clone + Send + Sync,
-    T: Clone + Send + Sync,
     U: Clone + Send + Sync,
 {
     assert_aligned(base, other);
     let l = base.layout();
     let (parts, stats) = mfbc_parallel::current().par_map_collect_stats(l.nblocks(), |id| {
         let (bi, bj) = (id / l.bc(), id % l.bc());
-        anchor::<M, T, U>(base.block(bi, bj), other.block(bi, bj), &init, &fire, track)
+        Table::anchor::<M, U>(base.block(bi, bj), other.block(bi, bj), &init, &fire, track)
     });
     emit_pool("dmat_anchor", &stats);
     let (mut zs, mut fronts, mut pending) = (Vec::new(), Vec::new(), Vec::new());
@@ -176,27 +181,32 @@ where
         fronts.push(front);
         pending.extend(rows);
     }
-    let z = DistMat::from_blocks(l.clone(), zs);
+    let z = DistTable::from_blocks(l.clone(), zs);
     let z_nnz = |bi, bj| z.block(bi, bj).nnz();
     charge_blocks(m, l, |bi, bj| base.block(bi, bj).nnz());
-    z.charge_memory(m)?;
+    // What `DistMat::charge_memory` moves for the table as a matrix.
+    let entry = mfbc_sparse::entry_bytes::<M::Elem>() as u64;
+    for (bi, bj) in l.blocks() {
+        m.charge_alloc(l.owner(bi, bj), z_nnz(bi, bj) as u64 * entry)?;
+    }
     charge_blocks(m, l, z_nnz); // the leaf zip
     charge_blocks(m, l, z_nnz); // the pin map
     let frontier = DistMat::from_blocks(l.clone(), fronts);
     Ok((z, frontier, track.then_some(pending)))
 }
 
-/// Algorithm 2, lines 8–11 fused: [`settle`] block by block —
+/// Algorithm 2, lines 8–11 fused: [`Table::settle`] block by block —
 /// `Z := Z ⊗ G` in place on `Z`'s pattern, `fire` on the entries just
 /// touched (against `side` at the same coordinates) emitting the next
-/// frontier and leaving `pending` ([`dmat_anchor`]'s, in block order).
+/// frontier, which leaves `pending` ([`dmat_anchor`]'s, in block
+/// order).
 ///
 /// Billed as the composition it replaces (DESIGN.md §7, deviation 8):
 /// an anchored merge `nnz(Z) + nnz(G)`, then the `nnz(Z)` of a zip and
 /// of a map, per block.
 pub fn dmat_settle<M, U>(
     m: &Machine,
-    z: &mut DistMat<M::Elem>,
+    z: &mut DistTable<M::Elem>,
     pending: Option<&mut [SortedRows]>,
     update: &DistMat<M::Elem>,
     side: &DistMat<U>,
@@ -207,25 +217,25 @@ where
     M::Elem: Clone + Send + Sync,
     U: Clone + Send + Sync,
 {
-    assert_aligned(z, update);
-    assert_aligned(z, side);
-    let l = z.layout().clone();
-    // One lock per block, taken by the one job that settles it.
-    let pending: Option<Vec<Mutex<&mut SortedRows>>> =
-        pending.map(|p| p.iter_mut().map(Mutex::new).collect());
+    assert_aligned(update, side);
+    let l = update.layout();
+    assert!(
+        z.layout().same_cuts(l),
+        "distributed settle requires aligned layouts"
+    );
     let (blocks, stats) = z.update_blocks(|bi, bj, zb| {
-        let mut rows = pending
-            .as_ref()
-            .map(|p| p[l.block_id(bi, bj)].lock().expect("a block job panicked"));
-        let rows = rows.as_deref_mut().map(|rows| &mut **rows);
-        settle::<M, U>(zb, rows, update.block(bi, bj), side.block(bi, bj), &fire)
+        zb.settle::<M, U>(update.block(bi, bj), side.block(bi, bj), &fire)
     });
     emit_pool("dmat_settle", &stats);
+    // What fired comes back in block order, as the pending rows are.
+    for (rows, fired) in pending.into_iter().flatten().zip(&blocks) {
+        rows.remove_pattern(fired);
+    }
     let z_nnz = |bi, bj| z.block(bi, bj).nnz();
-    charge_blocks(m, &l, |bi, bj| z_nnz(bi, bj) + update.block(bi, bj).nnz());
-    charge_blocks(m, &l, z_nnz); // the fire zip
-    charge_blocks(m, &l, z_nnz); // the pin map
-    DistMat::from_blocks(l, blocks)
+    charge_blocks(m, l, |bi, bj| z_nnz(bi, bj) + update.block(bi, bj).nnz());
+    charge_blocks(m, l, z_nnz); // the fire zip
+    charge_blocks(m, l, z_nnz); // the pin map
+    DistMat::from_blocks(l.clone(), blocks)
 }
 
 /// Zip of `a`'s entries against `b`'s at the same coordinates:
