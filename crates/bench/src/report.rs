@@ -78,94 +78,6 @@ impl Table {
         out
     }
 
-    /// Parses a table back from [`Table::to_csv`] output (RFC 4180:
-    /// quoted cells may contain commas, doubled quotes, and line
-    /// breaks). The first record is the header row.
-    ///
-    /// # Errors
-    /// Returns a message for unbalanced quotes, stray data after a
-    /// closing quote, or rows whose arity disagrees with the header.
-    pub fn from_csv(name: &str, csv: &str) -> Result<Table, String> {
-        let mut records: Vec<Vec<String>> = Vec::new();
-        let mut record: Vec<String> = Vec::new();
-        let mut cell = String::new();
-        let mut chars = csv.chars().peekable();
-        let mut in_quotes = false;
-        // A cell has been started (chars seen or a quote opened), so
-        // EOF right after it still flushes an (empty) trailing cell.
-        let mut cell_started = false;
-        // The cell was quoted and the quote has closed: only a
-        // delimiter may follow.
-        let mut quote_closed = false;
-        while let Some(c) = chars.next() {
-            if in_quotes {
-                match c {
-                    '"' if chars.peek() == Some(&'"') => {
-                        chars.next();
-                        cell.push('"');
-                    }
-                    '"' => {
-                        in_quotes = false;
-                        quote_closed = true;
-                    }
-                    c => cell.push(c),
-                }
-                continue;
-            }
-            match c {
-                ',' => {
-                    record.push(std::mem::take(&mut cell));
-                    cell_started = false;
-                    quote_closed = false;
-                }
-                '\r' if chars.peek() == Some(&'\n') => {}
-                '\n' => {
-                    record.push(std::mem::take(&mut cell));
-                    cell_started = false;
-                    quote_closed = false;
-                    records.push(std::mem::take(&mut record));
-                }
-                _ if quote_closed => {
-                    return Err("data after closing quote".to_string());
-                }
-                '"' if !cell_started => {
-                    in_quotes = true;
-                    cell_started = true;
-                }
-                '"' => return Err("stray quote inside unquoted cell".to_string()),
-                c => {
-                    cell.push(c);
-                    cell_started = true;
-                }
-            }
-        }
-        if in_quotes {
-            return Err("unterminated quoted cell".to_string());
-        }
-        if cell_started || !cell.is_empty() || !record.is_empty() {
-            record.push(cell);
-            records.push(record);
-        }
-        let mut it = records.into_iter();
-        let headers = it.next().ok_or("empty csv")?;
-        let rows: Vec<Vec<String>> = it.collect();
-        for (i, row) in rows.iter().enumerate() {
-            if row.len() != headers.len() {
-                return Err(format!(
-                    "row {} has {} cells, header has {}",
-                    i + 1,
-                    row.len(),
-                    headers.len()
-                ));
-            }
-        }
-        Ok(Table {
-            name: name.to_string(),
-            headers,
-            rows,
-        })
-    }
-
     /// Prints the table and writes `results/<name>.csv` next to the
     /// bench crate (best-effort; printing always happens).
     pub fn emit(&self) {
@@ -259,53 +171,11 @@ mod tests {
     fn csv_quotes_newlines_and_quotes() {
         let mut t = Table::new("demo", &["a", "b"]);
         t.push(vec!["line\nbreak".into(), "say \"hi\"".into()]);
-        assert_eq!(t.to_csv(), "a,b\n\"line\nbreak\",\"say \"\"hi\"\"\"\n");
-    }
-
-    #[test]
-    fn csv_round_trips_awkward_cells() {
-        let mut t = Table::new("plans", &["plan", "note", "t_s"]);
-        t.push(vec![
-            "cannon(q=4)".into(),
-            "fast, stable".into(),
-            "1.25".into(),
-        ]);
-        t.push(vec![
-            "2d(AB,4x4)".into(),
-            "quote \"inner\" and\nnewline".into(),
-            String::new(),
-        ]);
-        t.push(vec![
-            "1d(A)".into(),
-            "trailing\r\nCRLF".into(),
-            "0.5".into(),
-        ]);
-        let parsed = Table::from_csv("plans", &t.to_csv()).unwrap();
-        assert_eq!(parsed.headers, t.headers);
-        // CRLF inside a quoted cell is data, not a record separator —
-        // everything round-trips exactly.
-        assert_eq!(parsed.rows, t.rows);
-    }
-
-    #[test]
-    fn csv_round_trip_is_exact_for_writer_output() {
-        let mut t = Table::new("x", &["h,1", "h\"2", "h3"]);
-        t.push(vec!["a".into(), "b,c".into(), "d\ne".into()]);
-        let csv = t.to_csv();
-        let parsed = Table::from_csv("x", &csv).unwrap();
-        assert_eq!(parsed.headers, t.headers);
-        assert_eq!(parsed.rows, t.rows);
-        // And the re-serialization is byte-identical.
-        assert_eq!(parsed.to_csv(), csv);
-    }
-
-    #[test]
-    fn from_csv_rejects_malformed_input() {
-        assert!(Table::from_csv("x", "").is_err());
-        assert!(Table::from_csv("x", "a,b\n\"unterminated").is_err());
-        assert!(Table::from_csv("x", "a\n\"q\"stray\n").is_err());
-        assert!(Table::from_csv("x", "a,b\nonly-one\n").is_err());
-        assert!(Table::from_csv("x", "a\nmid\"quote\n").is_err());
+        t.push(vec!["bare\rreturn".into(), String::new()]);
+        assert_eq!(
+            t.to_csv(),
+            "a,b\n\"line\nbreak\",\"say \"\"hi\"\"\"\n\"bare\rreturn\",\n"
+        );
     }
 
     #[test]

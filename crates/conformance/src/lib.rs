@@ -18,7 +18,7 @@
 //!   queries, flushes, and fault injections through a live serving
 //!   engine, with exact-mode responses checked bit-for-bit against a
 //!   one-shot run;
-//! * [`shrink`] — greedy delta-debugging minimization of a failing
+//! * [`mod@shrink`] — greedy delta-debugging minimization of a failing
 //!   case (fewer nonzeros, vertices, ranks, smaller dimensions);
 //! * [`suite`] — the runner: fixed-seed smoke streams, the
 //!   `MFBC_CONFORMANCE_SEED` / `MFBC_CONFORMANCE_CASES` environment

@@ -3,7 +3,8 @@
 //! accumulator row straight into `Z` — must agree with the product
 //! materialised by `spgemm_opt` and merged by `Table::anchor` /
 //! `Table::settle`, bit for bit: `Z` after every step, the frontier
-//! each step fires, the pending rows it leaves and the `ops` it forms.
+//! each step fires, the pending rows its `mask()` reports and the
+//! `ops` it forms.
 //!
 //! Cases are seeded chains of one opening product and several loop
 //! products over random operands — weighted and unit adjacency, masks
@@ -24,9 +25,7 @@ use mfbc_conformance::case::CaseSpec;
 use mfbc_conformance::gen;
 use mfbc_conformance::rng::SplitMix64;
 use mfbc_conformance::suite::run_suite_or_panic;
-use mfbc_sparse::{
-    spgemm_anchor, spgemm_opt, spgemm_settle, Coo, Csr, Mask, MaskKind, SortedRows, Table,
-};
+use mfbc_sparse::{spgemm_anchor, spgemm_opt, spgemm_settle, Coo, Csr, Mask, MaskKind, Table};
 
 /// Pool sizes a case draws from: the serial degenerate pool and two
 /// real ones (oversubscribed on a two-core runner; results must not
@@ -179,7 +178,7 @@ impl SinkCase {
             .then(|| Mask::of_pattern(MaskKind::Structural, &t));
         let seeds = t.map(|_, _, mp| Centpath::new(mp.w, 0.0, 1));
 
-        let (mut z_sink, leaves, mut pend_sink) = spgemm_anchor::<BrandesKernel, _>(
+        let (mut z_sink, leaves) = spgemm_anchor::<BrandesKernel, _>(
             &seeds,
             &adj,
             reached.as_ref(),
@@ -189,10 +188,10 @@ impl SinkCase {
             self.masked,
         );
         let counted = spgemm_opt::<BrandesKernel>(&seeds, &adj, reached.as_ref());
-        let (mut z_mat, want, mut pend_mat) =
+        let (mut z_mat, want) =
             Table::anchor::<CentpathMonoid, _>(&t, &counted.mat, init, fire, self.masked);
         same_step("anchor", &leaves.mat, &want, leaves.ops, counted.ops)?;
-        same_state("anchor", (&z_sink, &pend_sink), (&z_mat, &pend_mat))?;
+        same_state("anchor", &z_sink, &z_mat, self.masked)?;
         seen.fired += want.nnz();
 
         for (k, entries) in self.steps.iter().enumerate() {
@@ -200,39 +199,19 @@ impl SinkCase {
             let frontier = self.frontier(entries);
             seen.empty_rows += (0..self.rows).filter(|&s| frontier.row_nnz(s) == 0).count();
 
-            let mask = pend_mat
-                .as_ref()
-                .map(|rows| Mask::over_rows(MaskKind::Structural, rows));
-            let back = spgemm_opt::<BrandesKernel>(&frontier, &adj, mask.as_ref());
+            let back = spgemm_opt::<BrandesKernel>(&frontier, &adj, z_mat.mask().as_ref());
             let want = z_mat.settle::<CentpathMonoid, _>(&back.mat, &t, fire);
             seen.outside += back
                 .mat
                 .iter()
                 .filter(|&(s, v, _)| t.get(s, v).is_none())
                 .count();
-            drop(mask);
-            if let Some(rows) = &mut pend_mat {
-                rows.remove_pattern(&want);
-            }
 
-            let mask = pend_sink
-                .as_ref()
-                .map(|rows| Mask::over_rows(MaskKind::Structural, rows));
-            let got = spgemm_settle::<BrandesKernel, _>(
-                &frontier,
-                &adj,
-                mask.as_ref(),
-                &mut z_sink,
-                &t,
-                fire,
-            );
-            drop(mask);
-            if let Some(rows) = &mut pend_sink {
-                rows.remove_pattern(&got.mat);
-            }
+            let got =
+                spgemm_settle::<BrandesKernel, _>(&frontier, &adj, None, &mut z_sink, &t, fire);
 
             same_step(&what, &got.mat, &want, got.ops, back.ops)?;
-            same_state(&what, (&z_sink, &pend_sink), (&z_mat, &pend_mat))?;
+            same_state(&what, &z_sink, &z_mat, self.masked)?;
             seen.fired += want.nnz();
         }
         Ok(seen)
@@ -275,17 +254,19 @@ fn same_step(
     Ok(())
 }
 
-/// `Z` and the pending rows after a step, sink-fed against
-/// materialised.
+/// `Z` and the pending rows its mask reports (none unless `masked`)
+/// after a step, sink-fed against materialised.
 fn same_state(
     what: &str,
-    got: (&Table<Centpath>, &Option<SortedRows>),
-    want: (&Table<Centpath>, &Option<SortedRows>),
+    got: &Table<Centpath>,
+    want: &Table<Centpath>,
+    masked: bool,
 ) -> Result<(), String> {
-    if let Some(d) = bits_difference(&got.0.clone().freeze(), &want.0.clone().freeze()) {
+    if let Some(d) = bits_difference(&got.clone().freeze(), &want.clone().freeze()) {
         return Err(format!("{what}: Z: {d}"));
     }
-    if got.1 != want.1 {
+    let (got, want) = (got.mask(), want.mask());
+    if got != want || got.is_some() != masked {
         return Err(format!("{what}: pending rows differ"));
     }
     Ok(())

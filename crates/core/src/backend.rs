@@ -1,8 +1,10 @@
 //! Where a sweep's matrices live and where its products run.
 //!
 //! Algorithms 1–3 are written once, in [`crate::sweep`], over the
-//! [`Backend`] operations; the two implementations decide what a
-//! matrix is and what an operation costs:
+//! [`Backend`] operations — each sweep one opening call and then one
+//! step per superstep, a product *into* the sweep's table under the
+//! mask the table itself reports; the two implementations decide what
+//! a matrix is, what happens behind a step and what it costs:
 //!
 //! * [`Local`] — `Csr` matrices and the `mfbc-sparse` kernels in one
 //!   address space. Infallible, charges nothing, announces nothing.
@@ -11,7 +13,10 @@
 //!   path, elementwise steps charge local compute, termination checks
 //!   charge an allreduce, tables charge memory. It owns what a run
 //!   keeps resident: `A`, `Aᵀ` and (Theorem 5.1's amortization) the
-//!   prepared-adjacency caches.
+//!   prepared-adjacency caches. Its steps are made of its own
+//!   [`Simulated::mm`], [`Simulated::combine`] and
+//!   [`Simulated::charge`], which the CombBLAS baseline — a different
+//!   algorithm on the same machine — calls too.
 
 use mfbc_algebra::kernel::KernelOut;
 use mfbc_algebra::monoid::Monoid;
@@ -19,8 +24,7 @@ use mfbc_algebra::{Dist, SpMulKernel};
 use mfbc_graph::Graph;
 use mfbc_machine::{Machine, MachineError};
 use mfbc_sparse::{
-    elementwise, spgemm_anchor, spgemm_opt, spgemm_settle, Csr, Idx, Mask, MaskKind, SortedRows,
-    Table,
+    elementwise, spgemm_anchor, spgemm_opt, spgemm_settle, Csr, Idx, Mask, MaskKind, Table,
 };
 use mfbc_tensor::cache::{CacheStats, MmCache};
 use mfbc_tensor::{autotune, canonical_layout, ops, DistMat, DistTable, Layout, MmPlan};
@@ -29,7 +33,7 @@ use mfbc_tensor::{autotune, canonical_layout, ops, DistMat, DistTable, Layout, M
 pub trait Elem: Clone + PartialEq + Send + Sync + std::fmt::Debug {}
 impl<T: Clone + PartialEq + Send + Sync + std::fmt::Debug> Elem for T {}
 
-/// The resident operand a product multiplies by.
+/// The resident operand [`Simulated::mm`] multiplies by.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Adj {
     /// The adjacency matrix `A` (forward sweeps).
@@ -38,28 +42,27 @@ pub enum Adj {
     At,
 }
 
-/// `Z` while the backward sweep settles it in place
-/// ([`Backend::anchor`] opens it, [`Backend::settle`] updates it,
-/// [`Backend::freeze`] closes it), with — on a backend that masks —
-/// the *pending* set beside it: the coordinates that have not fired
-/// yet, as `P` stores them.
-#[derive(Clone, Debug)]
-pub struct Settling<Z, P> {
-    pub(crate) z: Z,
-    pub(crate) pending: Option<P>,
-}
-
-/// The operations Algorithms 1–3 are made of. Elementwise operands
-/// must share a shape (and, distributed, a layout); closures receive
-/// global coordinates and must be pure.
+/// The operations Algorithms 1–3 are made of: each sweep opens a table
+/// and steps it ([`Backend::open`] + [`Backend::explore`] forward,
+/// [`Backend::anchor`] + [`Backend::settle`] backward), one product
+/// *into* the table per step. Elementwise operands must share a shape
+/// (and, distributed, a layout); closures receive global coordinates
+/// and must be pure.
+///
+/// Who masks: a backend that masks opens its tables with tracking, and
+/// a table opened with tracking reports the mask of what can still
+/// land in it (`mfbc_sparse::Table::mask`) — every stored coordinate,
+/// complemented, while [`Backend::explore`] grows it; the *pending*
+/// coordinates, those that have not fired, once [`Backend::anchor`]
+/// has opened it. A step's product runs under the mask its table
+/// reports; one opened without tracking reports none.
 pub trait Backend {
     /// A batch-by-vertex sparse matrix.
     type Mat<T: Elem>;
-    /// A matrix while it grows in place: the forward table, sorted
-    /// into a [`Backend::Mat`] once, by [`Backend::freeze`].
+    /// A matrix while it is updated in place: the forward table and
+    /// MFBr's `Z`, sorted into a [`Backend::Mat`] once, by
+    /// [`Backend::freeze`].
     type Table<T: Elem>;
-    /// How the pending set of a [`Settling`] matrix is stored.
-    type Pending;
     /// What a charged operation can fail with.
     type Error;
 
@@ -81,24 +84,6 @@ pub trait Backend {
         None
     }
 
-    /// `frontier •⟨⊕,f⟩ adj` under an optional output mask; returns
-    /// the product and its elementary-product count `ops`.
-    ///
-    /// `priced` is the mask a backend that picks a plan prices the
-    /// product under. It allows at least what `mask` does and is the
-    /// one a sweep holds still while `mask` shrinks — the table's
-    /// pattern, not the pending set — so the plans of a sweep follow
-    /// its frontiers rather than its masks, and what Theorem 5.1
-    /// amortizes stays amortized.
-    #[allow(clippy::type_complexity)]
-    fn mm<K: SpMulKernel<Right = Dist>>(
-        &mut self,
-        frontier: &Self::Mat<K::Left>,
-        adj: Adj,
-        mask: Option<&Mask>,
-        priced: Option<&Mask>,
-    ) -> Result<(Self::Mat<KernelOut<K>>, u64), Self::Error>;
-
     /// An output mask of `kind` over `m`'s pattern, or `None` on a
     /// backend that does not mask. The backends refuse on weighted
     /// graphs, and that refusal is a forward-sweep argument: a
@@ -110,95 +95,74 @@ pub trait Backend {
     /// there (ROADMAP item 1).
     fn mask_of<'a, T: Elem>(&self, kind: MaskKind, m: &'a Self::Mat<T>) -> Option<Mask<'a>>;
 
-    /// `A ⊕ B`.
-    fn combine<M: Monoid>(
+    /// Algorithm 1, lines 1–2: opens the table a forward sweep grows,
+    /// resident, holding `frontier ⊕ diag`.
+    fn open<M: Monoid>(
         &self,
-        a: &Self::Mat<M::Elem>,
-        b: &Self::Mat<M::Elem>,
-    ) -> Self::Mat<M::Elem>;
+        frontier: &Self::Mat<M::Elem>,
+        diag: &Self::Mat<M::Elem>,
+    ) -> Result<Self::Table<M::Elem>, Self::Error>;
 
-    /// Opens the table a sweep grows, holding `seed`'s entries and
-    /// taking over its residency charge.
-    fn table<T: Elem>(&self, seed: Self::Mat<T>) -> Self::Table<T>;
-
-    /// The complement mask of `table`'s pattern — [`Backend::mask_of`]
-    /// read off the growing table.
-    fn table_mask<'a, T: Elem>(&self, table: &'a Self::Table<T>) -> Option<Mask<'a>>;
-
-    /// `table := table ⊕ explored` in place, the table's residency
-    /// re-charged at its new size; returns the entries of `explored`
-    /// that `keep(explored_val, updated_table_val)` lets through
-    /// (`None` and `M`'s identity drop an entry). Work is proportional
-    /// to `explored`, not to the table.
-    fn accumulate<M: Monoid>(
-        &self,
-        table: &mut Self::Table<M::Elem>,
-        explored: &Self::Mat<M::Elem>,
-        keep: impl Fn(&M::Elem, &M::Elem) -> Option<M::Elem> + Sync,
-    ) -> Result<Self::Mat<M::Elem>, Self::Error>;
-
-    /// Closes a table into the matrix it describes, its residency
-    /// charge carried over.
-    fn freeze<T: Elem>(&self, table: Self::Table<T>) -> Self::Mat<T>;
+    /// Algorithm 1, lines 4–6, as one product into `table`:
+    /// `table := table ⊕ (frontier •⟨⊕,f⟩ A)` in place, under the mask
+    /// `table` reports and with its residency re-charged at its new
+    /// size; returns the explored entries that
+    /// `keep(explored_val, updated_table_val)` lets through (`None`
+    /// and the identity drop an entry) and the product's `ops`. Work
+    /// is proportional to the product, not to the table.
+    #[allow(clippy::type_complexity)]
+    fn explore<K: SpMulKernel<Right = Dist>>(
+        &mut self,
+        table: &mut Self::Table<KernelOut<K>>,
+        frontier: &Self::Mat<K::Left>,
+        keep: impl Fn(&KernelOut<K>, &KernelOut<K>) -> Option<KernelOut<K>> + Sync,
+    ) -> Result<(Self::Mat<KernelOut<K>>, u64), Self::Error>;
 
     /// Algorithm 2, lines 1–4, as one product into a freshly opened
     /// `Z`: the table on `base`'s pattern, resident, that holds
     /// `init(base_val, counted_opt)` — `counted` being the product of
-    /// `seed(base_val)` over `base`'s entries with `adj`, under (and
-    /// priced under) `within` — after `fire(&mut z_val, base_val)` has
-    /// had its one chance to rewrite each entry and emit an entry of
-    /// the matrix returned beside it. The coordinates `fire` passes on
-    /// are pending. Also returns the product's `ops`.
+    /// `seed(base_val)` over `base`'s entries with `Aᵀ`, under
+    /// `within` — after `fire(&mut z_val, base_val)` has had its one
+    /// chance to rewrite each entry and emit an entry of the matrix
+    /// returned beside it. The coordinates `fire` passes on are
+    /// pending. Also returns the product's `ops`.
     #[allow(clippy::type_complexity)]
     fn anchor<K, T: Elem>(
         &mut self,
         base: &Self::Mat<T>,
-        adj: Adj,
         within: Option<&Mask>,
         seed: impl Fn(&T) -> KernelOut<K> + Sync,
         init: impl Fn(&T, Option<&KernelOut<K>>) -> KernelOut<K> + Sync,
         fire: impl Fn(&mut KernelOut<K>, &T) -> Option<KernelOut<K>> + Sync,
-    ) -> Result<
-        (
-            Settling<Self::Table<KernelOut<K>>, Self::Pending>,
-            Self::Mat<KernelOut<K>>,
-            u64,
-        ),
-        Self::Error,
-    >
+    ) -> Result<(Self::Table<KernelOut<K>>, Self::Mat<KernelOut<K>>, u64), Self::Error>
     where
         K: SpMulKernel<Left = KernelOut<K>, Right = Dist>;
 
-    /// The structural mask of `z`'s pending set — the only outputs a
-    /// product can still matter at — or `None` where none is kept.
-    fn pending_mask<'a, T: Elem>(
-        &self,
-        z: &'a Settling<Self::Table<T>, Self::Pending>,
-    ) -> Option<Mask<'a>>;
-
     /// Algorithm 2, lines 6–11, as one product into `z`:
-    /// `z := z ⊕ (frontier •⟨⊕,f⟩ adj)` in place on `z`'s pattern
+    /// `z := z ⊕ (frontier •⟨⊕,f⟩ Aᵀ)` in place on `z`'s pattern
     /// (products landing elsewhere are dropped); on each entry just
     /// updated, `fire(&mut z_val, side_val)` may rewrite it and emit an
     /// entry of the returned matrix, and an entry it fires on is no
     /// longer pending. `side` is the matrix `z` was opened on. Work is
     /// proportional to the product, not to `z`.
     ///
-    /// The product runs under `z`'s pending set where one is kept and
-    /// under `within` otherwise, and is priced under `within` either
-    /// way (see [`Backend::mm`]'s `priced`).
+    /// The product runs under the mask `z` reports, and under `within`
+    /// where it reports none.
     #[allow(clippy::type_complexity)]
     fn settle<K, U: Elem>(
         &mut self,
-        z: &mut Settling<Self::Table<KernelOut<K>>, Self::Pending>,
+        z: &mut Self::Table<KernelOut<K>>,
         frontier: &Self::Mat<K::Left>,
-        adj: Adj,
         within: Option<&Mask>,
         side: &Self::Mat<U>,
         fire: impl Fn(&mut KernelOut<K>, &U) -> Option<KernelOut<K>> + Sync,
     ) -> Result<(Self::Mat<KernelOut<K>>, u64), Self::Error>
     where
         K: SpMulKernel<Right = Dist>;
+
+    /// Closes a table into the matrix it describes, its residency
+    /// charge carried over.
+    fn freeze<T: Elem>(&self, table: Self::Table<T>) -> Self::Mat<T>;
 
     /// `f(i, j, a_val, b_val_opt)` over `a`'s entries; `None` and
     /// `M`'s identity drop the entry.
@@ -209,21 +173,10 @@ pub trait Backend {
         f: impl Fn(usize, usize, &T, Option<&U>) -> Option<M::Elem> + Sync,
     ) -> Self::Mat<M::Elem>;
 
-    /// `f(i, j, a_val)` over `a`'s entries; `None` and `M`'s identity
-    /// drop the entry.
-    fn map_filter<M: Monoid, T: Elem>(
-        &self,
-        a: &Self::Mat<T>,
-        f: impl Fn(usize, usize, &T) -> Option<M::Elem> + Sync,
-    ) -> Self::Mat<M::Elem>;
-
     /// `acc[j] += a(i, j)`, one addition per entry, in ascending
     /// `(j, i)` order — so `acc` is independent of how rows were
     /// batched.
     fn fold_columns(&self, a: &Self::Mat<f64>, acc: &mut [f64]) -> Result<(), Self::Error>;
-
-    /// Makes a table resident (a memory charge).
-    fn charge<T: Elem>(&self, m: &Self::Mat<T>) -> Result<(), Self::Error>;
 
     /// Ends a table's residency.
     fn release<T: Elem>(&self, m: &Self::Mat<T>);
@@ -252,7 +205,6 @@ impl<'g> Local<'g> {
 impl Backend for Local<'_> {
     type Mat<T: Elem> = Csr<T>;
     type Table<T: Elem> = Table<T>;
-    type Pending = SortedRows;
     type Error = std::convert::Infallible;
 
     fn place<T: Elem>(&self, m: Csr<T>) -> Csr<T> {
@@ -268,63 +220,38 @@ impl Backend for Local<'_> {
         Ok(f.nnz())
     }
 
-    fn mm<K: SpMulKernel<Right = Dist>>(
-        &mut self,
-        frontier: &Csr<K::Left>,
-        adj: Adj,
-        mask: Option<&Mask>,
-        _priced: Option<&Mask>,
-    ) -> Result<(Csr<KernelOut<K>>, u64), Self::Error> {
-        let out = spgemm_opt::<K>(frontier, [self.a, &self.at][adj as usize], mask);
-        Ok((out.mat, out.ops))
-    }
-
     fn mask_of<'a, T: Elem>(&self, kind: MaskKind, m: &'a Csr<T>) -> Option<Mask<'a>> {
         self.masked.then(|| Mask::of_pattern(kind, m))
     }
 
-    fn combine<M: Monoid>(&self, a: &Csr<M::Elem>, b: &Csr<M::Elem>) -> Csr<M::Elem> {
-        elementwise::combine::<M, _>(a, b)
-    }
-
-    fn table<T: Elem>(&self, seed: Csr<T>) -> Table<T> {
-        Table::from_csr(&seed, self.masked)
-    }
-
-    fn table_mask<'a, T: Elem>(&self, t: &'a Table<T>) -> Option<Mask<'a>> {
-        self.masked
-            .then(|| Mask::over_rows(MaskKind::Complement, t.pattern()))
-    }
-
-    fn accumulate<M: Monoid>(
+    fn open<M: Monoid>(
         &self,
-        table: &mut Table<M::Elem>,
-        explored: &Csr<M::Elem>,
-        keep: impl Fn(&M::Elem, &M::Elem) -> Option<M::Elem> + Sync,
-    ) -> Result<Csr<M::Elem>, Self::Error> {
-        Ok(table.accumulate::<M>(explored, keep))
+        frontier: &Csr<M::Elem>,
+        diag: &Csr<M::Elem>,
+    ) -> Result<Table<M::Elem>, Self::Error> {
+        let seeded = elementwise::combine::<M, _>(frontier, diag);
+        Ok(Table::from_csr(&seeded, self.masked))
     }
 
-    fn freeze<T: Elem>(&self, table: Table<T>) -> Csr<T> {
-        table.freeze()
+    fn explore<K: SpMulKernel<Right = Dist>>(
+        &mut self,
+        table: &mut Table<KernelOut<K>>,
+        frontier: &Csr<K::Left>,
+        keep: impl Fn(&KernelOut<K>, &KernelOut<K>) -> Option<KernelOut<K>> + Sync,
+    ) -> Result<(Csr<KernelOut<K>>, u64), Self::Error> {
+        let explored = spgemm_opt::<K>(frontier, self.a, table.mask().as_ref());
+        let kept = table.accumulate::<K::Acc>(&explored.mat, keep);
+        Ok((kept, explored.ops))
     }
 
     fn anchor<K, T: Elem>(
         &mut self,
         base: &Csr<T>,
-        adj: Adj,
         within: Option<&Mask>,
         seed: impl Fn(&T) -> KernelOut<K> + Sync,
         init: impl Fn(&T, Option<&KernelOut<K>>) -> KernelOut<K> + Sync,
         fire: impl Fn(&mut KernelOut<K>, &T) -> Option<KernelOut<K>> + Sync,
-    ) -> Result<
-        (
-            Settling<Table<KernelOut<K>>, SortedRows>,
-            Csr<KernelOut<K>>,
-            u64,
-        ),
-        Self::Error,
-    >
+    ) -> Result<(Table<KernelOut<K>>, Csr<KernelOut<K>>, u64), Self::Error>
     where
         K: SpMulKernel<Left = KernelOut<K>, Right = Dist>,
     {
@@ -336,22 +263,15 @@ impl Backend for Local<'_> {
             assert!(!K::Acc::is_identity(&s), "an identity seed");
             s
         });
-        let adj = [self.a, &self.at][adj as usize];
-        let (z, leaves, pending) =
-            spgemm_anchor::<K, T>(&seeds, adj, within, base, init, fire, self.masked);
-        Ok((Settling { z, pending }, leaves.mat, leaves.ops))
-    }
-
-    fn pending_mask<'a, T: Elem>(&self, z: &'a Settling<Table<T>, SortedRows>) -> Option<Mask<'a>> {
-        let rows = z.pending.as_ref()?;
-        Some(Mask::over_rows(MaskKind::Structural, rows))
+        let (z, leaves) =
+            spgemm_anchor::<K, T>(&seeds, &self.at, within, base, init, fire, self.masked);
+        Ok((z, leaves.mat, leaves.ops))
     }
 
     fn settle<K, U: Elem>(
         &mut self,
-        z: &mut Settling<Table<KernelOut<K>>, SortedRows>,
+        z: &mut Table<KernelOut<K>>,
         frontier: &Csr<K::Left>,
-        adj: Adj,
         within: Option<&Mask>,
         side: &Csr<U>,
         fire: impl Fn(&mut KernelOut<K>, &U) -> Option<KernelOut<K>> + Sync,
@@ -359,18 +279,12 @@ impl Backend for Local<'_> {
     where
         K: SpMulKernel<Right = Dist>,
     {
-        let adj = [self.a, &self.at][adj as usize];
-        // The product's mask borrows the pending rows the entries it
-        // fires must leave: the table is settled during the product,
-        // the rows are shrunk after it, by what came out.
-        let pending = z.pending.as_ref();
-        let pending = pending.map(|rows| Mask::over_rows(MaskKind::Structural, rows));
-        let mask = pending.as_ref().or(within);
-        let out = spgemm_settle::<K, U>(frontier, adj, mask, &mut z.z, side, fire);
-        if let Some(rows) = &mut z.pending {
-            rows.remove_pattern(&out.mat);
-        }
+        let out = spgemm_settle::<K, U>(frontier, &self.at, within, z, side, fire);
         Ok((out.mat, out.ops))
+    }
+
+    fn freeze<T: Elem>(&self, table: Table<T>) -> Csr<T> {
+        table.freeze()
     }
 
     fn zip_filter<M: Monoid, T: Elem, U: Elem>(
@@ -382,22 +296,10 @@ impl Backend for Local<'_> {
         elementwise::zip_filter::<M, _, _, _>(a, b, f)
     }
 
-    fn map_filter<M: Monoid, T: Elem>(
-        &self,
-        a: &Csr<T>,
-        f: impl Fn(usize, usize, &T) -> Option<M::Elem> + Sync,
-    ) -> Csr<M::Elem> {
-        elementwise::map_filter::<M, _, _>(a, f)
-    }
-
     fn fold_columns(&self, a: &Csr<f64>, acc: &mut [f64]) -> Result<(), Self::Error> {
         for (_, j, v) in a.iter() {
             acc[j] += v;
         }
-        Ok(())
-    }
-
-    fn charge<T: Elem>(&self, _: &Csr<T>) -> Result<(), Self::Error> {
         Ok(())
     }
 
@@ -489,6 +391,52 @@ impl Simulated {
             c.discard_except(k);
         }
     }
+
+    /// `frontier •⟨⊕,f⟩ adj` under an optional output mask; returns
+    /// the product and its elementary-product count `ops`.
+    ///
+    /// `priced` is the mask the plan is picked under. It allows at
+    /// least what `mask` does and is the one a sweep holds still while
+    /// `mask` shrinks — the table's pattern, not the pending set — so
+    /// the plans of a sweep follow its frontiers rather than its
+    /// masks, and what Theorem 5.1 amortizes stays amortized.
+    pub fn mm<K: SpMulKernel<Right = Dist>>(
+        &mut self,
+        frontier: &DistMat<K::Left>,
+        adj: Adj,
+        mask: Option<&Mask>,
+        priced: Option<&Mask>,
+    ) -> Result<(DistMat<KernelOut<K>>, u64), MachineError> {
+        let (m, f) = (&self.m, frontier);
+        let (a, cache) = (&self.adj[adj as usize], &mut self.caches[adj as usize]);
+        let _span = self
+            .plan
+            .is_none()
+            .then(|| mfbc_trace::span(|| "mm_auto".to_string()));
+        let tuned =
+            || autotune::best_plan(m.spec(), &autotune::stats_for_masked::<K>(f, a, priced)).0;
+        let plan = self.plan.clone().unwrap_or_else(tuned);
+        let out = if self.amortize {
+            mfbc_tensor::mm_exec_cached_masked::<K>(m, &plan, f, a, mask, cache)
+        } else {
+            mfbc_tensor::mm_exec_masked::<K>(m, &plan, f, a, mask)
+        }?;
+        Ok((out.c, out.ops))
+    }
+
+    /// `A ⊕ B`.
+    pub fn combine<M: Monoid>(
+        &self,
+        a: &DistMat<M::Elem>,
+        b: &DistMat<M::Elem>,
+    ) -> DistMat<M::Elem> {
+        ops::dmat_combine::<M, _>(&self.m, a, b)
+    }
+
+    /// Makes a table resident (a memory charge).
+    pub fn charge<T: Elem>(&self, m: &DistMat<T>) -> Result<(), MachineError> {
+        m.charge_memory(&self.m)
+    }
 }
 
 /// `f(r0 + i, c0 + j)` over every stored coordinate of `m`, blocks in
@@ -512,7 +460,8 @@ fn for_each_coord<T: Elem>(m: &DistMat<T>, mut f: impl FnMut(usize, usize)) {
 /// `row(bi, bj, i)` is the ascending local pattern of row `i` of block
 /// `(bi, bj)`: block-columns ascend, so each global row is its blocks'
 /// rows end to end. Like the coordinates [`for_each_coord`] reads,
-/// the pattern's movement is not charged.
+/// the pattern's movement is not charged. The mask is a copy, which
+/// does not borrow the blocks.
 fn mask_of_blocks<'a>(
     kind: MaskKind,
     l: &Layout,
@@ -529,11 +478,20 @@ fn mask_of_blocks<'a>(
     Mask::from_sorted_rows(kind, l.nrows(), l.ncols(), rows)
 }
 
+/// The global mask `t` reports: kind and rows as its blocks report
+/// them ([`Table::mask`]), or `None` on a table opened without
+/// tracking.
+pub(crate) fn table_mask<T: Elem>(t: &DistTable<T>) -> Option<Mask<'static>> {
+    let l = t.layout();
+    let blocks = l.blocks().map(|(bi, bj)| t.block(bi, bj).mask());
+    let blocks: Vec<Mask> = blocks.collect::<Option<_>>()?;
+    let row = |bi, bj, i| blocks[l.block_id(bi, bj)].row_cols(i);
+    Some(mask_of_blocks(blocks[0].kind(), l, row))
+}
+
 impl Backend for Simulated {
     type Mat<T: Elem> = DistMat<T>;
     type Table<T: Elem> = DistTable<T>;
-    /// One [`SortedRows`] per block, in block order.
-    type Pending = Vec<SortedRows>;
     type Error = MachineError;
 
     fn place<T: Elem>(&self, m: Csr<T>) -> DistMat<T> {
@@ -569,106 +527,57 @@ impl Backend for Simulated {
         Some(mfbc_trace::span(|| format!("batch{}/{phase}", self.batch)))
     }
 
-    fn mm<K: SpMulKernel<Right = Dist>>(
-        &mut self,
-        frontier: &DistMat<K::Left>,
-        adj: Adj,
-        mask: Option<&Mask>,
-        priced: Option<&Mask>,
-    ) -> Result<(DistMat<KernelOut<K>>, u64), MachineError> {
-        let (m, f) = (&self.m, frontier);
-        let (a, cache) = (&self.adj[adj as usize], &mut self.caches[adj as usize]);
-        let _span = self
-            .plan
-            .is_none()
-            .then(|| mfbc_trace::span(|| "mm_auto".to_string()));
-        let tuned =
-            || autotune::best_plan(m.spec(), &autotune::stats_for_masked::<K>(f, a, priced)).0;
-        let plan = self.plan.clone().unwrap_or_else(tuned);
-        let out = if self.amortize {
-            mfbc_tensor::mm_exec_cached_masked::<K>(m, &plan, f, a, mask, cache)
-        } else {
-            mfbc_tensor::mm_exec_masked::<K>(m, &plan, f, a, mask)
-        }?;
-        Ok((out.c, out.ops))
-    }
-
     fn mask_of<'a, T: Elem>(&self, kind: MaskKind, m: &'a DistMat<T>) -> Option<Mask<'a>> {
         self.masked
             .then(|| mask_of_blocks(kind, m.layout(), |bi, bj, i| m.block(bi, bj).row_cols(i)))
     }
 
-    fn combine<M: Monoid>(&self, a: &DistMat<M::Elem>, b: &DistMat<M::Elem>) -> DistMat<M::Elem> {
-        ops::dmat_combine::<M, _>(&self.m, a, b)
-    }
-
-    fn table<T: Elem>(&self, seed: DistMat<T>) -> DistTable<T> {
-        DistTable::from_dmat(&seed, self.masked)
-    }
-
-    fn table_mask<'a, T: Elem>(&self, t: &'a DistTable<T>) -> Option<Mask<'a>> {
-        self.masked.then(|| {
-            mask_of_blocks(MaskKind::Complement, t.layout(), |bi, bj, i| {
-                t.block(bi, bj).pattern().row(i)
-            })
-        })
-    }
-
-    fn accumulate<M: Monoid>(
+    fn open<M: Monoid>(
         &self,
-        table: &mut DistTable<M::Elem>,
-        explored: &DistMat<M::Elem>,
-        keep: impl Fn(&M::Elem, &M::Elem) -> Option<M::Elem> + Sync,
-    ) -> Result<DistMat<M::Elem>, MachineError> {
-        ops::dmat_accumulate::<M, _>(&self.m, table, explored, keep)
+        frontier: &DistMat<M::Elem>,
+        diag: &DistMat<M::Elem>,
+    ) -> Result<DistTable<M::Elem>, MachineError> {
+        let seeded = self.combine::<M>(frontier, diag);
+        self.charge(&seeded)?;
+        Ok(DistTable::from_dmat(&seeded, self.masked))
     }
 
-    fn freeze<T: Elem>(&self, table: DistTable<T>) -> DistMat<T> {
-        table.freeze()
+    fn explore<K: SpMulKernel<Right = Dist>>(
+        &mut self,
+        table: &mut DistTable<KernelOut<K>>,
+        frontier: &DistMat<K::Left>,
+        keep: impl Fn(&KernelOut<K>, &KernelOut<K>) -> Option<KernelOut<K>> + Sync,
+    ) -> Result<(DistMat<KernelOut<K>>, u64), MachineError> {
+        // The product has to be communicated, so here it is a matrix.
+        let mask = table_mask(table);
+        let (explored, ops) = self.mm::<K>(frontier, Adj::A, mask.as_ref(), mask.as_ref())?;
+        let kept = ops::dmat_accumulate::<K::Acc, _>(&self.m, table, &explored, keep)?;
+        Ok((kept, ops))
     }
 
     fn anchor<K, T: Elem>(
         &mut self,
         base: &DistMat<T>,
-        adj: Adj,
         within: Option<&Mask>,
         seed: impl Fn(&T) -> KernelOut<K> + Sync,
         init: impl Fn(&T, Option<&KernelOut<K>>) -> KernelOut<K> + Sync,
         fire: impl Fn(&mut KernelOut<K>, &T) -> Option<KernelOut<K>> + Sync,
-    ) -> Result<
-        (
-            Settling<DistTable<KernelOut<K>>, Vec<SortedRows>>,
-            DistMat<KernelOut<K>>,
-            u64,
-        ),
-        MachineError,
-    >
+    ) -> Result<(DistTable<KernelOut<K>>, DistMat<KernelOut<K>>, u64), MachineError>
     where
         K: SpMulKernel<Left = KernelOut<K>, Right = Dist>,
     {
         // The count has to be communicated, so here it is a matrix.
-        let seeds = self.map_filter::<K::Acc, T>(base, |_, _, v| Some(seed(v)));
-        let (counted, ops) = self.mm::<K>(&seeds, adj, within, within)?;
-        let (z, frontier, pending) =
+        let seeds = ops::dmat_map_filter::<K::Acc, _, _>(&self.m, base, |_, _, v| Some(seed(v)));
+        let (counted, ops) = self.mm::<K>(&seeds, Adj::At, within, within)?;
+        let (z, frontier) =
             ops::dmat_anchor::<K::Acc, T>(&self.m, base, &counted, init, fire, self.masked)?;
-        Ok((Settling { z, pending }, frontier, ops))
-    }
-
-    fn pending_mask<'a, T: Elem>(
-        &self,
-        z: &'a Settling<DistTable<T>, Vec<SortedRows>>,
-    ) -> Option<Mask<'a>> {
-        let (rows, l) = (z.pending.as_ref()?, z.z.layout());
-        Some(mask_of_blocks(MaskKind::Structural, l, |bi, bj, i| {
-            rows[l.block_id(bi, bj)].row(i)
-        }))
+        Ok((z, frontier, ops))
     }
 
     fn settle<K, U: Elem>(
         &mut self,
-        z: &mut Settling<DistTable<KernelOut<K>>, Vec<SortedRows>>,
+        z: &mut DistTable<KernelOut<K>>,
         frontier: &DistMat<K::Left>,
-        adj: Adj,
         within: Option<&Mask>,
         side: &DistMat<U>,
         fire: impl Fn(&mut KernelOut<K>, &U) -> Option<KernelOut<K>> + Sync,
@@ -676,13 +585,17 @@ impl Backend for Simulated {
     where
         K: SpMulKernel<Right = Dist>,
     {
-        // The product has to be communicated, so here it is a matrix
-        // (and the mask a copy, which does not borrow the rows).
-        let pending = self.pending_mask(z);
-        let (back, ops) = self.mm::<K>(frontier, adj, pending.as_ref().or(within), within)?;
-        let rows = z.pending.as_deref_mut();
-        let frontier = ops::dmat_settle::<K::Acc, U>(&self.m, &mut z.z, rows, &back, side, fire);
-        Ok((frontier, ops))
+        // The product has to be communicated, so here it is a matrix.
+        // It is priced under `within`, which holds for the whole sweep
+        // (see [`Simulated::mm`]).
+        let pending = table_mask(z);
+        let (back, ops) = self.mm::<K>(frontier, Adj::At, pending.as_ref().or(within), within)?;
+        let fired = ops::dmat_settle::<K::Acc, U>(&self.m, z, &back, side, fire);
+        Ok((fired, ops))
+    }
+
+    fn freeze<T: Elem>(&self, table: DistTable<T>) -> DistMat<T> {
+        table.freeze()
     }
 
     fn zip_filter<M: Monoid, T: Elem, U: Elem>(
@@ -694,20 +607,8 @@ impl Backend for Simulated {
         ops::dmat_zip_filter::<M, _, _, _>(&self.m, a, b, f)
     }
 
-    fn map_filter<M: Monoid, T: Elem>(
-        &self,
-        a: &DistMat<T>,
-        f: impl Fn(usize, usize, &T) -> Option<M::Elem> + Sync,
-    ) -> DistMat<M::Elem> {
-        ops::dmat_map_filter::<M, _, _>(&self.m, a, f)
-    }
-
     fn fold_columns(&self, a: &DistMat<f64>, acc: &mut [f64]) -> Result<(), MachineError> {
         ops::dmat_fold_columns(&self.m, a, acc)
-    }
-
-    fn charge<T: Elem>(&self, m: &DistMat<T>) -> Result<(), MachineError> {
-        m.charge_memory(&self.m)
     }
 
     fn release<T: Elem>(&self, m: &DistMat<T>) {

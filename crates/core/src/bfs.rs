@@ -17,10 +17,10 @@ use mfbc_graph::Graph;
 use mfbc_machine::{Machine, MachineError};
 use mfbc_sparse::elementwise::combine;
 use mfbc_sparse::{spgemm, Coo, Csr};
-use mfbc_tensor::autotune::mm_auto_cached;
+use mfbc_tensor::autotune::{best_plan, stats_for_masked};
 use mfbc_tensor::cache::MmCache;
 use mfbc_tensor::ops::{dmat_combine, dmat_zip_filter, nnz_sync};
-use mfbc_tensor::{canonical_layout, DistMat};
+use mfbc_tensor::{canonical_layout, mm_exec_cached_masked, DistMat};
 
 /// Distances from each source in `sources` to every vertex:
 /// `out.get(s, v) == Some(τ(sources[s], v))` for reachable `v ≠
@@ -76,7 +76,14 @@ pub fn sssp_dist(
 
     let result = (|| {
         while nnz_sync(machine, &frontier)? > 0 {
-            let explored = mm_auto_cached::<TropicalKernel>(machine, &frontier, &da, &mut cache)?.0;
+            let explored = {
+                let _span = mfbc_trace::span(|| "mm_auto".to_string());
+                let st = stats_for_masked::<TropicalKernel>(&frontier, &da, None);
+                let plan = best_plan(machine.spec(), &st).0;
+                mm_exec_cached_masked::<TropicalKernel>(
+                    machine, &plan, &frontier, &da, None, &mut cache,
+                )?
+            };
             let updated = dmat_combine::<MinDist, _>(machine, &dist, &explored.c);
             frontier = dmat_zip_filter::<MinDist, _, _, _>(
                 machine,

@@ -582,12 +582,6 @@ impl MfbcSession {
         e
     }
 
-    /// Releases the session's resident state without producing a run
-    /// (idempotent; also done on drop).
-    pub fn abort(&mut self) {
-        self.be.close();
-    }
-
     /// Whether an unrecoverable error has poisoned the session: its
     /// state is released and every later [`step`](MfbcSession::step)
     /// fails fast. A long-lived server maps this to "not ready".
@@ -601,8 +595,8 @@ impl MfbcSession {
         &self.be.m
     }
 
-    /// The partial (or, once [`remaining_sources`](MfbcSession::
-    /// remaining_sources) is 0, exact) accumulated scores: the sums
+    /// The partial (or, once [`MfbcSession::remaining_sources`] is 0,
+    /// exact) accumulated scores: the sums
     /// `Σ δ(s,·)` over every source committed so far, bit-identical
     /// to a one-shot run's accumulator at the same batch count.
     pub fn scores(&self) -> &BcScores {
@@ -625,11 +619,6 @@ impl MfbcSession {
     /// Sources committed so far.
     pub fn sources_processed(&self) -> usize {
         self.run.sources_processed
-    }
-
-    /// Total sources the session will process.
-    pub fn sources_total(&self) -> usize {
-        self.sources.len()
     }
 
     /// Sources not yet committed.

@@ -38,7 +38,7 @@
 //! towards entries that can still use them and Theorem 5.1's `ops` is
 //! its upper bound. Only the forward mask needs unit weights.
 
-use crate::backend::{Adj, Backend};
+use crate::backend::Backend;
 use mfbc_algebra::kernel::{BellmanFordKernel, BrandesKernel};
 use mfbc_algebra::monoid::SumF64;
 use mfbc_algebra::{Centpath, Multpath, MultpathMonoid};
@@ -131,12 +131,9 @@ pub fn forward<B: Backend>(
     }
     let mut frontier = be.place(init.into_csr::<MultpathMonoid>());
     let diag = be.place(diag.into_csr::<MultpathMonoid>());
-    let seeded = be.combine::<MultpathMonoid>(&frontier, &diag);
-    be.charge(&seeded)?;
     // From here T is updated in place: a superstep costs what its
     // frontier and products cost, never a pass over the table.
-    let mut t = be.table(seeded);
-
+    let mut t = be.open::<MultpathMonoid>(&frontier, &diag)?;
     let mut st = SweepStats::default();
     let _span = be.span("forward");
     // Line 3: loop while the frontier carries any path.
@@ -147,22 +144,20 @@ pub fn forward<B: Backend>(
         }
         st.iterations += 1;
         st.frontier_nnz += nnz as u64;
-        // Line 4: explore nodes adjacent to the frontier. T holds
-        // every (source, vertex) pair already discovered; on
-        // unit-weighted graphs a rediscovery always loses the distance
-        // combine *and* the frontier filter, so pruning it at the
-        // multiply changes nothing downstream — it just skips the
-        // products (and lets redistribution skip B columns the mask
-        // rules out).
-        let mask = be.table_mask(&t);
-        let (explored, ops) =
-            be.mm::<BellmanFordKernel>(&frontier, Adj::A, mask.as_ref(), mask.as_ref())?;
+        // Lines 4–6, one product into T: explore nodes adjacent to
+        // the frontier and accumulate multiplicities where they land;
+        // the next frontier keeps explored entries whose weight
+        // survived. T holds every (source, vertex) pair already
+        // discovered and, where it masks, sends the product to the
+        // others only: on unit-weighted graphs a rediscovery always
+        // loses the distance combine *and* the frontier filter, so
+        // pruning it at the multiply changes nothing downstream — it
+        // just skips the products (and lets redistribution skip B
+        // columns the mask rules out).
+        let keep = |gv: &Multpath, tv: &Multpath| mfbf_keep_in_frontier(gv, Some(tv));
+        let (kept, ops) = be.explore::<BellmanFordKernel>(&mut t, &frontier, keep)?;
         st.ops += ops;
-        // Lines 5–6: accumulate multiplicities; the next frontier
-        // keeps explored entries whose weight survived.
-        frontier = be.accumulate::<MultpathMonoid>(&mut t, &explored, |gv, tv| {
-            mfbf_keep_in_frontier(gv, Some(tv))
-        })?;
+        frontier = kept;
     }
 }
 
@@ -187,22 +182,22 @@ pub fn backward<B: Backend>(
     let reached = reached.as_ref();
     let seed = |mp: &Multpath| Centpath::new(mp.w, 0.0, 1);
     let (mut z, mut frontier, ops) =
-        be.anchor::<BrandesKernel, _>(t, Adj::At, reached, seed, mfbr_anchor, fire_and_pin)?;
+        be.anchor::<BrandesKernel, _>(t, reached, seed, mfbr_anchor, fire_and_pin)?;
     st.ops += ops;
     let _span = be.span("backward");
     // Lines 5–12.
     loop {
         let nnz = be.nnz_sync("backward", st.iterations, &frontier)?;
         if nnz == 0 {
-            return Ok((be.freeze(z.z), st));
+            return Ok((be.freeze(z), st));
         }
         st.iterations += 1;
         st.frontier_nnz += nnz as u64;
         // Lines 6–11, one product into Z: back-propagate the frontier
         // of centralities, accumulate them and decrement counters
         // (frontier entries carry c = −1 each) where they land; what
-        // fires leaves the pending set. The product goes to the
-        // pending entries only. An entry is pinned once its last
+        // fires leaves the pending set. Where Z masks, the product goes
+        // to the pending entries only. An entry is pinned once its last
         // shortest-path child has reported, so whatever a later firing
         // (s,v) sends a pinned (s,u) travels a non-shortest edge: its
         // weight is below τ(s,u) and `⊗` ("greater wins") would
@@ -210,7 +205,7 @@ pub fn backward<B: Backend>(
         // nothing else, for any edge weights. The product is still
         // priced under T's pattern, which holds for the whole sweep.
         let (fired, ops) =
-            be.settle::<BrandesKernel, _>(&mut z, &frontier, Adj::At, reached, t, fire_and_pin)?;
+            be.settle::<BrandesKernel, _>(&mut z, &frontier, reached, t, fire_and_pin)?;
         st.ops += ops;
         frontier = fired;
     }
@@ -255,53 +250,36 @@ pub fn batch<B: Backend>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::backend::{Local, Simulated};
+    use crate::backend::{table_mask, Local, Simulated};
     use mfbc_algebra::CentpathMonoid;
     use mfbc_graph::gen::{rmat, uniform, RmatConfig};
     use mfbc_graph::prep::randomize_weights;
     use mfbc_machine::{Machine, MachineSpec};
     use mfbc_sparse::{Csr, Idx, Mask};
 
-    /// [`backward`] with its loop mask chosen by the caller: the
-    /// pending set, as `backward` itself does, or `T`'s pattern
-    /// throughout, as it did before the pending set existed. `each`
-    /// sees the pending mask and `Z` ahead of every loop product.
-    fn backward_masked_by<B: Backend>(
+    /// [`backward`]'s loop under `reached`, with `each` shown `Z`
+    /// ahead of every loop product and once more at the end.
+    fn backward_watching<B: Backend>(
         be: &mut B,
         t: &B::Mat<Multpath>,
-        by_pending: bool,
-        mut each: impl FnMut(Option<&Mask>, &B::Mat<Centpath>),
-    ) -> Result<(B::Mat<Centpath>, SweepStats), B::Error>
-    where
-        B::Table<Centpath>: Clone,
-    {
+        reached: Option<&Mask>,
+        mut each: impl FnMut(&B::Table<Centpath>),
+    ) -> Result<(B::Mat<Centpath>, SweepStats), B::Error> {
         let mut st = SweepStats::default();
-        let reached = be.mask_of(MaskKind::Structural, t);
-        let reached = reached.as_ref();
         let seed = |mp: &Multpath| Centpath::new(mp.w, 0.0, 1);
         let (mut z, mut frontier, ops) =
-            be.anchor::<BrandesKernel, _>(t, Adj::At, reached, seed, mfbr_anchor, fire_and_pin)?;
+            be.anchor::<BrandesKernel, _>(t, reached, seed, mfbr_anchor, fire_and_pin)?;
         st.ops += ops;
-        if !by_pending {
-            // No pending set kept: every product runs under `reached`.
-            z.pending = None;
-        }
         loop {
             let nnz = be.nnz_sync("backward", st.iterations, &frontier)?;
-            each(be.pending_mask(&z).as_ref(), &be.freeze(z.z.clone()));
+            each(&z);
             if nnz == 0 {
-                return Ok((be.freeze(z.z), st));
+                return Ok((be.freeze(z), st));
             }
             st.iterations += 1;
             st.frontier_nnz += nnz as u64;
-            let (fired, ops) = be.settle::<BrandesKernel, _>(
-                &mut z,
-                &frontier,
-                Adj::At,
-                reached,
-                t,
-                fire_and_pin,
-            )?;
+            let (fired, ops) =
+                be.settle::<BrandesKernel, _>(&mut z, &frontier, reached, t, fire_and_pin)?;
             st.ops += ops;
             frontier = fired;
         }
@@ -334,8 +312,14 @@ mod tests {
             let Ok((t, _)) = forward(&mut be, g, &sources);
             be.masked = false;
             let Ok((z_none, none)) = backward(&mut be, &t);
+            // `T`'s pattern throughout, as before the pending set
+            // existed: `Z` opened untracked, every product under
+            // `reached`.
+            let reached = Mask::of_pattern(MaskKind::Structural, &t);
+            let Ok((z_table, table)) = backward_watching(&mut be, &t, Some(&reached), |z| {
+                assert_eq!(z.mask(), None, "graph {k}: an untracked Z");
+            });
             be.masked = true;
-            let Ok((z_table, table)) = backward_masked_by(&mut be, &t, false, |_, _| ());
             let Ok((z_pending, pending)) = backward(&mut be, &t);
             assert_eq!(z_none.first_difference(&z_table), None, "graph {k}: T mask");
             assert_eq!(
@@ -352,9 +336,9 @@ mod tests {
             );
             let steps = |st: &SweepStats| (st.iterations, st.frontier_nnz);
             assert_eq!(steps(&none), steps(&pending), "graph {k}: supersteps");
-            // The harness above, told to mask by the pending set, is
+            // The harness above, on a backend that masks, is
             // `backward`.
-            let Ok((z_again, again)) = backward_masked_by(&mut be, &t, true, |_, _| ());
+            let Ok((z_again, again)) = backward_watching(&mut be, &t, Some(&reached), |_| ());
             assert_eq!(z_again.first_difference(&z_pending), None, "graph {k}");
             assert_eq!(again, pending, "graph {k}");
         }
@@ -384,9 +368,10 @@ mod tests {
             let mut be = Local::new(g);
             let Ok((t, _)) = forward(&mut be, g, &sources);
             let mut sizes = Vec::new();
-            let Ok((z, st)) = backward_masked_by(&mut be, &t, true, |mask, z| {
-                let mask = mask.expect("unit weights mask");
-                sizes.push(assert_pending_is_positive_counters(mask, z, "local"));
+            let reached = be.mask_of(MaskKind::Structural, &t);
+            let Ok((z, st)) = backward_watching(&mut be, &t, reached.as_ref(), |z| {
+                let (mask, z) = (z.mask().expect("unit weights mask"), z.clone().freeze());
+                sizes.push(assert_pending_is_positive_counters(&mask, &z, "local"));
             });
             // Checked before every product and once more at the end,
             // shrinking from "not a leaf" to nothing (the sources fire
@@ -401,9 +386,11 @@ mod tests {
                 let mut sim = Simulated::new(&m, g, None, true, true).unwrap();
                 let (dt, _) = forward(&mut sim, g, &sources).unwrap();
                 let mut checks = 0;
-                let (dz, dst) = backward_masked_by(&mut sim, &dt, true, |mask, z| {
-                    let (mask, z) = (mask.expect("masked"), z.to_global::<CentpathMonoid>());
-                    assert_pending_is_positive_counters(mask, &z, "simulated");
+                let reached = sim.mask_of(MaskKind::Structural, &dt);
+                let (dz, dst) = backward_watching(&mut sim, &dt, reached.as_ref(), |z| {
+                    let mask = table_mask(z).expect("masked");
+                    let z = z.clone().freeze().to_global::<CentpathMonoid>();
+                    assert_pending_is_positive_counters(&mask, &z, "simulated");
                     checks += 1;
                 })
                 .unwrap();

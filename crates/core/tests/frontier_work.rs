@@ -13,7 +13,7 @@
 
 use mfbc_algebra::kernel::BrandesKernel;
 use mfbc_algebra::{Centpath, Multpath};
-use mfbc_core::backend::{Adj, Backend, Local};
+use mfbc_core::backend::{Backend, Local};
 use mfbc_core::dist::{mfbc_dist, MfbcConfig};
 use mfbc_core::seq::{mfbc_seq, mfbf_seq, mfbr_seq};
 use mfbc_core::sweep::{mfbr_anchor, mfbr_fire};
@@ -159,14 +159,14 @@ fn backward_calls(g: &Graph, t: &Csr<Multpath>) -> (u64, Vec<u64>) {
     let mut steps = Vec::with_capacity(t.ncols());
     let before = CALLS.load(Ordering::Relaxed);
     let Ok((mut z, mut frontier, _)) =
-        be.anchor::<BrandesKernel, _>(t, Adj::At, reached.as_ref(), seed, mfbr_anchor, fire);
+        be.anchor::<BrandesKernel, _>(t, reached.as_ref(), seed, mfbr_anchor, fire);
     let opening = CALLS.load(Ordering::Relaxed) - before;
     let mut frontier_nnz = 0;
     while frontier.nnz() > 0 {
         frontier_nnz += frontier.nnz() as u64;
         let before = CALLS.load(Ordering::Relaxed);
         let Ok((fired, _)) =
-            be.settle::<BrandesKernel, _>(&mut z, &frontier, Adj::At, reached.as_ref(), t, fire);
+            be.settle::<BrandesKernel, _>(&mut z, &frontier, reached.as_ref(), t, fire);
         steps.push(CALLS.load(Ordering::Relaxed) - before);
         frontier = fired;
     }

@@ -42,14 +42,6 @@ impl RmatConfig {
             seed,
         }
     }
-
-    /// Same with random weights in `[1, 100]` (§7.2 weighted runs).
-    pub fn paper_weighted(s: u32, e: usize, seed: u64) -> RmatConfig {
-        RmatConfig {
-            weights: Some(100),
-            ..RmatConfig::paper(s, e, seed)
-        }
-    }
 }
 
 /// Generates an R-MAT graph. Vertex labels are randomly permuted
@@ -143,7 +135,10 @@ mod tests {
 
     #[test]
     fn weighted_weights_in_range() {
-        let g = rmat(&RmatConfig::paper_weighted(8, 4, 11));
+        let g = rmat(&RmatConfig {
+            weights: Some(100),
+            ..RmatConfig::paper(8, 4, 11)
+        });
         assert!(!g.is_unit_weighted());
         for (_, _, w) in g.adjacency().iter() {
             let raw = w.raw();

@@ -56,14 +56,6 @@ pub fn effective_diameter(g: &Graph, samples: usize, seed: u64) -> usize {
     best
 }
 
-/// Number of vertices reachable from `src` (including itself).
-pub fn reachable_count(g: &Graph, src: usize) -> usize {
-    bfs_hops(g, src)
-        .into_iter()
-        .filter(|&d| d != usize::MAX)
-        .count()
-}
-
 /// Vertices with no incident arcs in either direction — what the
 /// paper's preprocessing removes ("preprocessed all graphs to remove
 /// completely disconnected vertices", §7.1).
@@ -104,7 +96,7 @@ mod tests {
         let d = bfs_hops(&g, 0);
         assert_eq!(d[1], 1);
         assert_eq!(d[2], usize::MAX);
-        assert_eq!(reachable_count(&g, 0), 2);
+        assert_eq!(d.iter().filter(|&&h| h != usize::MAX).count(), 2);
     }
 
     #[test]

@@ -285,18 +285,6 @@ impl Machine {
         }
     }
 
-    /// Installs (replaces) the pending fault schedule. Meant to be
-    /// called before a run; the collective sequence clock is not
-    /// reset.
-    pub fn install_faults(&self, plan: FaultPlan) {
-        self.faults.lock().pending = plan.faults;
-    }
-
-    /// Sets the bounded-retry policy for transient faults.
-    pub fn set_retry_policy(&self, policy: RetryPolicy) {
-        self.faults.lock().policy = policy;
-    }
-
     /// Injection-side fault counters so far.
     pub fn fault_stats(&self) -> FaultStats {
         self.faults.lock().stats

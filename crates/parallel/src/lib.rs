@@ -15,7 +15,7 @@
 //!   use. Sized by the `MFBC_THREADS` environment variable when set
 //!   (a positive integer; `1` means "serial: spawn nothing"),
 //!   otherwise by [`std::thread::available_parallelism`].
-//! * [`sized(n)`] — a leaked pool of exactly `n` participants,
+//! * [`sized`]`(n)` — a leaked pool of exactly `n` participants,
 //!   memoized per size. Lets tests and benches compare thread counts
 //!   inside one process regardless of the environment.
 //! * [`with_threads(n, f)`] — runs `f` with a thread-local override:
@@ -198,14 +198,6 @@ mod tests {
         );
         assert_eq!(stats.tasks, 100);
         assert_eq!(stats.tasks_per_worker.iter().sum::<u64>(), 100);
-    }
-
-    #[test]
-    fn par_chunks_tiles_input() {
-        let pool = sized(2);
-        let items: Vec<usize> = (0..10).collect();
-        let sums = pool.par_chunks(&items, 3, |ci, chunk| (ci, chunk.iter().sum::<usize>()));
-        assert_eq!(sums, vec![(0, 3), (1, 12), (2, 21), (3, 9)]);
     }
 
     #[test]

@@ -383,24 +383,6 @@ impl Pool {
             .collect();
         (out, stats)
     }
-
-    /// Splits `items` into contiguous chunks of at most `chunk` items
-    /// and maps each through `f(chunk_index, chunk_slice)`, results
-    /// in chunk order.
-    pub fn par_chunks<T, R, F>(&self, items: &[T], chunk: usize, f: F) -> Vec<R>
-    where
-        T: Sync,
-        R: Send,
-        F: Fn(usize, &[T]) -> R + Sync,
-    {
-        let chunk = chunk.max(1);
-        let njobs = items.len().div_ceil(chunk);
-        self.par_map_collect(njobs, |i| {
-            let lo = i * chunk;
-            let hi = (lo + chunk).min(items.len());
-            f(i, &items[lo..hi])
-        })
-    }
 }
 
 impl Drop for Pool {

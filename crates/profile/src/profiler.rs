@@ -272,11 +272,6 @@ impl Profile {
             .fold(0.0, f64::max)
     }
 
-    /// Summed modeled collective seconds across kinds.
-    pub fn collective_s(&self) -> f64 {
-        self.collectives.iter().map(|c| c.modeled_s).sum()
-    }
-
     /// Largest per-rank memory high-water mark in bytes.
     pub fn max_peak_bytes(&self) -> u64 {
         self.ranks.iter().map(|r| r.peak_bytes).max().unwrap_or(0)

@@ -195,7 +195,7 @@ pub struct Health {
     pub breaker: &'static str,
     /// The error that poisoned the engine, if any.
     pub last_poison: Option<String>,
-    /// Responses in the rolling SLO window (≤ [`SLO_WINDOW`]).
+    /// Responses in the rolling SLO window (≤ `SLO_WINDOW`).
     pub window_len: usize,
     /// How many of those met their deadline.
     pub window_deadline_met: usize,

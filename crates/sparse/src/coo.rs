@@ -87,12 +87,6 @@ impl<T> Coo<T> {
         &self.entries
     }
 
-    /// Consumes into raw triples.
-    #[inline]
-    pub fn into_entries(self) -> Vec<(Idx, Idx, T)> {
-        self.entries
-    }
-
     /// Merges another COO of the same shape into this one.
     pub fn absorb(&mut self, other: Coo<T>) {
         assert_eq!(

@@ -227,7 +227,7 @@ fn seek(cols: &[Idx], at: &mut usize, j: Idx) -> bool {
 
 /// Zip of `a`'s entries against `b`'s at the same coordinates:
 /// [`map_filter`] with `f(i, j, a_val, b_val_opt)`. A per-row cursor
-/// into `b` ([`seek`]) replaces one binary search per entry.
+/// into `b` (`seek`) replaces one binary search per entry.
 ///
 /// # Panics
 /// Panics if the shapes disagree.
@@ -252,19 +252,6 @@ where
         let hit = seek(b.row_cols(i), &mut y, j as Idx).then(|| &b.row_vals(i)[y]);
         f(i, j, v, hit)
     })
-}
-
-/// In-structure value update (CTF `Transform`): applies `f` to every
-/// stored entry, then prunes entries that became identities.
-///
-/// Serial by contract: `f` is `FnMut` (callers thread state through
-/// it), so entries are visited in storage order on one thread.
-pub fn transform<M, T>(m: &Csr<T>, mut f: impl FnMut(usize, usize, &T) -> T) -> Csr<T>
-where
-    M: Monoid<Elem = T>,
-    T: Clone + PartialEq + Send + Sync + std::fmt::Debug,
-{
-    m.map(|i, j, v| f(i, j, v)).prune::<M>()
 }
 
 #[cfg(test)]
@@ -321,14 +308,6 @@ mod tests {
         let a = m_u64(2, 2, &[(0, 0, 1), (1, 1, 2)]);
         let b = m_u64(2, 2, &[(0, 0, 3), (1, 0, 4)]);
         assert_eq!(combine::<SumU64, _>(&a, &b), combine::<SumU64, _>(&b, &a));
-    }
-
-    #[test]
-    fn transform_prunes_new_identities() {
-        let a = m_u64(1, 3, &[(0, 0, 1), (0, 1, 2), (0, 2, 3)]);
-        let t = transform::<SumU64, _>(&a, |_, _, v| if *v == 2 { 0 } else { *v });
-        assert_eq!(t.nnz(), 2);
-        assert_eq!(t.get(0, 1), None);
     }
 
     fn random_mat(seed: u64, n: usize, c: usize, nnz: usize) -> Csr<u64> {

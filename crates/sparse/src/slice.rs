@@ -1,7 +1,7 @@
 //! Sub-matrix extraction and assembly — the analogue of CTF's
 //! `Tensor::slice()` (§6.1) and of its block-to-block redistribution
 //! kernels (§6.2). One routine, [`stitch`], cuts a window out of any
-//! set of disjoint rectangular slabs; [`slice`] is its one-slab case,
+//! set of disjoint rectangular slabs; [`slice()`] is its one-slab case,
 //! and every layout change of the tensor layer is a grid of windows.
 
 use crate::csr::{Csr, Idx};
@@ -167,16 +167,6 @@ pub fn slice<T: Clone>(a: &Csr<T>, rows: Range<usize>, cols: Range<usize>) -> Cs
     stitch(rows, cols, &mut [(0, 0, Cow::Borrowed(a))], |_| true).0
 }
 
-/// Extracts full rows `rows`, reindexed to start at row 0.
-pub fn slice_rows<T: Clone>(a: &Csr<T>, rows: Range<usize>) -> Csr<T> {
-    slice(a, rows, 0..a.ncols())
-}
-
-/// Extracts full columns `cols`, reindexed to start at column 0.
-pub fn slice_cols<T: Clone>(a: &Csr<T>, cols: Range<usize>) -> Csr<T> {
-    slice(a, 0..a.nrows(), cols)
-}
-
 /// Splits `0..n` into `parts` contiguous chunks whose sizes differ by
 /// at most one — the even block decomposition every distribution in
 /// this workspace uses.
@@ -231,10 +221,10 @@ mod tests {
 
     #[test]
     fn slice_rows_and_cols() {
-        let s = slice_rows(&sample(), 2..4);
+        let s = slice(&sample(), 2..4, 0..4);
         assert_eq!(s.nnz(), 3);
         assert_eq!(s.get(0, 0), Some(&4));
-        let s = slice_cols(&sample(), 3..4);
+        let s = slice(&sample(), 0..4, 3..4);
         assert_eq!(s.nnz(), 2);
         assert_eq!(s.get(0, 0), Some(&2));
         assert_eq!(s.get(3, 0), Some(&6));

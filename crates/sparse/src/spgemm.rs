@@ -21,7 +21,6 @@
 use crate::csr::{Csr, Idx};
 use crate::elementwise::{assemble_rows, RowChunk};
 use crate::mask::{Mask, MaskKind};
-use crate::rows::SortedRows;
 use crate::table::{Rows, Settle, Table};
 use mfbc_algebra::kernel::KernelOut;
 use mfbc_algebra::monoid::Monoid;
@@ -378,19 +377,20 @@ fn product<K: SpMulKernel>(
 
 /// `Z := Z ⊗ (A •⟨⊗,g⟩ B)`, the product consumed where it lands
 /// (Algorithm 2, lines 6–11): [`Table::settle`] of the product of `a`
-/// and `b` under `mask` into `z`, which was opened on `side`'s
-/// pattern, with every finished accumulator row as the update — the
-/// product matrix itself is never built. Returns what `fire` emitted
-/// and the products formed, bit-identical to [`spgemm_opt`] followed
-/// by [`Table::settle`] at any thread count: parallel tasks own
-/// disjoint row ranges of `z`.
+/// and `b` into `z`, which was opened on `side`'s pattern, with every
+/// finished accumulator row as the update — the product matrix itself
+/// is never built. The product runs under [`Table::mask`] where `z`
+/// reports one and under `within` otherwise. Returns what `fire`
+/// emitted and the products formed, bit-identical to [`spgemm_opt`]
+/// followed by [`Table::settle`] at any thread count: parallel tasks
+/// own disjoint row ranges of `z`.
 ///
 /// # Panics
 /// Panics where [`spgemm_opt`] or [`Table::settle`] would.
 pub fn spgemm_settle<K: SpMulKernel, U: Sync>(
     a: &Csr<K::Left>,
     b: &Csr<K::Right>,
-    mask: Option<&Mask>,
+    within: Option<&Mask>,
     z: &mut Table<KernelOut<K>>,
     side: &Csr<U>,
     fire: impl Fn(&mut KernelOut<K>, &U) -> Option<KernelOut<K>> + Sync,
@@ -398,33 +398,34 @@ pub fn spgemm_settle<K: SpMulKernel, U: Sync>(
     let shape = (a.nrows(), b.ncols());
     assert_eq!(shape, (z.nrows(), z.ncols()), "settle shape");
     let fire = &fire;
+    // The mask borrows the pending rows the entries it fires must
+    // leave: the table is settled during the product, the rows are
+    // shrunk after it, by what came out.
+    let (pending, rows) = z.lend(side);
     let settles = move |ranges: &[Range<usize>]| {
-        // Moved in, not reborrowed: the parts outlive this call.
-        let z = z;
         // A frontier is followed by one of its own order: the rows'
         // share of `a` is the guess for what they fire.
         let nnz = |r: &Range<usize>| a.rowptr()[r.end] - a.rowptr()[r.start];
-        let parts = z.split(side, ranges).into_iter().zip(ranges);
+        let parts = rows.split(ranges).into_iter().zip(ranges);
         parts
             .map(|(rows, r)| Settle::<K::Acc, U, _>::new(rows, fire, nnz(r)))
             .collect()
     };
-    let (settles, ops) = run::<K, _>(a, b, mask, false, settles);
+    let (settles, ops) = run::<K, _>(a, b, pending.as_ref().or(within), false, settles);
     let chunks = settles.into_iter().map(|s| s.fired).collect();
-    SpGemmOut {
-        mat: assemble_rows(shape.0, shape.1, chunks),
-        ops,
-    }
+    let mat = assemble_rows(shape.0, shape.1, chunks);
+    z.retire(&mat);
+    SpGemmOut { mat, ops }
 }
 
 /// Algorithm 2, lines 1–4, with the child-count product consumed where
 /// it lands: [`Table::anchor`] of `base` against the product of `a`
 /// and `b` under `mask`, which is never built — the table starts as
 /// `init(base_val, None)` everywhere and every finished accumulator
-/// row overwrites the entries it found. Returns the table, what `fire`
-/// emitted with the products formed, and (with `track`) the pending
-/// rows; bit-identical to [`spgemm_opt`] followed by [`Table::anchor`]
-/// at any thread count.
+/// row overwrites the entries it found. Returns the table (with
+/// `track`, reporting its pending entries as [`Table::mask`]) and what
+/// `fire` emitted with the products formed; bit-identical to
+/// [`spgemm_opt`] followed by [`Table::anchor`] at any thread count.
 ///
 /// # Panics
 /// Panics where [`spgemm_opt`] or [`Table::anchor`] would.
@@ -436,29 +437,23 @@ pub fn spgemm_anchor<K: SpMulKernel, U: Sync>(
     init: impl Fn(&U, Option<&KernelOut<K>>) -> KernelOut<K> + Sync,
     fire: impl Fn(&mut KernelOut<K>, &U) -> Option<KernelOut<K>>,
     track: bool,
-) -> (
-    Table<KernelOut<K>>,
-    SpGemmOut<KernelOut<K>>,
-    Option<SortedRows>,
-) {
+) -> (Table<KernelOut<K>>, SpGemmOut<KernelOut<K>>) {
     assert_eq!(
         (a.nrows(), b.ncols()),
         (base.nrows(), base.ncols()),
         "anchor shape"
     );
     let mut z = Table::unanchored::<K::Acc, U>(base, &init);
-    let (table, init) = (&mut z, &init);
+    let ((_, rows), init) = (z.lend(base), &init);
     let anchors = move |ranges: &[Range<usize>]| {
-        // Moved in, not reborrowed: the parts outlive this call.
-        let table = table;
-        let parts = table.split(base, ranges).into_iter();
+        let parts = rows.split(ranges).into_iter();
         parts
             .map(|rows| Anchor::<K::Acc, U, _> { rows, init })
             .collect()
     };
     let (_, ops) = run::<K, _>(a, b, mask, false, anchors);
-    let (mat, pending) = z.fire_all::<K::Acc, U>(base, fire, track);
-    (z, SpGemmOut { mat, ops }, pending)
+    let mat = z.fire_all::<K::Acc, U>(base, fire, track);
+    (z, SpGemmOut { mat, ops })
 }
 
 /// Sequential generalized SpGEMM (row-wise Gustavson).
@@ -864,7 +859,7 @@ mod tests {
         let fire = |z: &mut Dist, _: &Dist| z.raw().is_multiple_of(2).then_some(*z);
         let settled_of = |mask: Option<&Mask>, spa: &mut Spa<Dist>| {
             let mut z = Table::on_pattern(&side, |s| *s);
-            let mut sink = Settle::<MinDist, Dist, _>::new(z.whole(&side), &fire, 0);
+            let mut sink = Settle::<MinDist, Dist, _>::new(z.lend(&side).1, &fire, 0);
             let ops = multiply::<TropicalKernel>(&a, &b, mask, 0..8, spa, &mut sink);
             (sink.fired, z.freeze(), ops)
         };

@@ -16,11 +16,16 @@
 //! accumulator of the product that forms them
 //! ([`crate::spgemm_settle`]).
 //!
-//! Where output masks read the table's pattern every superstep, the
-//! pattern is kept beside it as [`SortedRows`], merged in place.
+//! A table opened with tracking also carries the mask of what may
+//! still land in it ([`Table::mask`]), as [`SortedRows`] updated in
+//! place by the operations that change the answer: while the table
+//! grows, the complement of every stored coordinate; once
+//! [`Table::anchor`] has opened it as `Z`, the *pending* coordinates —
+//! those that have not fired — which [`Table::settle`] shrinks.
 
 use crate::csr::{Csr, Idx};
 use crate::elementwise::{assemble_rows, RowChunk};
+use crate::mask::{Mask, MaskKind};
 use crate::rows::SortedRows;
 use mfbc_algebra::monoid::Monoid;
 use std::ops::Range;
@@ -34,8 +39,9 @@ pub struct Table<T> {
     /// `vals`, or 0 where no entry is stored.
     slot: Vec<u32>,
     vals: Vec<T>,
-    /// The stored coordinates; kept only on request.
-    pattern: Option<SortedRows>,
+    /// The rows [`Table::mask`] reads and how it reads them; kept
+    /// only on request.
+    mask: Option<(MaskKind, SortedRows)>,
 }
 
 /// `v`, as an entry of a table whose pattern is fixed: the sparse-zero
@@ -68,18 +74,18 @@ impl<T: Clone> Table<T> {
             ncols,
             slot,
             vals: base.vals().iter().map(f).collect(),
-            pattern: None,
+            mask: None,
         }
     }
 
-    /// A table holding `seed`'s entries. With `track_pattern` the
-    /// sorted pattern rows are maintained for [`Table::pattern`].
+    /// A table holding `seed`'s entries. With `track` it reports the
+    /// complement of its stored coordinates as [`Table::mask`].
     ///
     /// # Panics
     /// Panics if the shape's area does not fit the slot index.
-    pub fn from_csr(seed: &Csr<T>, track_pattern: bool) -> Table<T> {
+    pub fn from_csr(seed: &Csr<T>, track: bool) -> Table<T> {
         let mut table = Table::on_pattern(seed, T::clone);
-        table.pattern = track_pattern.then(|| SortedRows::of_pattern(seed));
+        table.mask = track.then(|| (MaskKind::Complement, SortedRows::of_pattern(seed)));
         table
     }
 
@@ -110,13 +116,14 @@ impl<T: Clone> Table<T> {
         }
     }
 
-    /// The stored coordinates.
-    ///
-    /// # Panics
-    /// Panics if the table was built without `track_pattern`.
+    /// The outputs a product into this table can still matter at,
+    /// read in place: none already stored while the table grows, the
+    /// pending ones once [`Table::anchor`] has opened it. `None` on a
+    /// table opened without tracking.
     #[inline]
-    pub fn pattern(&self) -> &SortedRows {
-        self.pattern.as_ref().expect("table tracks no pattern")
+    pub fn mask(&self) -> Option<Mask<'_>> {
+        let (kind, rows) = self.mask.as_ref()?;
+        Some(Mask::over_rows(*kind, rows))
     }
 
     /// `T := T ⊕ G` in place, and the entries of `G` that `keep` lets
@@ -176,8 +183,8 @@ impl<T: Clone> Table<T> {
                 }
             }
             rowptr.push(colind.len());
-            if let Some(p) = &mut self.pattern {
-                p.insert(i, &fresh);
+            if let Some((_, stored)) = &mut self.mask {
+                stored.insert(i, &fresh);
             }
             fresh.clear();
         }
@@ -211,51 +218,42 @@ impl<T: Clone> Table<T> {
         }
     }
 
-    /// The row ranges `ranges` (ascending, disjoint) of a table opened
-    /// on `side`'s pattern, each with the same rows of `side` beside
-    /// it: what one task of a row-parallel product settles into.
+    /// Every row of a table opened on `side`'s pattern, with `side`
+    /// beside it, and the table's mask apart from both: a product
+    /// reads the mask while its sinks write the rows.
     ///
     /// # Panics
-    /// Panics if the table is not on `side`'s pattern or the ranges
-    /// are out of order.
-    pub(crate) fn split<'a, U>(
+    /// Panics if the table is not on `side`'s pattern.
+    pub(crate) fn lend<'a, U>(
         &'a mut self,
         side: &'a Csr<U>,
-        ranges: &[Range<usize>],
-    ) -> Vec<Rows<'a, T, U>> {
+    ) -> (Option<Mask<'a>>, Rows<'a, T, U>) {
         self.assert_on(side);
-        let (ncols, slot) = (self.ncols, &self.slot[..]);
-        let (mut rest, mut at) = (&mut self.vals[..], 0usize);
-        let part = |r: &Range<usize>| {
-            let (lo, hi) = (side.rowptr()[r.start], side.rowptr()[r.end]);
-            assert!(at <= lo && lo <= hi, "row ranges out of order");
-            let (vals, tail) = std::mem::take(&mut rest)[lo - at..].split_at_mut(hi - lo);
-            (rest, at) = (tail, hi);
-            Rows {
-                nrows: r.len(),
-                ncols,
-                slot,
-                first: lo,
-                vals,
-                side,
-            }
+        let mask = self.mask.as_ref();
+        let rows = Rows {
+            nrows: self.nrows,
+            ncols: self.ncols,
+            slot: &self.slot,
+            first: 0,
+            vals: &mut self.vals,
+            side,
         };
-        ranges.iter().map(part).collect()
+        (mask.map(|(kind, rows)| Mask::over_rows(*kind, rows)), rows)
     }
 
-    /// Every row, as one part of [`Table::split`].
-    pub(crate) fn whole<'a, U>(&'a mut self, side: &'a Csr<U>) -> Rows<'a, T, U> {
-        let all = 0..self.nrows;
-        let mut parts = self.split(side, std::slice::from_ref(&all));
-        parts.pop().expect("one range, one part")
+    /// What fired is no longer pending.
+    pub(crate) fn retire(&mut self, fired: &Csr<T>) {
+        if let Some((MaskKind::Structural, pending)) = &mut self.mask {
+            pending.remove_pattern(fired);
+        }
     }
 
     /// Algorithm 2, lines 1–4, from a materialised `other`: the table
     /// on `base`'s pattern holding `init(base_val, other_val_opt)`,
     /// after `fire(&mut value, base_val)` has had its one chance to
     /// rewrite each entry and emit an entry of the matrix returned
-    /// beside it. With `track`, the third result is the *pending* set:
-    /// the coordinates `fire` returned `None` on.
+    /// beside it. With `track`, the coordinates `fire` returned `None`
+    /// on are *pending*, and [`Table::mask`] reports them from here on.
     ///
     /// Equal to a [`crate::elementwise::zip_filter`] of `base` against
     /// `other`, a second of the result against `base` and a map over
@@ -271,19 +269,19 @@ impl<T: Clone> Table<T> {
         init: impl Fn(&U, Option<&T>) -> T,
         fire: impl Fn(&mut T, &U) -> Option<T>,
         track: bool,
-    ) -> (Table<T>, Csr<T>, Option<SortedRows>)
+    ) -> (Table<T>, Csr<T>)
     where
         M: Monoid<Elem = T>,
     {
         let shape = (base.nrows(), base.ncols());
         assert_eq!(shape, (other.nrows(), other.ncols()), "anchor shape");
         let mut z = Table::unanchored::<M, U>(base, &init);
-        let mut rows = z.whole(base);
+        let (_, mut rows) = z.lend(base);
         for i in 0..shape.0 {
             rows.anchor_row::<M>(i, other.row(i), &init);
         }
-        let (leaves, pending) = z.fire_all::<M, U>(base, fire, track);
-        (z, leaves, pending)
+        let leaves = z.fire_all::<M, U>(base, fire, track);
+        (z, leaves)
     }
 
     /// [`Table::anchor`] before anything was found beside `base`:
@@ -296,13 +294,13 @@ impl<T: Clone> Table<T> {
     }
 
     /// The closing pass of [`Table::anchor`]: `fire` on every entry,
-    /// in `side`'s order.
+    /// in `side`'s order; with `track`, the rest become the mask.
     pub(crate) fn fire_all<M, U>(
         &mut self,
         side: &Csr<U>,
         fire: impl Fn(&mut T, &U) -> Option<T>,
         track: bool,
-    ) -> (Csr<T>, Option<SortedRows>)
+    ) -> Csr<T>
     where
         M: Monoid<Elem = T>,
     {
@@ -332,10 +330,10 @@ impl<T: Clone> Table<T> {
                 p.push(waits);
             }
         }
-        (
-            Csr::from_parts(nrows, self.ncols, rowptr, colind, fired),
-            pending.map(|rows| SortedRows::from_rows(self.ncols, rows)),
-        )
+        let fired = Csr::from_parts(nrows, self.ncols, rowptr, colind, fired);
+        let ncols = self.ncols;
+        self.mask = pending.map(|rows| (MaskKind::Structural, SortedRows::from_rows(ncols, rows)));
+        fired
     }
 
     /// `Z := Z ⊗ G` in place on the table's fixed pattern — `side`'s,
@@ -343,8 +341,8 @@ impl<T: Clone> Table<T> {
     /// touched: per entry `g` of `update` whose coordinate the table
     /// stores, the stored value becomes `M::combine(old, g)` and
     /// `fire(&mut value, side_val)` may rewrite it once more and emit
-    /// an entry of the matrix returned. Updates outside the pattern
-    /// are dropped.
+    /// an entry of the matrix returned, which is then no longer
+    /// pending. Updates outside the pattern are dropped.
     ///
     /// Equal to [`crate::elementwise::combine_anchored`] followed by a
     /// [`crate::elementwise::zip_filter`] against `side` and a map
@@ -366,11 +364,13 @@ impl<T: Clone> Table<T> {
         let shape = (self.nrows, self.ncols);
         assert_eq!(shape, (update.nrows(), update.ncols()), "settle shape");
         // No more entries can fire than are updated.
-        let mut settle = Settle::<M, U, _>::new(self.whole(side), &fire, update.nnz());
+        let mut settle = Settle::<M, U, _>::new(self.lend(side).1, &fire, update.nnz());
         for i in 0..shape.0 {
             settle.row(i, update.row(i));
         }
-        assemble_rows(shape.0, shape.1, vec![settle.fired])
+        let fired = assemble_rows(shape.0, shape.1, vec![settle.fired]);
+        self.retire(&fired);
+        fired
     }
 
     /// The table as a sorted [`Csr`]: one scan of the slot index. A
@@ -415,7 +415,32 @@ pub(crate) struct Rows<'a, T, U> {
     side: &'a Csr<U>,
 }
 
-impl<T, U> Rows<'_, T, U> {
+impl<'a, T, U> Rows<'a, T, U> {
+    /// The row ranges `ranges` (ascending, disjoint) of these rows:
+    /// what each task of a row-parallel product settles into.
+    ///
+    /// # Panics
+    /// Panics if the ranges are out of order.
+    pub(crate) fn split(self, ranges: &[Range<usize>]) -> Vec<Rows<'a, T, U>> {
+        let (ncols, slot, side) = (self.ncols, self.slot, self.side);
+        let (mut rest, mut at) = (self.vals, self.first);
+        let part = |r: &Range<usize>| {
+            let (lo, hi) = (side.rowptr()[r.start], side.rowptr()[r.end]);
+            assert!(at <= lo && lo <= hi, "row ranges out of order");
+            let (vals, tail) = std::mem::take(&mut rest)[lo - at..].split_at_mut(hi - lo);
+            (rest, at) = (tail, hi);
+            Rows {
+                nrows: r.len(),
+                ncols,
+                slot,
+                first: lo,
+                vals,
+                side,
+            }
+        };
+        ranges.iter().map(part).collect()
+    }
+
     /// Entry `(i, j)` of the table and the `side` entry beside it.
     #[inline]
     fn at(&mut self, i: usize, j: usize) -> Option<(&mut T, &U)> {
@@ -529,8 +554,12 @@ mod tests {
         let kept = t.accumulate::<SumU64>(&g, |g, t| (t % 2 == 1).then_some(*g));
         assert_eq!(kept, m_u64(2, 4, &[(0, 0, 3), (0, 1, 5)]));
         assert_eq!((t.nnz(), t.get(0, 1), t.get(1, 0)), (4, Some(&15), None));
-        assert_eq!(t.pattern().row(0), &[0, 1]);
-        assert_eq!(t.pattern().row(1), &[2, 3]);
+        let mask = t.mask().expect("tracked");
+        assert_eq!(mask.kind(), MaskKind::Complement);
+        assert_eq!(
+            (mask.row_cols(0), mask.row_cols(1)),
+            (&[0, 1][..], &[2, 3][..])
+        );
         let want = m_u64(2, 4, &[(0, 0, 3), (0, 1, 15), (1, 2, 4), (1, 3, 20)]);
         assert_eq!(t.freeze().first_difference(&want), None);
     }
@@ -578,12 +607,5 @@ mod tests {
     fn a_fixed_pattern_stores_no_identity() {
         let base = m_u64(1, 3, &[(0, 1, 7)]);
         let _ = Table::anchor::<SumU64, _>(&base, &m_u64(1, 3, &[]), |_, _| 0, |_, _| None, false);
-    }
-
-    #[test]
-    #[should_panic(expected = "tracks no pattern")]
-    fn pattern_is_opt_in() {
-        let t = Table::from_csr(&m_u64(1, 2, &[(0, 1, 1)]), false);
-        let _ = t.pattern();
     }
 }

@@ -5,7 +5,9 @@
 //! `Table::settle` against `combine_anchored` + a fire zip + a pin map
 //! (lines 8–11) with the pending set its frontier leaves recomputed
 //! from scratch — chained over seeded random supersteps, compared
-//! entry for entry with `Csr::first_difference`.
+//! entry for entry with `Csr::first_difference`; the mask a tracked
+//! table reports against the one the composition derives, and none
+//! from an untracked table.
 
 use mfbc_algebra::{Centpath, CentpathMonoid, Dist, Multpath, MultpathMonoid};
 use mfbc_sparse::elementwise::{combine, combine_anchored, map_filter, zip_filter};
@@ -70,15 +72,13 @@ fn accumulate_then_freeze_equals_combine_then_zip_filter() {
                 "seed {seed} step {step}: frontier"
             );
             assert_eq!(table.nnz(), composed.nnz(), "seed {seed} step {step}");
-            if track {
-                // The pattern read off the table is the mask the
-                // whole-table path derives from T.
-                assert_eq!(
-                    Mask::over_rows(MaskKind::Complement, table.pattern()),
-                    Mask::complement_of(&composed),
-                    "seed {seed} step {step}: mask"
-                );
-            }
+            // The mask read off the table is the one the whole-table
+            // path derives from T.
+            assert_eq!(
+                table.mask(),
+                track.then(|| Mask::complement_of(&composed)),
+                "seed {seed} step {step}: mask"
+            );
         }
         assert_eq!(
             table.freeze().first_difference(&composed),
@@ -149,11 +149,13 @@ fn anchor_equals_anchor_zip_then_leaf_zip_then_pin() {
         );
 
         for track in [false, true] {
-            let (z, front, pending) =
+            let (z, front) =
                 Table::anchor::<CentpathMonoid, _>(&t, &counted, init, fire_and_pin, track);
+            let pending = pending_of(&pinned);
+            let want = track.then(|| Mask::over_rows(MaskKind::Structural, &pending));
+            assert_eq!(z.mask(), want, "seed {seed}: pending");
             assert_eq!(z.freeze().first_difference(&pinned), None, "seed {seed}: Z");
             assert_eq!(front.first_difference(&leaves), None, "seed {seed}: leaves");
-            assert_eq!(pending, track.then(|| pending_of(&pinned)), "seed {seed}");
         }
     }
 }
@@ -165,17 +167,21 @@ fn settle_equals_combine_anchored_then_fire_then_pin() {
         // T: multiplicities on a random pattern; Z: (τ, 0, children)
         // on the same pattern, as MFBr's anchor pass leaves it.
         let t = explored(&mut rng, 200);
-        let mut composed = t.map(|_, _, mp| Centpath::new(mp.w, 0.0, rng.gen_range(0..3)));
+        let counted = t.map(|_, _, mp| Centpath::new(mp.w, 0.0, rng.gen_range(0..3)));
         let pin = |z: &Csr<Centpath>| {
             map_filter::<CentpathMonoid, _, _>(z, |_, _, zv| {
                 Some(Centpath::new(zv.w, zv.p, if zv.c == 0 { -1 } else { zv.c }))
             })
         };
-        // The leaf pass: afterwards no entry holds counter 0.
-        composed = pin(&composed);
-        let mut fused = Table::on_pattern(&composed, |zv| *zv);
+        // The leaf pass: afterwards no entry holds counter 0, and the
+        // tracked table reports the rest as pending.
+        let mut composed = pin(&counted);
+        // (Every entry is opened before its count is found.)
+        let as_counted =
+            |mp: &Multpath, d: Option<&Centpath>| d.map_or(Centpath::new(mp.w, 0.0, 1), |c| *c);
+        let (mut fused, _) =
+            Table::anchor::<CentpathMonoid, _>(&t, &counted, as_counted, fire_and_pin, true);
         let waiting = pending_of(&composed);
-        let mut pending = waiting.clone();
         let mut fired_at = std::collections::BTreeSet::new();
         let (mut outside, mut repinned) = (0, 0);
         for step in 0..12 {
@@ -200,10 +206,9 @@ fn settle_equals_combine_anchored_then_fire_then_pin() {
             });
             composed = pin(&merged);
 
+            // What fires leaves the pending set — all of it still
+            // there, or `settle` panics.
             let got = fused.settle::<CentpathMonoid, _>(&back, &t, fire_and_pin);
-            // What fired is what leaves the pending set — all of it
-            // still there, or `remove_pattern` panics.
-            pending.remove_pattern(&got);
             assert_eq!(
                 got.first_difference(&want),
                 None,
@@ -229,11 +234,57 @@ fn settle_equals_combine_anchored_then_fire_then_pin() {
                     .collect::<Vec<Idx>>()
             };
             let want = SortedRows::from_rows(COLS, (0..ROWS).map(unfired));
-            assert_eq!(pending, want, "seed {seed} step {step}: pending");
+            assert_eq!(
+                fused.mask(),
+                Some(Mask::over_rows(MaskKind::Structural, &want)),
+                "seed {seed} step {step}: pending"
+            );
         }
         assert!(
             !fired_at.is_empty() && outside > 0 && repinned > 0,
             "seed {seed}: chain must fire, miss Z's pattern and revisit pinned entries"
         );
     }
+}
+
+#[test]
+fn an_untracked_table_reports_no_mask() {
+    use mfbc_algebra::kernel::BrandesKernel;
+    use mfbc_algebra::monoid::MinDist;
+    use mfbc_sparse::{spgemm_anchor, spgemm_settle};
+    let mut rng = ChaCha8Rng::seed_from_u64(3000);
+    // Growing: opened, accumulated into, frozen.
+    let seed = explored(&mut rng, 30);
+    let mut table = Table::from_csr(&seed, false);
+    assert_eq!(table.mask(), None, "opened");
+    let kept =
+        table.accumulate::<MultpathMonoid>(&explored(&mut rng, 60), |gv, tv| keep(gv, Some(tv)));
+    assert!(
+        kept.nnz() > 0 && table.nnz() > seed.nnz(),
+        "the table must grow"
+    );
+    assert_eq!(table.mask(), None, "accumulated");
+    let t = table.freeze();
+
+    // Settling, from a matrix and from the product's accumulator.
+    let mut coo = Coo::new(COLS, COLS);
+    for _ in 0..4 * COLS {
+        coo.push(rng.gen_range(0..COLS), rng.gen_range(0..COLS), Dist::new(1));
+    }
+    let adj = coo.into_csr::<MinDist>();
+    let seeds = t.map(|_, _, mp| Centpath::new(mp.w, 0.0, 1));
+    let init = |mp: &Multpath, d: Option<&Centpath>| {
+        Centpath::new(mp.w, 0.0, d.filter(|c| c.w == mp.w).map_or(0, |c| c.c))
+    };
+    let (mut z_mat, leaves) =
+        Table::anchor::<CentpathMonoid, _>(&t, &seeds, init, fire_and_pin, false);
+    let (mut z_sink, fed) =
+        spgemm_anchor::<BrandesKernel, _>(&seeds, &adj, None, &t, init, fire_and_pin, false);
+    assert_eq!((z_mat.mask(), z_sink.mask()), (None, None), "anchored");
+    let fired = z_mat.settle::<CentpathMonoid, _>(&leaves, &t, fire_and_pin);
+    let out =
+        spgemm_settle::<BrandesKernel, _>(&fed.mat, &adj, None, &mut z_sink, &t, fire_and_pin);
+    assert!(leaves.nnz() + fed.mat.nnz() > 0 && fired.nnz() + out.mat.nnz() > 0);
+    assert_eq!((z_mat.mask(), z_sink.mask()), (None, None), "settled");
+    assert_eq!(z_mat.freeze().nnz() + z_sink.freeze().nnz(), 2 * t.nnz());
 }

@@ -11,7 +11,6 @@
 //! [`crate::costmodel`], filters out plans whose estimated per-rank
 //! memory exceeds the machine budget, and picks the cheapest.
 
-use crate::cache::MmCache;
 use crate::costmodel::{memory_per_rank, predict, MmStats};
 use crate::dist::DistMat;
 use crate::mm::{MmOut, MmPlan};
@@ -150,21 +149,6 @@ pub fn mm_auto_masked<K: SpMulKernel>(
     let st = stats_for_masked::<K>(a, b, mask);
     let (plan, _) = best_plan(m.spec(), &st);
     let out = crate::mm::mm_exec_masked::<K>(m, &plan, a, b, mask)?;
-    Ok((out, plan))
-}
-
-/// Autotuned multiplication with right-operand caching: prepared
-/// adjacency forms persist in `cache` across calls (and across the
-/// different plans the tuner picks as the frontier evolves).
-pub fn mm_auto_cached<K: SpMulKernel>(
-    m: &Machine,
-    a: &DistMat<K::Left>,
-    b: &DistMat<K::Right>,
-    cache: &mut MmCache<K::Right>,
-) -> Result<(MmOut<KernelOut<K>>, MmPlan), MachineError> {
-    let _span = mfbc_trace::span(|| "mm_auto".to_string());
-    let (plan, _) = best_plan(m.spec(), &stats_for::<K>(a, b));
-    let out = crate::mm::mm_exec_cached::<K>(m, &plan, a, b, cache)?;
     Ok((out, plan))
 }
 

@@ -17,7 +17,7 @@
 //! so drivers release at end of run.
 
 use crate::dist::DistMat;
-use mfbc_machine::Machine;
+use mfbc_machine::{Machine, MachineError};
 use mfbc_sparse::Csr;
 use std::cell::Cell;
 use std::collections::HashMap;
@@ -32,6 +32,32 @@ pub enum CachedRhs<T> {
     Dist(Arc<DistMat<T>>),
     /// Per-layer copies or slices (3D variants).
     Layers(Arc<Vec<DistMat<T>>>),
+}
+
+impl<T> CachedRhs<T> {
+    /// The replicated matrix a 1D-B key holds.
+    pub(crate) fn global(self) -> Arc<Csr<T>> {
+        match self {
+            CachedRhs::Global(g) => g,
+            _ => panic!("the key does not hold a replicated matrix"),
+        }
+    }
+
+    /// The layout a 1D-A, 1D-C or 2D key holds.
+    pub(crate) fn dist(self) -> Arc<DistMat<T>> {
+        match self {
+            CachedRhs::Dist(d) => d,
+            _ => panic!("the key does not hold one layout"),
+        }
+    }
+
+    /// The per-layer forms a 3D key holds.
+    pub(crate) fn layers(self) -> Arc<Vec<DistMat<T>>> {
+        match self {
+            CachedRhs::Layers(ls) => ls,
+            _ => panic!("the key does not hold per-layer forms"),
+        }
+    }
 }
 
 /// Identity of an operand: shape plus nonzero count. Two matrices
@@ -143,12 +169,42 @@ impl<T> MmCache<T> {
         self.entries.is_empty()
     }
 
-    /// Looks up a prepared form.
+    /// The prepared form under `key`: the one an earlier
+    /// multiplication stored, or the one `build` makes now. `build`
+    /// returns the form and the `(rank, bytes)` residency it holds,
+    /// which is charged here, in the order given, and released with
+    /// the cache.
+    ///
+    /// # Errors
+    /// Propagates `build`'s failure and the memory-budget failure of a
+    /// residency charge; nothing is stored then.
     ///
     /// # Panics
     /// Panics if the key exists but was built for a different matrix
     /// (fingerprint mismatch) — one cache serves one logical operand.
-    pub fn get(&self, key: &str, fp: Fingerprint) -> Option<&CachedRhs<T>> {
+    pub fn prepared(
+        &mut self,
+        m: &Machine,
+        key: String,
+        fp: Fingerprint,
+        build: impl FnOnce() -> Result<(CachedRhs<T>, Vec<(usize, u64)>), MachineError>,
+    ) -> Result<CachedRhs<T>, MachineError>
+    where
+        T: Clone,
+    {
+        if let Some(form) = self.get(&key, fp) {
+            return Ok(form.clone());
+        }
+        let (form, charges) = build()?;
+        for &(rank, bytes) in &charges {
+            m.charge_alloc(rank, bytes)?;
+        }
+        self.insert(key, fp, form.clone(), charges);
+        Ok(form)
+    }
+
+    /// Looks up a prepared form.
+    fn get(&self, key: &str, fp: Fingerprint) -> Option<&CachedRhs<T>> {
         let hit = self.entries.get(key).map(|e| {
             assert_eq!(
                 e.fingerprint, fp,
@@ -176,7 +232,7 @@ impl<T> MmCache<T> {
 
     /// Stores a prepared form with the simulated residency it
     /// charged.
-    pub fn insert(
+    fn insert(
         &mut self,
         key: String,
         fp: Fingerprint,

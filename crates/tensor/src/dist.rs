@@ -349,31 +349,6 @@ impl<T: Clone + Send + Sync> DistMat<T> {
         self.blocks.iter().map(Csr::nnz).sum()
     }
 
-    /// Stored entries owned by `rank`.
-    pub fn nnz_on(&self, rank: usize) -> usize {
-        let mut total = 0;
-        for bi in 0..self.layout.br() {
-            for bj in 0..self.layout.bc() {
-                if self.layout.owner(bi, bj) == rank {
-                    total += self.block(bi, bj).nnz();
-                }
-            }
-        }
-        total
-    }
-
-    /// The largest per-rank payload in bytes (used to charge
-    /// replication and memory).
-    pub fn max_rank_bytes(&self, p: usize) -> u64 {
-        let mut per = vec![0u64; p];
-        for bi in 0..self.layout.br() {
-            for bj in 0..self.layout.bc() {
-                per[self.layout.owner(bi, bj)] += self.block(bi, bj).payload_bytes() as u64;
-            }
-        }
-        per.into_iter().max().unwrap_or(0)
-    }
-
     /// Charges each block's bytes as resident memory on its owner.
     pub fn charge_memory(&self, m: &Machine) -> Result<(), MachineError> {
         for bi in 0..self.layout.br() {
@@ -466,14 +441,14 @@ pub struct DistTable<T> {
 
 impl<T: Clone + Send + Sync> DistTable<T> {
     /// A table holding `seed`'s entries, block for block; see
-    /// [`Table::from_csr`] for `track_pattern`.
-    pub fn from_dmat(seed: &DistMat<T>, track_pattern: bool) -> DistTable<T> {
+    /// [`Table::from_csr`] for `track`.
+    pub fn from_dmat(seed: &DistMat<T>, track: bool) -> DistTable<T> {
         DistTable {
             layout: seed.layout.clone(),
             blocks: seed
                 .blocks
                 .iter()
-                .map(|b| Table::from_csr(b, track_pattern))
+                .map(|b| Table::from_csr(b, track))
                 .collect(),
         }
     }
@@ -595,8 +570,12 @@ mod tests {
     fn nnz_per_rank() {
         let g = sample_global();
         let dm = DistMat::from_global(Layout::on_grid(4, 6, &grid22()), &g);
-        let total: usize = (0..4).map(|r| dm.nnz_on(r)).sum();
-        assert_eq!(total, g.nnz());
+        let l = dm.layout();
+        let on = |r: usize| {
+            let owned = l.blocks().filter(move |&(bi, bj)| l.owner(bi, bj) == r);
+            owned.map(|(bi, bj)| dm.block(bi, bj).nnz()).sum::<usize>()
+        };
+        assert_eq!((0..4).map(on).sum::<usize>(), g.nnz());
     }
 
     #[test]
@@ -651,7 +630,8 @@ mod tests {
         table.update_blocks(|bi, bj, t| {
             t.accumulate::<SumU64>(add.block(bi, bj), |_, _| None);
         });
-        assert_eq!(table.block(0, 0).pattern().row(0), &[0, 1]);
+        let mask = table.block(0, 0).mask().expect("tracked");
+        assert_eq!(mask.row_cols(0), &[0, 1]);
         let frozen = table.freeze();
         frozen.validate().unwrap();
         assert_eq!(frozen.nnz(), dm.nnz() + 1);

@@ -40,14 +40,14 @@ mod mm3d;
 pub mod ops;
 pub mod redist;
 
-pub use autotune::{best_plan, mm_auto, mm_auto_cached, mm_auto_masked, stats_for_masked};
+pub use autotune::{best_plan, mm_auto, mm_auto_masked, stats_for_masked};
 pub use cache::{CacheStats, MmCache};
 pub use costmodel::MmStats;
 pub use dist::{DistMat, DistTable, Layout};
 pub use grid::{Grid2, Grid3};
 pub use mfbc_sparse::{Mask, MaskKind};
 pub use mm::{
-    canonical_layout, enumerate_plans, mm_exec, mm_exec_cached, mm_exec_cached_masked,
-    mm_exec_masked, MmOut, MmPlan, Variant1D, Variant2D, VARIANTS_1D, VARIANTS_2D,
+    canonical_layout, enumerate_plans, mm_exec, mm_exec_cached_masked, mm_exec_masked, MmOut,
+    MmPlan, Variant1D, Variant2D, VARIANTS_1D, VARIANTS_2D,
 };
 pub use redist::redistribute;

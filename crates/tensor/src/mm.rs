@@ -432,24 +432,13 @@ pub fn mm_exec_masked<K: SpMulKernel>(
     out
 }
 
-/// Like [`mm_exec`], but reusing prepared right-operand forms from
-/// `cache` across calls — the Theorem-5.1 amortization for the
+/// Like [`mm_exec_masked`], but reusing prepared right-operand forms
+/// from `cache` across calls — the Theorem-5.1 amortization for the
 /// iterated frontier × adjacency products of MFBC. The cached forms
-/// stay resident (charged) until [`MmCache::release_all`].
-pub fn mm_exec_cached<K: SpMulKernel>(
-    m: &Machine,
-    plan: &MmPlan,
-    a: &DistMat<K::Left>,
-    b: &DistMat<K::Right>,
-    cache: &mut MmCache<K::Right>,
-) -> Result<MmOut<KernelOut<K>>, MachineError> {
-    mm_exec_cached_masked::<K>(m, plan, a, b, None, cache)
-}
-
-/// Masked, cached execution — the full-generality entry point. Cached
-/// right-operand forms are mask-*independent* (they key on the
-/// operand alone), so Theorem 5.1's amortization survives a mask that
-/// changes every iteration; only B-panel paths that nothing will reuse
+/// stay resident (charged) until [`MmCache::release_all`]. They are
+/// mask-*independent* (they key on the operand alone), so the
+/// amortization survives a mask that changes every iteration; only
+/// B-panel paths that nothing will reuse
 /// — a plan that never caches, or a [`MmCache::one_shot`] cache —
 /// shrink operand volume against the mask (see DESIGN.md).
 pub fn mm_exec_cached_masked<K: SpMulKernel>(

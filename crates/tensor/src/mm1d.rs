@@ -67,24 +67,50 @@ fn replicated_rhs<K: SpMulKernel>(
     b: &DistMat<K::Right>,
     cache: &mut MmCache<K::Right>,
 ) -> Result<Pending<Arc<Csr<K::Right>>>, MachineError> {
-    let fp = Fingerprint::of(b);
     let key = format!("1d:B:{}:{}", group.len(), b.content_id());
-    if let Some(CachedRhs::Global(g)) = cache.get(&key, fp) {
-        return Ok(Pending::ready(Arc::clone(g)));
-    }
-    let bytes = (b.nnz() * entry_bytes::<K::Right>()) as u64;
-    let handle = charge_allgather(m, group, bytes)?;
-    let mut charges = Vec::with_capacity(group.len());
-    for &r in group.ranks() {
-        m.charge_alloc(r, bytes)?;
-        charges.push((r, bytes));
-    }
-    let global = Arc::new(b.to_global::<FirstWins<K::Right>>());
-    cache.insert(key, fp, CachedRhs::Global(Arc::clone(&global)), charges);
+    let mut handle = None;
+    let form = cache.prepared(m, key, Fingerprint::of(b), || {
+        let bytes = (b.nnz() * entry_bytes::<K::Right>()) as u64;
+        handle = charge_allgather(m, group, bytes)?;
+        let global = Arc::new(b.to_global::<FirstWins<K::Right>>());
+        let charges = group.ranks().iter().map(|&r| (r, bytes)).collect();
+        Ok((CachedRhs::Global(global), charges))
+    })?;
     Ok(match handle {
-        Some(h) => Pending::issued(global, h),
-        None => Pending::ready(global),
+        Some(h) => Pending::issued(form.global(), h),
+        None => Pending::ready(form.global()),
     })
+}
+
+/// The residency a cache holds for `dm`: `(owner, bytes)` of every
+/// nonempty block, in block order.
+pub(crate) fn block_residency<T>(dm: &DistMat<T>) -> impl Iterator<Item = (usize, u64)> + '_
+where
+    T: Clone + Send + Sync,
+{
+    let l = dm.layout();
+    let held = l.blocks().map(move |(bi, bj)| {
+        let bytes = dm.block(bi, bj).payload_bytes() as u64;
+        (l.owner(bi, bj), bytes)
+    });
+    held.filter(|&(_, bytes)| bytes > 0)
+}
+
+/// Fetches (or builds, charges residency, and caches under `key`) the
+/// right operand redistributed into `lb`.
+pub(crate) fn redistributed_rhs<K: SpMulKernel>(
+    m: &Machine,
+    key: String,
+    b: &DistMat<K::Right>,
+    lb: &Layout,
+    cache: &mut MmCache<K::Right>,
+) -> Result<Arc<DistMat<K::Right>>, MachineError> {
+    let build = || {
+        let built = redistribute::<FirstWins<K::Right>, _>(m, b, lb)?;
+        let charges = block_residency(&built).collect();
+        Ok((CachedRhs::Dist(Arc::new(built)), charges))
+    };
+    Ok(cache.prepared(m, key, Fingerprint::of(b), build)?.dist())
 }
 
 /// Layout splitting columns into `q` parts, part `k` owned by group
@@ -182,25 +208,14 @@ pub(crate) fn run_pieces<K: SpMulKernel>(
             // one-shot product ships the operand shrunk by the mask's
             // fully-excluded output columns, whose entries would
             // strand at home.
-            let fp = Fingerprint::of(b);
-            let key = format!("1d:A:{}:{}", group.len(), b.content_id());
-            let b2: Arc<DistMat<K::Right>> = if let Some(CachedRhs::Dist(d)) = cache.get(&key, fp) {
-                Arc::clone(d)
-            } else if let Some(s) = mask
+            let shrunk = mask
                 .filter(|_| !cache.amortizes())
-                .and_then(|mk| crate::mm::shrink_rhs_against_mask(b, mk))
-            {
+                .and_then(|mk| crate::mm::shrink_rhs_against_mask(b, mk));
+            let b2: Arc<DistMat<K::Right>> = if let Some(s) = shrunk {
                 Arc::new(redistribute::<FirstWins<K::Right>, _>(m, &s, &lb)?)
             } else {
-                let built = Arc::new(redistribute::<FirstWins<K::Right>, _>(m, b, &lb)?);
-                let mut charges = Vec::new();
-                for k in 0..group.len() {
-                    let bytes = (built.block(0, k).nnz() * entry_bytes::<K::Right>()) as u64;
-                    m.charge_alloc(group.rank_at(k), bytes)?;
-                    charges.push((group.rank_at(k), bytes));
-                }
-                cache.insert(key, fp, CachedRhs::Dist(Arc::clone(&built)), charges);
-                built
+                let key = format!("1d:A:{}:{}", group.len(), b.content_id());
+                redistributed_rhs::<K>(m, key, b, &lb, cache)?
             };
             let a_full = a_pending.wait(m)?;
             let mut pieces = Vec::with_capacity(group.len());
@@ -243,21 +258,8 @@ pub(crate) fn run_pieces<K: SpMulKernel>(
             let la = col_split_layout(a.nrows(), a.ncols(), group);
             let lb = row_split_layout(b.nrows(), b.ncols(), group);
             let a2 = redistribute::<FirstWins<K::Left>, _>(m, a, &la)?;
-            let fp = Fingerprint::of(b);
             let key = format!("1d:C:{}:{}", group.len(), b.content_id());
-            let b2 = if let Some(CachedRhs::Dist(d)) = cache.get(&key, fp) {
-                Arc::clone(d)
-            } else {
-                let built = Arc::new(redistribute::<FirstWins<K::Right>, _>(m, b, &lb)?);
-                let mut charges = Vec::new();
-                for k in 0..group.len() {
-                    let bytes = (built.block(k, 0).nnz() * entry_bytes::<K::Right>()) as u64;
-                    m.charge_alloc(group.rank_at(k), bytes)?;
-                    charges.push((group.rank_at(k), bytes));
-                }
-                cache.insert(key, fp, CachedRhs::Dist(Arc::clone(&built)), charges);
-                built
-            };
+            let b2 = redistributed_rhs::<K>(m, key, b, &lb, cache)?;
             let mut ops = 0u64;
             let mut partials: Vec<Csr<KernelOut<K>>> = Vec::with_capacity(group.len());
             for k in 0..group.len() {

@@ -21,11 +21,11 @@
 // obscure the geometry.
 #![allow(clippy::needless_range_loop)]
 
-use crate::cache::{CachedRhs, Fingerprint, MmCache};
+use crate::cache::MmCache;
 use crate::dist::{DistMat, Layout};
 use crate::grid::{lcm, Grid2};
 use crate::mm::Variant2D;
-use crate::mm1d::{FirstWins, Piece};
+use crate::mm1d::{redistributed_rhs, FirstWins, Piece};
 use crate::redist::redistribute;
 use mfbc_algebra::kernel::KernelOut;
 use mfbc_algebra::SpMulKernel;
@@ -36,8 +36,7 @@ use mfbc_sparse::slice::even_ranges;
 use mfbc_sparse::{entry_bytes, spgemm_opt, Csr, Mask};
 use std::sync::Arc;
 
-/// Fetches (or builds, charges residency, and caches) the right
-/// operand redistributed into `lb` for this grid/variant.
+/// [`redistributed_rhs`] under this grid/variant's key.
 fn cached_rhs_layout<K: SpMulKernel>(
     m: &Machine,
     variant: Variant2D,
@@ -46,30 +45,13 @@ fn cached_rhs_layout<K: SpMulKernel>(
     lb: &Layout,
     cache: &mut MmCache<K::Right>,
 ) -> Result<Arc<DistMat<K::Right>>, MachineError> {
-    let fp = Fingerprint::of(b);
     let key = format!(
         "2d:{variant:?}:{}x{}:{}",
         grid.g1(),
         grid.g2(),
         b.content_id()
     );
-    if let Some(CachedRhs::Dist(d)) = cache.get(&key, fp) {
-        return Ok(Arc::clone(d));
-    }
-    let built = Arc::new(redistribute::<FirstWins<K::Right>, _>(m, b, lb)?);
-    let mut charges = Vec::new();
-    for bi in 0..lb.br() {
-        for bj in 0..lb.bc() {
-            let rank = lb.owner(bi, bj);
-            let bytes = (built.block(bi, bj).nnz() * entry_bytes::<K::Right>()) as u64;
-            if bytes > 0 {
-                m.charge_alloc(rank, bytes)?;
-                charges.push((rank, bytes));
-            }
-        }
-    }
-    cache.insert(key, fp, CachedRhs::Dist(Arc::clone(&built)), charges);
-    Ok(built)
+    redistributed_rhs::<K>(m, key, b, lb, cache)
 }
 
 /// A broadcast staged for one superstep: the shared block, the

@@ -21,7 +21,7 @@ use crate::cache::{CachedRhs, Fingerprint, MmCache};
 use crate::dist::{DistMat, Layout};
 use crate::grid::Grid3;
 use crate::mm::{Variant1D, Variant2D};
-use crate::mm1d::{FirstWins, Piece};
+use crate::mm1d::{block_residency, FirstWins, Piece};
 use crate::mm2d;
 use crate::redist::{extract_windows, redistribute};
 use mfbc_algebra::kernel::KernelOut;
@@ -61,26 +61,12 @@ fn cached_rhs_slices<K: SpMulKernel>(
     specs: &[(std::ops::Range<usize>, std::ops::Range<usize>, Layout)],
     cache: &mut MmCache<K::Right>,
 ) -> Result<Arc<Vec<DistMat<K::Right>>>, MachineError> {
-    let fp = Fingerprint::of(b);
-    if let Some(CachedRhs::Layers(ls)) = cache.get(&key, fp) {
-        return Ok(Arc::clone(ls));
-    }
-    let built = Arc::new(extract_windows::<FirstWins<K::Right>, _>(m, b, specs)?);
-    let mut charges = Vec::new();
-    for sl in built.iter() {
-        let lo = sl.layout();
-        for bi in 0..lo.br() {
-            for bj in 0..lo.bc() {
-                let bytes = (sl.block(bi, bj).nnz() * entry_bytes::<K::Right>()) as u64;
-                if bytes > 0 {
-                    m.charge_alloc(lo.owner(bi, bj), bytes)?;
-                    charges.push((lo.owner(bi, bj), bytes));
-                }
-            }
-        }
-    }
-    cache.insert(key, fp, CachedRhs::Layers(Arc::clone(&built)), charges);
-    Ok(built)
+    let build = || {
+        let built = extract_windows::<FirstWins<K::Right>, _>(m, b, specs)?;
+        let charges = built.iter().flat_map(block_residency).collect();
+        Ok((CachedRhs::Layers(Arc::new(built)), charges))
+    };
+    Ok(cache.prepared(m, key, Fingerprint::of(b), build)?.layers())
 }
 
 /// Fetches (or builds, charges, and caches) the per-layer replicas
@@ -94,7 +80,6 @@ fn cached_rhs_layers<K: SpMulKernel>(
     b: &DistMat<K::Right>,
     cache: &mut MmCache<K::Right>,
 ) -> Result<(Arc<Vec<DistMat<K::Right>>>, Vec<u64>), MachineError> {
-    let fp = Fingerprint::of(b);
     let key = format!(
         "3d:B:{}x{}x{}:{}",
         grid.p1(),
@@ -102,22 +87,27 @@ fn cached_rhs_layers<K: SpMulKernel>(
         grid.p3(),
         b.content_id()
     );
-    if let Some(CachedRhs::Layers(ls)) = cache.get(&key, fp) {
-        return Ok((Arc::clone(ls), Vec::new()));
-    }
-    let (layers, per_rank_bytes, handles) =
-        replicate_over_layers::<_, FirstWins<K::Right>>(m, grid, b)?;
-    let mut charges = Vec::new();
-    for l in 1..grid.p1() {
-        for i in 0..grid.p2() {
-            for j in 0..grid.p3() {
-                charges.push((grid.fiber_group(i, j).rank_at(l), per_rank_bytes));
-            }
-        }
-    }
-    let built = Arc::new(layers);
-    cache.insert(key, fp, CachedRhs::Layers(Arc::clone(&built)), charges);
-    Ok((built, handles))
+    let mut handles = Vec::new();
+    let form = cache.prepared(m, key, Fingerprint::of(b), || {
+        let (layers, _, issued) = replicate_over_layers::<_, FirstWins<K::Right>>(m, grid, b)?;
+        handles = issued;
+        // What the replication charged, rank for rank, passes to the
+        // cache: given back here, charged again as the list the cache
+        // will release.
+        let blocks = layers[0].layout().blocks();
+        let held = blocks.flat_map(|(i, j)| {
+            let (fiber, bytes) = (
+                grid.fiber_group(i, j),
+                layers[0].block(i, j).payload_bytes(),
+            );
+            (1..grid.p1()).map(move |l| (fiber.rank_at(l), bytes as u64))
+        });
+        let held: Vec<(usize, u64)> = held.collect();
+        held.iter()
+            .for_each(|&(rank, bytes)| m.release(rank, bytes));
+        Ok((CachedRhs::Layers(Arc::new(layers)), held))
+    })?;
+    Ok((form.layers(), handles))
 }
 
 /// Replicates `x` (any layout) to every layer of `grid`: first

@@ -18,7 +18,7 @@ use mfbc_algebra::monoid::Monoid;
 use mfbc_machine::cost::CollectiveKind;
 use mfbc_machine::{Machine, MachineError};
 use mfbc_sparse::elementwise::{combine, map_filter, zip_filter};
-use mfbc_sparse::{Csr, SortedRows, Table};
+use mfbc_sparse::{Csr, Table};
 
 /// Asserts two distributed matrices share cuts and owners.
 fn assert_aligned<T, U>(a: &DistMat<T>, b: &DistMat<U>)
@@ -137,8 +137,8 @@ where
 
 /// Algorithm 2, lines 1–4 fused: [`Table::anchor`] block by block —
 /// the table `init` fills on `base`'s pattern with its residency
-/// charged, the entries `fire` emits from it, and (with `track`) each
-/// block's pending rows, in block order.
+/// charged (with `track`, each block reporting its pending entries as
+/// its [`Table::mask`]) and the entries `fire` emits from it.
 ///
 /// Billed as the composition it replaces (DESIGN.md §7, deviation 8):
 /// the `nnz(base)` of a [`dmat_zip_filter`], the memory charge, then
@@ -147,7 +147,6 @@ where
 ///
 /// # Errors
 /// Propagates a memory-budget failure of the opened table.
-#[allow(clippy::type_complexity)]
 pub fn dmat_anchor<M, U>(
     m: &Machine,
     base: &DistMat<U>,
@@ -155,14 +154,7 @@ pub fn dmat_anchor<M, U>(
     init: impl Fn(&U, Option<&M::Elem>) -> M::Elem + Sync,
     fire: impl Fn(&mut M::Elem, &U) -> Option<M::Elem> + Sync,
     track: bool,
-) -> Result<
-    (
-        DistTable<M::Elem>,
-        DistMat<M::Elem>,
-        Option<Vec<SortedRows>>,
-    ),
-    MachineError,
->
+) -> Result<(DistTable<M::Elem>, DistMat<M::Elem>), MachineError>
 where
     M: Monoid,
     M::Elem: Clone + Send + Sync,
@@ -175,12 +167,7 @@ where
         Table::anchor::<M, U>(base.block(bi, bj), other.block(bi, bj), &init, &fire, track)
     });
     emit_pool("dmat_anchor", &stats);
-    let (mut zs, mut fronts, mut pending) = (Vec::new(), Vec::new(), Vec::new());
-    for (z, front, rows) in parts {
-        zs.push(z);
-        fronts.push(front);
-        pending.extend(rows);
-    }
+    let (zs, fronts) = parts.into_iter().unzip();
     let z = DistTable::from_blocks(l.clone(), zs);
     let z_nnz = |bi, bj| z.block(bi, bj).nnz();
     charge_blocks(m, l, |bi, bj| base.block(bi, bj).nnz());
@@ -192,14 +179,13 @@ where
     charge_blocks(m, l, z_nnz); // the leaf zip
     charge_blocks(m, l, z_nnz); // the pin map
     let frontier = DistMat::from_blocks(l.clone(), fronts);
-    Ok((z, frontier, track.then_some(pending)))
+    Ok((z, frontier))
 }
 
 /// Algorithm 2, lines 8–11 fused: [`Table::settle`] block by block —
 /// `Z := Z ⊗ G` in place on `Z`'s pattern, `fire` on the entries just
 /// touched (against `side` at the same coordinates) emitting the next
-/// frontier, which leaves `pending` ([`dmat_anchor`]'s, in block
-/// order).
+/// frontier.
 ///
 /// Billed as the composition it replaces (DESIGN.md §7, deviation 8):
 /// an anchored merge `nnz(Z) + nnz(G)`, then the `nnz(Z)` of a zip and
@@ -207,7 +193,6 @@ where
 pub fn dmat_settle<M, U>(
     m: &Machine,
     z: &mut DistTable<M::Elem>,
-    pending: Option<&mut [SortedRows]>,
     update: &DistMat<M::Elem>,
     side: &DistMat<U>,
     fire: impl Fn(&mut M::Elem, &U) -> Option<M::Elem> + Sync,
@@ -227,10 +212,6 @@ where
         zb.settle::<M, U>(update.block(bi, bj), side.block(bi, bj), &fire)
     });
     emit_pool("dmat_settle", &stats);
-    // What fired comes back in block order, as the pending rows are.
-    for (rows, fired) in pending.into_iter().flatten().zip(&blocks) {
-        rows.remove_pattern(fired);
-    }
     let z_nnz = |bi, bj| z.block(bi, bj).nnz();
     charge_blocks(m, l, |bi, bj| z_nnz(bi, bj) + update.block(bi, bj).nnz());
     charge_blocks(m, l, z_nnz); // the fire zip

@@ -10,7 +10,7 @@ use mfbc_machine::{Machine, MachineSpec};
 use mfbc_sparse::{spgemm_serial, Coo, Csr};
 use mfbc_tensor::cache::MmCache;
 use mfbc_tensor::{
-    canonical_layout, mm_exec, mm_exec_cached, DistMat, MmPlan, Variant1D, Variant2D,
+    canonical_layout, mm_exec, mm_exec_cached_masked, DistMat, MmPlan, Variant1D, Variant2D,
 };
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
@@ -68,9 +68,11 @@ fn second_iteration_is_cheaper_with_cache() {
         let da2 = DistMat::from_global(canonical_layout(&m, n, n), &a2);
         let db = DistMat::from_global(canonical_layout(&m, n, n), &b);
         let mut cache = MmCache::new();
-        let _ = mm_exec_cached::<TropicalKernel>(&m, &plan, &da1, &db, &mut cache).unwrap();
+        let _ = mm_exec_cached_masked::<TropicalKernel>(&m, &plan, &da1, &db, None, &mut cache)
+            .unwrap();
         let after_first = m.report().critical.bytes;
-        let _ = mm_exec_cached::<TropicalKernel>(&m, &plan, &da2, &db, &mut cache).unwrap();
+        let _ = mm_exec_cached_masked::<TropicalKernel>(&m, &plan, &da2, &db, None, &mut cache)
+            .unwrap();
         let cached_second = m.report().critical.bytes - after_first;
         cache.release_all(&m);
 
@@ -113,10 +115,11 @@ fn cached_results_stay_correct() {
         for seed in 10..14 {
             let a = random_mat(seed, n, 250);
             let da = DistMat::from_global(canonical_layout(&m, n, n), &a);
-            let got = mm_exec_cached::<TropicalKernel>(&m, &plan, &da, &db, &mut cache)
-                .unwrap()
-                .c
-                .to_global::<MinDist>();
+            let got =
+                mm_exec_cached_masked::<TropicalKernel>(&m, &plan, &da, &db, None, &mut cache)
+                    .unwrap()
+                    .c
+                    .to_global::<MinDist>();
             let want = spgemm_serial::<TropicalKernel>(&a, &b).mat;
             assert_eq!(got, want, "plan {plan:?}, seed {seed}");
         }
@@ -136,8 +139,10 @@ fn different_rhs_is_not_conflated() {
     let db2 = DistMat::from_global(canonical_layout(&m, n, n), &b2);
     let plan = MmPlan::OneD(Variant1D::B);
     let mut cache = MmCache::new();
-    let r1 = mm_exec_cached::<TropicalKernel>(&m, &plan, &da, &db1, &mut cache).unwrap();
-    let r2 = mm_exec_cached::<TropicalKernel>(&m, &plan, &da, &db2, &mut cache).unwrap();
+    let r1 =
+        mm_exec_cached_masked::<TropicalKernel>(&m, &plan, &da, &db1, None, &mut cache).unwrap();
+    let r2 =
+        mm_exec_cached_masked::<TropicalKernel>(&m, &plan, &da, &db2, None, &mut cache).unwrap();
     assert_eq!(
         r1.c.to_global::<MinDist>(),
         spgemm_serial::<TropicalKernel>(&a, &b1).mat
