@@ -1,12 +1,13 @@
-//! Machine-layer conformance: the α–β closed forms of §7.4 and the
-//! data-movement semantics of the scatter/gather/sparse-reduce
-//! collectives, at p = 1, non-power-of-two p, and zero-byte payloads —
-//! plus monotonicity of the modeled msgs/bytes/time in p, the property
-//! the cost-model comparisons in the autotuner lean on.
+//! Machine-layer conformance: the α–β closed forms of §7.4 as
+//! [`Machine::post_collective`] charges them in both accounting modes,
+//! the data a posted scatter/gather/sparse reduce delivers, at p = 1,
+//! non-power-of-two p, and zero-byte payloads — plus monotonicity of
+//! the modeled msgs/bytes/time in p, the property the cost-model
+//! comparisons in the autotuner lean on.
 
 use mfbc_conformance::gen::{ALPHAS, BETAS};
 use mfbc_conformance::rng::SplitMix64;
-use mfbc_machine::collectives::{gather, scatter, sparse_reduce};
+use mfbc_machine::collectives::sparse_reduce;
 use mfbc_machine::cost::log2_ceil;
 use mfbc_machine::{CollectiveKind, Machine, MachineSpec};
 
@@ -32,6 +33,12 @@ fn spec(p: usize, alpha: f64, beta: f64) -> MachineSpec {
         overlap: false,
         redist: mfbc_machine::RedistMode::Alltoall,
     }
+}
+
+/// Posts one collective of `kind` carrying `value` and waits it out.
+fn post<T>(m: &Machine, kind: CollectiveKind, bytes: u64, value: T) -> T {
+    let posted = m.post_collective(&m.world(), kind, bytes, value).unwrap();
+    posted.wait(m).unwrap()
 }
 
 #[test]
@@ -63,6 +70,15 @@ fn closed_forms_match_paper_for_all_kinds() {
                 "{} closed form at p={p}, α={alpha}, β={beta}, x={x}",
                 kind.name()
             );
+            // Posted and waited, either mode charges exactly that (and
+            // a one-rank world nothing at all).
+            let charged = if p == 1 { 0.0 } else { expected };
+            for overlap in [false, true] {
+                let m = Machine::new(s.clone().with_overlap(overlap));
+                post(&m, kind, x, ());
+                assert_eq!(m.report().critical.comm_time, charged);
+                assert_eq!(m.makespan_s(), charged);
+            }
         }
     }
 }
@@ -96,11 +112,10 @@ fn scatter_and_gather_preserve_pieces_and_charge_closed_form() {
     // Non-power-of-two p = 6 with distinct α and β: data must arrive
     // intact and the meters must read exactly xβ + ⌈log₂ 6⌉α.
     let m = Machine::new(spec(6, 4.0, 0.25));
-    let g = m.world();
     let parts: Vec<u64> = (0..6).map(|i| 100 + i as u64).collect();
-    let scattered = scatter(&m, &g, parts.clone()).unwrap();
+    let scattered = post(&m, CollectiveKind::Scatter, 48, parts.clone());
     assert_eq!(scattered, parts, "scatter must deliver piece i to rank i");
-    let gathered = gather(&m, &g, scattered).unwrap();
+    let gathered = post(&m, CollectiveKind::Gather, 48, scattered);
     assert_eq!(gathered, parts, "gather must return pieces in group order");
     let r = m.report();
     // Each payload set is 6 u64 = 48 bytes; two collectives.
@@ -132,15 +147,23 @@ fn sparse_reduce_combines_and_charges_result_bytes() {
 
 #[test]
 fn single_rank_collectives_move_nothing_and_cost_nothing() {
-    let m = Machine::new(spec(1, 4.0, 2.0));
-    let g = m.world();
-    assert_eq!(scatter(&m, &g, vec![9u64]).unwrap(), vec![9]);
-    assert_eq!(gather(&m, &g, vec![9u64]).unwrap(), vec![9]);
-    assert_eq!(sparse_reduce(&m, &g, vec![9u64], |a, b| a + b).unwrap(), 9);
-    let r = m.report();
-    assert_eq!(r.critical.msgs, 0, "p = 1 collectives must be free");
-    assert_eq!(r.critical.bytes, 0);
-    assert_eq!(r.critical.comm_time, 0.0);
+    for overlap in [false, true] {
+        let m = Machine::new(spec(1, 4.0, 2.0).with_overlap(overlap));
+        for kind in ALL_KINDS {
+            let posted = m.post_collective(&m.world(), kind, 64, 9u64).unwrap();
+            assert_eq!(m.outstanding_collectives(), 0, "nothing in flight");
+            assert_eq!(posted.wait(&m).unwrap(), 9);
+        }
+        assert_eq!(
+            sparse_reduce(&m, &m.world(), vec![9u64], |a, b| a + b).unwrap(),
+            9
+        );
+        let r = m.report();
+        assert_eq!(r.critical.msgs, 0, "p = 1 collectives must be free");
+        assert_eq!(r.critical.bytes, 0);
+        assert_eq!(r.critical.comm_time, 0.0);
+        assert_eq!(m.collective_seq(), 0, "and must not tick the fault clock");
+    }
 }
 
 #[test]
@@ -150,7 +173,7 @@ fn zero_byte_payloads_still_pay_latency() {
     let m = Machine::new(spec(8, 4.0, 2.0));
     let g = m.world();
     let empties: Vec<Vec<u64>> = (0..8).map(|_| Vec::new()).collect();
-    let out = scatter(&m, &g, empties).unwrap();
+    let out = post(&m, CollectiveKind::Scatter, 0, empties);
     assert!(out.iter().all(Vec::is_empty));
     let r = m.report();
     assert_eq!(r.critical.bytes, 0);
@@ -173,12 +196,18 @@ fn zero_byte_payloads_still_pay_latency() {
 
 #[test]
 fn gather_scatter_roundtrip_at_many_rank_counts() {
-    // Structure holds across degenerate, prime, and composite p.
+    // Structure holds across degenerate, prime, and composite p, in
+    // both accounting modes.
     for p in [1usize, 2, 3, 5, 6, 7, 12, 16] {
-        let m = Machine::new(MachineSpec::test(p));
-        let g = m.world();
-        let parts: Vec<u64> = (0..p as u64).collect();
-        let rt = gather(&m, &g, scatter(&m, &g, parts.clone()).unwrap()).unwrap();
-        assert_eq!(rt, parts, "roundtrip at p={p}");
+        for overlap in [false, true] {
+            let m = Machine::new(MachineSpec::test(p).with_overlap(overlap));
+            let parts: Vec<u64> = (0..p as u64).collect();
+            let bytes = 8 * p as u64;
+            let scattered = post(&m, CollectiveKind::Scatter, bytes, parts.clone());
+            let rt = post(&m, CollectiveKind::Gather, bytes, scattered);
+            assert_eq!(rt, parts, "roundtrip at p={p}");
+            let msgs = if p == 1 { 0 } else { 2 * log2_ceil(p) };
+            assert_eq!(m.report().critical.msgs, msgs, "p={p}");
+        }
     }
 }

@@ -20,7 +20,7 @@ use mfbc_algebra::monoid::SumF64;
 use mfbc_graph::Graph;
 use mfbc_machine::{Machine, MachineError};
 use mfbc_sparse::{Coo, MaskKind};
-use mfbc_tensor::ops::{dmat_column_sums, nnz_sync};
+use mfbc_tensor::ops::nnz_sync;
 use mfbc_tensor::{DistMat, MmPlan, Variant1D, Variant2D};
 
 /// Failure modes of the baseline.
@@ -192,7 +192,8 @@ fn batch(be: &mut Simulated, chunk: &[usize], run: &mut CombBlasRun) -> Result<(
     let masked = be.zip_filter::<SumF64, _, _>(&delta, &fronts[0], |_, _, d, is_source| {
         is_source.is_none().then_some(*d)
     });
-    let partial = dmat_column_sums(&be.m, &masked)?;
+    let mut partial = vec![0.0; n];
+    be.fold_columns(&masked, &mut partial)?;
     for (v, x) in partial.into_iter().enumerate() {
         run.scores.lambda[v] += x;
     }

@@ -480,10 +480,13 @@ impl MfbcSession {
                         // Roll back to the checkpoint. Modeled time is
                         // *not* rolled back: the failed attempt's seconds
                         // stay on the clock and are reported as waste.
+                        // Its in-flight collectives are abandoned, never
+                        // waited.
                         let wasted = self.be.m.report().critical.total_time() - started_s;
                         self.recovery.wasted_modeled_s += wasted;
                         self.recovery.checkpoints_restored += 1;
                         self.run = run_ckpt.clone();
+                        self.be.m.abort_pending();
                         self.be.m.restore_memory(&snapshot);
                         self.be.discard_cached_except(&cache_keys);
                         match e {
@@ -1042,6 +1045,45 @@ mod tests {
         assert!(matches!(err, MachineError::OutOfMemory { .. }), "{err}");
         assert!(session.poisoned());
         assert!(session.step().is_err(), "poisoned session must fail fast");
+    }
+
+    #[test]
+    fn rolled_back_batches_leave_no_collective_in_flight() {
+        // On an overlapped machine the transient fault at collective
+        // #11 overflows while three collectives of the batch are in
+        // flight (the stage-ahead broadcasts of a 2D product). The
+        // rollback must abort them — before the fix they stayed in the
+        // machine's pending table for good — and the recovered scores
+        // stay bit-identical to a fault-free run.
+        use mfbc_machine::{FaultPlan, RetryPolicy};
+        let g = ladder();
+        let cfg = MfbcConfig::default().with_batch_size(4);
+        let spec = MachineSpec::test(4).with_overlap(true);
+        let bits =
+            |run: &MfbcRun| -> Vec<u64> { run.scores.lambda.iter().map(|v| v.to_bits()).collect() };
+        let clean = mfbc_dist(&Machine::new(spec.clone()), &g, &cfg).unwrap();
+        let faulted = |schedule: &str| {
+            let plan = FaultPlan::parse(schedule).unwrap();
+            Machine::with_faults(spec.clone(), plan, RetryPolicy::default())
+        };
+
+        // A recurrence past every retry budget fails the step.
+        let m = faulted("transient:40@11");
+        let mut session = MfbcSession::new(&m, &g, &cfg).unwrap();
+        assert!(matches!(
+            session.step(),
+            Err(MachineError::CollectiveFailed { .. })
+        ));
+        assert_eq!(m.outstanding_collectives(), 0, "failed step leaked");
+        while session.step().unwrap() != SessionStep::Done {}
+        assert_eq!(bits(&session.finish()), bits(&clean));
+
+        // A shorter one is absorbed by one batch retry.
+        let m = faulted("transient:5@11");
+        let run = mfbc_dist(&m, &g, &cfg).unwrap();
+        assert_eq!(run.recovery.batch_retries, 1);
+        assert_eq!(m.outstanding_collectives(), 0, "retried batch leaked");
+        assert_eq!(bits(&run), bits(&clean));
     }
 
     #[test]

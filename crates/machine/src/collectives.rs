@@ -1,4 +1,6 @@
-//! Typed, data-moving collective operations.
+//! Collectives as the tensor layer holds them: one [`Pending`] per
+//! posted collective, plus the typed, data-moving forms that still
+//! have callers.
 //!
 //! The tensor layer drives distributed algorithms from a "global
 //! view": a distributed object is a `Vec` with one element per group
@@ -9,11 +11,14 @@
 //! cost numbers — the property that makes this simulation a faithful
 //! substitute for MPI executions.
 //!
-//! Replicated payloads travel as `Arc<T>`: within one address space a
-//! broadcast is semantically "everyone holds the same immutable
-//! value", which `Arc` models without multiplying resident memory
-//! (the *simulated* memory meter still charges each rank separately
-//! via the tensor layer).
+//! A schedule posts every collective through
+//! [`Machine::post_collective`], which decides *how* it completes —
+//! free on a one-rank group, in flight under overlapped accounting,
+//! charged on the spot otherwise — and hands back the delivered value
+//! behind a [`Pending`]; the schedule decides only *when* it posts
+//! and when it waits. [`allgather`] and [`sparse_reduce`] are the
+//! always-blocking typed forms: the first is the wall-clock
+//! benchmark's probe, the second 1D variant C's reduction.
 
 use crate::comm::Group;
 use crate::cost::CollectiveKind;
@@ -26,39 +31,9 @@ pub trait Volume {
     fn comm_bytes(&self) -> u64;
 }
 
-impl Volume for () {
-    fn comm_bytes(&self) -> u64 {
-        0
-    }
-}
-
-impl<T: Volume> Volume for Arc<T> {
-    fn comm_bytes(&self) -> u64 {
-        (**self).comm_bytes()
-    }
-}
-
-impl<T: Volume> Volume for &T {
-    fn comm_bytes(&self) -> u64 {
-        (**self).comm_bytes()
-    }
-}
-
-impl<A: Volume, B: Volume> Volume for (A, B) {
-    fn comm_bytes(&self) -> u64 {
-        self.0.comm_bytes() + self.1.comm_bytes()
-    }
-}
-
 impl<T: Volume> Volume for Vec<T> {
     fn comm_bytes(&self) -> u64 {
         self.iter().map(Volume::comm_bytes).sum()
-    }
-}
-
-impl<T: Volume> Volume for Option<T> {
-    fn comm_bytes(&self) -> u64 {
-        self.as_ref().map_or(0, Volume::comm_bytes)
     }
 }
 
@@ -72,7 +47,7 @@ macro_rules! pod_volume {
     )*};
 }
 
-pod_volume!(u8, u16, u32, u64, usize, i8, i16, i32, i64, isize, f32, f64);
+pod_volume!(u8, u64);
 
 impl<T> Volume for mfbc_sparse::Csr<T> {
     fn comm_bytes(&self) -> u64 {
@@ -80,34 +55,26 @@ impl<T> Volume for mfbc_sparse::Csr<T> {
     }
 }
 
-impl<T> Volume for mfbc_sparse::Coo<T> {
-    fn comm_bytes(&self) -> u64 {
-        (self.len() * (mfbc_sparse::entry_bytes::<T>() + std::mem::size_of::<mfbc_sparse::Idx>()))
-            as u64
-    }
-}
-
-/// The result of a nonblocking collective: the delivered buffers plus
-/// the machine handle that must be waited on before they may be used.
+/// A posted collective: the delivered value plus, while the
+/// collective is in flight, the machine handle that must be waited
+/// before the value may be used.
 ///
-/// The simulated data movement happens eagerly at issue (the simulated
-/// wire is in-process), so the *values* are already here — but using
-/// them before the machine has waited out the handle would let an
-/// algorithm consume data whose modeled transfer has not completed.
-/// [`Pending::wait`] is the honest path: it completes the collective
-/// on the machine's clocks and releases the buffers.
-/// [`Pending::take`] releases the buffers only if the handle has
-/// already been waited (e.g. via [`Machine::waitall`]), returning a
-/// typed [`MachineError::OutstandingCollective`] otherwise.
+/// The simulated data movement happens eagerly at the post (the
+/// simulated wire is in-process), so the *value* is already here —
+/// but using it before the machine has waited out the handle would
+/// let an algorithm consume data whose modeled transfer has not
+/// completed. [`Pending::wait`] is the only way to the value: it
+/// completes the collective on the machine's clocks and releases it.
 #[derive(Debug)]
+#[must_use = "a posted collective completes only when it is waited"]
 pub struct Pending<T> {
     value: T,
     handle: Option<u64>,
 }
 
 impl<T> Pending<T> {
-    /// Wraps an already-complete value (singleton groups issue no
-    /// collective, so there is nothing to wait for).
+    /// A value with nothing in flight: a collective already charged,
+    /// or none at all (a cache hit moves nothing).
     pub fn ready(value: T) -> Pending<T> {
         Pending {
             value,
@@ -115,20 +82,11 @@ impl<T> Pending<T> {
         }
     }
 
-    fn inflight(value: T, handle: u64) -> Pending<T> {
+    pub(crate) fn inflight(value: T, handle: u64) -> Pending<T> {
         Pending {
             value,
             handle: Some(handle),
         }
-    }
-
-    /// Pairs a value with the handle of a collective already issued
-    /// via [`Machine::icharge_collective`] — for callers (like the
-    /// tensor layer's redistribution and replication paths) that
-    /// charge the machine directly rather than through the typed
-    /// wrappers in this module.
-    pub fn issued(value: T, handle: u64) -> Pending<T> {
-        Pending::inflight(value, handle)
     }
 
     /// Transforms the gated value without touching the handle: the
@@ -140,149 +98,43 @@ impl<T> Pending<T> {
         }
     }
 
-    /// The machine handle, if a collective is actually in flight.
-    pub fn handle(&self) -> Option<u64> {
-        self.handle
-    }
-
     /// Waits out the collective on `m`'s clocks and releases the
-    /// delivered buffers.
+    /// delivered value.
     pub fn wait(self, m: &Machine) -> Result<T, MachineError> {
         if let Some(h) = self.handle {
             m.wait_collective(h)?;
         }
         Ok(self.value)
     }
-
-    /// Releases the buffers *without* waiting — valid only once the
-    /// handle has been completed elsewhere (e.g. [`Machine::waitall`]).
-    /// Using a buffer whose collective is still outstanding is a typed
-    /// [`MachineError::OutstandingCollective`].
-    pub fn take(self, m: &Machine) -> Result<T, MachineError> {
-        if let Some(h) = self.handle {
-            if m.is_outstanding(h) {
-                return Err(MachineError::OutstandingCollective {
-                    kind: m
-                        .outstanding_kind(h)
-                        .map(CollectiveKind::name)
-                        .unwrap_or("collective"),
-                    handle: h,
-                });
-            }
-        }
-        Ok(self.value)
-    }
 }
 
-/// Broadcast: the payload at group index `root` is replicated to
-/// every member. Returns one handle per member, in group order.
-pub fn broadcast<T: Volume>(
+/// Waits out every posted collective in `posted`, in order, and
+/// returns their values.
+pub fn wait_all<T>(
     m: &Machine,
-    g: &Group,
-    root: usize,
-    data: Arc<T>,
-) -> Result<Vec<Arc<T>>, MachineError> {
-    assert!(root < g.len(), "broadcast root outside group");
-    if g.len() > 1 {
-        m.charge_collective(g, CollectiveKind::Broadcast, data.comm_bytes())?;
-    }
-    Ok((0..g.len()).map(|_| Arc::clone(&data)).collect())
+    posted: impl IntoIterator<Item = Pending<T>>,
+) -> Result<Vec<T>, MachineError> {
+    posted.into_iter().map(|p| p.wait(m)).collect()
 }
 
-/// Nonblocking [`broadcast`]: issues the collective and returns the
-/// replicated handles behind a [`Pending`] gate.
-pub fn ibroadcast<T: Volume>(
-    m: &Machine,
-    g: &Group,
-    root: usize,
-    data: Arc<T>,
-) -> Result<Pending<Vec<Arc<T>>>, MachineError> {
-    assert!(root < g.len(), "broadcast root outside group");
-    let out: Vec<Arc<T>> = (0..g.len()).map(|_| Arc::clone(&data)).collect();
-    if g.len() > 1 {
-        let h = m.icharge_collective(g, CollectiveKind::Broadcast, data.comm_bytes())?;
-        Ok(Pending::inflight(out, h))
-    } else {
-        Ok(Pending::ready(out))
-    }
-}
-
-/// Reduce: combines one contribution per member into a single value
-/// delivered at the root. `combine` must be associative and
-/// commutative; contributions are folded in group order so results
-/// are deterministic.
-pub fn reduce<T: Volume>(
-    m: &Machine,
-    g: &Group,
-    contribs: Vec<T>,
-    mut combine: impl FnMut(T, T) -> T,
-) -> Result<T, MachineError> {
-    assert_eq!(contribs.len(), g.len(), "one contribution per member");
-    let bytes = contribs.iter().map(Volume::comm_bytes).max().unwrap_or(0);
-    if g.len() > 1 {
-        m.charge_collective(g, CollectiveKind::Reduce, bytes)?;
-    }
-    let mut it = contribs.into_iter();
-    let first = it.next().expect("group is non-empty");
-    Ok(it.fold(first, &mut combine))
-}
-
-/// Sparse reduce: like [`reduce`] but charged by the *result* size
-/// (§5.1: "the cost of a sparse reduction where the resulting array
-/// has x nonzeros is also O(β·x + α·log p)").
+/// Sparse reduce: combines one contribution per member, folded in
+/// group order, into a single value delivered at the root; charged by
+/// the *result* size (§5.1: "the cost of a sparse reduction where the
+/// resulting array has x nonzeros is also O(β·x + α·log p)").
+/// `combine` must be associative and commutative.
 pub fn sparse_reduce<T: Volume>(
     m: &Machine,
     g: &Group,
     contribs: Vec<T>,
-    mut combine: impl FnMut(T, T) -> T,
+    combine: impl FnMut(T, T) -> T,
 ) -> Result<T, MachineError> {
     assert_eq!(contribs.len(), g.len(), "one contribution per member");
-    let mut it = contribs.into_iter();
-    let first = it.next().expect("group is non-empty");
-    let result = it.fold(first, &mut combine);
-    if g.len() > 1 {
-        m.charge_collective(g, CollectiveKind::SparseReduce, result.comm_bytes())?;
-    }
+    let result = contribs
+        .into_iter()
+        .reduce(combine)
+        .expect("group is non-empty");
+    m.charge_collective(g, CollectiveKind::SparseReduce, result.comm_bytes())?;
     Ok(result)
-}
-
-/// Nonblocking [`sparse_reduce`]: the combine runs eagerly (the
-/// result size sets the charge), the charge is issued, and the result
-/// is released by [`Pending::wait`].
-pub fn isparse_reduce<T: Volume>(
-    m: &Machine,
-    g: &Group,
-    contribs: Vec<T>,
-    mut combine: impl FnMut(T, T) -> T,
-) -> Result<Pending<T>, MachineError> {
-    assert_eq!(contribs.len(), g.len(), "one contribution per member");
-    let mut it = contribs.into_iter();
-    let first = it.next().expect("group is non-empty");
-    let result = it.fold(first, &mut combine);
-    if g.len() > 1 {
-        let h = m.icharge_collective(g, CollectiveKind::SparseReduce, result.comm_bytes())?;
-        Ok(Pending::inflight(result, h))
-    } else {
-        Ok(Pending::ready(result))
-    }
-}
-
-/// Allreduce: every member ends with the combined value.
-pub fn allreduce<T: Volume>(
-    m: &Machine,
-    g: &Group,
-    contribs: Vec<T>,
-    mut combine: impl FnMut(T, T) -> T,
-) -> Result<Vec<Arc<T>>, MachineError> {
-    assert_eq!(contribs.len(), g.len(), "one contribution per member");
-    let bytes = contribs.iter().map(Volume::comm_bytes).max().unwrap_or(0);
-    if g.len() > 1 {
-        m.charge_collective(g, CollectiveKind::Allreduce, bytes)?;
-    }
-    let mut it = contribs.into_iter();
-    let first = it.next().expect("group is non-empty");
-    let result = Arc::new(it.fold(first, &mut combine));
-    Ok((0..g.len()).map(|_| Arc::clone(&result)).collect())
 }
 
 /// Allgather: every member ends with all members' pieces (in group
@@ -293,96 +145,9 @@ pub fn allgather<T: Volume>(
     parts: Vec<T>,
 ) -> Result<Vec<Arc<Vec<T>>>, MachineError> {
     assert_eq!(parts.len(), g.len(), "one piece per member");
-    let bytes = parts.comm_bytes();
-    if g.len() > 1 {
-        m.charge_collective(g, CollectiveKind::Allgather, bytes)?;
-    }
+    m.charge_collective(g, CollectiveKind::Allgather, parts.comm_bytes())?;
     let all = Arc::new(parts);
     Ok((0..g.len()).map(|_| Arc::clone(&all)).collect())
-}
-
-/// Nonblocking [`allgather`]: issues the collective and returns the
-/// concatenated handles behind a [`Pending`] gate.
-pub fn iallgather<T: Volume>(
-    m: &Machine,
-    g: &Group,
-    parts: Vec<T>,
-) -> Result<Pending<Vec<Arc<Vec<T>>>>, MachineError> {
-    assert_eq!(parts.len(), g.len(), "one piece per member");
-    let bytes = parts.comm_bytes();
-    let all = Arc::new(parts);
-    let out: Vec<Arc<Vec<T>>> = (0..g.len()).map(|_| Arc::clone(&all)).collect();
-    if g.len() > 1 {
-        let h = m.icharge_collective(g, CollectiveKind::Allgather, bytes)?;
-        Ok(Pending::inflight(out, h))
-    } else {
-        Ok(Pending::ready(out))
-    }
-}
-
-/// Gather: all pieces end at the root, in group order.
-pub fn gather<T: Volume>(m: &Machine, g: &Group, parts: Vec<T>) -> Result<Vec<T>, MachineError> {
-    assert_eq!(parts.len(), g.len(), "one piece per member");
-    let bytes = parts.comm_bytes();
-    if g.len() > 1 {
-        m.charge_collective(g, CollectiveKind::Gather, bytes)?;
-    }
-    Ok(parts)
-}
-
-/// Scatter: the root's pieces are delivered one per member.
-pub fn scatter<T: Volume>(m: &Machine, g: &Group, parts: Vec<T>) -> Result<Vec<T>, MachineError> {
-    assert_eq!(parts.len(), g.len(), "one piece per member");
-    let bytes = parts.comm_bytes();
-    if g.len() > 1 {
-        m.charge_collective(g, CollectiveKind::Scatter, bytes)?;
-    }
-    Ok(parts)
-}
-
-/// Cyclic shift by `k` positions (Cannon-style point-to-point): the
-/// piece at group index `i` moves to index `(i + k) mod p`.
-pub fn shift<T: Volume>(
-    m: &Machine,
-    g: &Group,
-    mut parts: Vec<T>,
-    k: usize,
-) -> Result<Vec<T>, MachineError> {
-    assert_eq!(parts.len(), g.len(), "one piece per member");
-    let p = g.len();
-    if p > 1 && !k.is_multiple_of(p) {
-        let bytes = parts.iter().map(Volume::comm_bytes).max().unwrap_or(0);
-        m.charge_collective(g, CollectiveKind::PointToPoint, bytes)?;
-        parts.rotate_right(k % p);
-    }
-    Ok(parts)
-}
-
-/// Personalized all-to-all: `send[i][j]` is the payload member `i`
-/// sends to member `j`; the result `recv[j][i]` delivers it. Charged
-/// by the largest per-member send volume.
-pub fn all_to_all<T: Volume>(
-    m: &Machine,
-    g: &Group,
-    send: Vec<Vec<T>>,
-) -> Result<Vec<Vec<T>>, MachineError> {
-    let p = g.len();
-    assert_eq!(send.len(), p, "one send row per member");
-    for row in &send {
-        assert_eq!(row.len(), p, "one payload per destination");
-    }
-    if p > 1 {
-        let bytes = send.iter().map(|row| row.comm_bytes()).max().unwrap_or(0);
-        m.charge_collective(g, CollectiveKind::AllToAll, bytes)?;
-    }
-    // Transpose the send matrix into receive buffers.
-    let mut recv: Vec<Vec<T>> = (0..p).map(|_| Vec::with_capacity(p)).collect();
-    for row in send.into_iter() {
-        for (j, payload) in row.into_iter().enumerate() {
-            recv[j].push(payload);
-        }
-    }
-    Ok(recv)
 }
 
 #[cfg(test)]
@@ -398,11 +163,12 @@ mod tests {
     fn broadcast_replicates_and_charges() {
         let m = machine(4);
         let g = m.world();
-        let out = broadcast(&m, &g, 0, Arc::new(vec![1u64, 2, 3])).unwrap();
-        assert_eq!(out.len(), 4);
-        for o in &out {
-            assert_eq!(**o, vec![1, 2, 3]);
-        }
+        let payload = vec![1u64, 2, 3];
+        let bytes = payload.comm_bytes();
+        let posted = m
+            .post_collective(&g, CollectiveKind::Broadcast, bytes, Arc::new(payload))
+            .unwrap();
+        assert_eq!(*posted.wait(&m).unwrap(), vec![1, 2, 3]);
         let r = m.report();
         assert_eq!(r.critical.bytes, 2 * 24);
     }
@@ -411,7 +177,7 @@ mod tests {
     fn reduce_folds_in_group_order() {
         let m = machine(3);
         let g = m.world();
-        let out = reduce(&m, &g, vec![vec![1u64], vec![2], vec![3]], |mut a, b| {
+        let out = sparse_reduce(&m, &g, vec![vec![1u64], vec![2], vec![3]], |mut a, b| {
             a.extend(b);
             a
         })
@@ -439,108 +205,55 @@ mod tests {
     }
 
     #[test]
-    fn shift_rotates() {
-        let m = machine(4);
-        let g = m.world();
-        let out = shift(&m, &g, vec![0u64, 1, 2, 3], 1).unwrap();
-        assert_eq!(out, vec![3, 0, 1, 2]);
-        assert_eq!(m.report().critical.msgs, 1);
-        // k = 0 is free.
-        m.reset_meters();
-        let out = shift(&m, &g, out, 0).unwrap();
-        assert_eq!(out, vec![3, 0, 1, 2]);
-        assert_eq!(m.report().critical.msgs, 0);
-    }
-
-    #[test]
-    fn all_to_all_transposes() {
-        let m = machine(2);
-        let g = m.world();
-        // payload value r*10+c encodes (sender, receiver)
-        let send = vec![vec![0u64, 1], vec![10, 11]];
-        let recv = all_to_all(&m, &g, send).unwrap();
-        assert_eq!(recv, vec![vec![0, 10], vec![1, 11]]);
-    }
-
-    #[test]
     fn singleton_group_collectives_are_free() {
         let m = machine(1);
         let g = m.world();
-        let _ = broadcast(&m, &g, 0, Arc::new(7u64)).unwrap();
-        let _ = reduce(&m, &g, vec![7u64], |a, _| a).unwrap();
+        let posted = m
+            .post_collective(&g, CollectiveKind::Broadcast, 8, 7u64)
+            .unwrap();
+        assert_eq!(posted.wait(&m).unwrap(), 7);
+        m.charge_collective(&g, CollectiveKind::Allreduce, 8)
+            .unwrap();
+        let _ = sparse_reduce(&m, &g, vec![7u64], |a, _| a).unwrap();
         let _ = allgather(&m, &g, vec![7u64]).unwrap();
         assert_eq!(m.report().critical.msgs, 0);
         assert_eq!(m.report().critical.bytes, 0);
-    }
-
-    #[test]
-    fn pending_take_before_wait_is_a_typed_error() {
-        let m = Machine::new(MachineSpec::test(4).with_overlap(true));
-        let g = m.world();
-        let pending = iallgather(&m, &g, vec![10u64, 20, 30, 40]).unwrap();
-        let h = pending.handle().unwrap();
-        // Using the buffer with the handle outstanding is refused.
-        let err = pending.take(&m).unwrap_err();
-        assert_eq!(
-            err,
-            MachineError::OutstandingCollective {
-                kind: "allgather",
-                handle: h,
-            }
-        );
-        // After waitall the (re-issued) buffer is released.
-        let pending = iallgather(&m, &g, vec![10u64, 20, 30, 40]).unwrap();
-        m.waitall().unwrap();
-        let out = pending.take(&m).unwrap();
-        assert_eq!(*out[2], vec![10, 20, 30, 40]);
+        assert_eq!(m.collective_seq(), 0, "a one-rank group ticks no clock");
     }
 
     #[test]
     fn nonblocking_wrappers_match_blocking_results_and_meters() {
-        let run_blocking = |m: &Machine| {
+        // Posting on an overlapped machine and waiting at once charges
+        // exactly what the blocking post charges on the spot.
+        let run = |overlap: bool| {
+            let m = Machine::new(MachineSpec::test(3).with_overlap(overlap));
             let g = m.world();
-            let b = broadcast(m, &g, 0, Arc::new(vec![1u64, 2])).unwrap();
-            let a = allgather(m, &g, vec![1u64, 2, 3]).unwrap();
-            let s = sparse_reduce(m, &g, vec![1u64, 2, 3], |x, y| x + y).unwrap();
-            (b, a, s)
+            let mut out = Vec::new();
+            for (kind, bytes) in [
+                (CollectiveKind::Broadcast, 16),
+                (CollectiveKind::Allgather, 24),
+                (CollectiveKind::SparseReduce, 8),
+            ] {
+                let posted = m.post_collective(&g, kind, bytes, bytes).unwrap();
+                assert_eq!(m.outstanding_collectives(), usize::from(overlap));
+                out.push(posted.wait(&m).unwrap());
+            }
+            (out, m.report().critical, m.makespan_s().to_bits())
         };
-        let run_nonblocking = |m: &Machine| {
-            let g = m.world();
-            let b = ibroadcast(m, &g, 0, Arc::new(vec![1u64, 2]))
-                .unwrap()
-                .wait(m)
-                .unwrap();
-            let a = iallgather(m, &g, vec![1u64, 2, 3])
-                .unwrap()
-                .wait(m)
-                .unwrap();
-            let s = isparse_reduce(m, &g, vec![1u64, 2, 3], |x, y| x + y)
-                .unwrap()
-                .wait(m)
-                .unwrap();
-            (b, a, s)
-        };
-        let m1 = machine(3);
-        let m2 = machine(3);
-        let (b1, a1, s1) = run_blocking(&m1);
-        let (b2, a2, s2) = run_nonblocking(&m2);
-        assert_eq!(*b1[0], *b2[0]);
-        assert_eq!(*a1[1], *a2[1]);
-        assert_eq!(s1, s2);
-        // Back-to-back issue/wait charges identically to blocking.
-        assert_eq!(m1.report().critical, m2.report().critical);
-        assert_eq!(m1.makespan_s().to_bits(), m2.makespan_s().to_bits());
+        assert_eq!(run(false), run(true));
     }
 
     #[test]
     fn singleton_nonblocking_collectives_are_free() {
-        let m = machine(1);
+        let m = Machine::new(MachineSpec::test(1).with_overlap(true));
         let g = m.world();
-        let p = ibroadcast(&m, &g, 0, Arc::new(7u64)).unwrap();
-        assert!(p.handle().is_none());
-        assert_eq!(*p.take(&m).unwrap()[0], 7);
+        let posted = m
+            .post_collective(&g, CollectiveKind::Broadcast, 8, 7u64)
+            .unwrap();
         assert_eq!(m.outstanding_collectives(), 0);
+        assert_eq!(posted.wait(&m).unwrap(), 7);
         assert_eq!(m.report().critical.msgs, 0);
+        assert_eq!(m.collective_seq(), 0);
     }
 
     #[test]

@@ -19,6 +19,16 @@
 //!   are per-metric maxima over ranks ("the greatest amount of data
 //!   communicated along any dependent sequence of collectives").
 //!
+//! A distributed algorithm posts every collective through
+//! [`Machine::post_collective`] and gets the delivered value back
+//! behind a [`collectives::Pending`]. The machine decides how the
+//! collective completes: a one-rank group moves nothing and is free
+//! (no charge, no tick of the fault clock); under
+//! [`MachineSpec::overlap`] it is issued nonblocking and its transfer
+//! hides under the compute charged before the wait; otherwise it is
+//! charged on the spot. The algorithm decides only when to post and
+//! when to wait.
+//!
 //! A per-rank memory meter reproduces the paper's out-of-memory
 //! behaviour (e.g. CombBLAS failing on Friendster): algorithms charge
 //! their resident sets and a [`MachineError::OutOfMemory`] surfaces
@@ -53,6 +63,7 @@ pub use cost::{CollectiveKind, CostReport, CostTracker, RankCost};
 pub use mfbc_fault::{FaultKind, FaultPlan, FaultStats, RetryPolicy, ScheduledFault};
 pub use topology::{MachineSpec, RedistMode};
 
+use collectives::Pending;
 use parking_lot::Mutex;
 use std::sync::Arc;
 
@@ -93,14 +104,6 @@ pub enum MachineError {
         /// What was wrong with the configuration.
         reason: String,
     },
-    /// A nonblocking collective's buffer was consumed while its
-    /// handle was still outstanding (waitall-before-use violation).
-    OutstandingCollective {
-        /// Collective kind name (e.g. `allgather`).
-        kind: &'static str,
-        /// The still-outstanding handle.
-        handle: u64,
-    },
 }
 
 impl MachineError {
@@ -138,11 +141,6 @@ impl std::fmt::Display for MachineError {
             MachineError::InvalidConfig { reason } => {
                 write!(f, "invalid configuration: {reason}")
             }
-            MachineError::OutstandingCollective { kind, handle } => write!(
-                f,
-                "{kind} collective handle #{handle} is still outstanding \
-                 (wait on it before using its buffer)"
-            ),
         }
     }
 }
@@ -322,7 +320,37 @@ impl Machine {
         f(&mut self.tracker.lock())
     }
 
-    /// Charges a collective over `group` moving up to `bytes` per rank.
+    /// Posts a collective over `group` moving up to `bytes` per rank
+    /// and returns `value`, the data it delivers, behind a
+    /// [`Pending`] — the one call every plan family's collectives go
+    /// through. How the collective completes is decided here:
+    ///
+    /// * on a one-rank group nothing moves — nothing is charged, the
+    ///   fault clock does not tick, and the value is ready;
+    /// * under `spec.overlap` it is issued nonblocking
+    ///   ([`Machine::icharge_collective`]) and the value waits on its
+    ///   handle, so its transfer runs under whatever the caller
+    ///   charges before [`Pending::wait`];
+    /// * otherwise it is charged on the spot
+    ///   ([`Machine::charge_collective`]) and the value is ready.
+    pub fn post_collective<T>(
+        &self,
+        group: &Group,
+        kind: CollectiveKind,
+        bytes: u64,
+        value: T,
+    ) -> Result<Pending<T>, MachineError> {
+        if self.spec.overlap && group.len() > 1 {
+            let handle = self.icharge_collective(group, kind, bytes)?;
+            return Ok(Pending::inflight(value, handle));
+        }
+        self.charge_collective(group, kind, bytes)?;
+        Ok(Pending::ready(value))
+    }
+
+    /// Charges a collective over `group` moving up to `bytes` per rank;
+    /// a one-rank group moves nothing and is free (no charge, no tick
+    /// of the fault clock, no event).
     ///
     /// This is the fault-injection point: the collective sequence
     /// counter advances, due faults fire, and the operation fails with
@@ -339,6 +367,9 @@ impl Machine {
         kind: CollectiveKind,
         bytes: u64,
     ) -> Result<(), MachineError> {
+        if group.len() <= 1 {
+            return Ok(());
+        }
         let seq = self.fault_gate(group, kind)?;
         self.with_tracker(|t| t.collective(&self.spec, group.ranks(), kind, bytes));
         mfbc_trace::emit(|| mfbc_trace::TraceEvent::Collective {
@@ -428,43 +459,15 @@ impl Machine {
         Ok(())
     }
 
-    /// Waits out every outstanding nonblocking collective, in issue
-    /// order.
-    pub fn waitall(&self) -> Result<(), MachineError> {
-        loop {
-            let next = self.pending.lock().ops.first().map(|op| op.handle);
-            match next {
-                Some(h) => self.wait_collective(h)?,
-                None => return Ok(()),
-            }
-        }
-    }
-
     /// Number of issued-but-not-waited collectives.
     pub fn outstanding_collectives(&self) -> usize {
         self.pending.lock().ops.len()
     }
 
-    /// Whether `handle` is still outstanding. The typed collectives'
-    /// [`collectives::Pending::take`] uses this to enforce
-    /// waitall-before-use.
-    pub fn is_outstanding(&self, handle: u64) -> bool {
-        self.pending.lock().ops.iter().any(|op| op.handle == handle)
-    }
-
-    /// The kind of the outstanding collective behind `handle`, if any.
-    pub fn outstanding_kind(&self, handle: u64) -> Option<CollectiveKind> {
-        self.pending
-            .lock()
-            .ops
-            .iter()
-            .find(|op| op.handle == handle)
-            .map(|op| op.kind)
-    }
-
     /// Discards every outstanding nonblocking collective without
-    /// charging it (recovery paths abandon in-flight work; the wasted
-    /// time is accounted separately). Returns how many were dropped.
+    /// charging it (a batch rollback abandons the failed attempt's
+    /// in-flight work; the wasted time is accounted separately).
+    /// Returns how many were dropped.
     pub fn abort_pending(&self) -> usize {
         let mut pt = self.pending.lock();
         let n = pt.ops.len();
@@ -896,8 +899,6 @@ mod tests {
             .icharge_collective(&m.world(), CollectiveKind::Broadcast, 100)
             .unwrap();
         assert_eq!(m.outstanding_collectives(), 1);
-        assert!(m.is_outstanding(h));
-        assert_eq!(m.outstanding_kind(h), Some(CollectiveKind::Broadcast));
         m.wait_collective(h).unwrap();
         assert_eq!(m.outstanding_collectives(), 0);
         let b = Machine::new(MachineSpec::test(4));
@@ -930,23 +931,53 @@ mod tests {
     }
 
     #[test]
-    fn waitall_drains_in_issue_order_and_abort_discards() {
+    fn abort_pending_discards_without_charging() {
         let m = Machine::new(MachineSpec::test(2).with_overlap(true));
         let g = m.world();
-        m.icharge_collective(&g, CollectiveKind::Allgather, 4)
+        let h = m
+            .icharge_collective(&g, CollectiveKind::Allgather, 4)
             .unwrap();
-        m.icharge_collective(&g, CollectiveKind::Allgather, 4)
-            .unwrap();
-        m.waitall().unwrap();
-        assert_eq!(m.outstanding_collectives(), 0);
+        m.wait_collective(h).unwrap();
         let before = m.report().critical.comm_time;
         let h = m
             .icharge_collective(&g, CollectiveKind::Broadcast, 1000)
             .unwrap();
         assert_eq!(m.abort_pending(), 1);
-        assert!(!m.is_outstanding(h));
-        // Aborted work was never charged.
+        assert_eq!(m.outstanding_collectives(), 0);
+        // Aborted work was never charged, and its handle is gone.
         assert_eq!(m.report().critical.comm_time.to_bits(), before.to_bits());
+        assert!(m.wait_collective(h).is_err());
+    }
+
+    #[test]
+    fn post_collective_decides_how_a_collective_completes() {
+        let schedule = || FaultPlan::single(0, FaultKind::Crash { rank: 3 });
+        for overlap in [false, true] {
+            let spec = MachineSpec::test(4).with_overlap(overlap);
+            let m = Machine::with_faults(spec, schedule(), RetryPolicy::default());
+            // A one-rank group: free, ready, and the clock stands still
+            // — the crash scheduled at #0 does not fire.
+            let one = Group::new(vec![3]).unwrap();
+            let posted = m
+                .post_collective(&one, CollectiveKind::Broadcast, 64, 'x')
+                .unwrap();
+            assert_eq!(m.outstanding_collectives(), 0);
+            assert_eq!(posted.wait(&m).unwrap(), 'x');
+            assert_eq!(m.collective_seq(), 0);
+            assert_eq!(m.report().critical, RankCost::default());
+            // A real group: in flight under overlap, charged otherwise;
+            // either way the clock ticks at the post.
+            let two = Group::new(vec![0, 1]).unwrap();
+            let posted = m
+                .post_collective(&two, CollectiveKind::Broadcast, 64, 'y')
+                .unwrap();
+            assert_eq!(m.collective_seq(), 1);
+            assert_eq!(m.outstanding_collectives(), usize::from(overlap));
+            assert_eq!(m.report().critical.msgs, if overlap { 0 } else { 2 });
+            assert_eq!(posted.wait(&m).unwrap(), 'y');
+            assert_eq!(m.outstanding_collectives(), 0);
+            assert_eq!(m.report().critical.msgs, 2);
+        }
     }
 
     #[test]

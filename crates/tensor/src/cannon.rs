@@ -20,8 +20,8 @@ use crate::mm1d::{FirstWins, Piece};
 use crate::redist::redistribute;
 use mfbc_algebra::kernel::KernelOut;
 use mfbc_algebra::SpMulKernel;
-use mfbc_machine::cost::CollectiveKind;
-use mfbc_machine::{Machine, MachineError};
+use mfbc_machine::collectives::{wait_all, Pending};
+use mfbc_machine::{CollectiveKind, Machine, MachineError};
 use mfbc_sparse::elementwise::combine;
 use mfbc_sparse::{entry_bytes, spgemm_opt, Csr, Mask};
 
@@ -67,13 +67,6 @@ pub(crate) fn run_pieces<K: SpMulKernel>(
     let mut b_blocks: Vec<Vec<Csr<K::Right>>> = (0..q)
         .map(|i| (0..q).map(|j| b2.block((i + j) % q, j).clone()).collect())
         .collect();
-    // The initial skew itself is communication: each rank sends its
-    // block up to q−1 hops (modeled as one point-to-point per rank,
-    // as on a torus where the skew is a single permutation route).
-    // Under overlapped accounting the charge is issued nonblocking
-    // and completed just before the first multiply.
-    let mut in_flight = charge_shift_all(m, grid, &a_blocks, &b_blocks)?;
-
     let mut acc: Vec<Vec<Csr<KernelOut<K>>>> = (0..q)
         .map(|i| {
             (0..q)
@@ -94,18 +87,29 @@ pub(crate) fn run_pieces<K: SpMulKernel>(
     });
     let mut ops = 0u64;
 
+    // One shift round arrives before each step: the initial skew
+    // (each rank sends its block up to q−1 hops, modeled as one
+    // point-to-point per rank, as on a torus where the skew is a
+    // single permutation route), then a rotation per step. Blocking
+    // mode posts a round at the top of the step it feeds; overlapped
+    // mode posts the skew up front and each later round right after
+    // the previous one arrived, before the compute it hides under —
+    // each ring keeps the same set of blocks across a rotation, so
+    // the per-ring max charge is identical pre- or post-rotation.
     let overlap = m.spec().overlap;
+    let mut prefetched = if overlap {
+        Some(shift_round(m, grid, &a_blocks, &b_blocks)?)
+    } else {
+        None
+    };
     for step in 0..q {
-        // The blocks this step multiplies must have arrived.
-        for h in in_flight.drain(..) {
-            m.wait_collective(h)?;
-        }
+        let arriving = match prefetched.take() {
+            Some(posted) => posted,
+            None => shift_round(m, grid, &a_blocks, &b_blocks)?,
+        };
+        wait_all(m, arriving)?;
         if overlap && step + 1 < q {
-            // Issue the next shift round before this step's compute so
-            // its β time hides under it. Each ring keeps the same set
-            // of blocks across a rotation, so the per-ring max charge
-            // is identical whether taken pre- or post-rotation.
-            in_flight = charge_shift_all(m, grid, &a_blocks, &b_blocks)?;
+            prefetched = Some(shift_round(m, grid, &a_blocks, &b_blocks)?);
         }
         for i in 0..q {
             for j in 0..q {
@@ -120,19 +124,11 @@ pub(crate) fn run_pieces<K: SpMulKernel>(
                 acc[i][j] = combine::<K::Acc, _>(&acc[i][j], &out.mat);
             }
         }
-        if step + 1 < q {
-            // Shift A left along rows, B up along columns.
-            for row in a_blocks.iter_mut() {
-                row.rotate_left(1);
-            }
-            let first = b_blocks.remove(0);
-            b_blocks.push(first);
-            if !overlap {
-                // Blocking mode keeps the legacy schedule: the shift
-                // is charged after the rotation, serialized.
-                charge_shift_all(m, grid, &a_blocks, &b_blocks)?;
-            }
+        // Shift A left along rows, B up along columns.
+        for row in a_blocks.iter_mut() {
+            row.rotate_left(1);
         }
+        b_blocks.rotate_left(1);
     }
 
     let mut pieces = Vec::with_capacity(q * q);
@@ -146,50 +142,32 @@ pub(crate) fn run_pieces<K: SpMulKernel>(
     Ok((pieces, ops))
 }
 
-/// Charges one point-to-point round: every rank sends its current A
+/// Posts one point-to-point round: every rank sends its current A
 /// block along its row ring and its B block along its column ring.
 /// Rings are disjoint per direction, so each ring's message lands on
-/// its members' critical paths independently. When the machine's spec
-/// overlaps, the charges are issued nonblocking and their handles
-/// returned (empty otherwise) — the caller completes them before the
-/// shifted blocks are multiplied.
-fn charge_shift_all<L, R>(
+/// its members' critical paths independently.
+fn shift_round<L, R>(
     m: &Machine,
     grid: &Grid2,
     a_blocks: &[Vec<Csr<L>>],
     b_blocks: &[Vec<Csr<R>>],
-) -> Result<Vec<u64>, MachineError> {
+) -> Result<Vec<Pending<()>>, MachineError> {
     let q = grid.g1();
-    let mut handles = Vec::new();
-    if q <= 1 {
-        return Ok(handles);
-    }
-    let overlap = m.spec().overlap;
+    let p2p = CollectiveKind::PointToPoint;
+    let mut posted = Vec::with_capacity(2 * q);
     for i in 0..q {
-        let bytes = (0..q)
-            .map(|j| (a_blocks[i][j].nnz() * entry_bytes::<L>()) as u64)
-            .max()
-            .unwrap_or(0);
-        let g = grid.row_group(i);
-        if overlap {
-            handles.push(m.icharge_collective(&g, CollectiveKind::PointToPoint, bytes)?);
-        } else {
-            m.charge_collective(&g, CollectiveKind::PointToPoint, bytes)?;
-        }
+        let widest = (0..q)
+            .map(|j| a_blocks[i][j].nnz() * entry_bytes::<L>())
+            .max();
+        posted.push(m.post_collective(&grid.row_group(i), p2p, widest.unwrap_or(0) as u64, ())?);
     }
     for j in 0..q {
-        let bytes = (0..q)
-            .map(|i| (b_blocks[i][j].nnz() * entry_bytes::<R>()) as u64)
-            .max()
-            .unwrap_or(0);
-        let g = grid.col_group(j);
-        if overlap {
-            handles.push(m.icharge_collective(&g, CollectiveKind::PointToPoint, bytes)?);
-        } else {
-            m.charge_collective(&g, CollectiveKind::PointToPoint, bytes)?;
-        }
+        let widest = (0..q)
+            .map(|i| b_blocks[i][j].nnz() * entry_bytes::<R>())
+            .max();
+        posted.push(m.post_collective(&grid.col_group(j), p2p, widest.unwrap_or(0) as u64, ())?);
     }
-    Ok(handles)
+    Ok(posted)
 }
 
 /// Predicted time of Cannon's algorithm (the §5.2.2 formula):

@@ -36,31 +36,12 @@ use crate::redist::redistribute;
 /// over the right fiber groups.
 pub(crate) type Piece<T> = (usize, usize, usize, Csr<T>);
 
-/// Issues an allgather charge for `bytes` over `group`: nonblocking
-/// (returning the handle) when the machine's spec overlaps, blocking
-/// otherwise. `None` means nothing was charged (singleton group).
-fn charge_allgather(m: &Machine, group: &Group, bytes: u64) -> Result<Option<u64>, MachineError> {
-    if group.len() <= 1 {
-        return Ok(None);
-    }
-    if m.spec().overlap {
-        Ok(Some(m.icharge_collective(
-            group,
-            CollectiveKind::Allgather,
-            bytes,
-        )?))
-    } else {
-        m.charge_collective(group, CollectiveKind::Allgather, bytes)?;
-        Ok(None)
-    }
-}
-
 /// Fetches (or builds, charges, and caches) the fully replicated form
 /// of the right operand — the amortized "replicate B" of Theorem 5.1.
-/// On a cache miss under overlapped accounting the allgather is issued
-/// nonblocking: the caller redistributes the other operand while the
-/// replica is in flight and waits the returned [`Pending`] only when
-/// the replica is first multiplied.
+/// A cache miss posts the allgather: the caller redistributes the
+/// other operand while the replica is (under overlapped accounting)
+/// in flight, and waits the returned [`Pending`] only when the
+/// replica is first multiplied.
 fn replicated_rhs<K: SpMulKernel>(
     m: &Machine,
     group: &Group,
@@ -68,18 +49,16 @@ fn replicated_rhs<K: SpMulKernel>(
     cache: &mut MmCache<K::Right>,
 ) -> Result<Pending<Arc<Csr<K::Right>>>, MachineError> {
     let key = format!("1d:B:{}:{}", group.len(), b.content_id());
-    let mut handle = None;
+    // A hit moves nothing.
+    let mut arrival = Pending::ready(());
     let form = cache.prepared(m, key, Fingerprint::of(b), || {
         let bytes = (b.nnz() * entry_bytes::<K::Right>()) as u64;
-        handle = charge_allgather(m, group, bytes)?;
+        arrival = m.post_collective(group, CollectiveKind::Allgather, bytes, ())?;
         let global = Arc::new(b.to_global::<FirstWins<K::Right>>());
         let charges = group.ranks().iter().map(|&r| (r, bytes)).collect();
         Ok((CachedRhs::Global(global), charges))
     })?;
-    Ok(match handle {
-        Some(h) => Pending::issued(form.global(), h),
-        None => Pending::ready(form.global()),
-    })
+    Ok(arrival.map(|()| form.global()))
 }
 
 /// The residency a cache holds for `dm`: `(owner, bytes)` of every
@@ -141,10 +120,10 @@ fn row_split_layout(nrows: usize, ncols: usize, group: &Group) -> Layout {
 /// Replicates a distributed matrix to every member of `group`: the
 /// allgather moves every block to every rank (charged at
 /// `β·nnz + α·log p`), and each rank's resident memory grows by the
-/// full matrix size. Under overlapped accounting the allgather is
-/// issued nonblocking so the caller can redistribute the other
-/// operand while the replica is in flight; the returned [`Pending`]
-/// must be waited before the replica is multiplied.
+/// full matrix size. The allgather is posted so the caller can
+/// redistribute the other operand while the replica is (under
+/// overlapped accounting) in flight; the returned [`Pending`] must be
+/// waited before the replica is multiplied.
 fn replicate<T, M>(
     machine: &Machine,
     group: &Group,
@@ -155,15 +134,12 @@ where
     T: Clone + Send + Sync + PartialEq + std::fmt::Debug,
 {
     let bytes = (x.nnz() * entry_bytes::<T>()) as u64;
-    let handle = charge_allgather(machine, group, bytes)?;
+    let arrival = machine.post_collective(group, CollectiveKind::Allgather, bytes, ())?;
     for &r in group.ranks() {
         machine.charge_alloc(r, bytes)?;
     }
     let global = x.to_global::<M>();
-    Ok(match handle {
-        Some(h) => Pending::issued(global, h),
-        None => Pending::ready(global),
-    })
+    Ok(arrival.map(|()| global))
 }
 
 /// Releases the replication charge of [`replicate`].

@@ -29,8 +29,8 @@ use crate::mm1d::{redistributed_rhs, FirstWins, Piece};
 use crate::redist::redistribute;
 use mfbc_algebra::kernel::KernelOut;
 use mfbc_algebra::SpMulKernel;
-use mfbc_machine::collectives::{broadcast, isparse_reduce, sparse_reduce, Pending, Volume};
-use mfbc_machine::{CollectiveKind, Machine, MachineError};
+use mfbc_machine::collectives::{wait_all, Pending, Volume};
+use mfbc_machine::{CollectiveKind, Group, Machine, MachineError};
 use mfbc_sparse::elementwise::combine;
 use mfbc_sparse::slice::even_ranges;
 use mfbc_sparse::{entry_bytes, spgemm_opt, Csr, Mask};
@@ -54,78 +54,79 @@ fn cached_rhs_layout<K: SpMulKernel>(
     redistributed_rhs::<K>(m, key, b, lb, cache)
 }
 
-/// A broadcast staged for one superstep: the shared block, the
-/// per-receiver byte charge (released at step end), and — under
-/// overlapped accounting — the in-flight collective's handle, which
-/// must complete (via [`wait_staged`]) before the block is multiplied.
-type StagedBcast<T> = (Arc<Csr<T>>, u64, Option<u64>);
-
-/// Broadcasts `block` from grid position root within `group`,
-/// charging receivers' memory. When the machine's spec overlaps, the
-/// collective is issued nonblocking so the caller can prefetch the
-/// next superstep's panels under the current one's compute; otherwise
-/// the charge lands immediately (legacy blocking order).
-fn bcast_block<T: Clone + Send + Sync>(
+/// Broadcasts `block` from grid position `root_idx` within `group`
+/// and charges the receivers' memory; the block may be multiplied
+/// once the returned [`Pending`] is waited.
+fn bcast_block<'a, T>(
     m: &Machine,
-    group: &mfbc_machine::Group,
+    group: &Group,
     root_idx: usize,
-    block: &Csr<T>,
-) -> Result<StagedBcast<T>, MachineError> {
-    let shared = Arc::new(block.clone());
-    let handle = if m.spec().overlap && group.len() > 1 {
-        Some(m.icharge_collective(group, CollectiveKind::Broadcast, shared.comm_bytes())?)
-    } else {
-        let handles = broadcast(m, group, root_idx, Arc::clone(&shared));
-        drop(handles); // all handles alias `shared` in-process
-        None
-    };
+    block: &'a Csr<T>,
+) -> Result<Pending<&'a Csr<T>>, MachineError> {
+    let posted = m.post_collective(group, CollectiveKind::Broadcast, block.comm_bytes(), block)?;
     let bytes = (block.nnz() * entry_bytes::<T>()) as u64;
     for (idx, &r) in group.ranks().iter().enumerate() {
         if idx != root_idx {
             m.charge_alloc(r, bytes)?;
         }
     }
-    Ok((shared, bytes, handle))
+    Ok(posted)
 }
 
-/// Completes every in-flight broadcast of a staged superstep; a no-op
-/// under blocking accounting (no handles were issued).
-fn wait_staged<T>(m: &Machine, staged: &[StagedBcast<T>]) -> Result<(), MachineError> {
-    for (_, _, h) in staged {
-        if let Some(h) = h {
-            m.wait_collective(*h)?;
-        }
-    }
-    Ok(())
-}
-
-/// Sparse-reduces C-chunk contributions over `group`: nonblocking
-/// under overlapped accounting (the returned [`Pending`] gates the
-/// reduced chunk and is drained after the superstep loop), blocking —
-/// and immediately ready — otherwise.
-pub(crate) fn reduce_chunk<K: SpMulKernel>(
-    m: &Machine,
-    group: &mfbc_machine::Group,
-    contribs: Vec<Csr<KernelOut<K>>>,
-) -> Result<Pending<Csr<KernelOut<K>>>, MachineError> {
-    if m.spec().overlap {
-        isparse_reduce(m, group, contribs, |x, y| combine::<K::Acc, _>(&x, &y))
-    } else {
-        Ok(Pending::ready(sparse_reduce(
-            m,
-            group,
-            contribs,
-            |x, y| combine::<K::Acc, _>(&x, &y),
-        )?))
-    }
-}
-
-fn release_bcast(m: &Machine, group: &mfbc_machine::Group, root_idx: usize, bytes: u64) {
+/// Releases the receivers' copies of a [`bcast_block`].
+fn release_bcast<T>(m: &Machine, group: &Group, root_idx: usize, block: &Csr<T>) {
+    let bytes = (block.nnz() * entry_bytes::<T>()) as u64;
     for (idx, &r) in group.ranks().iter().enumerate() {
         if idx != root_idx {
             m.release(r, bytes);
         }
     }
+}
+
+/// Sparse-reduces C-chunk contributions over `group`, folded in group
+/// order and charged by the result's size; the reduced chunk is
+/// delivered behind the returned [`Pending`].
+pub(crate) fn reduce_chunk<K: SpMulKernel>(
+    m: &Machine,
+    group: &Group,
+    contribs: Vec<Csr<KernelOut<K>>>,
+) -> Result<Pending<Csr<KernelOut<K>>>, MachineError> {
+    let total = contribs
+        .into_iter()
+        .reduce(|x, y| combine::<K::Acc, _>(&x, &y))
+        .expect("one contribution per member");
+    m.post_collective(
+        group,
+        CollectiveKind::SparseReduce,
+        total.comm_bytes(),
+        total,
+    )
+}
+
+/// Runs supersteps `0..s`, each on the collectives `stage(t)` posted
+/// for it. Under overlapped accounting step t+1's are posted before
+/// step t runs, so their β time hides under its compute; blocking
+/// mode posts at the top of each step, preserving the serialized
+/// schedule exactly.
+fn pipelined<P>(
+    m: &Machine,
+    s: usize,
+    stage: impl Fn(usize) -> Result<P, MachineError>,
+    mut step: impl FnMut(usize, P) -> Result<(), MachineError>,
+) -> Result<(), MachineError> {
+    let overlap = m.spec().overlap;
+    let mut prefetched = if overlap { Some(stage(0)?) } else { None };
+    for t in 0..s {
+        let posted = match prefetched.take() {
+            Some(posted) => posted,
+            None => stage(t)?,
+        };
+        if overlap && t + 1 < s {
+            prefetched = Some(stage(t + 1)?);
+        }
+        step(t, posted)?;
+    }
+    Ok(())
 }
 
 pub(crate) fn run_pieces<K: SpMulKernel>(
@@ -194,53 +195,24 @@ fn stationary_c<K: SpMulKernel>(
     });
     let mut ops = 0u64;
 
-    // Stage (charge) every broadcast of superstep `t`: A chunks along
-    // grid rows, then B chunks along grid columns — the legacy charge
-    // order, so blocking runs are event-for-event identical.
-    let stage = |t: usize| -> Result<
-        (Vec<StagedBcast<K::Left>>, Vec<StagedBcast<K::Right>>),
-        MachineError,
-    > {
-        let mut a_shared = Vec::with_capacity(g1);
-        for bi in 0..g1 {
-            a_shared.push(bcast_block(
-                m,
-                &grid.row_group(bi),
-                t % g2,
-                a2.block(bi, t),
-            )?);
-        }
-        let mut b_shared = Vec::with_capacity(g2);
-        for bj in 0..g2 {
-            b_shared.push(bcast_block(
-                m,
-                &grid.col_group(bj),
-                t % g1,
-                b2.block(t, bj),
-            )?);
-        }
-        Ok((a_shared, b_shared))
+    // Post every broadcast of superstep `t`: A chunks along grid rows,
+    // then B chunks along grid columns.
+    let stage = |t: usize| -> Result<(Vec<Pending<_>>, Vec<Pending<_>>), MachineError> {
+        let a_posted = (0..g1)
+            .map(|bi| bcast_block(m, &grid.row_group(bi), t % g2, a2.block(bi, t)))
+            .collect::<Result<_, _>>()?;
+        let b_posted = (0..g2)
+            .map(|bj| bcast_block(m, &grid.col_group(bj), t % g1, b2.block(t, bj)))
+            .collect::<Result<_, _>>()?;
+        Ok((a_posted, b_posted))
     };
 
-    // Double-buffered pipeline: under overlapped accounting, step
-    // t+1's broadcasts are issued before step t's compute, so their β
-    // time hides under it; blocking mode stages at the top of each
-    // iteration instead, preserving the serialized schedule exactly.
-    let overlap = m.spec().overlap;
-    let mut prefetched = if overlap { Some(stage(0)?) } else { None };
-    for t in 0..s {
-        let (a_shared, b_shared) = match prefetched.take() {
-            Some(staged) => staged,
-            None => stage(t)?,
-        };
-        if overlap && t + 1 < s {
-            prefetched = Some(stage(t + 1)?);
-        }
-        wait_staged(m, &a_shared)?;
-        wait_staged(m, &b_shared)?;
+    pipelined(m, s, stage, |t, (a_posted, b_posted)| {
+        let a_shared = wait_all(m, a_posted)?;
+        let b_shared = wait_all(m, b_posted)?;
         for bi in 0..g1 {
             for bj in 0..g2 {
-                let (ab, bb) = (&a_shared[bi].0, &b_shared[bj].0);
+                let (ab, bb) = (a_shared[bi], b_shared[bj]);
                 if ab.is_empty() || bb.is_empty() {
                     continue;
                 }
@@ -252,13 +224,14 @@ fn stationary_c<K: SpMulKernel>(
                 *slot = combine::<K::Acc, _>(slot, &out.mat);
             }
         }
-        for (bi, (_, bytes, _)) in a_shared.into_iter().enumerate() {
-            release_bcast(m, &grid.row_group(bi), t % g2, bytes);
+        for (bi, ab) in a_shared.into_iter().enumerate() {
+            release_bcast(m, &grid.row_group(bi), t % g2, ab);
         }
-        for (bj, (_, bytes, _)) in b_shared.into_iter().enumerate() {
-            release_bcast(m, &grid.col_group(bj), t % g1, bytes);
+        for (bj, bb) in b_shared.into_iter().enumerate() {
+            release_bcast(m, &grid.col_group(bj), t % g1, bb);
         }
-    }
+        Ok(())
+    })?;
 
     let mut pieces = Vec::with_capacity(g1 * g2);
     for bi in 0..g1 {
@@ -312,42 +285,26 @@ fn stationary_b<K: SpMulKernel>(
     let mut pieces = Vec::new();
     let mut ops = 0u64;
 
-    let stage = |t: usize| -> Result<Vec<StagedBcast<K::Left>>, MachineError> {
-        let mut a_shared = Vec::with_capacity(g1);
-        for bk in 0..g1 {
-            a_shared.push(bcast_block(
-                m,
-                &grid.row_group(bk),
-                t % g2,
-                a2.block(t, bk),
-            )?);
-        }
-        Ok(a_shared)
+    let stage = |t: usize| -> Result<Vec<_>, MachineError> {
+        (0..g1)
+            .map(|bk| bcast_block(m, &grid.row_group(bk), t % g2, a2.block(t, bk)))
+            .collect()
     };
 
     // Prefetch next step's A panels under this step's compute, and
-    // drain the nonblocking C reductions only after the loop — the
-    // reduced chunks feed nothing inside it.
-    let overlap = m.spec().overlap;
+    // drain the C reductions only after the loop — the reduced chunks
+    // feed nothing inside it.
     let mut reduced: Vec<(usize, usize, usize, Pending<Csr<KernelOut<K>>>)> = Vec::new();
-    let mut prefetched = if overlap { Some(stage(0)?) } else { None };
-    for t in 0..s {
+    pipelined(m, s, stage, |t, a_posted| {
         let chunk_rows = la.row_range(t).len();
-        let a_shared = match prefetched.take() {
-            Some(staged) => staged,
-            None => stage(t)?,
-        };
-        if overlap && t + 1 < s {
-            prefetched = Some(stage(t + 1)?);
-        }
-        wait_staged(m, &a_shared)?;
+        let a_shared = wait_all(m, a_posted)?;
         for bj in 0..g2 {
             // All g1 partials of this (t, bj) output rectangle share
             // one window.
             let w = mask.map(|mk| mk.window(la.row_range(t), lb.col_range(bj)));
             let mut contribs: Vec<Csr<KernelOut<K>>> = Vec::with_capacity(g1);
             for bk in 0..g1 {
-                let (ab, bb) = (&a_shared[bk].0, b2.block(bk, bj));
+                let (ab, bb) = (a_shared[bk], b2.block(bk, bj));
                 if ab.is_empty() || bb.is_empty() {
                     contribs.push(Csr::zero(chunk_rows, ncols_of(bj)));
                     continue;
@@ -361,10 +318,11 @@ fn stationary_b<K: SpMulKernel>(
             let pos = (t % g1) * g2 + bj;
             reduced.push((la.row_range(t).start, lb.col_range(bj).start, pos, cblk));
         }
-        for (bk, (_, bytes, _)) in a_shared.into_iter().enumerate() {
-            release_bcast(m, &grid.row_group(bk), t % g2, bytes);
+        for (bk, ab) in a_shared.into_iter().enumerate() {
+            release_bcast(m, &grid.row_group(bk), t % g2, ab);
         }
-    }
+        Ok(())
+    })?;
     for (r0, c0, pos, pending) in reduced {
         let cblk = pending.wait(m)?;
         if !cblk.is_empty() {
@@ -408,34 +366,18 @@ fn stationary_a<K: SpMulKernel>(
     let mut pieces = Vec::new();
     let mut ops = 0u64;
 
-    let stage = |t: usize| -> Result<Vec<StagedBcast<K::Right>>, MachineError> {
-        let mut b_shared = Vec::with_capacity(g2);
-        for bk in 0..g2 {
-            b_shared.push(bcast_block(
-                m,
-                &grid.col_group(bk),
-                t % g1,
-                b2.block(bk, t),
-            )?);
-        }
-        Ok(b_shared)
+    let stage = |t: usize| -> Result<Vec<_>, MachineError> {
+        (0..g2)
+            .map(|bk| bcast_block(m, &grid.col_group(bk), t % g1, b2.block(bk, t)))
+            .collect()
     };
 
     // Mirror of the AC pipeline: prefetch B panels, drain reductions
     // after the loop.
-    let overlap = m.spec().overlap;
     let mut reduced: Vec<(usize, usize, usize, Pending<Csr<KernelOut<K>>>)> = Vec::new();
-    let mut prefetched = if overlap { Some(stage(0)?) } else { None };
-    for t in 0..s {
+    pipelined(m, s, stage, |t, b_posted| {
         let chunk_cols = lb.col_range(t).len();
-        let b_shared = match prefetched.take() {
-            Some(staged) => staged,
-            None => stage(t)?,
-        };
-        if overlap && t + 1 < s {
-            prefetched = Some(stage(t + 1)?);
-        }
-        wait_staged(m, &b_shared)?;
+        let b_shared = wait_all(m, b_posted)?;
         for bi in 0..g1 {
             let rows = la.row_range(bi).len();
             // All g2 partials of this (bi, t) output rectangle share
@@ -443,7 +385,7 @@ fn stationary_a<K: SpMulKernel>(
             let w = mask.map(|mk| mk.window(la.row_range(bi), lb.col_range(t)));
             let mut contribs: Vec<Csr<KernelOut<K>>> = Vec::with_capacity(g2);
             for bk in 0..g2 {
-                let (ab, bb) = (a2.block(bi, bk), &b_shared[bk].0);
+                let (ab, bb) = (a2.block(bi, bk), b_shared[bk]);
                 if ab.is_empty() || bb.is_empty() {
                     contribs.push(Csr::zero(rows, chunk_cols));
                     continue;
@@ -457,10 +399,11 @@ fn stationary_a<K: SpMulKernel>(
             let pos = bi * g2 + (t % g2);
             reduced.push((la.row_range(bi).start, lb.col_range(t).start, pos, cblk));
         }
-        for (bk, (_, bytes, _)) in b_shared.into_iter().enumerate() {
-            release_bcast(m, &grid.col_group(bk), t % g1, bytes);
+        for (bk, bb) in b_shared.into_iter().enumerate() {
+            release_bcast(m, &grid.col_group(bk), t % g1, bb);
         }
-    }
+        Ok(())
+    })?;
     for (r0, c0, pos, pending) in reduced {
         let cblk = pending.wait(m)?;
         if !cblk.is_empty() {

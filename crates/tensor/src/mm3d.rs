@@ -26,8 +26,8 @@ use crate::mm2d;
 use crate::redist::{extract_windows, redistribute};
 use mfbc_algebra::kernel::KernelOut;
 use mfbc_algebra::SpMulKernel;
-use mfbc_machine::cost::CollectiveKind;
-use mfbc_machine::{Machine, MachineError};
+use mfbc_machine::collectives::{wait_all, Pending};
+use mfbc_machine::{CollectiveKind, Machine, MachineError};
 use mfbc_sparse::slice::even_ranges;
 use mfbc_sparse::{entry_bytes, Csr, Mask};
 use std::collections::HashMap;
@@ -71,15 +71,15 @@ fn cached_rhs_slices<K: SpMulKernel>(
 
 /// Fetches (or builds, charges, and caches) the per-layer replicas
 /// of the right operand (split = B).
-/// On a cache miss under overlapped accounting the replication's
-/// fiber broadcasts stay in flight — the returned handles must
-/// complete before the replicas are multiplied (a hit returns none).
+/// On a cache miss the replication's fiber broadcasts are posted —
+/// they must be waited before the replicas are multiplied (a hit
+/// posts none).
 fn cached_rhs_layers<K: SpMulKernel>(
     m: &Machine,
     grid: &Grid3,
     b: &DistMat<K::Right>,
     cache: &mut MmCache<K::Right>,
-) -> Result<(Arc<Vec<DistMat<K::Right>>>, Vec<u64>), MachineError> {
+) -> Result<(Arc<Vec<DistMat<K::Right>>>, Vec<Pending<()>>), MachineError> {
     let key = format!(
         "3d:B:{}x{}x{}:{}",
         grid.p1(),
@@ -87,10 +87,10 @@ fn cached_rhs_layers<K: SpMulKernel>(
         grid.p3(),
         b.content_id()
     );
-    let mut handles = Vec::new();
+    let mut arriving = Vec::new();
     let form = cache.prepared(m, key, Fingerprint::of(b), || {
-        let (layers, _, issued) = replicate_over_layers::<_, FirstWins<K::Right>>(m, grid, b)?;
-        handles = issued;
+        let (layers, _, posted) = replicate_over_layers::<_, FirstWins<K::Right>>(m, grid, b)?;
+        arriving = posted;
         // What the replication charged, rank for rank, passes to the
         // cache: given back here, charged again as the list the cache
         // will release.
@@ -107,22 +107,21 @@ fn cached_rhs_layers<K: SpMulKernel>(
             .for_each(|&(rank, bytes)| m.release(rank, bytes));
         Ok((CachedRhs::Layers(Arc::new(layers)), held))
     })?;
-    Ok((form.layers(), handles))
+    Ok((form.layers(), arriving))
 }
 
 /// Replicates `x` (any layout) to every layer of `grid`: first
 /// redistributed to layer 0's natural 2D layout, then each block is
 /// broadcast along its fiber group. Returns one per-layer copy (on
-/// that layer's grid) plus the per-rank byte charge to release.
-/// Under overlapped accounting the fiber broadcasts are issued
-/// nonblocking and their handles returned (empty otherwise): the
-/// caller overlaps them with the other operand's redistribution and
-/// completes them before the replicas are multiplied.
+/// that layer's grid), the per-rank byte charge to release, and the
+/// posted fiber broadcasts: the caller overlaps them with the other
+/// operand's redistribution and waits them before the replicas are
+/// multiplied.
 fn replicate_over_layers<T, M>(
     machine: &Machine,
     grid: &Grid3,
     x: &DistMat<T>,
-) -> Result<(Vec<DistMat<T>>, u64, Vec<u64>), MachineError>
+) -> Result<(Vec<DistMat<T>>, u64, Vec<Pending<()>>), MachineError>
 where
     M: mfbc_algebra::monoid::Monoid<Elem = T>,
     T: Clone + Send + Sync + PartialEq + std::fmt::Debug,
@@ -135,20 +134,12 @@ where
     // Fiber broadcasts: disjoint groups, so each fiber's collective
     // lands on its own critical path.
     let ebytes = entry_bytes::<T>() as u64;
-    let overlap = machine.spec().overlap;
-    let mut handles = Vec::new();
+    let mut posted = Vec::with_capacity(p2 * p3);
     for i in 0..p2 {
         for j in 0..p3 {
-            if p1 == 1 {
-                continue;
-            }
             let bytes = x0.block(i, j).nnz() as u64 * ebytes;
             let fg = grid.fiber_group(i, j);
-            if overlap {
-                handles.push(machine.icharge_collective(&fg, CollectiveKind::Broadcast, bytes)?);
-            } else {
-                machine.charge_collective(&fg, CollectiveKind::Broadcast, bytes)?;
-            }
+            posted.push(machine.post_collective(&fg, CollectiveKind::Broadcast, bytes, ())?);
             for l in 1..p1 {
                 machine.charge_alloc(fg.rank_at(l), bytes)?;
             }
@@ -166,7 +157,7 @@ where
         per_layer.push(DistMat::from_blocks(ll, blocks));
     }
     let per_rank_bytes = x0.nnz() as u64 * ebytes / (p2 * p3) as u64;
-    Ok((per_layer, per_rank_bytes, handles))
+    Ok((per_layer, per_rank_bytes, posted))
 }
 
 fn release_layers(machine: &Machine, grid: &Grid3, per_rank_bytes: u64) {
@@ -190,9 +181,9 @@ fn split_a<K: SpMulKernel>(
     cache: &mut MmCache<K::Right>,
 ) -> Result<(Vec<Piece<KernelOut<K>>>, u64), MachineError> {
     let p1 = grid.p1();
-    // A's fiber broadcasts overlap B's slice all-to-all below; the
-    // handles complete before the replicas feed the layer multiplies.
-    let (layer_as, rep_bytes, rep_handles) =
+    // A's fiber broadcasts overlap B's slice all-to-all below; they
+    // are waited before the replicas feed the layer multiplies.
+    let (layer_as, rep_bytes, arriving) =
         replicate_over_layers::<_, FirstWins<K::Left>>(m, grid, a)?;
     let windows = even_ranges(b.ncols(), p1);
     // All layers' slices of B move in one all-to-all.
@@ -211,9 +202,7 @@ fn split_a<K: SpMulKernel>(
         b.content_id()
     );
     let slices = cached_rhs_slices::<K>(m, key, b, &specs, cache)?;
-    for h in rep_handles {
-        m.wait_collective(h)?;
-    }
+    wait_all(m, arriving)?;
     let mut pieces = Vec::new();
     let mut ops = 0u64;
     for (l, bl) in slices.iter().enumerate() {
@@ -253,7 +242,7 @@ fn split_b<K: SpMulKernel>(
     cache: &mut MmCache<K::Right>,
 ) -> Result<(Vec<Piece<KernelOut<K>>>, u64), MachineError> {
     let p1 = grid.p1();
-    let (layer_bs, rep_handles) = cached_rhs_layers::<K>(m, grid, b, cache)?;
+    let (layer_bs, arriving) = cached_rhs_layers::<K>(m, grid, b, cache)?;
     let windows = even_ranges(a.nrows(), p1);
     let specs: Vec<_> = (0..p1)
         .map(|l| {
@@ -264,10 +253,8 @@ fn split_b<K: SpMulKernel>(
         .collect();
     let slices = extract_windows::<FirstWins<K::Left>, _>(m, a, &specs)?;
     // B's fiber broadcasts (on a cache miss) overlapped A's slice
-    // all-to-all above; complete them before the multiplies.
-    for h in rep_handles {
-        m.wait_collective(h)?;
-    }
+    // all-to-all above; wait them before the multiplies.
+    wait_all(m, arriving)?;
     let mut pieces = Vec::new();
     let mut ops = 0u64;
     for (l, al) in slices.into_iter().enumerate() {
@@ -356,9 +343,9 @@ fn split_c<K: SpMulKernel>(
     }
 
     // Fiber reductions: one sparse reduce per surviving block
-    // position, combining the layers' partial contributions. Under
-    // overlapped accounting every reduce is issued before any is
-    // waited — the fiber groups are disjoint, so the rounds pipeline.
+    // position, combining the layers' partial contributions. Every
+    // reduce is posted before any is waited — the fiber groups are
+    // disjoint, so under overlapped accounting the rounds pipeline.
     let mut keys: Vec<Key> = partials.keys().copied().collect();
     keys.sort_unstable();
     let mut reduced = Vec::with_capacity(keys.len());

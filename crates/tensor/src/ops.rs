@@ -274,57 +274,15 @@ pub fn nnz_sync<T: Clone + Send + Sync>(
     m: &Machine,
     a: &DistMat<T>,
 ) -> Result<usize, MachineError> {
-    if m.p() > 1 {
-        m.charge_collective(&m.world(), CollectiveKind::Allreduce, 8)?;
-    }
+    m.charge_collective(&m.world(), CollectiveKind::Allreduce, 8)?;
     Ok(a.nnz())
 }
 
-/// Column sums of an `f64`-valued distributed matrix (e.g. the
-/// per-vertex λ contributions of Algorithm 3, line 5): local partial
-/// sums plus one reduction of the result vector, charged at its
-/// per-rank share.
-///
-/// Parallelized over *block-columns*: each task owns a disjoint
-/// output range and walks its blocks in ascending `bi`, so every
-/// column's `f64` additions happen in exactly the serial order.
-pub fn dmat_column_sums(m: &Machine, a: &DistMat<f64>) -> Result<Vec<f64>, MachineError> {
-    let l = a.layout();
-    let n = a.ncols();
-    let (partials, stats) = mfbc_parallel::current().par_map_collect_stats(l.bc(), |bj| {
-        let cols = l.col_range(bj);
-        let c0 = cols.start;
-        let mut local = vec![0.0f64; cols.len()];
-        for bi in 0..l.br() {
-            let blk = a.block(bi, bj);
-            for (_, j, v) in blk.iter() {
-                local[j] += *v;
-            }
-        }
-        (c0, local)
-    });
-    emit_pool("dmat_colsum", &stats);
-    let mut sums = vec![0.0f64; n];
-    for (c0, local) in partials {
-        sums[c0..c0 + local.len()].copy_from_slice(&local);
-    }
-    // Charge in the serial (bi-outer, bj-inner) order the cost model
-    // accumulated before parallelization.
-    for bi in 0..l.br() {
-        for bj in 0..l.bc() {
-            m.charge_compute(l.owner(bi, bj), a.block(bi, bj).nnz() as u64);
-        }
-    }
-    if m.p() > 1 {
-        let bytes = (n as u64 * 8).div_ceil(m.p() as u64);
-        m.charge_collective(&m.world(), CollectiveKind::SparseReduce, bytes)?;
-    }
-    Ok(sums)
-}
-
 /// Folds every entry of `a` into `acc[column]`, one `f64` addition
-/// per entry, in ascending (column, global row) order — charged like
-/// [`dmat_column_sums`].
+/// per entry, in ascending (column, global row) order: local
+/// per-column sums charged in serial block order, plus one sparse
+/// reduction of the result vector, charged at its per-rank share
+/// (e.g. the per-vertex λ contributions of Algorithm 3, line 5).
 ///
 /// Unlike summing a batch first and adding the total afterwards, the
 /// accumulation order seen by `acc[j]` is exactly "sources in
@@ -363,17 +321,14 @@ pub fn dmat_fold_columns(
             }
         }
     }
-    // Same modeled cost as a column sum: the fold is the same flops,
-    // charged in serial block order for reproducibility.
+    // Charged in serial block order for reproducibility.
     for bi in 0..l.br() {
         for bj in 0..l.bc() {
             m.charge_compute(l.owner(bi, bj), a.block(bi, bj).nnz() as u64);
         }
     }
-    if m.p() > 1 {
-        let bytes = (a.ncols() as u64 * 8).div_ceil(m.p() as u64);
-        m.charge_collective(&m.world(), CollectiveKind::SparseReduce, bytes)?;
-    }
+    let bytes = (a.ncols() as u64 * 8).div_ceil(m.p() as u64);
+    m.charge_collective(&m.world(), CollectiveKind::SparseReduce, bytes)?;
     Ok(())
 }
 
@@ -468,7 +423,9 @@ mod tests {
             Layout::on_grid(4, 4, &Grid2::new(Group::all(4), 2, 2).unwrap()),
             &g,
         );
-        assert_eq!(dmat_column_sums(&m, &da).unwrap(), vec![1.5, 5.0, 0.0, 0.0]);
+        let mut sums = vec![0.0f64; 4];
+        dmat_fold_columns(&m, &da, &mut sums).unwrap();
+        assert_eq!(sums, vec![1.5, 5.0, 0.0, 0.0]);
         let mut acc = vec![1.0f64; 4];
         dmat_fold_columns(&m, &da, &mut acc).unwrap();
         assert_eq!(acc, vec![2.5, 6.0, 1.0, 1.0]);
@@ -527,7 +484,8 @@ mod tests {
             let da = DistMat::from_global(layout.clone(), &ga);
             let db = DistMat::from_global(layout, &gb);
             let c = dmat_combine::<SumF64, _>(&m, &da, &db);
-            let sums = dmat_column_sums(&m, &c).unwrap();
+            let mut sums = vec![0.0f64; n];
+            dmat_fold_columns(&m, &c, &mut sums).unwrap();
             (c.to_global::<SumF64>(), sums, m.report().critical.comp_time)
         });
         for threads in [2, 4, 8] {
@@ -537,7 +495,8 @@ mod tests {
                 let da = DistMat::from_global(layout.clone(), &ga);
                 let db = DistMat::from_global(layout, &gb);
                 let c = dmat_combine::<SumF64, _>(&m, &da, &db);
-                let sums = dmat_column_sums(&m, &c).unwrap();
+                let mut sums = vec![0.0f64; n];
+                dmat_fold_columns(&m, &c, &mut sums).unwrap();
                 (c.to_global::<SumF64>(), sums, m.report().critical.comp_time)
             });
             assert_eq!(reference.0, got.0, "combine differs at {threads} threads");

@@ -185,7 +185,7 @@ pub(crate) fn charge_redist(
     what: &'static str,
 ) -> Result<(), MachineError> {
     let total: u64 = traffic.iter().sum();
-    if total == 0 || participants.len() <= 1 {
+    if total == 0 {
         return Ok(());
     }
     let nparticipants = participants.len();

@@ -110,14 +110,14 @@ impl Json {
 /// error. Errors carry a byte offset and a short reason.
 pub fn parse(input: &str) -> Result<Json, String> {
     let mut p = Parser {
-        bytes: input.as_bytes(),
+        src: input,
         pos: 0,
         depth: 0,
     };
     p.skip_ws();
     let v = p.value()?;
     p.skip_ws();
-    if p.pos != p.bytes.len() {
+    if p.pos != p.src.len() {
         return Err(p.err("trailing characters after document"));
     }
     Ok(v)
@@ -129,7 +129,7 @@ pub fn parse(input: &str) -> Result<Json, String> {
 const MAX_DEPTH: usize = 64;
 
 struct Parser<'a> {
-    bytes: &'a [u8],
+    src: &'a str,
     pos: usize,
     depth: usize,
 }
@@ -140,7 +140,7 @@ impl Parser<'_> {
     }
 
     fn peek(&self) -> Option<u8> {
-        self.bytes.get(self.pos).copied()
+        self.src.as_bytes().get(self.pos).copied()
     }
 
     fn skip_ws(&mut self) {
@@ -159,7 +159,7 @@ impl Parser<'_> {
     }
 
     fn lit(&mut self, word: &str, value: Json) -> Result<Json, String> {
-        if self.bytes[self.pos..].starts_with(word.as_bytes()) {
+        if self.src[self.pos..].starts_with(word) {
             self.pos += word.len();
             Ok(value)
         } else {
@@ -248,50 +248,45 @@ impl Parser<'_> {
         self.eat(b'"')?;
         let mut out = String::new();
         loop {
-            match self.peek() {
-                None => return Err(self.err("unterminated string")),
-                Some(b'"') => {
-                    self.pos += 1;
-                    return Ok(out);
-                }
-                Some(b'\\') => {
-                    self.pos += 1;
-                    match self.peek() {
-                        Some(b'"') => out.push('"'),
-                        Some(b'\\') => out.push('\\'),
-                        Some(b'/') => out.push('/'),
-                        Some(b'n') => out.push('\n'),
-                        Some(b'r') => out.push('\r'),
-                        Some(b't') => out.push('\t'),
-                        Some(b'b') => out.push('\u{8}'),
-                        Some(b'f') => out.push('\u{c}'),
-                        Some(b'u') => {
-                            if self.pos + 5 > self.bytes.len() {
-                                return Err(self.err("truncated \\u escape"));
-                            }
-                            let hex = std::str::from_utf8(&self.bytes[self.pos + 1..self.pos + 5])
-                                .map_err(|_| self.err("non-utf8 \\u escape"))?;
-                            let code = u32::from_str_radix(hex, 16)
-                                .map_err(|_| self.err("bad \\u escape"))?;
-                            // Surrogate pairs are not produced by our
-                            // emitters; map lone surrogates to U+FFFD.
-                            out.push(char::from_u32(code).unwrap_or('\u{fffd}'));
-                            self.pos += 4;
-                        }
-                        _ => return Err(self.err("bad escape")),
-                    }
-                    self.pos += 1;
-                }
-                Some(_) => {
-                    // Consume one UTF-8 scalar (input is a &str, so
-                    // slicing at char boundaries is safe).
-                    let rest = std::str::from_utf8(&self.bytes[self.pos..])
-                        .map_err(|_| self.err("invalid utf8"))?;
-                    let c = rest.chars().next().expect("non-empty rest");
-                    out.push(c);
-                    self.pos += c.len_utf8();
-                }
+            // Copy the run up to the next quote or escape in one slice:
+            // both are ASCII, so the run ends on a char boundary.
+            let rest = &self.src.as_bytes()[self.pos..];
+            let Some(run) = rest.iter().position(|&c| c == b'"' || c == b'\\') else {
+                self.pos = self.src.len();
+                return Err(self.err("unterminated string"));
+            };
+            out.push_str(&self.src[self.pos..self.pos + run]);
+            self.pos += run + 1;
+            if rest[run] == b'"' {
+                return Ok(out);
             }
+            match self.peek() {
+                Some(b'"') => out.push('"'),
+                Some(b'\\') => out.push('\\'),
+                Some(b'/') => out.push('/'),
+                Some(b'n') => out.push('\n'),
+                Some(b'r') => out.push('\r'),
+                Some(b't') => out.push('\t'),
+                Some(b'b') => out.push('\u{8}'),
+                Some(b'f') => out.push('\u{c}'),
+                Some(b'u') => {
+                    if self.pos + 5 > self.src.len() {
+                        return Err(self.err("truncated \\u escape"));
+                    }
+                    let hex = self
+                        .src
+                        .get(self.pos + 1..self.pos + 5)
+                        .ok_or_else(|| self.err("non-utf8 \\u escape"))?;
+                    let code =
+                        u32::from_str_radix(hex, 16).map_err(|_| self.err("bad \\u escape"))?;
+                    // Surrogate pairs are not produced by our
+                    // emitters; map lone surrogates to U+FFFD.
+                    out.push(char::from_u32(code).unwrap_or('\u{fffd}'));
+                    self.pos += 4;
+                }
+                _ => return Err(self.err("bad escape")),
+            }
+            self.pos += 1;
         }
     }
 
@@ -318,9 +313,8 @@ impl Parser<'_> {
                 self.pos += 1;
             }
         }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos])
-            .map_err(|_| self.err("invalid utf8 in number"))?;
-        text.parse::<f64>()
+        self.src[start..self.pos]
+            .parse::<f64>()
             .map(Json::Num)
             .map_err(|_| self.err("bad number"))
     }
@@ -652,6 +646,37 @@ mod tests {
         let original = "plan \"cannon(q=4)\",\nwith\ttabs\\slashes\u{1}";
         let doc = format!("\"{}\"", esc(original));
         assert_eq!(parse(&doc).unwrap().as_str(), Some(original));
+    }
+
+    #[test]
+    fn multibyte_characters_and_unicode_escapes_round_trip() {
+        let original = "λ = Σ δ(s, v) — naïve 北京 🦀";
+        for doc in [
+            format!("\"{original}\""),
+            format!("\"{}\"", esc(original)),
+            "\"\\u03bb = \\u03a3 \\u03b4(s, v) \\u2014 na\\u00efve \\u5317\\u4eac 🦀\"".into(),
+        ] {
+            assert_eq!(parse(&doc).unwrap().as_str(), Some(original), "{doc}");
+        }
+        let err = parse("\"\\u00e").unwrap_err();
+        assert!(err.contains("truncated \\u escape"), "{err}");
+        let err = parse("\"\\u000λ\"").unwrap_err();
+        assert!(err.contains("non-utf8 \\u escape"), "{err}");
+        let err = parse("\"λλ").unwrap_err();
+        assert_eq!(err, "json parse error at byte 5: unterminated string");
+    }
+
+    #[test]
+    fn a_one_mebibyte_string_parses_in_linear_time() {
+        // The parser copies runs between escapes by slice: the
+        // per-character revalidation of the rest of the input it once
+        // did made this quadratic (hours, not milliseconds).
+        let body = "ab\\\"cλ".repeat(1 << 18);
+        let doc = format!("{{\"k\":\"{body}\"}}");
+        assert!(doc.len() > 1 << 20);
+        let parsed = parse(&doc).unwrap();
+        let value = parsed.get("k").and_then(Json::as_str).unwrap();
+        assert_eq!(value, "ab\"cλ".repeat(1 << 18));
     }
 
     #[test]

@@ -15,8 +15,10 @@
 //!   actions, and the `⟨⊕,f⟩` multiplication kernels;
 //! * [`sparse`] — CSR/COO formats and generalized Gustavson SpGEMM;
 //! * [`machine`] — the simulated distributed-memory machine: α–β–γ
-//!   cost model, data-moving collectives, critical-path accounting,
-//!   per-rank memory budgets;
+//!   cost model, critical-path accounting, per-rank memory budgets,
+//!   and one call to post a collective (`Machine::post_collective`),
+//!   which decides whether it is free, in flight or charged on the
+//!   spot;
 //! * [`tensor`] — distributed matrices, redistribution, the nine
 //!   3D (and three 1D, three 2D) multiplication variants, analytic
 //!   cost models, and the plan autotuner;
