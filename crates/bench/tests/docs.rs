@@ -7,12 +7,13 @@ use mfbc_bench::regress::{run_named_case, SuiteOptions};
 use mfbc_bench::serveload::ServeLoadReport;
 use mfbc_conformance::SplitMix64;
 use mfbc_profile::export::profile_to_json;
+use mfbc_profile::html;
 use mfbc_profile::{
     AutotuneProfile, Baseline, BaselineCase, CollectiveProfile, CriticalProfile, PlanMixEntry,
     PoolProfile, Profile, RankProfile, RecoveryProfile, SuperstepProfile,
 };
 use mfbc_timeline::{
-    doc, to_json, Bottleneck, PathRow, RankRow, RoundInfo, StepAttribution, TimelineDoc,
+    doc, to_html, to_json, Bottleneck, PathRow, RankRow, RoundInfo, StepAttribution, TimelineDoc,
     WhatIfReport,
 };
 use mfbc_trace::json::{parse, write_doc, write_row, Json, Row};
@@ -22,7 +23,8 @@ use std::fmt::Debug;
 #[test]
 fn bench_case_documents_match_the_committed_bytes() {
     // One thread pins the profile's event count (pool events are per
-    // fan-out); `busy_us` is wall-clock, so it is zeroed.
+    // fan-out); `busy_us` is wall-clock, so it is zeroed. The profile
+    // HTML and the Gantt chart are pinned beside the JSON documents.
     let mut r = mfbc_parallel::with_threads(1, || {
         run_named_case(Some("rmat-s8-p4-b32"), &SuiteOptions::default())
     })
@@ -37,6 +39,14 @@ fn bench_case_documents_match_the_committed_bytes() {
     assert_eq!(
         to_json(&doc(&r.timeline, &r.analysis, &[])),
         include_str!("golden/rmat-s8-p4-b32.timeline.json")
+    );
+    assert_eq!(
+        html::render(&r.profile),
+        include_str!("golden/rmat-s8-p4-b32.profile.html")
+    );
+    assert_eq!(
+        to_html(&r.timeline, &r.analysis),
+        include_str!("golden/rmat-s8-p4-b32.gantt.html")
     );
 }
 
