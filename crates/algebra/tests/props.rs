@@ -1,119 +1,80 @@
-//! Property-based tests of the algebraic laws the MFBC correctness
-//! proofs (Lemmas 4.1/4.2) rely on.
+//! Property tests of the path arithmetic and the monoid actions the
+//! MFBC correctness proofs (Lemmas 4.1/4.2) rely on, over the whole
+//! element domain. The monoid laws themselves are in `laws.rs`.
 
-use mfbc_algebra::monoid::{laws, MinDist, SumF64};
-use mfbc_algebra::{
-    BellmanFordAction, BrandesAction, Centpath, CentpathMonoid, Dist, MonoidAction, Multpath,
-    MultpathMonoid, Semiring, Tropical,
-};
-use proptest::prelude::*;
+use mfbc_algebra::monoid::{laws, SumF64};
+use mfbc_algebra::{BellmanFordAction, BrandesAction, Dist, MonoidAction};
+use mfbc_conformance::gen;
+use mfbc_conformance::rng::SplitMix64;
+use mfbc_conformance::suite::property;
 
-fn arb_dist() -> impl Strategy<Value = Dist> {
-    prop_oneof![
-        9 => (0u64..1_000_000).prop_map(Dist::new),
-        1 => Just(Dist::INF),
-    ]
+const CASES: usize = 64;
+
+/// A finite, positive edge weight.
+fn edge_weight(rng: &mut SplitMix64) -> Dist {
+    Dist::new(rng.range(1, 9_999) as u64)
 }
 
-fn arb_finite_dist() -> impl Strategy<Value = Dist> {
-    (1u64..10_000).prop_map(Dist::new)
+#[test]
+fn dist_add_is_associative_and_commutative() {
+    property("dist_add_is_associative_and_commutative", CASES, |rng| {
+        let (a, b, c) = (gen::any_dist(rng), gen::any_dist(rng), gen::any_dist(rng));
+        assert_eq!((a + b) + c, a + (b + c));
+        assert_eq!(a + b, b + a);
+        assert_eq!(a + Dist::ZERO, a);
+    });
 }
 
-fn arb_multpath() -> impl Strategy<Value = Multpath> {
-    prop_oneof![
-        8 => ((0u64..1_000_000), (1u32..1_000_000)).prop_map(|(w, m)| Multpath::new(Dist::new(w), f64::from(m))),
-        1 => Just(Multpath::none()),
-        1 => Just(Multpath::trivial()),
-    ]
-}
-
-fn arb_centpath() -> impl Strategy<Value = Centpath> {
-    prop_oneof![
-        8 => ((0u64..1_000_000), (0u32..10_000), (-1i64..100)).prop_map(|(w, p, c)| {
-            Centpath::new(Dist::new(w), f64::from(p) / 16.0, c)
-        }),
-        1 => Just(Centpath::none()),
-    ]
-}
-
-proptest! {
-    #[test]
-    fn dist_min_monoid_laws(a in arb_dist(), b in arb_dist(), c in arb_dist()) {
-        laws::assert_associative::<MinDist>(&a, &b, &c);
-        laws::assert_commutative::<MinDist>(&a, &b);
-        laws::assert_identity::<MinDist>(&a);
-    }
-
-    #[test]
-    fn dist_add_is_associative_and_commutative(a in arb_dist(), b in arb_dist(), c in arb_dist()) {
-        prop_assert_eq!((a + b) + c, a + (b + c));
-        prop_assert_eq!(a + b, b + a);
-        prop_assert_eq!(a + Dist::ZERO, a);
-    }
-
-    #[test]
-    fn tropical_distributivity(a in arb_dist(), b in arb_dist(), c in arb_dist()) {
-        let left = Tropical::mul(&a, &Tropical::add(&b, &c));
-        let right = Tropical::add(&Tropical::mul(&a, &b), &Tropical::mul(&a, &c));
-        prop_assert_eq!(left, right);
-    }
-
-    #[test]
-    fn multpath_monoid_laws(a in arb_multpath(), b in arb_multpath(), c in arb_multpath()) {
-        laws::assert_associative::<MultpathMonoid>(&a, &b, &c);
-        laws::assert_commutative::<MultpathMonoid>(&a, &b);
-        laws::assert_identity::<MultpathMonoid>(&a);
-    }
-
-    #[test]
-    fn centpath_monoid_laws(a in arb_centpath(), b in arb_centpath(), c in arb_centpath()) {
-        laws::assert_associative::<CentpathMonoid>(&a, &b, &c);
-        laws::assert_commutative::<CentpathMonoid>(&a, &b);
-        laws::assert_identity::<CentpathMonoid>(&a);
-    }
-
-    #[test]
-    fn sum_f64_laws_on_dyadics(a in -1000i32..1000, b in -1000i32..1000) {
+#[test]
+fn sum_f64_laws_on_dyadics() {
+    property("sum_f64_laws_on_dyadics", CASES, |rng| {
         // Dyadic rationals add exactly, so associativity is testable.
-        let (x, y) = (f64::from(a) / 8.0, f64::from(b) / 8.0);
+        let mut dyadic = || (rng.below(2000) as f64 - 1000.0) / 8.0;
+        let (x, y) = (dyadic(), dyadic());
         laws::assert_commutative::<SumF64>(&x, &y);
         laws::assert_identity::<SumF64>(&x);
-    }
+    });
+}
 
-    #[test]
-    fn bellman_ford_action_axioms(x in arb_multpath(), a in arb_finite_dist(), b in arb_finite_dist()) {
-        prop_assert_eq!(BellmanFordAction::act(&x, Dist::ZERO), x);
-        prop_assert_eq!(
+#[test]
+fn bellman_ford_action_axioms() {
+    property("bellman_ford_action_axioms", CASES, |rng| {
+        let (x, a, b) = (gen::any_multpath(rng), edge_weight(rng), edge_weight(rng));
+        assert_eq!(BellmanFordAction::act(&x, Dist::ZERO), x);
+        assert_eq!(
             BellmanFordAction::act(&BellmanFordAction::act(&x, a), b),
             BellmanFordAction::act(&x, a + b)
         );
-    }
+    });
+}
 
-    #[test]
-    fn brandes_action_axioms(x in arb_centpath(), a in arb_finite_dist(), b in arb_finite_dist()) {
-        prop_assert_eq!(BrandesAction::act(&x, Dist::ZERO), x);
+#[test]
+fn brandes_action_axioms() {
+    property("brandes_action_axioms", CASES, |rng| {
+        let (x, a, b) = (gen::any_centpath(rng), edge_weight(rng), edge_weight(rng));
+        assert_eq!(BrandesAction::act(&x, Dist::ZERO), x);
         // Composition holds whenever both orders are defined
         // (non-underflowing); either order underflowing must agree
         // with the combined action underflowing.
         let ab = BrandesAction::act(&x, a + b);
         let step = BrandesAction::act(&BrandesAction::act(&x, a), b);
-        if !x.is_none() && x.w.checked_back(a + b).map(Dist::is_finite).unwrap_or(false) {
-            prop_assert_eq!(step, ab);
+        if !x.is_none() && x.w.checked_back(a + b).is_some_and(Dist::is_finite) {
+            assert_eq!(step, ab);
         } else {
-            prop_assert!(step.is_none() && ab.is_none());
+            assert!(step.is_none() && ab.is_none());
         }
-    }
+    });
+}
 
-    /// The interchange law used implicitly by Lemma 4.1: acting then
-    /// joining equals joining then acting, for equal edge weights.
-    #[test]
-    fn action_distributes_over_multpath_join(
-        x in arb_multpath(),
-        y in arb_multpath(),
-        w in arb_finite_dist(),
-    ) {
+/// The interchange law used implicitly by Lemma 4.1: acting then
+/// joining equals joining then acting, for equal edge weights.
+#[test]
+fn action_distributes_over_multpath_join() {
+    property("action_distributes_over_multpath_join", CASES, |rng| {
+        let (x, y) = (gen::any_multpath(rng), gen::any_multpath(rng));
+        let w = edge_weight(rng);
         let left = BellmanFordAction::act(&x.join(&y), w);
         let right = BellmanFordAction::act(&x, w).join(&BellmanFordAction::act(&y, w));
-        prop_assert_eq!(left, right);
-    }
+        assert_eq!(left, right);
+    });
 }

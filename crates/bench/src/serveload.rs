@@ -20,7 +20,7 @@
 //! wall-clock is reported only, like `BENCH_mfbc.json`'s.
 
 use mfbc_core::dist::{mfbc_dist, MfbcConfig};
-use mfbc_fault::{FaultPlan, RetryPolicy};
+use mfbc_fault::{FaultPlan, RetryPolicy, SplitMix64};
 use mfbc_graph::gen::uniform;
 use mfbc_machine::{Machine, MachineSpec};
 use mfbc_profile::Case;
@@ -35,24 +35,6 @@ pub const FAULTED_SCHEDULE: &str = "crash:1@2,transient:2@4";
 
 /// Requests per case (mixed queries, mixed deadlines).
 pub const REQUESTS: usize = 50;
-
-/// Local SplitMix64 so the stream is pinned independently of any
-/// library RNG.
-struct Mix(u64);
-
-impl Mix {
-    fn next(&mut self) -> u64 {
-        self.0 = self.0.wrapping_add(0x9e37_79b9_7f4a_7c15);
-        let mut z = self.0;
-        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-        z ^ (z >> 31)
-    }
-
-    fn below(&mut self, n: u64) -> u64 {
-        self.next() % n.max(1)
-    }
-}
 
 /// Measured (and contract-checked) outcome of one load case: one
 /// row of `BENCH_serve.json`, gated through
@@ -160,7 +142,7 @@ pub fn run_load(name: &str, faults: Option<&str>, seed: u64) -> ServeLoadReport 
     let mut engine = Engine::new(&machine, g, &cfg, ecfg).expect("engine builds");
     let est_batch = engine.est_batch_modeled_s();
 
-    let mut mix = Mix(seed ^ 0x5e12_7e10_ad00_0001);
+    let mut mix = SplitMix64::new(seed ^ 0x5e12_7e10_ad00_0001);
     let mut admitted: u64 = 0;
     let mut shed: u64 = 0;
     let mut pending: Vec<u64> = Vec::new();
@@ -201,11 +183,9 @@ pub fn run_load(name: &str, faults: Option<&str>, seed: u64) -> ServeLoadReport 
     for i in 0..REQUESTS as u64 {
         let query = match mix.below(4) {
             0 => Query::Full,
-            1 => Query::Vertex {
-                v: mix.below(64) as usize,
-            },
+            1 => Query::Vertex { v: mix.below(64) },
             _ => Query::TopK {
-                k: 1 + mix.below(8) as usize,
+                k: 1 + mix.below(8),
             },
         };
         // Deadline mix: a third unbounded (funds exact progress), a

@@ -6,50 +6,40 @@
 //! sum is an upper bound on any single rank's accumulated time).
 
 use mfbc_bench::{measure_mfbc, measure_traced, verify_against_trace, BenchSpec};
+use mfbc_conformance::suite::property;
 use mfbc_core::dist::PlanMode;
 use mfbc_graph::gen::uniform;
 use mfbc_trace::TraceEvent;
-use proptest::prelude::*;
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(12))]
-
-    #[test]
-    fn traced_comm_dominates_critical_path(
-        n in 40usize..220,
-        edge_factor in 2usize..8,
-        p in prop_oneof![Just(1usize), Just(2), Just(4), Just(9), Just(16)],
-        batch in 4usize..48,
-        seed in 0u64..1000,
-    ) {
-        let g = uniform(n, n * edge_factor, false, None, seed);
+#[test]
+fn traced_comm_dominates_critical_path() {
+    property("traced_comm_dominates_critical_path", 12, |rng| {
+        let n = rng.range(40, 219);
+        let edges = n * rng.range(2, 7);
+        let p = *rng.pick(&[1, 2, 4, 9, 16]);
+        let batch = rng.range(4, 47);
+        let g = uniform(n, edges, false, None, rng.below(1000) as u64);
         let bench = BenchSpec { p, mem_divisor: 1 };
         let (result, records) = measure_traced(|| measure_mfbc(&g, &bench, batch, PlanMode::Auto));
-        let m = match result {
-            Ok(m) => m,
-            Err(e) => {
-                // OOM points are legitimate outcomes, but this spec
-                // has full memory — treat any failure as a bug.
-                prop_assert!(false, "measure_mfbc failed unexpectedly: {e}");
-                unreachable!()
-            }
-        };
+        // OOM points are legitimate outcomes, but this spec has full
+        // memory — treat any failure as a bug.
+        let m = result.unwrap_or_else(|e| panic!("measure_mfbc failed unexpectedly: {e}"));
         // The run must actually have been traced.
         let collectives = records
             .iter()
             .filter(|r| matches!(r.event, TraceEvent::Collective { .. }))
             .count();
         if p > 1 {
-            prop_assert!(collectives > 0, "no collective events traced for p={p}");
+            assert!(collectives > 0, "no collective events traced for p={p}");
         }
-        prop_assert!(
+        assert!(
             verify_against_trace(&m, &records).is_ok(),
             "comm_s {} vs traced total {} ({} collectives)",
             m.comm_s,
             mfbc_trace::total_modeled_comm_s(&records),
             collectives
         );
-    }
+    });
 }
 
 #[test]

@@ -1,17 +1,23 @@
-//! Low-level samplers shared by the case generators and by the
-//! algebra property tests: sparse coordinate lists, algebra elements,
-//! Erdős–Rényi and R-MAT edge lists, and machine specs with varied
-//! α–β constants.
+//! Low-level samplers shared by the case generators and by every
+//! crate's property tests: sparse coordinate lists and matrices,
+//! algebra elements, Erdős–Rényi and R-MAT edge lists, and machine
+//! specs with varied α–β constants.
 //!
 //! All floating-point payloads are kept *integral* (multiplicities
-//! 1–3, centrality factors 0–4): additions over integral f64 are exact
-//! and associative, so every plan's accumulation order produces
+//! 1–3, centrality factors 0–4) or dyadic: additions over them are
+//! exact and associative, so every plan's accumulation order produces
 //! bit-identical results and the differential checks can demand exact
 //! equality instead of tolerances.
+//!
+//! Recorded conformance seeds replay only while each sampler keeps
+//! drawing exactly what it draws today: add a sampler rather than
+//! change one.
 
 use crate::rng::SplitMix64;
-use mfbc_algebra::{Centpath, Dist, Multpath};
+use mfbc_algebra::monoid::MinDist;
+use mfbc_algebra::{Centpath, Dist, Multpath, MultpathMonoid};
 use mfbc_machine::MachineSpec;
+use mfbc_sparse::{Coo, Csr};
 
 /// The rank counts the harness exercises: 1 (degenerate), primes with
 /// non-power-of-two logs (3, 7), the small powers of two the paper's
@@ -76,6 +82,41 @@ pub fn centpath(rng: &mut SplitMix64, bound: u64) -> Centpath {
     )
 }
 
+/// A distance over the whole domain: weights up to 10⁶, and `∞` one
+/// time in ten (the harness's [`dist`] is always finite).
+pub fn any_dist(rng: &mut SplitMix64) -> Dist {
+    if rng.chance(1, 10) {
+        Dist::INF
+    } else {
+        dist(rng, 1_000_000)
+    }
+}
+
+/// A multpath over the whole domain: weights and multiplicities up to
+/// 10⁶, and each of the adjoined identity [`Multpath::none`] and
+/// [`Multpath::trivial`] one time in ten.
+pub fn any_multpath(rng: &mut SplitMix64) -> Multpath {
+    match rng.below(10) {
+        0 => Multpath::none(),
+        1 => Multpath::trivial(),
+        _ => Multpath::new(dist(rng, 1_000_000), rng.range(1, 999_999) as f64),
+    }
+}
+
+/// A centpath over the whole domain: weights up to 10⁶, dyadic partial
+/// factors up to 625, child counters −1..=99, and the null element one
+/// time in nine.
+pub fn any_centpath(rng: &mut SplitMix64) -> Centpath {
+    if rng.chance(1, 9) {
+        return Centpath::none();
+    }
+    Centpath::new(
+        dist(rng, 1_000_000),
+        rng.below(10_000) as f64 / 16.0,
+        rng.below(101) as i64 - 1,
+    )
+}
+
 /// `nnz` random coordinates over an `nrows × ncols` index space
 /// (duplicates allowed — `Coo::into_csr` merging is part of the
 /// surface under test).
@@ -83,6 +124,34 @@ pub fn coords(rng: &mut SplitMix64, nrows: usize, ncols: usize, nnz: usize) -> V
     (0..nnz)
         .map(|_| (rng.below(nrows), rng.below(ncols)))
         .collect()
+}
+
+/// A random `nrows × ncols` distance matrix from `below(max_nnz)`
+/// coordinate draws with weights `1..=49`; duplicates merge by `min`.
+pub fn dist_matrix(rng: &mut SplitMix64, nrows: usize, ncols: usize, max_nnz: usize) -> Csr<Dist> {
+    let nnz = rng.below(max_nnz);
+    let triples: Vec<_> = coords(rng, nrows, ncols, nnz)
+        .into_iter()
+        .map(|(i, j)| (i, j, Dist::new(1 + rng.next_u64() % 49)))
+        .collect();
+    Coo::from_triples(nrows, ncols, triples).into_csr::<MinDist>()
+}
+
+/// A random `nrows × ncols` multpath matrix (a frontier) from
+/// `below(max_nnz)` coordinate draws: weights `0..40`, integral
+/// multiplicities `1..=4`; duplicates merge by `⊕`.
+pub fn multpath_matrix(
+    rng: &mut SplitMix64,
+    nrows: usize,
+    ncols: usize,
+    max_nnz: usize,
+) -> Csr<Multpath> {
+    let nnz = rng.below(max_nnz);
+    let triples: Vec<_> = coords(rng, nrows, ncols, nnz)
+        .into_iter()
+        .map(|(i, j)| (i, j, Multpath::new(dist(rng, 40), rng.range(1, 4) as f64)))
+        .collect();
+    Coo::from_triples(nrows, ncols, triples).into_csr::<MultpathMonoid>()
 }
 
 /// Erdős–Rényi-style edge list: `targets` random (possibly duplicate)

@@ -1,15 +1,17 @@
-//! Conformance harness: seeded differential testing with shrinking.
+//! Conformance harness: seeded differential testing with shrinking,
+//! and the one way the workspace draws a random test case.
 //!
 //! The paper's implementation strategy only works if every member of
 //! the 1D/2D/3D multiplication-plan space is interchangeable under
-//! arbitrary monoid kernels, and if the driver built on top of them
-//! matches textbook Brandes. This crate turns that obligation into a
-//! repeatable harness:
+//! arbitrary monoid kernels, if the monoids obey the laws behind
+//! Lemmas 4.1/4.2, and if the driver built on top of them matches
+//! textbook Brandes. This crate turns that obligation into a
+//! repeatable harness, and every crate's randomized tests run on it:
 //!
-//! * [`rng`] — a dependency-free SplitMix64 PRNG and the seed-stream
-//!   derivation (`case i of suite s` ← `mix(stream_tag(s), i)`);
-//! * [`gen`] — samplers for algebra elements, sparse coordinates,
-//!   Erdős–Rényi / R-MAT edge lists, and α–β machine specs;
+//! * [`rng`] — the SplitMix64 PRNG (defined in `mfbc-fault`) and the
+//!   seed-stream derivation (`case i of suite s` ← `mix(stream_tag(s), i)`);
+//! * [`gen`] — samplers for algebra elements, sparse coordinates and
+//!   matrices, Erdős–Rényi / R-MAT edge lists, and α–β machine specs;
 //! * [`case`] — self-contained cases: [`case::MmCase`] cross-checks
 //!   every enumerable plan plus the autotuned one against
 //!   `spgemm_serial`; [`case::DriverCase`] runs the distributed MFBC
@@ -22,7 +24,9 @@
 //!   case (fewer nonzeros, vertices, ranks, smaller dimensions);
 //! * [`suite`] — the runner: fixed-seed smoke streams, the
 //!   `MFBC_CONFORMANCE_SEED` / `MFBC_CONFORMANCE_CASES` environment
-//!   protocol, and one-line repro reporting.
+//!   protocol, and one-line repro reporting. [`suite::property`] runs a
+//!   test whose case is just its seed through the same runner; the
+//!   property tests of every other crate use it.
 //!
 //! A failing run prints something like:
 //!
@@ -35,7 +39,9 @@
 //! ```
 //!
 //! Replaying the printed command regenerates the identical case and
-//! re-shrinks it deterministically to the same minimal repro.
+//! re-shrinks it deterministically to the same minimal repro. The
+//! command names the package of the failing test, whichever crate it
+//! lives in.
 
 #![deny(missing_docs)]
 #![deny(unsafe_code)]
@@ -51,4 +57,4 @@ pub use case::{CaseSpec, DriverCase, DriverPlan, MmCase, MmKernelKind, Payload};
 pub use rng::SplitMix64;
 pub use serve::{ServeCase, ServeDeadline, ServeOp, ServeQuery};
 pub use shrink::{shrink, Shrunk};
-pub use suite::{run_suite, run_suite_or_panic, Failure};
+pub use suite::{property, run_suite, run_suite_or_panic, Failure};

@@ -10,10 +10,18 @@
 //!   from this seed (decimal or `0x…` hex) and check only it. This is
 //!   the variable printed in every failure's repro line.
 //! * `MFBC_CONFORMANCE_CASES` — override the per-suite case budget
-//!   (the nightly CI job sets it to 10× the smoke default).
+//!   (a positive count; the nightly CI job sets it to 10× the smoke
+//!   default).
+//!
+//! A suite either generates a shrinkable [`CaseSpec`] from each seed
+//! ([`run_suite`]) or is a [`property`] whose case is just its seed:
+//! the body draws what it needs from a [`SplitMix64`] seeded with it.
+//! Properties run through [`run_suite`] too, so every randomized test
+//! in the workspace shares one seed stream, budget, replay protocol
+//! and failure report.
 
 use crate::case::CaseSpec;
-use crate::rng::{mix, stream_tag};
+use crate::rng::{mix, stream_tag, SplitMix64};
 use crate::shrink::{run_check, shrink};
 
 /// A fully described conformance failure, ready to print.
@@ -62,7 +70,7 @@ impl std::fmt::Display for Failure {
 }
 
 /// Parses `MFBC_CONFORMANCE_SEED` (decimal or `0x…` hex).
-pub fn env_seed() -> Option<u64> {
+fn env_seed() -> Option<u64> {
     let raw = std::env::var("MFBC_CONFORMANCE_SEED").ok()?;
     let raw = raw.trim();
     let parsed = if let Some(hex) = raw.strip_prefix("0x").or_else(|| raw.strip_prefix("0X")) {
@@ -73,20 +81,34 @@ pub fn env_seed() -> Option<u64> {
     Some(parsed.unwrap_or_else(|_| panic!("unparseable MFBC_CONFORMANCE_SEED: {raw:?}")))
 }
 
+/// Parses an `MFBC_CONFORMANCE_CASES` value. Zero is rejected like
+/// garbage: a zero budget would pass every suite without checking a
+/// case.
+fn parse_cases(raw: &str) -> Result<usize, String> {
+    match raw.trim().parse() {
+        Ok(0) | Err(_) => Err(format!(
+            "MFBC_CONFORMANCE_CASES must be a positive case count, got {raw:?}"
+        )),
+        Ok(n) => Ok(n),
+    }
+}
+
 /// The per-suite case budget: `MFBC_CONFORMANCE_CASES` or `default`.
-pub fn case_budget(default: usize) -> usize {
+fn case_budget(default: usize) -> usize {
     match std::env::var("MFBC_CONFORMANCE_CASES") {
-        Ok(v) => v
-            .trim()
-            .parse()
-            .unwrap_or_else(|_| panic!("unparseable MFBC_CONFORMANCE_CASES: {v:?}")),
+        Ok(v) => parse_cases(&v).unwrap_or_else(|e| panic!("{e}")),
         Err(_) => default,
     }
 }
 
-/// The one-line replay command for a failing case of `suite`.
-pub fn repro_line(suite: &str, seed: u64) -> String {
-    format!("MFBC_CONFORMANCE_SEED={seed:#x} cargo test -p mfbc-conformance {suite}")
+/// The one-line replay command for a failing case of `suite`. It names
+/// the package of the running test binary (cargo sets `CARGO_PKG_NAME`
+/// in its environment); outside cargo it filters the whole workspace.
+fn repro_line(suite: &str, seed: u64) -> String {
+    let package = std::env::var("CARGO_PKG_NAME")
+        .map(|p| format!("-p {p} "))
+        .unwrap_or_default();
+    format!("MFBC_CONFORMANCE_SEED={seed:#x} cargo test {package}{suite}")
 }
 
 /// Runs a suite: `default_cases` cases generated by `generate` from
@@ -141,6 +163,47 @@ pub fn run_suite_or_panic<C: CaseSpec>(
     }
 }
 
+/// A case that is nothing but its seed. It has nothing to shrink.
+struct Seeded<'a, F> {
+    seed: u64,
+    body: &'a F,
+}
+
+impl<F> Clone for Seeded<'_, F> {
+    fn clone(&self) -> Self {
+        Seeded { ..*self }
+    }
+}
+
+impl<F> std::fmt::Debug for Seeded<'_, F> {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(f, "seed {:#x}", self.seed)
+    }
+}
+
+impl<F: Fn(&mut SplitMix64)> CaseSpec for Seeded<'_, F> {
+    fn check(&self) -> Result<(), String> {
+        (self.body)(&mut SplitMix64::new(self.seed));
+        Ok(())
+    }
+    fn size(&self) -> usize {
+        1
+    }
+    fn shrink_candidates(&self) -> Vec<Self> {
+        Vec::new()
+    }
+}
+
+/// Runs the property `suite` over `default_cases` seeds of its stream
+/// (the `MFBC_CONFORMANCE_*` protocol applies): each case calls `body`
+/// with a [`SplitMix64`] seeded by the case seed, and fails when
+/// `body` panics. Panics with the failure report, whose repro line
+/// replays the failing seed. Name the suite after its `#[test]`
+/// function so that line's filter selects it.
+pub fn property(suite: &str, default_cases: usize, body: impl Fn(&mut SplitMix64)) {
+    run_suite_or_panic(suite, default_cases, |seed| Seeded { seed, body: &body });
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -172,7 +235,8 @@ mod tests {
     #[test]
     fn passing_suite_reports_case_count() {
         let n = run_suite("toy_pass", 17, |_| FailAbove(0, 10)).unwrap();
-        assert_eq!(n, 17);
+        // The nightly job's MFBC_CONFORMANCE_CASES overrides the 17.
+        assert_eq!(n, case_budget(17));
     }
 
     #[test]
@@ -189,6 +253,39 @@ mod tests {
         assert!(f.repro.ends_with("cargo test -p mfbc-conformance toy_fail"));
         let rendered = f.to_string();
         assert!(rendered.contains("shrunk case: FailAbove(11"), "{rendered}");
+    }
+
+    #[test]
+    fn a_failing_property_reports_its_seed_and_replays_it() {
+        let report = std::panic::catch_unwind(|| {
+            property("toy_property", 50, |rng| {
+                assert!(rng.below(4) != 0, "drew a zero");
+            })
+        })
+        .expect_err("some case draws a zero");
+        let report = report.downcast_ref::<String>().expect("a formatted report");
+        let repro = report.lines().last().expect("a repro line");
+        assert!(
+            repro.ends_with("cargo test -p mfbc-conformance toy_property"),
+            "{report}"
+        );
+        assert!(report.contains("panicked: drew a zero"), "{report}");
+        // The printed seed regenerates the failing draw.
+        let seed = repro
+            .split_once("MFBC_CONFORMANCE_SEED=0x")
+            .and_then(|(_, rest)| rest.split_whitespace().next())
+            .and_then(|hex| u64::from_str_radix(hex, 16).ok())
+            .expect("a hex seed");
+        assert_eq!(SplitMix64::new(seed).below(4), 0);
+    }
+
+    #[test]
+    fn case_budget_must_be_a_positive_count() {
+        assert_eq!(parse_cases(" 2000 "), Ok(2000));
+        assert_eq!(parse_cases("1"), Ok(1));
+        for bad in ["0", "", "-3", "ten", "0x10"] {
+            assert!(parse_cases(bad).is_err(), "{bad:?} should be rejected");
+        }
     }
 
     #[test]

@@ -31,9 +31,17 @@
 //! the conformance harness's meta-tests (previously
 //! `mfbc_tensor::mm::fault`); it is test-only tooling, not part of
 //! the fault model proper.
+//!
+//! [`SplitMix64`] is the workspace's one seeded PRNG: the seeded
+//! schedules and retry jitter here draw from it, and so do the serve
+//! load stream and every randomized test.
 
 #![deny(missing_docs)]
 #![deny(unsafe_code)]
+
+mod rng;
+
+pub use rng::SplitMix64;
 
 use std::fmt;
 
@@ -178,19 +186,19 @@ impl FaultPlan {
     /// generator both use this. Deterministic in `(seed, p)`.
     pub fn seeded(seed: u64, p: usize) -> FaultPlan {
         let mut s = SplitMix64::new(seed ^ 0xfa17_fa17_fa17_fa17);
-        let count = 1 + (s.next() % 2) as usize;
+        let count = 1 + (s.next_u64() % 2) as usize;
         let mut faults = Vec::new();
         for _ in 0..count {
-            let at = s.next() % 24;
-            let kind = match s.next() % 3 {
+            let at = s.next_u64() % 24;
+            let kind = match s.next_u64() % 3 {
                 0 if p >= 2 => FaultKind::Crash {
-                    rank: (s.next() as usize) % p,
+                    rank: (s.next_u64() as usize) % p,
                 },
                 1 => FaultKind::Transient {
-                    recurrence: 1 + (s.next() % 5) as u32,
+                    recurrence: 1 + (s.next_u64() % 5) as u32,
                 },
                 _ => FaultKind::Oom {
-                    rank: (s.next() as usize) % p,
+                    rank: (s.next_u64() as usize) % p,
                 },
             };
             faults.push(ScheduledFault { at, kind });
@@ -283,7 +291,7 @@ impl RetryPolicy {
         // stream so consecutive attempts decorrelate under one seed.
         let mut rng = SplitMix64::new(seed ^ (((attempt as u64) << 32) | 0x6a17_7e12));
         // u ∈ [0, 1): 53 uniform mantissa bits.
-        let u = (rng.next() >> 11) as f64 * (1.0 / (1u64 << 53) as f64);
+        let u = (rng.next_u64() >> 11) as f64 * (1.0 / (1u64 << 53) as f64);
         // Downward-only: wait · (1 − jitter·u) ∈ (wait·(1−jitter), wait].
         wait * (1.0 - jitter * u)
     }
@@ -397,24 +405,6 @@ pub struct FaultStats {
     pub retries: u64,
     /// Modeled seconds spent in retry backoff.
     pub backoff_s: f64,
-}
-
-/// Minimal SplitMix64 for seeded schedule generation (kept local so
-/// the crate stays dependency-free).
-struct SplitMix64(u64);
-
-impl SplitMix64 {
-    fn new(seed: u64) -> SplitMix64 {
-        SplitMix64(seed)
-    }
-
-    fn next(&mut self) -> u64 {
-        self.0 = self.0.wrapping_add(0x9e37_79b9_7f4a_7c15);
-        let mut z = self.0;
-        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-        z ^ (z >> 31)
-    }
 }
 
 pub mod sabotage {

@@ -4,90 +4,96 @@
 
 #![allow(clippy::needless_range_loop)]
 
+use mfbc_conformance::rng::SplitMix64;
+use mfbc_conformance::suite::property;
 use mfbc_machine::cost::{log2_ceil, CollectiveKind, CostTracker};
 use mfbc_machine::{Group, Machine, MachineSpec};
-use proptest::collection::vec;
-use proptest::prelude::*;
 
-fn arb_kind() -> impl Strategy<Value = CollectiveKind> {
-    prop_oneof![
-        Just(CollectiveKind::Broadcast),
-        Just(CollectiveKind::Reduce),
-        Just(CollectiveKind::Allreduce),
-        Just(CollectiveKind::Scatter),
-        Just(CollectiveKind::Gather),
-        Just(CollectiveKind::Allgather),
-        Just(CollectiveKind::SparseReduce),
-        Just(CollectiveKind::PointToPoint),
-        Just(CollectiveKind::AllToAll),
-    ]
+const CASES: usize = 64;
+
+const KINDS: [CollectiveKind; 9] = [
+    CollectiveKind::Broadcast,
+    CollectiveKind::Reduce,
+    CollectiveKind::Allreduce,
+    CollectiveKind::Scatter,
+    CollectiveKind::Gather,
+    CollectiveKind::Allgather,
+    CollectiveKind::SparseReduce,
+    CollectiveKind::PointToPoint,
+    CollectiveKind::AllToAll,
+];
+
+/// A random schedule of 1–19 collectives over random subgroups of `p`
+/// ranks (sorted, deduplicated, never empty).
+fn schedule(rng: &mut SplitMix64, p: usize) -> Vec<(Vec<usize>, CollectiveKind, u64)> {
+    (0..rng.range(1, 19))
+        .map(|_| {
+            let mut group: Vec<usize> = (0..rng.range(1, p)).map(|_| rng.below(p)).collect();
+            group.sort_unstable();
+            group.dedup();
+            (group, *rng.pick(&KINDS), rng.below(10_000) as u64)
+        })
+        .collect()
 }
 
-/// A random schedule of collectives over random subgroups.
-fn arb_schedule(p: usize) -> impl Strategy<Value = Vec<(Vec<usize>, CollectiveKind, u64)>> {
-    vec(
-        (
-            vec(0..p, 1..=p).prop_map(|mut v| {
-                v.sort_unstable();
-                v.dedup();
-                v
-            }),
-            arb_kind(),
-            0u64..10_000,
-        ),
-        1..20,
-    )
-}
-
-proptest! {
-    /// Critical-path costs are monotone: adding one more collective
-    /// never decreases any rank's accumulated metrics.
-    #[test]
-    fn costs_are_monotone(schedule in arb_schedule(6), extra_bytes in 0u64..1000) {
+/// Critical-path costs are monotone: adding one more collective
+/// never decreases any rank's accumulated metrics.
+#[test]
+fn costs_are_monotone() {
+    property("costs_are_monotone", CASES, |rng| {
         let spec = MachineSpec::test(6);
         let mut t = CostTracker::new(6);
-        for (group, kind, bytes) in &schedule {
+        for (group, kind, bytes) in &schedule(rng, 6) {
             t.collective(&spec, group, *kind, *bytes);
         }
         let before: Vec<_> = (0..6).map(|r| t.rank(r)).collect();
-        t.collective(&spec, &[0, 3], CollectiveKind::Broadcast, extra_bytes);
+        t.collective(
+            &spec,
+            &[0, 3],
+            CollectiveKind::Broadcast,
+            rng.below(1000) as u64,
+        );
         for r in 0..6 {
             let after = t.rank(r);
-            prop_assert!(after.msgs >= before[r].msgs);
-            prop_assert!(after.bytes >= before[r].bytes);
-            prop_assert!(after.comm_time >= before[r].comm_time);
+            assert!(after.msgs >= before[r].msgs);
+            assert!(after.bytes >= before[r].bytes);
+            assert!(after.comm_time >= before[r].comm_time);
         }
-    }
+    });
+}
 
-    /// Every participant of a collective ends with an identical
-    /// critical path (the §7.4 synchronization), and non-participants
-    /// are untouched.
-    #[test]
-    fn collectives_synchronize_participants(schedule in arb_schedule(6)) {
+/// Every participant of a collective ends with an identical
+/// critical path (the §7.4 synchronization), and non-participants
+/// are untouched.
+#[test]
+fn collectives_synchronize_participants() {
+    property("collectives_synchronize_participants", CASES, |rng| {
         let spec = MachineSpec::test(6);
         let mut t = CostTracker::new(6);
-        for (group, kind, bytes) in &schedule {
+        for (group, kind, bytes) in &schedule(rng, 6) {
             let before: Vec<_> = (0..6).map(|r| t.rank(r)).collect();
             t.collective(&spec, group, *kind, *bytes);
             let first = t.rank(group[0]);
             for &r in group {
-                prop_assert_eq!(t.rank(r), first);
+                assert_eq!(t.rank(r), first);
             }
             for r in 0..6 {
                 if !group.contains(&r) {
-                    prop_assert_eq!(t.rank(r), before[r]);
+                    assert_eq!(t.rank(r), before[r]);
                 }
             }
         }
-    }
+    });
+}
 
-    /// The reported critical path dominates every rank, and equals
-    /// per-metric maxima.
-    #[test]
-    fn report_is_per_metric_max(schedule in arb_schedule(5)) {
+/// The reported critical path dominates every rank, and equals
+/// per-metric maxima.
+#[test]
+fn report_is_per_metric_max() {
+    property("report_is_per_metric_max", CASES, |rng| {
         let spec = MachineSpec::test(5);
         let mut t = CostTracker::new(5);
-        for (group, kind, bytes) in &schedule {
+        for (group, kind, bytes) in &schedule(rng, 5) {
             t.collective(&spec, group, *kind, *bytes);
         }
         let rep = t.report();
@@ -95,39 +101,47 @@ proptest! {
         let mut max_msgs = 0;
         for r in 0..5 {
             let c = t.rank(r);
-            prop_assert!(rep.critical.bytes >= c.bytes);
-            prop_assert!(rep.critical.msgs >= c.msgs);
+            assert!(rep.critical.bytes >= c.bytes);
+            assert!(rep.critical.msgs >= c.msgs);
             max_bytes = max_bytes.max(c.bytes);
             max_msgs = max_msgs.max(c.msgs);
         }
-        prop_assert_eq!(rep.critical.bytes, max_bytes);
-        prop_assert_eq!(rep.critical.msgs, max_msgs);
-    }
+        assert_eq!(rep.critical.bytes, max_bytes);
+        assert_eq!(rep.critical.msgs, max_msgs);
+    });
+}
 
-    /// Collective time formulas: linear in bytes, logarithmic in
-    /// group size, and never free for non-trivial groups.
-    #[test]
-    fn cost_formulas_scale_sanely(kind in arb_kind(), bytes in 1u64..1_000_000, p in 2usize..512) {
+/// Collective time formulas: linear in bytes, logarithmic in
+/// group size, and never free for non-trivial groups.
+#[test]
+fn cost_formulas_scale_sanely() {
+    property("cost_formulas_scale_sanely", CASES, |rng| {
+        let kind = *rng.pick(&KINDS);
+        let bytes = rng.range(1, 999_999) as u64;
+        let p = rng.range(2, 511);
         let spec = MachineSpec::test(p);
         let t1 = kind.time(&spec, p, bytes);
         let t2 = kind.time(&spec, p, 2 * bytes);
         // Doubling bytes adds exactly the β term once more.
-        prop_assert!(t2 > t1);
-        prop_assert!((t2 - t1 - (t1 - kind.time(&spec, p, 0))).abs() < 1e-9);
+        assert!(t2 > t1);
+        assert!((t2 - t1 - (t1 - kind.time(&spec, p, 0))).abs() < 1e-9);
         // α term grows with log p.
         let tp = kind.time(&spec, 2 * p, bytes);
-        prop_assert!(tp >= t1);
-        prop_assert!(t1 > 0.0);
-    }
+        assert!(tp >= t1);
+        assert!(t1 > 0.0);
+    });
+}
 
-    /// Memory accounting: alloc/free are inverse, peak is monotone.
-    #[test]
-    fn memory_meter_invariants(ops in vec((0usize..4, 0u64..10_000, any::<bool>()), 1..40)) {
+/// Memory accounting: alloc/free are inverse, peak is monotone.
+#[test]
+fn memory_meter_invariants() {
+    property("memory_meter_invariants", CASES, |rng| {
         let mut t = CostTracker::new(4);
         let mut shadow = [0u64; 4];
         let mut peaks = [0u64; 4];
-        for (r, b, is_alloc) in ops {
-            if is_alloc {
+        for _ in 0..rng.range(1, 39) {
+            let (r, b) = (rng.below(4), rng.below(10_000) as u64);
+            if rng.chance(1, 2) {
                 t.alloc(r, b);
                 shadow[r] += b;
             } else {
@@ -135,11 +149,11 @@ proptest! {
                 shadow[r] = shadow[r].saturating_sub(b);
             }
             peaks[r] = peaks[r].max(shadow[r]);
-            prop_assert_eq!(t.resident(r), shadow[r]);
-            prop_assert_eq!(t.peak(r), peaks[r]);
+            assert_eq!(t.resident(r), shadow[r]);
+            assert_eq!(t.peak(r), peaks[r]);
         }
-        prop_assert_eq!(t.max_peak(), peaks.iter().copied().max().unwrap());
-    }
+        assert_eq!(t.max_peak(), peaks.iter().copied().max().unwrap());
+    });
 }
 
 #[test]

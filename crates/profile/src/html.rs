@@ -10,8 +10,8 @@ use crate::profiler::Profile;
 use mfbc_trace::json::num;
 
 /// Escapes text for an HTML context (element content and quoted
-/// attribute values).
-fn esc_html(s: &str) -> String {
+/// attribute values). The timeline's Gantt chart uses it too.
+pub fn esc_html(s: &str) -> String {
     let mut out = String::with_capacity(s.len());
     for c in s.chars() {
         match c {
@@ -292,33 +292,46 @@ pub fn render(p: &Profile) -> String {
     out
 }
 
-/// Extracts the per-rank exact values embedded in a rendered report's
-/// `data-*` attributes: `(rank, comm_s, comp_s, peak_bytes)` in
-/// document order. Used by tests to cross-check the HTML against the
-/// JSON and Prometheus exporters.
-pub fn parse_rank_rows(html: &str) -> Vec<(usize, f64, f64, u64)> {
+/// The `<tr data-rank="…">` rows of a rendered document, in document
+/// order: each row's rank and the raw values of the `data-*`
+/// attributes named in `names` (`None` where absent). This is the one
+/// scanner behind both reports' exact-value cross-checks.
+pub fn data_rank_rows<'a, const N: usize>(
+    html: &'a str,
+    names: [&str; N],
+) -> Vec<(usize, [Option<&'a str>; N])> {
     let mut rows = Vec::new();
     for chunk in html.split("<tr data-rank=\"").skip(1) {
-        let attr = |name: &str| -> Option<&str> {
+        let attr = |name: &str| -> Option<&'a str> {
             let key = format!("{name}=\"");
             let start = chunk.find(&key)? + key.len();
             let end = chunk[start..].find('"')? + start;
             Some(&chunk[start..end])
         };
-        let rank: usize = match chunk.split('"').next().and_then(|s| s.parse().ok()) {
-            Some(r) => r,
-            None => continue,
-        };
-        let (Some(comm), Some(comp), Some(peak)) = (
-            attr("data-comm-s").and_then(|s| s.parse::<f64>().ok()),
-            attr("data-comp-s").and_then(|s| s.parse::<f64>().ok()),
-            attr("data-peak-bytes").and_then(|s| s.parse::<u64>().ok()),
-        ) else {
+        let Some(rank) = chunk.split('"').next().and_then(|s| s.parse().ok()) else {
             continue;
         };
-        rows.push((rank, comm, comp, peak));
+        rows.push((rank, names.map(attr)));
     }
     rows
+}
+
+/// Extracts the per-rank exact values embedded in a rendered report's
+/// `data-*` attributes: `(rank, comm_s, comp_s, peak_bytes)` in
+/// document order. Used by tests to cross-check the HTML against the
+/// JSON and Prometheus exporters.
+pub fn parse_rank_rows(html: &str) -> Vec<(usize, f64, f64, u64)> {
+    data_rank_rows(html, ["data-comm-s", "data-comp-s", "data-peak-bytes"])
+        .into_iter()
+        .filter_map(|(rank, [comm, comp, peak])| {
+            Some((
+                rank,
+                comm?.parse().ok()?,
+                comp?.parse().ok()?,
+                peak?.parse().ok()?,
+            ))
+        })
+        .collect()
 }
 
 #[cfg(test)]

@@ -137,7 +137,7 @@ pub fn render(registry: &MetricsRegistry) -> String {
 mod tests {
     use super::*;
     use crate::registry::{MetricKind, LOG2_BUCKETS};
-    use proptest::prelude::*;
+    use mfbc_conformance::suite::property;
 
     #[test]
     fn golden_counters_and_gauges() {
@@ -194,36 +194,36 @@ mfbc_rank_comm_seconds{rank=\"0\"} 0.0625
         );
     }
 
-    proptest! {
-        #![proptest_config(ProptestConfig::with_cases(32))]
-
-        /// Satellite 3 property: for any observation sequence, the
-        /// non-cumulative bucket counts (incl. overflow) sum to the
-        /// histogram's observation counter, and the rendered +Inf
-        /// bucket equals `_count`.
-        #[test]
-        fn histogram_buckets_sum_to_count(values in proptest::collection::vec(0u64..1u64 << 40, 0..200)) {
+    /// For any observation sequence, the non-cumulative bucket counts
+    /// (incl. overflow) sum to the histogram's observation counter,
+    /// and the rendered +Inf bucket equals `_count`.
+    #[test]
+    fn histogram_buckets_sum_to_count() {
+        property("histogram_buckets_sum_to_count", 32, |rng| {
+            let values: Vec<u64> = (0..rng.below(200))
+                .map(|_| rng.next_u64() % (1 << 40))
+                .collect();
             let r = MetricsRegistry::new();
             for &v in &values {
                 r.observe("h", &[], v as f64);
             }
             let snap = r.snapshot();
             if values.is_empty() {
-                prop_assert!(snap.is_empty() || snap[0].samples.is_empty());
+                assert!(snap.is_empty() || snap[0].samples.is_empty());
             } else {
                 let SampleValue::Histogram(h) = &snap[0].samples[0].1 else {
                     panic!("not a histogram");
                 };
                 let bucket_sum: u64 = h.buckets.iter().sum::<u64>() + h.overflow;
-                prop_assert_eq!(bucket_sum, h.count);
-                prop_assert_eq!(h.count, values.len() as u64);
+                assert_eq!(bucket_sum, h.count);
+                assert_eq!(h.count, values.len() as u64);
 
                 let text = render(&r);
                 let inf_line = format!("h_bucket{{le=\"+Inf\"}} {}\n", h.count);
                 let count_line = format!("h_count {}\n", h.count);
-                prop_assert!(text.contains(&inf_line));
-                prop_assert!(text.contains(&count_line));
+                assert!(text.contains(&inf_line));
+                assert!(text.contains(&count_line));
             }
-        }
+        });
     }
 }

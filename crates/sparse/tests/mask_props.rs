@@ -3,111 +3,99 @@
 //! fast path, and mask-density monotonicity of the `ops` counter.
 
 use mfbc_algebra::kernel::BellmanFordKernel;
-use mfbc_algebra::monoid::MinDist;
 use mfbc_algebra::{Dist, Multpath, MultpathMonoid};
+use mfbc_conformance::gen;
+use mfbc_conformance::rng::SplitMix64;
+use mfbc_conformance::suite::property;
 use mfbc_sparse::elementwise::combine;
-use mfbc_sparse::{spgemm_masked_serial, spgemm_serial, Coo, Csr, Mask, MaskKind};
-use proptest::collection::vec;
-use proptest::prelude::*;
+use mfbc_sparse::{spgemm_masked_serial, spgemm_serial, Csr, Mask, MaskKind};
 
-fn arb_square_dist_mat(max_n: usize) -> impl Strategy<Value = Csr<Dist>> {
-    (2..max_n).prop_flat_map(|n| {
-        vec((0..n, 0..n, 1u64..50), 0..(4 * n).min(200)).prop_map(move |ts| {
-            Coo::from_triples(n, n, ts.into_iter().map(|(i, j, w)| (i, j, Dist::new(w))))
-                .into_csr::<MinDist>()
-        })
-    })
-}
-
-fn arb_frontier(rows: usize, cols: usize) -> impl Strategy<Value = Csr<Multpath>> {
-    vec((0..rows, 0..cols, 0u64..40, 1u32..5), 0..80).prop_map(move |ts| {
-        Coo::from_triples(
-            rows,
-            cols,
-            ts.into_iter()
-                .map(|(i, j, w, m)| (i, j, Multpath::new(Dist::new(w), f64::from(m)))),
-        )
-        .into_csr::<MultpathMonoid>()
-    })
-}
+const CASES: usize = 64;
 
 /// A frontier × adjacency pair plus a mask pattern over the output
 /// shape — the operand shape MFBF actually runs masked.
-fn arb_masked_case() -> impl Strategy<Value = (Csr<Multpath>, Csr<Dist>, Vec<(usize, usize)>)> {
-    arb_square_dist_mat(16).prop_flat_map(|a| {
-        let n = a.nrows();
-        (
-            arb_frontier(4, n),
-            Just(a),
-            vec((0..4usize, 0..n), 0..(2 * n).min(60)),
-        )
-            .prop_map(|(f, a, coords)| (f, a, coords))
-    })
+fn masked_case(rng: &mut SplitMix64) -> (Csr<Multpath>, Csr<Dist>, Vec<(usize, usize)>) {
+    let n = rng.range(2, 15);
+    let a = gen::dist_matrix(rng, n, n, (4 * n).min(200));
+    let f = gen::multpath_matrix(rng, 4, n, 80);
+    let nnz = rng.below((2 * n).min(60));
+    (f, a, gen::coords(rng, 4, n, nnz))
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(64))]
-
-    /// Every masked output entry lies at a mask-allowed coordinate.
-    #[test]
-    fn masked_result_is_contained_in_mask((f, a, coords) in arb_masked_case()) {
+/// Every masked output entry lies at a mask-allowed coordinate.
+#[test]
+fn masked_result_is_contained_in_mask() {
+    property("masked_result_is_contained_in_mask", CASES, |rng| {
+        let (f, a, coords) = masked_case(rng);
         for kind in [MaskKind::Structural, MaskKind::Complement] {
             let mask = Mask::from_coords(kind, f.nrows(), a.ncols(), &coords);
             let out = spgemm_masked_serial::<BellmanFordKernel>(&f, &a, &mask);
             for (i, j, _) in out.mat.iter() {
-                prop_assert!(mask.allows(i, j), "{kind:?}: disallowed entry at ({i},{j})");
+                assert!(mask.allows(i, j), "{kind:?}: disallowed entry at ({i},{j})");
             }
         }
-    }
+    });
+}
 
-    /// A mask and its complement partition the unmasked product: the
-    /// union of the two masked results equals the unmasked result,
-    /// entry for entry and bit for bit (multiplicities are f64 sums,
-    /// so bit-equality proves accumulation order was untouched), and
-    /// the two ops counters sum to the unmasked count.
-    #[test]
-    fn mask_and_complement_partition_the_product((f, a, coords) in arb_masked_case()) {
+/// A mask and its complement partition the unmasked product: the
+/// union of the two masked results equals the unmasked result,
+/// entry for entry and bit for bit (multiplicities are f64 sums,
+/// so bit-equality proves accumulation order was untouched), and
+/// the two ops counters sum to the unmasked count.
+#[test]
+fn mask_and_complement_partition_the_product() {
+    property("mask_and_complement_partition_the_product", CASES, |rng| {
+        let (f, a, coords) = masked_case(rng);
         let unmasked = spgemm_serial::<BellmanFordKernel>(&f, &a);
         let mask = Mask::from_coords(MaskKind::Structural, f.nrows(), a.ncols(), &coords);
         let kept = spgemm_masked_serial::<BellmanFordKernel>(&f, &a, &mask);
         let dropped = spgemm_masked_serial::<BellmanFordKernel>(&f, &a, &mask.inverted());
         // Disjoint patterns: the combine never merges entries.
         let union = combine::<MultpathMonoid, _>(&kept.mat, &dropped.mat);
-        prop_assert_eq!(union.nnz(), unmasked.mat.nnz());
+        assert_eq!(union.nnz(), unmasked.mat.nnz());
         for (i, j, v) in unmasked.mat.iter() {
-            let u = union.get(i, j).expect("union must cover the unmasked product");
-            prop_assert_eq!(u.w, v.w, "weight mismatch at ({},{})", i, j);
-            prop_assert_eq!(
-                u.m.to_bits(), v.m.to_bits(),
-                "multiplicity bits differ at ({},{})", i, j
+            let u = union
+                .get(i, j)
+                .expect("union must cover the unmasked product");
+            assert_eq!(u.w, v.w, "weight mismatch at ({i},{j})");
+            assert_eq!(
+                u.m.to_bits(),
+                v.m.to_bits(),
+                "multiplicity bits differ at ({i},{j})"
             );
         }
-        prop_assert_eq!(kept.ops + dropped.ops, unmasked.ops);
-    }
+        assert_eq!(kept.ops + dropped.ops, unmasked.ops);
+    });
+}
 
-    /// An empty structural mask produces an empty output and charges
-    /// zero elementary products — the whole multiplication is pruned
-    /// before any work happens.
-    #[test]
-    fn empty_structural_mask_charges_nothing((f, a, _) in arb_masked_case()) {
+/// An empty structural mask produces an empty output and charges
+/// zero elementary products — the whole multiplication is pruned
+/// before any work happens.
+#[test]
+fn empty_structural_mask_charges_nothing() {
+    property("empty_structural_mask_charges_nothing", CASES, |rng| {
+        let (f, a, _) = masked_case(rng);
         let mask = Mask::from_coords(MaskKind::Structural, f.nrows(), a.ncols(), &[]);
         let out = spgemm_masked_serial::<BellmanFordKernel>(&f, &a, &mask);
-        prop_assert_eq!(out.mat.nnz(), 0);
-        prop_assert_eq!(out.ops, 0);
-    }
+        assert_eq!(out.mat.nnz(), 0);
+        assert_eq!(out.ops, 0);
+    });
+}
 
-    /// Growing a structural mask can only grow the modeled op count:
-    /// ops is monotone in mask density.
-    #[test]
-    fn ops_is_monotone_in_mask_density((f, a, coords) in arb_masked_case()) {
+/// Growing a structural mask can only grow the modeled op count:
+/// ops is monotone in mask density.
+#[test]
+fn ops_is_monotone_in_mask_density() {
+    property("ops_is_monotone_in_mask_density", CASES, |rng| {
+        let (f, a, coords) = masked_case(rng);
         let (rows, cols) = (f.nrows(), a.ncols());
         let half = &coords[..coords.len() / 2];
         let small = Mask::from_coords(MaskKind::Structural, rows, cols, half);
         let large = Mask::from_coords(MaskKind::Structural, rows, cols, &coords);
         let ops_small = spgemm_masked_serial::<BellmanFordKernel>(&f, &a, &small).ops;
         let ops_large = spgemm_masked_serial::<BellmanFordKernel>(&f, &a, &large).ops;
-        prop_assert!(ops_small <= ops_large);
+        assert!(ops_small <= ops_large);
         let full = spgemm_serial::<BellmanFordKernel>(&f, &a).ops;
-        prop_assert!(ops_large <= full);
-    }
+        assert!(ops_large <= full);
+    });
 }

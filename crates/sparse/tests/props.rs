@@ -5,44 +5,29 @@
 
 use mfbc_algebra::kernel::{BellmanFordKernel, TropicalKernel};
 use mfbc_algebra::monoid::{MinDist, Monoid};
-use mfbc_algebra::{Dist, Multpath, MultpathMonoid, SpMulKernel};
+use mfbc_algebra::{Dist, SpMulKernel};
+use mfbc_conformance::gen;
+use mfbc_conformance::rng::SplitMix64;
+use mfbc_conformance::suite::property;
 use mfbc_sparse::elementwise::combine;
 use mfbc_sparse::slice::{even_ranges, slice, stitch, Slab};
 use mfbc_sparse::transpose::transpose;
 use mfbc_sparse::{spgemm, spgemm_serial, Coo, Csr};
-use proptest::collection::vec;
-use proptest::prelude::*;
 use std::borrow::Cow;
 
-/// Random sparse Dist matrix as (shape, triples).
-fn arb_dist_mat(max_n: usize) -> impl Strategy<Value = Csr<Dist>> {
-    (1..max_n, 1..max_n).prop_flat_map(|(n, m)| {
-        vec((0..n, 0..m, 1u64..50), 0..(2 * n * m).min(200)).prop_map(move |ts| {
-            Coo::from_triples(n, m, ts.into_iter().map(|(i, j, w)| (i, j, Dist::new(w))))
-                .into_csr::<MinDist>()
-        })
-    })
+const CASES: usize = 64;
+
+/// A random `n × m` distance matrix, `n, m ∈ 1..max_n`.
+fn rect(rng: &mut SplitMix64, max_n: usize) -> Csr<Dist> {
+    let (n, m) = (rng.range(1, max_n - 1), rng.range(1, max_n - 1));
+    gen::dist_matrix(rng, n, m, (2 * n * m).min(200))
 }
 
-fn arb_square_dist_mat(max_n: usize) -> impl Strategy<Value = Csr<Dist>> {
-    (2..max_n).prop_flat_map(|n| {
-        vec((0..n, 0..n, 1u64..50), 0..(3 * n).min(200)).prop_map(move |ts| {
-            Coo::from_triples(n, n, ts.into_iter().map(|(i, j, w)| (i, j, Dist::new(w))))
-                .into_csr::<MinDist>()
-        })
-    })
-}
-
-fn arb_multpath_mat(rows: usize, cols: usize) -> impl Strategy<Value = Csr<Multpath>> {
-    vec((0..rows, 0..cols, 0u64..40, 1u32..5), 0..60).prop_map(move |ts| {
-        Coo::from_triples(
-            rows,
-            cols,
-            ts.into_iter()
-                .map(|(i, j, w, m)| (i, j, Multpath::new(Dist::new(w), f64::from(m)))),
-        )
-        .into_csr::<MultpathMonoid>()
-    })
+/// A random `n × n` distance matrix, `n ∈ 2..max_n`, about three
+/// draws per row.
+fn square(rng: &mut SplitMix64, max_n: usize) -> Csr<Dist> {
+    let n = rng.range(2, max_n - 1);
+    gen::dist_matrix(rng, n, n, (3 * n).min(200))
 }
 
 /// Dense reference for `C = A •⟨⊕,f⟩ B`.
@@ -86,75 +71,94 @@ fn assert_matches_dense<K: SpMulKernel>(
     }
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(64))]
-
-    #[test]
-    fn tropical_spgemm_matches_dense(a in arb_square_dist_mat(18)) {
+#[test]
+fn tropical_spgemm_matches_dense() {
+    property("tropical_spgemm_matches_dense", CASES, |rng| {
+        let a = square(rng, 18);
         let c = spgemm_serial::<TropicalKernel>(&a, &a);
         assert_matches_dense::<TropicalKernel>(&c.mat, &a, &a);
-        prop_assert!(c.mat.validate().is_ok());
-    }
+        assert!(c.mat.validate().is_ok());
+    });
+}
 
-    #[test]
-    fn multpath_spgemm_matches_dense(
-        (a, f) in arb_square_dist_mat(14)
-            .prop_flat_map(|a| {
-                let n = a.nrows();
-                (Just(a), arb_multpath_mat(3, n))
-            })
-    ) {
+#[test]
+fn multpath_spgemm_matches_dense() {
+    property("multpath_spgemm_matches_dense", CASES, |rng| {
+        let a = square(rng, 14);
+        let f = gen::multpath_matrix(rng, 3, a.nrows(), 60);
         let c = spgemm_serial::<BellmanFordKernel>(&f, &a);
         assert_matches_dense::<BellmanFordKernel>(&c.mat, &f, &a);
-    }
+    });
+}
 
-    #[test]
-    fn parallel_equals_serial(a in arb_square_dist_mat(40)) {
+#[test]
+fn parallel_equals_serial() {
+    property("parallel_equals_serial", CASES, |rng| {
+        let a = square(rng, 40);
         let s = spgemm_serial::<TropicalKernel>(&a, &a);
         let p = spgemm::<TropicalKernel>(&a, &a);
-        prop_assert_eq!(s.mat, p.mat);
-        prop_assert_eq!(s.ops, p.ops);
-    }
+        assert_eq!(s.mat, p.mat);
+        assert_eq!(s.ops, p.ops);
+    });
+}
 
-    /// Min-plus matrix multiplication is associative; our kernels must
-    /// respect that (this exercises accumulation order thoroughly).
-    #[test]
-    fn tropical_mm_associative(a in arb_square_dist_mat(12)) {
+/// Min-plus matrix multiplication is associative; our kernels must
+/// respect that (this exercises accumulation order thoroughly).
+#[test]
+fn tropical_mm_associative() {
+    property("tropical_mm_associative", CASES, |rng| {
+        let a = square(rng, 12);
         let ab = spgemm_serial::<TropicalKernel>(&a, &a).mat;
         let left = spgemm_serial::<TropicalKernel>(&ab, &a).mat;
         let right = spgemm_serial::<TropicalKernel>(&a, &ab).mat;
         // (A²)·A == A·(A²)
-        prop_assert_eq!(left, right);
-    }
+        assert_eq!(left, right);
+    });
+}
 
-    #[test]
-    fn transpose_round_trip(a in arb_dist_mat(20)) {
-        prop_assert_eq!(transpose(&transpose(&a)), a.clone());
-        prop_assert_eq!(transpose(&a).nnz(), a.nnz());
-    }
+#[test]
+fn transpose_round_trip() {
+    property("transpose_round_trip", CASES, |rng| {
+        let a = rect(rng, 20);
+        assert_eq!(transpose(&transpose(&a)), a);
+        assert_eq!(transpose(&a).nnz(), a.nnz());
+    });
+}
 
-    #[test]
-    fn transpose_swaps_entries(a in arb_dist_mat(20)) {
+#[test]
+fn transpose_swaps_entries() {
+    property("transpose_swaps_entries", CASES, |rng| {
+        let a = rect(rng, 20);
         let t = transpose(&a);
         for (i, j, v) in a.iter() {
-            prop_assert_eq!(t.get(j, i), Some(v));
+            assert_eq!(t.get(j, i), Some(v));
         }
-    }
+    });
+}
 
-    #[test]
-    fn combine_commutative_and_identity(a in arb_dist_mat(16)) {
+#[test]
+fn combine_commutative_and_identity() {
+    property("combine_commutative_and_identity", CASES, |rng| {
+        let a = rect(rng, 16);
         let z = Csr::<Dist>::zero(a.nrows(), a.ncols());
-        prop_assert_eq!(combine::<MinDist, _>(&a, &z), a.clone());
-        prop_assert_eq!(combine::<MinDist, _>(&z, &a), a.clone());
-    }
+        assert_eq!(combine::<MinDist, _>(&a, &z), a);
+        assert_eq!(combine::<MinDist, _>(&z, &a), a);
+    });
+}
 
-    #[test]
-    fn combine_idempotent_for_min(a in arb_dist_mat(16)) {
-        prop_assert_eq!(combine::<MinDist, _>(&a, &a), a.clone());
-    }
+#[test]
+fn combine_idempotent_for_min() {
+    property("combine_idempotent_for_min", CASES, |rng| {
+        let a = rect(rng, 16);
+        assert_eq!(combine::<MinDist, _>(&a, &a), a);
+    });
+}
 
-    #[test]
-    fn stitching_inverts_slicing(a in arb_dist_mat(24), br in 1usize..5, bc in 1usize..5) {
+#[test]
+fn stitching_inverts_slicing() {
+    property("stitching_inverts_slicing", CASES, |rng| {
+        let a = rect(rng, 24);
+        let (br, bc) = (rng.range(1, 4), rng.range(1, 4));
         let mut blocks = Vec::new();
         for r in even_ranges(a.nrows(), br) {
             for c in even_ranges(a.ncols(), bc) {
@@ -166,12 +170,28 @@ proptest! {
             .map(|(r, c, m)| (*r, *c, Cow::Borrowed(m)))
             .collect();
         let (back, moved) = stitch(0..a.nrows(), 0..a.ncols(), &mut slabs, |_| true);
-        prop_assert_eq!(back, a.clone());
-        prop_assert_eq!(moved.iter().map(|m| m.1).sum::<usize>(), a.nnz());
-    }
+        assert_eq!(back, a);
+        assert_eq!(moved.iter().map(|m| m.1).sum::<usize>(), a.nnz());
+    });
+}
 
-    #[test]
-    fn coo_csr_round_trip(a in arb_dist_mat(20)) {
-        prop_assert_eq!(Coo::from_csr(&a).into_csr::<MinDist>(), a.clone());
-    }
+#[test]
+fn coo_csr_round_trip() {
+    property("coo_csr_round_trip", CASES, |rng| {
+        let a = rect(rng, 20);
+        assert_eq!(Coo::from_csr(&a).into_csr::<MinDist>(), a);
+    });
+}
+
+/// A failing property's repro line names the package whose test
+/// failed, so running it replays that test.
+#[test]
+fn a_failing_property_names_this_package() {
+    let report = std::panic::catch_unwind(|| property("toy_failing_property", 1, |_| panic!()))
+        .expect_err("the property fails");
+    let report = report.downcast_ref::<String>().expect("a formatted report");
+    assert!(
+        report.ends_with(" cargo test -p mfbc-sparse toy_failing_property"),
+        "{report}"
+    );
 }

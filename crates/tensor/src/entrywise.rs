@@ -10,8 +10,9 @@
 //! ([`Csr::first_difference`]), the same traffic matrix, and — after
 //! [`charge_redist`] — bit-identical modeled clocks.
 //!
-//! Cases follow the conformance protocol: a fixed seed stream,
-//! `MFBC_CONFORMANCE_CASES` to deepen it, one failing seed printed.
+//! Both suites are conformance properties: a fixed seed stream,
+//! `MFBC_CONFORMANCE_CASES` to deepen it, one failing seed printed
+//! with its repro line.
 
 use crate::dist::{DistMat, Layout};
 use crate::grid::{factorizations, Grid2, Grid3};
@@ -19,8 +20,8 @@ use crate::mm::{assemble_canonical, canonical_layout};
 use crate::mm1d::{FirstWins, Piece};
 use crate::redist::{charge_redist, collect_owners, extract_windows, redistribute, stitch_windows};
 use mfbc_algebra::monoid::{Monoid, SumU64};
-use mfbc_conformance::rng::{mix, stream_tag, SplitMix64};
-use mfbc_conformance::{gen, suite};
+use mfbc_conformance::rng::SplitMix64;
+use mfbc_conformance::{gen, property};
 use mfbc_machine::{Group, Machine, MachineError, MachineSpec, RedistMode};
 use mfbc_sparse::slice::even_ranges;
 use mfbc_sparse::{entry_bytes, Coo, Csr};
@@ -329,8 +330,7 @@ fn same_clocks(what: &str, got: &Machine, want: &Machine) -> Result<(), String> 
 
 /// One redistribution case: `redistribute` and a multi-window
 /// `extract_windows`, each against its entry-wise body.
-fn check_moves(seed: u64) -> Result<(), String> {
-    let rng = &mut SplitMix64::new(seed);
+fn check_moves(rng: &mut SplitMix64) -> Result<(), String> {
     let spec = spec(rng);
     let p = spec.p;
     let (nrows, ncols) = (dim(rng), dim(rng));
@@ -379,8 +379,7 @@ fn check_moves(seed: u64) -> Result<(), String> {
 /// One assembly case: disjoint pieces on a ragged grid (some cells
 /// missing, some pieces empty) into the canonical layout, and the
 /// result gathered back with `to_global`.
-fn check_assembly(seed: u64) -> Result<(), String> {
-    let rng = &mut SplitMix64::new(seed);
+fn check_assembly(rng: &mut SplitMix64) -> Result<(), String> {
     let m = Machine::new(spec(rng));
     let (nrows, ncols) = (dim(rng), dim(rng));
     let (br, bc) = (rng.range(1, 5), rng.range(1, 5));
@@ -408,31 +407,16 @@ fn check_assembly(seed: u64) -> Result<(), String> {
     }
 }
 
-/// Runs `check` over the suite's seed stream (the conformance
-/// protocol's budget and replay variables apply).
-fn run(suite_name: &str, default_cases: usize, check: fn(u64) -> Result<(), String>) {
-    let seeds: Vec<u64> = match suite::env_seed() {
-        Some(s) => vec![s],
-        None => (0..suite::case_budget(default_cases))
-            .map(|i| mix(stream_tag(suite_name), i as u64))
-            .collect(),
-    };
-    for seed in seeds {
-        if let Err(e) = check(seed) {
-            panic!(
-                "{suite_name} seed {seed:#x}: {e}\n  repro: MFBC_CONFORMANCE_SEED={seed:#x} \
-                 cargo test -p mfbc-tensor --lib {suite_name}"
-            );
-        }
-    }
-}
-
 #[test]
 fn slab_moves_match_entrywise() {
-    run("slab_moves_match_entrywise", 200, check_moves);
+    property("slab_moves_match_entrywise", 200, |rng| {
+        check_moves(rng).unwrap_or_else(|e| panic!("{e}"))
+    });
 }
 
 #[test]
 fn slab_assembly_matches_entrywise() {
-    run("slab_assembly_matches_entrywise", 200, check_assembly);
+    property("slab_assembly_matches_entrywise", 200, |rng| {
+        check_assembly(rng).unwrap_or_else(|e| panic!("{e}"))
+    });
 }

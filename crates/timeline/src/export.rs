@@ -10,6 +10,7 @@
 use crate::builder::{RoundInfo, SegmentKind, Timeline};
 use crate::critical::{Analysis, Bottleneck, StepAttribution};
 use crate::whatif::WhatIfReport;
+use mfbc_profile::html::{data_rank_rows, esc_html};
 use mfbc_profile::{MetricKind, MetricsRegistry};
 use mfbc_trace::json::{self, num, parse, Row, Version};
 use mfbc_trace::{row, Value};
@@ -350,20 +351,6 @@ fn collective_class(kind: &str) -> String {
     format!("seg-c{}", h % 9)
 }
 
-fn esc_html(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '&' => out.push_str("&amp;"),
-            '<' => out.push_str("&lt;"),
-            '>' => out.push_str("&gt;"),
-            '"' => out.push_str("&quot;"),
-            c => out.push(c),
-        }
-    }
-    out
-}
-
 /// Renders a self-contained Gantt-style HTML timeline: one bar per
 /// lane, segments positioned by causal clock, critical-path segments
 /// outlined, plus the bottleneck table and per-rank totals with exact
@@ -598,23 +585,15 @@ pub fn to_html(tl: &Timeline, an: &Analysis) -> String {
 /// `data-*` attributes of [`to_html`] output — the mechanical
 /// cross-check used by the exporter-agreement tests.
 pub fn parse_html_rank_rows(html: &str) -> Vec<(usize, f64, f64, f64)> {
-    let mut rows = Vec::new();
-    for chunk in html.split("<tr data-rank=\"").skip(1) {
-        let attr = |name: &str| -> Option<&str> {
-            let key = format!("{name}=\"");
-            let start = chunk.find(&key)? + key.len();
-            let end = chunk[start..].find('"')? + start;
-            Some(&chunk[start..end])
-        };
-        let Some(rank) = chunk.split('"').next().and_then(|s| s.parse().ok()) else {
-            continue;
-        };
-        let get = |name: &str| attr(name).and_then(|s| s.parse::<f64>().ok());
-        if let (Some(clock), Some(comm), Some(comp)) =
-            (get("data-clock"), get("data-comm"), get("data-comp"))
-        {
-            rows.push((rank, clock, comm, comp));
-        }
-    }
-    rows
+    data_rank_rows(html, ["data-clock", "data-comm", "data-comp"])
+        .into_iter()
+        .filter_map(|(rank, [clock, comm, comp])| {
+            Some((
+                rank,
+                clock?.parse().ok()?,
+                comm?.parse().ok()?,
+                comp?.parse().ok()?,
+            ))
+        })
+        .collect()
 }

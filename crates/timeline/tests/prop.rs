@@ -10,9 +10,9 @@
 //! * every shrinking edit (scales in `[0, 1]`, `zero:*`, `overlap`)
 //!   is monotone non-increasing;
 //! * the `timeline.json` document round-trips exactly.
-//!
-//! Uses a local SplitMix64 so the crate stays dependency-free.
 
+use mfbc_conformance::rng::SplitMix64;
+use mfbc_conformance::suite::property;
 use mfbc_machine::{CollectiveKind, Group, Machine, MachineSpec};
 use mfbc_timeline::{
     analyze, critical_path, doc, evaluate, parse_timeline, report, to_json, Timeline,
@@ -20,22 +20,6 @@ use mfbc_timeline::{
 };
 use mfbc_trace::scoped;
 use std::sync::Arc;
-
-struct Rng(u64);
-
-impl Rng {
-    fn next(&mut self) -> u64 {
-        self.0 = self.0.wrapping_add(0x9e37_79b9_7f4a_7c15);
-        let mut z = self.0;
-        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-        z ^ (z >> 31)
-    }
-
-    fn below(&mut self, n: u64) -> u64 {
-        self.next() % n
-    }
-}
 
 const KINDS: [CollectiveKind; 9] = [
     CollectiveKind::Broadcast,
@@ -49,37 +33,34 @@ const KINDS: [CollectiveKind; 9] = [
     CollectiveKind::PointToPoint,
 ];
 
-/// Drives the seed-determined random schedule on `machine` under a
-/// scoped timeline builder (the schedule depends only on `seed` and
-/// `p`, so two machines driven with the same seed see the identical
-/// event stream).
-fn drive(seed: u64, p: usize, spec: MachineSpec) -> (Timeline, Machine) {
-    let mut rng = Rng(seed);
+/// Drives a random schedule drawn from `rng` on a fresh machine under
+/// a scoped timeline builder (the schedule depends only on the stream
+/// and `p`, so two machines driven from clones of one stream see the
+/// identical event stream).
+fn drive(rng: &mut SplitMix64, p: usize, spec: MachineSpec) -> (Timeline, Machine) {
     let builder = Arc::new(TimelineBuilder::new(spec.clone()));
     let machine = Machine::new(spec);
     scoped(builder.clone(), || {
-        let steps = 5 + rng.below(25);
-        for _ in 0..steps {
+        for _ in 0..rng.range(5, 29) {
             if rng.below(3) == 0 {
-                let rank = rng.below(p as u64) as usize;
-                machine.charge_compute(rank, 1 + rng.below(5000));
+                let rank = rng.below(p);
+                machine.charge_compute(rank, rng.range(1, 5000) as u64);
             } else {
-                let kind = KINDS[rng.below(KINDS.len() as u64) as usize];
+                let kind = *rng.pick(&KINDS);
                 let group = if rng.below(2) == 0 || p == 2 {
                     machine.world()
                 } else {
                     // A random proper subgroup of size 2..p.
-                    let size = 2 + rng.below(p as u64 - 1) as usize;
+                    let size = rng.range(2, p);
                     let mut ranks: Vec<usize> = (0..p).collect();
                     for i in (1..ranks.len()).rev() {
-                        let j = rng.below(i as u64 + 1) as usize;
-                        ranks.swap(i, j);
+                        ranks.swap(i, rng.below(i + 1));
                     }
                     ranks.truncate(size);
                     Group::new(ranks).unwrap()
                 };
                 machine
-                    .charge_collective(&group, kind, rng.below(1 << 20))
+                    .charge_collective(&group, kind, rng.below(1 << 20) as u64)
                     .unwrap();
             }
         }
@@ -87,11 +68,10 @@ fn drive(seed: u64, p: usize, spec: MachineSpec) -> (Timeline, Machine) {
     (builder.finish(), machine)
 }
 
-/// Seed-determined spec (mixed overlap modes: `test` is serialized,
+/// A random spec (mixed overlap modes: `test` is serialized,
 /// `gemini`/`aries` are overlapped by default).
-fn random_spec(seed: u64) -> (usize, MachineSpec) {
-    let mut rng = Rng(seed ^ 0x5eed_5eed);
-    let p = 2 + rng.below(5) as usize; // 2..=6 ranks
+fn random_spec(rng: &mut SplitMix64) -> (usize, MachineSpec) {
+    let p = rng.range(2, 6);
     let spec = match rng.below(3) {
         0 => MachineSpec::test(p),
         1 => MachineSpec::gemini(p),
@@ -102,93 +82,91 @@ fn random_spec(seed: u64) -> (usize, MachineSpec) {
 
 /// Drives a random schedule and returns the sealed timeline plus the
 /// machine it mirrors.
-fn random_run(seed: u64) -> (Timeline, Machine) {
-    let (p, spec) = random_spec(seed);
-    drive(seed, p, spec)
+fn random_run(rng: &mut SplitMix64) -> (Timeline, Machine) {
+    let (p, spec) = random_spec(rng);
+    drive(rng, p, spec)
 }
 
 #[test]
 fn replica_meters_match_machine_bitwise() {
-    for seed in 0..40 {
-        let (tl, machine) = random_run(seed);
+    property("replica_meters_match_machine_bitwise", 40, |rng| {
+        let (tl, machine) = random_run(rng);
         let problems = tl.validate_against(&machine);
-        assert!(problems.is_empty(), "seed {seed}: {problems:?}");
-    }
+        assert!(problems.is_empty(), "{problems:?}");
+    });
 }
 
 #[test]
 fn critical_path_sums_to_makespan_bitwise() {
-    for seed in 0..40 {
-        let (tl, _machine) = random_run(seed);
+    property("critical_path_sums_to_makespan_bitwise", 40, |rng| {
+        let (tl, _machine) = random_run(rng);
         let path = critical_path(&tl);
         assert_eq!(
             path.sum_s().to_bits(),
             tl.makespan_s().to_bits(),
-            "seed {seed}: path {:?} != makespan {:?}",
+            "path {:?} != makespan {:?}",
             path.sum_s(),
             tl.makespan_s()
         );
         // The chain is causally ordered.
         for pair in path.segments.windows(2) {
-            assert!(
-                pair[0].node < pair[1].node,
-                "seed {seed}: path not in stream order"
-            );
+            assert!(pair[0].node < pair[1].node, "path not in stream order");
         }
-    }
+    });
 }
 
 #[test]
 fn identity_what_if_reproduces_makespan_bitwise() {
-    for seed in 0..40 {
-        let (tl, _machine) = random_run(seed);
+    property("identity_what_if_reproduces_makespan_bitwise", 40, |rng| {
+        let (tl, _machine) = random_run(rng);
         let r = report(&tl, &WhatIf::identity());
-        assert_eq!(
-            r.makespan_s.to_bits(),
-            tl.makespan_s().to_bits(),
-            "seed {seed}"
-        );
+        assert_eq!(r.makespan_s.to_bits(), tl.makespan_s().to_bits());
         assert_eq!(r.baseline_s.to_bits(), tl.makespan_s().to_bits());
-    }
+    });
 }
 
 #[test]
 fn every_shrinking_edit_is_monotone_non_increasing() {
-    for seed in 0..25 {
-        let (tl, _machine) = random_run(seed);
-        let base = tl.makespan_s();
-        let mut rng = Rng(seed ^ 0xdead_beef);
-        let mut edits = vec![WhatIf {
-            overlap: true,
-            ..WhatIf::identity()
-        }];
-        for kind in KINDS {
-            edits.push(WhatIf {
-                zero_kind: Some(kind.name().to_string()),
+    property(
+        "every_shrinking_edit_is_monotone_non_increasing",
+        25,
+        |rng| {
+            let (tl, _machine) = random_run(rng);
+            let base = tl.makespan_s();
+            let mut edits = vec![WhatIf {
+                overlap: true,
                 ..WhatIf::identity()
-            });
-        }
-        for _ in 0..10 {
-            edits.push(WhatIf {
-                alpha_scale: rng.below(101) as f64 / 100.0,
-                beta_scale: rng.below(101) as f64 / 100.0,
-                gamma_scale: rng.below(101) as f64 / 100.0,
-                overlap: rng.below(2) == 1,
-                zero_kind: None,
-                // `serialize` is the one growing edit — never sampled
-                // here; it has its own bitwise identity test below.
-                serialize: false,
-            });
-        }
-        for edit in edits {
-            let edited = evaluate(&tl, &edit);
-            assert!(
-                edited <= base,
-                "seed {seed}: edit {} raised makespan {edited:?} > {base:?}",
-                edit.label()
-            );
-        }
-    }
+            }];
+            for kind in KINDS {
+                edits.push(WhatIf {
+                    zero_kind: Some(kind.name().to_string()),
+                    ..WhatIf::identity()
+                });
+            }
+            for _ in 0..10 {
+                let mut scale = || rng.below(101) as f64 / 100.0;
+                let (alpha_scale, beta_scale, gamma_scale) = (scale(), scale(), scale());
+                edits.push(WhatIf {
+                    alpha_scale,
+                    beta_scale,
+                    gamma_scale,
+                    overlap: rng.chance(1, 2),
+                    zero_kind: None,
+                    // `serialize` is the one growing edit — never sampled
+                    // here; it has its own bitwise identity test below.
+                    serialize: false,
+                });
+            }
+            for edit in edits {
+                let edited = evaluate(&tl, &edit);
+                assert!(
+                    edited <= base,
+                    "edit {} raised makespan {edited:?} > {base:?}",
+                    edit.label()
+                );
+            }
+        },
+    );
 }
 
 /// The same schedule run twice — once serialized, once overlapped —
@@ -199,88 +177,84 @@ fn every_shrinking_edit_is_monotone_non_increasing() {
 /// machines with identical meters.
 #[test]
 fn overlapped_run_never_slower_and_matches_serialized_what_if_bitwise() {
-    for seed in 0..40 {
-        let (p, spec) = random_spec(seed);
-        let (ser_tl, ser_m) = drive(seed, p, spec.clone().with_overlap(false));
-        let (ovl_tl, ovl_m) = drive(seed, p, spec.with_overlap(true));
-        assert!(ser_tl.validate_against(&ser_m).is_empty(), "seed {seed}");
-        assert!(ovl_tl.validate_against(&ovl_m).is_empty(), "seed {seed}");
-        // Meters are mode-independent: both replicas carry the same
-        // per-rank comm/comp work.
-        assert_eq!(ser_tl.alive_costs(), ovl_tl.alive_costs(), "seed {seed}");
-        assert!(
-            ovl_tl.makespan_s() <= ser_tl.makespan_s(),
-            "seed {seed}: overlapped {:?} > serialized {:?}",
-            ovl_tl.makespan_s(),
-            ser_tl.makespan_s()
-        );
-        let predicted = evaluate(
-            &ser_tl,
-            &WhatIf {
-                overlap: true,
-                ..WhatIf::identity()
-            },
-        );
-        assert_eq!(
-            predicted.to_bits(),
-            ovl_tl.makespan_s().to_bits(),
-            "seed {seed}: overlap what-if {predicted:?} != real overlapped run {:?}",
-            ovl_tl.makespan_s()
-        );
-        // The `serialize` what-if on the *overlapped* run recovers the
-        // real serialized makespan bit-for-bit (inverse of `overlap`),
-        // and on the serialized run it is the identity.
-        let re_serialized = evaluate(
-            &ovl_tl,
-            &WhatIf {
-                serialize: true,
-                ..WhatIf::identity()
-            },
-        );
-        assert_eq!(
-            re_serialized.to_bits(),
-            ser_tl.makespan_s().to_bits(),
-            "seed {seed}: serialize what-if {re_serialized:?} != real serialized run {:?}",
-            ser_tl.makespan_s()
-        );
-        let ser_identity = evaluate(
-            &ser_tl,
-            &WhatIf {
-                serialize: true,
-                ..WhatIf::identity()
-            },
-        );
-        assert_eq!(ser_identity.to_bits(), ser_tl.makespan_s().to_bits());
-        // The `overlap` what-if on the already-overlapped run is the
-        // bit-exact identity.
-        let ovl_identity = evaluate(
-            &ovl_tl,
-            &WhatIf {
-                overlap: true,
-                ..WhatIf::identity()
-            },
-        );
-        assert_eq!(ovl_identity.to_bits(), ovl_tl.makespan_s().to_bits());
-        // The machine's own clocks agree with both replays.
-        assert_eq!(
-            ovl_m.makespan_s().to_bits(),
-            ovl_tl.makespan_s().to_bits(),
-            "seed {seed}"
-        );
-        // The critical path still folds bit-exactly in overlap mode.
-        let path = critical_path(&ovl_tl);
-        assert_eq!(
-            path.sum_s().to_bits(),
-            ovl_tl.makespan_s().to_bits(),
-            "seed {seed}"
-        );
-    }
+    property(
+        "overlapped_run_never_slower_and_matches_serialized_what_if_bitwise",
+        40,
+        |rng| {
+            let (p, spec) = random_spec(rng);
+            let (ser_tl, ser_m) = drive(&mut rng.clone(), p, spec.clone().with_overlap(false));
+            let (ovl_tl, ovl_m) = drive(rng, p, spec.with_overlap(true));
+            assert!(ser_tl.validate_against(&ser_m).is_empty());
+            assert!(ovl_tl.validate_against(&ovl_m).is_empty());
+            // Meters are mode-independent: both replicas carry the same
+            // per-rank comm/comp work.
+            assert_eq!(ser_tl.alive_costs(), ovl_tl.alive_costs());
+            assert!(
+                ovl_tl.makespan_s() <= ser_tl.makespan_s(),
+                "overlapped {:?} > serialized {:?}",
+                ovl_tl.makespan_s(),
+                ser_tl.makespan_s()
+            );
+            let predicted = evaluate(
+                &ser_tl,
+                &WhatIf {
+                    overlap: true,
+                    ..WhatIf::identity()
+                },
+            );
+            assert_eq!(
+                predicted.to_bits(),
+                ovl_tl.makespan_s().to_bits(),
+                "overlap what-if {predicted:?} != real overlapped run {:?}",
+                ovl_tl.makespan_s()
+            );
+            // The `serialize` what-if on the *overlapped* run recovers the
+            // real serialized makespan bit-for-bit (inverse of `overlap`),
+            // and on the serialized run it is the identity.
+            let re_serialized = evaluate(
+                &ovl_tl,
+                &WhatIf {
+                    serialize: true,
+                    ..WhatIf::identity()
+                },
+            );
+            assert_eq!(
+                re_serialized.to_bits(),
+                ser_tl.makespan_s().to_bits(),
+                "serialize what-if {re_serialized:?} != real serialized run {:?}",
+                ser_tl.makespan_s()
+            );
+            let ser_identity = evaluate(
+                &ser_tl,
+                &WhatIf {
+                    serialize: true,
+                    ..WhatIf::identity()
+                },
+            );
+            assert_eq!(ser_identity.to_bits(), ser_tl.makespan_s().to_bits());
+            // The `overlap` what-if on the already-overlapped run is the
+            // bit-exact identity.
+            let ovl_identity = evaluate(
+                &ovl_tl,
+                &WhatIf {
+                    overlap: true,
+                    ..WhatIf::identity()
+                },
+            );
+            assert_eq!(ovl_identity.to_bits(), ovl_tl.makespan_s().to_bits());
+            // The machine's own clocks agree with both replays.
+            assert_eq!(ovl_m.makespan_s().to_bits(), ovl_tl.makespan_s().to_bits());
+            // The critical path still folds bit-exactly in overlap mode.
+            let path = critical_path(&ovl_tl);
+            assert_eq!(path.sum_s().to_bits(), ovl_tl.makespan_s().to_bits());
+        },
+    );
 }
 
 #[test]
 fn timeline_json_round_trips_exactly() {
-    for seed in 0..15 {
-        let (tl, _machine) = random_run(seed);
+    property("timeline_json_round_trips_exactly", 15, |rng| {
+        let (tl, _machine) = random_run(rng);
         let an = analyze(&tl);
         let reports = vec![
             report(&tl, &WhatIf::identity()),
@@ -295,10 +269,10 @@ fn timeline_json_round_trips_exactly() {
         let d = doc(&tl, &an, &reports);
         let text = to_json(&d);
         let parsed = parse_timeline(&text).expect("parse timeline.json");
-        assert_eq!(parsed, d, "seed {seed}: round-trip mismatch");
+        assert_eq!(parsed, d, "round-trip mismatch");
         // Serialize-again equality makes the bit-exactness visible at
         // the byte level too.
-        assert_eq!(to_json(&parsed), text, "seed {seed}");
+        assert_eq!(to_json(&parsed), text);
 
         // A flag that is not a boolean is an error, never `false`.
         for (flag, bad) in [("alive", "1"), ("overlap", "\"yes\"")] {
@@ -315,11 +289,10 @@ fn timeline_json_round_trips_exactly() {
                 );
             assert_eq!(
                 parse_timeline(&doctored),
-                Err(format!("field `{flag}` is not a boolean")),
-                "seed {seed}"
+                Err(format!("field `{flag}` is not a boolean"))
             );
         }
-    }
+    });
 }
 
 #[test]

@@ -5,8 +5,11 @@
 #![allow(clippy::needless_range_loop)]
 
 use mfbc::prelude::*;
-use proptest::collection::vec;
-use proptest::prelude::*;
+use mfbc_conformance::gen;
+use mfbc_conformance::rng::SplitMix64;
+use mfbc_conformance::suite::property;
+
+const CASES: usize = 48;
 
 #[derive(Debug, Clone)]
 struct GraphSpec {
@@ -15,16 +18,14 @@ struct GraphSpec {
     edges: Vec<(usize, usize, u64)>,
 }
 
-fn arb_graph(max_n: usize, weighted: bool) -> impl Strategy<Value = GraphSpec> {
-    (3..max_n).prop_flat_map(move |n| {
-        let wmax = if weighted { 8 } else { 1 };
-        (
-            Just(n),
-            any::<bool>(),
-            vec((0..n, 0..n, 1u64..=wmax), 0..3 * n),
-        )
-            .prop_map(|(n, directed, edges)| GraphSpec { n, directed, edges })
-    })
+/// A graph on `3..max_n` vertices, directed or not, with up to `3n`
+/// random edges of weight `1..=8`.
+fn graph_spec(rng: &mut SplitMix64, max_n: usize) -> GraphSpec {
+    let n = rng.range(3, max_n - 1);
+    let directed = rng.chance(1, 2);
+    let targets = rng.below(3 * n);
+    let edges = gen::erdos_renyi(rng, n, targets, 8);
+    GraphSpec { n, directed, edges }
 }
 
 fn build(spec: &GraphSpec) -> Graph {
@@ -35,78 +36,93 @@ fn build(spec: &GraphSpec) -> Graph {
     )
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(48))]
+/// The Brandes oracle for `g`'s weighting.
+fn oracle(g: &Graph) -> BcScores {
+    if g.is_unit_weighted() {
+        brandes_unweighted(g)
+    } else {
+        brandes_weighted(g)
+    }
+}
 
-    #[test]
-    fn seq_mfbc_equals_oracle(spec in arb_graph(16, true), nb in 1usize..6) {
+#[test]
+fn seq_mfbc_equals_oracle() {
+    property("seq_mfbc_equals_oracle", CASES, |rng| {
+        let spec = graph_spec(rng, 16);
+        let nb = rng.range(1, 5);
         let g = build(&spec);
-        let want = if g.is_unit_weighted() {
-            brandes_unweighted(&g)
-        } else {
-            brandes_weighted(&g)
-        };
+        let want = oracle(&g);
         let (got, _) = mfbc_seq(&g, nb);
-        prop_assert!(
+        assert!(
             got.approx_eq(&want, 1e-7),
             "diff {} on {:?}",
             got.max_abs_diff(&want),
             spec
         );
-    }
+    });
+}
 
-    #[test]
-    fn dist_mfbc_equals_oracle(spec in arb_graph(14, true), p in prop_oneof![Just(1usize), Just(2), Just(4), Just(6)]) {
+#[test]
+fn dist_mfbc_equals_oracle() {
+    property("dist_mfbc_equals_oracle", CASES, |rng| {
+        let spec = graph_spec(rng, 14);
+        let p = *rng.pick(&[1, 2, 4, 6]);
         let g = build(&spec);
-        let want = if g.is_unit_weighted() {
-            brandes_unweighted(&g)
-        } else {
-            brandes_weighted(&g)
-        };
+        let want = oracle(&g);
         let machine = Machine::new(MachineSpec::test(p));
-        let run = mfbc_dist(&machine, &g, &MfbcConfig {
-            batch_size: Some(5),
-            ..Default::default()
-        }).unwrap();
-        prop_assert!(
+        let run = mfbc_dist(
+            &machine,
+            &g,
+            &MfbcConfig {
+                batch_size: Some(5),
+                ..Default::default()
+            },
+        )
+        .unwrap();
+        assert!(
             run.scores.approx_eq(&want, 1e-7),
             "p={p}, diff {} on {:?}",
             run.scores.max_abs_diff(&want),
             spec
         );
-    }
+    });
+}
 
-    #[test]
-    fn mfbf_distances_equal_dijkstra(spec in arb_graph(14, true)) {
-        // MFBF's (τ, σ̄) against an independent Dijkstra—the Lemma 4.1
-        // property.
-        let g = build(&spec);
+#[test]
+fn mfbf_distances_equal_dijkstra() {
+    // MFBF's (τ, σ̄) against an independent Dijkstra—the Lemma 4.1
+    // property.
+    property("mfbf_distances_equal_dijkstra", CASES, |rng| {
+        let g = build(&graph_spec(rng, 14));
         let out = mfbf_seq(&g, &[0]);
         let hops = dijkstra_ref(&g, 0);
         for v in 0..g.n() {
             match (out.t.get(0, v), hops[v]) {
                 (Some(mp), Some((d, m))) => {
-                    prop_assert_eq!(mp.w.raw(), d, "distance mismatch at {}", v);
-                    prop_assert_eq!(mp.m, m as f64, "multiplicity mismatch at {}", v);
+                    assert_eq!(mp.w.raw(), d, "distance mismatch at {v}");
+                    assert_eq!(mp.m, m as f64, "multiplicity mismatch at {v}");
                 }
                 (None, None) => {}
-                (a, b) => prop_assert!(false, "reachability mismatch at {v}: {a:?} vs {b:?}"),
+                (a, b) => panic!("reachability mismatch at {v}: {a:?} vs {b:?}"),
             }
         }
-    }
+    });
+}
 
-    #[test]
-    fn brute_force_agreement_on_tiny(spec in arb_graph(7, true)) {
+#[test]
+fn brute_force_agreement_on_tiny() {
+    property("brute_force_agreement_on_tiny", CASES, |rng| {
+        let spec = graph_spec(rng, 7);
         let g = build(&spec);
         let bf = bruteforce_bc(&g);
         let (mf, _) = mfbc_seq(&g, 3);
-        prop_assert!(
+        assert!(
             mf.approx_eq(&bf, 1e-7),
             "diff {} on {:?}",
             mf.max_abs_diff(&bf),
             spec
         );
-    }
+    });
 }
 
 /// Independent Dijkstra with path counting (no shared code with the
