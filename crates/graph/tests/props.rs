@@ -135,9 +135,9 @@ fn io_round_trip() {
     });
 }
 
-/// The case real proptest once shrank a failure to: two vertices, no
-/// edges, undirected — every vertex isolated, so the round trip reads
-/// back an empty graph.
+/// The one failure a shrinking run once recorded for these properties:
+/// two vertices, no edges, undirected — every vertex isolated, so the
+/// round trip reads back an empty graph.
 #[test]
 fn edgeless_pair_round_trips_and_constructs_cleanly() {
     let g = Graph::new(2, false, std::iter::empty());
