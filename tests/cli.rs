@@ -87,6 +87,26 @@ fn components_counts() {
     assert_ne!(labels[0], labels[2]);
 }
 
+/// `sssp` and `components` on one seeded weighted graph with isolated
+/// vertices and ten components print, byte for byte, what the goldens
+/// hold; CI `cmp`s the same files.
+#[test]
+fn sssp_and_components_print_their_goldens() {
+    let args = [
+        "generate",
+        "uniform:120,100",
+        "--weighted",
+        "20",
+        "--seed",
+        "11",
+    ];
+    let graph = run_ok(&args, None);
+    let sssp = run_ok(&["sssp", "--source", "0", "-"], Some(&graph));
+    assert_eq!(sssp, include_str!("golden/cli_sssp.txt"));
+    let components = run_ok(&["components", "-"], Some(&graph));
+    assert_eq!(components, include_str!("golden/cli_components.txt"));
+}
+
 #[test]
 fn generate_stats_roundtrip() {
     let graph = run_ok(&["generate", "uniform:64,200", "--seed", "5"], None);
