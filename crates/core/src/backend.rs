@@ -95,27 +95,30 @@ pub trait Backend {
     /// there (ROADMAP item 1).
     fn mask_of<'a, T: Elem>(&self, kind: MaskKind, m: &'a Self::Mat<T>) -> Option<Mask<'a>>;
 
-    /// Algorithm 1, lines 1–2: opens the table a forward sweep grows,
-    /// resident, holding `frontier ⊕ diag`.
+    /// Algorithm 1, lines 1–2: opens the table a sweep grows,
+    /// resident, holding `frontier ⊕ diag` — or `frontier` itself,
+    /// which merges nothing, without `diag`.
     fn open<M: Monoid>(
         &self,
         frontier: &Self::Mat<M::Elem>,
-        diag: &Self::Mat<M::Elem>,
+        diag: Option<&Self::Mat<M::Elem>>,
     ) -> Result<Self::Table<M::Elem>, Self::Error>;
 
     /// Algorithm 1, lines 4–6, as one product into `table`:
     /// `table := table ⊕ (frontier •⟨⊕,f⟩ A)` in place, under the mask
     /// `table` reports and with its residency re-charged at its new
     /// size; returns the explored entries that
-    /// `keep(explored_val, updated_table_val)` lets through (`None`
-    /// and the identity drop an entry) and the product's `ops`. Work
-    /// is proportional to the product, not to the table.
+    /// `keep(explored_val, table_val_before, updated_table_val)` lets
+    /// through (`None` and the identity drop an entry) and the
+    /// product's `ops`. Work is proportional to the product, not to
+    /// the table.
     #[allow(clippy::type_complexity)]
     fn explore<K: SpMulKernel<Right = Dist>>(
         &mut self,
         table: &mut Self::Table<KernelOut<K>>,
         frontier: &Self::Mat<K::Left>,
-        keep: impl Fn(&KernelOut<K>, &KernelOut<K>) -> Option<KernelOut<K>> + Sync,
+        keep: impl Fn(&KernelOut<K>, Option<&KernelOut<K>>, &KernelOut<K>) -> Option<KernelOut<K>>
+            + Sync,
     ) -> Result<(Self::Mat<KernelOut<K>>, u64), Self::Error>;
 
     /// Algorithm 2, lines 1–4, as one product into a freshly opened
@@ -227,17 +230,19 @@ impl Backend for Local<'_> {
     fn open<M: Monoid>(
         &self,
         frontier: &Csr<M::Elem>,
-        diag: &Csr<M::Elem>,
+        diag: Option<&Csr<M::Elem>>,
     ) -> Result<Table<M::Elem>, Self::Error> {
-        let seeded = elementwise::combine::<M, _>(frontier, diag);
-        Ok(Table::from_csr(&seeded, self.masked))
+        let merged = diag.map(|d| elementwise::combine::<M, _>(frontier, d));
+        let seeded = merged.as_ref().unwrap_or(frontier);
+        Ok(Table::from_csr(seeded, self.masked))
     }
 
     fn explore<K: SpMulKernel<Right = Dist>>(
         &mut self,
         table: &mut Table<KernelOut<K>>,
         frontier: &Csr<K::Left>,
-        keep: impl Fn(&KernelOut<K>, &KernelOut<K>) -> Option<KernelOut<K>> + Sync,
+        keep: impl Fn(&KernelOut<K>, Option<&KernelOut<K>>, &KernelOut<K>) -> Option<KernelOut<K>>
+            + Sync,
     ) -> Result<(Csr<KernelOut<K>>, u64), Self::Error> {
         let explored = spgemm_opt::<K>(frontier, self.a, table.mask().as_ref());
         let kept = table.accumulate::<K::Acc>(&explored.mat, keep);
@@ -535,18 +540,20 @@ impl Backend for Simulated {
     fn open<M: Monoid>(
         &self,
         frontier: &DistMat<M::Elem>,
-        diag: &DistMat<M::Elem>,
+        diag: Option<&DistMat<M::Elem>>,
     ) -> Result<DistTable<M::Elem>, MachineError> {
-        let seeded = self.combine::<M>(frontier, diag);
-        self.charge(&seeded)?;
-        Ok(DistTable::from_dmat(&seeded, self.masked))
+        let merged = diag.map(|d| self.combine::<M>(frontier, d));
+        let seeded = merged.as_ref().unwrap_or(frontier);
+        self.charge(seeded)?;
+        Ok(DistTable::from_dmat(seeded, self.masked))
     }
 
     fn explore<K: SpMulKernel<Right = Dist>>(
         &mut self,
         table: &mut DistTable<KernelOut<K>>,
         frontier: &DistMat<K::Left>,
-        keep: impl Fn(&KernelOut<K>, &KernelOut<K>) -> Option<KernelOut<K>> + Sync,
+        keep: impl Fn(&KernelOut<K>, Option<&KernelOut<K>>, &KernelOut<K>) -> Option<KernelOut<K>>
+            + Sync,
     ) -> Result<(DistMat<KernelOut<K>>, u64), MachineError> {
         // The product has to be communicated, so here it is a matrix.
         let mask = table_mask(table);

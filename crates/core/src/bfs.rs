@@ -3,115 +3,64 @@
 //! iterative multiplication of the sparse adjacency matrix A with a
 //! sparse vector xᵢ over the tropical semiring".
 //!
-//! Exposed as batched (multi-source) operations on the same
-//! distributed machinery as MFBC: a batch of sources is an
-//! `n_b × n` tropical frontier matrix, each iteration one
-//! generalized product. These are useful library citizens in their
-//! own right (distance queries, reachability) and double as a gentle
-//! on-ramp to the MFBC code.
+//! Batched (multi-source): a batch of sources is an `n_b × n`
+//! tropical frontier matrix, and each superstep one generalized
+//! product of it into the distance table — [`crate::sweep::sweep`],
+//! the superstep driver MFBF runs, with [`TropicalKernel`] and the
+//! [`crate::sweep::improved`] frontier rule, on either backend. The
+//! table masks wherever MFBF's does: on unit weights a rediscovery can
+//! never improve a distance.
 
+use crate::backend::{Backend, Local, Simulated};
+use crate::sweep::{improved, sweep};
 use mfbc_algebra::kernel::TropicalKernel;
 use mfbc_algebra::monoid::MinDist;
 use mfbc_algebra::Dist;
 use mfbc_graph::Graph;
 use mfbc_machine::{Machine, MachineError};
-use mfbc_sparse::elementwise::combine;
-use mfbc_sparse::{spgemm, Coo, Csr};
-use mfbc_tensor::autotune::{best_plan, stats_for_masked};
-use mfbc_tensor::cache::MmCache;
-use mfbc_tensor::ops::{dmat_combine, dmat_zip_filter, nnz_sync};
-use mfbc_tensor::{canonical_layout, mm_exec_cached_masked, DistMat};
+use mfbc_sparse::{Coo, Csr};
+use mfbc_tensor::DistMat;
 
 /// Distances from each source in `sources` to every vertex:
 /// `out.get(s, v) == Some(τ(sources[s], v))` for reachable `v ≠
 /// sources[s]`, diagonal entries are 0. Plain tropical Bellman–Ford
-/// (no multiplicities) on CSR — the §2.3 loop.
+/// (no multiplicities) on CSR — the §2.3 iteration.
 pub fn sssp_seq(g: &Graph, sources: &[usize]) -> Csr<Dist> {
-    let n = g.n();
-    let nb = sources.len();
-    let a = g.adjacency();
-
-    let mut seeds = Coo::new(nb, n);
-    for (s, &src) in sources.iter().enumerate() {
-        assert!(src < n, "source {src} out of range");
-        seeds.push(s, src, Dist::ZERO);
-    }
-    let mut dist = seeds.into_csr::<MinDist>();
-    let mut frontier = dist.clone();
-
-    while !frontier.is_empty() {
-        let explored = spgemm::<TropicalKernel>(&frontier, a).mat;
-        let updated = combine::<MinDist, _>(&dist, &explored);
-        // Next frontier: entries that improved the table.
-        frontier =
-            explored.filter(|s, v, w| updated.get(s, v) == Some(w) && dist.get(s, v) != Some(w));
-        dist = updated;
-    }
+    let Ok(dist) = sssp(&mut Local::new(g), g.n(), sources);
     dist
 }
 
 /// Distributed batched SSSP over the simulated machine, with
-/// autotuned products and the amortized adjacency cache — the
-/// "BFS primitive" most prior BC parallelizations build on, here as
-/// a two-line specialization of the MFBC machinery.
+/// autotuned products and the amortized adjacency cache: [`sssp_seq`]
+/// on [`Simulated`]. The distances are handed back, not kept
+/// resident: every rank's meter returns to where it was, failure or
+/// not.
 pub fn sssp_dist(
     machine: &Machine,
     g: &Graph,
     sources: &[usize],
 ) -> Result<DistMat<Dist>, MachineError> {
-    let n = g.n();
-    let nb = sources.len();
-    let da = DistMat::from_global(canonical_layout(machine, n, n), g.adjacency());
-    da.charge_memory(machine)?;
-    let mut cache = MmCache::new();
+    let mark = machine.memory_snapshot();
+    let dist = Simulated::new(machine, g, None, true, g.is_unit_weighted()).and_then(|mut be| {
+        let dist = sssp(&mut be, g.n(), sources);
+        be.close();
+        dist
+    });
+    machine.restore_memory(&mark);
+    dist
+}
 
-    let mut seeds = Coo::new(nb, n);
+/// The distance table of `sources` on `be`: seeded with the `(s,
+/// sources[s]) = 0` diagonal, which is also the first frontier.
+fn sssp<B: Backend>(be: &mut B, n: usize, sources: &[usize]) -> Result<B::Mat<Dist>, B::Error> {
+    let mut seeds = Coo::new(sources.len(), n);
     for (s, &src) in sources.iter().enumerate() {
         assert!(src < n, "source {src} out of range");
         seeds.push(s, src, Dist::ZERO);
     }
-    let layout = canonical_layout(machine, nb, n);
-    let mut dist = DistMat::from_global(layout, &seeds.into_csr::<MinDist>());
-    let mut frontier = dist.clone();
-
-    let result = (|| {
-        while nnz_sync(machine, &frontier)? > 0 {
-            let explored = {
-                let _span = mfbc_trace::span(|| "mm_auto".to_string());
-                let st = stats_for_masked::<TropicalKernel>(&frontier, &da, None);
-                let plan = best_plan(machine.spec(), &st).0;
-                mm_exec_cached_masked::<TropicalKernel>(
-                    machine, &plan, &frontier, &da, None, &mut cache,
-                )?
-            };
-            let updated = dmat_combine::<MinDist, _>(machine, &dist, &explored.c);
-            frontier = dmat_zip_filter::<MinDist, _, _, _>(
-                machine,
-                &explored.c,
-                &updated,
-                |gi, gj, w, u| {
-                    let improved = u == Some(w) && dist_lookup(&dist, gi, gj) != Some(*w);
-                    improved.then_some(*w)
-                },
-            );
-            dist = updated;
-        }
-        Ok(dist)
-    })();
-    cache.release_all(machine);
-    da.release_memory(machine);
-    result
-}
-
-/// Global-coordinate lookup into a distributed matrix (helper for the
-/// frontier filter; block-local `get` after locating the block).
-fn dist_lookup(m: &DistMat<Dist>, gi: usize, gj: usize) -> Option<Dist> {
-    let l = m.layout();
-    let bi = l.find_row_block(gi);
-    let bj = l.find_col_block(gj);
-    m.block(bi, bj)
-        .get(gi - l.row_range(bi).start, gj - l.col_range(bj).start)
-        .copied()
+    let seeds = be.place(seeds.into_csr::<MinDist>());
+    let (dist, _) = sweep::<B, TropicalKernel>(be, "sssp", seeds, None, improved)?;
+    Ok(dist)
 }
 
 /// Hop distances (unweighted BFS levels) from one source, as a plain

@@ -5,15 +5,20 @@
 //! Components are computed by iterating `x ← x •⟨min,·⟩ A` over the
 //! *min-label* structure: each vertex holds a candidate component
 //! label (initially its own id), and every product propagates the
-//! smallest label across edges — the same maximal-frontier loop as
-//! MFBF with a different monoid. Converges in `O(component
-//! diameter)` iterations.
+//! smallest label across edges — MFBF's maximal-frontier sweep,
+//! [`crate::sweep::sweep`], with [`LabelKernel`] and the
+//! [`crate::sweep::improved`] frontier rule. Converges in
+//! `O(component diameter)` iterations. The label table never masks:
+//! it starts full, so the complement of its pattern would exclude
+//! every product.
 
-use mfbc_algebra::monoid::{CommutativeMonoid, Monoid};
+use crate::backend::Local;
+use crate::sweep::{improved, sweep};
+use mfbc_algebra::monoid::{CommutativeMonoid, MinDist, Monoid};
 use mfbc_algebra::{Dist, SpMulKernel};
 use mfbc_graph::Graph;
 use mfbc_sparse::elementwise::combine;
-use mfbc_sparse::{spgemm, Coo, Csr};
+use mfbc_sparse::Coo;
 
 /// `(u64, min)` monoid over labels with `u64::MAX` as "no label".
 #[derive(Clone, Copy, Default, Debug, PartialEq, Eq)]
@@ -62,33 +67,22 @@ impl SpMulKernel for LabelKernel {
 /// vertices are their own components.
 pub fn connected_components(g: &Graph) -> Vec<u64> {
     let n = g.n();
-    if n == 0 {
-        return Vec::new();
-    }
     // Work on the symmetrized structure (weak connectivity).
-    let adj = if g.directed() {
-        let t = g.adjacency_t();
-        combine::<mfbc_algebra::monoid::MinDist, _>(g.adjacency(), &t)
+    let symmetrized;
+    let g = if g.directed() {
+        let adj = combine::<MinDist, _>(g.adjacency(), &g.adjacency_t());
+        symmetrized = Graph::from_adjacency(adj, false);
+        &symmetrized
     } else {
-        g.adjacency().clone()
+        g
     };
-
-    // Labels as a 1 × n row: x(0, v) = v.
-    let mut labels_coo = Coo::new(1, n);
-    for v in 0..n {
-        labels_coo.push(0, v, v as u64);
-    }
-    let mut labels: Csr<u64> = labels_coo.into_csr::<MinLabel>();
-    let mut frontier = labels.clone();
-
-    while !frontier.is_empty() {
-        let explored = spgemm::<LabelKernel>(&frontier, &adj).mat;
-        let updated = combine::<MinLabel, _>(&labels, &explored);
-        frontier = explored
-            .filter(|s, v, lab| updated.get(s, v) == Some(lab) && labels.get(s, v) != Some(lab));
-        labels = updated;
-    }
-
+    let mut be = Local::new(g);
+    be.masked = false;
+    // Labels as a 1 × n row, x(0, v) = v: the table and the first
+    // frontier.
+    let labels = Coo::from_triples(1, n, (0..n).map(|v| (0, v, v as u64)));
+    let labels = labels.into_csr::<MinLabel>();
+    let Ok((labels, _)) = sweep::<_, LabelKernel>(&mut be, "components", labels, None, improved);
     (0..n)
         .map(|v| *labels.get(0, v).expect("every vertex keeps a label"))
         .collect()

@@ -4,7 +4,10 @@
 //!   the multpath table `T(s,v) = (τ(®s(s),v), σ̄(®s(s),v))` —
 //!   shortest-path distances *and* multiplicities — by relaxing every
 //!   edge adjacent to an entry whose path information changed in the
-//!   previous iteration (the *maximal frontier*);
+//!   previous iteration (the *maximal frontier*). Its superstep
+//!   driver, [`sweep`], takes any kernel: [`crate::bfs`] runs it with
+//!   the tropical kernel and [`crate::cc`] with min-label propagation,
+//!   both under the [`improved`] frontier rule;
 //! * [`backward`] — MFBr (Algorithm 2): back-propagates the partial
 //!   centrality *factors* `ζ(s,v) = δ(s,v)/σ̄(s,v)` from the leaves of
 //!   each shortest-path tree toward its root. Every entry counts the
@@ -33,15 +36,16 @@
 //! child-count product under `T`'s pattern itself and every
 //! back-propagation under the *pending* set — the entries of `Z` whose
 //! counter is still positive, which only shrinks. None of the three
-//! can change a result (see the loops for why); they change which
+//! can change a result (see [`forward`] and [`backward`] for why);
+//! they change which
 //! elementary products are formed, so `ops` counts the products
 //! towards entries that can still use them and Theorem 5.1's `ops` is
 //! its upper bound. Only the forward mask needs unit weights.
 
 use crate::backend::Backend;
-use mfbc_algebra::kernel::{BellmanFordKernel, BrandesKernel};
+use mfbc_algebra::kernel::{BellmanFordKernel, BrandesKernel, KernelOut};
 use mfbc_algebra::monoid::SumF64;
-use mfbc_algebra::{Centpath, Multpath, MultpathMonoid};
+use mfbc_algebra::{Centpath, Dist, Multpath, MultpathMonoid, SpMulKernel};
 use mfbc_graph::Graph;
 use mfbc_sparse::{Coo, MaskKind};
 
@@ -129,33 +133,63 @@ pub fn forward<B: Backend>(
         }
         diag.push(s, src, Multpath::trivial());
     }
-    let mut frontier = be.place(init.into_csr::<MultpathMonoid>());
+    let frontier = be.place(init.into_csr::<MultpathMonoid>());
     let diag = be.place(diag.into_csr::<MultpathMonoid>());
-    // From here T is updated in place: a superstep costs what its
-    // frontier and products cost, never a pass over the table.
-    let mut t = be.open::<MultpathMonoid>(&frontier, &diag)?;
+    // Lines 4–6: the next frontier keeps explored entries whose weight
+    // survived. Where the table masks, a product goes to the pairs not
+    // yet discovered only: on unit-weighted graphs a rediscovery
+    // always loses the distance combine *and* the frontier filter, so
+    // pruning it at the multiply changes nothing downstream — it just
+    // skips the products (and lets redistribution skip B columns the
+    // mask rules out).
+    let keep =
+        |gv: &Multpath, _: Option<&Multpath>, tv: &Multpath| mfbf_keep_in_frontier(gv, Some(tv));
+    sweep::<B, BellmanFordKernel>(be, "forward", frontier, Some(&diag), keep)
+}
+
+/// The frontier rule of a min-monoid sweep — §2.3's BFS/SSSP, label
+/// propagation: an explored value `g` goes on iff it improved the
+/// table entry, i.e. won the fold (`after == g`) and was not there
+/// already (`before != g`), which `after` alone cannot tell from a
+/// tie.
+pub fn improved<T: PartialEq + Clone>(g: &T, before: Option<&T>, after: &T) -> Option<T> {
+    (after == g && before != Some(g)).then(|| g.clone())
+}
+
+/// The superstep loop every frontier algorithm runs (Algorithm 1,
+/// lines 3–6, for any kernel): opens the table on `frontier` (and
+/// `diag`, see [`Backend::open`]); then, while the frontier holds an
+/// entry, explores it — one product into the table — and moves on to
+/// the explored entries `keep(explored, before, after)` lets through.
+/// Returns the table, frozen and left charged.
+///
+/// Who masks is the backend's and the table's business: a table opened
+/// with tracking sends each product to the pairs it does not hold yet.
+#[allow(clippy::type_complexity)]
+pub fn sweep<B, K>(
+    be: &mut B,
+    phase: &'static str,
+    mut frontier: B::Mat<KernelOut<K>>,
+    diag: Option<&B::Mat<KernelOut<K>>>,
+    keep: impl Fn(&KernelOut<K>, Option<&KernelOut<K>>, &KernelOut<K>) -> Option<KernelOut<K>> + Sync,
+) -> Result<(B::Mat<KernelOut<K>>, SweepStats), B::Error>
+where
+    B: Backend,
+    K: SpMulKernel<Left = KernelOut<K>, Right = Dist>,
+{
+    // From here the table is updated in place: a superstep costs what
+    // its frontier and products cost, never a pass over the table.
+    let mut table = be.open::<K::Acc>(&frontier, diag)?;
     let mut st = SweepStats::default();
-    let _span = be.span("forward");
-    // Line 3: loop while the frontier carries any path.
+    let _span = be.span(phase);
     loop {
-        let nnz = be.nnz_sync("forward", st.iterations, &frontier)?;
+        let nnz = be.nnz_sync(phase, st.iterations, &frontier)?;
         if nnz == 0 {
-            return Ok((be.freeze(t), st));
+            return Ok((be.freeze(table), st));
         }
         st.iterations += 1;
         st.frontier_nnz += nnz as u64;
-        // Lines 4–6, one product into T: explore nodes adjacent to
-        // the frontier and accumulate multiplicities where they land;
-        // the next frontier keeps explored entries whose weight
-        // survived. T holds every (source, vertex) pair already
-        // discovered and, where it masks, sends the product to the
-        // others only: on unit-weighted graphs a rediscovery always
-        // loses the distance combine *and* the frontier filter, so
-        // pruning it at the multiply changes nothing downstream — it
-        // just skips the products (and lets redistribution skip B
-        // columns the mask rules out).
-        let keep = |gv: &Multpath, tv: &Multpath| mfbf_keep_in_frontier(gv, Some(tv));
-        let (kept, ops) = be.explore::<BellmanFordKernel>(&mut t, &frontier, keep)?;
+        let (kept, ops) = be.explore::<K>(&mut table, &frontier, &keep)?;
         st.ops += ops;
         frontier = kept;
     }

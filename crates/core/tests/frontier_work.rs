@@ -1,8 +1,9 @@
 //! Regression alarm for per-superstep table copies: the bytes one
 //! `mfbc_seq` call requests from the allocator stay within a small
 //! multiple of the tables it builds, so do those of `mfbc_dist` on one
-//! simulated rank, and a backward superstep of `mfbr_seq` makes the
-//! same few allocation calls however much it fires.
+//! simulated rank and of `sssp_seq`, and a backward superstep of
+//! `mfbr_seq` makes the same few allocation calls however much it
+//! fires.
 //!
 //! A superstep is priced by its frontier and the products it induces
 //! (Theorem 5.1). Rebuilding the `n_b × n` tables `T` and `Z` around
@@ -14,6 +15,7 @@
 use mfbc_algebra::kernel::BrandesKernel;
 use mfbc_algebra::{Centpath, Multpath};
 use mfbc_core::backend::{Backend, Local};
+use mfbc_core::bfs::sssp_seq;
 use mfbc_core::dist::{mfbc_dist, MfbcConfig};
 use mfbc_core::seq::{mfbc_seq, mfbf_seq, mfbr_seq};
 use mfbc_core::sweep::{mfbr_anchor, mfbr_fire};
@@ -112,6 +114,13 @@ const MAX_MASKED_REQUESTED_PER_TABLE_BYTE: f64 = 10.0;
 /// when `mfbc_seq` last moved; `mfbc_seq` has halved since and the
 /// simulated run has not, so the bound is kept where it was in bytes.
 const MAX_DIST_REQUESTED_PER_TABLE_BYTE: f64 = 28.5;
+
+/// Requested bytes per byte of final distance table for `sssp_seq`
+/// from every vertex of the grid. Measured: 14.4 with its products
+/// folded into the table in place, 83.6 when every superstep merged
+/// them into a fresh copy of the whole table — the bound is the
+/// measurement × 1.5.
+const MAX_SSSP_REQUESTED_PER_TABLE_BYTE: f64 = 21.7;
 
 /// Allocation calls any one backward superstep of `mfbr_seq` may make
 /// on the grid. A superstep allocates its accumulator, its sinks and a
@@ -253,6 +262,20 @@ fn mfbc_requests_a_small_multiple_of_its_tables() {
             dratio < MAX_DIST_REQUESTED_PER_TABLE_BYTE,
             "mfbc_dist at p=1 requested {dist_requested} bytes for {table_bytes} bytes of \
              tables: {dratio:.1}x ({requested} by mfbc_seq)"
+        );
+
+        // SSSP from every vertex of the grid: the same loop, its
+        // supersteps priced by their frontiers.
+        let sources: Vec<usize> = (0..g.n()).collect();
+        let before = REQUESTED.load(Ordering::Relaxed);
+        let dist = sssp_seq(&g, &sources);
+        let sssp_requested = REQUESTED.load(Ordering::Relaxed) - before;
+        let dist_bytes = dist.payload_bytes() as u64;
+        let sratio = sssp_requested as f64 / dist_bytes as f64;
+        assert!(
+            sratio < MAX_SSSP_REQUESTED_PER_TABLE_BYTE,
+            "sssp_seq requested {sssp_requested} bytes for {dist_bytes} bytes of distances: \
+             {sratio:.1}x"
         );
     });
 }

@@ -13,10 +13,11 @@
 //!   per-rank utilization bars and a superstep timeline — no scripts,
 //!   no external assets.
 //!
-//! The [`Profiler`] is a streaming [`mfbc_trace::Recorder`]: attach
-//! it (alone, or alongside a `MemoryRecorder` via `TeeRecorder`),
-//! run, then call [`Profiler::finish`] with the machine to seal the
-//! per-rank meters and memory high-water marks into a [`Profile`].
+//! The [`Profiler`] is a streaming [`mfbc_trace::Recorder`]: install
+//! it (alone, or beside a `MemoryRecorder`: every installed sink sees
+//! every event), run, then call [`Profiler::finish`] with the machine
+//! to seal the per-rank meters and memory high-water marks into a
+//! [`Profile`].
 //!
 //! [`baseline`] holds the committed-benchmark format and the
 //! comparison policy behind `mfbc-cli bench`: deterministic modeled

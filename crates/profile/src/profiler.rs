@@ -8,7 +8,6 @@
 //! aggregates into a [`MetricsRegistry`] for Prometheus export.
 
 use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
 
 use mfbc_machine::Machine;
@@ -301,7 +300,6 @@ struct State {
 /// A [`Recorder`] that aggregates trace events into a [`Profile`].
 #[derive(Debug)]
 pub struct Profiler {
-    enabled: AtomicBool,
     registry: Arc<MetricsRegistry>,
     state: Mutex<State>,
 }
@@ -313,7 +311,7 @@ impl Default for Profiler {
 }
 
 impl Profiler {
-    /// A fresh, enabled profiler with its own registry.
+    /// A fresh profiler with its own registry.
     pub fn new() -> Profiler {
         Profiler::with_registry(Arc::new(MetricsRegistry::new()))
     }
@@ -323,7 +321,6 @@ impl Profiler {
     pub fn with_registry(registry: Arc<MetricsRegistry>) -> Profiler {
         declare_metrics(&registry);
         Profiler {
-            enabled: AtomicBool::new(true),
             registry,
             state: Mutex::new(State::default()),
         }
@@ -332,12 +329,6 @@ impl Profiler {
     /// The registry this profiler mirrors its aggregates into.
     pub fn registry(&self) -> &Arc<MetricsRegistry> {
         &self.registry
-    }
-
-    /// Gates event intake; a disabled profiler is skipped by
-    /// `TeeRecorder` before any clone happens.
-    pub fn set_enabled(&self, on: bool) {
-        self.enabled.store(on, Ordering::Relaxed);
     }
 
     /// Seals the stream aggregates with the machine's per-rank meters
@@ -628,9 +619,6 @@ fn declare_metrics(r: &MetricsRegistry) {
 
 impl Recorder for Profiler {
     fn record(&self, event: TraceEvent) {
-        if !self.enabled.load(Ordering::Relaxed) {
-            return;
-        }
         let reg = &self.registry;
         let mut st = self.state.lock().expect("profiler state lock");
         st.events += 1;
@@ -751,9 +739,5 @@ impl Recorder for Profiler {
             // serve engine's flight recorder's.
             _ => {}
         }
-    }
-
-    fn enabled(&self) -> bool {
-        self.enabled.load(Ordering::Relaxed)
     }
 }

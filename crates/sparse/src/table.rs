@@ -128,22 +128,23 @@ impl<T: Clone> Table<T> {
 
     /// `T := T ⊕ G` in place, and the entries of `G` that `keep` lets
     /// through: per entry `g` of `explored`, the table entry at its
-    /// coordinate becomes `g` (absent) or `M::combine(old, g)`
-    /// (present), then `keep(g, updated)` decides whether — and as
-    /// what — the entry is emitted. `None` and `M`'s identity drop it.
+    /// coordinate goes from `before` (`None` where absent) to `g` or
+    /// `M::combine(before, g)`, then `keep(g, before, updated)` decides
+    /// whether — and as what — the entry is emitted. `None` and `M`'s
+    /// identity drop it.
     ///
     /// Equal to `combine::<M>(T, G)` followed by a `zip_filter` of `G`
-    /// against the result, at `O(nnz(G))` instead of `O(nnz(T))`, for
-    /// operands in normal form (no stored identities) under a monoid
-    /// that never combines two non-identities into one — a table entry
-    /// is never deleted.
+    /// against the result and the old `T`, at `O(nnz(G))` instead of
+    /// `O(nnz(T))`, for operands in normal form (no stored identities)
+    /// under a monoid that never combines two non-identities into one
+    /// — a table entry is never deleted.
     ///
     /// # Panics
     /// Panics if the shapes disagree.
     pub fn accumulate<M: Monoid<Elem = T>>(
         &mut self,
         explored: &Csr<T>,
-        keep: impl Fn(&T, &T) -> Option<T>,
+        keep: impl Fn(&T, Option<&T>, &T) -> Option<T>,
     ) -> Csr<T> {
         assert_eq!(
             (explored.nrows(), explored.ncols()),
@@ -163,21 +164,23 @@ impl<T: Clone> Table<T> {
             let slots = &mut self.slot[i * self.ncols..(i + 1) * self.ncols];
             for (j, g) in explored.row(i) {
                 debug_assert!(!M::is_identity(g), "explored entry not in normal form");
-                let updated = match slots[j] {
+                let emitted = match slots[j] {
                     0 => {
                         self.vals.push(g.clone());
                         slots[j] = self.vals.len() as u32;
                         fresh.push(j as Idx);
-                        &self.vals[self.vals.len() - 1]
+                        keep(g, None, &self.vals[self.vals.len() - 1])
                     }
                     s => {
                         let v = &mut self.vals[s as usize - 1];
-                        *v = M::combine(v, g);
-                        debug_assert!(!M::is_identity(v), "combine deleted a table entry");
-                        &*v
+                        let updated = M::combine(v, g);
+                        debug_assert!(!M::is_identity(&updated), "combine deleted a table entry");
+                        let emitted = keep(g, Some(v), &updated);
+                        *v = updated;
+                        emitted
                     }
                 };
-                if let Some(o) = keep(g, updated).filter(|o| !M::is_identity(o)) {
+                if let Some(o) = emitted.filter(|o| !M::is_identity(o)) {
                     colind.push(j as Idx);
                     kept.push(o);
                 }
@@ -551,7 +554,7 @@ mod tests {
         // (0,1) collides, (0,0) and (1,2) are new; keep only entries
         // whose updated value is odd.
         let g = m_u64(2, 4, &[(0, 0, 3), (0, 1, 5), (1, 2, 4)]);
-        let kept = t.accumulate::<SumU64>(&g, |g, t| (t % 2 == 1).then_some(*g));
+        let kept = t.accumulate::<SumU64>(&g, |g, _, t| (t % 2 == 1).then_some(*g));
         assert_eq!(kept, m_u64(2, 4, &[(0, 0, 3), (0, 1, 5)]));
         assert_eq!((t.nnz(), t.get(0, 1), t.get(1, 0)), (4, Some(&15), None));
         let mask = t.mask().expect("tracked");
@@ -589,7 +592,7 @@ mod tests {
     fn settle_refuses_a_table_that_grew() {
         let side = m_u64(1, 3, &[(0, 1, 7)]);
         let mut z = Table::on_pattern(&side, |v| *v);
-        let _ = z.accumulate::<SumU64>(&m_u64(1, 3, &[(0, 2, 1)]), |_, _| None);
+        let _ = z.accumulate::<SumU64>(&m_u64(1, 3, &[(0, 2, 1)]), |_, _, _| None);
         let _ = z.settle::<SumU64, _>(&m_u64(1, 3, &[]), &side, |_, _| None);
     }
 

@@ -26,6 +26,17 @@ fn keep(g: &Multpath, t_new: Option<&Multpath>) -> Option<Multpath> {
     }
 }
 
+/// [`keep`], with the table entry as it stood before the fold carried
+/// into what it emits: the fused path must hand that entry over.
+fn keep_seeing(
+    g: &Multpath,
+    before: Option<&Multpath>,
+    t_new: Option<&Multpath>,
+) -> Option<Multpath> {
+    let kept = keep(g, t_new)?;
+    Some(Multpath::new(kept.w, kept.m + before.map_or(0.5, |b| b.m)))
+}
+
 /// MFBr's frontier rule (`mfbc_core::sweep::mfbr_fire`).
 fn fire(z: &Centpath, sigma: f64) -> Option<Centpath> {
     (z.c == 0).then(|| Centpath::new(z.w, z.p + 1.0 / sigma, -1))
@@ -58,14 +69,17 @@ fn accumulate_then_freeze_equals_combine_then_zip_filter() {
             // Every fourth superstep explores nothing.
             let g = explored(&mut rng, if step % 4 == 3 { 0 } else { 60 });
             let t_new = combine::<MultpathMonoid, _>(&composed, &g);
-            let want =
-                zip_filter::<MultpathMonoid, _, _, _>(&g, &t_new, |_, _, gv, tv| keep(gv, tv));
+            let want = zip_filter::<MultpathMonoid, _, _, _>(&g, &t_new, |i, j, gv, tv| {
+                keep_seeing(gv, composed.get(i, j), tv)
+            });
             inserted += t_new.nnz() - composed.nnz();
             combined += g.nnz() - (t_new.nnz() - composed.nnz());
             dropped += g.nnz() - want.nnz();
             composed = t_new;
 
-            let got = table.accumulate::<MultpathMonoid>(&g, |gv, tv| keep(gv, Some(tv)));
+            let got = table.accumulate::<MultpathMonoid>(&g, |gv, before, tv| {
+                keep_seeing(gv, before, Some(tv))
+            });
             assert_eq!(
                 got.first_difference(&want),
                 None,
@@ -258,7 +272,7 @@ fn an_untracked_table_reports_no_mask() {
     let mut table = Table::from_csr(&seed, false);
     assert_eq!(table.mask(), None, "opened");
     let kept =
-        table.accumulate::<MultpathMonoid>(&explored(&mut rng, 60), |gv, tv| keep(gv, Some(tv)));
+        table.accumulate::<MultpathMonoid>(&explored(&mut rng, 60), |gv, _, tv| keep(gv, Some(tv)));
     assert!(
         kept.nnz() > 0 && table.nnz() > seed.nnz(),
         "the table must grow"

@@ -141,17 +141,6 @@ impl Layout {
         (0..self.nblocks()).map(move |id| (id / bc, id % bc))
     }
 
-    /// Block row containing matrix row `i` (ranges are even, so this
-    /// is a two-candidate computation rather than a search).
-    pub fn find_row_block(&self, i: usize) -> usize {
-        find_even(&self.row_ranges, i)
-    }
-
-    /// Block column containing matrix column `j`.
-    pub fn find_col_block(&self, j: usize) -> usize {
-        find_even(&self.col_ranges, j)
-    }
-
     /// Whether two layouts share the same block cuts and owners
     /// (shapes may hold different element types, so this is the
     /// alignment precondition for elementwise zips).
@@ -169,22 +158,6 @@ impl Layout {
             && self.col_ranges == other.col_ranges
             && self.owners == other.owners
     }
-}
-
-/// Locates `x` in a list of contiguous ascending ranges.
-fn find_even(ranges: &[Range<usize>], x: usize) -> usize {
-    // Even splits differ in length by ≤1, so estimate then correct.
-    let n: usize = ranges.last().map(|r| r.end).unwrap_or(0);
-    debug_assert!(x < n);
-    let parts = ranges.len();
-    let mut guess = (x * parts / n.max(1)).min(parts - 1);
-    while x < ranges[guess].start {
-        guess -= 1;
-    }
-    while x >= ranges[guess].end {
-        guess += 1;
-    }
-    guess
 }
 
 /// `f(bi, bj, cell)` over the per-block `cells` of layout `l`, on the
@@ -494,6 +467,39 @@ impl<T: Clone + Send + Sync> DistTable<T> {
     }
 }
 
+/// Which block holds a coordinate: what the per-entry references of
+/// the tests look up, and nothing else does.
+#[cfg(test)]
+impl Layout {
+    /// Block row containing matrix row `i` (ranges are even, so this
+    /// is a two-candidate computation rather than a search).
+    pub(crate) fn find_row_block(&self, i: usize) -> usize {
+        find_even(&self.row_ranges, i)
+    }
+
+    /// Block column containing matrix column `j`.
+    pub(crate) fn find_col_block(&self, j: usize) -> usize {
+        find_even(&self.col_ranges, j)
+    }
+}
+
+#[cfg(test)]
+/// Locates `x` in a list of contiguous ascending ranges.
+fn find_even(ranges: &[Range<usize>], x: usize) -> usize {
+    // Even splits differ in length by ≤1, so estimate then correct.
+    let n: usize = ranges.last().map(|r| r.end).unwrap_or(0);
+    debug_assert!(x < n);
+    let parts = ranges.len();
+    let mut guess = (x * parts / n.max(1)).min(parts - 1);
+    while x < ranges[guess].start {
+        guess -= 1;
+    }
+    while x >= ranges[guess].end {
+        guess += 1;
+    }
+    guess
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -628,7 +634,7 @@ mod tests {
             &Coo::from_triples(4, 6, vec![(0usize, 1usize, 9u64)]).into_csr::<SumU64>(),
         );
         table.update_blocks(|bi, bj, t| {
-            t.accumulate::<SumU64>(add.block(bi, bj), |_, _| None);
+            t.accumulate::<SumU64>(add.block(bi, bj), |_, _, _| None);
         });
         let mask = table.block(0, 0).mask().expect("tracked");
         assert_eq!(mask.row_cols(0), &[0, 1]);

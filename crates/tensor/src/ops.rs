@@ -101,7 +101,7 @@ pub fn dmat_accumulate<M, T>(
     m: &Machine,
     table: &mut DistTable<T>,
     explored: &DistMat<T>,
-    keep: impl Fn(&T, &T) -> Option<T> + Sync,
+    keep: impl Fn(&T, Option<&T>, &T) -> Option<T> + Sync,
 ) -> Result<DistMat<T>, MachineError>
 where
     M: Monoid<Elem = T>,

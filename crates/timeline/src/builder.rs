@@ -794,7 +794,7 @@ fn cost_split(
 }
 
 /// A streaming [`Recorder`] that replays the event stream into a
-/// [`Timeline`]. Install it (scoped or tee'd next to a profiler),
+/// [`Timeline`]. Install it (alone or beside a profiler, scoped or global),
 /// run, then call [`TimelineBuilder::finish`].
 #[derive(Debug)]
 pub struct TimelineBuilder {

@@ -14,7 +14,7 @@ use mfbc_timeline::{
     analyze, doc, parse_html_rank_rows, parse_timeline, register_metrics, to_html, to_json,
     TimelineBuilder,
 };
-use mfbc_trace::{scoped, TeeRecorder};
+use mfbc_trace::scoped;
 use std::sync::Arc;
 
 #[test]
@@ -23,11 +23,7 @@ fn timeline_and_profile_exporters_agree_bitwise() {
     let profiler = Arc::new(Profiler::new());
     let builder = Arc::new(TimelineBuilder::new(spec.clone()));
     let machine = Machine::new(spec);
-    let tee = Arc::new(TeeRecorder::over(vec![
-        profiler.clone() as Arc<dyn mfbc_trace::Recorder>,
-        builder.clone() as Arc<dyn mfbc_trace::Recorder>,
-    ]));
-    scoped(tee, || {
+    let run = || {
         machine.charge_compute(0, 1_000_003);
         machine
             .charge_collective(&machine.world(), CollectiveKind::Allgather, 123_457)
@@ -40,7 +36,8 @@ fn timeline_and_profile_exporters_agree_bitwise() {
         machine
             .charge_collective(&machine.world(), CollectiveKind::AllToAll, 65_536)
             .unwrap();
-    });
+    };
+    scoped(profiler.clone(), || scoped(builder.clone(), run));
 
     let profile = profiler.finish(&machine);
     let tl = builder.finish();

@@ -5,8 +5,9 @@
 //! recorder is installed the closure is never invoked — the hot-path
 //! cost is a single relaxed atomic load, with no allocation and no
 //! locking. When one or more [`Recorder`]s are installed (globally
-//! via [`install`], or per-thread via [`scoped`]), events are
-//! dispatched to every active sink.
+//! via [`install`], or per-thread via [`scoped`]), every event is
+//! dispatched to every sink, global ones first, each list in
+//! installation order.
 //!
 //! Recorded runs can be exported as JSON-lines ([`to_jsonl`]) or as a
 //! Chrome `trace_event` document ([`to_chrome_trace`]) that opens in
@@ -26,7 +27,7 @@ mod summary;
 pub use chrome::to_chrome_trace;
 pub use event::{CollectiveCharge, Level, PlanChoice, TraceEvent, TraceRecord, Value};
 pub use jsonl::{record_to_json, to_jsonl};
-pub use recorder::{current_tid, MemoryRecorder, Recorder, StderrRecorder, TeeRecorder};
+pub use recorder::{current_tid, MemoryRecorder, Recorder, StderrRecorder};
 pub use summary::{
     collective_summary, pool_summary, recovery_summary, render_pool_summary,
     render_recovery_summary, render_summary, total_modeled_comm_s, FaultCount, KindTotals,
@@ -255,6 +256,44 @@ mod tests {
         });
         assert_eq!(a.len(), 2);
         assert_eq!(b.len(), 1);
+    }
+
+    /// Logs `(label, tag)` arrivals into a journal shared between
+    /// sinks, so the order across sinks is observable.
+    struct Journaling {
+        label: &'static str,
+        journal: Arc<Mutex<Vec<(&'static str, &'static str)>>>,
+    }
+
+    impl Recorder for Journaling {
+        fn record(&self, event: TraceEvent) {
+            self.journal.lock().unwrap().push((self.label, event.tag()));
+        }
+    }
+
+    #[test]
+    fn sinks_receive_every_event_in_installation_order() {
+        let journal = Arc::new(Mutex::new(Vec::new()));
+        let sink = |label| {
+            let journal = journal.clone();
+            Arc::new(Journaling { label, journal })
+        };
+        scoped(sink("a"), || {
+            scoped(sink("b"), || {
+                counter("x", 1.0);
+                log(Level::Warn, || "y".to_string());
+            })
+        });
+        assert_eq!(
+            *journal.lock().unwrap(),
+            [
+                ("a", "counter"),
+                ("b", "counter"),
+                ("a", "log"),
+                ("b", "log")
+            ],
+            "every event visits every sink, in installation order"
+        );
     }
 
     #[test]

@@ -11,59 +11,12 @@ use std::time::Instant;
 /// Implementations must be cheap and non-blocking where possible:
 /// `record` is called from instrumented hot paths (though only while
 /// a recorder is installed — disabled tracing never reaches here).
+/// Several sinks take the same stream by being installed side by side
+/// ([`crate::install`], [`crate::scoped`]): every installed sink gets
+/// every event, in installation order.
 pub trait Recorder: Send + Sync {
     /// Consumes one event.
     fn record(&self, event: TraceEvent);
-
-    /// Whether this sink currently wants events. A [`TeeRecorder`]
-    /// skips disabled sinks *before* cloning the event for them, so a
-    /// temporarily switched-off sink costs one virtual call, nothing
-    /// more. Defaults to always-on.
-    fn enabled(&self) -> bool {
-        true
-    }
-}
-
-/// Fans every event out to N inner sinks, in insertion order.
-///
-/// This is how `--trace-out` (a [`MemoryRecorder`] for later export)
-/// and a live aggregator (e.g. `mfbc-profile`'s `Profiler`) share one
-/// installed recorder slot in the same invocation. The last *active*
-/// sink receives the event by value; earlier ones get clones; sinks
-/// whose [`Recorder::enabled`] returns `false` are skipped without a
-/// clone being made for them.
-pub struct TeeRecorder {
-    sinks: Vec<std::sync::Arc<dyn Recorder>>,
-}
-
-impl TeeRecorder {
-    /// Builds a tee over `sinks`, delivered to in the given order.
-    pub fn over(sinks: Vec<std::sync::Arc<dyn Recorder>>) -> TeeRecorder {
-        TeeRecorder { sinks }
-    }
-}
-
-impl Recorder for TeeRecorder {
-    fn record(&self, event: TraceEvent) {
-        // Resolve the active set first so the by-value hand-off goes
-        // to the last sink that will actually consume the event.
-        let active: Vec<&std::sync::Arc<dyn Recorder>> =
-            self.sinks.iter().filter(|s| s.enabled()).collect();
-        let mut remaining = active.len();
-        for sink in active {
-            remaining -= 1;
-            if remaining == 0 {
-                return sink.record(event);
-            }
-            sink.record(event.clone());
-        }
-    }
-
-    /// A tee is enabled iff any inner sink is — so nested tees
-    /// short-circuit too.
-    fn enabled(&self) -> bool {
-        self.sinks.iter().any(|s| s.enabled())
-    }
 }
 
 static NEXT_TID: AtomicU64 = AtomicU64::new(0);
@@ -164,13 +117,6 @@ impl Recorder for StderrRecorder {
 mod tests {
     use super::*;
 
-    fn warn_event(message: &str) -> TraceEvent {
-        TraceEvent::Log {
-            level: crate::event::Level::Warn,
-            message: message.to_string(),
-        }
-    }
-
     #[test]
     fn memory_recorder_stamps_monotonic_timestamps() {
         let rec = MemoryRecorder::new();
@@ -196,98 +142,5 @@ mod tests {
         assert_eq!(a, b);
         let other = std::thread::spawn(current_tid).join().unwrap();
         assert_ne!(a, other);
-    }
-
-    use std::sync::atomic::AtomicBool;
-    use std::sync::Arc;
-
-    /// Test sink logging (label, event) arrivals into a shared journal
-    /// so cross-sink ordering is observable; gate toggles `enabled`.
-    struct Journaling {
-        label: &'static str,
-        journal: Arc<Mutex<Vec<(&'static str, String)>>>,
-        gate: AtomicBool,
-    }
-
-    impl Journaling {
-        fn new(
-            label: &'static str,
-            journal: Arc<Mutex<Vec<(&'static str, String)>>>,
-        ) -> Journaling {
-            Journaling {
-                label,
-                journal,
-                gate: AtomicBool::new(true),
-            }
-        }
-    }
-
-    impl Recorder for Journaling {
-        fn record(&self, event: TraceEvent) {
-            self.journal
-                .lock()
-                .unwrap()
-                .push((self.label, event.tag().to_string()));
-        }
-        fn enabled(&self) -> bool {
-            self.gate.load(Ordering::Relaxed)
-        }
-    }
-
-    fn counter_event(value: f64) -> TraceEvent {
-        TraceEvent::Counter { name: "x", value }
-    }
-
-    #[test]
-    fn tee_delivers_in_insertion_order() {
-        let journal = Arc::new(Mutex::new(Vec::new()));
-        let a = Arc::new(Journaling::new("a", journal.clone()));
-        let b = Arc::new(Journaling::new("b", journal.clone()));
-        let tee = TeeRecorder::over(vec![a.clone(), b.clone()]);
-        tee.record(counter_event(1.0));
-        tee.record(warn_event("y"));
-        let got = journal.lock().unwrap().clone();
-        assert_eq!(
-            got,
-            vec![
-                ("a", "counter".to_string()),
-                ("b", "counter".to_string()),
-                ("a", "log".to_string()),
-                ("b", "log".to_string()),
-            ],
-            "per-event fan-out must visit sinks in insertion order"
-        );
-    }
-
-    #[test]
-    fn tee_skips_disabled_sinks_and_resumes() {
-        let journal = Arc::new(Mutex::new(Vec::new()));
-        let a = Arc::new(Journaling::new("a", journal.clone()));
-        let b = Arc::new(Journaling::new("b", journal.clone()));
-        let tee = TeeRecorder::over(vec![a.clone(), b.clone()]);
-        b.gate.store(false, Ordering::Relaxed);
-        tee.record(counter_event(1.0));
-        assert_eq!(journal.lock().unwrap().len(), 1, "disabled sink received");
-        // The tee itself stays enabled while any sink is.
-        assert!(tee.enabled());
-        a.gate.store(false, Ordering::Relaxed);
-        assert!(!tee.enabled(), "all sinks off must disable the tee");
-        tee.record(counter_event(2.0));
-        assert_eq!(journal.lock().unwrap().len(), 1);
-        // Re-enabling resumes delivery.
-        a.gate.store(true, Ordering::Relaxed);
-        b.gate.store(true, Ordering::Relaxed);
-        tee.record(counter_event(3.0));
-        let got = journal.lock().unwrap().clone();
-        assert_eq!(got.len(), 3);
-        assert_eq!(got[1], ("a", "counter".to_string()));
-        assert_eq!(got[2], ("b", "counter".to_string()));
-    }
-
-    #[test]
-    fn empty_tee_is_disabled_noop() {
-        let tee = TeeRecorder::over(Vec::new());
-        assert!(!tee.enabled());
-        tee.record(counter_event(0.0)); // must not panic
     }
 }

@@ -20,6 +20,7 @@
 //! mfbc-cli analyze   [--case NAME] [--timeline-out FILE] [--html-out FILE]
 //!                    [--what-if SPEC]... [--compare FILE] [--top K]
 //! mfbc-cli generate  (rmat:S,E | uniform:N,M) [--weighted MAX] [--seed S]
+//!                    [--directed]
 //! mfbc-cli serve     --nodes P [--graph SPEC] [--batch N] [--queue N]
 //!                    [--deadline S] [--faults SPEC] [--fault-seed S]
 //!                    [--seed S] [--threads T] [--warm] [--prom-out FILE]
@@ -34,8 +35,8 @@
 //! one; the driver recovers and reports what it did on stderr.
 //! `--profile-out` aggregates the same trace stream into a
 //! `profile.json` (per-rank comm/compute, per-superstep breakdown,
-//! plan mix, memory peaks); it composes with `--trace-out` — the two
-//! sinks share the single recorder slot through a tee.
+//! plan mix, memory peaks); it composes with `--trace-out` — every
+//! installed sink sees every event.
 //!
 //! `analyze` runs one pinned bench case under the timeline analyzer
 //! (`mfbc-timeline`) and prints the exact critical path — the chain
@@ -171,29 +172,31 @@ const USAGE: &str = "usage:
   mfbc-cli simulate --nodes P [--plan auto|ca:C|combblas] [--batch N] [--graph rmat:S,E|uniform:N,M|FILE] [--directed] [--threads T] [--no-masked] [--no-overlap] [--hybrid-redist auto|bcast|p2p|alltoall] [--faults SPEC] [--fault-seed S] [--trace-out FILE] [--trace-format chrome|jsonl] [--profile-out FILE] [--profile-html FILE] [--timeline-out FILE]
   mfbc-cli bench [--baseline FILE] [--write FILE] [--serve-baseline FILE] [--serve-write FILE] [--case NAME] [--no-overlap] [--hybrid-redist auto|bcast|p2p|alltoall] [--profile-out FILE] [--html-out FILE] [--prom-out FILE] [--timeline-out FILE] [--timeline-html FILE]
   mfbc-cli analyze [--case NAME] [--timeline-out FILE] [--html-out FILE] [--what-if SPEC] [--compare FILE] [--top K]
-  mfbc-cli generate (rmat:S,E | uniform:N,M) [--weighted MAX] [--seed S]
+  mfbc-cli generate (rmat:S,E | uniform:N,M) [--weighted MAX] [--seed S] [--directed]
   mfbc-cli serve --nodes P [--graph rmat:S,E|uniform:N,M|FILE] [--batch N] [--queue N] [--deadline S] [--faults SPEC] [--fault-seed S] [--seed S] [--threads T] [--warm] [--prom-out FILE] [--flight-out FILE] [--mem-bytes B] [--directed]
 exit codes: 0 ok, 2 usage/config, 3 machine error, 4 bench regression, 5 serve poisoned";
 
 /// Minimal flag parser: `--key value` options, `--flag` booleans, one
-/// positional argument.
+/// positional argument. A flag a command does not declare is an error.
 struct Opts {
     flags: Vec<(String, Option<String>)>,
     positional: Option<String>,
 }
 
 impl Opts {
-    fn parse(args: &[String], value_flags: &[&str]) -> Result<Opts, String> {
+    fn parse(args: &[String], value_flags: &[&str], bool_flags: &[&str]) -> Result<Opts, String> {
         let mut flags = Vec::new();
         let mut positional = None;
-        let mut it = args.iter().peekable();
+        let mut it = args.iter();
         while let Some(a) = it.next() {
             if let Some(name) = a.strip_prefix("--") {
                 if value_flags.contains(&name) {
                     let v = it.next().ok_or_else(|| format!("--{name} needs a value"))?;
                     flags.push((name.to_string(), Some(v.clone())));
-                } else {
+                } else if bool_flags.contains(&name) {
                     flags.push((name.to_string(), None));
+                } else {
+                    return Err(format!("unknown flag --{name}"));
                 }
             } else if positional.is_none() {
                 positional = Some(a.clone());
@@ -374,7 +377,11 @@ fn eprint_overlap_delta(tl: &mfbc_timeline::Timeline) {
 }
 
 fn cmd_bc(args: &[String]) -> Result<(), String> {
-    let o = Opts::parse(args, &["batch", "approx", "top", "seed", "threads"])?;
+    let o = Opts::parse(
+        args,
+        &["batch", "approx", "top", "seed", "threads"],
+        &["directed", "weighted", "normalized"],
+    )?;
     let g = load_graph(o.positional.as_deref(), o.has("directed"))?;
     if o.has("weighted") && g.is_unit_weighted() {
         eprintln!("note: --weighted given but all weights are 1");
@@ -416,7 +423,7 @@ fn cmd_bc(args: &[String]) -> Result<(), String> {
 }
 
 fn cmd_sssp(args: &[String]) -> Result<(), String> {
-    let o = Opts::parse(args, &["source"])?;
+    let o = Opts::parse(args, &["source"], &["directed"])?;
     let source: usize = o.get_parsed("source")?.ok_or("sssp needs --source V")?;
     let g = load_graph(o.positional.as_deref(), o.has("directed"))?;
     if source >= g.n() {
@@ -433,7 +440,7 @@ fn cmd_sssp(args: &[String]) -> Result<(), String> {
 }
 
 fn cmd_components(args: &[String]) -> Result<(), String> {
-    let o = Opts::parse(args, &[])?;
+    let o = Opts::parse(args, &[], &["directed"])?;
     let g = load_graph(o.positional.as_deref(), o.has("directed"))?;
     let labels = connected_components(&g);
     eprintln!("{} components", component_count(&g));
@@ -444,7 +451,7 @@ fn cmd_components(args: &[String]) -> Result<(), String> {
 }
 
 fn cmd_stats(args: &[String]) -> Result<(), String> {
-    let o = Opts::parse(args, &[])?;
+    let o = Opts::parse(args, &[], &["directed"])?;
     let g = load_graph(o.positional.as_deref(), o.has("directed"))?;
     let (avg, max) = stats::degree_stats(&g);
     outln!("n\t{}", g.n());
@@ -478,6 +485,7 @@ fn cmd_simulate(args: &[String]) -> Result<(), CliError> {
             "timeline-out",
             "hybrid-redist",
         ],
+        &["directed", "no-masked", "no-overlap"],
     )?;
     let p: usize = o.get_parsed("nodes")?.ok_or("simulate needs --nodes P")?;
     let spec_str = o.get("graph").unwrap_or("rmat:12,16");
@@ -531,22 +539,14 @@ fn cmd_simulate(args: &[String]) -> Result<(), CliError> {
     // The timeline analyzer always rides along: the top-bottleneck
     // block below is printed for every run.
     let builder = std::sync::Arc::new(mfbc_timeline::TimelineBuilder::new(machine.spec().clone()));
-    // All sinks share the single recorder slot through a tee; a lone
-    // sink is installed directly (no per-event clone).
-    {
-        let mut sinks: Vec<std::sync::Arc<dyn mfbc_trace::Recorder>> = Vec::new();
-        if let Some(rec) = &recorder {
-            sinks.push(rec.clone());
-        }
-        if let Some(prof) = &profiler {
-            sinks.push(prof.clone());
-        }
-        sinks.push(builder.clone());
-        match sinks.len() {
-            1 => mfbc_trace::install(sinks.pop().expect("len checked")),
-            _ => mfbc_trace::install(std::sync::Arc::new(mfbc_trace::TeeRecorder::over(sinks))),
-        }
+    // Every installed sink sees every event, in installation order.
+    if let Some(rec) = &recorder {
+        mfbc_trace::install(rec.clone());
     }
+    if let Some(prof) = &profiler {
+        mfbc_trace::install(prof.clone());
+    }
+    mfbc_trace::install(builder.clone());
 
     let plan = o.get("plan").unwrap_or("auto");
     let (label, sources, report, recovery) = if plan == "combblas" {
@@ -748,6 +748,7 @@ fn cmd_bench(args: &[String]) -> Result<(), CliError> {
             "timeline-html",
             "hybrid-redist",
         ],
+        &["no-overlap"],
     )?;
     if let Some(p) = &o.positional {
         return Err(format!("bench takes no positional argument, got {p:?}").into());
@@ -927,6 +928,7 @@ fn cmd_analyze(args: &[String]) -> Result<(), String> {
             "compare",
             "top",
         ],
+        &[],
     )?;
     if let Some(p) = &o.positional {
         return Err(format!("analyze takes no positional argument, got {p:?}"));
@@ -1058,7 +1060,7 @@ fn cmd_analyze(args: &[String]) -> Result<(), String> {
 }
 
 fn cmd_generate(args: &[String]) -> Result<(), String> {
-    let o = Opts::parse(args, &["weighted", "seed"])?;
+    let o = Opts::parse(args, &["weighted", "seed"], &["directed"])?;
     let spec = o.positional.as_deref().ok_or("generate needs a spec")?;
     let weighted = o.get_parsed::<u64>("weighted")?;
     let seed = o.get_parsed::<u64>("seed")?.unwrap_or(42);
@@ -1100,6 +1102,7 @@ fn cmd_serve(args: &[String]) -> Result<(), CliError> {
             "flight-out",
             "mem-bytes",
         ],
+        &["directed", "warm"],
     )?;
     if let Some(p) = &o.positional {
         return Err(format!("serve takes no positional argument, got {p:?}").into());

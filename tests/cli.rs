@@ -314,6 +314,33 @@ fn exit_code_2_for_usage_and_config_errors() {
 }
 
 #[test]
+fn unknown_flags_are_usage_errors() {
+    // A typo of a boolean flag used to run with the flag ignored.
+    let cases: [&[&str]; 4] = [
+        &["components", "--drected", "-"],
+        &["simulate", "--nodes", "2", "--no-maskd"],
+        &["bench", "--no-overlp"],
+        &["analyze", "--verbose"],
+    ];
+    for args in cases {
+        let (code, out, err) = run_capturing(args, Some(PATH_GRAPH));
+        assert_eq!(code, 2, "{args:?}: {err}");
+        assert!(out.is_empty(), "{args:?} ran: {out}");
+        let flag = args.iter().rfind(|a| a.starts_with("--")).unwrap();
+        assert!(err.contains(&format!("unknown flag {flag}")), "{err}");
+        assert!(err.contains("usage:"), "{err}");
+    }
+    // The declared spellings still parse.
+    let out = run_ok(&["components", "--directed", "-"], Some(PATH_GRAPH));
+    assert_eq!(out.lines().count(), 4);
+    let out = run_ok(
+        &["sssp", "--directed", "--source", "1", "-"],
+        Some(PATH_GRAPH),
+    );
+    assert_eq!(out.lines().next(), Some("0\tinf"));
+}
+
+#[test]
 fn exit_code_3_for_machine_errors() {
     // A replication factor that does not divide the machine is
     // rejected by the planning layer, not the flag parser.
