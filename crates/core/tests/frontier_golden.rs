@@ -1,4 +1,4 @@
-//! SSSP and connected components, pinned bit for bit.
+//! SSSP, connected components and MFBF, pinned bit for bit.
 //!
 //! `golden/frontier.txt` was generated by the hand-written loops
 //! `bfs::sssp_seq`, `bfs::sssp_dist` and `cc::connected_components`
@@ -11,17 +11,32 @@
 //! cost report at p ∈ {1, 4, 16} on a serialized and on an overlapped
 //! machine. Beside the table the test asserts that `sssp_dist`'s
 //! distances are `sssp_seq`'s and that every rank's resident bytes are
-//! back to zero when it returns. On a mismatch the fresh table is
-//! written next to the test binaries (`frontier.actual.txt`).
+//! back to zero when it returns.
+//!
+//! `golden/mfbf.txt` was generated by `mfbf_seq` while `Local::explore`
+//! still built each product as a matrix and merged it into `T` on the
+//! next line. Per batch of a masked R-MAT graph and of a weighted grid
+//! it holds every superstep's frontier nnz and `ops` and, per row of
+//! `T`, its entry count and a digest of every entry's column and the
+//! bits of both fields. Batches hold more rows than the parallel
+//! product's threshold, and the table is checked at pools of 1, 2 and
+//! 4 threads.
+//!
+//! On a mismatch the fresh table is written next to the test binaries
+//! (`frontier.actual.txt`, `mfbf.actual.txt`).
 
+use mfbc_algebra::kernel::BellmanFordKernel;
 use mfbc_algebra::monoid::MinDist;
-use mfbc_algebra::Dist;
+use mfbc_algebra::{Dist, Multpath, MultpathMonoid};
+use mfbc_core::backend::{Backend, Local};
 use mfbc_core::bfs::{sssp_dist, sssp_seq};
 use mfbc_core::cc::connected_components;
+use mfbc_core::seq::{mfbf_keep_in_frontier, mfbf_seq};
 use mfbc_graph::gen::{rmat, uniform, RmatConfig};
-use mfbc_graph::prep::randomize_weights;
+use mfbc_graph::prep::{randomize_weights, remove_isolated};
 use mfbc_graph::Graph;
 use mfbc_machine::{Machine, MachineSpec};
+use mfbc_sparse::{Coo, Csr};
 use mfbc_trace::{MemoryRecorder, TraceEvent};
 use std::fmt::Write as _;
 use std::sync::Arc;
@@ -147,22 +162,125 @@ fn table() -> String {
     out
 }
 
+/// Asserts `fresh` is `golden`; otherwise writes `fresh` to
+/// `{name}.actual.txt` and names the first differing line.
+fn assert_golden(name: &str, fresh: &str, golden: &str) {
+    if fresh == golden {
+        return;
+    }
+    let path = std::path::Path::new(env!("CARGO_TARGET_TMPDIR")).join(format!("{name}.actual.txt"));
+    std::fs::write(&path, fresh).unwrap();
+    let first = fresh
+        .lines()
+        .zip(golden.lines())
+        .find(|(f, g)| f != g)
+        .map(|(f, g)| format!("\n  fresh:  {f}\n  golden: {g}"))
+        .unwrap_or_else(|| " (line counts differ)".into());
+    panic!(
+        "drifted from golden/{name}.txt; fresh table at {}; first difference:{first}",
+        path.display()
+    );
+}
+
 #[test]
 fn sssp_and_components_match_the_golden() {
-    let fresh = table();
-    let golden = include_str!("golden/frontier.txt");
-    if fresh != golden {
-        let path = std::path::Path::new(env!("CARGO_TARGET_TMPDIR")).join("frontier.actual.txt");
-        std::fs::write(&path, &fresh).unwrap();
-        let first = fresh
-            .lines()
-            .zip(golden.lines())
-            .find(|(f, g)| f != g)
-            .map(|(f, g)| format!("\n  fresh:  {f}\n  golden: {g}"))
-            .unwrap_or_else(|| " (line counts differ)".into());
-        panic!(
-            "SSSP/CC drifted from golden/frontier.txt; fresh table at {}; first difference:{first}",
-            path.display()
-        );
+    assert_golden("frontier", &table(), include_str!("golden/frontier.txt"));
+}
+
+/// MFBF's loop (`sweep::forward` on `Local`) stepped by hand, so that
+/// every superstep can be read: `T` and each superstep's frontier nnz
+/// and `ops`. Asserted to be `mfbf_seq`'s run.
+fn mfbf_steps(g: &Graph, sources: &[usize]) -> (Csr<Multpath>, Vec<(usize, u64)>) {
+    let (mut init, mut diag) = (
+        Coo::new(sources.len(), g.n()),
+        Coo::new(sources.len(), g.n()),
+    );
+    for (s, &src) in sources.iter().enumerate() {
+        for (v, w) in g.neighbors(src) {
+            init.push(s, v, Multpath::new(w, 1.0));
+        }
+        diag.push(s, src, Multpath::trivial());
+    }
+    let mut frontier = init.into_csr::<MultpathMonoid>();
+    let diag = diag.into_csr::<MultpathMonoid>();
+    let mut be = Local::new(g);
+    let Ok(mut table) = be.open::<MultpathMonoid>(&frontier, Some(&diag));
+    let keep =
+        |gv: &Multpath, _: Option<&Multpath>, tv: &Multpath| mfbf_keep_in_frontier(gv, Some(tv));
+    let mut steps = Vec::new();
+    while frontier.nnz() > 0 {
+        let Ok((kept, ops)) = be.explore::<BellmanFordKernel>(&mut table, &frontier, keep);
+        steps.push((frontier.nnz(), ops));
+        frontier = kept;
+    }
+    let t = be.freeze(table);
+    let seq = mfbf_seq(g, sources);
+    assert_eq!(
+        seq.t.first_difference(&t),
+        None,
+        "the loop above is not mfbf_seq's"
+    );
+    let nnz: u64 = steps.iter().map(|&(f, _)| f as u64).sum();
+    let ops: u64 = steps.iter().map(|&(_, o)| o).sum();
+    assert_eq!(
+        (seq.iterations, seq.frontier_nnz, seq.ops),
+        (steps.len(), nnz, ops)
+    );
+    (t, steps)
+}
+
+/// FNV-1a over a row of `T`: each entry's column, weight and the bits
+/// of its multiplicity.
+fn row_digest(t: &Csr<Multpath>, s: usize) -> u64 {
+    let mut h = 0xcbf2_9ce4_8422_2325u64;
+    for (v, mp) in t.row(s) {
+        for word in [v as u64, mp.w.raw(), mp.m.to_bits()] {
+            for byte in word.to_le_bytes() {
+                h = (h ^ u64::from(byte)).wrapping_mul(0x0100_0000_01b3);
+            }
+        }
+    }
+    h
+}
+
+fn mfbf_table() -> String {
+    let rmat_unit = remove_isolated(&rmat(&RmatConfig::paper(7, 8, 3)));
+    let mut out = String::new();
+    for (name, g, nb) in [
+        ("rmat-unit", rmat_unit, 48),
+        ("grid-weighted", weighted_grid(12), 40),
+    ] {
+        let sources: Vec<usize> = (0..g.n()).collect();
+        let unit = g.is_unit_weighted();
+        writeln!(
+            out,
+            "== {name} n={} arcs={} unit={unit} nb={nb}",
+            g.n(),
+            g.m()
+        )
+        .unwrap();
+        for chunk in sources.chunks(nb) {
+            let (t, steps) = mfbf_steps(&g, chunk);
+            let steps: Vec<String> = steps.iter().map(|(f, o)| format!("{f}/{o}")).collect();
+            writeln!(out, "batch {}: nnz/ops {}", chunk[0], steps.join(" ")).unwrap();
+            for (s, &src) in chunk.iter().enumerate() {
+                writeln!(
+                    out,
+                    "T {src}: nnz={} {:016x}",
+                    t.row_nnz(s),
+                    row_digest(&t, s)
+                )
+                .unwrap();
+            }
+        }
+    }
+    out
+}
+
+#[test]
+fn mfbf_tables_match_the_golden_at_every_pool_size() {
+    for threads in [1, 2, 4] {
+        let fresh = mfbc_parallel::with_threads(threads, mfbf_table);
+        assert_golden("mfbf", &fresh, include_str!("golden/mfbf.txt"));
     }
 }
