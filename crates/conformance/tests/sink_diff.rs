@@ -1,10 +1,19 @@
-//! Differential pin: MFBr's two products consumed where they land —
-//! `spgemm_anchor` and `spgemm_settle`, which feed every finished
-//! accumulator row straight into `Z` — must agree with the product
-//! materialised by `spgemm_opt` and merged by `Table::anchor` /
-//! `Table::settle`, bit for bit: `Z` after every step, the frontier
-//! each step fires, the pending rows its `mask()` reports and the
-//! `ops` it forms.
+//! Differential pin: the sweeps' products consumed where they land
+//! must agree with the product materialised by `spgemm_opt` and merged
+//! into the table, bit for bit.
+//!
+//! * Backward: MFBr's two products — `spgemm_anchor` and
+//!   `spgemm_settle`, which feed every finished accumulator row
+//!   straight into `Z` — against `Table::anchor` / `Table::settle`:
+//!   `Z` after every step, the frontier each step fires, the pending
+//!   rows its `mask()` reports and the `ops` it forms.
+//! * Forward: `spgemm_accumulate`, which runs `Table::accumulate`'s
+//!   body on every accumulator row, against `Table::accumulate` of the
+//!   matrix, for the three kernels `sweep::sweep` runs — MFBF's
+//!   Bellman–Ford kernel under `mfbf_keep_in_frontier`, SSSP's
+//!   tropical kernel and components' label kernel under
+//!   `sweep::improved`: the frozen `T`, the frontier it keeps, the
+//!   complement rows its `mask()` reports and the `ops`.
 //!
 //! Cases are seeded chains of one opening product and several loop
 //! products over random operands — weighted and unit adjacency, masks
@@ -13,24 +22,51 @@
 //! outside `Z`'s pattern — run under pools of 1, 2 and 4 threads, with
 //! row counts biased above the parallel threshold so that tasks own
 //! disjoint row ranges of `Z`. Factors are non-integral, so a changed
-//! accumulation order would show in the low bits.
+//! accumulation order would show in the low bits. Forward cases open
+//! `T` on weighted entries in every row, tracked (masked) or not, so
+//! that stored entries are re-relaxed by tasks other than the first;
+//! multiplicities are non-integral too.
 //!
 //! `MFBC_CONFORMANCE_CASES` scales the budget, `MFBC_CONFORMANCE_SEED`
 //! replays one printed case.
 
-use mfbc_algebra::kernel::BrandesKernel;
-use mfbc_algebra::monoid::MinDist;
-use mfbc_algebra::{Centpath, CentpathMonoid, Dist, Multpath, MultpathMonoid};
+use mfbc_algebra::kernel::{BellmanFordKernel, BrandesKernel, KernelOut, TropicalKernel};
+use mfbc_algebra::monoid::{MinDist, Monoid};
+use mfbc_algebra::{Centpath, CentpathMonoid, Dist, Multpath, MultpathMonoid, SpMulKernel};
 use mfbc_conformance::case::CaseSpec;
 use mfbc_conformance::gen;
 use mfbc_conformance::rng::SplitMix64;
 use mfbc_conformance::suite::run_suite_or_panic;
-use mfbc_sparse::{spgemm_anchor, spgemm_opt, spgemm_settle, Coo, Csr, Mask, MaskKind, Table};
+use mfbc_core::cc::LabelKernel;
+use mfbc_core::seq::mfbf_keep_in_frontier;
+use mfbc_core::sweep::improved;
+use mfbc_sparse::{
+    spgemm_accumulate, spgemm_anchor, spgemm_opt, spgemm_settle, Coo, Csr, Mask, MaskKind, Table,
+};
 
 /// Pool sizes a case draws from: the serial degenerate pool and two
 /// real ones (oversubscribed on a two-core runner; results must not
 /// depend on it).
 const THREAD_COUNTS: [usize; 3] = [1, 2, 4];
+
+/// The kernels of `sweep::sweep`'s callers.
+#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
+enum Kernel {
+    BellmanFord,
+    Tropical,
+    Label,
+}
+
+const KERNELS: [Kernel; 3] = [Kernel::BellmanFord, Kernel::Tropical, Kernel::Label];
+
+/// Which sweep a chain steps.
+#[derive(Clone, Copy, Debug)]
+enum Leg {
+    /// MFBr into `Z`.
+    Backward,
+    /// A forward sweep into `T`, under one of `sweep::sweep`'s kernels.
+    Forward(Kernel),
+}
 
 /// MFBr's anchor (`mfbc_core::sweep::mfbr_anchor`).
 fn init(tau: &Multpath, d: Option<&Centpath>) -> Centpath {
@@ -46,17 +82,30 @@ fn fire(z: &mut Centpath, t: &Multpath) -> Option<Centpath> {
     Some(Centpath::new(z.w, z.p + 1.0 / t.m, -1))
 }
 
-/// What a case exercised, for the coverage check.
+/// What a case exercised, for the coverage checks.
 #[derive(Default, Debug)]
 struct Seen {
+    /// Backward: entries fired.
     fired: usize,
+    /// Backward: products landing outside `Z`'s pattern.
     outside: usize,
+    /// Backward: frontier rows left empty.
     empty_rows: usize,
+    /// Forward: entries kept.
+    kept: usize,
+    /// Forward: explored entries at coordinates `T` did not store.
+    fresh: usize,
+    /// Forward: explored entries that landed on a stored entry in the
+    /// last quarter of the rows — re-relaxed by a task other than the
+    /// first wherever the product ran in parallel.
+    relaxed_late: usize,
     parallel: bool,
 }
 
-/// One chain: `Z` opened on `t` by the count product with `adj`, then
-/// settled by the product of each frontier of `steps` with `adj`.
+/// One chain: the table opened on `t`, then the product of each
+/// frontier of `steps` with `adj` into it. Backward, `Z` is opened on
+/// `t` by the count product with `adj` and settled; forward, `T` is
+/// opened holding `t` and accumulated into.
 #[derive(Clone, Debug)]
 struct SinkCase {
     // Read only through the derived Debug impl, which is what puts the
@@ -64,30 +113,69 @@ struct SinkCase {
     #[allow(dead_code)]
     seed: u64,
     threads: usize,
+    leg: Leg,
     rows: usize,
     n: usize,
-    /// Whether the products run under masks (the count under `t`'s
-    /// pattern, the loop under the pending set) and the pending rows
-    /// are kept.
+    /// Whether the products run under masks and the table keeps them:
+    /// backward, the count under `t`'s pattern and the loop under the
+    /// pending set; forward, every product under the complement of
+    /// what `T` stores.
     masked: bool,
     /// `(k, j, weight)` entries of the `n × n` right operand.
     adj: Vec<(usize, usize, u64)>,
     /// `(s, v, weight, multiplicity)` entries of the `rows × n` table.
     t: Vec<(usize, usize, u64, f64)>,
-    /// Per loop step, the `(s, k, weight, factor)` frontier entries.
+    /// Per step, the `(s, k, weight, factor or multiplicity)` frontier
+    /// entries.
     steps: Vec<Vec<(usize, usize, u64, f64)>>,
 }
 
+/// Mostly ≥ 32 rows: the pool's row-chunking regime.
+fn draw_rows(rng: &mut SplitMix64) -> usize {
+    if rng.chance(3, 4) {
+        rng.range(32, 72)
+    } else {
+        rng.range(1, 10)
+    }
+}
+
+/// Per step, frontier coordinates (none one step in six), each with
+/// the weight and the value `entry` draws.
+fn draw_steps(
+    rng: &mut SplitMix64,
+    (rows, n): (usize, usize),
+    count: usize,
+    mut entry: impl FnMut(&mut SplitMix64) -> (u64, f64),
+) -> Vec<Vec<(usize, usize, u64, f64)>> {
+    (0..count)
+        .map(|_| {
+            let nnz = if rng.chance(1, 6) {
+                0
+            } else {
+                rng.range(1, 3 * rows)
+            };
+            gen::coords(rng, rows, n, nnz)
+                .into_iter()
+                .map(|(s, k)| {
+                    let (w, x) = entry(rng);
+                    (s, k, w, x)
+                })
+                .collect()
+        })
+        .collect()
+}
+
+/// A non-integral multiplicity: a changed summation order shows.
+fn multiplicity(rng: &mut SplitMix64) -> f64 {
+    1.0 + (rng.next_u64() % 1000) as f64 / 7.0
+}
+
 impl SinkCase {
+    /// A backward chain.
     fn generate(seed: u64) -> SinkCase {
         let mut rng = SplitMix64::new(seed);
         let threads = *rng.pick(&THREAD_COUNTS);
-        // Mostly ≥ 32 rows: the pool's row-chunking regime.
-        let rows = if rng.chance(3, 4) {
-            rng.range(32, 72)
-        } else {
-            rng.range(1, 10)
-        };
+        let rows = draw_rows(&mut rng);
         let n = rng.range(2, 48);
         let masked = rng.chance(1, 2);
         // Unit weights half the time; a narrow range otherwise, so
@@ -113,25 +201,56 @@ impl SinkCase {
                 }
             }
         }
-        let steps = (0..rng.range(1, 6))
-            .map(|_| {
-                let nnz = if rng.chance(1, 6) {
-                    0
-                } else {
-                    rng.range(1, 3 * rows)
-                };
-                gen::coords(&mut rng, rows, n, nnz)
-                    .into_iter()
-                    .map(|(s, k)| {
-                        let p = (rng.next_u64() % 1000) as f64 / 7.0;
-                        (s, k, 2 + rng.next_u64() % 6, p)
-                    })
-                    .collect()
-            })
-            .collect();
+        let count = rng.range(1, 6);
+        let steps = draw_steps(&mut rng, (rows, n), count, |rng| {
+            let p = (rng.next_u64() % 1000) as f64 / 7.0;
+            (2 + rng.next_u64() % 6, p)
+        });
         SinkCase {
             seed,
             threads,
+            leg: Leg::Backward,
+            rows,
+            n,
+            masked,
+            adj,
+            t,
+            steps,
+        }
+    }
+
+    /// A forward chain.
+    fn forward(seed: u64) -> SinkCase {
+        let mut rng = SplitMix64::new(seed);
+        let threads = *rng.pick(&THREAD_COUNTS);
+        let kernel = *rng.pick(&KERNELS);
+        let rows = draw_rows(&mut rng);
+        let n = rng.range(2, 48);
+        let masked = rng.chance(1, 2);
+        let edges = rng.range(n, 5 * n);
+        let adj = if rng.chance(1, 2) {
+            gen::rmat(&mut rng, n, edges, 3)
+        } else {
+            gen::erdos_renyi(&mut rng, n, edges, 3)
+        };
+        // Every row holds a few entries heavy enough to be improved.
+        let fill = rng.range(1, 5);
+        let mut t = Vec::new();
+        for s in 0..rows {
+            for v in 0..n {
+                if rng.below(10) < fill {
+                    t.push((s, v, 4 + rng.next_u64() % 8, multiplicity(&mut rng)));
+                }
+            }
+        }
+        let count = rng.range(1, 5);
+        let steps = draw_steps(&mut rng, (rows, n), count, |rng| {
+            (1 + rng.next_u64() % 4, multiplicity(rng))
+        });
+        SinkCase {
+            seed,
+            threads,
+            leg: Leg::Forward(kernel),
             rows,
             n,
             masked,
@@ -149,30 +268,50 @@ impl SinkCase {
         coo.into_csr::<MinDist>()
     }
 
-    fn table(&self) -> Csr<Multpath> {
+    /// `entries` as a `rows × n` matrix of `value(weight, x)`.
+    fn matrix<M: Monoid>(
+        &self,
+        entries: &[(usize, usize, u64, f64)],
+        value: fn(u64, f64) -> M::Elem,
+    ) -> Csr<M::Elem> {
         let mut coo = Coo::new(self.rows, self.n);
-        for &(s, v, w, m) in &self.t {
-            coo.push(s, v, Multpath::new(Dist::new(w), m));
+        for &(s, v, w, x) in entries {
+            coo.push(s, v, value(w, x));
         }
-        coo.into_csr::<MultpathMonoid>()
-    }
-
-    /// A frontier: every counter −1 (−2 where two drawn entries met at
-    /// one coordinate and weight).
-    fn frontier(&self, entries: &[(usize, usize, u64, f64)]) -> Csr<Centpath> {
-        let mut coo = Coo::new(self.rows, self.n);
-        for &(s, k, w, p) in entries {
-            coo.push(s, k, Centpath::new(Dist::new(w), p, -1));
-        }
-        coo.into_csr::<CentpathMonoid>()
+        coo.into_csr::<M>()
     }
 
     fn run(&self) -> Result<Seen, String> {
-        let (adj, t) = (self.adjacency(), self.table());
         let mut seen = Seen {
             parallel: self.threads > 1 && self.rows >= 32,
             ..Seen::default()
         };
+        match self.leg {
+            Leg::Backward => self.backward(&mut seen)?,
+            Leg::Forward(Kernel::BellmanFord) => self.forward_chain::<BellmanFordKernel>(
+                &mut seen,
+                |w, m| Multpath::new(Dist::new(w), m),
+                |g, _, t| mfbf_keep_in_frontier(g, Some(t)),
+                |x| [x.w.raw(), x.m.to_bits()],
+            )?,
+            Leg::Forward(Kernel::Tropical) => self.forward_chain::<TropicalKernel>(
+                &mut seen,
+                |w, _| Dist::new(w),
+                improved,
+                |x| [x.raw(), 0],
+            )?,
+            Leg::Forward(Kernel::Label) => {
+                self.forward_chain::<LabelKernel>(&mut seen, |w, _| w, improved, |&x| [x, 0])?
+            }
+        }
+        Ok(seen)
+    }
+
+    /// The backward chain, sink-fed against materialised after every
+    /// step.
+    fn backward(&self, seen: &mut Seen) -> Result<(), String> {
+        let adj = self.adjacency();
+        let t = self.matrix::<MultpathMonoid>(&self.t, |w, m| Multpath::new(Dist::new(w), m));
         let reached = self
             .masked
             .then(|| Mask::of_pattern(MaskKind::Structural, &t));
@@ -196,7 +335,10 @@ impl SinkCase {
 
         for (k, entries) in self.steps.iter().enumerate() {
             let what = format!("step {k}");
-            let frontier = self.frontier(entries);
+            // Every counter −1 (−2 where two drawn entries met at one
+            // coordinate and weight).
+            let frontier =
+                self.matrix::<CentpathMonoid>(entries, |w, p| Centpath::new(Dist::new(w), p, -1));
             seen.empty_rows += (0..self.rows).filter(|&s| frontier.row_nnz(s) == 0).count();
 
             let back = spgemm_opt::<BrandesKernel>(&frontier, &adj, z_mat.mask().as_ref());
@@ -214,27 +356,82 @@ impl SinkCase {
             same_state(&what, &z_sink, &z_mat, self.masked)?;
             seen.fired += want.nnz();
         }
-        Ok(seen)
+        Ok(())
+    }
+
+    /// The forward chain under kernel `K`, sink-fed against
+    /// materialised after every step.
+    #[allow(clippy::type_complexity)]
+    fn forward_chain<K>(
+        &self,
+        seen: &mut Seen,
+        value: fn(u64, f64) -> KernelOut<K>,
+        keep: fn(&KernelOut<K>, Option<&KernelOut<K>>, &KernelOut<K>) -> Option<KernelOut<K>>,
+        bits: fn(&KernelOut<K>) -> [u64; 2],
+    ) -> Result<(), String>
+    where
+        K: SpMulKernel<Left = KernelOut<K>, Right = Dist>,
+    {
+        let adj = self.adjacency();
+        let opened = self.matrix::<K::Acc>(&self.t, value);
+        let (mut t_sink, mut t_mat) = (
+            Table::from_csr(&opened, self.masked),
+            Table::from_csr(&opened, self.masked),
+        );
+        for (k, entries) in self.steps.iter().enumerate() {
+            let what = format!("{:?} step {k}", self.leg);
+            let frontier = self.matrix::<K::Acc>(entries, value);
+
+            let explored = spgemm_opt::<K>(&frontier, &adj, t_mat.mask().as_ref());
+            for (s, v, _) in explored.mat.iter() {
+                match t_mat.get(s, v) {
+                    None => seen.fresh += 1,
+                    Some(_) if 4 * s >= 3 * self.rows => seen.relaxed_late += 1,
+                    Some(_) => {}
+                }
+            }
+            let want = t_mat.accumulate::<K::Acc>(&explored.mat, keep);
+            let got = spgemm_accumulate::<K>(&frontier, &adj, &mut t_sink, keep);
+
+            if let Some(d) = bits_difference(&got.mat, &want, bits) {
+                return Err(format!("{what}: kept frontier: {d}"));
+            }
+            if got.ops != explored.ops {
+                return Err(format!("{what}: ops {} != {}", got.ops, explored.ops));
+            }
+            let (frozen_sink, frozen_mat) = (t_sink.clone().freeze(), t_mat.clone().freeze());
+            if let Some(d) = bits_difference(&frozen_sink, &frozen_mat, bits) {
+                return Err(format!("{what}: T: {d}"));
+            }
+            let (got_mask, want_mask) = (t_sink.mask(), t_mat.mask());
+            if got_mask != want_mask || got_mask.is_some() != self.masked {
+                return Err(format!("{what}: mask rows differ"));
+            }
+            seen.kept += want.nnz();
+        }
+        Ok(())
     }
 }
 
-/// The first entry at which two centpath matrices differ in structure
-/// or in the bits of a field.
-fn bits_difference(got: &Csr<Centpath>, want: &Csr<Centpath>) -> Option<String> {
+/// A centpath's fields as bits.
+fn centpath_bits(x: &Centpath) -> [u64; 3] {
+    [x.w.raw(), x.p.to_bits(), x.c as u64]
+}
+
+/// The first entry at which two matrices differ in structure or in
+/// the bits `bits` reads.
+fn bits_difference<T: PartialEq + std::fmt::Debug, B: PartialEq>(
+    got: &Csr<T>,
+    want: &Csr<T>,
+    bits: fn(&T) -> B,
+) -> Option<String> {
     if let Some(d) = got.first_difference(want) {
         return Some(d);
     }
-    let bits = |x: &Centpath| (x.w.raw(), x.p.to_bits(), x.c);
-    let (mut g, mut w) = (got.iter(), want.iter());
-    loop {
-        match (g.next(), w.next()) {
-            (Some((i, j, a)), Some((_, _, b))) if bits(a) != bits(b) => {
-                return Some(format!("entry ({i},{j}): bits of {a:?} vs {b:?}"));
-            }
-            (None, None) => return None,
-            _ => {}
-        }
-    }
+    let mut pairs = got.iter().zip(want.iter());
+    pairs
+        .find(|((_, _, a), (_, _, b))| bits(a) != bits(b))
+        .map(|((i, j, a), (_, _, b))| format!("entry ({i},{j}): bits of {a:?} vs {b:?}"))
 }
 
 /// A step's frontier and `ops`, sink-fed against materialised.
@@ -245,7 +442,7 @@ fn same_step(
     got_ops: u64,
     want_ops: u64,
 ) -> Result<(), String> {
-    if let Some(d) = bits_difference(got, want) {
+    if let Some(d) = bits_difference(got, want, centpath_bits) {
         return Err(format!("{what}: frontier: {d}"));
     }
     if got_ops != want_ops {
@@ -262,7 +459,8 @@ fn same_state(
     want: &Table<Centpath>,
     masked: bool,
 ) -> Result<(), String> {
-    if let Some(d) = bits_difference(&got.clone().freeze(), &want.clone().freeze()) {
+    let (frozen_got, frozen_want) = (got.clone().freeze(), want.clone().freeze());
+    if let Some(d) = bits_difference(&frozen_got, &frozen_want, centpath_bits) {
         return Err(format!("{what}: Z: {d}"));
     }
     let (got, want) = (got.mask(), want.mask());
@@ -331,34 +529,68 @@ fn sink_fed_vs_materialised_seeded() {
 }
 
 #[test]
-fn the_generator_reaches_what_the_suite_claims() {
-    // Over the first cases of a fixed stream: entries fire, products
-    // land outside Z's pattern, frontiers leave rows empty, both mask
-    // settings and every pool size are drawn, and the parallel path
-    // (tasks owning row ranges of Z) runs.
+fn forward_sink_fed_vs_materialised_seeded() {
+    run_suite_or_panic(
+        "forward_sink_fed_vs_materialised_seeded",
+        200,
+        SinkCase::forward,
+    );
+}
+
+/// Runs the first 60 cases of a fixed stream, summing what they
+/// exercised; returns the sums, the cases run and the pool sizes drawn.
+fn reach(stream: u64, generate: fn(u64) -> SinkCase) -> (Seen, Vec<SinkCase>) {
     let mut total = Seen::default();
-    let (mut masked, mut unmasked, mut unit, mut weighted) = (0, 0, 0, 0);
-    let mut pools = std::collections::BTreeSet::new();
+    let mut cases = Vec::new();
     for i in 0..60u64 {
-        let case = SinkCase::generate(0x51AC_0000 + i);
+        let case = generate(stream + i);
         let seen = mfbc_parallel::with_threads(case.threads, || case.run()).expect("case passes");
         total.fired += seen.fired;
         total.outside += seen.outside;
         total.empty_rows += seen.empty_rows;
+        total.kept += seen.kept;
+        total.fresh += seen.fresh;
+        total.relaxed_late += usize::from(seen.parallel) * seen.relaxed_late;
         total.parallel |= seen.parallel;
-        *(if case.masked {
-            &mut masked
-        } else {
-            &mut unmasked
-        }) += 1;
-        let is_unit = case.adj.iter().all(|&(_, _, w)| w == 1);
-        *(if is_unit { &mut unit } else { &mut weighted }) += 1;
-        pools.insert(case.threads);
+        cases.push(case);
     }
+    let pools: std::collections::BTreeSet<usize> = cases.iter().map(|c| c.threads).collect();
+    assert_eq!(pools.into_iter().collect::<Vec<_>>(), THREAD_COUNTS);
+    assert!(cases.iter().any(|c| c.masked) && cases.iter().any(|c| !c.masked));
+    (total, cases)
+}
+
+#[test]
+fn the_generator_reaches_what_the_suite_claims() {
+    // Entries fire, products land outside Z's pattern, frontiers leave
+    // rows empty, both mask settings, unit and weighted adjacency and
+    // every pool size are drawn, and the parallel path (tasks owning
+    // row ranges of Z) runs.
+    let (total, cases) = reach(0x51AC_0000, SinkCase::generate);
     assert!(
         total.fired > 0 && total.outside > 0 && total.empty_rows > 0 && total.parallel,
         "{total:?}"
     );
-    assert!(masked > 0 && unmasked > 0 && unit > 0 && weighted > 0);
-    assert_eq!(pools.into_iter().collect::<Vec<_>>(), THREAD_COUNTS);
+    let unit = |c: &SinkCase| c.adj.iter().all(|&(_, _, w)| w == 1);
+    assert!(cases.iter().any(unit) && !cases.iter().all(unit));
+}
+
+#[test]
+fn the_forward_generator_reaches_what_the_suite_claims() {
+    // Entries are kept, new coordinates are stored, stored entries in
+    // late rows of parallel products are re-relaxed, and every kernel,
+    // both mask settings and every pool size are drawn.
+    let (total, cases) = reach(0xF0E0_0000, SinkCase::forward);
+    assert!(
+        total.kept > 0 && total.fresh > 0 && total.relaxed_late > 0 && total.parallel,
+        "{total:?}"
+    );
+    let kernels: std::collections::BTreeSet<Kernel> = cases
+        .iter()
+        .filter_map(|c| match c.leg {
+            Leg::Forward(k) => Some(k),
+            Leg::Backward => None,
+        })
+        .collect();
+    assert_eq!(kernels.into_iter().collect::<Vec<_>>(), KERNELS);
 }

@@ -23,8 +23,9 @@ use mfbc_algebra::monoid::Monoid;
 use mfbc_algebra::{Dist, SpMulKernel};
 use mfbc_graph::Graph;
 use mfbc_machine::{Machine, MachineError};
+use mfbc_sparse::transpose::transpose;
 use mfbc_sparse::{
-    elementwise, spgemm_anchor, spgemm_opt, spgemm_settle, Csr, Idx, Mask, MaskKind, Table,
+    elementwise, spgemm_accumulate, spgemm_anchor, spgemm_settle, Csr, Idx, Mask, MaskKind, Table,
 };
 use mfbc_tensor::cache::{CacheStats, MmCache};
 use mfbc_tensor::{autotune, canonical_layout, ops, DistMat, DistTable, Layout, MmPlan};
@@ -186,9 +187,17 @@ pub trait Backend {
 }
 
 /// Shared-memory execution on CSR matrices.
+///
+/// Every step is one product into its table, and none builds the
+/// product as a matrix: the row kernel of `mfbc_sparse` hands each
+/// finished accumulator row to the table — [`spgemm_accumulate`] into
+/// `T` forward, [`spgemm_anchor`] and [`spgemm_settle`] into `Z`
+/// backward.
 pub struct Local<'g> {
     a: &'g Csr<Dist>,
-    at: Csr<Dist>,
+    /// `Aᵀ`, transposed by the first backward sweep: a backend that
+    /// only runs forward sweeps (SSSP, components) never builds it.
+    at: Option<Csr<Dist>>,
     /// Whether sweeps run under output masks: on unit-weighted graphs,
     /// exactly where [`crate::MfbcConfig::default`] masks.
     pub(crate) masked: bool,
@@ -199,9 +208,15 @@ impl<'g> Local<'g> {
     pub fn new(g: &'g Graph) -> Local<'g> {
         Local {
             a: g.adjacency(),
-            at: g.adjacency_t(),
+            at: None,
             masked: g.is_unit_weighted(),
         }
+    }
+
+    /// `Aᵀ`, built on first use.
+    fn at(&mut self) -> &Csr<Dist> {
+        let a = self.a;
+        self.at.get_or_insert_with(|| transpose(a))
     }
 }
 
@@ -244,9 +259,8 @@ impl Backend for Local<'_> {
         keep: impl Fn(&KernelOut<K>, Option<&KernelOut<K>>, &KernelOut<K>) -> Option<KernelOut<K>>
             + Sync,
     ) -> Result<(Csr<KernelOut<K>>, u64), Self::Error> {
-        let explored = spgemm_opt::<K>(frontier, self.a, table.mask().as_ref());
-        let kept = table.accumulate::<K::Acc>(&explored.mat, keep);
-        Ok((kept, explored.ops))
+        let out = spgemm_accumulate::<K>(frontier, self.a, table, keep);
+        Ok((out.mat, out.ops))
     }
 
     fn anchor<K, T: Elem>(
@@ -268,8 +282,9 @@ impl Backend for Local<'_> {
             assert!(!K::Acc::is_identity(&s), "an identity seed");
             s
         });
+        let masked = self.masked;
         let (z, leaves) =
-            spgemm_anchor::<K, T>(&seeds, &self.at, within, base, init, fire, self.masked);
+            spgemm_anchor::<K, T>(&seeds, self.at(), within, base, init, fire, masked);
         Ok((z, leaves.mat, leaves.ops))
     }
 
@@ -284,7 +299,7 @@ impl Backend for Local<'_> {
     where
         K: SpMulKernel<Right = Dist>,
     {
-        let out = spgemm_settle::<K, U>(frontier, &self.at, within, z, side, fire);
+        let out = spgemm_settle::<K, U>(frontier, self.at(), within, z, side, fire);
         Ok((out.mat, out.ops))
     }
 

@@ -1,8 +1,8 @@
 //! Regression alarm for per-superstep table copies: the bytes one
 //! `mfbc_seq` call requests from the allocator stay within a small
 //! multiple of the tables it builds, so do those of `mfbc_dist` on one
-//! simulated rank and of `sssp_seq`, and a backward superstep of
-//! `mfbr_seq` makes the same few allocation calls however much it
+//! simulated rank and of `sssp_seq`, and a superstep of either sweep
+//! makes the same few allocation calls however much it explores or
 //! fires.
 //!
 //! A superstep is priced by its frontier and the products it induces
@@ -12,18 +12,18 @@
 //! tables themselves. This binary holds one test so that nothing else
 //! allocates while it counts.
 
-use mfbc_algebra::kernel::BrandesKernel;
-use mfbc_algebra::{Centpath, Multpath};
+use mfbc_algebra::kernel::{BellmanFordKernel, BrandesKernel};
+use mfbc_algebra::{Centpath, Multpath, MultpathMonoid};
 use mfbc_core::backend::{Backend, Local};
 use mfbc_core::bfs::sssp_seq;
 use mfbc_core::dist::{mfbc_dist, MfbcConfig};
 use mfbc_core::seq::{mfbc_seq, mfbf_seq, mfbr_seq};
-use mfbc_core::sweep::{mfbr_anchor, mfbr_fire};
+use mfbc_core::sweep::{backward, mfbf_keep_in_frontier, mfbr_anchor, mfbr_fire};
 use mfbc_graph::gen::{rmat, RmatConfig};
 use mfbc_graph::prep::{randomize_weights, remove_isolated};
 use mfbc_graph::Graph;
 use mfbc_machine::{Machine, MachineSpec};
-use mfbc_sparse::{Csr, MaskKind};
+use mfbc_sparse::{Coo, Csr, MaskKind};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -88,20 +88,22 @@ fn weighted_grid(side: usize) -> Graph {
 }
 
 /// Requested bytes per byte of final table. Measured on this graph
-/// (122 supersteps): 10.1 with MFBr's products settled into `Z` where
-/// they land, 19.0 when each was built as a matrix and merged on the
-/// next line, 138 with the tables rebuilt around every product — the
-/// bound is the measurement × 1.5.
-const MAX_REQUESTED_PER_TABLE_BYTE: f64 = 15.1;
+/// (122 supersteps): 6.4 with both sweeps' products consumed where
+/// they land (the forward sweep's share 3.1), 10.1 when MFBF's were
+/// still built as matrices and merged into `T` (its share 6.7), 19.0
+/// when MFBr's were too, 138 with the tables rebuilt around every
+/// product — the bound is the measurement × 1.5.
+const MAX_REQUESTED_PER_TABLE_BYTE: f64 = 9.7;
 
 /// The same ratio on a unit-weighted R-MAT graph, where every product
 /// runs under a mask: the alarm for per-superstep copies of a mask's
-/// pattern. Measured: 7.8 with MFBr's products settled where they
-/// land, 10.5 when they were matrices, 16.4 when every superstep also
-/// copied the pattern into its mask and `Z` was opened in three
-/// passes. The forward sweep's 4.0 of the 7.8 did not move, so the
-/// usual × 1.5 would let the 10.5 back in: × 1.3 here.
-const MAX_MASKED_REQUESTED_PER_TABLE_BYTE: f64 = 10.0;
+/// pattern. Measured: 7.2 with both sweeps' products consumed where
+/// they land (the forward sweep's share 3.3), 7.8 when MFBF's were
+/// matrices (its share 3.9), 10.5 when MFBr's were too, 16.4 when
+/// every superstep also copied the pattern into its mask and `Z` was
+/// opened in three passes. The usual × 1.5 would let the 10.5 back
+/// in: × 1.3 here.
+const MAX_MASKED_REQUESTED_PER_TABLE_BYTE: f64 = 9.3;
 
 /// Requested bytes per byte of final table for `mfbc_dist` at `p = 1`
 /// on the grid. One rank moves nothing, so what the simulated backend
@@ -116,11 +118,13 @@ const MAX_MASKED_REQUESTED_PER_TABLE_BYTE: f64 = 10.0;
 const MAX_DIST_REQUESTED_PER_TABLE_BYTE: f64 = 28.5;
 
 /// Requested bytes per byte of final distance table for `sssp_seq`
-/// from every vertex of the grid. Measured: 14.4 with its products
-/// folded into the table in place, 83.6 when every superstep merged
+/// from every vertex of the grid. Measured: 6.5 with its products
+/// accumulated into the table where they land and no `Aᵀ` built, 14.4
+/// when each product was a matrix folded into the table and the
+/// backend transposed `A` up front, 83.6 when every superstep merged
 /// them into a fresh copy of the whole table — the bound is the
 /// measurement × 1.5.
-const MAX_SSSP_REQUESTED_PER_TABLE_BYTE: f64 = 21.7;
+const MAX_SSSP_REQUESTED_PER_TABLE_BYTE: f64 = 9.7;
 
 /// Allocation calls any one backward superstep of `mfbr_seq` may make
 /// on the grid. A superstep allocates its accumulator, its sinks and a
@@ -135,8 +139,75 @@ const MAX_SSSP_REQUESTED_PER_TABLE_BYTE: f64 = 21.7;
 const MAX_CALLS_PER_BACKWARD_SUPERSTEP: u64 = 25;
 
 /// The same for the opening product of a batch (the table, the seeds,
-/// the leaves). Measured: 37 — × 1.5.
+/// the leaves), on a backend that has built `Aᵀ` already. Measured:
+/// 37 — × 1.5.
 const MAX_CALLS_TO_OPEN_Z: u64 = 55;
+
+/// Allocation calls any one forward superstep of `mfbf_seq` may make
+/// on the grids, where nothing masks. A superstep allocates its
+/// accumulator, the kept frontier's three vectors — room for one entry
+/// per row, doubled up to what it keeps — and, rarely, a doubling of
+/// `T`'s arena: 18 calls in the busiest superstep measured, 7 in the
+/// last. When every product was drained into a matrix, re-assembled,
+/// validated and merged into `T` it took 40 — measured maximum × 1.5.
+const MAX_CALLS_PER_FORWARD_SUPERSTEP: u64 = 27;
+
+/// The same on the masked R-MAT graph, where a superstep also grows the
+/// mask row of each batch row that discovers a vertex (one vector per
+/// row of `T`'s `SortedRows`, 64 here) and lists the new coordinates
+/// for it: 106 calls in the busiest superstep measured, 110 when the
+/// products were matrices — × 1.5.
+const MAX_CALLS_PER_MASKED_FORWARD_SUPERSTEP: u64 = 159;
+
+/// Allocation calls of every forward superstep of `mfbf_seq(g,
+/// sources)`: `sweep::forward`'s loop on the backend `mfbf_seq` runs
+/// on, with the counter read around each `explore`.
+fn forward_calls(g: &Graph, sources: &[usize]) -> Vec<u64> {
+    let (mut init, mut diag) = (
+        Coo::new(sources.len(), g.n()),
+        Coo::new(sources.len(), g.n()),
+    );
+    for (s, &src) in sources.iter().enumerate() {
+        for (v, w) in g.neighbors(src) {
+            init.push(s, v, Multpath::new(w, 1.0));
+        }
+        diag.push(s, src, Multpath::trivial());
+    }
+    let mut frontier = init.into_csr::<MultpathMonoid>();
+    let diag = diag.into_csr::<MultpathMonoid>();
+    let mut be = Local::new(g);
+    let Ok(mut table) = be.open::<MultpathMonoid>(&frontier, Some(&diag));
+    let keep =
+        |gv: &Multpath, _: Option<&Multpath>, tv: &Multpath| mfbf_keep_in_frontier(gv, Some(tv));
+    let (mut steps, mut frontier_nnz) = (Vec::with_capacity(g.n()), 0);
+    while frontier.nnz() > 0 {
+        frontier_nnz += frontier.nnz() as u64;
+        let before = CALLS.load(Ordering::Relaxed);
+        let Ok((kept, _)) = be.explore::<BellmanFordKernel>(&mut table, &frontier, keep);
+        steps.push(CALLS.load(Ordering::Relaxed) - before);
+        frontier = kept;
+    }
+    let seq = mfbf_seq(g, sources);
+    assert_eq!(
+        (seq.iterations, seq.frontier_nnz),
+        (steps.len(), frontier_nnz),
+        "the loop above is not mfbf_seq's"
+    );
+    steps
+}
+
+/// Asserts, batch by batch of `nb` sources, that every single forward
+/// superstep stays within `bound` allocation calls.
+fn assert_forward_calls_bounded(g: &Graph, nb: usize, bound: u64) {
+    let sources: Vec<usize> = (0..g.n()).collect();
+    for chunk in sources.chunks(nb) {
+        let steps = forward_calls(g, chunk);
+        assert!(
+            steps.iter().all(|&c| c <= bound),
+            "allocation calls per forward superstep of mfbf_seq: {steps:?}"
+        );
+    }
+}
 
 /// Bytes of `T` and `Z` over every batch of `nb` sources, and the
 /// supersteps it takes to build them.
@@ -152,12 +223,11 @@ fn tables_of(g: &Graph, nb: usize) -> (u64, usize) {
     (table_bytes, supersteps)
 }
 
-/// Allocation calls of one `mfbr_seq(g, t)`, taken apart: the opening
-/// product, then every backward superstep. The loop is
+/// Allocation calls of one `mfbr_seq(g, t)` on `be`, taken apart: the
+/// opening product, then every backward superstep. The loop is
 /// `sweep::backward`'s, on the backend `mfbr_seq` runs on, with the
 /// counter read between its steps.
-fn backward_calls(g: &Graph, t: &Csr<Multpath>) -> (u64, Vec<u64>) {
-    let mut be = Local::new(g);
+fn backward_calls(be: &mut Local, g: &Graph, t: &Csr<Multpath>) -> (u64, Vec<u64>) {
     let reached = be.mask_of(MaskKind::Structural, t);
     let seed = |mp: &Multpath| Centpath::new(mp.w, 0.0, 1);
     let fire = |z: &mut Centpath, tv: &Multpath| {
@@ -190,10 +260,15 @@ fn backward_calls(g: &Graph, t: &Csr<Multpath>) -> (u64, Vec<u64>) {
 
 /// Asserts, batch by batch of `nb` sources, that opening `Z` and every
 /// single backward superstep stay within their allocation-call bounds.
+/// The batches share one backend, as in `mfbc_seq`, which builds `Aᵀ`
+/// in its first backward sweep: a sweep run beforehand keeps that
+/// transpose out of the counts.
 fn assert_backward_calls_bounded(g: &Graph, nb: usize) {
     let sources: Vec<usize> = (0..g.n()).collect();
+    let mut be = Local::new(g);
+    let Ok(_) = backward(&mut be, &mfbf_seq(g, &sources[..1]).t);
     for chunk in sources.chunks(nb) {
-        let (opening, steps) = backward_calls(g, &mfbf_seq(g, chunk).t);
+        let (opening, steps) = backward_calls(&mut be, g, &mfbf_seq(g, chunk).t);
         assert!(
             opening <= MAX_CALLS_TO_OPEN_Z,
             "opening Z allocates {opening} times"
@@ -229,6 +304,8 @@ fn mfbc_requests_a_small_multiple_of_its_tables() {
         // fire a third as much.
         assert_backward_calls_bounded(&g, nb);
         assert_backward_calls_bounded(&weighted_grid(10), 40);
+        assert_forward_calls_bounded(&g, nb, MAX_CALLS_PER_FORWARD_SUPERSTEP);
+        assert_forward_calls_bounded(&weighted_grid(10), 40, MAX_CALLS_PER_FORWARD_SUPERSTEP);
         let (requested, lambda) = requested_by_seq(&g, nb, supersteps);
         let ratio = requested as f64 / table_bytes as f64;
         assert!(
@@ -240,6 +317,7 @@ fn mfbc_requests_a_small_multiple_of_its_tables() {
         // A unit-weighted R-MAT graph: few dense supersteps, every
         // product under a mask read off the table or the pending set.
         let (rg, rnb) = (remove_isolated(&rmat(&RmatConfig::paper(8, 8, 3))), 64);
+        assert_forward_calls_bounded(&rg, rnb, MAX_CALLS_PER_MASKED_FORWARD_SUPERSTEP);
         let (rtable_bytes, rsupersteps) = tables_of(&rg, rnb);
         let (rrequested, _) = requested_by_seq(&rg, rnb, rsupersteps);
         let rratio = rrequested as f64 / rtable_bytes as f64;

@@ -43,8 +43,8 @@ pub use csr::{Csr, Idx};
 pub use mask::{Mask, MaskKind};
 pub use rows::SortedRows;
 pub use spgemm::{
-    spgemm, spgemm_anchor, spgemm_masked, spgemm_masked_serial, spgemm_opt, spgemm_serial,
-    spgemm_settle,
+    spgemm, spgemm_accumulate, spgemm_anchor, spgemm_masked, spgemm_masked_serial, spgemm_opt,
+    spgemm_serial, spgemm_settle,
 };
 pub use table::Table;
 

@@ -12,16 +12,18 @@
 //! consume.
 //!
 //! A finished accumulator row goes to a *row sink*. Draining it into a
-//! sorted CSR row is one sink (every `spgemm*` entry point); MFBr's
-//! two products are consumed where they land instead —
+//! sorted CSR row is one sink (every `spgemm*` entry point); the
+//! sweeps' products are consumed where they land instead, so the
+//! product matrix is never built, copied or validated:
+//! [`spgemm_accumulate`] runs [`Table::accumulate`]'s body on each row
+//! in the column order draining would emit it (MFBF's `T`), and
 //! [`spgemm_settle`] and [`spgemm_anchor`] feed the accumulator's
-//! touched list straight into a [`Table`], so the product matrix is
-//! never built, sorted or copied.
+//! touched list straight into MFBr's `Z`.
 
 use crate::csr::{Csr, Idx};
 use crate::elementwise::{assemble_rows, RowChunk};
 use crate::mask::{Mask, MaskKind};
-use crate::table::{Rows, Settle, Table};
+use crate::table::{Accumulate, Rows, Settle, Table};
 use mfbc_algebra::kernel::KernelOut;
 use mfbc_algebra::monoid::Monoid;
 use mfbc_algebra::SpMulKernel;
@@ -92,40 +94,35 @@ impl<T: Clone> Spa<T> {
         self.mark
     }
 
-    /// Emits the touched entries in column order, skipping identities.
+    /// Visits the touched entries in column order, skipping identities.
     /// `walk` is an ascending superset of the touched columns (the
     /// structural mask row) or empty. A dense row is read off `walk`,
     /// or off the stamps themselves, in order; only a sparse one sorts
     /// what it touched.
-    fn drain_into<M: Monoid<Elem = T>>(
-        &mut self,
-        walk: &[Idx],
-        colind: &mut Vec<Idx>,
-        vals: &mut Vec<T>,
-    ) {
+    fn drain<M: Monoid<Elem = T>>(&mut self, walk: &[Idx], mut visit: impl FnMut(Idx, &T)) {
         if self.touched.is_empty() {
             return;
         }
         let on = self.mark + 1;
         let dense = self.touched.len() * DENSE_DRAIN;
+        let (stamp, vals, touched) = (&self.stamp, &self.vals, &mut self.touched);
         let mut emit = |j: Idx| {
-            let v = &self.vals[j as usize];
+            let v = &vals[j as usize];
             if !M::is_identity(v) {
-                colind.push(j);
-                vals.push(v.clone());
+                visit(j, v);
             }
         };
         if !walk.is_empty() && dense >= walk.len() {
             walk.iter()
-                .filter(|&&j| self.stamp[j as usize] == on)
+                .filter(|&&j| stamp[j as usize] == on)
                 .for_each(|&j| emit(j));
-        } else if dense >= self.stamp.len() {
-            (0..self.stamp.len() as Idx)
-                .filter(|&j| self.stamp[j as usize] == on)
+        } else if dense >= stamp.len() {
+            (0..stamp.len() as Idx)
+                .filter(|&j| stamp[j as usize] == on)
                 .for_each(emit);
         } else {
-            self.touched.sort_unstable();
-            self.touched.iter().for_each(|&j| emit(j));
+            touched.sort_unstable();
+            touched.iter().for_each(|&j| emit(j));
         }
     }
 
@@ -157,8 +154,24 @@ impl<M: Monoid> RowSink<M::Elem> for Drain<M> {
     fn row(&mut self, _: usize, spa: &mut Spa<M::Elem>, walk: &[Idx]) {
         let (rowlen, colind, vals) = &mut self.0;
         let before = colind.len();
-        spa.drain_into::<M>(walk, colind, vals);
+        spa.drain::<M>(walk, |j, v| {
+            colind.push(j);
+            vals.push(v.clone());
+        });
         rowlen.push(colind.len() - before);
+    }
+}
+
+/// [`Table::accumulate`] fed from the accumulator, in the column order
+/// [`Drain`] would emit: the sink of [`spgemm_accumulate`].
+impl<M, F> RowSink<M::Elem> for Accumulate<'_, M, F>
+where
+    M: Monoid,
+    F: Fn(&M::Elem, Option<&M::Elem>, &M::Elem) -> Option<M::Elem>,
+{
+    fn row(&mut self, i: usize, spa: &mut Spa<M::Elem>, walk: &[Idx]) {
+        spa.drain::<M>(walk, |j, g| self.entry(i, j as usize, g));
+        self.end_row(i);
     }
 }
 
@@ -291,6 +304,18 @@ fn flops_weights<L, R>(a: &Csr<L>, b: &Csr<R>) -> Vec<u64> {
         .collect()
 }
 
+/// Whether a product of `nrows` rows runs on the calling thread:
+/// asked to, or on a one-thread pool, or with too few rows to fan out.
+fn on_caller(serial: bool, nrows: usize) -> bool {
+    serial || mfbc_parallel::current().threads() == 1 || nrows < PAR_MIN_ROWS
+}
+
+/// One [`Drain`] per row range.
+fn drains<M: Monoid>(ranges: &[Range<usize>]) -> Vec<Drain<M>> {
+    let drain = |r: &Range<usize>| Drain::<M>((Vec::with_capacity(r.len()), vec![], vec![]));
+    ranges.iter().map(drain).collect()
+}
+
 /// Every public entry point: checks shapes, then multiplies on the
 /// calling thread (`serial`, one pool thread or few rows) or over
 /// flops-balanced row ranges on the pool, one SPA per participant.
@@ -329,7 +354,7 @@ fn run<K: SpMulKernel, S: RowSink<KernelOut<K>> + Send>(
     let nrows = a.nrows();
     let spa = || Spa::new(b.ncols(), <K::Acc as Monoid>::identity());
     let pool = mfbc_parallel::current();
-    if serial || pool.threads() == 1 || nrows < PAR_MIN_ROWS {
+    if on_caller(serial, nrows) {
         let mut sinks = sinks(std::slice::from_ref(&(0..nrows)));
         let ops = multiply::<K>(a, b, mask, 0..nrows, &mut spa(), &mut sinks[0]);
         return (sinks, ops);
@@ -362,15 +387,75 @@ fn product<K: SpMulKernel>(
     mask: Option<&Mask>,
     serial: bool,
 ) -> SpGemmOut<KernelOut<K>> {
-    let drains = |ranges: &[Range<usize>]| {
-        let drain =
-            |r: &Range<usize>| Drain::<K::Acc>((Vec::with_capacity(r.len()), vec![], vec![]));
-        ranges.iter().map(drain).collect()
-    };
-    let (drains, ops) = run::<K, _>(a, b, mask, serial, drains);
+    let (drains, ops) = run::<K, _>(a, b, mask, serial, drains::<K::Acc>);
     let chunks = drains.into_iter().map(|d| d.0).collect();
     SpGemmOut {
         mat: assemble_rows(a.nrows(), b.ncols(), chunks),
+        ops,
+    }
+}
+
+/// `T := T ⊕ (A •⟨⊕,f⟩ B)`, the product consumed where it lands
+/// (Algorithm 1, lines 4–6): [`Table::accumulate`] of the product of
+/// `a` and `b` into `t`, with every finished accumulator row as the
+/// explored entries, in column order — no product matrix is built.
+/// The product runs under [`Table::mask`]. Returns the entries `keep`
+/// let through and the products formed, bit-identical to
+/// [`spgemm_opt`] followed by [`Table::accumulate`] at any thread
+/// count.
+///
+/// On the calling thread each row goes into `t` as it is finished: the
+/// arena is appended to and the slots written in place, and what
+/// `keep` lets through is the returned matrix as it was written.
+/// The arena is append-only, so parallel tasks each drain their rows,
+/// and one pass then feeds them to the same body in row order —
+/// measured faster than tasks that grow arenas of their own, stitched
+/// after the product, or that read the table and leave what they
+/// change to a serial pass (EXPERIMENTS.md).
+///
+/// # Panics
+/// Panics where [`spgemm_opt`] or [`Table::accumulate`] would.
+pub fn spgemm_accumulate<K: SpMulKernel>(
+    a: &Csr<K::Left>,
+    b: &Csr<K::Right>,
+    t: &mut Table<KernelOut<K>>,
+    keep: impl Fn(&KernelOut<K>, Option<&KernelOut<K>>, &KernelOut<K>) -> Option<KernelOut<K>> + Sync,
+) -> SpGemmOut<KernelOut<K>> {
+    let shape = (a.nrows(), b.ncols());
+    assert_eq!(
+        shape,
+        (t.nrows(), t.ncols()),
+        "table accumulate shape mismatch"
+    );
+    if on_caller(false, a.nrows()) {
+        // Room for one kept entry per row: reserving the frontier's
+        // size instead, ahead of the product that grows the arena,
+        // raised `mfbc_seq`'s peak RSS on the weighted grid by 3–6 %
+        // (EXPERIMENTS.md).
+        let (mask, sink) = t.grow::<K::Acc, _>(&keep, a.nrows());
+        let (mut sinks, ops) = run::<K, _>(a, b, mask.as_ref(), false, |_| vec![sink]);
+        let landing = sinks.pop().expect("one sink").finish();
+        let mat = t.land(landing);
+        return SpGemmOut { mat, ops };
+    }
+    let (drains, ops) = run::<K, _>(a, b, t.mask().as_ref(), false, drains::<K::Acc>);
+    // No more entries can be kept than were drained.
+    let drained = drains.iter().map(|d| d.0 .1.len()).sum();
+    let (_, mut sink) = t.grow::<K::Acc, _>(&keep, drained);
+    let mut i = 0;
+    for Drain((rowlen, colind, vals)) in drains {
+        let mut at = 0;
+        for len in rowlen {
+            for p in at..at + len {
+                sink.entry(i, colind[p] as usize, &vals[p]);
+            }
+            sink.end_row(i);
+            (at, i) = (at + len, i + 1);
+        }
+    }
+    let landing = sink.finish();
+    SpGemmOut {
+        mat: t.land(landing),
         ops,
     }
 }

@@ -7,6 +7,10 @@
 //! table therefore keeps a dense `rows × cols` slot index into an
 //! append-only value arena — one lookup per explored entry, no order
 //! to maintain — and is sorted exactly once, by [`Table::freeze`].
+//! The explored entries arrive from a matrix's rows
+//! ([`Table::accumulate`]) or straight from the accumulator of the
+//! product that forms them ([`crate::spgemm_accumulate`]); one body
+//! folds them in, appending to the arena and writing slots in place.
 //!
 //! It is also MFBr's `Z`, which never grows: opened on `T`'s frozen
 //! pattern ([`Table::on_pattern`]), arena position `p` of `Z` is CSR
@@ -36,7 +40,10 @@ pub struct Table<T> {
     nrows: usize,
     ncols: usize,
     /// `slot[i * ncols + j]` is 1 + the position of entry `(i, j)` in
-    /// `vals`, or 0 where no entry is stored.
+    /// `vals`, or 0 where no entry is stored. A table stores each
+    /// coordinate at most once, so `vals` never holds more entries
+    /// than the area, which [`Table::on_pattern`] keeps below
+    /// `u32::MAX`: every slot value fits, however the table grows.
     slot: Vec<u32>,
     vals: Vec<T>,
     /// The rows [`Table::mask`] reads and how it reads them; kept
@@ -151,47 +158,63 @@ impl<T: Clone> Table<T> {
             (self.nrows, self.ncols),
             "table accumulate shape mismatch"
         );
-        assert!(
-            self.nnz() + explored.nnz() < u32::MAX as usize,
-            "table entries exceed slot index"
-        );
-        let mut rowptr = Vec::with_capacity(self.nrows + 1);
-        rowptr.push(0usize);
-        let mut colind = Vec::with_capacity(explored.nnz());
-        let mut kept = Vec::with_capacity(explored.nnz());
-        let mut fresh: Vec<Idx> = Vec::new();
-        for i in 0..self.nrows {
-            let slots = &mut self.slot[i * self.ncols..(i + 1) * self.ncols];
+        // No more entries can be kept than are explored.
+        let (_, mut sink) = self.grow::<M, _>(&keep, explored.nnz());
+        for i in 0..explored.nrows() {
             for (j, g) in explored.row(i) {
-                debug_assert!(!M::is_identity(g), "explored entry not in normal form");
-                let emitted = match slots[j] {
-                    0 => {
-                        self.vals.push(g.clone());
-                        slots[j] = self.vals.len() as u32;
-                        fresh.push(j as Idx);
-                        keep(g, None, &self.vals[self.vals.len() - 1])
-                    }
-                    s => {
-                        let v = &mut self.vals[s as usize - 1];
-                        let updated = M::combine(v, g);
-                        debug_assert!(!M::is_identity(&updated), "combine deleted a table entry");
-                        let emitted = keep(g, Some(v), &updated);
-                        *v = updated;
-                        emitted
-                    }
-                };
-                if let Some(o) = emitted.filter(|o| !M::is_identity(o)) {
-                    colind.push(j as Idx);
-                    kept.push(o);
-                }
+                sink.entry(i, j, g);
             }
-            rowptr.push(colind.len());
-            if let Some((_, stored)) = &mut self.mask {
-                stored.insert(i, &fresh);
-            }
-            fresh.clear();
+            sink.end_row(i);
         }
-        Csr::from_parts(self.nrows, self.ncols, rowptr, colind, kept)
+        let landing = sink.finish();
+        self.land(landing)
+    }
+
+    /// The table's mask, and the sink that grows the table with `keep`
+    /// — its arena and slot index in place — with room to keep
+    /// `expect` entries: a product reads the mask while the sink grows
+    /// the table.
+    pub(crate) fn grow<'a, M, F>(
+        &'a mut self,
+        keep: &'a F,
+        expect: usize,
+    ) -> (Option<Mask<'a>>, Accumulate<'a, M, F>)
+    where
+        M: Monoid<Elem = T>,
+    {
+        let mask = self.mask.as_ref();
+        let mut rowptr = Vec::with_capacity(self.nrows + 1);
+        rowptr.push(0);
+        let sink = Accumulate {
+            ncols: self.ncols,
+            slot: &mut self.slot,
+            vals: &mut self.vals,
+            keep,
+            out: Landing {
+                kept: (
+                    rowptr,
+                    Vec::with_capacity(expect),
+                    Vec::with_capacity(expect),
+                ),
+                stored: mask.is_some().then(Default::default),
+            },
+        };
+        (mask.map(|(kind, rows)| Mask::over_rows(*kind, rows)), sink)
+    }
+
+    /// Closes a forward step: the coordinates each row stored for the
+    /// first time join the tracked mask, and the kept entries become
+    /// the returned matrix as they are.
+    pub(crate) fn land(&mut self, landing: Landing<T>) -> Csr<T> {
+        if let (Some((_, rows)), Some((ends, cols))) = (&mut self.mask, &landing.stored) {
+            let mut lo = 0;
+            for &(i, hi) in ends {
+                rows.insert(i, &cols[lo..hi]);
+                lo = hi;
+            }
+        }
+        let (rowptr, colind, vals) = landing.kept;
+        Csr::from_parts(self.nrows, self.ncols, rowptr, colind, vals)
     }
 
     /// Asserts that this table was opened on `side`'s pattern and has
@@ -403,6 +426,83 @@ impl<T: Clone> Table<T> {
         }
         let vals = sorted.unwrap_or(self.vals);
         Csr::from_parts(self.nrows, self.ncols, rowptr, colind, vals)
+    }
+}
+
+/// What a forward step leaves for [`Table::land`].
+pub(crate) struct Landing<T> {
+    /// The entries `keep` let through: `rowptr` from 0, `colind`,
+    /// `vals`.
+    kept: (Vec<usize>, Vec<Idx>, Vec<T>),
+    /// With a tracked mask: per row that stored new coordinates, the
+    /// row and the end of its columns in the list beside.
+    stored: Option<(Vec<(usize, usize)>, Vec<Idx>)>,
+}
+
+/// [`Table::accumulate`]'s body, as a sink that explored entries are
+/// fed to row by row, in column order within a row: what `keep` lets
+/// through collects, row for row. The mask a product runs under is
+/// borrowed while the sink grows the table, so the coordinates it
+/// newly stores wait for [`Table::land`].
+pub(crate) struct Accumulate<'a, M: Monoid, F> {
+    ncols: usize,
+    slot: &'a mut [u32],
+    vals: &'a mut Vec<M::Elem>,
+    keep: &'a F,
+    /// What the rows fed so far leave.
+    out: Landing<M::Elem>,
+}
+
+impl<M, F> Accumulate<'_, M, F>
+where
+    M: Monoid,
+    F: Fn(&M::Elem, Option<&M::Elem>, &M::Elem) -> Option<M::Elem>,
+{
+    /// The one accumulate body: `g` is entry `(i, j)` of `G`.
+    #[inline]
+    pub(crate) fn entry(&mut self, i: usize, j: usize, g: &M::Elem) {
+        debug_assert!(!M::is_identity(g), "explored entry not in normal form");
+        let slot = &mut self.slot[i * self.ncols + j];
+        let emitted = match *slot {
+            0 => {
+                self.vals.push(g.clone());
+                // Fits: see `Table::slot`.
+                *slot = self.vals.len() as u32;
+                if let Some((_, cols)) = &mut self.out.stored {
+                    cols.push(j as Idx);
+                }
+                (self.keep)(g, None, &self.vals[self.vals.len() - 1])
+            }
+            s => {
+                let v = &mut self.vals[s as usize - 1];
+                let updated = M::combine(v, g);
+                debug_assert!(!M::is_identity(&updated), "combine deleted a table entry");
+                let emitted = (self.keep)(g, Some(v), &updated);
+                *v = updated;
+                emitted
+            }
+        };
+        if let Some(o) = emitted.filter(|o| !M::is_identity(o)) {
+            self.out.kept.1.push(j as Idx);
+            self.out.kept.2.push(o);
+        }
+    }
+
+    /// Closes row `i`.
+    #[inline]
+    pub(crate) fn end_row(&mut self, i: usize) {
+        let Landing { kept, stored } = &mut self.out;
+        kept.0.push(kept.1.len());
+        if let Some((ends, cols)) = stored {
+            if ends.last().map_or(0, |&(_, hi)| hi) < cols.len() {
+                ends.push((i, cols.len()));
+            }
+        }
+    }
+
+    /// What is left to land.
+    pub(crate) fn finish(self) -> Landing<M::Elem> {
+        self.out
     }
 }
 
