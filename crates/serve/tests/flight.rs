@@ -41,6 +41,159 @@ fn poisoned_engine(flight_capacity: usize) -> Engine {
     Engine::new(&m, g, &cfg, ecfg).unwrap()
 }
 
+/// A transient fault that outlasts every retry layer once the first
+/// batch has committed: each round's advance retries with backoff and
+/// gives up, and the second failure trips the breaker.
+fn flaky_engine(flight_capacity: usize) -> Engine {
+    let g = uniform(24, 90, false, None, 9);
+    let m = Machine::with_faults(
+        MachineSpec::test(4),
+        FaultPlan::parse("transient:100000@30").unwrap(),
+        RetryPolicy::default(),
+    );
+    let cfg = MfbcConfig::default().with_batch_size(4);
+    let ecfg = EngineConfig {
+        breaker_threshold: 2,
+        breaker_cooldown: 2,
+        flight_capacity,
+        ..EngineConfig::default()
+    };
+    Engine::new(&m, g, &cfg, ecfg).unwrap()
+}
+
+/// Both recipes driven through a few rounds, each engine's dumps in
+/// order: the automatic one, then the final one. The flaky schedule
+/// also sheds a malformed request.
+fn golden_dumps() -> Vec<String> {
+    let mut dumps = Vec::new();
+    let mut engine = poisoned_engine(64);
+    for id in 1..=2 {
+        engine.submit(full(id));
+        engine.drain();
+    }
+    dumps.extend(engine.take_auto_dump());
+    dumps.extend(engine.flight_dump());
+    let mut engine = flaky_engine(64);
+    engine.submit(Request {
+        id: 9,
+        query: Query::Vertex { v: 999 },
+        deadline_s: None,
+    });
+    for id in 1..=3 {
+        engine.submit(full(id));
+        engine.drain();
+    }
+    dumps.extend(engine.take_auto_dump());
+    dumps.extend(engine.flight_dump());
+    dumps
+}
+
+/// Event names version 2 of the dump took from the trace.
+const TYPE_RENAMES: [(&str, &str); 2] = [
+    ("admitted", "request_admitted"),
+    ("degrade", "degrade_decision"),
+];
+
+/// One JSON object's members, in order.
+type Fields = Vec<(String, Json)>;
+
+/// Splits a dump into its header, its events and the raw text of its
+/// journeys, the first two as version 2 writes them. A version-1 dump
+/// is renamed on the way, and these renames are all version 2 may
+/// change: `flight` 1 → 2, `kind` → `type`, [`TYPE_RENAMES`], `id` →
+/// `request_id` in the two events about one request, and `round_end`
+/// gains the store version its round's decision served.
+fn as_version_2(dump: &str) -> (Fields, Vec<Fields>, &str) {
+    let (head, journeys) = dump
+        .split_once(",\"journeys\":")
+        .expect("a dump ends with its journeys");
+    let Ok(Json::Obj(mut header)) = json::parse(&format!("{head}}}")) else {
+        panic!("dump head is not an object: {head}");
+    };
+    let Some((_, Json::Arr(events))) = header.pop() else {
+        panic!("the events array closes the head: {head}");
+    };
+    for (key, value) in &mut header {
+        if key == "flight" && *value == Json::Num(1.0) {
+            *value = Json::Num(2.0);
+        }
+    }
+    let mut decided: Vec<(Json, Json)> = Vec::new();
+    let events = events
+        .into_iter()
+        .map(|event| {
+            let Json::Obj(pairs) = event else {
+                panic!("event is not an object: {event:?}");
+            };
+            let mut ty = String::new();
+            let mut out: Fields = Vec::new();
+            for (mut key, mut value) in pairs {
+                if key == "kind" {
+                    key = "type".into();
+                }
+                if key == "type" {
+                    if let Some((_, new)) = TYPE_RENAMES
+                        .iter()
+                        .find(|(old, _)| value.as_str() == Some(old))
+                    {
+                        value = Json::Str(new.to_string());
+                    }
+                    ty = value.as_str().expect("type is a string").to_string();
+                }
+                if key == "id" && (ty == "request_admitted" || ty == "shed") {
+                    key = "request_id".into();
+                }
+                out.push((key, value));
+            }
+            let get = |key: &str| out.iter().find(|(k, _)| k == key).map(|(_, v)| v.clone());
+            let round = get("round");
+            if ty == "degrade_decision" {
+                decided.push((round.clone().unwrap(), get("store_version").unwrap()));
+            }
+            if ty == "round_end" && get("store_version").is_none() {
+                let (_, version) = decided
+                    .iter()
+                    .rev()
+                    .find(|(r, _)| Some(r) == round.as_ref())
+                    .expect("a round ends after its decision")
+                    .clone();
+                out.push(("store_version".into(), version));
+            }
+            out
+        })
+        .collect();
+    (header, events, journeys)
+}
+
+/// `golden/flight.jsonl` holds the dumps of [`golden_dumps`] as the
+/// version-1 recorder wrote them. Journeys must match byte for byte;
+/// headers and events must match after [`as_version_2`], field by
+/// field and in order. The fresh dumps land in `flight.actual.jsonl`
+/// next to the test binaries.
+#[test]
+fn dumps_match_the_version_1_golden_modulo_the_renames() {
+    let fresh = golden_dumps();
+    let path = std::path::Path::new(env!("CARGO_TARGET_TMPDIR")).join("flight.actual.jsonl");
+    std::fs::write(&path, fresh.join("\n") + "\n").unwrap();
+    let golden: Vec<&str> = include_str!("golden/flight.jsonl").lines().collect();
+    assert_eq!(
+        fresh.len(),
+        golden.len(),
+        "dump count; fresh dumps at {}",
+        path.display()
+    );
+    for (i, (f, g)) in fresh.iter().zip(&golden).enumerate() {
+        let (f_head, f_events, f_journeys) = as_version_2(f);
+        let (g_head, g_events, g_journeys) = as_version_2(g);
+        assert_eq!(f_journeys, g_journeys, "dump {i}: journeys");
+        assert_eq!(f_head, g_head, "dump {i}: header");
+        assert_eq!(f_events.len(), g_events.len(), "dump {i}: event count");
+        for (j, (fe, ge)) in f_events.iter().zip(&g_events).enumerate() {
+            assert_eq!(fe, ge, "dump {i}, event {j}");
+        }
+    }
+}
+
 #[test]
 fn poison_auto_dumps_and_final_dump_explains_the_journey() {
     let mut engine = poisoned_engine(64);
