@@ -34,16 +34,6 @@ pub fn env_force_overlap() -> bool {
     std::env::var_os("MFBC_CONFORMANCE_FORCE_OVERLAP").is_some()
 }
 
-/// Whether `MFBC_CONFORMANCE_FORCE_SERVE_TRACE` is set: the CI matrix
-/// uses it to force the observability dimension on in every generated
-/// serve case — the schedule is re-driven under an installed trace
-/// recorder and an enabled flight recorder, and the response stream
-/// must stay bit-identical (the smoke default draws it for a third of
-/// cases).
-pub fn env_force_serve_trace() -> bool {
-    std::env::var_os("MFBC_CONFORMANCE_FORCE_SERVE_TRACE").is_some()
-}
-
 /// A case the suite runner can check and the shrinker can minimize.
 pub trait CaseSpec: Clone + std::fmt::Debug {
     /// Runs the differential check; `Err` describes the divergence.

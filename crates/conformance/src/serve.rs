@@ -96,9 +96,8 @@ pub struct ServeCase {
     /// second time under an installed trace recorder and an enabled
     /// flight recorder, and the response stream must stay
     /// bit-identical (observation must never perturb results). Drawn
-    /// for a third of cases (always under
-    /// `MFBC_CONFORMANCE_FORCE_SERVE_TRACE`), and drawn *last* so
-    /// seeds replay to the same case as before this dimension existed.
+    /// for a third of cases, and drawn *last* so seeds replay to the
+    /// same case with it forced on or off.
     pub traced: bool,
 }
 
@@ -144,7 +143,7 @@ impl ServeCase {
         }
         let eseed = rng.next_u64();
         // Drawn last: earlier fields replay identically for old seeds.
-        let traced = crate::case::env_force_serve_trace() || rng.chance(1, 3);
+        let traced = rng.chance(1, 3);
         ServeCase {
             seed,
             n,

@@ -102,3 +102,43 @@ fn crash_at_p8_replans_onto_7_survivors() {
     );
     assert!(!mfbc_trace::render_recovery_summary(&totals).is_empty());
 }
+
+/// The actions `TraceEvent::Recovery` documents.
+const RECOVERY_ACTIONS: [&str; 3] = ["retry-batch", "replan", "shrink-batch"];
+
+/// A crash, an OOM and a transient that outlasts the machine's own
+/// retries, each traced: every `Recovery` the driver emits names a
+/// documented action, and together the three faults take all of them.
+#[test]
+fn recovery_actions_are_the_documented_ones() {
+    let n = 24;
+    let g = Graph::new(
+        n,
+        false,
+        (0..n).map(|v| (v, (v + 1) % n, mfbc_algebra::Dist::new(1))),
+    );
+    let cfg = MfbcConfig::default().with_batch_size(4);
+    let mut seen = Vec::new();
+    for fault in [
+        FaultKind::Crash { rank: 1 },
+        FaultKind::Oom { rank: 1 },
+        FaultKind::Transient { recurrence: 8 },
+    ] {
+        let plan = FaultPlan::single(6, fault);
+        let machine = Machine::with_faults(MachineSpec::test(4), plan, RetryPolicy::default());
+        let rec = Arc::new(MemoryRecorder::new());
+        mfbc_trace::scoped(rec.clone(), || mfbc_dist(&machine, &g, &cfg)).unwrap();
+        for r in rec.snapshot() {
+            if let TraceEvent::Recovery { action, .. } = r.event {
+                assert!(
+                    RECOVERY_ACTIONS.contains(&action),
+                    "{action} is not a documented recovery action"
+                );
+                seen.push(action);
+            }
+        }
+    }
+    seen.sort_unstable();
+    seen.dedup();
+    assert_eq!(seen, ["replan", "retry-batch", "shrink-batch"]);
+}

@@ -31,3 +31,24 @@ fn serve_schedules_faulted() {
         ServeCase::generate_faulted(seed, &P_ALL)
     });
 }
+
+/// Every case re-driven under an installed trace recorder and an
+/// enabled flight recorder, fault-free and faulted on alternate seeds:
+/// the response stream must stay bit-identical to the unobserved run
+/// (`ServeCase::generate` draws the `traced` dimension for a third of
+/// cases, last, so a seed replays the same schedule either way; this
+/// suite forces it on for all of them).
+#[test]
+fn serve_schedules_observed() {
+    run_suite_or_panic("serve_schedules_observed", SMOKE, |seed| {
+        let case = if seed % 2 == 0 {
+            ServeCase::generate(seed, &P_ALL)
+        } else {
+            ServeCase::generate_faulted(seed, &P_ALL)
+        };
+        ServeCase {
+            traced: true,
+            ..case
+        }
+    });
+}

@@ -102,7 +102,7 @@ row! { SuperstepProfile {
 /// Aggregate over one recovery action kind.
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct RecoveryProfile {
-    /// Action name (`retry`, `replan`, `halve-batch`, `restore`).
+    /// Action name (`retry-batch`, `replan`, `shrink-batch`).
     pub action: String,
     /// Times the action was taken.
     pub count: u64,
@@ -555,16 +555,6 @@ fn declare_metrics(r: &MetricsRegistry) {
         "Accumulated TraceEvent::Counter samples by name",
     );
     r.declare(
-        "mfbc_serve_rounds_total",
-        MetricKind::Counter,
-        "Coalesced serve rounds observed in the trace",
-    );
-    r.declare(
-        "mfbc_serve_degrade_total",
-        MetricKind::Counter,
-        "Serve degradation decisions by rung and reason",
-    );
-    r.declare(
         "mfbc_rank_comm_seconds",
         MetricKind::Gauge,
         "Modeled communication seconds by rank",
@@ -721,22 +711,12 @@ impl Recorder for Profiler {
             TraceEvent::Counter { name, value } => {
                 reg.counter_add("mfbc_counter_total", &[("name", name)], value);
             }
-            TraceEvent::RoundStart { .. } => {
-                reg.counter_add("mfbc_serve_rounds_total", &[], 1.0);
-            }
-            TraceEvent::DegradeDecision { rung, reason, .. } => {
-                reg.counter_add(
-                    "mfbc_serve_degrade_total",
-                    &[("rung", rung), ("reason", reason)],
-                    1.0,
-                );
-            }
             // Everything else is counted in `events` and otherwise
             // ignored. Per-rank compute/backoff/shrink attribution is
             // the timeline analyzer's domain (the profiler's per-rank
             // numbers are sealed from the machine meters in `finish`);
-            // request/round provenance beyond the counts above is the
-            // serve engine's flight recorder's.
+            // the serve engine's decisions are counted by its own
+            // registry and kept in its flight recorder.
             _ => {}
         }
     }

@@ -2,7 +2,7 @@
 //! degradation ladder, and retry/backoff around the resumable
 //! `MfbcSession`.
 
-use crate::flight::{FlightKind, FlightRecorder, Journey};
+use crate::flight::{FlightRecorder, Journey};
 use crate::snapshot::ScoreSnapshot;
 use mfbc_core::dist::{MfbcConfig, MfbcSession, SessionStep};
 use mfbc_core::{mfbc_approx, sample_rel_se, BcScores};
@@ -483,40 +483,22 @@ impl Engine {
             .gauge_set("serve_queue_depth", &[], self.queue.len() as f64);
         let deadline_s = req.deadline_s.unwrap_or(self.ecfg.default_deadline_s);
         let depth = self.queue.len() as u64;
-        mfbc_trace::emit(|| TraceEvent::RequestAdmitted {
-            request_id: req.id,
-            query: req.query.name(),
-            deadline_s,
-            queue_depth: depth,
-        });
-        if let Some(fr) = &mut self.flight {
-            fr.record(
-                now_s,
-                FlightKind::Admitted {
-                    id: req.id,
-                    query: req.query.name(),
-                    deadline_s,
-                    queue_depth: depth,
-                },
-            );
-            fr.admit(Journey {
-                id: req.id,
+        self.note(
+            |_| now_s,
+            || TraceEvent::RequestAdmitted {
+                request_id: req.id,
                 query: req.query.name(),
                 deadline_s,
+                queue_depth: depth,
+            },
+        );
+        if let Some(fr) = &mut self.flight {
+            fr.admit(Journey {
+                id: req.id,
+                query: req.query.name().into(),
+                deadline_s,
                 submitted_s: now_s,
-                round: 0,
-                queue_wait_s: 0.0,
-                rung: "",
-                reason: "",
-                approx_k: 0,
-                budget_s: 0.0,
-                spent_s: 0.0,
-                est_batch_s: 0.0,
-                store_version: 0,
-                retries: 0,
-                latency_s: 0.0,
-                deadline_met: false,
-                complete: false,
+                ..Journey::default()
             });
         }
         Admission::Admitted
@@ -526,19 +508,27 @@ impl Engine {
         self.shed += 1;
         self.metrics
             .counter_add("serve_shed_total", &[("reason", reason.name())], 1.0);
-        if self.flight.is_some() {
-            let now_s = self.clock_s();
-            if let Some(fr) = &mut self.flight {
-                fr.record(
-                    now_s,
-                    FlightKind::Shed {
-                        id,
-                        reason: reason.name(),
-                    },
-                );
-            }
-        }
+        self.note(Engine::clock_s, || TraceEvent::Shed {
+            request_id: id,
+            reason: reason.name(),
+        });
         Admission::Shed(reason)
+    }
+
+    /// Records one engine decision: emits it into the trace stream
+    /// and, when the flight recorder is on, appends it to the ring at
+    /// the modeled clock `clock_s` reads. An engine observed by
+    /// neither runs neither closure.
+    fn note(&mut self, clock_s: impl FnOnce(&Engine) -> f64, event: impl FnOnce() -> TraceEvent) {
+        let Some(now_s) = self.flight.is_some().then(|| clock_s(self)) else {
+            return mfbc_trace::emit(event);
+        };
+        let event = event();
+        mfbc_trace::emit(|| event.clone());
+        self.flight
+            .as_mut()
+            .expect("checked above")
+            .record(now_s, event);
     }
 
     /// The engine's modeled clock: machine time plus backoff and
@@ -609,23 +599,15 @@ impl Engine {
 
         let round_id = self.rounds;
         let version_at_start = self.store.version;
-        mfbc_trace::emit(|| TraceEvent::RoundStart {
-            round: round_id,
-            requests: requests as u64,
-            budget_s: round_budget,
-            store_version: version_at_start,
-        });
-        if let Some(fr) = &mut self.flight {
-            fr.record(
-                start_s,
-                FlightKind::RoundStart {
-                    round: round_id,
-                    requests: requests as u64,
-                    budget_s: round_budget,
-                    store_version: version_at_start,
-                },
-            );
-        }
+        self.note(
+            |_| start_s,
+            || TraceEvent::RoundStart {
+                round: round_id,
+                requests: requests as u64,
+                budget_s: round_budget,
+                store_version: version_at_start,
+            },
+        );
 
         let mut retries_this_round = 0u32;
         // An open breaker pins the round to stale-serving: no exact
@@ -687,31 +669,19 @@ impl Engine {
         };
         let approx_k = approx.as_ref().map_or(0, |(k, _)| *k as u64);
         let version = self.store.version;
-        mfbc_trace::emit(|| TraceEvent::DegradeDecision {
-            round: round_id,
-            rung,
-            reason,
-            budget_s: round_budget,
-            spent_s: elapsed,
-            est_batch_s,
-            approx_k,
-            store_version: version,
-        });
-        if let Some(fr) = &mut self.flight {
-            fr.record(
-                start_s + elapsed,
-                FlightKind::Degrade {
-                    round: round_id,
-                    rung,
-                    reason,
-                    budget_s: round_budget,
-                    spent_s: elapsed,
-                    est_batch_s,
-                    approx_k,
-                    store_version: version,
-                },
-            );
-        }
+        self.note(
+            |_| start_s + elapsed,
+            || TraceEvent::DegradeDecision {
+                round: round_id,
+                rung,
+                reason,
+                budget_s: round_budget,
+                spent_s: elapsed,
+                est_batch_s,
+                approx_k,
+                store_version: version,
+            },
+        );
 
         let n = self.g.n();
         let mut out = Vec::with_capacity(requests);
@@ -774,14 +744,14 @@ impl Engine {
                 fr.complete(req.id, |j| {
                     j.round = round_id;
                     j.queue_wait_s = queue_wait_s;
-                    j.rung = rung;
-                    j.reason = reason;
+                    j.rung = rung.into();
+                    j.reason = reason.into();
                     j.approx_k = approx_k;
                     j.budget_s = round_budget;
                     j.spent_s = elapsed;
                     j.est_batch_s = est_batch_s;
                     j.store_version = version;
-                    j.retries = retries_this_round;
+                    j.retries = retries_this_round.into();
                     j.latency_s = elapsed;
                     j.deadline_met = met;
                 });
@@ -798,22 +768,15 @@ impl Engine {
         }
 
         let responses = out.len() as u64;
-        mfbc_trace::emit(|| TraceEvent::RoundEnd {
-            round: round_id,
-            responses,
-            elapsed_s: elapsed,
-            store_version: version,
-        });
-        if let Some(fr) = &mut self.flight {
-            fr.record(
-                start_s + elapsed,
-                FlightKind::RoundEnd {
-                    round: round_id,
-                    responses,
-                    elapsed_s: elapsed,
-                },
-            );
-        }
+        self.note(
+            |_| start_s + elapsed,
+            || TraceEvent::RoundEnd {
+                round: round_id,
+                responses,
+                elapsed_s: elapsed,
+                store_version: version,
+            },
+        );
         self.refresh_cache_stats();
         out
     }
@@ -847,20 +810,11 @@ impl Engine {
                     self.metrics.counter_add("serve_batches_total", &[], 1.0);
                     self.metrics
                         .gauge_set("serve_store_version", &[], self.store.version as f64);
-                    if self.flight.is_some() {
-                        let now_s = self.clock_s();
-                        let round = self.rounds;
-                        let store_version = self.store.version;
-                        if let Some(fr) = &mut self.flight {
-                            fr.record(
-                                now_s,
-                                FlightKind::Commit {
-                                    round,
-                                    store_version,
-                                },
-                            );
-                        }
-                    }
+                    let (round, store_version) = (self.rounds, self.store.version);
+                    self.note(Engine::clock_s, || TraceEvent::Commit {
+                        round,
+                        store_version,
+                    });
                 }
                 Ok(SessionStep::Done) => {
                     let mut session = self.session.take().expect("still live");
@@ -890,15 +844,12 @@ impl Engine {
                     self.metrics.gauge_set("serve_ready", &[], 0.0);
                     self.breaker.record_failure();
                     self.note_breaker_trips();
-                    if self.flight.is_some() {
-                        let now_s = self.clock_s();
-                        let round = self.rounds;
-                        let detail = e.to_string();
-                        if let Some(fr) = &mut self.flight {
-                            fr.record(now_s, FlightKind::Poison { round, detail });
-                        }
-                        self.auto_dump = self.flight.as_ref().map(FlightRecorder::dump);
-                    }
+                    let round = self.rounds;
+                    self.note(Engine::clock_s, || TraceEvent::Poison {
+                        round,
+                        detail: e.to_string(),
+                    });
+                    self.auto_dump = self.flight.as_ref().map(FlightRecorder::dump);
                     return;
                 }
                 Err(_) => {
@@ -913,25 +864,15 @@ impl Engine {
                         .retry
                         .backoff_for(attempt, self.ecfg.seed ^ self.rounds);
                     self.extra_modeled_s += wait;
+                    let (round, retried) = (self.rounds, attempt.into());
                     attempt += 1;
                     *retries += 1;
                     self.metrics.counter_add("serve_retries_total", &[], 1.0);
-                    if self.flight.is_some() {
-                        let now_s = self.clock_s();
-                        let round = self.rounds;
-                        let wait_s = wait;
-                        let a = attempt - 1;
-                        if let Some(fr) = &mut self.flight {
-                            fr.record(
-                                now_s,
-                                FlightKind::Retry {
-                                    round,
-                                    attempt: a,
-                                    wait_s,
-                                },
-                            );
-                        }
-                    }
+                    self.note(Engine::clock_s, || TraceEvent::Retry {
+                        round,
+                        attempt: retried,
+                        wait_s: wait,
+                    });
                 }
             }
         }
@@ -946,14 +887,9 @@ impl Engine {
                 (trips - self.breaker_trips_seen) as f64,
             );
             self.breaker_trips_seen = trips;
-            if self.flight.is_some() {
-                let now_s = self.clock_s();
-                let round = self.rounds;
-                if let Some(fr) = &mut self.flight {
-                    fr.record(now_s, FlightKind::BreakerTrip { round, trips });
-                }
-                self.auto_dump = self.flight.as_ref().map(FlightRecorder::dump);
-            }
+            let round = self.rounds;
+            self.note(Engine::clock_s, || TraceEvent::BreakerTrip { round, trips });
+            self.auto_dump = self.flight.as_ref().map(FlightRecorder::dump);
         }
     }
 

@@ -34,14 +34,16 @@
 //!   histograms, and cross-request mm-cache gauges in a
 //!   `mfbc_profile::MetricsRegistry`, scrapeable through the existing
 //!   Prometheus/JSON/HTML exporters.
-//! * **Observability** — request-scoped provenance events
-//!   (`RequestAdmitted`, `RoundStart`/`RoundEnd`, `DegradeDecision`
-//!   with its budget arithmetic) in the `mfbc_trace` stream, and a
-//!   bounded byte-deterministic [`FlightRecorder`] whose per-request
-//!   [`Journey`] records explain every degraded answer; dumped
-//!   automatically on poison/breaker-trip and on demand via the wire
-//!   `{"cmd":"dump"}` command. Recording never perturbs responses
-//!   and capacity 0 disables it with zero allocation.
+//! * **Observability** — each engine decision is one
+//!   `mfbc_trace::TraceEvent` (`RequestAdmitted`, `Shed`,
+//!   `RoundStart`/`RoundEnd`, `DegradeDecision` with its budget
+//!   arithmetic, `Retry`, `Commit`, `BreakerTrip`, `Poison`), emitted
+//!   into the trace stream and kept in a bounded byte-deterministic
+//!   [`FlightRecorder`] whose per-request [`Journey`] records explain
+//!   every degraded answer; dumped automatically on
+//!   poison/breaker-trip and on demand via the wire `{"cmd":"dump"}`
+//!   command. Recording never perturbs responses and capacity 0
+//!   disables it with zero allocation.
 //! * **Answer-proportional warm path** — the store holds an immutable
 //!   [`ScoreSnapshot`] per version that memoises the rank order and
 //!   the rendered score array, so a `topk` costs O(k), a `full`
@@ -62,5 +64,5 @@ pub mod wire;
 pub use engine::{
     Admission, Engine, EngineConfig, Health, Payload, Quality, Query, Request, Response, ShedReason,
 };
-pub use flight::{FlightEvent, FlightKind, FlightRecorder, Journey};
+pub use flight::{FlightEvent, FlightRecorder, Journey};
 pub use snapshot::ScoreSnapshot;

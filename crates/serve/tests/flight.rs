@@ -8,7 +8,7 @@ use mfbc_graph::gen::uniform;
 use mfbc_machine::{Machine, MachineSpec};
 use mfbc_serve::{wire, Engine, EngineConfig, Query, Request};
 use mfbc_trace::json::{self, Json};
-use mfbc_trace::MemoryRecorder;
+use mfbc_trace::{MemoryRecorder, TraceEvent};
 use std::sync::Arc;
 
 fn full(id: u64) -> Request {
@@ -61,31 +61,34 @@ fn flaky_engine(flight_capacity: usize) -> Engine {
     Engine::new(&m, g, &cfg, ecfg).unwrap()
 }
 
-/// Both recipes driven through a few rounds, each engine's dumps in
-/// order: the automatic one, then the final one. The flaky schedule
-/// also sheds a malformed request.
-fn golden_dumps() -> Vec<String> {
-    let mut dumps = Vec::new();
-    let mut engine = poisoned_engine(64);
+/// Both recipes driven through a few rounds, the poisoned one first;
+/// the flaky schedule also sheds a malformed request.
+fn drive_recipes(flight_capacity: usize) -> [Engine; 2] {
+    let mut poisoned = poisoned_engine(flight_capacity);
     for id in 1..=2 {
-        engine.submit(full(id));
-        engine.drain();
+        poisoned.submit(full(id));
+        poisoned.drain();
     }
-    dumps.extend(engine.take_auto_dump());
-    dumps.extend(engine.flight_dump());
-    let mut engine = flaky_engine(64);
-    engine.submit(Request {
+    let mut flaky = flaky_engine(flight_capacity);
+    flaky.submit(Request {
         id: 9,
         query: Query::Vertex { v: 999 },
         deadline_s: None,
     });
     for id in 1..=3 {
-        engine.submit(full(id));
-        engine.drain();
+        flaky.submit(full(id));
+        flaky.drain();
     }
-    dumps.extend(engine.take_auto_dump());
-    dumps.extend(engine.flight_dump());
-    dumps
+    [poisoned, flaky]
+}
+
+/// Each recipe's dumps in order: the automatic one, then the final one.
+fn golden_dumps() -> Vec<String> {
+    drive_recipes(64)
+        .into_iter()
+        .flat_map(|mut engine| [engine.take_auto_dump(), engine.flight_dump()])
+        .flatten()
+        .collect()
 }
 
 /// Event names version 2 of the dump took from the trace.
@@ -207,17 +210,17 @@ fn poison_auto_dumps_and_final_dump_explains_the_journey() {
         .take_auto_dump()
         .expect("poisoning auto-dumps the flight recorder");
     let v = json::parse(&auto).expect("auto-dump parses as JSON");
-    assert_eq!(v.get("flight").and_then(Json::as_u64), Some(1));
-    let kinds: Vec<&str> = v
+    assert_eq!(v.get("flight").and_then(Json::as_u64), Some(2));
+    let types: Vec<&str> = v
         .get("events")
         .and_then(Json::as_array)
         .unwrap()
         .iter()
-        .filter_map(|e| e.get("kind").and_then(Json::as_str))
+        .filter_map(|e| e.get("type").and_then(Json::as_str))
         .collect();
-    assert!(kinds.contains(&"poison"), "auto-dump has the poison event");
-    assert!(kinds.contains(&"admitted"));
-    assert!(kinds.contains(&"round_start"));
+    assert!(types.contains(&"poison"), "auto-dump has the poison event");
+    assert!(types.contains(&"request_admitted"));
+    assert!(types.contains(&"round_start"));
     // Taking it is one-shot.
     assert!(engine.take_auto_dump().is_none());
 
@@ -261,6 +264,56 @@ fn two_identical_poisoned_runs_dump_identical_bytes() {
     let (auto_b, final_b) = run();
     assert_eq!(auto_a, auto_b, "auto-dumps are byte-deterministic");
     assert_eq!(final_a, final_b, "final dumps are byte-deterministic");
+}
+
+/// Whether two events are one variant with the same fields in the
+/// same order, `f64`s bit for bit.
+fn same_event(a: &TraceEvent, b: &TraceEvent) -> bool {
+    let (mut i, mut same) = (0, a.tag() == b.tag());
+    a.fields(&mut |key, value| {
+        let mut j = 0;
+        b.fields(&mut |other_key, other| {
+            if j == i {
+                same &= key == other_key && value.same(&other);
+            }
+            j += 1;
+        });
+        i += 1;
+    });
+    let mut n = 0;
+    b.fields(&mut |_, _| n += 1);
+    same && i == n
+}
+
+/// The trace and the flight recorder hold one record of the engine's
+/// decisions: over both recipes, the trace's `serve` events are the
+/// rings' events, in order and field by field.
+#[test]
+fn the_trace_and_the_ring_record_the_same_decisions() {
+    let rec = Arc::new(MemoryRecorder::new());
+    let engines = mfbc_trace::scoped(rec.clone(), || drive_recipes(256));
+    let records = rec.snapshot();
+    let traced: Vec<&TraceEvent> = records
+        .iter()
+        .map(|r| &r.event)
+        .filter(|e| e.category() == "serve")
+        .collect();
+    let rings: Vec<_> = engines.iter().map(|e| e.flight().unwrap()).collect();
+    assert!(
+        rings.iter().all(|fr| fr.dropped_events() == 0),
+        "the rings hold every event"
+    );
+    let ring: Vec<&TraceEvent> = rings
+        .iter()
+        .flat_map(|fr| fr.events().map(|f| &f.event))
+        .collect();
+    assert_eq!(traced.len(), ring.len(), "event count");
+    for (i, (t, r)) in traced.iter().zip(&ring).enumerate() {
+        assert!(same_event(t, r), "event {i}: traced {t:?}, ringed {r:?}");
+    }
+    // A traced run shows why the poisoned engine went stale.
+    let jsonl = mfbc_trace::to_jsonl(&records);
+    assert!(jsonl.contains("\"type\":\"poison\""), "{jsonl}");
 }
 
 #[test]

@@ -236,7 +236,7 @@ pub enum TraceEvent {
     },
     /// A recovery decision taken by a fault-tolerant driver.
     Recovery {
-        /// Action taken (`retry`, `replan`, `halve-batch`, `restore`).
+        /// Action taken (`retry-batch`, `replan`, `shrink-batch`).
         action: &'static str,
         /// Human-readable context (e.g. `p=8->7 plan=auto`).
         detail: String,
@@ -314,6 +314,44 @@ pub enum TraceEvent {
         /// Score-store version leaving the round.
         store_version: u64,
     },
+    /// The serving engine refused a submission at admission.
+    Shed {
+        /// The refused request's id.
+        request_id: u64,
+        /// Why (`queue-full`, `invalid-request`).
+        reason: &'static str,
+    },
+    /// The serving engine backs off from a retryable session error.
+    Retry {
+        /// The engine's latest round (0 before the first).
+        round: u64,
+        /// Zero-based attempt being retried.
+        attempt: u64,
+        /// Backoff wait in modeled seconds.
+        wait_s: f64,
+    },
+    /// An exact batch committed into the serving engine's score store.
+    Commit {
+        /// The engine's latest round (0 before the first).
+        round: u64,
+        /// Score-store version after the commit.
+        store_version: u64,
+    },
+    /// The serving engine's circuit breaker tripped to stale-serving.
+    BreakerTrip {
+        /// The engine's latest round (0 before the first).
+        round: u64,
+        /// Lifetime trip count.
+        trips: u64,
+    },
+    /// An unrecoverable error ended the serving engine's exact
+    /// progress; it keeps serving the stale store.
+    Poison {
+        /// The engine's latest round (0 before the first).
+        round: u64,
+        /// The session error text.
+        detail: String,
+    },
     /// A sampled numeric value (rendered as a counter track).
     Counter {
         /// Counter name.
@@ -353,6 +391,11 @@ impl TraceEvent {
             TraceEvent::RoundStart { .. } => "round_start",
             TraceEvent::DegradeDecision { .. } => "degrade_decision",
             TraceEvent::RoundEnd { .. } => "round_end",
+            TraceEvent::Shed { .. } => "shed",
+            TraceEvent::Retry { .. } => "retry",
+            TraceEvent::Commit { .. } => "commit",
+            TraceEvent::BreakerTrip { .. } => "breaker_trip",
+            TraceEvent::Poison { .. } => "poison",
             TraceEvent::Counter { .. } => "counter",
             TraceEvent::Log { .. } => "log",
         }
@@ -525,6 +568,34 @@ impl TraceEvent {
                 sink("elapsed_s", F64(*elapsed_s));
                 sink("store_version", U64(*store_version));
             }
+            TraceEvent::Shed { request_id, reason } => {
+                sink("request_id", U64(*request_id));
+                sink("reason", Str(reason));
+            }
+            TraceEvent::Retry {
+                round,
+                attempt,
+                wait_s,
+            } => {
+                sink("round", U64(*round));
+                sink("attempt", U64(*attempt));
+                sink("wait_s", F64(*wait_s));
+            }
+            TraceEvent::Commit {
+                round,
+                store_version,
+            } => {
+                sink("round", U64(*round));
+                sink("store_version", U64(*store_version));
+            }
+            TraceEvent::BreakerTrip { round, trips } => {
+                sink("round", U64(*round));
+                sink("trips", U64(*trips));
+            }
+            TraceEvent::Poison { round, detail } => {
+                sink("round", U64(*round));
+                sink("detail", Str(detail));
+            }
             TraceEvent::Counter { name, value } => {
                 sink("name", Str(name));
                 sink("value", F64(*value));
@@ -588,7 +659,12 @@ impl TraceEvent {
             TraceEvent::RequestAdmitted { .. }
             | TraceEvent::RoundStart { .. }
             | TraceEvent::DegradeDecision { .. }
-            | TraceEvent::RoundEnd { .. } => "serve",
+            | TraceEvent::RoundEnd { .. }
+            | TraceEvent::Shed { .. }
+            | TraceEvent::Retry { .. }
+            | TraceEvent::Commit { .. }
+            | TraceEvent::BreakerTrip { .. }
+            | TraceEvent::Poison { .. } => "serve",
             _ => self.tag(),
         }
     }
@@ -756,10 +832,11 @@ mod tests {
     use super::*;
     use crate::{record_to_json, to_chrome_trace};
 
-    /// The sample after `prev` in declaration order (`None` starts the
-    /// chain). The `match` has no wildcard, so a new variant does not
-    /// compile until it has a sample here — and then [`GOLDEN`] fails
-    /// until it has its line.
+    /// The sample after `prev` (`None` starts the chain). The `match`
+    /// has no wildcard, so a new variant does not compile until it has
+    /// a sample here — and then [`JSONL_GOLDEN`] fails until it has its
+    /// line. New samples join at the end, so earlier lines keep their
+    /// timestamps.
     fn next_sample(prev: Option<&TraceEvent>) -> Option<TraceEvent> {
         let Some(prev) = prev else {
             return Some(TraceEvent::Collective {
@@ -907,7 +984,25 @@ mod tests {
                 level: Level::Warn,
                 message: "path \"a\\b\"\nnext\u{1}".into(),
             },
-            TraceEvent::Log { .. } => return None,
+            TraceEvent::Log { .. } => TraceEvent::Shed {
+                request_id: 4,
+                reason: "queue-full",
+            },
+            TraceEvent::Shed { .. } => TraceEvent::Retry {
+                round: 3,
+                attempt: 1,
+                wait_s: 0.125,
+            },
+            TraceEvent::Retry { .. } => TraceEvent::Commit {
+                round: 3,
+                store_version: 7,
+            },
+            TraceEvent::Commit { .. } => TraceEvent::BreakerTrip { round: 3, trips: 1 },
+            TraceEvent::BreakerTrip { .. } => TraceEvent::Poison {
+                round: 3,
+                detail: "rank 0 out of memory: \"22560 B\"".into(),
+            },
+            TraceEvent::Poison { .. } => return None,
         })
     }
 
@@ -957,6 +1052,11 @@ mod tests {
         r#"{"ts_us":28,"tid":1,"type":"round_end","round":2,"responses":3,"elapsed_s":1.25,"store_version":6}"#,
         r#"{"ts_us":29,"tid":1,"type":"counter","name":"frontier","value":37.0}"#,
         r#"{"ts_us":30,"tid":1,"type":"log","level":"warn","message":"path \"a\\b\"\nnext\u0001"}"#,
+        r#"{"ts_us":31,"tid":1,"type":"shed","request_id":4,"reason":"queue-full"}"#,
+        r#"{"ts_us":32,"tid":1,"type":"retry","round":3,"attempt":1,"wait_s":0.125}"#,
+        r#"{"ts_us":33,"tid":1,"type":"commit","round":3,"store_version":7}"#,
+        r#"{"ts_us":34,"tid":1,"type":"breaker_trip","round":3,"trips":1}"#,
+        r#"{"ts_us":35,"tid":1,"type":"poison","round":3,"detail":"rank 0 out of memory: \"22560 B\""}"#,
     ];
 
     #[test]
@@ -1005,6 +1105,11 @@ mod tests {
         r#"{"name":"round 2 end","cat":"serve","ph":"i","ts":28,"pid":0,"tid":0,"s":"t""#,
         r#"{"name":"frontier","cat":"counter","ph":"C","ts":29,"pid":0,"tid":1"#,
         r#"{"name":"path \"a\\b\"\nnext\u0001","cat":"log","ph":"i","ts":30,"pid":0,"tid":0,"s":"t""#,
+        r#"{"name":"shed","cat":"serve","ph":"i","ts":31,"pid":0,"tid":0,"s":"t""#,
+        r#"{"name":"retry","cat":"serve","ph":"i","ts":32,"pid":0,"tid":0,"s":"t""#,
+        r#"{"name":"commit","cat":"serve","ph":"i","ts":33,"pid":0,"tid":0,"s":"t""#,
+        r#"{"name":"breaker_trip","cat":"serve","ph":"i","ts":34,"pid":0,"tid":0,"s":"t""#,
+        r#"{"name":"poison","cat":"serve","ph":"i","ts":35,"pid":0,"tid":0,"s":"t""#,
     ];
 
     #[test]

@@ -6,6 +6,7 @@
 //! Keeps the stack dependency-free.
 
 use crate::event::Value;
+use std::borrow::Cow;
 use std::fmt::Write as _;
 
 /// Escapes `s` for inclusion inside a JSON string literal.
@@ -415,6 +416,15 @@ impl Cell for String {
         j.as_str()
             .map(str::to_string)
             .ok_or_else(|| not(key, "a string"))
+    }
+}
+
+impl Cell for Cow<'static, str> {
+    fn value(&self) -> Value<'_> {
+        Value::Str(self)
+    }
+    fn from_json(j: &Json, key: &str) -> Result<Cow<'static, str>, String> {
+        String::from_json(j, key).map(Cow::Owned)
     }
 }
 

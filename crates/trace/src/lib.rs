@@ -26,7 +26,7 @@ mod summary;
 
 pub use chrome::to_chrome_trace;
 pub use event::{CollectiveCharge, Level, PlanChoice, TraceEvent, TraceRecord, Value};
-pub use jsonl::{record_to_json, to_jsonl};
+pub use jsonl::{record_to_json, to_jsonl, write_event};
 pub use recorder::{current_tid, MemoryRecorder, Recorder, StderrRecorder};
 pub use summary::{
     collective_summary, pool_summary, recovery_summary, render_pool_summary,

@@ -512,12 +512,12 @@ fn serve_dump_command_returns_one_flight_line() {
     );
     let dump = out
         .lines()
-        .find(|l| l.starts_with("{\"flight\":1"))
+        .find(|l| l.starts_with("{\"flight\":2"))
         .expect("dump cmd answers with a flight line");
     assert!(
-        dump.contains("\"kind\":\"admitted\"")
-            && dump.contains("\"kind\":\"round_start\"")
-            && dump.contains("\"kind\":\"round_end\""),
+        dump.contains("\"type\":\"request_admitted\"")
+            && dump.contains("\"type\":\"round_start\"")
+            && dump.contains("\"type\":\"round_end\""),
         "dump covers the round's events: {dump}"
     );
     assert!(
@@ -562,10 +562,10 @@ fn flight_out_captures_the_poison_auto_dump_and_a_final_dump() {
         lines.len()
     );
     for l in &lines {
-        assert!(l.starts_with("{\"flight\":1"), "every line is a dump: {l}");
+        assert!(l.starts_with("{\"flight\":2"), "every line is a dump: {l}");
     }
     assert!(
-        lines[0].contains("\"kind\":\"poison\""),
+        lines[0].contains("\"type\":\"poison\""),
         "the auto-dump holds the poison event: {}",
         lines[0]
     );
