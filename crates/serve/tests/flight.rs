@@ -1,6 +1,7 @@
-//! Flight-recorder and SLO-telemetry integration: auto-dump on
-//! poison, observation-free response streams, and the serve metric
-//! families reaching every exporter.
+//! Flight-recorder and SLO-telemetry integration: the dumps against
+//! their golden, one record shared by the trace and the ring,
+//! auto-dump on poison, observation-free response streams, and the
+//! serve metric families reaching every exporter.
 
 use mfbc_core::dist::MfbcConfig;
 use mfbc_fault::{FaultPlan, RetryPolicy};
