@@ -20,13 +20,6 @@ use mfbc_tensor::{
     canonical_layout, enumerate_plans, mm_auto, mm_auto_masked, mm_exec, mm_exec_masked, DistMat,
 };
 
-/// Whether `MFBC_CONFORMANCE_FORCE_MASK` is set: the nightly CI job
-/// uses it to force the output-mask dimension on in every generated
-/// case (the smoke default draws it for two thirds of them).
-pub fn env_force_mask() -> bool {
-    std::env::var_os("MFBC_CONFORMANCE_FORCE_MASK").is_some()
-}
-
 /// Whether `MFBC_CONFORMANCE_FORCE_OVERLAP` is set: the CI matrix uses
 /// it to force the overlapped-accounting dimension on in every
 /// generated case (the smoke default draws it for a third of them).
@@ -110,10 +103,9 @@ pub struct MmCase {
 impl MmCase {
     /// Generates a case from `seed`, drawing the kernel from
     /// `kernels` and the rank count from `ps`. The mask dimension is
-    /// drawn for two thirds of cases (always, under
-    /// `MFBC_CONFORMANCE_FORCE_MASK`).
+    /// drawn for two thirds of cases.
     pub fn generate(seed: u64, kernels: &[MmKernelKind], ps: &[usize]) -> MmCase {
-        MmCase::generate_inner(seed, kernels, ps, env_force_mask())
+        MmCase::generate_inner(seed, kernels, ps, false)
     }
 
     /// Like [`MmCase::generate`], but the output-mask dimension is
@@ -590,7 +582,7 @@ impl DriverCase {
             // Drawn last so earlier dimensions replay identically for
             // seeds generated before this dimension existed; overlap
             // is drawn after masked, for the same reason.
-            masked: rng.chance(1, 2) || env_force_mask(),
+            masked: rng.chance(1, 2),
             overlap: rng.chance(1, 3) || env_force_overlap(),
         }
     }

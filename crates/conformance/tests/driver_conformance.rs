@@ -42,8 +42,8 @@ fn driver_profiled_scores_are_bit_identical() {
 /// the check re-runs each with masking off and demands bit-identical
 /// betweenness scores across every sampled plan mode, rank count,
 /// thread count, and batch size (`DriverCase::generate` draws the
-/// `masked` dimension for half of cases; this suite, like
-/// `MFBC_CONFORMANCE_FORCE_MASK`, forces it on for all of them).
+/// `masked` dimension for half of cases; this suite forces it on for
+/// all of them).
 #[test]
 fn driver_masked_scores_are_bit_identical() {
     run_suite_or_panic("driver_masked_scores_are_bit_identical", SMOKE, |seed| {

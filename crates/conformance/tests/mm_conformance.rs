@@ -41,8 +41,7 @@ fn mm_brandes() {
 /// mixed: the masked product under every plan must match both the
 /// masked serial oracle and unmasked-multiply-then-filter bit for bit,
 /// op count included (`MmCase::generate` draws the mask for two thirds
-/// of cases; this suite, like `MFBC_CONFORMANCE_FORCE_MASK`, forces
-/// it for all of them).
+/// of cases; this suite forces it for all of them).
 #[test]
 fn mm_masked() {
     run_suite_or_panic("mm_masked", SMOKE, |seed| {

@@ -25,10 +25,10 @@ use mfbc_graph::Graph;
 use mfbc_machine::{Machine, MachineError};
 use mfbc_sparse::transpose::transpose;
 use mfbc_sparse::{
-    elementwise, spgemm_accumulate, spgemm_anchor, spgemm_settle, Csr, Idx, Mask, MaskKind, Table,
+    elementwise, spgemm_accumulate, spgemm_anchor, spgemm_settle, Csr, Mask, MaskKind, Table,
 };
 use mfbc_tensor::cache::{CacheStats, MmCache};
-use mfbc_tensor::{autotune, canonical_layout, ops, DistMat, DistTable, Layout, MmPlan};
+use mfbc_tensor::{autotune, canonical_layout, ops, DistMat, DistTable, MmPlan};
 
 /// Matrix element types (what every sparse and tensor kernel asks).
 pub trait Elem: Clone + PartialEq + Send + Sync + std::fmt::Debug {}
@@ -419,7 +419,10 @@ impl Simulated {
     /// least what `mask` does and is the one a sweep holds still while
     /// `mask` shrinks — the table's pattern, not the pending set — so
     /// the plans of a sweep follow its frontiers rather than its
-    /// masks, and what Theorem 5.1 amortizes stays amortized.
+    /// masks, and what Theorem 5.1 amortizes stays amortized. A
+    /// sweep's masks are views of its tables' blocks: the plan windows
+    /// them per output block and the tuner reads their column counts,
+    /// so no product copies or walks a table's pattern.
     pub fn mm<K: SpMulKernel<Right = Dist>>(
         &mut self,
         frontier: &DistMat<K::Left>,
@@ -476,39 +479,6 @@ fn for_each_coord<T: Elem>(m: &DistMat<T>, mut f: impl FnMut(usize, usize)) {
     }
 }
 
-/// A global mask of `kind` over blocks stored by layout `l`, where
-/// `row(bi, bj, i)` is the ascending local pattern of row `i` of block
-/// `(bi, bj)`: block-columns ascend, so each global row is its blocks'
-/// rows end to end. Like the coordinates [`for_each_coord`] reads,
-/// the pattern's movement is not charged. The mask is a copy, which
-/// does not borrow the blocks.
-fn mask_of_blocks<'a>(
-    kind: MaskKind,
-    l: &Layout,
-    row: impl Fn(usize, usize, usize) -> &'a [Idx] + Copy,
-) -> Mask<'static> {
-    let rows = (0..l.br()).flat_map(|bi| {
-        (0..l.row_range(bi).len()).map(move |i| {
-            (0..l.bc()).flat_map(move |bj| {
-                let c0 = l.col_range(bj).start as Idx;
-                row(bi, bj, i).iter().map(move |&j| c0 + j)
-            })
-        })
-    });
-    Mask::from_sorted_rows(kind, l.nrows(), l.ncols(), rows)
-}
-
-/// The global mask `t` reports: kind and rows as its blocks report
-/// them ([`Table::mask`]), or `None` on a table opened without
-/// tracking.
-pub(crate) fn table_mask<T: Elem>(t: &DistTable<T>) -> Option<Mask<'static>> {
-    let l = t.layout();
-    let blocks = l.blocks().map(|(bi, bj)| t.block(bi, bj).mask());
-    let blocks: Vec<Mask> = blocks.collect::<Option<_>>()?;
-    let row = |bi, bj, i| blocks[l.block_id(bi, bj)].row_cols(i);
-    Some(mask_of_blocks(blocks[0].kind(), l, row))
-}
-
 impl Backend for Simulated {
     type Mat<T: Elem> = DistMat<T>;
     type Table<T: Elem> = DistTable<T>;
@@ -547,9 +517,12 @@ impl Backend for Simulated {
         Some(mfbc_trace::span(|| format!("batch{}/{phase}", self.batch)))
     }
 
+    /// The pattern read off `m`'s resident blocks, its column counts
+    /// taken once here for the tuner; like the coordinates
+    /// `nnz_sync` reads, its movement is not charged (DESIGN.md
+    /// §7, deviation 6).
     fn mask_of<'a, T: Elem>(&self, kind: MaskKind, m: &'a DistMat<T>) -> Option<Mask<'a>> {
-        self.masked
-            .then(|| mask_of_blocks(kind, m.layout(), |bi, bj, i| m.block(bi, bj).row_cols(i)))
+        self.masked.then(|| m.pattern_mask(kind))
     }
 
     fn open<M: Monoid>(
@@ -571,8 +544,9 @@ impl Backend for Simulated {
             + Sync,
     ) -> Result<(DistMat<KernelOut<K>>, u64), MachineError> {
         // The product has to be communicated, so here it is a matrix.
-        let mask = table_mask(table);
+        let mask = table.mask();
         let (explored, ops) = self.mm::<K>(frontier, Adj::A, mask.as_ref(), mask.as_ref())?;
+        drop(mask);
         let kept = ops::dmat_accumulate::<K::Acc, _>(&self.m, table, &explored, keep)?;
         Ok((kept, ops))
     }
@@ -610,8 +584,9 @@ impl Backend for Simulated {
         // The product has to be communicated, so here it is a matrix.
         // It is priced under `within`, which holds for the whole sweep
         // (see [`Simulated::mm`]).
-        let pending = table_mask(z);
+        let pending = z.mask();
         let (back, ops) = self.mm::<K>(frontier, Adj::At, pending.as_ref().or(within), within)?;
+        drop(pending);
         let fired = ops::dmat_settle::<K::Acc, U>(&self.m, z, &back, side, fire);
         Ok((fired, ops))
     }

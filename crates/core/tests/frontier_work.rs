@@ -117,6 +117,17 @@ const MAX_MASKED_REQUESTED_PER_TABLE_BYTE: f64 = 9.3;
 /// simulated run has not, so the bound is kept where it was in bytes.
 const MAX_DIST_REQUESTED_PER_TABLE_BYTE: f64 = 28.5;
 
+/// Requested bytes per byte of final table for `mfbc_dist` on the
+/// masked R-MAT graph, at one and at four ranks: the alarm for a
+/// superstep that copies a mask's pattern on the simulated backend —
+/// a global mask assembled from the table's blocks, a window copied
+/// per output block, a scan of the whole pattern to price the
+/// product. Measured: 12.69 at p = 1 and 14.33 at p = 4 with every
+/// mask a view of the blocks where they lie; 14.60 and 16.25 when each
+/// superstep made those three copies. The usual × 1.3 would let them
+/// back in: × 1.1 here (the counts are deterministic).
+const MAX_MASKED_DIST_REQUESTED_PER_TABLE_BYTE: [(usize, f64); 2] = [(1, 13.9), (4, 15.7)];
+
 /// Requested bytes per byte of final distance table for `sssp_seq`
 /// from every vertex of the grid. Measured: 6.5 with its products
 /// accumulated into the table where they land and no `Aᵀ` built, 14.4
@@ -326,6 +337,23 @@ fn mfbc_requests_a_small_multiple_of_its_tables() {
             "{rrequested} bytes requested for {rtable_bytes} bytes of tables over \
              {rsupersteps} masked supersteps: {rratio:.1}x"
         );
+        // The same masked sweep on simulated machines, every product
+        // under a mask read off `T`'s or `Z`'s blocks.
+        for (p, bound) in MAX_MASKED_DIST_REQUESTED_PER_TABLE_BYTE {
+            let m = Machine::new(MachineSpec::gemini(p));
+            let cfg = MfbcConfig::default().with_batch_size(rnb).with_threads(1);
+            let before = REQUESTED.load(Ordering::Relaxed);
+            let run = mfbc_dist(&m, &rg, &cfg).expect("fault-free");
+            let requested = REQUESTED.load(Ordering::Relaxed) - before;
+            let steps = run.forward_iterations + run.backward_iterations;
+            assert_eq!(steps, rsupersteps, "p={p}");
+            let ratio = requested as f64 / rtable_bytes as f64;
+            assert!(
+                ratio < bound,
+                "mfbc_dist at p={p} requested {requested} bytes for {rtable_bytes} bytes of \
+                 masked tables: {ratio:.2}x"
+            );
+        }
 
         // The same sweep on a one-rank simulated machine.
         let m = Machine::new(MachineSpec::gemini(1));

@@ -40,7 +40,7 @@ pub mod transpose;
 
 pub use coo::Coo;
 pub use csr::{Csr, Idx};
-pub use mask::{Mask, MaskKind};
+pub use mask::{Mask, MaskKind, MaskRow};
 pub use rows::SortedRows;
 pub use spgemm::{
     spgemm, spgemm_accumulate, spgemm_anchor, spgemm_masked, spgemm_masked_serial, spgemm_opt,

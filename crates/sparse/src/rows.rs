@@ -6,7 +6,9 @@
 //! ([`crate::Table`], which only inserts) and MFBr's *pending* set
 //! (the entries still waiting on a child, which only shrinks). An
 //! update costs the rows it touches, never the whole pattern, and a
-//! [`crate::Mask`] borrows the rows as they are.
+//! [`crate::Mask`] borrows the rows as they are. Beside the rows it
+//! counts, per column, the rows that store it, so a mask over it tells
+//! the columns no row (or every row) stores in `O(ncols)`.
 
 use crate::csr::{Csr, Idx};
 
@@ -16,6 +18,17 @@ pub struct SortedRows {
     ncols: usize,
     nnz: usize,
     rows: Vec<Vec<Idx>>,
+    /// How many rows store each column.
+    counts: Vec<u32>,
+}
+
+/// Per-column counts of the columns `cols` lists.
+fn count(ncols: usize, cols: impl IntoIterator<Item = Idx>) -> Vec<u32> {
+    let mut counts = vec![0u32; ncols];
+    for j in cols {
+        counts[j as usize] += 1;
+    }
+    counts
 }
 
 impl SortedRows {
@@ -36,6 +49,7 @@ impl SortedRows {
         SortedRows {
             ncols,
             nnz: rows.iter().map(Vec::len).sum(),
+            counts: count(ncols, rows.iter().flatten().copied()),
             rows,
         }
     }
@@ -46,6 +60,7 @@ impl SortedRows {
             ncols: m.ncols(),
             nnz: m.nnz(),
             rows: (0..m.nrows()).map(|i| m.row_cols(i).to_vec()).collect(),
+            counts: count(m.ncols(), m.colind().iter().copied()),
         }
     }
 
@@ -73,6 +88,12 @@ impl SortedRows {
         &self.rows[i]
     }
 
+    /// How many rows store each column.
+    #[inline]
+    pub fn col_counts(&self) -> &[u32] {
+        &self.counts
+    }
+
     /// Adds the ascending columns `new`, none of them stored yet, to
     /// row `i`: one backward merge over the part of the row at or
     /// beyond `new`'s first column.
@@ -96,6 +117,7 @@ impl SortedRows {
             debug_assert!(old == 0 || row[old - 1] != c, "column {c} already stored");
             w -= 1;
             row[w] = c;
+            self.counts[c as usize] += 1;
         }
         self.nnz += new.len();
     }
@@ -121,6 +143,9 @@ impl SortedRows {
         }
         assert_eq!(g, gone.len(), "row {i} does not store every removed column");
         row.truncate(w);
+        for &c in gone {
+            self.counts[c as usize] -= 1;
+        }
         self.nnz -= gone.len();
     }
 
@@ -171,7 +196,8 @@ mod tests {
         let _ = SortedRows::from_rows(4, [vec![2, 1]]);
     }
 
-    /// Random insert/remove chains against a `BTreeSet` per row.
+    /// Random insert/remove chains against a `BTreeSet` per row: the
+    /// rows, the count and the per-column counts after every step.
     #[test]
     fn insert_and_remove_match_a_btreeset_model() {
         const COLS: usize = 64;
@@ -201,6 +227,10 @@ mod tests {
                 }
                 let total: usize = model.iter().map(BTreeSet::len).sum();
                 assert_eq!(rows.nnz(), total, "seed {seed} step {step}");
+                let counts: Vec<u32> = (0..COLS as Idx)
+                    .map(|j| model.iter().filter(|row| row.contains(&j)).count() as u32)
+                    .collect();
+                assert_eq!(rows.col_counts(), counts, "seed {seed} step {step}");
             }
         }
     }

@@ -22,7 +22,7 @@
 
 use crate::csr::{Csr, Idx};
 use crate::elementwise::{assemble_rows, RowChunk};
-use crate::mask::{Mask, MaskKind};
+use crate::mask::{Mask, MaskKind, MaskRow};
 use crate::table::{Accumulate, Rows, Settle, Table};
 use mfbc_algebra::kernel::KernelOut;
 use mfbc_algebra::monoid::Monoid;
@@ -76,10 +76,11 @@ impl<T: Clone> Spa<T> {
         }
     }
 
-    /// Opens a row whose mask pattern is `pattern` (empty without a
-    /// mask) and returns its `mark`.
+    /// Opens a row under mask row `pattern` (none without a mask),
+    /// stamping each of its segments where it lies, at its shift;
+    /// returns the row's `mark` and how many columns the pattern lists.
     #[inline]
-    fn begin_row(&mut self, pattern: &[Idx]) -> u32 {
+    fn begin_row(&mut self, pattern: Option<MaskRow<'_>>) -> (u32, usize) {
         // Marks are even and `mark + 1` must fit: start over before
         // the last even value would be passed.
         if self.mark > u32::MAX - 3 {
@@ -88,18 +89,26 @@ impl<T: Clone> Spa<T> {
         }
         self.mark += 2;
         self.touched.clear();
-        for &j in pattern {
-            self.stamp[j as usize] = self.mark;
+        let mut listed = 0;
+        for (cols, d) in pattern.into_iter().flat_map(MaskRow::segments) {
+            for &j in cols {
+                self.stamp[j.wrapping_add(d) as usize] = self.mark;
+            }
+            listed += cols.len();
         }
-        self.mark
+        (self.mark, listed)
     }
 
     /// Visits the touched entries in column order, skipping identities.
-    /// `walk` is an ascending superset of the touched columns (the
-    /// structural mask row) or empty. A dense row is read off `walk`,
-    /// or off the stamps themselves, in order; only a sparse one sorts
-    /// what it touched.
-    fn drain<M: Monoid<Elem = T>>(&mut self, walk: &[Idx], mut visit: impl FnMut(Idx, &T)) {
+    /// `walk` is the row's structural mask pattern, an ascending
+    /// superset of the touched columns, if it has one. A dense row is
+    /// read off `walk`, or off the stamps themselves, in order; only a
+    /// sparse one sorts what it touched.
+    fn drain<M: Monoid<Elem = T>>(
+        &mut self,
+        walk: Option<Walk<'_>>,
+        mut visit: impl FnMut(Idx, &T),
+    ) {
         if self.touched.is_empty() {
             return;
         }
@@ -112,10 +121,11 @@ impl<T: Clone> Spa<T> {
                 visit(j, v);
             }
         };
-        if !walk.is_empty() && dense >= walk.len() {
-            walk.iter()
-                .filter(|&&j| stamp[j as usize] == on)
-                .for_each(|&j| emit(j));
+        if let Some(walk) = walk.filter(|w| dense >= w.len) {
+            walk.row
+                .cols()
+                .filter(|&j| stamp[j as usize] == on)
+                .for_each(emit);
         } else if dense >= stamp.len() {
             (0..stamp.len() as Idx)
                 .filter(|&j| stamp[j as usize] == on)
@@ -137,13 +147,20 @@ impl<T: Clone> Spa<T> {
     }
 }
 
+/// A row's structural mask pattern — an ascending superset of the
+/// columns the row touched — and how many columns it lists.
+#[derive(Clone, Copy)]
+struct Walk<'m> {
+    row: MaskRow<'m>,
+    len: usize,
+}
+
 /// What becomes of the output rows of one task. The row kernel hands
 /// over every row of its range, in order, as the accumulator holds it;
 /// a row that formed no product arrives with nothing touched. `walk`
-/// is the row's structural mask pattern (an ascending superset of the
-/// touched columns) or empty.
+/// is the row's structural mask pattern, if it has one.
 trait RowSink<T> {
-    fn row(&mut self, i: usize, spa: &mut Spa<T>, walk: &[Idx]);
+    fn row(&mut self, i: usize, spa: &mut Spa<T>, walk: Option<Walk<'_>>);
 }
 
 /// The sink that builds the product matrix: rows drained in column
@@ -151,7 +168,7 @@ trait RowSink<T> {
 struct Drain<M: Monoid>(RowChunk<M::Elem>);
 
 impl<M: Monoid> RowSink<M::Elem> for Drain<M> {
-    fn row(&mut self, _: usize, spa: &mut Spa<M::Elem>, walk: &[Idx]) {
+    fn row(&mut self, _: usize, spa: &mut Spa<M::Elem>, walk: Option<Walk<'_>>) {
         let (rowlen, colind, vals) = &mut self.0;
         let before = colind.len();
         spa.drain::<M>(walk, |j, v| {
@@ -169,7 +186,7 @@ where
     M: Monoid,
     F: Fn(&M::Elem, Option<&M::Elem>, &M::Elem) -> Option<M::Elem>,
 {
-    fn row(&mut self, i: usize, spa: &mut Spa<M::Elem>, walk: &[Idx]) {
+    fn row(&mut self, i: usize, spa: &mut Spa<M::Elem>, walk: Option<Walk<'_>>) {
         spa.drain::<M>(walk, |j, g| self.entry(i, j as usize, g));
         self.end_row(i);
     }
@@ -182,7 +199,7 @@ where
     M: Monoid,
     F: Fn(&mut M::Elem, &U) -> Option<M::Elem>,
 {
-    fn row(&mut self, i: usize, spa: &mut Spa<M::Elem>, _: &[Idx]) {
+    fn row(&mut self, i: usize, spa: &mut Spa<M::Elem>, _: Option<Walk<'_>>) {
         Settle::row(self, i, spa.formed::<M>());
     }
 }
@@ -199,7 +216,7 @@ where
     M: Monoid,
     I: Fn(&U, Option<&M::Elem>) -> M::Elem,
 {
-    fn row(&mut self, i: usize, spa: &mut Spa<M::Elem>, _: &[Idx]) {
+    fn row(&mut self, i: usize, spa: &mut Spa<M::Elem>, _: Option<Walk<'_>>) {
         self.rows.anchor_row::<M>(i, spa.formed::<M>(), self.init);
     }
 }
@@ -226,13 +243,17 @@ fn multiply_rows<K: SpMulKernel, const MODE: u8>(
 ) -> u64 {
     let mut ops = 0u64;
     for i in rows {
-        let pattern = mask.map_or(&[][..], |m| m.row_cols(i));
-        if a.row_nnz(i) == 0 || (MODE == STRUCTURAL && pattern.is_empty()) {
+        if a.row_nnz(i) == 0 {
             spa.touched.clear();
-            sink.row(i, spa, &[]);
+            sink.row(i, spa, None);
             continue;
         }
-        let mark = spa.begin_row(pattern);
+        let pattern = mask.map(|m| m.row(i));
+        let (mark, listed) = spa.begin_row(pattern);
+        if MODE == STRUCTURAL && listed == 0 {
+            sink.row(i, spa, None);
+            continue;
+        }
         let on = mark + 1;
         for (k, av) in a.row(i) {
             for (j, bv) in b.row(k) {
@@ -258,7 +279,8 @@ fn multiply_rows<K: SpMulKernel, const MODE: u8>(
                 }
             }
         }
-        sink.row(i, spa, if MODE == STRUCTURAL { pattern } else { &[] });
+        let walk = pattern.filter(|_| MODE == STRUCTURAL);
+        sink.row(i, spa, walk.map(|row| Walk { row, len: listed }));
     }
     ops
 }
@@ -885,7 +907,7 @@ mod tests {
             // what it emitted.
             for i in (0..SHAPE.0).filter(|&i| want.row_nnz(i) > 0) {
                 let walk = match kind {
-                    Some(MaskKind::Structural) => mask.unwrap().row_cols(i).len(),
+                    Some(MaskKind::Structural) => mask.unwrap().row(i).len(),
                     _ => 0,
                 };
                 let path = drain_of(want.row_nnz(i), walk, SHAPE.2);

@@ -92,7 +92,9 @@ pub fn stats_for<K: SpMulKernel>(a: &DistMat<K::Left>, b: &DistMat<K::Right>) ->
 /// fraction measured exactly — the entries of B that sit in fully
 /// masked-out output columns are the ones an uncached B-panel
 /// redistribution leaves at home, so the model prices precisely what
-/// the executor would ship.
+/// the executor would ship. The mask answers from its per-column
+/// counts ([`Mask::fully_excluded_cols`]), so pricing walks no mask
+/// pattern, only `b`'s blocks.
 pub fn stats_for_masked<K: SpMulKernel>(
     a: &DistMat<K::Left>,
     b: &DistMat<K::Right>,

@@ -12,7 +12,7 @@ use mfbc_algebra::monoid::Monoid;
 use mfbc_machine::{Machine, MachineError};
 use mfbc_parallel::ExecStats;
 use mfbc_sparse::slice::{even_ranges, slice, stitch, Slab};
-use mfbc_sparse::{Csr, Table};
+use mfbc_sparse::{Csr, Mask, MaskKind, Table};
 use std::borrow::Cow;
 use std::ops::Range;
 use std::sync::Mutex;
@@ -157,6 +157,16 @@ impl Layout {
             && self.row_ranges == other.row_ranges
             && self.col_ranges == other.col_ranges
             && self.owners == other.owners
+    }
+
+    /// A mask of `kind` over `blocks` (row-major, one per block of this
+    /// layout), read where they lie: [`Mask::tiled`] at this layout's
+    /// cuts.
+    fn mask_over<'a>(&self, kind: MaskKind, blocks: Vec<Mask<'a>>) -> Mask<'a> {
+        let cuts =
+            |ranges: &[Range<usize>], n: usize| ranges.iter().map(|r| r.start).chain([n]).collect();
+        let rows = cuts(&self.row_ranges, self.nrows);
+        Mask::tiled(kind, rows, cuts(&self.col_ranges, self.ncols), blocks)
     }
 }
 
@@ -322,6 +332,14 @@ impl<T: Clone + Send + Sync> DistMat<T> {
         self.blocks.iter().map(Csr::nnz).sum()
     }
 
+    /// A mask of `kind` over this matrix's pattern, read off its blocks
+    /// where they lie. Blocks keep no column counts, so the mask counts
+    /// them once, here.
+    pub fn pattern_mask(&self, kind: MaskKind) -> Mask<'_> {
+        let blocks = self.blocks.iter().map(|b| Mask::of_pattern(kind, b));
+        self.layout.mask_over(kind, blocks.collect())
+    }
+
     /// Charges each block's bytes as resident memory on its owner.
     pub fn charge_memory(&self, m: &Machine) -> Result<(), MachineError> {
         for bi in 0..self.layout.br() {
@@ -458,6 +476,14 @@ impl<T: Clone + Send + Sync> DistTable<T> {
         f: impl Fn(usize, usize, &mut Table<T>) -> R + Sync,
     ) -> (Vec<R>, ExecStats) {
         par_update(&self.layout, &mut self.blocks, f)
+    }
+
+    /// The mask of what can still land in the table — every block's
+    /// [`Table::mask`], read off its rows where they lie; `None` on a
+    /// table opened without tracking.
+    pub fn mask(&self) -> Option<Mask<'_>> {
+        let blocks: Vec<Mask> = self.blocks.iter().map(Table::mask).collect::<Option<_>>()?;
+        Some(self.layout.mask_over(blocks[0].kind(), blocks))
     }
 
     /// The table as a matrix, every block sorted once.
@@ -636,8 +662,8 @@ mod tests {
         table.update_blocks(|bi, bj, t| {
             t.accumulate::<SumU64>(add.block(bi, bj), |_, _, _| None);
         });
-        let mask = table.block(0, 0).mask().expect("tracked");
-        assert_eq!(mask.row_cols(0), &[0, 1]);
+        let mask = table.mask().expect("tracked");
+        assert_eq!(mask.row(0).cols().collect::<Vec<_>>(), [0, 1, 5]);
         let frozen = table.freeze();
         frozen.validate().unwrap();
         assert_eq!(frozen.nnz(), dm.nnz() + 1);

@@ -33,6 +33,8 @@ pub mod dist;
 #[cfg(test)]
 mod entrywise;
 pub mod grid;
+#[cfg(test)]
+mod mask_views;
 pub mod mm;
 mod mm1d;
 mod mm2d;
