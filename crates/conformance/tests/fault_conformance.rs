@@ -33,6 +33,19 @@ fn driver_fault_recovery_weighted() {
     });
 }
 
+/// Every faulted case with output masking forced on: recovery must
+/// reproduce the fault-free scores, and the masked run the unmasked
+/// one's, bit for bit (`DriverCase::generate` draws the `masked`
+/// dimension for half of cases; this suite forces it on, on the
+/// unit-weighted graphs where the backends mask).
+#[test]
+fn driver_fault_recovery_masked() {
+    run_suite_or_panic("driver_fault_recovery_masked", SMOKE, |seed| DriverCase {
+        masked: true,
+        ..DriverCase::generate_faulted(seed, &P_ALL, false)
+    });
+}
+
 /// Directed scenario from the issue: a crash at p = 8 must shrink the
 /// run onto the 7 survivors, replan, and still reproduce the
 /// fault-free scores bit for bit — with the fault and the recovery

@@ -546,7 +546,6 @@ impl Backend for Simulated {
         // The product has to be communicated, so here it is a matrix.
         let mask = table.mask();
         let (explored, ops) = self.mm::<K>(frontier, Adj::A, mask.as_ref(), mask.as_ref())?;
-        drop(mask);
         let kept = ops::dmat_accumulate::<K::Acc, _>(&self.m, table, &explored, keep)?;
         Ok((kept, ops))
     }
@@ -586,7 +585,6 @@ impl Backend for Simulated {
         // (see [`Simulated::mm`]).
         let pending = z.mask();
         let (back, ops) = self.mm::<K>(frontier, Adj::At, pending.as_ref().or(within), within)?;
-        drop(pending);
         let fired = ops::dmat_settle::<K::Acc, U>(&self.m, z, &back, side, fire);
         Ok((fired, ops))
     }

@@ -934,6 +934,37 @@ mod tests {
                     "{kind:?} {density:?} ops at {threads} threads"
                 );
             }
+
+            // The same mask read as a 3 × 3 grid of block patterns (an
+            // empty block row, a one-column block column) and as a
+            // window of a wider pattern with entries around it: rows of
+            // several segments, each stamped and walked at its shift.
+            let Some(kind) = kind else { continue };
+            let (row_cuts, col_cuts) = (vec![0, 17, 17, SHAPE.0], vec![0, 100, 101, SHAPE.2]);
+            let block = |id: usize| {
+                let r = row_cuts[id / 3]..row_cuts[id / 3 + 1];
+                let c = col_cuts[id % 3]..col_cuts[id % 3 + 1];
+                let inside = coords
+                    .iter()
+                    .filter(|(i, j)| r.contains(i) && c.contains(j));
+                let triples = inside.map(|&(i, j)| (i - r.start, j - c.start, Dist::new(1)));
+                Coo::from_triples(r.len(), c.len(), triples).into_csr::<MinDist>()
+            };
+            let blocks: Vec<Csr<Dist>> = (0..9).map(block).collect();
+            let of_blocks = blocks.iter().map(|b| Mask::of_pattern(kind, b));
+            let tiled = Mask::tiled(kind, row_cuts.clone(), col_cuts.clone(), of_blocks);
+            let (rows, cols) = (SHAPE.0 + 5, SHAPE.2 + 9);
+            let mut wide: Vec<(usize, usize)> =
+                coords.iter().map(|&(i, j)| (i + 3, j + 5)).collect();
+            wide.extend((0..rows).flat_map(|i| [(i, i % 5), (i, SHAPE.2 + 5 + i % 4)]));
+            wide.extend((0..cols).map(|j| (1, j)));
+            let wide = Mask::from_coords(kind, rows, cols, &wide);
+            let window = wide.window(3..3 + SHAPE.0, 5..5 + SHAPE.2);
+            for (what, view) in [("tiled", tiled), ("window", window)] {
+                let out = product::<TropicalKernel>(&a, &b, Some(&view), true);
+                assert_eq!(out.mat, serial.mat, "{kind:?} {density:?}: {what}");
+                assert_eq!(out.ops, want_ops, "{kind:?} {density:?}: {what} ops");
+            }
         }
     }
 
