@@ -3,7 +3,10 @@
 //! collective failures, forced OOM), must terminate successfully and
 //! produce betweenness scores **bit-identical** to the fault-free run
 //! of the same case — across rank counts, plan modes, batch sizes and
-//! thread counts. Failures shrink toward the fault-free case first,
+//! thread counts — unless recovery replanned after a crash or halved
+//! the batch where Cannon's plan can run, which regroups floating-point
+//! sums and is held to the oracle tolerance instead (see
+//! `DriverCase::faults`). Failures shrink toward the fault-free case first,
 //! then along the usual graph/rank dimensions, and replay via
 //! `MFBC_CONFORMANCE_SEED` like every other suite.
 
@@ -35,7 +38,7 @@ fn driver_fault_recovery_weighted() {
 
 /// Every faulted case with output masking forced on: recovery must
 /// reproduce the fault-free scores, and the masked run the unmasked
-/// one's, bit for bit (`DriverCase::generate` draws the `masked`
+/// one's bit for bit (`DriverCase::generate` draws the `masked`
 /// dimension for half of cases; this suite forces it on, on the
 /// unit-weighted graphs where the backends mask).
 #[test]

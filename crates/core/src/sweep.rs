@@ -250,8 +250,8 @@ pub fn backward<B: Backend>(
 ///
 /// Contributions fold in ascending global source order: the
 /// accumulation each `acc[v]` sees is independent of the batch size,
-/// so an OOM retreat or a post-crash replan reproduces the fault-free
-/// scores bit for bit.
+/// so re-cutting the batches (an OOM retreat, a post-crash replan)
+/// cannot change a bit here; only products whose own sums regroup can.
 pub fn fold<B: Backend>(
     be: &B,
     z: &B::Mat<Centpath>,

@@ -100,9 +100,9 @@ struct Tiles<'a> {
     col_cuts: Vec<usize>,
     /// The blocks, row-major.
     leaves: Vec<Leaf<'a>>,
-    /// Per-column counts over all rows, taken once where a block keeps
-    /// none of its own.
-    counts: Option<Vec<u32>>,
+    /// Per-column counts over all rows: the blocks are borrowed for as
+    /// long as the tiles live, so these are taken once.
+    counts: Vec<u32>,
 }
 
 impl<'a> Tiles<'a> {
@@ -123,16 +123,24 @@ impl<'a> Tiles<'a> {
                 "mask block ({bi}, {bj})"
             );
         }
-        let counts = leaves.iter().any(|l| l.counts().is_none()).then(|| {
-            let mut counts = vec![0u32; col_cuts[bc]];
-            for (id, leaf) in leaves.iter().enumerate() {
-                let c0 = col_cuts[id % bc];
-                for &j in (0..leaf.nrows()).flat_map(|i| leaf.row(i)) {
-                    counts[c0 + j as usize] += 1;
+        // Added up from the blocks that keep counts, scanned from the
+        // ones that keep none.
+        let mut counts = vec![0u32; col_cuts[bc]];
+        for (id, leaf) in leaves.iter().enumerate() {
+            let c0 = col_cuts[id % bc];
+            match leaf.counts() {
+                Some(kept) => {
+                    for (total, &c) in counts[c0..].iter_mut().zip(kept) {
+                        *total += c;
+                    }
+                }
+                None => {
+                    for &j in (0..leaf.nrows()).flat_map(|i| leaf.row(i)) {
+                        counts[c0 + j as usize] += 1;
+                    }
                 }
             }
-            counts
-        });
+        }
         Tiles {
             row_cuts,
             col_cuts,
@@ -292,9 +300,9 @@ impl<'a> Mask<'a> {
     /// `blocks` (row-major) are masks over whole patterns, block
     /// `(bi, bj)` covering rows `row_cuts[bi]..row_cuts[bi + 1]` and
     /// columns `col_cuts[bj]..col_cuts[bj + 1]`; their own kinds are
-    /// ignored. Where a block is a matrix's pattern, which keeps no
-    /// per-column counts, the mask counts the columns once here, so
-    /// that [`Mask::fully_excluded_cols`] reads no pattern.
+    /// ignored. The mask adds up the blocks' per-column counts once
+    /// here (scanning a matrix's pattern, which keeps none), so that
+    /// [`Mask::fully_excluded_cols`] reads no pattern.
     ///
     /// # Panics
     /// Panics on cuts that do not start at 0 or that descend, on a
@@ -475,25 +483,10 @@ impl<'a> Mask<'a> {
         }
         let (lo, hi) = (self.col0, self.col0 + self.ncols);
         let widen = |c: &[u32]| c.iter().map(|&x| x as usize).collect();
-        let t = match &self.pattern {
-            Pattern::One(leaf) => return leaf.counts().map(|c| widen(&c[lo..hi])),
-            Pattern::Tiles(t) => t,
-        };
-        if let Some(c) = &t.counts {
-            return Some(widen(&c[lo..hi]));
+        match &self.pattern {
+            Pattern::One(leaf) => leaf.counts().map(|c| widen(&c[lo..hi])),
+            Pattern::Tiles(t) => Some(widen(&t.counts[lo..hi])),
         }
-        let mut out = vec![0usize; self.ncols];
-        let bc = t.col_cuts.len() - 1;
-        for (id, leaf) in t.leaves.iter().enumerate() {
-            let (c0, c1) = (t.col_cuts[id % bc], t.col_cuts[id % bc + 1]);
-            let counts = leaf
-                .counts()
-                .expect("uncounted blocks are counted up front");
-            for c in c0.max(lo)..c1.min(hi) {
-                out[c - lo] += counts[c - c0] as usize;
-            }
-        }
-        Some(out)
     }
 
     /// Per-column flags marking columns excluded for *every* output
@@ -502,9 +495,9 @@ impl<'a> Mask<'a> {
     /// Entries of the right operand in such columns can only feed
     /// skipped products, so redistribution may drop them without
     /// changing any kept output or the `ops` counter. Costs `O(ncols)`
-    /// (per block row of a grid) where the pattern keeps per-column
-    /// counts and the window spans its rows, a read of the window
-    /// otherwise.
+    /// where the pattern keeps per-column counts (a grid's are summed
+    /// when it is built) and the window spans its rows, a read of the
+    /// window otherwise.
     pub fn fully_excluded_cols(&self) -> Vec<bool> {
         let count = self.kept_counts().unwrap_or_else(|| {
             let mut count = vec![0usize; self.ncols];
