@@ -7,14 +7,14 @@ use mfbc_bench::regress::{run_named_case, SuiteOptions};
 use mfbc_bench::serveload::ServeLoadReport;
 use mfbc_conformance::SplitMix64;
 use mfbc_profile::export::profile_to_json;
-use mfbc_profile::html;
+use mfbc_profile::{html, prometheus};
 use mfbc_profile::{
     AutotuneProfile, Baseline, BaselineCase, CollectiveProfile, CriticalProfile, PlanMixEntry,
     PoolProfile, Profile, RankProfile, RecoveryProfile, SuperstepProfile,
 };
 use mfbc_timeline::{
-    doc, to_html, to_json, Bottleneck, PathRow, RankRow, RoundInfo, StepAttribution, TimelineDoc,
-    WhatIfReport,
+    doc, register_metrics, to_html, to_json, Bottleneck, PathRow, RankRow, RoundInfo,
+    StepAttribution, TimelineDoc, WhatIfReport,
 };
 use mfbc_trace::json::{parse, write_doc, write_row, Json, Row};
 use mfbc_trace::{FaultCount, PlanChoice, Value};
@@ -48,6 +48,22 @@ fn bench_case_documents_match_the_committed_bytes() {
         to_html(&r.timeline, &r.analysis),
         include_str!("golden/rmat-s8-p4-b32.gantt.html")
     );
+    assert_eq!(
+        bench_prom_text(&r),
+        include_str!("golden/rmat-s8-p4-b32.metrics.prom")
+    );
+}
+
+/// The Prometheus text `bench --prom-out` writes for a case: its
+/// registry plus the timeline's gauges. The pool's busy microseconds
+/// are wall-clock, so their samples are left out.
+fn bench_prom_text(r: &mfbc_bench::regress::SuiteCaseResult) -> String {
+    register_metrics(&r.registry, &r.timeline, &r.analysis);
+    prometheus::render(&r.registry)
+        .lines()
+        .filter(|l| !l.starts_with("mfbc_pool_busy_microseconds_total"))
+        .map(|l| format!("{l}\n"))
+        .collect()
 }
 
 #[test]

@@ -243,6 +243,12 @@ fn profile_equals_trace_summaries_of_the_same_stream() {
         export::profile_to_json(&profile),
         include_str!("golden/stream.profile.json")
     );
+    // The only pinned stream with faults and recoveries: its
+    // Prometheus text carries their families.
+    assert_eq!(
+        prometheus::render(profiler.registry()),
+        include_str!("golden/stream.metrics.prom")
+    );
 }
 
 #[test]
