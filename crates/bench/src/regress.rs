@@ -1,7 +1,8 @@
 //! The pinned regression suite behind `mfbc-cli bench`.
 //!
 //! A fixed set of experiments — graph, machine, plan mode, batch
-//! size, all seeded — each run under a [`mfbc_profile::Profiler`].
+//! size, all seeded — each run under one [`TimelineBuilder`], whose
+//! stream fold the profile and its metrics are read from.
 //! The modeled outputs (α–β–γ seconds, critical-path counts, memory
 //! high-water marks) are deterministic, so the suite's results can be
 //! compared bit-exact against the committed `BENCH_mfbc.json`
@@ -14,7 +15,7 @@ use mfbc_core::dist::{mfbc_dist, MfbcConfig, PlanMode};
 use mfbc_graph::gen::{rmat, uniform, RmatConfig};
 use mfbc_graph::Graph;
 use mfbc_machine::{Machine, MachineSpec, RedistMode};
-use mfbc_profile::{BaselineCase, MetricsRegistry, Profile, Profiler};
+use mfbc_profile::{mirror, BaselineCase, MetricsRegistry, Profile};
 use mfbc_timeline::{analyze, Analysis, Timeline, TimelineBuilder};
 
 /// Knobs for a suite run. Defaults reproduce the pinned baseline;
@@ -51,11 +52,11 @@ pub struct SuiteCaseResult {
     pub case: BaselineCase,
     /// The sealed profile of the run.
     pub profile: Profile,
-    /// The metrics registry the profiler filled (for Prometheus
-    /// export).
+    /// The run's metrics: the [`mirror`] of its fold and profile (for
+    /// Prometheus export).
     pub registry: Arc<MetricsRegistry>,
-    /// The causal timeline of the run, replayed from the same trace
-    /// stream the profiler observed.
+    /// The causal timeline of the run; its fold is what the profile
+    /// projects.
     pub timeline: Timeline,
     /// Critical path, bottleneck table, and superstep attribution of
     /// [`SuiteCaseResult::timeline`].
@@ -122,19 +123,15 @@ fn run_case(case: &SuiteCase, opts: &SuiteOptions) -> SuiteCaseResult {
         threads: None,
         masked: true,
     };
-    let profiler = Arc::new(Profiler::new());
     let builder = Arc::new(TimelineBuilder::new(machine.spec().clone()));
     let started = Instant::now();
-    // Scoped sinks nest: the profiler and the timeline builder both
-    // observe the one trace stream.
-    let run = mfbc_trace::scoped(profiler.clone(), || {
-        mfbc_trace::scoped(builder.clone(), || mfbc_dist(&machine, &g, &cfg))
-    })
-    .expect("pinned suite case must run fault-free");
+    let run = mfbc_trace::scoped(builder.clone(), || mfbc_dist(&machine, &g, &cfg))
+        .expect("pinned suite case must run fault-free");
     let wall_s = started.elapsed().as_secs_f64();
-    let profile = profiler.finish(&machine);
-    let registry = Arc::clone(profiler.registry());
     let timeline = builder.finish();
+    let profile = Profile::of(&timeline.summary, &machine);
+    let registry = Arc::new(MetricsRegistry::new());
+    mirror(&registry, &timeline.summary, &profile);
     let analysis = analyze(&timeline);
     SuiteCaseResult {
         case: BaselineCase {

@@ -6,11 +6,12 @@
 use mfbc_bench::regress::{run_named_case, SuiteOptions};
 use mfbc_bench::serveload::ServeLoadReport;
 use mfbc_conformance::SplitMix64;
+use mfbc_machine::{Machine, MachineSpec};
 use mfbc_profile::export::profile_to_json;
 use mfbc_profile::{html, prometheus};
 use mfbc_profile::{
     AutotuneProfile, Baseline, BaselineCase, CollectiveProfile, CriticalProfile, PlanMixEntry,
-    PoolProfile, Profile, RankProfile, RecoveryProfile, SuperstepProfile,
+    PoolProfile, Profile, Profiler, RankProfile, RecoveryProfile, StepTotals,
 };
 use mfbc_timeline::{
     doc, register_metrics, to_html, to_json, Bottleneck, PathRow, RankRow, RoundInfo,
@@ -19,6 +20,7 @@ use mfbc_timeline::{
 use mfbc_trace::json::{parse, write_doc, write_row, Json, Row};
 use mfbc_trace::{FaultCount, PlanChoice, Value};
 use std::fmt::Debug;
+use std::sync::Arc;
 
 #[test]
 fn bench_case_documents_match_the_committed_bytes() {
@@ -52,6 +54,25 @@ fn bench_case_documents_match_the_committed_bytes() {
         bench_prom_text(&r),
         include_str!("golden/rmat-s8-p4-b32.metrics.prom")
     );
+}
+
+/// The bench case installs one recorder, the timeline builder; a
+/// profiler installed around it folds the same stream. The machine
+/// only adds per-rank meters, read the same way on both sides, so a
+/// fresh one of the case's shape stands in for the run's.
+#[test]
+fn bench_case_profile_is_the_profilers() {
+    let profiler = Arc::new(Profiler::new());
+    let r = mfbc_trace::scoped(profiler.clone(), || {
+        run_named_case(Some("rmat-s8-p4-b32"), &SuiteOptions::default())
+    })
+    .expect("pinned case");
+    let m = Machine::new(MachineSpec::gemini(4));
+    assert_eq!(
+        profile_to_json(&Profile::of(&r.timeline.summary, &m)),
+        profile_to_json(&profiler.finish(&m))
+    );
+    assert_eq!(r.profile.supersteps, r.timeline.summary.supersteps);
 }
 
 /// The Prometheus text `bench --prom-out` writes for a case: its
@@ -167,7 +188,7 @@ fn every_row_type_round_trips() {
     row_round_trips::<FaultCount>(rng);
     row_round_trips::<RankProfile>(rng);
     row_round_trips::<CollectiveProfile>(rng);
-    row_round_trips::<SuperstepProfile>(rng);
+    row_round_trips::<StepTotals>(rng);
     row_round_trips::<PlanMixEntry>(rng);
     row_round_trips::<RecoveryProfile>(rng);
     row_round_trips::<PoolProfile>(rng);

@@ -832,13 +832,16 @@ impl CaseSpec for DriverCase {
             // Same invariant for the timeline builder: replaying the
             // trace into a causal timeline must not perturb the
             // computation, and the analysis on top must be coherent —
-            // the critical path folds bit-exactly to the makespan.
+            // the critical path folds bit-exactly to the makespan. A
+            // profiler rides beside the builder: the profile projected
+            // from the timeline's fold must be the profiler's own.
             let builder = std::sync::Arc::new(mfbc_timeline::TimelineBuilder::new(self.spec()));
+            let profiler = std::sync::Arc::new(mfbc_profile::Profiler::new());
             let amachine = Machine::new(self.spec());
-            let arun = mfbc_trace::scoped(builder.clone(), || mfbc_dist(&amachine, &g, &cfg))
-                .map_err(|e| {
-                    format!("analyzed driver ({:?}): machine error: {e}", cfg.plan_mode)
-                })?;
+            let arun = mfbc_trace::scoped(profiler.clone(), || {
+                mfbc_trace::scoped(builder.clone(), || mfbc_dist(&amachine, &g, &cfg))
+            })
+            .map_err(|e| format!("analyzed driver ({:?}): machine error: {e}", cfg.plan_mode))?;
             for (v, (a, b)) in run
                 .scores
                 .lambda
@@ -863,6 +866,12 @@ impl CaseSpec for DriverCase {
                     "timeline disagrees with machine meters: {}",
                     problems.join("; ")
                 ));
+            }
+            let projected = mfbc_profile::Profile::of(&tl.summary, &amachine);
+            let recorded = profiler.finish(&amachine);
+            let json = mfbc_profile::export::profile_to_json;
+            if json(&projected) != json(&recorded) {
+                return Err("the timeline fold's profile differs from the profiler's".into());
             }
             let path = mfbc_timeline::critical_path(&tl);
             if path.sum_s().to_bits() != tl.makespan_s().to_bits() {

@@ -1,5 +1,6 @@
 //! Self-contained single-file HTML report for a [`Profile`]: inline
-//! CSS only, no scripts, no external assets. Exact metric values are
+//! CSS only, no scripts, no external assets. Its tables, and the
+//! timeline Gantt chart's, are written by one [`Table`] writer. Exact metric values are
 //! embedded as `data-*` attributes using the same formatting as the
 //! JSON and Prometheus exporters, so the three outputs can be
 //! cross-checked mechanically.
@@ -23,6 +24,77 @@ pub fn esc_html(s: &str) -> String {
         }
     }
     out
+}
+
+/// One cell of a [`Table`]: raw HTML content and its attributes.
+pub struct Cell {
+    attrs: String,
+    html: String,
+}
+
+/// A right-aligned cell (the tables' default).
+pub fn cell(html: impl std::fmt::Display) -> Cell {
+    Cell {
+        attrs: String::new(),
+        html: html.to_string(),
+    }
+}
+
+/// A left-aligned (`class="l"`) cell.
+pub fn left(html: impl std::fmt::Display) -> Cell {
+    Cell {
+        attrs: " class=\"l\"".to_string(),
+        html: html.to_string(),
+    }
+}
+
+impl Cell {
+    /// Adds an exact `data-{name}` attribute.
+    pub fn data(mut self, name: &str, value: &str) -> Cell {
+        let _ = write!(self.attrs, " data-{name}=\"{value}\"");
+        self
+    }
+}
+
+/// The one HTML table writer of both reports (this one and the
+/// timeline's Gantt chart): a header row, body rows with optional
+/// `data-*` attributes, then [`Table::end`]. Content is written as
+/// given; callers escape text with [`esc_html`].
+pub struct Table<'a> {
+    out: &'a mut String,
+}
+
+impl<'a> Table<'a> {
+    /// Opens `<table{attrs}>` with a row of `head` header cells.
+    pub fn new(out: &'a mut String, attrs: &str, head: &[Cell]) -> Table<'a> {
+        let _ = write!(out, "<table{attrs}>");
+        let mut table = Table { out };
+        table.tr(&[], "th", head);
+        table
+    }
+
+    /// One body row; `data` becomes its `data-{name}="value"`
+    /// attributes, in order.
+    pub fn row(&mut self, data: &[(&str, String)], cells: &[Cell]) {
+        self.tr(data, "td", cells);
+    }
+
+    fn tr(&mut self, data: &[(&str, String)], tag: &str, cells: &[Cell]) {
+        self.out.push_str("<tr");
+        for (name, value) in data {
+            let _ = write!(self.out, " data-{name}=\"{value}\"");
+        }
+        self.out.push('>');
+        for c in cells {
+            let _ = write!(self.out, "<{tag}{}>{}</{tag}>", c.attrs, c.html);
+        }
+        self.out.push_str("</tr>\n");
+    }
+
+    /// Closes the table.
+    pub fn end(self) {
+        self.out.push_str("</table>\n");
+    }
 }
 
 fn pct(part: f64, whole: f64) -> f64 {
@@ -72,34 +144,44 @@ fn rank_table(out: &mut String, p: &Profile) {
          <span style=\"color:#d9534f\">&#9632;</span> comm, \
          <span style=\"color:#5b9bd5\">&#9632;</span> compute</p>"
     );
-    out.push_str(
-        "<table><tr><th>rank</th><th class=\"l\">utilization</th><th>comm s</th><th>comp s</th>\
-         <th>msgs</th><th>bytes</th><th>peak bytes</th></tr>\n",
-    );
+    let head = [
+        "rank",
+        "utilization",
+        "comm s",
+        "comp s",
+        "msgs",
+        "bytes",
+        "peak bytes",
+    ];
+    let head = head.map(|h| if h == "utilization" { left(h) } else { cell(h) });
+    let mut t = Table::new(out, "", &head);
     for r in &p.ranks {
         let comm_w = pct(r.comm_s, max_t);
         let comp_w = pct(r.comp_s, max_t);
-        let _ = writeln!(
-            out,
-            "<tr data-rank=\"{}\" data-comm-s=\"{}\" data-comp-s=\"{}\" data-peak-bytes=\"{}\">\
-             <td>{}</td>\
-             <td class=\"l\"><div class=\"bar\">\
-             <div class=\"comm\" style=\"width:{comm_w:.2}%\"></div>\
-             <div class=\"comp\" style=\"width:{comp_w:.2}%\"></div></div></td>\
-             <td>{}</td><td>{}</td><td>{}</td><td>{}</td><td>{}</td></tr>",
-            r.rank,
-            num(r.comm_s),
-            num(r.comp_s),
-            r.peak_bytes,
-            r.rank,
-            num(r.comm_s),
-            num(r.comp_s),
-            r.msgs,
-            r.bytes,
-            r.peak_bytes
+        let bar = format!(
+            "<div class=\"bar\"><div class=\"comm\" style=\"width:{comm_w:.2}%\"></div>\
+             <div class=\"comp\" style=\"width:{comp_w:.2}%\"></div></div>"
+        );
+        let data = [
+            ("rank", r.rank.to_string()),
+            ("comm-s", num(r.comm_s)),
+            ("comp-s", num(r.comp_s)),
+            ("peak-bytes", r.peak_bytes.to_string()),
+        ];
+        t.row(
+            &data,
+            &[
+                cell(r.rank),
+                left(bar),
+                cell(num(r.comm_s)),
+                cell(num(r.comp_s)),
+                cell(r.msgs),
+                cell(r.bytes),
+                cell(r.peak_bytes),
+            ],
         );
     }
-    out.push_str("</table>\n");
+    t.end();
 }
 
 fn superstep_timeline(out: &mut String, p: &Profile) {
@@ -136,26 +218,33 @@ fn superstep_timeline(out: &mut String, p: &Profile) {
         );
     }
     out.push_str("</div>\n");
-    out.push_str(
-        "<table><tr><th>phase</th><th>batch</th><th>step</th><th>frontier nnz</th>\
-         <th>active rows</th><th>comm s</th><th>collectives</th><th>spgemm ops</th></tr>\n",
-    );
+    let head = [
+        "phase",
+        "batch",
+        "step",
+        "frontier nnz",
+        "active rows",
+        "comm s",
+        "collectives",
+        "spgemm ops",
+    ];
+    let mut t = Table::new(out, "", &head.map(cell));
     for s in &p.supersteps {
-        let _ = writeln!(
-            out,
-            "<tr><td class=\"l\">{}</td><td>{}</td><td>{}</td><td>{}</td><td>{}</td>\
-             <td>{}</td><td>{}</td><td>{}</td></tr>",
-            esc_html(&s.phase),
-            s.batch,
-            s.step,
-            s.frontier_nnz,
-            s.active_rows,
-            num(s.comm_s),
-            s.collectives,
-            s.spgemm_ops
+        t.row(
+            &[],
+            &[
+                left(esc_html(&s.phase)),
+                cell(s.batch),
+                cell(s.step),
+                cell(s.frontier_nnz),
+                cell(s.active_rows),
+                cell(num(s.comm_s)),
+                cell(s.collectives),
+                cell(s.spgemm_ops),
+            ],
         );
     }
-    out.push_str("</table>\n");
+    t.end();
 }
 
 fn collectives_table(out: &mut String, p: &Profile) {
@@ -168,23 +257,29 @@ fn collectives_table(out: &mut String, p: &Profile) {
         "<p class=\"kv\">setup (pre-superstep) comm: {} s</p>",
         num(p.setup_comm_s)
     );
-    out.push_str(
-        "<table><tr><th class=\"l\">kind</th><th>count</th><th>modeled s</th>\
-         <th>share</th><th>msgs</th><th>bytes</th></tr>\n",
-    );
+    let head = [
+        left("kind"),
+        cell("count"),
+        cell("modeled s"),
+        cell("share"),
+        cell("msgs"),
+        cell("bytes"),
+    ];
+    let mut t = Table::new(out, "", &head);
     for c in &p.collectives {
-        let _ = writeln!(
-            out,
-            "<tr><td class=\"l\">{}</td><td>{}</td><td>{}</td><td>{:.1}%</td><td>{}</td><td>{}</td></tr>",
-            esc_html(&c.kind),
-            c.count,
-            num(c.modeled_s),
-            c.share * 100.0,
-            c.msgs,
-            c.bytes
+        t.row(
+            &[],
+            &[
+                left(esc_html(&c.kind)),
+                cell(c.count),
+                cell(num(c.modeled_s)),
+                cell(format!("{:.1}%", c.share * 100.0)),
+                cell(c.msgs),
+                cell(c.bytes),
+            ],
         );
     }
-    out.push_str("</table>\n");
+    t.end();
 }
 
 fn plan_mix_table(out: &mut String, p: &Profile) {
@@ -197,22 +292,27 @@ fn plan_mix_table(out: &mut String, p: &Profile) {
         "<p class=\"kv\">autotune decisions: {} (candidates rejected by memory gate: {})</p>",
         p.autotune.decisions, p.autotune.infeasible
     );
-    out.push_str(
-        "<table><tr><th class=\"l\">plan</th><th>count</th><th>ops</th>\
-         <th>nnz(C)</th><th>autotune wins</th></tr>\n",
-    );
+    let head = [
+        left("plan"),
+        cell("count"),
+        cell("ops"),
+        cell("nnz(C)"),
+        cell("autotune wins"),
+    ];
+    let mut t = Table::new(out, "", &head);
     for m in &p.plan_mix {
-        let _ = writeln!(
-            out,
-            "<tr><td class=\"l\">{}</td><td>{}</td><td>{}</td><td>{}</td><td>{}</td></tr>",
-            esc_html(&m.plan),
-            m.count,
-            m.ops,
-            m.nnz_c,
-            m.autotune_wins
+        t.row(
+            &[],
+            &[
+                left(esc_html(&m.plan)),
+                cell(m.count),
+                cell(m.ops),
+                cell(m.nnz_c),
+                cell(m.autotune_wins),
+            ],
         );
     }
-    out.push_str("</table>\n");
+    t.end();
 }
 
 fn faults_table(out: &mut String, p: &Profile) {
@@ -225,31 +325,23 @@ fn faults_table(out: &mut String, p: &Profile) {
         "<p class=\"kv\">modeled seconds of discarded work: {}</p>",
         num(p.wasted_s)
     );
-    out.push_str("<table><tr><th class=\"l\">fault kind</th><th>count</th></tr>\n");
+    let mut t = Table::new(out, "", &[left("fault kind"), cell("count")]);
     for f in &p.faults {
-        let _ = writeln!(
-            out,
-            "<tr><td class=\"l\">{}</td><td>{}</td></tr>",
-            esc_html(&f.kind),
-            f.count
-        );
+        t.row(&[], &[left(esc_html(&f.kind)), cell(f.count)]);
     }
-    out.push_str("</table>\n");
+    t.end();
     if !p.recoveries.is_empty() {
-        out.push_str(
-            "<table style=\"margin-top:0.6em\"><tr><th class=\"l\">recovery action</th>\
-             <th>count</th><th>wasted s</th></tr>\n",
-        );
+        let head = [left("recovery action"), cell("count"), cell("wasted s")];
+        let mut t = Table::new(out, " style=\"margin-top:0.6em\"", &head);
         for r in &p.recoveries {
-            let _ = writeln!(
-                out,
-                "<tr><td class=\"l\">{}</td><td>{}</td><td>{}</td></tr>",
-                esc_html(&r.action),
-                r.count,
-                num(r.wasted_s)
-            );
+            let row = [
+                left(esc_html(&r.action)),
+                cell(r.count),
+                cell(num(r.wasted_s)),
+            ];
+            t.row(&[], &row);
         }
-        out.push_str("</table>\n");
+        t.end();
     }
 }
 
@@ -258,20 +350,23 @@ fn pool_table(out: &mut String, p: &Profile) {
         return;
     }
     let _ = writeln!(out, "<h2>Shared-memory pool</h2>");
-    out.push_str(
-        "<table><tr><th class=\"l\">kernel</th><th>calls</th><th>tasks</th><th>busy &micro;s</th></tr>\n",
-    );
+    let head = [
+        left("kernel"),
+        cell("calls"),
+        cell("tasks"),
+        cell("busy &micro;s"),
+    ];
+    let mut t = Table::new(out, "", &head);
     for w in &p.pool {
-        let _ = writeln!(
-            out,
-            "<tr><td class=\"l\">{}</td><td>{}</td><td>{}</td><td>{}</td></tr>",
-            esc_html(&w.kernel),
-            w.calls,
-            w.tasks,
-            w.busy_us
-        );
+        let row = [
+            left(esc_html(&w.kernel)),
+            cell(w.calls),
+            cell(w.tasks),
+            cell(w.busy_us),
+        ];
+        t.row(&[], &row);
     }
-    out.push_str("</table>\n");
+    t.end();
 }
 
 /// Renders the whole report as one self-contained HTML document.
@@ -337,7 +432,8 @@ pub fn parse_rank_rows(html: &str) -> Vec<(usize, f64, f64, u64)> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::profiler::{RankProfile, SuperstepProfile};
+    use crate::profiler::RankProfile;
+    use mfbc_trace::StepTotals;
 
     fn sample() -> Profile {
         Profile {
@@ -362,7 +458,7 @@ mod tests {
                     peak_bytes: 40,
                 },
             ],
-            supersteps: vec![SuperstepProfile {
+            supersteps: vec![StepTotals {
                 phase: "forward".into(),
                 batch: 0,
                 step: 0,
@@ -371,6 +467,7 @@ mod tests {
                 comm_s: 0.01,
                 collectives: 2,
                 spgemm_ops: 99,
+                plans: Vec::new(),
             }],
             ..Profile::default()
         }
@@ -402,7 +499,7 @@ mod tests {
     #[test]
     fn plan_labels_are_html_escaped() {
         let mut p = sample();
-        p.plan_mix.push(crate::profiler::PlanMixEntry {
+        p.plan_mix.push(mfbc_trace::PlanMixEntry {
             plan: "cannon(q=4)<&>".into(),
             count: 1,
             ops: 2,

@@ -13,11 +13,14 @@
 //!   per-rank utilization bars and a superstep timeline — no scripts,
 //!   no external assets.
 //!
-//! The [`Profiler`] is a streaming [`mfbc_trace::Recorder`]: install
-//! it (alone, or beside a `MemoryRecorder`: every installed sink sees
-//! every event), run, then call [`Profiler::finish`] with the machine
-//! to seal the per-rank meters and memory high-water marks into a
-//! [`Profile`].
+//! A [`Profile`] is a projection ([`Profile::of`]) of the run's one
+//! stream fold, [`mfbc_trace::Summary`], plus the machine it finished
+//! on, whose per-rank meters and memory high-water marks it seals in;
+//! [`mirror`] writes both into a [`MetricsRegistry`] in one pass at
+//! the end of the run. A run that installs `mfbc-timeline`'s builder
+//! projects the fold its timeline carries; the [`Profiler`] is the
+//! recorder for runs without one — a [`mfbc_trace::Summary`] behind a
+//! lock, projected and mirrored by [`Profiler::finish`].
 //!
 //! [`baseline`] holds the committed-benchmark format and the
 //! comparison policy behind `mfbc-cli bench`: deterministic modeled
@@ -42,8 +45,9 @@ pub use baseline::{Baseline, BaselineCase, Case, Finding, Severity};
 /// The workspace's one JSON module lives in `mfbc-trace`; this path is
 /// kept because the `benchmark/` package names it.
 pub use mfbc_trace::json as jsonio;
+pub use mfbc_trace::{PlanMixEntry, StepTotals};
 pub use profiler::{
-    AutotuneProfile, CollectiveProfile, CriticalProfile, PlanMixEntry, PoolProfile, Profile,
-    Profiler, RankProfile, RecoveryProfile, SuperstepProfile,
+    mirror, AutotuneProfile, CollectiveProfile, CriticalProfile, PoolProfile, Profile, Profiler,
+    RankProfile, RecoveryProfile,
 };
 pub use registry::{MetricKind, MetricsRegistry};

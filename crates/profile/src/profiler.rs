@@ -1,21 +1,24 @@
-//! The [`Profiler`]: a [`Recorder`] sink that aggregates the trace
-//! stream into a [`Profile`] — per-rank and per-superstep breakdowns,
-//! plan mix, collective shares, and fault/recovery waste.
+//! The [`Profile`]: a projection of the run's one stream fold,
+//! [`mfbc_trace::Summary`], plus the machine it finished on —
+//! per-rank and per-superstep breakdowns, plan mix, collective
+//! shares, and fault/recovery waste ([`Profile::of`]). [`mirror`]
+//! writes the fold and the profile into a [`MetricsRegistry`] for
+//! Prometheus export, in one pass at the end of the run.
 //!
-//! The profiler is streaming: it keeps O(kinds + supersteps) state,
-//! never the raw event log, so it can ride along any run that the
-//! `MemoryRecorder` would be too heavy for. It also mirrors its
-//! aggregates into a [`MetricsRegistry`] for Prometheus export.
+//! The [`Profiler`] is the thinnest recorder that yields a profile:
+//! a [`Summary`] behind a lock, projected and mirrored at
+//! [`Profiler::finish`]. A run that installs a timeline builder reads
+//! the same fold from the timeline instead.
 
-use std::collections::BTreeMap;
 use std::sync::{Arc, Mutex};
 
 use mfbc_machine::Machine;
 use mfbc_trace::json::Version;
-use mfbc_trace::{row, FaultCount, Recorder, Summary, TraceEvent};
+use mfbc_trace::{row, FaultCount, PlanMixEntry, Recorder, StepTotals, Summary, TraceEvent};
 
 use crate::export::PROFILE_JSON_VERSION;
-use crate::registry::{MetricKind, MetricsRegistry};
+use crate::registry::MetricKind::{self, Counter, Gauge, Histogram};
+use crate::registry::MetricsRegistry;
 
 /// Aggregate over one collective kind.
 #[derive(Clone, Debug, Default, PartialEq)]
@@ -42,61 +45,6 @@ row! { CollectiveProfile {
     "msgs" => msgs,
     "bytes" => bytes,
     "share" => share,
-} }
-
-/// Aggregate over one SpGEMM plan label.
-#[derive(Clone, Debug, Default, PartialEq)]
-pub struct PlanMixEntry {
-    /// Plan label (e.g. `1d(A)`, `cannon(q=4)`).
-    pub plan: String,
-    /// Kernel invocations that used this plan.
-    pub count: u64,
-    /// Summed useful multiply–add operations.
-    pub ops: u64,
-    /// Summed output nonzeros.
-    pub nnz_c: u64,
-    /// Times the autotuner picked this plan as winner.
-    pub autotune_wins: u64,
-}
-
-row! { PlanMixEntry {
-    "plan" => plan,
-    "count" => count,
-    "ops" => ops,
-    "nnz_c" => nnz_c,
-    "autotune_wins" => autotune_wins,
-} }
-
-/// One MFBC superstep with the communication attributed to it.
-#[derive(Clone, Debug, Default, PartialEq)]
-pub struct SuperstepProfile {
-    /// `forward` or `backward`.
-    pub phase: String,
-    /// Source-batch index.
-    pub batch: usize,
-    /// Iteration within the phase.
-    pub step: usize,
-    /// Frontier nonzeros at the start of the step.
-    pub frontier_nnz: u64,
-    /// Active frontier rows at the start of the step.
-    pub active_rows: u64,
-    /// Modeled seconds of collectives attributed to this step.
-    pub comm_s: f64,
-    /// Collectives attributed to this step.
-    pub collectives: u64,
-    /// SpGEMM operations attributed to this step.
-    pub spgemm_ops: u64,
-}
-
-row! { SuperstepProfile {
-    "phase" => phase,
-    "batch" => batch,
-    "step" => step,
-    "frontier_nnz" => frontier_nnz,
-    "active_rows" => active_rows,
-    "comm_s" => comm_s,
-    "collectives" => collectives,
-    "spgemm_ops" => spgemm_ops,
 } }
 
 /// Aggregate over one recovery action kind.
@@ -136,8 +84,8 @@ row! { PoolProfile {
     "busy_us" => busy_us,
 } }
 
-/// Per-rank modeled costs and memory, pulled from the [`Machine`] at
-/// [`Profiler::finish`] time.
+/// Per-rank modeled costs and memory, pulled from the [`Machine`] by
+/// [`Profile::of`].
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct RankProfile {
     /// Rank id.
@@ -232,7 +180,7 @@ pub struct Profile {
     /// Per-collective-kind aggregates, sorted by kind.
     pub collectives: Vec<CollectiveProfile>,
     /// Supersteps in emission order.
-    pub supersteps: Vec<SuperstepProfile>,
+    pub supersteps: Vec<StepTotals>,
     /// SpGEMM plan mix, sorted by plan label.
     pub plan_mix: Vec<PlanMixEntry>,
     /// Fault counts by kind, sorted by kind.
@@ -275,75 +223,19 @@ impl Profile {
     pub fn max_peak_bytes(&self) -> u64 {
         self.ranks.iter().map(|r| r.peak_bytes).max().unwrap_or(0)
     }
-}
 
-#[derive(Debug, Default)]
-struct PlanAgg {
-    count: u64,
-    ops: u64,
-    nnz_c: u64,
-    wins: u64,
-}
-
-/// The per-kind, pool, fault and recovery totals are `mfbc-trace`'s
-/// [`Summary`] fold; the rest is what only a profile attributes.
-#[derive(Debug, Default)]
-struct State {
-    events: u64,
-    summary: Summary,
-    setup_comm_s: f64,
-    supersteps: Vec<SuperstepProfile>,
-    plan_mix: BTreeMap<String, PlanAgg>,
-    autotune: AutotuneProfile,
-}
-
-/// A [`Recorder`] that aggregates trace events into a [`Profile`].
-#[derive(Debug)]
-pub struct Profiler {
-    registry: Arc<MetricsRegistry>,
-    state: Mutex<State>,
-}
-
-impl Default for Profiler {
-    fn default() -> Profiler {
-        Profiler::new()
-    }
-}
-
-impl Profiler {
-    /// A fresh profiler with its own registry.
-    pub fn new() -> Profiler {
-        Profiler::with_registry(Arc::new(MetricsRegistry::new()))
-    }
-
-    /// A profiler writing into a caller-supplied registry (so several
-    /// instruments can share one Prometheus exposition).
-    pub fn with_registry(registry: Arc<MetricsRegistry>) -> Profiler {
-        declare_metrics(&registry);
-        Profiler {
-            registry,
-            state: Mutex::new(State::default()),
-        }
-    }
-
-    /// The registry this profiler mirrors its aggregates into.
-    pub fn registry(&self) -> &Arc<MetricsRegistry> {
-        &self.registry
-    }
-
-    /// Seals the stream aggregates with the machine's per-rank meters
-    /// and memory high-water marks, producing the final [`Profile`].
+    /// The profile of a run: the fold's stream aggregates sealed with
+    /// the machine's per-rank meters and memory high-water marks.
     ///
     /// Per-rank numbers come from the machine meters, which are
     /// authoritative (the timeline analyzer independently rebuilds
     /// them from the rank-attributed trace events and cross-checks
     /// against these); pass the machine the run actually finished on —
     /// after a crash-shrink that is the shrunk machine.
-    pub fn finish(&self, machine: &Machine) -> Profile {
+    pub fn of(summary: &Summary, machine: &Machine) -> Profile {
         let costs = machine.rank_costs();
         let snap = machine.memory_snapshot();
         let report = machine.report();
-        let state = self.state.lock().expect("profiler state lock");
 
         let ranks: Vec<RankProfile> = costs
             .iter()
@@ -368,7 +260,7 @@ impl Profiler {
         };
         let imbalance = if mean_t > 0.0 { max_t / mean_t } else { 0.0 };
 
-        let kinds = state.summary.kinds();
+        let kinds = summary.kinds();
         let coll_total: f64 = kinds.iter().map(|k| k.modeled_s).sum();
         let collectives: Vec<CollectiveProfile> = kinds
             .into_iter()
@@ -386,19 +278,7 @@ impl Profiler {
             })
             .collect();
 
-        let plan_mix: Vec<PlanMixEntry> = state
-            .plan_mix
-            .iter()
-            .map(|(plan, a)| PlanMixEntry {
-                plan: plan.clone(),
-                count: a.count,
-                ops: a.ops,
-                nnz_c: a.nnz_c,
-                autotune_wins: a.wins,
-            })
-            .collect();
-
-        let recovery = state.summary.recovery();
+        let recovery = summary.recovery();
         let recoveries: Vec<RecoveryProfile> = recovery
             .actions
             .into_iter()
@@ -410,8 +290,7 @@ impl Profiler {
             .collect();
         let wasted_s = recoveries.iter().map(|r| r.wasted_s).sum();
 
-        let pool: Vec<PoolProfile> = state
-            .summary
+        let pool: Vec<PoolProfile> = summary
             .pool()
             .into_iter()
             .map(|k| PoolProfile {
@@ -422,49 +301,26 @@ impl Profiler {
             })
             .collect();
 
-        for r in &ranks {
-            let rank = r.rank.to_string();
-            let l = [("rank", rank.as_str())];
-            self.registry
-                .gauge_set("mfbc_rank_comm_seconds", &l, r.comm_s);
-            self.registry
-                .gauge_set("mfbc_rank_comp_seconds", &l, r.comp_s);
-            self.registry.gauge_set("mfbc_rank_msgs", &l, r.msgs as f64);
-            self.registry
-                .gauge_set("mfbc_rank_bytes", &l, r.bytes as f64);
-            self.registry
-                .gauge_set("mfbc_rank_resident_bytes", &l, r.resident_bytes as f64);
-            self.registry
-                .gauge_set("mfbc_rank_peak_bytes", &l, r.peak_bytes as f64);
-        }
-        self.registry
-            .gauge_set("mfbc_ranks", &[], ranks.len() as f64);
-        self.registry
-            .gauge_set("mfbc_load_imbalance", &[], imbalance);
-        self.registry
-            .gauge_set("mfbc_critical_comm_seconds", &[], report.critical.comm_time);
-        self.registry
-            .gauge_set("mfbc_critical_comp_seconds", &[], report.critical.comp_time);
-        self.registry
-            .gauge_set("mfbc_total_ops", &[], report.total_ops as f64);
-
         Profile {
             version: Version,
             p: ranks.len(),
-            events: state.events,
+            events: summary.events,
             imbalance,
             critical: CriticalProfile {
                 comm_s: report.critical.comm_time,
                 comp_s: report.critical.comp_time,
                 total_ops: report.total_ops,
             },
-            setup_comm_s: state.setup_comm_s,
+            setup_comm_s: summary.setup_comm_s,
             wasted_s,
-            autotune: state.autotune.clone(),
+            autotune: AutotuneProfile {
+                decisions: summary.autotune_decisions,
+                infeasible: summary.autotune_infeasible,
+            },
             ranks,
             collectives,
-            supersteps: state.supersteps.clone(),
-            plan_mix,
+            supersteps: summary.supersteps.clone(),
+            plan_mix: summary.plans.values().cloned().collect(),
             faults: recovery.faults,
             recoveries,
             pool,
@@ -472,252 +328,154 @@ impl Profiler {
     }
 }
 
-fn declare_metrics(r: &MetricsRegistry) {
-    r.declare(
-        "mfbc_trace_events_total",
-        MetricKind::Counter,
-        "Trace events consumed by the profiler",
-    );
-    r.declare(
-        "mfbc_collectives_total",
-        MetricKind::Counter,
-        "Collective invocations by kind",
-    );
-    r.declare(
-        "mfbc_collective_modeled_seconds_total",
-        MetricKind::Counter,
-        "Summed modeled collective seconds by kind",
-    );
-    r.declare(
-        "mfbc_collective_payload_bytes",
-        MetricKind::Histogram,
-        "Per-invocation collective payload bytes",
-    );
-    r.declare(
-        "mfbc_spgemm_total",
-        MetricKind::Counter,
-        "SpGEMM kernel invocations by plan",
-    );
-    r.declare(
-        "mfbc_spgemm_ops_total",
-        MetricKind::Counter,
-        "Useful multiply-add operations by plan",
-    );
-    r.declare(
-        "mfbc_frontier_nnz",
-        MetricKind::Histogram,
-        "Frontier nonzeros at each superstep",
-    );
-    r.declare(
-        "mfbc_supersteps_total",
-        MetricKind::Counter,
-        "Supersteps by phase",
-    );
-    r.declare(
-        "mfbc_redist_bytes_total",
-        MetricKind::Counter,
-        "Bytes moved by tensor redistributions, by what moved",
-    );
-    r.declare(
-        "mfbc_autotune_total",
-        MetricKind::Counter,
-        "Autotune decisions",
-    );
-    r.declare(
-        "mfbc_autotune_wins_total",
-        MetricKind::Counter,
-        "Autotune wins by plan",
-    );
-    r.declare("mfbc_faults_total", MetricKind::Counter, "Faults by kind");
-    r.declare(
-        "mfbc_recovery_total",
-        MetricKind::Counter,
-        "Recovery actions by action",
-    );
-    r.declare(
-        "mfbc_recovery_wasted_seconds_total",
-        MetricKind::Counter,
-        "Modeled seconds of work discarded by recoveries",
-    );
-    r.declare(
-        "mfbc_pool_tasks_total",
-        MetricKind::Counter,
-        "Thread-pool chunks executed by kernel",
-    );
-    r.declare(
-        "mfbc_pool_busy_microseconds_total",
-        MetricKind::Counter,
-        "Thread-pool busy microseconds by kernel",
-    );
-    r.declare(
-        "mfbc_counter_total",
-        MetricKind::Counter,
-        "Accumulated TraceEvent::Counter samples by name",
-    );
-    r.declare(
-        "mfbc_rank_comm_seconds",
-        MetricKind::Gauge,
-        "Modeled communication seconds by rank",
-    );
-    r.declare(
-        "mfbc_rank_comp_seconds",
-        MetricKind::Gauge,
-        "Modeled computation seconds by rank",
-    );
-    r.declare(
-        "mfbc_rank_msgs",
-        MetricKind::Gauge,
-        "Critical-path messages by rank",
-    );
-    r.declare(
-        "mfbc_rank_bytes",
-        MetricKind::Gauge,
-        "Critical-path bytes by rank",
-    );
-    r.declare(
-        "mfbc_rank_resident_bytes",
-        MetricKind::Gauge,
-        "Resident bytes by rank at finish",
-    );
-    r.declare(
-        "mfbc_rank_peak_bytes",
-        MetricKind::Gauge,
-        "Memory high-water mark by rank",
-    );
-    r.declare("mfbc_ranks", MetricKind::Gauge, "Ranks in the machine");
-    r.declare(
-        "mfbc_load_imbalance",
-        MetricKind::Gauge,
-        "Max over mean of per-rank modeled total seconds",
-    );
-    r.declare(
-        "mfbc_critical_comm_seconds",
-        MetricKind::Gauge,
-        "Critical-path modeled communication seconds",
-    );
-    r.declare(
-        "mfbc_critical_comp_seconds",
-        MetricKind::Gauge,
-        "Critical-path modeled computation seconds",
-    );
-    r.declare(
-        "mfbc_total_ops",
-        MetricKind::Gauge,
-        "Total useful operations",
-    );
+/// Writes a run's metrics into `r`: every family declared, counters
+/// and histograms from the fold, gauges from the profile. A sample
+/// exists only for what the stream held, and each counter or histogram
+/// sum is the fold's own, so its additions are the stream's, in stream
+/// order.
+pub fn mirror(r: &MetricsRegistry, summary: &Summary, profile: &Profile) {
+    for &(name, kind, help) in FAMILIES {
+        r.declare(name, kind, help);
+    }
+    if summary.events > 0 {
+        r.counter_add("mfbc_trace_events_total", &[], summary.events as f64);
+    }
+    for k in summary.kinds() {
+        let l = [("kind", k.kind.as_str())];
+        r.counter_add("mfbc_collectives_total", &l, k.count as f64);
+        r.counter_add("mfbc_collective_modeled_seconds_total", &l, k.modeled_s);
+    }
+    for &bytes in &summary.payload_bytes {
+        r.observe("mfbc_collective_payload_bytes", &[], bytes as f64);
+    }
+    for m in summary.plans.values() {
+        let l = [("plan", m.plan.as_str())];
+        if m.count > 0 {
+            r.counter_add("mfbc_spgemm_total", &l, m.count as f64);
+            r.counter_add("mfbc_spgemm_ops_total", &l, m.ops as f64);
+        }
+        if m.autotune_wins > 0 {
+            r.counter_add("mfbc_autotune_wins_total", &l, m.autotune_wins as f64);
+        }
+    }
+    if summary.autotune_decisions > 0 {
+        let decisions = summary.autotune_decisions as f64;
+        r.counter_add("mfbc_autotune_total", &[], decisions);
+    }
+    for s in &summary.supersteps {
+        r.counter_add("mfbc_supersteps_total", &[("phase", &s.phase)], 1.0);
+        r.observe("mfbc_frontier_nnz", &[], s.frontier_nnz as f64);
+    }
+    for (what, &bytes) in &summary.redist_bytes {
+        r.counter_add("mfbc_redist_bytes_total", &[("what", what)], bytes as f64);
+    }
+    for w in summary.pool() {
+        let l = [("kernel", w.kernel.as_str())];
+        r.counter_add("mfbc_pool_tasks_total", &l, w.tasks as f64);
+        r.counter_add("mfbc_pool_busy_microseconds_total", &l, w.busy_us as f64);
+    }
+    for f in &profile.faults {
+        r.counter_add("mfbc_faults_total", &[("kind", &f.kind)], f.count as f64);
+    }
+    for a in &profile.recoveries {
+        r.counter_add(
+            "mfbc_recovery_total",
+            &[("action", &a.action)],
+            a.count as f64,
+        );
+    }
+    if !profile.recoveries.is_empty() {
+        let wasted_s = summary.recovery_wasted_s;
+        r.counter_add("mfbc_recovery_wasted_seconds_total", &[], wasted_s);
+    }
+    for (name, &value) in &summary.counters {
+        r.counter_add("mfbc_counter_total", &[("name", name)], value);
+    }
+    for rank in &profile.ranks {
+        let label = rank.rank.to_string();
+        let l = [("rank", label.as_str())];
+        r.gauge_set("mfbc_rank_comm_seconds", &l, rank.comm_s);
+        r.gauge_set("mfbc_rank_comp_seconds", &l, rank.comp_s);
+        r.gauge_set("mfbc_rank_msgs", &l, rank.msgs as f64);
+        r.gauge_set("mfbc_rank_bytes", &l, rank.bytes as f64);
+        r.gauge_set("mfbc_rank_resident_bytes", &l, rank.resident_bytes as f64);
+        r.gauge_set("mfbc_rank_peak_bytes", &l, rank.peak_bytes as f64);
+    }
+    r.gauge_set("mfbc_ranks", &[], profile.p as f64);
+    r.gauge_set("mfbc_load_imbalance", &[], profile.imbalance);
+    let critical = &profile.critical;
+    r.gauge_set("mfbc_critical_comm_seconds", &[], critical.comm_s);
+    r.gauge_set("mfbc_critical_comp_seconds", &[], critical.comp_s);
+    r.gauge_set("mfbc_total_ops", &[], critical.total_ops as f64);
 }
+
+/// A [`Recorder`] that folds the stream into a [`Summary`] and
+/// projects it into a [`Profile`] at [`Profiler::finish`].
+#[derive(Debug, Default)]
+pub struct Profiler {
+    registry: Arc<MetricsRegistry>,
+    summary: Mutex<Summary>,
+}
+
+impl Profiler {
+    /// A fresh profiler with its own registry.
+    pub fn new() -> Profiler {
+        Profiler::default()
+    }
+
+    /// The registry [`Profiler::finish`] mirrors the run into.
+    pub fn registry(&self) -> &Arc<MetricsRegistry> {
+        &self.registry
+    }
+
+    /// The [`Profile`] of the events so far against `machine` (see
+    /// [`Profile::of`]); rewrites the registry with its [`mirror`], so
+    /// finishing twice renders the same text.
+    pub fn finish(&self, machine: &Machine) -> Profile {
+        let summary = self.summary.lock().expect("profiler fold lock");
+        let profile = Profile::of(&summary, machine);
+        self.registry.clear();
+        mirror(&self.registry, &summary, &profile);
+        profile
+    }
+}
+
+/// Every family [`mirror`] writes: name, kind, help text.
+#[rustfmt::skip]
+const FAMILIES: &[(&str, MetricKind, &str)] = &[
+    ("mfbc_trace_events_total", Counter, "Trace events consumed by the profiler"),
+    ("mfbc_collectives_total", Counter, "Collective invocations by kind"),
+    ("mfbc_collective_modeled_seconds_total", Counter, "Summed modeled collective seconds by kind"),
+    ("mfbc_collective_payload_bytes", Histogram, "Per-invocation collective payload bytes"),
+    ("mfbc_spgemm_total", Counter, "SpGEMM kernel invocations by plan"),
+    ("mfbc_spgemm_ops_total", Counter, "Useful multiply-add operations by plan"),
+    ("mfbc_frontier_nnz", Histogram, "Frontier nonzeros at each superstep"),
+    ("mfbc_supersteps_total", Counter, "Supersteps by phase"),
+    ("mfbc_redist_bytes_total", Counter, "Bytes moved by tensor redistributions, by what moved"),
+    ("mfbc_autotune_total", Counter, "Autotune decisions"),
+    ("mfbc_autotune_wins_total", Counter, "Autotune wins by plan"),
+    ("mfbc_faults_total", Counter, "Faults by kind"),
+    ("mfbc_recovery_total", Counter, "Recovery actions by action"),
+    ("mfbc_recovery_wasted_seconds_total", Counter, "Modeled seconds of work discarded by recoveries"),
+    ("mfbc_pool_tasks_total", Counter, "Thread-pool chunks executed by kernel"),
+    ("mfbc_pool_busy_microseconds_total", Counter, "Thread-pool busy microseconds by kernel"),
+    ("mfbc_counter_total", Counter, "Accumulated TraceEvent::Counter samples by name"),
+    ("mfbc_rank_comm_seconds", Gauge, "Modeled communication seconds by rank"),
+    ("mfbc_rank_comp_seconds", Gauge, "Modeled computation seconds by rank"),
+    ("mfbc_rank_msgs", Gauge, "Critical-path messages by rank"),
+    ("mfbc_rank_bytes", Gauge, "Critical-path bytes by rank"),
+    ("mfbc_rank_resident_bytes", Gauge, "Resident bytes by rank at finish"),
+    ("mfbc_rank_peak_bytes", Gauge, "Memory high-water mark by rank"),
+    ("mfbc_ranks", Gauge, "Ranks in the machine"),
+    ("mfbc_load_imbalance", Gauge, "Max over mean of per-rank modeled total seconds"),
+    ("mfbc_critical_comm_seconds", Gauge, "Critical-path modeled communication seconds"),
+    ("mfbc_critical_comp_seconds", Gauge, "Critical-path modeled computation seconds"),
+    ("mfbc_total_ops", Gauge, "Total useful operations"),
+];
 
 impl Recorder for Profiler {
     fn record(&self, event: TraceEvent) {
-        let reg = &self.registry;
-        let mut st = self.state.lock().expect("profiler state lock");
-        st.events += 1;
-        reg.counter_add("mfbc_trace_events_total", &[], 1.0);
-        st.summary.observe(&event);
-        // Nonblocking collectives carry their full cost on the issue
-        // event; the superstep attribution happens at issue so
-        // overlapped and blocking runs bucket identically.
-        if let Some(c) = event.collective() {
-            match st.supersteps.last_mut() {
-                Some(step) => {
-                    step.comm_s += c.modeled_s;
-                    step.collectives += 1;
-                }
-                None => st.setup_comm_s += c.modeled_s,
-            }
-            let l = [("kind", c.kind)];
-            reg.counter_add("mfbc_collectives_total", &l, 1.0);
-            reg.counter_add("mfbc_collective_modeled_seconds_total", &l, c.modeled_s);
-            reg.observe("mfbc_collective_payload_bytes", &[], c.bytes as f64);
-            return;
-        }
-        match event {
-            TraceEvent::Spgemm {
-                plan, ops, nnz_c, ..
-            } => {
-                let agg = st.plan_mix.entry(plan.clone()).or_default();
-                agg.count += 1;
-                agg.ops += ops;
-                agg.nnz_c += nnz_c;
-                if let Some(step) = st.supersteps.last_mut() {
-                    step.spgemm_ops += ops;
-                }
-                let l = [("plan", plan.as_str())];
-                reg.counter_add("mfbc_spgemm_total", &l, 1.0);
-                reg.counter_add("mfbc_spgemm_ops_total", &l, ops as f64);
-            }
-            TraceEvent::Redist {
-                what, bytes_moved, ..
-            } => {
-                reg.counter_add(
-                    "mfbc_redist_bytes_total",
-                    &[("what", what)],
-                    bytes_moved as f64,
-                );
-            }
-            TraceEvent::Autotune {
-                candidates, winner, ..
-            } => {
-                st.autotune.decisions += 1;
-                st.autotune.infeasible += candidates.iter().filter(|c| !c.feasible).count() as u64;
-                st.plan_mix.entry(winner.clone()).or_default().wins += 1;
-                reg.counter_add("mfbc_autotune_total", &[], 1.0);
-                reg.counter_add(
-                    "mfbc_autotune_wins_total",
-                    &[("plan", winner.as_str())],
-                    1.0,
-                );
-            }
-            TraceEvent::Superstep {
-                phase,
-                batch,
-                step,
-                frontier_nnz,
-                active_rows,
-            } => {
-                st.supersteps.push(SuperstepProfile {
-                    phase: phase.to_string(),
-                    batch,
-                    step,
-                    frontier_nnz,
-                    active_rows,
-                    comm_s: 0.0,
-                    collectives: 0,
-                    spgemm_ops: 0,
-                });
-                reg.counter_add("mfbc_supersteps_total", &[("phase", phase)], 1.0);
-                reg.observe("mfbc_frontier_nnz", &[], frontier_nnz as f64);
-            }
-            TraceEvent::Pool {
-                kernel,
-                tasks,
-                busy_us,
-                ..
-            } => {
-                let busy: u64 = busy_us.iter().sum();
-                let l = [("kernel", kernel)];
-                reg.counter_add("mfbc_pool_tasks_total", &l, tasks as f64);
-                reg.counter_add("mfbc_pool_busy_microseconds_total", &l, busy as f64);
-            }
-            TraceEvent::Fault { kind, .. } => {
-                reg.counter_add("mfbc_faults_total", &[("kind", kind)], 1.0);
-            }
-            TraceEvent::Recovery {
-                action, wasted_s, ..
-            } => {
-                reg.counter_add("mfbc_recovery_total", &[("action", action)], 1.0);
-                reg.counter_add("mfbc_recovery_wasted_seconds_total", &[], wasted_s);
-            }
-            TraceEvent::Counter { name, value } => {
-                reg.counter_add("mfbc_counter_total", &[("name", name)], value);
-            }
-            // Everything else is counted in `events` and otherwise
-            // ignored. Per-rank compute/backoff/shrink attribution is
-            // the timeline analyzer's domain (the profiler's per-rank
-            // numbers are sealed from the machine meters in `finish`);
-            // the serve engine's decisions are counted by its own
-            // registry and kept in its flight recorder.
-            _ => {}
-        }
+        let mut summary = self.summary.lock().expect("profiler fold lock");
+        summary.observe(&event);
     }
 }

@@ -267,6 +267,14 @@ impl MetricsRegistry {
         });
     }
 
+    /// Drops every sample, keeping the declared families.
+    pub fn clear(&self) {
+        let mut fams = self.families.lock().expect("metrics registry lock");
+        for fam in fams.values_mut() {
+            fam.samples.clear();
+        }
+    }
+
     /// Copies out every family, ordered by name, samples ordered by
     /// label set — the deterministic view the exporters render.
     pub fn snapshot(&self) -> Vec<FamilySnapshot> {

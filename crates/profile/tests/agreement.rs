@@ -270,3 +270,26 @@ fn peaks_in_profile_bound_machine_snapshots() {
     assert_eq!(profile.ranks[0].resident_bytes, 10);
     assert_eq!(profile.max_peak_bytes(), 1000);
 }
+
+/// `finish` rewrites the registry from the fold rather than adding to
+/// it: finishing twice renders the same documents.
+#[test]
+fn finishing_twice_renders_the_same_text() {
+    let machine = Machine::new(MachineSpec::test(4));
+    let profiler = Arc::new(Profiler::new());
+    scoped(profiler.clone(), || drive(&machine));
+    let finish = || {
+        let profile = profiler.finish(&machine);
+        (
+            export::profile_to_json(&profile),
+            prometheus::render(profiler.registry()),
+        )
+    };
+    let first = finish();
+    assert!(
+        first.1.contains("mfbc_trace_events_total 7.0"),
+        "{}",
+        first.1
+    );
+    assert_eq!(finish(), first);
+}

@@ -23,7 +23,7 @@
 //! against the live machine to prove the trace is complete.
 
 use mfbc_machine::{CollectiveKind, Machine, MachineSpec, RankCost};
-use mfbc_trace::{row, CollectiveCharge, Recorder, TraceEvent, TraceRecord};
+use mfbc_trace::{row, CollectiveCharge, Recorder, Summary, TraceEvent, TraceRecord};
 use std::sync::Mutex;
 
 /// What a timeline segment spent its modeled time on.
@@ -97,8 +97,9 @@ pub struct Node {
     /// its own position), `None` for compute/backoff. What-if replays
     /// recompute issue clocks at this anchor under edited durations.
     pub issue_at: Option<usize>,
-    /// Index into [`Timeline::supersteps`] this segment belongs to,
-    /// `None` for work before the first superstep marker (setup).
+    /// Index into the fold's `supersteps` ([`Timeline::summary`]) of
+    /// the superstep this segment belongs to, `None` for work before
+    /// the first superstep marker (setup).
     pub superstep: Option<usize>,
 }
 
@@ -133,21 +134,6 @@ pub struct Lane {
     pub alive: bool,
     /// Indices into [`Timeline::nodes`], ascending.
     pub node_ids: Vec<usize>,
-}
-
-/// One superstep marker with its plan provenance.
-#[derive(Clone, Debug, PartialEq)]
-pub struct StepInfo {
-    /// `forward` or `backward` (or `setup` is represented by
-    /// `superstep == None` on nodes, not by a StepInfo).
-    pub phase: String,
-    /// Source-batch index.
-    pub batch: usize,
-    /// Iteration within the phase.
-    pub step: usize,
-    /// SpGEMM plan labels observed during the superstep, deduplicated
-    /// in first-seen order.
-    pub plans: Vec<String>,
 }
 
 /// A point-in-time annotation that carries no modeled duration:
@@ -219,8 +205,10 @@ pub struct Timeline {
     /// One lane per rank slot of the *initial* machine; shrunk ranks
     /// stay as dead lanes.
     pub lanes: Vec<Lane>,
-    /// Superstep markers in stream order.
-    pub supersteps: Vec<StepInfo>,
+    /// The run's stream fold: every event, including those the replay
+    /// dropped. Its `supersteps` are the superstep markers with their
+    /// plans, in stream order.
+    pub summary: Summary,
     /// Serve rounds in stream order (empty for one-shot runs).
     pub rounds: Vec<RoundInfo>,
     /// Zero-duration annotations in stream order.
@@ -367,10 +355,9 @@ struct BuildState {
     synced_node: Vec<Option<usize>>,
     /// In-flight nonblocking collectives keyed by machine handle.
     pending: std::collections::BTreeMap<u64, PendingColl>,
-    supersteps: Vec<StepInfo>,
+    summary: Summary,
     rounds: Vec<RoundInfo>,
     markers: Vec<Marker>,
-    current_step: Option<usize>,
     current_round: Option<usize>,
     dropped: u64,
     total_ops: u64,
@@ -394,10 +381,9 @@ impl BuildState {
             synced: vec![0.0; p],
             synced_node: vec![None; p],
             pending: std::collections::BTreeMap::new(),
-            supersteps: Vec::new(),
+            summary: Summary::default(),
             rounds: Vec::new(),
             markers: Vec::new(),
-            current_step: None,
             current_round: None,
             dropped: 0,
             total_ops: 0,
@@ -409,12 +395,17 @@ impl BuildState {
             spec,
             nodes: self.nodes,
             lanes: self.lanes,
-            supersteps: self.supersteps,
+            summary: self.summary,
             rounds: self.rounds,
             markers: self.markers,
             dropped: self.dropped,
             total_ops: self.total_ops,
         }
+    }
+
+    /// The superstep new segments belong to: the fold's latest marker.
+    fn current_step(&self) -> Option<usize> {
+        self.summary.supersteps.len().checked_sub(1)
     }
 
     /// Max alive-lane causal clock (where a zero-duration annotation
@@ -543,7 +534,7 @@ impl BuildState {
             crit_dt_s,
             issue_s,
             issue_at,
-            superstep: self.current_step,
+            superstep: self.current_step(),
         });
     }
 
@@ -598,6 +589,8 @@ impl BuildState {
     }
 
     fn apply(&mut self, spec: &MachineSpec, event: &TraceEvent) {
+        // The fold sees every event, the ones dropped below included.
+        self.summary.observe(event);
         match event {
             // A blocking collective issues at its own stream position:
             // its transfer window cannot start earlier than the call,
@@ -646,7 +639,7 @@ impl BuildState {
                     crit_dt_s: modeled_s,
                     issue_s: start_s,
                     issue_at: None,
-                    superstep: self.current_step,
+                    superstep: self.current_step(),
                 });
             }
             TraceEvent::Backoff { ranks, seconds } => {
@@ -663,25 +656,6 @@ impl BuildState {
                 let slot = self.slots.remove(failed);
                 self.lanes[slot].alive = false;
                 self.marker(event, format!("p={}->{}", p_before, p_before - 1));
-            }
-            &TraceEvent::Superstep {
-                phase, batch, step, ..
-            } => {
-                self.current_step = Some(self.supersteps.len());
-                self.supersteps.push(StepInfo {
-                    phase: phase.to_string(),
-                    batch,
-                    step,
-                    plans: Vec::new(),
-                });
-            }
-            TraceEvent::Spgemm { plan, .. } => {
-                if let Some(i) = self.current_step {
-                    let plans = &mut self.supersteps[i].plans;
-                    if !plans.contains(plan) {
-                        plans.push(plan.clone());
-                    }
-                }
             }
             TraceEvent::Fault { rank, seq, .. } => {
                 let detail = match rank {
@@ -759,8 +733,9 @@ impl BuildState {
                     _ => self.dropped += 1,
                 }
             }
-            // Autotune tables, pool fan-outs, spans, counters and logs
-            // carry no modeled time and no annotation.
+            // Supersteps and SpGEMM plans are the fold's; autotune
+            // tables, pool fan-outs, spans, counters and logs carry no
+            // modeled time and no annotation.
             _ => {}
         }
     }
@@ -794,8 +769,10 @@ fn cost_split(
 }
 
 /// A streaming [`Recorder`] that replays the event stream into a
-/// [`Timeline`]. Install it (alone or beside a profiler, scoped or global),
-/// run, then call [`TimelineBuilder::finish`].
+/// [`Timeline`] and folds it into the timeline's [`Summary`], so a run
+/// that installs it needs no other aggregating recorder: the profile
+/// is `Profile::of(&timeline.summary, &machine)`. Install it (scoped
+/// or global), run, then call [`TimelineBuilder::finish`].
 #[derive(Debug)]
 pub struct TimelineBuilder {
     spec: MachineSpec,

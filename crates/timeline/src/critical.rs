@@ -206,6 +206,7 @@ row! { StepAttribution {
 pub fn step_attribution(tl: &Timeline, path: &CriticalPath) -> Vec<StepAttribution> {
     let n_lanes = tl.lanes.len();
     let mut out: Vec<StepAttribution> = tl
+        .summary
         .supersteps
         .iter()
         .map(|s| StepAttribution {

@@ -10,7 +10,7 @@
 use crate::builder::{RoundInfo, SegmentKind, Timeline};
 use crate::critical::{Analysis, Bottleneck, StepAttribution};
 use crate::whatif::WhatIfReport;
-use mfbc_profile::html::{data_rank_rows, esc_html};
+use mfbc_profile::html::{cell, data_rank_rows, esc_html, left, Table};
 use mfbc_profile::{MetricKind, MetricsRegistry};
 use mfbc_trace::json::{self, num, parse, Row, Version};
 use mfbc_trace::{row, Value};
@@ -491,91 +491,105 @@ pub fn to_html(tl: &Timeline, an: &Analysis) -> String {
 
     // Bottleneck table.
     let _ = writeln!(out, "<h2>Critical-path bottlenecks</h2>");
-    let _ = writeln!(
-        out,
-        "<table><tr><th class=\"l\">segment class</th><th>gating s</th><th>share</th><th>count</th></tr>"
-    );
+    let head = [
+        left("segment class"),
+        cell("gating s"),
+        cell("share"),
+        cell("count"),
+    ];
+    let mut t = Table::new(&mut out, "", &head);
     for b in &an.bottlenecks {
-        let _ = writeln!(
-            out,
-            "<tr><td class=\"l\">{}</td><td data-seconds=\"{}\">{}</td><td>{:.1}%</td><td>{}</td></tr>",
-            esc_html(&b.label),
-            num(b.seconds),
-            num(b.seconds),
-            b.share * 100.0,
-            b.count
+        let seconds = num(b.seconds);
+        t.row(
+            &[],
+            &[
+                left(esc_html(&b.label)),
+                cell(&seconds).data("seconds", &seconds),
+                cell(format!("{:.1}%", b.share * 100.0)),
+                cell(b.count),
+            ],
         );
     }
-    let _ = writeln!(out, "</table>");
+    t.end();
 
     // Per-rank totals with exact data-* attributes.
     let _ = writeln!(out, "<h2>Per-rank totals</h2>");
-    let _ = writeln!(
-        out,
-        "<table><tr><th>rank</th><th>clock s</th><th>comm s</th><th>comp s</th><th>msgs</th><th>bytes</th></tr>"
-    );
+    let head = ["rank", "clock s", "comm s", "comp s", "msgs", "bytes"];
+    let mut t = Table::new(&mut out, "", &head.map(cell));
     for (lane_id, lane) in tl.lanes.iter().enumerate() {
-        let _ = writeln!(
-            out,
-            "<tr data-rank=\"{lane_id}\" data-clock=\"{}\" data-comm=\"{}\" data-comp=\"{}\"><td>{lane_id}{}</td><td>{}</td><td>{}</td><td>{}</td><td>{}</td><td>{}</td></tr>",
-            num(lane.clock_s),
-            num(lane.cost.comm_time),
-            num(lane.cost.comp_time),
-            if lane.alive { "" } else { " ✝" },
-            num(lane.clock_s),
-            num(lane.cost.comm_time),
-            num(lane.cost.comp_time),
-            lane.cost.msgs,
-            lane.cost.bytes
+        let data = [
+            ("rank", lane_id.to_string()),
+            ("clock", num(lane.clock_s)),
+            ("comm", num(lane.cost.comm_time)),
+            ("comp", num(lane.cost.comp_time)),
+        ];
+        t.row(
+            &data,
+            &[
+                cell(format!("{lane_id}{}", if lane.alive { "" } else { " ✝" })),
+                cell(num(lane.clock_s)),
+                cell(num(lane.cost.comm_time)),
+                cell(num(lane.cost.comp_time)),
+                cell(lane.cost.msgs),
+                cell(lane.cost.bytes),
+            ],
         );
     }
-    let _ = writeln!(out, "</table>");
+    t.end();
 
     // Serve rounds table with exact data-* attributes, if any.
     if !tl.rounds.is_empty() {
-        let _ = writeln!(
-            out,
-            "<h2>Serve rounds</h2><table><tr><th>round</th><th>requests</th><th class=\"l\">rung</th>\
-             <th class=\"l\">reason</th><th>responses</th><th>budget s</th><th>start s</th><th>end s</th><th>nodes</th></tr>"
-        );
+        out.push_str("<h2>Serve rounds</h2>");
+        let head = [
+            cell("round"),
+            cell("requests"),
+            left("rung"),
+            left("reason"),
+            cell("responses"),
+            cell("budget s"),
+            cell("start s"),
+            cell("end s"),
+            cell("nodes"),
+        ];
+        let mut t = Table::new(&mut out, "", &head);
         for r in &tl.rounds {
-            let _ = writeln!(
-                out,
-                "<tr data-round=\"{}\" data-start=\"{}\" data-end=\"{}\"><td>{}</td><td>{}</td>\
-                 <td class=\"l\">{}</td><td class=\"l\">{}</td><td>{}</td><td>{}</td><td>{}</td><td>{}</td><td>{}</td></tr>",
-                r.round,
-                num(r.start_s),
-                num(r.end_s),
-                r.round,
-                r.requests,
-                esc_html(&r.rung),
-                esc_html(&r.reason),
-                r.responses,
-                match r.budget_s {
-                    Some(b) => num(b),
-                    None => "∞".to_string(),
-                },
-                num(r.start_s),
-                num(r.end_s),
-                r.nodes
+            let data = [
+                ("round", r.round.to_string()),
+                ("start", num(r.start_s)),
+                ("end", num(r.end_s)),
+            ];
+            t.row(
+                &data,
+                &[
+                    cell(r.round),
+                    cell(r.requests),
+                    left(esc_html(&r.rung)),
+                    left(esc_html(&r.reason)),
+                    cell(r.responses),
+                    cell(r.budget_s.map_or("∞".to_string(), num)),
+                    cell(num(r.start_s)),
+                    cell(num(r.end_s)),
+                    cell(r.nodes),
+                ],
             );
         }
-        let _ = writeln!(out, "</table>");
+        t.end();
     }
 
     // Markers, if any.
     if !tl.markers.is_empty() {
-        let _ = writeln!(out, "<h2>Events</h2><table><tr><th>at s</th><th class=\"l\">event</th><th class=\"l\">detail</th></tr>");
+        out.push_str("<h2>Events</h2>");
+        let head = [cell("at s"), left("event"), left("detail")];
+        let mut t = Table::new(&mut out, "", &head);
         for m in &tl.markers {
-            let _ = writeln!(
-                out,
-                "<tr><td>{}</td><td class=\"l\">{}</td><td class=\"l\">{}</td></tr>",
-                num(m.at_s),
-                esc_html(&m.label),
-                esc_html(&m.detail)
-            );
+            let row = [
+                cell(num(m.at_s)),
+                left(esc_html(&m.label)),
+                left(esc_html(&m.detail)),
+            ];
+            t.row(&[], &row);
         }
-        let _ = writeln!(out, "</table>");
+        t.end();
     }
     let _ = writeln!(out, "</body></html>");
     out

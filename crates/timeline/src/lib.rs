@@ -11,7 +11,11 @@
 //!    backoff), each carrying modeled seconds, bytes/messages, and
 //!    superstep/plan provenance. The builder maintains a replica of
 //!    the machine's per-rank cost meters and can bit-compare itself
-//!    against them ([`Timeline::validate_against`]).
+//!    against them ([`Timeline::validate_against`]). It also folds
+//!    every event into the [`mfbc_trace::Summary`] the timeline
+//!    carries ([`Timeline::summary`]) — the superstep list, and all a
+//!    profile needs — so one recorder yields both the timeline and
+//!    `mfbc_profile::Profile::of(&timeline.summary, &machine)`.
 //! 2. [`critical_path`] walks the BSP dependency DAG backwards from
 //!    the lane that attains the makespan and returns the exact gating
 //!    chain — segment durations folded left-to-right reproduce the
@@ -42,9 +46,7 @@ pub mod critical;
 pub mod export;
 pub mod whatif;
 
-pub use builder::{
-    Lane, Marker, Node, RoundInfo, SegmentKind, StepInfo, Timeline, TimelineBuilder,
-};
+pub use builder::{Lane, Marker, Node, RoundInfo, SegmentKind, Timeline, TimelineBuilder};
 pub use critical::{
     analyze, bottlenecks, critical_path, step_attribution, Analysis, Bottleneck, CriticalPath,
     PathSegment, StepAttribution,

@@ -31,7 +31,7 @@ pub use recorder::{current_tid, MemoryRecorder, Recorder, StderrRecorder};
 pub use summary::{
     collective_summary, pool_summary, recovery_summary, render_pool_summary,
     render_recovery_summary, render_summary, total_modeled_comm_s, FaultCount, KindTotals,
-    PoolTotals, RecoveryTotals, Summary,
+    PlanMixEntry, PoolTotals, RecoveryTotals, StepTotals, Summary,
 };
 
 use std::cell::RefCell;

@@ -1,5 +1,7 @@
-//! Aggregation of recorded events into per-collective-kind totals,
-//! in the spirit of the paper's Table 3 communication breakdown.
+//! The one aggregate fold of a run's event stream ([`Summary`]):
+//! per-collective-kind totals in the spirit of the paper's Table 3
+//! communication breakdown, and the superstep, plan, pool, fault and
+//! recovery totals every report reads.
 
 use crate::event::{TraceEvent, TraceRecord};
 use std::collections::BTreeMap;
@@ -22,14 +24,98 @@ pub struct KindTotals {
     pub modeled_s: f64,
 }
 
-/// The streaming fold behind every summary in this module: feed it
-/// events in stream order ([`Summary::observe`]), read totals out at
-/// any point. [`collective_summary`], [`pool_summary`] and
-/// [`recovery_summary`] are this fold over a recorded slice;
-/// `mfbc-profile`'s `Profiler` holds one live, so the two can never
-/// disagree (same additions in the same order, bit for bit).
-#[derive(Clone, Debug, Default)]
+/// One superstep of a run, with the communication and SpGEMM work
+/// issued while it was the latest [`TraceEvent::Superstep`] marker.
+#[derive(Clone, Debug, Default, PartialEq)]
+pub struct StepTotals {
+    /// `forward` or `backward`.
+    pub phase: String,
+    /// Source-batch index.
+    pub batch: usize,
+    /// Iteration within the phase.
+    pub step: usize,
+    /// Frontier nonzeros at the start of the step.
+    pub frontier_nnz: u64,
+    /// Active frontier rows at the start of the step.
+    pub active_rows: u64,
+    /// Modeled seconds of the collectives issued in the step (a
+    /// nonblocking one counts where it was issued, not where it
+    /// completed).
+    pub comm_s: f64,
+    /// Collectives issued in the step.
+    pub collectives: u64,
+    /// SpGEMM operations of the step.
+    pub spgemm_ops: u64,
+    /// SpGEMM plan labels of the step, deduplicated in first-seen
+    /// order (not a `profile.json` key).
+    pub plans: Vec<String>,
+}
+
+crate::row! { StepTotals {
+    "phase" => phase,
+    "batch" => batch,
+    "step" => step,
+    "frontier_nnz" => frontier_nnz,
+    "active_rows" => active_rows,
+    "comm_s" => comm_s,
+    "collectives" => collectives,
+    "spgemm_ops" => spgemm_ops,
+} }
+
+/// Aggregate over one SpGEMM plan label.
+#[derive(Clone, Debug, Default, PartialEq)]
+pub struct PlanMixEntry {
+    /// Plan label (e.g. `1d(A)`, `cannon(q=4)`).
+    pub plan: String,
+    /// Kernel invocations that used this plan.
+    pub count: u64,
+    /// Summed useful multiply–add operations.
+    pub ops: u64,
+    /// Summed output nonzeros.
+    pub nnz_c: u64,
+    /// Times the autotuner picked this plan as winner.
+    pub autotune_wins: u64,
+}
+
+crate::row! { PlanMixEntry {
+    "plan" => plan,
+    "count" => count,
+    "ops" => ops,
+    "nnz_c" => nnz_c,
+    "autotune_wins" => autotune_wins,
+} }
+
+/// The one fold of a run's event stream: feed it events in stream
+/// order ([`Summary::observe`]), read totals out at any point. The
+/// tables of this module ([`collective_summary`], [`pool_summary`],
+/// [`recovery_summary`]) are this fold over a recorded slice;
+/// `mfbc-profile`'s `Profiler` holds one live and `mfbc-timeline`'s
+/// builder carries one, and the profile, its Prometheus mirror and
+/// the timeline's superstep list are all read from it.
+#[derive(Clone, Debug, Default, PartialEq)]
 pub struct Summary {
+    /// Events observed.
+    pub events: u64,
+    /// Modeled collective seconds issued before the first superstep
+    /// (distribution / setup traffic).
+    pub setup_comm_s: f64,
+    /// Supersteps in stream order.
+    pub supersteps: Vec<StepTotals>,
+    /// SpGEMM plan mix and autotune wins, by plan label.
+    pub plans: BTreeMap<String, PlanMixEntry>,
+    /// Autotune decisions observed.
+    pub autotune_decisions: u64,
+    /// Candidates rejected by the memory gate, across decisions.
+    pub autotune_infeasible: u64,
+    /// [`TraceEvent::Counter`] values summed by name, in stream order.
+    pub counters: BTreeMap<&'static str, f64>,
+    /// Bytes moved by redistributions, by what moved.
+    pub redist_bytes: BTreeMap<&'static str, u64>,
+    /// Recovery `wasted_s` summed in stream order (the per-action sums
+    /// of [`Summary::recovery`] group the same additions differently).
+    pub recovery_wasted_s: f64,
+    /// Every collective's payload bytes, in stream order.
+    pub payload_bytes: Vec<u64>,
     kinds: BTreeMap<&'static str, KindTotals>,
     pool: BTreeMap<&'static str, PoolTotals>,
     faults: BTreeMap<&'static str, u64>,
@@ -38,7 +124,7 @@ pub struct Summary {
 
 impl Summary {
     /// The fold of a recorded run.
-    fn of(records: &[TraceRecord]) -> Summary {
+    pub fn of(records: &[TraceRecord]) -> Summary {
         let mut summary = Summary::default();
         for rec in records {
             summary.observe(&rec.event);
@@ -47,8 +133,10 @@ impl Summary {
     }
 
     /// Folds one event in. Nonblocking collectives carry their cost
-    /// on the issue event, so both collective shapes count once each.
+    /// on the issue event, so both collective shapes count once each,
+    /// in the superstep that issued them.
     pub fn observe(&mut self, event: &TraceEvent) {
+        self.events += 1;
         if let Some(c) = event.collective() {
             let entry = self.kinds.entry(c.kind).or_insert_with(|| KindTotals {
                 kind: c.kind.to_string(),
@@ -59,6 +147,14 @@ impl Summary {
             entry.bytes_charged += c.bytes_charged;
             entry.msgs += c.msgs;
             entry.modeled_s += c.modeled_s;
+            match self.supersteps.last_mut() {
+                Some(step) => {
+                    step.comm_s += c.modeled_s;
+                    step.collectives += 1;
+                }
+                None => self.setup_comm_s += c.modeled_s,
+            }
+            self.payload_bytes.push(c.bytes);
             return;
         }
         match event {
@@ -97,9 +193,61 @@ impl Summary {
                 entry.0 += 1;
                 entry.1 += wasted_s;
                 entry.2.clone_from(detail);
+                self.recovery_wasted_s += wasted_s;
+            }
+            TraceEvent::Spgemm {
+                plan, ops, nnz_c, ..
+            } => {
+                let entry = self.plan(plan);
+                entry.count += 1;
+                entry.ops += ops;
+                entry.nnz_c += nnz_c;
+                if let Some(step) = self.supersteps.last_mut() {
+                    step.spgemm_ops += ops;
+                    if !step.plans.contains(plan) {
+                        step.plans.push(plan.clone());
+                    }
+                }
+            }
+            TraceEvent::Autotune {
+                candidates, winner, ..
+            } => {
+                self.autotune_decisions += 1;
+                self.autotune_infeasible +=
+                    candidates.iter().filter(|c| !c.feasible).count() as u64;
+                self.plan(winner).autotune_wins += 1;
+            }
+            &TraceEvent::Superstep {
+                phase,
+                batch,
+                step,
+                frontier_nnz,
+                active_rows,
+            } => self.supersteps.push(StepTotals {
+                phase: phase.to_string(),
+                batch,
+                step,
+                frontier_nnz,
+                active_rows,
+                ..StepTotals::default()
+            }),
+            TraceEvent::Redist {
+                what, bytes_moved, ..
+            } => *self.redist_bytes.entry(what).or_insert(0) += bytes_moved,
+            TraceEvent::Counter { name, value } => {
+                *self.counters.entry(name).or_insert(0.0) += value
             }
             _ => {}
         }
+    }
+
+    fn plan(&mut self, plan: &str) -> &mut PlanMixEntry {
+        self.plans
+            .entry(plan.to_string())
+            .or_insert_with(|| PlanMixEntry {
+                plan: plan.to_string(),
+                ..PlanMixEntry::default()
+            })
     }
 
     /// Per-collective-kind totals, sorted by kind.
@@ -130,15 +278,32 @@ impl Summary {
                 .collect(),
         }
     }
+
+    /// The three text tables of a traced run — collectives by
+    /// descending modeled time, pool kernels by descending busy time,
+    /// then faults and recoveries (nothing for a fault-free run).
+    pub fn render(&self) -> String {
+        render_summary(&by_time(self.kinds()))
+            + &render_pool_summary(&by_busy(self.pool()))
+            + &render_recovery_summary(&self.recovery())
+    }
+}
+
+fn by_time(mut totals: Vec<KindTotals>) -> Vec<KindTotals> {
+    totals.sort_by(|a, b| b.modeled_s.total_cmp(&a.modeled_s));
+    totals
+}
+
+fn by_busy(mut totals: Vec<PoolTotals>) -> Vec<PoolTotals> {
+    totals.sort_by(|a, b| b.busy_us.cmp(&a.busy_us).then(a.kernel.cmp(&b.kernel)));
+    totals
 }
 
 /// Aggregates all [`TraceEvent::Collective`] and
 /// [`TraceEvent::CollectiveIssue`] records per kind, sorted by
 /// descending modeled time.
 pub fn collective_summary(records: &[TraceRecord]) -> Vec<KindTotals> {
-    let mut totals = Summary::of(records).kinds();
-    totals.sort_by(|a, b| b.modeled_s.total_cmp(&a.modeled_s));
-    totals
+    by_time(Summary::of(records).kinds())
 }
 
 /// Sum of modeled seconds over every collective event in the trace.
@@ -197,9 +362,7 @@ pub struct PoolTotals {
 /// Aggregates all [`TraceEvent::Pool`] records per kernel, sorted by
 /// descending total busy time.
 pub fn pool_summary(records: &[TraceRecord]) -> Vec<PoolTotals> {
-    let mut totals = Summary::of(records).pool();
-    totals.sort_by(|a, b| b.busy_us.cmp(&a.busy_us).then(a.kernel.cmp(&b.kernel)));
-    totals
+    by_busy(Summary::of(records).pool())
 }
 
 /// Renders the per-kernel pool totals as an aligned text table. The

@@ -527,24 +527,19 @@ fn cmd_simulate(args: &[String]) -> Result<(), CliError> {
     let profile_out = o.get("profile-out").map(str::to_string);
     let profile_html = o.get("profile-html").map(str::to_string);
     if profile_html.is_some() && profile_out.is_none() {
-        return Err("--profile-html needs --profile-out (the profiler it renders)".into());
+        return Err("--profile-html needs --profile-out (the profile it renders)".into());
     }
     let timeline_out = o.get("timeline-out").map(str::to_string);
     let recorder = trace_out
         .as_ref()
         .map(|_| std::sync::Arc::new(mfbc_trace::MemoryRecorder::new()));
-    let profiler = profile_out
-        .as_ref()
-        .map(|_| std::sync::Arc::new(mfbc_profile::Profiler::new()));
-    // The timeline analyzer always rides along: the top-bottleneck
-    // block below is printed for every run.
+    // The timeline builder always rides along: the top-bottleneck
+    // block below is printed for every run, and its fold is what the
+    // trace summaries and the profile read.
     let builder = std::sync::Arc::new(mfbc_timeline::TimelineBuilder::new(machine.spec().clone()));
     // Every installed sink sees every event, in installation order.
     if let Some(rec) = &recorder {
         mfbc_trace::install(rec.clone());
-    }
-    if let Some(prof) = &profiler {
-        mfbc_trace::install(prof.clone());
     }
     mfbc_trace::install(builder.clone());
 
@@ -609,6 +604,7 @@ fn cmd_simulate(args: &[String]) -> Result<(), CliError> {
     };
 
     mfbc_trace::uninstall_all();
+    let tl = builder.finish();
     if let (Some(path), Some(rec)) = (&trace_out, &recorder) {
         let records = rec.take();
         let text = match trace_format.as_str() {
@@ -620,28 +616,17 @@ fn cmd_simulate(args: &[String]) -> Result<(), CliError> {
             "trace: {} events -> {path} ({trace_format}); open chrome traces in chrome://tracing or ui.perfetto.dev",
             records.len()
         );
-        eprint!(
-            "{}",
-            mfbc_trace::render_summary(&mfbc_trace::collective_summary(&records))
-        );
-        eprint!(
-            "{}",
-            mfbc_trace::render_pool_summary(&mfbc_trace::pool_summary(&records))
-        );
-        eprint!(
-            "{}",
-            mfbc_trace::render_recovery_summary(&mfbc_trace::recovery_summary(&records))
-        );
+        eprint!("{}", tl.summary.render());
     }
 
-    if let (Some(path), Some(prof)) = (&profile_out, &profiler) {
+    if let Some(path) = &profile_out {
         if recovery.as_ref().is_some_and(|r| r.replans > 0) {
             eprintln!(
                 "note: the run replanned onto a shrunk machine this handle no longer tracks; \
                  the profile's per-rank meters cover the pre-crash machine only"
             );
         }
-        let profile = prof.finish(&machine);
+        let profile = mfbc_profile::Profile::of(&tl.summary, &machine);
         let json = mfbc_profile::export::profile_to_json(&profile);
         std::fs::write(path, json).map_err(|e| format!("{path}: {e}"))?;
         eprintln!(
@@ -660,7 +645,6 @@ fn cmd_simulate(args: &[String]) -> Result<(), CliError> {
     // critical path (always printed; `--timeline-out` persists the
     // full document).
     {
-        let tl = builder.finish();
         let an = mfbc_timeline::analyze(&tl);
         eprintln!(
             "timeline: makespan {:?}s across {} segment(s); top-3 bottleneck segments \
@@ -972,7 +956,7 @@ fn cmd_analyze(args: &[String]) -> Result<(), String> {
     for s in &an.path.segments {
         let step = match s.superstep {
             Some(i) => {
-                let info = &tl.supersteps[i];
+                let info = &tl.summary.supersteps[i];
                 format!("{}#{}:{}", info.phase, info.batch, info.step)
             }
             None => "setup".to_string(),
