@@ -10,8 +10,8 @@ use mfbc_machine::{Machine, MachineSpec};
 use mfbc_profile::export::profile_to_json;
 use mfbc_profile::{html, prometheus};
 use mfbc_profile::{
-    AutotuneProfile, Baseline, BaselineCase, CollectiveProfile, CriticalProfile, PlanMixEntry,
-    PoolProfile, Profile, Profiler, RankProfile, RecoveryProfile, StepTotals,
+    ActionTotals, AutotuneProfile, Baseline, BaselineCase, CollectiveProfile, CriticalProfile,
+    PlanMixEntry, PoolTotals, Profile, Profiler, RankProfile, StepTotals,
 };
 use mfbc_timeline::{
     doc, register_metrics, to_html, to_json, Bottleneck, PathRow, RankRow, RoundInfo,
@@ -190,8 +190,8 @@ fn every_row_type_round_trips() {
     row_round_trips::<CollectiveProfile>(rng);
     row_round_trips::<StepTotals>(rng);
     row_round_trips::<PlanMixEntry>(rng);
-    row_round_trips::<RecoveryProfile>(rng);
-    row_round_trips::<PoolProfile>(rng);
+    row_round_trips::<ActionTotals>(rng);
+    row_round_trips::<PoolTotals>(rng);
     row_round_trips::<CriticalProfile>(rng);
     row_round_trips::<AutotuneProfile>(rng);
     row_round_trips::<BaselineCase>(rng);

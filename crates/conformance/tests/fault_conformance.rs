@@ -113,7 +113,7 @@ fn crash_at_p8_replans_onto_7_survivors() {
         totals
             .actions
             .iter()
-            .any(|(a, c, _, _)| a == "replan" && *c == 1),
+            .any(|a| a.action == "replan" && a.count == 1),
         "{totals:?}"
     );
     assert!(!mfbc_trace::render_recovery_summary(&totals).is_empty());

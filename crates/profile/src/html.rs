@@ -26,32 +26,23 @@ pub fn esc_html(s: &str) -> String {
     out
 }
 
-/// One cell of a [`Table`]: raw HTML content and its attributes.
-pub struct Cell {
-    attrs: String,
-    html: String,
-}
+/// One cell of a [`Table`]: its attributes and raw HTML content.
+pub struct Cell(String, String);
 
 /// A right-aligned cell (the tables' default).
 pub fn cell(html: impl std::fmt::Display) -> Cell {
-    Cell {
-        attrs: String::new(),
-        html: html.to_string(),
-    }
+    Cell(String::new(), html.to_string())
 }
 
 /// A left-aligned (`class="l"`) cell.
 pub fn left(html: impl std::fmt::Display) -> Cell {
-    Cell {
-        attrs: " class=\"l\"".to_string(),
-        html: html.to_string(),
-    }
+    Cell(" class=\"l\"".to_string(), html.to_string())
 }
 
 impl Cell {
     /// Adds an exact `data-{name}` attribute.
     pub fn data(mut self, name: &str, value: &str) -> Cell {
-        let _ = write!(self.attrs, " data-{name}=\"{value}\"");
+        let _ = write!(self.0, " data-{name}=\"{value}\"");
         self
     }
 }
@@ -86,7 +77,7 @@ impl<'a> Table<'a> {
         }
         self.out.push('>');
         for c in cells {
-            let _ = write!(self.out, "<{tag}{}>{}</{tag}>", c.attrs, c.html);
+            let _ = write!(self.out, "<{tag}{}>{}</{tag}>", c.0, c.1);
         }
         self.out.push_str("</tr>\n");
     }

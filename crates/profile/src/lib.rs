@@ -45,9 +45,8 @@ pub use baseline::{Baseline, BaselineCase, Case, Finding, Severity};
 /// The workspace's one JSON module lives in `mfbc-trace`; this path is
 /// kept because the `benchmark/` package names it.
 pub use mfbc_trace::json as jsonio;
-pub use mfbc_trace::{PlanMixEntry, StepTotals};
+pub use mfbc_trace::{ActionTotals, PlanMixEntry, PoolTotals, StepTotals};
 pub use profiler::{
-    mirror, AutotuneProfile, CollectiveProfile, CriticalProfile, PoolProfile, Profile, Profiler,
-    RankProfile, RecoveryProfile,
+    mirror, AutotuneProfile, CollectiveProfile, CriticalProfile, Profile, Profiler, RankProfile,
 };
 pub use registry::{MetricKind, MetricsRegistry};

@@ -14,7 +14,10 @@ use std::sync::{Arc, Mutex};
 
 use mfbc_machine::Machine;
 use mfbc_trace::json::Version;
-use mfbc_trace::{row, FaultCount, PlanMixEntry, Recorder, StepTotals, Summary, TraceEvent};
+use mfbc_trace::{
+    row, ActionTotals, FaultCount, PlanMixEntry, PoolTotals, Recorder, StepTotals, Summary,
+    TraceEvent,
+};
 
 use crate::export::PROFILE_JSON_VERSION;
 use crate::registry::MetricKind::{self, Counter, Gauge, Histogram};
@@ -45,43 +48,6 @@ row! { CollectiveProfile {
     "msgs" => msgs,
     "bytes" => bytes,
     "share" => share,
-} }
-
-/// Aggregate over one recovery action kind.
-#[derive(Clone, Debug, Default, PartialEq)]
-pub struct RecoveryProfile {
-    /// Action name (`retry-batch`, `replan`, `shrink-batch`).
-    pub action: String,
-    /// Times the action was taken.
-    pub count: u64,
-    /// Summed modeled seconds of discarded work.
-    pub wasted_s: f64,
-}
-
-row! { RecoveryProfile {
-    "action" => action,
-    "count" => count,
-    "wasted_s" => wasted_s,
-} }
-
-/// Aggregate over one pool kernel.
-#[derive(Clone, Debug, Default, PartialEq)]
-pub struct PoolProfile {
-    /// Kernel name (e.g. `spgemm`).
-    pub kernel: String,
-    /// Fan-out calls observed.
-    pub calls: u64,
-    /// Total chunks executed.
-    pub tasks: u64,
-    /// Total busy microseconds across participants.
-    pub busy_us: u64,
-}
-
-row! { PoolProfile {
-    "kernel" => kernel,
-    "calls" => calls,
-    "tasks" => tasks,
-    "busy_us" => busy_us,
 } }
 
 /// Per-rank modeled costs and memory, pulled from the [`Machine`] by
@@ -186,9 +152,9 @@ pub struct Profile {
     /// Fault counts by kind, sorted by kind.
     pub faults: Vec<FaultCount>,
     /// Recovery actions, sorted by action.
-    pub recoveries: Vec<RecoveryProfile>,
+    pub recoveries: Vec<ActionTotals>,
     /// Shared-memory pool aggregates, sorted by kernel.
-    pub pool: Vec<PoolProfile>,
+    pub pool: Vec<PoolTotals>,
 }
 
 row! { Profile {
@@ -279,27 +245,6 @@ impl Profile {
             .collect();
 
         let recovery = summary.recovery();
-        let recoveries: Vec<RecoveryProfile> = recovery
-            .actions
-            .into_iter()
-            .map(|(action, count, wasted_s, _)| RecoveryProfile {
-                action,
-                count,
-                wasted_s,
-            })
-            .collect();
-        let wasted_s = recoveries.iter().map(|r| r.wasted_s).sum();
-
-        let pool: Vec<PoolProfile> = summary
-            .pool()
-            .into_iter()
-            .map(|k| PoolProfile {
-                kernel: k.kernel,
-                calls: k.calls,
-                tasks: k.tasks,
-                busy_us: k.busy_us,
-            })
-            .collect();
 
         Profile {
             version: Version,
@@ -312,7 +257,7 @@ impl Profile {
                 total_ops: report.total_ops,
             },
             setup_comm_s: summary.setup_comm_s,
-            wasted_s,
+            wasted_s: recovery.wasted_s(),
             autotune: AutotuneProfile {
                 decisions: summary.autotune_decisions,
                 infeasible: summary.autotune_infeasible,
@@ -322,8 +267,8 @@ impl Profile {
             supersteps: summary.supersteps.clone(),
             plan_mix: summary.plans.values().cloned().collect(),
             faults: recovery.faults,
-            recoveries,
-            pool,
+            recoveries: recovery.actions,
+            pool: summary.pool(),
         }
     }
 }

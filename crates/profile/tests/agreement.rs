@@ -231,9 +231,9 @@ fn profile_equals_trace_summaries_of_the_same_stream() {
     let recovery = mfbc_trace::recovery_summary(&records);
     assert_eq!(profile.faults, recovery.faults);
     assert_eq!(profile.recoveries.len(), recovery.actions.len());
-    for (p, (action, count, wasted_s, _)) in profile.recoveries.iter().zip(&recovery.actions) {
-        assert_eq!((&p.action, p.count), (action, *count));
-        assert_eq!(p.wasted_s.to_bits(), wasted_s.to_bits(), "{action}");
+    for (p, a) in profile.recoveries.iter().zip(&recovery.actions) {
+        assert_eq!((&p.action, p.count), (&a.action, a.count));
+        assert_eq!(p.wasted_s.to_bits(), a.wasted_s.to_bits(), "{}", a.action);
     }
     assert_eq!(profile.wasted_s.to_bits(), recovery.wasted_s().to_bits());
 

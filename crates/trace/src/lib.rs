@@ -30,8 +30,8 @@ pub use jsonl::{record_to_json, to_jsonl, write_event};
 pub use recorder::{current_tid, MemoryRecorder, Recorder, StderrRecorder};
 pub use summary::{
     collective_summary, pool_summary, recovery_summary, render_pool_summary,
-    render_recovery_summary, render_summary, total_modeled_comm_s, FaultCount, KindTotals,
-    PlanMixEntry, PoolTotals, RecoveryTotals, StepTotals, Summary,
+    render_recovery_summary, render_summary, total_modeled_comm_s, ActionTotals, FaultCount,
+    KindTotals, PlanMixEntry, PoolTotals, RecoveryTotals, StepTotals, Summary,
 };
 
 use std::cell::RefCell;

@@ -119,7 +119,7 @@ pub struct Summary {
     kinds: BTreeMap<&'static str, KindTotals>,
     pool: BTreeMap<&'static str, PoolTotals>,
     faults: BTreeMap<&'static str, u64>,
-    actions: BTreeMap<&'static str, (u64, f64, String)>,
+    actions: BTreeMap<&'static str, ActionTotals>,
 }
 
 impl Summary {
@@ -186,13 +186,13 @@ impl Summary {
                 detail,
                 wasted_s,
             } => {
-                let entry = self
-                    .actions
-                    .entry(action)
-                    .or_insert((0, 0.0, String::new()));
-                entry.0 += 1;
-                entry.1 += wasted_s;
-                entry.2.clone_from(detail);
+                let entry = self.actions.entry(action).or_insert_with(|| ActionTotals {
+                    action: (*action).to_string(),
+                    ..ActionTotals::default()
+                });
+                entry.count += 1;
+                entry.wasted_s += wasted_s;
+                entry.detail.clone_from(detail);
                 self.recovery_wasted_s += wasted_s;
             }
             TraceEvent::Spgemm {
@@ -271,11 +271,7 @@ impl Summary {
                     count,
                 })
                 .collect(),
-            actions: self
-                .actions
-                .iter()
-                .map(|(a, (c, w, d))| (a.to_string(), *c, *w, d.clone()))
-                .collect(),
+            actions: self.actions.values().cloned().collect(),
         }
     }
 
@@ -341,7 +337,8 @@ pub fn render_summary(totals: &[KindTotals]) -> String {
     out
 }
 
-/// Totals for one shared-memory pool kernel across a recorded run.
+/// Totals for one shared-memory pool kernel across a recorded run
+/// (`profile.json`'s `pool` rows carry the first four).
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct PoolTotals {
     /// Kernel name (e.g. `spgemm`).
@@ -358,6 +355,13 @@ pub struct PoolTotals {
     /// `[2^b, 2^{b+1})`).
     pub chunk_hist: Vec<u64>,
 }
+
+crate::row! { PoolTotals {
+    "kernel" => kernel,
+    "calls" => calls,
+    "tasks" => tasks,
+    "busy_us" => busy_us,
+} }
 
 /// Aggregates all [`TraceEvent::Pool`] records per kernel, sorted by
 /// descending total busy time.
@@ -410,14 +414,33 @@ pub struct FaultCount {
 
 crate::row! { FaultCount { "kind" => kind, "count" => count } }
 
+/// Recovery actions of one kind across a recorded run
+/// (`profile.json`'s `recoveries` rows carry all but the detail).
+#[derive(Clone, Debug, Default, PartialEq)]
+pub struct ActionTotals {
+    /// Action name (`retry-batch`, `replan`, `shrink-batch`).
+    pub action: String,
+    /// Times the action was taken.
+    pub count: u64,
+    /// Summed modeled seconds of discarded work.
+    pub wasted_s: f64,
+    /// The last action's detail string.
+    pub detail: String,
+}
+
+crate::row! { ActionTotals {
+    "action" => action,
+    "count" => count,
+    "wasted_s" => wasted_s,
+} }
+
 /// Fault-injection and recovery totals across a recorded run.
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct RecoveryTotals {
     /// Injected faults per kind, sorted by kind.
     pub faults: Vec<FaultCount>,
-    /// Recovery actions: `(action, count, wasted modeled seconds,
-    /// last detail string)`, sorted by action.
-    pub actions: Vec<(String, u64, f64, String)>,
+    /// Recovery actions, sorted by action.
+    pub actions: Vec<ActionTotals>,
 }
 
 impl RecoveryTotals {
@@ -428,7 +451,7 @@ impl RecoveryTotals {
 
     /// Total modeled seconds discarded by rollbacks.
     pub fn wasted_s(&self) -> f64 {
-        self.actions.iter().map(|(_, _, w, _)| w).sum()
+        self.actions.iter().map(|a| a.wasted_s).sum()
     }
 }
 
@@ -460,14 +483,14 @@ pub fn render_recovery_summary(totals: &RecoveryTotals) -> String {
             "-"
         );
     }
-    for (action, count, wasted, detail) in &totals.actions {
+    for a in &totals.actions {
         let _ = writeln!(
             out,
             "{:<14} {:>8} {:>12.3e}  {}",
-            action,
-            count,
-            wasted,
-            if detail.is_empty() { "-" } else { detail }
+            a.action,
+            a.count,
+            a.wasted_s,
+            if a.detail.is_empty() { "-" } else { &a.detail }
         );
     }
     out
@@ -599,10 +622,10 @@ mod tests {
         let totals = recovery_summary(&records);
         assert_eq!(totals.faults_injected(), 2);
         assert_eq!(totals.actions.len(), 1);
-        assert_eq!(totals.actions[0].0, "replan");
-        assert_eq!(totals.actions[0].1, 2);
+        assert_eq!(totals.actions[0].action, "replan");
+        assert_eq!(totals.actions[0].count, 2);
         assert!((totals.wasted_s() - 2.0).abs() < 1e-12);
-        assert_eq!(totals.actions[0].3, "p=7->6 plan=auto");
+        assert_eq!(totals.actions[0].detail, "p=7->6 plan=auto");
         let text = render_recovery_summary(&totals);
         assert!(text.contains("fault:crash"));
         assert!(text.contains("replan"));
