@@ -268,7 +268,7 @@ impl MetricsRegistry {
     }
 
     /// Drops every sample, keeping the declared families.
-    pub fn clear(&self) {
+    pub(crate) fn clear(&self) {
         let mut fams = self.families.lock().expect("metrics registry lock");
         for fam in fams.values_mut() {
             fam.samples.clear();

@@ -124,7 +124,7 @@ pub struct Summary {
 
 impl Summary {
     /// The fold of a recorded run.
-    pub fn of(records: &[TraceRecord]) -> Summary {
+    fn of(records: &[TraceRecord]) -> Summary {
         let mut summary = Summary::default();
         for rec in records {
             summary.observe(&rec.event);
@@ -241,13 +241,16 @@ impl Summary {
         }
     }
 
+    /// The plan's mix entry; only a plan not seen before allocates.
     fn plan(&mut self, plan: &str) -> &mut PlanMixEntry {
-        self.plans
-            .entry(plan.to_string())
-            .or_insert_with(|| PlanMixEntry {
+        if !self.plans.contains_key(plan) {
+            let entry = PlanMixEntry {
                 plan: plan.to_string(),
                 ..PlanMixEntry::default()
-            })
+            };
+            self.plans.insert(plan.to_string(), entry);
+        }
+        self.plans.get_mut(plan).expect("inserted above")
     }
 
     /// Per-collective-kind totals, sorted by kind.
