@@ -1,9 +1,9 @@
 //! Self-contained single-file HTML report for a [`Profile`]: inline
-//! CSS only, no scripts, no external assets. Its tables, and the
-//! timeline Gantt chart's, are written by one [`Table`] writer. Exact metric values are
+//! CSS only, no scripts, no external assets. Exact metric values are
 //! embedded as `data-*` attributes using the same formatting as the
 //! JSON and Prometheus exporters, so the three outputs can be
-//! cross-checked mechanically.
+//! cross-checked mechanically. Its tables, and the timeline Gantt
+//! chart's, are written by one [`Table`] writer.
 
 use std::fmt::Write as _;
 
@@ -136,15 +136,14 @@ fn rank_table(out: &mut String, p: &Profile) {
          <span style=\"color:#5b9bd5\">&#9632;</span> compute</p>"
     );
     let head = [
-        "rank",
-        "utilization",
-        "comm s",
-        "comp s",
-        "msgs",
-        "bytes",
-        "peak bytes",
+        cell("rank"),
+        left("utilization"),
+        cell("comm s"),
+        cell("comp s"),
+        cell("msgs"),
+        cell("bytes"),
+        cell("peak bytes"),
     ];
-    let head = head.map(|h| if h == "utilization" { left(h) } else { cell(h) });
     let mut t = Table::new(out, "", &head);
     for r in &p.ranks {
         let comm_w = pct(r.comm_s, max_t);
