@@ -2,11 +2,14 @@
 //! must agree with the product materialised by `spgemm_opt` and merged
 //! into the table, bit for bit.
 //!
-//! * Backward: MFBr's two products — `spgemm_anchor` and
-//!   `spgemm_settle`, which feed every finished accumulator row
-//!   straight into `Z` — against `Table::anchor` / `Table::settle`:
-//!   `Z` after every step, the frontier each step fires, the pending
-//!   rows its `mask()` reports and the `ops` it forms.
+//! * Backward: MFBr's opening and its loop products —
+//!   `count_children`, which counts each entry's children in place of
+//!   the child-count product, and `spgemm_settle`, which feeds every
+//!   finished accumulator row straight into `Z` — against
+//!   `Table::anchor` over the materialised count product and
+//!   `Table::settle`: `Z` after every step, the frontier each step
+//!   fires, the pending rows its `mask()` reports and the `ops` it
+//!   forms (the count's too: the products it stands for).
 //! * Forward: `spgemm_accumulate`, which runs `Table::accumulate`'s
 //!   body on every accumulator row, against `Table::accumulate` of the
 //!   matrix, for the three kernels `sweep::sweep` runs — MFBF's
@@ -41,7 +44,7 @@ use mfbc_core::cc::LabelKernel;
 use mfbc_core::seq::mfbf_keep_in_frontier;
 use mfbc_core::sweep::improved;
 use mfbc_sparse::{
-    spgemm_accumulate, spgemm_anchor, spgemm_opt, spgemm_settle, Coo, Csr, Mask, MaskKind, Table,
+    count_children, spgemm_accumulate, spgemm_opt, spgemm_settle, Coo, Csr, Mask, MaskKind, Table,
 };
 
 /// Pool sizes a case draws from: the serial degenerate pool and two
@@ -87,8 +90,14 @@ fn fire(z: &mut Centpath, t: &Multpath) -> Option<Centpath> {
 struct Seen {
     /// Backward: entries fired.
     fired: usize,
-    /// Backward: products landing outside `Z`'s pattern.
+    /// Backward: products landing outside `Z`'s pattern — the count's
+    /// where nothing masks it, which count towards `ops` all the same,
+    /// and the loop's.
     outside: usize,
+    /// Backward: entries with a child whose count a contribution
+    /// heavier than `τ(s,v)` zeroes ("greater wins", then the anchor's
+    /// compare).
+    zeroed: usize,
     /// Backward: frontier rows left empty.
     empty_rows: usize,
     /// Forward: entries kept.
@@ -317,21 +326,20 @@ impl SinkCase {
             .then(|| Mask::of_pattern(MaskKind::Structural, &t));
         let seeds = t.map(|_, _, mp| Centpath::new(mp.w, 0.0, 1));
 
-        let (mut z_sink, leaves) = spgemm_anchor::<BrandesKernel, _>(
-            &seeds,
-            &adj,
-            reached.as_ref(),
-            &t,
-            init,
-            fire,
-            self.masked,
-        );
+        let (mut z_sink, leaves) = count_children(&t, &adj, self.masked, fire);
         let counted = spgemm_opt::<BrandesKernel>(&seeds, &adj, reached.as_ref());
         let (mut z_mat, want) =
             Table::anchor::<CentpathMonoid, _>(&t, &counted.mat, init, fire, self.masked);
         same_step("anchor", &leaves.mat, &want, leaves.ops, counted.ops)?;
         same_state("anchor", &z_sink, &z_mat, self.masked)?;
         seen.fired += want.nnz();
+        for (s, v, d) in counted.mat.iter() {
+            match t.get(s, v) {
+                None => seen.outside += 1,
+                Some(tau) if d.w > tau.w && has_child(&t, &adj, s, v) => seen.zeroed += 1,
+                Some(_) => {}
+            }
+        }
 
         for (k, entries) in self.steps.iter().enumerate() {
             let what = format!("step {k}");
@@ -411,6 +419,16 @@ impl SinkCase {
         }
         Ok(())
     }
+}
+
+/// Whether some `(s,k) ∈ t` reaches `(s,v)` over `adj(k,v)` at exactly
+/// `τ(s,v)`: a child the count would find if nothing heavier came.
+fn has_child(t: &Csr<Multpath>, adj: &Csr<Dist>, s: usize, v: usize) -> bool {
+    let tau = t.get(s, v).expect("on t's pattern").w.raw();
+    t.row(s).any(|(k, tk)| {
+        adj.get(k, v)
+            .is_some_and(|a| a.raw() <= tk.w.raw() && tk.w.raw() - a.raw() == tau)
+    })
 }
 
 /// A centpath's fields as bits.
@@ -547,6 +565,7 @@ fn reach(stream: u64, generate: fn(u64) -> SinkCase) -> (Seen, Vec<SinkCase>) {
         let seen = mfbc_parallel::with_threads(case.threads, || case.run()).expect("case passes");
         total.fired += seen.fired;
         total.outside += seen.outside;
+        total.zeroed += seen.zeroed;
         total.empty_rows += seen.empty_rows;
         total.kept += seen.kept;
         total.fresh += seen.fresh;
@@ -562,13 +581,17 @@ fn reach(stream: u64, generate: fn(u64) -> SinkCase) -> (Seen, Vec<SinkCase>) {
 
 #[test]
 fn the_generator_reaches_what_the_suite_claims() {
-    // Entries fire, products land outside Z's pattern, frontiers leave
-    // rows empty, both mask settings, unit and weighted adjacency and
-    // every pool size are drawn, and the parallel path (tasks owning
-    // row ranges of Z) runs.
+    // Entries fire, products land outside Z's pattern, heavier
+    // contributions zero counts, frontiers leave rows empty, both mask
+    // settings, unit and weighted adjacency and every pool size are
+    // drawn, and the parallel path (tasks owning row ranges of Z) runs.
     let (total, cases) = reach(0x51AC_0000, SinkCase::generate);
     assert!(
-        total.fired > 0 && total.outside > 0 && total.empty_rows > 0 && total.parallel,
+        total.fired > 0
+            && total.outside > 0
+            && total.zeroed > 0
+            && total.empty_rows > 0
+            && total.parallel,
         "{total:?}"
     );
     let unit = |c: &SinkCase| c.adj.iter().all(|&(_, _, w)| w == 1);

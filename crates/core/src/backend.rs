@@ -18,14 +18,15 @@
 //!   [`Simulated::charge`], which the CombBLAS baseline — a different
 //!   algorithm on the same machine — calls too.
 
-use mfbc_algebra::kernel::KernelOut;
+use crate::sweep::mfbr_anchor;
+use mfbc_algebra::kernel::{BrandesKernel, KernelOut};
 use mfbc_algebra::monoid::Monoid;
-use mfbc_algebra::{Dist, SpMulKernel};
+use mfbc_algebra::{Centpath, CentpathMonoid, Dist, Multpath, SpMulKernel};
 use mfbc_graph::Graph;
 use mfbc_machine::{Machine, MachineError};
 use mfbc_sparse::transpose::transpose;
 use mfbc_sparse::{
-    elementwise, spgemm_accumulate, spgemm_anchor, spgemm_settle, Csr, Mask, MaskKind, Table,
+    count_children, elementwise, spgemm_accumulate, spgemm_settle, Csr, Mask, MaskKind, Table,
 };
 use mfbc_tensor::cache::{CacheStats, MmCache};
 use mfbc_tensor::{autotune, canonical_layout, ops, DistMat, DistTable, MmPlan};
@@ -122,25 +123,22 @@ pub trait Backend {
             + Sync,
     ) -> Result<(Self::Mat<KernelOut<K>>, u64), Self::Error>;
 
-    /// Algorithm 2, lines 1–4, as one product into a freshly opened
-    /// `Z`: the table on `base`'s pattern, resident, that holds
-    /// `init(base_val, counted_opt)` — `counted` being the product of
-    /// `seed(base_val)` over `base`'s entries with `Aᵀ`, under
-    /// `within` — after `fire(&mut z_val, base_val)` has had its one
-    /// chance to rewrite each entry and emit an entry of the matrix
-    /// returned beside it. The coordinates `fire` passes on are
-    /// pending. Also returns the product's `ops`.
+    /// Algorithm 2, lines 1–4: opens `Z` on `t`'s pattern, resident,
+    /// every entry anchored at `(τ, 0, #children)` — `#children` being
+    /// how many `w` with `(s,w) ∈ t` have `τ(s,w) − A(v,w) = τ(s,v)`,
+    /// and 0 where one exceeds it, as the child-count product of
+    /// `(τ, 0, 1)` seeds with `Aᵀ` and [`crate::sweep::mfbr_anchor`]
+    /// make it — after `fire(&mut z_val, t_val)` has had its one chance
+    /// to rewrite each entry and emit an entry of the matrix returned
+    /// beside it. The coordinates `fire` passes on are pending. Also
+    /// returns the `ops` of that product, which runs under `t`'s
+    /// structural pattern where the backend masks.
     #[allow(clippy::type_complexity)]
-    fn anchor<K, T: Elem>(
+    fn anchor(
         &mut self,
-        base: &Self::Mat<T>,
-        within: Option<&Mask>,
-        seed: impl Fn(&T) -> KernelOut<K> + Sync,
-        init: impl Fn(&T, Option<&KernelOut<K>>) -> KernelOut<K> + Sync,
-        fire: impl Fn(&mut KernelOut<K>, &T) -> Option<KernelOut<K>> + Sync,
-    ) -> Result<(Self::Table<KernelOut<K>>, Self::Mat<KernelOut<K>>, u64), Self::Error>
-    where
-        K: SpMulKernel<Left = KernelOut<K>, Right = Dist>;
+        t: &Self::Mat<Multpath>,
+        fire: impl Fn(&mut Centpath, &Multpath) -> Option<Centpath> + Sync,
+    ) -> Result<(Self::Table<Centpath>, Self::Mat<Centpath>, u64), Self::Error>;
 
     /// Algorithm 2, lines 6–11, as one product into `z`:
     /// `z := z ⊕ (frontier •⟨⊕,f⟩ Aᵀ)` in place on `z`'s pattern
@@ -191,8 +189,9 @@ pub trait Backend {
 /// Every step is one product into its table, and none builds the
 /// product as a matrix: the row kernel of `mfbc_sparse` hands each
 /// finished accumulator row to the table — [`spgemm_accumulate`] into
-/// `T` forward, [`spgemm_anchor`] and [`spgemm_settle`] into `Z`
-/// backward.
+/// `T` forward, [`spgemm_settle`] into `Z` backward. `Z` is opened
+/// without a product at all: [`count_children`] counts each entry's
+/// children in place.
 pub struct Local<'g> {
     a: &'g Csr<Dist>,
     /// `Aᵀ`, transposed by the first backward sweep: a backend that
@@ -263,28 +262,13 @@ impl Backend for Local<'_> {
         Ok((out.mat, out.ops))
     }
 
-    fn anchor<K, T: Elem>(
+    fn anchor(
         &mut self,
-        base: &Csr<T>,
-        within: Option<&Mask>,
-        seed: impl Fn(&T) -> KernelOut<K> + Sync,
-        init: impl Fn(&T, Option<&KernelOut<K>>) -> KernelOut<K> + Sync,
-        fire: impl Fn(&mut KernelOut<K>, &T) -> Option<KernelOut<K>> + Sync,
-    ) -> Result<(Table<KernelOut<K>>, Csr<KernelOut<K>>, u64), Self::Error>
-    where
-        K: SpMulKernel<Left = KernelOut<K>, Right = Dist>,
-    {
-        // One seed per entry of `base`, so its structure is shared
-        // rather than rebuilt; an identity seed would have no place in
-        // it.
-        let seeds = base.map(|_, _, v| {
-            let s = seed(v);
-            assert!(!K::Acc::is_identity(&s), "an identity seed");
-            s
-        });
+        t: &Csr<Multpath>,
+        fire: impl Fn(&mut Centpath, &Multpath) -> Option<Centpath> + Sync,
+    ) -> Result<(Table<Centpath>, Csr<Centpath>, u64), Self::Error> {
         let masked = self.masked;
-        let (z, leaves) =
-            spgemm_anchor::<K, T>(&seeds, self.at(), within, base, init, fire, masked);
+        let (z, leaves) = count_children(t, self.at(), masked, fire);
         Ok((z, leaves.mat, leaves.ops))
     }
 
@@ -550,22 +534,30 @@ impl Backend for Simulated {
         Ok((kept, ops))
     }
 
-    fn anchor<K, T: Elem>(
+    fn anchor(
         &mut self,
-        base: &DistMat<T>,
-        within: Option<&Mask>,
-        seed: impl Fn(&T) -> KernelOut<K> + Sync,
-        init: impl Fn(&T, Option<&KernelOut<K>>) -> KernelOut<K> + Sync,
-        fire: impl Fn(&mut KernelOut<K>, &T) -> Option<KernelOut<K>> + Sync,
-    ) -> Result<(DistTable<KernelOut<K>>, DistMat<KernelOut<K>>, u64), MachineError>
-    where
-        K: SpMulKernel<Left = KernelOut<K>, Right = Dist>,
-    {
-        // The count has to be communicated, so here it is a matrix.
-        let seeds = ops::dmat_map_filter::<K::Acc, _, _>(&self.m, base, |_, _, v| Some(seed(v)));
-        let (counted, ops) = self.mm::<K>(&seeds, Adj::At, within, within)?;
-        let (z, frontier) =
-            ops::dmat_anchor::<K::Acc, T>(&self.m, base, &counted, init, fire, self.masked)?;
+        t: &DistMat<Multpath>,
+        fire: impl Fn(&mut Centpath, &Multpath) -> Option<Centpath> + Sync,
+    ) -> Result<(DistTable<Centpath>, DistMat<Centpath>, u64), MachineError> {
+        // The count has to be communicated, so here it is a product:
+        // `(τ, 0, 1)` seeds times `Aᵀ`, consumed by the anchor. A
+        // contribution at a pair outside `T`'s pattern is inert, so
+        // where the machine masks, the product runs under that
+        // pattern (and redistribution drops `Aᵀ` columns of vertices
+        // no source discovered).
+        let reached = self.mask_of(MaskKind::Structural, t);
+        let seed = |_: usize, _: usize, mp: &Multpath| Some(Centpath::new(mp.w, 0.0, 1));
+        let seeds = ops::dmat_map_filter::<CentpathMonoid, _, _>(&self.m, t, seed);
+        let within = reached.as_ref();
+        let (counted, ops) = self.mm::<BrandesKernel>(&seeds, Adj::At, within, within)?;
+        let (z, frontier) = ops::dmat_anchor::<CentpathMonoid, Multpath>(
+            &self.m,
+            t,
+            &counted,
+            mfbr_anchor,
+            fire,
+            self.masked,
+        )?;
         Ok((z, frontier, ops))
     }
 

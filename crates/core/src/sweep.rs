@@ -202,22 +202,17 @@ pub fn backward<B: Backend>(
     t: &B::Mat<Multpath>,
 ) -> Result<(B::Mat<Centpath>, SweepStats), B::Error> {
     let mut st = SweepStats::default();
-    // Lines 1–4, one product into a freshly opened Z: count each
-    // vertex's shortest-path children by multiplying per-entry
-    // (τ, 0, 1) seeds with Aᵀ, anchor every entry at (τ, 0, #children);
+    // Lines 1–4: open Z, every entry anchored at (τ, 0, #children) —
+    // the children each vertex has on a shortest path from the source;
     // the leaves (counter 0) form the first frontier and are pinned,
-    // every other entry is pending. The count is consumed anchored on
-    // T's pattern, and a contribution at a (source, vertex) pair
-    // outside it — possible when an edge leads to a vertex no source
-    // reaches — is inert by the paper's `(∞,0,0)` semantics, so a
-    // structural mask of T skips those products (and lets
-    // redistribution drop Aᵀ columns of vertices no source discovered).
+    // every other entry is pending. How the children are counted is
+    // the backend's business (see `Backend::anchor`).
+    let (mut z, mut frontier, ops) = be.anchor(t, fire_and_pin)?;
+    st.ops += ops;
+    // T's pattern: what a backend that masks prices the loop's
+    // products under, and runs them under where Z reports no mask.
     let reached = be.mask_of(MaskKind::Structural, t);
     let reached = reached.as_ref();
-    let seed = |mp: &Multpath| Centpath::new(mp.w, 0.0, 1);
-    let (mut z, mut frontier, ops) =
-        be.anchor::<BrandesKernel, _>(t, reached, seed, mfbr_anchor, fire_and_pin)?;
-    st.ops += ops;
     let _span = be.span("backward");
     // Lines 5–12.
     loop {
@@ -300,9 +295,7 @@ mod tests {
         mut each: impl FnMut(&B::Table<Centpath>),
     ) -> Result<(B::Mat<Centpath>, SweepStats), B::Error> {
         let mut st = SweepStats::default();
-        let seed = |mp: &Multpath| Centpath::new(mp.w, 0.0, 1);
-        let (mut z, mut frontier, ops) =
-            be.anchor::<BrandesKernel, _>(t, reached, seed, mfbr_anchor, fire_and_pin)?;
+        let (mut z, mut frontier, ops) = be.anchor(t, fire_and_pin)?;
         st.ops += ops;
         loop {
             let nnz = be.nnz_sync("backward", st.iterations, &frontier)?;
@@ -346,9 +339,9 @@ mod tests {
             let Ok((t, _)) = forward(&mut be, g, &sources);
             be.masked = false;
             let Ok((z_none, none)) = backward(&mut be, &t);
-            // `T`'s pattern throughout, as before the pending set
-            // existed: `Z` opened untracked, every product under
-            // `reached`.
+            // `T`'s pattern for the loop, as before the pending set
+            // existed: `Z` opened untracked (its count unmasked), every
+            // loop product under `reached`.
             let reached = Mask::of_pattern(MaskKind::Structural, &t);
             let Ok((z_table, table)) = backward_watching(&mut be, &t, Some(&reached), |z| {
                 assert_eq!(z.mask(), None, "graph {k}: an untracked Z");

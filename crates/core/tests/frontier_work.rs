@@ -18,7 +18,7 @@ use mfbc_core::backend::{Backend, Local};
 use mfbc_core::bfs::sssp_seq;
 use mfbc_core::dist::{mfbc_dist, MfbcConfig};
 use mfbc_core::seq::{mfbc_seq, mfbf_seq, mfbr_seq};
-use mfbc_core::sweep::{backward, mfbf_keep_in_frontier, mfbr_anchor, mfbr_fire};
+use mfbc_core::sweep::{backward, mfbf_keep_in_frontier, mfbr_fire};
 use mfbc_graph::gen::{rmat, RmatConfig};
 use mfbc_graph::prep::{randomize_weights, remove_isolated};
 use mfbc_graph::Graph;
@@ -97,13 +97,15 @@ const MAX_REQUESTED_PER_TABLE_BYTE: f64 = 9.7;
 
 /// The same ratio on a unit-weighted R-MAT graph, where every product
 /// runs under a mask: the alarm for per-superstep copies of a mask's
-/// pattern. Measured: 7.2 with both sweeps' products consumed where
-/// they land (the forward sweep's share 3.3), 7.8 when MFBF's were
-/// matrices (its share 3.9), 10.5 when MFBr's were too, 16.4 when
-/// every superstep also copied the pattern into its mask and `Z` was
-/// opened in three passes. The usual × 1.5 would let the 10.5 back
-/// in: × 1.3 here.
-const MAX_MASKED_REQUESTED_PER_TABLE_BYTE: f64 = 9.3;
+/// pattern. Measured: 6.59 with `Z` opened by counting children in
+/// place, 7.18 when the count was a product of a seeds matrix with
+/// `Aᵀ` consumed where it landed (like both sweeps' loop products;
+/// the forward sweep's share 3.3), 7.8 when MFBF's were matrices (its
+/// share 3.9), 10.5 when MFBr's were too, 16.4 when every superstep
+/// also copied the pattern into its mask and `Z` was opened in three
+/// passes. The count is deterministic; the bound lies between the
+/// first two, so a seeds matrix coming back fails it.
+const MAX_MASKED_REQUESTED_PER_TABLE_BYTE: f64 = 6.9;
 
 /// Requested bytes per byte of final table for `mfbc_dist` at `p = 1`
 /// on the grid. One rank moves nothing, so what the simulated backend
@@ -149,10 +151,12 @@ const MAX_SSSP_REQUESTED_PER_TABLE_BYTE: f64 = 9.7;
 /// averaged 46.7 — measured maximum × 1.5.
 const MAX_CALLS_PER_BACKWARD_SUPERSTEP: u64 = 25;
 
-/// The same for the opening product of a batch (the table, the seeds,
-/// the leaves), on a backend that has built `Aᵀ` already. Measured:
-/// 37 — × 1.5.
-const MAX_CALLS_TO_OPEN_Z: u64 = 55;
+/// The same for opening `Z` (the table, the counting buffer, the
+/// leaves' vectors doubling as they fill), on a backend that has
+/// built `Aᵀ` already. Measured: 33 counting children in place, 37
+/// when the count was a product of a seeds matrix; the count is
+/// deterministic, and the bound lies between the two.
+const MAX_CALLS_TO_OPEN_Z: u64 = 35;
 
 /// Allocation calls any one forward superstep of `mfbf_seq` may make
 /// on the grids, where nothing masks. A superstep allocates its
@@ -240,7 +244,6 @@ fn tables_of(g: &Graph, nb: usize) -> (u64, usize) {
 /// counter read between its steps.
 fn backward_calls(be: &mut Local, g: &Graph, t: &Csr<Multpath>) -> (u64, Vec<u64>) {
     let reached = be.mask_of(MaskKind::Structural, t);
-    let seed = |mp: &Multpath| Centpath::new(mp.w, 0.0, 1);
     let fire = |z: &mut Centpath, tv: &Multpath| {
         let fired = mfbr_fire(z, tv.m)?;
         z.c = -1;
@@ -248,8 +251,7 @@ fn backward_calls(be: &mut Local, g: &Graph, t: &Csr<Multpath>) -> (u64, Vec<u64
     };
     let mut steps = Vec::with_capacity(t.ncols());
     let before = CALLS.load(Ordering::Relaxed);
-    let Ok((mut z, mut frontier, _)) =
-        be.anchor::<BrandesKernel, _>(t, reached.as_ref(), seed, mfbr_anchor, fire);
+    let Ok((mut z, mut frontier, _)) = be.anchor(t, fire);
     let opening = CALLS.load(Ordering::Relaxed) - before;
     let mut frontier_nnz = 0;
     while frontier.nnz() > 0 {

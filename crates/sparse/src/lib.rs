@@ -43,7 +43,7 @@ pub use csr::{Csr, Idx};
 pub use mask::{Mask, MaskKind, MaskRow};
 pub use rows::SortedRows;
 pub use spgemm::{
-    spgemm, spgemm_accumulate, spgemm_anchor, spgemm_masked, spgemm_masked_serial, spgemm_opt,
+    count_children, spgemm, spgemm_accumulate, spgemm_masked, spgemm_masked_serial, spgemm_opt,
     spgemm_serial, spgemm_settle,
 };
 pub use table::Table;

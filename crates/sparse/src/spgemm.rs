@@ -17,16 +17,20 @@
 //! product matrix is never built, copied or validated:
 //! [`spgemm_accumulate`] runs [`Table::accumulate`]'s body on each row
 //! in the column order draining would emit it (MFBF's `T`), and
-//! [`spgemm_settle`] and [`spgemm_anchor`] feed the accumulator's
-//! touched list straight into MFBr's `Z`.
+//! [`spgemm_settle`] feeds the accumulator's touched list straight into
+//! MFBr's `Z`.
+//!
+//! MFBr's opening product is not formed at all: all that survives of
+//! it is one integer per entry of `T`, which [`count_children`] counts
+//! in place under the same row fan-out, with the product's `ops`.
 
 use crate::csr::{Csr, Idx};
 use crate::elementwise::{assemble_rows, RowChunk};
 use crate::mask::{Mask, MaskKind, MaskRow};
-use crate::table::{Accumulate, Rows, Settle, Table};
+use crate::table::{stored, Accumulate, Leaves, Rows, Settle, Table};
 use mfbc_algebra::kernel::KernelOut;
 use mfbc_algebra::monoid::Monoid;
-use mfbc_algebra::SpMulKernel;
+use mfbc_algebra::{Centpath, CentpathMonoid, Dist, Multpath, SpMulKernel};
 use mfbc_parallel::balanced_ranges;
 use std::ops::Range;
 use std::sync::Mutex;
@@ -204,23 +208,6 @@ where
     }
 }
 
-/// The sink of [`spgemm_anchor`]: every formed entry re-initialises
-/// the table entry at its coordinate.
-struct Anchor<'a, M: Monoid, U, I> {
-    rows: Rows<'a, M::Elem, U>,
-    init: &'a I,
-}
-
-impl<M, U, I> RowSink<M::Elem> for Anchor<'_, M, U, I>
-where
-    M: Monoid,
-    I: Fn(&U, Option<&M::Elem>) -> M::Elem,
-{
-    fn row(&mut self, i: usize, spa: &mut Spa<M::Elem>, _: Option<Walk<'_>>) {
-        self.rows.anchor_row::<M>(i, spa.formed::<M>(), self.init);
-    }
-}
-
 /// The mask modes of [`multiply_rows`].
 const UNMASKED: u8 = 0;
 const STRUCTURAL: u8 = 1;
@@ -339,10 +326,10 @@ fn drains<M: Monoid>(ranges: &[Range<usize>]) -> Vec<Drain<M>> {
 }
 
 /// Every public entry point: checks shapes, then multiplies on the
-/// calling thread (`serial`, one pool thread or few rows) or over
-/// flops-balanced row ranges on the pool, one SPA per participant.
-/// `sinks` makes one sink per row range, in range order; they come
-/// back, having seen their rows, beside the products formed.
+/// calling thread or over flops-balanced row ranges on the pool (see
+/// [`fan_out`]), one SPA per participant. `sinks` makes one sink per
+/// row range, in range order; they come back, having seen their rows,
+/// beside the products formed.
 /// Row partitioning ignores the mask — the unmasked flops are a valid
 /// upper bound per row, and identical partitions keep the trace
 /// stream stable whether or not a mask is present.
@@ -373,33 +360,51 @@ fn run<K: SpMulKernel, S: RowSink<KernelOut<K>> + Send>(
             b.ncols()
         );
     }
-    let nrows = a.nrows();
     let spa = || Spa::new(b.ncols(), <K::Acc as Monoid>::identity());
+    let work = |spa: &mut _, rows, sink: &mut S| multiply::<K>(a, b, mask, rows, spa, sink);
+    fan_out("spgemm", (a, b), serial, spa, sinks, work)
+}
+
+/// The row fan-out of a product of `a` and `b`: `work(scratch, rows,
+/// part)` over all of `a`'s rows on the calling thread ([`on_caller`]),
+/// or over row ranges balanced by [`flops_weights`] on the pool, one
+/// `scratch` per participant, announced as a pool run of `kernel`.
+/// `parts` makes one part per range, in range order; they come back,
+/// having seen their rows, beside the sum of what `work` returned.
+fn fan_out<L, R, S: Send, P: Send>(
+    kernel: &'static str,
+    (a, b): (&Csr<L>, &Csr<R>),
+    serial: bool,
+    scratch: impl Fn() -> S + Sync,
+    parts: impl FnOnce(&[Range<usize>]) -> Vec<P>,
+    work: impl Fn(&mut S, Range<usize>, &mut P) -> u64 + Sync,
+) -> (Vec<P>, u64) {
+    let nrows = a.nrows();
     let pool = mfbc_parallel::current();
     if on_caller(serial, nrows) {
-        let mut sinks = sinks(std::slice::from_ref(&(0..nrows)));
-        let ops = multiply::<K>(a, b, mask, 0..nrows, &mut spa(), &mut sinks[0]);
-        return (sinks, ops);
+        let mut parts = parts(std::slice::from_ref(&(0..nrows)));
+        let ops = work(&mut scratch(), 0..nrows, &mut parts[0]);
+        return (parts, ops);
     }
     let weights = flops_weights(a, b);
     let ranges = balanced_ranges(&weights, pool.threads() * TASKS_PER_THREAD);
-    // One lock per range, taken by the one task that multiplies it.
-    let sinks: Vec<Mutex<S>> = sinks(&ranges).into_iter().map(Mutex::new).collect();
-    let (ops, stats) = pool.par_scratch_map(spa, ranges.len(), |spa, t| {
-        let mut sink = sinks[t].lock().expect("a row task panicked");
-        multiply::<K>(a, b, mask, ranges[t].clone(), spa, &mut *sink)
+    // One lock per range, taken by the one task that works it.
+    let parts: Vec<Mutex<P>> = parts(&ranges).into_iter().map(Mutex::new).collect();
+    let (ops, stats) = pool.par_scratch_map(scratch, ranges.len(), |s, t| {
+        let mut part = parts[t].lock().expect("a row task panicked");
+        work(s, ranges[t].clone(), &mut *part)
     });
     mfbc_trace::emit(|| mfbc_trace::TraceEvent::Pool {
-        kernel: "spgemm",
+        kernel,
         threads: stats.threads,
         tasks: stats.tasks,
         busy_us: stats.busy.iter().map(|d| d.as_micros() as u64).collect(),
         chunk_hist: chunk_histogram(ranges.iter().map(|r| r.len())),
     });
-    let sinks = sinks
+    let parts = parts
         .into_iter()
-        .map(|s| s.into_inner().expect("a row task panicked"));
-    (sinks.collect(), ops.iter().sum())
+        .map(|p| p.into_inner().expect("a row task panicked"));
+    (parts.collect(), ops.iter().sum())
 }
 
 /// [`run`] into the product matrix.
@@ -525,42 +530,131 @@ pub fn spgemm_settle<K: SpMulKernel, U: Sync>(
     SpGemmOut { mat, ops }
 }
 
-/// Algorithm 2, lines 1–4, with the child-count product consumed where
-/// it lands: [`Table::anchor`] of `base` against the product of `a`
-/// and `b` under `mask`, which is never built — the table starts as
-/// `init(base_val, None)` everywhere and every finished accumulator
-/// row overwrites the entries it found. Returns the table (with
-/// `track`, reporting its pending entries as [`Table::mask`]) and what
-/// `fire` emitted with the products formed; bit-identical to
-/// [`spgemm_opt`] followed by [`Table::anchor`] at any thread count.
+/// One column of [`count_children`]'s dense buffer while a row is
+/// counted: whether `T`'s row lists it, the weight a child's
+/// contribution must match, and how many did.
+#[derive(Clone, Copy, Default)]
+struct Child {
+    listed: bool,
+    matched: u32,
+    /// `τ(s,v)` — or `u64::MAX`, which nothing matches, once a heavier
+    /// contribution has arrived: "greater wins" would keep that one,
+    /// and the anchor discard it.
+    tau: u64,
+}
+
+/// Algorithm 2, lines 1–4, without the product: `Z` opened on `t`'s
+/// pattern, every entry anchored at `(τ, 0, #children)`, and the
+/// leaves `fire` emits. Row by row, `t`'s row is scattered into a
+/// dense buffer; every candidate `(s,w) ∈ t`, `v ∈ at.row(w)` with
+/// `τ(s,w) ≥ A(v,w)` — where `BrandesKernel` forms a product — counts
+/// towards `ops`, and bumps `v`'s count where `τ(s,w) − A(v,w) =
+/// τ(s,v)`; then the row's counts are written, and `fire(&mut z_val,
+/// t_val)` has its one chance to rewrite each entry and emit a leaf.
+///
+/// With `masked`, only candidates with `(s,v) ∈ t` are formed, and the
+/// coordinates `fire` returned `None` on are *pending*: [`Table::mask`]
+/// reports them from here on. Without it, a candidate outside `t`'s
+/// pattern counts towards `ops` and lands nowhere.
+///
+/// Bit-identical to [`Table::anchor`] of `t` against the product of
+/// `(τ, 0, 1)` seeds on `t`'s entries with `at` (under `t`'s structural
+/// pattern when `masked`), with `sweep::mfbr_anchor` as `init`, and to
+/// that product's `ops`, on any table and at any thread count: a count
+/// is an integer, whatever order it is summed in, and is zeroed where
+/// a contribution heavier than `τ(s,v)` arrived, as the product's
+/// "greater wins" and the anchor's compare zero it. Parallel tasks own
+/// disjoint row ranges of `Z`.
 ///
 /// # Panics
-/// Panics where [`spgemm_opt`] or [`Table::anchor`] would.
-pub fn spgemm_anchor<K: SpMulKernel, U: Sync>(
-    a: &Csr<K::Left>,
-    b: &Csr<K::Right>,
-    mask: Option<&Mask>,
-    base: &Csr<U>,
-    init: impl Fn(&U, Option<&KernelOut<K>>) -> KernelOut<K> + Sync,
-    fire: impl Fn(&mut KernelOut<K>, &U) -> Option<KernelOut<K>>,
-    track: bool,
-) -> (Table<KernelOut<K>>, SpGemmOut<KernelOut<K>>) {
+/// Panics if the shapes disagree, `t` stores an infinite weight or
+/// `fire` emits an identity.
+pub fn count_children(
+    t: &Csr<Multpath>,
+    at: &Csr<Dist>,
+    masked: bool,
+    fire: impl Fn(&mut Centpath, &Multpath) -> Option<Centpath> + Sync,
+) -> (Table<Centpath>, SpGemmOut<Centpath>) {
     assert_eq!(
-        (a.nrows(), b.ncols()),
-        (base.nrows(), base.ncols()),
-        "anchor shape"
+        (t.ncols(), t.ncols()),
+        (at.nrows(), at.ncols()),
+        "count shape: {}x{} by {}x{}",
+        t.nrows(),
+        t.ncols(),
+        at.nrows(),
+        at.ncols()
     );
-    let mut z = Table::unanchored::<K::Acc, U>(base, &init);
-    let ((_, rows), init) = (z.lend(base), &init);
-    let anchors = move |ranges: &[Range<usize>]| {
-        let parts = rows.split(ranges).into_iter();
-        parts
-            .map(|rows| Anchor::<K::Acc, U, _> { rows, init })
-            .collect()
+    let fire = &fire;
+    let opened = |mp: &Multpath| stored::<CentpathMonoid>(Centpath::new(mp.w, 0.0, 0));
+    let mut z = Table::on_pattern(t, opened);
+    let (_, rows) = z.lend(t);
+    let parts = move |ranges: &[Range<usize>]| {
+        let leaves = ranges.iter().map(|r| Leaves::new(r.len(), masked));
+        rows.split(ranges).into_iter().zip(leaves).collect()
     };
-    let (_, ops) = run::<K, _>(a, b, mask, false, anchors);
-    let mat = z.fire_all::<K::Acc, U>(base, fire, track);
+    let cells = || vec![Child::default(); t.ncols()];
+    let work = |cells: &mut Vec<Child>, range, part: &mut (Rows<'_, _, _>, _)| {
+        count_rows(at, masked, range, cells, part, fire)
+    };
+    let (parts, ops) = fan_out("count_children", (t, at), false, cells, parts, work);
+    let leaves: Vec<_> = parts.into_iter().map(|(_, leaves)| leaves).collect();
+    let mat = z.pend(leaves);
     (z, SpGemmOut { mat, ops })
+}
+
+/// [`count_children`] over `rows`, into one task's rows of `Z` and the
+/// leaves they fire; returns the products the count stands for. Every
+/// row leaves the buffer's cells as it found them.
+fn count_rows(
+    at: &Csr<Dist>,
+    masked: bool,
+    rows: Range<usize>,
+    cells: &mut [Child],
+    (z, leaves): &mut (Rows<'_, Centpath, Multpath>, Leaves<Centpath>),
+    fire: &impl Fn(&mut Centpath, &Multpath) -> Option<Centpath>,
+) -> u64 {
+    let mut ops = 0u64;
+    for s in rows {
+        let (cols, zs, ts) = z.row(s);
+        for (&v, tv) in cols.iter().zip(ts) {
+            let tau = tv.w.raw();
+            cells[v as usize] = Child {
+                listed: true,
+                matched: 0,
+                tau,
+            };
+        }
+        for (&w, tw) in cols.iter().zip(ts) {
+            let (tw, w) = (tw.w.raw(), w as usize);
+            for (&v, a) in at.row_cols(w).iter().zip(at.row_vals(w)) {
+                // `τ(s,w)` is finite: an infinite `A(v,w)` lands here too.
+                if a.raw() > tw {
+                    continue;
+                }
+                let c = &mut cells[v as usize];
+                if !c.listed {
+                    ops += u64::from(!masked);
+                    continue;
+                }
+                ops += 1;
+                // Whether `w` is a child of `v` is the unpredictable
+                // branch of the loop: counted without one.
+                let back = tw - a.raw();
+                c.matched += u32::from(back == c.tau);
+                if back > c.tau {
+                    c.tau = u64::MAX;
+                }
+            }
+        }
+        for ((&v, zv), tv) in cols.iter().zip(zs.iter_mut()).zip(ts) {
+            let c = std::mem::take(&mut cells[v as usize]);
+            if c.tau == tv.w.raw() {
+                zv.c = i64::from(c.matched);
+            }
+        }
+        leaves.row::<CentpathMonoid, _>(cols, zs, ts, fire);
+    }
+    ops
 }
 
 /// Sequential generalized SpGEMM (row-wise Gustavson).
@@ -642,7 +736,7 @@ pub(crate) fn chunk_histogram(sizes: impl Iterator<Item = usize>) -> Vec<u64> {
 mod tests {
     use super::*;
     use crate::coo::Coo;
-    use mfbc_algebra::kernel::{BellmanFordKernel, TropicalKernel};
+    use mfbc_algebra::kernel::{BellmanFordKernel, BrandesKernel, TropicalKernel};
     use mfbc_algebra::monoid::MinDist;
     use mfbc_algebra::{Dist, Multpath, MultpathMonoid};
 
@@ -1022,6 +1116,80 @@ mod tests {
             for spa in [drained, fed] {
                 assert!(spa.mark < 16, "the mark must have wrapped: {}", spa.mark);
             }
+        }
+    }
+
+    /// MFBr's hook: a zero counter fires and is pinned.
+    fn fire_and_pin(z: &mut Centpath, t: &Multpath) -> Option<Centpath> {
+        (z.c == 0).then(|| {
+            z.c = -1;
+            Centpath::new(z.w, z.p + 1.0 / t.m, -1)
+        })
+    }
+
+    #[test]
+    fn count_children_counts_ties_zeroes_heavier_and_counts_what_lands_outside() {
+        // A: 0→1, 0→2, 1→3, 2→3, 4→3 of weight 1, 3→4 of weight 2 and
+        // 4→1 of weight 3, which no path of weight 1 to 1 can use.
+        let a = dist_mat(
+            5,
+            5,
+            &[
+                (0, 1, 1),
+                (0, 2, 1),
+                (1, 3, 1),
+                (2, 3, 1),
+                (4, 3, 1),
+                (3, 4, 2),
+                (4, 1, 3),
+            ],
+        );
+        let at = crate::transpose::transpose(&a);
+        // Row 0 is a shortest-path table from 0 without vertex 4; row 1
+        // is not one: 2 sends 0 a contribution of weight 2, heavier
+        // than τ(1,0) = 0, which zeroes the count 1 finds.
+        let entries = [(0, 0, 0), (0, 1, 1), (0, 2, 1), (0, 3, 2)];
+        let entries = entries
+            .iter()
+            .chain(&[(1, 0, 0), (1, 1, 1), (1, 2, 3), (1, 3, 2)]);
+        let t = Coo::from_triples(
+            2,
+            5,
+            entries.map(|&(s, v, w)| (s, v, Multpath::new(Dist::new(w), 2.0))),
+        )
+        .into_csr::<MultpathMonoid>();
+        let counts = [(0, 0, 2), (0, 1, 1), (0, 2, 1), (0, 3, 0)];
+        let counts = counts
+            .iter()
+            .chain(&[(1, 0, 0), (1, 1, 1), (1, 2, 0), (1, 3, 0)]);
+        let leaves = counts.clone().filter(|c| c.2 == 0);
+        let pinned = |c: i64| if c == 0 { -1 } else { c };
+        let want_z = Coo::from_triples(
+            2,
+            5,
+            counts.map(|&(s, v, c)| (s, v, Centpath::new(t.get(s, v).unwrap().w, 0.0, pinned(c)))),
+        )
+        .into_csr::<CentpathMonoid>();
+        let want_leaves = Coo::from_triples(
+            2,
+            5,
+            leaves.map(|&(s, v, _)| (s, v, Centpath::new(t.get(s, v).unwrap().w, 0.5, -1))),
+        )
+        .into_csr::<CentpathMonoid>();
+        // Candidates with τ(s,w) ≥ A(v,w): four in each row towards the
+        // table, and one more towards vertex 4, outside it.
+        let seeds = t.map(|_, _, mp| Centpath::new(mp.w, 0.0, 1));
+        let reached = Mask::of_pattern(MaskKind::Structural, &t);
+        for (masked, want_ops) in [(true, 8), (false, 10)] {
+            let product = spgemm_opt::<BrandesKernel>(&seeds, &at, masked.then_some(&reached));
+            assert_eq!(product.ops, want_ops, "the product, masked {masked}");
+            let (z, fired) = count_children(&t, &at, masked, fire_and_pin);
+            assert_eq!(fired.ops, want_ops, "masked {masked}");
+            assert_eq!(fired.mat, want_leaves, "masked {masked}");
+            let waits = |s: usize| z.mask().map(|m| m.row(s).cols().collect::<Vec<_>>());
+            let want = |cols: Vec<Idx>| masked.then_some(cols);
+            assert_eq!((waits(0), waits(1)), (want(vec![0, 1, 2]), want(vec![1])));
+            assert_eq!(z.freeze(), want_z, "masked {masked}");
         }
     }
 

@@ -13,7 +13,9 @@
 //! folds them in, appending to the arena and writing slots in place.
 //!
 //! It is also MFBr's `Z`, which never grows: opened on `T`'s frozen
-//! pattern ([`Table::on_pattern`]), arena position `p` of `Z` is CSR
+//! pattern ([`Table::on_pattern`]) — anchored against a materialised
+//! child count ([`Table::anchor`]) or counted in place
+//! ([`crate::count_children`]) — arena position `p` of `Z` is CSR
 //! position `p` of `T`, so an update finds the entry it settles into
 //! *and* the `T` entry beside it by one slot lookup
 //! ([`Table::settle`]) — from a matrix's rows or straight from the
@@ -23,9 +25,9 @@
 //! A table opened with tracking also carries the mask of what may
 //! still land in it ([`Table::mask`]), as [`SortedRows`] updated in
 //! place by the operations that change the answer: while the table
-//! grows, the complement of every stored coordinate; once
-//! [`Table::anchor`] has opened it as `Z`, the *pending* coordinates —
-//! those that have not fired — which [`Table::settle`] shrinks.
+//! grows, the complement of every stored coordinate; once it has been
+//! opened as `Z`, the *pending* coordinates — those that have not
+//! fired — which [`Table::settle`] shrinks.
 
 use crate::csr::{Csr, Idx};
 use crate::elementwise::{assemble_rows, RowChunk};
@@ -53,7 +55,7 @@ pub struct Table<T> {
 
 /// `v`, as an entry of a table whose pattern is fixed: the sparse-zero
 /// convention stores no identity, and a fixed pattern cannot drop one.
-fn stored<M: Monoid>(v: M::Elem) -> M::Elem {
+pub(crate) fn stored<M: Monoid>(v: M::Elem) -> M::Elem {
     assert!(!M::is_identity(&v), "an identity on a fixed pattern");
     v
 }
@@ -125,7 +127,7 @@ impl<T: Clone> Table<T> {
 
     /// The outputs a product into this table can still matter at,
     /// read in place: none already stored while the table grows, the
-    /// pending ones once [`Table::anchor`] has opened it. `None` on a
+    /// pending ones once it has been opened as `Z`. `None` on a
     /// table opened without tracking.
     #[inline]
     pub fn mask(&self) -> Option<Mask<'_>> {
@@ -301,65 +303,44 @@ impl<T: Clone> Table<T> {
     {
         let shape = (base.nrows(), base.ncols());
         assert_eq!(shape, (other.nrows(), other.ncols()), "anchor shape");
-        let mut z = Table::unanchored::<M, U>(base, &init);
+        let mut z = Table::on_pattern(base, |a| stored::<M>(init(a, None)));
+        let mut leaves = Leaves::new(shape.0, track);
         let (_, mut rows) = z.lend(base);
         for i in 0..shape.0 {
             rows.anchor_row::<M>(i, other.row(i), &init);
+            let (cols, vals, side) = rows.row(i);
+            leaves.row::<M, U>(cols, vals, side, &fire);
         }
-        let leaves = z.fire_all::<M, U>(base, fire, track);
-        (z, leaves)
+        let fired = z.pend([leaves]);
+        (z, fired)
     }
 
-    /// [`Table::anchor`] before anything was found beside `base`:
-    /// `init(base_val, None)` everywhere.
-    pub(crate) fn unanchored<M, U>(base: &Csr<U>, init: &impl Fn(&U, Option<&T>) -> T) -> Table<T>
-    where
-        M: Monoid<Elem = T>,
-    {
-        Table::on_pattern(base, |a| stored::<M>(init(a, None)))
-    }
-
-    /// The closing pass of [`Table::anchor`]: `fire` on every entry,
-    /// in `side`'s order; with `track`, the rest become the mask.
-    pub(crate) fn fire_all<M, U>(
-        &mut self,
-        side: &Csr<U>,
-        fire: impl Fn(&mut T, &U) -> Option<T>,
-        track: bool,
-    ) -> Csr<T>
-    where
-        M: Monoid<Elem = T>,
-    {
-        self.assert_on(side);
-        let nrows = self.nrows;
-        let mut rowptr = Vec::with_capacity(nrows + 1);
-        rowptr.push(0usize);
-        let (mut colind, mut fired) = (Vec::new(), Vec::new());
-        let mut pending = track.then(|| Vec::with_capacity(nrows));
-        for i in 0..nrows {
-            let span = side.rowptr()[i]..side.rowptr()[i + 1];
-            // At most the whole row waits: reserved once, not grown.
-            let mut waits: Vec<Idx> = Vec::with_capacity(if track { span.len() } else { 0 });
-            for p in span {
-                let j = side.colind()[p];
-                match fire(&mut self.vals[p], &side.vals()[p]) {
-                    Some(o) => {
-                        colind.push(j);
-                        fired.push(stored::<M>(o));
-                    }
-                    None if track => waits.push(j),
-                    None => {}
-                }
-            }
-            rowptr.push(colind.len());
-            if let Some(p) = &mut pending {
-                p.push(waits);
+    /// Closes the opening of `Z`: what `parts` fired, in part (that is,
+    /// row) order, is the matrix returned; with tracking, the columns
+    /// that wait are the mask from here on.
+    ///
+    /// # Panics
+    /// Panics if `parts` is empty.
+    pub(crate) fn pend(&mut self, parts: impl IntoIterator<Item = Leaves<T>>) -> Csr<T> {
+        let mut parts = parts.into_iter();
+        // The first part's vectors are moved, so one part is not copied.
+        let Leaves {
+            fired: (mut rowptr, mut colind, mut vals),
+            mut pending,
+        } = parts.next().expect("one part at least");
+        for part in parts {
+            let (at, (ptr, cols, fired)) = (colind.len(), part.fired);
+            rowptr.extend(ptr[1..].iter().map(|p| at + p));
+            colind.extend(cols);
+            vals.extend(fired);
+            if let (Some(all), Some(waits)) = (&mut pending, part.pending) {
+                all.extend(waits);
             }
         }
-        let fired = Csr::from_parts(nrows, self.ncols, rowptr, colind, fired);
+        debug_assert_eq!(rowptr.len(), self.nrows + 1);
         let ncols = self.ncols;
         self.mask = pending.map(|rows| (MaskKind::Structural, SortedRows::from_rows(ncols, rows)));
-        fired
+        Csr::from_parts(self.nrows, ncols, rowptr, colind, vals)
     }
 
     /// `Z := Z ⊗ G` in place on the table's fixed pattern — `side`'s,
@@ -555,6 +536,15 @@ impl<'a, T, U> Rows<'a, T, U> {
         Some((&mut self.vals[p - self.first], &self.side.vals()[p]))
     }
 
+    /// Row `i`: its columns, its entries and the `side` entries beside
+    /// them, in `side`'s column order.
+    #[inline]
+    pub(crate) fn row(&mut self, i: usize) -> (&'a [Idx], &mut [T], &'a [U]) {
+        let (side, span) = (self.side, self.side.rowptr()[i]..self.side.rowptr()[i + 1]);
+        let vals = &mut self.vals[span.start - self.first..span.end - self.first];
+        (&side.colind()[span.clone()], vals, &side.vals()[span])
+    }
+
     /// One row of [`Table::anchor`]: `init(side_val, Some(found_val))`
     /// over what was `found` in row `i`, in any order; coordinates
     /// outside the pattern are dropped.
@@ -571,6 +561,63 @@ impl<'a, T, U> Rows<'a, T, U> {
             if let Some((zv, sv)) = self.at(i, j) {
                 *zv = stored::<M>(init(sv, Some(d)));
             }
+        }
+    }
+}
+
+/// What opening `Z` fires over one task's rows, row for row, and — with
+/// tracking — the columns of each row that wait: the rows of the
+/// pending mask. [`Table::pend`] closes the opening from these.
+pub(crate) struct Leaves<T> {
+    /// `rowptr` from 0, `colind`, `vals`.
+    fired: (Vec<usize>, Vec<Idx>, Vec<T>),
+    pending: Option<Vec<Vec<Idx>>>,
+}
+
+impl<T> Leaves<T> {
+    /// Room for `nrows` rows.
+    pub(crate) fn new(nrows: usize, track: bool) -> Leaves<T> {
+        let mut rowptr = Vec::with_capacity(nrows + 1);
+        rowptr.push(0);
+        Leaves {
+            fired: (rowptr, Vec::new(), Vec::new()),
+            pending: track.then(|| Vec::with_capacity(nrows)),
+        }
+    }
+
+    /// The next row: `fire(&mut value, side_val)` on each of its
+    /// entries — `vals` at `cols`, `side` beside them — in column
+    /// order.
+    ///
+    /// # Panics
+    /// Panics if `fire` emits `M`'s identity.
+    #[inline]
+    pub(crate) fn row<M, U>(
+        &mut self,
+        cols: &[Idx],
+        vals: &mut [T],
+        side: &[U],
+        fire: &impl Fn(&mut T, &U) -> Option<T>,
+    ) where
+        M: Monoid<Elem = T>,
+    {
+        let (rowptr, colind, fired) = &mut self.fired;
+        // At most the whole row waits: reserved once, not grown.
+        let track = self.pending.is_some();
+        let mut waits: Vec<Idx> = Vec::with_capacity(if track { cols.len() } else { 0 });
+        for ((&j, v), s) in cols.iter().zip(vals).zip(side) {
+            match fire(v, s) {
+                Some(o) => {
+                    colind.push(j);
+                    fired.push(stored::<M>(o));
+                }
+                None if track => waits.push(j),
+                None => {}
+            }
+        }
+        rowptr.push(colind.len());
+        if let Some(p) = &mut self.pending {
+            p.push(waits);
         }
     }
 }

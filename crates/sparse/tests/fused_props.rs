@@ -265,7 +265,7 @@ fn settle_equals_combine_anchored_then_fire_then_pin() {
 fn an_untracked_table_reports_no_mask() {
     use mfbc_algebra::kernel::BrandesKernel;
     use mfbc_algebra::monoid::MinDist;
-    use mfbc_sparse::{spgemm_anchor, spgemm_settle};
+    use mfbc_sparse::{count_children, spgemm_settle};
     let mut rng = ChaCha8Rng::seed_from_u64(3000);
     // Growing: opened, accumulated into, frozen.
     let seed = explored(&mut rng, 30);
@@ -292,8 +292,7 @@ fn an_untracked_table_reports_no_mask() {
     };
     let (mut z_mat, leaves) =
         Table::anchor::<CentpathMonoid, _>(&t, &seeds, init, fire_and_pin, false);
-    let (mut z_sink, fed) =
-        spgemm_anchor::<BrandesKernel, _>(&seeds, &adj, None, &t, init, fire_and_pin, false);
+    let (mut z_sink, fed) = count_children(&t, &adj, false, fire_and_pin);
     assert_eq!((z_mat.mask(), z_sink.mask()), (None, None), "anchored");
     let fired = z_mat.settle::<CentpathMonoid, _>(&leaves, &t, fire_and_pin);
     let out =

@@ -2,14 +2,16 @@
 """Parent/change pairing protocol for the wall-clock benchmark.
 
 Runs N pairs of two already-built `mfbc-benchmark` binaries on seeds
-1..N, alternating which side goes first, and prints the markdown table
+1..N (or from `--first-seed` on, to re-run a claim on seeds not used
+while the change was written), alternating which side goes first
+(the parent in the first pair), and prints the markdown table
 EXPERIMENTS.md records: per workload x metric the medians and quartiles
 of both sides, the change of the median, in how many pairs the change
 was better, and a verdict against the bound BENCHMARK.json fixes.
 
     scripts/bench_pairs.py PARENT_BIN CHANGE_BIN \
-        [--workloads seq-road,dist-p1] [-n 10] [--seconds 10] \
-        [--trace 0|1] [--metrics core.ops,core.mfbf_s]
+        [--workloads seq-road,dist-p1] [-n 10] [--first-seed 1] \
+        [--seconds 10] [--trace 0|1] [--metrics core.ops,core.mfbf_s]
 
 `--trace 0` runs print the end-to-end metrics, `--trace 1` runs the
 per-layer ones (name those with `--metrics`).
@@ -21,8 +23,10 @@ behind, so every `wall_vs_brandes` row also shows each side's median
 when the ratio and `wall_s` change in opposite directions by more than
 10 %: the program did one thing and the reference another.
 
-Verdicts (metrics BENCHMARK.json bounds):
-  unresolved     a side's quartile distance exceeds the bound
+Verdicts (metrics BENCHMARK.json bounds; pinned by the doctests of
+`verdict`, `python3 -m doctest scripts/bench_pairs.py`):
+  unresolved     a side's quartile distance exceeds the bound, and not
+                 every change run reads better than every parent run
   regressed      the change's median is worse by more than the bound
   improved       the change is better in >= 9/10 of the pairs and the
                  medians differ by more than the parent's quartile distance
@@ -82,17 +86,38 @@ def quartiles(xs):
     return q1, med, q3
 
 
-def verdict(parent_q, change_q, pairs, wins, better, bound):
-    (pq1, pmed, pq3), (cq1, cmed, cq3) = parent_q, change_q
+def verdict(parent, change, better, bound):
+    """The verdict of one row from both sides' runs, paired in order.
+
+    A quartile distance wider than the bound leaves the row unresolved,
+    unless every change run reads better than every parent run:
+
+    >>> verdict([10, 14, 10, 14, 12], [11, 10, 11, 13, 12], "lower", 0.25)
+    'unresolved'
+    >>> verdict([10, 14, 10, 14, 12], [6, 9, 6, 9, 7], "lower", 0.25)
+    'improved'
+    >>> verdict([10, 10.5, 10, 10.5, 10], [9.9, 9.8, 9.9, 9.8, 9.9], "lower", 0.25)
+    'no regression'
+    >>> verdict([10, 10.5, 10, 10.5, 10], [13, 13.5, 13, 13.5, 13], "lower", 0.25)
+    'regressed'
+    >>> verdict([2, 2.1, 2, 2.1, 2], [2.5, 2.6, 2.5, 2.6, 2.5], "higher", 0.25)
+    'improved'
+    >>> verdict([0, 0], [1, 1], "lower", 0.25)
+    '–'
+    """
+    (pq1, pmed, pq3), (cq1, cmed, cq3) = quartiles(parent), quartiles(change)
     if pmed == 0 or cmed == 0:
         return "–"
-    if (pq3 - pq1) / abs(pmed) > bound or (cq3 - cq1) / abs(cmed) > bound:
-        return "unresolved"
-    worse = (cmed - pmed) / abs(pmed) * (1 if better == "lower" else -1)
-    if worse > bound:
-        return "regressed"
+    sign = 1 if better == "lower" else -1
     # Ties count for neither side: only outright wins reach 9/10.
-    if wins >= 0.9 * pairs and abs(cmed - pmed) > pq3 - pq1:
+    wins = sum(sign * (c - p) < 0 for p, c in zip(parent, change))
+    # Every change run better than every parent run: no spread hides that.
+    apart = max(sign * c for c in change) < min(sign * p for p in parent)
+    if ((pq3 - pq1) / abs(pmed) > bound or (cq3 - cq1) / abs(cmed) > bound) and not apart:
+        return "unresolved"
+    if sign * (cmed - pmed) / abs(pmed) > bound:
+        return "regressed"
+    if wins >= 0.9 * len(parent) and abs(cmed - pmed) > pq3 - pq1:
         return "improved"
     return "no regression"
 
@@ -104,6 +129,8 @@ def main():
     ap.add_argument("--manifest", default=str(ROOT / "BENCHMARK.json"))
     ap.add_argument("--workloads", help="comma-separated; default: all in the manifest")
     ap.add_argument("-n", "--pairs", type=int, default=10)
+    ap.add_argument("--first-seed", type=int, default=1,
+                    help="pairs run on seeds N..N+pairs-1 (default 1)")
     ap.add_argument("--seconds", type=float, help="default: the manifest's run_seconds")
     ap.add_argument("--trace", type=int, choices=[0, 1], default=0)
     ap.add_argument("--metrics", help="comma-separated; default: the end-to-end metrics")
@@ -123,8 +150,8 @@ def main():
     samples = {}  # (workload, metric) -> {"parent": [...], "change": [...]}
     with tempfile.TemporaryDirectory() as cwd:  # the binary writes benchmark/out/
         for workload in workloads:
-            for seed in range(1, args.pairs + 1):
-                order = ["parent", "change"] if seed % 2 else ["change", "parent"]
+            for pair, seed in enumerate(range(args.first_seed, args.first_seed + args.pairs)):
+                order = ["change", "parent"] if pair % 2 else ["parent", "change"]
                 for side in order:
                     got = run(sides[side], workload, seed, seconds, args.trace, cwd)
                     if got is None:
@@ -151,10 +178,9 @@ def main():
         decl = declared[name]
         sign = 1 if decl["better"] == "lower" else -1
         wins = sum(sign * (c - p) < 0 for p, c in zip(parent, change))
-        parent_q, change_q = quartiles(parent), quartiles(change)
-        (pq1, pmed, pq3), (cq1, cmed, cq3) = parent_q, change_q
+        (pq1, pmed, pq3), (cq1, cmed, cq3) = quartiles(parent), quartiles(change)
         delta = f"{(cmed - pmed) / abs(pmed):+.1%}" if pmed else "–"
-        v = (verdict(parent_q, change_q, len(parent), wins, decl["better"], decl["bound"])
+        v = (verdict(parent, change, decl["better"], decl["bound"])
              if "bound" in decl else "–")
         failed |= v == "regressed"
         pwall = cwall = ""

@@ -284,12 +284,17 @@ fn run_capturing(args: &[&str], stdin: Option<&str>) -> (i32, String, String) {
     let mut child = cmd.spawn().expect("spawn mfbc-cli");
     if let Some(input) = stdin {
         use std::io::Write;
-        child
+        let written = child
             .stdin
             .as_mut()
-            .unwrap()
-            .write_all(input.as_bytes())
-            .unwrap();
+            .expect("piped stdin")
+            .write_all(input.as_bytes());
+        // A command that rejects its arguments can exit before it
+        // reads its input; what it printed and returned is checked
+        // below all the same.
+        if let Err(e) = written {
+            assert_eq!(e.kind(), std::io::ErrorKind::BrokenPipe, "{e}");
+        }
     }
     drop(child.stdin.take());
     let out = child.wait_with_output().expect("wait");
