@@ -583,3 +583,37 @@ fn flight_out_captures_the_poison_auto_dump_and_a_final_dump() {
     );
     std::fs::remove_dir_all(&dir).ok();
 }
+
+/// `serve --prom-out` writes, byte for byte, the text in
+/// `golden/cli_serve.prom`: a health check, two rounds over three
+/// query kinds, and a shed.
+#[test]
+fn serve_prom_out_prints_its_golden() {
+    let dir = std::env::temp_dir().join(format!("mfbc-cli-prom-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = dir.join("serve.prom");
+    let (_, err) = run_ok_capturing(
+        &[
+            "serve",
+            "--nodes",
+            "4",
+            "--graph",
+            "uniform:32,64",
+            "--batch",
+            "8",
+            "--seed",
+            "7",
+            "--prom-out",
+            path.to_str().unwrap(),
+        ],
+        Some(
+            "{\"cmd\":\"health\"}\n{\"id\":1,\"query\":\"topk\",\"k\":2}\n\n\
+             {\"id\":2,\"query\":\"vertex\",\"v\":3}\n{\"id\":3,\"query\":\"vertex\",\"v\":99}\n\
+             {\"id\":4,\"query\":\"full\"}\n",
+        ),
+    );
+    assert!(err.contains("served 3 response(s), shed 1"), "{err}");
+    let text = std::fs::read_to_string(&path).expect("--prom-out written");
+    std::fs::remove_dir_all(&dir).ok();
+    assert_eq!(text, include_str!("golden/cli_serve.prom"));
+}
