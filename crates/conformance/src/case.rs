@@ -11,7 +11,7 @@ use crate::rng::SplitMix64;
 use mfbc_algebra::kernel::{BellmanFordKernel, BrandesKernel, KernelOut, TropicalKernel};
 use mfbc_algebra::{Centpath, Dist, Multpath, SpMulKernel};
 use mfbc_core::oracle::{brandes_unweighted, brandes_weighted};
-use mfbc_core::{mfbc_dist, mfbc_seq, MfbcConfig, PlanMode};
+use mfbc_core::{mfbc_dist, mfbc_seq, BcScores, MfbcConfig, PlanMode};
 use mfbc_fault::{FaultKind, FaultPlan, RetryPolicy, ScheduledFault};
 use mfbc_graph::Graph;
 use mfbc_machine::{Machine, MachineSpec, RedistMode};
@@ -20,13 +20,6 @@ use mfbc_tensor::{
     canonical_layout, enumerate_plans, mm_auto, mm_auto_masked, mm_exec, mm_exec_masked, DistMat,
     MmPlan,
 };
-
-/// Whether `MFBC_CONFORMANCE_FORCE_OVERLAP` is set: the CI matrix uses
-/// it to force the overlapped-accounting dimension on in every
-/// generated case (the smoke default draws it for a third of them).
-pub fn env_force_overlap() -> bool {
-    std::env::var_os("MFBC_CONFORMANCE_FORCE_OVERLAP").is_some()
-}
 
 /// A case the suite runner can check and the shrinker can minimize.
 pub trait CaseSpec: Clone + std::fmt::Debug {
@@ -163,10 +156,8 @@ impl MmCase {
             _ => Some((MaskKind::Complement, mask_coords)),
         };
         // The overlap dimension is drawn last (after the mask) so
-        // seeds recorded before it existed replay identically; the
-        // draw is unconditional so the stream does not depend on the
-        // force env either.
-        let overlap_draw = rng.chance(1, 3);
+        // seeds recorded before it existed replay identically.
+        let overlap = rng.chance(1, 3);
         MmCase {
             seed,
             kernel,
@@ -179,7 +170,7 @@ impl MmCase {
             a,
             b,
             mask,
-            overlap: overlap_draw || env_force_overlap(),
+            overlap,
         }
     }
 
@@ -460,6 +451,21 @@ pub(crate) fn faults_for_p(faults: &[ScheduledFault], p: usize) -> Vec<Scheduled
         .collect()
 }
 
+/// `Err` naming the `leg` that computed `got` and the first vertex
+/// whose λ differs in any bit from the `reference` run's `want`.
+fn same_bits(leg: &str, got: &BcScores, reference: &str, want: &BcScores) -> Result<(), String> {
+    let pairs = got.lambda.iter().zip(&want.lambda);
+    match pairs
+        .enumerate()
+        .find(|(_, (a, b))| a.to_bits() != b.to_bits())
+    {
+        None => Ok(()),
+        Some((v, (a, b))) => Err(format!(
+            "{leg} driver: λ[{v}] = {a:?} differs from {reference} {b:?} (not bit-identical)"
+        )),
+    }
+}
+
 /// Whether a run under `mode` on `p` ranks can multiply with Cannon's
 /// plan: forced, or autotuned on a perfect-square machine, where the
 /// tuner scores it among [`enumerate_plans`].
@@ -599,7 +605,7 @@ impl DriverCase {
             // seeds generated before this dimension existed; overlap
             // is drawn after masked, for the same reason.
             masked: rng.chance(1, 2),
-            overlap: rng.chance(1, 3) || env_force_overlap(),
+            overlap: rng.chance(1, 3),
         }
     }
 
@@ -758,20 +764,7 @@ impl CaseSpec for DriverCase {
             let urun = mfbc_dist(&umachine, &g, &ucfg).map_err(|e| {
                 format!("unmasked driver ({:?}): machine error: {e}", cfg.plan_mode)
             })?;
-            for (v, (a, b)) in run
-                .scores
-                .lambda
-                .iter()
-                .zip(&urun.scores.lambda)
-                .enumerate()
-            {
-                if a.to_bits() != b.to_bits() {
-                    return Err(format!(
-                        "masked driver: λ[{v}] = {a:?} differs from unmasked {b:?} \
-                         (the output mask changed a result)"
-                    ));
-                }
-            }
+            same_bits("masked", &run.scores, "unmasked", &urun.scores)?;
         }
         if self.overlap {
             // Overlap is a modeled-clock optimization, never a
@@ -785,20 +778,7 @@ impl CaseSpec for DriverCase {
                     cfg.plan_mode
                 )
             })?;
-            for (v, (a, b)) in run
-                .scores
-                .lambda
-                .iter()
-                .zip(&srun.scores.lambda)
-                .enumerate()
-            {
-                if a.to_bits() != b.to_bits() {
-                    return Err(format!(
-                        "overlapped driver: λ[{v}] = {a:?} differs from serialized {b:?} \
-                         (comm/compute overlap changed a result)"
-                    ));
-                }
-            }
+            same_bits("overlapped", &run.scores, "serialized", &srun.scores)?;
         }
         if self.profile {
             // Observation must not perturb the computation: the same
@@ -810,20 +790,7 @@ impl CaseSpec for DriverCase {
                 .map_err(|e| {
                     format!("profiled driver ({:?}): machine error: {e}", cfg.plan_mode)
                 })?;
-            for (v, (a, b)) in run
-                .scores
-                .lambda
-                .iter()
-                .zip(&prun.scores.lambda)
-                .enumerate()
-            {
-                if a.to_bits() != b.to_bits() {
-                    return Err(format!(
-                        "profiled driver: λ[{v}] = {b:?} differs from unprofiled {a:?} \
-                         (observation perturbed the computation)"
-                    ));
-                }
-            }
+            same_bits("profiled", &prun.scores, "unprofiled", &run.scores)?;
             if profiler.finish(&pmachine).events == 0 {
                 return Err("profiled run recorded no trace events".into());
             }
@@ -842,20 +809,7 @@ impl CaseSpec for DriverCase {
                 mfbc_trace::scoped(builder.clone(), || mfbc_dist(&amachine, &g, &cfg))
             })
             .map_err(|e| format!("analyzed driver ({:?}): machine error: {e}", cfg.plan_mode))?;
-            for (v, (a, b)) in run
-                .scores
-                .lambda
-                .iter()
-                .zip(&arun.scores.lambda)
-                .enumerate()
-            {
-                if a.to_bits() != b.to_bits() {
-                    return Err(format!(
-                        "analyzed driver: λ[{v}] = {b:?} differs from unanalyzed {a:?} \
-                         (observation perturbed the computation)"
-                    ));
-                }
-            }
+            same_bits("analyzed", &arun.scores, "unanalyzed", &run.scores)?;
             let tl = builder.finish();
             if tl.dropped != 0 {
                 return Err(format!("timeline dropped {} trace events", tl.dropped));
@@ -917,21 +871,9 @@ impl CaseSpec for DriverCase {
                     ));
                 }
             } else {
-                for (v, (a, b)) in run
-                    .scores
-                    .lambda
-                    .iter()
-                    .zip(&frun.scores.lambda)
-                    .enumerate()
-                {
-                    if a.to_bits() != b.to_bits() {
-                        return Err(format!(
-                            "faulted driver (faults {plan}, {} injected): \
-                             λ[{v}] = {b:?} differs from fault-free {a:?} (not bit-identical)",
-                            frun.recovery.faults_injected
-                        ));
-                    }
-                }
+                let injected = frun.recovery.faults_injected;
+                let leg = format!("faulted (faults {plan}, {injected} injected)");
+                same_bits(&leg, &frun.scores, "fault-free", &run.scores)?;
             }
         }
         Ok(())
@@ -1028,6 +970,24 @@ impl CaseSpec for DriverCase {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn same_bits_names_the_leg_and_the_first_differing_vertex() {
+        let want = BcScores {
+            lambda: vec![1.0, 0.5, 2.0, 3.0],
+        };
+        let mut got = want.clone();
+        assert_eq!(same_bits("masked", &got, "unmasked", &want), Ok(()));
+        got.lambda[2] = f64::from_bits(2.0f64.to_bits() + 1);
+        got.lambda[3] = -0.0;
+        let err = same_bits("masked", &got, "unmasked", &want).unwrap_err();
+        assert!(err.starts_with("masked driver: λ[2] = "), "{err}");
+        assert!(err.contains("differs from unmasked 2.0"), "{err}");
+        // Sign of zero is a bit too.
+        let zero = BcScores { lambda: vec![0.0] };
+        let negative = BcScores { lambda: vec![-0.0] };
+        assert!(same_bits("profiled", &negative, "unprofiled", &zero).is_err());
+    }
 
     #[test]
     fn generation_is_deterministic() {

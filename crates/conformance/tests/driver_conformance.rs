@@ -69,3 +69,20 @@ fn driver_analyzed_scores_are_bit_identical() {
         }
     });
 }
+
+/// Every case run under overlapped accounting with hybrid
+/// redistribution: the check re-runs each with overlap off and
+/// demands bit-identical betweenness scores (`DriverCase::generate`
+/// draws the `overlap` dimension for a third of cases; this suite
+/// forces it on for all of them).
+#[test]
+fn driver_overlapped_scores_are_bit_identical() {
+    run_suite_or_panic(
+        "driver_overlapped_scores_are_bit_identical",
+        SMOKE,
+        |seed| DriverCase {
+            overlap: true,
+            ..DriverCase::generate(seed, &P_ALL, seed % 2 == 0)
+        },
+    );
+}

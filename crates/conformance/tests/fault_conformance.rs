@@ -49,6 +49,21 @@ fn driver_fault_recovery_masked() {
     });
 }
 
+/// Every faulted case under overlapped accounting: recovery must
+/// reproduce the fault-free scores, and the overlapped run the
+/// blocking one's bit for bit (`DriverCase::generate` draws the
+/// `overlap` dimension for a third of cases; this suite forces it on,
+/// weighted and unweighted by turns).
+#[test]
+fn driver_fault_recovery_overlapped() {
+    run_suite_or_panic("driver_fault_recovery_overlapped", SMOKE, |seed| {
+        DriverCase {
+            overlap: true,
+            ..DriverCase::generate_faulted(seed, &P_ALL, seed % 2 == 1)
+        }
+    });
+}
+
 /// Directed scenario from the issue: a crash at p = 8 must shrink the
 /// run onto the 7 survivors, replan, and still reproduce the
 /// fault-free scores bit for bit — with the fault and the recovery

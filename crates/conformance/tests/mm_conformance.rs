@@ -57,6 +57,27 @@ fn mm_masked() {
     });
 }
 
+/// Every case with overlapped accounting and hybrid redistribution
+/// forced on, all kernels mixed over every rank count: each plan's
+/// product must still match the serial oracle bit for bit
+/// (`MmCase::generate` draws the `overlap` dimension for a third of
+/// cases; this suite forces it on, on the same seed stream).
+#[test]
+fn mm_overlapped() {
+    run_suite_or_panic("mm_overlapped", SMOKE, |seed| MmCase {
+        overlap: true,
+        ..MmCase::generate(
+            seed,
+            &[
+                MmKernelKind::Tropical,
+                MmKernelKind::BellmanFord,
+                MmKernelKind::Brandes,
+            ],
+            &P_ALL,
+        )
+    });
+}
+
 #[test]
 fn mm_degenerate_ranks() {
     // p ∈ {1, 2, 3, 7}: single-rank schedules, grids that cannot be

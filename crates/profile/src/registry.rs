@@ -54,7 +54,8 @@ pub struct Histogram {
 }
 
 impl Histogram {
-    fn new() -> Histogram {
+    /// An empty histogram with every finite bucket at zero.
+    pub fn new() -> Histogram {
         Histogram {
             buckets: vec![0; LOG2_BUCKETS],
             ..Histogram::default()
@@ -75,7 +76,8 @@ impl Histogram {
         Some((u64::BITS - ceil.saturating_sub(1).leading_zeros()) as usize)
     }
 
-    fn observe(&mut self, v: f64) {
+    /// Records one observation; negatives and NaN count as 0.
+    pub fn observe(&mut self, v: f64) {
         let v = v.max(0.0);
         match Histogram::bucket(v) {
             Some(b) => self.buckets[b] += 1,
@@ -267,6 +269,14 @@ impl MetricsRegistry {
         });
     }
 
+    /// Writes a finished histogram as the sample `name{labels}`,
+    /// replacing whatever that sample held.
+    pub fn histogram_set(&self, name: &str, labels: &[(&str, &str)], h: Histogram) {
+        self.with_sample(name, MetricKind::Histogram, labels, |s| {
+            *s = SampleValue::Histogram(h);
+        });
+    }
+
     /// Drops every sample, keeping the declared families.
     pub(crate) fn clear(&self) {
         let mut fams = self.families.lock().expect("metrics registry lock");
@@ -436,6 +446,18 @@ mod tests {
     fn bad_names_rejected() {
         let r = MetricsRegistry::new();
         r.counter_add("9starts-with-digit", &[], 1.0);
+    }
+
+    #[test]
+    fn a_finished_histogram_exports_as_if_observed_in_place() {
+        let (live, finished) = (MetricsRegistry::new(), MetricsRegistry::new());
+        let mut h = Histogram::new();
+        for v in [0.5, 3.0, 1e12] {
+            live.observe("h", &[("k", "a")], v);
+            h.observe(v);
+        }
+        finished.histogram_set("h", &[("k", "a")], h);
+        assert_eq!(live.snapshot()[0].samples, finished.snapshot()[0].samples);
     }
 
     #[test]

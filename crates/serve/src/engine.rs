@@ -9,6 +9,10 @@ use mfbc_core::{mfbc_approx, sample_rel_se, BcScores};
 use mfbc_fault::{BreakerState, CircuitBreaker, RetryPolicy};
 use mfbc_graph::Graph;
 use mfbc_machine::{Machine, MachineError};
+use mfbc_profile::registry::{
+    self,
+    MetricKind::{Counter, Gauge, Histogram},
+};
 use mfbc_profile::{MetricKind, MetricsRegistry};
 use mfbc_tensor::autotune::best_plan;
 use mfbc_tensor::costmodel::MmStats;
@@ -48,13 +52,20 @@ pub enum Query {
     Full,
 }
 
+/// [`Query`] labels, by [`Query::slot`].
+const QUERIES: [&str; 3] = ["topk", "vertex", "full"];
+
 impl Query {
     /// Label used in metrics.
     pub fn name(&self) -> &'static str {
+        QUERIES[self.slot()]
+    }
+
+    fn slot(&self) -> usize {
         match self {
-            Query::TopK { .. } => "topk",
-            Query::Vertex { .. } => "vertex",
-            Query::Full => "full",
+            Query::TopK { .. } => 0,
+            Query::Vertex { .. } => 1,
+            Query::Full => 2,
         }
     }
 }
@@ -82,13 +93,13 @@ pub enum ShedReason {
     InvalidRequest,
 }
 
+/// [`ShedReason`] labels, in declaration order.
+const SHED_REASONS: [&str; 2] = ["queue-full", "invalid-request"];
+
 impl ShedReason {
     /// Label used in metrics and on the wire.
     pub fn name(&self) -> &'static str {
-        match self {
-            ShedReason::QueueFull => "queue-full",
-            ShedReason::InvalidRequest => "invalid-request",
-        }
+        SHED_REASONS[*self as usize]
     }
 }
 
@@ -123,13 +134,20 @@ pub enum Quality {
     },
 }
 
+/// [`Quality`] labels, by [`Quality::slot`].
+const QUALITIES: [&str; 3] = ["exact", "approx", "stale"];
+
 impl Quality {
     /// Label used in metrics and on the wire.
     pub fn name(&self) -> &'static str {
+        QUALITIES[self.slot()]
+    }
+
+    fn slot(&self) -> usize {
         match self {
-            Quality::Exact => "exact",
-            Quality::Approx { .. } => "approx",
-            Quality::Stale { .. } => "stale",
+            Quality::Exact => 0,
+            Quality::Approx { .. } => 1,
+            Quality::Stale { .. } => 2,
         }
     }
 }
@@ -259,6 +277,83 @@ struct ScoreStore {
     exact_complete: bool,
 }
 
+/// Every `(rung, reason)` a round's degradation decision can take.
+const DECISIONS: [(&str, &str); 6] = [
+    ("exact", "complete"),
+    ("approx", "budget"),
+    ("stale", "poisoned"),
+    ("stale", "breaker-open"),
+    ("stale", "min-k"),
+    ("stale", "budget"),
+];
+
+/// What the engine has done, bumped by field writes where it decides
+/// and read by [`Engine::health`] and [`Engine::metrics`].
+struct Totals {
+    /// Requests admitted, by [`Query::slot`].
+    requests: [u64; QUERIES.len()],
+    /// Responses served, by [`Quality::slot`].
+    responses: [u64; QUALITIES.len()],
+    /// Requests refused at admission, by [`ShedReason`].
+    shed: [u64; SHED_REASONS.len()],
+    /// Responses that met and that missed their deadline.
+    deadline: [u64; 2],
+    /// Degraded responses, by index into [`DECISIONS`].
+    degrade: [u64; DECISIONS.len()],
+    /// Engine-level retries of retryable session errors.
+    retries: u64,
+    /// Round latency per response, in modeled microseconds.
+    latency_us: registry::Histogram,
+    /// Requests per drain round.
+    coalesced: registry::Histogram,
+    /// Queue wait per response, in modeled microseconds.
+    queue_wait_us: registry::Histogram,
+    /// Slack on met finite deadlines, in modeled microseconds.
+    deadline_margin_us: registry::Histogram,
+}
+
+impl Totals {
+    fn new() -> Totals {
+        Totals {
+            requests: [0; QUERIES.len()],
+            responses: [0; QUALITIES.len()],
+            shed: [0; SHED_REASONS.len()],
+            deadline: [0; 2],
+            degrade: [0; DECISIONS.len()],
+            retries: 0,
+            latency_us: registry::Histogram::new(),
+            coalesced: registry::Histogram::new(),
+            queue_wait_us: registry::Histogram::new(),
+            deadline_margin_us: registry::Histogram::new(),
+        }
+    }
+}
+
+/// Every family [`Engine::metrics`] writes: name, kind, help text.
+#[rustfmt::skip]
+const FAMILIES: &[(&str, MetricKind, &str)] = &[
+    ("serve_requests_total", Counter, "Requests admitted, by query type"),
+    ("serve_responses_total", Counter, "Responses served, by quality"),
+    ("serve_shed_total", Counter, "Requests refused at admission, by reason"),
+    ("serve_retries_total", Counter, "Engine-level retries of retryable session errors"),
+    ("serve_breaker_trips_total", Counter, "Circuit-breaker trips to stale-serving"),
+    ("serve_batches_total", Counter, "Exact batches committed into the score store"),
+    ("serve_queue_depth", Gauge, "Requests waiting for the next drain"),
+    ("serve_store_version", Gauge, "Committed batches in the score store"),
+    ("serve_ready", Gauge, "1 while the engine can make exact progress"),
+    ("serve_latency_modeled_us", Histogram, "Modeled round latency in microseconds"),
+    ("serve_coalesced_requests", Histogram, "Requests coalesced per drain round"),
+    ("serve_rounds_total", Counter, "Coalesced drain rounds"),
+    ("serve_queue_wait_modeled_us", Histogram, "Modeled microseconds a request waited queued before its round"),
+    ("serve_deadline_total", Counter, "Responses by deadline attainment (result = met|missed)"),
+    ("serve_deadline_margin_modeled_us", Histogram, "Modeled microseconds of slack on met finite deadlines"),
+    ("serve_degrade_total", Counter, "Degraded (non-exact) responses by rung and reason"),
+    ("serve_mm_cache_hits", Gauge, "Prepared-adjacency cache hits across every request served"),
+    ("serve_mm_cache_misses", Gauge, "Prepared-adjacency cache misses across every request served"),
+    ("serve_mm_cache_inserts", Gauge, "Prepared-adjacency cache inserts across every request served"),
+    ("serve_mm_cache_evictions", Gauge, "Prepared-adjacency cache entries dropped by release or rollback"),
+];
+
 /// The long-lived serving engine. See the crate docs for the design.
 pub struct Engine {
     g: Graph,
@@ -270,7 +365,7 @@ pub struct Engine {
     /// queue-wait attribution).
     queue: VecDeque<(Request, f64)>,
     breaker: CircuitBreaker,
-    metrics: MetricsRegistry,
+    totals: Totals,
     /// Bounded in-engine flight recorder; `None` when disabled.
     flight: Option<FlightRecorder>,
     /// Dump captured automatically at the last poison/breaker-trip,
@@ -278,8 +373,7 @@ pub struct Engine {
     auto_dump: Option<String>,
     /// The error text that poisoned the engine, if any.
     last_poison: Option<String>,
-    /// Last-known prepared-adjacency cache stats (sticky once the
-    /// session retires).
+    /// The session's prepared-adjacency cache stats as it retired.
     cache_stats: CacheStats,
     /// Rolling `(latency_s, deadline_met)` window of the most recent
     /// responses.
@@ -297,14 +391,14 @@ pub struct Engine {
     batch_nb: usize,
     poisoned: bool,
     rounds: u64,
-    served: u64,
-    shed: u64,
-    breaker_trips_seen: u64,
+    /// Whether [`Engine::warm`] has run: a warmed engine reports its
+    /// cache gauges before its first round.
+    warmed: bool,
 }
 
 impl Engine {
-    /// Builds a warm engine: distributes the graph on `machine`,
-    /// charges the resident state, and declares the metric families.
+    /// Builds a warm engine: distributes the graph on `machine` and
+    /// charges the resident state.
     ///
     /// # Errors
     /// Fails if the session cannot be built (bad plan config, memory
@@ -329,108 +423,6 @@ impl Engine {
         }
         let session = MfbcSession::new(machine, &g, cfg)?;
         let n = g.n();
-        let metrics = MetricsRegistry::new();
-        metrics.declare(
-            "serve_requests_total",
-            MetricKind::Counter,
-            "Requests admitted, by query type",
-        );
-        metrics.declare(
-            "serve_responses_total",
-            MetricKind::Counter,
-            "Responses served, by quality",
-        );
-        metrics.declare(
-            "serve_shed_total",
-            MetricKind::Counter,
-            "Requests refused at admission, by reason",
-        );
-        metrics.declare(
-            "serve_retries_total",
-            MetricKind::Counter,
-            "Engine-level retries of retryable session errors",
-        );
-        metrics.declare(
-            "serve_breaker_trips_total",
-            MetricKind::Counter,
-            "Circuit-breaker trips to stale-serving",
-        );
-        metrics.declare(
-            "serve_batches_total",
-            MetricKind::Counter,
-            "Exact batches committed into the score store",
-        );
-        metrics.declare(
-            "serve_queue_depth",
-            MetricKind::Gauge,
-            "Requests waiting for the next drain",
-        );
-        metrics.declare(
-            "serve_store_version",
-            MetricKind::Gauge,
-            "Committed batches in the score store",
-        );
-        metrics.declare(
-            "serve_ready",
-            MetricKind::Gauge,
-            "1 while the engine can make exact progress",
-        );
-        metrics.declare(
-            "serve_latency_modeled_us",
-            MetricKind::Histogram,
-            "Modeled round latency in microseconds",
-        );
-        metrics.declare(
-            "serve_coalesced_requests",
-            MetricKind::Histogram,
-            "Requests coalesced per drain round",
-        );
-        metrics.declare(
-            "serve_rounds_total",
-            MetricKind::Counter,
-            "Coalesced drain rounds",
-        );
-        metrics.declare(
-            "serve_queue_wait_modeled_us",
-            MetricKind::Histogram,
-            "Modeled microseconds a request waited queued before its round",
-        );
-        metrics.declare(
-            "serve_deadline_total",
-            MetricKind::Counter,
-            "Responses by deadline attainment (result = met|missed)",
-        );
-        metrics.declare(
-            "serve_deadline_margin_modeled_us",
-            MetricKind::Histogram,
-            "Modeled microseconds of slack on met finite deadlines",
-        );
-        metrics.declare(
-            "serve_degrade_total",
-            MetricKind::Counter,
-            "Degraded (non-exact) responses by rung and reason",
-        );
-        metrics.declare(
-            "serve_mm_cache_hits",
-            MetricKind::Gauge,
-            "Prepared-adjacency cache hits across every request served",
-        );
-        metrics.declare(
-            "serve_mm_cache_misses",
-            MetricKind::Gauge,
-            "Prepared-adjacency cache misses across every request served",
-        );
-        metrics.declare(
-            "serve_mm_cache_inserts",
-            MetricKind::Gauge,
-            "Prepared-adjacency cache inserts across every request served",
-        );
-        metrics.declare(
-            "serve_mm_cache_evictions",
-            MetricKind::Gauge,
-            "Prepared-adjacency cache entries dropped by release or rollback",
-        );
-        metrics.gauge_set("serve_ready", &[], 1.0);
         let batch_nb = session.batch_size();
         Ok(Engine {
             g,
@@ -443,7 +435,7 @@ impl Engine {
             },
             queue: VecDeque::new(),
             breaker: CircuitBreaker::new(ecfg.breaker_threshold, ecfg.breaker_cooldown),
-            metrics,
+            totals: Totals::new(),
             flight: (ecfg.flight_capacity > 0).then(|| FlightRecorder::new(ecfg.flight_capacity)),
             auto_dump: None,
             last_poison: None,
@@ -456,9 +448,7 @@ impl Engine {
             batch_nb,
             poisoned: false,
             rounds: 0,
-            served: 0,
-            shed: 0,
-            breaker_trips_seen: 0,
+            warmed: false,
         })
     }
 
@@ -475,12 +465,9 @@ impl Engine {
         if self.queue.len() >= self.ecfg.max_queue {
             return self.shed(req.id, ShedReason::QueueFull);
         }
-        let now_s = self.clock_s();
+        let now_s = self.modeled_s();
         self.queue.push_back((req, now_s));
-        self.metrics
-            .counter_add("serve_requests_total", &[("query", req.query.name())], 1.0);
-        self.metrics
-            .gauge_set("serve_queue_depth", &[], self.queue.len() as f64);
+        self.totals.requests[req.query.slot()] += 1;
         let deadline_s = req.deadline_s.unwrap_or(self.ecfg.default_deadline_s);
         let depth = self.queue.len() as u64;
         self.note(
@@ -505,10 +492,8 @@ impl Engine {
     }
 
     fn shed(&mut self, id: u64, reason: ShedReason) -> Admission {
-        self.shed += 1;
-        self.metrics
-            .counter_add("serve_shed_total", &[("reason", reason.name())], 1.0);
-        self.note(Engine::clock_s, || TraceEvent::Shed {
+        self.totals.shed[reason as usize] += 1;
+        self.note(Engine::modeled_s, || TraceEvent::Shed {
             request_id: id,
             reason: reason.name(),
         });
@@ -531,9 +516,9 @@ impl Engine {
             .record(now_s, event);
     }
 
-    /// The engine's modeled clock: machine time plus backoff and
-    /// degraded-estimate charges.
-    fn clock_s(&self) -> f64 {
+    /// The engine's modeled clock in seconds: machine time plus
+    /// backoff and degraded-estimate charges.
+    pub fn modeled_s(&self) -> f64 {
         let machine_s = match &self.session {
             Some(s) => s.machine().report().critical.total_time(),
             None => self.final_clock_s,
@@ -541,11 +526,12 @@ impl Engine {
         machine_s + self.extra_modeled_s
     }
 
-    /// Expected modeled seconds to commit one more exact batch: the
-    /// measured average once a batch has landed, else the autotuner's
-    /// cost-model prediction for the batch's products times a sweep
-    /// estimate.
-    fn est_batch_s(&self) -> f64 {
+    /// The cost the admission ladder currently charges one exact
+    /// batch, in modeled seconds: the measured average once a batch
+    /// has landed, else the autotuner's cost-model prediction for the
+    /// batch's products times a sweep estimate. Public so callers (CLI,
+    /// load tests) can pick meaningful deadlines.
+    pub fn est_batch_modeled_s(&self) -> f64 {
         if self.committed_batches > 0 {
             return self.committed_modeled_s / self.committed_batches as f64;
         }
@@ -581,12 +567,9 @@ impl Engine {
         // pops it empty.
         let requests = self.queue.len();
         self.rounds += 1;
-        self.metrics.gauge_set("serve_queue_depth", &[], 0.0);
-        self.metrics
-            .observe("serve_coalesced_requests", &[], requests as f64);
-        self.metrics.counter_add("serve_rounds_total", &[], 1.0);
+        self.totals.coalesced.observe(requests as f64);
 
-        let start_s = self.clock_s();
+        let start_s = self.modeled_s();
         let default_deadline = self.ecfg.default_deadline_s;
         let deadline = move |r: &Request| r.deadline_s.unwrap_or(default_deadline);
         // The most patient request funds shared progress; everyone
@@ -624,8 +607,9 @@ impl Engine {
         let mut approx: Option<(usize, Arc<ScoreSnapshot>)> = None;
         let mut min_k_refused = false;
         if !self.store.exact_complete && !self.poisoned && !breaker_open {
-            let elapsed = self.clock_s() - start_s;
-            let est_source_s = (self.est_batch_s() / self.batch_nb.max(1) as f64).max(1e-12);
+            let elapsed = self.modeled_s() - start_s;
+            let est_source_s =
+                (self.est_batch_modeled_s() / self.batch_nb.max(1) as f64).max(1e-12);
             let k_round = self
                 .queue
                 .iter()
@@ -652,8 +636,8 @@ impl Engine {
         // The round's degradation decision, with the budget
         // arithmetic that forced it — the provenance every degraded
         // response traces back to.
-        let elapsed = self.clock_s() - start_s;
-        let est_batch_s = self.est_batch_s();
+        let elapsed = self.modeled_s() - start_s;
+        let est_batch_s = self.est_batch_modeled_s();
         let (rung, reason): (&'static str, &'static str) = if self.store.exact_complete {
             ("exact", "complete")
         } else if approx.is_some() {
@@ -667,6 +651,10 @@ impl Engine {
         } else {
             ("stale", "budget")
         };
+        let decision = DECISIONS
+            .iter()
+            .position(|&d| d == (rung, reason))
+            .expect("a listed decision");
         let approx_k = approx.as_ref().map_or(0, |(k, _)| *k as u64);
         let version = self.store.version;
         self.note(
@@ -707,34 +695,20 @@ impl Engine {
                 },
                 Query::Full => Payload::Full(Arc::clone(scores)),
             };
-            self.metrics
-                .counter_add("serve_responses_total", &[("quality", quality.name())], 1.0);
-            self.metrics
-                .observe("serve_latency_modeled_us", &[], elapsed * 1e6);
-            if quality.name() != "exact" {
-                self.metrics.counter_add(
-                    "serve_degrade_total",
-                    &[("rung", rung), ("reason", reason)],
-                    1.0,
-                );
+            let t = &mut self.totals;
+            t.responses[quality.slot()] += 1;
+            t.latency_us.observe(elapsed * 1e6);
+            if quality != Quality::Exact {
+                t.degrade[decision] += 1;
             }
             // SLO accounting: queue wait, deadline attainment, margin.
             let queue_wait_s = (start_s - submitted_s).max(0.0);
-            self.metrics
-                .observe("serve_queue_wait_modeled_us", &[], queue_wait_s * 1e6);
+            t.queue_wait_us.observe(queue_wait_s * 1e6);
             let req_deadline = deadline(&req);
             let met = elapsed <= req_deadline;
-            self.metrics.counter_add(
-                "serve_deadline_total",
-                &[("result", if met { "met" } else { "missed" })],
-                1.0,
-            );
+            t.deadline[usize::from(!met)] += 1;
             if met && req_deadline.is_finite() {
-                self.metrics.observe(
-                    "serve_deadline_margin_modeled_us",
-                    &[],
-                    (req_deadline - elapsed) * 1e6,
-                );
+                t.deadline_margin_us.observe((req_deadline - elapsed) * 1e6);
             }
             if self.window.len() >= SLO_WINDOW {
                 self.window.pop_front();
@@ -756,7 +730,6 @@ impl Engine {
                     j.deadline_met = met;
                 });
             }
-            self.served += 1;
             out.push(Response {
                 id: req.id,
                 quality,
@@ -777,7 +750,6 @@ impl Engine {
                 store_version: version,
             },
         );
-        self.refresh_cache_stats();
         out
     }
 
@@ -792,26 +764,23 @@ impl Engine {
             if self.session.is_none() {
                 return;
             }
-            let spent = self.clock_s() - start_s;
-            if self.est_batch_s() > budget_s - spent {
+            let spent = self.modeled_s() - start_s;
+            if self.est_batch_modeled_s() > budget_s - spent {
                 return;
             }
-            let before_s = self.clock_s();
+            let before_s = self.modeled_s();
             let step = self.session.as_mut().expect("checked above").step();
             match step {
                 Ok(SessionStep::Committed { .. }) => {
                     attempt = 0;
                     self.breaker.record_success();
                     let session = self.session.as_ref().expect("still live");
-                    self.committed_modeled_s += self.clock_s() - before_s;
+                    self.committed_modeled_s += self.modeled_s() - before_s;
                     self.committed_batches += 1;
                     self.store.scores = Arc::new(ScoreSnapshot::new(session.scores().clone()));
                     self.store.version += 1;
-                    self.metrics.counter_add("serve_batches_total", &[], 1.0);
-                    self.metrics
-                        .gauge_set("serve_store_version", &[], self.store.version as f64);
                     let (round, store_version) = (self.rounds, self.store.version);
-                    self.note(Engine::clock_s, || TraceEvent::Commit {
+                    self.note(Engine::modeled_s, || TraceEvent::Commit {
                         round,
                         store_version,
                     });
@@ -830,22 +799,14 @@ impl Engine {
                     // Stop computing; keep serving the stale store.
                     // Keep the machine clock (the wasted work is real
                     // modeled time) before dropping the handle.
-                    if let Some(s) = &self.session {
-                        self.cache_stats = s.cache_stats();
-                    }
-                    self.final_clock_s = self
-                        .session
-                        .as_ref()
-                        .map(|s| s.machine().report().critical.total_time())
-                        .unwrap_or(self.final_clock_s);
-                    self.session = None;
+                    let session = self.session.take().expect("still live");
+                    self.cache_stats = session.cache_stats();
+                    self.final_clock_s = session.machine().report().critical.total_time();
                     self.poisoned = true;
                     self.last_poison = Some(e.to_string());
-                    self.metrics.gauge_set("serve_ready", &[], 0.0);
-                    self.breaker.record_failure();
-                    self.note_breaker_trips();
+                    self.record_failure();
                     let round = self.rounds;
-                    self.note(Engine::clock_s, || TraceEvent::Poison {
+                    self.note(Engine::modeled_s, || TraceEvent::Poison {
                         round,
                         detail: e.to_string(),
                     });
@@ -855,8 +816,7 @@ impl Engine {
                 Err(_) => {
                     // Retryable: state is rolled back and resident.
                     if attempt + 1 >= self.ecfg.retry.max_attempts {
-                        self.breaker.record_failure();
-                        self.note_breaker_trips();
+                        self.record_failure();
                         return;
                     }
                     let wait = self
@@ -867,8 +827,8 @@ impl Engine {
                     let (round, retried) = (self.rounds, attempt.into());
                     attempt += 1;
                     *retries += 1;
-                    self.metrics.counter_add("serve_retries_total", &[], 1.0);
-                    self.note(Engine::clock_s, || TraceEvent::Retry {
+                    self.totals.retries += 1;
+                    self.note(Engine::modeled_s, || TraceEvent::Retry {
                         round,
                         attempt: retried,
                         wait_s: wait,
@@ -878,44 +838,23 @@ impl Engine {
         }
     }
 
-    fn note_breaker_trips(&mut self) {
+    /// Records a failed advance with the breaker, noting a trip.
+    fn record_failure(&mut self) {
+        let before = self.breaker.trips();
+        self.breaker.record_failure();
         let trips = self.breaker.trips();
-        if trips > self.breaker_trips_seen {
-            self.metrics.counter_add(
-                "serve_breaker_trips_total",
-                &[],
-                (trips - self.breaker_trips_seen) as f64,
-            );
-            self.breaker_trips_seen = trips;
+        if trips > before {
             let round = self.rounds;
-            self.note(Engine::clock_s, || TraceEvent::BreakerTrip { round, trips });
+            self.note(Engine::modeled_s, || TraceEvent::BreakerTrip {
+                round,
+                trips,
+            });
             self.auto_dump = self.flight.as_ref().map(FlightRecorder::dump);
         }
     }
 
-    /// Refreshes the sticky mm-cache stats from the live session (if
-    /// any) and mirrors them into the registry gauges.
-    fn refresh_cache_stats(&mut self) {
-        if let Some(s) = &self.session {
-            self.cache_stats = s.cache_stats();
-        }
-        let c = self.cache_stats;
-        self.metrics
-            .gauge_set("serve_mm_cache_hits", &[], c.hits as f64);
-        self.metrics
-            .gauge_set("serve_mm_cache_misses", &[], c.misses as f64);
-        self.metrics
-            .gauge_set("serve_mm_cache_inserts", &[], c.inserts as f64);
-        self.metrics
-            .gauge_set("serve_mm_cache_evictions", &[], c.evictions as f64);
-    }
-
     /// Liveness/readiness snapshot.
     pub fn health(&self) -> Health {
-        let mut cache = self.cache_stats;
-        if let Some(s) = &self.session {
-            cache = s.cache_stats();
-        }
         Health {
             ready: !self.poisoned,
             live: true,
@@ -927,21 +866,84 @@ impl Engine {
                 .as_ref()
                 .map(|s| s.machine().p())
                 .unwrap_or_default(),
-            served: self.served,
-            shed: self.shed,
+            served: self.totals.responses.iter().sum(),
+            shed: self.totals.shed.iter().sum(),
             breaker: breaker_name(self.breaker.state()),
             last_poison: self.last_poison.clone(),
             window_len: self.window.len(),
             window_deadline_met: self.window.iter().filter(|(_, met)| *met).count(),
             window_max_latency_s: self.window.iter().map(|(l, _)| *l).fold(0.0_f64, f64::max),
-            mm_cache: cache,
+            mm_cache: self.cache_stats(),
         }
     }
 
-    /// The engine's metric registry (scrape with
-    /// `mfbc_profile::prometheus::render`).
-    pub fn metrics(&self) -> &MetricsRegistry {
-        &self.metrics
+    /// The engine's metrics, projected into a fresh registry on each
+    /// call (render with `mfbc_profile::prometheus::render`): the
+    /// request path's totals, plus what the engine's state already
+    /// holds. A sample exists once its event has happened: the store
+    /// gauges after a commit, the queue depth after an admission, the
+    /// cache gauges after a round or [`Engine::warm`].
+    pub fn metrics(&self) -> MetricsRegistry {
+        let r = MetricsRegistry::new();
+        for &(name, kind, help) in FAMILIES {
+            r.declare(name, kind, help);
+        }
+        let count = |name: &str, labels: &[(&str, &str)], n: u64| {
+            if n > 0 {
+                r.counter_add(name, labels, n as f64);
+            }
+        };
+        let t = &self.totals;
+        let labelled: [(&str, &str, &[&str], &[u64]); 4] = [
+            ("serve_requests_total", "query", &QUERIES, &t.requests),
+            ("serve_responses_total", "quality", &QUALITIES, &t.responses),
+            ("serve_shed_total", "reason", &SHED_REASONS, &t.shed),
+            (
+                "serve_deadline_total",
+                "result",
+                &["met", "missed"],
+                &t.deadline,
+            ),
+        ];
+        for (name, key, values, counts) in labelled {
+            for (value, &n) in values.iter().zip(counts) {
+                count(name, &[(key, value)], n);
+            }
+        }
+        for (&(rung, reason), &n) in DECISIONS.iter().zip(&t.degrade) {
+            let labels = [("rung", rung), ("reason", reason)];
+            count("serve_degrade_total", &labels, n);
+        }
+        count("serve_retries_total", &[], t.retries);
+        count("serve_rounds_total", &[], self.rounds);
+        count("serve_batches_total", &[], self.store.version);
+        count("serve_breaker_trips_total", &[], self.breaker.trips());
+        for (name, h) in [
+            ("serve_latency_modeled_us", &t.latency_us),
+            ("serve_coalesced_requests", &t.coalesced),
+            ("serve_queue_wait_modeled_us", &t.queue_wait_us),
+            ("serve_deadline_margin_modeled_us", &t.deadline_margin_us),
+        ] {
+            if h.count > 0 {
+                r.histogram_set(name, &[], h.clone());
+            }
+        }
+        let gauge = |name: &str, value: f64| r.gauge_set(name, &[], value);
+        gauge("serve_ready", if self.poisoned { 0.0 } else { 1.0 });
+        if t.requests.iter().sum::<u64>() > 0 {
+            gauge("serve_queue_depth", self.queue.len() as f64);
+        }
+        if self.store.version > 0 {
+            gauge("serve_store_version", self.store.version as f64);
+        }
+        if self.rounds > 0 || self.warmed {
+            let c = self.cache_stats();
+            gauge("serve_mm_cache_hits", c.hits as f64);
+            gauge("serve_mm_cache_misses", c.misses as f64);
+            gauge("serve_mm_cache_inserts", c.inserts as f64);
+            gauge("serve_mm_cache_evictions", c.evictions as f64);
+        }
+        r
     }
 
     /// Whether an unrecoverable error ended exact progress. A
@@ -960,20 +962,6 @@ impl Engine {
         self.store.version
     }
 
-    /// The engine's modeled clock in seconds (machine time plus
-    /// backoff and degraded-estimate charges).
-    pub fn modeled_s(&self) -> f64 {
-        self.clock_s()
-    }
-
-    /// The cost the admission ladder currently charges one exact
-    /// batch: measured average after the first commit, else the
-    /// autotuner's prediction. Exposed so callers (CLI, load tests)
-    /// can pick meaningful deadlines.
-    pub fn est_batch_modeled_s(&self) -> f64 {
-        self.est_batch_s()
-    }
-
     /// Drives the exact computation as far as it will go before any
     /// request arrives (`mfbc-cli serve --warm`): repeated unbounded
     /// advances until the store is exact, the engine is poisoned, or
@@ -982,10 +970,10 @@ impl Engine {
     pub fn warm(&mut self) -> u32 {
         let mut retries = 0u32;
         while !self.store.exact_complete && !self.poisoned && self.breaker.allows() {
-            let start_s = self.clock_s();
+            let start_s = self.modeled_s();
             self.advance_within(f64::INFINITY, start_s, &mut retries);
         }
-        self.refresh_cache_stats();
+        self.warmed = true;
         retries
     }
 
@@ -1016,11 +1004,9 @@ impl Engine {
     /// Prepared-adjacency cache activity across every request served
     /// (sticky after the exact session retires).
     pub fn cache_stats(&self) -> CacheStats {
-        let mut cache = self.cache_stats;
-        if let Some(s) = &self.session {
-            cache = s.cache_stats();
-        }
-        cache
+        self.session
+            .as_ref()
+            .map_or(self.cache_stats, MfbcSession::cache_stats)
     }
 
     /// The graph being served.

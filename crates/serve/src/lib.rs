@@ -28,12 +28,12 @@
 //!   the session's shrink/replan recovery without dropping queued
 //!   requests; a [`mfbc_fault::CircuitBreaker`] trips to
 //!   stale-serving after consecutive batch failures.
-//! * **Health** — readiness/liveness plus queue depth, breaker
-//!   state, last-poison detail, a rolling SLO window, shed /
-//!   degraded / retry counters, deadline-attainment and queue-wait
-//!   histograms, and cross-request mm-cache gauges in a
-//!   `mfbc_profile::MetricsRegistry`, scrapeable through the existing
-//!   Prometheus/JSON/HTML exporters.
+//! * **Health** — typed totals the request path bumps with field
+//!   writes: [`Engine::health`] reads them beside readiness/liveness,
+//!   queue depth, breaker state, last poison, a rolling SLO window and
+//!   the mm-cache stats, and [`Engine::metrics`] projects them into a
+//!   fresh `mfbc_profile::MetricsRegistry` on demand, scrapeable
+//!   through the existing Prometheus/JSON/HTML exporters.
 //! * **Observability** — each engine decision is one
 //!   `mfbc_trace::TraceEvent` (`RequestAdmitted`, `Shed`,
 //!   `RoundStart`/`RoundEnd`, `DegradeDecision` with its budget

@@ -418,7 +418,7 @@ fn slo_families_reach_snapshot_and_prometheus() {
     }
 
     // The Prometheus exporter sees the same families.
-    let prom = mfbc_profile::prometheus::render(reg);
+    let prom = mfbc_profile::prometheus::render(&reg);
     for family in [
         "serve_deadline_total",
         "serve_queue_wait_modeled_us",

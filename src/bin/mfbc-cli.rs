@@ -1211,7 +1211,7 @@ fn cmd_serve(args: &[String]) -> Result<(), CliError> {
     }
 
     if let Some(path) = o.get("prom-out") {
-        let text = mfbc_profile::prometheus::render(engine.metrics());
+        let text = mfbc_profile::prometheus::render(&engine.metrics());
         std::fs::write(path, text).map_err(|e| format!("{path}: {e}"))?;
         eprintln!("serve: metrics -> {path}");
     }
