@@ -18,7 +18,6 @@ use mfbc_machine::{Machine, MachineSpec, RedistMode};
 use mfbc_sparse::{spgemm_masked_serial, spgemm_serial, Coo, Csr, Mask, MaskKind};
 use mfbc_tensor::{
     canonical_layout, enumerate_plans, mm_auto, mm_auto_masked, mm_exec, mm_exec_masked, DistMat,
-    MmPlan,
 };
 
 /// A case the suite runner can check and the shrinker can minimize.
@@ -466,19 +465,6 @@ fn same_bits(leg: &str, got: &BcScores, reference: &str, want: &BcScores) -> Res
     }
 }
 
-/// Whether a run under `mode` on `p` ranks can multiply with Cannon's
-/// plan: forced, or autotuned on a perfect-square machine, where the
-/// tuner scores it among [`enumerate_plans`].
-fn may_run_cannon(mode: &PlanMode, p: usize) -> bool {
-    match mode {
-        PlanMode::Auto => enumerate_plans(p)
-            .iter()
-            .any(|plan| matches!(plan, MmPlan::Cannon { .. })),
-        PlanMode::Fixed(plan) => matches!(plan, MmPlan::Cannon { .. }),
-        PlanMode::Ca { .. } => false,
-    }
-}
-
 /// Index subsets to try when reducing an entry list of length `len`:
 /// both halves and the two alternating combs, then (for short lists)
 /// every single-element deletion.
@@ -542,9 +528,9 @@ pub struct DriverCase {
     /// Fault schedule injected into a second, faulted run of the same
     /// case. When non-empty, the faulted run's recovered scores must
     /// be *bit-identical* to the fault-free run's, unless recovery
-    /// replanned after a crash or halved the batch where Cannon's plan
-    /// can run; those match to the oracle tolerance. Empty in the plain
-    /// differential suites; [`DriverCase::generate_faulted`] fills it.
+    /// replanned after a crash; that run matches to the oracle
+    /// tolerance. Empty in the plain differential suites;
+    /// [`DriverCase::generate_faulted`] fills it.
     pub faults: Vec<ScheduledFault>,
     /// Whether the check re-runs the case under an installed
     /// [`mfbc_profile::Profiler`] and demands the scores stay
@@ -850,17 +836,13 @@ impl CaseSpec for DriverCase {
             // differ), so a run that replanned is held to the same
             // tolerance as the Brandes oracle. An OOM retreat that
             // halved the batch moves sources onto other rows of the
-            // output grid, which changes no plan's accumulation order
-            // but Cannon's: its skew starts each grid row's walk over
-            // the k panels at a different panel, so two fault-free
-            // Cannon runs at nb and nb/2 already differ in the last
-            // bit. A halving where Cannon's plan can run is held to the
-            // same tolerance. Everything else — transient recovery, an
-            // OOM retried in place at nb = 1, a halving under any other
-            // plan — must reproduce the fault-free scores *bit for bit*.
-            let regrouped = frun.recovery.replans > 0
-                || (frun.recovery.oom_halvings > 0 && may_run_cannon(&cfg.plan_mode, self.p));
-            if regrouped {
+            // output grid, which changes no plan's accumulation order:
+            // every plan sums an output entry's terms in an order set
+            // by its k cuts alone (Cannon's too: it folds its panels in
+            // ascending order). Everything else — transient recovery,
+            // an OOM retried in place, a halving under any plan — must
+            // reproduce the fault-free scores *bit for bit*.
+            if frun.recovery.replans > 0 {
                 if !frun.scores.approx_eq(&run.scores, 1e-9) {
                     return Err(format!(
                         "faulted driver (faults {plan}, {} injected, {} replans): \

@@ -3,11 +3,11 @@
 //! collective failures, forced OOM), must terminate successfully and
 //! produce betweenness scores **bit-identical** to the fault-free run
 //! of the same case — across rank counts, plan modes, batch sizes and
-//! thread counts — unless recovery replanned after a crash or halved
-//! the batch where Cannon's plan can run, which regroups floating-point
-//! sums and is held to the oracle tolerance instead (see
-//! `DriverCase::faults`). Failures shrink toward the fault-free case first,
-//! then along the usual graph/rank dimensions, and replay via
+//! thread counts. An OOM halving is held bit for bit under every plan;
+//! only a run that replanned after a crash, which regroups
+//! floating-point sums, is held to the oracle tolerance instead (see
+//! `DriverCase::faults`). Failures shrink toward the fault-free case
+//! first, then along the usual graph/rank dimensions, and replay via
 //! `MFBC_CONFORMANCE_SEED` like every other suite.
 
 use mfbc_conformance::case::DriverCase;

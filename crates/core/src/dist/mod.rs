@@ -267,15 +267,13 @@ const MAX_BATCH_RETRIES: u32 = 8;
 /// autotuner; an out-of-memory failure halves the batch size and
 /// resumes. Transient and OOM recovery never change the machine
 /// shape, so their recovered scores are *bit-identical* to a
-/// fault-free run — except where a halved batch runs under Cannon's
-/// plan, whose skew sums a source's products in an order set by its
-/// grid row, so moving sources onto other rows regroups them (two
-/// fault-free Cannon runs at `nb` and `nb/2` already differ in the
-/// last bit). Crash recovery finishes the run on a smaller
-/// machine whose plans group floating-point accumulations
-/// differently, so its scores match a fault-free run to accumulation-
-/// order tolerance (and exactly when the dependency values are
-/// dyadic). [`RecoveryStats`] records what happened. After a crash
+/// fault-free run: a halved batch moves sources onto other rows of
+/// each product's output grid, and every plan sums an output entry's
+/// terms in an order set by its k cuts alone. Crash recovery finishes
+/// the run on a smaller machine whose plans group floating-point
+/// accumulations differently, so its scores match a fault-free run to
+/// accumulation-order tolerance (and exactly when the dependency
+/// values are dyadic). [`RecoveryStats`] records what happened. After a crash
 /// the caller's machine handle no longer tracks the run — read
 /// [`MfbcRun::report`] instead.
 ///

@@ -264,6 +264,41 @@ fn replication_invariance_of_costless_result() {
     }
 }
 
+/// λ must not depend on the batch size under any plan. A smaller
+/// batch moves sources onto other rows of every product's output grid;
+/// each plan sums an output entry's terms in an order fixed by its
+/// k cuts alone, so the bits hold. Partial factors in thirds (sources
+/// with three shortest paths) make a regrouped sum visible.
+#[test]
+fn every_plan_scores_the_same_bits_at_every_batch_size() {
+    let g = uniform(20, 55, false, None, 5);
+    let mut differ = Vec::new();
+    for p in [4usize, 9, 16] {
+        for plan in mfbc_tensor::enumerate_plans(p) {
+            let lambda = |nb: usize| -> Vec<u64> {
+                let machine = Machine::new(MachineSpec::test(p));
+                let cfg = MfbcConfig {
+                    batch_size: Some(nb),
+                    plan_mode: PlanMode::Fixed(plan.clone()),
+                    ..Default::default()
+                };
+                let run = mfbc_dist(&machine, &g, &cfg).unwrap();
+                run.scores.lambda.iter().map(|l| l.to_bits()).collect()
+            };
+            let want = lambda(1);
+            for nb in [2usize, 3, 4, 8] {
+                if lambda(nb) != want {
+                    differ.push(format!("p={p} {plan} nb={nb}"));
+                }
+            }
+        }
+    }
+    assert!(
+        differ.is_empty(),
+        "λ differs from nb = 1 in some bit: {differ:?}"
+    );
+}
+
 #[test]
 fn directed_rmat_weighted_end_to_end() {
     let cfg = RmatConfig {

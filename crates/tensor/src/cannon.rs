@@ -7,38 +7,44 @@
 //! cyclic shifts — `√p` messages instead of `√p log p`, at the price
 //! of requiring a square grid and moving *both* operands.
 //!
+//! It is SUMMA-AB's C-stationary algorithm with shifts in place of
+//! broadcasts: on a `q × q` grid both plans cut A and B into the same
+//! blocks, and only which panel a grid position multiplies at step
+//! `t` differs (`(i + j + t) mod q` here, `t` there). The local
+//! multiplies and the accumulation are `mm2d::StationaryC`'s,
+//! which folds every output block's panels in ascending order, so
+//! Cannon's product is SUMMA-AB's bit for bit, at any batch size.
+//!
 //! Included for completeness of the paper's algorithm space and for
 //! the latency-vs-bandwidth ablation: the autotuner may select it
 //! (`MmPlan::Cannon`) when the α term dominates.
 
-#![allow(clippy::needless_range_loop)] // indices are grid coordinates
-
-use crate::cache::MmCache;
 use crate::dist::{DistMat, Layout};
 use crate::grid::Grid2;
 use crate::mm1d::{FirstWins, Piece};
+use crate::mm2d::{pipelined, StationaryC};
 use crate::redist::redistribute;
 use mfbc_algebra::kernel::KernelOut;
 use mfbc_algebra::SpMulKernel;
 use mfbc_machine::collectives::{wait_all, Pending};
-use mfbc_machine::{CollectiveKind, Machine, MachineError};
-use mfbc_sparse::elementwise::combine;
-use mfbc_sparse::{entry_bytes, spgemm_opt, Csr, Mask};
+use mfbc_machine::{CollectiveKind, Group, Machine, MachineError};
+use mfbc_sparse::{entry_bytes, Mask};
 
 /// Runs Cannon's algorithm on a `q × q` grid.
 ///
-/// The initial skew aligns block `A(i, j)` to position
-/// `(i, j−i mod q)` and `B(i, j)` to `(i−j mod q, j)`; each of the
-/// `q` steps multiplies the aligned blocks and shifts A's blocks left
-/// along rows, B's blocks up along columns — one point-to-point
-/// message per rank per step.
+/// The initial skew aligns block `A(i, k)` and `B(k, j)` at grid
+/// position `(i, j)` for `k = (i + j) mod q`; each of the `q` steps
+/// multiplies the aligned blocks, then shifts A's blocks left along
+/// rows and B's blocks up along columns — one point-to-point message
+/// per rank per step — so position `(i, j)` multiplies panel
+/// `(i + j + t) mod q` at step `t`. The blocks are read where the
+/// redistribution left them.
 pub(crate) fn run_pieces<K: SpMulKernel>(
     m: &Machine,
     grid: &Grid2,
     a: &DistMat<K::Left>,
     b: &DistMat<K::Right>,
     mask: Option<&Mask>,
-    _cache: &mut MmCache<K::Right>,
 ) -> Result<(Vec<Piece<KernelOut<K>>>, u64), MachineError> {
     let q = grid.g1();
     assert_eq!(
@@ -58,116 +64,39 @@ pub(crate) fn run_pieces<K: SpMulKernel>(
     let shrunk = mask.and_then(|mk| crate::mm::shrink_rhs_against_mask(b, mk));
     let b2 = redistribute::<FirstWins<K::Right>, _>(m, shrunk.as_ref().unwrap_or(b), &lb)?;
 
-    // Local block tables indexed by grid position; the skew and the
-    // per-step shifts permute them. `a_blocks[i][j]` is the block
-    // currently *resident at* grid position (i, j).
-    let mut a_blocks: Vec<Vec<Csr<K::Left>>> = (0..q)
-        .map(|i| (0..q).map(|j| a2.block(i, (j + i) % q).clone()).collect())
+    // Every rank sends its A block along its row ring and its B block
+    // along its column ring; rings are disjoint per direction, so each
+    // ring's message lands on its members' critical paths
+    // independently. A ring holds the same q blocks through every
+    // rotation (row i: A(i, ·); column j: B(·, j)), so every round
+    // charges it its widest one.
+    let row_nnz = |i| (0..q).map(|k| a2.block(i, k).nnz()).max().unwrap_or(0);
+    let col_nnz = |j| (0..q).map(|k| b2.block(k, j).nnz()).max().unwrap_or(0);
+    let rings: Vec<(Group, usize)> = (0..q)
+        .map(|i| (grid.row_group(i), row_nnz(i) * entry_bytes::<K::Left>()))
+        .chain((0..q).map(|j| (grid.col_group(j), col_nnz(j) * entry_bytes::<K::Right>())))
         .collect();
-    let mut b_blocks: Vec<Vec<Csr<K::Right>>> = (0..q)
-        .map(|i| (0..q).map(|j| b2.block((i + j) % q, j).clone()).collect())
-        .collect();
-    let mut acc: Vec<Vec<Csr<KernelOut<K>>>> = (0..q)
-        .map(|i| {
-            (0..q)
-                .map(|j| Csr::zero(la.row_range(i).len(), lb.col_range(j).len()))
-                .collect()
-        })
-        .collect();
-    // Position (i, j) accumulates the same output rectangle at every
-    // step, so one mask window per position serves the whole run.
-    let windows: Option<Vec<Vec<Mask>>> = mask.map(|mk| {
-        (0..q)
-            .map(|i| {
-                (0..q)
-                    .map(|j| mk.window(la.row_range(i), lb.col_range(j)))
-                    .collect()
-            })
-            .collect()
-    });
-    let mut ops = 0u64;
+    let p2p = CollectiveKind::PointToPoint;
+    let shift_round = |_| -> Result<Vec<Pending<()>>, MachineError> {
+        let post =
+            |(ring, widest): &(Group, usize)| m.post_collective(ring, p2p, *widest as u64, ());
+        rings.iter().map(post).collect()
+    };
 
     // One shift round arrives before each step: the initial skew
     // (each rank sends its block up to q−1 hops, modeled as one
     // point-to-point per rank, as on a torus where the skew is a
-    // single permutation route), then a rotation per step. Blocking
-    // mode posts a round at the top of the step it feeds; overlapped
-    // mode posts the skew up front and each later round right after
-    // the previous one arrived, before the compute it hides under —
-    // each ring keeps the same set of blocks across a rotation, so
-    // the per-ring max charge is identical pre- or post-rotation.
-    let overlap = m.spec().overlap;
-    let mut prefetched = if overlap {
-        Some(shift_round(m, grid, &a_blocks, &b_blocks)?)
-    } else {
-        None
-    };
-    for step in 0..q {
-        let arriving = match prefetched.take() {
-            Some(posted) => posted,
-            None => shift_round(m, grid, &a_blocks, &b_blocks)?,
-        };
-        wait_all(m, arriving)?;
-        if overlap && step + 1 < q {
-            prefetched = Some(shift_round(m, grid, &a_blocks, &b_blocks)?);
-        }
-        for i in 0..q {
-            for j in 0..q {
-                let (ab, bb) = (&a_blocks[i][j], &b_blocks[i][j]);
-                if ab.is_empty() || bb.is_empty() {
-                    continue;
-                }
-                let w = windows.as_ref().map(|ws| &ws[i][j]);
-                let out = spgemm_opt::<K>(ab, bb, w);
-                m.charge_compute(grid.rank(i, j), out.ops + out.mat.nnz() as u64);
-                ops += out.ops;
-                acc[i][j] = combine::<K::Acc, _>(&acc[i][j], &out.mat);
-            }
-        }
-        // Shift A left along rows, B up along columns.
-        for row in a_blocks.iter_mut() {
-            row.rotate_left(1);
-        }
-        b_blocks.rotate_left(1);
-    }
-
-    let mut pieces = Vec::with_capacity(q * q);
-    for (i, row) in acc.into_iter().enumerate() {
-        for (j, blk) in row.into_iter().enumerate() {
-            if !blk.is_empty() {
-                pieces.push((la.row_range(i).start, lb.col_range(j).start, i * q + j, blk));
-            }
-        }
-    }
-    Ok((pieces, ops))
-}
-
-/// Posts one point-to-point round: every rank sends its current A
-/// block along its row ring and its B block along its column ring.
-/// Rings are disjoint per direction, so each ring's message lands on
-/// its members' critical paths independently.
-fn shift_round<L, R>(
-    m: &Machine,
-    grid: &Grid2,
-    a_blocks: &[Vec<Csr<L>>],
-    b_blocks: &[Vec<Csr<R>>],
-) -> Result<Vec<Pending<()>>, MachineError> {
-    let q = grid.g1();
-    let p2p = CollectiveKind::PointToPoint;
-    let mut posted = Vec::with_capacity(2 * q);
-    for i in 0..q {
-        let widest = (0..q)
-            .map(|j| a_blocks[i][j].nnz() * entry_bytes::<L>())
-            .max();
-        posted.push(m.post_collective(&grid.row_group(i), p2p, widest.unwrap_or(0) as u64, ())?);
-    }
-    for j in 0..q {
-        let widest = (0..q)
-            .map(|i| b_blocks[i][j].nnz() * entry_bytes::<R>())
-            .max();
-        posted.push(m.post_collective(&grid.col_group(j), p2p, widest.unwrap_or(0) as u64, ())?);
-    }
-    Ok(posted)
+    // single permutation route), then a rotation per step. A round
+    // forwards what the previous one delivered, so overlapped mode
+    // posts it only once that one has arrived, before the compute it
+    // hides under.
+    let mut c = StationaryC::<K>::new(&la, &lb, mask);
+    let arrive = |posted| wait_all(m, posted);
+    pipelined(m, q, true, shift_round, arrive, |t, _| {
+        c.superstep(m, grid, &a2, &b2, |i, j| (i + j + t) % q);
+        Ok(())
+    })?;
+    Ok(c.into_pieces())
 }
 
 /// Predicted time of Cannon's algorithm (the §5.2.2 formula):
@@ -205,7 +134,7 @@ mod tests {
     use mfbc_algebra::monoid::MinDist;
     use mfbc_algebra::Dist;
     use mfbc_machine::{Group, MachineSpec};
-    use mfbc_sparse::{spgemm_serial, Coo};
+    use mfbc_sparse::{spgemm_serial, Coo, Csr};
     use rand::{Rng, SeedableRng};
 
     fn random_mat(seed: u64, n: usize, nnz: usize) -> Csr<Dist> {
@@ -248,9 +177,7 @@ mod tests {
         let grid = Grid2::new(Group::all(q * q), q, q).unwrap();
         let da = DistMat::from_global(crate::canonical_layout(&m, n, n), &a);
         let db = da.clone();
-        let mut cache = MmCache::new();
-        let _ = run_pieces::<TropicalKernel>(&m, &grid, &da, &db, None, &mut cache).unwrap();
-        cache.release_all(&m);
+        let _ = run_pieces::<TropicalKernel>(&m, &grid, &da, &db, None).unwrap();
         // q shift rounds × 2 directions = 2q point-to-point messages
         // per rank on the critical path, plus the redistribution
         // all-to-all — far below SUMMA's 2·q·log₂(q)-per-step counts.
@@ -265,7 +192,6 @@ mod tests {
         let grid = Grid2::new(Group::all(6), 2, 3).unwrap();
         let a = random_mat(5, 12, 40);
         let da = DistMat::from_global(crate::canonical_layout(&m, 12, 12), &a);
-        let mut cache = MmCache::new();
-        let _ = run_pieces::<TropicalKernel>(&m, &grid, &da, &da.clone(), None, &mut cache);
+        let _ = run_pieces::<TropicalKernel>(&m, &grid, &da, &da.clone(), None);
     }
 }

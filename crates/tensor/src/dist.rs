@@ -57,16 +57,23 @@ impl Layout {
         }
     }
 
+    /// Even `br × bc` cuts, block `(i, j)` owned by `owner(i, j)`.
+    pub(crate) fn even(
+        nrows: usize,
+        ncols: usize,
+        (br, bc): (usize, usize),
+        owner: impl Fn(usize, usize) -> usize,
+    ) -> Layout {
+        let (rows, cols) = (even_ranges(nrows, br), even_ranges(ncols, bc));
+        let cells = (0..br).flat_map(|i| (0..bc).map(move |j| (i, j)));
+        let owners = cells.map(|(i, j)| owner(i, j)).collect();
+        Layout::new(nrows, ncols, rows, cols, owners)
+    }
+
     /// The natural layout on a 2D grid: block `(i, j)` owned by grid
     /// rank `(i, j)`.
     pub fn on_grid(nrows: usize, ncols: usize, grid: &Grid2) -> Layout {
-        let row_ranges = even_ranges(nrows, grid.g1());
-        let col_ranges = even_ranges(ncols, grid.g2());
-        let owners = (0..grid.g1())
-            .flat_map(|i| (0..grid.g2()).map(move |j| (i, j)))
-            .map(|(i, j)| grid.rank(i, j))
-            .collect();
-        Layout::new(nrows, ncols, row_ranges, col_ranges, owners)
+        Layout::even(nrows, ncols, (grid.g1(), grid.g2()), |i, j| grid.rank(i, j))
     }
 
     /// A single-block layout owned by `rank` (replication helper /

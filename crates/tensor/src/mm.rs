@@ -385,7 +385,7 @@ fn plan_pieces<K: SpMulKernel>(
         }
         MmPlan::Cannon { q } => {
             let grid = Grid2::new(m.world(), q, q)?;
-            crate::cannon::run_pieces::<K>(m, &grid, a, b, mask, cache)
+            crate::cannon::run_pieces::<K>(m, &grid, a, b, mask)
         }
         MmPlan::ThreeD {
             split,

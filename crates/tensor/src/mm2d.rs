@@ -8,7 +8,11 @@
 //!
 //! * **AB** (stationary C): at step `t`, broadcast the A-chunk along
 //!   grid rows and the B-chunk along grid columns; accumulate C in
-//!   place.
+//!   place. Cannon's algorithm ([`crate::cannon`]) is the same
+//!   C-stationary loop with ring shifts in place of broadcasts: both
+//!   multiply through one `StationaryC`, which folds every output
+//!   block's k panels in ascending order, so the two produce the same
+//!   bits.
 //! * **AC** (stationary B): broadcast the A-chunk along rows, form
 //!   partial products, sparse-reduce C-chunks along columns.
 //! * **BC** (stationary A): broadcast the B-chunk along columns,
@@ -28,11 +32,11 @@ use crate::mm::Variant2D;
 use crate::mm1d::{redistributed_rhs, FirstWins, Piece};
 use crate::redist::redistribute;
 use mfbc_algebra::kernel::KernelOut;
+use mfbc_algebra::monoid::Monoid;
 use mfbc_algebra::SpMulKernel;
 use mfbc_machine::collectives::{wait_all, Pending, Volume};
 use mfbc_machine::{CollectiveKind, Group, Machine, MachineError};
 use mfbc_sparse::elementwise::combine;
-use mfbc_sparse::slice::even_ranges;
 use mfbc_sparse::{entry_bytes, spgemm_opt, Csr, Mask};
 use std::sync::Arc;
 
@@ -104,15 +108,19 @@ pub(crate) fn reduce_chunk<K: SpMulKernel>(
 }
 
 /// Runs supersteps `0..s`, each on the collectives `stage(t)` posted
-/// for it. Under overlapped accounting step t+1's are posted before
-/// step t runs, so their β time hides under its compute; blocking
-/// mode posts at the top of each step, preserving the serialized
-/// schedule exactly.
-fn pipelined<P>(
+/// for it, which `arrive` waits. Under overlapped accounting step
+/// t+1's are posted before step t computes, so their β time hides
+/// under its compute — before step t's arrival, or after it when the
+/// rounds `forward` (each sends on what the previous one delivered,
+/// as Cannon's shifts do). Blocking mode posts at the top of each
+/// step, preserving the serialized schedule exactly.
+pub(crate) fn pipelined<P, D>(
     m: &Machine,
     s: usize,
+    forward: bool,
     stage: impl Fn(usize) -> Result<P, MachineError>,
-    mut step: impl FnMut(usize, P) -> Result<(), MachineError>,
+    arrive: impl Fn(P) -> Result<D, MachineError>,
+    mut step: impl FnMut(usize, D) -> Result<(), MachineError>,
 ) -> Result<(), MachineError> {
     let overlap = m.spec().overlap;
     let mut prefetched = if overlap { Some(stage(0)?) } else { None };
@@ -121,12 +129,123 @@ fn pipelined<P>(
             Some(posted) => posted,
             None => stage(t)?,
         };
-        if overlap && t + 1 < s {
+        let early = overlap && t + 1 < s;
+        if early && !forward {
             prefetched = Some(stage(t + 1)?);
         }
-        step(t, posted)?;
+        let delivered = arrive(posted)?;
+        if early && forward {
+            prefetched = Some(stage(t + 1)?);
+        }
+        step(t, delivered)?;
     }
     Ok(())
+}
+
+/// The output side of a C-stationary plan (SUMMA-AB, Cannon): one
+/// accumulator per grid position `(bi, bj)`, which owns output block
+/// `(bi, bj)` at every step.
+///
+/// A position folds its panel products in ascending panel order,
+/// whatever order they arrive in: a product ahead of a lower panel is
+/// held until every lower one has been folded or turned out empty.
+/// SUMMA's arrive in order and fold at once; Cannon's skew starts
+/// position `(bi, bj)` at panel `(bi + bj) mod q`, so it holds at most
+/// `q − 1` products per position. Either way an output entry sums its
+/// terms in an order set by the k cuts alone.
+pub(crate) struct StationaryC<'a, K: SpMulKernel> {
+    la: &'a Layout,
+    lb: &'a Layout,
+    mask: Option<&'a Mask<'a>>,
+    folds: Vec<Fold<KernelOut<K>>>,
+    ops: u64,
+}
+
+/// One position's ascending-panel accumulator.
+struct Fold<T> {
+    acc: Csr<T>,
+    /// The lowest panel neither folded nor found empty.
+    next: usize,
+    /// Panels that arrived ahead of `next`; `None` marks an empty one.
+    held: Vec<(usize, Option<Csr<T>>)>,
+}
+
+impl<'a, K: SpMulKernel> StationaryC<'a, K> {
+    /// Accumulators for C's blocks: A's row cuts by B's column cuts.
+    pub(crate) fn new(la: &'a Layout, lb: &'a Layout, mask: Option<&'a Mask<'a>>) -> Self {
+        let folds = (0..la.br() * lb.bc())
+            .map(|pos| Fold {
+                acc: Csr::zero(
+                    la.row_range(pos / lb.bc()).len(),
+                    lb.col_range(pos % lb.bc()).len(),
+                ),
+                next: 0,
+                held: Vec::new(),
+            })
+            .collect();
+        StationaryC {
+            la,
+            lb,
+            mask,
+            folds,
+            ops: 0,
+        }
+    }
+
+    /// One superstep: every position `(bi, bj)`, in row-major order,
+    /// multiplies `a(bi, k) × b(k, bj)` for its panel
+    /// `k = panel(bi, bj)`, charging the product to its rank.
+    pub(crate) fn superstep(
+        &mut self,
+        m: &Machine,
+        grid: &Grid2,
+        a: &DistMat<K::Left>,
+        b: &DistMat<K::Right>,
+        panel: impl Fn(usize, usize) -> usize,
+    ) {
+        for pos in 0..self.folds.len() {
+            let (bi, bj) = (pos / self.lb.bc(), pos % self.lb.bc());
+            let k = panel(bi, bj);
+            let (ab, bb) = (a.block(bi, k), b.block(k, bj));
+            let product = (!ab.is_empty() && !bb.is_empty()).then(|| {
+                let (rows, cols) = (self.la.row_range(bi), self.lb.col_range(bj));
+                let w = self.mask.map(|mk| mk.window(rows, cols));
+                let out = spgemm_opt::<K>(ab, bb, w.as_ref());
+                m.charge_compute(grid.rank(bi, bj), out.ops + out.mat.nnz() as u64);
+                self.ops += out.ops;
+                out.mat
+            });
+            self.folds[pos].settle::<K::Acc>(k, product);
+        }
+    }
+
+    /// The non-empty output blocks at their global offsets, and `ops`.
+    pub(crate) fn into_pieces(self) -> (Vec<Piece<KernelOut<K>>>, u64) {
+        let mut pieces = Vec::with_capacity(self.folds.len());
+        for (pos, f) in self.folds.into_iter().enumerate() {
+            debug_assert!(f.held.is_empty(), "panel {} never arrived", f.next);
+            if !f.acc.is_empty() {
+                let (bi, bj) = (pos / self.lb.bc(), pos % self.lb.bc());
+                let (r0, c0) = (self.la.row_range(bi).start, self.lb.col_range(bj).start);
+                pieces.push((r0, c0, pos, f.acc));
+            }
+        }
+        (pieces, self.ops)
+    }
+}
+
+impl<T: Clone + PartialEq + Send + Sync + std::fmt::Debug> Fold<T> {
+    /// Records panel `k`'s product (`None`: an operand was empty) and
+    /// folds every panel that is now next in line.
+    fn settle<M: Monoid<Elem = T>>(&mut self, k: usize, product: Option<Csr<T>>) {
+        self.held.push((k, product));
+        while let Some(at) = self.held.iter().position(|&(k, _)| k == self.next) {
+            if let (_, Some(p)) = self.held.swap_remove(at) {
+                self.acc = combine::<M, _>(&self.acc, &p);
+            }
+            self.next += 1;
+        }
+    }
 }
 
 pub(crate) fn run_pieces<K: SpMulKernel>(
@@ -158,42 +277,14 @@ fn stationary_c<K: SpMulKernel>(
     let s = lcm(g1, g2);
     let (mm, kk, nn) = (a.nrows(), a.ncols(), b.ncols());
 
-    let la = Layout::new(
-        mm,
-        kk,
-        even_ranges(mm, g1),
-        even_ranges(kk, s),
-        (0..g1)
-            .flat_map(|bi| (0..s).map(move |t| (bi, t)))
-            .map(|(bi, t)| grid.rank(bi, t % g2))
-            .collect(),
-    );
-    let lb = Layout::new(
-        kk,
-        nn,
-        even_ranges(kk, s),
-        even_ranges(nn, g2),
-        (0..s)
-            .flat_map(|t| (0..g2).map(move |bj| (t, bj)))
-            .map(|(t, bj)| grid.rank(t % g1, bj))
-            .collect(),
-    );
+    // k cut into s panels; panel t of A lives in grid column t mod g2,
+    // of B in grid row t mod g1. On a square grid these are
+    // `Layout::on_grid`, the layouts Cannon multiplies on.
+    let la = Layout::even(mm, kk, (g1, s), |bi, t| grid.rank(bi, t % g2));
+    let lb = Layout::even(kk, nn, (s, g2), |t, bj| grid.rank(t % g1, bj));
     let a2 = redistribute::<FirstWins<K::Left>, _>(m, a, &la)?;
     let b2 = cached_rhs_layout::<K>(m, Variant2D::AB, grid, b, &lb, cache)?;
-
-    let mut acc: Vec<Csr<KernelOut<K>>> = (0..g1)
-        .flat_map(|bi| (0..g2).map(move |bj| (bi, bj)))
-        .map(|(bi, bj)| Csr::zero(la.row_range(bi).len(), lb.col_range(bj).len()))
-        .collect();
-    // Each grid position (bi, bj) always writes the same output
-    // rectangle, so one mask window per position covers all s steps.
-    let windows: Option<Vec<Mask>> = mask.map(|mk| {
-        (0..g1)
-            .flat_map(|bi| (0..g2).map(move |bj| (bi, bj)))
-            .map(|(bi, bj)| mk.window(la.row_range(bi), lb.col_range(bj)))
-            .collect()
-    });
-    let mut ops = 0u64;
+    let mut c = StationaryC::<K>::new(&la, &lb, mask);
 
     // Post every broadcast of superstep `t`: A chunks along grid rows,
     // then B chunks along grid columns.
@@ -206,24 +297,10 @@ fn stationary_c<K: SpMulKernel>(
             .collect::<Result<_, _>>()?;
         Ok((a_posted, b_posted))
     };
+    let arrive = |(a_posted, b_posted)| Ok((wait_all(m, a_posted)?, wait_all(m, b_posted)?));
 
-    pipelined(m, s, stage, |t, (a_posted, b_posted)| {
-        let a_shared = wait_all(m, a_posted)?;
-        let b_shared = wait_all(m, b_posted)?;
-        for bi in 0..g1 {
-            for bj in 0..g2 {
-                let (ab, bb) = (a_shared[bi], b_shared[bj]);
-                if ab.is_empty() || bb.is_empty() {
-                    continue;
-                }
-                let w = windows.as_ref().map(|ws| &ws[bi * g2 + bj]);
-                let out = spgemm_opt::<K>(ab, bb, w);
-                m.charge_compute(grid.rank(bi, bj), out.ops + out.mat.nnz() as u64);
-                ops += out.ops;
-                let slot = &mut acc[bi * g2 + bj];
-                *slot = combine::<K::Acc, _>(slot, &out.mat);
-            }
-        }
+    pipelined(m, s, false, stage, arrive, |t, (a_shared, b_shared)| {
+        c.superstep(m, grid, &a2, &b2, |_, _| t);
         for (bi, ab) in a_shared.into_iter().enumerate() {
             release_bcast(m, &grid.row_group(bi), t % g2, ab);
         }
@@ -232,22 +309,7 @@ fn stationary_c<K: SpMulKernel>(
         }
         Ok(())
     })?;
-
-    let mut pieces = Vec::with_capacity(g1 * g2);
-    for bi in 0..g1 {
-        for bj in 0..g2 {
-            let blk = std::mem::replace(&mut acc[bi * g2 + bj], Csr::zero(0, 0));
-            if !blk.is_empty() {
-                pieces.push((
-                    la.row_range(bi).start,
-                    lb.col_range(bj).start,
-                    bi * g2 + bj,
-                    blk,
-                ));
-            }
-        }
-    }
-    Ok((pieces, ops))
+    Ok(c.into_pieces())
 }
 
 /// Variant AC: B stationary; A chunks broadcast along rows, C chunks
@@ -268,16 +330,7 @@ fn stationary_b<K: SpMulKernel>(
     let lb = Layout::on_grid(kk, nn, grid);
     // A: m split into s chunks, k over g1; chunk (t, bk) lives in
     // grid row bk (so the row-group broadcast reaches all columns).
-    let la = Layout::new(
-        mm,
-        kk,
-        even_ranges(mm, s),
-        even_ranges(kk, g1),
-        (0..s)
-            .flat_map(|t| (0..g1).map(move |bk| (t, bk)))
-            .map(|(t, bk)| grid.rank(bk, t % g2))
-            .collect(),
-    );
+    let la = Layout::even(mm, kk, (s, g1), |t, bk| grid.rank(bk, t % g2));
     let a2 = redistribute::<FirstWins<K::Left>, _>(m, a, &la)?;
     let b2 = cached_rhs_layout::<K>(m, Variant2D::AC, grid, b, &lb, cache)?;
 
@@ -295,9 +348,9 @@ fn stationary_b<K: SpMulKernel>(
     // drain the C reductions only after the loop — the reduced chunks
     // feed nothing inside it.
     let mut reduced: Vec<(usize, usize, usize, Pending<Csr<KernelOut<K>>>)> = Vec::new();
-    pipelined(m, s, stage, |t, a_posted| {
+    let arrive = |posted| wait_all(m, posted);
+    pipelined(m, s, false, stage, arrive, |t, a_shared| {
         let chunk_rows = la.row_range(t).len();
-        let a_shared = wait_all(m, a_posted)?;
         for bj in 0..g2 {
             // All g1 partials of this (t, bj) output rectangle share
             // one window.
@@ -350,16 +403,7 @@ fn stationary_a<K: SpMulKernel>(
     let la = Layout::on_grid(mm, kk, grid);
     // B: k split over g2 (matching A's k cuts), n split into s
     // chunks; block (bk, t) lives in grid column bk.
-    let lb = Layout::new(
-        kk,
-        nn,
-        even_ranges(kk, g2),
-        even_ranges(nn, s),
-        (0..g2)
-            .flat_map(|bk| (0..s).map(move |t| (bk, t)))
-            .map(|(bk, t)| grid.rank(t % g1, bk))
-            .collect(),
-    );
+    let lb = Layout::even(kk, nn, (g2, s), |bk, t| grid.rank(t % g1, bk));
     let a2 = redistribute::<FirstWins<K::Left>, _>(m, a, &la)?;
     let b2 = cached_rhs_layout::<K>(m, Variant2D::BC, grid, b, &lb, cache)?;
 
@@ -375,9 +419,9 @@ fn stationary_a<K: SpMulKernel>(
     // Mirror of the AC pipeline: prefetch B panels, drain reductions
     // after the loop.
     let mut reduced: Vec<(usize, usize, usize, Pending<Csr<KernelOut<K>>>)> = Vec::new();
-    pipelined(m, s, stage, |t, b_posted| {
+    let arrive = |posted| wait_all(m, posted);
+    pipelined(m, s, false, stage, arrive, |t, b_shared| {
         let chunk_cols = lb.col_range(t).len();
-        let b_shared = wait_all(m, b_posted)?;
         for bi in 0..g1 {
             let rows = la.row_range(bi).len();
             // All g2 partials of this (bi, t) output rectangle share

@@ -290,9 +290,9 @@ pub fn nnz_sync<T: Clone + Send + Sync>(
 /// several calls (smaller batches after an OOM retreat, a different
 /// batch schedule after replanning) produces bit-identical `acc` to
 /// one call over the whole range. The MFBC driver relies on this for
-/// its recovered-run == fault-free-run guarantee; what the fold cannot
-/// undo is a product that itself summed differently for the smaller
-/// batch (Cannon's plan, whose panel order follows the grid row).
+/// its recovered-run == fault-free-run guarantee; no plan's product
+/// sums differently for a smaller batch, since every plan orders an
+/// output entry's terms by its k cuts alone.
 pub fn dmat_fold_columns(
     m: &Machine,
     a: &DistMat<f64>,

@@ -266,3 +266,70 @@ fn mask_shrinks_variant_a_communication() {
     );
     cache.release_all(&m);
 }
+
+/// Cannon is SUMMA-AB with ring shifts for broadcasts: on the same
+/// `q × q` grid both fold every output block's k panels in ascending
+/// order, so they agree bit for bit even where `⊕` rounds. Centpath
+/// factors in thirds make the grouping visible: every product of a row
+/// ties on the path weight, so its factors sum, and a regrouped sum of
+/// thirds rounds differently. (Dyadic values sum exactly in any order
+/// and could not tell the two apart.)
+#[test]
+fn cannon_and_summa_ab_fold_panels_identically() {
+    use mfbc_algebra::kernel::BrandesKernel;
+    use mfbc_algebra::{Centpath, CentpathMonoid};
+    use mfbc_sparse::{Mask, MaskKind};
+    use mfbc_tensor::{MmPlan, Variant2D};
+    let mut rng = ChaCha8Rng::seed_from_u64(45);
+    let (nb, n) = (12, 48);
+    let mut coo = Coo::new(nb, n);
+    for _ in 0..300 {
+        let p = f64::from(rng.gen_range(1u32..40)) / 3.0;
+        coo.push(
+            rng.gen_range(0..nb),
+            rng.gen_range(0..n),
+            Centpath::new(Dist::new(9), p, 1),
+        );
+    }
+    let z = coo.into_csr::<CentpathMonoid>();
+    let mut coo = Coo::new(n, n);
+    for _ in 0..500 {
+        coo.push(rng.gen_range(0..n), rng.gen_range(0..n), Dist::ONE);
+    }
+    let adj = coo.into_csr::<MinDist>();
+    // The last third of the columns is excluded for every row, so
+    // Cannon's uncached B shrinks against the mask; SUMMA's does not.
+    let coords: Vec<(usize, usize)> = (0..200)
+        .map(|_| (rng.gen_range(0..nb), rng.gen_range(0..2 * n / 3)))
+        .collect();
+    let mask = Mask::from_coords(MaskKind::Structural, nb, n, &coords);
+    let bits = |c: &Csr<Centpath>| -> Vec<(usize, usize, Dist, u64, i64)> {
+        c.iter()
+            .map(|(i, j, v)| (i, j, v.w, v.p.to_bits(), v.c))
+            .collect()
+    };
+
+    for q in [2usize, 3, 4] {
+        for overlap in [false, true] {
+            for mask in [None, Some(&mask)] {
+                let run = |plan: MmPlan| {
+                    let m = Machine::new(MachineSpec::test(q * q).with_overlap(overlap));
+                    let dz = DistMat::from_global(canonical_layout(&m, nb, n), &z);
+                    let da = DistMat::from_global(canonical_layout(&m, n, n), &adj);
+                    let out = mm_exec_masked::<BrandesKernel>(&m, &plan, &dz, &da, mask).unwrap();
+                    (bits(&out.c.to_global::<CentpathMonoid>()), out.ops)
+                };
+                let cannon = run(MmPlan::Cannon { q });
+                let summa = run(MmPlan::TwoD {
+                    variant: Variant2D::AB,
+                    p2: q,
+                    p3: q,
+                });
+                let label = format!("q={q} overlap={overlap} masked={}", mask.is_some());
+                assert!(!cannon.0.is_empty(), "{label}: empty product");
+                assert_eq!(cannon.1, summa.1, "{label}: ops");
+                assert!(cannon.0 == summa.0, "{label}: C differs in some bit");
+            }
+        }
+    }
+}
