@@ -702,6 +702,15 @@ impl CaseSpec for DriverCase {
         let cfg = self.config();
         let run = mfbc_dist(&machine, &g, &cfg)
             .map_err(|e| format!("driver ({:?}): machine error: {e}", cfg.plan_mode))?;
+        // Everything a run charges, it releases: copies from their
+        // receipts, the distributed state when the run closes.
+        let resident = machine.memory_snapshot().resident().to_vec();
+        if resident.iter().any(|&r| r > 0) {
+            return Err(format!(
+                "driver ({:?}) left ranks charged after the run: {resident:?}",
+                cfg.plan_mode
+            ));
+        }
         if run.scores.n() != oracle.n() {
             return Err(format!(
                 "driver returned {} scores for an n={} graph",

@@ -322,8 +322,12 @@ impl Machine {
 
     /// Posts a collective over `group` moving up to `bytes` per rank
     /// and returns `value`, the data it delivers, behind a
-    /// [`Pending`] — the one call every plan family's collectives go
-    /// through. How the collective completes is decided here:
+    /// [`Pending`] — the call the plan families' broadcasts,
+    /// allgathers, shifts and 2D/3D sparse reductions go through.
+    /// Not every plan collective is posted: redistributions and 1D-C's
+    /// sparse reduction ([`collectives::sparse_reduce`]) are charged
+    /// blocking, through [`Machine::charge_collective`]. How a posted
+    /// collective completes is decided here:
     ///
     /// * on a one-rank group nothing moves — nothing is charged, the
     ///   fault clock does not tick, and the value is ready;

@@ -12,11 +12,13 @@
 //! multiplications: on a hit, neither the redistribution all-to-all
 //! nor the replication broadcast is re-charged, but the cached form
 //! *stays resident* on its ranks (memory is the price of
-//! amortization — exactly the `c`-replication trade-off). Dropping
-//! the cache without [`MmCache::release_all`] leaks simulated memory,
-//! so drivers release at end of run.
+//! amortization — exactly the `c`-replication trade-off). Each entry
+//! keeps the receipt of what its build charged and releases exactly
+//! that; dropping the cache without [`MmCache::release_all`] leaks
+//! simulated memory, so drivers release at end of run.
 
 use crate::dist::DistMat;
+use crate::held::Held;
 use mfbc_machine::{Machine, MachineError};
 use mfbc_sparse::Csr;
 use std::cell::Cell;
@@ -86,9 +88,8 @@ impl Fingerprint {
 struct Entry<T> {
     form: CachedRhs<T>,
     fingerprint: Fingerprint,
-    /// Simulated residency charged when the form was built, to be
-    /// released when the cache is dropped: (rank, bytes).
-    charges: Vec<(usize, u64)>,
+    /// What building the form charged, released with the entry.
+    held: Held,
 }
 
 /// Lifetime activity counters for one [`MmCache`] (or, summed via
@@ -171,23 +172,21 @@ impl<T> MmCache<T> {
 
     /// The prepared form under `key`: the one an earlier
     /// multiplication stored, or the one `build` makes now. `build`
-    /// returns the form and the `(rank, bytes)` residency it holds,
-    /// which is charged here, in the order given, and released with
-    /// the cache.
+    /// returns the form with the receipt of the residency it charged,
+    /// which the entry keeps and [`MmCache::release_all`] releases.
     ///
     /// # Errors
-    /// Propagates `build`'s failure and the memory-budget failure of a
-    /// residency charge; nothing is stored then.
+    /// Propagates `build`'s failure, including the memory-budget
+    /// failure of a charge; nothing is stored then.
     ///
     /// # Panics
     /// Panics if the key exists but was built for a different matrix
     /// (fingerprint mismatch) — one cache serves one logical operand.
-    pub fn prepared(
+    pub(crate) fn prepared(
         &mut self,
-        m: &Machine,
         key: String,
         fp: Fingerprint,
-        build: impl FnOnce() -> Result<(CachedRhs<T>, Vec<(usize, u64)>), MachineError>,
+        build: impl FnOnce() -> Result<(CachedRhs<T>, Held), MachineError>,
     ) -> Result<CachedRhs<T>, MachineError>
     where
         T: Clone,
@@ -195,11 +194,8 @@ impl<T> MmCache<T> {
         if let Some(form) = self.get(&key, fp) {
             return Ok(form.clone());
         }
-        let (form, charges) = build()?;
-        for &(rank, bytes) in &charges {
-            m.charge_alloc(rank, bytes)?;
-        }
-        self.insert(key, fp, form.clone(), charges);
+        let (form, held) = build()?;
+        self.insert(key, fp, form.clone(), held);
         Ok(form)
     }
 
@@ -230,15 +226,8 @@ impl<T> MmCache<T> {
         self.stats.get()
     }
 
-    /// Stores a prepared form with the simulated residency it
-    /// charged.
-    fn insert(
-        &mut self,
-        key: String,
-        fp: Fingerprint,
-        form: CachedRhs<T>,
-        charges: Vec<(usize, u64)>,
-    ) {
+    /// Stores a prepared form with the receipt of what it charged.
+    fn insert(&mut self, key: String, fp: Fingerprint, form: CachedRhs<T>, held: Held) {
         mfbc_trace::emit(|| mfbc_trace::TraceEvent::Counter {
             name: "mm_cache_insert",
             value: 1.0,
@@ -251,7 +240,7 @@ impl<T> MmCache<T> {
             Entry {
                 form,
                 fingerprint: fp,
-                charges,
+                held,
             },
         );
     }
@@ -263,9 +252,7 @@ impl<T> MmCache<T> {
         stats.evictions += self.entries.len() as u64;
         self.stats.set(stats);
         for (_, e) in self.entries.drain() {
-            for (rank, bytes) in e.charges {
-                m.release(rank, bytes);
-            }
+            e.held.release(m);
         }
     }
 
@@ -311,7 +298,12 @@ mod tests {
         let mut cache: MmCache<u64> = MmCache::new();
         let fp = Fingerprint::of(&a);
         assert!(cache.get("k", fp).is_none());
-        cache.insert("k".into(), fp, CachedRhs::Dist(Arc::new(a.clone())), vec![]);
+        cache.insert(
+            "k".into(),
+            fp,
+            CachedRhs::Dist(Arc::new(a.clone())),
+            Held::default(),
+        );
         assert!(cache.get("k", fp).is_some());
         assert_eq!(cache.len(), 1);
     }
@@ -326,7 +318,7 @@ mod tests {
             "k".into(),
             Fingerprint::of(&a),
             CachedRhs::Dist(Arc::new(a)),
-            vec![],
+            Held::default(),
         );
         let _ = cache.get("k", Fingerprint::of(&b));
     }
@@ -340,7 +332,12 @@ mod tests {
             let mut cache: MmCache<u64> = MmCache::new();
             let fp = Fingerprint::of(&a);
             assert!(cache.get("k", fp).is_none());
-            cache.insert("k".into(), fp, CachedRhs::Dist(Arc::new(a.clone())), vec![]);
+            cache.insert(
+                "k".into(),
+                fp,
+                CachedRhs::Dist(Arc::new(a.clone())),
+                Held::default(),
+            );
             assert!(cache.get("k", fp).is_some());
         });
         let counters: Vec<(&'static str, f64)> = rec
@@ -368,12 +365,17 @@ mod tests {
         let fp = Fingerprint::of(&a);
         assert_eq!(cache.stats(), CacheStats::default());
         assert!(cache.get("k", fp).is_none());
-        cache.insert("k".into(), fp, CachedRhs::Dist(Arc::new(a.clone())), vec![]);
+        cache.insert(
+            "k".into(),
+            fp,
+            CachedRhs::Dist(Arc::new(a.clone())),
+            Held::default(),
+        );
         cache.insert(
             "k2".into(),
             fp,
             CachedRhs::Dist(Arc::new(a.clone())),
-            vec![],
+            Held::default(),
         );
         assert!(cache.get("k", fp).is_some());
         cache.discard_except(&["k".to_string()]);
@@ -397,13 +399,13 @@ mod tests {
     #[test]
     fn release_all_returns_memory() {
         let m = Machine::new(MachineSpec::test(2));
-        m.charge_alloc(1, 100).unwrap();
+        let held = Held::charged(&m, [(1, 100)]).unwrap();
         let mut cache: MmCache<u64> = MmCache::new();
         cache.insert(
             "k".into(),
             Fingerprint::of(&dm(2)),
             CachedRhs::Dist(Arc::new(dm(2))),
-            vec![(1, 100)],
+            held,
         );
         cache.release_all(&m);
         assert!(cache.is_empty());

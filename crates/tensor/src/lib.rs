@@ -33,6 +33,7 @@ pub mod dist;
 #[cfg(test)]
 mod entrywise;
 pub mod grid;
+mod held;
 #[cfg(test)]
 mod mask_views;
 pub mod mm;

@@ -13,9 +13,15 @@
 //!
 //! Cost: `W_X(X, p) = O(α log p + β nnz(X))` — the replicated (or
 //! reduced) matrix is the only one that moves.
+//!
+//! Every copy a variant makes is charged on a receipt (`Held`) and
+//! released from it: A's replica and C's partials once the product is
+//! formed, B's replica and the redistributed right operands with the
+//! cache that keeps them.
 
 use crate::cache::{CachedRhs, Fingerprint, MmCache};
 use crate::dist::{DistMat, Layout};
+use crate::held::Held;
 use mfbc_algebra::kernel::KernelOut;
 use mfbc_algebra::monoid::Monoid;
 use mfbc_algebra::SpMulKernel;
@@ -51,18 +57,17 @@ fn replicated_rhs<K: SpMulKernel>(
     let key = format!("1d:B:{}:{}", group.len(), b.content_id());
     // A hit moves nothing.
     let mut arrival = Pending::ready(());
-    let form = cache.prepared(m, key, Fingerprint::of(b), || {
-        let bytes = (b.nnz() * entry_bytes::<K::Right>()) as u64;
-        arrival = m.post_collective(group, CollectiveKind::Allgather, bytes, ())?;
+    let form = cache.prepared(key, Fingerprint::of(b), || {
+        let held;
+        (arrival, held) = replicate(m, group, b)?;
         let global = Arc::new(b.to_global::<FirstWins<K::Right>>());
-        let charges = group.ranks().iter().map(|&r| (r, bytes)).collect();
-        Ok((CachedRhs::Global(global), charges))
+        Ok((CachedRhs::Global(global), held))
     })?;
     Ok(arrival.map(|()| form.global()))
 }
 
-/// The residency a cache holds for `dm`: `(owner, bytes)` of every
-/// nonempty block, in block order.
+/// The residency of a copy laid out as `dm`: `(owner, bytes)` of
+/// every nonempty block, in block order.
 pub(crate) fn block_residency<T>(dm: &DistMat<T>) -> impl Iterator<Item = (usize, u64)> + '_
 where
     T: Clone + Send + Sync,
@@ -86,10 +91,10 @@ pub(crate) fn redistributed_rhs<K: SpMulKernel>(
 ) -> Result<Arc<DistMat<K::Right>>, MachineError> {
     let build = || {
         let built = redistribute::<FirstWins<K::Right>, _>(m, b, lb)?;
-        let charges = block_residency(&built).collect();
-        Ok((CachedRhs::Dist(Arc::new(built)), charges))
+        let held = Held::charged(m, block_residency(&built))?;
+        Ok((CachedRhs::Dist(Arc::new(built)), held))
     };
-    Ok(cache.prepared(m, key, Fingerprint::of(b), build)?.dist())
+    Ok(cache.prepared(key, Fingerprint::of(b), build)?.dist())
 }
 
 /// Layout splitting columns into `q` parts, part `k` owned by group
@@ -117,37 +122,24 @@ fn row_split_layout(nrows: usize, ncols: usize, group: &Group) -> Layout {
     )
 }
 
-/// Replicates a distributed matrix to every member of `group`: the
-/// allgather moves every block to every rank (charged at
-/// `β·nnz + α·log p`), and each rank's resident memory grows by the
-/// full matrix size. The allgather is posted so the caller can
-/// redistribute the other operand while the replica is (under
-/// overlapped accounting) in flight; the returned [`Pending`] must be
-/// waited before the replica is multiplied.
-fn replicate<T, M>(
-    machine: &Machine,
+/// Replicates a distributed matrix to every member of `group`: posts
+/// the allgather that moves every block to every rank (charged at
+/// `β·nnz + α·log p`) and charges each rank the full matrix size on
+/// the returned receipt. The caller redistributes the other operand
+/// while the replica is (under overlapped accounting) in flight, and
+/// reads the replica behind the returned [`Pending`] only once it is
+/// multiplied.
+fn replicate<T: Clone + Send + Sync>(
+    m: &Machine,
     group: &Group,
     x: &DistMat<T>,
-) -> Result<Pending<Csr<T>>, MachineError>
-where
-    M: Monoid<Elem = T>,
-    T: Clone + Send + Sync + PartialEq + std::fmt::Debug,
-{
+) -> Result<(Pending<()>, Held), MachineError> {
     let bytes = (x.nnz() * entry_bytes::<T>()) as u64;
-    let arrival = machine.post_collective(group, CollectiveKind::Allgather, bytes, ())?;
-    for &r in group.ranks() {
-        machine.charge_alloc(r, bytes)?;
-    }
-    let global = x.to_global::<M>();
-    Ok(arrival.map(|()| global))
-}
-
-/// Releases the replication charge of [`replicate`].
-fn release_replica<T>(machine: &Machine, group: &Group, global: &Csr<T>) {
-    let bytes = (global.nnz() * entry_bytes::<T>()) as u64;
-    for &r in group.ranks() {
-        machine.release(r, bytes);
-    }
+    let arrival = m.post_collective(group, CollectiveKind::Allgather, bytes, ())?;
+    Ok((
+        arrival,
+        Held::charged(m, group.ranks().iter().map(|&r| (r, bytes)))?,
+    ))
 }
 
 /// Runs a 1D variant over `group`, returning its output pieces.
@@ -171,7 +163,8 @@ pub(crate) fn run_pieces<K: SpMulKernel>(
             // mode the allgather is in flight while the alltoall below
             // is charged, and the wait lands only before the first
             // multiply that touches the replica.
-            let a_pending = replicate::<_, FirstWins<K::Left>>(m, group, a)?;
+            let (posted, a_held) = replicate(m, group, a)?;
+            let a_pending = posted.map(|()| a.to_global::<FirstWins<K::Left>>());
             let lb = col_split_layout(b.nrows(), b.ncols(), group);
             // The column-split right-hand form depends only on the
             // operand and the group, so Theorem 5.1's amortization
@@ -207,7 +200,7 @@ pub(crate) fn run_pieces<K: SpMulKernel>(
                 ops += out.ops;
                 pieces.push((0, lb.col_range(k).start, k, out.mat));
             }
-            release_replica(m, group, &a_full);
+            a_held.release(m);
             Ok((pieces, ops))
         }
         Variant1D::B => {
@@ -238,6 +231,7 @@ pub(crate) fn run_pieces<K: SpMulKernel>(
             let b2 = redistributed_rhs::<K>(m, key, b, &lb, cache)?;
             let mut ops = 0u64;
             let mut partials: Vec<Csr<KernelOut<K>>> = Vec::with_capacity(group.len());
+            let mut held = Held::default();
             for k in 0..group.len() {
                 let (ab, bb) = (a2.block(0, k), b2.block(k, 0));
                 if ab.is_empty() || bb.is_empty() {
@@ -247,23 +241,14 @@ pub(crate) fn run_pieces<K: SpMulKernel>(
                 // Full-shape partials: each gets the whole mask.
                 let out = mfbc_sparse::spgemm_opt::<K>(ab, bb, mask);
                 m.charge_compute(group.rank_at(k), out.ops + out.mat.nnz() as u64);
-                m.charge_alloc(
-                    group.rank_at(k),
-                    (out.mat.nnz() * entry_bytes::<KernelOut<K>>()) as u64,
-                )?;
+                held.charge(m, group.rank_at(k), out.mat.payload_bytes() as u64)?;
                 ops += out.ops;
                 partials.push(out.mat);
             }
-            let alloc_per: Vec<u64> = partials
-                .iter()
-                .map(|p| (p.nnz() * entry_bytes::<KernelOut<K>>()) as u64)
-                .collect();
             let total = mfbc_machine::collectives::sparse_reduce(m, group, partials, |x, y| {
                 combine::<K::Acc, _>(&x, &y)
             })?;
-            for (k, bytes) in alloc_per.into_iter().enumerate() {
-                m.release(group.rank_at(k), bytes);
-            }
+            held.release(m);
             Ok((vec![(0, 0, 0, total)], ops))
         }
     }

@@ -19,6 +19,10 @@
 //!   sparse-reduce C-chunks along rows.
 //!
 //! Cost: `W_YZ = O(α·max(g1,g2)·log p + β·(nnz(Y)/g1 + nnz(Z)/g2))`.
+//!
+//! A superstep's broadcast panels are charged to their receivers on
+//! one receipt (`Held`), posted with the panels and released after the
+//! step's multiply; the redistributed right operand is the cache's.
 
 // Loop indices below are grid coordinates that index several aligned
 // per-position tables at once; `enumerate()` over one of them would
@@ -28,6 +32,7 @@
 use crate::cache::MmCache;
 use crate::dist::{DistMat, Layout};
 use crate::grid::{lcm, Grid2};
+use crate::held::Held;
 use crate::mm::Variant2D;
 use crate::mm1d::{redistributed_rhs, FirstWins, Piece};
 use crate::redist::redistribute;
@@ -37,7 +42,7 @@ use mfbc_algebra::SpMulKernel;
 use mfbc_machine::collectives::{wait_all, Pending, Volume};
 use mfbc_machine::{CollectiveKind, Group, Machine, MachineError};
 use mfbc_sparse::elementwise::combine;
-use mfbc_sparse::{entry_bytes, spgemm_opt, Csr, Mask};
+use mfbc_sparse::{spgemm_opt, Csr, Mask};
 use std::sync::Arc;
 
 /// [`redistributed_rhs`] under this grid/variant's key.
@@ -59,32 +64,23 @@ fn cached_rhs_layout<K: SpMulKernel>(
 }
 
 /// Broadcasts `block` from grid position `root_idx` within `group`
-/// and charges the receivers' memory; the block may be multiplied
-/// once the returned [`Pending`] is waited.
+/// and charges the receivers' copies to `held`; the block may be
+/// multiplied once the returned [`Pending`] is waited.
 fn bcast_block<'a, T>(
     m: &Machine,
     group: &Group,
     root_idx: usize,
     block: &'a Csr<T>,
+    held: &mut Held,
 ) -> Result<Pending<&'a Csr<T>>, MachineError> {
     let posted = m.post_collective(group, CollectiveKind::Broadcast, block.comm_bytes(), block)?;
-    let bytes = (block.nnz() * entry_bytes::<T>()) as u64;
+    let bytes = block.payload_bytes() as u64;
     for (idx, &r) in group.ranks().iter().enumerate() {
         if idx != root_idx {
-            m.charge_alloc(r, bytes)?;
+            held.charge(m, r, bytes)?;
         }
     }
     Ok(posted)
-}
-
-/// Releases the receivers' copies of a [`bcast_block`].
-fn release_bcast<T>(m: &Machine, group: &Group, root_idx: usize, block: &Csr<T>) {
-    let bytes = (block.nnz() * entry_bytes::<T>()) as u64;
-    for (idx, &r) in group.ranks().iter().enumerate() {
-        if idx != root_idx {
-            m.release(r, bytes);
-        }
-    }
 }
 
 /// Sparse-reduces C-chunk contributions over `group`, folded in group
@@ -287,26 +283,23 @@ fn stationary_c<K: SpMulKernel>(
     let mut c = StationaryC::<K>::new(&la, &lb, mask);
 
     // Post every broadcast of superstep `t`: A chunks along grid rows,
-    // then B chunks along grid columns.
-    let stage = |t: usize| -> Result<(Vec<Pending<_>>, Vec<Pending<_>>), MachineError> {
+    // then B chunks along grid columns. The step's copies are released
+    // after its multiply.
+    let stage = |t: usize| -> Result<(Vec<Pending<_>>, Vec<Pending<_>>, Held), MachineError> {
+        let mut held = Held::default();
         let a_posted = (0..g1)
-            .map(|bi| bcast_block(m, &grid.row_group(bi), t % g2, a2.block(bi, t)))
+            .map(|bi| bcast_block(m, &grid.row_group(bi), t % g2, a2.block(bi, t), &mut held))
             .collect::<Result<_, _>>()?;
         let b_posted = (0..g2)
-            .map(|bj| bcast_block(m, &grid.col_group(bj), t % g1, b2.block(t, bj)))
+            .map(|bj| bcast_block(m, &grid.col_group(bj), t % g1, b2.block(t, bj), &mut held))
             .collect::<Result<_, _>>()?;
-        Ok((a_posted, b_posted))
+        Ok((a_posted, b_posted, held))
     };
-    let arrive = |(a_posted, b_posted)| Ok((wait_all(m, a_posted)?, wait_all(m, b_posted)?));
+    let arrive = |(a, b, held)| Ok((wait_all(m, a)?, wait_all(m, b)?, held));
 
-    pipelined(m, s, false, stage, arrive, |t, (a_shared, b_shared)| {
+    pipelined(m, s, false, stage, arrive, |t, (_, _, held)| {
         c.superstep(m, grid, &a2, &b2, |_, _| t);
-        for (bi, ab) in a_shared.into_iter().enumerate() {
-            release_bcast(m, &grid.row_group(bi), t % g2, ab);
-        }
-        for (bj, bb) in b_shared.into_iter().enumerate() {
-            release_bcast(m, &grid.col_group(bj), t % g1, bb);
-        }
+        held.release(m);
         Ok(())
     })?;
     Ok(c.into_pieces())
@@ -338,18 +331,20 @@ fn stationary_b<K: SpMulKernel>(
     let mut pieces = Vec::new();
     let mut ops = 0u64;
 
-    let stage = |t: usize| -> Result<Vec<_>, MachineError> {
-        (0..g1)
-            .map(|bk| bcast_block(m, &grid.row_group(bk), t % g2, a2.block(t, bk)))
-            .collect()
+    let stage = |t: usize| -> Result<(Vec<_>, Held), MachineError> {
+        let mut held = Held::default();
+        let posted = (0..g1)
+            .map(|bk| bcast_block(m, &grid.row_group(bk), t % g2, a2.block(t, bk), &mut held))
+            .collect::<Result<_, _>>()?;
+        Ok((posted, held))
     };
 
     // Prefetch next step's A panels under this step's compute, and
     // drain the C reductions only after the loop — the reduced chunks
     // feed nothing inside it.
     let mut reduced: Vec<(usize, usize, usize, Pending<Csr<KernelOut<K>>>)> = Vec::new();
-    let arrive = |posted| wait_all(m, posted);
-    pipelined(m, s, false, stage, arrive, |t, a_shared| {
+    let arrive = |(posted, held)| Ok((wait_all(m, posted)?, held));
+    pipelined(m, s, false, stage, arrive, |t, (a_shared, held)| {
         let chunk_rows = la.row_range(t).len();
         for bj in 0..g2 {
             // All g1 partials of this (t, bj) output rectangle share
@@ -371,9 +366,7 @@ fn stationary_b<K: SpMulKernel>(
             let pos = (t % g1) * g2 + bj;
             reduced.push((la.row_range(t).start, lb.col_range(bj).start, pos, cblk));
         }
-        for (bk, ab) in a_shared.into_iter().enumerate() {
-            release_bcast(m, &grid.row_group(bk), t % g2, ab);
-        }
+        held.release(m);
         Ok(())
     })?;
     for (r0, c0, pos, pending) in reduced {
@@ -410,17 +403,19 @@ fn stationary_a<K: SpMulKernel>(
     let mut pieces = Vec::new();
     let mut ops = 0u64;
 
-    let stage = |t: usize| -> Result<Vec<_>, MachineError> {
-        (0..g2)
-            .map(|bk| bcast_block(m, &grid.col_group(bk), t % g1, b2.block(bk, t)))
-            .collect()
+    let stage = |t: usize| -> Result<(Vec<_>, Held), MachineError> {
+        let mut held = Held::default();
+        let posted = (0..g2)
+            .map(|bk| bcast_block(m, &grid.col_group(bk), t % g1, b2.block(bk, t), &mut held))
+            .collect::<Result<_, _>>()?;
+        Ok((posted, held))
     };
 
     // Mirror of the AC pipeline: prefetch B panels, drain reductions
     // after the loop.
     let mut reduced: Vec<(usize, usize, usize, Pending<Csr<KernelOut<K>>>)> = Vec::new();
-    let arrive = |posted| wait_all(m, posted);
-    pipelined(m, s, false, stage, arrive, |t, b_shared| {
+    let arrive = |(posted, held)| Ok((wait_all(m, posted)?, held));
+    pipelined(m, s, false, stage, arrive, |t, (b_shared, held)| {
         let chunk_cols = lb.col_range(t).len();
         for bi in 0..g1 {
             let rows = la.row_range(bi).len();
@@ -443,9 +438,7 @@ fn stationary_a<K: SpMulKernel>(
             let pos = bi * g2 + (t % g2);
             reduced.push((la.row_range(bi).start, lb.col_range(t).start, pos, cblk));
         }
-        for (bk, bb) in b_shared.into_iter().enumerate() {
-            release_bcast(m, &grid.col_group(bk), t % g1, bb);
-        }
+        held.release(m);
         Ok(())
     })?;
     for (r0, c0, pos, pending) in reduced {

@@ -16,10 +16,15 @@
 //! `O(α log p1 + β·nnz(X)/(p2·p3))` (fiber collectives on blocks of
 //! the `p2 × p3` distribution) and the inner 2D variant runs on
 //! operands shrunk by `p1` in the split dimensions.
+//!
+//! The layer replicas charge each fiber rank its own block's bytes on
+//! one receipt (`Held`): `X = A` releases it after the layer
+//! multiplies, `X = B` hands it to the cache with the replicas.
 
 use crate::cache::{CachedRhs, Fingerprint, MmCache};
 use crate::dist::{DistMat, Layout};
 use crate::grid::Grid3;
+use crate::held::Held;
 use crate::mm::{Variant1D, Variant2D};
 use crate::mm1d::{block_residency, FirstWins, Piece};
 use crate::mm2d;
@@ -29,7 +34,7 @@ use mfbc_algebra::SpMulKernel;
 use mfbc_machine::collectives::{wait_all, Pending};
 use mfbc_machine::{CollectiveKind, Machine, MachineError};
 use mfbc_sparse::slice::even_ranges;
-use mfbc_sparse::{entry_bytes, Csr, Mask};
+use mfbc_sparse::{Csr, Mask};
 use std::collections::HashMap;
 use std::sync::Arc;
 
@@ -63,14 +68,14 @@ fn cached_rhs_slices<K: SpMulKernel>(
 ) -> Result<Arc<Vec<DistMat<K::Right>>>, MachineError> {
     let build = || {
         let built = extract_windows::<FirstWins<K::Right>, _>(m, b, specs)?;
-        let charges = built.iter().flat_map(block_residency).collect();
-        Ok((CachedRhs::Layers(Arc::new(built)), charges))
+        let held = Held::charged(m, built.iter().flat_map(block_residency))?;
+        Ok((CachedRhs::Layers(Arc::new(built)), held))
     };
-    Ok(cache.prepared(m, key, Fingerprint::of(b), build)?.layers())
+    Ok(cache.prepared(key, Fingerprint::of(b), build)?.layers())
 }
 
-/// Fetches (or builds, charges, and caches) the per-layer replicas
-/// of the right operand (split = B).
+/// Fetches (or builds and caches) the per-layer replicas of the right
+/// operand (split = B); the entry keeps the replication's receipt.
 /// On a cache miss the replication's fiber broadcasts are posted —
 /// they must be waited before the replicas are multiplied (a hit
 /// posts none).
@@ -88,23 +93,9 @@ fn cached_rhs_layers<K: SpMulKernel>(
         b.content_id()
     );
     let mut arriving = Vec::new();
-    let form = cache.prepared(m, key, Fingerprint::of(b), || {
-        let (layers, _, posted) = replicate_over_layers::<_, FirstWins<K::Right>>(m, grid, b)?;
+    let form = cache.prepared(key, Fingerprint::of(b), || {
+        let (layers, held, posted) = replicate_over_layers::<_, FirstWins<K::Right>>(m, grid, b)?;
         arriving = posted;
-        // What the replication charged, rank for rank, passes to the
-        // cache: given back here, charged again as the list the cache
-        // will release.
-        let blocks = layers[0].layout().blocks();
-        let held = blocks.flat_map(|(i, j)| {
-            let (fiber, bytes) = (
-                grid.fiber_group(i, j),
-                layers[0].block(i, j).payload_bytes(),
-            );
-            (1..grid.p1()).map(move |l| (fiber.rank_at(l), bytes as u64))
-        });
-        let held: Vec<(usize, u64)> = held.collect();
-        held.iter()
-            .for_each(|&(rank, bytes)| m.release(rank, bytes));
         Ok((CachedRhs::Layers(Arc::new(layers)), held))
     })?;
     Ok((form.layers(), arriving))
@@ -113,15 +104,15 @@ fn cached_rhs_layers<K: SpMulKernel>(
 /// Replicates `x` (any layout) to every layer of `grid`: first
 /// redistributed to layer 0's natural 2D layout, then each block is
 /// broadcast along its fiber group. Returns one per-layer copy (on
-/// that layer's grid), the per-rank byte charge to release, and the
-/// posted fiber broadcasts: the caller overlaps them with the other
-/// operand's redistribution and waits them before the replicas are
-/// multiplied.
+/// that layer's grid), the receipt of the copies layers `1..p1`
+/// charged (each fiber rank its block's bytes), and the posted fiber
+/// broadcasts: the caller overlaps them with the other operand's
+/// redistribution and waits them before the replicas are multiplied.
 fn replicate_over_layers<T, M>(
     machine: &Machine,
     grid: &Grid3,
     x: &DistMat<T>,
-) -> Result<(Vec<DistMat<T>>, u64, Vec<Pending<()>>), MachineError>
+) -> Result<(Vec<DistMat<T>>, Held, Vec<Pending<()>>), MachineError>
 where
     M: mfbc_algebra::monoid::Monoid<Elem = T>,
     T: Clone + Send + Sync + PartialEq + std::fmt::Debug,
@@ -133,15 +124,15 @@ where
 
     // Fiber broadcasts: disjoint groups, so each fiber's collective
     // lands on its own critical path.
-    let ebytes = entry_bytes::<T>() as u64;
     let mut posted = Vec::with_capacity(p2 * p3);
+    let mut held = Held::default();
     for i in 0..p2 {
         for j in 0..p3 {
-            let bytes = x0.block(i, j).nnz() as u64 * ebytes;
+            let bytes = x0.block(i, j).payload_bytes() as u64;
             let fg = grid.fiber_group(i, j);
             posted.push(machine.post_collective(&fg, CollectiveKind::Broadcast, bytes, ())?);
             for l in 1..p1 {
-                machine.charge_alloc(fg.rank_at(l), bytes)?;
+                held.charge(machine, fg.rank_at(l), bytes)?;
             }
         }
     }
@@ -156,18 +147,7 @@ where
             .collect();
         per_layer.push(DistMat::from_blocks(ll, blocks));
     }
-    let per_rank_bytes = x0.nnz() as u64 * ebytes / (p2 * p3) as u64;
-    Ok((per_layer, per_rank_bytes, posted))
-}
-
-fn release_layers(machine: &Machine, grid: &Grid3, per_rank_bytes: u64) {
-    for l in 1..grid.p1() {
-        for i in 0..grid.p2() {
-            for j in 0..grid.p3() {
-                machine.release(grid.fiber_group(i, j).rank_at(l), per_rank_bytes);
-            }
-        }
-    }
+    Ok((per_layer, held, posted))
 }
 
 /// `X = A`: replicate the left operand; split B/C columns.
@@ -183,8 +163,7 @@ fn split_a<K: SpMulKernel>(
     let p1 = grid.p1();
     // A's fiber broadcasts overlap B's slice all-to-all below; they
     // are waited before the replicas feed the layer multiplies.
-    let (layer_as, rep_bytes, arriving) =
-        replicate_over_layers::<_, FirstWins<K::Left>>(m, grid, a)?;
+    let (layer_as, a_held, arriving) = replicate_over_layers::<_, FirstWins<K::Left>>(m, grid, a)?;
     let windows = even_ranges(b.ncols(), p1);
     // All layers' slices of B move in one all-to-all.
     let specs: Vec<_> = (0..p1)
@@ -227,7 +206,7 @@ fn split_a<K: SpMulKernel>(
                 .map(|(r0, c0, pos, blk)| (r0, c0 + w.start, pos, blk)),
         );
     }
-    release_layers(m, grid, rep_bytes);
+    a_held.release(m);
     Ok((pieces, ops))
 }
 

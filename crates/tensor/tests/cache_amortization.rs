@@ -10,7 +10,8 @@ use mfbc_machine::{Machine, MachineSpec};
 use mfbc_sparse::{spgemm_serial, Coo, Csr};
 use mfbc_tensor::cache::MmCache;
 use mfbc_tensor::{
-    canonical_layout, mm_exec, mm_exec_cached_masked, DistMat, MmPlan, Variant1D, Variant2D,
+    canonical_layout, enumerate_plans, mm_exec, mm_exec_cached_masked, mm_exec_masked, DistMat,
+    Mask, MaskKind, MmPlan, Variant1D, Variant2D,
 };
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
@@ -155,19 +156,55 @@ fn different_rhs_is_not_conflated() {
     cache.release_all(&m);
 }
 
+/// Every copy a plan makes is released by the time its product is
+/// handed back (one-shot) or its cache is released: each rank's meter
+/// returns to 0 under every enumerated plan, masked or not, in both
+/// accounting modes.
 #[test]
 fn uncached_exec_releases_all_memory() {
     let n = 32;
     let a = random_mat(11, n, 200);
-    let m = Machine::new(MachineSpec::test(4));
-    let da = DistMat::from_global(canonical_layout(&m, n, n), &a);
-    let db = da.clone();
-    let _ = mm_exec::<TropicalKernel>(&m, &MmPlan::OneD(Variant1D::B), &da, &db).unwrap();
-    for r in 0..4 {
-        assert_eq!(
-            m.with_tracker(|t| t.resident(r)),
-            0,
-            "rank {r} leaked simulated memory"
-        );
+    let b = random_mat(12, n, 220);
+    let coords: Vec<(usize, usize)> = (0..n * n / 3).map(|i| (i * 7 % n, i * 13 % n)).collect();
+    let mask = Mask::from_coords(MaskKind::Structural, n, n, &coords);
+    let mut leaks = Vec::new();
+    for p in [4usize, 8, 16] {
+        for plan in enumerate_plans(p) {
+            for mk in [None, Some(&mask)] {
+                for overlap in [false, true] {
+                    for cached in [false, true] {
+                        let m = Machine::new(MachineSpec::test(p).with_overlap(overlap));
+                        let da = DistMat::from_global(canonical_layout(&m, n, n), &a);
+                        let db = DistMat::from_global(canonical_layout(&m, n, n), &b);
+                        if cached {
+                            let mut cache = MmCache::new();
+                            for _ in 0..2 {
+                                mm_exec_cached_masked::<TropicalKernel>(
+                                    &m, &plan, &da, &db, mk, &mut cache,
+                                )
+                                .unwrap();
+                            }
+                            cache.release_all(&m);
+                        } else {
+                            mm_exec_masked::<TropicalKernel>(&m, &plan, &da, &db, mk).unwrap();
+                        }
+                        let resident = m.memory_snapshot().resident().to_vec();
+                        if resident.iter().any(|&r| r > 0) {
+                            let masked = mk.is_some();
+                            leaks.push(format!(
+                                "p={p} {plan} masked={masked} overlap={overlap} \
+                                 cached={cached}: {resident:?}"
+                            ));
+                        }
+                    }
+                }
+            }
+        }
     }
+    assert!(
+        leaks.is_empty(),
+        "{} runs leaked simulated memory:\n{}",
+        leaks.len(),
+        leaks.join("\n")
+    );
 }
