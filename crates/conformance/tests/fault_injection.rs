@@ -2,9 +2,11 @@
 //! 3D multiplication variant must make the harness (a) catch it,
 //! (b) shrink the failing case, and (c) print a one-line replayable
 //! repro — and disarming the fault must restore a green suite,
-//! proving the failure was the injected one.
+//! proving the failure was the injected one. The same seam corrupts a
+//! 1D product that lands in the table blocks it covers instead of
+//! being assembled, and the driver suite must catch that too.
 
-use mfbc_conformance::case::{CaseSpec, MmCase, MmKernelKind};
+use mfbc_conformance::case::{CaseSpec, DriverCase, DriverPlan, MmCase, MmKernelKind};
 use mfbc_conformance::suite::run_suite;
 use mfbc_fault::sabotage as fault;
 
@@ -94,4 +96,38 @@ fn fault_guard_is_scoped_to_its_thread() {
         std::thread::sleep(std::time::Duration::from_millis(30));
     });
     case.check().unwrap();
+}
+
+/// Driver cases pinned to `1d(A)` or `1d(B)` (`enumerate_plans(p)`'s
+/// first two): on the simulated backend their products land in the
+/// table blocks they cover, never through `mm_exec`'s assembly.
+fn landing(seed: u64) -> DriverCase {
+    let mut case = DriverCase::generate(seed, &[1, 2, 4], false);
+    case.plan = DriverPlan::Fixed((seed % 2) as usize);
+    case
+}
+
+#[test]
+fn injected_landing_fault_is_caught() {
+    run_suite("landing_baseline", 10, landing).unwrap_or_else(|f| panic!("{f}"));
+
+    let guard = fault::arm("1d(");
+    let failure = run_suite("landing_injected", 10, landing)
+        .expect_err("a corrupted 1D landing must be caught");
+    drop(guard);
+    assert!(
+        failure.original_error.contains("OneD("),
+        "failure must implicate a 1D plan: {}",
+        failure.original_error
+    );
+
+    // The printed seed replays a failing case while the fault is
+    // armed, and the same case passes once it is disarmed.
+    let replayed = landing(failure.seed);
+    let guard = fault::arm("1d(");
+    assert!(replayed.check().is_err(), "replayed case must still fail");
+    drop(guard);
+    replayed
+        .check()
+        .unwrap_or_else(|e| panic!("case must pass once the fault is disarmed: {e}"));
 }

@@ -10,8 +10,9 @@
 //!   address space. Infallible, charges nothing, announces nothing.
 //! * [`Simulated`] — canonically distributed [`DistMat`]s on a
 //!   [`Machine`]: products charge their communication to the critical
-//!   path, elementwise steps charge local compute, termination checks
-//!   charge an allreduce, tables charge memory. It owns what a run
+//!   path and, where their plan allows, land in the table blocks that
+//!   consume them; elementwise steps charge local compute, termination
+//!   checks charge an allreduce, tables charge memory. It owns what a run
 //!   keeps resident: `A`, `Aᵀ` and (Theorem 5.1's amortization) the
 //!   prepared-adjacency caches. Its steps are made of its own
 //!   [`Simulated::mm`], [`Simulated::combine`] and
@@ -29,6 +30,7 @@ use mfbc_sparse::{
     count_children, elementwise, spgemm_accumulate, spgemm_settle, Csr, Mask, MaskKind, Table,
 };
 use mfbc_tensor::cache::{CacheStats, MmCache};
+use mfbc_tensor::land::{self, Land};
 use mfbc_tensor::{autotune, canonical_layout, ops, DistMat, DistTable, MmPlan};
 
 /// Matrix element types (what every sparse and tensor kernel asks).
@@ -312,6 +314,17 @@ impl Backend for Local<'_> {
 
 /// Execution on the simulated machine, every matrix in the canonical
 /// world layout.
+///
+/// A step's product lands where it is consumed whenever its plan
+/// forms each output piece whole on one rank (`1d(A)`, `1d(B)`: see
+/// [`MmPlan::lands`]): the piece's kernel runs into the blocks of `T`
+/// or `Z` its slab covers — the sinks [`Local`] runs into its one
+/// table, one pane per block window — and the opening count is counted
+/// in place, so at p = 1 a step makes the calls `Local` makes, plus
+/// the machine's charges. A plan that reduces or assembles its output
+/// across ranks materialises it and merges the canonical blocks
+/// (`ops::dmat_accumulate`, `dmat_anchor`, `dmat_settle`). Both bill
+/// the same charges.
 pub struct Simulated {
     /// The machine every operation charges.
     pub(crate) m: Machine,
@@ -414,21 +427,74 @@ impl Simulated {
         mask: Option<&Mask>,
         priced: Option<&Mask>,
     ) -> Result<(DistMat<KernelOut<K>>, u64), MachineError> {
+        let _span = self.tuning();
+        let plan = self.plan::<K>(frontier, adj, priced);
+        self.materialise::<K>(&plan, frontier, adj, mask)
+    }
+
+    /// Brackets a product whose plan the tuner picks.
+    fn tuning(&self) -> Option<mfbc_trace::Span> {
+        self.plan
+            .is_none()
+            .then(|| mfbc_trace::span(|| "mm_auto".to_string()))
+    }
+
+    /// The plan a product of `frontier` by `adj` runs: the fixed one,
+    /// or the tuner's pick under `priced` (see [`Simulated::mm`]).
+    fn plan<K: SpMulKernel<Right = Dist>>(
+        &self,
+        frontier: &DistMat<K::Left>,
+        adj: Adj,
+        priced: Option<&Mask>,
+    ) -> MmPlan {
+        let (m, a) = (&self.m, &self.adj[adj as usize]);
+        let tuned = || {
+            autotune::best_plan(
+                m.spec(),
+                &autotune::stats_for_masked::<K>(frontier, a, priced),
+            )
+            .0
+        };
+        self.plan.clone().unwrap_or_else(tuned)
+    }
+
+    /// [`Simulated::mm`] under `plan`.
+    fn materialise<K: SpMulKernel<Right = Dist>>(
+        &mut self,
+        plan: &MmPlan,
+        frontier: &DistMat<K::Left>,
+        adj: Adj,
+        mask: Option<&Mask>,
+    ) -> Result<(DistMat<KernelOut<K>>, u64), MachineError> {
         let (m, f) = (&self.m, frontier);
         let (a, cache) = (&self.adj[adj as usize], &mut self.caches[adj as usize]);
-        let _span = self
-            .plan
-            .is_none()
-            .then(|| mfbc_trace::span(|| "mm_auto".to_string()));
-        let tuned =
-            || autotune::best_plan(m.spec(), &autotune::stats_for_masked::<K>(f, a, priced)).0;
-        let plan = self.plan.clone().unwrap_or_else(tuned);
         let out = if self.amortize {
-            mfbc_tensor::mm_exec_cached_masked::<K>(m, &plan, f, a, mask, cache)
+            mfbc_tensor::mm_exec_cached_masked::<K>(m, plan, f, a, mask, cache)
         } else {
-            mfbc_tensor::mm_exec_masked::<K>(m, &plan, f, a, mask)
+            mfbc_tensor::mm_exec_masked::<K>(m, plan, f, a, mask)
         }?;
         Ok((out.c, out.ops))
+    }
+
+    /// `frontier •⟨⊕,f⟩ adj` under a plan that lands
+    /// ([`MmPlan::lands`]): every piece goes to `land`, where it is
+    /// consumed. Returns `ops`.
+    fn land<K: SpMulKernel<Right = Dist>>(
+        &mut self,
+        plan: &MmPlan,
+        frontier: &DistMat<K::Left>,
+        adj: Adj,
+        land: &mut impl Land<K>,
+    ) -> Result<u64, MachineError> {
+        let (m, f) = (&self.m, frontier);
+        let (a, cache) = (&self.adj[adj as usize], &mut self.caches[adj as usize]);
+        if self.amortize {
+            return mfbc_tensor::mm_land::<K>(m, plan, f, a, land, cache);
+        }
+        let mut one_shot = MmCache::one_shot();
+        let ops = mfbc_tensor::mm_land::<K>(m, plan, f, a, land, &mut one_shot);
+        one_shot.release_all(m);
+        ops
     }
 
     /// `A ⊕ B`.
@@ -527,9 +593,21 @@ impl Backend for Simulated {
         keep: impl Fn(&KernelOut<K>, Option<&KernelOut<K>>, &KernelOut<K>) -> Option<KernelOut<K>>
             + Sync,
     ) -> Result<(DistMat<KernelOut<K>>, u64), MachineError> {
-        // The product has to be communicated, so here it is a matrix.
+        let span = self.tuning();
+        let plan = self.plan::<K>(frontier, Adj::A, table.mask().as_ref());
+        if plan.lands() {
+            // Each piece is explored into the table blocks its slab
+            // covers.
+            let mut land = land::Accumulate::<K, _>::new(table, &keep);
+            let ops = self.land(&plan, frontier, Adj::A, &mut land)?;
+            drop(span);
+            return Ok((land.finish(&self.m)?, ops));
+        }
+        // The output is reduced or assembled across ranks first, so
+        // here it is a matrix.
         let mask = table.mask();
-        let (explored, ops) = self.mm::<K>(frontier, Adj::A, mask.as_ref(), mask.as_ref())?;
+        let (explored, ops) = self.materialise::<K>(&plan, frontier, Adj::A, mask.as_ref())?;
+        drop((mask, span));
         let kept = ops::dmat_accumulate::<K::Acc, _>(&self.m, table, &explored, keep)?;
         Ok((kept, ops))
     }
@@ -539,17 +617,28 @@ impl Backend for Simulated {
         t: &DistMat<Multpath>,
         fire: impl Fn(&mut Centpath, &Multpath) -> Option<Centpath> + Sync,
     ) -> Result<(DistTable<Centpath>, DistMat<Centpath>, u64), MachineError> {
-        // The count has to be communicated, so here it is a product:
-        // `(τ, 0, 1)` seeds times `Aᵀ`, consumed by the anchor. A
-        // contribution at a pair outside `T`'s pattern is inert, so
-        // where the machine masks, the product runs under that
-        // pattern (and redistribution drops `Aᵀ` columns of vertices
-        // no source discovered).
+        // The child count is the product of `(τ, 0, 1)` seeds with
+        // `Aᵀ`, consumed by the anchor. A contribution at a pair
+        // outside `T`'s pattern is inert, so where the machine masks,
+        // the product runs under that pattern (and redistribution
+        // drops `Aᵀ` columns of vertices no source discovered).
         let reached = self.mask_of(MaskKind::Structural, t);
         let seed = |_: usize, _: usize, mp: &Multpath| Some(Centpath::new(mp.w, 0.0, 1));
         let seeds = ops::dmat_map_filter::<CentpathMonoid, _, _>(&self.m, t, seed);
         let within = reached.as_ref();
-        let (counted, ops) = self.mm::<BrandesKernel>(&seeds, Adj::At, within, within)?;
+        let span = self.tuning();
+        let plan = self.plan::<BrandesKernel>(&seeds, Adj::At, within);
+        if plan.lands() {
+            // Each piece of the count is counted in place, in the `Z`
+            // blocks its slab covers, as `Local` counts its one table.
+            let mut land = land::Count::new(t, reached, &fire);
+            let ops = self.land(&plan, &seeds, Adj::At, &mut land)?;
+            drop(span);
+            let (z, frontier) = land.finish(&self.m)?;
+            return Ok((z, frontier, ops));
+        }
+        let (counted, ops) = self.materialise::<BrandesKernel>(&plan, &seeds, Adj::At, within)?;
+        drop(span);
         let (z, frontier) = ops::dmat_anchor::<CentpathMonoid, Multpath>(
             &self.m,
             t,
@@ -572,11 +661,21 @@ impl Backend for Simulated {
     where
         K: SpMulKernel<Right = Dist>,
     {
-        // The product has to be communicated, so here it is a matrix.
-        // It is priced under `within`, which holds for the whole sweep
-        // (see [`Simulated::mm`]).
+        // The product is priced under `within`, which holds for the
+        // whole sweep (see [`Simulated::mm`]).
+        let span = self.tuning();
+        let plan = self.plan::<K>(frontier, Adj::At, within);
+        if plan.lands() {
+            // Each piece settles into the `Z` blocks its slab covers.
+            let mut land = land::Settle::<K, U, _>::new(z, side, within, &fire);
+            let ops = self.land(&plan, frontier, Adj::At, &mut land)?;
+            drop(span);
+            return Ok((land.finish(&self.m), ops));
+        }
         let pending = z.mask();
-        let (back, ops) = self.mm::<K>(frontier, Adj::At, pending.as_ref().or(within), within)?;
+        let mask = pending.as_ref().or(within);
+        let (back, ops) = self.materialise::<K>(&plan, frontier, Adj::At, mask)?;
+        drop((pending, span));
         let fired = ops::dmat_settle::<K::Acc, U>(&self.m, z, &back, side, fire);
         Ok((fired, ops))
     }

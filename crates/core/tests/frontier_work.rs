@@ -109,26 +109,28 @@ const MAX_MASKED_REQUESTED_PER_TABLE_BYTE: f64 = 6.9;
 
 /// Requested bytes per byte of final table for `mfbc_dist` at `p = 1`
 /// on the grid. One rank moves nothing, so what the simulated backend
-/// adds to the sweep — placing operands, re-assembling every product,
-/// MFBr's products as the matrices a machine would have to communicate
-/// — has to stay a fraction of the sweep itself. Measured: 22.3 (21.1
-/// before `Z` was a slot-addressed table there too), and 53 when every
-/// product and operand went through a coordinate list and a sort. This
-/// guard used to read "1.5 × what `mfbc_seq` requests", 1.5 × 19.0
-/// when `mfbc_seq` last moved; `mfbc_seq` has halved since and the
-/// simulated run has not, so the bound is kept where it was in bytes.
-const MAX_DIST_REQUESTED_PER_TABLE_BYTE: f64 = 28.5;
+/// adds to the sweep — placing operands and the machine's bookkeeping —
+/// has to stay a fraction of the sweep itself. Measured: 8.62 with the
+/// 1D products landing in the table blocks (the slab is the one block
+/// at p = 1), 22.3 when every product was a matrix re-assembled to the
+/// canonical layout and merged by `dmat_*` with MFBr's opening a
+/// count product, and 53 when every product and operand went through a
+/// coordinate list and a sort. The counts are deterministic: × 1.1.
+const MAX_DIST_REQUESTED_PER_TABLE_BYTE: f64 = 9.5;
 
 /// Requested bytes per byte of final table for `mfbc_dist` on the
 /// masked R-MAT graph, at one and at four ranks: the alarm for a
 /// superstep that copies a mask's pattern on the simulated backend —
 /// a global mask assembled from the table's blocks, a window copied
 /// per output block, a scan of the whole pattern to price the
-/// product. Measured: 12.69 at p = 1 and 14.33 at p = 4 with every
-/// mask a view of the blocks where they lie; 14.60 and 16.25 when each
-/// superstep made those three copies. The usual × 1.3 would let them
-/// back in: × 1.1 here (the counts are deterministic).
-const MAX_MASKED_DIST_REQUESTED_PER_TABLE_BYTE: [(usize, f64); 2] = [(1, 13.9), (4, 15.7)];
+/// product — or that materialises a 1D product again. Measured: 9.15
+/// at p = 1 and 11.37 at p = 4 with every mask a view of the blocks
+/// where they lie and the 1D products landing in the blocks they
+/// cover; 12.69 and 14.33 when those products were matrices merged
+/// after assembly; 14.60 and 16.25 when each superstep also made the
+/// three mask copies. The usual × 1.3 would let them back in: × 1.1
+/// here (the counts are deterministic).
+const MAX_MASKED_DIST_REQUESTED_PER_TABLE_BYTE: [(usize, f64); 2] = [(1, 10.1), (4, 12.5)];
 
 /// Requested bytes per byte of final distance table for `sssp_seq`
 /// from every vertex of the grid. Measured: 6.5 with its products

@@ -429,12 +429,13 @@ pub mod sabotage {
         SabotageGuard(())
     }
 
-    /// Whether corruption is armed for the given plan label.
-    pub fn armed_for(label: &str) -> bool {
+    /// Whether corruption is armed for the plan labelled `label`. The
+    /// label is only formatted while something is armed.
+    pub fn armed_for(label: impl std::fmt::Display) -> bool {
         ARMED.with(|a| {
             a.borrow()
                 .as_ref()
-                .is_some_and(|prefix| label.starts_with(prefix.as_str()))
+                .is_some_and(|prefix| label.to_string().starts_with(prefix.as_str()))
         })
     }
 

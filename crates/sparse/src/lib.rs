@@ -31,6 +31,7 @@
 pub mod coo;
 pub mod csr;
 pub mod elementwise;
+mod few;
 pub mod mask;
 pub mod rows;
 pub mod slice;
@@ -43,10 +44,11 @@ pub use csr::{Csr, Idx};
 pub use mask::{Mask, MaskKind, MaskRow};
 pub use rows::SortedRows;
 pub use spgemm::{
-    count_children, spgemm, spgemm_accumulate, spgemm_masked, spgemm_masked_serial, spgemm_opt,
-    spgemm_serial, spgemm_settle,
+    count_children, count_children_panes, spgemm, spgemm_accumulate, spgemm_accumulate_panes,
+    spgemm_masked, spgemm_masked_serial, spgemm_opt, spgemm_serial, spgemm_settle,
+    spgemm_settle_panes,
 };
-pub use table::Table;
+pub use table::{Landed, Pane, Table};
 
 /// Estimated in-memory payload bytes of one stored entry of type `T`
 /// in CSR/COO form: the value plus one column index. Used by the

@@ -122,19 +122,20 @@ impl SortedRows {
         self.nnz += new.len();
     }
 
-    /// Removes the ascending columns `gone`, all of them stored, from
-    /// row `i`: one forward compaction from `gone`'s first column on.
+    /// Removes the ascending columns `gone`, each shifted by `d`, all
+    /// of them stored, from row `i`: one forward compaction from
+    /// `gone`'s first column on.
     ///
     /// # Panics
     /// Panics if a column of `gone` is not stored in the row (or
     /// `gone` does not ascend).
-    pub fn remove(&mut self, i: usize, gone: &[Idx]) {
+    pub fn remove(&mut self, i: usize, gone: &[Idx], d: Idx) {
         let Some(&first) = gone.first() else { return };
         let row = &mut self.rows[i];
-        let from = row.partition_point(|&c| c < first);
+        let from = row.partition_point(|&c| c < first + d);
         let (mut w, mut g) = (from, 0);
         for r in from..row.len() {
-            if g < gone.len() && row[r] == gone[g] {
+            if g < gone.len() && row[r] == gone[g] + d {
                 g += 1;
             } else {
                 row[w] = row[r];
@@ -144,21 +145,21 @@ impl SortedRows {
         assert_eq!(g, gone.len(), "row {i} does not store every removed column");
         row.truncate(w);
         for &c in gone {
-            self.counts[c as usize] -= 1;
+            self.counts[(c + d) as usize] -= 1;
         }
         self.nnz -= gone.len();
     }
 
     /// [`SortedRows::remove`], row by row, of every coordinate `gone`
-    /// stores.
+    /// stores, `gone` being the window whose `(0, 0)` is `(row0, col0)`.
     ///
     /// # Panics
-    /// Panics if the row counts differ or a coordinate of `gone` is
-    /// not stored.
-    pub fn remove_pattern<T>(&mut self, gone: &Csr<T>) {
-        assert_eq!(gone.nrows(), self.rows.len(), "remove_pattern rows");
+    /// Panics if `gone` reaches past the last row or a coordinate of
+    /// `gone` is not stored.
+    pub fn remove_window<T>(&mut self, gone: &Csr<T>, row0: usize, col0: Idx) {
+        assert!(row0 + gone.nrows() <= self.rows.len(), "remove_window rows");
         for i in 0..gone.nrows() {
-            self.remove(i, gone.row_cols(i));
+            self.remove(row0 + i, gone.row_cols(i), col0);
         }
     }
 }
@@ -177,17 +178,17 @@ mod tests {
         p.insert(0, &[]);
         p.insert(1, &[1, 7]);
         assert_eq!((p.row(1), p.nnz()), (&[1, 7][..], 9));
-        p.remove(0, &[0, 3, 4, 11]);
-        p.remove(0, &[]);
+        p.remove(0, &[0, 3, 4, 11], 0);
+        p.remove(0, &[], 0);
         assert_eq!((p.row(0), p.nnz()), (&[2, 5, 9][..], 5));
-        p.remove(1, &[1, 7]);
+        p.remove(1, &[1, 7], 0);
         assert!(p.row(1).is_empty());
     }
 
     #[test]
     #[should_panic(expected = "does not store")]
     fn remove_rejects_a_column_not_stored() {
-        SortedRows::from_rows(8, [vec![1, 4]]).remove(0, &[4, 6]);
+        SortedRows::from_rows(8, [vec![1, 4]]).remove(0, &[4, 6], 0);
     }
 
     #[test]
@@ -218,7 +219,7 @@ mod tests {
                     rows.insert(i, &batch);
                     model[i].extend(&batch);
                 } else {
-                    rows.remove(i, &batch);
+                    rows.remove(i, &batch, 0);
                     batch.iter().for_each(|j| assert!(model[i].remove(j)));
                 }
                 for (r, want) in model.iter().enumerate() {

@@ -26,8 +26,9 @@
 
 use crate::csr::{Csr, Idx};
 use crate::elementwise::{assemble_rows, RowChunk};
+use crate::few::Few;
 use crate::mask::{Mask, MaskKind, MaskRow};
-use crate::table::{stored, Accumulate, Leaves, Rows, Settle, Table};
+use crate::table::{stored, Accumulate, Landed, Leaves, Pane, Rows, Settle, Table};
 use mfbc_algebra::kernel::KernelOut;
 use mfbc_algebra::monoid::Monoid;
 use mfbc_algebra::{Centpath, CentpathMonoid, Dist, Multpath, SpMulKernel};
@@ -183,28 +184,153 @@ impl<M: Monoid> RowSink<M::Elem> for Drain<M> {
     }
 }
 
+/// A product's rows landing in panes side by side ([`Pane`]): output
+/// columns `sits[b].span()` go to `sinks[b]`, shifted to start at 0.
+/// Every sink of a table — [`Table::accumulate`]'s body forward,
+/// [`Table::settle`]'s backward — is fed through this, one pane over
+/// the whole table being the shared-memory case.
+struct Panes<'s, S> {
+    sits: &'s [Sits],
+    sinks: Few<S>,
+}
+
+/// Where one pane sits: its window, its table's shape, and the first
+/// output column it takes.
+#[derive(Clone, Debug)]
+struct Sits {
+    rows: Range<usize>,
+    cols: Range<usize>,
+    table: (usize, usize),
+    at: usize,
+}
+
+impl Sits {
+    /// The output columns the pane takes.
+    #[inline]
+    fn span(&self) -> Range<usize> {
+        self.at..self.at + self.cols.len()
+    }
+}
+
+/// Where `panes` sit side by side, after checking that they take
+/// `nrows` rows and `ncols` columns of output.
+fn sits<T: Clone>(nrows: usize, ncols: usize, panes: &[Pane<'_, T>]) -> Few<Sits> {
+    let mut at = 0;
+    let sit = |p: &Pane<'_, T>| {
+        let table = (p.table.nrows(), p.table.ncols());
+        assert!(
+            p.rows.len() == nrows && p.rows.end <= table.0 && p.cols.end <= table.1,
+            "pane {:?} x {:?} of a {}x{} table for {nrows} output rows",
+            p.rows,
+            p.cols,
+            table.0,
+            table.1
+        );
+        at += p.cols.len();
+        Sits {
+            rows: p.rows.clone(),
+            cols: p.cols.clone(),
+            table,
+            at: at - p.cols.len(),
+        }
+    };
+    let sits = panes.iter().map(sit).collect();
+    assert_eq!(at, ncols, "panes cover the output columns");
+    sits
+}
+
+/// The mask a product into panes sitting at `sits` runs under: their
+/// tables' `masks` side by side, cut to the panes' windows — `None`
+/// where the tables report none. Panes side by side share their rows,
+/// so their tables share a height.
+fn pane_mask<'m>(sits: &[Sits], masks: Few<Option<Mask<'m>>>) -> Option<Mask<'m>> {
+    let (first, last) = (&sits[0], &sits[sits.len() - 1]);
+    let masks = match masks {
+        Few::One(mask) if (first.rows.len(), first.cols.len()) == first.table => return mask,
+        Few::One(mask) => return Some(mask?.window(first.rows.clone(), first.cols.clone())),
+        Few::Many(masks) => masks.into_iter().collect::<Option<Vec<_>>>()?,
+    };
+    let height = first.table.0;
+    let mut cols = Vec::with_capacity(sits.len() + 1);
+    cols.push(0);
+    for s in sits {
+        assert_eq!(s.table.0, height, "panes side by side");
+        cols.push(cols[cols.len() - 1] + s.table.1);
+    }
+    let span = first.cols.start..cols[sits.len() - 1] + last.cols.end;
+    let tiled = Mask::tiled(masks[0].kind(), vec![0, height], cols, masks);
+    Some(tiled.window(first.rows.clone(), span))
+}
+
+/// `rows` split over the output row ranges `ranges` of a window whose
+/// row 0 is table row `row0`.
+fn split_rows<'a, T, U>(
+    rows: Rows<'a, T, U>,
+    ranges: &[Range<usize>],
+    row0: usize,
+) -> Vec<Rows<'a, T, U>> {
+    if row0 == 0 {
+        return rows.split(ranges);
+    }
+    let at = |r: &Range<usize>| row0 + r.start..row0 + r.end;
+    rows.split(&ranges.iter().map(at).collect::<Vec<_>>())
+}
+
+impl<M, F> Panes<'_, Accumulate<'_, M, F>>
+where
+    M: Monoid,
+    F: Fn(&M::Elem, Option<&M::Elem>, &M::Elem) -> Option<M::Elem>,
+{
+    /// Entry `(i, j)` of the product, into its pane; entries of a row
+    /// arrive in column order, and `b` is the pane of the last one.
+    #[inline]
+    fn entry(&mut self, i: usize, j: usize, g: &M::Elem, b: &mut usize) {
+        while j >= self.sits[*b].span().end {
+            *b += 1;
+        }
+        self.sinks[*b].entry(i, j - self.sits[*b].at, g);
+    }
+
+    /// Closes row `i` in every pane.
+    fn end_row(&mut self, i: usize) {
+        self.sinks.iter_mut().for_each(|s| s.end_row(i));
+    }
+}
+
 /// [`Table::accumulate`] fed from the accumulator, in the column order
 /// [`Drain`] would emit: the sink of [`spgemm_accumulate`].
-impl<M, F> RowSink<M::Elem> for Accumulate<'_, M, F>
+impl<M, F> RowSink<M::Elem> for Panes<'_, Accumulate<'_, M, F>>
 where
     M: Monoid,
     F: Fn(&M::Elem, Option<&M::Elem>, &M::Elem) -> Option<M::Elem>,
 {
     fn row(&mut self, i: usize, spa: &mut Spa<M::Elem>, walk: Option<Walk<'_>>) {
-        spa.drain::<M>(walk, |j, g| self.entry(i, j as usize, g));
+        if let [one] = &mut self.sinks[..] {
+            spa.drain::<M>(walk, |j, g| one.entry(i, j as usize, g));
+            return one.end_row(i);
+        }
+        let mut b = 0;
+        spa.drain::<M>(walk, |j, g| self.entry(i, j as usize, g, &mut b));
         self.end_row(i);
     }
 }
 
 /// [`Table::settle`] fed from the accumulator: the sink of
 /// [`spgemm_settle`].
-impl<M, U, F> RowSink<M::Elem> for Settle<'_, M, U, F>
+impl<M, U, F> RowSink<M::Elem> for Panes<'_, Settle<'_, M, U, F>>
 where
     M: Monoid,
     F: Fn(&mut M::Elem, &U) -> Option<M::Elem>,
 {
     fn row(&mut self, i: usize, spa: &mut Spa<M::Elem>, _: Option<Walk<'_>>) {
-        Settle::row(self, i, spa.formed::<M>());
+        if let [one] = &mut self.sinks[..] {
+            return one.row(i, spa.formed::<M>());
+        }
+        for (s, sit) in self.sinks.iter_mut().zip(self.sits) {
+            let span = sit.span();
+            let inside = spa.formed::<M>().filter(|(j, _)| span.contains(j));
+            s.row(i, inside.map(|(j, v)| (j - span.start, v)));
+        }
     }
 }
 
@@ -213,32 +339,33 @@ const UNMASKED: u8 = 0;
 const STRUCTURAL: u8 = 1;
 const COMPLEMENT: u8 = 2;
 
-/// The row kernel: Gustavson over `rows`, under `mask` read the way
-/// `MODE` says, every finished row handed to `sink`; returns the
-/// products formed. An elementary product whose output column the mask
-/// excludes is skipped before `f` is applied — it neither accumulates
-/// nor counts toward `ops` — at one stamp load per candidate, masked
-/// or not. An empty left-operand row, or a structural mask with an
-/// empty pattern row, forms nothing.
+/// The row kernel: Gustavson over output rows `rows` — rows `base +
+/// rows` of `a` — under `mask` read the way `MODE` says, every finished
+/// row handed to `sink`; returns the products formed. An elementary
+/// product whose output column the mask excludes is skipped before `f`
+/// is applied — it neither accumulates nor counts toward `ops` — at one
+/// stamp load per candidate, masked or not. An empty left-operand row,
+/// or a structural mask with an empty pattern row, forms nothing.
 fn multiply_rows<K: SpMulKernel, const MODE: u8>(
-    a: &Csr<K::Left>,
-    b: &Csr<K::Right>,
+    (a, b): (&Csr<K::Left>, &Csr<K::Right>),
     mask: Option<&Mask>,
+    base: usize,
     rows: Range<usize>,
     spa: &mut Spa<KernelOut<K>>,
     sink: &mut impl RowSink<KernelOut<K>>,
 ) -> u64 {
     let mut ops = 0u64;
-    for i in rows {
+    for r in rows {
+        let i = base + r;
         if a.row_nnz(i) == 0 {
             spa.touched.clear();
-            sink.row(i, spa, None);
+            sink.row(r, spa, None);
             continue;
         }
-        let pattern = mask.map(|m| m.row(i));
+        let pattern = mask.map(|m| m.row(r));
         let (mark, listed) = spa.begin_row(pattern);
         if MODE == STRUCTURAL && listed == 0 {
-            sink.row(i, spa, None);
+            sink.row(r, spa, None);
             continue;
         }
         let on = mark + 1;
@@ -267,24 +394,28 @@ fn multiply_rows<K: SpMulKernel, const MODE: u8>(
             }
         }
         let walk = pattern.filter(|_| MODE == STRUCTURAL);
-        sink.row(i, spa, walk.map(|row| Walk { row, len: listed }));
+        sink.row(r, spa, walk.map(|row| Walk { row, len: listed }));
     }
     ops
 }
 
 /// [`multiply_rows`] in the mode `mask` asks for.
 fn multiply<K: SpMulKernel>(
-    a: &Csr<K::Left>,
-    b: &Csr<K::Right>,
+    ab: (&Csr<K::Left>, &Csr<K::Right>),
     mask: Option<&Mask>,
+    base: usize,
     rows: Range<usize>,
     spa: &mut Spa<KernelOut<K>>,
     sink: &mut impl RowSink<KernelOut<K>>,
 ) -> u64 {
     match mask.map(Mask::kind) {
-        None => multiply_rows::<K, UNMASKED>(a, b, None, rows, spa, sink),
-        Some(MaskKind::Structural) => multiply_rows::<K, STRUCTURAL>(a, b, mask, rows, spa, sink),
-        Some(MaskKind::Complement) => multiply_rows::<K, COMPLEMENT>(a, b, mask, rows, spa, sink),
+        None => multiply_rows::<K, UNMASKED>(ab, None, base, rows, spa, sink),
+        Some(MaskKind::Structural) => {
+            multiply_rows::<K, STRUCTURAL>(ab, mask, base, rows, spa, sink)
+        }
+        Some(MaskKind::Complement) => {
+            multiply_rows::<K, COMPLEMENT>(ab, mask, base, rows, spa, sink)
+        }
     }
 }
 
@@ -298,19 +429,19 @@ const PAR_MIN_ROWS: usize = 32;
 /// (every elementary product counted) and the true per-row cost.
 const TASKS_PER_THREAD: usize = 4;
 
-/// Per-row flops upper bound: `1 + Σ_{k ∈ A.row(i)} nnz(B.row(k))`.
-/// The constant keeps empty rows from collapsing a range to zero
-/// weight, so partitions stay contiguous and non-degenerate.
-fn flops_weights<L, R>(a: &Csr<L>, b: &Csr<R>) -> Vec<u64> {
-    (0..a.nrows())
-        .map(|i| {
-            1 + a
-                .row_cols(i)
-                .iter()
-                .map(|&k| b.row_nnz(k as usize) as u64)
-                .sum::<u64>()
-        })
-        .collect()
+/// Per-row flops upper bound over rows `rows` of `a`:
+/// `1 + Σ_{k ∈ A.row(i)} nnz(B.row(k))`. The constant keeps empty rows
+/// from collapsing a range to zero weight, so partitions stay
+/// contiguous and non-degenerate.
+fn flops_weights<L, R>(a: &Csr<L>, b: &Csr<R>, rows: Range<usize>) -> Vec<u64> {
+    rows.map(|i| {
+        1 + a
+            .row_cols(i)
+            .iter()
+            .map(|&k| b.row_nnz(k as usize) as u64)
+            .sum::<u64>()
+    })
+    .collect()
 }
 
 /// Whether a product of `nrows` rows runs on the calling thread:
@@ -325,17 +456,18 @@ fn drains<M: Monoid>(ranges: &[Range<usize>]) -> Vec<Drain<M>> {
     ranges.iter().map(drain).collect()
 }
 
-/// Every public entry point: checks shapes, then multiplies on the
-/// calling thread or over flops-balanced row ranges on the pool (see
-/// [`fan_out`]), one SPA per participant. `sinks` makes one sink per
-/// row range, in range order; they come back, having seen their rows,
-/// beside the products formed.
+/// Every product: checks shapes, then multiplies rows `rows` of `a` by
+/// `b` — output rows `0..rows.len()`, under `mask` of that shape — on
+/// the calling thread or over flops-balanced row ranges on the pool
+/// (see [`fan_out`]), one SPA per participant. `sinks` makes one sink
+/// per row range, in range order; they come back, having seen their
+/// rows, beside the products formed.
 /// Row partitioning ignores the mask — the unmasked flops are a valid
 /// upper bound per row, and identical partitions keep the trace
 /// stream stable whether or not a mask is present.
 fn run<K: SpMulKernel, S: RowSink<KernelOut<K>> + Send>(
-    a: &Csr<K::Left>,
-    b: &Csr<K::Right>,
+    (a, b): (&Csr<K::Left>, &Csr<K::Right>),
+    rows: Range<usize>,
     mask: Option<&Mask>,
     serial: bool,
     sinks: impl FnOnce(&[Range<usize>]) -> Vec<S>,
@@ -349,44 +481,48 @@ fn run<K: SpMulKernel, S: RowSink<KernelOut<K>> + Send>(
         b.nrows(),
         b.ncols()
     );
+    assert!(rows.end <= a.nrows(), "rows {rows:?} of {}", a.nrows());
     if let Some(mask) = mask {
         assert_eq!(
             (mask.nrows(), mask.ncols()),
-            (a.nrows(), b.ncols()),
+            (rows.len(), b.ncols()),
             "mask shape {}x{} does not match output shape {}x{}",
             mask.nrows(),
             mask.ncols(),
-            a.nrows(),
+            rows.len(),
             b.ncols()
         );
     }
     let spa = || Spa::new(b.ncols(), <K::Acc as Monoid>::identity());
-    let work = |spa: &mut _, rows, sink: &mut S| multiply::<K>(a, b, mask, rows, spa, sink);
-    fan_out("spgemm", (a, b), serial, spa, sinks, work)
+    let base = rows.start;
+    let work = |spa: &mut _, r, sink: &mut S| multiply::<K>((a, b), mask, base, r, spa, sink);
+    fan_out("spgemm", (a, b), rows, serial, spa, sinks, work)
 }
 
-/// The row fan-out of a product of `a` and `b`: `work(scratch, rows,
-/// part)` over all of `a`'s rows on the calling thread ([`on_caller`]),
-/// or over row ranges balanced by [`flops_weights`] on the pool, one
-/// `scratch` per participant, announced as a pool run of `kernel`.
-/// `parts` makes one part per range, in range order; they come back,
-/// having seen their rows, beside the sum of what `work` returned.
+/// The row fan-out of a product of rows `rows` of `a` and `b`:
+/// `work(scratch, range, part)` over output rows `0..rows.len()` on the
+/// calling thread ([`on_caller`]), or over ranges of them balanced by
+/// [`flops_weights`] on the pool, one `scratch` per participant,
+/// announced as a pool run of `kernel`. `parts` makes one part per
+/// range, in range order; they come back, having seen their rows,
+/// beside the sum of what `work` returned.
 fn fan_out<L, R, S: Send, P: Send>(
     kernel: &'static str,
     (a, b): (&Csr<L>, &Csr<R>),
+    rows: Range<usize>,
     serial: bool,
     scratch: impl Fn() -> S + Sync,
     parts: impl FnOnce(&[Range<usize>]) -> Vec<P>,
     work: impl Fn(&mut S, Range<usize>, &mut P) -> u64 + Sync,
 ) -> (Vec<P>, u64) {
-    let nrows = a.nrows();
+    let nrows = rows.len();
     let pool = mfbc_parallel::current();
     if on_caller(serial, nrows) {
         let mut parts = parts(std::slice::from_ref(&(0..nrows)));
         let ops = work(&mut scratch(), 0..nrows, &mut parts[0]);
         return (parts, ops);
     }
-    let weights = flops_weights(a, b);
+    let weights = flops_weights(a, b, rows);
     let ranges = balanced_ranges(&weights, pool.threads() * TASKS_PER_THREAD);
     // One lock per range, taken by the one task that works it.
     let parts: Vec<Mutex<P>> = parts(&ranges).into_iter().map(Mutex::new).collect();
@@ -414,7 +550,7 @@ fn product<K: SpMulKernel>(
     mask: Option<&Mask>,
     serial: bool,
 ) -> SpGemmOut<KernelOut<K>> {
-    let (drains, ops) = run::<K, _>(a, b, mask, serial, drains::<K::Acc>);
+    let (drains, ops) = run::<K, _>((a, b), 0..a.nrows(), mask, serial, drains::<K::Acc>);
     let chunks = drains.into_iter().map(|d| d.0).collect();
     SpGemmOut {
         mat: assemble_rows(a.nrows(), b.ncols(), chunks),
@@ -429,16 +565,7 @@ fn product<K: SpMulKernel>(
 /// The product runs under [`Table::mask`]. Returns the entries `keep`
 /// let through and the products formed, bit-identical to
 /// [`spgemm_opt`] followed by [`Table::accumulate`] at any thread
-/// count.
-///
-/// On the calling thread each row goes into `t` as it is finished: the
-/// arena is appended to and the slots written in place, and what
-/// `keep` lets through is the returned matrix as it was written.
-/// The arena is append-only, so parallel tasks each drain their rows,
-/// and one pass then feeds them to the same body in row order —
-/// measured faster than tasks that grow arenas of their own, stitched
-/// after the product, or that read the table and leave what they
-/// change to a serial pass (EXPERIMENTS.md).
+/// count. The one-pane case of [`spgemm_accumulate_panes`].
 ///
 /// # Panics
 /// Panics where [`spgemm_opt`] or [`Table::accumulate`] would.
@@ -448,43 +575,101 @@ pub fn spgemm_accumulate<K: SpMulKernel>(
     t: &mut Table<KernelOut<K>>,
     keep: impl Fn(&KernelOut<K>, Option<&KernelOut<K>>, &KernelOut<K>) -> Option<KernelOut<K>> + Sync,
 ) -> SpGemmOut<KernelOut<K>> {
-    let shape = (a.nrows(), b.ncols());
-    assert_eq!(
-        shape,
-        (t.nrows(), t.ncols()),
-        "table accumulate shape mismatch"
-    );
-    if on_caller(false, a.nrows()) {
+    let (landed, ops) = accumulate::<K>(a, b, 0..a.nrows(), &mut [Pane::whole(t)], keep);
+    let mat = landed.into_iter().next().expect("one pane").out;
+    SpGemmOut { mat, ops }
+}
+
+/// [`spgemm_accumulate`] of rows `rows` of `a` by `b` into `panes` side
+/// by side, under their tables' masks: output `(i, j)` is explored
+/// entry `(i, j)` of the pane holding column `j`, at its window. Per
+/// pane, what `keep` let through (in window coordinates) and the
+/// explored entries it took in; and the products formed. Equal, pane
+/// for pane, to [`Table::accumulate`] of the window of the product
+/// [`spgemm_opt`] forms.
+///
+/// # Panics
+/// Panics if the panes do not take `rows.len()` rows and `b`'s columns
+/// between them, and where [`spgemm_opt`] or [`Table::accumulate`]
+/// would.
+#[allow(clippy::type_complexity)]
+pub fn spgemm_accumulate_panes<K: SpMulKernel>(
+    a: &Csr<K::Left>,
+    b: &Csr<K::Right>,
+    rows: Range<usize>,
+    panes: &mut [Pane<'_, KernelOut<K>>],
+    keep: impl Fn(&KernelOut<K>, Option<&KernelOut<K>>, &KernelOut<K>) -> Option<KernelOut<K>> + Sync,
+) -> (Vec<Landed<KernelOut<K>>>, u64) {
+    let (landed, ops) = accumulate::<K>(a, b, rows, panes, keep);
+    (landed.into_iter().collect(), ops)
+}
+
+/// The body of [`spgemm_accumulate_panes`].
+///
+/// On the calling thread each row goes into the tables as it is
+/// finished: the arenas are appended to and the slots written in
+/// place, and what `keep` lets through is the returned matrix as it
+/// was written. An arena is append-only, so parallel tasks each drain
+/// their rows, and one pass then feeds them to the same body in row
+/// order — measured faster than tasks that grow arenas of their own,
+/// stitched after the product, or that read the table and leave what
+/// they change to a serial pass (EXPERIMENTS.md).
+#[allow(clippy::type_complexity)]
+fn accumulate<K: SpMulKernel>(
+    a: &Csr<K::Left>,
+    b: &Csr<K::Right>,
+    rows: Range<usize>,
+    panes: &mut [Pane<'_, KernelOut<K>>],
+    keep: impl Fn(&KernelOut<K>, Option<&KernelOut<K>>, &KernelOut<K>) -> Option<KernelOut<K>> + Sync,
+) -> (Few<Landed<KernelOut<K>>>, u64) {
+    let sits = sits(rows.len(), b.ncols(), panes);
+    let window = |s: &Sits| (s.rows.clone(), s.cols.clone());
+    let (sinks, ops) = if on_caller(false, rows.len()) {
         // Room for one kept entry per row: reserving the frontier's
         // size instead, ahead of the product that grows the arena,
         // raised `mfbc_seq`'s peak RSS on the weighted grid by 3–6 %
         // (EXPERIMENTS.md).
-        let (mask, sink) = t.grow::<K::Acc, _>(&keep, a.nrows());
-        let (mut sinks, ops) = run::<K, _>(a, b, mask.as_ref(), false, |_| vec![sink]);
-        let landing = sinks.pop().expect("one sink").finish();
-        let mat = t.land(landing);
-        return SpGemmOut { mat, ops };
-    }
-    let (drains, ops) = run::<K, _>(a, b, t.mask().as_ref(), false, drains::<K::Acc>);
-    // No more entries can be kept than were drained.
-    let drained = drains.iter().map(|d| d.0 .1.len()).sum();
-    let (_, mut sink) = t.grow::<K::Acc, _>(&keep, drained);
-    let mut i = 0;
-    for Drain((rowlen, colind, vals)) in drains {
-        let mut at = 0;
-        for len in rowlen {
-            for p in at..at + len {
-                sink.entry(i, colind[p] as usize, &vals[p]);
+        let grown: Few<_> = (panes.iter_mut().zip(sits.iter()))
+            .map(|(p, s)| p.table.grow::<K::Acc, _>(&keep, rows.len(), window(s)))
+            .collect();
+        let (masks, sinks) = grown.unzip();
+        let mask = pane_mask(&sits, masks);
+        let one = |_: &[Range<usize>]| vec![Panes { sits: &sits, sinks }];
+        let (mut parts, ops) = run::<K, _>((a, b), rows, mask.as_ref(), false, one);
+        (parts.pop().expect("one sink").sinks, ops)
+    } else {
+        let masks = panes.iter().map(|p| p.table.mask()).collect();
+        let mask = pane_mask(&sits, masks);
+        let (drains, ops) =
+            run::<K, _>((a, b), rows.clone(), mask.as_ref(), false, drains::<K::Acc>);
+        // No more entries can be kept than were drained.
+        let drained: usize = drains.iter().map(|d| d.0 .1.len()).sum();
+        let expect = if panes.len() == 1 {
+            drained
+        } else {
+            rows.len()
+        };
+        let sinks = (panes.iter_mut().zip(sits.iter()))
+            .map(|(p, s)| p.table.grow::<K::Acc, _>(&keep, expect, window(s)).1)
+            .collect();
+        let mut sink = Panes { sits: &sits, sinks };
+        let mut i = 0;
+        for Drain((rowlen, colind, vals)) in drains {
+            let mut at = 0;
+            for len in rowlen {
+                let mut b = 0;
+                for p in at..at + len {
+                    sink.entry(i, colind[p] as usize, &vals[p], &mut b);
+                }
+                sink.end_row(i);
+                (at, i) = (at + len, i + 1);
             }
-            sink.end_row(i);
-            (at, i) = (at + len, i + 1);
         }
-    }
-    let landing = sink.finish();
-    SpGemmOut {
-        mat: t.land(landing),
-        ops,
-    }
+        (sink.sinks, ops)
+    };
+    let landings: Few<_> = sinks.into_iter().map(Accumulate::finish).collect();
+    let landed = panes.iter_mut().zip(landings);
+    (landed.map(|(p, l)| p.table.land(l)).collect(), ops)
 }
 
 /// `Z := Z ⊗ (A •⟨⊗,g⟩ B)`, the product consumed where it lands
@@ -494,8 +679,8 @@ pub fn spgemm_accumulate<K: SpMulKernel>(
 /// is never built. The product runs under [`Table::mask`] where `z`
 /// reports one and under `within` otherwise. Returns what `fire`
 /// emitted and the products formed, bit-identical to [`spgemm_opt`]
-/// followed by [`Table::settle`] at any thread count: parallel tasks
-/// own disjoint row ranges of `z`.
+/// followed by [`Table::settle`] at any thread count. The one-pane
+/// case of [`spgemm_settle_panes`].
 ///
 /// # Panics
 /// Panics where [`spgemm_opt`] or [`Table::settle`] would.
@@ -509,33 +694,106 @@ pub fn spgemm_settle<K: SpMulKernel, U: Sync>(
 ) -> SpGemmOut<KernelOut<K>> {
     let shape = (a.nrows(), b.ncols());
     assert_eq!(shape, (z.nrows(), z.ncols()), "settle shape");
-    let fire = &fire;
-    // The mask borrows the pending rows the entries it fires must
-    // leave: the table is settled during the product, the rows are
-    // shrunk after it, by what came out.
-    let (pending, rows) = z.lend(side);
-    let settles = move |ranges: &[Range<usize>]| {
-        // A frontier is followed by one of its own order: the rows'
-        // share of `a` is the guess for what they fire.
-        let nnz = |r: &Range<usize>| a.rowptr()[r.end] - a.rowptr()[r.start];
-        let parts = rows.split(ranges).into_iter().zip(ranges);
-        parts
-            .map(|(rows, r)| Settle::<K::Acc, U, _>::new(rows, fire, nnz(r)))
-            .collect()
-    };
-    let (settles, ops) = run::<K, _>(a, b, pending.as_ref().or(within), false, settles);
-    let chunks = settles.into_iter().map(|s| s.fired).collect();
-    let mat = assemble_rows(shape.0, shape.1, chunks);
-    z.retire(&mat);
+    let panes = &mut [Pane::whole(z)];
+    let (landed, ops) = settle::<K, U>(a, b, 0..a.nrows(), within, panes, &[side], fire);
+    let mat = landed.into_iter().next().expect("one pane").out;
     SpGemmOut { mat, ops }
 }
 
+/// [`spgemm_settle`] of rows `rows` of `a` by `b` into `panes` side by
+/// side, each table opened on the pattern of the matrix beside it in
+/// `sides`: under the tables' masks where they report them, under
+/// `within` (of the output's shape) otherwise. Per pane, what `fire`
+/// emitted (in window coordinates) and the updates it took in, on the
+/// pattern or not; and the products formed. Parallel tasks own
+/// disjoint row ranges of every table.
+///
+/// # Panics
+/// Panics if the panes do not take `rows.len()` rows and `b`'s columns
+/// between them, and where [`spgemm_opt`] or [`Table::settle`] would.
+pub fn spgemm_settle_panes<K: SpMulKernel, U: Sync>(
+    a: &Csr<K::Left>,
+    b: &Csr<K::Right>,
+    rows: Range<usize>,
+    within: Option<&Mask>,
+    panes: &mut [Pane<'_, KernelOut<K>>],
+    sides: &[&Csr<U>],
+    fire: impl Fn(&mut KernelOut<K>, &U) -> Option<KernelOut<K>> + Sync,
+) -> (Vec<Landed<KernelOut<K>>>, u64) {
+    let (landed, ops) = settle::<K, U>(a, b, rows, within, panes, sides, fire);
+    (landed.into_iter().collect(), ops)
+}
+
+/// The body of [`spgemm_settle_panes`].
+fn settle<K: SpMulKernel, U: Sync>(
+    a: &Csr<K::Left>,
+    b: &Csr<K::Right>,
+    rows: Range<usize>,
+    within: Option<&Mask>,
+    panes: &mut [Pane<'_, KernelOut<K>>],
+    sides: &[&Csr<U>],
+    fire: impl Fn(&mut KernelOut<K>, &U) -> Option<KernelOut<K>> + Sync,
+) -> (Few<Landed<KernelOut<K>>>, u64) {
+    let sits = sits(rows.len(), b.ncols(), panes);
+    assert_eq!(sides.len(), panes.len(), "one side per pane");
+    let (fire, base, n) = (&fire, rows.start, panes.len());
+    // The mask borrows the pending rows the entries it fires must
+    // leave: the tables are settled during the product, the rows are
+    // shrunk after it, by what came out.
+    let lent: Few<_> = (panes.iter_mut().zip(sides))
+        .map(|(p, side)| p.table.lend(side))
+        .collect();
+    let (masks, lent) = lent.unzip();
+    let pending = pane_mask(&sits, masks);
+    let sits = &sits;
+    let settles = move |ranges: &[Range<usize>]| {
+        // A frontier is followed by one of its own order: the rows'
+        // share of `a` is the guess for what they fire.
+        let nnz = |r: &Range<usize>| (a.rowptr()[base + r.end] - a.rowptr()[base + r.start]) / n;
+        let mut split: Few<_> = (lent.into_iter().zip(sits.iter()))
+            .map(|(rows, s)| split_rows(rows, ranges, s.rows.start).into_iter())
+            .collect();
+        let panes = |r: &Range<usize>| {
+            let sinks = (split.iter_mut().zip(sits.iter()))
+                .map(|(rows, s)| {
+                    let rows = rows.next().expect("one part per range");
+                    Settle::<K::Acc, U, _>::new(rows, fire, nnz(r), (s.rows.start, s.cols.start))
+                })
+                .collect();
+            Panes { sits, sinks }
+        };
+        ranges.iter().map(panes).collect()
+    };
+    let (parts, ops) = run::<K, _>((a, b), rows, pending.as_ref().or(within), false, settles);
+    // Per pane, what its tasks fired, in range order, and the updates
+    // it took in.
+    let fired = |_: &Sits| (Vec::with_capacity(parts.len()), 0);
+    let mut fired: Few<(Vec<RowChunk<_>>, usize)> = sits.iter().map(fired).collect();
+    for part in parts {
+        for ((chunks, received), s) in fired.iter_mut().zip(part.sinks) {
+            *received += s.received;
+            chunks.push(s.fired);
+        }
+    }
+    let landed = panes.iter_mut().zip(fired).map(|(p, (chunks, received))| {
+        let out = assemble_rows(p.rows.len(), p.cols.len(), chunks);
+        p.table.retire(&out, (p.rows.start, p.cols.start));
+        Landed {
+            out,
+            received,
+            pending: None,
+        }
+    });
+    (landed.collect(), ops)
+}
+
 /// One column of [`count_children`]'s dense buffer while a row is
-/// counted: whether `T`'s row lists it, the weight a child's
-/// contribution must match, and how many did.
+/// counted: whether `T`'s row lists it, whether a candidate reached it,
+/// the weight a child's contribution must match, and how many did.
 #[derive(Clone, Copy, Default)]
 struct Child {
     listed: bool,
+    formed: bool,
     matched: u32,
     /// `τ(s,v)` — or `u64::MAX`, which nothing matches, once a heavier
     /// contribution has arrived: "greater wins" would keep that one,
@@ -564,7 +822,8 @@ struct Child {
 /// is an integer, whatever order it is summed in, and is zeroed where
 /// a contribution heavier than `τ(s,v)` arrived, as the product's
 /// "greater wins" and the anchor's compare zero it. Parallel tasks own
-/// disjoint row ranges of `Z`.
+/// disjoint row ranges of `Z`. The one-pane case of
+/// [`count_children_panes`], `t` being its own seeds.
 ///
 /// # Panics
 /// Panics if the shapes disagree, `t` stores an infinite weight or
@@ -584,77 +843,217 @@ pub fn count_children(
         at.nrows(),
         at.ncols()
     );
-    let fire = &fire;
-    let opened = |mp: &Multpath| stored::<CentpathMonoid>(Centpath::new(mp.w, 0.0, 0));
     let mut z = Table::on_pattern(t, opened);
-    let (_, rows) = z.lend(t);
-    let parts = move |ranges: &[Range<usize>]| {
-        let leaves = ranges.iter().map(|r| Leaves::new(r.len(), masked));
-        rows.split(ranges).into_iter().zip(leaves).collect()
-    };
-    let cells = || vec![Child::default(); t.ncols()];
-    let work = |cells: &mut Vec<Child>, range, part: &mut (Rows<'_, _, _>, _)| {
-        count_rows(at, masked, range, cells, part, fire)
-    };
-    let (parts, ops) = fan_out("count_children", (t, at), false, cells, parts, work);
-    let leaves: Vec<_> = parts.into_iter().map(|(_, leaves)| leaves).collect();
-    let mat = z.pend(leaves);
-    (z, SpGemmOut { mat, ops })
+    let panes = &mut [Pane::whole(&mut z)];
+    let tau = |mp: &Multpath| mp.w;
+    let (landed, ops) = count::<Multpath>(t, tau, at, 0..t.nrows(), panes, &[t], masked, fire);
+    let Landed { out, pending, .. } = landed.into_iter().next().expect("one pane");
+    z.pend(pending);
+    (z, SpGemmOut { mat: out, ops })
 }
 
-/// [`count_children`] over `rows`, into one task's rows of `Z` and the
-/// leaves they fire; returns the products the count stands for. Every
-/// row leaves the buffer's cells as it found them.
-fn count_rows(
+/// The entry a table opened for [`count_children`] holds at `T`'s
+/// entry `mp` before it is counted: `(τ, 0, 0)`.
+pub fn opened(mp: &Multpath) -> Centpath {
+    stored::<CentpathMonoid>(Centpath::new(mp.w, 0.0, 0))
+}
+
+/// [`count_children`] of rows `rows` of the seeds `left` — `τ(s,w)`
+/// being `tau` of each entry — against `at`, into `panes` side by side,
+/// each table [`opened`] on the matrix beside it in `sides` (the
+/// window's block of `T`). Per pane, the leaves `fire` emitted (window
+/// coordinates), with `masked` the table columns of each window row
+/// that wait (for [`Table::pend`], joined per table row), and how many
+/// entries the count product would have held in the window; and the
+/// products the count stands for. A candidate counts towards `v` where
+/// `(s,v)` is in a pane's window of `T`.
+///
+/// # Panics
+/// Panics if the panes do not take `rows.len()` rows and `at`'s
+/// columns between them, a table is not on its side's pattern, or
+/// where [`count_children`] would.
+#[allow(clippy::too_many_arguments)]
+pub fn count_children_panes<L: Sync>(
+    left: &Csr<L>,
+    tau: impl Fn(&L) -> Dist + Sync,
     at: &Csr<Dist>,
-    masked: bool,
     rows: Range<usize>,
-    cells: &mut [Child],
-    (z, leaves): &mut (Rows<'_, Centpath, Multpath>, Leaves<Centpath>),
-    fire: &impl Fn(&mut Centpath, &Multpath) -> Option<Centpath>,
-) -> u64 {
-    let mut ops = 0u64;
-    for s in rows {
-        let (cols, zs, ts) = z.row(s);
-        for (&v, tv) in cols.iter().zip(ts) {
-            let tau = tv.w.raw();
-            cells[v as usize] = Child {
-                listed: true,
-                matched: 0,
-                tau,
-            };
+    panes: &mut [Pane<'_, Centpath>],
+    sides: &[&Csr<Multpath>],
+    masked: bool,
+    fire: impl Fn(&mut Centpath, &Multpath) -> Option<Centpath> + Sync,
+) -> (Vec<Landed<Centpath>>, u64) {
+    let (landed, ops) = count(left, tau, at, rows, panes, sides, masked, fire);
+    (landed.into_iter().collect(), ops)
+}
+
+/// One task's share of a pane of [`count_children_panes`]: its rows of
+/// `Z`, the leaves they fire and the count product's entries there.
+type CountPart<'a> = (Rows<'a, Centpath, Multpath>, Leaves<Centpath>, usize);
+
+/// The body of [`count_children_panes`].
+#[allow(clippy::too_many_arguments)]
+fn count<L: Sync>(
+    left: &Csr<L>,
+    tau: impl Fn(&L) -> Dist + Sync,
+    at: &Csr<Dist>,
+    rows: Range<usize>,
+    panes: &mut [Pane<'_, Centpath>],
+    sides: &[&Csr<Multpath>],
+    masked: bool,
+    fire: impl Fn(&mut Centpath, &Multpath) -> Option<Centpath> + Sync,
+) -> (Few<Landed<Centpath>>, u64) {
+    assert_eq!(left.ncols(), at.nrows(), "count inner dimension");
+    let sits = sits(rows.len(), at.ncols(), panes);
+    assert_eq!(sides.len(), panes.len(), "one side per pane");
+    let (fire, tau, base) = (&fire, &tau, rows.start);
+    let lent: Few<_> = (panes.iter_mut().zip(sides))
+        .map(|(p, side)| p.table.lend(side).1)
+        .collect();
+    let sits = &sits;
+    let parts = move |ranges: &[Range<usize>]| {
+        let mut split: Few<_> = (lent.into_iter().zip(sits.iter()))
+            .map(|(rows, s)| split_rows(rows, ranges, s.rows.start).into_iter())
+            .collect();
+        let part = |r: &Range<usize>| {
+            (split.iter_mut().zip(sits.iter()))
+                .map(|(rows, s)| {
+                    let rows = rows.next().expect("one part per range");
+                    (rows, Leaves::new(r.len(), masked, s.cols.start), 0)
+                })
+                .collect::<Few<CountPart<'_>>>()
+        };
+        ranges.iter().map(part).collect()
+    };
+    let scratch = || (vec![Child::default(); at.ncols()], Vec::new());
+    let counting = Counting { at, masked, sits };
+    let work = |(cells, strays): &mut (Vec<Child>, Vec<Idx>), range, part: &mut Few<_>| {
+        counting.rows(left, tau, base, range, (cells, strays), part, fire)
+    };
+    let (parts, ops) = fan_out(
+        "count_children",
+        (left, at),
+        rows,
+        false,
+        scratch,
+        parts,
+        work,
+    );
+    // Each part holds its range's share of every pane, in pane order.
+    let mut parts: Vec<_> = parts.into_iter().map(Few::into_iter).collect();
+    let join = |s: &Sits| {
+        let mut received = 0;
+        let leaves = parts.iter_mut().map(|p| {
+            let (_, leaves, formed) = p.next().expect("one share per pane");
+            received += formed;
+            leaves
+        });
+        let joined = Leaves::join(leaves, (s.rows.len(), s.cols.len()));
+        Landed { received, ..joined }
+    };
+    (sits.iter().map(join).collect(), ops)
+}
+
+/// What every task of [`count_children_panes`] counts against.
+struct Counting<'c> {
+    at: &'c Csr<Dist>,
+    masked: bool,
+    sits: &'c [Sits],
+}
+
+impl Counting<'_> {
+    /// The part of table row `cols` inside the window of the pane
+    /// sitting at `s`: all of it where the window spans the table.
+    #[inline]
+    fn span(s: &Sits, cols: &[Idx]) -> Range<usize> {
+        if s.cols.len() == s.table.1 {
+            return 0..cols.len();
         }
-        for (&w, tw) in cols.iter().zip(ts) {
-            let (tw, w) = (tw.w.raw(), w as usize);
-            for (&v, a) in at.row_cols(w).iter().zip(at.row_vals(w)) {
-                // `τ(s,w)` is finite: an infinite `A(v,w)` lands here too.
-                if a.raw() > tw {
-                    continue;
-                }
-                let c = &mut cells[v as usize];
-                if !c.listed {
-                    ops += u64::from(!masked);
-                    continue;
-                }
-                ops += 1;
-                // Whether `w` is a child of `v` is the unpredictable
-                // branch of the loop: counted without one.
-                let back = tw - a.raw();
-                c.matched += u32::from(back == c.tau);
-                if back > c.tau {
-                    c.tau = u64::MAX;
-                }
-            }
-        }
-        for ((&v, zv), tv) in cols.iter().zip(zs.iter_mut()).zip(ts) {
-            let c = std::mem::take(&mut cells[v as usize]);
-            if c.tau == tv.w.raw() {
-                zv.c = i64::from(c.matched);
-            }
-        }
-        leaves.row::<CentpathMonoid, _>(cols, zs, ts, fire);
+        let at = |c: usize| cols.partition_point(|&j| (j as usize) < c);
+        at(s.cols.start)..at(s.cols.end)
     }
-    ops
+
+    /// [`count_children_panes`] over output rows `rows` — rows `base +
+    /// rows` of `left` — into one task's share of every pane; returns
+    /// the products the count stands for. Every row leaves the buffer's
+    /// cells as it found them.
+    #[allow(clippy::too_many_arguments)]
+    fn rows<L>(
+        &self,
+        left: &Csr<L>,
+        tau: &impl Fn(&L) -> Dist,
+        base: usize,
+        rows: Range<usize>,
+        (cells, strays): (&mut [Child], &mut Vec<Idx>),
+        part: &mut [CountPart<'_>],
+        fire: &impl Fn(&mut Centpath, &Multpath) -> Option<Centpath>,
+    ) -> u64 {
+        let (at, masked) = (self.at, self.masked);
+        let mut ops = 0u64;
+        for r in rows {
+            for ((z, _, _), s) in part.iter_mut().zip(self.sits) {
+                let (cols, _, ts) = z.row(s.rows.start + r);
+                let span = Counting::span(s, cols);
+                for (&v, tv) in cols[span.clone()].iter().zip(&ts[span]) {
+                    cells[v as usize - s.cols.start + s.at] = Child {
+                        listed: true,
+                        formed: false,
+                        matched: 0,
+                        tau: tv.w.raw(),
+                    };
+                }
+            }
+            let i = base + r;
+            for (&w, lw) in left.row_cols(i).iter().zip(left.row_vals(i)) {
+                let (tw, w) = (tau(lw).raw(), w as usize);
+                for (&v, a) in at.row_cols(w).iter().zip(at.row_vals(w)) {
+                    // `τ(s,w)` is finite: an infinite `A(v,w)` lands here too.
+                    if a.raw() > tw {
+                        continue;
+                    }
+                    let c = &mut cells[v as usize];
+                    if !c.listed {
+                        if !masked {
+                            ops += 1;
+                            if !std::mem::replace(&mut c.formed, true) {
+                                strays.push(v);
+                            }
+                        }
+                        continue;
+                    }
+                    ops += 1;
+                    c.formed = true;
+                    // Whether `w` is a child of `v` is the unpredictable
+                    // branch of the loop: counted without one.
+                    let back = tw - a.raw();
+                    c.matched += u32::from(back == c.tau);
+                    if back > c.tau {
+                        c.tau = u64::MAX;
+                    }
+                }
+            }
+            for ((z, leaves, formed), s) in part.iter_mut().zip(self.sits) {
+                let (cols, zs, ts) = z.row(s.rows.start + r);
+                let span = Counting::span(s, cols);
+                let (cols, zs, ts) = (&cols[span.clone()], &mut zs[span.clone()], &ts[span]);
+                for ((&v, zv), tv) in cols.iter().zip(zs.iter_mut()).zip(ts) {
+                    let c = std::mem::take(&mut cells[v as usize - s.cols.start + s.at]);
+                    *formed += usize::from(c.formed);
+                    if c.tau == tv.w.raw() {
+                        zv.c = i64::from(c.matched);
+                    }
+                }
+                leaves.row::<CentpathMonoid, _>(cols, zs, ts, fire);
+            }
+            for v in strays.drain(..) {
+                let v = v as usize;
+                cells[v] = Child::default();
+                let pane = self.sits.iter().position(|s| s.span().contains(&v));
+                part[pane.expect("the panes take every column")].2 += 1;
+            }
+        }
+        ops
+    }
 }
 
 /// Sequential generalized SpGEMM (row-wise Gustavson).
@@ -1079,7 +1478,7 @@ mod tests {
         // One task's rows through the draining sink: (chunk, ops).
         let rows_of = |mask: Option<&Mask>, spa: &mut Spa<Dist>| {
             let mut sink = Drain::<MinDist>(RowChunk::default());
-            let ops = multiply::<TropicalKernel>(&a, &b, mask, 0..8, spa, &mut sink);
+            let ops = multiply::<TropicalKernel>((&a, &b), mask, 0, 0..8, spa, &mut sink);
             (sink.0, ops)
         };
         // The same rows settled into a table on every other coordinate
@@ -1091,9 +1490,15 @@ mod tests {
         let fire = |z: &mut Dist, _: &Dist| z.raw().is_multiple_of(2).then_some(*z);
         let settled_of = |mask: Option<&Mask>, spa: &mut Spa<Dist>| {
             let mut z = Table::on_pattern(&side, |s| *s);
-            let mut sink = Settle::<MinDist, Dist, _>::new(z.lend(&side).1, &fire, 0);
-            let ops = multiply::<TropicalKernel>(&a, &b, mask, 0..8, spa, &mut sink);
-            (sink.fired, z.freeze(), ops)
+            let settle = Settle::<MinDist, Dist, _>::new(z.lend(&side).1, &fire, 0, (0, 0));
+            let sits = sits(8, 30, &[Pane::whole(&mut Table::on_pattern(&side, |s| *s))]);
+            let mut sink = Panes {
+                sits: &sits,
+                sinks: Few::One(settle),
+            };
+            let ops = multiply::<TropicalKernel>((&a, &b), mask, 0, 0..8, spa, &mut sink);
+            let fired = sink.sinks.into_iter().next().expect("one pane").fired;
+            (fired, z.freeze(), ops)
         };
         for mask in &masks {
             let want = rows_of(mask.as_ref(), &mut Spa::new(30, MinDist::identity()));
@@ -1197,7 +1602,7 @@ mod tests {
     fn flops_weights_count_elementary_products() {
         // A row's weight is 1 + the number of products it forms.
         let a = dist_mat(3, 3, &[(0, 1, 4), (0, 2, 1), (1, 2, 7)]);
-        let w = flops_weights(&a, &a);
+        let w = flops_weights(&a, &a, 0..3);
         // Row 0 hits rows 1 (nnz 1) and 2 (nnz 0); row 1 hits row 2.
         assert_eq!(w, vec![2, 1, 1]);
     }

@@ -53,6 +53,29 @@ pub struct Table<T> {
     mask: Option<(MaskKind, SortedRows)>,
 }
 
+/// The window of a table that one product's output lands in: output
+/// `(i, j)` goes to table entry `(rows.start + i, cols.start + j)`. A
+/// product lands in panes side by side — the shared-memory sweeps in
+/// one pane over their whole table ([`Pane::whole`]), a distributed
+/// product piece in the windows of the table blocks it covers.
+#[derive(Debug)]
+pub struct Pane<'t, T> {
+    /// The table.
+    pub table: &'t mut Table<T>,
+    /// The table rows the window covers.
+    pub rows: Range<usize>,
+    /// The table columns the window covers.
+    pub cols: Range<usize>,
+}
+
+impl<'t, T> Pane<'t, T> {
+    /// The whole of `table`.
+    pub fn whole(table: &'t mut Table<T>) -> Pane<'t, T> {
+        let (rows, cols) = (0..table.nrows, 0..table.ncols);
+        Pane { table, rows, cols }
+    }
+}
+
 /// `v`, as an entry of a table whose pattern is fixed: the sparse-zero
 /// convention stores no identity, and a fixed pattern cannot drop one.
 pub(crate) fn stored<M: Monoid>(v: M::Elem) -> M::Elem {
@@ -161,7 +184,8 @@ impl<T: Clone> Table<T> {
             "table accumulate shape mismatch"
         );
         // No more entries can be kept than are explored.
-        let (_, mut sink) = self.grow::<M, _>(&keep, explored.nnz());
+        let whole = (0..self.nrows, 0..self.ncols);
+        let (_, mut sink) = self.grow::<M, _>(&keep, explored.nnz(), whole);
         for i in 0..explored.nrows() {
             for (j, g) in explored.row(i) {
                 sink.entry(i, j, g);
@@ -169,36 +193,47 @@ impl<T: Clone> Table<T> {
             sink.end_row(i);
         }
         let landing = sink.finish();
-        self.land(landing)
+        self.land(landing).out
     }
 
     /// The table's mask, and the sink that grows the table with `keep`
-    /// — its arena and slot index in place — with room to keep
-    /// `expect` entries: a product reads the mask while the sink grows
-    /// the table.
+    /// — its arena and slot index in place — over the window `rows` ×
+    /// `cols`, with room to keep `expect` entries: a product reads the
+    /// mask while the sink grows the table.
     pub(crate) fn grow<'a, M, F>(
         &'a mut self,
         keep: &'a F,
         expect: usize,
+        (rows, cols): (Range<usize>, Range<usize>),
     ) -> (Option<Mask<'a>>, Accumulate<'a, M, F>)
     where
         M: Monoid<Elem = T>,
     {
+        assert!(
+            rows.end <= self.nrows && cols.end <= self.ncols,
+            "window {rows:?} x {cols:?} of a {}x{} table",
+            self.nrows,
+            self.ncols
+        );
         let mask = self.mask.as_ref();
-        let mut rowptr = Vec::with_capacity(self.nrows + 1);
+        let mut rowptr = Vec::with_capacity(rows.len() + 1);
         rowptr.push(0);
         let sink = Accumulate {
             ncols: self.ncols,
-            slot: &mut self.slot,
+            at: (rows.start, cols.start),
+            // Window-relative: entry `(i, j)`'s slot is `i * ncols + j`.
+            slot: &mut self.slot[rows.start * self.ncols + cols.start..],
             vals: &mut self.vals,
             keep,
             out: Landing {
+                shape: (rows.len(), cols.len()),
                 kept: (
                     rowptr,
                     Vec::with_capacity(expect),
                     Vec::with_capacity(expect),
                 ),
                 stored: mask.is_some().then(Default::default),
+                received: 0,
             },
         };
         (mask.map(|(kind, rows)| Mask::over_rows(*kind, rows)), sink)
@@ -206,8 +241,8 @@ impl<T: Clone> Table<T> {
 
     /// Closes a forward step: the coordinates each row stored for the
     /// first time join the tracked mask, and the kept entries become
-    /// the returned matrix as they are.
-    pub(crate) fn land(&mut self, landing: Landing<T>) -> Csr<T> {
+    /// the window's matrix as they are.
+    pub(crate) fn land(&mut self, landing: Landing<T>) -> Landed<T> {
         if let (Some((_, rows)), Some((ends, cols))) = (&mut self.mask, &landing.stored) {
             let mut lo = 0;
             for &(i, hi) in ends {
@@ -215,8 +250,12 @@ impl<T: Clone> Table<T> {
                 lo = hi;
             }
         }
-        let (rowptr, colind, vals) = landing.kept;
-        Csr::from_parts(self.nrows, self.ncols, rowptr, colind, vals)
+        let ((nrows, ncols), (rowptr, colind, vals)) = (landing.shape, landing.kept);
+        Landed {
+            out: Csr::from_parts(nrows, ncols, rowptr, colind, vals),
+            received: landing.received,
+            pending: None,
+        }
     }
 
     /// Asserts that this table was opened on `side`'s pattern and has
@@ -269,10 +308,11 @@ impl<T: Clone> Table<T> {
         (mask.map(|(kind, rows)| Mask::over_rows(*kind, rows)), rows)
     }
 
-    /// What fired is no longer pending.
-    pub(crate) fn retire(&mut self, fired: &Csr<T>) {
+    /// What fired is no longer pending: `fired` is the window at
+    /// `(row0, col0)`.
+    pub(crate) fn retire(&mut self, fired: &Csr<T>, (row0, col0): (usize, usize)) {
         if let Some((MaskKind::Structural, pending)) = &mut self.mask {
-            pending.remove_pattern(fired);
+            pending.remove_window(fired, row0, col0 as Idx);
         }
     }
 
@@ -304,43 +344,30 @@ impl<T: Clone> Table<T> {
         let shape = (base.nrows(), base.ncols());
         assert_eq!(shape, (other.nrows(), other.ncols()), "anchor shape");
         let mut z = Table::on_pattern(base, |a| stored::<M>(init(a, None)));
-        let mut leaves = Leaves::new(shape.0, track);
+        let mut leaves = Leaves::new(shape.0, track, 0);
         let (_, mut rows) = z.lend(base);
         for i in 0..shape.0 {
             rows.anchor_row::<M>(i, other.row(i), &init);
             let (cols, vals, side) = rows.row(i);
             leaves.row::<M, U>(cols, vals, side, &fire);
         }
-        let fired = z.pend([leaves]);
-        (z, fired)
+        let fired = Leaves::join([leaves], shape);
+        z.pend(fired.pending);
+        (z, fired.out)
     }
 
-    /// Closes the opening of `Z`: what `parts` fired, in part (that is,
-    /// row) order, is the matrix returned; with tracking, the columns
-    /// that wait are the mask from here on.
+    /// Closes the opening of `Z`: with tracking, `pending` — per row,
+    /// the ascending columns that wait — is the mask from here on.
     ///
     /// # Panics
-    /// Panics if `parts` is empty.
-    pub(crate) fn pend(&mut self, parts: impl IntoIterator<Item = Leaves<T>>) -> Csr<T> {
-        let mut parts = parts.into_iter();
-        // The first part's vectors are moved, so one part is not copied.
-        let Leaves {
-            fired: (mut rowptr, mut colind, mut vals),
-            mut pending,
-        } = parts.next().expect("one part at least");
-        for part in parts {
-            let (at, (ptr, cols, fired)) = (colind.len(), part.fired);
-            rowptr.extend(ptr[1..].iter().map(|p| at + p));
-            colind.extend(cols);
-            vals.extend(fired);
-            if let (Some(all), Some(waits)) = (&mut pending, part.pending) {
-                all.extend(waits);
-            }
+    /// Panics if `pending` has another row count or a row that does
+    /// not ascend within the table's columns.
+    pub fn pend(&mut self, pending: Option<Vec<Vec<Idx>>>) {
+        if let Some(rows) = &pending {
+            assert_eq!(rows.len(), self.nrows, "pending rows");
         }
-        debug_assert_eq!(rowptr.len(), self.nrows + 1);
         let ncols = self.ncols;
         self.mask = pending.map(|rows| (MaskKind::Structural, SortedRows::from_rows(ncols, rows)));
-        Csr::from_parts(self.nrows, ncols, rowptr, colind, vals)
     }
 
     /// `Z := Z ⊗ G` in place on the table's fixed pattern — `side`'s,
@@ -371,12 +398,12 @@ impl<T: Clone> Table<T> {
         let shape = (self.nrows, self.ncols);
         assert_eq!(shape, (update.nrows(), update.ncols()), "settle shape");
         // No more entries can fire than are updated.
-        let mut settle = Settle::<M, U, _>::new(self.lend(side).1, &fire, update.nnz());
+        let mut settle = Settle::<M, U, _>::new(self.lend(side).1, &fire, update.nnz(), (0, 0));
         for i in 0..shape.0 {
             settle.row(i, update.row(i));
         }
         let fired = assemble_rows(shape.0, shape.1, vec![settle.fired]);
-        self.retire(&fired);
+        self.retire(&fired, (0, 0));
         fired
     }
 
@@ -412,21 +439,45 @@ impl<T: Clone> Table<T> {
 
 /// What a forward step leaves for [`Table::land`].
 pub(crate) struct Landing<T> {
+    /// The window's shape.
+    shape: (usize, usize),
     /// The entries `keep` let through: `rowptr` from 0, `colind`,
-    /// `vals`.
+    /// `vals`, in window coordinates.
     kept: (Vec<usize>, Vec<Idx>, Vec<T>),
     /// With a tracked mask: per row that stored new coordinates, the
-    /// row and the end of its columns in the list beside.
+    /// table row and the end of its table columns in the list beside.
     stored: Option<(Vec<(usize, usize)>, Vec<Idx>)>,
+    /// The explored entries fed in.
+    received: usize,
+}
+
+/// What a product left in one window of a table, and what it emitted
+/// there: the output of one pane ([`crate::Pane`]).
+#[derive(Clone, Debug, PartialEq)]
+pub struct Landed<T> {
+    /// What the window emitted — the entries `keep` let through, or
+    /// those `fire` emitted — in window coordinates.
+    pub out: Csr<T>,
+    /// How many product entries landed in the window (for an opening
+    /// count: how many entries the count product would have held).
+    pub received: usize,
+    /// After an opening count with tracking: per window row, the table
+    /// columns that wait. [`Table::pend`] takes them, joined per table
+    /// row.
+    pub pending: Option<Vec<Vec<Idx>>>,
 }
 
 /// [`Table::accumulate`]'s body, as a sink that explored entries are
 /// fed to row by row, in column order within a row: what `keep` lets
-/// through collects, row for row. The mask a product runs under is
+/// through collects, row for row. Entries arrive in the coordinates of
+/// the window the sink was opened on. The mask a product runs under is
 /// borrowed while the sink grows the table, so the coordinates it
 /// newly stores wait for [`Table::land`].
 pub(crate) struct Accumulate<'a, M: Monoid, F> {
     ncols: usize,
+    /// The table position of the window's `(0, 0)`.
+    at: (usize, usize),
+    /// The slot index from the window's `(0, 0)` on.
     slot: &'a mut [u32],
     vals: &'a mut Vec<M::Elem>,
     keep: &'a F,
@@ -439,10 +490,11 @@ where
     M: Monoid,
     F: Fn(&M::Elem, Option<&M::Elem>, &M::Elem) -> Option<M::Elem>,
 {
-    /// The one accumulate body: `g` is entry `(i, j)` of `G`.
+    /// The one accumulate body: `g` is entry `(i, j)` of `G`'s window.
     #[inline]
     pub(crate) fn entry(&mut self, i: usize, j: usize, g: &M::Elem) {
         debug_assert!(!M::is_identity(g), "explored entry not in normal form");
+        self.out.received += 1;
         let slot = &mut self.slot[i * self.ncols + j];
         let emitted = match *slot {
             0 => {
@@ -450,7 +502,7 @@ where
                 // Fits: see `Table::slot`.
                 *slot = self.vals.len() as u32;
                 if let Some((_, cols)) = &mut self.out.stored {
-                    cols.push(j as Idx);
+                    cols.push((self.at.1 + j) as Idx);
                 }
                 (self.keep)(g, None, &self.vals[self.vals.len() - 1])
             }
@@ -469,14 +521,14 @@ where
         }
     }
 
-    /// Closes row `i`.
+    /// Closes row `i` of the window.
     #[inline]
     pub(crate) fn end_row(&mut self, i: usize) {
-        let Landing { kept, stored } = &mut self.out;
+        let Landing { kept, stored, .. } = &mut self.out;
         kept.0.push(kept.1.len());
         if let Some((ends, cols)) = stored {
             if ends.last().map_or(0, |&(_, hi)| hi) < cols.len() {
-                ends.push((i, cols.len()));
+                ends.push((self.at.0 + i, cols.len()));
             }
         }
     }
@@ -565,29 +617,34 @@ impl<'a, T, U> Rows<'a, T, U> {
     }
 }
 
-/// What opening `Z` fires over one task's rows, row for row, and — with
-/// tracking — the columns of each row that wait: the rows of the
-/// pending mask. [`Table::pend`] closes the opening from these.
+/// What opening `Z` fires over one task's rows of a window, row for
+/// row, and — with tracking — the table columns of each row that wait:
+/// the rows of the pending mask. [`Leaves::join`] closes a window from
+/// these.
 pub(crate) struct Leaves<T> {
-    /// `rowptr` from 0, `colind`, `vals`.
+    /// `rowptr` from 0, `colind` (window columns), `vals`.
     fired: (Vec<usize>, Vec<Idx>, Vec<T>),
     pending: Option<Vec<Vec<Idx>>>,
+    /// The table column of the window's column 0.
+    col0: usize,
 }
 
 impl<T> Leaves<T> {
-    /// Room for `nrows` rows.
-    pub(crate) fn new(nrows: usize, track: bool) -> Leaves<T> {
+    /// Room for `nrows` rows of a window whose column 0 is table
+    /// column `col0`.
+    pub(crate) fn new(nrows: usize, track: bool, col0: usize) -> Leaves<T> {
         let mut rowptr = Vec::with_capacity(nrows + 1);
         rowptr.push(0);
         Leaves {
             fired: (rowptr, Vec::new(), Vec::new()),
             pending: track.then(|| Vec::with_capacity(nrows)),
+            col0,
         }
     }
 
     /// The next row: `fire(&mut value, side_val)` on each of its
-    /// entries — `vals` at `cols`, `side` beside them — in column
-    /// order.
+    /// entries — `vals` at table columns `cols`, `side` beside them —
+    /// in column order.
     ///
     /// # Panics
     /// Panics if `fire` emits `M`'s identity.
@@ -608,7 +665,7 @@ impl<T> Leaves<T> {
         for ((&j, v), s) in cols.iter().zip(vals).zip(side) {
             match fire(v, s) {
                 Some(o) => {
-                    colind.push(j);
+                    colind.push(j - self.col0 as Idx);
                     fired.push(stored::<M>(o));
                 }
                 None if track => waits.push(j),
@@ -620,15 +677,54 @@ impl<T> Leaves<T> {
             p.push(waits);
         }
     }
+
+    /// One window's opening, from its tasks' `parts` in row order: what
+    /// they fired, as the window's matrix of `shape`, and the rows that
+    /// wait.
+    ///
+    /// # Panics
+    /// Panics if `parts` is empty.
+    pub(crate) fn join(
+        parts: impl IntoIterator<Item = Leaves<T>>,
+        (nrows, ncols): (usize, usize),
+    ) -> Landed<T> {
+        let mut parts = parts.into_iter();
+        // The first part's vectors are moved, so one part is not copied.
+        let Leaves {
+            fired: (mut rowptr, mut colind, mut vals),
+            mut pending,
+            ..
+        } = parts.next().expect("one part at least");
+        for part in parts {
+            let (at, (ptr, cols, fired)) = (colind.len(), part.fired);
+            rowptr.extend(ptr[1..].iter().map(|p| at + p));
+            colind.extend(cols);
+            vals.extend(fired);
+            if let (Some(all), Some(waits)) = (&mut pending, part.pending) {
+                all.extend(waits);
+            }
+        }
+        debug_assert_eq!(rowptr.len(), nrows + 1);
+        Landed {
+            out: Csr::from_parts(nrows, ncols, rowptr, colind, vals),
+            received: 0,
+            pending,
+        }
+    }
 }
 
-/// [`Table::settle`] over one task's rows: each row's updates go in,
-/// the entries `fire` emits from them collect in `fired`.
+/// [`Table::settle`] over one task's rows of a window: each row's
+/// updates go in, in window coordinates, and the entries `fire` emits
+/// from them collect in `fired`.
 pub(crate) struct Settle<'a, M: Monoid, U, F> {
     rows: Rows<'a, M::Elem, U>,
+    /// The table position of the window's `(0, 0)`.
+    at: (usize, usize),
     fire: &'a F,
     /// What fired, row for row of the rows seen so far.
     pub(crate) fired: RowChunk<M::Elem>,
+    /// The updates fed in, on the pattern or not.
+    pub(crate) received: usize,
     /// What the row being settled fired, until it is in column order:
     /// grows to the most any one row fires (a few doublings a pass).
     row: Vec<(Idx, M::Elem)>,
@@ -639,11 +735,17 @@ where
     M: Monoid,
     F: Fn(&mut M::Elem, &U) -> Option<M::Elem>,
 {
-    /// Settles into `rows`, with room for `expect` entries to fire
-    /// before a vector of `fired` has to grow: reserving a good guess
-    /// once keeps a superstep's allocation calls from growing with
-    /// how much it fires.
-    pub(crate) fn new(rows: Rows<'a, M::Elem, U>, fire: &'a F, expect: usize) -> Self {
+    /// Settles into `rows` through the window at table position `at`,
+    /// with room for `expect` entries to fire before a vector of
+    /// `fired` has to grow: reserving a good guess once keeps a
+    /// superstep's allocation calls from growing with how much it
+    /// fires.
+    pub(crate) fn new(
+        rows: Rows<'a, M::Elem, U>,
+        fire: &'a F,
+        expect: usize,
+        at: (usize, usize),
+    ) -> Self {
         let fired = (
             Vec::with_capacity(rows.nrows),
             Vec::with_capacity(expect),
@@ -651,8 +753,10 @@ where
         );
         Settle {
             rows,
+            at,
             fire,
             fired,
+            received: 0,
             row: Vec::new(),
         }
     }
@@ -664,8 +768,10 @@ where
     where
         M::Elem: 'u,
     {
+        let r = self.at.0 + i;
         for (j, g) in updates {
-            let Some((zv, sv)) = self.rows.at(i, j) else {
+            self.received += 1;
+            let Some((zv, sv)) = self.rows.at(r, self.at.1 + j) else {
                 continue; // update entry outside the pattern: dropped
             };
             M::fold_into(zv, g);

@@ -476,6 +476,11 @@ impl<T: Clone + Send + Sync> DistTable<T> {
         &self.blocks[self.layout.block_id(bi, bj)]
     }
 
+    /// Every block, in flat block id order.
+    pub(crate) fn blocks_mut(&mut self) -> &mut [Table<T>] {
+        &mut self.blocks
+    }
+
     /// [`DistMat::update_blocks`] for a table (which is never a
     /// cached operand, so there is no id to mint).
     pub fn update_blocks<R: Send>(

@@ -15,6 +15,8 @@
 //! * [`mm`] (with private 1D/2D/3D submodules) — the generalized
 //!   multiplication algorithms over any
 //!   [`SpMulKernel`](mfbc_algebra::SpMulKernel);
+//! * [`land`] — 1D products consumed where they land, in the
+//!   blocks of the table a sweep steps;
 //! * [`costmodel`] — closed-form α–β–γ predictions per variant;
 //! * [`autotune`] — plan enumeration + scoring + execution.
 
@@ -34,6 +36,7 @@ pub mod dist;
 mod entrywise;
 pub mod grid;
 mod held;
+pub mod land;
 #[cfg(test)]
 mod mask_views;
 pub mod mm;
@@ -50,7 +53,7 @@ pub use dist::{DistMat, DistTable, Layout};
 pub use grid::{Grid2, Grid3};
 pub use mfbc_sparse::{Mask, MaskKind};
 pub use mm::{
-    canonical_layout, enumerate_plans, mm_exec, mm_exec_cached_masked, mm_exec_masked, MmOut,
-    MmPlan, Variant1D, Variant2D, VARIANTS_1D, VARIANTS_2D,
+    canonical_layout, enumerate_plans, mm_exec, mm_exec_cached_masked, mm_exec_masked, mm_land,
+    MmOut, MmPlan, Variant1D, Variant2D, VARIANTS_1D, VARIANTS_2D,
 };
 pub use redist::redistribute;

@@ -23,11 +23,15 @@
 //! Every consumer charges its own redistribution *from* the canonical
 //! layout, which is the same Θ(nnz/p)-per-rank all-to-all it would
 //! pay from the variant's native output layout, so total charged
-//! volume is preserved; see DESIGN.md.
+//! volume is preserved; see DESIGN.md. [`mm_land`] runs a `1d(A)` or
+//! `1d(B)` schedule with the same charges and hands each output piece
+//! to a [`Land`] instead, which consumes it in the
+//! canonical blocks it covers: nothing is assembled.
 
 use crate::cache::MmCache;
 use crate::dist::{DistMat, Layout};
 use crate::grid::{Grid2, Grid3};
+use crate::land::Land;
 use crate::mm1d::Piece;
 use crate::{mm1d, mm2d, mm3d};
 use mfbc_algebra::kernel::KernelOut;
@@ -154,6 +158,14 @@ impl MmPlan {
             MmPlan::Cannon { .. } => "cannon".to_string(),
             MmPlan::ThreeD { split, inner, .. } => format!("3d({split}/{inner})"),
         }
+    }
+
+    /// Whether the plan's output pieces can land where they are
+    /// consumed ([`mm_land`]): `1d(A)` and `1d(B)` form every piece
+    /// whole on one rank; every other plan reduces or assembles its
+    /// output first.
+    pub fn lands(&self) -> bool {
+        matches!(self, MmPlan::OneD(Variant1D::A | Variant1D::B))
     }
 
     /// The `(p1, p2, p3)` grid of this plan given `p` total ranks.
@@ -321,7 +333,7 @@ where
 }
 
 /// The first two pieces (by index) whose rectangles share a cell.
-fn first_overlap<T>(pieces: &[Piece<T>]) -> Option<(usize, usize)> {
+pub(crate) fn first_overlap<T>(pieces: &[Piece<T>]) -> Option<(usize, usize)> {
     let meet = |a0: usize, an: usize, b0: usize, bn: usize| a0.max(b0) < (a0 + an).min(b0 + bn);
     pieces.iter().enumerate().find_map(|(k, (r0, c0, _, x))| {
         pieces[..k]
@@ -474,7 +486,7 @@ pub fn mm_exec_cached_masked<K: SpMulKernel>(
     let out = plan_pieces::<K>(m, plan, a, b, mask, cache).map(|(pieces, ops)| {
         let c = assemble_canonical::<K::Acc, _>(m, a.nrows(), b.ncols(), pieces);
         let mut out = MmOut { c, ops };
-        if mfbc_fault::sabotage::armed_for(&plan.to_string()) {
+        if mfbc_fault::sabotage::armed_for(plan) {
             apply_fault(&mut out);
         }
         debug_assert!(
@@ -497,6 +509,62 @@ pub fn mm_exec_cached_masked<K: SpMulKernel>(
         });
     }
     out
+}
+
+/// Executes `a •⟨⊕,f⟩ b` under a plan whose output pieces land where
+/// they are consumed ([`MmPlan::lands`]): the operands move and are
+/// charged exactly as under [`mm_exec_cached_masked`], and each piece
+/// is handed to `land`, which runs it under its own mask
+/// ([`Land::mask`]) — no product matrix is built or assembled. Returns
+/// `ops`.
+///
+/// # Errors
+/// Propagates [`MachineError::OutOfMemory`] and injected faults, as
+/// [`mm_exec`] does.
+///
+/// # Panics
+/// Panics if the plan does not land, or on mismatched shapes.
+pub fn mm_land<K: SpMulKernel>(
+    m: &Machine,
+    plan: &MmPlan,
+    a: &DistMat<K::Left>,
+    b: &DistMat<K::Right>,
+    land: &mut impl Land<K>,
+    cache: &mut MmCache<K::Right>,
+) -> Result<u64, MachineError> {
+    assert_eq!(
+        a.ncols(),
+        b.nrows(),
+        "mm inner dimension mismatch: {}x{} by {}x{}",
+        a.nrows(),
+        a.ncols(),
+        b.nrows(),
+        b.ncols()
+    );
+    let MmPlan::OneD(variant) = *plan else {
+        panic!("plan {plan} reduces its output: it does not land");
+    };
+    assert!(
+        plan.lands(),
+        "plan {plan} reduces its output: it does not land"
+    );
+    plan.check(m.p())?;
+    let _span = mfbc_trace::span(|| format!("spgemm {plan}"));
+    let (mut ops, formed) = mm1d::run_slabs::<K>(m, &m.world(), variant, a, b, cache, land)?;
+    if mfbc_fault::sabotage::armed_for(plan) && !land.corrupt() {
+        ops = ops.wrapping_add(1);
+    }
+    mfbc_trace::emit(|| mfbc_trace::TraceEvent::Spgemm {
+        plan: plan.to_string(),
+        m: a.nrows() as u64,
+        k: a.ncols() as u64,
+        n: b.ncols() as u64,
+        nnz_a: a.nnz() as u64,
+        nnz_b: b.nnz() as u64,
+        nnz_c: formed,
+        ops,
+    });
+    Ok(ops)
 }
 
 #[cfg(test)]

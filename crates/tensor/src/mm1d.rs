@@ -22,6 +22,7 @@
 use crate::cache::{CachedRhs, Fingerprint, MmCache};
 use crate::dist::{DistMat, Layout};
 use crate::held::Held;
+use crate::land::{Collect, Land};
 use mfbc_algebra::kernel::KernelOut;
 use mfbc_algebra::monoid::Monoid;
 use mfbc_algebra::SpMulKernel;
@@ -152,11 +153,42 @@ pub(crate) fn run_pieces<K: SpMulKernel>(
     mask: Option<&Mask>,
     cache: &mut MmCache<K::Right>,
 ) -> Result<(Vec<Piece<KernelOut<K>>>, u64), MachineError> {
+    if variant == Variant1D::C {
+        return run_reduced::<K>(m, group, a, b, mask, cache);
+    }
+    let mut collect = Collect::new(mask);
+    let (ops, _) = run_slabs::<K>(m, group, variant, a, b, cache, &mut collect)?;
+    Ok((collect.pieces, ops))
+}
+
+/// Runs 1D-A or 1D-B over `group`, handing each output piece — a
+/// column slab of the product under A, a row slab under B — to `land`
+/// on the rank that forms it, which is charged the piece's `ops` plus
+/// the entries it formed (nothing where an operand block is empty).
+/// Returns `ops` and the entries formed.
+pub(crate) fn run_slabs<K: SpMulKernel>(
+    m: &Machine,
+    group: &Group,
+    variant: Variant1D,
+    a: &DistMat<K::Left>,
+    b: &DistMat<K::Right>,
+    cache: &mut MmCache<K::Right>,
+    land: &mut impl Land<K>,
+) -> Result<(u64, u64), MachineError> {
     // Trivial monoid shorthand used for operand redistribution: the
     // layout cuts are disjoint, so no combining ever happens; we use
     // a "first wins" fold via the kernel's accumulator where types
     // match, and plain cloning otherwise. Operand matrices are
     // assumed duplicate-free (DistMat guarantees this).
+    let mut done = (0u64, 0u64);
+    let mut piece = |land: &mut _, k: usize, at, x: &Csr<K::Left>, y: &Csr<K::Right>| {
+        let (ops, formed) = Land::<K>::piece(land, k, at, x, y);
+        // A rank with an empty operand block multiplies nothing.
+        if !x.is_empty() && !y.is_empty() {
+            m.charge_compute(group.rank_at(k), ops + formed);
+        }
+        done = (done.0 + ops, done.1 + formed);
+    };
     match variant {
         Variant1D::A => {
             // Replicate A and redistribute B concurrently: in overlap
@@ -166,92 +198,92 @@ pub(crate) fn run_pieces<K: SpMulKernel>(
             let (posted, a_held) = replicate(m, group, a)?;
             let a_pending = posted.map(|()| a.to_global::<FirstWins<K::Left>>());
             let lb = col_split_layout(b.nrows(), b.ncols(), group);
-            // The column-split right-hand form depends only on the
-            // operand and the group, so Theorem 5.1's amortization
-            // applies to it exactly as to the replicated/blocked
-            // forms of the other variants; a cached form serves
-            // masked calls too (compute is mask-windowed either way).
-            // A miss on a cache that amortizes therefore builds and
-            // keeps the whole form, whatever the mask: a sweep's masks
-            // change every product and the next one hits. Only a
-            // one-shot product ships the operand shrunk by the mask's
-            // fully-excluded output columns, whose entries would
-            // strand at home.
-            let shrunk = mask
-                .filter(|_| !cache.amortizes())
-                .and_then(|mk| crate::mm::shrink_rhs_against_mask(b, mk));
-            let b2: Arc<DistMat<K::Right>> = if let Some(s) = shrunk {
-                Arc::new(redistribute::<FirstWins<K::Right>, _>(m, &s, &lb)?)
-            } else {
-                let key = format!("1d:A:{}:{}", group.len(), b.content_id());
-                redistributed_rhs::<K>(m, key, b, &lb, cache)?
-            };
+            let b2 = rhs_for_a::<K>(m, group, b, &lb, cache, land.mask())?;
             let a_full = a_pending.wait(m)?;
-            let mut pieces = Vec::with_capacity(group.len());
-            let mut ops = 0u64;
             for k in 0..group.len() {
-                let blk = b2.block(0, k);
-                if blk.is_empty() || a_full.is_empty() {
-                    continue;
-                }
-                let w = mask.map(|mk| mk.window(0..a.nrows(), lb.col_range(k)));
-                let out = mfbc_sparse::spgemm_opt::<K>(&a_full, blk, w.as_ref());
-                m.charge_compute(group.rank_at(k), out.ops + out.mat.nnz() as u64);
-                ops += out.ops;
-                pieces.push((0, lb.col_range(k).start, k, out.mat));
+                piece(land, k, (0, lb.col_range(k).start), &a_full, b2.block(0, k));
             }
             a_held.release(m);
-            Ok((pieces, ops))
         }
         Variant1D::B => {
             let b_pending = replicated_rhs::<K>(m, group, b, cache)?;
             let la = row_split_layout(a.nrows(), a.ncols(), group);
             let a2 = redistribute::<FirstWins<K::Left>, _>(m, a, &la)?;
             let b_full = b_pending.wait(m)?;
-            let mut pieces = Vec::with_capacity(group.len());
-            let mut ops = 0u64;
             for k in 0..group.len() {
-                let blk = a2.block(k, 0);
-                if blk.is_empty() || b_full.is_empty() {
-                    continue;
-                }
-                let w = mask.map(|mk| mk.window(la.row_range(k), 0..b.ncols()));
-                let out = mfbc_sparse::spgemm_opt::<K>(blk, &b_full, w.as_ref());
-                m.charge_compute(group.rank_at(k), out.ops + out.mat.nnz() as u64);
-                ops += out.ops;
-                pieces.push((la.row_range(k).start, 0, k, out.mat));
+                piece(land, k, (la.row_range(k).start, 0), a2.block(k, 0), &b_full);
             }
-            Ok((pieces, ops))
         }
-        Variant1D::C => {
-            let la = col_split_layout(a.nrows(), a.ncols(), group);
-            let lb = row_split_layout(b.nrows(), b.ncols(), group);
-            let a2 = redistribute::<FirstWins<K::Left>, _>(m, a, &la)?;
-            let key = format!("1d:C:{}:{}", group.len(), b.content_id());
-            let b2 = redistributed_rhs::<K>(m, key, b, &lb, cache)?;
-            let mut ops = 0u64;
-            let mut partials: Vec<Csr<KernelOut<K>>> = Vec::with_capacity(group.len());
-            let mut held = Held::default();
-            for k in 0..group.len() {
-                let (ab, bb) = (a2.block(0, k), b2.block(k, 0));
-                if ab.is_empty() || bb.is_empty() {
-                    partials.push(Csr::zero(a.nrows(), b.ncols()));
-                    continue;
-                }
-                // Full-shape partials: each gets the whole mask.
-                let out = mfbc_sparse::spgemm_opt::<K>(ab, bb, mask);
-                m.charge_compute(group.rank_at(k), out.ops + out.mat.nnz() as u64);
-                held.charge(m, group.rank_at(k), out.mat.payload_bytes() as u64)?;
-                ops += out.ops;
-                partials.push(out.mat);
-            }
-            let total = mfbc_machine::collectives::sparse_reduce(m, group, partials, |x, y| {
-                combine::<K::Acc, _>(&x, &y)
-            })?;
-            held.release(m);
-            Ok((vec![(0, 0, 0, total)], ops))
-        }
+        Variant1D::C => unreachable!("1D-C reduces its output: see `run_reduced`"),
     }
+    Ok(done)
+}
+
+/// 1D-A's right operand, split by columns over `group` (`lb`).
+///
+/// The column-split right-hand form depends only on the operand and
+/// the group, so Theorem 5.1's amortization applies to it exactly as
+/// to the replicated/blocked forms of the other variants; a cached
+/// form serves masked calls too (compute is mask-windowed either way).
+/// A miss on a cache that amortizes therefore builds and keeps the
+/// whole form, whatever the mask: a sweep's masks change every product
+/// and the next one hits. Only a one-shot product ships the operand
+/// shrunk by `mask`'s fully-excluded output columns, whose entries
+/// would strand at home.
+fn rhs_for_a<K: SpMulKernel>(
+    m: &Machine,
+    group: &Group,
+    b: &DistMat<K::Right>,
+    lb: &Layout,
+    cache: &mut MmCache<K::Right>,
+    mask: Option<Mask<'_>>,
+) -> Result<Arc<DistMat<K::Right>>, MachineError> {
+    let shrunk = mask
+        .filter(|_| !cache.amortizes())
+        .and_then(|mk| crate::mm::shrink_rhs_against_mask(b, &mk));
+    if let Some(s) = shrunk {
+        return Ok(Arc::new(redistribute::<FirstWins<K::Right>, _>(m, &s, lb)?));
+    }
+    let key = format!("1d:A:{}:{}", group.len(), b.content_id());
+    redistributed_rhs::<K>(m, key, b, lb, cache)
+}
+
+/// Runs 1D-C over `group`: full-shape partial products, reduced into
+/// the one output piece.
+fn run_reduced<K: SpMulKernel>(
+    m: &Machine,
+    group: &Group,
+    a: &DistMat<K::Left>,
+    b: &DistMat<K::Right>,
+    mask: Option<&Mask>,
+    cache: &mut MmCache<K::Right>,
+) -> Result<(Vec<Piece<KernelOut<K>>>, u64), MachineError> {
+    let la = col_split_layout(a.nrows(), a.ncols(), group);
+    let lb = row_split_layout(b.nrows(), b.ncols(), group);
+    let a2 = redistribute::<FirstWins<K::Left>, _>(m, a, &la)?;
+    let key = format!("1d:C:{}:{}", group.len(), b.content_id());
+    let b2 = redistributed_rhs::<K>(m, key, b, &lb, cache)?;
+    let mut ops = 0u64;
+    let mut partials: Vec<Csr<KernelOut<K>>> = Vec::with_capacity(group.len());
+    let mut held = Held::default();
+    for k in 0..group.len() {
+        let (ab, bb) = (a2.block(0, k), b2.block(k, 0));
+        if ab.is_empty() || bb.is_empty() {
+            partials.push(Csr::zero(a.nrows(), b.ncols()));
+            continue;
+        }
+        // Full-shape partials: each gets the whole mask.
+        let out = mfbc_sparse::spgemm_opt::<K>(ab, bb, mask);
+        m.charge_compute(group.rank_at(k), out.ops + out.mat.nnz() as u64);
+        held.charge(m, group.rank_at(k), out.mat.payload_bytes() as u64)?;
+        ops += out.ops;
+        partials.push(out.mat);
+    }
+    let total = mfbc_machine::collectives::sparse_reduce(m, group, partials, |x, y| {
+        combine::<K::Acc, _>(&x, &y)
+    })?;
+    held.release(m);
+    Ok((vec![(0, 0, 0, total)], ops))
 }
 
 /// A degenerate "monoid" used only to satisfy redistribution's

@@ -88,12 +88,7 @@ where
 /// Algorithm 1, lines 5–6 fused: [`mfbc_sparse::Table::accumulate`]
 /// block by block — `T := T ⊕ G` in place plus the entries of `G`
 /// that `keep` lets into the next frontier — with `T`'s residency
-/// re-charged at its new size.
-///
-/// Billed as the composition it replaces, so modeled costs stay
-/// comparable across revisions (DESIGN.md §7, deviation 8): the merge
-/// `nnz(T) + nnz(G)` of a [`dmat_combine`], then the `nnz(G)` of a
-/// [`dmat_zip_filter`], per block.
+/// re-charged at its new size, billed by `bill_accumulate`.
 ///
 /// # Errors
 /// Propagates a memory-budget failure of the grown table.
@@ -112,38 +107,57 @@ where
         table.layout().same_cuts(l),
         "distributed accumulate requires aligned layouts"
     );
-    let old_nnz: Vec<usize> = l
-        .blocks()
-        .map(|(bi, bj)| table.block(bi, bj).nnz())
-        .collect();
+    let nnz = |t: fn(&DistTable<T>, &DistMat<T>, usize, usize) -> usize, table: &DistTable<T>| {
+        l.blocks()
+            .map(|(bi, bj)| t(table, explored, bi, bj))
+            .collect::<Vec<_>>()
+    };
+    let old = nnz(|t, _, bi, bj| t.block(bi, bj).nnz(), table);
+    let explored_nnz = nnz(|_, g, bi, bj| g.block(bi, bj).nnz(), table);
     let (blocks, stats) =
         table.update_blocks(|bi, bj, t| t.accumulate::<M>(explored.block(bi, bj), &keep));
     emit_pool("dmat_accumulate", &stats);
-    charge_blocks(m, l, |bi, bj| {
-        old_nnz[l.block_id(bi, bj)] + explored.block(bi, bj).nnz()
-    });
-    charge_blocks(m, l, |bi, bj| explored.block(bi, bj).nnz());
-    // What `DistMat::{release,charge}_memory` would move for the table
-    // as a matrix, before and after.
+    bill_accumulate(m, l, &old, &explored_nnz, table)?;
+    Ok(DistMat::from_blocks(l.clone(), blocks))
+}
+
+/// How Algorithm 1, lines 5–6 fused is billed, however its product
+/// reached the table — materialised ([`dmat_accumulate`]) or landed
+/// in place (`land::Accumulate`): as the composition it replaces, so
+/// modeled costs stay comparable across revisions (DESIGN.md §7,
+/// deviation 8). Per block, the merge `nnz(T) + nnz(G)` of a
+/// [`dmat_combine`], then the `nnz(G)` of a [`dmat_zip_filter`]; then
+/// what `DistMat::{release,charge}_memory` would move for the table as
+/// a matrix, before and after. `old` and `explored` hold `nnz(T)`
+/// before the step and `nnz(G)`, by flat block id.
+///
+/// # Errors
+/// Propagates a memory-budget failure of the grown table.
+pub(crate) fn bill_accumulate<T: Clone + Send + Sync>(
+    m: &Machine,
+    l: &Layout,
+    old: &[usize],
+    explored: &[usize],
+    table: &DistTable<T>,
+) -> Result<(), MachineError> {
+    let id = |bi, bj| l.block_id(bi, bj);
+    charge_blocks(m, l, |bi, bj| old[id(bi, bj)] + explored[id(bi, bj)]);
+    charge_blocks(m, l, |bi, bj| explored[id(bi, bj)]);
     let entry = mfbc_sparse::entry_bytes::<T>() as u64;
     for (bi, bj) in l.blocks() {
-        m.release(l.owner(bi, bj), old_nnz[l.block_id(bi, bj)] as u64 * entry);
+        m.release(l.owner(bi, bj), old[id(bi, bj)] as u64 * entry);
     }
     for (bi, bj) in l.blocks() {
         m.charge_alloc(l.owner(bi, bj), table.block(bi, bj).nnz() as u64 * entry)?;
     }
-    Ok(DistMat::from_blocks(l.clone(), blocks))
+    Ok(())
 }
 
 /// Algorithm 2, lines 1–4 fused: [`Table::anchor`] block by block —
 /// the table `init` fills on `base`'s pattern with its residency
 /// charged (with `track`, each block reporting its pending entries as
-/// its [`Table::mask`]) and the entries `fire` emits from it.
-///
-/// Billed as the composition it replaces (DESIGN.md §7, deviation 8):
-/// the `nnz(base)` of a [`dmat_zip_filter`], the memory charge, then
-/// the `nnz(Z)` of a second zip and of a [`dmat_map_filter`], per
-/// block.
+/// its [`Table::mask`]) and the entries `fire` emits from it — billed
+/// by `bill_anchor`.
 ///
 /// # Errors
 /// Propagates a memory-budget failure of the opened table.
@@ -169,27 +183,46 @@ where
     emit_pool("dmat_anchor", &stats);
     let (zs, fronts) = parts.into_iter().unzip();
     let z = DistTable::from_blocks(l.clone(), zs);
+    bill_anchor(m, l, base, &z)?;
+    let frontier = DistMat::from_blocks(l.clone(), fronts);
+    Ok((z, frontier))
+}
+
+/// How Algorithm 2, lines 1–4 fused is billed, however the child
+/// count reached `Z` — materialised ([`dmat_anchor`]) or counted in
+/// place (`land::Count`): as the composition it replaces (DESIGN.md
+/// §7, deviation 8). Per block, the `nnz(base)` of a
+/// [`dmat_zip_filter`], the memory charge of `Z` as a matrix, then the
+/// `nnz(Z)` of a second zip and of a [`dmat_map_filter`].
+///
+/// # Errors
+/// Propagates a memory-budget failure of the opened table.
+pub(crate) fn bill_anchor<T, U>(
+    m: &Machine,
+    l: &Layout,
+    base: &DistMat<U>,
+    z: &DistTable<T>,
+) -> Result<(), MachineError>
+where
+    T: Clone + Send + Sync,
+    U: Clone + Send + Sync,
+{
     let z_nnz = |bi, bj| z.block(bi, bj).nnz();
     charge_blocks(m, l, |bi, bj| base.block(bi, bj).nnz());
     // What `DistMat::charge_memory` moves for the table as a matrix.
-    let entry = mfbc_sparse::entry_bytes::<M::Elem>() as u64;
+    let entry = mfbc_sparse::entry_bytes::<T>() as u64;
     for (bi, bj) in l.blocks() {
         m.charge_alloc(l.owner(bi, bj), z_nnz(bi, bj) as u64 * entry)?;
     }
     charge_blocks(m, l, z_nnz); // the leaf zip
     charge_blocks(m, l, z_nnz); // the pin map
-    let frontier = DistMat::from_blocks(l.clone(), fronts);
-    Ok((z, frontier))
+    Ok(())
 }
 
 /// Algorithm 2, lines 8–11 fused: [`Table::settle`] block by block —
 /// `Z := Z ⊗ G` in place on `Z`'s pattern, `fire` on the entries just
 /// touched (against `side` at the same coordinates) emitting the next
-/// frontier.
-///
-/// Billed as the composition it replaces (DESIGN.md §7, deviation 8):
-/// an anchored merge `nnz(Z) + nnz(G)`, then the `nnz(Z)` of a zip and
-/// of a map, per block.
+/// frontier — billed by `bill_settle`.
 pub fn dmat_settle<M, U>(
     m: &Machine,
     z: &mut DistTable<M::Elem>,
@@ -212,11 +245,30 @@ where
         zb.settle::<M, U>(update.block(bi, bj), side.block(bi, bj), &fire)
     });
     emit_pool("dmat_settle", &stats);
+    let updates: Vec<usize> = l
+        .blocks()
+        .map(|(bi, bj)| update.block(bi, bj).nnz())
+        .collect();
+    bill_settle(m, l, &updates, z);
+    DistMat::from_blocks(l.clone(), blocks)
+}
+
+/// How Algorithm 2, lines 8–11 fused is billed, however its product
+/// reached `Z` — materialised ([`dmat_settle`]) or landed in place
+/// (`land::Settle`): as the composition it replaces (DESIGN.md §7,
+/// deviation 8). Per block, an anchored merge `nnz(Z) + nnz(G)`, then
+/// the `nnz(Z)` of a zip and of a map; `updates` holds `nnz(G)` by
+/// flat block id.
+pub(crate) fn bill_settle<T: Clone + Send + Sync>(
+    m: &Machine,
+    l: &Layout,
+    updates: &[usize],
+    z: &DistTable<T>,
+) {
     let z_nnz = |bi, bj| z.block(bi, bj).nnz();
-    charge_blocks(m, l, |bi, bj| z_nnz(bi, bj) + update.block(bi, bj).nnz());
+    charge_blocks(m, l, |bi, bj| z_nnz(bi, bj) + updates[l.block_id(bi, bj)]);
     charge_blocks(m, l, z_nnz); // the fire zip
     charge_blocks(m, l, z_nnz); // the pin map
-    DistMat::from_blocks(l.clone(), blocks)
 }
 
 /// Zip of `a`'s entries against `b`'s at the same coordinates:

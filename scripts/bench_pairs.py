@@ -9,7 +9,7 @@ EXPERIMENTS.md records: per workload x metric the medians and quartiles
 of both sides, the change of the median, in how many pairs the change
 was better, and a verdict against the bound BENCHMARK.json fixes.
 
-    scripts/bench_pairs.py PARENT_BIN CHANGE_BIN \
+    scripts/bench_pairs.py PARENT_BIN CHANGE_BIN [--anchor ANCHOR_BIN] \
         [--workloads seq-road,dist-p1] [-n 10] [--first-seed 1] \
         [--seconds 10] [--trace 0|1] [--metrics core.ops,core.mfbf_s]
 
@@ -22,6 +22,16 @@ behind, so every `wall_vs_brandes` row also shows each side's median
 `wall_s` (from the run's samples line) and is marked `yardstick moved`
 when the ratio and `wall_s` change in opposite directions by more than
 10 %: the program did one thing and the reference another.
+
+`--anchor` adds a third, pinned binary (one built from a named commit
+that no change touches) to every pair, its place rotating through
+first, middle and last while parent and change keep alternating. Each
+row then also reports the medians of the per-pair quotients
+parent/anchor and change/anchor: the box's drift between sessions
+moves all three binaries alike, so the quotients of two sessions can
+be compared where the raw values cannot. A gate such as "ratio <= 3"
+is read as change/anchor times the anchor's recorded ratio
+(`through_anchor`).
 
 Verdicts (metrics BENCHMARK.json bounds; pinned by the doctests of
 `verdict`, `python3 -m doctest scripts/bench_pairs.py`):
@@ -76,6 +86,53 @@ def run(binary, workload, seed, seconds, trace, cwd):
     return got
 
 
+def order(pair, anchored):
+    """The order the sides run in, in pair number `pair`: parent first
+    in even pairs, change first in odd ones, and the anchor (if any)
+    first, in the middle, then last, so six pairs run every order once.
+
+    >>> [order(k, False) for k in range(2)]
+    [['parent', 'change'], ['change', 'parent']]
+    >>> for k in range(6):
+    ...     print(order(k, True))
+    ['anchor', 'parent', 'change']
+    ['change', 'anchor', 'parent']
+    ['parent', 'change', 'anchor']
+    ['anchor', 'change', 'parent']
+    ['parent', 'anchor', 'change']
+    ['change', 'parent', 'anchor']
+    """
+    sides = ["parent", "change"] if pair % 2 == 0 else ["change", "parent"]
+    if anchored:
+        sides.insert(pair % 3, "anchor")
+    return sides
+
+
+def relative(side, anchor):
+    """The per-pair quotients side / anchor and their median; a pair
+    whose anchor read 0 has no quotient.
+
+    >>> relative([4.0, 4.4, 3.6], [2.0, 2.2, 1.8])
+    ([2.0, 2.0, 2.0], 2.0)
+    >>> relative([3.0, 6.0, 5.0], [2.0, 0.0, 4.0])
+    ([1.5, 1.25], 1.375)
+    >>> relative([1.0], [0.0])
+    ([], None)
+    """
+    quotients = [s / a for s, a in zip(side, anchor) if a]
+    return quotients, (statistics.median(quotients) if quotients else None)
+
+
+def through_anchor(change_rel, anchor_recorded):
+    """A gate's reading through the anchor: the change's quotient over
+    the anchor, times the ratio recorded for the anchor's commit.
+
+    >>> through_anchor(0.9, 4.2)
+    3.78
+    """
+    return round(change_rel * anchor_recorded, 12)
+
+
 def fmt(x):
     """Counts exactly, measurements to four significant digits."""
     return f"{x:.0f}" if float(x).is_integer() and abs(x) < 1e15 else f"{x:.4g}"
@@ -126,6 +183,7 @@ def main():
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("parent")
     ap.add_argument("change")
+    ap.add_argument("--anchor", help="a pinned third binary run in every pair")
     ap.add_argument("--manifest", default=str(ROOT / "BENCHMARK.json"))
     ap.add_argument("--workloads", help="comma-separated; default: all in the manifest")
     ap.add_argument("-n", "--pairs", type=int, default=10)
@@ -145,14 +203,15 @@ def main():
     seconds = args.seconds if args.seconds is not None else manifest["run_seconds"]
     sides = {"parent": str(pathlib.Path(args.parent).resolve()),
              "change": str(pathlib.Path(args.change).resolve())}
+    if args.anchor:
+        sides["anchor"] = str(pathlib.Path(args.anchor).resolve())
 
     failed = False
     samples = {}  # (workload, metric) -> {"parent": [...], "change": [...]}
     with tempfile.TemporaryDirectory() as cwd:  # the binary writes benchmark/out/
         for workload in workloads:
             for pair, seed in enumerate(range(args.first_seed, args.first_seed + args.pairs)):
-                order = ["change", "parent"] if pair % 2 else ["parent", "change"]
-                for side in order:
+                for side in order(pair, "anchor" in sides):
                     got = run(sides[side], workload, seed, seconds, args.trace, cwd)
                     if got is None:
                         failed = True
@@ -161,13 +220,15 @@ def main():
                         if name not in got:
                             sys.exit(f"{name}: not printed by --trace {args.trace} runs")
                         cell = samples.setdefault((workload, name),
-                                                  {"parent": [], "change": []})
+                                                  {side: [] for side in sides})
                         cell[side].append(got[name])
                 print(f"{workload} seed {seed} done", file=sys.stderr)
 
+    anchored = "anchor" in sides
     print("| workload | metric | parent median [q1, q3] | change median [q1, q3] "
-          "| Δ median | change better in | verdict |")
-    print("|---|---|---|---|---|---|---|")
+          "| Δ median | change better in | verdict |"
+          + " parent/anchor | change/anchor |" * anchored)
+    print("|---|---|---|---|---|---|---|" + "---|---|" * anchored)
     for (workload, name), cell in samples.items():
         parent, change = cell["parent"], cell["change"]
         if name == WALL_S:
@@ -191,9 +252,15 @@ def main():
             delta += f"; wall_s {(cw - pw) / pw:+.1%}"
             if pmed and yardstick_moved((cmed - pmed) / abs(pmed), (cw - pw) / pw):
                 v += ", yardstick moved"
+        rel = ""
+        if anchored:
+            whole = len(cell["anchor"]) == len(parent)
+            meds = [relative(cell[side], cell["anchor"])[1] if whole else None
+                    for side in ("parent", "change")]
+            rel = "".join(f" {fmt(x) if x is not None else '–'} |" for x in meds)
         print(f"| {workload} | {name} | {fmt(pmed)} [{fmt(pq1)}, {fmt(pq3)}]{pwall} "
               f"| {fmt(cmed)} [{fmt(cq1)}, {fmt(cq3)}]{cwall} | {delta} "
-              f"| {wins}/{len(parent)} | {v} |")
+              f"| {wins}/{len(parent)} | {v} |{rel}")
     sys.exit(1 if failed else 0)
 
 
