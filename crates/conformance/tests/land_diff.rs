@@ -3,23 +3,27 @@
 //! layout and merged by `dmat_accumulate` / `dmat_anchor` /
 //! `dmat_settle`, bit for bit.
 //!
-//! `1d(A)` and `1d(B)` hand every output piece to the table blocks its
-//! slab covers (`mfbc_tensor::land`); every other plan still
-//! materialises. Each case runs one chain — MFBF's forward steps into
-//! `T`, or MFBr's opening count and settling steps into `Z` — through
-//! `Simulated`'s `Backend` operations under one forced plan, and the
-//! same chain through the materialising path on a second machine:
+//! `1d(A)` and `1d(B)` hand their output, band by band, to the table
+//! blocks it covers (`mfbc_tensor::land`), billing each rank for the
+//! cells its slab covers; every other plan still materialises. Each
+//! case runs one chain — MFBF's forward steps into `T`, or MFBr's
+//! opening count and settling steps into `Z` — through `Simulated`'s
+//! `Backend` operations under one forced plan, and the same chain
+//! through the materialising path on a second machine:
 //! `mm_exec(_cached)_masked` and the `dmat_*` merge. After every step
 //! it compares the table's blocks, the frontier the step emits, each
 //! block's pending or complement mask, the `ops`, every field of the
-//! machine's cost report and every rank's resident and peak bytes.
+//! machine's cost report, every rank's costs and clock bit for bit,
+//! and every rank's resident and peak bytes.
 //!
 //! Cases draw p from {1, 2, 4, 8, 16}, any enumerated plan, masking,
 //! overlapped accounting, amortized or one-shot adjacency preparation
 //! and pools of 1, 2 and 4 threads; `every_plan_family_lands_like_it_
 //! materialises` runs one plan of every family at every p, masked and
-//! not, both legs. `MFBC_CONFORMANCE_CASES` scales the seeded suite,
-//! `MFBC_CONFORMANCE_SEED` replays one printed case.
+//! not, both legs; `cut_bands_land_like_they_materialise` runs the two
+//! landing plans at p ∈ {3, 6, 12} on shapes whose slabs cut the
+//! canonical block rows. `MFBC_CONFORMANCE_CASES` scales the seeded
+//! suite, `MFBC_CONFORMANCE_SEED` replays one printed case.
 
 use mfbc_algebra::kernel::{BellmanFordKernel, BrandesKernel};
 use mfbc_algebra::{Centpath, CentpathMonoid, Dist, Multpath, MultpathMonoid};
@@ -31,6 +35,7 @@ use mfbc_core::backend::{Backend, Simulated};
 use mfbc_core::seq::mfbf_keep_in_frontier;
 use mfbc_core::sweep::mfbr_anchor;
 use mfbc_graph::Graph;
+use mfbc_machine::cost::RankCost;
 use mfbc_machine::{Machine, MachineError, MachineSpec};
 use mfbc_sparse::{Coo, Csr, Mask};
 use mfbc_tensor::{
@@ -103,6 +108,18 @@ impl LandCase {
     fn draw(rng: &mut SplitMix64, seed: u64, p: usize, plan: usize, leg: Leg) -> LandCase {
         let threads = *rng.pick(&THREADS);
         let (rows, n) = (rng.range(1, 40), rng.range(2, 40));
+        LandCase::shaped(rng, seed, (p, plan, leg), threads, (rows, n))
+    }
+
+    /// A case of `rows` sources on `n` vertices at `p` under plan
+    /// index `plan` on `threads` threads, the rest drawn.
+    fn shaped(
+        rng: &mut SplitMix64,
+        seed: u64,
+        (p, plan, leg): (usize, usize, Leg),
+        threads: usize,
+        (rows, n): (usize, usize),
+    ) -> LandCase {
         let wmax = if rng.chance(1, 2) { 1 } else { 3 };
         let count = rng.range(n, 5 * n);
         let edges = if rng.chance(1, 2) {
@@ -417,12 +434,31 @@ fn same<T: PartialEq + std::fmt::Debug + Clone + Send + Sync>(
     same_machine(what, m1, m2)
 }
 
-/// Every cost-report field and every rank's resident and peak bytes.
+/// Every cost-report field, every rank's costs and clock, bit for bit,
+/// and every rank's resident and peak bytes. The report holds maxima
+/// over ranks: a bill moved from one rank to another can leave them
+/// as they were.
 fn same_machine(what: &str, m1: &Machine, m2: &Machine) -> Result<(), String> {
     let (r1, r2) = (format!("{:?}", m1.report()), format!("{:?}", m2.report()));
     if r1 != r2 {
         return Err(format!(
             "{what}: cost report\n  landed {r1}\n  materialised {r2}"
+        ));
+    }
+    let ranks = |m: &Machine| {
+        let clocks: Vec<f64> = m.with_tracker(|t| (0..t.p()).map(|r| t.clock(r)).collect());
+        let cost = |(c, clock): (RankCost, f64)| {
+            let times = [c.comm_time, c.comp_time, clock].map(f64::to_bits);
+            (c.msgs, c.bytes, times)
+        };
+        let costs = m.rank_costs().into_iter().zip(clocks);
+        costs.map(cost).collect::<Vec<_>>()
+    };
+    let (k1, k2) = (ranks(m1), ranks(m2));
+    if let Some(r) = (0..k1.len()).find(|&r| k1[r] != k2[r]) {
+        return Err(format!(
+            "{what}: rank {r}'s costs\n  landed {:?}\n  materialised {:?}",
+            k1[r], k2[r]
         ));
     }
     let (s1, s2) = (m1.memory_snapshot(), m2.memory_snapshot());
@@ -477,6 +513,41 @@ impl CaseSpec for LandCase {
 #[test]
 fn landed_vs_materialised_seeded() {
     run_suite_or_panic("landed_vs_materialised_seeded", 120, LandCase::generate);
+}
+
+#[test]
+fn cut_bands_land_like_they_materialise() {
+    // At p in {3, 6, 12} the canonical grid has fewer block rows than
+    // ranks, and with neither the batch nor n a multiple of p the
+    // ranks' slabs cut the bands off their block boundaries: a row slab
+    // straddles two bands, a band holds slabs in part, a column slab
+    // straddles two block columns.
+    let mut seed = 0xC07_0000u64;
+    for p in [3usize, 6, 12] {
+        for (idx, plan) in enumerate_plans(p).iter().enumerate() {
+            if !plan.lands() {
+                continue;
+            }
+            for leg in [Leg::Forward, Leg::Backward] {
+                for masked in [false, true] {
+                    seed += 1;
+                    let mut rng = SplitMix64::new(seed);
+                    // Several slabs' worth of rows and vertices, no
+                    // multiple of p.
+                    let mut dim = || match rng.range(p + 1, 4 * p) {
+                        x if x % p == 0 => x + 1,
+                        x => x,
+                    };
+                    let shape = (dim(), dim());
+                    let threads = THREADS[seed as usize % THREADS.len()];
+                    let mut case = LandCase::shaped(&mut rng, seed, (p, idx, leg), threads, shape);
+                    case.masked = masked;
+                    case.check()
+                        .unwrap_or_else(|e| panic!("seed {seed:#x}: {e}"));
+                }
+            }
+        }
+    }
 }
 
 #[test]

@@ -317,11 +317,11 @@ impl Backend for Local<'_> {
 ///
 /// A step's product lands where it is consumed whenever its plan
 /// forms each output piece whole on one rank (`1d(A)`, `1d(B)`: see
-/// [`MmPlan::lands`]): the piece's kernel runs into the blocks of `T`
-/// or `Z` its slab covers — the sinks [`Local`] runs into its one
-/// table, one pane per block window — and the opening count is counted
-/// in place, so at p = 1 a step makes the calls `Local` makes, plus
-/// the machine's charges. A plan that reduces or assembles its output
+/// [`MmPlan::lands`]): one kernel pass per block row of `T` or `Z`
+/// runs into that row's blocks — the sinks [`Local`] runs into its one
+/// table, one pane per block — with each rank billed the part its slab
+/// covers, and the opening count is counted in place, so at p = 1 a
+/// step makes the calls `Local` makes, plus the machine's charges. A plan that reduces or assembles its output
 /// across ranks materialises it and merges the canonical blocks
 /// (`ops::dmat_accumulate`, `dmat_anchor`, `dmat_settle`). Both bill
 /// the same charges.
@@ -477,8 +477,8 @@ impl Simulated {
     }
 
     /// `frontier •⟨⊕,f⟩ adj` under a plan that lands
-    /// ([`MmPlan::lands`]): every piece goes to `land`, where it is
-    /// consumed. Returns `ops`.
+    /// ([`MmPlan::lands`]): every band of it goes to `land`, where it
+    /// is consumed. Returns `ops`.
     fn land<K: SpMulKernel<Right = Dist>>(
         &mut self,
         plan: &MmPlan,
@@ -596,8 +596,8 @@ impl Backend for Simulated {
         let span = self.tuning();
         let plan = self.plan::<K>(frontier, Adj::A, table.mask().as_ref());
         if plan.lands() {
-            // Each piece is explored into the table blocks its slab
-            // covers.
+            // Each block row of the product is explored into the
+            // table's blocks of that row.
             let mut land = land::Accumulate::<K, _>::new(table, &keep);
             let ops = self.land(&plan, frontier, Adj::A, &mut land)?;
             drop(span);
@@ -629,8 +629,8 @@ impl Backend for Simulated {
         let span = self.tuning();
         let plan = self.plan::<BrandesKernel>(&seeds, Adj::At, within);
         if plan.lands() {
-            // Each piece of the count is counted in place, in the `Z`
-            // blocks its slab covers, as `Local` counts its one table.
+            // Each block row of the count is counted in place, in the
+            // `Z` blocks of that row, as `Local` counts its one table.
             let mut land = land::Count::new(t, reached, &fire);
             let ops = self.land(&plan, &seeds, Adj::At, &mut land)?;
             drop(span);
@@ -666,7 +666,8 @@ impl Backend for Simulated {
         let span = self.tuning();
         let plan = self.plan::<K>(frontier, Adj::At, within);
         if plan.lands() {
-            // Each piece settles into the `Z` blocks its slab covers.
+            // Each block row of the product settles into the `Z`
+            // blocks of that row.
             let mut land = land::Settle::<K, U, _>::new(z, side, within, &fire);
             let ops = self.land(&plan, frontier, Adj::At, &mut land)?;
             drop(span);

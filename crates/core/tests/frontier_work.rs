@@ -1,9 +1,10 @@
 //! Regression alarm for per-superstep table copies: the bytes one
 //! `mfbc_seq` call requests from the allocator stay within a small
 //! multiple of the tables it builds, so do those of `mfbc_dist` on one
-//! simulated rank and of `sssp_seq`, and a superstep of either sweep
+//! simulated rank and of `sssp_seq`, a superstep of either sweep
 //! makes the same few allocation calls however much it explores or
-//! fires.
+//! fires, and a superstep of `mfbc_dist` on sixteen ranks a bounded
+//! number.
 //!
 //! A superstep is priced by its frontier and the products it induces
 //! (Theorem 5.1). Rebuilding the `n_b × n` tables `T` and `Z` around
@@ -110,27 +111,40 @@ const MAX_MASKED_REQUESTED_PER_TABLE_BYTE: f64 = 6.9;
 /// Requested bytes per byte of final table for `mfbc_dist` at `p = 1`
 /// on the grid. One rank moves nothing, so what the simulated backend
 /// adds to the sweep — placing operands and the machine's bookkeeping —
-/// has to stay a fraction of the sweep itself. Measured: 8.62 with the
-/// 1D products landing in the table blocks (the slab is the one block
-/// at p = 1), 22.3 when every product was a matrix re-assembled to the
-/// canonical layout and merged by `dmat_*` with MFBr's opening a
-/// count product, and 53 when every product and operand went through a
-/// coordinate list and a sort. The counts are deterministic: × 1.1.
-const MAX_DIST_REQUESTED_PER_TABLE_BYTE: f64 = 9.5;
+/// has to stay a fraction of the sweep itself. Measured: 6.79 with each
+/// 1D product landing band by band and reading the frontier's one
+/// block in place, 8.62 when it copied the frontier first (a replica
+/// under `1d(A)`, a redistributed copy under `1d(B)`), 22.3 when every
+/// product was a matrix re-assembled to the canonical layout and
+/// merged by `dmat_*` with MFBr's opening a count product, and 53 when
+/// every product and operand went through a coordinate list and a
+/// sort. The counts are deterministic: × 1.1.
+const MAX_DIST_REQUESTED_PER_TABLE_BYTE: f64 = 7.5;
+
+/// Allocation calls per superstep of `mfbc_dist` on the grid at
+/// `p = 16`, where the canonical layout cuts the tables into 4 × 4
+/// blocks: the alarm for work a simulated superstep repeats per rank.
+/// Measured: 462.7 with each 1D product formed band by band (one
+/// kernel call per block row, its cells billed to the ranks), 1 114
+/// when it was formed rank by rank (a kernel call per rank and block
+/// row, each piece's windows stitched back into the blocks, the
+/// frontier copied per product). The count is deterministic: × 1.1.
+const MAX_DIST_P16_CALLS_PER_SUPERSTEP: f64 = 509.0;
 
 /// Requested bytes per byte of final table for `mfbc_dist` on the
 /// masked R-MAT graph, at one and at four ranks: the alarm for a
 /// superstep that copies a mask's pattern on the simulated backend —
 /// a global mask assembled from the table's blocks, a window copied
 /// per output block, a scan of the whole pattern to price the
-/// product — or that materialises a 1D product again. Measured: 9.15
-/// at p = 1 and 11.37 at p = 4 with every mask a view of the blocks
-/// where they lie and the 1D products landing in the blocks they
-/// cover; 12.69 and 14.33 when those products were matrices merged
-/// after assembly; 14.60 and 16.25 when each superstep also made the
-/// three mask copies. The usual × 1.3 would let them back in: × 1.1
-/// here (the counts are deterministic).
-const MAX_MASKED_DIST_REQUESTED_PER_TABLE_BYTE: [(usize, f64); 2] = [(1, 10.1), (4, 12.5)];
+/// product — or that materialises a 1D product again. Measured: 7.53
+/// at p = 1 and 9.55 at p = 4 with every mask a view of the blocks
+/// where they lie and the 1D products landing band by band, reading
+/// the frontier's blocks in place; 9.15 and 11.37 when each product
+/// copied the frontier first; 12.69 and 14.33 when those products were
+/// matrices merged after assembly; 14.60 and 16.25 when each superstep
+/// also made the three mask copies. The usual × 1.3 would let them
+/// back in: × 1.1 here (the counts are deterministic).
+const MAX_MASKED_DIST_REQUESTED_PER_TABLE_BYTE: [(usize, f64); 2] = [(1, 8.3), (4, 10.5)];
 
 /// Requested bytes per byte of final distance table for `sssp_seq`
 /// from every vertex of the grid. Measured: 6.5 with its products
@@ -372,6 +386,21 @@ fn mfbc_requests_a_small_multiple_of_its_tables() {
             dratio < MAX_DIST_REQUESTED_PER_TABLE_BYTE,
             "mfbc_dist at p=1 requested {dist_requested} bytes for {table_bytes} bytes of \
              tables: {dratio:.1}x ({requested} by mfbc_seq)"
+        );
+
+        // The same sweep on sixteen simulated ranks, superstep by
+        // superstep.
+        let m = Machine::new(MachineSpec::gemini(16));
+        let before = CALLS.load(Ordering::Relaxed);
+        let run = mfbc_dist(&m, &g, &cfg).expect("fault-free");
+        let calls = CALLS.load(Ordering::Relaxed) - before;
+        let steps = run.forward_iterations + run.backward_iterations;
+        assert_eq!(steps, supersteps);
+        let per_step = calls as f64 / steps as f64;
+        assert!(
+            per_step < MAX_DIST_P16_CALLS_PER_SUPERSTEP,
+            "mfbc_dist at p=16 made {calls} allocation calls over {steps} supersteps: \
+             {per_step:.1} per superstep"
         );
 
         // SSSP from every vertex of the grid: the same loop, its

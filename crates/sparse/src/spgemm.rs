@@ -28,6 +28,7 @@ use crate::csr::{Csr, Idx};
 use crate::elementwise::{assemble_rows, RowChunk};
 use crate::few::Few;
 use crate::mask::{Mask, MaskKind, MaskRow};
+use crate::slabs::{SideBySide, Slabs};
 use crate::table::{stored, Accumulate, Landed, Leaves, Pane, Rows, Settle, Table};
 use mfbc_algebra::kernel::KernelOut;
 use mfbc_algebra::monoid::Monoid;
@@ -104,25 +105,27 @@ impl<T: Clone> Spa<T> {
         (self.mark, listed)
     }
 
-    /// Visits the touched entries in column order, skipping identities.
-    /// `walk` is the row's structural mask pattern, an ascending
-    /// superset of the touched columns, if it has one. A dense row is
-    /// read off `walk`, or off the stamps themselves, in order; only a
-    /// sparse one sorts what it touched.
+    /// Visits the touched entries in column order, skipping identities;
+    /// returns how many it visited. `walk` is the row's structural mask
+    /// pattern, an ascending superset of the touched columns, if it has
+    /// one. A dense row is read off `walk`, or off the stamps
+    /// themselves, in order; only a sparse one sorts what it touched.
     fn drain<M: Monoid<Elem = T>>(
         &mut self,
         walk: Option<Walk<'_>>,
         mut visit: impl FnMut(Idx, &T),
-    ) {
+    ) -> usize {
         if self.touched.is_empty() {
-            return;
+            return 0;
         }
         let on = self.mark + 1;
         let dense = self.touched.len() * DENSE_DRAIN;
         let (stamp, vals, touched) = (&self.stamp, &self.vals, &mut self.touched);
+        let mut visited = 0;
         let mut emit = |j: Idx| {
             let v = &vals[j as usize];
             if !M::is_identity(v) {
+                visited += 1;
                 visit(j, v);
             }
         };
@@ -139,6 +142,7 @@ impl<T: Clone> Spa<T> {
             touched.sort_unstable();
             touched.iter().for_each(|&j| emit(j));
         }
+        visited
     }
 
     /// The row's accumulated entries in the order they were first
@@ -166,6 +170,10 @@ struct Walk<'m> {
 /// is the row's structural mask pattern, if it has one.
 trait RowSink<T> {
     fn row(&mut self, i: usize, spa: &mut Spa<T>, walk: Option<Walk<'_>>);
+
+    /// The rows that follow belong to the row cell whose first cell is
+    /// `first` (see [`cut`]).
+    fn cell(&mut self, _first: usize) {}
 }
 
 /// The sink that builds the product matrix: rows drained in column
@@ -184,14 +192,97 @@ impl<M: Monoid> RowSink<M::Elem> for Drain<M> {
     }
 }
 
+/// The row cells of `cuts` that output rows `rows` meet — row cell `c`
+/// is output rows `cuts[c]..cuts[c + 1]` — each with the part of
+/// `rows` inside it.
+///
+/// A band's output is cut into cells: its rows at `cuts`, its columns
+/// where the right operand's slabs end ([`SideBySide`]). Cell `(c, s)` —
+/// row cell `c`, slab `s` — is cell `c * slabs + s`, and every product
+/// counts, per cell, the elementary products it formed there and the
+/// product entries it delivered there.
+fn cut(cuts: &[usize], rows: Range<usize>) -> impl Iterator<Item = (usize, Range<usize>)> + '_ {
+    let meet = move |(c, w): (usize, &[usize])| {
+        let (lo, hi) = (w[0].max(rows.start), w[1].min(rows.end));
+        (lo < hi).then_some((c, lo..hi))
+    };
+    cuts.windows(2).enumerate().filter_map(meet)
+}
+
+/// `n` zero counters.
+fn zeros(n: usize) -> Few<u64> {
+    if n == 1 {
+        Few::One(0)
+    } else {
+        Few::Many(vec![0; n])
+    }
+}
+
+/// Adds `from` into `into`, counter by counter.
+fn add(into: &mut [u64], from: &[u64]) {
+    into.iter_mut().zip(from).for_each(|(a, b)| *a += b);
+}
+
+/// What a product formed, per cell of its output ([`cut`]): the
+/// elementary products, and the product entries the panes took in.
+struct Tally {
+    ops: Few<u64>,
+    formed: Few<u64>,
+}
+
+impl Tally {
+    /// `(ops, formed)` per cell.
+    fn cells(&self) -> Vec<(u64, u64)> {
+        self.ops
+            .iter()
+            .copied()
+            .zip(self.formed.iter().copied())
+            .collect()
+    }
+}
+
 /// A product's rows landing in panes side by side ([`Pane`]): output
 /// columns `sits[b].span()` go to `sinks[b]`, shifted to start at 0.
 /// Every sink of a table — [`Table::accumulate`]'s body forward,
 /// [`Table::settle`]'s backward — is fed through this, one pane over
-/// the whole table being the shared-memory case.
+/// the whole table being the shared-memory case. What each cell
+/// received is counted on the way.
 struct Panes<'s, S> {
     sits: &'s [Sits],
+    stops: &'s [Stop],
     sinks: Few<S>,
+    /// The first cell of the row cell being fed.
+    cell: usize,
+    /// Per cell, the product entries the panes took in.
+    formed: Few<u64>,
+}
+
+impl<'s, S> Panes<'s, S> {
+    fn new(sits: &'s [Sits], stops: &'s [Stop], sinks: Few<S>, cells: usize) -> Self {
+        Panes {
+            sits,
+            stops,
+            sinks,
+            cell: 0,
+            formed: zeros(cells),
+        }
+    }
+
+    /// Whether every column goes to one pane and one cell.
+    #[inline]
+    fn single(&self) -> bool {
+        self.stops.len() == 1
+    }
+
+    /// The stop of output column `j` of a row whose columns arrive in
+    /// ascending order, `b` being the stop of the last one.
+    #[inline]
+    fn stop(&self, j: usize, b: &mut usize) -> Stop {
+        while j >= self.stops[*b].end {
+            *b += 1;
+        }
+        self.stops[*b]
+    }
 }
 
 /// Where one pane sits: its window, its table's shape, and the first
@@ -239,6 +330,42 @@ fn sits<T: Clone>(nrows: usize, ncols: usize, panes: &[Pane<'_, T>]) -> Few<Sits
     sits
 }
 
+/// Output columns up to `end` (from where the stop before ends) go to
+/// pane `pane` and lie in slab `slab`.
+#[derive(Clone, Copy, Debug)]
+struct Stop {
+    end: usize,
+    pane: usize,
+    slab: usize,
+}
+
+/// Where the output columns change pane or slab, for panes sitting at
+/// `sits` over the slabs of `b`.
+fn stops<R>(sits: &[Sits], b: &impl Slabs<R>) -> Few<Stop> {
+    let (mut pane, mut slab) = (0, 0);
+    let next = || {
+        if pane == sits.len() || slab == b.slabs() {
+            return None;
+        }
+        let (pe, se) = (sits[pane].span().end, b.end(slab));
+        let stop = Stop {
+            end: pe.min(se),
+            pane,
+            slab,
+        };
+        pane += usize::from(pe <= se);
+        slab += usize::from(se <= pe);
+        Some(stop)
+    };
+    std::iter::from_fn(next).collect()
+}
+
+/// The stop of output column `j`, in any column order.
+#[inline]
+fn stop_of(stops: &[Stop], j: usize) -> Stop {
+    stops[stops.partition_point(|s| s.end <= j)]
+}
+
 /// The mask a product into panes sitting at `sits` runs under: their
 /// tables' `masks` side by side, cut to the panes' windows — `None`
 /// where the tables report none. Panes side by side share their rows,
@@ -282,13 +409,12 @@ where
     F: Fn(&M::Elem, Option<&M::Elem>, &M::Elem) -> Option<M::Elem>,
 {
     /// Entry `(i, j)` of the product, into its pane; entries of a row
-    /// arrive in column order, and `b` is the pane of the last one.
+    /// arrive in column order, and `b` is the stop of the last one.
     #[inline]
     fn entry(&mut self, i: usize, j: usize, g: &M::Elem, b: &mut usize) {
-        while j >= self.sits[*b].span().end {
-            *b += 1;
-        }
-        self.sinks[*b].entry(i, j - self.sits[*b].at, g);
+        let Stop { pane, slab, .. } = self.stop(j, b);
+        self.formed[self.cell + slab] += 1;
+        self.sinks[pane].entry(i, j - self.sits[pane].at, g);
     }
 
     /// Closes row `i` in every pane.
@@ -305,13 +431,20 @@ where
     F: Fn(&M::Elem, Option<&M::Elem>, &M::Elem) -> Option<M::Elem>,
 {
     fn row(&mut self, i: usize, spa: &mut Spa<M::Elem>, walk: Option<Walk<'_>>) {
-        if let [one] = &mut self.sinks[..] {
-            spa.drain::<M>(walk, |j, g| one.entry(i, j as usize, g));
-            return one.end_row(i);
+        if self.single() {
+            let one = &mut self.sinks[0];
+            let formed = spa.drain::<M>(walk, |j, g| one.entry(i, j as usize, g));
+            one.end_row(i);
+            self.formed[self.cell] += formed as u64;
+            return;
         }
         let mut b = 0;
         spa.drain::<M>(walk, |j, g| self.entry(i, j as usize, g, &mut b));
         self.end_row(i);
+    }
+
+    fn cell(&mut self, first: usize) {
+        self.cell = first;
     }
 }
 
@@ -323,14 +456,25 @@ where
     F: Fn(&mut M::Elem, &U) -> Option<M::Elem>,
 {
     fn row(&mut self, i: usize, spa: &mut Spa<M::Elem>, _: Option<Walk<'_>>) {
-        if let [one] = &mut self.sinks[..] {
-            return one.row(i, spa.formed::<M>());
+        if self.single() {
+            let one = &mut self.sinks[0];
+            let before = one.received;
+            one.row(i, spa.formed::<M>());
+            self.formed[self.cell] += (one.received - before) as u64;
+            return;
         }
         for (s, sit) in self.sinks.iter_mut().zip(self.sits) {
             let span = sit.span();
             let inside = spa.formed::<M>().filter(|(j, _)| span.contains(j));
             s.row(i, inside.map(|(j, v)| (j - span.start, v)));
         }
+        for (j, _) in spa.formed::<M>() {
+            self.formed[self.cell + stop_of(self.stops, j).slab] += 1;
+        }
+    }
+
+    fn cell(&mut self, first: usize) {
+        self.cell = first;
     }
 }
 
@@ -339,82 +483,93 @@ const UNMASKED: u8 = 0;
 const STRUCTURAL: u8 = 1;
 const COMPLEMENT: u8 = 2;
 
-/// The row kernel: Gustavson over output rows `rows` — rows `base +
-/// rows` of `a` — under `mask` read the way `MODE` says, every finished
-/// row handed to `sink`; returns the products formed. An elementary
-/// product whose output column the mask excludes is skipped before `f`
-/// is applied — it neither accumulates nor counts toward `ops` — at one
+/// The row kernel: Gustavson over output rows `rows` under `mask` read
+/// the way `MODE` says, every finished row handed to `sink`; adds the
+/// products each slab of `b` formed to `ops`. An elementary product
+/// whose output column the mask excludes is skipped before `f` is
+/// applied — it neither accumulates nor counts toward `ops` — at one
 /// stamp load per candidate, masked or not. An empty left-operand row,
 /// or a structural mask with an empty pattern row, forms nothing.
-fn multiply_rows<K: SpMulKernel, const MODE: u8>(
-    (a, b): (&Csr<K::Left>, &Csr<K::Right>),
+/// Contributions to an entry fold in ascending `k` whatever the slabs:
+/// each column lies in one of them.
+fn multiply_rows<K: SpMulKernel, B: Slabs<K::Right>, const MODE: u8>(
+    (a, b): (&Csr<K::Left>, &B),
     mask: Option<&Mask>,
-    base: usize,
     rows: Range<usize>,
     spa: &mut Spa<KernelOut<K>>,
     sink: &mut impl RowSink<KernelOut<K>>,
-) -> u64 {
-    let mut ops = 0u64;
-    for r in rows {
-        let i = base + r;
+    ops: &mut [u64],
+) {
+    // What the first slab forms stays in a register: with one slab,
+    // that is the whole count.
+    let mut first = 0u64;
+    for i in rows {
         if a.row_nnz(i) == 0 {
             spa.touched.clear();
-            sink.row(r, spa, None);
+            sink.row(i, spa, None);
             continue;
         }
-        let pattern = mask.map(|m| m.row(r));
+        let pattern = mask.map(|m| m.row(i));
         let (mark, listed) = spa.begin_row(pattern);
         if MODE == STRUCTURAL && listed == 0 {
-            sink.row(r, spa, None);
+            sink.row(i, spa, None);
             continue;
         }
         let on = mark + 1;
         for (k, av) in a.row(i) {
-            for (j, bv) in b.row(k) {
-                let s = spa.stamp[j];
-                let fresh = s != on;
-                let excluded = match MODE {
-                    STRUCTURAL => s != mark,
-                    COMPLEMENT => s == mark,
-                    _ => false,
-                };
-                if fresh && excluded {
-                    continue;
-                }
-                if let Some(c) = K::mul(av, bv) {
-                    ops += 1;
-                    if fresh {
-                        spa.stamp[j] = on;
-                        spa.vals[j] = c;
-                        spa.touched.push(j as Idx);
-                    } else {
-                        K::Acc::fold_into(&mut spa.vals[j], &c);
+            b.row(k, |slab, at, cols, vals| {
+                let mut formed = 0u64;
+                for (&j, bv) in cols.iter().zip(vals) {
+                    let j = at + j as usize;
+                    let s = spa.stamp[j];
+                    let fresh = s != on;
+                    let excluded = match MODE {
+                        STRUCTURAL => s != mark,
+                        COMPLEMENT => s == mark,
+                        _ => false,
+                    };
+                    if fresh && excluded {
+                        continue;
+                    }
+                    if let Some(c) = K::mul(av, bv) {
+                        formed += 1;
+                        if fresh {
+                            spa.stamp[j] = on;
+                            spa.vals[j] = c;
+                            spa.touched.push(j as Idx);
+                        } else {
+                            K::Acc::fold_into(&mut spa.vals[j], &c);
+                        }
                     }
                 }
-            }
+                match slab {
+                    0 => first += formed,
+                    _ => ops[slab] += formed,
+                }
+            });
         }
         let walk = pattern.filter(|_| MODE == STRUCTURAL);
-        sink.row(r, spa, walk.map(|row| Walk { row, len: listed }));
+        sink.row(i, spa, walk.map(|row| Walk { row, len: listed }));
     }
-    ops
+    ops[0] += first;
 }
 
 /// [`multiply_rows`] in the mode `mask` asks for.
-fn multiply<K: SpMulKernel>(
-    ab: (&Csr<K::Left>, &Csr<K::Right>),
+fn multiply<K: SpMulKernel, B: Slabs<K::Right>>(
+    ab: (&Csr<K::Left>, &B),
     mask: Option<&Mask>,
-    base: usize,
     rows: Range<usize>,
     spa: &mut Spa<KernelOut<K>>,
     sink: &mut impl RowSink<KernelOut<K>>,
-) -> u64 {
+    ops: &mut [u64],
+) {
     match mask.map(Mask::kind) {
-        None => multiply_rows::<K, UNMASKED>(ab, None, base, rows, spa, sink),
+        None => multiply_rows::<K, B, UNMASKED>(ab, None, rows, spa, sink, ops),
         Some(MaskKind::Structural) => {
-            multiply_rows::<K, STRUCTURAL>(ab, mask, base, rows, spa, sink)
+            multiply_rows::<K, B, STRUCTURAL>(ab, mask, rows, spa, sink, ops)
         }
         Some(MaskKind::Complement) => {
-            multiply_rows::<K, COMPLEMENT>(ab, mask, base, rows, spa, sink)
+            multiply_rows::<K, B, COMPLEMENT>(ab, mask, rows, spa, sink, ops)
         }
     }
 }
@@ -429,19 +584,20 @@ const PAR_MIN_ROWS: usize = 32;
 /// (every elementary product counted) and the true per-row cost.
 const TASKS_PER_THREAD: usize = 4;
 
-/// Per-row flops upper bound over rows `rows` of `a`:
+/// Per-row flops upper bound over the first `nrows` rows of `a`:
 /// `1 + Σ_{k ∈ A.row(i)} nnz(B.row(k))`. The constant keeps empty rows
 /// from collapsing a range to zero weight, so partitions stay
 /// contiguous and non-degenerate.
-fn flops_weights<L, R>(a: &Csr<L>, b: &Csr<R>, rows: Range<usize>) -> Vec<u64> {
-    rows.map(|i| {
-        1 + a
-            .row_cols(i)
-            .iter()
-            .map(|&k| b.row_nnz(k as usize) as u64)
-            .sum::<u64>()
-    })
-    .collect()
+fn flops_weights<L, R>(a: &Csr<L>, b: &impl Slabs<R>, nrows: usize) -> Vec<u64> {
+    (0..nrows)
+        .map(|i| {
+            1 + a
+                .row_cols(i)
+                .iter()
+                .map(|&k| b.row_nnz(k as usize) as u64)
+                .sum::<u64>()
+        })
+        .collect()
 }
 
 /// Whether a product of `nrows` rows runs on the calling thread:
@@ -456,22 +612,27 @@ fn drains<M: Monoid>(ranges: &[Range<usize>]) -> Vec<Drain<M>> {
     ranges.iter().map(drain).collect()
 }
 
-/// Every product: checks shapes, then multiplies rows `rows` of `a` by
-/// `b` — output rows `0..rows.len()`, under `mask` of that shape — on
-/// the calling thread or over flops-balanced row ranges on the pool
-/// (see [`fan_out`]), one SPA per participant. `sinks` makes one sink
-/// per row range, in range order; they come back, having seen their
-/// rows, beside the products formed.
+/// Every product: checks shapes, then multiplies `a` by `b` — under
+/// `mask` of the output's shape — row cell by row cell of `cuts`
+/// ([`cut`]), on the calling thread or over flops-balanced row ranges
+/// on the pool (see [`fan_out`]), one SPA per participant. `sinks`
+/// makes one sink per row range, in range order; they come back,
+/// having seen their rows, beside the products each cell formed.
 /// Row partitioning ignores the mask — the unmasked flops are a valid
 /// upper bound per row, and identical partitions keep the trace
 /// stream stable whether or not a mask is present.
-fn run<K: SpMulKernel, S: RowSink<KernelOut<K>> + Send>(
-    (a, b): (&Csr<K::Left>, &Csr<K::Right>),
-    rows: Range<usize>,
+fn run<K, B, S>(
+    (a, b): (&Csr<K::Left>, &B),
+    cuts: &[usize],
     mask: Option<&Mask>,
     serial: bool,
     sinks: impl FnOnce(&[Range<usize>]) -> Vec<S>,
-) -> (Vec<S>, u64) {
+) -> (Vec<S>, Few<u64>)
+where
+    K: SpMulKernel,
+    B: Slabs<K::Right>,
+    S: RowSink<KernelOut<K>> + Send,
+{
     assert_eq!(
         a.ncols(),
         b.nrows(),
@@ -481,48 +642,55 @@ fn run<K: SpMulKernel, S: RowSink<KernelOut<K>> + Send>(
         b.nrows(),
         b.ncols()
     );
-    assert!(rows.end <= a.nrows(), "rows {rows:?} of {}", a.nrows());
+    assert_eq!(cuts.last(), Some(&a.nrows()), "row cells cover the rows");
     if let Some(mask) = mask {
         assert_eq!(
             (mask.nrows(), mask.ncols()),
-            (rows.len(), b.ncols()),
+            (a.nrows(), b.ncols()),
             "mask shape {}x{} does not match output shape {}x{}",
             mask.nrows(),
             mask.ncols(),
-            rows.len(),
+            a.nrows(),
             b.ncols()
         );
     }
+    let (slabs, cells) = (b.slabs(), (cuts.len() - 1) * b.slabs());
     let spa = || Spa::new(b.ncols(), <K::Acc as Monoid>::identity());
-    let base = rows.start;
-    let work = |spa: &mut _, r, sink: &mut S| multiply::<K>((a, b), mask, base, r, spa, sink);
-    fan_out("spgemm", (a, b), rows, serial, spa, sinks, work)
+    let work = |spa: &mut _, r, sink: &mut S| {
+        let mut ops = zeros(cells);
+        for (c, rows) in cut(cuts, r) {
+            sink.cell(c * slabs);
+            let ops = &mut ops[c * slabs..(c + 1) * slabs];
+            multiply::<K, B>((a, b), mask, rows, spa, sink, ops);
+        }
+        ops
+    };
+    fan_out("spgemm", (a, b), serial, spa, sinks, work)
 }
 
-/// The row fan-out of a product of rows `rows` of `a` and `b`:
-/// `work(scratch, range, part)` over output rows `0..rows.len()` on the
-/// calling thread ([`on_caller`]), or over ranges of them balanced by
+/// The row fan-out of a product of `a` and `b`: `work(scratch, range,
+/// part)` over output rows `0..a.nrows()` on the calling thread
+/// ([`on_caller`]), or over ranges of them balanced by
 /// [`flops_weights`] on the pool, one `scratch` per participant,
 /// announced as a pool run of `kernel`. `parts` makes one part per
 /// range, in range order; they come back, having seen their rows,
-/// beside the sum of what `work` returned.
-fn fan_out<L, R, S: Send, P: Send>(
+/// beside the sum of the counters `work` returned.
+fn fan_out<L, R, B: Slabs<R>, S: Send, P: Send>(
     kernel: &'static str,
-    (a, b): (&Csr<L>, &Csr<R>),
-    rows: Range<usize>,
+    (a, b): (&Csr<L>, &B),
     serial: bool,
     scratch: impl Fn() -> S + Sync,
     parts: impl FnOnce(&[Range<usize>]) -> Vec<P>,
-    work: impl Fn(&mut S, Range<usize>, &mut P) -> u64 + Sync,
-) -> (Vec<P>, u64) {
-    let nrows = rows.len();
+    work: impl Fn(&mut S, Range<usize>, &mut P) -> Few<u64> + Sync,
+) -> (Vec<P>, Few<u64>) {
+    let nrows = a.nrows();
     let pool = mfbc_parallel::current();
     if on_caller(serial, nrows) {
         let mut parts = parts(std::slice::from_ref(&(0..nrows)));
         let ops = work(&mut scratch(), 0..nrows, &mut parts[0]);
         return (parts, ops);
     }
-    let weights = flops_weights(a, b, rows);
+    let weights = flops_weights(a, b, nrows);
     let ranges = balanced_ranges(&weights, pool.threads() * TASKS_PER_THREAD);
     // One lock per range, taken by the one task that works it.
     let parts: Vec<Mutex<P>> = parts(&ranges).into_iter().map(Mutex::new).collect();
@@ -540,7 +708,10 @@ fn fan_out<L, R, S: Send, P: Send>(
     let parts = parts
         .into_iter()
         .map(|p| p.into_inner().expect("a row task panicked"));
-    (parts.collect(), ops.iter().sum())
+    let mut ops = ops.into_iter();
+    let mut sum = ops.next().expect("one range at least");
+    ops.for_each(|o| add(&mut sum, &o));
+    (parts.collect(), sum)
 }
 
 /// [`run`] into the product matrix.
@@ -550,11 +721,12 @@ fn product<K: SpMulKernel>(
     mask: Option<&Mask>,
     serial: bool,
 ) -> SpGemmOut<KernelOut<K>> {
-    let (drains, ops) = run::<K, _>((a, b), 0..a.nrows(), mask, serial, drains::<K::Acc>);
+    let one = [0, a.nrows()];
+    let (drains, ops) = run::<K, _, _>((a, b), &one, mask, serial, drains::<K::Acc>);
     let chunks = drains.into_iter().map(|d| d.0).collect();
     SpGemmOut {
         mat: assemble_rows(a.nrows(), b.ncols(), chunks),
-        ops,
+        ops: ops[0],
     }
 }
 
@@ -565,7 +737,7 @@ fn product<K: SpMulKernel>(
 /// The product runs under [`Table::mask`]. Returns the entries `keep`
 /// let through and the products formed, bit-identical to
 /// [`spgemm_opt`] followed by [`Table::accumulate`] at any thread
-/// count. The one-pane case of [`spgemm_accumulate_panes`].
+/// count. The one-pane, one-cell case of [`spgemm_accumulate_panes`].
 ///
 /// # Panics
 /// Panics where [`spgemm_opt`] or [`Table::accumulate`] would.
@@ -575,33 +747,44 @@ pub fn spgemm_accumulate<K: SpMulKernel>(
     t: &mut Table<KernelOut<K>>,
     keep: impl Fn(&KernelOut<K>, Option<&KernelOut<K>>, &KernelOut<K>) -> Option<KernelOut<K>> + Sync,
 ) -> SpGemmOut<KernelOut<K>> {
-    let (landed, ops) = accumulate::<K>(a, b, 0..a.nrows(), &mut [Pane::whole(t)], keep);
+    let one = [0, a.nrows()];
+    let (landed, tally) = accumulate::<K, _>(a, b, &one, &mut [Pane::whole(t)], keep);
     let mat = landed.into_iter().next().expect("one pane").out;
-    SpGemmOut { mat, ops }
+    SpGemmOut {
+        mat,
+        ops: tally.ops[0],
+    }
 }
 
-/// [`spgemm_accumulate`] of rows `rows` of `a` by `b` into `panes` side
-/// by side, under their tables' masks: output `(i, j)` is explored
-/// entry `(i, j)` of the pane holding column `j`, at its window. Per
-/// pane, what `keep` let through (in window coordinates) and the
-/// explored entries it took in; and the products formed. Equal, pane
-/// for pane, to [`Table::accumulate`] of the window of the product
-/// [`spgemm_opt`] forms.
+/// [`spgemm_accumulate`] of `a` by `b` into `panes` side by side, under
+/// their tables' masks: output `(i, j)` is explored entry `(i, j)` of
+/// the pane holding column `j`, at its window. Per pane, what `keep`
+/// let through (in window coordinates) and the explored entries it
+/// took in; and per cell of the output — its rows cut at `cuts`, its
+/// columns where `b`'s slabs end, cell `(c, s)` at `c *
+/// slabs + s` — the products formed and the explored entries taken
+/// in. Equal, pane for pane, to [`Table::accumulate`] of the window of
+/// the product [`spgemm_opt`] forms, and cell for cell to the `ops`
+/// and entries of the product of the cell's rows of `a` by its slab.
+/// A `b` of one slab runs the kernel [`spgemm_accumulate`] runs.
 ///
 /// # Panics
-/// Panics if the panes do not take `rows.len()` rows and `b`'s columns
-/// between them, and where [`spgemm_opt`] or [`Table::accumulate`]
-/// would.
+/// Panics if the panes do not take `a`'s rows and `b`'s columns
+/// between them, `cuts` does not end at `a`'s rows, and where
+/// [`spgemm_opt`] or [`Table::accumulate`] would.
 #[allow(clippy::type_complexity)]
 pub fn spgemm_accumulate_panes<K: SpMulKernel>(
     a: &Csr<K::Left>,
-    b: &Csr<K::Right>,
-    rows: Range<usize>,
+    b: &SideBySide<'_, K::Right>,
+    cuts: &[usize],
     panes: &mut [Pane<'_, KernelOut<K>>],
     keep: impl Fn(&KernelOut<K>, Option<&KernelOut<K>>, &KernelOut<K>) -> Option<KernelOut<K>> + Sync,
-) -> (Vec<Landed<KernelOut<K>>>, u64) {
-    let (landed, ops) = accumulate::<K>(a, b, rows, panes, keep);
-    (landed.into_iter().collect(), ops)
+) -> (Vec<Landed<KernelOut<K>>>, Vec<(u64, u64)>) {
+    let (landed, tally) = match b.parts() {
+        [(_, one)] => accumulate::<K, _>(a, *one, cuts, panes, keep),
+        _ => accumulate::<K, _>(a, b, cuts, panes, keep),
+    };
+    (landed.into_iter().collect(), tally.cells())
 }
 
 /// The body of [`spgemm_accumulate_panes`].
@@ -615,48 +798,51 @@ pub fn spgemm_accumulate_panes<K: SpMulKernel>(
 /// stitched after the product, or that read the table and leave what
 /// they change to a serial pass (EXPERIMENTS.md).
 #[allow(clippy::type_complexity)]
-fn accumulate<K: SpMulKernel>(
+fn accumulate<K: SpMulKernel, B: Slabs<K::Right>>(
     a: &Csr<K::Left>,
-    b: &Csr<K::Right>,
-    rows: Range<usize>,
+    b: &B,
+    cuts: &[usize],
     panes: &mut [Pane<'_, KernelOut<K>>],
     keep: impl Fn(&KernelOut<K>, Option<&KernelOut<K>>, &KernelOut<K>) -> Option<KernelOut<K>> + Sync,
-) -> (Few<Landed<KernelOut<K>>>, u64) {
-    let sits = sits(rows.len(), b.ncols(), panes);
+) -> (Few<Landed<KernelOut<K>>>, Tally) {
+    let nrows = a.nrows();
+    let sits = sits(nrows, b.ncols(), panes);
+    let stops = stops(&sits, b);
+    let (slabs, cells) = (b.slabs(), (cuts.len() - 1) * b.slabs());
     let window = |s: &Sits| (s.rows.clone(), s.cols.clone());
-    let (sinks, ops) = if on_caller(false, rows.len()) {
+    let (sinks, tally) = if on_caller(false, nrows) {
         // Room for one kept entry per row: reserving the frontier's
         // size instead, ahead of the product that grows the arena,
         // raised `mfbc_seq`'s peak RSS on the weighted grid by 3–6 %
         // (EXPERIMENTS.md).
         let grown: Few<_> = (panes.iter_mut().zip(sits.iter()))
-            .map(|(p, s)| p.table.grow::<K::Acc, _>(&keep, rows.len(), window(s)))
+            .map(|(p, s)| p.table.grow::<K::Acc, _>(&keep, nrows, window(s)))
             .collect();
         let (masks, sinks) = grown.unzip();
         let mask = pane_mask(&sits, masks);
-        let one = |_: &[Range<usize>]| vec![Panes { sits: &sits, sinks }];
-        let (mut parts, ops) = run::<K, _>((a, b), rows, mask.as_ref(), false, one);
-        (parts.pop().expect("one sink").sinks, ops)
+        let one = |_: &[Range<usize>]| vec![Panes::new(&sits, &stops, sinks, cells)];
+        let (mut parts, ops) = run::<K, B, _>((a, b), cuts, mask.as_ref(), false, one);
+        let Panes { sinks, formed, .. } = parts.pop().expect("one sink");
+        (sinks, Tally { ops, formed })
     } else {
         let masks = panes.iter().map(|p| p.table.mask()).collect();
         let mask = pane_mask(&sits, masks);
-        let (drains, ops) =
-            run::<K, _>((a, b), rows.clone(), mask.as_ref(), false, drains::<K::Acc>);
+        let (drains, ops) = run::<K, B, _>((a, b), cuts, mask.as_ref(), false, drains::<K::Acc>);
         // No more entries can be kept than were drained.
         let drained: usize = drains.iter().map(|d| d.0 .1.len()).sum();
-        let expect = if panes.len() == 1 {
-            drained
-        } else {
-            rows.len()
-        };
+        let expect = if panes.len() == 1 { drained } else { nrows };
         let sinks = (panes.iter_mut().zip(sits.iter()))
             .map(|(p, s)| p.table.grow::<K::Acc, _>(&keep, expect, window(s)).1)
             .collect();
-        let mut sink = Panes { sits: &sits, sinks };
-        let mut i = 0;
+        let mut sink = Panes::new(&sits, &stops, sinks, cells);
+        let (mut i, mut c) = (0, 0);
         for Drain((rowlen, colind, vals)) in drains {
             let mut at = 0;
             for len in rowlen {
+                while i >= cuts[c + 1] {
+                    c += 1;
+                }
+                sink.cell = c * slabs;
                 let mut b = 0;
                 for p in at..at + len {
                     sink.entry(i, colind[p] as usize, &vals[p], &mut b);
@@ -665,11 +851,12 @@ fn accumulate<K: SpMulKernel>(
                 (at, i) = (at + len, i + 1);
             }
         }
-        (sink.sinks, ops)
+        let formed = sink.formed;
+        (sink.sinks, Tally { ops, formed })
     };
     let landings: Few<_> = sinks.into_iter().map(Accumulate::finish).collect();
     let landed = panes.iter_mut().zip(landings);
-    (landed.map(|(p, l)| p.table.land(l)).collect(), ops)
+    (landed.map(|(p, l)| p.table.land(l)).collect(), tally)
 }
 
 /// `Z := Z ⊗ (A •⟨⊗,g⟩ B)`, the product consumed where it lands
@@ -679,8 +866,8 @@ fn accumulate<K: SpMulKernel>(
 /// is never built. The product runs under [`Table::mask`] where `z`
 /// reports one and under `within` otherwise. Returns what `fire`
 /// emitted and the products formed, bit-identical to [`spgemm_opt`]
-/// followed by [`Table::settle`] at any thread count. The one-pane
-/// case of [`spgemm_settle_panes`].
+/// followed by [`Table::settle`] at any thread count. The one-pane,
+/// one-cell case of [`spgemm_settle_panes`].
 ///
 /// # Panics
 /// Panics where [`spgemm_opt`] or [`Table::settle`] would.
@@ -694,49 +881,58 @@ pub fn spgemm_settle<K: SpMulKernel, U: Sync>(
 ) -> SpGemmOut<KernelOut<K>> {
     let shape = (a.nrows(), b.ncols());
     assert_eq!(shape, (z.nrows(), z.ncols()), "settle shape");
-    let panes = &mut [Pane::whole(z)];
-    let (landed, ops) = settle::<K, U>(a, b, 0..a.nrows(), within, panes, &[side], fire);
+    let (one, panes) = ([0, a.nrows()], &mut [Pane::whole(z)]);
+    let (landed, tally) = settle::<K, U, _>(a, b, &one, within, panes, &[side], fire);
     let mat = landed.into_iter().next().expect("one pane").out;
-    SpGemmOut { mat, ops }
+    SpGemmOut {
+        mat,
+        ops: tally.ops[0],
+    }
 }
 
-/// [`spgemm_settle`] of rows `rows` of `a` by `b` into `panes` side by
-/// side, each table opened on the pattern of the matrix beside it in
-/// `sides`: under the tables' masks where they report them, under
-/// `within` (of the output's shape) otherwise. Per pane, what `fire`
-/// emitted (in window coordinates) and the updates it took in, on the
-/// pattern or not; and the products formed. Parallel tasks own
+/// [`spgemm_settle`] of `a` by `b` into `panes` side by side, each table
+/// opened on the pattern of the matrix beside it in `sides`: under the
+/// tables' masks where they report them, under `within` (of the
+/// output's shape) otherwise. Per pane, what `fire` emitted (in window
+/// coordinates) and the updates it took in, on the pattern or not; and
+/// per cell of the output (as [`spgemm_accumulate_panes`] cuts it) the
+/// products formed and the updates taken in. Parallel tasks own
 /// disjoint row ranges of every table.
 ///
 /// # Panics
-/// Panics if the panes do not take `rows.len()` rows and `b`'s columns
-/// between them, and where [`spgemm_opt`] or [`Table::settle`] would.
+/// Panics if the panes do not take `a`'s rows and `b`'s columns
+/// between them, `cuts` does not end at `a`'s rows, and where
+/// [`spgemm_opt`] or [`Table::settle`] would.
 pub fn spgemm_settle_panes<K: SpMulKernel, U: Sync>(
     a: &Csr<K::Left>,
-    b: &Csr<K::Right>,
-    rows: Range<usize>,
+    b: &SideBySide<'_, K::Right>,
+    cuts: &[usize],
     within: Option<&Mask>,
     panes: &mut [Pane<'_, KernelOut<K>>],
     sides: &[&Csr<U>],
     fire: impl Fn(&mut KernelOut<K>, &U) -> Option<KernelOut<K>> + Sync,
-) -> (Vec<Landed<KernelOut<K>>>, u64) {
-    let (landed, ops) = settle::<K, U>(a, b, rows, within, panes, sides, fire);
-    (landed.into_iter().collect(), ops)
+) -> (Vec<Landed<KernelOut<K>>>, Vec<(u64, u64)>) {
+    let (landed, tally) = match b.parts() {
+        [(_, one)] => settle::<K, U, _>(a, *one, cuts, within, panes, sides, fire),
+        _ => settle::<K, U, _>(a, b, cuts, within, panes, sides, fire),
+    };
+    (landed.into_iter().collect(), tally.cells())
 }
 
 /// The body of [`spgemm_settle_panes`].
-fn settle<K: SpMulKernel, U: Sync>(
+fn settle<K: SpMulKernel, U: Sync, B: Slabs<K::Right>>(
     a: &Csr<K::Left>,
-    b: &Csr<K::Right>,
-    rows: Range<usize>,
+    b: &B,
+    cuts: &[usize],
     within: Option<&Mask>,
     panes: &mut [Pane<'_, KernelOut<K>>],
     sides: &[&Csr<U>],
     fire: impl Fn(&mut KernelOut<K>, &U) -> Option<KernelOut<K>> + Sync,
-) -> (Few<Landed<KernelOut<K>>>, u64) {
-    let sits = sits(rows.len(), b.ncols(), panes);
+) -> (Few<Landed<KernelOut<K>>>, Tally) {
+    let sits = sits(a.nrows(), b.ncols(), panes);
+    let stops = stops(&sits, b);
     assert_eq!(sides.len(), panes.len(), "one side per pane");
-    let (fire, base, n) = (&fire, rows.start, panes.len());
+    let (fire, n, cells) = (&fire, panes.len(), (cuts.len() - 1) * b.slabs());
     // The mask borrows the pending rows the entries it fires must
     // leave: the tables are settled during the product, the rows are
     // shrunk after it, by what came out.
@@ -745,11 +941,11 @@ fn settle<K: SpMulKernel, U: Sync>(
         .collect();
     let (masks, lent) = lent.unzip();
     let pending = pane_mask(&sits, masks);
-    let sits = &sits;
+    let (sits, stops) = (&sits, &stops);
     let settles = move |ranges: &[Range<usize>]| {
         // A frontier is followed by one of its own order: the rows'
         // share of `a` is the guess for what they fire.
-        let nnz = |r: &Range<usize>| (a.rowptr()[base + r.end] - a.rowptr()[base + r.start]) / n;
+        let nnz = |r: &Range<usize>| (a.rowptr()[r.end] - a.rowptr()[r.start]) / n;
         let mut split: Few<_> = (lent.into_iter().zip(sits.iter()))
             .map(|(rows, s)| split_rows(rows, ranges, s.rows.start).into_iter())
             .collect();
@@ -760,16 +956,18 @@ fn settle<K: SpMulKernel, U: Sync>(
                     Settle::<K::Acc, U, _>::new(rows, fire, nnz(r), (s.rows.start, s.cols.start))
                 })
                 .collect();
-            Panes { sits, sinks }
+            Panes::new(sits, stops, sinks, cells)
         };
         ranges.iter().map(panes).collect()
     };
-    let (parts, ops) = run::<K, _>((a, b), rows, pending.as_ref().or(within), false, settles);
+    let (parts, ops) = run::<K, B, _>((a, b), cuts, pending.as_ref().or(within), false, settles);
     // Per pane, what its tasks fired, in range order, and the updates
     // it took in.
     let fired = |_: &Sits| (Vec::with_capacity(parts.len()), 0);
     let mut fired: Few<(Vec<RowChunk<_>>, usize)> = sits.iter().map(fired).collect();
+    let mut formed = zeros(cells);
     for part in parts {
+        add(&mut formed, &part.formed);
         for ((chunks, received), s) in fired.iter_mut().zip(part.sinks) {
             *received += s.received;
             chunks.push(s.fired);
@@ -784,7 +982,7 @@ fn settle<K: SpMulKernel, U: Sync>(
             pending: None,
         }
     });
-    (landed.collect(), ops)
+    (landed.collect(), Tally { ops, formed })
 }
 
 /// One column of [`count_children`]'s dense buffer while a row is
@@ -822,7 +1020,7 @@ struct Child {
 /// is an integer, whatever order it is summed in, and is zeroed where
 /// a contribution heavier than `τ(s,v)` arrived, as the product's
 /// "greater wins" and the anchor's compare zero it. Parallel tasks own
-/// disjoint row ranges of `Z`. The one-pane case of
+/// disjoint row ranges of `Z`. The one-pane, one-cell case of
 /// [`count_children_panes`], `t` being its own seeds.
 ///
 /// # Panics
@@ -844,11 +1042,12 @@ pub fn count_children(
         at.ncols()
     );
     let mut z = Table::on_pattern(t, opened);
-    let panes = &mut [Pane::whole(&mut z)];
+    let (one, panes) = ([0, t.nrows()], &mut [Pane::whole(&mut z)]);
     let tau = |mp: &Multpath| mp.w;
-    let (landed, ops) = count::<Multpath>(t, tau, at, 0..t.nrows(), panes, &[t], masked, fire);
+    let (landed, tally) = count::<Multpath, _>(t, tau, at, &one, panes, &[t], masked, fire);
     let Landed { out, pending, .. } = landed.into_iter().next().expect("one pane");
     z.pend(pending);
+    let ops = tally.ops[0];
     (z, SpGemmOut { mat: out, ops })
 }
 
@@ -858,92 +1057,122 @@ pub fn opened(mp: &Multpath) -> Centpath {
     stored::<CentpathMonoid>(Centpath::new(mp.w, 0.0, 0))
 }
 
-/// [`count_children`] of rows `rows` of the seeds `left` — `τ(s,w)`
-/// being `tau` of each entry — against `at`, into `panes` side by side,
-/// each table [`opened`] on the matrix beside it in `sides` (the
-/// window's block of `T`). Per pane, the leaves `fire` emitted (window
-/// coordinates), with `masked` the table columns of each window row
-/// that wait (for [`Table::pend`], joined per table row), and how many
-/// entries the count product would have held in the window; and the
-/// products the count stands for. A candidate counts towards `v` where
-/// `(s,v)` is in a pane's window of `T`.
+/// [`count_children`] of the seeds `left` — `τ(s,w)` being `tau` of
+/// each entry — against `at`, into `panes` side by side, each table
+/// [`opened`] on the matrix beside it in `sides` (the window's block of
+/// `T`). Per pane, the leaves `fire` emitted (window coordinates), with
+/// `masked` the table columns of each window row that wait (for
+/// [`Table::pend`]), and how many entries the count product would have
+/// held in the window; and per cell of the output (as
+/// [`spgemm_accumulate_panes`] cuts it) the products the count stands
+/// for and the count product's entries. A candidate counts towards `v`
+/// where `(s,v)` is in a pane's window of `T`.
 ///
 /// # Panics
-/// Panics if the panes do not take `rows.len()` rows and `at`'s
-/// columns between them, a table is not on its side's pattern, or
-/// where [`count_children`] would.
+/// Panics if the panes do not take `left`'s rows and `at`'s columns
+/// between them, `cuts` does not end at `left`'s rows, a table is not
+/// on its side's pattern, or where [`count_children`] would.
 #[allow(clippy::too_many_arguments)]
 pub fn count_children_panes<L: Sync>(
     left: &Csr<L>,
     tau: impl Fn(&L) -> Dist + Sync,
-    at: &Csr<Dist>,
-    rows: Range<usize>,
+    at: &SideBySide<'_, Dist>,
+    cuts: &[usize],
     panes: &mut [Pane<'_, Centpath>],
     sides: &[&Csr<Multpath>],
     masked: bool,
     fire: impl Fn(&mut Centpath, &Multpath) -> Option<Centpath> + Sync,
-) -> (Vec<Landed<Centpath>>, u64) {
-    let (landed, ops) = count(left, tau, at, rows, panes, sides, masked, fire);
-    (landed.into_iter().collect(), ops)
+) -> (Vec<Landed<Centpath>>, Vec<(u64, u64)>) {
+    let (landed, tally) = match at.parts() {
+        [(_, one)] => count(left, tau, *one, cuts, panes, sides, masked, fire),
+        _ => count(left, tau, at, cuts, panes, sides, masked, fire),
+    };
+    (landed.into_iter().collect(), tally.cells())
 }
 
 /// One task's share of a pane of [`count_children_panes`]: its rows of
 /// `Z`, the leaves they fire and the count product's entries there.
-type CountPart<'a> = (Rows<'a, Centpath, Multpath>, Leaves<Centpath>, usize);
+type CountPane<'a> = (Rows<'a, Centpath, Multpath>, Leaves<Centpath>, usize);
+
+/// One task of [`count_children_panes`]: its share of every pane, and
+/// the count product's entries per cell.
+struct CountTask<'a> {
+    panes: Few<CountPane<'a>>,
+    formed: Few<u64>,
+}
 
 /// The body of [`count_children_panes`].
 #[allow(clippy::too_many_arguments)]
-fn count<L: Sync>(
+fn count<L: Sync, B: Slabs<Dist>>(
     left: &Csr<L>,
     tau: impl Fn(&L) -> Dist + Sync,
-    at: &Csr<Dist>,
-    rows: Range<usize>,
+    at: &B,
+    cuts: &[usize],
     panes: &mut [Pane<'_, Centpath>],
     sides: &[&Csr<Multpath>],
     masked: bool,
     fire: impl Fn(&mut Centpath, &Multpath) -> Option<Centpath> + Sync,
-) -> (Few<Landed<Centpath>>, u64) {
+) -> (Few<Landed<Centpath>>, Tally) {
     assert_eq!(left.ncols(), at.nrows(), "count inner dimension");
-    let sits = sits(rows.len(), at.ncols(), panes);
+    assert_eq!(cuts.last(), Some(&left.nrows()), "row cells cover the rows");
+    let sits = sits(left.nrows(), at.ncols(), panes);
+    let stops = stops(&sits, at);
     assert_eq!(sides.len(), panes.len(), "one side per pane");
-    let (fire, tau, base) = (&fire, &tau, rows.start);
+    let (fire, tau) = (&fire, &tau);
+    let (slabs, cells) = (at.slabs(), (cuts.len() - 1) * at.slabs());
     let lent: Few<_> = (panes.iter_mut().zip(sides))
         .map(|(p, side)| p.table.lend(side).1)
         .collect();
-    let sits = &sits;
+    let (sits, stops) = (&sits, &stops);
     let parts = move |ranges: &[Range<usize>]| {
         let mut split: Few<_> = (lent.into_iter().zip(sits.iter()))
             .map(|(rows, s)| split_rows(rows, ranges, s.rows.start).into_iter())
             .collect();
         let part = |r: &Range<usize>| {
-            (split.iter_mut().zip(sits.iter()))
+            let panes = (split.iter_mut().zip(sits.iter()))
                 .map(|(rows, s)| {
                     let rows = rows.next().expect("one part per range");
                     (rows, Leaves::new(r.len(), masked, s.cols.start), 0)
                 })
-                .collect::<Few<CountPart<'_>>>()
+                .collect();
+            CountTask {
+                panes,
+                formed: zeros(cells),
+            }
         };
         ranges.iter().map(part).collect()
     };
     let scratch = || (vec![Child::default(); at.ncols()], Vec::new());
-    let counting = Counting { at, masked, sits };
-    let work = |(cells, strays): &mut (Vec<Child>, Vec<Idx>), range, part: &mut Few<_>| {
-        counting.rows(left, tau, base, range, (cells, strays), part, fire)
+    let counting = Counting {
+        at,
+        masked,
+        sits,
+        stops,
     };
-    let (parts, ops) = fan_out(
-        "count_children",
-        (left, at),
-        rows,
-        false,
-        scratch,
-        parts,
-        work,
-    );
-    // Each part holds its range's share of every pane, in pane order.
-    let mut parts: Vec<_> = parts.into_iter().map(Few::into_iter).collect();
+    let work = |(buf, strays): &mut (Vec<Child>, Vec<Idx>), range, task: &mut CountTask<'_>| {
+        let mut ops = zeros(cells);
+        for (c, rows) in cut(cuts, range) {
+            let ops = &mut ops[c * slabs..(c + 1) * slabs];
+            counting.rows(left, tau, rows, (buf, strays), task, (c * slabs, ops), fire);
+        }
+        ops
+    };
+    let (tasks, ops) = fan_out("count_children", (left, at), false, scratch, parts, work);
+    // Each task holds its range's share of every pane, in pane order.
+    let mut tally = Tally {
+        ops,
+        formed: zeros(cells),
+    };
+    let mut shares: Vec<_> = tasks
+        .into_iter()
+        .map(|t| {
+            add(&mut tally.formed, &t.formed);
+            t.panes.into_iter()
+        })
+        .collect();
     let join = |s: &Sits| {
         let mut received = 0;
-        let leaves = parts.iter_mut().map(|p| {
+        let leaves = shares.iter_mut().map(|p| {
             let (_, leaves, formed) = p.next().expect("one share per pane");
             received += formed;
             leaves
@@ -951,17 +1180,18 @@ fn count<L: Sync>(
         let joined = Leaves::join(leaves, (s.rows.len(), s.cols.len()));
         Landed { received, ..joined }
     };
-    (sits.iter().map(join).collect(), ops)
+    (sits.iter().map(join).collect(), tally)
 }
 
 /// What every task of [`count_children_panes`] counts against.
-struct Counting<'c> {
-    at: &'c Csr<Dist>,
+struct Counting<'c, B> {
+    at: &'c B,
     masked: bool,
     sits: &'c [Sits],
+    stops: &'c [Stop],
 }
 
-impl Counting<'_> {
+impl<B: Slabs<Dist>> Counting<'_, B> {
     /// The part of table row `cols` inside the window of the pane
     /// sitting at `s`: all of it where the window spans the table.
     #[inline]
@@ -973,27 +1203,28 @@ impl Counting<'_> {
         at(s.cols.start)..at(s.cols.end)
     }
 
-    /// [`count_children_panes`] over output rows `rows` — rows `base +
-    /// rows` of `left` — into one task's share of every pane; returns
-    /// the products the count stands for. Every row leaves the buffer's
-    /// cells as it found them.
+    /// [`count_children_panes`] over output rows `rows`, all in the row
+    /// cell whose first cell is `first`, into one task's share of every
+    /// pane; adds the products each slab stands for to `ops`. Every row
+    /// leaves the buffer's cells as it found them.
     #[allow(clippy::too_many_arguments)]
     fn rows<L>(
         &self,
         left: &Csr<L>,
         tau: &impl Fn(&L) -> Dist,
-        base: usize,
         rows: Range<usize>,
         (cells, strays): (&mut [Child], &mut Vec<Idx>),
-        part: &mut [CountPart<'_>],
+        task: &mut CountTask<'_>,
+        (first, ops): (usize, &mut [u64]),
         fire: &impl Fn(&mut Centpath, &Multpath) -> Option<Centpath>,
-    ) -> u64 {
-        let (at, masked) = (self.at, self.masked);
-        let mut ops = 0u64;
-        for r in rows {
-            for ((z, _, _), s) in part.iter_mut().zip(self.sits) {
-                let (cols, _, ts) = z.row(s.rows.start + r);
-                let span = Counting::span(s, cols);
+    ) {
+        let (at, masked, stops) = (self.at, self.masked, self.stops);
+        let CountTask { panes, formed } = task;
+        let mut first_slab = 0u64;
+        for i in rows {
+            for ((z, _, _), s) in panes.iter_mut().zip(self.sits) {
+                let (cols, _, ts) = z.row(s.rows.start + i);
+                let span = Self::span(s, cols);
                 for (&v, tv) in cols[span.clone()].iter().zip(&ts[span]) {
                     cells[v as usize - s.cols.start + s.at] = Child {
                         listed: true,
@@ -1003,42 +1234,57 @@ impl Counting<'_> {
                     };
                 }
             }
-            let i = base + r;
             for (&w, lw) in left.row_cols(i).iter().zip(left.row_vals(i)) {
-                let (tw, w) = (tau(lw).raw(), w as usize);
-                for (&v, a) in at.row_cols(w).iter().zip(at.row_vals(w)) {
-                    // `τ(s,w)` is finite: an infinite `A(v,w)` lands here too.
-                    if a.raw() > tw {
-                        continue;
-                    }
-                    let c = &mut cells[v as usize];
-                    if !c.listed {
-                        if !masked {
-                            ops += 1;
-                            if !std::mem::replace(&mut c.formed, true) {
-                                strays.push(v);
-                            }
+                let tw = tau(lw).raw();
+                at.row(w as usize, |slab, c0, cols, vals| {
+                    let mut n = 0u64;
+                    for (&v, a) in cols.iter().zip(vals) {
+                        // `τ(s,w)` is finite: an infinite `A(v,w)` lands here too.
+                        if a.raw() > tw {
+                            continue;
                         }
-                        continue;
+                        let v = c0 + v as usize;
+                        let c = &mut cells[v];
+                        if !c.listed {
+                            if !masked {
+                                n += 1;
+                                if !std::mem::replace(&mut c.formed, true) {
+                                    strays.push(v as Idx);
+                                }
+                            }
+                            continue;
+                        }
+                        n += 1;
+                        c.formed = true;
+                        // Whether `w` is a child of `v` is the unpredictable
+                        // branch of the loop: counted without one.
+                        let back = tw - a.raw();
+                        c.matched += u32::from(back == c.tau);
+                        if back > c.tau {
+                            c.tau = u64::MAX;
+                        }
                     }
-                    ops += 1;
-                    c.formed = true;
-                    // Whether `w` is a child of `v` is the unpredictable
-                    // branch of the loop: counted without one.
-                    let back = tw - a.raw();
-                    c.matched += u32::from(back == c.tau);
-                    if back > c.tau {
-                        c.tau = u64::MAX;
+                    match slab {
+                        0 => first_slab += n,
+                        _ => ops[slab] += n,
                     }
-                }
+                });
             }
-            for ((z, leaves, formed), s) in part.iter_mut().zip(self.sits) {
-                let (cols, zs, ts) = z.row(s.rows.start + r);
-                let span = Counting::span(s, cols);
+            let mut b = 0;
+            for ((z, leaves, received), s) in panes.iter_mut().zip(self.sits) {
+                let (cols, zs, ts) = z.row(s.rows.start + i);
+                let span = Self::span(s, cols);
                 let (cols, zs, ts) = (&cols[span.clone()], &mut zs[span.clone()], &ts[span]);
                 for ((&v, zv), tv) in cols.iter().zip(zs.iter_mut()).zip(ts) {
-                    let c = std::mem::take(&mut cells[v as usize - s.cols.start + s.at]);
-                    *formed += usize::from(c.formed);
+                    let out = v as usize - s.cols.start + s.at;
+                    let c = std::mem::take(&mut cells[out]);
+                    if c.formed {
+                        *received += 1;
+                        while out >= stops[b].end {
+                            b += 1;
+                        }
+                        formed[first + stops[b].slab] += 1;
+                    }
                     if c.tau == tv.w.raw() {
                         zv.c = i64::from(c.matched);
                     }
@@ -1048,11 +1294,12 @@ impl Counting<'_> {
             for v in strays.drain(..) {
                 let v = v as usize;
                 cells[v] = Child::default();
-                let pane = self.sits.iter().position(|s| s.span().contains(&v));
-                part[pane.expect("the panes take every column")].2 += 1;
+                let stop = stop_of(stops, v);
+                panes[stop.pane].2 += 1;
+                formed[first + stop.slab] += 1;
             }
         }
-        ops
+        ops[0] += first_slab;
     }
 }
 
@@ -1477,9 +1724,9 @@ mod tests {
         ];
         // One task's rows through the draining sink: (chunk, ops).
         let rows_of = |mask: Option<&Mask>, spa: &mut Spa<Dist>| {
-            let mut sink = Drain::<MinDist>(RowChunk::default());
-            let ops = multiply::<TropicalKernel>((&a, &b), mask, 0, 0..8, spa, &mut sink);
-            (sink.0, ops)
+            let (mut sink, mut ops) = (Drain::<MinDist>(RowChunk::default()), [0]);
+            multiply::<TropicalKernel, _>((&a, &b), mask, 0..8, spa, &mut sink, &mut ops);
+            (sink.0, ops[0])
         };
         // The same rows settled into a table on every other coordinate
         // of the product: (what fired, the table, ops).
@@ -1492,13 +1739,12 @@ mod tests {
             let mut z = Table::on_pattern(&side, |s| *s);
             let settle = Settle::<MinDist, Dist, _>::new(z.lend(&side).1, &fire, 0, (0, 0));
             let sits = sits(8, 30, &[Pane::whole(&mut Table::on_pattern(&side, |s| *s))]);
-            let mut sink = Panes {
-                sits: &sits,
-                sinks: Few::One(settle),
-            };
-            let ops = multiply::<TropicalKernel>((&a, &b), mask, 0, 0..8, spa, &mut sink);
+            let stops = stops(&sits, &b);
+            let mut sink = Panes::new(&sits, &stops, Few::One(settle), 1);
+            let mut ops = [0];
+            multiply::<TropicalKernel, _>((&a, &b), mask, 0..8, spa, &mut sink, &mut ops);
             let fired = sink.sinks.into_iter().next().expect("one pane").fired;
-            (fired, z.freeze(), ops)
+            (fired, z.freeze(), ops[0])
         };
         for mask in &masks {
             let want = rows_of(mask.as_ref(), &mut Spa::new(30, MinDist::identity()));
@@ -1602,7 +1848,7 @@ mod tests {
     fn flops_weights_count_elementary_products() {
         // A row's weight is 1 + the number of products it forms.
         let a = dist_mat(3, 3, &[(0, 1, 4), (0, 2, 1), (1, 2, 7)]);
-        let w = flops_weights(&a, &a, 0..3);
+        let w = flops_weights(&a, &a, 3);
         // Row 0 hits rows 1 (nnz 1) and 2 (nnz 0); row 1 hits row 2.
         assert_eq!(w, vec![2, 1, 1]);
     }

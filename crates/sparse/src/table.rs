@@ -56,8 +56,8 @@ pub struct Table<T> {
 /// The window of a table that one product's output lands in: output
 /// `(i, j)` goes to table entry `(rows.start + i, cols.start + j)`. A
 /// product lands in panes side by side — the shared-memory sweeps in
-/// one pane over their whole table ([`Pane::whole`]), a distributed
-/// product piece in the windows of the table blocks it covers.
+/// one pane over their whole table ([`Pane::whole`]), a band of a
+/// distributed product in the blocks of one block row of its table.
 #[derive(Debug)]
 pub struct Pane<'t, T> {
     /// The table.

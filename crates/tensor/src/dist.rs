@@ -415,6 +415,22 @@ impl<T: Clone + Send + Sync> DistMat<T> {
             .collect()
     }
 
+    /// Rows `rows` of the matrix, across its block columns: the block
+    /// itself where they are a block row of one block, else joined
+    /// from the blocks they meet.
+    pub(crate) fn rows(&self, rows: Range<usize>) -> Cow<'_, Csr<T>> {
+        let l = &self.layout;
+        if l.bc() == 1 {
+            if let Some(bi) = (0..l.br()).find(|&bi| l.row_range(bi) == rows) {
+                return Cow::Borrowed(self.block(bi, 0));
+            }
+        }
+        let mut slabs = self.slabs();
+        let meets = |s: &Slab<'_, T>| s.0 < rows.end && rows.start < s.0 + s.2.nrows();
+        slabs.retain(meets);
+        Cow::Owned(stitch(rows, 0..self.ncols(), &mut slabs, |_| true).0)
+    }
+
     /// Reassembles the global matrix (gather for verification/output):
     /// block cuts are disjoint, so this is pure concatenation, minus
     /// any entries that are `M`'s identity.

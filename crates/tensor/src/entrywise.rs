@@ -18,7 +18,7 @@ use crate::dist::{DistMat, Layout};
 use crate::grid::{factorizations, Grid2, Grid3};
 use crate::mm::{assemble_canonical, canonical_layout};
 use crate::mm1d::{FirstWins, Piece};
-use crate::redist::{charge_redist, collect_owners, extract_windows, redistribute, stitch_windows};
+use crate::redist::{self, charge_redist, collect_owners, extract_windows, redistribute};
 use mfbc_algebra::monoid::{Monoid, SumU64};
 use mfbc_conformance::rng::SplitMix64;
 use mfbc_conformance::{gen, property};
@@ -352,9 +352,9 @@ fn check_moves(rng: &mut SplitMix64) -> Result<(), String> {
     same_clocks("redistribute", &new, &old)?;
     if !src.layout().same_as(&dst) {
         let whole = [(0..nrows, 0..ncols, &dst)];
-        let (_, stitched, _) = stitch_windows::<SumU64, _, _>(p, &src, &whole);
-        if stitched != traffic.concat() {
-            return Err(format!("redistribute traffic {stitched:?} vs {traffic:?}"));
+        let (counted, _) = redist::traffic(p, &src, &whole);
+        if counted != traffic.concat() {
+            return Err(format!("redistribute traffic {counted:?} vs {traffic:?}"));
         }
     }
 
@@ -369,9 +369,9 @@ fn check_moves(rng: &mut SplitMix64) -> Result<(), String> {
         )?;
     }
     same_clocks("windows", &new, &old)?;
-    let (_, stitched, _) = stitch_windows::<SumU64, _, _>(p, &src, &specs);
-    if stitched != traffic.concat() {
-        return Err(format!("windows traffic {stitched:?} vs {traffic:?}"));
+    let (counted, _) = redist::traffic(p, &src, &specs);
+    if counted != traffic.concat() {
+        return Err(format!("windows traffic {counted:?} vs {traffic:?}"));
     }
     Ok(())
 }

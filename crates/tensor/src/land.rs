@@ -3,18 +3,29 @@
 //! A 1D plan that replicates an operand (`1d(A)`, `1d(B)`, §5.2.1)
 //! forms each output piece whole on the rank that owns its slab. Sparse
 //! SUMMA's premise (Buluç–Gilbert) is that the output stays where it is
-//! consumed while the operands move, so such a piece need not become a
-//! product matrix at all: the executor hands it to a [`Land`], whose
-//! kernel writes it into the table blocks its slab covers. The sweeps'
-//! three table steps land this way — [`Accumulate`] (MFBF's `T`),
-//! [`Settle`] (MFBr's `Z`) and [`Count`] (the opening of `Z`, counted
-//! in place) — through the sinks the shared-memory sweeps use: a slab
-//! meets the table blocks of each canonical block row as panes side by
-//! side ([`mfbc_sparse::Pane`]), and one pane over the whole table is
-//! the shared-memory case.
+//! consumed while the operands move, so such a product need not become
+//! a product matrix at all: the executor hands it to a [`Land`], whose
+//! kernel writes it into the table blocks it covers. The sweeps' three
+//! table steps land this way — [`Accumulate`] (MFBF's `T`), [`Settle`]
+//! (MFBr's `Z`) and [`Count`] (the opening of `Z`, counted in place) —
+//! through the sinks the shared-memory sweeps use.
+//!
+//! A real machine forms the p slabs at once; one host forms them one
+//! after another, so the landing runs the kernel once per *band*, not
+//! once per rank. A band is one block row of the landing's table
+//! ([`Land::bands`]): the kernel runs once over the band's rows, with
+//! one accumulator as wide as the output, into the band's blocks side
+//! by side ([`mfbc_sparse::Pane`]), and each block receives exactly one
+//! window — the block itself. The ranks' slabs cut the band into
+//! *cells*: under `1d(B)` the part of the band's rows one rank's row
+//! slab covers, under `1d(A)` the part one rank's column slab of B
+//! covers. The kernel counts `ops` and the product entries formed per
+//! cell, and the executor bills each rank the sum over its cells — what
+//! it billed the rank's piece when each slab was formed alone. One band
+//! with one cell (a one-rank machine) is the shared-memory call.
 //!
 //! Nothing here is charged beyond what the materialising path charges:
-//! the executor bills each piece its `ops` plus the entries it formed,
+//! the executor bills each rank its `ops` plus the entries it formed,
 //! and [`Accumulate::finish`], [`Settle::finish`] and [`Count::finish`]
 //! bill the blocks as `dmat_accumulate`, `dmat_settle` and `dmat_anchor`
 //! do, through the same functions. Assembling a product was never
@@ -27,43 +38,60 @@ use crate::ops::{bill_accumulate, bill_anchor, bill_settle};
 use mfbc_algebra::kernel::{BrandesKernel, KernelOut};
 use mfbc_algebra::{Centpath, Multpath, SpMulKernel};
 use mfbc_machine::{Machine, MachineError};
-use mfbc_sparse::slice::{stitch, Slab};
+use mfbc_sparse::slice::slice;
 use mfbc_sparse::spgemm::opened;
 use mfbc_sparse::{
     count_children_panes, spgemm_accumulate_panes, spgemm_opt, spgemm_settle_panes, Csr, Idx,
-    Landed, Mask, Pane, Table,
+    Landed, Mask, Pane, SideBySide, Table,
 };
 use std::borrow::Cow;
 use std::ops::Range;
 
-/// Where the pieces of a 1D product go.
+/// Where the bands of a 1D product go.
 pub trait Land<K: SpMulKernel> {
     /// The output mask the product runs under, in global coordinates:
     /// what the executor shrinks a one-shot operand against.
     fn mask(&self) -> Option<Mask<'_>>;
 
-    /// Forms piece `k`: `a` times `b`, whose output `(i, j)` is entry
-    /// `(r0 + i, c0 + j)` of the product, under the landing's mask.
-    /// Returns the piece's `ops` and how many product entries it
-    /// formed. Every piece of the plan arrives, one with an empty
-    /// operand too: it forms nothing and is charged nothing, but its
-    /// window may still be owed work (the opening count fires every
-    /// entry of `Z` once).
-    fn piece(
-        &mut self,
-        k: usize,
-        at: (usize, usize),
-        a: &Csr<K::Left>,
-        b: &Csr<K::Right>,
-    ) -> (u64, u64);
+    /// The output rows of each band, in order, for a product of
+    /// `nrows` rows: the block rows of the landing's table.
+    fn bands(&self, nrows: usize) -> Vec<Range<usize>>;
+
+    /// Forms `band` under the landing's mask. Returns, per cell of the
+    /// band (in [`Band::ranks`]' order), its `ops` and how many product
+    /// entries it formed. Every band of [`Land::bands`] arrives, those
+    /// with empty operands too: a window may be owed work that forms
+    /// nothing (the opening count fires every entry of `Z` once).
+    fn band(&mut self, band: Band<'_, K::Left, K::Right>) -> Vec<(u64, u64)>;
 
     /// The sabotage seam (`mfbc_fault::sabotage`): drops one entry of
     /// what the landing emits. `false` when it emits none.
     fn corrupt(&mut self) -> bool;
 }
 
-/// The landing that materialises: every piece becomes a product matrix
-/// at its offsets, for `mm::assemble_canonical`.
+/// One band of a 1D product: output rows `rows`, formed as `left` —
+/// those rows of the left operand — times `right`. Its cells are its
+/// rows cut at `cuts` (band-relative, ascending, ending at the band's
+/// height) times `right`'s slabs: cell `(c, s)` is cell `c * slabs +
+/// s`, formed by group position `ranks[c * slabs + s]`.
+pub struct Band<'b, L, R> {
+    /// The band's index in [`Land::bands`].
+    pub index: usize,
+    /// The output rows the band covers.
+    pub rows: Range<usize>,
+    /// Those rows of the left operand.
+    pub left: &'b Csr<L>,
+    /// The right operand, as the column slabs the ranks hold.
+    pub right: &'b SideBySide<'b, R>,
+    /// Where the band's rows are cut into row cells.
+    pub cuts: &'b [usize],
+    /// The group position forming each cell.
+    pub ranks: &'b [usize],
+}
+
+/// The landing that materialises: every cell becomes a product matrix
+/// at its offsets, for `mm::assemble_canonical`. It has one band, so
+/// each of its cells is one rank's whole piece.
 pub(crate) struct Collect<'m, T> {
     mask: Option<&'m Mask<'m>>,
     pub(crate) pieces: Vec<Piece<T>>,
@@ -83,23 +111,36 @@ impl<K: SpMulKernel> Land<K> for Collect<'_, KernelOut<K>> {
         self.mask.cloned()
     }
 
-    fn piece(
-        &mut self,
-        k: usize,
-        (r0, c0): (usize, usize),
-        a: &Csr<K::Left>,
-        b: &Csr<K::Right>,
-    ) -> (u64, u64) {
-        if a.is_empty() || b.is_empty() {
-            return (0, 0);
+    fn bands(&self, nrows: usize) -> Vec<Range<usize>> {
+        vec![0..nrows]
+    }
+
+    fn band(&mut self, band: Band<'_, K::Left, K::Right>) -> Vec<(u64, u64)> {
+        let slabs = band.right.parts();
+        let mut cells = Vec::with_capacity(band.ranks.len());
+        for (c, cut) in band.cuts.windows(2).enumerate() {
+            let (rows, all) = (cut[0]..cut[1], 0..band.left.ncols());
+            let a = match rows.len() == band.left.nrows() {
+                true => Cow::Borrowed(band.left),
+                false => Cow::Owned(slice(band.left, rows.clone(), all)),
+            };
+            let r0 = band.rows.start + rows.start;
+            for (s, &(c0, b)) in slabs.iter().enumerate() {
+                if a.is_empty() || b.is_empty() {
+                    cells.push((0, 0));
+                    continue;
+                }
+                let w = self
+                    .mask
+                    .map(|mk| mk.window(r0..r0 + a.nrows(), c0..c0 + b.ncols()));
+                let out = spgemm_opt::<K>(&a, b, w.as_ref());
+                let formed = out.mat.nnz() as u64;
+                let k = band.ranks[c * slabs.len() + s];
+                self.pieces.push((r0, c0, k, out.mat));
+                cells.push((out.ops, formed));
+            }
         }
-        let w = self
-            .mask
-            .map(|mk| mk.window(r0..r0 + a.nrows(), c0..c0 + b.ncols()));
-        let out = spgemm_opt::<K>(a, b, w.as_ref());
-        let formed = out.mat.nnz() as u64;
-        self.pieces.push((r0, c0, k, out.mat));
-        (out.ops, formed)
+        cells
     }
 
     fn corrupt(&mut self) -> bool {
@@ -117,116 +158,68 @@ fn drop_first<T: Clone>(m: &Csr<T>) -> Csr<T> {
     m.filter(|_, _, _| !std::mem::take(&mut first))
 }
 
-/// One canonical block row a piece meets: the piece's output rows
-/// inside it, the block rows they are, and the blocks of the row the
-/// piece meets, each with the block columns it covers.
-struct Band {
-    bi: usize,
-    rows: Range<usize>,
-    trows: Range<usize>,
-    cols: Vec<(usize, Range<usize>)>,
+/// The block rows of `l`: a table landing's bands.
+fn block_rows(l: &Layout) -> Vec<Range<usize>> {
+    (0..l.br()).map(|bi| l.row_range(bi)).collect()
 }
 
-/// Where `x`'s extent `lo..lo + n` meets `r`, relative to `r` and to
-/// `lo`; `None` where they do not meet.
-fn meet(r: &Range<usize>, lo: usize, n: usize) -> Option<(Range<usize>, Range<usize>)> {
-    let (a, b) = (r.start.max(lo), r.end.min(lo + n));
-    (a < b).then(|| (a - r.start..b - r.start, a - lo..b - lo))
+/// The flat ids of the blocks of block row `bi` of `l`.
+fn row_ids(l: &Layout, bi: usize) -> Range<usize> {
+    let first = l.block_id(bi, 0);
+    first..first + l.bc()
 }
 
-/// The bands of layout `l` that the `nr × nc` piece at `(r0, c0)` meets.
-fn bands(l: &Layout, (r0, nr): (usize, usize), (c0, nc): (usize, usize)) -> Vec<Band> {
-    let cols: Vec<(usize, Range<usize>)> = (0..l.bc())
-        .filter_map(|bj| meet(&l.col_range(bj), c0, nc).map(|(inside, _)| (bj, inside)))
-        .collect();
-    if cols.is_empty() {
-        return Vec::new();
-    }
-    let band = |bi| {
-        meet(&l.row_range(bi), r0, nr).map(|(trows, rows)| Band {
-            bi,
-            rows,
-            trows,
-            cols: cols.clone(),
-        })
-    };
-    (0..l.br()).filter_map(band).collect()
+/// The blocks `ids` of `tables`, each whole, side by side.
+fn panes<T>(ids: Range<usize>, tables: &mut [Table<T>]) -> Vec<Pane<'_, T>> {
+    tables[ids].iter_mut().map(Pane::whole).collect()
 }
 
-impl Band {
-    /// The band's windows of `tables`' blocks.
-    fn panes<'t, T>(&self, l: &Layout, tables: &'t mut [Table<T>]) -> Vec<Pane<'t, T>> {
-        let first = l.block_id(self.bi, self.cols[0].0);
-        let blocks = tables[first..first + self.cols.len()].iter_mut();
-        let pane = |(table, (_, cols)): (&'t mut Table<T>, &(usize, Range<usize>))| Pane {
-            table,
-            rows: self.trows.clone(),
-            cols: cols.clone(),
-        };
-        blocks.zip(&self.cols).map(pane).collect()
-    }
-
-    /// The flat ids of the band's blocks, in pane order.
-    fn ids<'b>(&'b self, l: &'b Layout) -> impl Iterator<Item = usize> + 'b {
-        self.cols
-            .iter()
-            .map(move |&(bj, _)| l.block_id(self.bi, bj))
-    }
-}
-
-/// What landed pieces emitted, per block: each window's matrix at its
-/// position in the block, and the product entries each block received.
+/// What the bands emitted, per block: the block's matrix — the one
+/// window its band gave it — and the product entries it received.
 struct Emitted<T> {
-    chunks: Vec<Vec<(usize, usize, Csr<T>)>>,
+    blocks: Vec<Option<Csr<T>>>,
     received: Vec<usize>,
 }
 
 impl<T: Clone> Emitted<T> {
     fn new(l: &Layout) -> Self {
         Emitted {
-            chunks: (0..l.nblocks()).map(|_| Vec::new()).collect(),
+            blocks: (0..l.nblocks()).map(|_| None).collect(),
             received: vec![0; l.nblocks()],
         }
     }
 
-    /// Keeps what `band`'s panes emitted; returns the product entries
-    /// they received.
-    fn put(&mut self, l: &Layout, band: &Band, landed: Vec<Landed<T>>) -> u64 {
-        let mut formed = 0;
-        for ((id, landed), (_, cols)) in band.ids(l).zip(landed).zip(&band.cols) {
+    /// Keeps what the blocks from flat id `first` on emitted.
+    fn put(&mut self, first: usize, landed: Vec<Landed<T>>) {
+        for (id, landed) in (first..).zip(landed) {
             self.received[id] += landed.received;
-            formed += landed.received as u64;
-            self.chunks[id].push((band.trows.start, cols.start, landed.out));
+            self.blocks[id] = Some(landed.out);
         }
-        formed
     }
 
-    /// Every block's emitted matrix: its windows stitched together —
-    /// or moved, where one window is the block.
-    fn blocks(&mut self, l: &Layout) -> Vec<Csr<T>> {
-        let block = |((bi, bj), chunks): ((usize, usize), &mut Vec<(usize, usize, Csr<T>)>)| {
-            let (rows, cols) = (0..l.row_range(bi).len(), 0..l.col_range(bj).len());
-            let owned = chunks.drain(..).map(|(r, c, m)| (r, c, Cow::Owned(m)));
-            let mut slabs: Vec<Slab<'_, T>> = owned.collect();
-            stitch(rows, cols, &mut slabs, |_| true).0
-        };
-        l.blocks().zip(&mut self.chunks).map(block).collect()
+    /// Every block's emitted matrix.
+    ///
+    /// # Panics
+    /// Panics if a block's band never arrived.
+    fn blocks(&mut self) -> Vec<Csr<T>> {
+        let block = |b: &mut Option<Csr<T>>| b.take().expect("every band lands");
+        self.blocks.iter_mut().map(block).collect()
     }
 
     /// Drops the first entry emitted, in block order; `false` if none
     /// was.
     fn corrupt(&mut self) -> bool {
-        let mut chunks = self.chunks.iter_mut().flatten();
-        chunks.find(|c| c.2.nnz() > 0).is_some_and(|c| {
-            c.2 = drop_first(&c.2);
+        let mut blocks = self.blocks.iter_mut().flatten();
+        blocks.find(|b| b.nnz() > 0).is_some_and(|b| {
+            *b = drop_first(b);
             true
         })
     }
 }
 
-/// MFBF's step landed: [`Table::accumulate`]'s body on every piece's
-/// rows, in the table blocks its slab covers — `dmat_accumulate` with
-/// no product in between.
+/// MFBF's step landed: [`Table::accumulate`]'s body on every band's
+/// rows, in the table blocks of the band — `dmat_accumulate` with no
+/// product in between.
 pub struct Accumulate<'t, K: SpMulKernel, F> {
     table: &'t mut DistTable<KernelOut<K>>,
     keep: &'t F,
@@ -263,7 +256,7 @@ where
     /// Propagates a memory-budget failure of the grown table.
     pub fn finish(mut self, m: &Machine) -> Result<DistMat<KernelOut<K>>, MachineError> {
         let l = self.table.layout().clone();
-        let blocks = self.emitted.blocks(&l);
+        let blocks = self.emitted.blocks();
         bill_accumulate(m, &l, &self.old, &self.emitted.received, self.table)?;
         Ok(DistMat::from_blocks(l, blocks))
     }
@@ -278,26 +271,17 @@ where
         self.table.mask()
     }
 
-    fn piece(
-        &mut self,
-        _: usize,
-        (r0, c0): (usize, usize),
-        a: &Csr<K::Left>,
-        b: &Csr<K::Right>,
-    ) -> (u64, u64) {
-        if a.is_empty() || b.is_empty() {
-            return (0, 0);
-        }
-        let l = self.table.layout().clone();
-        let (mut ops, mut formed) = (0, 0);
-        for band in bands(&l, (r0, a.nrows()), (c0, b.ncols())) {
-            let mut panes = band.panes(&l, self.table.blocks_mut());
-            let (landed, o) =
-                spgemm_accumulate_panes::<K>(a, b, band.rows.clone(), &mut panes, self.keep);
-            ops += o;
-            formed += self.emitted.put(&l, &band, landed);
-        }
-        (ops, formed)
+    fn bands(&self, _: usize) -> Vec<Range<usize>> {
+        block_rows(self.table.layout())
+    }
+
+    fn band(&mut self, band: Band<'_, K::Left, K::Right>) -> Vec<(u64, u64)> {
+        let ids = row_ids(self.table.layout(), band.index);
+        let mut panes = panes(ids.clone(), self.table.blocks_mut());
+        let (landed, cells) =
+            spgemm_accumulate_panes::<K>(band.left, band.right, band.cuts, &mut panes, self.keep);
+        self.emitted.put(ids.start, landed);
+        cells
     }
 
     fn corrupt(&mut self) -> bool {
@@ -305,9 +289,9 @@ where
     }
 }
 
-/// MFBr's loop step landed: [`Table::settle`]'s body on every piece's
-/// rows, in the `Z` blocks its slab covers — `dmat_settle` with no
-/// product in between.
+/// MFBr's loop step landed: [`Table::settle`]'s body on every band's
+/// rows, in the `Z` blocks of the band — `dmat_settle` with no product
+/// in between.
 pub struct Settle<'t, K: SpMulKernel, U, F> {
     z: &'t mut DistTable<KernelOut<K>>,
     side: &'t DistMat<U>,
@@ -344,7 +328,7 @@ where
     /// `dmat_settle` bills it.
     pub fn finish(mut self, m: &Machine) -> DistMat<KernelOut<K>> {
         let l = self.z.layout().clone();
-        let blocks = self.emitted.blocks(&l);
+        let blocks = self.emitted.blocks();
         bill_settle(m, &l, &self.emitted.received, self.z);
         DistMat::from_blocks(l, blocks)
     }
@@ -360,40 +344,30 @@ where
         self.z.mask().or_else(|| self.within.cloned())
     }
 
-    fn piece(
-        &mut self,
-        _: usize,
-        (r0, c0): (usize, usize),
-        a: &Csr<K::Left>,
-        b: &Csr<K::Right>,
-    ) -> (u64, u64) {
-        if a.is_empty() || b.is_empty() {
-            return (0, 0);
-        }
-        let l = self.z.layout().clone();
-        let (mut ops, mut formed) = (0, 0);
-        for band in bands(&l, (r0, a.nrows()), (c0, b.ncols())) {
-            let rows = r0 + band.rows.start..r0 + band.rows.end;
-            let within = self.within.map(|w| w.window(rows, c0..c0 + b.ncols()));
-            let sides: Vec<&Csr<U>> = band
-                .cols
-                .iter()
-                .map(|&(bj, _)| self.side.block(band.bi, bj))
-                .collect();
-            let mut panes = band.panes(&l, self.z.blocks_mut());
-            let (landed, o) = spgemm_settle_panes::<K, U>(
-                a,
-                b,
-                band.rows.clone(),
-                within.as_ref(),
-                &mut panes,
-                &sides,
-                self.fire,
-            );
-            ops += o;
-            formed += self.emitted.put(&l, &band, landed);
-        }
-        (ops, formed)
+    fn bands(&self, _: usize) -> Vec<Range<usize>> {
+        block_rows(self.z.layout())
+    }
+
+    fn band(&mut self, band: Band<'_, K::Left, K::Right>) -> Vec<(u64, u64)> {
+        let l = self.side.layout();
+        let within = self
+            .within
+            .map(|w| w.window(band.rows.clone(), 0..l.ncols()));
+        let side = |bj| self.side.block(band.index, bj);
+        let sides: Vec<&Csr<U>> = (0..l.bc()).map(side).collect();
+        let ids = row_ids(l, band.index);
+        let mut panes = panes(ids.clone(), self.z.blocks_mut());
+        let (landed, cells) = spgemm_settle_panes::<K, U>(
+            band.left,
+            band.right,
+            band.cuts,
+            within.as_ref(),
+            &mut panes,
+            &sides,
+            self.fire,
+        );
+        self.emitted.put(ids.start, landed);
+        cells
     }
 
     fn corrupt(&mut self) -> bool {
@@ -401,10 +375,10 @@ where
     }
 }
 
-/// MFBr's opening landed: `Z` opened on `T`'s blocks and every piece
-/// of the child-count product counted in place where its slab covers
-/// them ([`count_children_panes`]) — `dmat_anchor` with no product in
-/// between. The pieces are those of `(τ, 0, 1)` seeds on `T`'s entries
+/// MFBr's opening landed: `Z` opened on `T`'s blocks and every band of
+/// the child-count product counted in place in the band's blocks
+/// ([`count_children_panes`]) — `dmat_anchor` with no product in
+/// between. The bands are those of `(τ, 0, 1)` seeds on `T`'s entries
 /// times `Aᵀ`, under `T`'s structural pattern where the machine masks.
 pub struct Count<'t, F> {
     t: &'t DistMat<Multpath>,
@@ -425,20 +399,18 @@ where
     /// the machine masks — it counts only inside that pattern and `Z`
     /// tracks its pending entries.
     pub fn new(t: &'t DistMat<Multpath>, within: Option<Mask<'t>>, fire: &'t F) -> Self {
-        let (l, masked) = (t.layout(), within.is_some());
+        let l = t.layout();
         let opened = l
             .blocks()
             .map(|(bi, bj)| Table::on_pattern(t.block(bi, bj), opened));
         let z = DistTable::from_blocks(l.clone(), opened.collect());
-        let rows =
-            |(bi, _): (usize, usize)| masked.then(|| vec![Vec::new(); l.row_range(bi).len()]);
         Count {
             t,
             z,
             within,
             fire,
             emitted: Emitted::new(l),
-            pending: l.blocks().map(rows).collect(),
+            pending: vec![None; l.nblocks()],
         }
     }
 
@@ -456,7 +428,7 @@ where
         for (z, pending) in self.z.blocks_mut().iter_mut().zip(self.pending) {
             z.pend(pending);
         }
-        let leaves = self.emitted.blocks(&l);
+        let leaves = self.emitted.blocks();
         bill_anchor(m, &l, self.t, &self.z)?;
         Ok((self.z, DistMat::from_blocks(l, leaves)))
     }
@@ -470,52 +442,27 @@ where
         self.within.clone()
     }
 
-    fn piece(
-        &mut self,
-        _: usize,
-        (r0, c0): (usize, usize),
-        seeds: &Csr<Centpath>,
-        at: &Csr<mfbc_algebra::Dist>,
-    ) -> (u64, u64) {
-        let l = self.t.layout().clone();
+    fn bands(&self, _: usize) -> Vec<Range<usize>> {
+        block_rows(self.t.layout())
+    }
+
+    fn band(&mut self, band: Band<'_, Centpath, mfbc_algebra::Dist>) -> Vec<(u64, u64)> {
+        let l = self.t.layout();
+        let sides: Vec<&Csr<Multpath>> =
+            (0..l.bc()).map(|bj| self.t.block(band.index, bj)).collect();
+        let ids = row_ids(l, band.index);
+        let mut panes = panes(ids.clone(), self.z.blocks_mut());
+        let tau = |c: &Centpath| c.w;
         let masked = self.within.is_some();
-        let (mut ops, mut formed) = (0, 0);
-        for band in bands(&l, (r0, seeds.nrows()), (c0, at.ncols())) {
-            let sides: Vec<&Csr<Multpath>> = band
-                .cols
-                .iter()
-                .map(|&(bj, _)| self.t.block(band.bi, bj))
-                .collect();
-            let mut panes = band.panes(&l, self.z.blocks_mut());
-            let tau = |c: &Centpath| c.w;
-            let (mut landed, o) = count_children_panes(
-                seeds,
-                tau,
-                at,
-                band.rows.clone(),
-                &mut panes,
-                &sides,
-                masked,
-                self.fire,
-            );
-            ops += o;
-            for (id, landed) in band.ids(&l).zip(&mut landed) {
-                let (Some(rows), Some(waits)) = (&mut self.pending[id], landed.pending.take())
-                else {
-                    continue;
-                };
-                // A block's windows of one row arrive in column order.
-                for (row, w) in rows[band.trows.clone()].iter_mut().zip(waits) {
-                    if row.is_empty() {
-                        *row = w;
-                    } else {
-                        row.extend(w);
-                    }
-                }
-            }
-            formed += self.emitted.put(&l, &band, landed);
+        let (mut landed, cells) = count_children_panes(
+            band.left, tau, band.right, band.cuts, &mut panes, &sides, masked, self.fire,
+        );
+        // Each block's one window is the whole block.
+        for (id, landed) in ids.clone().zip(&mut landed) {
+            self.pending[id] = landed.pending.take();
         }
-        (ops, formed)
+        self.emitted.put(ids.start, landed);
+        cells
     }
 
     fn corrupt(&mut self) -> bool {
@@ -527,31 +474,44 @@ where
 mod tests {
     use super::*;
     use crate::cache::MmCache;
-    use crate::mm::{canonical_layout, enumerate_plans, first_overlap, mm_land, MmPlan};
+    use crate::mm::{canonical_layout, enumerate_plans, mm_land, MmPlan, Variant1D};
     use mfbc_algebra::kernel::TropicalKernel;
     use mfbc_algebra::monoid::MinDist;
     use mfbc_algebra::Dist;
     use mfbc_machine::MachineSpec;
     use mfbc_sparse::Coo;
 
-    /// A landing that keeps where each piece lands, as an empty matrix
-    /// of its shape at its offsets.
-    struct Rects(Vec<Piece<Dist>>);
+    /// A landing over the block rows of `layout` that keeps where each
+    /// cell lands — output rows, output columns and the group position
+    /// forming it — and checks that every band arrives once, in order.
+    struct Rects {
+        layout: Layout,
+        cells: Vec<(Range<usize>, Range<usize>, usize)>,
+        next: usize,
+    }
 
     impl Land<TropicalKernel> for Rects {
         fn mask(&self) -> Option<Mask<'_>> {
             None
         }
 
-        fn piece(
-            &mut self,
-            k: usize,
-            (r0, c0): (usize, usize),
-            a: &Csr<Dist>,
-            b: &Csr<Dist>,
-        ) -> (u64, u64) {
-            self.0.push((r0, c0, k, Csr::zero(a.nrows(), b.ncols())));
-            (0, 0)
+        fn bands(&self, _: usize) -> Vec<Range<usize>> {
+            block_rows(&self.layout)
+        }
+
+        fn band(&mut self, band: Band<'_, Dist, Dist>) -> Vec<(u64, u64)> {
+            assert_eq!(band.index, self.next, "bands arrive in order");
+            self.next += 1;
+            assert_eq!(band.left.nrows(), band.rows.len());
+            let slabs = band.right.parts();
+            for (c, cut) in band.cuts.windows(2).enumerate() {
+                for (s, &(c0, b)) in slabs.iter().enumerate() {
+                    let rows = band.rows.start + cut[0]..band.rows.start + cut[1];
+                    let k = band.ranks[c * slabs.len() + s];
+                    self.cells.push((rows, c0..c0 + b.ncols(), k));
+                }
+            }
+            vec![(0, 0); band.ranks.len()]
         }
 
         fn corrupt(&mut self) -> bool {
@@ -569,40 +529,47 @@ mod tests {
     #[test]
     fn landed_slabs_never_overlap_so_no_assembly_can_panic() {
         // The landing path never assembles (`mm::assemble_canonical`
-        // and its overlap panic are not on it), and what it stitches
-        // per block — the windows of the pieces that meet the block —
-        // tiles each piece once and never puts two windows on one
-        // block cell, so `stitch` has nothing to reject either.
-        for p in [1usize, 2, 3, 4, 7, 8, 16] {
+        // and its overlap panic are not on it). Every band of a
+        // landing arrives, and its cells tile the output once, each
+        // inside the slab of the rank that forms it (a row slab under
+        // 1d(B), a column slab under 1d(A)): what the rank is billed is
+        // what its slab formed.
+        for p in [1usize, 2, 3, 4, 6, 7, 8, 12, 16] {
             let m = Machine::new(MachineSpec::test(p));
             for n in [1usize, 3, 29, 64] {
                 let x = DistMat::from_global(canonical_layout(&m, n, n), &operand(n));
                 for plan in enumerate_plans(p).into_iter().filter(MmPlan::lands) {
-                    let (mut rects, mut cache) = (Rects(Vec::new()), MmCache::new());
+                    let layout = x.layout().clone();
+                    let mut rects = Rects {
+                        layout,
+                        cells: Vec::new(),
+                        next: 0,
+                    };
+                    let mut cache = MmCache::new();
                     mm_land::<TropicalKernel>(&m, &plan, &x, &x, &mut rects, &mut cache).unwrap();
                     cache.release_all(&m);
                     let what = format!("{plan} at p={p}, n={n}");
-                    assert_eq!(first_overlap(&rects.0), None, "{what}");
-                    let l = x.layout();
-                    let mut cells = vec![0u8; n * n];
-                    for (r0, c0, _, piece) in &rects.0 {
-                        let (nr, nc) = (piece.nrows(), piece.ncols());
-                        for band in bands(l, (*r0, nr), (*c0, nc)) {
-                            let (rs, cs) = (l.row_range(band.bi).start, band.cols.iter());
-                            for (bj, cols) in cs {
-                                let c_at = l.col_range(*bj).start;
-                                for i in band.trows.clone() {
-                                    for j in cols.clone() {
-                                        cells[(rs + i) * n + c_at + j] += 1;
-                                    }
-                                }
+                    assert_eq!(rects.next, x.layout().br(), "{what}: every band");
+                    let slabs = mfbc_sparse::slice::even_ranges(n, p);
+                    let mut hits = vec![0u8; n * n];
+                    for (rows, cols, k) in &rects.cells {
+                        let slab = &slabs[*k];
+                        let own = match plan {
+                            MmPlan::OneD(Variant1D::B) => {
+                                slab.start <= rows.start && rows.end <= slab.end
+                            }
+                            _ => slab == cols,
+                        };
+                        let empty = rows.is_empty() || cols.is_empty();
+                        assert!(own || empty, "{what}: cell {rows:?}x{cols:?} off rank {k}");
+                        for i in rows.clone() {
+                            for j in cols.clone() {
+                                hits[i * n + j] += 1;
                             }
                         }
                     }
-                    let area: usize = rects.0.iter().map(|p| p.3.nrows() * p.3.ncols()).sum();
-                    assert_eq!(area, n * n, "{what}: the slabs tile the output");
                     assert!(
-                        cells.iter().all(|&c| c == 1),
+                        hits.iter().all(|&h| h == 1),
                         "{what}: a cell landed twice or never"
                     );
                 }

@@ -24,9 +24,9 @@
 //! layout, which is the same Θ(nnz/p)-per-rank all-to-all it would
 //! pay from the variant's native output layout, so total charged
 //! volume is preserved; see DESIGN.md. [`mm_land`] runs a `1d(A)` or
-//! `1d(B)` schedule with the same charges and hands each output piece
-//! to a [`Land`] instead, which consumes it in the
-//! canonical blocks it covers: nothing is assembled.
+//! `1d(B)` schedule with the same charges and hands its output, band
+//! by band, to a [`Land`] instead, which consumes it in the canonical
+//! blocks it covers: nothing is assembled.
 
 use crate::cache::MmCache;
 use crate::dist::{DistMat, Layout};
@@ -513,10 +513,10 @@ pub fn mm_exec_cached_masked<K: SpMulKernel>(
 
 /// Executes `a •⟨⊕,f⟩ b` under a plan whose output pieces land where
 /// they are consumed ([`MmPlan::lands`]): the operands move and are
-/// charged exactly as under [`mm_exec_cached_masked`], and each piece
-/// is handed to `land`, which runs it under its own mask
-/// ([`Land::mask`]) — no product matrix is built or assembled. Returns
-/// `ops`.
+/// charged exactly as under [`mm_exec_cached_masked`], and each band
+/// of the output ([`Land::bands`]) is handed to `land`, which forms it
+/// under its own mask ([`Land::mask`]) — no product matrix is built or
+/// assembled. Returns `ops`.
 ///
 /// # Errors
 /// Propagates [`MachineError::OutOfMemory`] and injected faults, as

@@ -18,11 +18,23 @@
 //! released from it: A's replica and C's partials once the product is
 //! formed, B's replica and the redistributed right operands with the
 //! cache that keeps them.
+//!
+//! A and B form their output without reducing it, and hand it to a
+//! landing ([`Land`]) band by band: a band is a block row of where the
+//! product lands (one band over the whole output for `mm_exec`), formed
+//! in one kernel pass. The ranks' slabs cut a band into cells — the
+//! rows of the band one rank's row slab of A covers under B, one
+//! rank's column slab of B under A — and the landing reports `ops` and
+//! the entries formed per cell. Each rank is billed the sum over its
+//! cells, once: what its slab would cost formed alone. The left rows
+//! of a band are read off A's blocks in place; A's allgather (under A)
+//! and its redistribution into row slabs (under B) are still posted and
+//! charged as if the copies were made.
 
 use crate::cache::{CachedRhs, Fingerprint, MmCache};
 use crate::dist::{DistMat, Layout};
 use crate::held::Held;
-use crate::land::{Collect, Land};
+use crate::land::{Band, Collect, Land};
 use mfbc_algebra::kernel::KernelOut;
 use mfbc_algebra::monoid::Monoid;
 use mfbc_algebra::SpMulKernel;
@@ -31,11 +43,12 @@ use mfbc_machine::cost::CollectiveKind;
 use mfbc_machine::{Group, Machine, MachineError};
 use mfbc_sparse::elementwise::combine;
 use mfbc_sparse::slice::even_ranges;
-use mfbc_sparse::{entry_bytes, Csr, Mask};
+use mfbc_sparse::{entry_bytes, Csr, Mask, SideBySide};
+use std::ops::Range;
 use std::sync::Arc;
 
 use crate::mm::Variant1D;
-use crate::redist::redistribute;
+use crate::redist::{charge_redistribute, redistribute};
 
 /// One output piece: `(global row offset, global col offset,
 /// grid-position index within the executing group, block)`. The
@@ -161,11 +174,18 @@ pub(crate) fn run_pieces<K: SpMulKernel>(
     Ok((collect.pieces, ops))
 }
 
-/// Runs 1D-A or 1D-B over `group`, handing each output piece — a
-/// column slab of the product under A, a row slab under B — to `land`
-/// on the rank that forms it, which is charged the piece's `ops` plus
-/// the entries it formed (nothing where an operand block is empty).
-/// Returns `ops` and the entries formed.
+/// Runs 1D-A or 1D-B over `group`, handing the product to `land` band
+/// by band ([`Land::bands`]). Each band is cut into cells by the ranks'
+/// slabs — a row slab of the left operand under B, a column slab of
+/// the right one under A — and each rank is charged its cells' `ops`
+/// plus the entries they formed, once, as if its slab had been formed
+/// alone (nothing where one of its operand slabs is empty). Returns
+/// `ops` and the entries formed.
+///
+/// The left rows of a band are read off the left operand's blocks in
+/// place: under A they stand for the allgathered replica, under B for
+/// the redistributed row slabs, and both moves are posted and charged
+/// as if made.
 pub(crate) fn run_slabs<K: SpMulKernel>(
     m: &Machine,
     group: &Group,
@@ -175,48 +195,95 @@ pub(crate) fn run_slabs<K: SpMulKernel>(
     cache: &mut MmCache<K::Right>,
     land: &mut impl Land<K>,
 ) -> Result<(u64, u64), MachineError> {
-    // Trivial monoid shorthand used for operand redistribution: the
-    // layout cuts are disjoint, so no combining ever happens; we use
-    // a "first wins" fold via the kernel's accumulator where types
-    // match, and plain cloning otherwise. Operand matrices are
-    // assumed duplicate-free (DistMat guarantees this).
-    let mut done = (0u64, 0u64);
-    let mut piece = |land: &mut _, k: usize, at, x: &Csr<K::Left>, y: &Csr<K::Right>| {
-        let (ops, formed) = Land::<K>::piece(land, k, at, x, y);
-        // A rank with an empty operand block multiplies nothing.
-        if !x.is_empty() && !y.is_empty() {
-            m.charge_compute(group.rank_at(k), ops + formed);
-        }
-        done = (done.0 + ops, done.1 + formed);
-    };
-    match variant {
+    let p = group.len();
+    // What each rank multiplies: under A, all of A by its column slab
+    // of B; under B, its row slab of A (`la`) by all of B.
+    let (held, rhs, la) = match variant {
         Variant1D::A => {
             // Replicate A and redistribute B concurrently: in overlap
             // mode the allgather is in flight while the alltoall below
             // is charged, and the wait lands only before the first
             // multiply that touches the replica.
-            let (posted, a_held) = replicate(m, group, a)?;
-            let a_pending = posted.map(|()| a.to_global::<FirstWins<K::Left>>());
+            let (posted, held) = replicate(m, group, a)?;
             let lb = col_split_layout(b.nrows(), b.ncols(), group);
             let b2 = rhs_for_a::<K>(m, group, b, &lb, cache, land.mask())?;
-            let a_full = a_pending.wait(m)?;
-            for k in 0..group.len() {
-                piece(land, k, (0, lb.col_range(k).start), &a_full, b2.block(0, k));
-            }
-            a_held.release(m);
+            posted.wait(m)?;
+            (Some(held), Rhs::Split(b2, lb), None)
         }
         Variant1D::B => {
             let b_pending = replicated_rhs::<K>(m, group, b, cache)?;
             let la = row_split_layout(a.nrows(), a.ncols(), group);
-            let a2 = redistribute::<FirstWins<K::Left>, _>(m, a, &la)?;
-            let b_full = b_pending.wait(m)?;
-            for k in 0..group.len() {
-                piece(land, k, (la.row_range(k).start, 0), a2.block(k, 0), &b_full);
-            }
+            charge_redistribute(m, a, &la)?;
+            (None, Rhs::Whole(b_pending.wait(m)?), Some(la))
         }
         Variant1D::C => unreachable!("1D-C reduces its output: see `run_reduced`"),
+    };
+    let right = SideBySide::new(match &rhs {
+        Rhs::Split(b2, lb) => (0..p)
+            .map(|k| (lb.col_range(k).start, b2.block(0, k)))
+            .collect(),
+        Rhs::Whole(b_full) => vec![(0, &**b_full)],
+    });
+    let slabs = right.parts();
+    // Per rank: its bill, and whether its left and its right operand
+    // hold an entry — a rank with an empty operand multiplies nothing.
+    let mut bills = vec![(0u64, 0u64); p];
+    let mut live = vec![(false, false); p];
+    for (index, rows) in land.bands(a.nrows()).into_iter().enumerate() {
+        // The band's row cells and the rank forming each cell.
+        let (cuts, ranks) = match &la {
+            Some(la) => row_cells(la, &rows),
+            None => (vec![0, rows.len()], (0..p).collect()),
+        };
+        let left = a.rows(rows.clone());
+        for (c, ranks) in ranks.chunks(slabs.len()).enumerate() {
+            let filled = left.rowptr()[cuts[c + 1]] > left.rowptr()[cuts[c]];
+            for (&k, (_, slab)) in ranks.iter().zip(slabs) {
+                live[k].0 |= filled;
+                live[k].1 |= !slab.is_empty();
+            }
+        }
+        let band = Band {
+            index,
+            rows,
+            left: &left,
+            right: &right,
+            cuts: &cuts,
+            ranks: &ranks,
+        };
+        for (&k, (ops, formed)) in ranks.iter().zip(land.band(band)) {
+            bills[k] = (bills[k].0 + ops, bills[k].1 + formed);
+        }
     }
-    Ok(done)
+    for (k, &(ops, formed)) in bills.iter().enumerate() {
+        if live[k] == (true, true) {
+            m.charge_compute(group.rank_at(k), ops + formed);
+        }
+    }
+    if let Some(held) = held {
+        held.release(m);
+    }
+    Ok(bills.iter().fold((0, 0), |(o, f), b| (o + b.0, f + b.1)))
+}
+
+/// The right operand of a 1D product: split by columns, one slab per
+/// rank (A), or whole on every rank (B).
+enum Rhs<R> {
+    Split(Arc<DistMat<R>>, Layout),
+    Whole(Arc<Csr<R>>),
+}
+
+/// The row slabs of `la` that output rows `rows` meet, as row cells of
+/// that band: the cuts, band-relative, and the slab (rank) of each.
+fn row_cells(la: &Layout, rows: &Range<usize>) -> (Vec<usize>, Vec<usize>) {
+    let meets = |&k: &usize| {
+        let slab = la.row_range(k);
+        !slab.is_empty() && slab.start < rows.end && rows.start < slab.end
+    };
+    let ranks: Vec<usize> = (0..la.br()).filter(meets).collect();
+    let end = |&k: &usize| la.row_range(k).end.min(rows.end) - rows.start;
+    let cuts = std::iter::once(0).chain(ranks.iter().map(end)).collect();
+    (cuts, ranks)
 }
 
 /// 1D-A's right operand, split by columns over `group` (`lb`).

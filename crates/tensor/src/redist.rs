@@ -15,8 +15,8 @@ use crate::dist::{DistMat, Layout};
 use mfbc_algebra::monoid::Monoid;
 use mfbc_machine::cost::CollectiveKind;
 use mfbc_machine::{Machine, MachineError, RedistMode};
-use mfbc_sparse::entry_bytes;
 use mfbc_sparse::slice::stitch;
+use mfbc_sparse::{entry_bytes, Csr, Idx};
 use std::borrow::Borrow;
 use std::ops::Range;
 
@@ -68,9 +68,8 @@ where
     move_windows::<M, T, _>(m, src, specs, "windows")
 }
 
-/// The one redistribution body: stitches the windows, then charges,
-/// in one [`charge_redist`] labeled `what`, the bytes that changed
-/// rank.
+/// The one redistribution body: stitches the windows, then charges
+/// moving them ([`charge_move`]).
 fn move_windows<M, T, L>(
     m: &Machine,
     src: &DistMat<T>,
@@ -82,67 +81,159 @@ where
     T: Clone + Send + Sync + PartialEq + std::fmt::Debug,
     L: Borrow<Layout>,
 {
-    let (outputs, traffic, participants) = stitch_windows::<M, T, L>(m.p(), src, specs);
-    charge_redist(m, &traffic, participants, what)?;
+    let outputs = stitch_windows::<M, T, L>(src, specs);
+    charge_move(m, src, specs, what)?;
     Ok(outputs)
 }
 
-/// Stitches every destination block of every window from the source
-/// blocks. Also returns the true source→destination traffic
-/// (`traffic[src_rank * p + dst_rank]` bytes; the hybrid
-/// redistribution modes price each sender's fan-out from its
-/// per-destination volumes) and the ranks actually involved (senders
-/// and receivers): a redistribution confined to a subset of ranks —
-/// e.g. one layer of a 3D algorithm — must not synchronize the others.
-pub(crate) fn stitch_windows<M, T, L>(
-    p: usize,
+/// Charges what [`redistribute`] of `src` into `dst` moves, without
+/// moving it: for a product that reads the moved operand in place.
+pub(crate) fn charge_redistribute<T>(
+    m: &Machine,
+    src: &DistMat<T>,
+    dst: &Layout,
+) -> Result<(), MachineError>
+where
+    T: Clone + Send + Sync,
+{
+    if src.layout().same_as(dst) {
+        return Ok(());
+    }
+    let whole = [(0..src.nrows(), 0..src.ncols(), dst)];
+    charge_move(m, src, &whole, "redistribute")
+}
+
+/// Charges, in one [`charge_redist`] labeled `what`, moving the
+/// windows `specs` of `src`: the bytes [`traffic`] counts.
+fn charge_move<T, L>(
+    m: &Machine,
     src: &DistMat<T>,
     specs: &[(Range<usize>, Range<usize>, L)],
-) -> (Vec<DistMat<T>>, Vec<u64>, Vec<usize>)
+    what: &'static str,
+) -> Result<(), MachineError>
+where
+    T: Clone + Send + Sync,
+    L: Borrow<Layout>,
+{
+    let (traffic, participants) = traffic(m.p(), src, specs);
+    charge_redist(m, &traffic, participants, what)
+}
+
+/// Stitches every destination block of every window from the source
+/// blocks.
+pub(crate) fn stitch_windows<M, T, L>(
+    src: &DistMat<T>,
+    specs: &[(Range<usize>, Range<usize>, L)],
+) -> Vec<DistMat<T>>
 where
     M: Monoid<Elem = T>,
     T: Clone + Send + Sync + PartialEq + std::fmt::Debug,
     L: Borrow<Layout>,
 {
-    let mut traffic = vec![0u64; p * p];
-    let ebytes = entry_bytes::<T>() as u64;
     let mut slabs = src.slabs();
-    let src_ranks = src.layout().owners();
-    let mut participants: Vec<usize> = Vec::new();
     let mut outputs = Vec::with_capacity(specs.len());
     for (rows, cols, dst_layout) in specs {
         let dst_layout: &Layout = dst_layout.borrow();
-        assert_eq!(rows.len(), dst_layout.nrows(), "window height mismatch");
-        assert_eq!(cols.len(), dst_layout.ncols(), "window width mismatch");
-        assert!(
-            rows.end <= src.nrows() && cols.end <= src.ncols(),
-            "window out of bounds"
-        );
-        participants.extend(collect_owners(src.layout(), dst_layout));
+        check_window(src, (rows, cols), dst_layout);
         let blocks = dst_layout
             .blocks()
             .map(|(bi, bj)| {
                 let (rr, cr) = (dst_layout.row_range(bi), dst_layout.col_range(bj));
-                let (block, moved) = stitch(
+                stitch(
                     rows.start + rr.start..rows.start + rr.end,
                     cols.start + cr.start..cols.start + cr.end,
                     &mut slabs,
                     |v| !M::is_identity(v),
-                );
-                let dst_rank = dst_layout.owner(bi, bj);
-                for (k, entries) in moved {
-                    if src_ranks[k] != dst_rank {
-                        traffic[src_ranks[k] * p + dst_rank] += entries as u64 * ebytes;
-                    }
-                }
-                block
+                )
+                .0
             })
             .collect();
         outputs.push(DistMat::from_blocks(dst_layout.clone(), blocks));
     }
+    outputs
+}
+
+/// Asserts that the window `rows × cols` of `src` has `dst`'s shape and
+/// lies inside `src`.
+fn check_window<T>(src: &DistMat<T>, (rows, cols): (&Range<usize>, &Range<usize>), dst: &Layout)
+where
+    T: Clone + Send + Sync,
+{
+    assert_eq!(rows.len(), dst.nrows(), "window height mismatch");
+    assert_eq!(cols.len(), dst.ncols(), "window width mismatch");
+    assert!(
+        rows.end <= src.nrows() && cols.end <= src.ncols(),
+        "window out of bounds"
+    );
+}
+
+/// What moving the windows `specs` of `src` sends, counted without
+/// moving anything: `traffic[src_rank * p + dst_rank]` bytes of the
+/// entries each source block holds inside each destination block that
+/// another rank owns (the hybrid redistribution modes price each
+/// sender's fan-out from its per-destination volumes), and the ranks
+/// involved (senders and receivers): a redistribution confined to a
+/// subset of ranks — e.g. one layer of a 3D algorithm — must not
+/// synchronize the others.
+pub(crate) fn traffic<T, L>(
+    p: usize,
+    src: &DistMat<T>,
+    specs: &[(Range<usize>, Range<usize>, L)],
+) -> (Vec<u64>, Vec<usize>)
+where
+    T: Clone + Send + Sync,
+    L: Borrow<Layout>,
+{
+    let mut traffic = vec![0u64; p * p];
+    let ebytes = entry_bytes::<T>() as u64;
+    let sl = src.layout();
+    let mut participants: Vec<usize> = Vec::new();
+    for (rows, cols, dst_layout) in specs {
+        let dst_layout: &Layout = dst_layout.borrow();
+        check_window(src, (rows, cols), dst_layout);
+        participants.extend(collect_owners(sl, dst_layout));
+        for (bi, bj) in dst_layout.blocks() {
+            let (rr, cr) = (dst_layout.row_range(bi), dst_layout.col_range(bj));
+            let window = (
+                rows.start + rr.start..rows.start + rr.end,
+                cols.start + cr.start..cols.start + cr.end,
+            );
+            let dst_rank = dst_layout.owner(bi, bj);
+            for (si, sj) in sl.blocks() {
+                let src_rank = sl.owner(si, sj);
+                if src_rank == dst_rank {
+                    continue;
+                }
+                let at = (sl.row_range(si).start, sl.col_range(sj).start);
+                let entries = inside(src.block(si, sj), at, &window);
+                traffic[src_rank * p + dst_rank] += entries as u64 * ebytes;
+            }
+        }
+    }
     participants.sort_unstable();
     participants.dedup();
-    (outputs, traffic, participants)
+    (traffic, participants)
+}
+
+/// How many entries of `mat`, sitting at `(r0, c0)`, lie inside the
+/// window `rows × cols`.
+fn inside<T>(
+    mat: &Csr<T>,
+    (r0, c0): (usize, usize),
+    (rows, cols): &(Range<usize>, Range<usize>),
+) -> usize {
+    let (lo, hi) = (rows.start.max(r0), rows.end.min(r0 + mat.nrows()));
+    let (cl, ch) = (cols.start.max(c0), cols.end.min(c0 + mat.ncols()));
+    if lo >= hi || cl >= ch {
+        return 0;
+    }
+    let (lo, hi, cl, ch) = (lo - r0, hi - r0, cl - c0, ch - c0);
+    if (cl, ch) == (0, mat.ncols()) {
+        return mat.rowptr()[hi] - mat.rowptr()[lo];
+    }
+    let below = |row: &[Idx], c: usize| row.partition_point(|&j| (j as usize) < c);
+    let within = |i| below(mat.row_cols(i), ch) - below(mat.row_cols(i), cl);
+    (lo..hi).map(within).sum()
 }
 
 /// Union of the owner ranks of two layouts, ascending.
