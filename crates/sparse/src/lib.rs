@@ -44,7 +44,7 @@ pub use coo::Coo;
 pub use csr::{Csr, Idx};
 pub use mask::{Mask, MaskKind, MaskRow};
 pub use rows::SortedRows;
-pub use slabs::SideBySide;
+pub use slabs::Slabs;
 pub use spgemm::{
     count_children, count_children_panes, spgemm, spgemm_accumulate, spgemm_accumulate_panes,
     spgemm_masked, spgemm_masked_serial, spgemm_opt, spgemm_serial, spgemm_settle,

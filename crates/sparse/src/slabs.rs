@@ -1,137 +1,113 @@
-//! A right operand read as column slabs side by side.
+//! A right operand cut into column slabs.
 //!
 //! A distributed 1D product that replicates the left operand splits
 //! the right one by columns, one slab per rank. Formed where it lands,
-//! the product of one band of output rows runs once over every slab:
-//! the kernels read row `k` of each slab in turn, at the output column
-//! the slab starts at, and count what each slab formed. One matrix is
-//! the one-slab case.
+//! the product of one band of output rows runs once over all the
+//! slabs, which stay one matrix in output column ids: the kernels walk
+//! row `k` of it once, as one slice, whatever the slab count, and count
+//! per output column what each slab formed. One slab is the plain
+//! product.
 
-use crate::csr::{Csr, Idx};
+use crate::csr::Csr;
+use std::ops::Range;
 
-/// The right operand of a product, as column slabs side by side: slab
-/// `s` takes output columns from where slab `s - 1` ends up to
-/// [`Slabs::end`]`(s)`.
-pub(crate) trait Slabs<R>: Sync {
-    /// Rows, shared by every slab.
-    fn nrows(&self) -> usize;
-
-    /// Output columns, all slabs together.
-    fn ncols(&self) -> usize;
-
-    /// How many slabs.
-    fn slabs(&self) -> usize;
-
-    /// The output column slab `s` ends at.
-    fn end(&self, s: usize) -> usize;
-
-    /// Stored entries of row `k`, all slabs together.
-    fn row_nnz(&self, k: usize) -> usize;
-
-    /// Row `k` of every slab, in slab order: `visit(s, at, cols, vals)`,
-    /// the slab's column `j` being output column `at + j`.
-    fn row<'a>(&'a self, k: usize, visit: impl FnMut(usize, usize, &'a [Idx], &'a [R]))
-    where
-        R: 'a;
+/// One matrix whose columns are cut into slabs: slab `s` is output
+/// columns [`Slabs::cols`]`(s)`, the matrix's own column ids being
+/// output columns. Slabs may be empty.
+#[derive(Debug)]
+pub struct Slabs<'m, R> {
+    mat: &'m Csr<R>,
+    /// Where slabs `1, 2, …` start; empty for one slab.
+    cuts: &'m [usize],
 }
 
-impl<R: Sync> Slabs<R> for Csr<R> {
-    #[inline]
-    fn nrows(&self) -> usize {
-        Csr::nrows(self)
-    }
-
-    #[inline]
-    fn ncols(&self) -> usize {
-        Csr::ncols(self)
-    }
-
-    #[inline]
-    fn slabs(&self) -> usize {
-        1
-    }
-
-    #[inline]
-    fn end(&self, _: usize) -> usize {
-        Csr::ncols(self)
-    }
-
-    #[inline]
-    fn row_nnz(&self, k: usize) -> usize {
-        Csr::row_nnz(self, k)
-    }
-
-    #[inline]
-    fn row<'a>(&'a self, k: usize, mut visit: impl FnMut(usize, usize, &'a [Idx], &'a [R]))
-    where
-        R: 'a,
-    {
-        visit(0, 0, self.row_cols(k), self.row_vals(k));
+impl<R> Clone for Slabs<'_, R> {
+    fn clone(&self) -> Self {
+        *self
     }
 }
 
-/// Matrices of one height side by side, each at the output column it
-/// starts at.
-#[derive(Clone, Debug)]
-pub struct SideBySide<'m, R> {
-    slabs: Vec<(usize, &'m Csr<R>)>,
-}
+impl<R> Copy for Slabs<'_, R> {}
 
-impl<'m, R> SideBySide<'m, R> {
-    /// `slabs`, each at its first output column.
+impl<'m, R> Slabs<'m, R> {
+    /// `mat`, its columns cut where slabs `1, 2, …` start.
     ///
     /// # Panics
-    /// Panics if there are none, their heights differ, or one does not
-    /// start where the one before it ends.
-    pub fn new(slabs: Vec<(usize, &'m Csr<R>)>) -> Self {
-        let (first, rest) = slabs.split_first().expect("one slab at least");
-        assert_eq!(first.0, 0, "the first slab starts at column 0");
-        let mut end = first.1.ncols();
-        for &(at, m) in rest {
-            assert_eq!(at, end, "slabs side by side");
-            assert_eq!(m.nrows(), first.1.nrows(), "slabs of one height");
-            end += m.ncols();
-        }
-        SideBySide { slabs }
+    /// Panics if the cuts descend or pass `mat`'s last column.
+    pub fn new(mat: &'m Csr<R>, cuts: &'m [usize]) -> Self {
+        let ascending = cuts.windows(2).all(|w| w[0] <= w[1]);
+        assert!(
+            ascending && cuts.last().is_none_or(|&c| c <= mat.ncols()),
+            "column cuts {cuts:?} of a matrix of {} columns",
+            mat.ncols()
+        );
+        Slabs { mat, cuts }
     }
 
-    /// The slabs, each at its first output column.
-    pub fn parts(&self) -> &[(usize, &'m Csr<R>)] {
-        &self.slabs
+    /// `mat` as one slab.
+    pub fn whole(mat: &'m Csr<R>) -> Self {
+        Slabs { mat, cuts: &[] }
+    }
+
+    /// The matrix, all slabs together.
+    pub fn mat(&self) -> &'m Csr<R> {
+        self.mat
+    }
+
+    /// How many slabs.
+    pub fn count(&self) -> usize {
+        self.cuts.len() + 1
+    }
+
+    /// The output column slab `s` ends at.
+    #[inline]
+    pub fn end(&self, s: usize) -> usize {
+        self.cuts.get(s).copied().unwrap_or(self.mat.ncols())
+    }
+
+    /// The output columns of slab `s`.
+    pub fn cols(&self, s: usize) -> Range<usize> {
+        let start = if s == 0 { 0 } else { self.cuts[s - 1] };
+        start..self.end(s)
+    }
+
+    /// The stored entries of each slab.
+    pub fn nnz(&self) -> Vec<usize> {
+        let mut nnz = vec![0; self.count()];
+        for k in 0..self.mat.nrows() {
+            let cols = self.mat.row_cols(k);
+            let mut at = 0;
+            for (s, n) in nnz.iter_mut().enumerate() {
+                let end = self.end(s);
+                let to = at + cols[at..].partition_point(|&j| (j as usize) < end);
+                *n += to - at;
+                at = to;
+            }
+        }
+        nnz
     }
 }
 
-impl<R: Sync> Slabs<R> for SideBySide<'_, R> {
-    fn nrows(&self) -> usize {
-        self.slabs[0].1.nrows()
-    }
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::coo::Coo;
+    use mfbc_algebra::monoid::SumU64;
 
-    fn ncols(&self) -> usize {
-        self.end(self.slabs.len() - 1)
-    }
-
-    fn slabs(&self) -> usize {
-        self.slabs.len()
-    }
-
-    #[inline]
-    fn end(&self, s: usize) -> usize {
-        let (at, m) = self.slabs[s];
-        at + m.ncols()
-    }
-
-    #[inline]
-    fn row_nnz(&self, k: usize) -> usize {
-        self.slabs.iter().map(|(_, m)| m.row_nnz(k)).sum()
-    }
-
-    #[inline]
-    fn row<'a>(&'a self, k: usize, mut visit: impl FnMut(usize, usize, &'a [Idx], &'a [R]))
-    where
-        R: 'a,
-    {
-        for (s, &(at, m)) in self.slabs.iter().enumerate() {
-            visit(s, at, m.row_cols(k), m.row_vals(k));
-        }
+    #[test]
+    fn cuts_split_the_columns_and_count_each_slab() {
+        let triples = [(0, 0, 1), (0, 4, 1), (1, 2, 1), (1, 5, 1), (2, 5, 1)];
+        let m = Coo::from_triples(3, 6, triples).into_csr::<SumU64>();
+        let cuts = [2, 2, 5];
+        let s = Slabs::new(&m, &cuts);
+        assert_eq!(s.count(), 4);
+        let cols: Vec<_> = (0..4).map(|s2| s.cols(s2)).collect();
+        assert_eq!(cols, [0..2, 2..2, 2..5, 5..6]);
+        assert_eq!(s.nnz(), [1, 0, 2, 2]);
+        let whole = Slabs::whole(&m);
+        assert_eq!(
+            (whole.count(), whole.cols(0), whole.nnz()),
+            (1, 0..6, vec![5])
+        );
     }
 }

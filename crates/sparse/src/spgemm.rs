@@ -28,7 +28,7 @@ use crate::csr::{Csr, Idx};
 use crate::elementwise::{assemble_rows, RowChunk};
 use crate::few::Few;
 use crate::mask::{Mask, MaskKind, MaskRow};
-use crate::slabs::{SideBySide, Slabs};
+use crate::slabs::Slabs;
 use crate::table::{stored, Accumulate, Landed, Leaves, Pane, Rows, Settle, Table};
 use mfbc_algebra::kernel::KernelOut;
 use mfbc_algebra::monoid::Monoid;
@@ -63,18 +63,26 @@ const DENSE_DRAIN: usize = 8;
 /// neither holds. Values are lazily reset by overwrite-on-first-touch,
 /// so the per-row cost is proportional to the row's flops plus its
 /// mask row, not to `ncols`.
+///
+/// A *counted* accumulator — one for a right operand of several slabs
+/// ([`Slabs`]) — also keeps, per column, how many products the row
+/// folded into it: a column lies in one slab, so the sink that routes
+/// an entry to its slab counts its products there too.
 struct Spa<T> {
     stamp: Vec<u32>,
     vals: Vec<T>,
+    /// Per column, the products folded in: counted accumulators only.
+    hits: Vec<u32>,
     touched: Vec<Idx>,
     mark: u32,
 }
 
 impl<T: Clone> Spa<T> {
-    fn new(ncols: usize, fill: T) -> Spa<T> {
+    fn new(ncols: usize, fill: T, counted: bool) -> Spa<T> {
         Spa {
             stamp: vec![0; ncols],
             vals: vec![fill; ncols],
+            hits: if counted { vec![0; ncols] } else { Vec::new() },
             // A row touches a column once: the inner loop's `push`
             // never reallocates.
             touched: Vec::with_capacity(ncols),
@@ -105,11 +113,16 @@ impl<T: Clone> Spa<T> {
         (self.mark, listed)
     }
 
+    /// Whether the row counts its products per column.
+    #[inline]
+    fn counted(&self) -> bool {
+        !self.hits.is_empty()
+    }
+
     /// Visits the touched entries in column order, skipping identities;
     /// returns how many it visited. `walk` is the row's structural mask
     /// pattern, an ascending superset of the touched columns, if it has
-    /// one. A dense row is read off `walk`, or off the stamps
-    /// themselves, in order; only a sparse one sorts what it touched.
+    /// one (see [`in_order`]).
     fn drain<M: Monoid<Elem = T>>(
         &mut self,
         walk: Option<Walk<'_>>,
@@ -118,31 +131,29 @@ impl<T: Clone> Spa<T> {
         if self.touched.is_empty() {
             return 0;
         }
-        let on = self.mark + 1;
-        let dense = self.touched.len() * DENSE_DRAIN;
-        let (stamp, vals, touched) = (&self.stamp, &self.vals, &mut self.touched);
+        let vals = &self.vals;
         let mut visited = 0;
-        let mut emit = |j: Idx| {
+        let emit = |j: Idx| {
             let v = &vals[j as usize];
             if !M::is_identity(v) {
                 visited += 1;
                 visit(j, v);
             }
         };
-        if let Some(walk) = walk.filter(|w| dense >= w.len) {
-            walk.row
-                .cols()
-                .filter(|&j| stamp[j as usize] == on)
-                .for_each(emit);
-        } else if dense >= stamp.len() {
-            (0..stamp.len() as Idx)
-                .filter(|&j| stamp[j as usize] == on)
-                .for_each(emit);
-        } else {
-            touched.sort_unstable();
-            touched.iter().for_each(|&j| emit(j));
-        }
+        in_order(&self.stamp, &mut self.touched, self.mark + 1, walk, emit);
         visited
+    }
+
+    /// [`Spa::drain`] of a counted row: every touched entry, identities
+    /// included — their products count too — with the products folded
+    /// into it.
+    fn drain_counted(&mut self, walk: Option<Walk<'_>>, mut visit: impl FnMut(Idx, &T, u64)) {
+        if self.touched.is_empty() {
+            return;
+        }
+        let (vals, hits) = (&self.vals, &self.hits);
+        let emit = |j: Idx| visit(j, &vals[j as usize], u64::from(hits[j as usize]));
+        in_order(&self.stamp, &mut self.touched, self.mark + 1, walk, emit);
     }
 
     /// The row's accumulated entries in the order they were first
@@ -153,6 +164,33 @@ impl<T: Clone> Spa<T> {
             .iter()
             .map(entry)
             .filter(|(_, v)| !M::is_identity(v))
+    }
+}
+
+/// Visits the columns a row touched (`stamp[j] == on`) in column order.
+/// A dense row is read off `walk`, or off the stamps themselves, in
+/// order; only a sparse one sorts what it touched.
+#[inline]
+fn in_order(
+    stamp: &[u32],
+    touched: &mut [Idx],
+    on: u32,
+    walk: Option<Walk<'_>>,
+    mut visit: impl FnMut(Idx),
+) {
+    let dense = touched.len() * DENSE_DRAIN;
+    if let Some(walk) = walk.filter(|w| dense >= w.len) {
+        walk.row
+            .cols()
+            .filter(|&j| stamp[j as usize] == on)
+            .for_each(visit);
+    } else if dense >= stamp.len() {
+        (0..stamp.len() as Idx)
+            .filter(|&j| stamp[j as usize] == on)
+            .for_each(visit);
+    } else {
+        touched.sort_unstable();
+        touched.iter().for_each(|&j| visit(j));
     }
 }
 
@@ -177,17 +215,30 @@ trait RowSink<T> {
 }
 
 /// The sink that builds the product matrix: rows drained in column
-/// order into one CSR chunk.
-struct Drain<M: Monoid>(RowChunk<M::Elem>);
+/// order into one CSR chunk. A counted row keeps its identities and
+/// each entry's product count (`hits`), for [`Panes`] to route later.
+struct Drain<M: Monoid> {
+    chunk: RowChunk<M::Elem>,
+    hits: Vec<u32>,
+}
 
 impl<M: Monoid> RowSink<M::Elem> for Drain<M> {
     fn row(&mut self, _: usize, spa: &mut Spa<M::Elem>, walk: Option<Walk<'_>>) {
-        let (rowlen, colind, vals) = &mut self.0;
+        let (rowlen, colind, vals) = &mut self.chunk;
         let before = colind.len();
-        spa.drain::<M>(walk, |j, v| {
-            colind.push(j);
-            vals.push(v.clone());
-        });
+        if spa.counted() {
+            let hits = &mut self.hits;
+            spa.drain_counted(walk, |j, v, n| {
+                colind.push(j);
+                vals.push(v.clone());
+                hits.push(n as u32);
+            });
+        } else {
+            spa.drain::<M>(walk, |j, v| {
+                colind.push(j);
+                vals.push(v.clone());
+            });
+        }
         rowlen.push(colind.len() - before);
     }
 }
@@ -197,7 +248,7 @@ impl<M: Monoid> RowSink<M::Elem> for Drain<M> {
 /// `rows` inside it.
 ///
 /// A band's output is cut into cells: its rows at `cuts`, its columns
-/// where the right operand's slabs end ([`SideBySide`]). Cell `(c, s)` —
+/// where the right operand's slabs end ([`Slabs`]). Cell `(c, s)` —
 /// row cell `c`, slab `s` — is cell `c * slabs + s`, and every product
 /// counts, per cell, the elementary products it formed there and the
 /// product entries it delivered there.
@@ -210,11 +261,11 @@ fn cut(cuts: &[usize], rows: Range<usize>) -> impl Iterator<Item = (usize, Range
 }
 
 /// `n` zero counters.
-fn zeros(n: usize) -> Few<u64> {
+fn zeros<T: Copy + Default>(n: usize) -> Few<T> {
     if n == 1 {
-        Few::One(0)
+        Few::One(T::default())
     } else {
-        Few::Many(vec![0; n])
+        Few::Many(vec![T::default(); n])
     }
 }
 
@@ -223,38 +274,43 @@ fn add(into: &mut [u64], from: &[u64]) {
     into.iter_mut().zip(from).for_each(|(a, b)| *a += b);
 }
 
-/// What a product formed, per cell of its output ([`cut`]): the
-/// elementary products, and the product entries the panes took in.
-struct Tally {
-    ops: Few<u64>,
-    formed: Few<u64>,
+/// What a product formed, per cell of its output ([`cut`]): `(ops,
+/// formed)` — the elementary products, and the product entries the
+/// panes took in.
+type Tally = Few<(u64, u64)>;
+
+/// Adds `from` into `into`, cell by cell.
+fn add_cells(into: &mut [(u64, u64)], from: &[(u64, u64)]) {
+    for (a, b) in into.iter_mut().zip(from) {
+        (a.0, a.1) = (a.0 + b.0, a.1 + b.1);
+    }
 }
 
-impl Tally {
-    /// `(ops, formed)` per cell.
-    fn cells(&self) -> Vec<(u64, u64)> {
-        self.ops
-            .iter()
-            .copied()
-            .zip(self.formed.iter().copied())
-            .collect()
+/// `counts`, with the products the kernel counted per row cell — under
+/// a right operand of one slab, where the row cells are the cells —
+/// added in.
+fn with_ops(mut counts: Tally, ops: &[u64], slabs: usize) -> Tally {
+    for (c, &n) in ops.iter().enumerate() {
+        counts[c * slabs].0 += n;
     }
+    counts
 }
 
 /// A product's rows landing in panes side by side ([`Pane`]): output
 /// columns `sits[b].span()` go to `sinks[b]`, shifted to start at 0.
 /// Every sink of a table — [`Table::accumulate`]'s body forward,
 /// [`Table::settle`]'s backward — is fed through this, one pane over
-/// the whole table being the shared-memory case. What each cell
-/// received is counted on the way.
+/// the whole table being the shared-memory case. Each entry's stop is
+/// found once, and what each cell received is counted there — with, for
+/// a counted row, the products folded into the entry.
 struct Panes<'s, S> {
     sits: &'s [Sits],
     stops: &'s [Stop],
     sinks: Few<S>,
     /// The first cell of the row cell being fed.
     cell: usize,
-    /// Per cell, the product entries the panes took in.
-    formed: Few<u64>,
+    /// Per cell, `(ops, formed)` as far as the panes count them.
+    counts: Tally,
 }
 
 impl<'s, S> Panes<'s, S> {
@@ -264,14 +320,17 @@ impl<'s, S> Panes<'s, S> {
             stops,
             sinks,
             cell: 0,
-            formed: zeros(cells),
+            counts: zeros(cells),
         }
     }
 
-    /// Whether every column goes to one pane and one cell.
+    /// Whether every column of a row the accumulator `spa` holds goes
+    /// to one pane and one cell, uncounted. (Empty panes or slabs after
+    /// the last column add no stop, but a pane still closes its rows
+    /// and a counted row still counts.)
     #[inline]
-    fn single(&self) -> bool {
-        self.stops.len() == 1
+    fn single<T: Clone>(&self, spa: &Spa<T>) -> bool {
+        self.stops.len() == 1 && self.sinks.len() == 1 && !spa.counted()
     }
 
     /// The stop of output column `j` of a row whose columns arrive in
@@ -341,10 +400,10 @@ struct Stop {
 
 /// Where the output columns change pane or slab, for panes sitting at
 /// `sits` over the slabs of `b`.
-fn stops<R>(sits: &[Sits], b: &impl Slabs<R>) -> Few<Stop> {
+fn stops<R>(sits: &[Sits], b: Slabs<'_, R>) -> Few<Stop> {
     let (mut pane, mut slab) = (0, 0);
     let next = || {
-        if pane == sits.len() || slab == b.slabs() {
+        if pane == sits.len() || slab == b.count() {
             return None;
         }
         let (pe, se) = (sits[pane].span().end, b.end(slab));
@@ -413,8 +472,22 @@ where
     #[inline]
     fn entry(&mut self, i: usize, j: usize, g: &M::Elem, b: &mut usize) {
         let Stop { pane, slab, .. } = self.stop(j, b);
-        self.formed[self.cell + slab] += 1;
+        self.counts[self.cell + slab].1 += 1;
         self.sinks[pane].entry(i, j - self.sits[pane].at, g);
+    }
+
+    /// [`Panes::entry`] of a counted row: the `hits` products folded
+    /// into the entry count in its cell, and an identity goes no
+    /// further.
+    #[inline]
+    fn counted(&mut self, i: usize, j: usize, g: &M::Elem, hits: u64, b: &mut usize) {
+        let Stop { pane, slab, .. } = self.stop(j, b);
+        let cell = &mut self.counts[self.cell + slab];
+        cell.0 += hits;
+        if !M::is_identity(g) {
+            cell.1 += 1;
+            self.sinks[pane].entry(i, j - self.sits[pane].at, g);
+        }
     }
 
     /// Closes row `i` in every pane.
@@ -431,15 +504,19 @@ where
     F: Fn(&M::Elem, Option<&M::Elem>, &M::Elem) -> Option<M::Elem>,
 {
     fn row(&mut self, i: usize, spa: &mut Spa<M::Elem>, walk: Option<Walk<'_>>) {
-        if self.single() {
+        if self.single(spa) {
             let one = &mut self.sinks[0];
             let formed = spa.drain::<M>(walk, |j, g| one.entry(i, j as usize, g));
             one.end_row(i);
-            self.formed[self.cell] += formed as u64;
+            self.counts[self.cell].1 += formed as u64;
             return;
         }
         let mut b = 0;
-        spa.drain::<M>(walk, |j, g| self.entry(i, j as usize, g, &mut b));
+        if spa.counted() {
+            spa.drain_counted(walk, |j, g, n| self.counted(i, j as usize, g, n, &mut b));
+        } else {
+            spa.drain::<M>(walk, |j, g| self.entry(i, j as usize, g, &mut b));
+        }
         self.end_row(i);
     }
 
@@ -449,28 +526,36 @@ where
 }
 
 /// [`Table::settle`] fed from the accumulator: the sink of
-/// [`spgemm_settle`].
+/// [`spgemm_settle`]. Several panes take a row in one pass over what it
+/// touched, each entry routed to its stop.
 impl<M, U, F> RowSink<M::Elem> for Panes<'_, Settle<'_, M, U, F>>
 where
     M: Monoid,
     F: Fn(&mut M::Elem, &U) -> Option<M::Elem>,
 {
     fn row(&mut self, i: usize, spa: &mut Spa<M::Elem>, _: Option<Walk<'_>>) {
-        if self.single() {
+        if self.single(spa) {
             let one = &mut self.sinks[0];
             let before = one.received;
             one.row(i, spa.formed::<M>());
-            self.formed[self.cell] += (one.received - before) as u64;
+            self.counts[self.cell].1 += (one.received - before) as u64;
             return;
         }
-        for (s, sit) in self.sinks.iter_mut().zip(self.sits) {
-            let span = sit.span();
-            let inside = spa.formed::<M>().filter(|(j, _)| span.contains(j));
-            s.row(i, inside.map(|(j, v)| (j - span.start, v)));
+        let counted = spa.counted();
+        for &j in &spa.touched {
+            let j = j as usize;
+            let Stop { pane, slab, .. } = stop_of(self.stops, j);
+            let cell = &mut self.counts[self.cell + slab];
+            if counted {
+                cell.0 += u64::from(spa.hits[j]);
+            }
+            let v = &spa.vals[j];
+            if !M::is_identity(v) {
+                cell.1 += 1;
+                self.sinks[pane].entry(i, j - self.sits[pane].at, v);
+            }
         }
-        for (j, _) in spa.formed::<M>() {
-            self.formed[self.cell + stop_of(self.stops, j).slab] += 1;
-        }
+        self.sinks.iter_mut().for_each(Settle::end_row);
     }
 
     fn cell(&mut self, first: usize) {
@@ -484,25 +569,27 @@ const STRUCTURAL: u8 = 1;
 const COMPLEMENT: u8 = 2;
 
 /// The row kernel: Gustavson over output rows `rows` under `mask` read
-/// the way `MODE` says, every finished row handed to `sink`; adds the
-/// products each slab of `b` formed to `ops`. An elementary product
-/// whose output column the mask excludes is skipped before `f` is
-/// applied — it neither accumulates nor counts toward `ops` — at one
-/// stamp load per candidate, masked or not. An empty left-operand row,
-/// or a structural mask with an empty pattern row, forms nothing.
-/// Contributions to an entry fold in ascending `k` whatever the slabs:
-/// each column lies in one of them.
-fn multiply_rows<K: SpMulKernel, B: Slabs<K::Right>, const MODE: u8>(
-    (a, b): (&Csr<K::Left>, &B),
+/// the way `MODE` says, every finished row handed to `sink`. An
+/// elementary product whose output column the mask excludes is skipped
+/// before `f` is applied — it neither accumulates nor counts toward
+/// `ops` — at one stamp load per candidate, masked or not. An empty
+/// left-operand row, or a structural mask with an empty pattern row,
+/// forms nothing. Row `k` of `b` is read once, as one slice, and
+/// contributions to an entry fold in ascending `k`.
+///
+/// Uncounted (`COUNTED` false), the products formed are added to `ops`.
+/// Counted — `b` of several slabs — the accumulator counts them per
+/// column instead ([`Spa`]), for the sink to add to the slab each
+/// column lies in, and `ops` is left alone.
+fn multiply_rows<K: SpMulKernel, const MODE: u8, const COUNTED: bool>(
+    (a, b): (&Csr<K::Left>, &Csr<K::Right>),
     mask: Option<&Mask>,
     rows: Range<usize>,
     spa: &mut Spa<KernelOut<K>>,
     sink: &mut impl RowSink<KernelOut<K>>,
-    ops: &mut [u64],
+    ops: &mut u64,
 ) {
-    // What the first slab forms stays in a register: with one slab,
-    // that is the whole count.
-    let mut first = 0u64;
+    let mut formed = 0u64;
     for i in rows {
         if a.row_nnz(i) == 0 {
             spa.touched.clear();
@@ -517,59 +604,60 @@ fn multiply_rows<K: SpMulKernel, B: Slabs<K::Right>, const MODE: u8>(
         }
         let on = mark + 1;
         for (k, av) in a.row(i) {
-            b.row(k, |slab, at, cols, vals| {
-                let mut formed = 0u64;
-                for (&j, bv) in cols.iter().zip(vals) {
-                    let j = at + j as usize;
-                    let s = spa.stamp[j];
-                    let fresh = s != on;
-                    let excluded = match MODE {
-                        STRUCTURAL => s != mark,
-                        COMPLEMENT => s == mark,
-                        _ => false,
-                    };
-                    if fresh && excluded {
-                        continue;
-                    }
-                    if let Some(c) = K::mul(av, bv) {
+            for (&j, bv) in b.row_cols(k).iter().zip(b.row_vals(k)) {
+                let j = j as usize;
+                let s = spa.stamp[j];
+                let fresh = s != on;
+                let excluded = match MODE {
+                    STRUCTURAL => s != mark,
+                    COMPLEMENT => s == mark,
+                    _ => false,
+                };
+                if fresh && excluded {
+                    continue;
+                }
+                if let Some(c) = K::mul(av, bv) {
+                    if !COUNTED {
                         formed += 1;
-                        if fresh {
-                            spa.stamp[j] = on;
-                            spa.vals[j] = c;
-                            spa.touched.push(j as Idx);
-                        } else {
-                            K::Acc::fold_into(&mut spa.vals[j], &c);
+                    }
+                    if fresh {
+                        spa.stamp[j] = on;
+                        spa.vals[j] = c;
+                        spa.touched.push(j as Idx);
+                        if COUNTED {
+                            spa.hits[j] = 1;
+                        }
+                    } else {
+                        K::Acc::fold_into(&mut spa.vals[j], &c);
+                        if COUNTED {
+                            spa.hits[j] += 1;
                         }
                     }
                 }
-                match slab {
-                    0 => first += formed,
-                    _ => ops[slab] += formed,
-                }
-            });
+            }
         }
         let walk = pattern.filter(|_| MODE == STRUCTURAL);
         sink.row(i, spa, walk.map(|row| Walk { row, len: listed }));
     }
-    ops[0] += first;
+    *ops += formed;
 }
 
 /// [`multiply_rows`] in the mode `mask` asks for.
-fn multiply<K: SpMulKernel, B: Slabs<K::Right>>(
-    ab: (&Csr<K::Left>, &B),
+fn multiply<K: SpMulKernel, const COUNTED: bool>(
+    ab: (&Csr<K::Left>, &Csr<K::Right>),
     mask: Option<&Mask>,
     rows: Range<usize>,
     spa: &mut Spa<KernelOut<K>>,
     sink: &mut impl RowSink<KernelOut<K>>,
-    ops: &mut [u64],
+    ops: &mut u64,
 ) {
     match mask.map(Mask::kind) {
-        None => multiply_rows::<K, B, UNMASKED>(ab, None, rows, spa, sink, ops),
+        None => multiply_rows::<K, UNMASKED, COUNTED>(ab, None, rows, spa, sink, ops),
         Some(MaskKind::Structural) => {
-            multiply_rows::<K, B, STRUCTURAL>(ab, mask, rows, spa, sink, ops)
+            multiply_rows::<K, STRUCTURAL, COUNTED>(ab, mask, rows, spa, sink, ops)
         }
         Some(MaskKind::Complement) => {
-            multiply_rows::<K, B, COMPLEMENT>(ab, mask, rows, spa, sink, ops)
+            multiply_rows::<K, COMPLEMENT, COUNTED>(ab, mask, rows, spa, sink, ops)
         }
     }
 }
@@ -588,7 +676,7 @@ const TASKS_PER_THREAD: usize = 4;
 /// `1 + Σ_{k ∈ A.row(i)} nnz(B.row(k))`. The constant keeps empty rows
 /// from collapsing a range to zero weight, so partitions stay
 /// contiguous and non-degenerate.
-fn flops_weights<L, R>(a: &Csr<L>, b: &impl Slabs<R>, nrows: usize) -> Vec<u64> {
+fn flops_weights<L, R>(a: &Csr<L>, b: &Csr<R>, nrows: usize) -> Vec<u64> {
     (0..nrows)
         .map(|i| {
             1 + a
@@ -608,21 +696,26 @@ fn on_caller(serial: bool, nrows: usize) -> bool {
 
 /// One [`Drain`] per row range.
 fn drains<M: Monoid>(ranges: &[Range<usize>]) -> Vec<Drain<M>> {
-    let drain = |r: &Range<usize>| Drain::<M>((Vec::with_capacity(r.len()), vec![], vec![]));
+    let drain = |r: &Range<usize>| Drain::<M> {
+        chunk: (Vec::with_capacity(r.len()), vec![], vec![]),
+        hits: vec![],
+    };
     ranges.iter().map(drain).collect()
 }
 
 /// Every product: checks shapes, then multiplies `a` by `b` — under
 /// `mask` of the output's shape — row cell by row cell of `cuts`
 /// ([`cut`]), on the calling thread or over flops-balanced row ranges
-/// on the pool (see [`fan_out`]), one SPA per participant. `sinks`
-/// makes one sink per row range, in range order; they come back,
-/// having seen their rows, beside the products each cell formed.
-/// Row partitioning ignores the mask — the unmasked flops are a valid
-/// upper bound per row, and identical partitions keep the trace
-/// stream stable whether or not a mask is present.
-fn run<K, B, S>(
-    (a, b): (&Csr<K::Left>, &B),
+/// on the pool (see [`fan_out`]), one SPA per participant, counted
+/// where `COUNTED` says ([`multiply_rows`]): where `b` has several
+/// slabs. `sinks` makes one sink per row range, in range order; they
+/// come back, having seen their rows, beside the products the kernel
+/// counted per row cell (none where counted). Row partitioning ignores
+/// the mask — the unmasked flops are a valid upper bound per row, and
+/// identical partitions keep the trace stream stable whether or not a
+/// mask is present.
+fn run<K, S, const COUNTED: bool>(
+    (a, b): (&Csr<K::Left>, Slabs<'_, K::Right>),
     cuts: &[usize],
     mask: Option<&Mask>,
     serial: bool,
@@ -630,9 +723,10 @@ fn run<K, B, S>(
 ) -> (Vec<S>, Few<u64>)
 where
     K: SpMulKernel,
-    B: Slabs<K::Right>,
     S: RowSink<KernelOut<K>> + Send,
 {
+    let (slabs, b) = (b.count(), b.mat());
+    assert_eq!(COUNTED, slabs > 1, "counted where the slabs are several");
     assert_eq!(
         a.ncols(),
         b.nrows(),
@@ -654,14 +748,13 @@ where
             b.ncols()
         );
     }
-    let (slabs, cells) = (b.slabs(), (cuts.len() - 1) * b.slabs());
-    let spa = || Spa::new(b.ncols(), <K::Acc as Monoid>::identity());
+    let row_cells = cuts.len() - 1;
+    let spa = || Spa::new(b.ncols(), <K::Acc as Monoid>::identity(), COUNTED);
     let work = |spa: &mut _, r, sink: &mut S| {
-        let mut ops = zeros(cells);
+        let mut ops = zeros(row_cells);
         for (c, rows) in cut(cuts, r) {
             sink.cell(c * slabs);
-            let ops = &mut ops[c * slabs..(c + 1) * slabs];
-            multiply::<K, B>((a, b), mask, rows, spa, sink, ops);
+            multiply::<K, COUNTED>((a, b), mask, rows, spa, sink, &mut ops[c]);
         }
         ops
     };
@@ -675,9 +768,9 @@ where
 /// announced as a pool run of `kernel`. `parts` makes one part per
 /// range, in range order; they come back, having seen their rows,
 /// beside the sum of the counters `work` returned.
-fn fan_out<L, R, B: Slabs<R>, S: Send, P: Send>(
+fn fan_out<L, R, S: Send, P: Send>(
     kernel: &'static str,
-    (a, b): (&Csr<L>, &B),
+    (a, b): (&Csr<L>, &Csr<R>),
     serial: bool,
     scratch: impl Fn() -> S + Sync,
     parts: impl FnOnce(&[Range<usize>]) -> Vec<P>,
@@ -722,8 +815,9 @@ fn product<K: SpMulKernel>(
     serial: bool,
 ) -> SpGemmOut<KernelOut<K>> {
     let one = [0, a.nrows()];
-    let (drains, ops) = run::<K, _, _>((a, b), &one, mask, serial, drains::<K::Acc>);
-    let chunks = drains.into_iter().map(|d| d.0).collect();
+    let ab = (a, Slabs::whole(b));
+    let (drains, ops) = run::<K, _, false>(ab, &one, mask, serial, drains::<K::Acc>);
+    let chunks = drains.into_iter().map(|d| d.chunk).collect();
     SpGemmOut {
         mat: assemble_rows(a.nrows(), b.ncols(), chunks),
         ops: ops[0],
@@ -747,12 +841,12 @@ pub fn spgemm_accumulate<K: SpMulKernel>(
     t: &mut Table<KernelOut<K>>,
     keep: impl Fn(&KernelOut<K>, Option<&KernelOut<K>>, &KernelOut<K>) -> Option<KernelOut<K>> + Sync,
 ) -> SpGemmOut<KernelOut<K>> {
-    let one = [0, a.nrows()];
-    let (landed, tally) = accumulate::<K, _>(a, b, &one, &mut [Pane::whole(t)], keep);
+    let (one, panes) = ([0, a.nrows()], &mut [Pane::whole(t)]);
+    let (landed, tally) = accumulate::<K, false>(a, Slabs::whole(b), &one, panes, keep);
     let mat = landed.into_iter().next().expect("one pane").out;
     SpGemmOut {
         mat,
-        ops: tally.ops[0],
+        ops: tally[0].0,
     }
 }
 
@@ -761,12 +855,12 @@ pub fn spgemm_accumulate<K: SpMulKernel>(
 /// the pane holding column `j`, at its window. Per pane, what `keep`
 /// let through (in window coordinates) and the explored entries it
 /// took in; and per cell of the output — its rows cut at `cuts`, its
-/// columns where `b`'s slabs end, cell `(c, s)` at `c *
-/// slabs + s` — the products formed and the explored entries taken
-/// in. Equal, pane for pane, to [`Table::accumulate`] of the window of
-/// the product [`spgemm_opt`] forms, and cell for cell to the `ops`
-/// and entries of the product of the cell's rows of `a` by its slab.
-/// A `b` of one slab runs the kernel [`spgemm_accumulate`] runs.
+/// columns at `b`'s slabs, cell `(c, s)` at `c * slabs + s` — the
+/// products formed and the explored entries taken in. Equal, pane for
+/// pane, to [`Table::accumulate`] of the window of the product
+/// [`spgemm_opt`] forms, and cell for cell to the `ops` and entries of
+/// the product of the cell's rows of `a` by its slab. A `b` of one slab
+/// runs the kernel [`spgemm_accumulate`] runs.
 ///
 /// # Panics
 /// Panics if the panes do not take `a`'s rows and `b`'s columns
@@ -775,19 +869,20 @@ pub fn spgemm_accumulate<K: SpMulKernel>(
 #[allow(clippy::type_complexity)]
 pub fn spgemm_accumulate_panes<K: SpMulKernel>(
     a: &Csr<K::Left>,
-    b: &SideBySide<'_, K::Right>,
+    b: Slabs<'_, K::Right>,
     cuts: &[usize],
     panes: &mut [Pane<'_, KernelOut<K>>],
     keep: impl Fn(&KernelOut<K>, Option<&KernelOut<K>>, &KernelOut<K>) -> Option<KernelOut<K>> + Sync,
 ) -> (Vec<Landed<KernelOut<K>>>, Vec<(u64, u64)>) {
-    let (landed, tally) = match b.parts() {
-        [(_, one)] => accumulate::<K, _>(a, *one, cuts, panes, keep),
-        _ => accumulate::<K, _>(a, b, cuts, panes, keep),
+    let (landed, tally) = match b.count() {
+        1 => accumulate::<K, false>(a, b, cuts, panes, keep),
+        _ => accumulate::<K, true>(a, b, cuts, panes, keep),
     };
-    (landed.into_iter().collect(), tally.cells())
+    (landed.into_iter().collect(), tally.to_vec())
 }
 
-/// The body of [`spgemm_accumulate_panes`].
+/// The body of [`spgemm_accumulate_panes`], counted where `b` has
+/// several slabs ([`multiply_rows`]).
 ///
 /// On the calling thread each row goes into the tables as it is
 /// finished: the arenas are appended to and the slots written in
@@ -798,17 +893,17 @@ pub fn spgemm_accumulate_panes<K: SpMulKernel>(
 /// stitched after the product, or that read the table and leave what
 /// they change to a serial pass (EXPERIMENTS.md).
 #[allow(clippy::type_complexity)]
-fn accumulate<K: SpMulKernel, B: Slabs<K::Right>>(
+fn accumulate<K: SpMulKernel, const COUNTED: bool>(
     a: &Csr<K::Left>,
-    b: &B,
+    b: Slabs<'_, K::Right>,
     cuts: &[usize],
     panes: &mut [Pane<'_, KernelOut<K>>],
     keep: impl Fn(&KernelOut<K>, Option<&KernelOut<K>>, &KernelOut<K>) -> Option<KernelOut<K>> + Sync,
 ) -> (Few<Landed<KernelOut<K>>>, Tally) {
     let nrows = a.nrows();
-    let sits = sits(nrows, b.ncols(), panes);
+    let sits = sits(nrows, b.mat().ncols(), panes);
     let stops = stops(&sits, b);
-    let (slabs, cells) = (b.slabs(), (cuts.len() - 1) * b.slabs());
+    let (slabs, cells) = (b.count(), (cuts.len() - 1) * b.count());
     let window = |s: &Sits| (s.rows.clone(), s.cols.clone());
     let (sinks, tally) = if on_caller(false, nrows) {
         // Room for one kept entry per row: reserving the frontier's
@@ -821,22 +916,24 @@ fn accumulate<K: SpMulKernel, B: Slabs<K::Right>>(
         let (masks, sinks) = grown.unzip();
         let mask = pane_mask(&sits, masks);
         let one = |_: &[Range<usize>]| vec![Panes::new(&sits, &stops, sinks, cells)];
-        let (mut parts, ops) = run::<K, B, _>((a, b), cuts, mask.as_ref(), false, one);
-        let Panes { sinks, formed, .. } = parts.pop().expect("one sink");
-        (sinks, Tally { ops, formed })
+        let (mut parts, ops) = run::<K, _, COUNTED>((a, b), cuts, mask.as_ref(), false, one);
+        let Panes { sinks, counts, .. } = parts.pop().expect("one sink");
+        (sinks, with_ops(counts, &ops, slabs))
     } else {
         let masks = panes.iter().map(|p| p.table.mask()).collect();
         let mask = pane_mask(&sits, masks);
-        let (drains, ops) = run::<K, B, _>((a, b), cuts, mask.as_ref(), false, drains::<K::Acc>);
+        let (drains, ops) =
+            run::<K, _, COUNTED>((a, b), cuts, mask.as_ref(), false, drains::<K::Acc>);
         // No more entries can be kept than were drained.
-        let drained: usize = drains.iter().map(|d| d.0 .1.len()).sum();
+        let drained: usize = drains.iter().map(|d| d.chunk.1.len()).sum();
         let expect = if panes.len() == 1 { drained } else { nrows };
         let sinks = (panes.iter_mut().zip(sits.iter()))
             .map(|(p, s)| p.table.grow::<K::Acc, _>(&keep, expect, window(s)).1)
             .collect();
         let mut sink = Panes::new(&sits, &stops, sinks, cells);
         let (mut i, mut c) = (0, 0);
-        for Drain((rowlen, colind, vals)) in drains {
+        for Drain { chunk, hits } in drains {
+            let (rowlen, colind, vals) = chunk;
             let mut at = 0;
             for len in rowlen {
                 while i >= cuts[c + 1] {
@@ -845,14 +942,17 @@ fn accumulate<K: SpMulKernel, B: Slabs<K::Right>>(
                 sink.cell = c * slabs;
                 let mut b = 0;
                 for p in at..at + len {
-                    sink.entry(i, colind[p] as usize, &vals[p], &mut b);
+                    let (j, g) = (colind[p] as usize, &vals[p]);
+                    match COUNTED {
+                        true => sink.counted(i, j, g, u64::from(hits[p]), &mut b),
+                        false => sink.entry(i, j, g, &mut b),
+                    }
                 }
                 sink.end_row(i);
                 (at, i) = (at + len, i + 1);
             }
         }
-        let formed = sink.formed;
-        (sink.sinks, Tally { ops, formed })
+        (sink.sinks, with_ops(sink.counts, &ops, slabs))
     };
     let landings: Few<_> = sinks.into_iter().map(Accumulate::finish).collect();
     let landed = panes.iter_mut().zip(landings);
@@ -882,11 +982,12 @@ pub fn spgemm_settle<K: SpMulKernel, U: Sync>(
     let shape = (a.nrows(), b.ncols());
     assert_eq!(shape, (z.nrows(), z.ncols()), "settle shape");
     let (one, panes) = ([0, a.nrows()], &mut [Pane::whole(z)]);
-    let (landed, tally) = settle::<K, U, _>(a, b, &one, within, panes, &[side], fire);
+    let b = Slabs::whole(b);
+    let (landed, tally) = settle::<K, U, false>(a, b, &one, within, panes, &[side], fire);
     let mat = landed.into_iter().next().expect("one pane").out;
     SpGemmOut {
         mat,
-        ops: tally.ops[0],
+        ops: tally[0].0,
     }
 }
 
@@ -905,34 +1006,36 @@ pub fn spgemm_settle<K: SpMulKernel, U: Sync>(
 /// [`spgemm_opt`] or [`Table::settle`] would.
 pub fn spgemm_settle_panes<K: SpMulKernel, U: Sync>(
     a: &Csr<K::Left>,
-    b: &SideBySide<'_, K::Right>,
+    b: Slabs<'_, K::Right>,
     cuts: &[usize],
     within: Option<&Mask>,
     panes: &mut [Pane<'_, KernelOut<K>>],
     sides: &[&Csr<U>],
     fire: impl Fn(&mut KernelOut<K>, &U) -> Option<KernelOut<K>> + Sync,
 ) -> (Vec<Landed<KernelOut<K>>>, Vec<(u64, u64)>) {
-    let (landed, tally) = match b.parts() {
-        [(_, one)] => settle::<K, U, _>(a, *one, cuts, within, panes, sides, fire),
-        _ => settle::<K, U, _>(a, b, cuts, within, panes, sides, fire),
+    let (landed, tally) = match b.count() {
+        1 => settle::<K, U, false>(a, b, cuts, within, panes, sides, fire),
+        _ => settle::<K, U, true>(a, b, cuts, within, panes, sides, fire),
     };
-    (landed.into_iter().collect(), tally.cells())
+    (landed.into_iter().collect(), tally.to_vec())
 }
 
-/// The body of [`spgemm_settle_panes`].
-fn settle<K: SpMulKernel, U: Sync, B: Slabs<K::Right>>(
+/// The body of [`spgemm_settle_panes`], counted where `b` has several
+/// slabs ([`multiply_rows`]).
+fn settle<K: SpMulKernel, U: Sync, const COUNTED: bool>(
     a: &Csr<K::Left>,
-    b: &B,
+    b: Slabs<'_, K::Right>,
     cuts: &[usize],
     within: Option<&Mask>,
     panes: &mut [Pane<'_, KernelOut<K>>],
     sides: &[&Csr<U>],
     fire: impl Fn(&mut KernelOut<K>, &U) -> Option<KernelOut<K>> + Sync,
 ) -> (Few<Landed<KernelOut<K>>>, Tally) {
-    let sits = sits(a.nrows(), b.ncols(), panes);
+    let sits = sits(a.nrows(), b.mat().ncols(), panes);
     let stops = stops(&sits, b);
     assert_eq!(sides.len(), panes.len(), "one side per pane");
-    let (fire, n, cells) = (&fire, panes.len(), (cuts.len() - 1) * b.slabs());
+    let (fire, n, slabs) = (&fire, panes.len(), b.count());
+    let cells = (cuts.len() - 1) * slabs;
     // The mask borrows the pending rows the entries it fires must
     // leave: the tables are settled during the product, the rows are
     // shrunk after it, by what came out.
@@ -960,14 +1063,15 @@ fn settle<K: SpMulKernel, U: Sync, B: Slabs<K::Right>>(
         };
         ranges.iter().map(panes).collect()
     };
-    let (parts, ops) = run::<K, B, _>((a, b), cuts, pending.as_ref().or(within), false, settles);
+    let mask = pending.as_ref().or(within);
+    let (parts, ops) = run::<K, _, COUNTED>((a, b), cuts, mask, false, settles);
     // Per pane, what its tasks fired, in range order, and the updates
     // it took in.
     let fired = |_: &Sits| (Vec::with_capacity(parts.len()), 0);
     let mut fired: Few<(Vec<RowChunk<_>>, usize)> = sits.iter().map(fired).collect();
-    let mut formed = zeros(cells);
+    let mut counts = zeros(cells);
     for part in parts {
-        add(&mut formed, &part.formed);
+        add_cells(&mut counts, &part.counts);
         for ((chunks, received), s) in fired.iter_mut().zip(part.sinks) {
             *received += s.received;
             chunks.push(s.fired);
@@ -982,16 +1086,18 @@ fn settle<K: SpMulKernel, U: Sync, B: Slabs<K::Right>>(
             pending: None,
         }
     });
-    (landed.collect(), Tally { ops, formed })
+    (landed.collect(), with_ops(counts, &ops, slabs))
 }
 
 /// One column of [`count_children`]'s dense buffer while a row is
-/// counted: whether `T`'s row lists it, whether a candidate reached it,
+/// counted: whether `T`'s row lists it, how many candidates reached it,
 /// the weight a child's contribution must match, and how many did.
 #[derive(Clone, Copy, Default)]
 struct Child {
     listed: bool,
-    formed: bool,
+    /// The candidates formed here: nonzero where the count product has
+    /// an entry.
+    hits: u32,
     matched: u32,
     /// `τ(s,v)` — or `u64::MAX`, which nothing matches, once a heavier
     /// contribution has arrived: "greater wins" would keep that one,
@@ -1044,10 +1150,11 @@ pub fn count_children(
     let mut z = Table::on_pattern(t, opened);
     let (one, panes) = ([0, t.nrows()], &mut [Pane::whole(&mut z)]);
     let tau = |mp: &Multpath| mp.w;
-    let (landed, tally) = count::<Multpath, _>(t, tau, at, &one, panes, &[t], masked, fire);
+    let at = Slabs::whole(at);
+    let (landed, tally) = count::<_, false>(t, tau, at, &one, panes, &[t], masked, fire);
     let Landed { out, pending, .. } = landed.into_iter().next().expect("one pane");
     z.pend(pending);
-    let ops = tally.ops[0];
+    let ops = tally[0].0;
     (z, SpGemmOut { mat: out, ops })
 }
 
@@ -1076,18 +1183,18 @@ pub fn opened(mp: &Multpath) -> Centpath {
 pub fn count_children_panes<L: Sync>(
     left: &Csr<L>,
     tau: impl Fn(&L) -> Dist + Sync,
-    at: &SideBySide<'_, Dist>,
+    at: Slabs<'_, Dist>,
     cuts: &[usize],
     panes: &mut [Pane<'_, Centpath>],
     sides: &[&Csr<Multpath>],
     masked: bool,
     fire: impl Fn(&mut Centpath, &Multpath) -> Option<Centpath> + Sync,
 ) -> (Vec<Landed<Centpath>>, Vec<(u64, u64)>) {
-    let (landed, tally) = match at.parts() {
-        [(_, one)] => count(left, tau, *one, cuts, panes, sides, masked, fire),
-        _ => count(left, tau, at, cuts, panes, sides, masked, fire),
+    let (landed, tally) = match at.count() {
+        1 => count::<_, false>(left, tau, at, cuts, panes, sides, masked, fire),
+        _ => count::<_, true>(left, tau, at, cuts, panes, sides, masked, fire),
     };
-    (landed.into_iter().collect(), tally.cells())
+    (landed.into_iter().collect(), tally.to_vec())
 }
 
 /// One task's share of a pane of [`count_children_panes`]: its rows of
@@ -1095,31 +1202,35 @@ pub fn count_children_panes<L: Sync>(
 type CountPane<'a> = (Rows<'a, Centpath, Multpath>, Leaves<Centpath>, usize);
 
 /// One task of [`count_children_panes`]: its share of every pane, and
-/// the count product's entries per cell.
+/// per cell what the panes counted (under several slabs, the products
+/// too) and the count product's entries.
 struct CountTask<'a> {
     panes: Few<CountPane<'a>>,
-    formed: Few<u64>,
+    counts: Tally,
 }
 
-/// The body of [`count_children_panes`].
+/// The body of [`count_children_panes`], counted per column where `at`
+/// has several slabs (see [`Counting::rows`]).
 #[allow(clippy::too_many_arguments)]
-fn count<L: Sync, B: Slabs<Dist>>(
+fn count<L: Sync, const COUNTED: bool>(
     left: &Csr<L>,
     tau: impl Fn(&L) -> Dist + Sync,
-    at: &B,
+    at: Slabs<'_, Dist>,
     cuts: &[usize],
     panes: &mut [Pane<'_, Centpath>],
     sides: &[&Csr<Multpath>],
     masked: bool,
     fire: impl Fn(&mut Centpath, &Multpath) -> Option<Centpath> + Sync,
 ) -> (Few<Landed<Centpath>>, Tally) {
-    assert_eq!(left.ncols(), at.nrows(), "count inner dimension");
+    let slabs = at.count();
+    assert_eq!(COUNTED, slabs > 1, "counted where the slabs are several");
+    assert_eq!(left.ncols(), at.mat().nrows(), "count inner dimension");
     assert_eq!(cuts.last(), Some(&left.nrows()), "row cells cover the rows");
-    let sits = sits(left.nrows(), at.ncols(), panes);
-    let stops = stops(&sits, at);
+    let sits = sits(left.nrows(), at.mat().ncols(), panes);
+    let (stops, at) = (stops(&sits, at), at.mat());
     assert_eq!(sides.len(), panes.len(), "one side per pane");
     let (fire, tau) = (&fire, &tau);
-    let (slabs, cells) = (at.slabs(), (cuts.len() - 1) * at.slabs());
+    let cells = (cuts.len() - 1) * slabs;
     let lent: Few<_> = (panes.iter_mut().zip(sides))
         .map(|(p, side)| p.table.lend(side).1)
         .collect();
@@ -1137,7 +1248,7 @@ fn count<L: Sync, B: Slabs<Dist>>(
                 .collect();
             CountTask {
                 panes,
-                formed: zeros(cells),
+                counts: zeros(cells),
             }
         };
         ranges.iter().map(part).collect()
@@ -1150,23 +1261,20 @@ fn count<L: Sync, B: Slabs<Dist>>(
         stops,
     };
     let work = |(buf, strays): &mut (Vec<Child>, Vec<Idx>), range, task: &mut CountTask<'_>| {
-        let mut ops = zeros(cells);
+        let mut ops = zeros(cuts.len() - 1);
         for (c, rows) in cut(cuts, range) {
-            let ops = &mut ops[c * slabs..(c + 1) * slabs];
-            counting.rows(left, tau, rows, (buf, strays), task, (c * slabs, ops), fire);
+            let cell = (c * slabs, &mut ops[c]);
+            counting.rows::<L, COUNTED>(left, tau, rows, (buf, strays), task, cell, fire);
         }
         ops
     };
     let (tasks, ops) = fan_out("count_children", (left, at), false, scratch, parts, work);
     // Each task holds its range's share of every pane, in pane order.
-    let mut tally = Tally {
-        ops,
-        formed: zeros(cells),
-    };
+    let mut counts = zeros(cells);
     let mut shares: Vec<_> = tasks
         .into_iter()
         .map(|t| {
-            add(&mut tally.formed, &t.formed);
+            add_cells(&mut counts, &t.counts);
             t.panes.into_iter()
         })
         .collect();
@@ -1180,18 +1288,19 @@ fn count<L: Sync, B: Slabs<Dist>>(
         let joined = Leaves::join(leaves, (s.rows.len(), s.cols.len()));
         Landed { received, ..joined }
     };
-    (sits.iter().map(join).collect(), tally)
+    let landed = sits.iter().map(join).collect();
+    (landed, with_ops(counts, &ops, slabs))
 }
 
 /// What every task of [`count_children_panes`] counts against.
-struct Counting<'c, B> {
-    at: &'c B,
+struct Counting<'c> {
+    at: &'c Csr<Dist>,
     masked: bool,
     sits: &'c [Sits],
     stops: &'c [Stop],
 }
 
-impl<B: Slabs<Dist>> Counting<'_, B> {
+impl Counting<'_> {
     /// The part of table row `cols` inside the window of the pane
     /// sitting at `s`: all of it where the window spans the table.
     #[inline]
@@ -1205,22 +1314,25 @@ impl<B: Slabs<Dist>> Counting<'_, B> {
 
     /// [`count_children_panes`] over output rows `rows`, all in the row
     /// cell whose first cell is `first`, into one task's share of every
-    /// pane; adds the products each slab stands for to `ops`. Every row
-    /// leaves the buffer's cells as it found them.
+    /// pane. Row `w` of `at` is read once, as one slice. Uncounted, the
+    /// products formed are added to `ops`; `COUNTED` — `at` of several
+    /// slabs — each column's products are added to its cell where the
+    /// column's entry is routed, strays included, and `ops` is left
+    /// alone. Every row leaves the buffer's cells as it found them.
     #[allow(clippy::too_many_arguments)]
-    fn rows<L>(
+    fn rows<L, const COUNTED: bool>(
         &self,
         left: &Csr<L>,
         tau: &impl Fn(&L) -> Dist,
         rows: Range<usize>,
         (cells, strays): (&mut [Child], &mut Vec<Idx>),
         task: &mut CountTask<'_>,
-        (first, ops): (usize, &mut [u64]),
+        (first, ops): (usize, &mut u64),
         fire: &impl Fn(&mut Centpath, &Multpath) -> Option<Centpath>,
     ) {
         let (at, masked, stops) = (self.at, self.masked, self.stops);
-        let CountTask { panes, formed } = task;
-        let mut first_slab = 0u64;
+        let CountTask { panes, counts } = task;
+        let mut formed = 0u64;
         for i in rows {
             for ((z, _, _), s) in panes.iter_mut().zip(self.sits) {
                 let (cols, _, ts) = z.row(s.rows.start + i);
@@ -1228,7 +1340,7 @@ impl<B: Slabs<Dist>> Counting<'_, B> {
                 for (&v, tv) in cols[span.clone()].iter().zip(&ts[span]) {
                     cells[v as usize - s.cols.start + s.at] = Child {
                         listed: true,
-                        formed: false,
+                        hits: 0,
                         matched: 0,
                         tau: tv.w.raw(),
                     };
@@ -1236,39 +1348,34 @@ impl<B: Slabs<Dist>> Counting<'_, B> {
             }
             for (&w, lw) in left.row_cols(i).iter().zip(left.row_vals(i)) {
                 let tw = tau(lw).raw();
-                at.row(w as usize, |slab, c0, cols, vals| {
-                    let mut n = 0u64;
-                    for (&v, a) in cols.iter().zip(vals) {
-                        // `τ(s,w)` is finite: an infinite `A(v,w)` lands here too.
-                        if a.raw() > tw {
-                            continue;
-                        }
-                        let v = c0 + v as usize;
-                        let c = &mut cells[v];
-                        if !c.listed {
-                            if !masked {
-                                n += 1;
-                                if !std::mem::replace(&mut c.formed, true) {
-                                    strays.push(v as Idx);
-                                }
+                let w = w as usize;
+                for (&v, a) in at.row_cols(w).iter().zip(at.row_vals(w)) {
+                    // `τ(s,w)` is finite: an infinite `A(v,w)` lands here too.
+                    if a.raw() > tw {
+                        continue;
+                    }
+                    let v = v as usize;
+                    let c = &mut cells[v];
+                    if !c.listed {
+                        if !masked {
+                            formed += u64::from(!COUNTED);
+                            c.hits += 1;
+                            if c.hits == 1 {
+                                strays.push(v as Idx);
                             }
-                            continue;
                         }
-                        n += 1;
-                        c.formed = true;
-                        // Whether `w` is a child of `v` is the unpredictable
-                        // branch of the loop: counted without one.
-                        let back = tw - a.raw();
-                        c.matched += u32::from(back == c.tau);
-                        if back > c.tau {
-                            c.tau = u64::MAX;
-                        }
+                        continue;
                     }
-                    match slab {
-                        0 => first_slab += n,
-                        _ => ops[slab] += n,
+                    formed += u64::from(!COUNTED);
+                    c.hits += 1;
+                    // Whether `w` is a child of `v` is the unpredictable
+                    // branch of the loop: counted without one.
+                    let back = tw - a.raw();
+                    c.matched += u32::from(back == c.tau);
+                    if back > c.tau {
+                        c.tau = u64::MAX;
                     }
-                });
+                }
             }
             let mut b = 0;
             for ((z, leaves, received), s) in panes.iter_mut().zip(self.sits) {
@@ -1278,12 +1385,16 @@ impl<B: Slabs<Dist>> Counting<'_, B> {
                 for ((&v, zv), tv) in cols.iter().zip(zs.iter_mut()).zip(ts) {
                     let out = v as usize - s.cols.start + s.at;
                     let c = std::mem::take(&mut cells[out]);
-                    if c.formed {
+                    if c.hits > 0 {
                         *received += 1;
                         while out >= stops[b].end {
                             b += 1;
                         }
-                        formed[first + stops[b].slab] += 1;
+                        let cell = &mut counts[first + stops[b].slab];
+                        cell.1 += 1;
+                        if COUNTED {
+                            cell.0 += u64::from(c.hits);
+                        }
                     }
                     if c.tau == tv.w.raw() {
                         zv.c = i64::from(c.matched);
@@ -1293,13 +1404,17 @@ impl<B: Slabs<Dist>> Counting<'_, B> {
             }
             for v in strays.drain(..) {
                 let v = v as usize;
-                cells[v] = Child::default();
+                let hits = std::mem::take(&mut cells[v]).hits;
                 let stop = stop_of(stops, v);
                 panes[stop.pane].2 += 1;
-                formed[first + stop.slab] += 1;
+                let cell = &mut counts[first + stop.slab];
+                cell.1 += 1;
+                if COUNTED {
+                    cell.0 += u64::from(hits);
+                }
             }
         }
-        ops[0] += first_slab;
+        *ops += formed;
     }
 }
 
@@ -1724,9 +1839,16 @@ mod tests {
         ];
         // One task's rows through the draining sink: (chunk, ops).
         let rows_of = |mask: Option<&Mask>, spa: &mut Spa<Dist>| {
-            let (mut sink, mut ops) = (Drain::<MinDist>(RowChunk::default()), [0]);
-            multiply::<TropicalKernel, _>((&a, &b), mask, 0..8, spa, &mut sink, &mut ops);
-            (sink.0, ops[0])
+            let chunk = RowChunk::default();
+            let (mut sink, mut ops) = (
+                super::Drain::<MinDist> {
+                    chunk,
+                    hits: vec![],
+                },
+                0,
+            );
+            multiply::<TropicalKernel, false>((&a, &b), mask, 0..8, spa, &mut sink, &mut ops);
+            (sink.chunk, ops)
         };
         // The same rows settled into a table on every other coordinate
         // of the product: (what fired, the table, ops).
@@ -1739,22 +1861,22 @@ mod tests {
             let mut z = Table::on_pattern(&side, |s| *s);
             let settle = Settle::<MinDist, Dist, _>::new(z.lend(&side).1, &fire, 0, (0, 0));
             let sits = sits(8, 30, &[Pane::whole(&mut Table::on_pattern(&side, |s| *s))]);
-            let stops = stops(&sits, &b);
+            let stops = stops(&sits, Slabs::whole(&b));
             let mut sink = Panes::new(&sits, &stops, Few::One(settle), 1);
-            let mut ops = [0];
-            multiply::<TropicalKernel, _>((&a, &b), mask, 0..8, spa, &mut sink, &mut ops);
+            let mut ops = 0;
+            multiply::<TropicalKernel, false>((&a, &b), mask, 0..8, spa, &mut sink, &mut ops);
             let fired = sink.sinks.into_iter().next().expect("one pane").fired;
-            (fired, z.freeze(), ops[0])
+            (fired, z.freeze(), ops)
         };
         for mask in &masks {
-            let want = rows_of(mask.as_ref(), &mut Spa::new(30, MinDist::identity()));
-            let settled = settled_of(mask.as_ref(), &mut Spa::new(30, MinDist::identity()));
+            let want = rows_of(mask.as_ref(), &mut Spa::new(30, MinDist::identity(), false));
+            let settled = settled_of(mask.as_ref(), &mut Spa::new(30, MinDist::identity(), false));
             assert!(want.1 > 0, "the rows must form products");
             assert!(!settled.0 .1.is_empty(), "some entries must fire");
             // Two rows fit below the last even mark; the third starts
             // over — with stamps of both kinds left behind.
             let old = || {
-                let mut old = Spa::new(30, MinDist::identity());
+                let mut old = Spa::new(30, MinDist::identity(), false);
                 old.mark = u32::MAX - 5;
                 old.stamp.fill(u32::MAX - 5);
                 old

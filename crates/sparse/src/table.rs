@@ -761,24 +761,34 @@ where
         }
     }
 
-    /// The one settle body: row `i`'s `updates` (no identities), in
-    /// any column order.
+    /// Row `i`'s `updates` (no identities), in any column order.
     #[inline]
     pub(crate) fn row<'u>(&mut self, i: usize, updates: impl Iterator<Item = (usize, &'u M::Elem)>)
     where
         M::Elem: 'u,
     {
-        let r = self.at.0 + i;
         for (j, g) in updates {
-            self.received += 1;
-            let Some((zv, sv)) = self.rows.at(r, self.at.1 + j) else {
-                continue; // update entry outside the pattern: dropped
-            };
-            M::fold_into(zv, g);
-            if let Some(o) = (self.fire)(zv, sv) {
-                self.row.push((j as Idx, stored::<M>(o)));
-            }
+            self.entry(i, j, g);
         }
+        self.end_row();
+    }
+
+    /// The one settle body: update `(i, j)` (not an identity) of the
+    /// row being settled.
+    #[inline]
+    pub(crate) fn entry(&mut self, i: usize, j: usize, g: &M::Elem) {
+        self.received += 1;
+        let Some((zv, sv)) = self.rows.at(self.at.0 + i, self.at.1 + j) else {
+            return; // update entry outside the pattern: dropped
+        };
+        M::fold_into(zv, g);
+        if let Some(o) = (self.fire)(zv, sv) {
+            self.row.push((j as Idx, stored::<M>(o)));
+        }
+    }
+
+    /// Closes the row being settled.
+    pub(crate) fn end_row(&mut self) {
         // A matrix row arrives in column order, an accumulator's
         // touched list does not: only what fired is ever sorted.
         self.row.sort_unstable_by_key(|&(j, _)| j);

@@ -20,7 +20,7 @@
 use crate::dist::DistMat;
 use crate::held::Held;
 use mfbc_machine::{Machine, MachineError};
-use mfbc_sparse::Csr;
+use mfbc_sparse::{Csr, Slabs};
 use std::cell::Cell;
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -30,7 +30,9 @@ use std::sync::Arc;
 pub enum CachedRhs<T> {
     /// Fully replicated global matrix (1D variant B).
     Global(Arc<Csr<T>>),
-    /// One redistributed layout (2D variants).
+    /// Split by columns, one slab per rank (1D variant A).
+    Split(Arc<ColumnSlabs<T>>),
+    /// One redistributed layout (1D variant C, 2D variants).
     Dist(Arc<DistMat<T>>),
     /// Per-layer copies or slices (3D variants).
     Layers(Arc<Vec<DistMat<T>>>),
@@ -45,7 +47,15 @@ impl<T> CachedRhs<T> {
         }
     }
 
-    /// The layout a 1D-A, 1D-C or 2D key holds.
+    /// The column slabs a 1D-A key holds.
+    pub(crate) fn split(self) -> Arc<ColumnSlabs<T>> {
+        match self {
+            CachedRhs::Split(s) => s,
+            _ => panic!("the key does not hold column slabs"),
+        }
+    }
+
+    /// The layout a 1D-C or 2D key holds.
     pub(crate) fn dist(self) -> Arc<DistMat<T>> {
         match self {
             CachedRhs::Dist(d) => d,
@@ -59,6 +69,36 @@ impl<T> CachedRhs<T> {
             CachedRhs::Layers(ls) => ls,
             _ => panic!("the key does not hold per-layer forms"),
         }
+    }
+}
+
+/// A right operand split by columns, one slab per rank, kept as one
+/// matrix: the whole of it in global column ids, where slabs `1, 2, …`
+/// start, and the stored entries of each slab. The landing kernels
+/// read it as [`Slabs`], each row of it once.
+#[derive(Debug)]
+pub struct ColumnSlabs<T> {
+    mat: Csr<T>,
+    cuts: Vec<usize>,
+    nnz: Vec<usize>,
+}
+
+impl<T> ColumnSlabs<T> {
+    /// `mat`, cut where slabs `1, 2, …` start, each slab's entries
+    /// counted.
+    pub(crate) fn new(mat: Csr<T>, cuts: Vec<usize>) -> Self {
+        let nnz = Slabs::new(&mat, &cuts).nnz();
+        ColumnSlabs { mat, cuts, nnz }
+    }
+
+    /// The slabs, for a kernel.
+    pub fn slabs(&self) -> Slabs<'_, T> {
+        Slabs::new(&self.mat, &self.cuts)
+    }
+
+    /// The stored entries of each slab.
+    pub fn nnz(&self) -> &[usize] {
+        &self.nnz
     }
 }
 
@@ -273,6 +313,14 @@ impl<T> MmCache<T> {
         let mut stats = self.stats.get();
         stats.evictions += (before - self.entries.len()) as u64;
         self.stats.set(stats);
+    }
+}
+
+#[cfg(test)]
+impl<T> MmCache<T> {
+    /// The receipt of what building the form under `key` charged.
+    pub(crate) fn receipt(&self, key: &str) -> Option<&Held> {
+        self.entries.get(key).map(|e| &e.held)
     }
 }
 

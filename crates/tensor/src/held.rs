@@ -41,3 +41,11 @@ impl Held {
         }
     }
 }
+
+#[cfg(test)]
+impl Held {
+    /// The `(rank, bytes)` pairs charged, in charge order.
+    pub fn charges(&self) -> &[(usize, u64)] {
+        &self.0
+    }
+}

@@ -21,8 +21,12 @@
 //! slab covers, under `1d(A)` the part one rank's column slab of B
 //! covers. The kernel counts `ops` and the product entries formed per
 //! cell, and the executor bills each rank the sum over its cells — what
-//! it billed the rank's piece when each slab was formed alone. One band
-//! with one cell (a one-rank machine) is the shared-memory call.
+//! it billed the rank's piece when each slab was formed alone. Under
+//! `1d(A)` B stays one matrix with the ranks' column cuts
+//! ([`mfbc_sparse::Slabs`]): the kernel reads each row of it once,
+//! whatever the rank count, and counts each output column's products
+//! where it routes the column's entry to its cell. One band with one
+//! cell (a one-rank machine) is the shared-memory call.
 //!
 //! Nothing here is charged beyond what the materialising path charges:
 //! the executor bills each rank its `ops` plus the entries it formed,
@@ -42,7 +46,7 @@ use mfbc_sparse::slice::slice;
 use mfbc_sparse::spgemm::opened;
 use mfbc_sparse::{
     count_children_panes, spgemm_accumulate_panes, spgemm_opt, spgemm_settle_panes, Csr, Idx,
-    Landed, Mask, Pane, SideBySide, Table,
+    Landed, Mask, Pane, Slabs, Table,
 };
 use std::borrow::Cow;
 use std::ops::Range;
@@ -72,8 +76,8 @@ pub trait Land<K: SpMulKernel> {
 /// One band of a 1D product: output rows `rows`, formed as `left` —
 /// those rows of the left operand — times `right`. Its cells are its
 /// rows cut at `cuts` (band-relative, ascending, ending at the band's
-/// height) times `right`'s slabs: cell `(c, s)` is cell `c * slabs +
-/// s`, formed by group position `ranks[c * slabs + s]`.
+/// height) times `right`'s column slabs: cell `(c, s)` is cell `c *
+/// slabs + s`, formed by group position `ranks[c * slabs + s]`.
 pub struct Band<'b, L, R> {
     /// The band's index in [`Land::bands`].
     pub index: usize,
@@ -81,8 +85,8 @@ pub struct Band<'b, L, R> {
     pub rows: Range<usize>,
     /// Those rows of the left operand.
     pub left: &'b Csr<L>,
-    /// The right operand, as the column slabs the ranks hold.
-    pub right: &'b SideBySide<'b, R>,
+    /// The right operand, cut into the column slabs the ranks hold.
+    pub right: Slabs<'b, R>,
     /// Where the band's rows are cut into row cells.
     pub cuts: &'b [usize],
     /// The group position forming each cell.
@@ -91,7 +95,9 @@ pub struct Band<'b, L, R> {
 
 /// The landing that materialises: every cell becomes a product matrix
 /// at its offsets, for `mm::assemble_canonical`. It has one band, so
-/// each of its cells is one rank's whole piece.
+/// each of its cells is one rank's whole piece, formed from the band's
+/// rows of the left operand and the rank's slab of the right one, each
+/// sliced out where the band has several.
 pub(crate) struct Collect<'m, T> {
     mask: Option<&'m Mask<'m>>,
     pub(crate) pieces: Vec<Piece<T>>,
@@ -116,7 +122,12 @@ impl<K: SpMulKernel> Land<K> for Collect<'_, KernelOut<K>> {
     }
 
     fn band(&mut self, band: Band<'_, K::Left, K::Right>) -> Vec<(u64, u64)> {
-        let slabs = band.right.parts();
+        let right = band.right;
+        let slab = |s: usize| match right.count() {
+            1 => Cow::Borrowed(right.mat()),
+            _ => Cow::Owned(slice(right.mat(), 0..right.mat().nrows(), right.cols(s))),
+        };
+        let slabs: Vec<_> = (0..right.count()).map(slab).collect();
         let mut cells = Vec::with_capacity(band.ranks.len());
         for (c, cut) in band.cuts.windows(2).enumerate() {
             let (rows, all) = (cut[0]..cut[1], 0..band.left.ncols());
@@ -125,17 +136,18 @@ impl<K: SpMulKernel> Land<K> for Collect<'_, KernelOut<K>> {
                 false => Cow::Owned(slice(band.left, rows.clone(), all)),
             };
             let r0 = band.rows.start + rows.start;
-            for (s, &(c0, b)) in slabs.iter().enumerate() {
+            for (s, b) in slabs.iter().enumerate() {
                 if a.is_empty() || b.is_empty() {
                     cells.push((0, 0));
                     continue;
                 }
+                let cols = right.cols(s);
                 let w = self
                     .mask
-                    .map(|mk| mk.window(r0..r0 + a.nrows(), c0..c0 + b.ncols()));
+                    .map(|mk| mk.window(r0..r0 + a.nrows(), cols.clone()));
                 let out = spgemm_opt::<K>(&a, b, w.as_ref());
                 let formed = out.mat.nnz() as u64;
-                let k = band.ranks[c * slabs.len() + s];
+                let (c0, k) = (cols.start, band.ranks[c * slabs.len() + s]);
                 self.pieces.push((r0, c0, k, out.mat));
                 cells.push((out.ops, formed));
             }
@@ -503,12 +515,12 @@ mod tests {
             assert_eq!(band.index, self.next, "bands arrive in order");
             self.next += 1;
             assert_eq!(band.left.nrows(), band.rows.len());
-            let slabs = band.right.parts();
+            let slabs = band.right.count();
             for (c, cut) in band.cuts.windows(2).enumerate() {
-                for (s, &(c0, b)) in slabs.iter().enumerate() {
+                for s in 0..slabs {
                     let rows = band.rows.start + cut[0]..band.rows.start + cut[1];
-                    let k = band.ranks[c * slabs.len() + s];
-                    self.cells.push((rows, c0..c0 + b.ncols(), k));
+                    let k = band.ranks[c * slabs + s];
+                    self.cells.push((rows, band.right.cols(s), k));
                 }
             }
             vec![(0, 0); band.ranks.len()]

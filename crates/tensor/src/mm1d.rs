@@ -29,9 +29,14 @@
 //! cells, once: what its slab would cost formed alone. The left rows
 //! of a band are read off A's blocks in place; A's allgather (under A)
 //! and its redistribution into row slabs (under B) are still posted and
-//! charged as if the copies were made.
+//! charged as if the copies were made. Under A the right operand is
+//! kept, and cached, as one matrix with the ranks' column cuts
+//! ([`ColumnSlabs`]) rather than as p blocks: it is moved and held as
+//! the blocks would be — the all-to-all charged from a count, each rank
+//! holding its slab's entries — and the kernel reads each of its rows
+//! once.
 
-use crate::cache::{CachedRhs, Fingerprint, MmCache};
+use crate::cache::{CachedRhs, ColumnSlabs, Fingerprint, MmCache};
 use crate::dist::{DistMat, Layout};
 use crate::held::Held;
 use crate::land::{Band, Collect, Land};
@@ -43,7 +48,7 @@ use mfbc_machine::cost::CollectiveKind;
 use mfbc_machine::{Group, Machine, MachineError};
 use mfbc_sparse::elementwise::combine;
 use mfbc_sparse::slice::even_ranges;
-use mfbc_sparse::{entry_bytes, Csr, Mask, SideBySide};
+use mfbc_sparse::{entry_bytes, Csr, Mask, Slabs};
 use std::ops::Range;
 use std::sync::Arc;
 
@@ -205,10 +210,9 @@ pub(crate) fn run_slabs<K: SpMulKernel>(
             // is charged, and the wait lands only before the first
             // multiply that touches the replica.
             let (posted, held) = replicate(m, group, a)?;
-            let lb = col_split_layout(b.nrows(), b.ncols(), group);
-            let b2 = rhs_for_a::<K>(m, group, b, &lb, cache, land.mask())?;
+            let b2 = rhs_for_a::<K>(m, group, b, cache, land.mask())?;
             posted.wait(m)?;
-            (Some(held), Rhs::Split(b2, lb), None)
+            (Some(held), Rhs::Split(b2), None)
         }
         Variant1D::B => {
             let b_pending = replicated_rhs::<K>(m, group, b, cache)?;
@@ -218,13 +222,14 @@ pub(crate) fn run_slabs<K: SpMulKernel>(
         }
         Variant1D::C => unreachable!("1D-C reduces its output: see `run_reduced`"),
     };
-    let right = SideBySide::new(match &rhs {
-        Rhs::Split(b2, lb) => (0..p)
-            .map(|k| (lb.col_range(k).start, b2.block(0, k)))
-            .collect(),
-        Rhs::Whole(b_full) => vec![(0, &**b_full)],
-    });
-    let slabs = right.parts();
+    let whole;
+    let (right, nnz) = match &rhs {
+        Rhs::Split(b2) => (b2.slabs(), b2.nnz()),
+        Rhs::Whole(b_full) => {
+            whole = [b_full.nnz()];
+            (Slabs::whole(b_full), &whole[..])
+        }
+    };
     // Per rank: its bill, and whether its left and its right operand
     // hold an entry — a rank with an empty operand multiplies nothing.
     let mut bills = vec![(0u64, 0u64); p];
@@ -236,18 +241,18 @@ pub(crate) fn run_slabs<K: SpMulKernel>(
             None => (vec![0, rows.len()], (0..p).collect()),
         };
         let left = a.rows(rows.clone());
-        for (c, ranks) in ranks.chunks(slabs.len()).enumerate() {
+        for (c, ranks) in ranks.chunks(right.count()).enumerate() {
             let filled = left.rowptr()[cuts[c + 1]] > left.rowptr()[cuts[c]];
-            for (&k, (_, slab)) in ranks.iter().zip(slabs) {
+            for (&k, &nnz) in ranks.iter().zip(nnz) {
                 live[k].0 |= filled;
-                live[k].1 |= !slab.is_empty();
+                live[k].1 |= nnz > 0;
             }
         }
         let band = Band {
             index,
             rows,
             left: &left,
-            right: &right,
+            right,
             cuts: &cuts,
             ranks: &ranks,
         };
@@ -269,7 +274,7 @@ pub(crate) fn run_slabs<K: SpMulKernel>(
 /// The right operand of a 1D product: split by columns, one slab per
 /// rank (A), or whole on every rank (B).
 enum Rhs<R> {
-    Split(Arc<DistMat<R>>, Layout),
+    Split(Arc<ColumnSlabs<R>>),
     Whole(Arc<Csr<R>>),
 }
 
@@ -286,7 +291,11 @@ fn row_cells(la: &Layout, rows: &Range<usize>) -> (Vec<usize>, Vec<usize>) {
     (cuts, ranks)
 }
 
-/// 1D-A's right operand, split by columns over `group` (`lb`).
+/// 1D-A's right operand, split by columns over `group`: one matrix in
+/// global column ids, cut where the ranks' slabs start. It is moved
+/// and held as if redistributed into the slabs: the all-to-all is
+/// charged from a count ([`charge_redistribute`]), and each rank holds
+/// its slab's entries.
 ///
 /// The column-split right-hand form depends only on the operand and
 /// the group, so Theorem 5.1's amortization applies to it exactly as
@@ -301,18 +310,33 @@ fn rhs_for_a<K: SpMulKernel>(
     m: &Machine,
     group: &Group,
     b: &DistMat<K::Right>,
-    lb: &Layout,
     cache: &mut MmCache<K::Right>,
     mask: Option<Mask<'_>>,
-) -> Result<Arc<DistMat<K::Right>>, MachineError> {
+) -> Result<Arc<ColumnSlabs<K::Right>>, MachineError> {
+    let lb = col_split_layout(b.nrows(), b.ncols(), group);
+    let split = |b: &DistMat<K::Right>| {
+        charge_redistribute(m, b, &lb)?;
+        let cuts = (1..group.len()).map(|k| lb.col_range(k).start).collect();
+        Ok(ColumnSlabs::new(b.to_global::<FirstWins<K::Right>>(), cuts))
+    };
     let shrunk = mask
         .filter(|_| !cache.amortizes())
         .and_then(|mk| crate::mm::shrink_rhs_against_mask(b, &mk));
     if let Some(s) = shrunk {
-        return Ok(Arc::new(redistribute::<FirstWins<K::Right>, _>(m, &s, lb)?));
+        return split(&s).map(Arc::new);
     }
     let key = format!("1d:A:{}:{}", group.len(), b.content_id());
-    redistributed_rhs::<K>(m, key, b, lb, cache)
+    let build = || {
+        let built = split(b)?;
+        let bytes = built
+            .nnz()
+            .iter()
+            .map(|&n| (n * entry_bytes::<K::Right>()) as u64);
+        let held = group.ranks().iter().copied().zip(bytes);
+        let held = Held::charged(m, held.filter(|&(_, bytes)| bytes > 0))?;
+        Ok((CachedRhs::Split(Arc::new(built)), held))
+    };
+    Ok(cache.prepared(key, Fingerprint::of(b), build)?.split())
 }
 
 /// Runs 1D-C over `group`: full-shape partial products, reduced into
@@ -397,4 +421,83 @@ impl<T: Clone + PartialEq + Send + Sync + std::fmt::Debug + 'static> Monoid for 
 impl<T: Clone + PartialEq + Send + Sync + std::fmt::Debug + 'static>
     mfbc_algebra::monoid::CommutativeMonoid for FirstWins<T>
 {
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::mm::canonical_layout;
+    use mfbc_algebra::kernel::TropicalKernel;
+    use mfbc_algebra::monoid::MinDist;
+    use mfbc_algebra::Dist;
+    use mfbc_machine::MachineSpec;
+    use mfbc_sparse::slice::slice;
+    use mfbc_sparse::Coo;
+
+    /// An `n × n` operand whose columns `n / 4 ..= 3n / 4` hold nothing:
+    /// the slabs inside them are empty.
+    fn operand(n: usize) -> Csr<Dist> {
+        let empty = n / 4..=3 * n / 4;
+        let triples = (0..n).flat_map(|i| [(i, i), (i, (i * 7 + 3) % n)]);
+        let triples = triples.filter(|(_, j)| !empty.contains(j));
+        let triples = triples.map(|(i, j)| (i, j, Dist::new(1 + (i + j) as u64 % 5)));
+        Coo::from_triples(n, n, triples).into_csr::<MinDist>()
+    }
+
+    /// Every rank's resident bytes and clock.
+    fn state(m: &Machine) -> Vec<(u64, u64)> {
+        m.with_tracker(|t| {
+            (0..t.p())
+                .map(|r| (t.resident(r), t.clock(r).to_bits()))
+                .collect()
+        })
+    }
+
+    #[test]
+    fn joined_slabs_are_held_as_the_split_form_was() {
+        // 1d(A)'s cached right operand is one matrix with column cuts;
+        // it must move, be held and be released exactly as the split
+        // form the ranks stand for: the parent's per-rank blocks.
+        for p in [1usize, 3, 4, 16] {
+            for n in [5usize, 40] {
+                let (m, split_m) = (
+                    Machine::new(MachineSpec::test(p)),
+                    Machine::new(MachineSpec::test(p)),
+                );
+                let b = DistMat::from_global(canonical_layout(&m, n, n), &operand(n));
+                let group = m.world();
+                let mut cache = MmCache::new();
+                let joined = rhs_for_a::<TropicalKernel>(&m, &group, &b, &mut cache, None).unwrap();
+                let key = format!("1d:A:{p}:{}", b.content_id());
+                let held = cache
+                    .receipt(&key)
+                    .expect("a cached form")
+                    .charges()
+                    .to_vec();
+                // The split form: redistributed into column slabs, each
+                // nonempty one held by its rank.
+                let lb = col_split_layout(n, n, &group);
+                let split = redistribute::<FirstWins<Dist>, _>(&split_m, &b, &lb).unwrap();
+                let want: Vec<_> = block_residency(&split).collect();
+                let what = format!("p = {p}, n = {n}");
+                assert_eq!(held, want, "{what}: receipt");
+                let split_held = Held::charged(&split_m, want).unwrap();
+                assert_eq!(state(&m), state(&split_m), "{what}: residency and clocks");
+                let slabs = joined.slabs();
+                for k in 0..p {
+                    let slab = slice(slabs.mat(), 0..n, slabs.cols(k));
+                    assert_eq!(&slab, split.block(0, k), "{what}: slab {k}");
+                    assert_eq!(joined.nnz()[k], slab.nnz(), "{what}: slab {k} entries");
+                }
+                assert!(p == 1 || joined.nnz().contains(&0), "{what}: an empty slab");
+                cache.release_all(&m);
+                split_held.release(&split_m);
+                assert_eq!(state(&m), state(&split_m), "{what}: released");
+                assert!(
+                    state(&m).iter().all(|&(bytes, _)| bytes == 0),
+                    "{what}: all released"
+                );
+            }
+        }
+    }
 }
