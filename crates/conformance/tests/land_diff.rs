@@ -1,16 +1,17 @@
 //! Differential pin: on `Simulated`, products consumed where they land
 //! must agree with products materialised, assembled to the canonical
-//! layout and merged by `dmat_accumulate` / `dmat_anchor` /
-//! `dmat_settle`, bit for bit.
+//! layout and merged into the table whole, bit for bit.
 //!
-//! `1d(A)` and `1d(B)` hand their output, band by band, to the table
-//! blocks it covers (`mfbc_tensor::land`), billing each rank for the
-//! cells its slab covers; every other plan still materialises. Each
-//! case runs one chain — MFBF's forward steps into `T`, or MFBr's
-//! opening count and settling steps into `Z` — through `Simulated`'s
-//! `Backend` operations under one forced plan, and the same chain
-//! through the materialising path on a second machine:
-//! `mm_exec(_cached)_masked` and the `dmat_*` merge. After every step
+//! `Simulated` runs every product through `mm_land` into its table's
+//! landing (`mfbc_tensor::land`): `1d(A)` and `1d(B)` hand their
+//! output, band by band, to the table blocks it covers, billing each
+//! rank for the cells its slab covers; every other plan hands over its
+//! product whole, which the landing merges block by block. Each case
+//! runs one chain — MFBF's forward steps into `T`, or MFBr's opening
+//! count and settling steps into `Z` — through `Simulated`'s `Backend`
+//! operations under one forced plan, and the same chain through the
+//! materialising path on a second machine: `mm_exec(_cached)_masked`,
+//! then the product handed to the landing whole (`Land::formed`). After every step
 //! it compares the table's blocks, the frontier the step emits, each
 //! block's pending or complement mask, the `ops`, every field of the
 //! machine's cost report, every rank's costs and clock bit for bit,
@@ -33,11 +34,11 @@ use mfbc_conformance::rng::SplitMix64;
 use mfbc_conformance::suite::run_suite_or_panic;
 use mfbc_core::backend::{Backend, Simulated};
 use mfbc_core::seq::mfbf_keep_in_frontier;
-use mfbc_core::sweep::mfbr_anchor;
 use mfbc_graph::Graph;
 use mfbc_machine::cost::RankCost;
 use mfbc_machine::{Machine, MachineError, MachineSpec};
 use mfbc_sparse::{Coo, Csr, Mask};
+use mfbc_tensor::land::{self, Land};
 use mfbc_tensor::{
     canonical_layout, enumerate_plans, ops, DistMat, DistTable, MaskKind, MmCache, MmPlan,
 };
@@ -238,9 +239,7 @@ impl LandCase {
                 let (t1, t2) = (landed.place(t.clone()), mat.place(&t));
                 let reached = self.masked.then(|| t2.pattern_mask(MaskKind::Structural));
                 let (mut z1, f1, o1) = landed.anchor(&t1, fire).map_err(err)?;
-                let (mut z2, f2, o2) = mat
-                    .anchor(&t2, reached.as_ref(), self.masked)
-                    .map_err(err)?;
+                let (mut z2, f2, o2) = mat.anchor(&t2, reached.as_ref()).map_err(err)?;
                 same(
                     &what("anchor"),
                     (&f1, o1, &z1, &ml),
@@ -280,7 +279,8 @@ fn rng_plan(seed: u64) -> usize {
 
 /// The materialising path `Simulated` took for every product before
 /// 1D products landed: the product assembled to the canonical layout,
-/// then merged into the table by the `dmat_*` pass.
+/// then merged into the table as the landing merges a product formed
+/// whole ([`Land::formed`]).
 struct Materialised {
     m: Machine,
     adj: [DistMat<Dist>; 2],
@@ -332,27 +332,22 @@ impl Materialised {
         let mask = t.mask();
         let (explored, ops) = self.mm::<BellmanFordKernel>(f, 0, mask.as_ref())?;
         drop(mask);
-        let kept = ops::dmat_accumulate::<MultpathMonoid, _>(&self.m, t, &explored, keep)?;
-        Ok((kept, ops))
+        let mut land = land::Accumulate::<BellmanFordKernel, _>::new(t, &keep);
+        land.formed(explored);
+        Ok((land.finish(&self.m)?, ops))
     }
 
     fn anchor(
         &mut self,
         t: &DistMat<Multpath>,
         within: Option<&Mask>,
-        masked: bool,
     ) -> Result<(DistTable<Centpath>, DistMat<Centpath>, u64), MachineError> {
         let seed = |_: usize, _: usize, mp: &Multpath| Some(Centpath::new(mp.w, 0.0, 1));
         let seeds = ops::dmat_map_filter::<CentpathMonoid, _, _>(&self.m, t, seed);
         let (counted, ops) = self.mm::<BrandesKernel>(&seeds, 1, within)?;
-        let (z, f) = ops::dmat_anchor::<CentpathMonoid, Multpath>(
-            &self.m,
-            t,
-            &counted,
-            mfbr_anchor,
-            fire,
-            masked,
-        )?;
+        let mut land = land::Count::new(t, within.cloned(), &fire);
+        land.formed(counted);
+        let (z, f) = land.finish(&self.m)?;
         Ok((z, f, ops))
     }
 
@@ -366,10 +361,9 @@ impl Materialised {
         let pending = z.mask();
         let (back, ops) = self.mm::<BrandesKernel>(f, 1, pending.as_ref().or(within))?;
         drop(pending);
-        Ok((
-            ops::dmat_settle::<CentpathMonoid, _>(&self.m, z, &back, t, fire),
-            ops,
-        ))
+        let mut land = land::Settle::<BrandesKernel, _, _>::new(z, t, within, &fire);
+        land.formed(back);
+        Ok((land.finish(&self.m), ops))
     }
 
     fn close(&mut self) {

@@ -9,17 +9,17 @@
 //! * [`Local`] — `Csr` matrices and the `mfbc-sparse` kernels in one
 //!   address space. Infallible, charges nothing, announces nothing.
 //! * [`Simulated`] — canonically distributed [`DistMat`]s on a
-//!   [`Machine`]: products charge their communication to the critical
-//!   path and, where their plan allows, land in the table blocks that
-//!   consume them; elementwise steps charge local compute, termination
-//!   checks charge an allreduce, tables charge memory. It owns what a run
-//!   keeps resident: `A`, `Aᵀ` and (Theorem 5.1's amortization) the
-//!   prepared-adjacency caches. Its steps are made of its own
+//!   [`Machine`]: every step's product runs through one executor into
+//!   the table blocks that consume it — band by band where its plan
+//!   allows, whole where the plan reduces or assembles — and charges
+//!   its communication to the critical path; elementwise steps charge
+//!   local compute, termination checks charge an allreduce, tables
+//!   charge memory. It owns what a run keeps resident: `A`, `Aᵀ` and
+//!   (Theorem 5.1's amortization) the prepared-adjacency caches. Its
 //!   [`Simulated::mm`], [`Simulated::combine`] and
-//!   [`Simulated::charge`], which the CombBLAS baseline — a different
-//!   algorithm on the same machine — calls too.
+//!   [`Simulated::charge`] are what the CombBLAS baseline — a
+//!   different algorithm on the same machine — calls.
 
-use crate::sweep::mfbr_anchor;
 use mfbc_algebra::kernel::{BrandesKernel, KernelOut};
 use mfbc_algebra::monoid::Monoid;
 use mfbc_algebra::{Centpath, CentpathMonoid, Dist, Multpath, SpMulKernel};
@@ -315,15 +315,17 @@ impl Backend for Local<'_> {
 /// Execution on the simulated machine, every matrix in the canonical
 /// world layout.
 ///
-/// A step's product lands where it is consumed whenever its plan
-/// forms each output piece whole on one rank (`1d(A)`, `1d(B)`: see
-/// [`MmPlan::lands`]): one kernel pass per block row of `T` or `Z`
-/// runs into that row's blocks — the sinks [`Local`] runs into its one
-/// table, one pane per block — with each rank billed the part its slab
-/// covers, and the opening count is counted in place, so at p = 1 a
-/// step makes the calls `Local` makes, plus the machine's charges. A plan that reduces or assembles its output
-/// across ranks materialises it and merges the canonical blocks
-/// (`ops::dmat_accumulate`, `dmat_anchor`, `dmat_settle`). Both bill
+/// Every step is one call of the executor, `mfbc_tensor::mm_land`,
+/// into the landing of its table (`mfbc_tensor::land`), which
+/// `finish` closes. Where the plan forms each output piece whole on
+/// one rank (`1d(A)`, `1d(B)`: see [`MmPlan::lands`]), one kernel pass
+/// per block row of `T` or `Z` runs into that row's blocks — the sinks
+/// [`Local`] runs into its one table, one pane per block — with each
+/// rank billed the part its slab covers, and the opening count is
+/// counted in place, so at p = 1 a step makes the calls `Local` makes,
+/// plus the machine's charges. A plan that reduces or assembles its
+/// output across ranks hands the landing the product in the canonical
+/// layout, which it merges block by block when it closes. Both bill
 /// the same charges.
 pub struct Simulated {
     /// The machine every operation charges.
@@ -476,9 +478,9 @@ impl Simulated {
         Ok((out.c, out.ops))
     }
 
-    /// `frontier •⟨⊕,f⟩ adj` under a plan that lands
-    /// ([`MmPlan::lands`]): every band of it goes to `land`, where it
-    /// is consumed. Returns `ops`.
+    /// `frontier •⟨⊕,f⟩ adj` under `plan` into `land`, where it is
+    /// consumed: band by band, or whole from a plan that does not land
+    /// ([`MmPlan::lands`]). Returns `ops`.
     fn land<K: SpMulKernel<Right = Dist>>(
         &mut self,
         plan: &MmPlan,
@@ -595,21 +597,10 @@ impl Backend for Simulated {
     ) -> Result<(DistMat<KernelOut<K>>, u64), MachineError> {
         let span = self.tuning();
         let plan = self.plan::<K>(frontier, Adj::A, table.mask().as_ref());
-        if plan.lands() {
-            // Each block row of the product is explored into the
-            // table's blocks of that row.
-            let mut land = land::Accumulate::<K, _>::new(table, &keep);
-            let ops = self.land(&plan, frontier, Adj::A, &mut land)?;
-            drop(span);
-            return Ok((land.finish(&self.m)?, ops));
-        }
-        // The output is reduced or assembled across ranks first, so
-        // here it is a matrix.
-        let mask = table.mask();
-        let (explored, ops) = self.materialise::<K>(&plan, frontier, Adj::A, mask.as_ref())?;
-        drop((mask, span));
-        let kept = ops::dmat_accumulate::<K::Acc, _>(&self.m, table, &explored, keep)?;
-        Ok((kept, ops))
+        let mut land = land::Accumulate::<K, _>::new(table, &keep);
+        let ops = self.land(&plan, frontier, Adj::A, &mut land)?;
+        drop(span);
+        Ok((land.finish(&self.m)?, ops))
     }
 
     fn anchor(
@@ -625,28 +616,12 @@ impl Backend for Simulated {
         let reached = self.mask_of(MaskKind::Structural, t);
         let seed = |_: usize, _: usize, mp: &Multpath| Some(Centpath::new(mp.w, 0.0, 1));
         let seeds = ops::dmat_map_filter::<CentpathMonoid, _, _>(&self.m, t, seed);
-        let within = reached.as_ref();
         let span = self.tuning();
-        let plan = self.plan::<BrandesKernel>(&seeds, Adj::At, within);
-        if plan.lands() {
-            // Each block row of the count is counted in place, in the
-            // `Z` blocks of that row, as `Local` counts its one table.
-            let mut land = land::Count::new(t, reached, &fire);
-            let ops = self.land(&plan, &seeds, Adj::At, &mut land)?;
-            drop(span);
-            let (z, frontier) = land.finish(&self.m)?;
-            return Ok((z, frontier, ops));
-        }
-        let (counted, ops) = self.materialise::<BrandesKernel>(&plan, &seeds, Adj::At, within)?;
+        let plan = self.plan::<BrandesKernel>(&seeds, Adj::At, reached.as_ref());
+        let mut land = land::Count::new(t, reached, &fire);
+        let ops = self.land(&plan, &seeds, Adj::At, &mut land)?;
         drop(span);
-        let (z, frontier) = ops::dmat_anchor::<CentpathMonoid, Multpath>(
-            &self.m,
-            t,
-            &counted,
-            mfbr_anchor,
-            fire,
-            self.masked,
-        )?;
+        let (z, frontier) = land.finish(&self.m)?;
         Ok((z, frontier, ops))
     }
 
@@ -665,20 +640,10 @@ impl Backend for Simulated {
         // whole sweep (see [`Simulated::mm`]).
         let span = self.tuning();
         let plan = self.plan::<K>(frontier, Adj::At, within);
-        if plan.lands() {
-            // Each block row of the product settles into the `Z`
-            // blocks of that row.
-            let mut land = land::Settle::<K, U, _>::new(z, side, within, &fire);
-            let ops = self.land(&plan, frontier, Adj::At, &mut land)?;
-            drop(span);
-            return Ok((land.finish(&self.m), ops));
-        }
-        let pending = z.mask();
-        let mask = pending.as_ref().or(within);
-        let (back, ops) = self.materialise::<K>(&plan, frontier, Adj::At, mask)?;
-        drop((pending, span));
-        let fired = ops::dmat_settle::<K::Acc, U>(&self.m, z, &back, side, fire);
-        Ok((fired, ops))
+        let mut land = land::Settle::<K, U, _>::new(z, side, within, &fire);
+        let ops = self.land(&plan, frontier, Adj::At, &mut land)?;
+        drop(span);
+        Ok((land.finish(&self.m), ops))
     }
 
     fn freeze<T: Elem>(&self, table: DistTable<T>) -> DistMat<T> {

@@ -49,6 +49,10 @@ use mfbc_algebra::{Centpath, Dist, Multpath, MultpathMonoid, SpMulKernel};
 use mfbc_graph::Graph;
 use mfbc_sparse::{Coo, MaskKind};
 
+/// The dependency-counter anchor of Algorithm 2, defined beside the
+/// opening count that applies it on the simulated backend.
+pub use mfbc_sparse::spgemm::mfbr_anchor;
+
 /// The frontier-update rule of Algorithm 1, line 6, applied per
 /// explored entry: the freshly-explored multpath `g` stays in the
 /// next frontier iff it carries paths and its weight survived the
@@ -60,20 +64,6 @@ pub fn mfbf_keep_in_frontier(g: &Multpath, t_new: Option<&Multpath>) -> Option<M
         Some(t) if g.is_path() && g.w == t.w => Some(*g),
         _ => None,
     }
-}
-
-/// The dependency-counter anchor of Algorithm 2: given the
-/// child-count accumulation `d` for a vertex whose shortest-path
-/// weight is `tau_w`, the initial centpath is `(τ, 0, #children)` —
-/// contributions of other weights are discarded (they come from
-/// non-shortest-path edges).
-#[inline]
-pub fn mfbr_anchor(tau: &Multpath, d: Option<&Centpath>) -> Centpath {
-    let deps = match d {
-        Some(c) if c.w == tau.w => c.c,
-        _ => 0,
-    };
-    Centpath::new(tau.w, 0.0, deps)
 }
 
 /// The frontier-emission rule of Algorithm 2, lines 3/9–10: a vertex

@@ -1121,7 +1121,7 @@ struct Child {
 ///
 /// Bit-identical to [`Table::anchor`] of `t` against the product of
 /// `(τ, 0, 1)` seeds on `t`'s entries with `at` (under `t`'s structural
-/// pattern when `masked`), with `sweep::mfbr_anchor` as `init`, and to
+/// pattern when `masked`), with [`mfbr_anchor`] as `init`, and to
 /// that product's `ops`, on any table and at any thread count: a count
 /// is an integer, whatever order it is summed in, and is zeroed where
 /// a contribution heavier than `τ(s,v)` arrived, as the product's
@@ -1162,6 +1162,20 @@ pub fn count_children(
 /// entry `mp` before it is counted: `(τ, 0, 0)`.
 pub fn opened(mp: &Multpath) -> Centpath {
     stored::<CentpathMonoid>(Centpath::new(mp.w, 0.0, 0))
+}
+
+/// The dependency-counter anchor of Algorithm 2: given the
+/// child-count accumulation `d` for a vertex whose shortest-path
+/// weight is `tau_w`, the initial centpath is `(τ, 0, #children)` —
+/// contributions of other weights are discarded (they come from
+/// non-shortest-path edges).
+#[inline]
+pub fn mfbr_anchor(tau: &Multpath, d: Option<&Centpath>) -> Centpath {
+    let deps = match d {
+        Some(c) if c.w == tau.w => c.c,
+        _ => 0,
+    };
+    Centpath::new(tau.w, 0.0, deps)
 }
 
 /// [`count_children`] of the seeds `left` — `τ(s,w)` being `tau` of

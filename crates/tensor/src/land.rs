@@ -1,14 +1,22 @@
 //! Products consumed where they land.
 //!
+//! Every product the executor (`mm::mm_land`) runs goes to a [`Land`]:
+//! the sweeps' three table steps — [`Accumulate`] (MFBF's `T`),
+//! [`Settle`] (MFBr's `Z`) and [`Count`] (the opening of `Z`) — or
+//! `Collect`, which keeps the product as a matrix for `mm_exec`.
+//!
 //! A 1D plan that replicates an operand (`1d(A)`, `1d(B)`, §5.2.1)
 //! forms each output piece whole on the rank that owns its slab. Sparse
 //! SUMMA's premise (Buluç–Gilbert) is that the output stays where it is
 //! consumed while the operands move, so such a product need not become
-//! a product matrix at all: the executor hands it to a [`Land`], whose
-//! kernel writes it into the table blocks it covers. The sweeps' three
-//! table steps land this way — [`Accumulate`] (MFBF's `T`), [`Settle`]
-//! (MFBr's `Z`) and [`Count`] (the opening of `Z`, counted in place) —
-//! through the sinks the shared-memory sweeps use.
+//! a product matrix at all: the executor hands it to the landing band
+//! by band ([`Land::band`]), whose kernel writes it into the table
+//! blocks it covers, through the sinks the shared-memory sweeps use
+//! (the opening of `Z` counted in place). Every other plan reduces or
+//! assembles its output across ranks, so its product arrives whole, in
+//! the canonical layout ([`Land::formed`]), and the landing merges it
+//! block by block when it closes: [`mfbc_sparse::Table`]'s
+//! `accumulate`, `settle` and `anchor` on the pool.
 //!
 //! A real machine forms the p slabs at once; one host forms them one
 //! after another, so the landing runs the kernel once per *band*, not
@@ -28,33 +36,38 @@
 //! where it routes the column's entry to its cell. One band with one
 //! cell (a one-rank machine) is the shared-memory call.
 //!
-//! Nothing here is charged beyond what the materialising path charges:
-//! the executor bills each rank its `ops` plus the entries it formed,
-//! and [`Accumulate::finish`], [`Settle::finish`] and [`Count::finish`]
-//! bill the blocks as `dmat_accumulate`, `dmat_settle` and `dmat_anchor`
-//! do, through the same functions. Assembling a product was never
-//! charged (DESIGN.md §7, deviation 4), so writing across owners moves
-//! no charge.
+//! A step is billed the same whichever way its product arrived: the
+//! executor bills each rank its `ops` plus the entries it formed, and
+//! [`Accumulate::finish`], [`Settle::finish`] and [`Count::finish`]
+//! bill the blocks through one function each (`ops::bill_*`), as the
+//! elementwise composition the step replaces. Assembling a product
+//! was never charged (DESIGN.md §7, deviation 4), so writing across
+//! owners moves no charge.
 
 use crate::dist::{DistMat, DistTable, Layout};
+use crate::mm::assemble_canonical;
 use crate::mm1d::Piece;
-use crate::ops::{bill_accumulate, bill_anchor, bill_settle};
+use crate::ops::{bill_accumulate, bill_anchor, bill_settle, emit_pool};
 use mfbc_algebra::kernel::{BrandesKernel, KernelOut};
-use mfbc_algebra::{Centpath, Multpath, SpMulKernel};
+use mfbc_algebra::monoid::Monoid;
+use mfbc_algebra::{Centpath, CentpathMonoid, Multpath, SpMulKernel};
 use mfbc_machine::{Machine, MachineError};
+use mfbc_parallel::ExecStats;
 use mfbc_sparse::slice::slice;
-use mfbc_sparse::spgemm::opened;
+use mfbc_sparse::spgemm::{mfbr_anchor, opened};
 use mfbc_sparse::{
-    count_children_panes, spgemm_accumulate_panes, spgemm_opt, spgemm_settle_panes, Csr, Idx,
-    Landed, Mask, Pane, Slabs, Table,
+    count_children_panes, spgemm_accumulate_panes, spgemm_opt, spgemm_settle_panes, Csr, Landed,
+    Mask, Pane, Slabs, Table,
 };
 use std::borrow::Cow;
 use std::ops::Range;
 
-/// Where the bands of a 1D product go.
+/// Where a product goes: band by band from a plan that lands, whole
+/// from one that reduces or assembles its output.
 pub trait Land<K: SpMulKernel> {
     /// The output mask the product runs under, in global coordinates:
-    /// what the executor shrinks a one-shot operand against.
+    /// what every plan windows to its output blocks, and what the
+    /// executor shrinks a one-shot operand against.
     fn mask(&self) -> Option<Mask<'_>>;
 
     /// The output rows of each band, in order, for a product of
@@ -68,8 +81,15 @@ pub trait Land<K: SpMulKernel> {
     /// nothing (the opening count fires every entry of `Z` once).
     fn band(&mut self, band: Band<'_, K::Left, K::Right>) -> Vec<(u64, u64)>;
 
-    /// The sabotage seam (`mfbc_fault::sabotage`): drops one entry of
-    /// what the landing emits. `false` when it emits none.
+    /// Takes the product of a plan that does not land, formed whole
+    /// under [`Land::mask`] and assembled in the canonical layout. A
+    /// table landing merges it block by block when it closes, where
+    /// the bands would have landed.
+    fn formed(&mut self, c: DistMat<KernelOut<K>>);
+
+    /// The sabotage seam (`mfbc_fault::sabotage`): drops the first
+    /// entry of the formed product's first nonempty block, or else one
+    /// entry of what the landing emits. `false` when there is none.
     fn corrupt(&mut self) -> bool;
 }
 
@@ -93,22 +113,37 @@ pub struct Band<'b, L, R> {
     pub ranks: &'b [usize],
 }
 
-/// The landing that materialises: every cell becomes a product matrix
-/// at its offsets, for `mm::assemble_canonical`. It has one band, so
-/// each of its cells is one rank's whole piece, formed from the band's
-/// rows of the left operand and the rank's slab of the right one, each
-/// sliced out where the band has several.
+/// The landing that materialises: the product as a matrix in the
+/// canonical layout, for `mm_exec`. A formed product is kept as it
+/// arrives. Bands are collected as pieces, for [`assemble_canonical`]:
+/// there is one band, so each cell is one rank's whole piece, formed
+/// from the band's rows of the left operand and the rank's slab of the
+/// right one, each sliced out where the band has several.
 pub(crate) struct Collect<'m, T> {
     mask: Option<&'m Mask<'m>>,
     pub(crate) pieces: Vec<Piece<T>>,
+    formed: Option<DistMat<T>>,
 }
 
-impl<'m, T> Collect<'m, T> {
+impl<'m, T: Clone + Send + Sync + PartialEq + std::fmt::Debug> Collect<'m, T> {
     pub(crate) fn new(mask: Option<&'m Mask<'m>>) -> Self {
         Collect {
             mask,
             pieces: Vec::new(),
+            formed: None,
         }
+    }
+
+    /// The `nrows × ncols` product in the canonical layout of `m`.
+    pub(crate) fn product<M: Monoid<Elem = T>>(
+        self,
+        m: &Machine,
+        nrows: usize,
+        ncols: usize,
+    ) -> DistMat<T> {
+        let pieces = self.pieces;
+        let assemble = || assemble_canonical::<M, T>(m, nrows, ncols, pieces);
+        self.formed.unwrap_or_else(assemble)
     }
 }
 
@@ -155,7 +190,14 @@ impl<K: SpMulKernel> Land<K> for Collect<'_, KernelOut<K>> {
         cells
     }
 
+    fn formed(&mut self, c: DistMat<KernelOut<K>>) {
+        self.formed = Some(c);
+    }
+
     fn corrupt(&mut self) -> bool {
+        if let Some(c) = &mut self.formed {
+            return corrupt_formed(c);
+        }
         let first = self.pieces.iter_mut().find(|p| p.3.nnz() > 0);
         first.is_some_and(|p| {
             p.3 = drop_first(&p.3);
@@ -168,6 +210,24 @@ impl<K: SpMulKernel> Land<K> for Collect<'_, KernelOut<K>> {
 fn drop_first<T: Clone>(m: &Csr<T>) -> Csr<T> {
     let mut first = true;
     m.filter(|_, _, _| !std::mem::take(&mut first))
+}
+
+/// Drops the first entry of `c`'s first nonempty block; `false` if it
+/// has none.
+fn corrupt_formed<T: Clone + Send + Sync>(c: &mut DistMat<T>) -> bool {
+    let first = c.layout().blocks().find(|&(bi, bj)| c.block(bi, bj).nnz() > 0);
+    first.is_some_and(|(bi, bj)| {
+        let b = drop_first(c.block(bi, bj));
+        c.set_block(bi, bj, b);
+        true
+    })
+}
+
+/// The blocks a formed product's merge emitted, its fan-out announced
+/// under `kernel`.
+fn merged<T>(kernel: &'static str, (blocks, stats): (Vec<T>, ExecStats)) -> Vec<T> {
+    emit_pool(kernel, &stats);
+    blocks
 }
 
 /// The block rows of `l`: a table landing's bands.
@@ -186,18 +246,21 @@ fn panes<T>(ids: Range<usize>, tables: &mut [Table<T>]) -> Vec<Pane<'_, T>> {
     tables[ids].iter_mut().map(Pane::whole).collect()
 }
 
-/// What the bands emitted, per block: the block's matrix — the one
-/// window its band gave it — and the product entries it received.
+/// What a table landing was handed: per block, what its band emitted
+/// — the one window the band gave it — and the product entries it
+/// received; or the product of a plan that does not land, formed whole.
 struct Emitted<T> {
     blocks: Vec<Option<Csr<T>>>,
     received: Vec<usize>,
+    formed: Option<DistMat<T>>,
 }
 
-impl<T: Clone> Emitted<T> {
+impl<T: Clone + Send + Sync> Emitted<T> {
     fn new(l: &Layout) -> Self {
         Emitted {
             blocks: (0..l.nblocks()).map(|_| None).collect(),
             received: vec![0; l.nblocks()],
+            formed: None,
         }
     }
 
@@ -209,18 +272,28 @@ impl<T: Clone> Emitted<T> {
         }
     }
 
-    /// Every block's emitted matrix.
+    /// Every block's emitted matrix and the product entries it
+    /// received. A formed product is merged here: `merge` makes every
+    /// block's matrix of it, and each block received the product's
+    /// entries in it.
     ///
     /// # Panics
     /// Panics if a block's band never arrived.
-    fn blocks(&mut self) -> Vec<Csr<T>> {
-        let block = |b: &mut Option<Csr<T>>| b.take().expect("every band lands");
-        self.blocks.iter_mut().map(block).collect()
+    fn close(self, merge: impl FnOnce(&DistMat<T>) -> Vec<Csr<T>>) -> (Vec<Csr<T>>, Vec<usize>) {
+        let Some(c) = self.formed else {
+            let block = |b: Option<Csr<T>>| b.expect("every band lands");
+            return (self.blocks.into_iter().map(block).collect(), self.received);
+        };
+        let received = c.layout().blocks().map(|(bi, bj)| c.block(bi, bj).nnz());
+        (merge(&c), received.collect())
     }
 
-    /// Drops the first entry emitted, in block order; `false` if none
-    /// was.
+    /// Drops the first entry of the formed product, or else the first
+    /// entry emitted, in block order; `false` if there is none.
     fn corrupt(&mut self) -> bool {
+        if let Some(c) = &mut self.formed {
+            return corrupt_formed(c);
+        }
         let mut blocks = self.blocks.iter_mut().flatten();
         blocks.find(|b| b.nnz() > 0).is_some_and(|b| {
             *b = drop_first(b);
@@ -229,9 +302,9 @@ impl<T: Clone> Emitted<T> {
     }
 }
 
-/// MFBF's step landed: [`Table::accumulate`]'s body on every band's
-/// rows, in the table blocks of the band — `dmat_accumulate` with no
-/// product in between.
+/// MFBF's step: [`Table::accumulate`]'s body on every band's rows, in
+/// the table blocks of the band, or on every block of a formed
+/// product.
 pub struct Accumulate<'t, K: SpMulKernel, F> {
     table: &'t mut DistTable<KernelOut<K>>,
     keep: &'t F,
@@ -260,16 +333,26 @@ where
         }
     }
 
-    /// Closes the step: the entries `keep` let through as the next
-    /// frontier, billed as `dmat_accumulate` bills it, the table's
-    /// residency re-charged at its new size.
+    /// Closes the step: a formed product merged into the table, the
+    /// entries `keep` let through as the next frontier, billed by
+    /// `bill_accumulate`, the table's residency re-charged at its new
+    /// size.
     ///
     /// # Errors
     /// Propagates a memory-budget failure of the grown table.
-    pub fn finish(mut self, m: &Machine) -> Result<DistMat<KernelOut<K>>, MachineError> {
-        let l = self.table.layout().clone();
-        let blocks = self.emitted.blocks();
-        bill_accumulate(m, &l, &self.old, &self.emitted.received, self.table)?;
+    pub fn finish(self, m: &Machine) -> Result<DistMat<KernelOut<K>>, MachineError> {
+        let Accumulate {
+            table,
+            keep,
+            old,
+            emitted,
+        } = self;
+        let (blocks, received) = emitted.close(|c| {
+            let step = |bi, bj, t: &mut Table<_>| t.accumulate::<K::Acc>(c.block(bi, bj), keep);
+            merged("dmat_accumulate", table.update_blocks(step))
+        });
+        let l = table.layout().clone();
+        bill_accumulate(m, &l, &old, &received, table)?;
         Ok(DistMat::from_blocks(l, blocks))
     }
 }
@@ -296,14 +379,17 @@ where
         cells
     }
 
+    fn formed(&mut self, c: DistMat<KernelOut<K>>) {
+        self.emitted.formed = Some(c);
+    }
+
     fn corrupt(&mut self) -> bool {
         self.emitted.corrupt()
     }
 }
 
-/// MFBr's loop step landed: [`Table::settle`]'s body on every band's
-/// rows, in the `Z` blocks of the band — `dmat_settle` with no product
-/// in between.
+/// MFBr's loop step: [`Table::settle`]'s body on every band's rows, in
+/// the `Z` blocks of the band, or on every block of a formed product.
 pub struct Settle<'t, K: SpMulKernel, U, F> {
     z: &'t mut DistTable<KernelOut<K>>,
     side: &'t DistMat<U>,
@@ -336,12 +422,24 @@ where
         }
     }
 
-    /// Closes the step: what fired, as the next frontier, billed as
-    /// `dmat_settle` bills it.
-    pub fn finish(mut self, m: &Machine) -> DistMat<KernelOut<K>> {
-        let l = self.z.layout().clone();
-        let blocks = self.emitted.blocks();
-        bill_settle(m, &l, &self.emitted.received, self.z);
+    /// Closes the step: a formed product settled into `Z`, what fired
+    /// as the next frontier, billed by `bill_settle`.
+    pub fn finish(self, m: &Machine) -> DistMat<KernelOut<K>> {
+        let Settle {
+            z,
+            side,
+            fire,
+            emitted,
+            ..
+        } = self;
+        let (blocks, received) = emitted.close(|c| {
+            let step = |bi, bj, zb: &mut Table<_>| {
+                zb.settle::<K::Acc, U>(c.block(bi, bj), side.block(bi, bj), fire)
+            };
+            merged("dmat_settle", z.update_blocks(step))
+        });
+        let l = z.layout().clone();
+        bill_settle(m, &l, &received, z);
         DistMat::from_blocks(l, blocks)
     }
 }
@@ -382,24 +480,28 @@ where
         cells
     }
 
+    fn formed(&mut self, c: DistMat<KernelOut<K>>) {
+        self.emitted.formed = Some(c);
+    }
+
     fn corrupt(&mut self) -> bool {
         self.emitted.corrupt()
     }
 }
 
-/// MFBr's opening landed: `Z` opened on `T`'s blocks and every band of
-/// the child-count product counted in place in the band's blocks
-/// ([`count_children_panes`]) — `dmat_anchor` with no product in
-/// between. The bands are those of `(τ, 0, 1)` seeds on `T`'s entries
-/// times `Aᵀ`, under `T`'s structural pattern where the machine masks.
+/// MFBr's opening: `Z` opened on `T`'s blocks, every band of the
+/// child-count product counted in place in the band's blocks
+/// ([`count_children_panes`]), or every block of a formed count product
+/// anchored ([`Table::anchor`] with [`mfbr_anchor`]). The product is
+/// that of `(τ, 0, 1)` seeds on `T`'s entries times `Aᵀ`, under `T`'s
+/// structural pattern where the machine masks.
 pub struct Count<'t, F> {
     t: &'t DistMat<Multpath>,
-    z: DistTable<Centpath>,
+    /// The blocks of `Z` the bands opened so far, in block order.
+    z: Vec<Table<Centpath>>,
     within: Option<Mask<'t>>,
     fire: &'t F,
     emitted: Emitted<Centpath>,
-    /// With tracking: per block, per row, the columns that wait.
-    pending: Vec<Option<Vec<Vec<Idx>>>>,
 }
 
 impl<'t, F> Count<'t, F>
@@ -411,38 +513,46 @@ where
     /// the machine masks — it counts only inside that pattern and `Z`
     /// tracks its pending entries.
     pub fn new(t: &'t DistMat<Multpath>, within: Option<Mask<'t>>, fire: &'t F) -> Self {
-        let l = t.layout();
-        let opened = l
-            .blocks()
-            .map(|(bi, bj)| Table::on_pattern(t.block(bi, bj), opened));
-        let z = DistTable::from_blocks(l.clone(), opened.collect());
         Count {
             t,
-            z,
+            z: Vec::new(),
             within,
             fire,
-            emitted: Emitted::new(l),
-            pending: vec![None; l.nblocks()],
+            emitted: Emitted::new(t.layout()),
         }
     }
 
     /// Closes the opening: `Z`, with its pending entries as its mask,
-    /// and the leaves as the first frontier, billed as `dmat_anchor`
-    /// bills them, `Z`'s residency charged.
+    /// and the leaves as the first frontier, billed by `bill_anchor`,
+    /// `Z`'s residency charged.
     ///
     /// # Errors
     /// Propagates a memory-budget failure of the opened table.
     pub fn finish(
-        mut self,
+        self,
         m: &Machine,
     ) -> Result<(DistTable<Centpath>, DistMat<Centpath>), MachineError> {
-        let l = self.t.layout().clone();
-        for (z, pending) in self.z.blocks_mut().iter_mut().zip(self.pending) {
-            z.pend(pending);
-        }
-        let leaves = self.emitted.blocks();
-        bill_anchor(m, &l, self.t, &self.z)?;
-        Ok((self.z, DistMat::from_blocks(l, leaves)))
+        let Count {
+            t,
+            mut z,
+            within,
+            fire,
+            emitted,
+        } = self;
+        let (l, track) = (t.layout(), within.is_some());
+        let (leaves, _) = emitted.close(|c| {
+            let anchor = |id: usize| {
+                let (base, count) = (t.block(id / l.bc(), id % l.bc()), c.block(id / l.bc(), id % l.bc()));
+                Table::anchor::<CentpathMonoid, _>(base, count, mfbr_anchor, fire, track)
+            };
+            let opened = mfbc_parallel::current().par_map_collect_stats(l.nblocks(), anchor);
+            let leaves;
+            (z, leaves) = merged("dmat_anchor", opened).into_iter().unzip();
+            leaves
+        });
+        let z = DistTable::from_blocks(l.clone(), z);
+        bill_anchor(m, l, t, &z)?;
+        Ok((z, DistMat::from_blocks(l.clone(), leaves)))
     }
 }
 
@@ -463,18 +573,24 @@ where
         let sides: Vec<&Csr<Multpath>> =
             (0..l.bc()).map(|bj| self.t.block(band.index, bj)).collect();
         let ids = row_ids(l, band.index);
-        let mut panes = panes(ids.clone(), self.z.blocks_mut());
+        assert_eq!(self.z.len(), ids.start, "bands arrive in order");
+        self.z.extend(sides.iter().map(|t| Table::on_pattern(t, opened)));
+        let mut panes = panes(ids.clone(), &mut self.z);
         let tau = |c: &Centpath| c.w;
         let masked = self.within.is_some();
         let (mut landed, cells) = count_children_panes(
             band.left, tau, band.right, band.cuts, &mut panes, &sides, masked, self.fire,
         );
         // Each block's one window is the whole block.
-        for (id, landed) in ids.clone().zip(&mut landed) {
-            self.pending[id] = landed.pending.take();
+        for (z, landed) in self.z[ids.clone()].iter_mut().zip(&mut landed) {
+            z.pend(landed.pending.take());
         }
         self.emitted.put(ids.start, landed);
         cells
+    }
+
+    fn formed(&mut self, c: DistMat<Centpath>) {
+        self.emitted.formed = Some(c);
     }
 
     fn corrupt(&mut self) -> bool {
@@ -524,6 +640,10 @@ mod tests {
                 }
             }
             vec![(0, 0); band.ranks.len()]
+        }
+
+        fn formed(&mut self, _: DistMat<Dist>) {
+            unreachable!("a landing plan forms no product whole")
         }
 
         fn corrupt(&mut self) -> bool {

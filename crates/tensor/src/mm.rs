@@ -11,27 +11,28 @@
 //! * nine **3D** variants obtained by nesting a 1D variant over `p1`
 //!   layers with a 2D variant on each layer's `p2 × p3` grid.
 //!
-//! A [`MmPlan`] pins the variant and grid; [`mm_exec`] redistributes
-//! the operands into the layouts the variant needs (charged as
-//! all-to-alls, like CTF's redistribution kernels), runs the
-//! communication schedule with *real data movement* through the
-//! machine's collectives, and returns the product in the canonical
-//! world layout.
+//! A [`MmPlan`] pins the variant and grid; [`mm_land`], the one
+//! executor, redistributes the operands into the layouts the variant
+//! needs (charged as all-to-alls, like CTF's redistribution kernels),
+//! runs the communication schedule with *real data movement* through
+//! the machine's collectives, and hands the product to a [`Land`]: a
+//! `1d(A)` or `1d(B)` schedule band by band, which the landing consumes
+//! in the canonical blocks it covers, any other plan whole, in the
+//! canonical world layout. [`mm_exec`] is `mm_land` into a landing that
+//! keeps the product as a matrix.
 //!
 //! Deviation noted for reviewers: results are re-assembled into the
 //! canonical blocked layout without charging that final reshuffle.
 //! Every consumer charges its own redistribution *from* the canonical
 //! layout, which is the same Θ(nnz/p)-per-rank all-to-all it would
 //! pay from the variant's native output layout, so total charged
-//! volume is preserved; see DESIGN.md. [`mm_land`] runs a `1d(A)` or
-//! `1d(B)` schedule with the same charges and hands its output, band
-//! by band, to a [`Land`] instead, which consumes it in the canonical
-//! blocks it covers: nothing is assembled.
+//! volume is preserved; see DESIGN.md. A product that lands band by
+//! band is not assembled at all.
 
 use crate::cache::MmCache;
 use crate::dist::{DistMat, Layout};
 use crate::grid::{Grid2, Grid3};
-use crate::land::Land;
+use crate::land::{Collect, Land};
 use crate::mm1d::Piece;
 use crate::{mm1d, mm2d, mm3d};
 use mfbc_algebra::kernel::KernelOut;
@@ -160,10 +161,10 @@ impl MmPlan {
         }
     }
 
-    /// Whether the plan's output pieces can land where they are
-    /// consumed ([`mm_land`]): `1d(A)` and `1d(B)` form every piece
-    /// whole on one rank; every other plan reduces or assembles its
-    /// output first.
+    /// Whether the plan's output lands where it is consumed, band by
+    /// band ([`mm_land`]): `1d(A)` and `1d(B)` form every piece whole
+    /// on one rank; every other plan reduces or assembles its output
+    /// first, and hands it over whole.
     pub fn lands(&self) -> bool {
         matches!(self, MmPlan::OneD(Variant1D::A | Variant1D::B))
     }
@@ -240,31 +241,6 @@ pub fn enumerate_plans(p: usize) -> Vec<MmPlan> {
     plans
 }
 
-/// Applies the armed result corruption (the conformance harness's
-/// meta-test seam, `mfbc_fault::sabotage`): one stored output entry
-/// is dropped, or — when the output is empty — the `ops` counter is
-/// perturbed.
-fn apply_fault<T>(out: &mut MmOut<T>)
-where
-    T: Clone + Send + Sync + PartialEq + std::fmt::Debug,
-{
-    let l = out.c.layout().clone();
-    for bi in 0..l.br() {
-        for bj in 0..l.bc() {
-            if out.c.block(bi, bj).nnz() > 0 {
-                let mut first = true;
-                let b = out
-                    .c
-                    .block(bi, bj)
-                    .filter(|_, _, _| !std::mem::take(&mut first));
-                out.c.set_block(bi, bj, b);
-                return;
-            }
-        }
-    }
-    out.ops = out.ops.wrapping_add(1);
-}
-
 /// Result of a distributed multiplication.
 #[derive(Clone, Debug)]
 pub struct MmOut<T> {
@@ -329,7 +305,13 @@ where
             stitch(rows, cols, &mut slabs, |v| !M::is_identity(v)).0
         })
         .collect();
-    DistMat::from_blocks(layout, blocks)
+    let c = DistMat::from_blocks(layout, blocks);
+    debug_assert!(
+        c.validate().is_ok(),
+        "assembled an invalid product: {:?}",
+        c.validate()
+    );
+    c
 }
 
 /// The first two pieces (by index) whose rectangles share a cell.
@@ -453,6 +435,9 @@ pub fn mm_exec_masked<K: SpMulKernel>(
 /// B-panel paths that nothing will reuse
 /// — a plan that never caches, or a [`MmCache::one_shot`] cache —
 /// shrink operand volume against the mask (see DESIGN.md).
+///
+/// [`mm_land`] into a landing that keeps the product as a matrix, then
+/// assembled in the canonical layout if its plan landed it in pieces.
 pub fn mm_exec_cached_masked<K: SpMulKernel>(
     m: &Machine,
     plan: &MmPlan,
@@ -461,69 +446,30 @@ pub fn mm_exec_cached_masked<K: SpMulKernel>(
     mask: Option<&Mask>,
     cache: &mut MmCache<K::Right>,
 ) -> Result<MmOut<KernelOut<K>>, MachineError> {
-    assert_eq!(
-        a.ncols(),
-        b.nrows(),
-        "mm inner dimension mismatch: {}x{} by {}x{}",
-        a.nrows(),
-        a.ncols(),
-        b.nrows(),
-        b.ncols()
-    );
-    if let Some(mk) = mask {
-        assert_eq!(
-            (mk.nrows(), mk.ncols()),
-            (a.nrows(), b.ncols()),
-            "mask shape {}x{} does not match output shape {}x{}",
-            mk.nrows(),
-            mk.ncols(),
-            a.nrows(),
-            b.ncols()
-        );
-    }
-    plan.check(m.p())?;
-    let _span = mfbc_trace::span(|| format!("spgemm {plan}"));
-    let out = plan_pieces::<K>(m, plan, a, b, mask, cache).map(|(pieces, ops)| {
-        let c = assemble_canonical::<K::Acc, _>(m, a.nrows(), b.ncols(), pieces);
-        let mut out = MmOut { c, ops };
-        if mfbc_fault::sabotage::armed_for(plan) {
-            apply_fault(&mut out);
-        }
-        debug_assert!(
-            out.c.validate().is_ok(),
-            "mm_exec produced an invalid result: {:?}",
-            out.c.validate()
-        );
-        out
-    });
-    if let Ok(out) = &out {
-        mfbc_trace::emit(|| mfbc_trace::TraceEvent::Spgemm {
-            plan: plan.to_string(),
-            m: a.nrows() as u64,
-            k: a.ncols() as u64,
-            n: b.ncols() as u64,
-            nnz_a: a.nnz() as u64,
-            nnz_b: b.nnz() as u64,
-            nnz_c: out.c.nnz() as u64,
-            ops: out.ops,
-        });
-    }
-    out
+    let mut collect = Collect::new(mask);
+    let ops = mm_land::<K>(m, plan, a, b, &mut collect, cache)?;
+    let c = collect.product::<K::Acc>(m, a.nrows(), b.ncols());
+    Ok(MmOut { c, ops })
 }
 
-/// Executes `a •⟨⊕,f⟩ b` under a plan whose output pieces land where
-/// they are consumed ([`MmPlan::lands`]): the operands move and are
-/// charged exactly as under [`mm_exec_cached_masked`], and each band
-/// of the output ([`Land::bands`]) is handed to `land`, which forms it
-/// under its own mask ([`Land::mask`]) — no product matrix is built or
-/// assembled. Returns `ops`.
+/// Executes `a •⟨⊕,f⟩ b` under `plan` into `land`, under the mask the
+/// landing reports ([`Land::mask`]); returns `ops`. The one executor:
+/// [`mm_exec`] and the sweeps' table steps both run here.
+///
+/// A plan that lands ([`MmPlan::lands`]) hands each band of the output
+/// ([`Land::bands`]) to `land`, which forms it in place — no product
+/// matrix is built or assembled. Every other plan reduces or assembles
+/// its output across ranks: its pieces are assembled in the canonical
+/// layout and handed over whole ([`Land::formed`]). The operands move
+/// and are charged alike either way.
 ///
 /// # Errors
-/// Propagates [`MachineError::OutOfMemory`] and injected faults, as
-/// [`mm_exec`] does.
+/// Propagates [`MachineError::OutOfMemory`] when a rank's simulated
+/// memory budget is exceeded (e.g. 1D replication of a matrix larger
+/// than `M`), and injected faults.
 ///
 /// # Panics
-/// Panics if the plan does not land, or on mismatched shapes.
+/// Panics on mismatched shapes.
 pub fn mm_land<K: SpMulKernel>(
     m: &Machine,
     plan: &MmPlan,
@@ -541,16 +487,34 @@ pub fn mm_land<K: SpMulKernel>(
         b.nrows(),
         b.ncols()
     );
-    let MmPlan::OneD(variant) = *plan else {
-        panic!("plan {plan} reduces its output: it does not land");
-    };
-    assert!(
-        plan.lands(),
-        "plan {plan} reduces its output: it does not land"
-    );
+    let mask = land.mask();
+    if let Some(mk) = &mask {
+        assert_eq!(
+            (mk.nrows(), mk.ncols()),
+            (a.nrows(), b.ncols()),
+            "mask shape {}x{} does not match output shape {}x{}",
+            mk.nrows(),
+            mk.ncols(),
+            a.nrows(),
+            b.ncols()
+        );
+    }
     plan.check(m.p())?;
     let _span = mfbc_trace::span(|| format!("spgemm {plan}"));
-    let (mut ops, formed) = mm1d::run_slabs::<K>(m, &m.world(), variant, a, b, cache, land)?;
+    let (mut ops, formed) = match *plan {
+        MmPlan::OneD(variant) if plan.lands() => {
+            drop(mask);
+            mm1d::run_slabs::<K>(m, &m.world(), variant, a, b, cache, land)?
+        }
+        _ => {
+            let (pieces, ops) = plan_pieces::<K>(m, plan, a, b, mask.as_ref(), cache)?;
+            drop(mask);
+            let c = assemble_canonical::<K::Acc, _>(m, a.nrows(), b.ncols(), pieces);
+            let nnz = c.nnz() as u64;
+            land.formed(c);
+            (ops, nnz)
+        }
+    };
     if mfbc_fault::sabotage::armed_for(plan) && !land.corrupt() {
         ops = ops.wrapping_add(1);
     }

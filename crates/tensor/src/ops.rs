@@ -1,11 +1,11 @@
 //! Distributed elementwise operations on [`DistMat`]s sharing a
-//! layout: monoid combination, zip-filter/map, the two fused in-place
-//! superstep updates ([`dmat_accumulate`], [`dmat_settle`]), the pass
-//! that opens the second ([`dmat_anchor`]) and
-//! counting — the distributed counterparts of CTF's elementwise
-//! `Function` / `Transform` operations and sparse writes (§6.1). All
-//! are communication-free except [`nnz_sync`], which models the
-//! allreduce a bulk-synchronous loop uses to agree on termination.
+//! layout: monoid combination, zip-filter/map and counting — the
+//! distributed counterparts of CTF's elementwise `Function` /
+//! `Transform` operations and sparse writes (§6.1) — and how the fused
+//! table steps a product lands in (`land::{Accumulate, Settle,
+//! Count}`) are billed. All are communication-free except
+//! [`nnz_sync`], which models the allreduce a bulk-synchronous loop
+//! uses to agree on termination.
 //!
 //! Blocks are independent, so the block loop fans out on the
 //! `mfbc-parallel` pool. Cost-model charges are applied *serially in
@@ -18,7 +18,7 @@ use mfbc_algebra::monoid::Monoid;
 use mfbc_machine::cost::CollectiveKind;
 use mfbc_machine::{Machine, MachineError};
 use mfbc_sparse::elementwise::{combine, map_filter, zip_filter};
-use mfbc_sparse::{Csr, Table};
+use mfbc_sparse::Csr;
 
 /// Asserts two distributed matrices share cuts and owners.
 fn assert_aligned<T, U>(a: &DistMat<T>, b: &DistMat<U>)
@@ -33,7 +33,7 @@ where
 }
 
 /// Emits a pool-observability event for one blockwise fan-out.
-fn emit_pool(kernel: &'static str, stats: &mfbc_parallel::ExecStats) {
+pub(crate) fn emit_pool(kernel: &'static str, stats: &mfbc_parallel::ExecStats) {
     mfbc_trace::emit(|| mfbc_trace::TraceEvent::Pool {
         kernel,
         threads: stats.threads,
@@ -85,47 +85,11 @@ where
     )
 }
 
-/// Algorithm 1, lines 5–6 fused: [`mfbc_sparse::Table::accumulate`]
-/// block by block — `T := T ⊕ G` in place plus the entries of `G`
-/// that `keep` lets into the next frontier — with `T`'s residency
-/// re-charged at its new size, billed by `bill_accumulate`.
-///
-/// # Errors
-/// Propagates a memory-budget failure of the grown table.
-pub fn dmat_accumulate<M, T>(
-    m: &Machine,
-    table: &mut DistTable<T>,
-    explored: &DistMat<T>,
-    keep: impl Fn(&T, Option<&T>, &T) -> Option<T> + Sync,
-) -> Result<DistMat<T>, MachineError>
-where
-    M: Monoid<Elem = T>,
-    T: Clone + Send + Sync,
-{
-    let l = explored.layout();
-    assert!(
-        table.layout().same_cuts(l),
-        "distributed accumulate requires aligned layouts"
-    );
-    let nnz = |t: fn(&DistTable<T>, &DistMat<T>, usize, usize) -> usize, table: &DistTable<T>| {
-        l.blocks()
-            .map(|(bi, bj)| t(table, explored, bi, bj))
-            .collect::<Vec<_>>()
-    };
-    let old = nnz(|t, _, bi, bj| t.block(bi, bj).nnz(), table);
-    let explored_nnz = nnz(|_, g, bi, bj| g.block(bi, bj).nnz(), table);
-    let (blocks, stats) =
-        table.update_blocks(|bi, bj, t| t.accumulate::<M>(explored.block(bi, bj), &keep));
-    emit_pool("dmat_accumulate", &stats);
-    bill_accumulate(m, l, &old, &explored_nnz, table)?;
-    Ok(DistMat::from_blocks(l.clone(), blocks))
-}
-
-/// How Algorithm 1, lines 5–6 fused is billed, however its product
-/// reached the table — materialised ([`dmat_accumulate`]) or landed
-/// in place (`land::Accumulate`): as the composition it replaces, so
-/// modeled costs stay comparable across revisions (DESIGN.md §7,
-/// deviation 8). Per block, the merge `nnz(T) + nnz(G)` of a
+/// How Algorithm 1, lines 5–6 fused is billed (`land::Accumulate`),
+/// however its product reached the table — landed band by band or
+/// formed whole and merged block by block: as the composition it
+/// replaces, so modeled costs stay comparable across revisions
+/// (DESIGN.md §7, deviation 8). Per block, the merge `nnz(T) + nnz(G)` of a
 /// [`dmat_combine`], then the `nnz(G)` of a [`dmat_zip_filter`]; then
 /// what `DistMat::{release,charge}_memory` would move for the table as
 /// a matrix, before and after. `old` and `explored` hold `nnz(T)`
@@ -153,45 +117,10 @@ pub(crate) fn bill_accumulate<T: Clone + Send + Sync>(
     Ok(())
 }
 
-/// Algorithm 2, lines 1–4 fused: [`Table::anchor`] block by block —
-/// the table `init` fills on `base`'s pattern with its residency
-/// charged (with `track`, each block reporting its pending entries as
-/// its [`Table::mask`]) and the entries `fire` emits from it — billed
-/// by `bill_anchor`.
-///
-/// # Errors
-/// Propagates a memory-budget failure of the opened table.
-pub fn dmat_anchor<M, U>(
-    m: &Machine,
-    base: &DistMat<U>,
-    other: &DistMat<M::Elem>,
-    init: impl Fn(&U, Option<&M::Elem>) -> M::Elem + Sync,
-    fire: impl Fn(&mut M::Elem, &U) -> Option<M::Elem> + Sync,
-    track: bool,
-) -> Result<(DistTable<M::Elem>, DistMat<M::Elem>), MachineError>
-where
-    M: Monoid,
-    M::Elem: Clone + Send + Sync,
-    U: Clone + Send + Sync,
-{
-    assert_aligned(base, other);
-    let l = base.layout();
-    let (parts, stats) = mfbc_parallel::current().par_map_collect_stats(l.nblocks(), |id| {
-        let (bi, bj) = (id / l.bc(), id % l.bc());
-        Table::anchor::<M, U>(base.block(bi, bj), other.block(bi, bj), &init, &fire, track)
-    });
-    emit_pool("dmat_anchor", &stats);
-    let (zs, fronts) = parts.into_iter().unzip();
-    let z = DistTable::from_blocks(l.clone(), zs);
-    bill_anchor(m, l, base, &z)?;
-    let frontier = DistMat::from_blocks(l.clone(), fronts);
-    Ok((z, frontier))
-}
-
-/// How Algorithm 2, lines 1–4 fused is billed, however the child
-/// count reached `Z` — materialised ([`dmat_anchor`]) or counted in
-/// place (`land::Count`): as the composition it replaces (DESIGN.md
-/// §7, deviation 8). Per block, the `nnz(base)` of a
+/// How Algorithm 2, lines 1–4 fused is billed (`land::Count`),
+/// however the child count reached `Z` — counted in place band by
+/// band or formed whole and anchored block by block: as the
+/// composition it replaces (DESIGN.md §7, deviation 8). Per block, the `nnz(base)` of a
 /// [`dmat_zip_filter`], the memory charge of `Z` as a matrix, then the
 /// `nnz(Z)` of a second zip and of a [`dmat_map_filter`].
 ///
@@ -219,44 +148,10 @@ where
     Ok(())
 }
 
-/// Algorithm 2, lines 8–11 fused: [`Table::settle`] block by block —
-/// `Z := Z ⊗ G` in place on `Z`'s pattern, `fire` on the entries just
-/// touched (against `side` at the same coordinates) emitting the next
-/// frontier — billed by `bill_settle`.
-pub fn dmat_settle<M, U>(
-    m: &Machine,
-    z: &mut DistTable<M::Elem>,
-    update: &DistMat<M::Elem>,
-    side: &DistMat<U>,
-    fire: impl Fn(&mut M::Elem, &U) -> Option<M::Elem> + Sync,
-) -> DistMat<M::Elem>
-where
-    M: Monoid,
-    M::Elem: Clone + Send + Sync,
-    U: Clone + Send + Sync,
-{
-    assert_aligned(update, side);
-    let l = update.layout();
-    assert!(
-        z.layout().same_cuts(l),
-        "distributed settle requires aligned layouts"
-    );
-    let (blocks, stats) = z.update_blocks(|bi, bj, zb| {
-        zb.settle::<M, U>(update.block(bi, bj), side.block(bi, bj), &fire)
-    });
-    emit_pool("dmat_settle", &stats);
-    let updates: Vec<usize> = l
-        .blocks()
-        .map(|(bi, bj)| update.block(bi, bj).nnz())
-        .collect();
-    bill_settle(m, l, &updates, z);
-    DistMat::from_blocks(l.clone(), blocks)
-}
-
-/// How Algorithm 2, lines 8–11 fused is billed, however its product
-/// reached `Z` — materialised ([`dmat_settle`]) or landed in place
-/// (`land::Settle`): as the composition it replaces (DESIGN.md §7,
-/// deviation 8). Per block, an anchored merge `nnz(Z) + nnz(G)`, then
+/// How Algorithm 2, lines 8–11 fused is billed (`land::Settle`),
+/// however its product reached `Z` — landed band by band or formed
+/// whole and settled block by block: as the composition it replaces
+/// (DESIGN.md §7, deviation 8). Per block, an anchored merge `nnz(Z) + nnz(G)`, then
 /// the `nnz(Z)` of a zip and of a map; `updates` holds `nnz(G)` by
 /// flat block id.
 pub(crate) fn bill_settle<T: Clone + Send + Sync>(
