@@ -4,7 +4,8 @@
 //! repro — and disarming the fault must restore a green suite,
 //! proving the failure was the injected one. The same seam corrupts a
 //! 1D product that lands in the table blocks it covers instead of
-//! being assembled, and the driver suite must catch that too.
+//! being assembled, and a `1d(C)` product that reaches the table
+//! whole, and the driver suite must catch both.
 
 use mfbc_conformance::case::{CaseSpec, DriverCase, DriverPlan, MmCase, MmKernelKind};
 use mfbc_conformance::suite::run_suite;
@@ -125,6 +126,40 @@ fn injected_landing_fault_is_caught() {
     // armed, and the same case passes once it is disarmed.
     let replayed = landing(failure.seed);
     let guard = fault::arm("1d(");
+    assert!(replayed.check().is_err(), "replayed case must still fail");
+    drop(guard);
+    replayed
+        .check()
+        .unwrap_or_else(|e| panic!("case must pass once the fault is disarmed: {e}"));
+}
+
+/// Driver cases pinned to `1d(C)` (`enumerate_plans(p)[2]`) at p ∈ {2,
+/// 4}: its partial products are reduced across ranks, so the product
+/// reaches the table whole, merged by the landing when it closes.
+fn reducing(seed: u64) -> DriverCase {
+    let mut case = DriverCase::generate(seed, &[2, 4], false);
+    case.plan = DriverPlan::Fixed(2);
+    case
+}
+
+#[test]
+fn injected_fault_in_a_formed_product_is_caught() {
+    run_suite("formed_baseline", 10, reducing).unwrap_or_else(|f| panic!("{f}"));
+
+    let guard = fault::arm("1d(C");
+    let failure = run_suite("formed_injected", 10, reducing)
+        .expect_err("a corrupted product merged whole must be caught");
+    drop(guard);
+    assert!(
+        failure.original_error.contains("OneD(C)"),
+        "failure must implicate 1d(C): {}",
+        failure.original_error
+    );
+
+    // The printed seed replays a failing case while the fault is
+    // armed, and the same case passes once it is disarmed.
+    let replayed = reducing(failure.seed);
+    let guard = fault::arm("1d(C");
     assert!(replayed.check().is_err(), "replayed case must still fail");
     drop(guard);
     replayed

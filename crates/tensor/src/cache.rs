@@ -28,9 +28,8 @@ use std::sync::Arc;
 /// A cached prepared form of a right operand.
 #[derive(Clone, Debug)]
 pub enum CachedRhs<T> {
-    /// Fully replicated global matrix (1D variant B).
-    Global(Arc<Csr<T>>),
-    /// Split by columns, one slab per rank (1D variant A).
+    /// The whole matrix, split by columns: one slab per rank (1D
+    /// variant A) or one slab every rank holds (1D variant B).
     Split(Arc<ColumnSlabs<T>>),
     /// One redistributed layout (1D variant C, 2D variants).
     Dist(Arc<DistMat<T>>),
@@ -39,15 +38,7 @@ pub enum CachedRhs<T> {
 }
 
 impl<T> CachedRhs<T> {
-    /// The replicated matrix a 1D-B key holds.
-    pub(crate) fn global(self) -> Arc<Csr<T>> {
-        match self {
-            CachedRhs::Global(g) => g,
-            _ => panic!("the key does not hold a replicated matrix"),
-        }
-    }
-
-    /// The column slabs a 1D-A key holds.
+    /// The column slabs a 1D key holds.
     pub(crate) fn split(self) -> Arc<ColumnSlabs<T>> {
         match self {
             CachedRhs::Split(s) => s,
@@ -72,13 +63,14 @@ impl<T> CachedRhs<T> {
     }
 }
 
-/// A right operand split by columns, one slab per rank, kept as one
-/// matrix: the whole of it in global column ids, where slabs `1, 2, …`
-/// start, and the stored entries of each slab. The landing kernels
-/// read it as [`Slabs`], each row of it once.
+/// A right operand split by columns, kept as one matrix: the whole of
+/// it in global column ids, where slabs `1, 2, …` start, and the
+/// stored entries of each slab. The landing kernels read it as
+/// [`Slabs`], each row of it once. The matrix is shared: the 1D forms
+/// of one operand — cut at the ranks' slabs, or whole — hold one copy.
 #[derive(Debug)]
 pub struct ColumnSlabs<T> {
-    mat: Csr<T>,
+    mat: Arc<Csr<T>>,
     cuts: Vec<usize>,
     nnz: Vec<usize>,
 }
@@ -86,9 +78,14 @@ pub struct ColumnSlabs<T> {
 impl<T> ColumnSlabs<T> {
     /// `mat`, cut where slabs `1, 2, …` start, each slab's entries
     /// counted.
-    pub(crate) fn new(mat: Csr<T>, cuts: Vec<usize>) -> Self {
+    pub(crate) fn new(mat: Arc<Csr<T>>, cuts: Vec<usize>) -> Self {
         let nnz = Slabs::new(&mat, &cuts).nnz();
         ColumnSlabs { mat, cuts, nnz }
+    }
+
+    /// The whole matrix, shared.
+    pub(crate) fn mat(&self) -> &Arc<Csr<T>> {
+        &self.mat
     }
 
     /// The slabs, for a kernel.
@@ -237,6 +234,11 @@ impl<T> MmCache<T> {
         let (form, held) = build()?;
         self.insert(key, fp, form.clone(), held);
         Ok(form)
+    }
+
+    /// The form under `key`, if any, without counting a lookup.
+    pub(crate) fn peek(&self, key: &str) -> Option<&CachedRhs<T>> {
+        self.entries.get(key).map(|e| &e.form)
     }
 
     /// Looks up a prepared form.

@@ -48,7 +48,7 @@ use mfbc_machine::cost::CollectiveKind;
 use mfbc_machine::{Group, Machine, MachineError};
 use mfbc_sparse::elementwise::combine;
 use mfbc_sparse::slice::even_ranges;
-use mfbc_sparse::{entry_bytes, Csr, Mask, Slabs};
+use mfbc_sparse::{entry_bytes, Csr, Mask};
 use std::ops::Range;
 use std::sync::Arc;
 
@@ -72,17 +72,42 @@ fn replicated_rhs<K: SpMulKernel>(
     group: &Group,
     b: &DistMat<K::Right>,
     cache: &mut MmCache<K::Right>,
-) -> Result<Pending<Arc<Csr<K::Right>>>, MachineError> {
-    let key = format!("1d:B:{}:{}", group.len(), b.content_id());
+) -> Result<Pending<Arc<ColumnSlabs<K::Right>>>, MachineError> {
+    let host = host_copy(group, b, cache);
     // A hit moves nothing.
     let mut arrival = Pending::ready(());
-    let form = cache.prepared(key, Fingerprint::of(b), || {
+    let form = cache.prepared(one_d_key('B', group, b), Fingerprint::of(b), || {
         let held;
         (arrival, held) = replicate(m, group, b)?;
-        let global = Arc::new(b.to_global::<FirstWins<K::Right>>());
-        Ok((CachedRhs::Global(global), held))
+        let whole = ColumnSlabs::new(host(), Vec::new());
+        Ok((CachedRhs::Split(Arc::new(whole)), held))
     })?;
-    Ok(arrival.map(|()| form.global()))
+    Ok(arrival.map(|()| form.split()))
+}
+
+/// The cache key of `b`'s form under 1D variant `v` over `group`.
+fn one_d_key<T: Clone + Send + Sync>(v: char, group: &Group, b: &DistMat<T>) -> String {
+    format!("1d:{v}:{}:{}", group.len(), b.content_id())
+}
+
+/// The host copy of `b` a 1D form is made of, for when the form is
+/// built: the one the other 1D form of `b` holds in `cache`, or a fresh
+/// one. `1d(A)` cuts it at the ranks' column slabs and `1d(B)` reads it
+/// whole, so both entries share one matrix; each still charges and
+/// releases what its own form holds on the machine.
+fn host_copy<'b, T>(
+    group: &Group,
+    b: &'b DistMat<T>,
+    cache: &MmCache<T>,
+) -> impl FnOnce() -> Arc<Csr<T>> + 'b
+where
+    T: Clone + PartialEq + Send + Sync + std::fmt::Debug + 'static,
+{
+    let held = ['A', 'B']
+        .into_iter()
+        .find_map(|v| cache.peek(&one_d_key(v, group, b)))
+        .map(|form| form.clone().split().mat().clone());
+    move || held.unwrap_or_else(|| Arc::new(b.to_global::<FirstWins<T>>()))
 }
 
 /// The residency of a copy laid out as `dm`: `(owner, bytes)` of
@@ -202,7 +227,7 @@ pub(crate) fn run_slabs<K: SpMulKernel>(
 ) -> Result<(u64, u64), MachineError> {
     let p = group.len();
     // What each rank multiplies: under A, all of A by its column slab
-    // of B; under B, its row slab of A (`la`) by all of B.
+    // of B; under B, its row slab of A (`la`) by all of B, one slab.
     let (held, rhs, la) = match variant {
         Variant1D::A => {
             // Replicate A and redistribute B concurrently: in overlap
@@ -212,24 +237,17 @@ pub(crate) fn run_slabs<K: SpMulKernel>(
             let (posted, held) = replicate(m, group, a)?;
             let b2 = rhs_for_a::<K>(m, group, b, cache, land.mask())?;
             posted.wait(m)?;
-            (Some(held), Rhs::Split(b2), None)
+            (Some(held), b2, None)
         }
         Variant1D::B => {
             let b_pending = replicated_rhs::<K>(m, group, b, cache)?;
             let la = row_split_layout(a.nrows(), a.ncols(), group);
             charge_redistribute(m, a, &la)?;
-            (None, Rhs::Whole(b_pending.wait(m)?), Some(la))
+            (None, b_pending.wait(m)?, Some(la))
         }
         Variant1D::C => unreachable!("1D-C reduces its output: see `run_reduced`"),
     };
-    let whole;
-    let (right, nnz) = match &rhs {
-        Rhs::Split(b2) => (b2.slabs(), b2.nnz()),
-        Rhs::Whole(b_full) => {
-            whole = [b_full.nnz()];
-            (Slabs::whole(b_full), &whole[..])
-        }
-    };
+    let (right, nnz) = (rhs.slabs(), rhs.nnz());
     // Per rank: its bill, and whether its left and its right operand
     // hold an entry — a rank with an empty operand multiplies nothing.
     let mut bills = vec![(0u64, 0u64); p];
@@ -271,13 +289,6 @@ pub(crate) fn run_slabs<K: SpMulKernel>(
     Ok(bills.iter().fold((0, 0), |(o, f), b| (o + b.0, f + b.1)))
 }
 
-/// The right operand of a 1D product: split by columns, one slab per
-/// rank (A), or whole on every rank (B).
-enum Rhs<R> {
-    Split(Arc<ColumnSlabs<R>>),
-    Whole(Arc<Csr<R>>),
-}
-
 /// The row slabs of `la` that output rows `rows` meet, as row cells of
 /// that band: the cuts, band-relative, and the slab (rank) of each.
 fn row_cells(la: &Layout, rows: &Range<usize>) -> (Vec<usize>, Vec<usize>) {
@@ -314,20 +325,19 @@ fn rhs_for_a<K: SpMulKernel>(
     mask: Option<Mask<'_>>,
 ) -> Result<Arc<ColumnSlabs<K::Right>>, MachineError> {
     let lb = col_split_layout(b.nrows(), b.ncols(), group);
-    let split = |b: &DistMat<K::Right>| {
-        charge_redistribute(m, b, &lb)?;
-        let cuts = (1..group.len()).map(|k| lb.col_range(k).start).collect();
-        Ok(ColumnSlabs::new(b.to_global::<FirstWins<K::Right>>(), cuts))
-    };
+    let cuts = || (1..group.len()).map(|k| lb.col_range(k).start).collect();
     let shrunk = mask
         .filter(|_| !cache.amortizes())
         .and_then(|mk| crate::mm::shrink_rhs_against_mask(b, &mk));
     if let Some(s) = shrunk {
-        return split(&s).map(Arc::new);
+        charge_redistribute(m, &s, &lb)?;
+        let host = Arc::new(s.to_global::<FirstWins<K::Right>>());
+        return Ok(Arc::new(ColumnSlabs::new(host, cuts())));
     }
-    let key = format!("1d:A:{}:{}", group.len(), b.content_id());
+    let host = host_copy(group, b, cache);
     let build = || {
-        let built = split(b)?;
+        charge_redistribute(m, b, &lb)?;
+        let built = ColumnSlabs::new(host(), cuts());
         let bytes = built
             .nnz()
             .iter()
@@ -336,6 +346,7 @@ fn rhs_for_a<K: SpMulKernel>(
         let held = Held::charged(m, held.filter(|&(_, bytes)| bytes > 0))?;
         Ok((CachedRhs::Split(Arc::new(built)), held))
     };
+    let key = one_d_key('A', group, b);
     Ok(cache.prepared(key, Fingerprint::of(b), build)?.split())
 }
 
@@ -497,6 +508,46 @@ mod tests {
                     state(&m).iter().all(|&(bytes, _)| bytes == 0),
                     "{what}: all released"
                 );
+            }
+        }
+    }
+
+    #[test]
+    fn both_1d_forms_share_one_host_copy() {
+        // 1d(A)'s column slabs and 1d(B)'s replica are cut from the
+        // same matrix, so one cache holds it once, whichever form is
+        // built first; each entry's receipt stays what its form holds
+        // on the machine: under B the whole operand on every rank, under
+        // A each rank's nonempty column slab.
+        let n = 40;
+        let x = operand(n);
+        for p in [1usize, 3, 4, 16] {
+            for order in [[Variant1D::A, Variant1D::B], [Variant1D::B, Variant1D::A]] {
+                let m = Machine::new(MachineSpec::test(p));
+                let b = DistMat::from_global(canonical_layout(&m, n, n), &x);
+                let group = m.world();
+                let mut cache = MmCache::new();
+                for v in order {
+                    let plan = crate::mm::MmPlan::OneD(v);
+                    crate::mm::mm_exec_cached_masked::<TropicalKernel>(
+                        &m, &plan, &b, &b, None, &mut cache,
+                    )
+                    .unwrap();
+                }
+                let what = format!("p = {p}, {order:?}");
+                let (ka, kb) = (one_d_key('A', &group, &b), one_d_key('B', &group, &b));
+                let host = |key: &str| cache.peek(key).unwrap().clone().split().mat().clone();
+                assert!(Arc::ptr_eq(&host(&ka), &host(&kb)), "{what}: one copy");
+                assert_eq!(*host(&ka), x, "{what}: the operand");
+                let receipt = |key: &str| cache.receipt(key).unwrap().charges().to_vec();
+                let lb = col_split_layout(n, n, &group);
+                let split = redistribute::<FirstWins<Dist>, _>(&m, &b, &lb).unwrap();
+                let slabs: Vec<_> = block_residency(&split).collect();
+                assert_eq!(receipt(&ka), slabs, "{what}: 1d(A)'s receipt");
+                let whole = (x.nnz() * entry_bytes::<Dist>()) as u64;
+                let replicas: Vec<_> = (0..p).map(|r| (r, whole)).collect();
+                assert_eq!(receipt(&kb), replicas, "{what}: 1d(B)'s receipt");
+                cache.release_all(&m);
             }
         }
     }
