@@ -1,22 +1,20 @@
 //! Products consumed where they land.
 //!
 //! Every product the executor (`mm::mm_land`) runs goes to a [`Land`]:
-//! the sweeps' three table steps — [`Accumulate`] (MFBF's `T`),
-//! [`Settle`] (MFBr's `Z`) and [`Count`] (the opening of `Z`) — or
-//! `Collect`, which keeps the product as a matrix for `mm_exec`.
-//!
-//! A 1D plan that replicates an operand (`1d(A)`, `1d(B)`, §5.2.1)
-//! forms each output piece whole on the rank that owns its slab. Sparse
-//! SUMMA's premise (Buluç–Gilbert) is that the output stays where it is
-//! consumed while the operands move, so such a product need not become
-//! a product matrix at all: the executor hands it to the landing band
-//! by band ([`Land::band`]), whose kernel writes it into the table
-//! blocks it covers, through the sinks the shared-memory sweeps use
-//! (the opening of `Z` counted in place). Every other plan reduces or
-//! assembles its output across ranks, so its product arrives whole, in
+//! one of the sweeps' table steps — [`Accumulate`] (MFBF's `T`),
+//! [`Settle`] (MFBr's `Z`), [`Count`] (the opening of `Z`) — or
+//! `Collect`, which keeps it as a matrix for `mm_exec`. A 1D plan that
+//! replicates an operand (`1d(A)`, `1d(B)`, §5.2.1) forms each output
+//! piece whole on the rank that owns its slab, and Sparse SUMMA's
+//! premise (Buluç–Gilbert) is that the output stays where it is
+//! consumed, so such a product never becomes a matrix: it arrives band
+//! by band ([`Land::band`]), and the kernel writes it into the table
+//! blocks it covers through the sinks the shared-memory sweeps use
+//! (`Z`'s opening counted in place). Every other plan reduces or
+//! assembles its output across ranks; its product arrives whole, in
 //! the canonical layout ([`Land::formed`]), and the landing merges it
-//! block by block when it closes: [`mfbc_sparse::Table`]'s
-//! `accumulate`, `settle` and `anchor` on the pool.
+//! block by block when it closes ([`Table`]'s `accumulate`, `settle`,
+//! `anchor`).
 //!
 //! A real machine forms the p slabs at once; one host forms them one
 //! after another, so the landing runs the kernel once per *band*, not
@@ -45,11 +43,9 @@
 //! owners moves no charge.
 
 use crate::dist::{DistMat, DistTable, Layout};
-use crate::mm::assemble_canonical;
 use crate::mm1d::Piece;
 use crate::ops::{bill_accumulate, bill_anchor, bill_settle, emit_pool};
 use mfbc_algebra::kernel::{BrandesKernel, KernelOut};
-use mfbc_algebra::monoid::Monoid;
 use mfbc_algebra::{Centpath, CentpathMonoid, Multpath, SpMulKernel};
 use mfbc_machine::{Machine, MachineError};
 use mfbc_parallel::ExecStats;
@@ -113,37 +109,25 @@ pub struct Band<'b, L, R> {
     pub ranks: &'b [usize],
 }
 
-/// The landing that materialises: the product as a matrix in the
-/// canonical layout, for `mm_exec`. A formed product is kept as it
-/// arrives. Bands are collected as pieces, for [`assemble_canonical`]:
-/// there is one band, so each cell is one rank's whole piece, formed
-/// from the band's rows of the left operand and the rank's slab of the
-/// right one, each sliced out where the band has several.
+/// The landing that materialises, for `mm_exec`: a formed product is
+/// kept as it arrives, and every cell of a band becomes a product
+/// matrix at its offsets, for `mm::assemble_canonical`. It has one
+/// band, so each of its cells is one rank's whole piece, formed from
+/// the band's rows of the left operand and the rank's slab of the right
+/// one, each sliced out where the band has several.
 pub(crate) struct Collect<'m, T> {
     mask: Option<&'m Mask<'m>>,
     pub(crate) pieces: Vec<Piece<T>>,
-    formed: Option<DistMat<T>>,
+    pub(crate) formed: Option<DistMat<T>>,
 }
 
-impl<'m, T: Clone + Send + Sync + PartialEq + std::fmt::Debug> Collect<'m, T> {
+impl<'m, T> Collect<'m, T> {
     pub(crate) fn new(mask: Option<&'m Mask<'m>>) -> Self {
         Collect {
             mask,
             pieces: Vec::new(),
             formed: None,
         }
-    }
-
-    /// The `nrows × ncols` product in the canonical layout of `m`.
-    pub(crate) fn product<M: Monoid<Elem = T>>(
-        self,
-        m: &Machine,
-        nrows: usize,
-        ncols: usize,
-    ) -> DistMat<T> {
-        let pieces = self.pieces;
-        let assemble = || assemble_canonical::<M, T>(m, nrows, ncols, pieces);
-        self.formed.unwrap_or_else(assemble)
     }
 }
 
@@ -215,7 +199,10 @@ fn drop_first<T: Clone>(m: &Csr<T>) -> Csr<T> {
 /// Drops the first entry of `c`'s first nonempty block; `false` if it
 /// has none.
 fn corrupt_formed<T: Clone + Send + Sync>(c: &mut DistMat<T>) -> bool {
-    let first = c.layout().blocks().find(|&(bi, bj)| c.block(bi, bj).nnz() > 0);
+    let first = c
+        .layout()
+        .blocks()
+        .find(|&(bi, bj)| c.block(bi, bj).nnz() > 0);
     first.is_some_and(|(bi, bj)| {
         let b = drop_first(c.block(bi, bj));
         c.set_block(bi, bj, b);
@@ -341,18 +328,13 @@ where
     /// # Errors
     /// Propagates a memory-budget failure of the grown table.
     pub fn finish(self, m: &Machine) -> Result<DistMat<KernelOut<K>>, MachineError> {
-        let Accumulate {
-            table,
-            keep,
-            old,
-            emitted,
-        } = self;
-        let (blocks, received) = emitted.close(|c| {
-            let step = |bi, bj, t: &mut Table<_>| t.accumulate::<K::Acc>(c.block(bi, bj), keep);
-            merged("dmat_accumulate", table.update_blocks(step))
+        let (blocks, received) = self.emitted.close(|c| {
+            let step =
+                |bi, bj, t: &mut Table<_>| t.accumulate::<K::Acc>(c.block(bi, bj), self.keep);
+            merged("dmat_accumulate", self.table.update_blocks(step))
         });
-        let l = table.layout().clone();
-        bill_accumulate(m, &l, &old, &received, table)?;
+        let l = self.table.layout().clone();
+        bill_accumulate(m, &l, &self.old, &received, self.table)?;
         Ok(DistMat::from_blocks(l, blocks))
     }
 }
@@ -425,21 +407,15 @@ where
     /// Closes the step: a formed product settled into `Z`, what fired
     /// as the next frontier, billed by `bill_settle`.
     pub fn finish(self, m: &Machine) -> DistMat<KernelOut<K>> {
-        let Settle {
-            z,
-            side,
-            fire,
-            emitted,
-            ..
-        } = self;
-        let (blocks, received) = emitted.close(|c| {
-            let step = |bi, bj, zb: &mut Table<_>| {
-                zb.settle::<K::Acc, U>(c.block(bi, bj), side.block(bi, bj), fire)
+        let (blocks, received) = self.emitted.close(|c| {
+            let (side, fire) = (self.side, self.fire);
+            let step = |bi, bj, z: &mut Table<_>| {
+                z.settle::<K::Acc, U>(c.block(bi, bj), side.block(bi, bj), fire)
             };
-            merged("dmat_settle", z.update_blocks(step))
+            merged("dmat_settle", self.z.update_blocks(step))
         });
-        let l = z.layout().clone();
-        bill_settle(m, &l, &received, z);
+        let l = self.z.layout().clone();
+        bill_settle(m, &l, &received, self.z);
         DistMat::from_blocks(l, blocks)
     }
 }
@@ -532,18 +508,13 @@ where
         self,
         m: &Machine,
     ) -> Result<(DistTable<Centpath>, DistMat<Centpath>), MachineError> {
-        let Count {
-            t,
-            mut z,
-            within,
-            fire,
-            emitted,
-        } = self;
-        let (l, track) = (t.layout(), within.is_some());
-        let (leaves, _) = emitted.close(|c| {
-            let anchor = |id: usize| {
-                let (base, count) = (t.block(id / l.bc(), id % l.bc()), c.block(id / l.bc(), id % l.bc()));
-                Table::anchor::<CentpathMonoid, _>(base, count, mfbr_anchor, fire, track)
+        let (t, mut z, fire) = (self.t, self.z, self.fire);
+        let (l, track) = (t.layout(), self.within.is_some());
+        let (leaves, _) = self.emitted.close(|c| {
+            let anchor = |id| {
+                let (bi, bj) = (id / l.bc(), id % l.bc());
+                let count = c.block(bi, bj);
+                Table::anchor::<CentpathMonoid, _>(t.block(bi, bj), count, mfbr_anchor, fire, track)
             };
             let opened = mfbc_parallel::current().par_map_collect_stats(l.nblocks(), anchor);
             let leaves;
@@ -574,7 +545,8 @@ where
             (0..l.bc()).map(|bj| self.t.block(band.index, bj)).collect();
         let ids = row_ids(l, band.index);
         assert_eq!(self.z.len(), ids.start, "bands arrive in order");
-        self.z.extend(sides.iter().map(|t| Table::on_pattern(t, opened)));
+        self.z
+            .extend(sides.iter().map(|t| Table::on_pattern(t, opened)));
         let mut panes = panes(ids.clone(), &mut self.z);
         let tau = |c: &Centpath| c.w;
         let masked = self.within.is_some();

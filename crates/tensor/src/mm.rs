@@ -436,8 +436,8 @@ pub fn mm_exec_masked<K: SpMulKernel>(
 /// — a plan that never caches, or a [`MmCache::one_shot`] cache —
 /// shrink operand volume against the mask (see DESIGN.md).
 ///
-/// [`mm_land`] into a landing that keeps the product as a matrix, then
-/// assembled in the canonical layout if its plan landed it in pieces.
+/// [`mm_land`] into a landing that keeps the product as a matrix,
+/// assembled if its plan landed it in pieces.
 pub fn mm_exec_cached_masked<K: SpMulKernel>(
     m: &Machine,
     plan: &MmPlan,
@@ -448,7 +448,10 @@ pub fn mm_exec_cached_masked<K: SpMulKernel>(
 ) -> Result<MmOut<KernelOut<K>>, MachineError> {
     let mut collect = Collect::new(mask);
     let ops = mm_land::<K>(m, plan, a, b, &mut collect, cache)?;
-    let c = collect.product::<K::Acc>(m, a.nrows(), b.ncols());
+    let c = match collect.formed {
+        Some(c) => c,
+        None => assemble_canonical::<K::Acc, _>(m, a.nrows(), b.ncols(), collect.pieces),
+    };
     Ok(MmOut { c, ops })
 }
 

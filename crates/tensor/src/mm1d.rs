@@ -73,7 +73,7 @@ fn replicated_rhs<K: SpMulKernel>(
     b: &DistMat<K::Right>,
     cache: &mut MmCache<K::Right>,
 ) -> Result<Pending<Arc<ColumnSlabs<K::Right>>>, MachineError> {
-    let host = host_copy(group, b, cache);
+    let host = host_copy::<K>(group, b, cache);
     // A hit moves nothing.
     let mut arrival = Pending::ready(());
     let form = cache.prepared(one_d_key('B', group, b), Fingerprint::of(b), || {
@@ -90,24 +90,20 @@ fn one_d_key<T: Clone + Send + Sync>(v: char, group: &Group, b: &DistMat<T>) -> 
     format!("1d:{v}:{}:{}", group.len(), b.content_id())
 }
 
-/// The host copy of `b` a 1D form is made of, for when the form is
-/// built: the one the other 1D form of `b` holds in `cache`, or a fresh
-/// one. `1d(A)` cuts it at the ranks' column slabs and `1d(B)` reads it
+/// The host copy of `b` a 1D form is made of, when the form is built:
+/// the one the other 1D form of `b` holds in `cache`, or a fresh one.
+/// `1d(A)` cuts it at the ranks' column slabs and `1d(B)` reads it
 /// whole, so both entries share one matrix; each still charges and
 /// releases what its own form holds on the machine.
-fn host_copy<'b, T>(
+fn host_copy<'b, K: SpMulKernel>(
     group: &Group,
-    b: &'b DistMat<T>,
-    cache: &MmCache<T>,
-) -> impl FnOnce() -> Arc<Csr<T>> + 'b
-where
-    T: Clone + PartialEq + Send + Sync + std::fmt::Debug + 'static,
-{
-    let held = ['A', 'B']
-        .into_iter()
-        .find_map(|v| cache.peek(&one_d_key(v, group, b)))
-        .map(|form| form.clone().split().mat().clone());
-    move || held.unwrap_or_else(|| Arc::new(b.to_global::<FirstWins<T>>()))
+    b: &'b DistMat<K::Right>,
+    cache: &MmCache<K::Right>,
+) -> impl FnOnce() -> Arc<Csr<K::Right>> + 'b {
+    let held = ['A', 'B'].map(|v| one_d_key(v, group, b));
+    let held = held.iter().find_map(|key| cache.peek(key));
+    let held = held.map(|form| form.clone().split().mat().clone());
+    move || held.unwrap_or_else(|| Arc::new(b.to_global::<FirstWins<K::Right>>()))
 }
 
 /// The residency of a copy laid out as `dm`: `(owner, bytes)` of
@@ -325,19 +321,21 @@ fn rhs_for_a<K: SpMulKernel>(
     mask: Option<Mask<'_>>,
 ) -> Result<Arc<ColumnSlabs<K::Right>>, MachineError> {
     let lb = col_split_layout(b.nrows(), b.ncols(), group);
-    let cuts = || (1..group.len()).map(|k| lb.col_range(k).start).collect();
+    let split = |b: &DistMat<K::Right>, host| {
+        charge_redistribute(m, b, &lb)?;
+        let cuts = (1..group.len()).map(|k| lb.col_range(k).start).collect();
+        Ok(ColumnSlabs::new(host, cuts))
+    };
     let shrunk = mask
         .filter(|_| !cache.amortizes())
         .and_then(|mk| crate::mm::shrink_rhs_against_mask(b, &mk));
     if let Some(s) = shrunk {
-        charge_redistribute(m, &s, &lb)?;
         let host = Arc::new(s.to_global::<FirstWins<K::Right>>());
-        return Ok(Arc::new(ColumnSlabs::new(host, cuts())));
+        return split(&s, host).map(Arc::new);
     }
-    let host = host_copy(group, b, cache);
+    let host = host_copy::<K>(group, b, cache);
     let build = || {
-        charge_redistribute(m, b, &lb)?;
-        let built = ColumnSlabs::new(host(), cuts());
+        let built = split(b, host())?;
         let bytes = built
             .nnz()
             .iter()
@@ -363,8 +361,7 @@ fn run_reduced<K: SpMulKernel>(
     let la = col_split_layout(a.nrows(), a.ncols(), group);
     let lb = row_split_layout(b.nrows(), b.ncols(), group);
     let a2 = redistribute::<FirstWins<K::Left>, _>(m, a, &la)?;
-    let key = format!("1d:C:{}:{}", group.len(), b.content_id());
-    let b2 = redistributed_rhs::<K>(m, key, b, &lb, cache)?;
+    let b2 = redistributed_rhs::<K>(m, one_d_key('C', group, b), b, &lb, cache)?;
     let mut ops = 0u64;
     let mut partials: Vec<Csr<KernelOut<K>>> = Vec::with_capacity(group.len());
     let mut held = Held::default();
