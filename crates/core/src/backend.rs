@@ -326,18 +326,17 @@ impl Backend for Local<'_> {
 /// plus the machine's charges. A plan that reduces or assembles its
 /// output across ranks hands the landing the product in the canonical
 /// layout, which it merges block by block when it closes. Both bill
-/// the same charges.
+/// the same charges. A run that does not amortize holds one-shot caches.
 pub struct Simulated {
     /// The machine every operation charges.
     pub(crate) m: Machine,
     /// `A` and `Aᵀ`, indexed by [`Adj`].
     adj: [DistMat<Dist>; 2],
-    /// Prepared forms of each, kept across products when `amortize`
-    /// is set.
+    /// Prepared forms of each: kept across products where the run
+    /// amortizes, one-shot caches otherwise.
     caches: [MmCache<Dist>; 2],
     /// The plan every product runs; `None` autotunes each one.
     plan: Option<MmPlan>,
-    amortize: bool,
     masked: bool,
     /// Batch index stamped on superstep events and phase spans.
     pub(crate) batch: usize,
@@ -369,9 +368,8 @@ impl Simulated {
         Ok(Simulated {
             m: m.clone(),
             adj,
-            caches: [MmCache::new(), MmCache::new()],
+            caches: [MmCache::amortizing(amortize), MmCache::amortizing(amortize)],
             plan,
-            amortize,
             masked,
             batch: 0,
             closed: false,
@@ -429,53 +427,28 @@ impl Simulated {
         mask: Option<&Mask>,
         priced: Option<&Mask>,
     ) -> Result<(DistMat<KernelOut<K>>, u64), MachineError> {
-        let _span = self.tuning();
-        let plan = self.plan::<K>(frontier, adj, priced);
-        self.materialise::<K>(&plan, frontier, adj, mask)
+        let (_span, plan) = self.plan::<K>(frontier, adj, priced);
+        let (a, cache) = (&self.adj[adj as usize], &mut self.caches[adj as usize]);
+        let out =
+            mfbc_tensor::mm_exec_cached_masked::<K>(&self.m, &plan, frontier, a, mask, cache)?;
+        Ok((out.c, out.ops))
     }
 
-    /// Brackets a product whose plan the tuner picks.
-    fn tuning(&self) -> Option<mfbc_trace::Span> {
-        self.plan
-            .is_none()
-            .then(|| mfbc_trace::span(|| "mm_auto".to_string()))
-    }
-
-    /// The plan a product of `frontier` by `adj` runs: the fixed one,
-    /// or the tuner's pick under `priced` (see [`Simulated::mm`]).
+    /// The plan a product of `frontier` by `adj` runs — the fixed one,
+    /// or the tuner's pick under `priced` (see [`Simulated::mm`]) — and,
+    /// for a pick, the span that brackets the product.
     fn plan<K: SpMulKernel<Right = Dist>>(
         &self,
         frontier: &DistMat<K::Left>,
         adj: Adj,
         priced: Option<&Mask>,
-    ) -> MmPlan {
-        let (m, a) = (&self.m, &self.adj[adj as usize]);
-        let tuned = || {
-            autotune::best_plan(
-                m.spec(),
-                &autotune::stats_for_masked::<K>(frontier, a, priced),
-            )
-            .0
-        };
-        self.plan.clone().unwrap_or_else(tuned)
-    }
-
-    /// [`Simulated::mm`] under `plan`.
-    fn materialise<K: SpMulKernel<Right = Dist>>(
-        &mut self,
-        plan: &MmPlan,
-        frontier: &DistMat<K::Left>,
-        adj: Adj,
-        mask: Option<&Mask>,
-    ) -> Result<(DistMat<KernelOut<K>>, u64), MachineError> {
-        let (m, f) = (&self.m, frontier);
-        let (a, cache) = (&self.adj[adj as usize], &mut self.caches[adj as usize]);
-        let out = if self.amortize {
-            mfbc_tensor::mm_exec_cached_masked::<K>(m, plan, f, a, mask, cache)
-        } else {
-            mfbc_tensor::mm_exec_masked::<K>(m, plan, f, a, mask)
-        }?;
-        Ok((out.c, out.ops))
+    ) -> (Option<mfbc_trace::Span>, MmPlan) {
+        if let Some(plan) = &self.plan {
+            return (None, plan.clone());
+        }
+        let span = mfbc_trace::span(|| "mm_auto".to_string());
+        let stats = autotune::stats_for_masked::<K>(frontier, &self.adj[adj as usize], priced);
+        (Some(span), autotune::best_plan(self.m.spec(), &stats).0)
     }
 
     /// `frontier •⟨⊕,f⟩ adj` under `plan` into `land`, where it is
@@ -488,15 +461,8 @@ impl Simulated {
         adj: Adj,
         land: &mut impl Land<K>,
     ) -> Result<u64, MachineError> {
-        let (m, f) = (&self.m, frontier);
         let (a, cache) = (&self.adj[adj as usize], &mut self.caches[adj as usize]);
-        if self.amortize {
-            return mfbc_tensor::mm_land::<K>(m, plan, f, a, land, cache);
-        }
-        let mut one_shot = MmCache::one_shot();
-        let ops = mfbc_tensor::mm_land::<K>(m, plan, f, a, land, &mut one_shot);
-        one_shot.release_all(m);
-        ops
+        mfbc_tensor::mm_land::<K>(&self.m, plan, frontier, a, land, cache)
     }
 
     /// `A ⊕ B`.
@@ -595,8 +561,7 @@ impl Backend for Simulated {
         keep: impl Fn(&KernelOut<K>, Option<&KernelOut<K>>, &KernelOut<K>) -> Option<KernelOut<K>>
             + Sync,
     ) -> Result<(DistMat<KernelOut<K>>, u64), MachineError> {
-        let span = self.tuning();
-        let plan = self.plan::<K>(frontier, Adj::A, table.mask().as_ref());
+        let (span, plan) = self.plan::<K>(frontier, Adj::A, table.mask().as_ref());
         let mut land = land::Accumulate::<K, _>::new(table, &keep);
         let ops = self.land(&plan, frontier, Adj::A, &mut land)?;
         drop(span);
@@ -616,8 +581,7 @@ impl Backend for Simulated {
         let reached = self.mask_of(MaskKind::Structural, t);
         let seed = |_: usize, _: usize, mp: &Multpath| Some(Centpath::new(mp.w, 0.0, 1));
         let seeds = ops::dmat_map_filter::<CentpathMonoid, _, _>(&self.m, t, seed);
-        let span = self.tuning();
-        let plan = self.plan::<BrandesKernel>(&seeds, Adj::At, reached.as_ref());
+        let (span, plan) = self.plan::<BrandesKernel>(&seeds, Adj::At, reached.as_ref());
         let mut land = land::Count::new(t, reached, &fire);
         let ops = self.land(&plan, &seeds, Adj::At, &mut land)?;
         drop(span);
@@ -638,8 +602,7 @@ impl Backend for Simulated {
     {
         // The product is priced under `within`, which holds for the
         // whole sweep (see [`Simulated::mm`]).
-        let span = self.tuning();
-        let plan = self.plan::<K>(frontier, Adj::At, within);
+        let (span, plan) = self.plan::<K>(frontier, Adj::At, within);
         let mut land = land::Settle::<K, U, _>::new(z, side, within, &fire);
         let ops = self.land(&plan, frontier, Adj::At, &mut land)?;
         drop(span);

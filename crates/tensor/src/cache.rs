@@ -15,7 +15,8 @@
 //! amortization — exactly the `c`-replication trade-off). Each entry
 //! keeps the receipt of what its build charged and releases exactly
 //! that; dropping the cache without [`MmCache::release_all`] leaks
-//! simulated memory, so drivers release at end of run.
+//! simulated memory, so drivers release at end of run. A one-shot cache
+//! is emptied, lookups and all, as the executor (`mm::mm_land`) returns.
 
 use crate::dist::DistMat;
 use crate::held::Held;
@@ -179,11 +180,11 @@ impl<T> MmCache<T> {
         MmCache::default()
     }
 
-    /// An empty cache that serves a single multiplication and is
-    /// released after it: what it holds is never asked for again.
-    pub fn one_shot() -> MmCache<T> {
+    /// An empty cache: amortizing if `amortize` is set, else one-shot —
+    /// what a product builds in it is released when the product ends.
+    pub fn amortizing(amortize: bool) -> MmCache<T> {
         MmCache {
-            one_shot: true,
+            one_shot: !amortize,
             ..MmCache::default()
         }
     }
@@ -207,10 +208,10 @@ impl<T> MmCache<T> {
         self.entries.is_empty()
     }
 
-    /// The prepared form under `key`: the one an earlier
-    /// multiplication stored, or the one `build` makes now. `build`
-    /// returns the form with the receipt of the residency it charged,
-    /// which the entry keeps and [`MmCache::release_all`] releases.
+    /// The prepared form under `key`: the one an earlier multiplication
+    /// stored, or the one `build(self)` makes now. `build` returns the
+    /// form with the receipt of the residency it charged, which the
+    /// entry keeps and [`MmCache::release_all`] releases.
     ///
     /// # Errors
     /// Propagates `build`'s failure, including the memory-budget
@@ -223,7 +224,7 @@ impl<T> MmCache<T> {
         &mut self,
         key: String,
         fp: Fingerprint,
-        build: impl FnOnce() -> Result<(CachedRhs<T>, Held), MachineError>,
+        build: impl FnOnce(&Self) -> Result<(CachedRhs<T>, Held), MachineError>,
     ) -> Result<CachedRhs<T>, MachineError>
     where
         T: Clone,
@@ -231,7 +232,7 @@ impl<T> MmCache<T> {
         if let Some(form) = self.get(&key, fp) {
             return Ok(form.clone());
         }
-        let (form, held) = build()?;
+        let (form, held) = build(self)?;
         self.insert(key, fp, form.clone(), held);
         Ok(form)
     }
@@ -295,6 +296,14 @@ impl<T> MmCache<T> {
         self.stats.set(stats);
         for (_, e) in self.entries.drain() {
             e.held.release(m);
+        }
+    }
+
+    /// Ends a product: a one-shot cache forgets it, as no run reports it.
+    pub(crate) fn end_product(&mut self, m: &Machine) {
+        if self.one_shot {
+            self.release_all(m);
+            self.stats.take();
         }
     }
 

@@ -43,6 +43,7 @@
 //! owners moves no charge.
 
 use crate::dist::{DistMat, DistTable, Layout};
+use crate::mm::{assert_shape, Shape};
 use crate::mm1d::Piece;
 use crate::ops::{bill_accumulate, bill_anchor, bill_settle, emit_pool};
 use mfbc_algebra::kernel::{BrandesKernel, KernelOut};
@@ -62,13 +63,15 @@ use std::ops::Range;
 /// from one that reduces or assembles its output.
 pub trait Land<K: SpMulKernel> {
     /// The output mask the product runs under, in global coordinates:
-    /// what every plan windows to its output blocks, and what the
-    /// executor shrinks a one-shot operand against.
+    /// what a plan that forms its product whole windows to its output
+    /// blocks, and what the executor shrinks a one-shot operand
+    /// against; built on every call. Band kernels read their own.
     fn mask(&self) -> Option<Mask<'_>>;
 
     /// The output rows of each band, in order, for a product of
-    /// `nrows` rows: the block rows of the landing's table.
-    fn bands(&self, nrows: usize) -> Vec<Range<usize>>;
+    /// `shape`: the block rows of the landing's table, which must have
+    /// that shape.
+    fn bands(&self, shape: Shape) -> Vec<Range<usize>>;
 
     /// Forms `band` under the landing's mask. Returns, per cell of the
     /// band (in [`Band::ranks`]' order), its `ops` and how many product
@@ -116,19 +119,9 @@ pub struct Band<'b, L, R> {
 /// the band's rows of the left operand and the rank's slab of the right
 /// one, each sliced out where the band has several.
 pub(crate) struct Collect<'m, T> {
-    mask: Option<&'m Mask<'m>>,
+    pub(crate) mask: Option<&'m Mask<'m>>,
     pub(crate) pieces: Vec<Piece<T>>,
     pub(crate) formed: Option<DistMat<T>>,
-}
-
-impl<'m, T> Collect<'m, T> {
-    pub(crate) fn new(mask: Option<&'m Mask<'m>>) -> Self {
-        Collect {
-            mask,
-            pieces: Vec::new(),
-            formed: None,
-        }
-    }
 }
 
 impl<K: SpMulKernel> Land<K> for Collect<'_, KernelOut<K>> {
@@ -136,8 +129,11 @@ impl<K: SpMulKernel> Land<K> for Collect<'_, KernelOut<K>> {
         self.mask.cloned()
     }
 
-    fn bands(&self, nrows: usize) -> Vec<Range<usize>> {
-        vec![0..nrows]
+    fn bands(&self, shape: Shape) -> Vec<Range<usize>> {
+        if let Some(mk) = self.mask {
+            assert_shape("mask", (mk.nrows(), mk.ncols()), shape);
+        }
+        vec![0..shape.0]
     }
 
     fn band(&mut self, band: Band<'_, K::Left, K::Right>) -> Vec<(u64, u64)> {
@@ -217,8 +213,9 @@ fn merged<T>(kernel: &'static str, (blocks, stats): (Vec<T>, ExecStats)) -> Vec<
     blocks
 }
 
-/// The block rows of `l`: a table landing's bands.
-fn block_rows(l: &Layout) -> Vec<Range<usize>> {
+/// The block rows of `l`: the bands of a table landing.
+fn block_rows(l: &Layout, shape: Shape) -> Vec<Range<usize>> {
+    assert_shape("table", (l.nrows(), l.ncols()), shape);
     (0..l.br()).map(|bi| l.row_range(bi)).collect()
 }
 
@@ -348,8 +345,8 @@ where
         self.table.mask()
     }
 
-    fn bands(&self, _: usize) -> Vec<Range<usize>> {
-        block_rows(self.table.layout())
+    fn bands(&self, shape: Shape) -> Vec<Range<usize>> {
+        block_rows(self.table.layout(), shape)
     }
 
     fn band(&mut self, band: Band<'_, K::Left, K::Right>) -> Vec<(u64, u64)> {
@@ -430,8 +427,8 @@ where
         self.z.mask().or_else(|| self.within.cloned())
     }
 
-    fn bands(&self, _: usize) -> Vec<Range<usize>> {
-        block_rows(self.z.layout())
+    fn bands(&self, shape: Shape) -> Vec<Range<usize>> {
+        block_rows(self.z.layout(), shape)
     }
 
     fn band(&mut self, band: Band<'_, K::Left, K::Right>) -> Vec<(u64, u64)> {
@@ -535,8 +532,8 @@ where
         self.within.clone()
     }
 
-    fn bands(&self, _: usize) -> Vec<Range<usize>> {
-        block_rows(self.t.layout())
+    fn bands(&self, shape: Shape) -> Vec<Range<usize>> {
+        block_rows(self.t.layout(), shape)
     }
 
     fn band(&mut self, band: Band<'_, Centpath, mfbc_algebra::Dist>) -> Vec<(u64, u64)> {
@@ -595,8 +592,8 @@ mod tests {
             None
         }
 
-        fn bands(&self, _: usize) -> Vec<Range<usize>> {
-            block_rows(&self.layout)
+        fn bands(&self, shape: Shape) -> Vec<Range<usize>> {
+            block_rows(&self.layout, shape)
         }
 
         fn band(&mut self, band: Band<'_, Dist, Dist>) -> Vec<(u64, u64)> {
@@ -620,6 +617,73 @@ mod tests {
 
         fn corrupt(&mut self) -> bool {
             false
+        }
+    }
+
+    /// `Collect`, counting the mask views asked of it.
+    struct Counted<'m> {
+        collect: Collect<'m, Dist>,
+        views: std::cell::Cell<usize>,
+    }
+
+    impl Land<TropicalKernel> for Counted<'_> {
+        fn mask(&self) -> Option<Mask<'_>> {
+            self.views.set(self.views.get() + 1);
+            Land::<TropicalKernel>::mask(&self.collect)
+        }
+
+        fn bands(&self, shape: Shape) -> Vec<Range<usize>> {
+            Land::<TropicalKernel>::bands(&self.collect, shape)
+        }
+
+        fn band(&mut self, band: Band<'_, Dist, Dist>) -> Vec<(u64, u64)> {
+            Land::<TropicalKernel>::band(&mut self.collect, band)
+        }
+
+        fn formed(&mut self, c: DistMat<Dist>) {
+            Land::<TropicalKernel>::formed(&mut self.collect, c)
+        }
+
+        fn corrupt(&mut self) -> bool {
+            Land::<TropicalKernel>::corrupt(&mut self.collect)
+        }
+    }
+
+    #[test]
+    fn a_mask_view_is_built_only_where_it_is_read() {
+        // A landing plan's kernels read the landing's tables' masks
+        // themselves: the executor builds no view, but for the operand
+        // a one-shot 1d(A) shrinks against it. A plan that forms its
+        // product whole runs under one view, built once.
+        let n = 29;
+        let x = operand(n);
+        let pattern = operand(n).filter(|i, j, _| (i + j) % 3 != 0 && j < n - 4);
+        let mask = Mask::of_pattern(mfbc_sparse::MaskKind::Structural, &pattern);
+        for p in [1usize, 4, 16] {
+            let m = Machine::new(MachineSpec::test(p));
+            let x = DistMat::from_global(canonical_layout(&m, n, n), &x);
+            for plan in enumerate_plans(p) {
+                for amortize in [true, false] {
+                    let mut counted = Counted {
+                        collect: Collect {
+                            mask: Some(&mask),
+                            pieces: Vec::new(),
+                            formed: None,
+                        },
+                        views: Default::default(),
+                    };
+                    let mut cache = MmCache::amortizing(amortize);
+                    mm_land::<TropicalKernel>(&m, &plan, &x, &x, &mut counted, &mut cache).unwrap();
+                    cache.release_all(&m);
+                    let want = match plan {
+                        MmPlan::OneD(Variant1D::A) => usize::from(!amortize),
+                        MmPlan::OneD(Variant1D::B) => 0,
+                        _ => 1,
+                    };
+                    let what = format!("{plan} at p={p}, amortizing: {amortize}");
+                    assert_eq!(counted.views.get(), want, "{what}: mask views");
+                }
+            }
         }
     }
 

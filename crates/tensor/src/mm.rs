@@ -19,7 +19,7 @@
 //! `1d(A)` or `1d(B)` schedule band by band, which the landing consumes
 //! in the canonical blocks it covers, any other plan whole, in the
 //! canonical world layout. [`mm_exec`] is `mm_land` into a landing that
-//! keeps the product as a matrix.
+//! keeps the product as a matrix, on a one-shot cache.
 //!
 //! Deviation noted for reviewers: results are re-assembled into the
 //! canonical blocked layout without charging that final reshuffle.
@@ -360,9 +360,9 @@ pub(crate) fn shrink_rhs_against_mask<T: Clone + Send + Sync>(
     Some(out)
 }
 
-/// Runs `plan`'s communication schedule and local multiplies,
-/// returning its output pieces (pairwise disjoint, at global offsets)
-/// and `ops`.
+/// Runs the communication schedule and local multiplies of a plan that
+/// does not land (1D-C, 2D, Cannon, 3D), returning its output pieces
+/// (pairwise disjoint, at global offsets) and `ops`.
 fn plan_pieces<K: SpMulKernel>(
     m: &Machine,
     plan: &MmPlan,
@@ -372,7 +372,7 @@ fn plan_pieces<K: SpMulKernel>(
     cache: &mut MmCache<K::Right>,
 ) -> Result<(Vec<Piece<KernelOut<K>>>, u64), MachineError> {
     match *plan {
-        MmPlan::OneD(v) => mm1d::run_pieces::<K>(m, &m.world(), v, a, b, mask, cache),
+        MmPlan::OneD(_) => mm1d::run_reduced::<K>(m, &m.world(), a, b, mask, cache),
         MmPlan::TwoD { variant, p2, p3 } => {
             let grid = Grid2::new(m.world(), p2, p3)?;
             mm2d::run_pieces::<K>(m, &grid, variant, a, b, mask, cache)
@@ -420,10 +420,7 @@ pub fn mm_exec_masked<K: SpMulKernel>(
     b: &DistMat<K::Right>,
     mask: Option<&Mask>,
 ) -> Result<MmOut<KernelOut<K>>, MachineError> {
-    let mut cache = MmCache::one_shot();
-    let out = mm_exec_cached_masked::<K>(m, plan, a, b, mask, &mut cache);
-    cache.release_all(m);
-    out
+    mm_exec_cached_masked::<K>(m, plan, a, b, mask, &mut MmCache::amortizing(false))
 }
 
 /// Like [`mm_exec_masked`], but reusing prepared right-operand forms
@@ -433,8 +430,8 @@ pub fn mm_exec_masked<K: SpMulKernel>(
 /// mask-*independent* (they key on the operand alone), so the
 /// amortization survives a mask that changes every iteration; only
 /// B-panel paths that nothing will reuse
-/// — a plan that never caches, or a [`MmCache::one_shot`] cache —
-/// shrink operand volume against the mask (see DESIGN.md).
+/// — a plan that never caches, or a one-shot cache — shrink operand
+/// volume against the mask (see DESIGN.md).
 ///
 /// [`mm_land`] into a landing that keeps the product as a matrix,
 /// assembled if its plan landed it in pieces.
@@ -446,7 +443,11 @@ pub fn mm_exec_cached_masked<K: SpMulKernel>(
     mask: Option<&Mask>,
     cache: &mut MmCache<K::Right>,
 ) -> Result<MmOut<KernelOut<K>>, MachineError> {
-    let mut collect = Collect::new(mask);
+    let mut collect = Collect {
+        mask,
+        pieces: Vec::new(),
+        formed: None,
+    };
     let ops = mm_land::<K>(m, plan, a, b, &mut collect, cache)?;
     let c = match collect.formed {
         Some(c) => c,
@@ -461,10 +462,11 @@ pub fn mm_exec_cached_masked<K: SpMulKernel>(
 ///
 /// A plan that lands ([`MmPlan::lands`]) hands each band of the output
 /// ([`Land::bands`]) to `land`, which forms it in place — no product
-/// matrix is built or assembled. Every other plan reduces or assembles
-/// its output across ranks: its pieces are assembled in the canonical
-/// layout and handed over whole ([`Land::formed`]). The operands move
-/// and are charged alike either way.
+/// matrix is built or assembled, nor a mask view. Every other plan
+/// reduces or assembles its output across ranks under the mask, built
+/// once, and hands it over whole in the canonical layout
+/// ([`Land::formed`]). The operands move and are charged alike either
+/// way; a one-shot `cache` is emptied before `mm_land` returns.
 ///
 /// # Errors
 /// Propagates [`MachineError::OutOfMemory`] when a rank's simulated
@@ -490,34 +492,26 @@ pub fn mm_land<K: SpMulKernel>(
         b.nrows(),
         b.ncols()
     );
-    let mask = land.mask();
-    if let Some(mk) = &mask {
-        assert_eq!(
-            (mk.nrows(), mk.ncols()),
-            (a.nrows(), b.ncols()),
-            "mask shape {}x{} does not match output shape {}x{}",
-            mk.nrows(),
-            mk.ncols(),
-            a.nrows(),
-            b.ncols()
-        );
-    }
     plan.check(m.p())?;
     let _span = mfbc_trace::span(|| format!("spgemm {plan}"));
-    let (mut ops, formed) = match *plan {
+    let landed = match *plan {
         MmPlan::OneD(variant) if plan.lands() => {
-            drop(mask);
-            mm1d::run_slabs::<K>(m, &m.world(), variant, a, b, cache, land)?
+            mm1d::run_slabs::<K>(m, &m.world(), variant, a, b, cache, land)
         }
         _ => {
-            let (pieces, ops) = plan_pieces::<K>(m, plan, a, b, mask.as_ref(), cache)?;
+            let mask = output_mask(land, (a.nrows(), b.ncols()));
+            let pieces = plan_pieces::<K>(m, plan, a, b, mask.as_ref(), cache);
             drop(mask);
-            let c = assemble_canonical::<K::Acc, _>(m, a.nrows(), b.ncols(), pieces);
-            let nnz = c.nnz() as u64;
-            land.formed(c);
-            (ops, nnz)
+            pieces.map(|(pieces, ops)| {
+                let c = assemble_canonical::<K::Acc, _>(m, a.nrows(), b.ncols(), pieces);
+                let nnz = c.nnz() as u64;
+                land.formed(c);
+                (ops, nnz)
+            })
         }
     };
+    cache.end_product(m);
+    let (mut ops, formed) = landed?;
     if mfbc_fault::sabotage::armed_for(plan) && !land.corrupt() {
         ops = ops.wrapping_add(1);
     }
@@ -532,6 +526,23 @@ pub fn mm_land<K: SpMulKernel>(
         ops,
     });
     Ok(ops)
+}
+
+/// Builds the mask `land` reports and checks it against the `shape`.
+pub(crate) fn output_mask<K: SpMulKernel>(land: &impl Land<K>, shape: Shape) -> Option<Mask<'_>> {
+    land.mask()
+        .inspect(|mk| assert_shape("mask", (mk.nrows(), mk.ncols()), shape))
+}
+
+/// A product's `(rows, columns)`.
+pub type Shape = (usize, usize);
+
+/// Asserts that `what` a product lands in or under has its `shape`.
+pub(crate) fn assert_shape(what: &str, (r, c): Shape, (nr, nc): Shape) {
+    assert!(
+        (r, c) == (nr, nc),
+        "{what} shape {r}x{c} does not match output shape {nr}x{nc}"
+    );
 }
 
 #[cfg(test)]
@@ -562,7 +573,7 @@ mod tests {
             let m = Machine::new(MachineSpec::test(p));
             let da = DistMat::from_global(canonical_layout(&m, n, n), &a);
             let db = DistMat::from_global(canonical_layout(&m, n, n), &b);
-            for plan in enumerate_plans(p) {
+            for plan in enumerate_plans(p).into_iter().filter(|plan| !plan.lands()) {
                 let mut cache = MmCache::new();
                 let (pieces, _) =
                     plan_pieces::<TropicalKernel>(&m, &plan, &da, &db, None, &mut cache).unwrap();
@@ -572,10 +583,11 @@ mod tests {
                 families.insert(plan.family());
             }
         }
+        // `1d(A)` and `1d(B)` land band by band: see `land::tests`.
         assert_eq!(
             families.len(),
-            16,
-            "1D×3 + 2D×3 + 3D×9 + cannon: {families:?}"
+            14,
+            "1d(C) + 2D×3 + 3D×9 + cannon: {families:?}"
         );
     }
 

@@ -34,12 +34,13 @@
 //! ([`ColumnSlabs`]) rather than as p blocks: it is moved and held as
 //! the blocks would be — the all-to-all charged from a count, each rank
 //! holding its slab's entries — and the kernel reads each of its rows
-//! once.
+//! once; B's form shares that matrix. C's output is formed whole
+//! ([`run_reduced`]), as 2D and 3D plans' are.
 
 use crate::cache::{CachedRhs, ColumnSlabs, Fingerprint, MmCache};
 use crate::dist::{DistMat, Layout};
 use crate::held::Held;
-use crate::land::{Band, Collect, Land};
+use crate::land::{Band, Land};
 use mfbc_algebra::kernel::KernelOut;
 use mfbc_algebra::monoid::Monoid;
 use mfbc_algebra::SpMulKernel;
@@ -73,13 +74,12 @@ fn replicated_rhs<K: SpMulKernel>(
     b: &DistMat<K::Right>,
     cache: &mut MmCache<K::Right>,
 ) -> Result<Pending<Arc<ColumnSlabs<K::Right>>>, MachineError> {
-    let host = host_copy::<K>(group, b, cache);
     // A hit moves nothing.
     let mut arrival = Pending::ready(());
-    let form = cache.prepared(one_d_key('B', group, b), Fingerprint::of(b), || {
+    let form = cache.prepared(one_d_key('B', group, b), Fingerprint::of(b), |cache| {
         let held;
         (arrival, held) = replicate(m, group, b)?;
-        let whole = ColumnSlabs::new(host(), Vec::new());
+        let whole = ColumnSlabs::new(host_copy::<K>('A', group, b, cache), Vec::new());
         Ok((CachedRhs::Split(Arc::new(whole)), held))
     })?;
     Ok(arrival.map(|()| form.split()))
@@ -90,20 +90,20 @@ fn one_d_key<T: Clone + Send + Sync>(v: char, group: &Group, b: &DistMat<T>) -> 
     format!("1d:{v}:{}:{}", group.len(), b.content_id())
 }
 
-/// The host copy of `b` a 1D form is made of, when the form is built:
-/// the one the other 1D form of `b` holds in `cache`, or a fresh one.
-/// `1d(A)` cuts it at the ranks' column slabs and `1d(B)` reads it
-/// whole, so both entries share one matrix; each still charges and
-/// releases what its own form holds on the machine.
-fn host_copy<'b, K: SpMulKernel>(
+/// The host copy of `b` a 1D form is built from: the one the `other` 1D
+/// form of `b` holds in `cache`, or a fresh one. `1d(A)` cuts it at the
+/// ranks' column slabs and `1d(B)` reads it whole; each entry charges
+/// and releases what its own form holds on the machine.
+fn host_copy<K: SpMulKernel>(
+    other: char,
     group: &Group,
-    b: &'b DistMat<K::Right>,
+    b: &DistMat<K::Right>,
     cache: &MmCache<K::Right>,
-) -> impl FnOnce() -> Arc<Csr<K::Right>> + 'b {
-    let held = ['A', 'B'].map(|v| one_d_key(v, group, b));
-    let held = held.iter().find_map(|key| cache.peek(key));
-    let held = held.map(|form| form.clone().split().mat().clone());
-    move || held.unwrap_or_else(|| Arc::new(b.to_global::<FirstWins<K::Right>>()))
+) -> Arc<Csr<K::Right>> {
+    match cache.peek(&one_d_key(other, group, b)) {
+        Some(form) => form.clone().split().mat().clone(),
+        None => Arc::new(b.to_global::<FirstWins<K::Right>>()),
+    }
 }
 
 /// The residency of a copy laid out as `dm`: `(owner, bytes)` of
@@ -129,7 +129,7 @@ pub(crate) fn redistributed_rhs<K: SpMulKernel>(
     lb: &Layout,
     cache: &mut MmCache<K::Right>,
 ) -> Result<Arc<DistMat<K::Right>>, MachineError> {
-    let build = || {
+    let build = |_: &MmCache<_>| {
         let built = redistribute::<FirstWins<K::Right>, _>(m, b, lb)?;
         let held = Held::charged(m, block_residency(&built))?;
         Ok((CachedRhs::Dist(Arc::new(built)), held))
@@ -182,24 +182,6 @@ fn replicate<T: Clone + Send + Sync>(
     ))
 }
 
-/// Runs a 1D variant over `group`, returning its output pieces.
-pub(crate) fn run_pieces<K: SpMulKernel>(
-    m: &Machine,
-    group: &Group,
-    variant: Variant1D,
-    a: &DistMat<K::Left>,
-    b: &DistMat<K::Right>,
-    mask: Option<&Mask>,
-    cache: &mut MmCache<K::Right>,
-) -> Result<(Vec<Piece<KernelOut<K>>>, u64), MachineError> {
-    if variant == Variant1D::C {
-        return run_reduced::<K>(m, group, a, b, mask, cache);
-    }
-    let mut collect = Collect::new(mask);
-    let (ops, _) = run_slabs::<K>(m, group, variant, a, b, cache, &mut collect)?;
-    Ok((collect.pieces, ops))
-}
-
 /// Runs 1D-A or 1D-B over `group`, handing the product to `land` band
 /// by band ([`Land::bands`]). Each band is cut into cells by the ranks'
 /// slabs — a row slab of the left operand under B, a column slab of
@@ -231,7 +213,8 @@ pub(crate) fn run_slabs<K: SpMulKernel>(
             // is charged, and the wait lands only before the first
             // multiply that touches the replica.
             let (posted, held) = replicate(m, group, a)?;
-            let b2 = rhs_for_a::<K>(m, group, b, cache, land.mask())?;
+            let mask = || crate::mm::output_mask(&*land, (a.nrows(), b.ncols()));
+            let b2 = rhs_for_a::<K>(m, group, b, cache, mask)?;
             posted.wait(m)?;
             (Some(held), b2, None)
         }
@@ -248,7 +231,7 @@ pub(crate) fn run_slabs<K: SpMulKernel>(
     // hold an entry — a rank with an empty operand multiplies nothing.
     let mut bills = vec![(0u64, 0u64); p];
     let mut live = vec![(false, false); p];
-    for (index, rows) in land.bands(a.nrows()).into_iter().enumerate() {
+    for (index, rows) in land.bands((a.nrows(), b.ncols())).into_iter().enumerate() {
         // The band's row cells and the rank forming each cell.
         let (cuts, ranks) = match &la {
             Some(la) => row_cells(la, &rows),
@@ -309,16 +292,16 @@ fn row_cells(la: &Layout, rows: &Range<usize>) -> (Vec<usize>, Vec<usize>) {
 /// to the replicated/blocked forms of the other variants; a cached
 /// form serves masked calls too (compute is mask-windowed either way).
 /// A miss on a cache that amortizes therefore builds and keeps the
-/// whole form, whatever the mask: a sweep's masks change every product
-/// and the next one hits. Only a one-shot product ships the operand
-/// shrunk by `mask`'s fully-excluded output columns, whose entries
-/// would strand at home.
-fn rhs_for_a<K: SpMulKernel>(
+/// whole form, whatever the mask, and never asks for it: a sweep's masks
+/// change every product and the next one hits. Only a one-shot product
+/// builds `mask` and ships the operand shrunk by its fully-excluded
+/// output columns, whose entries would strand at home.
+fn rhs_for_a<'l, K: SpMulKernel>(
     m: &Machine,
     group: &Group,
     b: &DistMat<K::Right>,
     cache: &mut MmCache<K::Right>,
-    mask: Option<Mask<'_>>,
+    mask: impl FnOnce() -> Option<Mask<'l>>,
 ) -> Result<Arc<ColumnSlabs<K::Right>>, MachineError> {
     let lb = col_split_layout(b.nrows(), b.ncols(), group);
     let split = |b: &DistMat<K::Right>, host| {
@@ -326,16 +309,13 @@ fn rhs_for_a<K: SpMulKernel>(
         let cuts = (1..group.len()).map(|k| lb.col_range(k).start).collect();
         Ok(ColumnSlabs::new(host, cuts))
     };
-    let shrunk = mask
-        .filter(|_| !cache.amortizes())
-        .and_then(|mk| crate::mm::shrink_rhs_against_mask(b, &mk));
-    if let Some(s) = shrunk {
+    let mask = (!cache.amortizes()).then(mask).flatten();
+    if let Some(s) = mask.and_then(|mk| crate::mm::shrink_rhs_against_mask(b, &mk)) {
         let host = Arc::new(s.to_global::<FirstWins<K::Right>>());
         return split(&s, host).map(Arc::new);
     }
-    let host = host_copy::<K>(group, b, cache);
-    let build = || {
-        let built = split(b, host())?;
+    let build = |cache: &MmCache<_>| {
+        let built = split(b, host_copy::<K>('B', group, b, cache))?;
         let bytes = built
             .nnz()
             .iter()
@@ -350,7 +330,7 @@ fn rhs_for_a<K: SpMulKernel>(
 
 /// Runs 1D-C over `group`: full-shape partial products, reduced into
 /// the one output piece.
-fn run_reduced<K: SpMulKernel>(
+pub(crate) fn run_reduced<K: SpMulKernel>(
     m: &Machine,
     group: &Group,
     a: &DistMat<K::Left>,
@@ -475,7 +455,8 @@ mod tests {
                 let b = DistMat::from_global(canonical_layout(&m, n, n), &operand(n));
                 let group = m.world();
                 let mut cache = MmCache::new();
-                let joined = rhs_for_a::<TropicalKernel>(&m, &group, &b, &mut cache, None).unwrap();
+                let joined =
+                    rhs_for_a::<TropicalKernel>(&m, &group, &b, &mut cache, || None).unwrap();
                 let key = format!("1d:A:{p}:{}", b.content_id());
                 let held = cache
                     .receipt(&key)

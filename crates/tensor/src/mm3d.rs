@@ -66,7 +66,7 @@ fn cached_rhs_slices<K: SpMulKernel>(
     specs: &[(std::ops::Range<usize>, std::ops::Range<usize>, Layout)],
     cache: &mut MmCache<K::Right>,
 ) -> Result<Arc<Vec<DistMat<K::Right>>>, MachineError> {
-    let build = || {
+    let build = |_: &MmCache<_>| {
         let built = extract_windows::<FirstWins<K::Right>, _>(m, b, specs)?;
         let held = Held::charged(m, built.iter().flat_map(block_residency))?;
         Ok((CachedRhs::Layers(Arc::new(built)), held))
@@ -93,7 +93,7 @@ fn cached_rhs_layers<K: SpMulKernel>(
         b.content_id()
     );
     let mut arriving = Vec::new();
-    let form = cache.prepared(key, Fingerprint::of(b), || {
+    let form = cache.prepared(key, Fingerprint::of(b), |_| {
         let (layers, held, posted) = replicate_over_layers::<_, FirstWins<K::Right>>(m, grid, b)?;
         arriving = posted;
         Ok((CachedRhs::Layers(Arc::new(layers)), held))

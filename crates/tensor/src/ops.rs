@@ -12,6 +12,9 @@
 //! block order after* the parallel compute: `Machine::charge_compute`
 //! accumulates an `f64` per rank, and floating-point addition order
 //! must not depend on scheduling for runs to stay bit-reproducible.
+//! The column fold ([`dmat_fold_columns`]) writes its sums in place
+//! instead: each block-column task owns its slice of the accumulator
+//! and adds into it in a fixed order, so no pool size changes a bit.
 
 use crate::dist::{DistMat, DistTable, Layout};
 use mfbc_algebra::monoid::Monoid;
@@ -19,6 +22,7 @@ use mfbc_machine::cost::CollectiveKind;
 use mfbc_machine::{Machine, MachineError};
 use mfbc_sparse::elementwise::{combine, map_filter, zip_filter};
 use mfbc_sparse::Csr;
+use std::sync::Mutex;
 
 /// Asserts two distributed matrices share cuts and owners.
 fn assert_aligned<T, U>(a: &DistMat<T>, b: &DistMat<U>)
@@ -226,10 +230,11 @@ pub fn nnz_sync<T: Clone + Send + Sync>(
 }
 
 /// Folds every entry of `a` into `acc[column]`, one `f64` addition
-/// per entry, in ascending (column, global row) order: local
-/// per-column sums charged in serial block order, plus one sparse
-/// reduction of the result vector, charged at its per-rank share
-/// (e.g. the per-vertex λ contributions of Algorithm 3, line 5).
+/// per entry straight into `acc`, in ascending (column, global row)
+/// order: local per-column sums charged in serial block order, plus
+/// one sparse reduction of the result vector, charged at its per-rank
+/// share (e.g. the per-vertex λ contributions of Algorithm 3, line 5).
+/// No buffer per column or per entry is made.
 ///
 /// Unlike summing a batch first and adding the total afterwards, the
 /// accumulation order seen by `acc[j]` is exactly "sources in
@@ -247,35 +252,28 @@ pub fn dmat_fold_columns(
 ) -> Result<(), MachineError> {
     assert_eq!(a.ncols(), acc.len(), "fold target width mismatch");
     let l = a.layout();
-    // Parallelized over block-columns: each task owns a disjoint
-    // column range and collects its per-column contribution lists by
-    // walking block-rows in ascending `bi` (CSR iteration is
-    // row-major, so per-column pushes arrive in ascending global
-    // row order).
-    let (partials, stats) = mfbc_parallel::current().par_map_collect_stats(l.bc(), |bj| {
-        let cols = l.col_range(bj);
-        let mut per_col: Vec<Vec<f64>> = vec![Vec::new(); cols.len()];
+    // Parallelized over block-columns: each task owns the disjoint
+    // slice of `acc` its columns cover and adds into it walking
+    // block-rows in ascending `bi` (CSR iteration is row-major, so
+    // each column's additions arrive in ascending global row order).
+    let mut slices = Vec::with_capacity(l.bc());
+    let mut rest = acc;
+    for bj in 0..l.bc() {
+        let (slice, tail) = std::mem::take(&mut rest).split_at_mut(l.col_range(bj).len());
+        slices.push(Mutex::new(slice));
+        rest = tail;
+    }
+    let (_, stats) = mfbc_parallel::current().par_map_collect_stats(l.bc(), |bj| {
+        // Uncontended: task `bj` is the only one that takes slice `bj`.
+        let mut slice = slices[bj].lock().expect("a fold task panicked");
         for bi in 0..l.br() {
             for (_, j, v) in a.block(bi, bj).iter() {
-                per_col[j].push(*v);
+                slice[j] += v;
             }
         }
-        (cols.start, per_col)
     });
     emit_pool("dmat_colfold", &stats);
-    for (c0, per_col) in partials {
-        for (j, contribs) in per_col.into_iter().enumerate() {
-            for v in contribs {
-                acc[c0 + j] += v;
-            }
-        }
-    }
-    // Charged in serial block order for reproducibility.
-    for bi in 0..l.br() {
-        for bj in 0..l.bc() {
-            m.charge_compute(l.owner(bi, bj), a.block(bi, bj).nnz() as u64);
-        }
-    }
+    charge_blocks(m, l, |bi, bj| a.block(bi, bj).nnz());
     let bytes = (a.ncols() as u64 * 8).div_ceil(m.p() as u64);
     m.charge_collective(&m.world(), CollectiveKind::SparseReduce, bytes)?;
     Ok(())
@@ -412,6 +410,60 @@ mod tests {
             let whole_bits: Vec<u64> = whole.iter().map(|v| v.to_bits()).collect();
             let parts_bits: Vec<u64> = parts.iter().map(|v| v.to_bits()).collect();
             assert_eq!(whole_bits, parts_bits, "fold differs for split at {split}");
+        }
+    }
+
+    /// The fold's body before it added in place: per block column, a
+    /// list of contributions per column, pushed walking the block rows
+    /// in order, then added into `acc` in the order pushed.
+    fn fold_per_column_lists(a: &DistMat<f64>, acc: &mut [f64]) {
+        let l = a.layout();
+        for bj in 0..l.bc() {
+            let cols = l.col_range(bj);
+            let mut per_col: Vec<Vec<f64>> = vec![Vec::new(); cols.len()];
+            for bi in 0..l.br() {
+                for (_, j, v) in a.block(bi, bj).iter() {
+                    per_col[j].push(*v);
+                }
+            }
+            for (j, contribs) in per_col.into_iter().enumerate() {
+                for v in contribs {
+                    acc[cols.start + j] += v;
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn fold_adds_in_the_order_of_per_column_lists() {
+        use rand::{Rng, SeedableRng};
+        let bits = |acc: &[f64]| acc.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        for (seed, (rows, n)) in [(3u64, (37usize, 53usize)), (4, (64, 200)), (5, (9, 31))] {
+            let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(seed);
+            let mut coo = Coo::new(rows, n);
+            for _ in 0..rows * n / 3 {
+                // Magnitudes spread over many binades: the sum of a
+                // column depends on the order of its additions.
+                let v = rng.gen::<f64>() * 10f64.powi(rng.gen_range(-6..7));
+                coo.push(rng.gen_range(0..rows), rng.gen_range(0..n), v);
+            }
+            let g = coo.into_csr::<SumF64>();
+            let start: Vec<f64> = (0..n).map(|j| 0.1 * j as f64).collect();
+            for p in [1usize, 4, 16] {
+                let (g1, g2) = crate::mm::squarest_grid(p);
+                let grid = Grid2::new(Group::all(p), g1, g2).unwrap();
+                let da = DistMat::from_global(Layout::on_grid(rows, n, &grid), &g);
+                let mut want = start.clone();
+                fold_per_column_lists(&da, &mut want);
+                for threads in [1, 2, 4] {
+                    let mut got = start.clone();
+                    mfbc_parallel::with_threads(threads, || {
+                        dmat_fold_columns(&machine(p), &da, &mut got).unwrap()
+                    });
+                    let what = format!("seed {seed}, p = {p}, {threads} threads");
+                    assert_eq!(bits(&got), bits(&want), "{what}");
+                }
+            }
         }
     }
 
