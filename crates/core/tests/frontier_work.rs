@@ -111,8 +111,9 @@ const MAX_MASKED_REQUESTED_PER_TABLE_BYTE: f64 = 6.9;
 /// Requested bytes per byte of final table for `mfbc_dist` at `p = 1`
 /// on the grid. One rank moves nothing, so what the simulated backend
 /// adds to the sweep — placing operands and the machine's bookkeeping —
-/// has to stay a fraction of the sweep itself. Measured: 6.52 with λ
-/// folded in place, 6.79 when the fold grew a vector per column, both
+/// has to stay a fraction of the sweep itself. Measured: 6.07 with
+/// what MFBr fires kept as the frontier it becomes, 6.52 when it was
+/// copied into a fresh matrix, with λ folded in place, 6.79 when the fold grew a vector per column, both
 /// with each 1D product landing band by band and reading the
 /// frontier's one block in place, 8.62 when it copied the frontier
 /// first (a replica under `1d(A)`, a redistributed copy under
@@ -121,27 +122,29 @@ const MAX_MASKED_REQUESTED_PER_TABLE_BYTE: f64 = 6.9;
 /// merged by `dmat_*` with MFBr's opening a count product, and 53 when
 /// every product and operand went through a coordinate list and a
 /// sort. The counts are deterministic: × 1.1.
-const MAX_DIST_REQUESTED_PER_TABLE_BYTE: f64 = 7.2;
+const MAX_DIST_REQUESTED_PER_TABLE_BYTE: f64 = 6.7;
 
 /// Allocation calls per superstep of `mfbc_dist` on the grid at
 /// `p = 16`, where the canonical layout cuts the tables into 4 × 4
 /// blocks: the alarm for work a simulated superstep repeats per rank.
-/// Measured: 428.9 with λ folded in place and no mask view built for a
-/// landing product; 454.5 before, with each 1D product formed band by
+/// Measured: 411.3 with what MFBr fires kept as the frontier it
+/// becomes; 428.9 when it was copied into a fresh matrix, with λ folded
+/// in place and no mask view built for a landing product; 454.5 before, with each 1D product formed band by
 /// band (one kernel call per block row, its cells billed to the
 /// ranks); 1 114 when it was formed rank by rank (a kernel call per
 /// rank and block row, each piece's windows stitched back into the
 /// blocks, the frontier copied per product). The count is
 /// deterministic: × 1.1.
-const MAX_DIST_P16_CALLS_PER_SUPERSTEP: f64 = 472.0;
+const MAX_DIST_P16_CALLS_PER_SUPERSTEP: f64 = 453.0;
 
 /// Requested bytes per byte of final table for `mfbc_dist` on the
 /// masked R-MAT graph, at one and at four ranks: the alarm for a
 /// superstep that copies a mask's pattern on the simulated backend —
 /// a global mask assembled from the table's blocks, a window copied
 /// per output block, a scan of the whole pattern to price the
-/// product — or that materialises a 1D product again. Measured: 7.36
-/// at p = 1 and 9.36 at p = 4 with λ folded in place, 7.56 and 9.55
+/// product — or that materialises a 1D product again. Measured: 7.17
+/// at p = 1 and 9.22 at p = 4 with what MFBr fires kept as the frontier
+/// it becomes; 7.36 and 9.36 when it was copied, with λ folded in place, 7.56 and 9.55
 /// with a vector per column, both with every mask a view of the blocks
 /// where they lie and the 1D products landing band by band, reading
 /// the frontier's blocks in place; 9.15 and 11.37 when each product
@@ -149,7 +152,7 @@ const MAX_DIST_P16_CALLS_PER_SUPERSTEP: f64 = 472.0;
 /// matrices merged after assembly; 14.60 and 16.25 when each superstep
 /// also made the three mask copies. The usual × 1.3 would let them
 /// back in: × 1.1 here (the counts are deterministic).
-const MAX_MASKED_DIST_REQUESTED_PER_TABLE_BYTE: [(usize, f64); 2] = [(1, 8.1), (4, 10.3)];
+const MAX_MASKED_DIST_REQUESTED_PER_TABLE_BYTE: [(usize, f64); 2] = [(1, 7.9), (4, 10.2)];
 
 /// Requested bytes per byte of final distance table for `sssp_seq`
 /// from every vertex of the grid. Measured: 6.5 with its products
@@ -162,15 +165,16 @@ const MAX_SSSP_REQUESTED_PER_TABLE_BYTE: f64 = 9.7;
 
 /// Allocation calls any one backward superstep of `mfbr_seq` may make
 /// on the grid. A superstep allocates its accumulator, its sinks and a
-/// frontier reserved once at the size of the one it multiplies — ten
-/// calls when nothing fires, thirteen when little does — and stages
-/// what each row fires in one vector that doubles up to the most a row
-/// fires: 17 calls in the busiest superstep measured, 10 in the last.
+/// frontier reserved once at the size of the one it multiplies, which
+/// becomes the next frontier as it stands, and stages what each row
+/// fires in one vector that doubles up to the most a row fires: 14
+/// calls in the busiest superstep measured, 9 in the last (17 and 10
+/// when what fired was copied into a fresh matrix after the product).
 /// So a superstep's calls follow the logarithm of its busiest row, not
 /// what it fires; when every product was drained into a matrix,
 /// re-assembled and merged from vectors grown entry by entry they
 /// averaged 46.7 — measured maximum × 1.5.
-const MAX_CALLS_PER_BACKWARD_SUPERSTEP: u64 = 25;
+const MAX_CALLS_PER_BACKWARD_SUPERSTEP: u64 = 21;
 
 /// The same for opening `Z` (the table, the counting buffer, the
 /// leaves' vectors doubling as they fill), on a backend that has

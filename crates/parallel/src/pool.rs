@@ -288,27 +288,11 @@ impl Pool {
         self.threads
     }
 
-    /// Runs `f(participant, job)` for every `job in 0..njobs`,
-    /// returning when all jobs completed. The erased core every typed
-    /// entry point funnels through.
-    fn run(&self, njobs: usize, f: &(dyn Fn(usize, usize) + Sync)) -> ExecStats {
-        if njobs == 0 {
-            return ExecStats::empty(1);
-        }
-        let inline = self.inner.is_none() || njobs == 1 || in_pool_job();
-        if inline {
-            let _guard = JobGuard::enter();
-            let started = Instant::now();
-            for i in 0..njobs {
-                f(0, i);
-            }
-            let mut stats = ExecStats::empty(1);
-            stats.tasks = njobs as u64;
-            stats.busy[0] = started.elapsed();
-            stats.tasks_per_worker[0] = njobs as u64;
-            return stats;
-        }
-        let inner = self.inner.as_ref().expect("checked above");
+    /// Runs `f(participant, job)` for every `job in 0..njobs` on the
+    /// workers of `inner` and the caller, returning when all jobs
+    /// completed. The erased core every typed entry point that fans out
+    /// funnels through.
+    fn run(&self, inner: &PoolInner, njobs: usize, f: &(dyn Fn(usize, usize) + Sync)) -> ExecStats {
         let _submit = inner.submit.lock().unwrap_or_else(|e| e.into_inner());
         let batch = Arc::new(Batch::new(f, njobs, self.threads));
         {
@@ -363,9 +347,28 @@ impl Pool {
         I: Fn() -> S + Sync,
         F: Fn(&mut S, usize) -> R + Sync,
     {
+        if njobs == 0 {
+            return (Vec::new(), ExecStats::empty(1));
+        }
+        let inner = match &self.inner {
+            Some(inner) if njobs > 1 && !in_pool_job() => inner,
+            // One participant, one job, or a job that fans out again: the
+            // caller runs every job in order, on one scratch of its own.
+            _ => {
+                let _guard = JobGuard::enter();
+                let started = Instant::now();
+                let mut scratch = init();
+                let out = (0..njobs).map(|i| f(&mut scratch, i)).collect();
+                let mut stats = ExecStats::empty(1);
+                stats.tasks = njobs as u64;
+                stats.busy[0] = started.elapsed();
+                stats.tasks_per_worker[0] = njobs as u64;
+                return (out, stats);
+            }
+        };
         let scratch: Vec<Mutex<Option<S>>> = (0..self.threads).map(|_| Mutex::new(None)).collect();
         let slots: Vec<Mutex<Option<R>>> = (0..njobs).map(|_| Mutex::new(None)).collect();
-        let stats = self.run(njobs, &|participant, i| {
+        let stats = self.run(inner, njobs, &|participant, i| {
             let mut guard = scratch[participant]
                 .lock()
                 .unwrap_or_else(|e| e.into_inner());

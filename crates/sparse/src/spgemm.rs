@@ -12,24 +12,32 @@
 //! consume.
 //!
 //! A finished accumulator row goes to a *row sink*. Draining it into a
-//! sorted CSR row is one sink (every `spgemm*` entry point); the
-//! sweeps' products are consumed where they land instead, so the
-//! product matrix is never built, copied or validated:
-//! [`spgemm_accumulate`] runs [`Table::accumulate`]'s body on each row
-//! in the column order draining would emit it (MFBF's `T`), and
-//! [`spgemm_settle`] feeds the accumulator's touched list straight into
-//! MFBr's `Z`.
+//! sorted CSR row builds the product matrix (every `spgemm*` entry
+//! point). The sweeps' products are consumed where they land instead,
+//! so the product matrix is never built, copied or validated. Three
+//! table steps do that, each one masked product into tables side by
+//! side (panes):
+//! - [`spgemm_accumulate`] runs [`Table::accumulate`]'s body on each
+//!   row, in the column order draining would emit it (MFBF's `T`);
+//! - [`spgemm_settle`] feeds the accumulator's touched list into
+//!   [`Table::settle`]'s body (MFBr's `Z`);
+//! - [`count_children`] opens `Z` without forming its product at all:
+//!   all that survives of it is one integer per entry of `T`, counted
+//!   in place by a row kernel of its own, with the product's `ops`.
 //!
-//! MFBr's opening product is not formed at all: all that survives of
-//! it is one integer per entry of `T`, which [`count_children`] counts
-//! in place under the same row fan-out, with the product's `ops`.
+//! One driver runs the three. It checks the shapes, finds where the
+//! panes sit and builds their mask, runs the rows on the calling thread
+//! or on the pool, tallies what each cell of the output formed and
+//! gathers what each pane's tasks kept. A step supplies only what
+//! differs: what its tables lend the run, its row kernel, and how a
+//! pane closes.
 
 use crate::csr::{Csr, Idx};
 use crate::elementwise::{assemble_rows, RowChunk};
-use crate::few::Few;
+use crate::few::{Few, FewIter};
 use crate::mask::{Mask, MaskKind, MaskRow};
 use crate::slabs::Slabs;
-use crate::table::{stored, Accumulate, Landed, Leaves, Pane, Rows, Settle, Table};
+use crate::table::{stored, Accumulate, Landed, Landing, Leaves, Pane, Settle, Sink, Table};
 use mfbc_algebra::kernel::KernelOut;
 use mfbc_algebra::monoid::Monoid;
 use mfbc_algebra::{Centpath, CentpathMonoid, Dist, Multpath, SpMulKernel};
@@ -119,51 +127,29 @@ impl<T: Clone> Spa<T> {
         !self.hits.is_empty()
     }
 
-    /// Visits the touched entries in column order, skipping identities;
-    /// returns how many it visited. `walk` is the row's structural mask
+    /// Visits the touched entries, identities included, each with the
+    /// products folded into it (0 in an uncounted row): in column order
+    /// where `ordered` says — `walk` being the row's structural mask
     /// pattern, an ascending superset of the touched columns, if it has
-    /// one (see [`in_order`]).
-    fn drain<M: Monoid<Elem = T>>(
+    /// one (see [`in_order`]) — and else in the order they were first
+    /// touched.
+    #[inline]
+    fn drain(
         &mut self,
+        ordered: bool,
         walk: Option<Walk<'_>>,
-        mut visit: impl FnMut(Idx, &T),
-    ) -> usize {
-        if self.touched.is_empty() {
-            return 0;
-        }
-        let vals = &self.vals;
-        let mut visited = 0;
-        let emit = |j: Idx| {
-            let v = &vals[j as usize];
-            if !M::is_identity(v) {
-                visited += 1;
-                visit(j, v);
-            }
-        };
-        in_order(&self.stamp, &mut self.touched, self.mark + 1, walk, emit);
-        visited
-    }
-
-    /// [`Spa::drain`] of a counted row: every touched entry, identities
-    /// included — their products count too — with the products folded
-    /// into it.
-    fn drain_counted(&mut self, walk: Option<Walk<'_>>, mut visit: impl FnMut(Idx, &T, u64)) {
-        if self.touched.is_empty() {
-            return;
-        }
+        mut visit: impl FnMut(usize, &T, u64),
+    ) {
         let (vals, hits) = (&self.vals, &self.hits);
-        let emit = |j: Idx| visit(j, &vals[j as usize], u64::from(hits[j as usize]));
-        in_order(&self.stamp, &mut self.touched, self.mark + 1, walk, emit);
-    }
-
-    /// The row's accumulated entries in the order they were first
-    /// touched, identities skipped.
-    fn formed<M: Monoid<Elem = T>>(&self) -> impl Iterator<Item = (usize, &T)> {
-        let entry = |&j: &Idx| (j as usize, &self.vals[j as usize]);
-        self.touched
-            .iter()
-            .map(entry)
-            .filter(|(_, v)| !M::is_identity(v))
+        let mut emit = |j: Idx| {
+            let j = j as usize;
+            visit(j, &vals[j], hits.get(j).map_or(0, |&n| u64::from(n)));
+        };
+        if !ordered {
+            self.touched.iter().for_each(|&j| emit(j));
+        } else if !self.touched.is_empty() {
+            in_order(&self.stamp, &mut self.touched, self.mark + 1, walk, emit);
+        }
     }
 }
 
@@ -208,37 +194,22 @@ struct Walk<'m> {
 /// is the row's structural mask pattern, if it has one.
 trait RowSink<T> {
     fn row(&mut self, i: usize, spa: &mut Spa<T>, walk: Option<Walk<'_>>);
-
-    /// The rows that follow belong to the row cell whose first cell is
-    /// `first` (see [`cut`]).
-    fn cell(&mut self, _first: usize) {}
 }
 
 /// The sink that builds the product matrix: rows drained in column
-/// order into one CSR chunk. A counted row keeps its identities and
-/// each entry's product count (`hits`), for [`Panes`] to route later.
-struct Drain<M: Monoid> {
-    chunk: RowChunk<M::Elem>,
-    hits: Vec<u32>,
-}
+/// order into one CSR chunk, identities dropped.
+struct Drain<M: Monoid>(RowChunk<M::Elem>);
 
 impl<M: Monoid> RowSink<M::Elem> for Drain<M> {
     fn row(&mut self, _: usize, spa: &mut Spa<M::Elem>, walk: Option<Walk<'_>>) {
-        let (rowlen, colind, vals) = &mut self.chunk;
+        let (rowlen, colind, vals) = &mut self.0;
         let before = colind.len();
-        if spa.counted() {
-            let hits = &mut self.hits;
-            spa.drain_counted(walk, |j, v, n| {
-                colind.push(j);
+        spa.drain(true, walk, |j, v, _| {
+            if !M::is_identity(v) {
+                colind.push(j as Idx);
                 vals.push(v.clone());
-                hits.push(n as u32);
-            });
-        } else {
-            spa.drain::<M>(walk, |j, v| {
-                colind.push(j);
-                vals.push(v.clone());
-            });
-        }
+            }
+        });
         rowlen.push(colind.len() - before);
     }
 }
@@ -269,11 +240,6 @@ fn zeros<T: Copy + Default>(n: usize) -> Few<T> {
     }
 }
 
-/// Adds `from` into `into`, counter by counter.
-fn add(into: &mut [u64], from: &[u64]) {
-    into.iter_mut().zip(from).for_each(|(a, b)| *a += b);
-}
-
 /// What a product formed, per cell of its output ([`cut`]): `(ops,
 /// formed)` — the elementary products, and the product entries the
 /// panes took in.
@@ -286,23 +252,11 @@ fn add_cells(into: &mut [(u64, u64)], from: &[(u64, u64)]) {
     }
 }
 
-/// `counts`, with the products the kernel counted per row cell — under
-/// a right operand of one slab, where the row cells are the cells —
-/// added in.
-fn with_ops(mut counts: Tally, ops: &[u64], slabs: usize) -> Tally {
-    for (c, &n) in ops.iter().enumerate() {
-        counts[c * slabs].0 += n;
-    }
-    counts
-}
-
-/// A product's rows landing in panes side by side ([`Pane`]): output
-/// columns `sits[b].span()` go to `sinks[b]`, shifted to start at 0.
-/// Every sink of a table — [`Table::accumulate`]'s body forward,
-/// [`Table::settle`]'s backward — is fed through this, one pane over
-/// the whole table being the shared-memory case. Each entry's stop is
-/// found once, and what each cell received is counted there — with, for
-/// a counted row, the products folded into the entry.
+/// One task's share of panes side by side ([`Pane`]): output columns
+/// `sits[b].span()` go to `sinks[b]`, shifted to start at 0, and what
+/// each cell of the output received is counted there — with, for a
+/// counted row, the products folded into each entry. One pane over the
+/// whole table is the shared-memory case.
 struct Panes<'s, S> {
     sits: &'s [Sits],
     stops: &'s [Stop],
@@ -324,15 +278,6 @@ impl<'s, S> Panes<'s, S> {
         }
     }
 
-    /// Whether every column of a row the accumulator `spa` holds goes
-    /// to one pane and one cell, uncounted. (Empty panes or slabs after
-    /// the last column add no stop, but a pane still closes its rows
-    /// and a counted row still counts.)
-    #[inline]
-    fn single<T: Clone>(&self, spa: &Spa<T>) -> bool {
-        self.stops.len() == 1 && self.sinks.len() == 1 && !spa.counted()
-    }
-
     /// The stop of output column `j` of a row whose columns arrive in
     /// ascending order, `b` being the stop of the last one.
     #[inline]
@@ -341,6 +286,47 @@ impl<'s, S> Panes<'s, S> {
             *b += 1;
         }
         self.stops[*b]
+    }
+}
+
+/// The entries a [`Sink`] takes.
+type Elem<S> = <<S as Sink>::M as Monoid>::Elem;
+
+/// A row of the accumulator into the panes, in one pass over what it
+/// touched — in column order where the sinks ask for it — each entry
+/// routed to its stop.
+impl<S: Sink> RowSink<Elem<S>> for Panes<'_, S> {
+    fn row(&mut self, i: usize, spa: &mut Spa<Elem<S>>, walk: Option<Walk<'_>>) {
+        // Every column goes to one pane and one cell, uncounted: no
+        // entry is routed. (Empty panes or slabs after the last column
+        // add no stop, but a pane still closes its rows and a counted
+        // row still counts.)
+        if self.stops.len() == 1 && self.sinks.len() == 1 && !spa.counted() {
+            let (one, mut formed) = (&mut self.sinks[0], 0);
+            spa.drain(S::ORDERED, walk, |j, g, _| {
+                if !S::M::is_identity(g) {
+                    formed += 1;
+                    one.entry(i, j, g);
+                }
+            });
+            one.end_row(i);
+            self.counts[self.cell].1 += formed;
+            return;
+        }
+        let mut b = 0;
+        spa.drain(S::ORDERED, walk, |j, g, hits| {
+            let Stop { pane, slab, .. } = match S::ORDERED {
+                true => self.stop(j, &mut b),
+                false => stop_of(self.stops, j),
+            };
+            let cell = &mut self.counts[self.cell + slab];
+            cell.0 += hits;
+            if !S::M::is_identity(g) {
+                cell.1 += 1;
+                self.sinks[pane].entry(i, j - self.sits[pane].at, g);
+            }
+        });
+        self.sinks.iter_mut().for_each(|s| s.end_row(i));
     }
 }
 
@@ -359,6 +345,22 @@ impl Sits {
     #[inline]
     fn span(&self) -> Range<usize> {
         self.at..self.at + self.cols.len()
+    }
+
+    /// The pane's window of its table.
+    fn window(&self) -> (Range<usize>, Range<usize>) {
+        (self.rows.clone(), self.cols.clone())
+    }
+
+    /// The part of table row `cols` inside the window: all of it where
+    /// the window spans the table.
+    #[inline]
+    fn inside(&self, cols: &[Idx]) -> Range<usize> {
+        if self.cols.len() == self.table.1 {
+            return 0..cols.len();
+        }
+        let at = |c: usize| cols.partition_point(|&j| (j as usize) < c);
+        at(self.cols.start)..at(self.cols.end)
     }
 }
 
@@ -448,121 +450,6 @@ fn pane_mask<'m>(sits: &[Sits], masks: Few<Option<Mask<'m>>>) -> Option<Mask<'m>
     Some(tiled.window(first.rows.clone(), span))
 }
 
-/// `rows` split over the output row ranges `ranges` of a window whose
-/// row 0 is table row `row0`.
-fn split_rows<'a, T, U>(
-    rows: Rows<'a, T, U>,
-    ranges: &[Range<usize>],
-    row0: usize,
-) -> Vec<Rows<'a, T, U>> {
-    if row0 == 0 {
-        return rows.split(ranges);
-    }
-    let at = |r: &Range<usize>| row0 + r.start..row0 + r.end;
-    rows.split(&ranges.iter().map(at).collect::<Vec<_>>())
-}
-
-impl<M, F> Panes<'_, Accumulate<'_, M, F>>
-where
-    M: Monoid,
-    F: Fn(&M::Elem, Option<&M::Elem>, &M::Elem) -> Option<M::Elem>,
-{
-    /// Entry `(i, j)` of the product, into its pane; entries of a row
-    /// arrive in column order, and `b` is the stop of the last one.
-    #[inline]
-    fn entry(&mut self, i: usize, j: usize, g: &M::Elem, b: &mut usize) {
-        let Stop { pane, slab, .. } = self.stop(j, b);
-        self.counts[self.cell + slab].1 += 1;
-        self.sinks[pane].entry(i, j - self.sits[pane].at, g);
-    }
-
-    /// [`Panes::entry`] of a counted row: the `hits` products folded
-    /// into the entry count in its cell, and an identity goes no
-    /// further.
-    #[inline]
-    fn counted(&mut self, i: usize, j: usize, g: &M::Elem, hits: u64, b: &mut usize) {
-        let Stop { pane, slab, .. } = self.stop(j, b);
-        let cell = &mut self.counts[self.cell + slab];
-        cell.0 += hits;
-        if !M::is_identity(g) {
-            cell.1 += 1;
-            self.sinks[pane].entry(i, j - self.sits[pane].at, g);
-        }
-    }
-
-    /// Closes row `i` in every pane.
-    fn end_row(&mut self, i: usize) {
-        self.sinks.iter_mut().for_each(|s| s.end_row(i));
-    }
-}
-
-/// [`Table::accumulate`] fed from the accumulator, in the column order
-/// [`Drain`] would emit: the sink of [`spgemm_accumulate`].
-impl<M, F> RowSink<M::Elem> for Panes<'_, Accumulate<'_, M, F>>
-where
-    M: Monoid,
-    F: Fn(&M::Elem, Option<&M::Elem>, &M::Elem) -> Option<M::Elem>,
-{
-    fn row(&mut self, i: usize, spa: &mut Spa<M::Elem>, walk: Option<Walk<'_>>) {
-        if self.single(spa) {
-            let one = &mut self.sinks[0];
-            let formed = spa.drain::<M>(walk, |j, g| one.entry(i, j as usize, g));
-            one.end_row(i);
-            self.counts[self.cell].1 += formed as u64;
-            return;
-        }
-        let mut b = 0;
-        if spa.counted() {
-            spa.drain_counted(walk, |j, g, n| self.counted(i, j as usize, g, n, &mut b));
-        } else {
-            spa.drain::<M>(walk, |j, g| self.entry(i, j as usize, g, &mut b));
-        }
-        self.end_row(i);
-    }
-
-    fn cell(&mut self, first: usize) {
-        self.cell = first;
-    }
-}
-
-/// [`Table::settle`] fed from the accumulator: the sink of
-/// [`spgemm_settle`]. Several panes take a row in one pass over what it
-/// touched, each entry routed to its stop.
-impl<M, U, F> RowSink<M::Elem> for Panes<'_, Settle<'_, M, U, F>>
-where
-    M: Monoid,
-    F: Fn(&mut M::Elem, &U) -> Option<M::Elem>,
-{
-    fn row(&mut self, i: usize, spa: &mut Spa<M::Elem>, _: Option<Walk<'_>>) {
-        if self.single(spa) {
-            let one = &mut self.sinks[0];
-            let before = one.received;
-            one.row(i, spa.formed::<M>());
-            self.counts[self.cell].1 += (one.received - before) as u64;
-            return;
-        }
-        let counted = spa.counted();
-        for &j in &spa.touched {
-            let j = j as usize;
-            let Stop { pane, slab, .. } = stop_of(self.stops, j);
-            let cell = &mut self.counts[self.cell + slab];
-            if counted {
-                cell.0 += u64::from(spa.hits[j]);
-            }
-            let v = &spa.vals[j];
-            if !M::is_identity(v) {
-                cell.1 += 1;
-                self.sinks[pane].entry(i, j - self.sits[pane].at, v);
-            }
-        }
-        self.sinks.iter_mut().for_each(Settle::end_row);
-    }
-
-    fn cell(&mut self, first: usize) {
-        self.cell = first;
-    }
-}
-
 /// The mask modes of [`multiply_rows`].
 const UNMASKED: u8 = 0;
 const STRUCTURAL: u8 = 1;
@@ -642,22 +529,32 @@ fn multiply_rows<K: SpMulKernel, const MODE: u8, const COUNTED: bool>(
     *ops += formed;
 }
 
-/// [`multiply_rows`] in the mode `mask` asks for.
-fn multiply<K: SpMulKernel, const COUNTED: bool>(
+/// [`multiply_rows`] in the mode `mask` asks for, counted where
+/// `counted` says.
+fn multiply<K: SpMulKernel>(
     ab: (&Csr<K::Left>, &Csr<K::Right>),
     mask: Option<&Mask>,
+    counted: bool,
     rows: Range<usize>,
     spa: &mut Spa<KernelOut<K>>,
     sink: &mut impl RowSink<KernelOut<K>>,
     ops: &mut u64,
 ) {
-    match mask.map(Mask::kind) {
-        None => multiply_rows::<K, UNMASKED, COUNTED>(ab, None, rows, spa, sink, ops),
-        Some(MaskKind::Structural) => {
-            multiply_rows::<K, STRUCTURAL, COUNTED>(ab, mask, rows, spa, sink, ops)
+    let (s, o) = (spa, ops);
+    match (mask.map(Mask::kind), counted) {
+        (None, false) => multiply_rows::<K, UNMASKED, false>(ab, None, rows, s, sink, o),
+        (None, true) => multiply_rows::<K, UNMASKED, true>(ab, None, rows, s, sink, o),
+        (Some(MaskKind::Structural), false) => {
+            multiply_rows::<K, STRUCTURAL, false>(ab, mask, rows, s, sink, o)
         }
-        Some(MaskKind::Complement) => {
-            multiply_rows::<K, COMPLEMENT, COUNTED>(ab, mask, rows, spa, sink, ops)
+        (Some(MaskKind::Structural), true) => {
+            multiply_rows::<K, STRUCTURAL, true>(ab, mask, rows, s, sink, o)
+        }
+        (Some(MaskKind::Complement), false) => {
+            multiply_rows::<K, COMPLEMENT, false>(ab, mask, rows, s, sink, o)
+        }
+        (Some(MaskKind::Complement), true) => {
+            multiply_rows::<K, COMPLEMENT, true>(ab, mask, rows, s, sink, o)
         }
     }
 }
@@ -688,45 +585,58 @@ fn flops_weights<L, R>(a: &Csr<L>, b: &Csr<R>, nrows: usize) -> Vec<u64> {
         .collect()
 }
 
-/// Whether a product of `nrows` rows runs on the calling thread:
+/// The output row ranges of a product of `a` and `b`, and whether the
+/// pool runs them. All the rows are one range on the calling thread:
 /// asked to, or on a one-thread pool, or with too few rows to fan out.
-fn on_caller(serial: bool, nrows: usize) -> bool {
-    serial || mfbc_parallel::current().threads() == 1 || nrows < PAR_MIN_ROWS
+/// Otherwise the ranges are balanced by [`flops_weights`], a few per
+/// pool participant.
+fn row_ranges<L, R>(a: &Csr<L>, b: &Csr<R>, serial: bool) -> (Few<Range<usize>>, bool) {
+    let (nrows, pool) = (a.nrows(), mfbc_parallel::current());
+    if serial || pool.threads() == 1 || nrows < PAR_MIN_ROWS {
+        return (Few::One(0..nrows), false);
+    }
+    let weights = flops_weights(a, b, nrows);
+    let ranges = balanced_ranges(&weights, pool.threads() * TASKS_PER_THREAD);
+    (Few::Many(ranges), true)
 }
 
-/// One [`Drain`] per row range.
-fn drains<M: Monoid>(ranges: &[Range<usize>]) -> Vec<Drain<M>> {
-    let drain = |r: &Range<usize>| Drain::<M> {
-        chunk: (Vec::with_capacity(r.len()), vec![], vec![]),
-        hits: vec![],
+/// The row fan-out of a product: `work(scratch, range, part)` over each
+/// of the output row ranges `ranges` ([`row_ranges`]) with its part, in
+/// range order — on the calling thread, or where `pool` says on the
+/// pool, one `scratch` per participant, announced as a pool run of
+/// `kernel`. The parts come back having seen their rows.
+fn fan_out<S: Send, P: Send>(
+    kernel: &'static str,
+    (ranges, pool): Run<'_>,
+    scratch: impl Fn() -> S + Sync,
+    mut parts: Vec<P>,
+    work: impl Fn(&mut S, Range<usize>, &mut P) + Sync,
+) -> Vec<P> {
+    if !pool {
+        work(&mut scratch(), ranges[0].clone(), &mut parts[0]);
+        return parts;
+    }
+    // One lock per range, taken by the one task that works it.
+    let parts: Vec<Mutex<P>> = parts.into_iter().map(Mutex::new).collect();
+    let run = |s: &mut S, t: usize| {
+        let mut part = parts[t].lock().expect("a row task panicked");
+        work(s, ranges[t].clone(), &mut *part);
     };
-    ranges.iter().map(drain).collect()
+    let (_, stats) = mfbc_parallel::current().par_scratch_map(scratch, ranges.len(), run);
+    mfbc_trace::emit(|| mfbc_trace::TraceEvent::Pool {
+        kernel,
+        threads: stats.threads,
+        tasks: stats.tasks,
+        busy_us: stats.busy.iter().map(|d| d.as_micros() as u64).collect(),
+        chunk_hist: chunk_histogram(ranges.iter().map(|r| r.len())),
+    });
+    let part = |p: Mutex<P>| p.into_inner().expect("a row task panicked");
+    parts.into_iter().map(part).collect()
 }
 
-/// Every product: checks shapes, then multiplies `a` by `b` — under
-/// `mask` of the output's shape — row cell by row cell of `cuts`
-/// ([`cut`]), on the calling thread or over flops-balanced row ranges
-/// on the pool (see [`fan_out`]), one SPA per participant, counted
-/// where `COUNTED` says ([`multiply_rows`]): where `b` has several
-/// slabs. `sinks` makes one sink per row range, in range order; they
-/// come back, having seen their rows, beside the products the kernel
-/// counted per row cell (none where counted). Row partitioning ignores
-/// the mask — the unmasked flops are a valid upper bound per row, and
-/// identical partitions keep the trace stream stable whether or not a
-/// mask is present.
-fn run<K, S, const COUNTED: bool>(
-    (a, b): (&Csr<K::Left>, Slabs<'_, K::Right>),
-    cuts: &[usize],
-    mask: Option<&Mask>,
-    serial: bool,
-    sinks: impl FnOnce(&[Range<usize>]) -> Vec<S>,
-) -> (Vec<S>, Few<u64>)
-where
-    K: SpMulKernel,
-    S: RowSink<KernelOut<K>> + Send,
-{
-    let (slabs, b) = (b.count(), b.mat());
-    assert_eq!(COUNTED, slabs > 1, "counted where the slabs are several");
+/// Checks that `a` and `b` multiply, and that `mask`, if any, has the
+/// shape of their product.
+fn assert_shapes<L, R>(a: &Csr<L>, b: &Csr<R>, mask: Option<&Mask>) {
     assert_eq!(
         a.ncols(),
         b.nrows(),
@@ -736,7 +646,6 @@ where
         b.nrows(),
         b.ncols()
     );
-    assert_eq!(cuts.last(), Some(&a.nrows()), "row cells cover the rows");
     if let Some(mask) = mask {
         assert_eq!(
             (mask.nrows(), mask.ncols()),
@@ -748,80 +657,355 @@ where
             b.ncols()
         );
     }
-    let row_cells = cuts.len() - 1;
-    let spa = || Spa::new(b.ncols(), <K::Acc as Monoid>::identity(), COUNTED);
-    let work = |spa: &mut _, r, sink: &mut S| {
-        let mut ops = zeros(row_cells);
-        for (c, rows) in cut(cuts, r) {
-            sink.cell(c * slabs);
-            multiply::<K, COUNTED>((a, b), mask, rows, spa, sink, &mut ops[c]);
-        }
-        ops
-    };
-    fan_out("spgemm", (a, b), serial, spa, sinks, work)
 }
 
-/// The row fan-out of a product of `a` and `b`: `work(scratch, range,
-/// part)` over output rows `0..a.nrows()` on the calling thread
-/// ([`on_caller`]), or over ranges of them balanced by
-/// [`flops_weights`] on the pool, one `scratch` per participant,
-/// announced as a pool run of `kernel`. `parts` makes one part per
-/// range, in range order; they come back, having seen their rows,
-/// beside the sum of the counters `work` returned.
-fn fan_out<L, R, S: Send, P: Send>(
-    kernel: &'static str,
-    (a, b): (&Csr<L>, &Csr<R>),
-    serial: bool,
-    scratch: impl Fn() -> S + Sync,
-    parts: impl FnOnce(&[Range<usize>]) -> Vec<P>,
-    work: impl Fn(&mut S, Range<usize>, &mut P) -> Few<u64> + Sync,
-) -> (Vec<P>, Few<u64>) {
-    let nrows = a.nrows();
-    let pool = mfbc_parallel::current();
-    if on_caller(serial, nrows) {
-        let mut parts = parts(std::slice::from_ref(&(0..nrows)));
-        let ops = work(&mut scratch(), 0..nrows, &mut parts[0]);
-        return (parts, ops);
-    }
-    let weights = flops_weights(a, b, nrows);
-    let ranges = balanced_ranges(&weights, pool.threads() * TASKS_PER_THREAD);
-    // One lock per range, taken by the one task that works it.
-    let parts: Vec<Mutex<P>> = parts(&ranges).into_iter().map(Mutex::new).collect();
-    let (ops, stats) = pool.par_scratch_map(scratch, ranges.len(), |s, t| {
-        let mut part = parts[t].lock().expect("a row task panicked");
-        work(s, ranges[t].clone(), &mut *part)
-    });
-    mfbc_trace::emit(|| mfbc_trace::TraceEvent::Pool {
-        kernel,
-        threads: stats.threads,
-        tasks: stats.tasks,
-        busy_us: stats.busy.iter().map(|d| d.as_micros() as u64).collect(),
-        chunk_hist: chunk_histogram(ranges.iter().map(|r| r.len())),
-    });
-    let parts = parts
-        .into_iter()
-        .map(|p| p.into_inner().expect("a row task panicked"));
-    let mut ops = ops.into_iter();
-    let mut sum = ops.next().expect("one range at least");
-    ops.for_each(|o| add(&mut sum, &o));
-    (parts.collect(), sum)
-}
-
-/// [`run`] into the product matrix.
+/// Every product matrix: checks shapes, then drains `a` times `b` —
+/// under `mask` of the output's shape — into one chunk per row range
+/// ([`fan_out`]), on the calling thread where `serial` asks for it.
+/// Row partitioning ignores the mask — the unmasked flops are a valid
+/// upper bound per row, and identical partitions keep the trace stream
+/// stable whether or not a mask is present.
 fn product<K: SpMulKernel>(
     a: &Csr<K::Left>,
     b: &Csr<K::Right>,
     mask: Option<&Mask>,
     serial: bool,
 ) -> SpGemmOut<KernelOut<K>> {
-    let one = [0, a.nrows()];
-    let ab = (a, Slabs::whole(b));
-    let (drains, ops) = run::<K, _, false>(ab, &one, mask, serial, drains::<K::Acc>);
-    let chunks = drains.into_iter().map(|d| d.chunk).collect();
+    assert_shapes(a, b, mask);
+    let (ranges, pool) = row_ranges(a, b, serial);
+    let drain = |r: &Range<usize>| {
+        (
+            Drain::<K::Acc>((Vec::with_capacity(r.len()), vec![], vec![])),
+            0,
+        )
+    };
+    let drains = ranges.iter().map(drain).collect();
+    let spa = || Spa::new(b.ncols(), <K::Acc as Monoid>::identity(), false);
+    let work = |spa: &mut _, rows, (sink, ops): &mut (_, u64)| {
+        multiply::<K>((a, b), mask, false, rows, spa, sink, ops);
+    };
+    let drains = fan_out("spgemm", (&ranges, pool), spa, drains, work);
+    let ops = drains.iter().map(|d| d.1).sum();
+    let chunks = drains.into_iter().map(|(d, _)| d.0).collect();
     SpGemmOut {
         mat: assemble_rows(a.nrows(), b.ncols(), chunks),
-        ops: ops[0],
+        ops,
     }
+}
+
+/// How a product's output rows run: its row ranges, and whether on the
+/// pool ([`row_ranges`]).
+type Run<'r> = (&'r [Range<usize>], bool);
+
+/// Per pane, its table's mask and each row range's share of the pane.
+type Lent<'m, S> = Few<(Option<Mask<'m>>, Few<S>)>;
+
+/// The one landing driver: a product landing in panes side by side,
+/// its output rows cut into row cells at `cuts` and its columns at the
+/// right operand's slabs ([`cut`]). [`Drive::new`] checks the shapes,
+/// finds where the panes sit and the slabs stop, and splits the rows
+/// between the calling thread and the pool ([`row_ranges`]);
+/// [`Drive::run`] runs a step's row kernel over one task's share of
+/// every pane per range and tallies each cell. The three table steps —
+/// [`accumulate`], [`settle`] and [`count`] — lend their tables to the
+/// run and close them; the rest is here, once.
+struct Drive<'c> {
+    sits: Few<Sits>,
+    stops: Few<Stop>,
+    cuts: &'c [usize],
+    slabs: usize,
+    ranges: Few<Range<usize>>,
+    pool: bool,
+}
+
+impl<'c> Drive<'c> {
+    /// The landing of the product of `a` by `b`'s slabs in `panes` —
+    /// under `within`, of the output's shape, where the panes report no
+    /// mask.
+    ///
+    /// # Panics
+    /// Panics if the operands do not multiply, `within` has another
+    /// shape, `cuts` does not end at `a`'s rows, or the panes do not
+    /// take `a`'s rows and `b`'s columns between them.
+    fn new<L, R, T: Clone>(
+        (a, b): (&Csr<L>, Slabs<'_, R>),
+        cuts: &'c [usize],
+        within: Option<&Mask>,
+        panes: &[Pane<'_, T>],
+    ) -> Self {
+        assert_shapes(a, b.mat(), within);
+        assert_eq!(cuts.last(), Some(&a.nrows()), "row cells cover the rows");
+        let sits = sits(a.nrows(), b.mat().ncols(), panes);
+        let (ranges, pool) = row_ranges(a, b.mat(), false);
+        let stops = stops(&sits, b);
+        let slabs = b.count();
+        Drive {
+            sits,
+            stops,
+            cuts,
+            slabs,
+            ranges,
+            pool,
+        }
+    }
+
+    /// Runs `rows` — a step's row kernel, counted where the right
+    /// operand has several slabs ([`multiply_rows`]) — over the rows of
+    /// each row cell of each range, into one task's share of every pane
+    /// out of `lent`, under the panes' mask, or `within` where they
+    /// report none. A run on the pool is announced as one of `kernel`,
+    /// with one `scratch` per participant. Returns per pane what `keep`
+    /// kept of its shares, in range order, and per cell the products
+    /// formed and the entries the panes took in.
+    fn run<S: Send, X: Send, K: Default>(
+        &self,
+        (kernel, lent): (&'static str, Lent<'_, S>),
+        within: Option<&Mask>,
+        scratch: impl Fn(bool) -> X + Sync,
+        rows: impl Fn(Option<&Mask>, bool, Range<usize>, &mut X, &mut Panes<'_, S>, &mut u64) + Sync,
+        mut keep: impl FnMut(&mut K, S),
+    ) -> (Few<K>, Tally) {
+        let (masks, shares) = lent.unzip();
+        let mask = pane_mask(&self.sits, masks);
+        let mask = mask.as_ref().or(within);
+        let (counted, cells) = (self.slabs > 1, (self.cuts.len() - 1) * self.slabs);
+        let mut shares: Few<_> = shares.into_iter().map(Few::into_iter).collect();
+        let part = |_: &Range<usize>| {
+            let share = |s: &mut FewIter<_>| s.next().expect("one share per range");
+            Panes::new(
+                &self.sits,
+                &self.stops,
+                shares.iter_mut().map(share).collect(),
+                cells,
+            )
+        };
+        let parts = self.ranges.iter().map(part).collect();
+        let run = (&self.ranges[..], self.pool);
+        let parts = fan_out(
+            kernel,
+            run,
+            || scratch(counted),
+            parts,
+            |x, range, part| {
+                for (c, r) in cut(self.cuts, range) {
+                    let mut ops = 0;
+                    part.cell = c * self.slabs;
+                    rows(mask, counted, r, x, part, &mut ops);
+                    part.counts[part.cell].0 += ops;
+                }
+            },
+        );
+        let mut counts = zeros(cells);
+        let mut kept: Few<K> = self.sits.iter().map(|_| K::default()).collect();
+        for part in parts {
+            add_cells(&mut counts, &part.counts);
+            kept.iter_mut()
+                .zip(part.sinks)
+                .for_each(|(k, s)| keep(k, s));
+        }
+        (kept, counts)
+    }
+}
+
+/// One task's share of a pane the product accumulates into.
+///
+/// On the calling thread each row goes into the table as it is
+/// finished: the arena is appended to and the slots written in place,
+/// and what `keep` lets through is the landing as it was written. An
+/// arena is append-only, so on the pool each task drains its rows, and
+/// the pane then feeds them to the same body in row order — measured
+/// faster than tasks that grow arenas of their own, stitched after the
+/// product, or that read the table and leave what they change to a
+/// serial pass (EXPERIMENTS.md).
+enum Grow<'a, M: Monoid, F> {
+    Now(Accumulate<'a, M, F>),
+    Later(Drained<M::Elem>),
+}
+
+/// Rows drained for a table: where each row ends, counted from the
+/// first row's start, the entries' window columns and their values.
+type Drained<T> = (Vec<usize>, Vec<Idx>, Vec<T>);
+
+impl<M, F> Sink for Grow<'_, M, F>
+where
+    M: Monoid,
+    F: Fn(&M::Elem, Option<&M::Elem>, &M::Elem) -> Option<M::Elem>,
+{
+    type M = M;
+    const ORDERED: bool = true;
+
+    #[inline]
+    fn entry(&mut self, i: usize, j: usize, g: &M::Elem) {
+        match self {
+            Grow::Now(table) => table.entry(i, j, g),
+            Grow::Later((_, cols, vals)) => {
+                cols.push(j as Idx);
+                vals.push(g.clone());
+            }
+        }
+    }
+
+    #[inline]
+    fn end_row(&mut self, i: usize) {
+        match self {
+            Grow::Now(table) => table.end_row(i),
+            Grow::Later((ends, cols, _)) => ends.push(cols.len()),
+        }
+    }
+}
+
+/// The body of [`spgemm_accumulate_panes`] (MFBF's step, [`Grow`]).
+fn accumulate<K, F>(
+    (a, b): (&Csr<K::Left>, Slabs<'_, K::Right>),
+    cuts: &[usize],
+    panes: &mut [Pane<'_, KernelOut<K>>],
+    keep: &F,
+) -> (Few<Landed<KernelOut<K>>>, Tally)
+where
+    K: SpMulKernel,
+    F: Fn(&KernelOut<K>, Option<&KernelOut<K>>, &KernelOut<K>) -> Option<KernelOut<K>> + Sync,
+{
+    let drive = Drive::new((a, b), cuts, None, panes);
+    let drain = |r: &Range<usize>| Grow::Later((Vec::with_capacity(r.len()), vec![], vec![]));
+    let lent = (panes.iter_mut().zip(drive.sits.iter())).map(|(pane, at)| {
+        if drive.pool {
+            return (pane.table.mask(), drive.ranges.iter().map(drain).collect());
+        }
+        // Room for one kept entry per row: reserving the frontier's
+        // size instead, ahead of the product that grows the arena,
+        // raised `mfbc_seq`'s peak RSS on the weighted grid by 3–6 %
+        // (EXPERIMENTS.md).
+        let (mask, table) = pane
+            .table
+            .grow::<K::Acc, _>(keep, at.rows.len(), at.window());
+        (mask, Few::One(Grow::Now(table)))
+    });
+    let kept = |(landing, drained): &mut (Option<Landing<_>>, Vec<_>), share| match share {
+        Grow::Now(table) => *landing = Some(table.finish()),
+        Grow::Later(rows) => drained.push(rows),
+    };
+    let (ab, n) = ((a, b.mat()), b.mat().ncols());
+    let spa = |counted| Spa::new(n, <K::Acc as Monoid>::identity(), counted);
+    let (kept, tally) = drive.run(
+        ("spgemm", lent.collect()),
+        None,
+        spa,
+        |mask, counted, rows, spa, part, ops| {
+            multiply::<K>(ab, mask, counted, rows, spa, part, ops)
+        },
+        kept,
+    );
+    let close = |((pane, (landing, drained)), at): ((&mut Pane<'_, _>, (Option<_>, Vec<_>)), _)| {
+        let landing = landing.unwrap_or_else(|| {
+            // No more entries can be kept than were drained.
+            let expect = drained.iter().map(|d: &Drained<_>| d.1.len()).sum();
+            let (_, mut table) = pane.table.grow::<K::Acc, _>(keep, expect, Sits::window(at));
+            let mut i = 0;
+            for (ends, cols, vals) in drained {
+                let mut start = 0;
+                for end in ends {
+                    for (&j, g) in cols[start..end].iter().zip(&vals[start..end]) {
+                        table.entry(i, j as usize, g);
+                    }
+                    table.end_row(i);
+                    (start, i) = (end, i + 1);
+                }
+            }
+            table.finish()
+        });
+        pane.table.land(landing)
+    };
+    let landed = panes.iter_mut().zip(kept).zip(drive.sits.iter()).map(close);
+    (landed.collect(), tally)
+}
+
+/// Pane `pane` of `Z`, sitting at `at`, lent to `run` with `side`
+/// beside it: its table's mask, and per range a [`Settle`] into its
+/// rows, with room for `expect` of the range to fire, keeping what
+/// waits where `track` says.
+fn lend_z<'a, M, U, F>(
+    (pane, side, at): (&'a mut Pane<'_, M::Elem>, &'a Csr<U>, &Sits),
+    (ranges, _): Run<'_>,
+    fire: &'a F,
+    expect: impl Fn(&Range<usize>) -> usize,
+    track: bool,
+) -> (Option<Mask<'a>>, Few<Settle<'a, M, U, F>>)
+where
+    M: Monoid,
+    F: Fn(&mut M::Elem, &U) -> Option<M::Elem>,
+{
+    let (mask, rows) = pane.table.lend(side);
+    let window = (at.rows.start, at.cols.start);
+    let split = rows.split(ranges, at.rows.start).into_iter().zip(ranges);
+    let settle = |(rows, r)| Settle::new(rows, fire, expect(r), window, track);
+    (mask, split.map(settle).collect())
+}
+
+/// What a pane of `Z` keeps of a task's share: what it fired, in range
+/// order, and the entries it took in.
+fn keep_z<M: Monoid, U, F>((fired, n): &mut (Vec<Leaves<M::Elem>>, usize), s: Settle<'_, M, U, F>) {
+    fired.push(s.fired);
+    *n += s.received;
+}
+
+/// The body of [`spgemm_settle_panes`] (MFBr's step).
+fn settle<K, U, F>(
+    (a, b): (&Csr<K::Left>, Slabs<'_, K::Right>),
+    cuts: &[usize],
+    within: Option<&Mask>,
+    panes: &mut [Pane<'_, KernelOut<K>>],
+    (sides, fire): (&[&Csr<U>], &F),
+) -> (Few<Landed<KernelOut<K>>>, Tally)
+where
+    K: SpMulKernel,
+    U: Sync,
+    F: Fn(&mut KernelOut<K>, &U) -> Option<KernelOut<K>> + Sync,
+{
+    assert_eq!(sides.len(), panes.len(), "one side per pane");
+    let drive = Drive::new((a, b), cuts, within, panes);
+    let run = (&drive.ranges[..], drive.pool);
+    // A frontier is followed by one of its own order: the rows' share
+    // of `a` is the guess for what they fire. The mask borrows the
+    // pending rows the entries it fires must leave: the tables are
+    // settled during the product, the rows are shrunk after it, by
+    // what came out.
+    let expect = |r: &Range<usize>| (a.rowptr()[r.end] - a.rowptr()[r.start]) / sides.len();
+    let lent = (panes.iter_mut().zip(sides).zip(drive.sits.iter()))
+        .map(|((pane, side), at)| lend_z((pane, *side, at), run, fire, expect, false));
+    let (ab, n) = ((a, b.mat()), b.mat().ncols());
+    let spa = |counted| Spa::new(n, <K::Acc as Monoid>::identity(), counted);
+    let (kept, tally) = drive.run(
+        ("spgemm", lent.collect()),
+        within,
+        spa,
+        |mask, counted, rows, spa, part, ops| {
+            multiply::<K>(ab, mask, counted, rows, spa, part, ops)
+        },
+        keep_z::<K::Acc, U, F>,
+    );
+    let close = |((pane, (fired, received)), at): ((&mut Pane<'_, _>, (Vec<_>, _)), &Sits)| {
+        let landed = Leaves::join(fired, (at.rows.len(), at.cols.len()));
+        pane.table
+            .retire(&landed.out, (at.rows.start, at.cols.start));
+        Landed { received, ..landed }
+    };
+    let landed = panes.iter_mut().zip(kept).zip(drive.sits.iter()).map(close);
+    (landed.collect(), tally)
+}
+
+/// What the one pane of a landing emitted, and the products formed in
+/// its one cell.
+fn one_pane<T>((landed, tally): (Few<Landed<T>>, Tally)) -> SpGemmOut<T> {
+    let mat = landed.into_iter().next().expect("one pane").out;
+    SpGemmOut {
+        mat,
+        ops: tally[0].0,
+    }
+}
+
+/// A landing's panes and cells, listed.
+fn listed<T>((landed, tally): (Few<Landed<T>>, Tally)) -> (Vec<Landed<T>>, Vec<(u64, u64)>) {
+    (landed.into_iter().collect(), tally.to_vec())
 }
 
 /// `T := T ⊕ (A •⟨⊕,f⟩ B)`, the product consumed where it lands
@@ -841,13 +1025,13 @@ pub fn spgemm_accumulate<K: SpMulKernel>(
     t: &mut Table<KernelOut<K>>,
     keep: impl Fn(&KernelOut<K>, Option<&KernelOut<K>>, &KernelOut<K>) -> Option<KernelOut<K>> + Sync,
 ) -> SpGemmOut<KernelOut<K>> {
-    let (one, panes) = ([0, a.nrows()], &mut [Pane::whole(t)]);
-    let (landed, tally) = accumulate::<K, false>(a, Slabs::whole(b), &one, panes, keep);
-    let mat = landed.into_iter().next().expect("one pane").out;
-    SpGemmOut {
-        mat,
-        ops: tally[0].0,
-    }
+    let one = &mut [Pane::whole(t)];
+    one_pane(accumulate::<K, _>(
+        (a, Slabs::whole(b)),
+        &[0, a.nrows()],
+        one,
+        &keep,
+    ))
 }
 
 /// [`spgemm_accumulate`] of `a` by `b` into `panes` side by side, under
@@ -866,7 +1050,6 @@ pub fn spgemm_accumulate<K: SpMulKernel>(
 /// Panics if the panes do not take `a`'s rows and `b`'s columns
 /// between them, `cuts` does not end at `a`'s rows, and where
 /// [`spgemm_opt`] or [`Table::accumulate`] would.
-#[allow(clippy::type_complexity)]
 pub fn spgemm_accumulate_panes<K: SpMulKernel>(
     a: &Csr<K::Left>,
     b: Slabs<'_, K::Right>,
@@ -874,89 +1057,7 @@ pub fn spgemm_accumulate_panes<K: SpMulKernel>(
     panes: &mut [Pane<'_, KernelOut<K>>],
     keep: impl Fn(&KernelOut<K>, Option<&KernelOut<K>>, &KernelOut<K>) -> Option<KernelOut<K>> + Sync,
 ) -> (Vec<Landed<KernelOut<K>>>, Vec<(u64, u64)>) {
-    let (landed, tally) = match b.count() {
-        1 => accumulate::<K, false>(a, b, cuts, panes, keep),
-        _ => accumulate::<K, true>(a, b, cuts, panes, keep),
-    };
-    (landed.into_iter().collect(), tally.to_vec())
-}
-
-/// The body of [`spgemm_accumulate_panes`], counted where `b` has
-/// several slabs ([`multiply_rows`]).
-///
-/// On the calling thread each row goes into the tables as it is
-/// finished: the arenas are appended to and the slots written in
-/// place, and what `keep` lets through is the returned matrix as it
-/// was written. An arena is append-only, so parallel tasks each drain
-/// their rows, and one pass then feeds them to the same body in row
-/// order — measured faster than tasks that grow arenas of their own,
-/// stitched after the product, or that read the table and leave what
-/// they change to a serial pass (EXPERIMENTS.md).
-#[allow(clippy::type_complexity)]
-fn accumulate<K: SpMulKernel, const COUNTED: bool>(
-    a: &Csr<K::Left>,
-    b: Slabs<'_, K::Right>,
-    cuts: &[usize],
-    panes: &mut [Pane<'_, KernelOut<K>>],
-    keep: impl Fn(&KernelOut<K>, Option<&KernelOut<K>>, &KernelOut<K>) -> Option<KernelOut<K>> + Sync,
-) -> (Few<Landed<KernelOut<K>>>, Tally) {
-    let nrows = a.nrows();
-    let sits = sits(nrows, b.mat().ncols(), panes);
-    let stops = stops(&sits, b);
-    let (slabs, cells) = (b.count(), (cuts.len() - 1) * b.count());
-    let window = |s: &Sits| (s.rows.clone(), s.cols.clone());
-    let (sinks, tally) = if on_caller(false, nrows) {
-        // Room for one kept entry per row: reserving the frontier's
-        // size instead, ahead of the product that grows the arena,
-        // raised `mfbc_seq`'s peak RSS on the weighted grid by 3–6 %
-        // (EXPERIMENTS.md).
-        let grown: Few<_> = (panes.iter_mut().zip(sits.iter()))
-            .map(|(p, s)| p.table.grow::<K::Acc, _>(&keep, nrows, window(s)))
-            .collect();
-        let (masks, sinks) = grown.unzip();
-        let mask = pane_mask(&sits, masks);
-        let one = |_: &[Range<usize>]| vec![Panes::new(&sits, &stops, sinks, cells)];
-        let (mut parts, ops) = run::<K, _, COUNTED>((a, b), cuts, mask.as_ref(), false, one);
-        let Panes { sinks, counts, .. } = parts.pop().expect("one sink");
-        (sinks, with_ops(counts, &ops, slabs))
-    } else {
-        let masks = panes.iter().map(|p| p.table.mask()).collect();
-        let mask = pane_mask(&sits, masks);
-        let (drains, ops) =
-            run::<K, _, COUNTED>((a, b), cuts, mask.as_ref(), false, drains::<K::Acc>);
-        // No more entries can be kept than were drained.
-        let drained: usize = drains.iter().map(|d| d.chunk.1.len()).sum();
-        let expect = if panes.len() == 1 { drained } else { nrows };
-        let sinks = (panes.iter_mut().zip(sits.iter()))
-            .map(|(p, s)| p.table.grow::<K::Acc, _>(&keep, expect, window(s)).1)
-            .collect();
-        let mut sink = Panes::new(&sits, &stops, sinks, cells);
-        let (mut i, mut c) = (0, 0);
-        for Drain { chunk, hits } in drains {
-            let (rowlen, colind, vals) = chunk;
-            let mut at = 0;
-            for len in rowlen {
-                while i >= cuts[c + 1] {
-                    c += 1;
-                }
-                sink.cell = c * slabs;
-                let mut b = 0;
-                for p in at..at + len {
-                    let (j, g) = (colind[p] as usize, &vals[p]);
-                    match COUNTED {
-                        true => sink.counted(i, j, g, u64::from(hits[p]), &mut b),
-                        false => sink.entry(i, j, g, &mut b),
-                    }
-                }
-                sink.end_row(i);
-                (at, i) = (at + len, i + 1);
-            }
-        }
-        (sink.sinks, with_ops(sink.counts, &ops, slabs))
-    };
-    let landings: Few<_> = sinks.into_iter().map(Accumulate::finish).collect();
-    let landed = panes.iter_mut().zip(landings);
-    (landed.map(|(p, l)| p.table.land(l)).collect(), tally)
+    listed(accumulate::<K, _>((a, b), cuts, panes, &keep))
 }
 
 /// `Z := Z ⊗ (A •⟨⊗,g⟩ B)`, the product consumed where it lands
@@ -979,16 +1080,14 @@ pub fn spgemm_settle<K: SpMulKernel, U: Sync>(
     side: &Csr<U>,
     fire: impl Fn(&mut KernelOut<K>, &U) -> Option<KernelOut<K>> + Sync,
 ) -> SpGemmOut<KernelOut<K>> {
-    let shape = (a.nrows(), b.ncols());
-    assert_eq!(shape, (z.nrows(), z.ncols()), "settle shape");
-    let (one, panes) = ([0, a.nrows()], &mut [Pane::whole(z)]);
-    let b = Slabs::whole(b);
-    let (landed, tally) = settle::<K, U, false>(a, b, &one, within, panes, &[side], fire);
-    let mat = landed.into_iter().next().expect("one pane").out;
-    SpGemmOut {
-        mat,
-        ops: tally[0].0,
-    }
+    let (ab, one) = ((a, Slabs::whole(b)), &mut [Pane::whole(z)]);
+    one_pane(settle::<K, U, _>(
+        ab,
+        &[0, a.nrows()],
+        within,
+        one,
+        (&[side], &fire),
+    ))
 }
 
 /// [`spgemm_settle`] of `a` by `b` into `panes` side by side, each table
@@ -1013,80 +1112,13 @@ pub fn spgemm_settle_panes<K: SpMulKernel, U: Sync>(
     sides: &[&Csr<U>],
     fire: impl Fn(&mut KernelOut<K>, &U) -> Option<KernelOut<K>> + Sync,
 ) -> (Vec<Landed<KernelOut<K>>>, Vec<(u64, u64)>) {
-    let (landed, tally) = match b.count() {
-        1 => settle::<K, U, false>(a, b, cuts, within, panes, sides, fire),
-        _ => settle::<K, U, true>(a, b, cuts, within, panes, sides, fire),
-    };
-    (landed.into_iter().collect(), tally.to_vec())
-}
-
-/// The body of [`spgemm_settle_panes`], counted where `b` has several
-/// slabs ([`multiply_rows`]).
-fn settle<K: SpMulKernel, U: Sync, const COUNTED: bool>(
-    a: &Csr<K::Left>,
-    b: Slabs<'_, K::Right>,
-    cuts: &[usize],
-    within: Option<&Mask>,
-    panes: &mut [Pane<'_, KernelOut<K>>],
-    sides: &[&Csr<U>],
-    fire: impl Fn(&mut KernelOut<K>, &U) -> Option<KernelOut<K>> + Sync,
-) -> (Few<Landed<KernelOut<K>>>, Tally) {
-    let sits = sits(a.nrows(), b.mat().ncols(), panes);
-    let stops = stops(&sits, b);
-    assert_eq!(sides.len(), panes.len(), "one side per pane");
-    let (fire, n, slabs) = (&fire, panes.len(), b.count());
-    let cells = (cuts.len() - 1) * slabs;
-    // The mask borrows the pending rows the entries it fires must
-    // leave: the tables are settled during the product, the rows are
-    // shrunk after it, by what came out.
-    let lent: Few<_> = (panes.iter_mut().zip(sides))
-        .map(|(p, side)| p.table.lend(side))
-        .collect();
-    let (masks, lent) = lent.unzip();
-    let pending = pane_mask(&sits, masks);
-    let (sits, stops) = (&sits, &stops);
-    let settles = move |ranges: &[Range<usize>]| {
-        // A frontier is followed by one of its own order: the rows'
-        // share of `a` is the guess for what they fire.
-        let nnz = |r: &Range<usize>| (a.rowptr()[r.end] - a.rowptr()[r.start]) / n;
-        let mut split: Few<_> = (lent.into_iter().zip(sits.iter()))
-            .map(|(rows, s)| split_rows(rows, ranges, s.rows.start).into_iter())
-            .collect();
-        let panes = |r: &Range<usize>| {
-            let sinks = (split.iter_mut().zip(sits.iter()))
-                .map(|(rows, s)| {
-                    let rows = rows.next().expect("one part per range");
-                    Settle::<K::Acc, U, _>::new(rows, fire, nnz(r), (s.rows.start, s.cols.start))
-                })
-                .collect();
-            Panes::new(sits, stops, sinks, cells)
-        };
-        ranges.iter().map(panes).collect()
-    };
-    let mask = pending.as_ref().or(within);
-    let (parts, ops) = run::<K, _, COUNTED>((a, b), cuts, mask, false, settles);
-    // Per pane, what its tasks fired, in range order, and the updates
-    // it took in.
-    let fired = |_: &Sits| (Vec::with_capacity(parts.len()), 0);
-    let mut fired: Few<(Vec<RowChunk<_>>, usize)> = sits.iter().map(fired).collect();
-    let mut counts = zeros(cells);
-    for part in parts {
-        add_cells(&mut counts, &part.counts);
-        for ((chunks, received), s) in fired.iter_mut().zip(part.sinks) {
-            *received += s.received;
-            chunks.push(s.fired);
-        }
-    }
-    let landed = panes.iter_mut().zip(fired).map(|(p, (chunks, received))| {
-        let out = assemble_rows(p.rows.len(), p.cols.len(), chunks);
-        p.table.retire(&out, (p.rows.start, p.cols.start));
-        Landed {
-            out,
-            received,
-            pending: None,
-        }
-    });
-    (landed.collect(), with_ops(counts, &ops, slabs))
+    listed(settle::<K, U, _>(
+        (a, b),
+        cuts,
+        within,
+        panes,
+        (sides, &fire),
+    ))
 }
 
 /// One column of [`count_children`]'s dense buffer while a row is
@@ -1138,20 +1170,16 @@ pub fn count_children(
     masked: bool,
     fire: impl Fn(&mut Centpath, &Multpath) -> Option<Centpath> + Sync,
 ) -> (Table<Centpath>, SpGemmOut<Centpath>) {
-    assert_eq!(
-        (t.ncols(), t.ncols()),
-        (at.nrows(), at.ncols()),
-        "count shape: {}x{} by {}x{}",
-        t.nrows(),
-        t.ncols(),
-        at.nrows(),
-        at.ncols()
-    );
     let mut z = Table::on_pattern(t, opened);
-    let (one, panes) = ([0, t.nrows()], &mut [Pane::whole(&mut z)]);
     let tau = |mp: &Multpath| mp.w;
-    let at = Slabs::whole(at);
-    let (landed, tally) = count::<_, false>(t, tau, at, &one, panes, &[t], masked, fire);
+    let (one, at) = (&mut [Pane::whole(&mut z)], Slabs::whole(at));
+    let counting = Counting {
+        left: t,
+        tau,
+        at,
+        masked,
+    };
+    let (landed, tally) = count(&counting, &[0, t.nrows()], one, (&[t], &fire));
     let Landed { out, pending, .. } = landed.into_iter().next().expect("one pane");
     z.pend(pending);
     let ops = tally[0].0;
@@ -1204,153 +1232,91 @@ pub fn count_children_panes<L: Sync>(
     masked: bool,
     fire: impl Fn(&mut Centpath, &Multpath) -> Option<Centpath> + Sync,
 ) -> (Vec<Landed<Centpath>>, Vec<(u64, u64)>) {
-    let (landed, tally) = match at.count() {
-        1 => count::<_, false>(left, tau, at, cuts, panes, sides, masked, fire),
-        _ => count::<_, true>(left, tau, at, cuts, panes, sides, masked, fire),
-    };
-    (landed.into_iter().collect(), tally.to_vec())
-}
-
-/// One task's share of a pane of [`count_children_panes`]: its rows of
-/// `Z`, the leaves they fire and the count product's entries there.
-type CountPane<'a> = (Rows<'a, Centpath, Multpath>, Leaves<Centpath>, usize);
-
-/// One task of [`count_children_panes`]: its share of every pane, and
-/// per cell what the panes counted (under several slabs, the products
-/// too) and the count product's entries.
-struct CountTask<'a> {
-    panes: Few<CountPane<'a>>,
-    counts: Tally,
-}
-
-/// The body of [`count_children_panes`], counted per column where `at`
-/// has several slabs (see [`Counting::rows`]).
-#[allow(clippy::too_many_arguments)]
-fn count<L: Sync, const COUNTED: bool>(
-    left: &Csr<L>,
-    tau: impl Fn(&L) -> Dist + Sync,
-    at: Slabs<'_, Dist>,
-    cuts: &[usize],
-    panes: &mut [Pane<'_, Centpath>],
-    sides: &[&Csr<Multpath>],
-    masked: bool,
-    fire: impl Fn(&mut Centpath, &Multpath) -> Option<Centpath> + Sync,
-) -> (Few<Landed<Centpath>>, Tally) {
-    let slabs = at.count();
-    assert_eq!(COUNTED, slabs > 1, "counted where the slabs are several");
-    assert_eq!(left.ncols(), at.mat().nrows(), "count inner dimension");
-    assert_eq!(cuts.last(), Some(&left.nrows()), "row cells cover the rows");
-    let sits = sits(left.nrows(), at.mat().ncols(), panes);
-    let (stops, at) = (stops(&sits, at), at.mat());
     assert_eq!(sides.len(), panes.len(), "one side per pane");
-    let (fire, tau) = (&fire, &tau);
-    let cells = (cuts.len() - 1) * slabs;
-    let lent: Few<_> = (panes.iter_mut().zip(sides))
-        .map(|(p, side)| p.table.lend(side).1)
-        .collect();
-    let (sits, stops) = (&sits, &stops);
-    let parts = move |ranges: &[Range<usize>]| {
-        let mut split: Few<_> = (lent.into_iter().zip(sits.iter()))
-            .map(|(rows, s)| split_rows(rows, ranges, s.rows.start).into_iter())
-            .collect();
-        let part = |r: &Range<usize>| {
-            let panes = (split.iter_mut().zip(sits.iter()))
-                .map(|(rows, s)| {
-                    let rows = rows.next().expect("one part per range");
-                    (rows, Leaves::new(r.len(), masked, s.cols.start), 0)
-                })
-                .collect();
-            CountTask {
-                panes,
-                counts: zeros(cells),
-            }
-        };
-        ranges.iter().map(part).collect()
-    };
-    let scratch = || (vec![Child::default(); at.ncols()], Vec::new());
     let counting = Counting {
+        left,
+        tau,
         at,
         masked,
-        sits,
-        stops,
     };
-    let work = |(buf, strays): &mut (Vec<Child>, Vec<Idx>), range, task: &mut CountTask<'_>| {
-        let mut ops = zeros(cuts.len() - 1);
-        for (c, rows) in cut(cuts, range) {
-            let cell = (c * slabs, &mut ops[c]);
-            counting.rows::<L, COUNTED>(left, tau, rows, (buf, strays), task, cell, fire);
-        }
-        ops
-    };
-    let (tasks, ops) = fan_out("count_children", (left, at), false, scratch, parts, work);
-    // Each task holds its range's share of every pane, in pane order.
-    let mut counts = zeros(cells);
-    let mut shares: Vec<_> = tasks
-        .into_iter()
-        .map(|t| {
-            add_cells(&mut counts, &t.counts);
-            t.panes.into_iter()
-        })
-        .collect();
-    let join = |s: &Sits| {
-        let mut received = 0;
-        let leaves = shares.iter_mut().map(|p| {
-            let (_, leaves, formed) = p.next().expect("one share per pane");
-            received += formed;
-            leaves
-        });
-        let joined = Leaves::join(leaves, (s.rows.len(), s.cols.len()));
+    listed(count(&counting, cuts, panes, (sides, &fire)))
+}
+
+/// The body of [`count_children_panes`]. A task's share of a pane is
+/// a [`Settle`] that the count writes and fires into itself, its
+/// `received` the count product's entries.
+fn count<L: Sync, F>(
+    counting: &Counting<'_, L, impl Fn(&L) -> Dist + Sync>,
+    cuts: &[usize],
+    panes: &mut [Pane<'_, Centpath>],
+    (sides, fire): (&[&Csr<Multpath>], &F),
+) -> (Few<Landed<Centpath>>, Tally)
+where
+    F: Fn(&mut Centpath, &Multpath) -> Option<Centpath> + Sync,
+{
+    assert_eq!(sides.len(), panes.len(), "one side per pane");
+    let drive = Drive::new((counting.left, counting.at), cuts, None, panes);
+    let run = (&drive.ranges[..], drive.pool);
+    let lend = |((pane, side), at)| lend_z((pane, side, at), run, fire, |_| 0, counting.masked).1;
+    let lent = (panes
+        .iter_mut()
+        .zip(sides.iter().copied())
+        .zip(drive.sits.iter()))
+    .map(|lent| (None, lend(lent)));
+    let ncols = counting.at.mat().ncols();
+    let (kept, tally) = drive.run(
+        ("count_children", lent.collect()),
+        None,
+        |_| (vec![Child::default(); ncols], Vec::new()),
+        |_, counted, rows, scratch, part, ops| match counted {
+            true => counting.rows::<true, F>(rows, scratch, part, ops),
+            false => counting.rows::<false, F>(rows, scratch, part, ops),
+        },
+        keep_z::<CentpathMonoid, Multpath, F>,
+    );
+    let close = |((fired, received), at): ((Vec<_>, _), &Sits)| {
+        let joined = Leaves::join(fired, (at.rows.len(), at.cols.len()));
         Landed { received, ..joined }
     };
-    let landed = sits.iter().map(join).collect();
-    (landed, with_ops(counts, &ops, slabs))
+    (
+        kept.into_iter().zip(drive.sits.iter()).map(close).collect(),
+        tally,
+    )
 }
 
-/// What every task of [`count_children_panes`] counts against.
-struct Counting<'c> {
-    at: &'c Csr<Dist>,
+/// What every task of an opening count counts against: the seeds
+/// `left`, `τ(s,w)` being `tau` of each entry, against `at`; with
+/// `masked`, only candidates inside `T` are formed.
+struct Counting<'o, L, Tau> {
+    left: &'o Csr<L>,
+    tau: Tau,
+    at: Slabs<'o, Dist>,
     masked: bool,
-    sits: &'c [Sits],
-    stops: &'c [Stop],
 }
 
-impl Counting<'_> {
-    /// The part of table row `cols` inside the window of the pane
-    /// sitting at `s`: all of it where the window spans the table.
-    #[inline]
-    fn span(s: &Sits, cols: &[Idx]) -> Range<usize> {
-        if s.cols.len() == s.table.1 {
-            return 0..cols.len();
-        }
-        let at = |c: usize| cols.partition_point(|&j| (j as usize) < c);
-        at(s.cols.start)..at(s.cols.end)
-    }
-
+impl<L, Tau: Fn(&L) -> Dist> Counting<'_, L, Tau> {
     /// [`count_children_panes`] over output rows `rows`, all in the row
-    /// cell whose first cell is `first`, into one task's share of every
-    /// pane. Row `w` of `at` is read once, as one slice. Uncounted, the
-    /// products formed are added to `ops`; `COUNTED` — `at` of several
-    /// slabs — each column's products are added to its cell where the
-    /// column's entry is routed, strays included, and `ops` is left
-    /// alone. Every row leaves the buffer's cells as it found them.
-    #[allow(clippy::too_many_arguments)]
-    fn rows<L, const COUNTED: bool>(
+    /// cell `part` is fed, into one task's share of every pane. Row `w`
+    /// of `at` is read once, as one slice. Uncounted, the products
+    /// formed are added to `ops`; `COUNTED` — `at` of several slabs —
+    /// each column's products are added to its cell where the column's
+    /// entry is routed, strays included, and `ops` is left alone. Every
+    /// row leaves the buffer's cells as it found them.
+    fn rows<const COUNTED: bool, F: Fn(&mut Centpath, &Multpath) -> Option<Centpath>>(
         &self,
-        left: &Csr<L>,
-        tau: &impl Fn(&L) -> Dist,
         rows: Range<usize>,
-        (cells, strays): (&mut [Child], &mut Vec<Idx>),
-        task: &mut CountTask<'_>,
-        (first, ops): (usize, &mut u64),
-        fire: &impl Fn(&mut Centpath, &Multpath) -> Option<Centpath>,
+        (cells, strays): &mut (Vec<Child>, Vec<Idx>),
+        part: &mut Panes<'_, Settle<'_, CentpathMonoid, Multpath, F>>,
+        ops: &mut u64,
     ) {
-        let (at, masked, stops) = (self.at, self.masked, self.stops);
-        let CountTask { panes, counts } = task;
+        let (left, at, masked) = (self.left, self.at.mat(), self.masked);
+        let (sits, stops, first) = (part.sits, part.stops, part.cell);
+        let (panes, counts) = (&mut part.sinks, &mut part.counts);
         let mut formed = 0u64;
         for i in rows {
-            for ((z, _, _), s) in panes.iter_mut().zip(self.sits) {
-                let (cols, _, ts) = z.row(s.rows.start + i);
-                let span = Self::span(s, cols);
+            for (share, s) in panes.iter_mut().zip(sits) {
+                let (cols, _, ts) = share.rows.row(s.rows.start + i);
+                let span = s.inside(cols);
                 for (&v, tv) in cols[span.clone()].iter().zip(&ts[span]) {
                     cells[v as usize - s.cols.start + s.at] = Child {
                         listed: true,
@@ -1361,7 +1327,7 @@ impl Counting<'_> {
                 }
             }
             for (&w, lw) in left.row_cols(i).iter().zip(left.row_vals(i)) {
-                let tw = tau(lw).raw();
+                let tw = (self.tau)(lw).raw();
                 let w = w as usize;
                 for (&v, a) in at.row_cols(w).iter().zip(at.row_vals(w)) {
                     // `τ(s,w)` is finite: an infinite `A(v,w)` lands here too.
@@ -1392,15 +1358,15 @@ impl Counting<'_> {
                 }
             }
             let mut b = 0;
-            for ((z, leaves, received), s) in panes.iter_mut().zip(self.sits) {
-                let (cols, zs, ts) = z.row(s.rows.start + i);
-                let span = Self::span(s, cols);
+            for (share, s) in panes.iter_mut().zip(sits) {
+                let (cols, zs, ts) = share.rows.row(s.rows.start + i);
+                let span = s.inside(cols);
                 let (cols, zs, ts) = (&cols[span.clone()], &mut zs[span.clone()], &ts[span]);
                 for ((&v, zv), tv) in cols.iter().zip(zs.iter_mut()).zip(ts) {
                     let out = v as usize - s.cols.start + s.at;
                     let c = std::mem::take(&mut cells[out]);
                     if c.hits > 0 {
-                        *received += 1;
+                        share.received += 1;
                         while out >= stops[b].end {
                             b += 1;
                         }
@@ -1414,13 +1380,15 @@ impl Counting<'_> {
                         zv.c = i64::from(c.matched);
                     }
                 }
-                leaves.row::<CentpathMonoid, _>(cols, zs, ts, fire);
+                share
+                    .fired
+                    .row::<CentpathMonoid, _>(cols, zs, ts, share.fire);
             }
             for v in strays.drain(..) {
                 let v = v as usize;
                 let hits = std::mem::take(&mut cells[v]).hits;
                 let stop = stop_of(stops, v);
-                panes[stop.pane].2 += 1;
+                panes[stop.pane].received += 1;
                 let cell = &mut counts[first + stop.slab];
                 cell.1 += 1;
                 if COUNTED {
@@ -1733,7 +1701,7 @@ mod tests {
         Sort,
     }
 
-    /// The drain path `Spa::drain_into` takes for a row that touched
+    /// The drain path `Spa::drain` takes for a row that touched
     /// `touched` columns under a structural pattern row of `walk`
     /// columns (0 otherwise).
     fn drain_of(touched: usize, walk: usize, ncols: usize) -> Drain {
@@ -1853,16 +1821,9 @@ mod tests {
         ];
         // One task's rows through the draining sink: (chunk, ops).
         let rows_of = |mask: Option<&Mask>, spa: &mut Spa<Dist>| {
-            let chunk = RowChunk::default();
-            let (mut sink, mut ops) = (
-                super::Drain::<MinDist> {
-                    chunk,
-                    hits: vec![],
-                },
-                0,
-            );
-            multiply::<TropicalKernel, false>((&a, &b), mask, 0..8, spa, &mut sink, &mut ops);
-            (sink.chunk, ops)
+            let (mut sink, mut ops) = (super::Drain::<MinDist>(RowChunk::default()), 0);
+            multiply::<TropicalKernel>((&a, &b), mask, false, 0..8, spa, &mut sink, &mut ops);
+            (sink.0, ops)
         };
         // The same rows settled into a table on every other coordinate
         // of the product: (what fired, the table, ops).
@@ -1873,20 +1834,20 @@ mod tests {
         let fire = |z: &mut Dist, _: &Dist| z.raw().is_multiple_of(2).then_some(*z);
         let settled_of = |mask: Option<&Mask>, spa: &mut Spa<Dist>| {
             let mut z = Table::on_pattern(&side, |s| *s);
-            let settle = Settle::<MinDist, Dist, _>::new(z.lend(&side).1, &fire, 0, (0, 0));
+            let settle = Settle::<MinDist, Dist, _>::new(z.lend(&side).1, &fire, 0, (0, 0), false);
             let sits = sits(8, 30, &[Pane::whole(&mut Table::on_pattern(&side, |s| *s))]);
             let stops = stops(&sits, Slabs::whole(&b));
             let mut sink = Panes::new(&sits, &stops, Few::One(settle), 1);
             let mut ops = 0;
-            multiply::<TropicalKernel, false>((&a, &b), mask, 0..8, spa, &mut sink, &mut ops);
+            multiply::<TropicalKernel>((&a, &b), mask, false, 0..8, spa, &mut sink, &mut ops);
             let fired = sink.sinks.into_iter().next().expect("one pane").fired;
-            (fired, z.freeze(), ops)
+            (Leaves::join([fired], (8, 30)).out, z.freeze(), ops)
         };
         for mask in &masks {
             let want = rows_of(mask.as_ref(), &mut Spa::new(30, MinDist::identity(), false));
             let settled = settled_of(mask.as_ref(), &mut Spa::new(30, MinDist::identity(), false));
             assert!(want.1 > 0, "the rows must form products");
-            assert!(!settled.0 .1.is_empty(), "some entries must fire");
+            assert!(settled.0.nnz() > 0, "some entries must fire");
             // Two rows fit below the last even mark; the third starts
             // over — with stamps of both kinds left behind.
             let old = || {

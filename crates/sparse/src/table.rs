@@ -30,7 +30,6 @@
 //! fired — which [`Table::settle`] shrinks.
 
 use crate::csr::{Csr, Idx};
-use crate::elementwise::{assemble_rows, RowChunk};
 use crate::mask::{Mask, MaskKind};
 use crate::rows::SortedRows;
 use mfbc_algebra::monoid::Monoid;
@@ -344,7 +343,7 @@ impl<T: Clone> Table<T> {
         let shape = (base.nrows(), base.ncols());
         assert_eq!(shape, (other.nrows(), other.ncols()), "anchor shape");
         let mut z = Table::on_pattern(base, |a| stored::<M>(init(a, None)));
-        let mut leaves = Leaves::new(shape.0, track, 0);
+        let mut leaves = Leaves::new(shape.0, 0, track, 0);
         let (_, mut rows) = z.lend(base);
         for i in 0..shape.0 {
             rows.anchor_row::<M>(i, other.row(i), &init);
@@ -398,11 +397,13 @@ impl<T: Clone> Table<T> {
         let shape = (self.nrows, self.ncols);
         assert_eq!(shape, (update.nrows(), update.ncols()), "settle shape");
         // No more entries can fire than are updated.
-        let mut settle = Settle::<M, U, _>::new(self.lend(side).1, &fire, update.nnz(), (0, 0));
+        let rows = self.lend(side).1;
+        let mut settle = Settle::<M, U, _>::new(rows, &fire, update.nnz(), (0, 0), false);
         for i in 0..shape.0 {
-            settle.row(i, update.row(i));
+            update.row(i).for_each(|(j, g)| settle.entry(i, j, g));
+            settle.end_row(i);
         }
-        let fired = assemble_rows(shape.0, shape.1, vec![settle.fired]);
+        let fired = Leaves::join([settle.fired], shape).out;
         self.retire(&fired, (0, 0));
         fired
     }
@@ -467,6 +468,20 @@ pub struct Landed<T> {
     pub pending: Option<Vec<Vec<Idx>>>,
 }
 
+/// A table's body as a sink that a product's or a matrix's entries are
+/// fed to row by row: each row's entries, in the coordinates of the
+/// window the sink was opened on, then the row's close.
+pub(crate) trait Sink {
+    /// The monoid of the entries.
+    type M: Monoid;
+    /// Whether a row's entries must arrive in column order.
+    const ORDERED: bool;
+    /// Entry `(i, j)` (not an identity) of the row being fed.
+    fn entry(&mut self, i: usize, j: usize, g: &<Self::M as Monoid>::Elem);
+    /// Closes row `i`.
+    fn end_row(&mut self, i: usize);
+}
+
 /// [`Table::accumulate`]'s body, as a sink that explored entries are
 /// fed to row by row, in column order within a row: what `keep` lets
 /// through collects, row for row. Entries arrive in the coordinates of
@@ -485,14 +500,17 @@ pub(crate) struct Accumulate<'a, M: Monoid, F> {
     out: Landing<M::Elem>,
 }
 
-impl<M, F> Accumulate<'_, M, F>
+impl<M, F> Sink for Accumulate<'_, M, F>
 where
     M: Monoid,
     F: Fn(&M::Elem, Option<&M::Elem>, &M::Elem) -> Option<M::Elem>,
 {
+    type M = M;
+    const ORDERED: bool = true;
+
     /// The one accumulate body: `g` is entry `(i, j)` of `G`'s window.
     #[inline]
-    pub(crate) fn entry(&mut self, i: usize, j: usize, g: &M::Elem) {
+    fn entry(&mut self, i: usize, j: usize, g: &M::Elem) {
         debug_assert!(!M::is_identity(g), "explored entry not in normal form");
         self.out.received += 1;
         let slot = &mut self.slot[i * self.ncols + j];
@@ -521,9 +539,8 @@ where
         }
     }
 
-    /// Closes row `i` of the window.
     #[inline]
-    pub(crate) fn end_row(&mut self, i: usize) {
+    fn end_row(&mut self, i: usize) {
         let Landing { kept, stored, .. } = &mut self.out;
         kept.0.push(kept.1.len());
         if let Some((ends, cols)) = stored {
@@ -532,7 +549,9 @@ where
             }
         }
     }
+}
 
+impl<M: Monoid, F> Accumulate<'_, M, F> {
     /// What is left to land.
     pub(crate) fn finish(self) -> Landing<M::Elem> {
         self.out
@@ -552,16 +571,17 @@ pub(crate) struct Rows<'a, T, U> {
 }
 
 impl<'a, T, U> Rows<'a, T, U> {
-    /// The row ranges `ranges` (ascending, disjoint) of these rows:
-    /// what each task of a row-parallel product settles into.
+    /// The row ranges `ranges` (ascending, disjoint) of a window of
+    /// these rows whose row 0 is row `row0`: what each task of a
+    /// row-parallel product settles into.
     ///
     /// # Panics
     /// Panics if the ranges are out of order.
-    pub(crate) fn split(self, ranges: &[Range<usize>]) -> Vec<Rows<'a, T, U>> {
+    pub(crate) fn split(self, ranges: &[Range<usize>], row0: usize) -> Vec<Rows<'a, T, U>> {
         let (ncols, slot, side) = (self.ncols, self.slot, self.side);
         let (mut rest, mut at) = (self.vals, self.first);
         let part = |r: &Range<usize>| {
-            let (lo, hi) = (side.rowptr()[r.start], side.rowptr()[r.end]);
+            let (lo, hi) = (side.rowptr()[row0 + r.start], side.rowptr()[row0 + r.end]);
             assert!(at <= lo && lo <= hi, "row ranges out of order");
             let (vals, tail) = std::mem::take(&mut rest)[lo - at..].split_at_mut(hi - lo);
             (rest, at) = (tail, hi);
@@ -617,10 +637,10 @@ impl<'a, T, U> Rows<'a, T, U> {
     }
 }
 
-/// What opening `Z` fires over one task's rows of a window, row for
-/// row, and — with tracking — the table columns of each row that wait:
-/// the rows of the pending mask. [`Leaves::join`] closes a window from
-/// these.
+/// What fires over one task's rows of a window of `Z`, row for row —
+/// opening it or settling into it — and, with tracking, the table
+/// columns of each row that wait: the rows of the pending mask.
+/// [`Leaves::join`] closes a window from these.
 pub(crate) struct Leaves<T> {
     /// `rowptr` from 0, `colind` (window columns), `vals`.
     fired: (Vec<usize>, Vec<Idx>, Vec<T>),
@@ -630,13 +650,18 @@ pub(crate) struct Leaves<T> {
 }
 
 impl<T> Leaves<T> {
-    /// Room for `nrows` rows of a window whose column 0 is table
-    /// column `col0`.
-    pub(crate) fn new(nrows: usize, track: bool, col0: usize) -> Leaves<T> {
+    /// Room for `nrows` rows, and for `expect` entries to fire before
+    /// a vector has to grow, of a window whose column 0 is table column
+    /// `col0`.
+    pub(crate) fn new(nrows: usize, expect: usize, track: bool, col0: usize) -> Leaves<T> {
         let mut rowptr = Vec::with_capacity(nrows + 1);
         rowptr.push(0);
         Leaves {
-            fired: (rowptr, Vec::new(), Vec::new()),
+            fired: (
+                rowptr,
+                Vec::with_capacity(expect),
+                Vec::with_capacity(expect),
+            ),
             pending: track.then(|| Vec::with_capacity(nrows)),
             col0,
         }
@@ -678,7 +703,7 @@ impl<T> Leaves<T> {
         }
     }
 
-    /// One window's opening, from its tasks' `parts` in row order: what
+    /// One window's close, from its tasks' `parts` in row order: what
     /// they fired, as the window's matrix of `shape`, and the rows that
     /// wait.
     ///
@@ -715,68 +740,60 @@ impl<T> Leaves<T> {
 
 /// [`Table::settle`] over one task's rows of a window: each row's
 /// updates go in, in window coordinates, and the entries `fire` emits
-/// from them collect in `fired`.
+/// from them collect in `fired`. Opening `Z` fires into the same
+/// [`Leaves`] row by row ([`crate::count_children`]).
 pub(crate) struct Settle<'a, M: Monoid, U, F> {
-    rows: Rows<'a, M::Elem, U>,
+    pub(crate) rows: Rows<'a, M::Elem, U>,
     /// The table position of the window's `(0, 0)`.
     at: (usize, usize),
-    fire: &'a F,
+    pub(crate) fire: &'a F,
     /// What fired, row for row of the rows seen so far.
-    pub(crate) fired: RowChunk<M::Elem>,
-    /// The updates fed in, on the pattern or not.
+    pub(crate) fired: Leaves<M::Elem>,
+    /// The updates fed in, on the pattern or not (for an opening
+    /// count: the count product's entries).
     pub(crate) received: usize,
     /// What the row being settled fired, until it is in column order:
     /// grows to the most any one row fires (a few doublings a pass).
     row: Vec<(Idx, M::Elem)>,
 }
 
-impl<'a, M, U, F> Settle<'a, M, U, F>
-where
-    M: Monoid,
-    F: Fn(&mut M::Elem, &U) -> Option<M::Elem>,
-{
+impl<'a, M: Monoid, U, F> Settle<'a, M, U, F> {
     /// Settles into `rows` through the window at table position `at`,
     /// with room for `expect` entries to fire before a vector of
     /// `fired` has to grow: reserving a good guess once keeps a
     /// superstep's allocation calls from growing with how much it
-    /// fires.
+    /// fires. With `track`, `fired` also keeps what waits
+    /// ([`Leaves::row`]).
     pub(crate) fn new(
         rows: Rows<'a, M::Elem, U>,
         fire: &'a F,
         expect: usize,
         at: (usize, usize),
+        track: bool,
     ) -> Self {
-        let fired = (
-            Vec::with_capacity(rows.nrows),
-            Vec::with_capacity(expect),
-            Vec::with_capacity(expect),
-        );
         Settle {
+            fired: Leaves::new(rows.nrows, expect, track, at.1),
             rows,
             at,
             fire,
-            fired,
             received: 0,
             row: Vec::new(),
         }
     }
+}
 
-    /// Row `i`'s `updates` (no identities), in any column order.
-    #[inline]
-    pub(crate) fn row<'u>(&mut self, i: usize, updates: impl Iterator<Item = (usize, &'u M::Elem)>)
-    where
-        M::Elem: 'u,
-    {
-        for (j, g) in updates {
-            self.entry(i, j, g);
-        }
-        self.end_row();
-    }
+impl<M, U, F> Sink for Settle<'_, M, U, F>
+where
+    M: Monoid,
+    F: Fn(&mut M::Elem, &U) -> Option<M::Elem>,
+{
+    type M = M;
+    const ORDERED: bool = false;
 
-    /// The one settle body: update `(i, j)` (not an identity) of the
-    /// row being settled.
+    /// The one settle body: update `(i, j)` of the row being settled,
+    /// in any column order.
     #[inline]
-    pub(crate) fn entry(&mut self, i: usize, j: usize, g: &M::Elem) {
+    fn entry(&mut self, i: usize, j: usize, g: &M::Elem) {
         self.received += 1;
         let Some((zv, sv)) = self.rows.at(self.at.0 + i, self.at.1 + j) else {
             return; // update entry outside the pattern: dropped
@@ -787,17 +804,16 @@ where
         }
     }
 
-    /// Closes the row being settled.
-    pub(crate) fn end_row(&mut self) {
+    fn end_row(&mut self, _: usize) {
         // A matrix row arrives in column order, an accumulator's
         // touched list does not: only what fired is ever sorted.
         self.row.sort_unstable_by_key(|&(j, _)| j);
-        let (rowlen, colind, vals) = &mut self.fired;
-        rowlen.push(self.row.len());
+        let (rowptr, colind, vals) = &mut self.fired.fired;
         for (j, o) in self.row.drain(..) {
             colind.push(j);
             vals.push(o);
         }
+        rowptr.push(colind.len());
     }
 }
 
