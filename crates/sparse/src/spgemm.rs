@@ -710,6 +710,7 @@ type Lent<'m, S> = Few<(Option<Mask<'m>>, Few<S>)>;
 /// [`accumulate`], [`settle`] and [`count`] — lend their tables to the
 /// run and close them; the rest is here, once.
 struct Drive<'c> {
+    within: Option<&'c Mask<'c>>,
     sits: Few<Sits>,
     stops: Few<Stop>,
     cuts: &'c [usize],
@@ -730,7 +731,7 @@ impl<'c> Drive<'c> {
     fn new<L, R, T: Clone>(
         (a, b): (&Csr<L>, Slabs<'_, R>),
         cuts: &'c [usize],
-        within: Option<&Mask>,
+        within: Option<&'c Mask<'c>>,
         panes: &[Pane<'_, T>],
     ) -> Self {
         assert_shapes(a, b.mat(), within);
@@ -740,6 +741,7 @@ impl<'c> Drive<'c> {
         let stops = stops(&sits, b);
         let slabs = b.count();
         Drive {
+            within,
             sits,
             stops,
             cuts,
@@ -752,22 +754,23 @@ impl<'c> Drive<'c> {
     /// Runs `rows` — a step's row kernel, counted where the right
     /// operand has several slabs ([`multiply_rows`]) — over the rows of
     /// each row cell of each range, into one task's share of every pane
-    /// out of `lent`, under the panes' mask, or `within` where they
-    /// report none. A run on the pool is announced as one of `kernel`,
+    /// out of `lent`, under the panes' mask, or the driver's `within`
+    /// where they report none. A run on the pool is announced as one of
+    /// `kernel`,
     /// with one `scratch` per participant. Returns per pane what `keep`
     /// kept of its shares, in range order, and per cell the products
     /// formed and the entries the panes took in.
     fn run<S: Send, X: Send, K: Default>(
         &self,
-        (kernel, lent): (&'static str, Lent<'_, S>),
-        within: Option<&Mask>,
+        kernel: &'static str,
+        lent: Lent<'_, S>,
         scratch: impl Fn(bool) -> X + Sync,
         rows: impl Fn(Option<&Mask>, bool, Range<usize>, &mut X, &mut Panes<'_, S>, &mut u64) + Sync,
         mut keep: impl FnMut(&mut K, S),
     ) -> (Few<K>, Tally) {
         let (masks, shares) = lent.unzip();
         let mask = pane_mask(&self.sits, masks);
-        let mask = mask.as_ref().or(within);
+        let mask = mask.as_ref().or(self.within);
         let (counted, cells) = (self.slabs > 1, (self.cuts.len() - 1) * self.slabs);
         let mut shares: Few<_> = shares.into_iter().map(Few::into_iter).collect();
         let part = |_: &Range<usize>| {
@@ -887,8 +890,8 @@ where
     let (ab, n) = ((a, b.mat()), b.mat().ncols());
     let spa = |counted| Spa::new(n, <K::Acc as Monoid>::identity(), counted);
     let (kept, tally) = drive.run(
-        ("spgemm", lent.collect()),
-        None,
+        "spgemm",
+        lent.collect(),
         spa,
         |mask, counted, rows, spa, part, ops| {
             multiply::<K>(ab, mask, counted, rows, spa, part, ops)
@@ -975,8 +978,8 @@ where
     let (ab, n) = ((a, b.mat()), b.mat().ncols());
     let spa = |counted| Spa::new(n, <K::Acc as Monoid>::identity(), counted);
     let (kept, tally) = drive.run(
-        ("spgemm", lent.collect()),
-        within,
+        "spgemm",
+        lent.collect(),
         spa,
         |mask, counted, rows, spa, part, ops| {
             multiply::<K>(ab, mask, counted, rows, spa, part, ops)
@@ -1265,8 +1268,8 @@ where
     .map(|lent| (None, lend(lent)));
     let ncols = counting.at.mat().ncols();
     let (kept, tally) = drive.run(
-        ("count_children", lent.collect()),
-        None,
+        "count_children",
+        lent.collect(),
         |_| (vec![Child::default(); ncols], Vec::new()),
         |_, counted, rows, scratch, part, ops| match counted {
             true => counting.rows::<true, F>(rows, scratch, part, ops),
