@@ -22,16 +22,17 @@
 
 use mfbc_algebra::kernel::{BrandesKernel, KernelOut};
 use mfbc_algebra::monoid::Monoid;
-use mfbc_algebra::{Centpath, CentpathMonoid, Dist, Multpath, SpMulKernel};
+use mfbc_algebra::{Centpath, Dist, Multpath, SpMulKernel};
 use mfbc_graph::Graph;
 use mfbc_machine::{Machine, MachineError};
 use mfbc_sparse::transpose::transpose;
 use mfbc_sparse::{
     count_children, elementwise, spgemm_accumulate, spgemm_settle, Csr, Mask, MaskKind, Table,
 };
+use mfbc_tensor::autotune::{self, Pick};
 use mfbc_tensor::cache::{CacheStats, MmCache};
 use mfbc_tensor::land::{self, Land};
-use mfbc_tensor::{autotune, canonical_layout, ops, DistMat, DistTable, MmPlan};
+use mfbc_tensor::{canonical_layout, ops, DistMat, DistTable, MmPlan};
 
 /// Matrix element types (what every sparse and tensor kernel asks).
 pub trait Elem: Clone + PartialEq + Send + Sync + std::fmt::Debug {}
@@ -130,7 +131,9 @@ pub trait Backend {
     /// how many `w` with `(s,w) ∈ t` have `τ(s,w) − A(v,w) = τ(s,v)`,
     /// and 0 where one exceeds it, as the child-count product of
     /// `(τ, 0, 1)` seeds with `Aᵀ` and [`crate::sweep::mfbr_anchor`]
-    /// make it — after `fire(&mut z_val, t_val)` has had its one chance
+    /// make it (a backend that charges that product may count it off
+    /// `t` in place: the seeds are charged, not built, where nothing
+    /// moves them) — after `fire(&mut z_val, t_val)` has had its one chance
     /// to rewrite each entry and emit an entry of the matrix returned
     /// beside it. The coordinates `fire` passes on are pending. Also
     /// returns the `ops` of that product, which runs under `t`'s
@@ -322,8 +325,9 @@ impl Backend for Local<'_> {
 /// per block row of `T` or `Z` runs into that row's blocks — the sinks
 /// [`Local`] runs into its one table, one pane per block — with each
 /// rank billed the part its slab covers, and the opening count is
-/// counted in place, so at p = 1 a step makes the calls `Local` makes,
-/// plus the machine's charges. A plan that reduces or assembles its
+/// counted in place off `T`'s rows, its seeds charged but not built, so
+/// at p = 1 a step makes the calls `Local` makes, plus the machine's
+/// charges. A plan that reduces or assembles its
 /// output across ranks hands the landing the product in the canonical
 /// layout, which it merges block by block when it closes. Both bill
 /// the same charges. A run that does not amortize holds one-shot caches.
@@ -427,42 +431,66 @@ impl Simulated {
         mask: Option<&Mask>,
         priced: Option<&Mask>,
     ) -> Result<(DistMat<KernelOut<K>>, u64), MachineError> {
-        let (_span, plan) = self.plan::<K>(frontier, adj, priced);
+        let pick = self.pick::<K>(frontier, adj, priced);
+        let (_span, plan) = self.announce(pick);
         let (a, cache) = (&self.adj[adj as usize], &mut self.caches[adj as usize]);
         let out =
             mfbc_tensor::mm_exec_cached_masked::<K>(&self.m, &plan, frontier, a, mask, cache)?;
         Ok((out.c, out.ops))
     }
 
-    /// The plan a product of `frontier` by `adj` runs — the fixed one,
-    /// or the tuner's pick under `priced` (see [`Simulated::mm`]) — and,
-    /// for a pick, the span that brackets the product.
-    fn plan<K: SpMulKernel<Right = Dist>>(
+    /// The tuner's pick, not yet announced, for a product of `left` by
+    /// `adj` under `priced` (see [`Simulated::mm`]); `None` where the
+    /// run has a fixed plan.
+    fn pick<K: SpMulKernel<Right = Dist>>(
         &self,
-        frontier: &DistMat<K::Left>,
+        left: &DistMat<impl Elem>,
         adj: Adj,
         priced: Option<&Mask>,
-    ) -> (Option<mfbc_trace::Span>, MmPlan) {
-        if let Some(plan) = &self.plan {
-            return (None, plan.clone());
-        }
-        let span = mfbc_trace::span(|| "mm_auto".to_string());
-        let stats = autotune::stats_for_masked::<K>(frontier, &self.adj[adj as usize], priced);
-        (Some(span), autotune::best_plan(self.m.spec(), &stats).0)
+    ) -> Option<Pick> {
+        let stats = || autotune::stats_for_masked::<K>(left, &self.adj[adj as usize], priced);
+        self.plan
+            .is_none()
+            .then(|| autotune::pick(self.m.spec(), &stats()))
     }
 
-    /// `frontier •⟨⊕,f⟩ adj` under `plan` into `land`, where it is
-    /// consumed: band by band, or whole from a plan that does not land
-    /// ([`MmPlan::lands`]). Returns `ops`.
-    fn land<K: SpMulKernel<Right = Dist>>(
+    /// The plan a product runs: `pick`'s, or the fixed one.
+    fn planned<'a>(&'a self, pick: Option<&'a Pick>) -> &'a MmPlan {
+        let fixed = || {
+            self.plan
+                .as_ref()
+                .expect("a product not tuned has a fixed plan")
+        };
+        pick.map_or_else(fixed, Pick::plan)
+    }
+
+    /// The plan a product runs, `pick` announced with the span that
+    /// brackets the product.
+    fn announce(&self, pick: Option<Pick>) -> (Option<mfbc_trace::Span>, MmPlan) {
+        let Some(pick) = pick else {
+            return (None, self.planned(None).clone());
+        };
+        let span = mfbc_trace::span(|| "mm_auto".to_string());
+        (Some(span), pick.announce().0)
+    }
+
+    /// `left •⟨⊕,f⟩ adj` into `land`, where it is consumed: band by
+    /// band, or whole from a plan that does not land. The landing is
+    /// readied for the plan ([`Land::open`]) before `pick` is announced.
+    /// Returns `ops`.
+    fn land<K: SpMulKernel<Right = Dist>, L: Elem>(
         &mut self,
-        plan: &MmPlan,
-        frontier: &DistMat<K::Left>,
+        pick: Option<Pick>,
+        left: &DistMat<L>,
         adj: Adj,
-        land: &mut impl Land<K>,
+        land: &mut impl Land<K, L>,
     ) -> Result<u64, MachineError> {
+        land.open(&self.m, self.planned(pick.as_ref()));
+        let (span, plan) = self.announce(pick);
         let (a, cache) = (&self.adj[adj as usize], &mut self.caches[adj as usize]);
-        mfbc_tensor::mm_land::<K>(&self.m, plan, frontier, a, land, cache)
+        let ops = mfbc_tensor::mm_land::<K, L>(&self.m, &plan, left, a, land, cache);
+        drop(span);
+        ops
     }
 
     /// `A ⊕ B`.
@@ -561,10 +589,9 @@ impl Backend for Simulated {
         keep: impl Fn(&KernelOut<K>, Option<&KernelOut<K>>, &KernelOut<K>) -> Option<KernelOut<K>>
             + Sync,
     ) -> Result<(DistMat<KernelOut<K>>, u64), MachineError> {
-        let (span, plan) = self.plan::<K>(frontier, Adj::A, table.mask().as_ref());
+        let pick = self.pick::<K>(frontier, Adj::A, table.mask().as_ref());
         let mut land = land::Accumulate::<K, _>::new(table, &keep);
-        let ops = self.land(&plan, frontier, Adj::A, &mut land)?;
-        drop(span);
+        let ops = self.land(pick, frontier, Adj::A, &mut land)?;
         Ok((land.finish(&self.m)?, ops))
     }
 
@@ -574,17 +601,16 @@ impl Backend for Simulated {
         fire: impl Fn(&mut Centpath, &Multpath) -> Option<Centpath> + Sync,
     ) -> Result<(DistTable<Centpath>, DistMat<Centpath>, u64), MachineError> {
         // The child count is the product of `(τ, 0, 1)` seeds with
-        // `Aᵀ`, consumed by the anchor. A contribution at a pair
-        // outside `T`'s pattern is inert, so where the machine masks,
-        // the product runs under that pattern (and redistribution
-        // drops `Aᵀ` columns of vertices no source discovered).
+        // `Aᵀ`, consumed by the anchor. The product is handed `T`: the
+        // landing bills the seeds from `T`'s counts and builds them only
+        // for a plan that moves them. A contribution at a pair outside
+        // `T`'s pattern is inert, so where the machine masks, the
+        // product runs under that pattern (and redistribution drops `Aᵀ`
+        // columns of vertices no source discovered).
         let reached = self.mask_of(MaskKind::Structural, t);
-        let seed = |_: usize, _: usize, mp: &Multpath| Some(Centpath::new(mp.w, 0.0, 1));
-        let seeds = ops::dmat_map_filter::<CentpathMonoid, _, _>(&self.m, t, seed);
-        let (span, plan) = self.plan::<BrandesKernel>(&seeds, Adj::At, reached.as_ref());
+        let pick = self.pick::<BrandesKernel>(t, Adj::At, reached.as_ref());
         let mut land = land::Count::new(t, reached, &fire);
-        let ops = self.land(&plan, &seeds, Adj::At, &mut land)?;
-        drop(span);
+        let ops = self.land(pick, t, Adj::At, &mut land)?;
         let (z, frontier) = land.finish(&self.m)?;
         Ok((z, frontier, ops))
     }
@@ -602,10 +628,9 @@ impl Backend for Simulated {
     {
         // The product is priced under `within`, which holds for the
         // whole sweep (see [`Simulated::mm`]).
-        let (span, plan) = self.plan::<K>(frontier, Adj::At, within);
+        let pick = self.pick::<K>(frontier, Adj::At, within);
         let mut land = land::Settle::<K, U, _>::new(z, side, within, &fire);
-        let ops = self.land(&plan, frontier, Adj::At, &mut land)?;
-        drop(span);
+        let ops = self.land(pick, frontier, Adj::At, &mut land)?;
         Ok((land.finish(&self.m), ops))
     }
 

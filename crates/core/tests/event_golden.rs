@@ -141,3 +141,68 @@ fn dist_event_trace_matches_the_golden() {
         path.display()
     );
 }
+
+/// Per batch of a traced `mfbc_dist` run, in order: whether MFBr's
+/// count landed — the plan of the first product after the batch's
+/// forward sweep is `1d(A)` or `1d(B)` — and how many `dmat_map`
+/// fan-outs ran between the sweep and that product.
+fn seed_maps(events: &[TraceEvent]) -> Vec<(bool, usize)> {
+    let landing = [Variant1D::A, Variant1D::B].map(|v| MmPlan::OneD(v).to_string());
+    let (mut out, mut maps) = (Vec::new(), None);
+    for event in events {
+        match event {
+            TraceEvent::SpanEnd { name } if name.ends_with("/forward") => maps = Some(0),
+            TraceEvent::Pool {
+                kernel: "dmat_map", ..
+            } => *maps.as_mut().expect("only the count's seeds are a map") += 1,
+            TraceEvent::Spgemm { plan, .. } => {
+                if let Some(maps) = maps.take() {
+                    out.push((landing.contains(plan), maps));
+                }
+            }
+            _ => {}
+        }
+    }
+    out
+}
+
+#[test]
+fn a_count_that_lands_builds_no_seeds() {
+    // MFBr's count is handed `T`; the `(τ, 0, 1)` seeds it stands for
+    // are built — one `dmat_map` fan-out — only for a plan that moves
+    // them. The autotuner picks a landing count at every p here.
+    let g = rmat(&RmatConfig::paper(7, 8, 2));
+    let runs = [
+        (1, PlanMode::Auto),
+        (4, PlanMode::Auto),
+        (16, PlanMode::Auto),
+        (4, PlanMode::Fixed(MmPlan::OneD(Variant1D::A))),
+        (4, PlanMode::Fixed(MmPlan::OneD(Variant1D::B))),
+        (4, PlanMode::Fixed(MmPlan::OneD(Variant1D::C))),
+    ];
+    for (p, mode) in runs {
+        let m = Machine::new(MachineSpec::gemini(p));
+        let cfg = MfbcConfig {
+            plan_mode: mode.clone(),
+            ..MfbcConfig::default()
+        }
+        .with_batch_size(32)
+        .with_threads(1);
+        let rec = Arc::new(MemoryRecorder::new());
+        let run = mfbc_trace::scoped(rec.clone(), || mfbc_dist(&m, &g, &cfg).expect("fault-free"));
+        let events: Vec<TraceEvent> = rec.take().into_iter().map(|r| r.event).collect();
+        let batches = seed_maps(&events);
+        let what = format!("p={p} {mode:?}");
+        assert_eq!(batches.len(), run.batches, "{what}: one count a batch");
+        for (b, &(lands, maps)) in batches.iter().enumerate() {
+            assert_eq!(maps, usize::from(!lands), "{what}, batch {b}: seed maps");
+        }
+        let landed = batches.iter().filter(|&&(lands, _)| lands).count();
+        let want = match &mode {
+            PlanMode::Fixed(plan) if plan.lands() => run.batches,
+            PlanMode::Fixed(_) => 0,
+            _ => landed.max(1),
+        };
+        assert_eq!(landed, want, "{what}: counts that land");
+    }
+}

@@ -111,7 +111,9 @@ const MAX_MASKED_REQUESTED_PER_TABLE_BYTE: f64 = 6.9;
 /// Requested bytes per byte of final table for `mfbc_dist` at `p = 1`
 /// on the grid. One rank moves nothing, so what the simulated backend
 /// adds to the sweep — placing operands and the machine's bookkeeping —
-/// has to stay a fraction of the sweep itself. Measured: 6.07 with
+/// has to stay a fraction of the sweep itself. Measured: 5.48 with
+/// MFBr's count reading `T` in place (its seeds charged, not built),
+/// 6.07 when it multiplied a seeds matrix built first, with
 /// what MFBr fires kept as the frontier it becomes, 6.52 when it was
 /// copied into a fresh matrix, with λ folded in place, 6.79 when the fold grew a vector per column, both
 /// with each 1D product landing band by band and reading the
@@ -121,13 +123,16 @@ const MAX_MASKED_REQUESTED_PER_TABLE_BYTE: f64 = 6.9;
 /// product was a matrix re-assembled to the canonical layout and
 /// merged by `dmat_*` with MFBr's opening a count product, and 53 when
 /// every product and operand went through a coordinate list and a
-/// sort. The counts are deterministic: × 1.1.
-const MAX_DIST_REQUESTED_PER_TABLE_BYTE: f64 = 6.7;
+/// sort. The counts are deterministic; the bound lies between the
+/// first two, so a seeds matrix coming back fails it.
+const MAX_DIST_REQUESTED_PER_TABLE_BYTE: f64 = 5.9;
 
 /// Allocation calls per superstep of `mfbc_dist` on the grid at
 /// `p = 16`, where the canonical layout cuts the tables into 4 × 4
 /// blocks: the alarm for work a simulated superstep repeats per rank.
-/// Measured: 411.3 with what MFBr fires kept as the frontier it
+/// Measured: 409.9 with MFBr's count reading `T` in place where its
+/// plan lands and a fan-out that runs inline building no statistics
+/// vectors; 411.3 before, with what MFBr fires kept as the frontier it
 /// becomes; 428.9 when it was copied into a fresh matrix, with λ folded
 /// in place and no mask view built for a landing product; 454.5 before, with each 1D product formed band by
 /// band (one kernel call per block row, its cells billed to the
@@ -135,24 +140,27 @@ const MAX_DIST_REQUESTED_PER_TABLE_BYTE: f64 = 6.7;
 /// rank and block row, each piece's windows stitched back into the
 /// blocks, the frontier copied per product). The count is
 /// deterministic: × 1.1.
-const MAX_DIST_P16_CALLS_PER_SUPERSTEP: f64 = 453.0;
+const MAX_DIST_P16_CALLS_PER_SUPERSTEP: f64 = 451.0;
 
 /// Requested bytes per byte of final table for `mfbc_dist` on the
 /// masked R-MAT graph, at one and at four ranks: the alarm for a
 /// superstep that copies a mask's pattern on the simulated backend —
 /// a global mask assembled from the table's blocks, a window copied
 /// per output block, a scan of the whole pattern to price the
-/// product — or that materialises a 1D product again. Measured: 7.17
-/// at p = 1 and 9.22 at p = 4 with what MFBr fires kept as the frontier
-/// it becomes; 7.36 and 9.36 when it was copied, with λ folded in place, 7.56 and 9.55
+/// product — or that materialises a 1D product again. Measured: 6.58
+/// at p = 1 and 8.47 at p = 4 with MFBr's count reading `T` in place
+/// where its plan lands; 7.17 and 9.22 when it multiplied a seeds
+/// matrix built first, with what MFBr fires kept as the frontier it
+/// becomes; 7.36 and 9.36 when it was copied, with λ folded in place, 7.56 and 9.55
 /// with a vector per column, both with every mask a view of the blocks
 /// where they lie and the 1D products landing band by band, reading
 /// the frontier's blocks in place; 9.15 and 11.37 when each product
 /// copied the frontier first; 12.69 and 14.33 when those products were
 /// matrices merged after assembly; 14.60 and 16.25 when each superstep
 /// also made the three mask copies. The usual × 1.3 would let them
-/// back in: × 1.1 here (the counts are deterministic).
-const MAX_MASKED_DIST_REQUESTED_PER_TABLE_BYTE: [(usize, f64); 2] = [(1, 7.9), (4, 10.2)];
+/// back in: the counts are deterministic, and the bounds lie between
+/// the first two, so a seeds matrix coming back fails them.
+const MAX_MASKED_DIST_REQUESTED_PER_TABLE_BYTE: [(usize, f64); 2] = [(1, 7.0), (4, 9.0)];
 
 /// Requested bytes per byte of final distance table for `sssp_seq`
 /// from every vertex of the grid. Measured: 6.5 with its products

@@ -41,7 +41,7 @@ mod pool;
 mod scatter;
 
 pub use partition::balanced_ranges;
-pub use pool::{ExecStats, Pool};
+pub use pool::{ExecStats, PerParticipant, Pool};
 pub use scatter::ScatterVec;
 
 use std::cell::Cell;

@@ -25,18 +25,41 @@ pub struct ExecStats {
     pub tasks: u64,
     /// Busy time per participant (index 0 is the calling thread).
     /// Participants that never claimed a job stay at zero.
-    pub busy: Vec<Duration>,
+    pub busy: PerParticipant<Duration>,
     /// Jobs executed per participant.
-    pub tasks_per_worker: Vec<u64>,
+    pub tasks_per_worker: PerParticipant<u64>,
+}
+
+/// One value per participant of a fan-out, read as a slice. A call the
+/// caller ran alone holds its one value in place, so the inline path
+/// allocates nothing for its statistics.
+#[derive(Clone, Debug)]
+pub enum PerParticipant<T> {
+    /// The caller's, the only participant.
+    Caller(T),
+    /// Every participant's, in participant order.
+    Each(Vec<T>),
+}
+
+impl<T> std::ops::Deref for PerParticipant<T> {
+    type Target = [T];
+
+    fn deref(&self) -> &[T] {
+        match self {
+            PerParticipant::Caller(x) => std::slice::from_ref(x),
+            PerParticipant::Each(v) => v,
+        }
+    }
 }
 
 impl ExecStats {
-    fn empty(threads: usize) -> ExecStats {
+    /// A call of `njobs` jobs the caller ran alone, busy for `busy`.
+    fn inline(njobs: usize, busy: Duration) -> ExecStats {
         ExecStats {
-            threads,
-            tasks: 0,
-            busy: vec![Duration::ZERO; threads],
-            tasks_per_worker: vec![0; threads],
+            threads: 1,
+            tasks: njobs as u64,
+            busy: PerParticipant::Caller(busy),
+            tasks_per_worker: PerParticipant::Caller(njobs as u64),
         }
     }
 
@@ -192,8 +215,8 @@ impl Batch {
         let stats = ExecStats {
             threads,
             tasks: njobs as u64,
-            busy: s.busy.clone(),
-            tasks_per_worker: s.tasks.clone(),
+            busy: PerParticipant::Each(std::mem::take(&mut s.busy)),
+            tasks_per_worker: PerParticipant::Each(std::mem::take(&mut s.tasks)),
         };
         (stats, s.panic.take())
     }
@@ -348,7 +371,7 @@ impl Pool {
         F: Fn(&mut S, usize) -> R + Sync,
     {
         if njobs == 0 {
-            return (Vec::new(), ExecStats::empty(1));
+            return (Vec::new(), ExecStats::inline(0, Duration::ZERO));
         }
         let inner = match &self.inner {
             Some(inner) if njobs > 1 && !in_pool_job() => inner,
@@ -359,11 +382,7 @@ impl Pool {
                 let started = Instant::now();
                 let mut scratch = init();
                 let out = (0..njobs).map(|i| f(&mut scratch, i)).collect();
-                let mut stats = ExecStats::empty(1);
-                stats.tasks = njobs as u64;
-                stats.busy[0] = started.elapsed();
-                stats.tasks_per_worker[0] = njobs as u64;
-                return (out, stats);
+                return (out, ExecStats::inline(njobs, started.elapsed()));
             }
         };
         let scratch: Vec<Mutex<Option<S>>> = (0..self.threads).map(|_| Mutex::new(None)).collect();

@@ -24,13 +24,50 @@ use mfbc_sparse::{entry_bytes, Mask};
 /// (re-exported here under its historical name).
 pub use crate::mm::enumerate_plans as candidate_plans;
 
-/// Scores all candidates and returns `(best plan, predicted cost)`.
+/// Scores all candidates and returns `(best plan, predicted cost)`,
+/// announced at once ([`pick`], then [`Pick::announce`]).
+pub fn best_plan(spec: &MachineSpec, st: &MmStats) -> (MmPlan, f64) {
+    pick(spec, st).announce()
+}
+
+/// The tuner's choice for one product, not yet announced.
+///
+/// A product whose left operand exists in the model before it exists
+/// on the host — MFBr's seeds ([`crate::land::Count`]), which the host
+/// builds only for a plan that moves them — is tuned on the operand's
+/// counts, readied for the plan ([`crate::land::Land::open`]), and only
+/// then announced, so the trace reads in the model's order: the seeds,
+/// then the tuner that priced them.
+pub struct Pick {
+    plan: MmPlan,
+    cost: f64,
+    /// The `Autotune` event, built only while a recorder is installed.
+    event: Option<mfbc_trace::TraceEvent>,
+}
+
+impl Pick {
+    /// The plan picked.
+    pub fn plan(&self) -> &MmPlan {
+        &self.plan
+    }
+
+    /// Emits the pick's `Autotune` event; returns the plan and its
+    /// predicted cost.
+    pub fn announce(self) -> (MmPlan, f64) {
+        if let Some(event) = self.event {
+            mfbc_trace::emit(|| event);
+        }
+        (self.plan, self.cost)
+    }
+}
+
+/// Scores all candidates and picks the cheapest, announcing nothing.
 ///
 /// Plans whose estimated per-rank memory exceeds the spec's budget
-/// are skipped; if *every* plan exceeds it, the cheapest is returned
+/// are skipped; if *every* plan exceeds it, the cheapest is picked
 /// anyway (the executor will surface the out-of-memory error, as the
 /// real run would).
-pub fn best_plan(spec: &MachineSpec, st: &MmStats) -> (MmPlan, f64) {
+pub fn pick(spec: &MachineSpec, st: &MmStats) -> Pick {
     let mut best: Option<(MmPlan, f64)> = None;
     let mut best_any: Option<(MmPlan, f64)> = None;
     // Candidate table kept only while a trace recorder is active.
@@ -59,7 +96,7 @@ pub fn best_plan(spec: &MachineSpec, st: &MmStats) -> (MmPlan, f64) {
         }
     }
     let (plan, cost) = best.or(best_any).expect("candidate set is never empty");
-    mfbc_trace::emit(|| mfbc_trace::TraceEvent::Autotune {
+    let event = tracing.then(|| mfbc_trace::TraceEvent::Autotune {
         m: st.m,
         k: st.k,
         n: st.n,
@@ -69,12 +106,18 @@ pub fn best_plan(spec: &MachineSpec, st: &MmStats) -> (MmPlan, f64) {
         winner: plan.to_string(),
         winner_cost_s: cost,
     });
-    (plan, cost)
+    Pick { plan, cost, event }
 }
 
 /// Builds [`MmStats`] for a concrete operand pair, using the measured
-/// operand counts and the uniform-model estimates for the output.
-pub fn stats_for<K: SpMulKernel>(a: &DistMat<K::Left>, b: &DistMat<K::Right>) -> MmStats {
+/// operand counts and the uniform-model estimates for the output. The
+/// left operand is priced at `K::Left`'s entry size whatever `a` holds:
+/// a landing may multiply another matrix on the operand's pattern
+/// (MFBr's count reads `T` for its seeds).
+pub fn stats_for<K: SpMulKernel>(
+    a: &DistMat<impl Clone + Send + Sync>,
+    b: &DistMat<K::Right>,
+) -> MmStats {
     MmStats::estimate(
         a.nrows() as u64,
         a.ncols() as u64,
@@ -96,7 +139,7 @@ pub fn stats_for<K: SpMulKernel>(a: &DistMat<K::Left>, b: &DistMat<K::Right>) ->
 /// counts ([`Mask::fully_excluded_cols`]), so pricing walks no mask
 /// pattern, only `b`'s blocks.
 pub fn stats_for_masked<K: SpMulKernel>(
-    a: &DistMat<K::Left>,
+    a: &DistMat<impl Clone + Send + Sync>,
     b: &DistMat<K::Right>,
     mask: Option<&Mask>,
 ) -> MmStats {

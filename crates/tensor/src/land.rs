@@ -10,7 +10,8 @@
 //! consumed, so such a product never becomes a matrix: it arrives band
 //! by band ([`Land::band`]), and the kernel writes it into the table
 //! blocks it covers through the sinks the shared-memory sweeps use
-//! (`Z`'s opening counted in place). Every other plan reduces or
+//! (`Z`'s opening counted in place, off `T`'s rows: its `(τ, 0, 1)`
+//! seeds are charged, not built — [`Count`]). Every other plan reduces or
 //! assembles its output across ranks; its product arrives whole, in
 //! the canonical layout ([`Land::formed`]), and the landing merges it
 //! block by block when it closes ([`Table`]'s `accumulate`, `settle`,
@@ -43,9 +44,11 @@
 //! owners moves no charge.
 
 use crate::dist::{DistMat, DistTable, Layout};
-use crate::mm::{assert_shape, Shape};
+use crate::mm::{assert_shape, MmPlan, Shape};
 use crate::mm1d::Piece;
-use crate::ops::{bill_accumulate, bill_anchor, bill_settle, emit_pool};
+use crate::ops::{
+    bill_accumulate, bill_anchor, bill_settle, charge_blocks, dmat_map_filter, emit_pool,
+};
 use mfbc_algebra::kernel::{BrandesKernel, KernelOut};
 use mfbc_algebra::{Centpath, CentpathMonoid, Multpath, SpMulKernel};
 use mfbc_machine::{Machine, MachineError};
@@ -61,7 +64,12 @@ use std::ops::Range;
 
 /// Where a product goes: band by band from a plan that lands, whole
 /// from one that reduces or assembles its output.
-pub trait Land<K: SpMulKernel> {
+///
+/// The executor is handed a left operand of `L`s, which is `K::Left`
+/// but for a landing that reads another matrix on the operand's pattern
+/// as the operand ([`Count`]: `T`, for its seeds); the executor charges
+/// it at `K::Left`'s entry size.
+pub trait Land<K: SpMulKernel, L = <K as SpMulKernel>::Left> {
     /// The output mask the product runs under, in global coordinates:
     /// what a plan that forms its product whole windows to its output
     /// blocks, and what the executor shrinks a one-shot operand
@@ -73,12 +81,22 @@ pub trait Land<K: SpMulKernel> {
     /// that shape.
     fn bands(&self, shape: Shape) -> Vec<Range<usize>>;
 
+    /// Readies the landing for a product under `plan`, once, before the
+    /// product runs and before a tuned plan is announced
+    /// ([`crate::autotune::Pick`]). Nothing by default.
+    fn open(&mut self, _m: &Machine, _plan: &MmPlan) {}
+
+    /// The left operand a plan that does not land multiplies, for the
+    /// operand `a` the executor was handed: `a` itself, where `L` is
+    /// `K::Left`.
+    fn left<'a>(&'a self, a: &'a DistMat<L>) -> &'a DistMat<K::Left>;
+
     /// Forms `band` under the landing's mask. Returns, per cell of the
     /// band (in [`Band::ranks`]' order), its `ops` and how many product
     /// entries it formed. Every band of [`Land::bands`] arrives, those
     /// with empty operands too: a window may be owed work that forms
     /// nothing (the opening count fires every entry of `Z` once).
-    fn band(&mut self, band: Band<'_, K::Left, K::Right>) -> Vec<(u64, u64)>;
+    fn band(&mut self, band: Band<'_, L, K::Right>) -> Vec<(u64, u64)>;
 
     /// Takes the product of a plan that does not land, formed whole
     /// under [`Land::mask`] and assembled in the canonical layout. A
@@ -134,6 +152,10 @@ impl<K: SpMulKernel> Land<K> for Collect<'_, KernelOut<K>> {
             assert_shape("mask", (mk.nrows(), mk.ncols()), shape);
         }
         vec![0..shape.0]
+    }
+
+    fn left<'a>(&'a self, a: &'a DistMat<K::Left>) -> &'a DistMat<K::Left> {
+        a
     }
 
     fn band(&mut self, band: Band<'_, K::Left, K::Right>) -> Vec<(u64, u64)> {
@@ -349,6 +371,10 @@ where
         block_rows(self.table.layout(), shape)
     }
 
+    fn left<'a>(&'a self, a: &'a DistMat<K::Left>) -> &'a DistMat<K::Left> {
+        a
+    }
+
     fn band(&mut self, band: Band<'_, K::Left, K::Right>) -> Vec<(u64, u64)> {
         let ids = row_ids(self.table.layout(), band.index);
         let mut panes = panes(ids.clone(), self.table.blocks_mut());
@@ -431,6 +457,10 @@ where
         block_rows(self.z.layout(), shape)
     }
 
+    fn left<'a>(&'a self, a: &'a DistMat<K::Left>) -> &'a DistMat<K::Left> {
+        a
+    }
+
     fn band(&mut self, band: Band<'_, K::Left, K::Right>) -> Vec<(u64, u64)> {
         let l = self.side.layout();
         let within = self
@@ -467,9 +497,20 @@ where
 /// ([`count_children_panes`]), or every block of a formed count product
 /// anchored ([`Table::anchor`] with [`mfbr_anchor`]). The product is
 /// that of `(τ, 0, 1)` seeds on `T`'s entries times `Aᵀ`, under `T`'s
-/// structural pattern where the machine masks.
+/// structural pattern where the machine masks; the executor is handed
+/// `T` ([`Land`]'s `L` is [`Multpath`]).
+///
+/// The seeds are charged, not built, where the plan lands: the count
+/// kernel reads only each seed's τ and pattern, so the bands read `T`'s
+/// rows in place, τ projected, and the map that would have built the
+/// seeds is billed from `T`'s per-block counts ([`Land::open`]); their
+/// moves are charged at `Centpath`'s entry size. A plan that forms the
+/// product whole moves the seeds, so for it they are built, by the same
+/// map at the same point.
 pub struct Count<'t, F> {
     t: &'t DistMat<Multpath>,
+    /// The seeds, built by [`Land::open`] for a plan that moves them.
+    seeds: Option<DistMat<Centpath>>,
     /// The blocks of `Z` the bands opened so far, in block order.
     z: Vec<Table<Centpath>>,
     within: Option<Mask<'t>>,
@@ -488,6 +529,7 @@ where
     pub fn new(t: &'t DistMat<Multpath>, within: Option<Mask<'t>>, fire: &'t F) -> Self {
         Count {
             t,
+            seeds: None,
             z: Vec::new(),
             within,
             fire,
@@ -524,7 +566,7 @@ where
     }
 }
 
-impl<F> Land<BrandesKernel> for Count<'_, F>
+impl<F> Land<BrandesKernel, Multpath> for Count<'_, F>
 where
     F: Fn(&mut Centpath, &Multpath) -> Option<Centpath> + Sync,
 {
@@ -536,7 +578,25 @@ where
         block_rows(self.t.layout(), shape)
     }
 
-    fn band(&mut self, band: Band<'_, Centpath, mfbc_algebra::Dist>) -> Vec<(u64, u64)> {
+    /// Bills the map that makes the `(τ, 0, 1)` seeds of `T`'s entries,
+    /// `nnz(T)` per block, where the product is opened; builds them
+    /// only where `plan` moves them.
+    fn open(&mut self, m: &Machine, plan: &MmPlan) {
+        let t = self.t;
+        if plan.lands() {
+            charge_blocks(m, t.layout(), |bi, bj| t.block(bi, bj).nnz());
+        } else {
+            let seed = |_: usize, _: usize, mp: &Multpath| Some(Centpath::new(mp.w, 0.0, 1));
+            self.seeds = Some(dmat_map_filter::<CentpathMonoid, _, _>(m, t, seed));
+        }
+    }
+
+    fn left<'a>(&'a self, _: &'a DistMat<Multpath>) -> &'a DistMat<Centpath> {
+        let seeds = self.seeds.as_ref();
+        seeds.expect("a count formed whole multiplies the seeds `Land::open` built")
+    }
+
+    fn band(&mut self, band: Band<'_, Multpath, mfbc_algebra::Dist>) -> Vec<(u64, u64)> {
         let l = self.t.layout();
         let sides: Vec<&Csr<Multpath>> =
             (0..l.bc()).map(|bj| self.t.block(band.index, bj)).collect();
@@ -545,7 +605,7 @@ where
         self.z
             .extend(sides.iter().map(|t| Table::on_pattern(t, opened)));
         let mut panes = panes(ids.clone(), &mut self.z);
-        let tau = |c: &Centpath| c.w;
+        let tau = |mp: &Multpath| mp.w;
         let masked = self.within.is_some();
         let (mut landed, cells) = count_children_panes(
             band.left, tau, band.right, band.cuts, &mut panes, &sides, masked, self.fire,
@@ -596,6 +656,10 @@ mod tests {
             block_rows(&self.layout, shape)
         }
 
+        fn left<'a>(&'a self, a: &'a DistMat<Dist>) -> &'a DistMat<Dist> {
+            a
+        }
+
         fn band(&mut self, band: Band<'_, Dist, Dist>) -> Vec<(u64, u64)> {
             assert_eq!(band.index, self.next, "bands arrive in order");
             self.next += 1;
@@ -636,6 +700,10 @@ mod tests {
             Land::<TropicalKernel>::bands(&self.collect, shape)
         }
 
+        fn left<'a>(&'a self, a: &'a DistMat<Dist>) -> &'a DistMat<Dist> {
+            a
+        }
+
         fn band(&mut self, band: Band<'_, Dist, Dist>) -> Vec<(u64, u64)> {
             Land::<TropicalKernel>::band(&mut self.collect, band)
         }
@@ -673,7 +741,8 @@ mod tests {
                         views: Default::default(),
                     };
                     let mut cache = MmCache::amortizing(amortize);
-                    mm_land::<TropicalKernel>(&m, &plan, &x, &x, &mut counted, &mut cache).unwrap();
+                    mm_land::<TropicalKernel, _>(&m, &plan, &x, &x, &mut counted, &mut cache)
+                        .unwrap();
                     cache.release_all(&m);
                     let want = match plan {
                         MmPlan::OneD(Variant1D::A) => usize::from(!amortize),
@@ -714,7 +783,8 @@ mod tests {
                         next: 0,
                     };
                     let mut cache = MmCache::new();
-                    mm_land::<TropicalKernel>(&m, &plan, &x, &x, &mut rects, &mut cache).unwrap();
+                    mm_land::<TropicalKernel, _>(&m, &plan, &x, &x, &mut rects, &mut cache)
+                        .unwrap();
                     cache.release_all(&m);
                     let what = format!("{plan} at p={p}, n={n}");
                     assert_eq!(rects.next, x.layout().br(), "{what}: every band");

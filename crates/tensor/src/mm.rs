@@ -448,7 +448,7 @@ pub fn mm_exec_cached_masked<K: SpMulKernel>(
         pieces: Vec::new(),
         formed: None,
     };
-    let ops = mm_land::<K>(m, plan, a, b, &mut collect, cache)?;
+    let ops = mm_land::<K, _>(m, plan, a, b, &mut collect, cache)?;
     let c = match collect.formed {
         Some(c) => c,
         None => assemble_canonical::<K::Acc, _>(m, a.nrows(), b.ncols(), collect.pieces),
@@ -458,15 +458,18 @@ pub fn mm_exec_cached_masked<K: SpMulKernel>(
 
 /// Executes `a •⟨⊕,f⟩ b` under `plan` into `land`, under the mask the
 /// landing reports ([`Land::mask`]); returns `ops`. The one executor:
-/// [`mm_exec`] and the sweeps' table steps both run here.
+/// [`mm_exec`] and the sweeps' table steps both run here. The landing
+/// has been readied for `plan` ([`Land::open`]).
 ///
 /// A plan that lands ([`MmPlan::lands`]) hands each band of the output
-/// ([`Land::bands`]) to `land`, which forms it in place — no product
-/// matrix is built or assembled, nor a mask view. Every other plan
-/// reduces or assembles its output across ranks under the mask, built
-/// once, and hands it over whole in the canonical layout
-/// ([`Land::formed`]). The operands move and are charged alike either
-/// way; a one-shot `cache` is emptied before `mm_land` returns.
+/// ([`Land::bands`]) to `land`, which forms it in place off `a`'s rows
+/// — no product matrix is built or assembled, nor a mask view. Every
+/// other plan multiplies the left operand the landing names
+/// ([`Land::left`]), reduces or assembles its output across ranks under
+/// the mask, built once, and hands it over whole in the canonical
+/// layout ([`Land::formed`]). The operands move and are charged alike
+/// either way, the left one at `K::Left`'s entry size; a one-shot
+/// `cache` is emptied before `mm_land` returns.
 ///
 /// # Errors
 /// Propagates [`MachineError::OutOfMemory`] when a rank's simulated
@@ -475,12 +478,12 @@ pub fn mm_exec_cached_masked<K: SpMulKernel>(
 ///
 /// # Panics
 /// Panics on mismatched shapes.
-pub fn mm_land<K: SpMulKernel>(
+pub fn mm_land<K: SpMulKernel, L: Clone + Send + Sync>(
     m: &Machine,
     plan: &MmPlan,
-    a: &DistMat<K::Left>,
+    a: &DistMat<L>,
     b: &DistMat<K::Right>,
-    land: &mut impl Land<K>,
+    land: &mut impl Land<K, L>,
     cache: &mut MmCache<K::Right>,
 ) -> Result<u64, MachineError> {
     assert_eq!(
@@ -496,11 +499,12 @@ pub fn mm_land<K: SpMulKernel>(
     let _span = mfbc_trace::span(|| format!("spgemm {plan}"));
     let landed = match *plan {
         MmPlan::OneD(variant) if plan.lands() => {
-            mm1d::run_slabs::<K>(m, &m.world(), variant, a, b, cache, land)
+            mm1d::run_slabs::<K, L>(m, &m.world(), variant, a, b, cache, land)
         }
         _ => {
             let mask = output_mask(land, (a.nrows(), b.ncols()));
-            let pieces = plan_pieces::<K>(m, plan, a, b, mask.as_ref(), cache);
+            let left = land.left(a);
+            let pieces = plan_pieces::<K>(m, plan, left, b, mask.as_ref(), cache);
             drop(mask);
             pieces.map(|(pieces, ops)| {
                 let c = assemble_canonical::<K::Acc, _>(m, a.nrows(), b.ncols(), pieces);
@@ -529,7 +533,10 @@ pub fn mm_land<K: SpMulKernel>(
 }
 
 /// Builds the mask `land` reports and checks it against the `shape`.
-pub(crate) fn output_mask<K: SpMulKernel>(land: &impl Land<K>, shape: Shape) -> Option<Mask<'_>> {
+pub(crate) fn output_mask<K: SpMulKernel, L>(
+    land: &impl Land<K, L>,
+    shape: Shape,
+) -> Option<Mask<'_>> {
     land.mask()
         .inspect(|mk| assert_shape("mask", (mk.nrows(), mk.ncols()), shape))
 }

@@ -29,13 +29,16 @@
 //! cells, once: what its slab would cost formed alone. The left rows
 //! of a band are read off A's blocks in place; A's allgather (under A)
 //! and its redistribution into row slabs (under B) are still posted and
-//! charged as if the copies were made. Under A the right operand is
-//! kept, and cached, as one matrix with the ranks' column cuts
-//! ([`ColumnSlabs`]) rather than as p blocks: it is moved and held as
-//! the blocks would be — the all-to-all charged from a count, each rank
-//! holding its slab's entries — and the kernel reads each of its rows
-//! once; B's form shares that matrix. C's output is formed whole
-//! ([`run_reduced`]), as 2D and 3D plans' are.
+//! charged as if the copies were made, at the kernel's left entry size:
+//! the executor may be handed, as A, another matrix on A's pattern that
+//! the landing reads as A (MFBr's count is handed `T` and reads its
+//! seeds' τ off `T`'s entries, so the seeds are charged, not built).
+//! Under A the right operand is kept, and cached, as one matrix with
+//! the ranks' column cuts ([`ColumnSlabs`]) rather than as p blocks: it
+//! is moved and held as the blocks would be — the all-to-all charged
+//! from a count, each rank holding its slab's entries — and the kernel
+//! reads each of its rows once; B's form shares that matrix. C's output
+//! is formed whole ([`run_reduced`]), as 2D and 3D plans' are.
 
 use crate::cache::{CachedRhs, ColumnSlabs, Fingerprint, MmCache};
 use crate::dist::{DistMat, Layout};
@@ -78,7 +81,7 @@ fn replicated_rhs<K: SpMulKernel>(
     let mut arrival = Pending::ready(());
     let form = cache.prepared(one_d_key('B', group, b), Fingerprint::of(b), |cache| {
         let held;
-        (arrival, held) = replicate(m, group, b)?;
+        (arrival, held) = replicate(m, group, entries_bytes::<K::Right>(b.nnz()))?;
         let whole = ColumnSlabs::new(host_copy::<K>('A', group, b, cache), Vec::new());
         Ok((CachedRhs::Split(Arc::new(whole)), held))
     })?;
@@ -162,19 +165,19 @@ fn row_split_layout(nrows: usize, ncols: usize, group: &Group) -> Layout {
     )
 }
 
-/// Replicates a distributed matrix to every member of `group`: posts
-/// the allgather that moves every block to every rank (charged at
-/// `β·nnz + α·log p`) and charges each rank the full matrix size on
-/// the returned receipt. The caller redistributes the other operand
-/// while the replica is (under overlapped accounting) in flight, and
-/// reads the replica behind the returned [`Pending`] only once it is
-/// multiplied.
-fn replicate<T: Clone + Send + Sync>(
-    m: &Machine,
-    group: &Group,
-    x: &DistMat<T>,
-) -> Result<(Pending<()>, Held), MachineError> {
-    let bytes = (x.nnz() * entry_bytes::<T>()) as u64;
+/// The bytes `nnz` entries of `T` occupy.
+fn entries_bytes<T>(nnz: usize) -> u64 {
+    (nnz * entry_bytes::<T>()) as u64
+}
+
+/// Replicates a distributed matrix of `bytes` to every member of
+/// `group`: posts the allgather that moves every block to every rank
+/// (charged at `β·nnz + α·log p`) and charges each rank the full matrix
+/// size on the returned receipt. The caller redistributes the other
+/// operand while the replica is (under overlapped accounting) in
+/// flight, and reads the replica behind the returned [`Pending`] only
+/// once it is multiplied.
+fn replicate(m: &Machine, group: &Group, bytes: u64) -> Result<(Pending<()>, Held), MachineError> {
     let arrival = m.post_collective(group, CollectiveKind::Allgather, bytes, ())?;
     Ok((
         arrival,
@@ -193,15 +196,17 @@ fn replicate<T: Clone + Send + Sync>(
 /// The left rows of a band are read off the left operand's blocks in
 /// place: under A they stand for the allgathered replica, under B for
 /// the redistributed row slabs, and both moves are posted and charged
-/// as if made.
-pub(crate) fn run_slabs<K: SpMulKernel>(
+/// as if made, at `K::Left`'s entry size. The left operand `a` may be
+/// another matrix on the pattern of the one the model multiplies, which
+/// the landing reads as that one (MFBr's count: `T` for its seeds).
+pub(crate) fn run_slabs<K: SpMulKernel, L: Clone + Send + Sync>(
     m: &Machine,
     group: &Group,
     variant: Variant1D,
-    a: &DistMat<K::Left>,
+    a: &DistMat<L>,
     b: &DistMat<K::Right>,
     cache: &mut MmCache<K::Right>,
-    land: &mut impl Land<K>,
+    land: &mut impl Land<K, L>,
 ) -> Result<(u64, u64), MachineError> {
     let p = group.len();
     // What each rank multiplies: under A, all of A by its column slab
@@ -212,7 +217,7 @@ pub(crate) fn run_slabs<K: SpMulKernel>(
             // mode the allgather is in flight while the alltoall below
             // is charged, and the wait lands only before the first
             // multiply that touches the replica.
-            let (posted, held) = replicate(m, group, a)?;
+            let (posted, held) = replicate(m, group, entries_bytes::<K::Left>(a.nnz()))?;
             let mask = || crate::mm::output_mask(&*land, (a.nrows(), b.ncols()));
             let b2 = rhs_for_a::<K>(m, group, b, cache, mask)?;
             posted.wait(m)?;
@@ -221,7 +226,7 @@ pub(crate) fn run_slabs<K: SpMulKernel>(
         Variant1D::B => {
             let b_pending = replicated_rhs::<K>(m, group, b, cache)?;
             let la = row_split_layout(a.nrows(), a.ncols(), group);
-            charge_redistribute(m, a, &la)?;
+            charge_redistribute::<K::Left, _>(m, a, &la)?;
             (None, b_pending.wait(m)?, Some(la))
         }
         Variant1D::C => unreachable!("1D-C reduces its output: see `run_reduced`"),
@@ -305,7 +310,7 @@ fn rhs_for_a<'l, K: SpMulKernel>(
 ) -> Result<Arc<ColumnSlabs<K::Right>>, MachineError> {
     let lb = col_split_layout(b.nrows(), b.ncols(), group);
     let split = |b: &DistMat<K::Right>, host| {
-        charge_redistribute(m, b, &lb)?;
+        charge_redistribute::<K::Right, _>(m, b, &lb)?;
         let cuts = (1..group.len()).map(|k| lb.col_range(k).start).collect();
         Ok(ColumnSlabs::new(host, cuts))
     };
@@ -316,10 +321,7 @@ fn rhs_for_a<'l, K: SpMulKernel>(
     }
     let build = |cache: &MmCache<_>| {
         let built = split(b, host_copy::<K>('B', group, b, cache))?;
-        let bytes = built
-            .nnz()
-            .iter()
-            .map(|&n| (n * entry_bytes::<K::Right>()) as u64);
+        let bytes = built.nnz().iter().map(|&n| entries_bytes::<K::Right>(n));
         let held = group.ranks().iter().copied().zip(bytes);
         let held = Held::charged(m, held.filter(|&(_, bytes)| bytes > 0))?;
         Ok((CachedRhs::Split(Arc::new(built)), held))

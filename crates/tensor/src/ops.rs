@@ -66,7 +66,7 @@ fn blockwise<O: Clone + Send + Sync>(
 
 /// Charges `cost(bi, bj)` operations to each block's owner, serially
 /// in block order (see the module docs).
-fn charge_blocks(m: &Machine, l: &Layout, cost: impl Fn(usize, usize) -> usize) {
+pub(crate) fn charge_blocks(m: &Machine, l: &Layout, cost: impl Fn(usize, usize) -> usize) {
     for (bi, bj) in l.blocks() {
         m.charge_compute(l.owner(bi, bj), cost(bi, bj) as u64);
     }

@@ -86,9 +86,12 @@ where
     Ok(outputs)
 }
 
-/// Charges what [`redistribute`] of `src` into `dst` moves, without
-/// moving it: for a product that reads the moved operand in place.
-pub(crate) fn charge_redistribute<T>(
+/// Charges what [`redistribute`] of a matrix of `E`s on `src`'s
+/// pattern into `dst` moves, without moving it: for a product that
+/// reads the moved operand in place — `src` itself, or, where only the
+/// model holds the operand, another matrix on its pattern (MFBr's
+/// seeds, read off `T`).
+pub(crate) fn charge_redistribute<E, T>(
     m: &Machine,
     src: &DistMat<T>,
     dst: &Layout,
@@ -100,7 +103,8 @@ where
         return Ok(());
     }
     let whole = [(0..src.nrows(), 0..src.ncols(), dst)];
-    charge_move(m, src, &whole, "redistribute")
+    let (traffic, participants) = traffic_at(m.p(), src, &whole, entry_bytes::<E>() as u64);
+    charge_redist(m, &traffic, participants, "redistribute")
 }
 
 /// Charges, in one [`charge_redist`] labeled `what`, moving the
@@ -184,8 +188,21 @@ where
     T: Clone + Send + Sync,
     L: Borrow<Layout>,
 {
+    traffic_at(p, src, specs, entry_bytes::<T>() as u64)
+}
+
+/// [`traffic`] at `ebytes` bytes an entry.
+fn traffic_at<T, L>(
+    p: usize,
+    src: &DistMat<T>,
+    specs: &[(Range<usize>, Range<usize>, L)],
+    ebytes: u64,
+) -> (Vec<u64>, Vec<usize>)
+where
+    T: Clone + Send + Sync,
+    L: Borrow<Layout>,
+{
     let mut traffic = vec![0u64; p * p];
-    let ebytes = entry_bytes::<T>() as u64;
     let sl = src.layout();
     let mut participants: Vec<usize> = Vec::new();
     for (rows, cols, dst_layout) in specs {

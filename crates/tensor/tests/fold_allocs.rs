@@ -51,14 +51,15 @@ static ALLOCATOR: Counting = Counting;
 
 /// Allocation calls one fold may make per block of its matrix, plus
 /// [`MAX_CALLS_PER_FOLD`] per call: the pool's fan-out and the
-/// accumulator's slices. Measured at one thread: 4 calls per fold at
-/// p = 1, 4 and 16, at every width below; 6 when a fan-out that runs
-/// inline still built its per-participant scratch and per-job result
+/// accumulator's slices. Measured at one thread: 2 calls per fold at
+/// p = 1, 4 and 16, at every width below; 4 when a fan-out that runs
+/// inline still built its statistics' two per-participant vectors, 6
+/// when it also built its per-participant scratch and per-job result
 /// vectors; with a list per nonempty column, 23, 263 and 2 055 calls at
 /// p = 1 for 16, 256 and 2 048 columns.
 const MAX_CALLS_PER_BLOCK: u64 = 1;
 /// See [`MAX_CALLS_PER_BLOCK`].
-const MAX_CALLS_PER_FOLD: u64 = 4;
+const MAX_CALLS_PER_FOLD: u64 = 2;
 
 /// A `rows × n` matrix with an entry in every column.
 fn spread(rows: usize, n: usize) -> Coo<f64> {
