@@ -108,6 +108,29 @@ fn sssp_and_components_print_their_goldens() {
 }
 
 #[test]
+fn bc_prints_its_goldens() {
+    // Exact scores on the weighted graph of the goldens above, then
+    // exact and sampled scores on a seeded unit-weighted R-MAT graph,
+    // where the sweeps run under masks.
+    let weighted = [
+        "generate",
+        "uniform:120,100",
+        "--weighted",
+        "20",
+        "--seed",
+        "11",
+    ];
+    let weighted = run_ok(&weighted, None);
+    let rmat = run_ok(&["generate", "rmat:7,8", "--seed", "3"], None);
+    let mut exact = run_ok(&["bc", "--batch", "7", "-"], Some(&weighted));
+    exact += &run_ok(&["bc", "--batch", "16", "-"], Some(&rmat));
+    assert_eq!(exact, include_str!("golden/cli_bc.txt"));
+    let approx = ["bc", "--approx", "16", "--seed", "5", "-"];
+    let approx = run_ok(&approx, Some(&rmat));
+    assert_eq!(approx, include_str!("golden/cli_bc_approx.txt"));
+}
+
+#[test]
 fn generate_stats_roundtrip() {
     let graph = run_ok(&["generate", "uniform:64,200", "--seed", "5"], None);
     let stats = run_ok(&["stats", "-"], Some(&graph));
