@@ -725,10 +725,11 @@ impl CaseSpec for DriverCase {
                 run.scores.max_abs_diff(&oracle)
             ));
         }
-        // One algorithm, two backends: the shared-memory run of the
-        // same batches sees the same blocks in the same order at
-        // p = 1, so it must agree bit for bit there; elsewhere the
-        // plans group floating-point accumulations differently.
+        // One algorithm at every p: the sequential run of the same
+        // batches (one rank, fixed `1d(B)`) sees the same blocks in
+        // the same order at p = 1, so it must agree bit for bit there;
+        // elsewhere the plans group floating-point accumulations
+        // differently.
         let (local, _) =
             mfbc_parallel::with_threads(self.threads, || mfbc_seq(&g, self.batch.clamp(1, self.n)));
         let agree = if self.p == 1 {
@@ -742,7 +743,7 @@ impl CaseSpec for DriverCase {
         };
         if !agree {
             return Err(format!(
-                "driver ({:?}) diverges from the local backend at p={}: max |Δλ| = {:.3e}",
+                "driver ({:?}) diverges from mfbc_seq at p={}: max |Δλ| = {:.3e}",
                 cfg.plan_mode,
                 self.p,
                 run.scores.max_abs_diff(&local)

@@ -8,7 +8,7 @@
 //! rank for the cells its slab covers; every other plan hands over its
 //! product whole, which the landing merges block by block. Each case
 //! runs one chain — MFBF's forward steps into `T`, or MFBr's opening
-//! count and settling steps into `Z` — through `Simulated`'s `Backend`
+//! count and settling steps into `Z` — through `Simulated`'s sweep
 //! operations under one forced plan, and the same chain through the
 //! materialising path on a second machine: `mm_exec(_cached)_masked`,
 //! then the product handed to the landing whole (`Land::formed`). After every step
@@ -32,7 +32,7 @@ use mfbc_conformance::case::CaseSpec;
 use mfbc_conformance::gen;
 use mfbc_conformance::rng::SplitMix64;
 use mfbc_conformance::suite::run_suite_or_panic;
-use mfbc_core::backend::{Backend, Simulated};
+use mfbc_core::backend::Simulated;
 use mfbc_core::seq::mfbf_keep_in_frontier;
 use mfbc_graph::Graph;
 use mfbc_machine::cost::RankCost;

@@ -13,9 +13,10 @@
 //!
 //! which satisfies `E[λ̂(v)] = λ(v)`.
 
+use crate::backend::Simulated;
 use crate::scores::BcScores;
-use crate::seq::mfbf::mfbf_seq;
-use crate::seq::mfbr::mfbr_seq;
+use crate::seq::quietly;
+use crate::sweep::{backward, forward};
 use mfbc_graph::Graph;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
@@ -81,14 +82,19 @@ pub fn approx_from_sources(g: &Graph, sources: &[usize]) -> BcScores {
     if sources.is_empty() {
         return scores;
     }
-    let fwd = mfbf_seq(g, sources);
-    let back = mfbr_seq(g, &fwd.t);
+    // Both sweeps on one machine: the adjacency is set up once.
+    let (t, z) = quietly(|| {
+        let mut be = Simulated::sequential(g);
+        let (t, _) = forward(&mut be, g, sources)?;
+        let (z, _) = backward(&mut be, &t)?;
+        Ok((t.into_block(), z.into_block()))
+    });
     let scale = n as f64 / sources.len() as f64;
-    for (s, v, z) in back.z.iter() {
+    for (s, v, z) in z.iter() {
         if v == sources[s] {
             continue;
         }
-        let sigma = fwd.t.get(s, v).expect("Z pattern ⊆ T pattern").m;
+        let sigma = t.get(s, v).expect("Z pattern ⊆ T pattern").m;
         scores.lambda[v] += scale * z.p * sigma;
     }
     scores

@@ -1,38 +1,36 @@
-//! Where a sweep's matrices live and where its products run.
+//! Where a sweep's matrices live and where its products run: the
+//! simulated machine, at every processor count.
 //!
-//! Algorithms 1–3 are written once, in [`crate::sweep`], over the
-//! [`Backend`] operations — each sweep one opening call and then one
-//! step per superstep, a product *into* the sweep's table under the
-//! mask the table itself reports; the two implementations decide what
-//! a matrix is, what happens behind a step and what it costs:
+//! Algorithms 1–3 are written once, in [`crate::sweep`], over
+//! [`Simulated`]'s sweep operations — each sweep one opening call and
+//! then one step per superstep, a product *into* the sweep's table
+//! under the mask the table itself reports. Matrices are canonically
+//! distributed [`DistMat`]s on a [`Machine`]: every step's product runs
+//! through one executor into the table blocks that consume it — band by
+//! band where its plan allows, whole where the plan reduces or
+//! assembles — and charges its communication to the critical path;
+//! elementwise steps charge local compute, termination checks charge an
+//! allreduce, tables charge memory. [`Simulated`] owns what a run keeps
+//! resident: `A`, `Aᵀ` and (Theorem 5.1's amortization) the
+//! prepared-adjacency caches.
 //!
-//! * [`Local`] — `Csr` matrices and the `mfbc-sparse` kernels in one
-//!   address space. Infallible, charges nothing, announces nothing.
-//! * [`Simulated`] — canonically distributed [`DistMat`]s on a
-//!   [`Machine`]: every step's product runs through one executor into
-//!   the table blocks that consume it — band by band where its plan
-//!   allows, whole where the plan reduces or assembles — and charges
-//!   its communication to the critical path; elementwise steps charge
-//!   local compute, termination checks charge an allreduce, tables
-//!   charge memory. It owns what a run keeps resident: `A`, `Aᵀ` and
-//!   (Theorem 5.1's amortization) the prepared-adjacency caches. Its
-//!   [`Simulated::mm`], [`Simulated::combine`] and
-//!   [`Simulated::charge`] are what the CombBLAS baseline — a
-//!   different algorithm on the same machine — calls.
+//! The shared-memory case is one rank (the paper's p = 1):
+//! [`Simulated::sequential`] is the machine every sequential entry
+//! point runs on. Its [`Simulated::mm`], [`Simulated::combine`] and
+//! [`Simulated::charge`] are what the CombBLAS baseline — a different
+//! algorithm on the same machine — calls.
 
 use mfbc_algebra::kernel::{BrandesKernel, KernelOut};
 use mfbc_algebra::monoid::Monoid;
 use mfbc_algebra::{Centpath, Dist, Multpath, SpMulKernel};
 use mfbc_graph::Graph;
-use mfbc_machine::{Machine, MachineError};
-use mfbc_sparse::transpose::transpose;
-use mfbc_sparse::{
-    count_children, elementwise, spgemm_accumulate, spgemm_settle, Csr, Mask, MaskKind, Table,
-};
+use mfbc_machine::{Machine, MachineError, MachineSpec};
+use mfbc_sparse::{Csr, Mask, MaskKind};
 use mfbc_tensor::autotune::{self, Pick};
 use mfbc_tensor::cache::{CacheStats, MmCache};
 use mfbc_tensor::land::{self, Land};
-use mfbc_tensor::{canonical_layout, ops, DistMat, DistTable, MmPlan};
+use mfbc_tensor::{canonical_layout, ops, DistMat, DistTable, MmPlan, Variant1D};
+use std::borrow::Borrow;
 
 /// Matrix element types (what every sparse and tensor kernel asks).
 pub trait Elem: Clone + PartialEq + Send + Sync + std::fmt::Debug {}
@@ -47,274 +45,6 @@ pub enum Adj {
     At,
 }
 
-/// The operations Algorithms 1–3 are made of: each sweep opens a table
-/// and steps it ([`Backend::open`] + [`Backend::explore`] forward,
-/// [`Backend::anchor`] + [`Backend::settle`] backward), one product
-/// *into* the table per step. Elementwise operands must share a shape
-/// (and, distributed, a layout); closures receive global coordinates
-/// and must be pure.
-///
-/// Who masks: a backend that masks opens its tables with tracking, and
-/// a table opened with tracking reports the mask of what can still
-/// land in it (`mfbc_sparse::Table::mask`) — every stored coordinate,
-/// complemented, while [`Backend::explore`] grows it; the *pending*
-/// coordinates, those that have not fired, once [`Backend::anchor`]
-/// has opened it. A step's product runs under the mask its table
-/// reports; one opened without tracking reports none.
-pub trait Backend {
-    /// A batch-by-vertex sparse matrix.
-    type Mat<T: Elem>;
-    /// A matrix while it is updated in place: the forward table and
-    /// MFBr's `Z`, sorted into a [`Backend::Mat`] once, by
-    /// [`Backend::freeze`].
-    type Table<T: Elem>;
-    /// What a charged operation can fail with.
-    type Error;
-
-    /// Places a replicated global matrix.
-    fn place<T: Elem>(&self, m: Csr<T>) -> Self::Mat<T>;
-
-    /// The per-superstep termination check: the global nonzero count
-    /// of `frontier`, announced as superstep `step` of `phase` when
-    /// the sweep goes on.
-    fn nnz_sync<T: Elem>(
-        &self,
-        phase: &'static str,
-        step: usize,
-        frontier: &Self::Mat<T>,
-    ) -> Result<usize, Self::Error>;
-
-    /// Brackets a sweep's superstep loop for timeline views.
-    fn span(&self, _phase: &'static str) -> Option<mfbc_trace::Span> {
-        None
-    }
-
-    /// An output mask of `kind` over `m`'s pattern, or `None` on a
-    /// backend that does not mask. The backends refuse on weighted
-    /// graphs, and that refusal is a forward-sweep argument: a
-    /// rediscovery can still improve a settled distance there, so the
-    /// complement of the table would drop a product that matters.
-    /// Every backward mask (the table's pattern, the pending set) is
-    /// inert for any weights — `⊗` discards what it skips — and is
-    /// left out on weighted graphs only because it does not pay
-    /// there (ROADMAP item 1).
-    fn mask_of<'a, T: Elem>(&self, kind: MaskKind, m: &'a Self::Mat<T>) -> Option<Mask<'a>>;
-
-    /// Algorithm 1, lines 1–2: opens the table a sweep grows,
-    /// resident, holding `frontier ⊕ diag` — or `frontier` itself,
-    /// which merges nothing, without `diag`.
-    fn open<M: Monoid>(
-        &self,
-        frontier: &Self::Mat<M::Elem>,
-        diag: Option<&Self::Mat<M::Elem>>,
-    ) -> Result<Self::Table<M::Elem>, Self::Error>;
-
-    /// Algorithm 1, lines 4–6, as one product into `table`:
-    /// `table := table ⊕ (frontier •⟨⊕,f⟩ A)` in place, under the mask
-    /// `table` reports and with its residency re-charged at its new
-    /// size; returns the explored entries that
-    /// `keep(explored_val, table_val_before, updated_table_val)` lets
-    /// through (`None` and the identity drop an entry) and the
-    /// product's `ops`. Work is proportional to the product, not to
-    /// the table.
-    #[allow(clippy::type_complexity)]
-    fn explore<K: SpMulKernel<Right = Dist>>(
-        &mut self,
-        table: &mut Self::Table<KernelOut<K>>,
-        frontier: &Self::Mat<K::Left>,
-        keep: impl Fn(&KernelOut<K>, Option<&KernelOut<K>>, &KernelOut<K>) -> Option<KernelOut<K>>
-            + Sync,
-    ) -> Result<(Self::Mat<KernelOut<K>>, u64), Self::Error>;
-
-    /// Algorithm 2, lines 1–4: opens `Z` on `t`'s pattern, resident,
-    /// every entry anchored at `(τ, 0, #children)` — `#children` being
-    /// how many `w` with `(s,w) ∈ t` have `τ(s,w) − A(v,w) = τ(s,v)`,
-    /// and 0 where one exceeds it, as the child-count product of
-    /// `(τ, 0, 1)` seeds with `Aᵀ` and [`crate::sweep::mfbr_anchor`]
-    /// make it (a backend that charges that product may count it off
-    /// `t` in place: the seeds are charged, not built, where nothing
-    /// moves them) — after `fire(&mut z_val, t_val)` has had its one chance
-    /// to rewrite each entry and emit an entry of the matrix returned
-    /// beside it. The coordinates `fire` passes on are pending. Also
-    /// returns the `ops` of that product, which runs under `t`'s
-    /// structural pattern where the backend masks.
-    #[allow(clippy::type_complexity)]
-    fn anchor(
-        &mut self,
-        t: &Self::Mat<Multpath>,
-        fire: impl Fn(&mut Centpath, &Multpath) -> Option<Centpath> + Sync,
-    ) -> Result<(Self::Table<Centpath>, Self::Mat<Centpath>, u64), Self::Error>;
-
-    /// Algorithm 2, lines 6–11, as one product into `z`:
-    /// `z := z ⊕ (frontier •⟨⊕,f⟩ Aᵀ)` in place on `z`'s pattern
-    /// (products landing elsewhere are dropped); on each entry just
-    /// updated, `fire(&mut z_val, side_val)` may rewrite it and emit an
-    /// entry of the returned matrix, and an entry it fires on is no
-    /// longer pending. `side` is the matrix `z` was opened on. Work is
-    /// proportional to the product, not to `z`.
-    ///
-    /// The product runs under the mask `z` reports, and under `within`
-    /// where it reports none.
-    #[allow(clippy::type_complexity)]
-    fn settle<K, U: Elem>(
-        &mut self,
-        z: &mut Self::Table<KernelOut<K>>,
-        frontier: &Self::Mat<K::Left>,
-        within: Option<&Mask>,
-        side: &Self::Mat<U>,
-        fire: impl Fn(&mut KernelOut<K>, &U) -> Option<KernelOut<K>> + Sync,
-    ) -> Result<(Self::Mat<KernelOut<K>>, u64), Self::Error>
-    where
-        K: SpMulKernel<Right = Dist>;
-
-    /// Closes a table into the matrix it describes, its residency
-    /// charge carried over.
-    fn freeze<T: Elem>(&self, table: Self::Table<T>) -> Self::Mat<T>;
-
-    /// `f(i, j, a_val, b_val_opt)` over `a`'s entries; `None` and
-    /// `M`'s identity drop the entry.
-    fn zip_filter<M: Monoid, T: Elem, U: Elem>(
-        &self,
-        a: &Self::Mat<T>,
-        b: &Self::Mat<U>,
-        f: impl Fn(usize, usize, &T, Option<&U>) -> Option<M::Elem> + Sync,
-    ) -> Self::Mat<M::Elem>;
-
-    /// `acc[j] += a(i, j)`, one addition per entry, in ascending
-    /// `(j, i)` order — so `acc` is independent of how rows were
-    /// batched.
-    fn fold_columns(&self, a: &Self::Mat<f64>, acc: &mut [f64]) -> Result<(), Self::Error>;
-
-    /// Ends a table's residency.
-    fn release<T: Elem>(&self, m: &Self::Mat<T>);
-}
-
-/// Shared-memory execution on CSR matrices.
-///
-/// Every step is one product into its table, and none builds the
-/// product as a matrix: the row kernel of `mfbc_sparse` hands each
-/// finished accumulator row to the table — [`spgemm_accumulate`] into
-/// `T` forward, [`spgemm_settle`] into `Z` backward. `Z` is opened
-/// without a product at all: [`count_children`] counts each entry's
-/// children in place.
-pub struct Local<'g> {
-    a: &'g Csr<Dist>,
-    /// `Aᵀ`, transposed by the first backward sweep: a backend that
-    /// only runs forward sweeps (SSSP, components) never builds it.
-    at: Option<Csr<Dist>>,
-    /// Whether sweeps run under output masks: on unit-weighted graphs,
-    /// exactly where [`crate::MfbcConfig::default`] masks.
-    pub(crate) masked: bool,
-}
-
-impl<'g> Local<'g> {
-    /// A backend multiplying by `g`'s adjacency and its transpose.
-    pub fn new(g: &'g Graph) -> Local<'g> {
-        Local {
-            a: g.adjacency(),
-            at: None,
-            masked: g.is_unit_weighted(),
-        }
-    }
-
-    /// `Aᵀ`, built on first use.
-    fn at(&mut self) -> &Csr<Dist> {
-        let a = self.a;
-        self.at.get_or_insert_with(|| transpose(a))
-    }
-}
-
-impl Backend for Local<'_> {
-    type Mat<T: Elem> = Csr<T>;
-    type Table<T: Elem> = Table<T>;
-    type Error = std::convert::Infallible;
-
-    fn place<T: Elem>(&self, m: Csr<T>) -> Csr<T> {
-        m
-    }
-
-    fn nnz_sync<T: Elem>(
-        &self,
-        _: &'static str,
-        _: usize,
-        f: &Csr<T>,
-    ) -> Result<usize, Self::Error> {
-        Ok(f.nnz())
-    }
-
-    fn mask_of<'a, T: Elem>(&self, kind: MaskKind, m: &'a Csr<T>) -> Option<Mask<'a>> {
-        self.masked.then(|| Mask::of_pattern(kind, m))
-    }
-
-    fn open<M: Monoid>(
-        &self,
-        frontier: &Csr<M::Elem>,
-        diag: Option<&Csr<M::Elem>>,
-    ) -> Result<Table<M::Elem>, Self::Error> {
-        let merged = diag.map(|d| elementwise::combine::<M, _>(frontier, d));
-        let seeded = merged.as_ref().unwrap_or(frontier);
-        Ok(Table::from_csr(seeded, self.masked))
-    }
-
-    fn explore<K: SpMulKernel<Right = Dist>>(
-        &mut self,
-        table: &mut Table<KernelOut<K>>,
-        frontier: &Csr<K::Left>,
-        keep: impl Fn(&KernelOut<K>, Option<&KernelOut<K>>, &KernelOut<K>) -> Option<KernelOut<K>>
-            + Sync,
-    ) -> Result<(Csr<KernelOut<K>>, u64), Self::Error> {
-        let out = spgemm_accumulate::<K>(frontier, self.a, table, keep);
-        Ok((out.mat, out.ops))
-    }
-
-    fn anchor(
-        &mut self,
-        t: &Csr<Multpath>,
-        fire: impl Fn(&mut Centpath, &Multpath) -> Option<Centpath> + Sync,
-    ) -> Result<(Table<Centpath>, Csr<Centpath>, u64), Self::Error> {
-        let masked = self.masked;
-        let (z, leaves) = count_children(t, self.at(), masked, fire);
-        Ok((z, leaves.mat, leaves.ops))
-    }
-
-    fn settle<K, U: Elem>(
-        &mut self,
-        z: &mut Table<KernelOut<K>>,
-        frontier: &Csr<K::Left>,
-        within: Option<&Mask>,
-        side: &Csr<U>,
-        fire: impl Fn(&mut KernelOut<K>, &U) -> Option<KernelOut<K>> + Sync,
-    ) -> Result<(Csr<KernelOut<K>>, u64), Self::Error>
-    where
-        K: SpMulKernel<Right = Dist>,
-    {
-        let out = spgemm_settle::<K, U>(frontier, self.at(), within, z, side, fire);
-        Ok((out.mat, out.ops))
-    }
-
-    fn freeze<T: Elem>(&self, table: Table<T>) -> Csr<T> {
-        table.freeze()
-    }
-
-    fn zip_filter<M: Monoid, T: Elem, U: Elem>(
-        &self,
-        a: &Csr<T>,
-        b: &Csr<U>,
-        f: impl Fn(usize, usize, &T, Option<&U>) -> Option<M::Elem> + Sync,
-    ) -> Csr<M::Elem> {
-        elementwise::zip_filter::<M, _, _, _>(a, b, f)
-    }
-
-    fn fold_columns(&self, a: &Csr<f64>, acc: &mut [f64]) -> Result<(), Self::Error> {
-        for (_, j, v) in a.iter() {
-            acc[j] += v;
-        }
-        Ok(())
-    }
-
-    fn release<T: Elem>(&self, _: &Csr<T>) {}
-}
-
 /// Execution on the simulated machine, every matrix in the canonical
 /// world layout.
 ///
@@ -322,15 +52,26 @@ impl Backend for Local<'_> {
 /// into the landing of its table (`mfbc_tensor::land`), which
 /// `finish` closes. Where the plan forms each output piece whole on
 /// one rank (`1d(A)`, `1d(B)`: see [`MmPlan::lands`]), one kernel pass
-/// per block row of `T` or `Z` runs into that row's blocks — the sinks
-/// [`Local`] runs into its one table, one pane per block — with each
-/// rank billed the part its slab covers, and the opening count is
-/// counted in place off `T`'s rows, its seeds charged but not built, so
-/// at p = 1 a step makes the calls `Local` makes, plus the machine's
-/// charges. A plan that reduces or assembles its
-/// output across ranks hands the landing the product in the canonical
-/// layout, which it merges block by block when it closes. Both bill
-/// the same charges. A run that does not amortize holds one-shot caches.
+/// per block row of `T` or `Z` runs into that row's blocks — the
+/// `mfbc-sparse` table sinks, one pane per block — with each rank
+/// billed the part its slab covers, and the opening count is counted
+/// in place off `T`'s rows, its seeds charged but not built; on one
+/// rank that is one kernel call into a one-block table. A plan that
+/// reduces or assembles its output across ranks hands the landing the
+/// product in the canonical layout, which it merges block by block when
+/// it closes. Both bill the same charges. A run that does not amortize
+/// holds one-shot caches.
+///
+/// The sweep operations take elementwise operands of one shape and
+/// layout; their closures receive global coordinates and must be pure.
+///
+/// Who masks: a run that masks opens its tables with tracking, and
+/// a table opened with tracking reports the mask of what can still land
+/// in it (`mfbc_sparse::Table::mask`) — every stored coordinate,
+/// complemented, while [`Simulated::explore`] grows it; the *pending*
+/// coordinates, those that have not fired, once [`Simulated::anchor`]
+/// has opened it. A step's product runs under the mask its table
+/// reports; one opened without tracking reports none.
 pub struct Simulated {
     /// The machine every operation charges.
     pub(crate) m: Machine,
@@ -353,7 +94,7 @@ impl Simulated {
     ///
     /// `amortize = false` re-pays the adjacency's preparation on every
     /// product; `masked` is the caller's word that masks cannot change
-    /// a result (see [`Backend::mask_of`]).
+    /// a result (see [`Simulated::mask_of`]).
     ///
     /// # Errors
     /// Propagates memory-budget failures.
@@ -378,6 +119,25 @@ impl Simulated {
             batch: 0,
             closed: false,
         })
+    }
+
+    /// The machine every sequential entry point runs on, built in this
+    /// one place: one `gemini` rank with no memory budget, so a
+    /// sequential call cannot be refused for memory; every product
+    /// under the fixed `1d(B)` plan, so no tuner runs on one rank; the
+    /// adjacency's prepared form kept across products; and masks where
+    /// `g` is unit-weighted, as [`crate::MfbcConfig::default`] masks.
+    pub fn sequential(g: &Graph) -> Simulated {
+        Simulated::one_rank(g, g.is_unit_weighted())
+    }
+
+    /// [`Simulated::sequential`], masked where `masked` says: a sweep
+    /// whose table starts full (connected components) must not mask.
+    pub(crate) fn one_rank(g: &Graph, masked: bool) -> Simulated {
+        let m = Machine::new(MachineSpec::gemini(1).with_mem_bytes(None));
+        let plan = Some(MmPlan::OneD(Variant1D::B));
+        Simulated::new(&m, g, plan, true, masked)
+            .expect("a machine without a budget refuses nothing")
     }
 
     /// Releases the adjacency and every cached form, so the memory
@@ -525,16 +285,24 @@ fn for_each_coord<T: Elem>(m: &DistMat<T>, mut f: impl FnMut(usize, usize)) {
     }
 }
 
-impl Backend for Simulated {
-    type Mat<T: Elem> = DistMat<T>;
-    type Table<T: Elem> = DistTable<T>;
-    type Error = MachineError;
-
-    fn place<T: Elem>(&self, m: Csr<T>) -> DistMat<T> {
-        DistMat::from_global(canonical_layout(&self.m, m.nrows(), m.ncols()), &m)
+/// The operations Algorithms 1–3 are made of: each sweep opens a table
+/// and steps it ([`Simulated::open`] + [`Simulated::explore`] forward,
+/// [`Simulated::anchor`] + [`Simulated::settle`] backward), one product
+/// *into* the table per step.
+impl Simulated {
+    /// Places a replicated global matrix, owned or borrowed.
+    pub fn place<T: Elem>(&self, m: impl Borrow<Csr<T>>) -> DistMat<T> {
+        let m = m.borrow();
+        DistMat::from_global(canonical_layout(&self.m, m.nrows(), m.ncols()), m)
     }
 
-    fn nnz_sync<T: Elem>(
+    /// The per-superstep termination check: the global nonzero count
+    /// of `frontier`, announced as superstep `step` of `phase` when
+    /// the sweep goes on.
+    ///
+    /// # Errors
+    /// Propagates a failure of the allreduce it charges.
+    pub fn nnz_sync<T: Elem>(
         &self,
         phase: &'static str,
         step: usize,
@@ -559,19 +327,33 @@ impl Backend for Simulated {
         Ok(nnz)
     }
 
-    fn span(&self, phase: &'static str) -> Option<mfbc_trace::Span> {
-        Some(mfbc_trace::span(|| format!("batch{}/{phase}", self.batch)))
+    /// Brackets a sweep's superstep loop for timeline views.
+    pub fn span(&self, phase: &'static str) -> mfbc_trace::Span {
+        mfbc_trace::span(|| format!("batch{}/{phase}", self.batch))
     }
 
-    /// The pattern read off `m`'s resident blocks, its column counts
-    /// taken once here for the tuner; like the coordinates
-    /// `nnz_sync` reads, its movement is not charged (DESIGN.md
-    /// §7, deviation 6).
-    fn mask_of<'a, T: Elem>(&self, kind: MaskKind, m: &'a DistMat<T>) -> Option<Mask<'a>> {
+    /// An output mask of `kind` over `m`'s pattern — read off its
+    /// resident blocks, its column counts taken once here for the
+    /// tuner; like the coordinates `nnz_sync` reads, its movement is
+    /// not charged (DESIGN.md §7, deviation 6) — or `None` where the
+    /// run does not mask. Runs on weighted graphs do not, and that is a
+    /// forward-sweep argument: a rediscovery can still improve a
+    /// settled distance there, so the complement of the table would
+    /// drop a product that matters. Every backward mask (the table's
+    /// pattern, the pending set) is inert for any weights — `⊗`
+    /// discards what it skips — and is left out on weighted graphs only
+    /// because it does not pay there (ROADMAP item 1).
+    pub fn mask_of<'a, T: Elem>(&self, kind: MaskKind, m: &'a DistMat<T>) -> Option<Mask<'a>> {
         self.masked.then(|| m.pattern_mask(kind))
     }
 
-    fn open<M: Monoid>(
+    /// Algorithm 1, lines 1–2: opens the table a sweep grows,
+    /// resident, holding `frontier ⊕ diag` — or `frontier` itself,
+    /// which merges nothing, without `diag`.
+    ///
+    /// # Errors
+    /// Propagates a memory-budget failure of the table.
+    pub fn open<M: Monoid>(
         &self,
         frontier: &DistMat<M::Elem>,
         diag: Option<&DistMat<M::Elem>>,
@@ -582,31 +364,60 @@ impl Backend for Simulated {
         Ok(DistTable::from_dmat(seeded, self.masked))
     }
 
-    fn explore<K: SpMulKernel<Right = Dist>>(
+    /// Algorithm 1, lines 4–6, as one product into `table`:
+    /// `table := table ⊕ (frontier •⟨⊕,f⟩ A)` in place, under the mask
+    /// `table` reports and with its residency re-charged at its new
+    /// size; returns the explored entries that
+    /// `keep(explored_val, table_val_before, updated_table_val)` lets
+    /// through (`None` and the identity drop an entry) and the
+    /// product's `ops`. Work is proportional to the product, not to
+    /// the table.
+    ///
+    /// # Errors
+    /// Propagates the product's machine failures.
+    #[allow(clippy::type_complexity)]
+    pub fn explore<K: SpMulKernel<Right = Dist>>(
         &mut self,
         table: &mut DistTable<KernelOut<K>>,
         frontier: &DistMat<K::Left>,
         keep: impl Fn(&KernelOut<K>, Option<&KernelOut<K>>, &KernelOut<K>) -> Option<KernelOut<K>>
             + Sync,
     ) -> Result<(DistMat<KernelOut<K>>, u64), MachineError> {
-        let pick = self.pick::<K>(frontier, Adj::A, table.mask().as_ref());
+        // The table's mask is the landing's to read; a view of it is
+        // built here only to price a tuned product.
+        let priced = self.plan.is_none().then(|| table.mask()).flatten();
+        let pick = self.pick::<K>(frontier, Adj::A, priced.as_ref());
+        drop(priced);
         let mut land = land::Accumulate::<K, _>::new(table, &keep);
         let ops = self.land(pick, frontier, Adj::A, &mut land)?;
         Ok((land.finish(&self.m)?, ops))
     }
 
-    fn anchor(
+    /// Algorithm 2, lines 1–4: opens `Z` on `t`'s pattern, resident,
+    /// every entry anchored at `(τ, 0, #children)` — `#children` being
+    /// how many `w` with `(s,w) ∈ t` have `τ(s,w) − A(v,w) = τ(s,v)`,
+    /// and 0 where one exceeds it, as the child-count product of
+    /// `(τ, 0, 1)` seeds with `Aᵀ` and [`crate::sweep::mfbr_anchor`]
+    /// make it — after `fire(&mut z_val, t_val)` has had its one chance
+    /// to rewrite each entry and emit an entry of the matrix returned
+    /// beside it. The coordinates `fire` passes on are pending. Also
+    /// returns the `ops` of that product, which runs under `t`'s
+    /// structural pattern where the run masks.
+    ///
+    /// # Errors
+    /// Propagates the product's machine failures.
+    #[allow(clippy::type_complexity)]
+    pub fn anchor(
         &mut self,
         t: &DistMat<Multpath>,
         fire: impl Fn(&mut Centpath, &Multpath) -> Option<Centpath> + Sync,
     ) -> Result<(DistTable<Centpath>, DistMat<Centpath>, u64), MachineError> {
-        // The child count is the product of `(τ, 0, 1)` seeds with
-        // `Aᵀ`, consumed by the anchor. The product is handed `T`: the
-        // landing bills the seeds from `T`'s counts and builds them only
-        // for a plan that moves them. A contribution at a pair outside
-        // `T`'s pattern is inert, so where the machine masks, the
-        // product runs under that pattern (and redistribution drops `Aᵀ`
-        // columns of vertices no source discovered).
+        // The product is handed `T`: the landing bills the seeds from
+        // `T`'s counts and builds them only for a plan that moves them.
+        // A contribution at a pair outside `T`'s pattern is inert, so
+        // where the machine masks, the product runs under that pattern
+        // (and redistribution drops `Aᵀ` columns of vertices no source
+        // discovered).
         let reached = self.mask_of(MaskKind::Structural, t);
         let pick = self.pick::<BrandesKernel>(t, Adj::At, reached.as_ref());
         let mut land = land::Count::new(t, reached, &fire);
@@ -615,7 +426,22 @@ impl Backend for Simulated {
         Ok((z, frontier, ops))
     }
 
-    fn settle<K, U: Elem>(
+    /// Algorithm 2, lines 6–11, as one product into `z`:
+    /// `z := z ⊕ (frontier •⟨⊕,f⟩ Aᵀ)` in place on `z`'s pattern
+    /// (products landing elsewhere are dropped); on each entry just
+    /// updated, `fire(&mut z_val, side_val)` may rewrite it and emit an
+    /// entry of the returned matrix, and an entry it fires on is no
+    /// longer pending. `side` is the matrix `z` was opened on. Work is
+    /// proportional to the product, not to `z`.
+    ///
+    /// The product runs under the mask `z` reports, and under `within`
+    /// where it reports none; it is priced under `within`, which holds
+    /// for the whole sweep (see [`Simulated::mm`]).
+    ///
+    /// # Errors
+    /// Propagates the product's machine failures.
+    #[allow(clippy::type_complexity)]
+    pub fn settle<K, U: Elem>(
         &mut self,
         z: &mut DistTable<KernelOut<K>>,
         frontier: &DistMat<K::Left>,
@@ -626,19 +452,21 @@ impl Backend for Simulated {
     where
         K: SpMulKernel<Right = Dist>,
     {
-        // The product is priced under `within`, which holds for the
-        // whole sweep (see [`Simulated::mm`]).
         let pick = self.pick::<K>(frontier, Adj::At, within);
         let mut land = land::Settle::<K, U, _>::new(z, side, within, &fire);
         let ops = self.land(pick, frontier, Adj::At, &mut land)?;
         Ok((land.finish(&self.m), ops))
     }
 
-    fn freeze<T: Elem>(&self, table: DistTable<T>) -> DistMat<T> {
+    /// Closes a table into the matrix it describes, its residency
+    /// charge carried over.
+    pub fn freeze<T: Elem>(&self, table: DistTable<T>) -> DistMat<T> {
         table.freeze()
     }
 
-    fn zip_filter<M: Monoid, T: Elem, U: Elem>(
+    /// `f(i, j, a_val, b_val_opt)` over `a`'s entries; `None` and
+    /// `M`'s identity drop the entry.
+    pub fn zip_filter<M: Monoid, T: Elem, U: Elem>(
         &self,
         a: &DistMat<T>,
         b: &DistMat<U>,
@@ -647,11 +475,18 @@ impl Backend for Simulated {
         ops::dmat_zip_filter::<M, _, _, _>(&self.m, a, b, f)
     }
 
-    fn fold_columns(&self, a: &DistMat<f64>, acc: &mut [f64]) -> Result<(), MachineError> {
+    /// `acc[j] += a(i, j)`, one addition per entry, in ascending
+    /// `(j, i)` order — so `acc` is independent of how rows were
+    /// batched.
+    ///
+    /// # Errors
+    /// Propagates a failure of the reduction it charges.
+    pub fn fold_columns(&self, a: &DistMat<f64>, acc: &mut [f64]) -> Result<(), MachineError> {
         ops::dmat_fold_columns(&self.m, a, acc)
     }
 
-    fn release<T: Elem>(&self, m: &DistMat<T>) {
+    /// Ends a table's residency.
+    pub fn release<T: Elem>(&self, m: &DistMat<T>) {
         m.release_memory(&self.m)
     }
 }

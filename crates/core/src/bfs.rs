@@ -7,11 +7,12 @@
 //! tropical frontier matrix, and each superstep one generalized
 //! product of it into the distance table — [`crate::sweep::sweep`],
 //! the superstep driver MFBF runs, with [`TropicalKernel`] and the
-//! [`crate::sweep::improved`] frontier rule, on either backend. The
+//! [`crate::sweep::improved`] frontier rule, on one rank or many. The
 //! table masks wherever MFBF's does: on unit weights a rediscovery can
 //! never improve a distance.
 
-use crate::backend::{Backend, Local, Simulated};
+use crate::backend::Simulated;
+use crate::seq::quietly;
 use crate::sweep::{improved, sweep};
 use mfbc_algebra::kernel::TropicalKernel;
 use mfbc_algebra::monoid::MinDist;
@@ -24,10 +25,10 @@ use mfbc_tensor::DistMat;
 /// Distances from each source in `sources` to every vertex:
 /// `out.get(s, v) == Some(τ(sources[s], v))` for reachable `v ≠
 /// sources[s]`, diagonal entries are 0. Plain tropical Bellman–Ford
-/// (no multiplicities) on CSR — the §2.3 iteration.
+/// (no multiplicities) — the §2.3 iteration — on one rank
+/// ([`Simulated::sequential`]).
 pub fn sssp_seq(g: &Graph, sources: &[usize]) -> Csr<Dist> {
-    let Ok(dist) = sssp(&mut Local::new(g), g.n(), sources);
-    dist
+    quietly(|| sssp(&mut Simulated::sequential(g), g.n(), sources)).into_block()
 }
 
 /// Distributed batched SSSP over the simulated machine, with
@@ -52,14 +53,14 @@ pub fn sssp_dist(
 
 /// The distance table of `sources` on `be`: seeded with the `(s,
 /// sources[s]) = 0` diagonal, which is also the first frontier.
-fn sssp<B: Backend>(be: &mut B, n: usize, sources: &[usize]) -> Result<B::Mat<Dist>, B::Error> {
+fn sssp(be: &mut Simulated, n: usize, sources: &[usize]) -> Result<DistMat<Dist>, MachineError> {
     let mut seeds = Coo::new(sources.len(), n);
     for (s, &src) in sources.iter().enumerate() {
         assert!(src < n, "source {src} out of range");
         seeds.push(s, src, Dist::ZERO);
     }
     let seeds = be.place(seeds.into_csr::<MinDist>());
-    let (dist, _) = sweep::<B, TropicalKernel>(be, "sssp", seeds, None, improved)?;
+    let (dist, _) = sweep::<TropicalKernel>(be, "sssp", seeds, None, improved)?;
     Ok(dist)
 }
 

@@ -8,11 +8,13 @@
 //! smallest label across edges — MFBF's maximal-frontier sweep,
 //! [`crate::sweep::sweep`], with [`LabelKernel`] and the
 //! [`crate::sweep::improved`] frontier rule. Converges in
-//! `O(component diameter)` iterations. The label table never masks:
-//! it starts full, so the complement of its pattern would exclude
-//! every product.
+//! `O(component diameter)` iterations, on one rank of the simulated
+//! machine (the one [`Simulated::sequential`] builds). The label table
+//! never masks: it starts full, so the complement of its pattern would
+//! exclude every product.
 
-use crate::backend::Local;
+use crate::backend::Simulated;
+use crate::seq::quietly;
 use crate::sweep::{improved, sweep};
 use mfbc_algebra::monoid::{CommutativeMonoid, MinDist, Monoid};
 use mfbc_algebra::{Dist, SpMulKernel};
@@ -76,13 +78,16 @@ pub fn connected_components(g: &Graph) -> Vec<u64> {
     } else {
         g
     };
-    let mut be = Local::new(g);
-    be.masked = false;
     // Labels as a 1 × n row, x(0, v) = v: the table and the first
     // frontier.
     let labels = Coo::from_triples(1, n, (0..n).map(|v| (0, v, v as u64)));
     let labels = labels.into_csr::<MinLabel>();
-    let Ok((labels, _)) = sweep::<_, LabelKernel>(&mut be, "components", labels, None, improved);
+    let labels = quietly(|| {
+        let mut be = Simulated::one_rank(g, false);
+        let labels = be.place(labels);
+        sweep::<LabelKernel>(&mut be, "components", labels, None, improved)
+    });
+    let labels = labels.0.into_block();
     (0..n)
         .map(|v| *labels.get(0, v).expect("every vertex keeps a label"))
         .collect()

@@ -13,7 +13,7 @@
 //! * every SpGEMM runs the SUMMA stationary-C schedule (broadcast
 //!   both operands), CombBLAS's algorithm.
 
-use crate::backend::{Adj, Backend, Simulated};
+use crate::backend::{Adj, Simulated};
 use crate::scores::BcScores;
 use mfbc_algebra::kernel::CountKernel;
 use mfbc_algebra::monoid::SumF64;

@@ -11,8 +11,8 @@
 //! * [`PlanMode::Fixed`] pins one explicit plan for every product
 //!   (used by the ablation benchmarks).
 //!
-//! The algorithm itself is [`crate::sweep`], the code `seq` runs, here
-//! over the [`Simulated`] backend (which does all the charging). What
+//! The algorithm itself is [`crate::sweep`] on [`Simulated`] (which
+//! does all the charging), the code `seq` runs on one rank. What
 //! this module adds is what only a machine needs: plan resolution,
 //! the resumable [`MfbcSession`], and its batch-boundary checkpoint /
 //! rollback / shrink-and-replan recovery.
@@ -787,22 +787,21 @@ mod tests {
 
     #[test]
     fn masked_forward_is_bit_identical_and_cheaper() {
-        use crate::backend::Local;
         use crate::sweep::{backward, forward};
         let g = ladder();
-        // The local backend, where the tables themselves are visible.
+        // The sequential machine, whose one-block tables are visible
+        // whole.
         let sources: Vec<usize> = (0..g.n()).collect();
-        let local = |masked: bool| {
-            let mut be = Local::new(&g);
-            be.masked = masked;
-            let Ok((t, fwd)) = forward(&mut be, &g, &sources);
-            let Ok((z, back)) = backward(&mut be, &t);
-            (t, z, fwd.ops + back.ops)
+        let sequential = |masked: bool| {
+            let mut be = Simulated::one_rank(&g, masked);
+            let (t, fwd) = forward(&mut be, &g, &sources).unwrap();
+            let (z, back) = backward(&mut be, &t).unwrap();
+            (t.into_block(), z.into_block(), fwd.ops + back.ops)
         };
-        let ((ut, uz, uops), (mt, mz, mops)) = (local(false), local(true));
+        let ((ut, uz, uops), (mt, mz, mops)) = (sequential(false), sequential(true));
         assert_eq!(ut.first_difference(&mt), None, "masking changed T");
         assert_eq!(uz.first_difference(&mz), None, "masking changed Z");
-        assert!(mops < uops, "local: masked {mops} !< unmasked {uops}");
+        assert!(mops < uops, "sequential: masked {mops} !< unmasked {uops}");
         for p in [1usize, 4] {
             let run_with = |masked: bool| {
                 let m = Machine::new(MachineSpec::test(p));

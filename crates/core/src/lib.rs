@@ -5,12 +5,13 @@
 //! communication-efficient generalized sparse matrix multiplication
 //! over the multpath and centpath monoids.
 //!
-//! * [`sweep`] — Algorithms 1–3, written once over a [`backend`]:
-//!   `Local` (CSR matrices, `mfbc-parallel` pooled kernels) or
-//!   `Simulated` (distributed matrices on the simulated machine);
-//! * [`seq`] — `sweep` on `Local`: the shared-memory entry points;
-//! * [`dist`] — `sweep` on `Simulated`: autotuned **CTF-MFBC** and
-//!   fixed-grid **CA-MFBC** (§6), resumable, fault-tolerant;
+//! * [`sweep`] — Algorithms 1–3, written once over the [`backend`]
+//!   they run on, `Simulated` (distributed matrices on the simulated
+//!   machine, one code path at every processor count);
+//! * [`seq`] — `sweep` on one rank (`Simulated::sequential`): the
+//!   shared-memory entry points, the paper's p = 1;
+//! * [`dist`] — `sweep` on any number of ranks: autotuned **CTF-MFBC**
+//!   and fixed-grid **CA-MFBC** (§6), resumable, fault-tolerant;
 //! * [`combblas`] — the CombBLAS-style comparison baseline: batched
 //!   BFS-Brandes on a square 2D grid, unweighted only (§7);
 //! * [`approx`] — unbiased sampled-source approximation (the Bader

@@ -1,7 +1,8 @@
 //! MFBC — the combined batched algorithm (Algorithm 3), sequential.
 
-use crate::backend::Local;
+use crate::backend::Simulated;
 use crate::scores::BcScores;
+use crate::seq::quietly;
 use crate::sweep::batch;
 use mfbc_graph::Graph;
 
@@ -36,15 +37,18 @@ pub fn mfbc_seq(g: &Graph, nb: usize) -> (BcScores, MfbcSeqStats) {
     assert!(nb > 0, "batch size must be positive");
 
     let sources: Vec<usize> = (0..n).collect();
-    let mut be = Local::new(g);
-    for chunk in sources.chunks(nb) {
-        let Ok((fwd, back)) = batch(&mut be, g, chunk, &mut scores.lambda);
-        stats.batches += 1;
-        stats.forward_iterations += fwd.iterations;
-        stats.backward_iterations += back.iterations;
-        stats.ops += fwd.ops + back.ops;
-        stats.frontier_nnz += fwd.frontier_nnz;
-    }
+    quietly(|| {
+        let mut be = Simulated::sequential(g);
+        for chunk in sources.chunks(nb) {
+            let (fwd, back) = batch(&mut be, g, chunk, &mut scores.lambda)?;
+            stats.batches += 1;
+            stats.forward_iterations += fwd.iterations;
+            stats.backward_iterations += back.iterations;
+            stats.ops += fwd.ops + back.ops;
+            stats.frontier_nnz += fwd.frontier_nnz;
+        }
+        Ok(())
+    });
     (scores, stats)
 }
 

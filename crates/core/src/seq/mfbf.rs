@@ -1,7 +1,8 @@
 //! MFBF — Maximal Frontier Bellman-Ford (Algorithm 1), sequential:
-//! [`crate::sweep::forward`] on the local backend.
+//! [`crate::sweep::forward`] on one rank.
 
-use crate::backend::Local;
+use crate::backend::Simulated;
+use crate::seq::quietly;
 use crate::sweep::forward;
 use mfbc_algebra::Multpath;
 use mfbc_graph::Graph;
@@ -24,9 +25,9 @@ pub struct MfbfOut {
 
 /// Runs Algorithm 1 for the given source vertices.
 pub fn mfbf_seq(g: &Graph, sources: &[usize]) -> MfbfOut {
-    let Ok((t, st)) = forward(&mut Local::new(g), g, sources);
+    let (t, st) = quietly(|| forward(&mut Simulated::sequential(g), g, sources));
     MfbfOut {
-        t,
+        t: t.into_block(),
         iterations: st.iterations,
         frontier_nnz: st.frontier_nnz,
         ops: st.ops,

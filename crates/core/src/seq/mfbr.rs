@@ -1,7 +1,8 @@
 //! MFBr — Maximal Frontier Brandes (Algorithm 2), sequential:
-//! [`crate::sweep::backward`] on the local backend.
+//! [`crate::sweep::backward`] on one rank.
 
-use crate::backend::Local;
+use crate::backend::Simulated;
+use crate::seq::quietly;
 use crate::sweep::backward;
 use mfbc_algebra::{Centpath, Multpath};
 use mfbc_graph::Graph;
@@ -22,9 +23,13 @@ pub struct MfbrOut {
 
 /// Runs Algorithm 2: `Z = MFBr(A, T)`.
 pub fn mfbr_seq(g: &Graph, t: &Csr<Multpath>) -> MfbrOut {
-    let Ok((z, st)) = backward(&mut Local::new(g), t);
+    let (z, st) = quietly(|| {
+        let mut be = Simulated::sequential(g);
+        let t = be.place(t);
+        backward(&mut be, &t)
+    });
     MfbrOut {
-        z,
+        z: z.into_block(),
         iterations: st.iterations,
         frontier_nnz: st.frontier_nnz,
         ops: st.ops,

@@ -1,4 +1,6 @@
-//! Algorithms 1–3, once, generic over where they run.
+//! Algorithms 1–3, once, on the simulated machine at any processor
+//! count ([`Simulated`]; the sequential entry points run them on one
+//! rank).
 //!
 //! * [`forward`] — MFBF (Algorithm 1): for a batch of sources `®s`,
 //!   the multpath table `T(s,v) = (τ(®s(s),v), σ̄(®s(s),v))` —
@@ -31,7 +33,7 @@
 //! with the cycle length and let MFBr back-propagate spurious factors
 //! onto cycle vertices (see `seq::mfbf`'s `cycle_back_to_source`).
 //!
-//! Masks: where the backend masks (unit-weighted graphs), forward
+//! Masks: where the run masks (unit-weighted graphs), forward
 //! expansion runs under the complement of `T`'s pattern, the
 //! child-count product under `T`'s pattern itself and every
 //! back-propagation under the *pending* set — the entries of `Z` whose
@@ -42,12 +44,14 @@
 //! towards entries that can still use them and Theorem 5.1's `ops` is
 //! its upper bound. Only the forward mask needs unit weights.
 
-use crate::backend::Backend;
+use crate::backend::Simulated;
 use mfbc_algebra::kernel::{BellmanFordKernel, BrandesKernel, KernelOut};
 use mfbc_algebra::monoid::SumF64;
 use mfbc_algebra::{Centpath, Dist, Multpath, MultpathMonoid, SpMulKernel};
 use mfbc_graph::Graph;
+use mfbc_machine::MachineError;
 use mfbc_sparse::{Coo, MaskKind};
+use mfbc_tensor::DistMat;
 
 /// The dependency-counter anchor of Algorithm 2, defined beside the
 /// opening count that applies it on the simulated backend.
@@ -78,8 +82,8 @@ pub fn mfbr_fire(z: &Centpath, sigma: f64) -> Option<Centpath> {
     }
 }
 
-/// [`mfbr_fire`] as the hook of [`Backend::anchor`] and
-/// [`Backend::settle`]: a vertex whose counter reached zero fires and
+/// [`mfbr_fire`] as the hook of [`Simulated::anchor`] and
+/// [`Simulated::settle`]: a vertex whose counter reached zero fires and
 /// is pinned. Every zero is pinned by the step that produced it, so
 /// only an entry just written can fire.
 fn fire_and_pin(z: &mut Centpath, t: &Multpath) -> Option<Centpath> {
@@ -105,11 +109,11 @@ pub struct SweepStats {
 ///
 /// # Panics
 /// Panics if a source is out of range.
-pub fn forward<B: Backend>(
-    be: &mut B,
+pub fn forward(
+    be: &mut Simulated,
     g: &Graph,
     sources: &[usize],
-) -> Result<(B::Mat<Multpath>, SweepStats), B::Error> {
+) -> Result<(DistMat<Multpath>, SweepStats), MachineError> {
     let n = g.n();
     // Lines 1–2: T(s,v) := (A(®s(s),v), 1). The one-edge paths are
     // the initial frontier; the table also gets the (0, 1) diagonal
@@ -134,7 +138,7 @@ pub fn forward<B: Backend>(
     // mask rules out).
     let keep =
         |gv: &Multpath, _: Option<&Multpath>, tv: &Multpath| mfbf_keep_in_frontier(gv, Some(tv));
-    sweep::<B, BellmanFordKernel>(be, "forward", frontier, Some(&diag), keep)
+    sweep::<BellmanFordKernel>(be, "forward", frontier, Some(&diag), keep)
 }
 
 /// The frontier rule of a min-monoid sweep — §2.3's BFS/SSSP, label
@@ -148,23 +152,22 @@ pub fn improved<T: PartialEq + Clone>(g: &T, before: Option<&T>, after: &T) -> O
 
 /// The superstep loop every frontier algorithm runs (Algorithm 1,
 /// lines 3–6, for any kernel): opens the table on `frontier` (and
-/// `diag`, see [`Backend::open`]); then, while the frontier holds an
+/// `diag`, see [`Simulated::open`]); then, while the frontier holds an
 /// entry, explores it — one product into the table — and moves on to
 /// the explored entries `keep(explored, before, after)` lets through.
 /// Returns the table, frozen and left charged.
 ///
-/// Who masks is the backend's and the table's business: a table opened
+/// Who masks is the run's and the table's business: a table opened
 /// with tracking sends each product to the pairs it does not hold yet.
 #[allow(clippy::type_complexity)]
-pub fn sweep<B, K>(
-    be: &mut B,
+pub fn sweep<K>(
+    be: &mut Simulated,
     phase: &'static str,
-    mut frontier: B::Mat<KernelOut<K>>,
-    diag: Option<&B::Mat<KernelOut<K>>>,
+    mut frontier: DistMat<KernelOut<K>>,
+    diag: Option<&DistMat<KernelOut<K>>>,
     keep: impl Fn(&KernelOut<K>, Option<&KernelOut<K>>, &KernelOut<K>) -> Option<KernelOut<K>> + Sync,
-) -> Result<(B::Mat<KernelOut<K>>, SweepStats), B::Error>
+) -> Result<(DistMat<KernelOut<K>>, SweepStats), MachineError>
 where
-    B: Backend,
     K: SpMulKernel<Left = KernelOut<K>, Right = Dist>,
 {
     // From here the table is updated in place: a superstep costs what
@@ -187,20 +190,19 @@ where
 
 /// Algorithm 2: `Z = MFBr(A, T)` with `Z(s,v).p = ζ(s,v)` on `T`'s
 /// pattern, left charged.
-pub fn backward<B: Backend>(
-    be: &mut B,
-    t: &B::Mat<Multpath>,
-) -> Result<(B::Mat<Centpath>, SweepStats), B::Error> {
+pub fn backward(
+    be: &mut Simulated,
+    t: &DistMat<Multpath>,
+) -> Result<(DistMat<Centpath>, SweepStats), MachineError> {
     let mut st = SweepStats::default();
     // Lines 1–4: open Z, every entry anchored at (τ, 0, #children) —
     // the children each vertex has on a shortest path from the source;
     // the leaves (counter 0) form the first frontier and are pinned,
-    // every other entry is pending. How the children are counted is
-    // the backend's business (see `Backend::anchor`).
+    // every other entry is pending (see `Simulated::anchor`).
     let (mut z, mut frontier, ops) = be.anchor(t, fire_and_pin)?;
     st.ops += ops;
-    // T's pattern: what a backend that masks prices the loop's
-    // products under, and runs them under where Z reports no mask.
+    // T's pattern: what a run that masks prices the loop's products
+    // under, and runs them under where Z reports no mask.
     let reached = be.mask_of(MaskKind::Structural, t);
     let reached = reached.as_ref();
     let _span = be.span("backward");
@@ -237,13 +239,13 @@ pub fn backward<B: Backend>(
 /// accumulation each `acc[v]` sees is independent of the batch size,
 /// so re-cutting the batches (an OOM retreat, a post-crash replan)
 /// cannot change a bit here; only products whose own sums regroup can.
-pub fn fold<B: Backend>(
-    be: &B,
-    z: &B::Mat<Centpath>,
-    t: &B::Mat<Multpath>,
+pub fn fold(
+    be: &Simulated,
+    z: &DistMat<Centpath>,
+    t: &DistMat<Multpath>,
     sources: &[usize],
     acc: &mut [f64],
-) -> Result<(), B::Error> {
+) -> Result<(), MachineError> {
     let products = be.zip_filter::<SumF64, _, _>(z, t, |s, v, zv, tv| {
         (v != sources[s]).then(|| zv.p * tv.expect("Z pattern ⊆ T pattern").m)
     });
@@ -252,12 +254,12 @@ pub fn fold<B: Backend>(
 
 /// One batch of Algorithm 3: both sweeps from `sources`, folded into
 /// `acc`; returns the forward and backward statistics.
-pub fn batch<B: Backend>(
-    be: &mut B,
+pub fn batch(
+    be: &mut Simulated,
     g: &Graph,
     sources: &[usize],
     acc: &mut [f64],
-) -> Result<(SweepStats, SweepStats), B::Error> {
+) -> Result<(SweepStats, SweepStats), MachineError> {
     let (t, fwd) = forward(be, g, sources)?;
     let (z, back) = backward(be, &t)?;
     fold(be, &z, &t, sources, acc)?;
@@ -269,21 +271,21 @@ pub fn batch<B: Backend>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::backend::{Local, Simulated};
     use mfbc_algebra::CentpathMonoid;
     use mfbc_graph::gen::{rmat, uniform, RmatConfig};
     use mfbc_graph::prep::randomize_weights;
     use mfbc_machine::{Machine, MachineSpec};
     use mfbc_sparse::{Csr, Idx, Mask};
+    use mfbc_tensor::DistTable;
 
     /// [`backward`]'s loop under `reached`, with `each` shown `Z`
     /// ahead of every loop product and once more at the end.
-    fn backward_watching<B: Backend>(
-        be: &mut B,
-        t: &B::Mat<Multpath>,
+    fn backward_watching(
+        be: &mut Simulated,
+        t: &DistMat<Multpath>,
         reached: Option<&Mask>,
-        mut each: impl FnMut(&B::Table<Centpath>),
-    ) -> Result<(B::Mat<Centpath>, SweepStats), B::Error> {
+        mut each: impl FnMut(&DistTable<Centpath>),
+    ) -> Result<(DistMat<Centpath>, SweepStats), MachineError> {
         let mut st = SweepStats::default();
         let (mut z, mut frontier, ops) = be.anchor(t, fire_and_pin)?;
         st.ops += ops;
@@ -323,21 +325,23 @@ mod tests {
         ];
         for (k, g) in graphs.iter().enumerate() {
             let sources: Vec<usize> = (0..g.n()).step_by(2).collect();
-            let mut be = Local::new(g);
-            // T under the backend's own forward policy; the backward
-            // masks are then forced on, weighted or not.
-            let Ok((t, _)) = forward(&mut be, g, &sources);
-            be.masked = false;
-            let Ok((z_none, none)) = backward(&mut be, &t);
+            // T under the sequential run's own forward policy; the
+            // backward masks are then forced off and on, weighted or
+            // not.
+            let (t, _) = forward(&mut Simulated::sequential(g), g, &sources).unwrap();
+            let (mut off, mut on) = (Simulated::one_rank(g, false), Simulated::one_rank(g, true));
+            let (z_none, none) = backward(&mut off, &t).unwrap();
             // `T`'s pattern for the loop, as before the pending set
             // existed: `Z` opened untracked (its count unmasked), every
             // loop product under `reached`.
-            let reached = Mask::of_pattern(MaskKind::Structural, &t);
-            let Ok((z_table, table)) = backward_watching(&mut be, &t, Some(&reached), |z| {
-                assert_eq!(z.mask(), None, "graph {k}: an untracked Z");
-            });
-            be.masked = true;
-            let Ok((z_pending, pending)) = backward(&mut be, &t);
+            let reached = t.pattern_mask(MaskKind::Structural);
+            let (z_table, table) = backward_watching(&mut off, &t, Some(&reached), |z| {
+                assert!(z.mask().is_none(), "graph {k}: an untracked Z");
+            })
+            .unwrap();
+            let (z_pending, pending) = backward(&mut on, &t).unwrap();
+            let [z_none, z_table, z_pending] =
+                [z_none, z_table, z_pending].map(DistMat::into_block);
             assert_eq!(z_none.first_difference(&z_table), None, "graph {k}: T mask");
             assert_eq!(
                 z_none.first_difference(&z_pending),
@@ -353,9 +357,9 @@ mod tests {
             );
             let steps = |st: &SweepStats| (st.iterations, st.frontier_nnz);
             assert_eq!(steps(&none), steps(&pending), "graph {k}: supersteps");
-            // The harness above, on a backend that masks, is
-            // `backward`.
-            let Ok((z_again, again)) = backward_watching(&mut be, &t, Some(&reached), |_| ());
+            // The harness above, on a run that masks, is `backward`.
+            let (z_again, again) = backward_watching(&mut on, &t, Some(&reached), |_| ()).unwrap();
+            let z_again = z_again.into_block();
             assert_eq!(z_again.first_difference(&z_pending), None, "graph {k}");
             assert_eq!(again, pending, "graph {k}");
         }
@@ -382,14 +386,17 @@ mod tests {
         .enumerate()
         {
             let sources: Vec<usize> = (0..g.n()).step_by(3).collect();
-            let mut be = Local::new(g);
-            let Ok((t, _)) = forward(&mut be, g, &sources);
+            let mut be = Simulated::sequential(g);
+            let (t, _) = forward(&mut be, g, &sources).unwrap();
             let mut sizes = Vec::new();
             let reached = be.mask_of(MaskKind::Structural, &t);
-            let Ok((z, st)) = backward_watching(&mut be, &t, reached.as_ref(), |z| {
-                let (mask, z) = (z.mask().expect("unit weights mask"), z.clone().freeze());
-                sizes.push(assert_pending_is_positive_counters(&mask, &z, "local"));
-            });
+            let (z, st) = backward_watching(&mut be, &t, reached.as_ref(), |z| {
+                let mask = z.mask().expect("unit weights mask");
+                let z = z.clone().freeze().into_block();
+                sizes.push(assert_pending_is_positive_counters(&mask, &z, "sequential"));
+            })
+            .unwrap();
+            let z = z.into_block();
             // Checked before every product and once more at the end,
             // shrinking from "not a leaf" to nothing (the sources fire
             // last, into a product nothing is pending for).
@@ -414,8 +421,8 @@ mod tests {
                 sim.close();
                 assert_eq!(checks, st.iterations + 1, "graph {k} p={p}");
                 assert_eq!(dst, st, "graph {k} p={p}: counters");
-                // One rank forms the sums in the local order; several
-                // regroup them.
+                // One rank forms the sums in the sequential order;
+                // several regroup them.
                 if p == 1 {
                     let dz = dz.to_global::<CentpathMonoid>();
                     assert_eq!(dz.first_difference(&z), None, "graph {k}: Z");

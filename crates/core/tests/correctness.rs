@@ -3,13 +3,10 @@
 //! sizes, weights, and directedness — the correctness spine of
 //! DESIGN.md §2.
 
-use mfbc_algebra::{CentpathMonoid, MultpathMonoid};
-use mfbc_core::backend::Simulated;
 use mfbc_core::combblas::{combblas_bc, CombBlasConfig};
 use mfbc_core::dist::{mfbc_dist, MfbcConfig, PlanMode};
 use mfbc_core::oracle::{brandes_unweighted, brandes_weighted};
-use mfbc_core::seq::{mfbc_seq, mfbf_seq, mfbr_seq};
-use mfbc_core::sweep::{backward, forward};
+use mfbc_core::seq::mfbc_seq;
 use mfbc_graph::gen::{rmat, uniform, RmatConfig};
 use mfbc_graph::Graph;
 use mfbc_machine::{Machine, MachineSpec};
@@ -58,43 +55,6 @@ fn seq_mfbc_matches_oracle_on_rmat() {
     );
     assert!(stats.ops > 0);
     assert_eq!(stats.batches, g.n().div_ceil(32));
-}
-
-#[test]
-fn local_tables_match_simulated_p1() {
-    // The two backends of `sweep` must produce the same tables, not
-    // only the same scores: T, Z and every counter, bit for bit.
-    for g in [
-        rmat(&RmatConfig::paper(7, 4, 5)),
-        uniform(60, 200, false, Some(10), 3),
-    ] {
-        let sources: Vec<usize> = (0..g.n()).step_by(3).collect();
-        let fwd = mfbf_seq(&g, &sources);
-        let back = mfbr_seq(&g, &fwd.t);
-
-        let machine = Machine::new(MachineSpec::test(1));
-        let mut sim = Simulated::new(&machine, &g, None, true, g.is_unit_weighted()).unwrap();
-        let (t, ft) = forward(&mut sim, &g, &sources).unwrap();
-        let (z, bt) = backward(&mut sim, &t).unwrap();
-        sim.close();
-
-        assert_eq!(
-            fwd.t.first_difference(&t.to_global::<MultpathMonoid>()),
-            None
-        );
-        assert_eq!(
-            back.z.first_difference(&z.to_global::<CentpathMonoid>()),
-            None
-        );
-        assert_eq!(
-            (fwd.iterations, fwd.frontier_nnz, fwd.ops),
-            (ft.iterations, ft.frontier_nnz, ft.ops)
-        );
-        assert_eq!(
-            (back.iterations, back.frontier_nnz, back.ops),
-            (bt.iterations, bt.frontier_nnz, bt.ops)
-        );
-    }
 }
 
 #[test]

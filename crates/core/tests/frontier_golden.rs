@@ -13,9 +13,9 @@
 //! distances are `sssp_seq`'s and that every rank's resident bytes are
 //! back to zero when it returns.
 //!
-//! `golden/mfbf.txt` was generated by `mfbf_seq` while `Local::explore`
-//! still built each product as a matrix and merged it into `T` on the
-//! next line. Per batch of a masked R-MAT graph and of a weighted grid
+//! `golden/mfbf.txt` was generated by `mfbf_seq` while it ran on a
+//! shared-memory backend (since deleted) that still built each product
+//! as a matrix and merged it into `T` on the next line. Per batch of a masked R-MAT graph and of a weighted grid
 //! it holds every superstep's frontier nnz and `ops` and, per row of
 //! `T`, its entry count and a digest of every entry's column and the
 //! bits of both fields. Batches hold more rows than the parallel
@@ -28,7 +28,7 @@
 use mfbc_algebra::kernel::BellmanFordKernel;
 use mfbc_algebra::monoid::MinDist;
 use mfbc_algebra::{Dist, Multpath, MultpathMonoid};
-use mfbc_core::backend::{Backend, Local};
+use mfbc_core::backend::Simulated;
 use mfbc_core::bfs::{sssp_dist, sssp_seq};
 use mfbc_core::cc::connected_components;
 use mfbc_core::seq::{mfbf_keep_in_frontier, mfbf_seq};
@@ -187,9 +187,9 @@ fn sssp_and_components_match_the_golden() {
     assert_golden("frontier", &table(), include_str!("golden/frontier.txt"));
 }
 
-/// MFBF's loop (`sweep::forward` on `Local`) stepped by hand, so that
-/// every superstep can be read: `T` and each superstep's frontier nnz
-/// and `ops`. Asserted to be `mfbf_seq`'s run.
+/// MFBF's loop (`sweep::forward` on the sequential machine) stepped by
+/// hand, so that every superstep can be read: `T` and each superstep's
+/// frontier nnz and `ops`. Asserted to be `mfbf_seq`'s run.
 fn mfbf_steps(g: &Graph, sources: &[usize]) -> (Csr<Multpath>, Vec<(usize, u64)>) {
     let (mut init, mut diag) = (
         Coo::new(sources.len(), g.n()),
@@ -201,19 +201,21 @@ fn mfbf_steps(g: &Graph, sources: &[usize]) -> (Csr<Multpath>, Vec<(usize, u64)>
         }
         diag.push(s, src, Multpath::trivial());
     }
-    let mut frontier = init.into_csr::<MultpathMonoid>();
-    let diag = diag.into_csr::<MultpathMonoid>();
-    let mut be = Local::new(g);
-    let Ok(mut table) = be.open::<MultpathMonoid>(&frontier, Some(&diag));
+    let mut be = Simulated::sequential(g);
+    let mut frontier = be.place(init.into_csr::<MultpathMonoid>());
+    let diag = be.place(diag.into_csr::<MultpathMonoid>());
+    let mut table = be.open::<MultpathMonoid>(&frontier, Some(&diag)).unwrap();
     let keep =
         |gv: &Multpath, _: Option<&Multpath>, tv: &Multpath| mfbf_keep_in_frontier(gv, Some(tv));
     let mut steps = Vec::new();
     while frontier.nnz() > 0 {
-        let Ok((kept, ops)) = be.explore::<BellmanFordKernel>(&mut table, &frontier, keep);
+        let (kept, ops) = be
+            .explore::<BellmanFordKernel>(&mut table, &frontier, keep)
+            .unwrap();
         steps.push((frontier.nnz(), ops));
         frontier = kept;
     }
-    let t = be.freeze(table);
+    let t = be.freeze(table).into_block();
     let seq = mfbf_seq(g, sources);
     assert_eq!(
         seq.t.first_difference(&t),

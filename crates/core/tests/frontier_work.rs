@@ -15,11 +15,11 @@
 
 use mfbc_algebra::kernel::{BellmanFordKernel, BrandesKernel};
 use mfbc_algebra::{Centpath, Multpath, MultpathMonoid};
-use mfbc_core::backend::{Backend, Local};
+use mfbc_core::backend::Simulated;
 use mfbc_core::bfs::sssp_seq;
 use mfbc_core::dist::{mfbc_dist, MfbcConfig};
 use mfbc_core::seq::{mfbc_seq, mfbf_seq, mfbr_seq};
-use mfbc_core::sweep::{backward, mfbf_keep_in_frontier, mfbr_fire};
+use mfbc_core::sweep::{backward, forward, mfbf_keep_in_frontier, mfbr_fire};
 use mfbc_graph::gen::{rmat, RmatConfig};
 use mfbc_graph::prep::{randomize_weights, remove_isolated};
 use mfbc_graph::Graph;
@@ -111,7 +111,9 @@ const MAX_MASKED_REQUESTED_PER_TABLE_BYTE: f64 = 6.9;
 /// Requested bytes per byte of final table for `mfbc_dist` at `p = 1`
 /// on the grid. One rank moves nothing, so what the simulated backend
 /// adds to the sweep — placing operands and the machine's bookkeeping —
-/// has to stay a fraction of the sweep itself. Measured: 5.48 with
+/// has to stay a fraction of the sweep itself. Measured: 5.45 with a
+/// product's layouts shared and its per-rank and per-band lists kept
+/// off the heap, 5.48 before, with
 /// MFBr's count reading `T` in place (its seeds charged, not built),
 /// 6.07 when it multiplied a seeds matrix built first, with
 /// what MFBr fires kept as the frontier it becomes, 6.52 when it was
@@ -130,9 +132,11 @@ const MAX_DIST_REQUESTED_PER_TABLE_BYTE: f64 = 5.9;
 /// Allocation calls per superstep of `mfbc_dist` on the grid at
 /// `p = 16`, where the canonical layout cuts the tables into 4 × 4
 /// blocks: the alarm for work a simulated superstep repeats per rank.
-/// Measured: 409.9 with MFBr's count reading `T` in place where its
+/// Measured: 402.5 with a product's layouts shared, its world group
+/// and cache key built once and its cell lists kept between products;
+/// 409.9 before, with MFBr's count reading `T` in place where its
 /// plan lands and a fan-out that runs inline building no statistics
-/// vectors; 411.3 before, with what MFBr fires kept as the frontier it
+/// vectors; 411.3 before that, with what MFBr fires kept as the frontier it
 /// becomes; 428.9 when it was copied into a fresh matrix, with λ folded
 /// in place and no mask view built for a landing product; 454.5 before, with each 1D product formed band by
 /// band (one kernel call per block row, its cells billed to the
@@ -140,16 +144,18 @@ const MAX_DIST_REQUESTED_PER_TABLE_BYTE: f64 = 5.9;
 /// rank and block row, each piece's windows stitched back into the
 /// blocks, the frontier copied per product). The count is
 /// deterministic: × 1.1.
-const MAX_DIST_P16_CALLS_PER_SUPERSTEP: f64 = 451.0;
+const MAX_DIST_P16_CALLS_PER_SUPERSTEP: f64 = 443.0;
 
 /// Requested bytes per byte of final table for `mfbc_dist` on the
 /// masked R-MAT graph, at one and at four ranks: the alarm for a
 /// superstep that copies a mask's pattern on the simulated backend —
 /// a global mask assembled from the table's blocks, a window copied
 /// per output block, a scan of the whole pattern to price the
-/// product — or that materialises a 1D product again. Measured: 6.58
-/// at p = 1 and 8.47 at p = 4 with MFBr's count reading `T` in place
-/// where its plan lands; 7.17 and 9.22 when it multiplied a seeds
+/// product — or that materialises a 1D product again. Measured: 6.56
+/// at p = 1 and 8.44 at p = 4 with a product's layouts shared and its
+/// per-rank and per-band lists kept off the heap; 6.58 and 8.47 before,
+/// with MFBr's count reading `T` in place where its plan lands; 7.17
+/// and 9.22 when it multiplied a seeds
 /// matrix built first, with what MFBr fires kept as the frontier it
 /// becomes; 7.36 and 9.36 when it was copied, with λ folded in place, 7.56 and 9.55
 /// with a vector per column, both with every mask a view of the blocks
@@ -208,9 +214,9 @@ const MAX_CALLS_PER_FORWARD_SUPERSTEP: u64 = 27;
 const MAX_CALLS_PER_MASKED_FORWARD_SUPERSTEP: u64 = 159;
 
 /// Allocation calls of every forward superstep of `mfbf_seq(g,
-/// sources)`: `sweep::forward`'s loop on the backend `mfbf_seq` runs
-/// on, with the counter read around each `explore`.
-fn forward_calls(g: &Graph, sources: &[usize]) -> Vec<u64> {
+/// sources)`: `sweep::forward`'s loop on `be`, the machine `mfbf_seq`
+/// runs on, with the counter read around each `explore`.
+fn forward_calls(be: &mut Simulated, g: &Graph, sources: &[usize]) -> Vec<u64> {
     let (mut init, mut diag) = (
         Coo::new(sources.len(), g.n()),
         Coo::new(sources.len(), g.n()),
@@ -221,17 +227,18 @@ fn forward_calls(g: &Graph, sources: &[usize]) -> Vec<u64> {
         }
         diag.push(s, src, Multpath::trivial());
     }
-    let mut frontier = init.into_csr::<MultpathMonoid>();
-    let diag = diag.into_csr::<MultpathMonoid>();
-    let mut be = Local::new(g);
-    let Ok(mut table) = be.open::<MultpathMonoid>(&frontier, Some(&diag));
+    let mut frontier = be.place(init.into_csr::<MultpathMonoid>());
+    let diag = be.place(diag.into_csr::<MultpathMonoid>());
+    let mut table = be.open::<MultpathMonoid>(&frontier, Some(&diag)).unwrap();
     let keep =
         |gv: &Multpath, _: Option<&Multpath>, tv: &Multpath| mfbf_keep_in_frontier(gv, Some(tv));
     let (mut steps, mut frontier_nnz) = (Vec::with_capacity(g.n()), 0);
     while frontier.nnz() > 0 {
         frontier_nnz += frontier.nnz() as u64;
         let before = CALLS.load(Ordering::Relaxed);
-        let Ok((kept, _)) = be.explore::<BellmanFordKernel>(&mut table, &frontier, keep);
+        let (kept, _) = be
+            .explore::<BellmanFordKernel>(&mut table, &frontier, keep)
+            .unwrap();
         steps.push(CALLS.load(Ordering::Relaxed) - before);
         frontier = kept;
     }
@@ -245,11 +252,16 @@ fn forward_calls(g: &Graph, sources: &[usize]) -> Vec<u64> {
 }
 
 /// Asserts, batch by batch of `nb` sources, that every single forward
-/// superstep stays within `bound` allocation calls.
+/// superstep stays within `bound` allocation calls. The batches share
+/// one machine, as in `mfbc_seq`, which prepares the adjacency's
+/// replicated form for its first product: a sweep run beforehand keeps
+/// that one-time preparation out of the counts.
 fn assert_forward_calls_bounded(g: &Graph, nb: usize, bound: u64) {
     let sources: Vec<usize> = (0..g.n()).collect();
+    let mut be = Simulated::sequential(g);
+    forward(&mut be, g, &sources[..1]).unwrap();
     for chunk in sources.chunks(nb) {
-        let steps = forward_calls(g, chunk);
+        let steps = forward_calls(&mut be, g, chunk);
         assert!(
             steps.iter().all(|&c| c <= bound),
             "allocation calls per forward superstep of mfbf_seq: {steps:?}"
@@ -273,9 +285,11 @@ fn tables_of(g: &Graph, nb: usize) -> (u64, usize) {
 
 /// Allocation calls of one `mfbr_seq(g, t)` on `be`, taken apart: the
 /// opening product, then every backward superstep. The loop is
-/// `sweep::backward`'s, on the backend `mfbr_seq` runs on, with the
+/// `sweep::backward`'s, on the machine `mfbr_seq` runs on, with the
 /// counter read between its steps.
-fn backward_calls(be: &mut Local, g: &Graph, t: &Csr<Multpath>) -> (u64, Vec<u64>) {
+fn backward_calls(be: &mut Simulated, g: &Graph, t: &Csr<Multpath>) -> (u64, Vec<u64>) {
+    let seq = mfbr_seq(g, t);
+    let t = &be.place(t);
     let reached = be.mask_of(MaskKind::Structural, t);
     let fire = |z: &mut Centpath, tv: &Multpath| {
         let fired = mfbr_fire(z, tv.m)?;
@@ -284,18 +298,18 @@ fn backward_calls(be: &mut Local, g: &Graph, t: &Csr<Multpath>) -> (u64, Vec<u64
     };
     let mut steps = Vec::with_capacity(t.ncols());
     let before = CALLS.load(Ordering::Relaxed);
-    let Ok((mut z, mut frontier, _)) = be.anchor(t, fire);
+    let (mut z, mut frontier, _) = be.anchor(t, fire).unwrap();
     let opening = CALLS.load(Ordering::Relaxed) - before;
     let mut frontier_nnz = 0;
     while frontier.nnz() > 0 {
         frontier_nnz += frontier.nnz() as u64;
         let before = CALLS.load(Ordering::Relaxed);
-        let Ok((fired, _)) =
-            be.settle::<BrandesKernel, _>(&mut z, &frontier, reached.as_ref(), t, fire);
+        let (fired, _) = be
+            .settle::<BrandesKernel, _>(&mut z, &frontier, reached.as_ref(), t, fire)
+            .unwrap();
         steps.push(CALLS.load(Ordering::Relaxed) - before);
         frontier = fired;
     }
-    let seq = mfbr_seq(g, t);
     assert_eq!(
         (seq.iterations, seq.frontier_nnz),
         (steps.len(), frontier_nnz),
@@ -306,13 +320,14 @@ fn backward_calls(be: &mut Local, g: &Graph, t: &Csr<Multpath>) -> (u64, Vec<u64
 
 /// Asserts, batch by batch of `nb` sources, that opening `Z` and every
 /// single backward superstep stay within their allocation-call bounds.
-/// The batches share one backend, as in `mfbc_seq`, which builds `Aᵀ`
-/// in its first backward sweep: a sweep run beforehand keeps that
-/// transpose out of the counts.
+/// The batches share one machine, as in `mfbc_seq`, which prepares
+/// `Aᵀ`'s replicated form in its first backward sweep: a sweep run
+/// beforehand keeps that one-time preparation out of the counts.
 fn assert_backward_calls_bounded(g: &Graph, nb: usize) {
     let sources: Vec<usize> = (0..g.n()).collect();
-    let mut be = Local::new(g);
-    let Ok(_) = backward(&mut be, &mfbf_seq(g, &sources[..1]).t);
+    let mut be = Simulated::sequential(g);
+    let t = be.place(mfbf_seq(g, &sources[..1]).t);
+    backward(&mut be, &t).unwrap();
     for chunk in sources.chunks(nb) {
         let (opening, steps) = backward_calls(&mut be, g, &mfbf_seq(g, chunk).t);
         assert!(

@@ -5,10 +5,13 @@
 //! ranks, ordered (the i-th group member holds the i-th piece of any
 //! scattered/gathered payload).
 
-/// An ordered, duplicate-free set of rank ids.
+use std::sync::Arc;
+
+/// An ordered, duplicate-free set of rank ids, shared: a clone
+/// allocates nothing.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Group {
-    ranks: Vec<usize>,
+    ranks: Arc<[usize]>,
 }
 
 impl Group {
@@ -35,7 +38,9 @@ impl Group {
                 "duplicate ranks in group {ranks:?}"
             )));
         }
-        Ok(Group { ranks })
+        Ok(Group {
+            ranks: ranks.into(),
+        })
     }
 
     /// Member rank ids in group order.

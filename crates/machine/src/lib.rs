@@ -260,6 +260,8 @@ struct PendingTable {
 #[derive(Clone)]
 pub struct Machine {
     spec: MachineSpec,
+    /// The group of all ranks, built once.
+    world: Group,
     tracker: Arc<Mutex<CostTracker>>,
     faults: Arc<Mutex<FaultState>>,
     pending: Arc<Mutex<PendingTable>>,
@@ -276,6 +278,7 @@ impl Machine {
     pub fn with_faults(spec: MachineSpec, plan: FaultPlan, policy: RetryPolicy) -> Machine {
         let tracker = CostTracker::new(spec.p);
         Machine {
+            world: Group::all(spec.p),
             spec,
             tracker: Arc::new(Mutex::new(tracker)),
             faults: Arc::new(Mutex::new(FaultState::fresh(plan, policy))),
@@ -312,7 +315,7 @@ impl Machine {
 
     /// The group of all ranks.
     pub fn world(&self) -> Group {
-        Group::all(self.spec.p)
+        self.world.clone()
     }
 
     /// Runs `f` with the cost tracker locked.
@@ -675,6 +678,7 @@ impl Machine {
         // In-flight collectives of the dead configuration are
         // abandoned, not charged.
         Ok(Machine {
+            world: Group::all(spec.p),
             spec,
             tracker: Arc::new(Mutex::new(tracker)),
             faults: Arc::new(Mutex::new(faults)),

@@ -1,23 +1,33 @@
 //! One item, or several.
 //!
-//! A product lands in one pane on the shared-memory backend and in a
-//! few side by side on a distributed one. Its per-pane lists (where the
-//! panes sit, their sinks, what they emit) stay off the heap in the
-//! first case: a superstep's allocation calls are pinned
-//! (`core/tests/frontier_work.rs`).
+//! A product on one rank lands in one pane of a one-block table, and on
+//! several in a few side by side. Its per-pane, per-block and per-rank
+//! lists (where the panes sit, their sinks, what they emit, a table's
+//! blocks) stay off the heap in the first case: a superstep's
+//! allocation calls are pinned (`core/tests/frontier_work.rs`).
 
 use std::ops::{Deref, DerefMut};
 
 /// One item, or a list of several.
-#[derive(Debug)]
-pub(crate) enum Few<T> {
+#[derive(Clone, Debug)]
+pub enum Few<T> {
+    /// A list of one, held in place.
     One(T),
+    /// Any other list.
     Many(Vec<T>),
 }
 
 impl<T> Few<T> {
+    /// `f` on every item, in order.
+    pub fn map<U>(self, f: impl FnMut(T) -> U) -> Few<U> {
+        match self {
+            Few::One(t) => Few::One({ f }(t)),
+            Few::Many(v) => Few::Many(v.into_iter().map(f).collect()),
+        }
+    }
+
     /// Splits a list of pairs into the list of firsts and of seconds.
-    pub(crate) fn unzip<A, B>(self) -> (Few<A>, Few<B>)
+    pub fn unzip<A, B>(self) -> (Few<A>, Few<B>)
     where
         T: Into<(A, B)>,
     {
@@ -52,6 +62,22 @@ impl<T> FromIterator<T> for Few<T> {
     }
 }
 
+impl<T> From<Vec<T>> for Few<T> {
+    /// A list of one is held in place; any other is kept as it is.
+    fn from(mut v: Vec<T>) -> Few<T> {
+        match v.len() {
+            1 => Few::One(v.pop().expect("one item")),
+            _ => Few::Many(v),
+        }
+    }
+}
+
+impl<T: PartialEq> PartialEq<Vec<T>> for Few<T> {
+    fn eq(&self, other: &Vec<T>) -> bool {
+        **self == **other
+    }
+}
+
 impl<T> Deref for Few<T> {
     type Target = [T];
 
@@ -73,8 +99,10 @@ impl<T> DerefMut for Few<T> {
 }
 
 /// The items of a [`Few`], by value.
-pub(crate) enum FewIter<T> {
+pub enum FewIter<T> {
+    /// What is left of [`Few::One`].
     One(Option<T>),
+    /// What is left of [`Few::Many`].
     Many(std::vec::IntoIter<T>),
 }
 
@@ -98,6 +126,15 @@ impl<T> IntoIterator for Few<T> {
             Few::One(t) => FewIter::One(Some(t)),
             Few::Many(v) => FewIter::Many(v.into_iter()),
         }
+    }
+}
+
+impl<'a, T> IntoIterator for &'a Few<T> {
+    type Item = &'a T;
+    type IntoIter = std::slice::Iter<'a, T>;
+
+    fn into_iter(self) -> Self::IntoIter {
+        self.iter()
     }
 }
 

@@ -31,7 +31,7 @@
 pub mod coo;
 pub mod csr;
 pub mod elementwise;
-mod few;
+pub mod few;
 pub mod mask;
 pub mod rows;
 pub mod slabs;
@@ -42,6 +42,7 @@ pub mod transpose;
 
 pub use coo::Coo;
 pub use csr::{Csr, Idx};
+pub use few::Few;
 pub use mask::{Mask, MaskKind, MaskRow};
 pub use rows::SortedRows;
 pub use slabs::Slabs;

@@ -171,18 +171,19 @@ pub fn slice<T: Clone>(a: &Csr<T>, rows: Range<usize>, cols: Range<usize>) -> Cs
 /// at most one — the even block decomposition every distribution in
 /// this workspace uses.
 pub fn even_ranges(n: usize, parts: usize) -> Vec<Range<usize>> {
+    (0..parts).map(|k| even_range(n, parts, k)).collect()
+}
+
+/// Chunk `k` of [`even_ranges`]`(n, parts)`: the first `n % parts`
+/// chunks hold one more than the rest.
+///
+/// # Panics
+/// Panics if `parts` is 0.
+pub fn even_range(n: usize, parts: usize, k: usize) -> Range<usize> {
     assert!(parts > 0, "cannot split into zero parts");
-    let base = n / parts;
-    let extra = n % parts;
-    let mut out = Vec::with_capacity(parts);
-    let mut start = 0usize;
-    for k in 0..parts {
-        let len = base + usize::from(k < extra);
-        out.push(start..start + len);
-        start += len;
-    }
-    debug_assert_eq!(start, n);
-    out
+    let (base, extra) = (n / parts, n % parts);
+    let start = k * base + k.min(extra);
+    start..start + base + usize::from(k < extra)
 }
 
 #[cfg(test)]

@@ -1006,11 +1006,6 @@ fn one_pane<T>((landed, tally): (Few<Landed<T>>, Tally)) -> SpGemmOut<T> {
     }
 }
 
-/// A landing's panes and cells, listed.
-fn listed<T>((landed, tally): (Few<Landed<T>>, Tally)) -> (Vec<Landed<T>>, Vec<(u64, u64)>) {
-    (landed.into_iter().collect(), tally.to_vec())
-}
-
 /// `T := T ⊕ (A •⟨⊕,f⟩ B)`, the product consumed where it lands
 /// (Algorithm 1, lines 4–6): [`Table::accumulate`] of the product of
 /// `a` and `b` into `t`, with every finished accumulator row as the
@@ -1059,8 +1054,8 @@ pub fn spgemm_accumulate_panes<K: SpMulKernel>(
     cuts: &[usize],
     panes: &mut [Pane<'_, KernelOut<K>>],
     keep: impl Fn(&KernelOut<K>, Option<&KernelOut<K>>, &KernelOut<K>) -> Option<KernelOut<K>> + Sync,
-) -> (Vec<Landed<KernelOut<K>>>, Vec<(u64, u64)>) {
-    listed(accumulate::<K, _>((a, b), cuts, panes, &keep))
+) -> (Few<Landed<KernelOut<K>>>, Few<(u64, u64)>) {
+    accumulate::<K, _>((a, b), cuts, panes, &keep)
 }
 
 /// `Z := Z ⊗ (A •⟨⊗,g⟩ B)`, the product consumed where it lands
@@ -1114,14 +1109,8 @@ pub fn spgemm_settle_panes<K: SpMulKernel, U: Sync>(
     panes: &mut [Pane<'_, KernelOut<K>>],
     sides: &[&Csr<U>],
     fire: impl Fn(&mut KernelOut<K>, &U) -> Option<KernelOut<K>> + Sync,
-) -> (Vec<Landed<KernelOut<K>>>, Vec<(u64, u64)>) {
-    listed(settle::<K, U, _>(
-        (a, b),
-        cuts,
-        within,
-        panes,
-        (sides, &fire),
-    ))
+) -> (Few<Landed<KernelOut<K>>>, Few<(u64, u64)>) {
+    settle::<K, U, _>((a, b), cuts, within, panes, (sides, &fire))
 }
 
 /// One column of [`count_children`]'s dense buffer while a row is
@@ -1234,7 +1223,7 @@ pub fn count_children_panes<L: Sync>(
     sides: &[&Csr<Multpath>],
     masked: bool,
     fire: impl Fn(&mut Centpath, &Multpath) -> Option<Centpath> + Sync,
-) -> (Vec<Landed<Centpath>>, Vec<(u64, u64)>) {
+) -> (Few<Landed<Centpath>>, Few<(u64, u64)>) {
     assert_eq!(sides.len(), panes.len(), "one side per pane");
     let counting = Counting {
         left,
@@ -1242,7 +1231,7 @@ pub fn count_children_panes<L: Sync>(
         at,
         masked,
     };
-    listed(count(&counting, cuts, panes, (sides, &fire)))
+    count(&counting, cuts, panes, (sides, &fire))
 }
 
 /// The body of [`count_children_panes`]. A task's share of a pane is

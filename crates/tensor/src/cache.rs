@@ -24,6 +24,7 @@ use mfbc_machine::{Machine, MachineError};
 use mfbc_sparse::{Csr, Slabs};
 use std::cell::Cell;
 use std::collections::HashMap;
+use std::fmt::{self, Write};
 use std::sync::Arc;
 
 /// A cached prepared form of a right operand.
@@ -162,6 +163,11 @@ pub struct MmCache<T> {
     entries: HashMap<String, Entry<T>>,
     stats: Cell<CacheStats>,
     one_shot: bool,
+    /// Where a lookup writes its key: one buffer for every product.
+    key: String,
+    /// The cuts and ranks of a 1D band's cells, refilled band by band:
+    /// kept, so a product by the operand builds no list.
+    pub(crate) cells: (Vec<usize>, Vec<usize>),
 }
 
 impl<T> Default for MmCache<T> {
@@ -170,6 +176,8 @@ impl<T> Default for MmCache<T> {
             entries: HashMap::new(),
             stats: Cell::new(CacheStats::default()),
             one_shot: false,
+            key: String::new(),
+            cells: Default::default(),
         }
     }
 }
@@ -220,20 +228,30 @@ impl<T> MmCache<T> {
     /// # Panics
     /// Panics if the key exists but was built for a different matrix
     /// (fingerprint mismatch) — one cache serves one logical operand.
+    ///
+    /// The key is written into a buffer the cache keeps, so a hit
+    /// allocates nothing.
     pub(crate) fn prepared(
         &mut self,
-        key: String,
+        key: impl fmt::Display,
         fp: Fingerprint,
         build: impl FnOnce(&Self) -> Result<(CachedRhs<T>, Held), MachineError>,
     ) -> Result<CachedRhs<T>, MachineError>
     where
         T: Clone,
     {
-        if let Some(form) = self.get(&key, fp) {
-            return Ok(form.clone());
-        }
-        let (form, held) = build(self)?;
-        self.insert(key, fp, form.clone(), held);
+        let mut name = std::mem::take(&mut self.key);
+        name.clear();
+        write!(name, "{key}").expect("a String takes any key");
+        let form = match self.get(&name, fp) {
+            Some(form) => form.clone(),
+            None => {
+                let (form, held) = build(self)?;
+                self.insert(name.clone(), fp, form.clone(), held);
+                form
+            }
+        };
+        self.key = name;
         Ok(form)
     }
 

@@ -12,18 +12,26 @@ use mfbc_algebra::monoid::Monoid;
 use mfbc_machine::{Machine, MachineError};
 use mfbc_parallel::ExecStats;
 use mfbc_sparse::slice::{even_ranges, slice, stitch, Slab};
-use mfbc_sparse::{Csr, Mask, MaskKind, Table};
+use mfbc_sparse::{Csr, Few, Mask, MaskKind, Table};
 use std::borrow::Cow;
 use std::ops::Range;
-use std::sync::Mutex;
+use std::sync::{Arc, Mutex};
 
 use crate::grid::Grid2;
 
-/// A block decomposition plus block→rank ownership.
+/// A block decomposition plus block→rank ownership. Its cuts are
+/// shared: a clone (every matrix a step derives from a table carries
+/// the table's layout) allocates nothing.
 #[derive(Clone, Debug)]
 pub struct Layout {
     nrows: usize,
     ncols: usize,
+    cuts: Arc<Cuts>,
+}
+
+/// Where a [`Layout`] cuts and who owns each block.
+#[derive(Debug, PartialEq, Eq)]
+struct Cuts {
     row_ranges: Vec<Range<usize>>,
     col_ranges: Vec<Range<usize>>,
     owners: Vec<usize>,
@@ -48,12 +56,15 @@ impl Layout {
             col_ranges.iter().map(ExactSizeIterator::len).sum::<usize>(),
             ncols
         );
-        Layout {
-            nrows,
-            ncols,
+        let cuts = Cuts {
             row_ranges,
             col_ranges,
             owners,
+        };
+        Layout {
+            nrows,
+            ncols,
+            cuts: Arc::new(cuts),
         }
     }
 
@@ -97,43 +108,43 @@ impl Layout {
     /// Number of block rows.
     #[inline]
     pub fn br(&self) -> usize {
-        self.row_ranges.len()
+        self.cuts.row_ranges.len()
     }
 
     /// Number of block columns.
     #[inline]
     pub fn bc(&self) -> usize {
-        self.col_ranges.len()
+        self.cuts.col_ranges.len()
     }
 
     /// Total number of blocks.
     #[inline]
     pub fn nblocks(&self) -> usize {
-        self.owners.len()
+        self.cuts.owners.len()
     }
 
     /// Row range of block row `bi`.
     #[inline]
     pub fn row_range(&self, bi: usize) -> Range<usize> {
-        self.row_ranges[bi].clone()
+        self.cuts.row_ranges[bi].clone()
     }
 
     /// Column range of block column `bj`.
     #[inline]
     pub fn col_range(&self, bj: usize) -> Range<usize> {
-        self.col_ranges[bj].clone()
+        self.cuts.col_ranges[bj].clone()
     }
 
     /// Owner rank of block `(bi, bj)`.
     #[inline]
     pub fn owner(&self, bi: usize, bj: usize) -> usize {
-        self.owners[bi * self.bc() + bj]
+        self.cuts.owners[bi * self.bc() + bj]
     }
 
     /// Every block's owner rank, in flat block id order.
     #[inline]
     pub fn owners(&self) -> &[usize] {
-        &self.owners
+        &self.cuts.owners
     }
 
     /// Flat block id.
@@ -152,18 +163,12 @@ impl Layout {
     /// (shapes may hold different element types, so this is the
     /// alignment precondition for elementwise zips).
     pub fn same_cuts(&self, other: &Layout) -> bool {
-        self.row_ranges == other.row_ranges
-            && self.col_ranges == other.col_ranges
-            && self.owners == other.owners
+        self.cuts == other.cuts
     }
 
     /// Whether two layouts cut and assign identically.
     pub fn same_as(&self, other: &Layout) -> bool {
-        self.nrows == other.nrows
-            && self.ncols == other.ncols
-            && self.row_ranges == other.row_ranges
-            && self.col_ranges == other.col_ranges
-            && self.owners == other.owners
+        self.nrows == other.nrows && self.ncols == other.ncols && self.same_cuts(other)
     }
 
     /// A mask of `kind` over `blocks` (row-major, one per block of this
@@ -172,8 +177,8 @@ impl Layout {
     fn mask_over<'a>(&self, kind: MaskKind, blocks: Vec<Mask<'a>>) -> Mask<'a> {
         let cuts =
             |ranges: &[Range<usize>], n: usize| ranges.iter().map(|r| r.start).chain([n]).collect();
-        let rows = cuts(&self.row_ranges, self.nrows);
-        Mask::tiled(kind, rows, cuts(&self.col_ranges, self.ncols), blocks)
+        let rows = cuts(&self.cuts.row_ranges, self.nrows);
+        Mask::tiled(kind, rows, cuts(&self.cuts.col_ranges, self.ncols), blocks)
     }
 }
 
@@ -195,8 +200,9 @@ fn par_update<X: Send, R: Send>(
 }
 
 /// A block-distributed sparse matrix: a layout plus one CSR per
-/// block, indexed by flat block id. Block contents are stored with
-/// *local* (block-relative) indices.
+/// block, indexed by flat block id (a one-block matrix holds its block
+/// in place). Block contents are stored with *local* (block-relative)
+/// indices.
 ///
 /// Each matrix carries a `content_id`: a process-unique token minted
 /// at construction and preserved by `clone` (clones share content).
@@ -205,7 +211,7 @@ fn par_update<X: Send, R: Send>(
 #[derive(Clone, Debug)]
 pub struct DistMat<T> {
     layout: Layout,
-    blocks: Vec<Csr<T>>,
+    blocks: Few<Csr<T>>,
     content_id: u64,
 }
 
@@ -223,12 +229,8 @@ impl<T: Clone + Send + Sync> DistMat<T> {
     pub fn from_global(layout: Layout, global: &Csr<T>) -> DistMat<T> {
         assert_eq!(global.nrows(), layout.nrows());
         assert_eq!(global.ncols(), layout.ncols());
-        let mut blocks = Vec::with_capacity(layout.nblocks());
-        for bi in 0..layout.br() {
-            for bj in 0..layout.bc() {
-                blocks.push(slice(global, layout.row_range(bi), layout.col_range(bj)));
-            }
-        }
+        let block = |(bi, bj)| slice(global, layout.row_range(bi), layout.col_range(bj));
+        let blocks = layout.blocks().map(block).collect();
         DistMat {
             layout,
             blocks,
@@ -238,15 +240,8 @@ impl<T: Clone + Send + Sync> DistMat<T> {
 
     /// An all-zero distributed matrix.
     pub fn zero(layout: Layout) -> DistMat<T> {
-        let mut blocks = Vec::with_capacity(layout.nblocks());
-        for bi in 0..layout.br() {
-            for bj in 0..layout.bc() {
-                blocks.push(Csr::zero(
-                    layout.row_range(bi).len(),
-                    layout.col_range(bj).len(),
-                ));
-            }
-        }
+        let block = |(bi, bj)| Csr::zero(layout.row_range(bi).len(), layout.col_range(bj).len());
+        let blocks = layout.blocks().map(block).collect();
         DistMat {
             layout,
             blocks,
@@ -254,11 +249,12 @@ impl<T: Clone + Send + Sync> DistMat<T> {
         }
     }
 
-    /// Builds from pre-cut blocks.
+    /// Builds from pre-cut blocks, in flat block id order.
     ///
     /// # Panics
     /// Panics if a block's shape disagrees with the layout.
-    pub fn from_blocks(layout: Layout, blocks: Vec<Csr<T>>) -> DistMat<T> {
+    pub fn from_blocks(layout: Layout, blocks: impl Into<Few<Csr<T>>>) -> DistMat<T> {
+        let blocks = blocks.into();
         assert_eq!(blocks.len(), layout.nblocks());
         for bi in 0..layout.br() {
             for bj in 0..layout.bc() {
@@ -431,6 +427,18 @@ impl<T: Clone + Send + Sync> DistMat<T> {
         Cow::Owned(stitch(rows, 0..self.ncols(), &mut slabs, |_| true).0)
     }
 
+    /// The matrix of a one-block layout, its block moved out (block
+    /// and global coordinates agree).
+    ///
+    /// # Panics
+    /// Panics if the layout has several blocks.
+    pub fn into_block(self) -> Csr<T> {
+        match self.blocks {
+            Few::One(block) => block,
+            Few::Many(_) => panic!("a matrix of {} blocks is not one", self.layout.nblocks()),
+        }
+    }
+
     /// Reassembles the global matrix (gather for verification/output):
     /// block cuts are disjoint, so this is pure concatenation, minus
     /// any entries that are `M`'s identity.
@@ -450,7 +458,7 @@ impl<T: Clone + Send + Sync> DistMat<T> {
 #[derive(Clone, Debug)]
 pub struct DistTable<T> {
     layout: Layout,
-    blocks: Vec<Table<T>>,
+    blocks: Few<Table<T>>,
 }
 
 impl<T: Clone + Send + Sync> DistTable<T> {
@@ -471,7 +479,8 @@ impl<T: Clone + Send + Sync> DistTable<T> {
     ///
     /// # Panics
     /// Panics if a block's shape disagrees with the layout.
-    pub fn from_blocks(layout: Layout, blocks: Vec<Table<T>>) -> DistTable<T> {
+    pub fn from_blocks(layout: Layout, blocks: impl Into<Few<Table<T>>>) -> DistTable<T> {
+        let blocks = blocks.into();
         assert_eq!(blocks.len(), layout.nblocks());
         for ((bi, bj), b) in layout.blocks().zip(&blocks) {
             assert_eq!(b.nrows(), layout.row_range(bi).len(), "block row mismatch");
@@ -516,8 +525,7 @@ impl<T: Clone + Send + Sync> DistTable<T> {
 
     /// The table as a matrix, every block sorted once.
     pub fn freeze(self) -> DistMat<T> {
-        let blocks = self.blocks.into_iter().map(Table::freeze).collect();
-        DistMat::from_blocks(self.layout, blocks)
+        DistMat::from_blocks(self.layout, self.blocks.map(Table::freeze))
     }
 }
 
@@ -528,12 +536,12 @@ impl Layout {
     /// Block row containing matrix row `i` (ranges are even, so this
     /// is a two-candidate computation rather than a search).
     pub(crate) fn find_row_block(&self, i: usize) -> usize {
-        find_even(&self.row_ranges, i)
+        find_even(&self.cuts.row_ranges, i)
     }
 
     /// Block column containing matrix column `j`.
     pub(crate) fn find_col_block(&self, j: usize) -> usize {
-        find_even(&self.col_ranges, j)
+        find_even(&self.cuts.col_ranges, j)
     }
 }
 

@@ -83,7 +83,7 @@ where
         collect_owners(src.layout(), dst_layout),
         "redistribute",
     )?;
-    let blocks = dst_coo.into_iter().map(|coo| coo.into_csr::<M>()).collect();
+    let blocks: Vec<_> = dst_coo.into_iter().map(|coo| coo.into_csr::<M>()).collect();
     Ok((DistMat::from_blocks(dst_layout.clone(), blocks), traffic))
 }
 
@@ -144,7 +144,9 @@ where
         .map(|(coos, (_, _, dst_layout))| {
             DistMat::from_blocks(
                 dst_layout.clone(),
-                coos.into_iter().map(|c| c.into_csr::<M>()).collect(),
+                coos.into_iter()
+                    .map(|c| c.into_csr::<M>())
+                    .collect::<Vec<_>>(),
             )
         })
         .collect();
@@ -176,7 +178,7 @@ where
             );
         }
     }
-    let blocks = per_block.into_iter().map(|c| c.into_csr::<M>()).collect();
+    let blocks: Vec<_> = per_block.into_iter().map(|c| c.into_csr::<M>()).collect();
     DistMat::from_blocks(layout, blocks)
 }
 

@@ -56,8 +56,8 @@ use mfbc_parallel::ExecStats;
 use mfbc_sparse::slice::slice;
 use mfbc_sparse::spgemm::{mfbr_anchor, opened};
 use mfbc_sparse::{
-    count_children_panes, spgemm_accumulate_panes, spgemm_opt, spgemm_settle_panes, Csr, Landed,
-    Mask, Pane, Slabs, Table,
+    count_children_panes, spgemm_accumulate_panes, spgemm_opt, spgemm_settle_panes, Csr, Few,
+    Landed, Mask, Pane, Slabs, Table,
 };
 use std::borrow::Cow;
 use std::ops::Range;
@@ -79,7 +79,7 @@ pub trait Land<K: SpMulKernel, L = <K as SpMulKernel>::Left> {
     /// The output rows of each band, in order, for a product of
     /// `shape`: the block rows of the landing's table, which must have
     /// that shape.
-    fn bands(&self, shape: Shape) -> Vec<Range<usize>>;
+    fn bands(&self, shape: Shape) -> Few<Range<usize>>;
 
     /// Readies the landing for a product under `plan`, once, before the
     /// product runs and before a tuned plan is announced
@@ -96,7 +96,7 @@ pub trait Land<K: SpMulKernel, L = <K as SpMulKernel>::Left> {
     /// entries it formed. Every band of [`Land::bands`] arrives, those
     /// with empty operands too: a window may be owed work that forms
     /// nothing (the opening count fires every entry of `Z` once).
-    fn band(&mut self, band: Band<'_, L, K::Right>) -> Vec<(u64, u64)>;
+    fn band(&mut self, band: Band<'_, L, K::Right>) -> Few<(u64, u64)>;
 
     /// Takes the product of a plan that does not land, formed whole
     /// under [`Land::mask`] and assembled in the canonical layout. A
@@ -147,18 +147,18 @@ impl<K: SpMulKernel> Land<K> for Collect<'_, KernelOut<K>> {
         self.mask.cloned()
     }
 
-    fn bands(&self, shape: Shape) -> Vec<Range<usize>> {
+    fn bands(&self, shape: Shape) -> Few<Range<usize>> {
         if let Some(mk) = self.mask {
             assert_shape("mask", (mk.nrows(), mk.ncols()), shape);
         }
-        vec![0..shape.0]
+        Few::One(0..shape.0)
     }
 
     fn left<'a>(&'a self, a: &'a DistMat<K::Left>) -> &'a DistMat<K::Left> {
         a
     }
 
-    fn band(&mut self, band: Band<'_, K::Left, K::Right>) -> Vec<(u64, u64)> {
+    fn band(&mut self, band: Band<'_, K::Left, K::Right>) -> Few<(u64, u64)> {
         let right = band.right;
         let slab = |s: usize| match right.count() {
             1 => Cow::Borrowed(right.mat()),
@@ -189,7 +189,7 @@ impl<K: SpMulKernel> Land<K> for Collect<'_, KernelOut<K>> {
                 cells.push((out.ops, formed));
             }
         }
-        cells
+        cells.into()
     }
 
     fn formed(&mut self, c: DistMat<KernelOut<K>>) {
@@ -236,7 +236,7 @@ fn merged<T>(kernel: &'static str, (blocks, stats): (Vec<T>, ExecStats)) -> Vec<
 }
 
 /// The block rows of `l`: the bands of a table landing.
-fn block_rows(l: &Layout, shape: Shape) -> Vec<Range<usize>> {
+fn block_rows(l: &Layout, shape: Shape) -> Few<Range<usize>> {
     assert_shape("table", (l.nrows(), l.ncols()), shape);
     (0..l.br()).map(|bi| l.row_range(bi)).collect()
 }
@@ -248,7 +248,7 @@ fn row_ids(l: &Layout, bi: usize) -> Range<usize> {
 }
 
 /// The blocks `ids` of `tables`, each whole, side by side.
-fn panes<T>(ids: Range<usize>, tables: &mut [Table<T>]) -> Vec<Pane<'_, T>> {
+fn panes<T>(ids: Range<usize>, tables: &mut [Table<T>]) -> Few<Pane<'_, T>> {
     tables[ids].iter_mut().map(Pane::whole).collect()
 }
 
@@ -256,8 +256,8 @@ fn panes<T>(ids: Range<usize>, tables: &mut [Table<T>]) -> Vec<Pane<'_, T>> {
 /// — the one window the band gave it — and the product entries it
 /// received; or the product of a plan that does not land, formed whole.
 struct Emitted<T> {
-    blocks: Vec<Option<Csr<T>>>,
-    received: Vec<usize>,
+    blocks: Few<Option<Csr<T>>>,
+    received: Few<usize>,
     formed: Option<DistMat<T>>,
 }
 
@@ -265,13 +265,13 @@ impl<T: Clone + Send + Sync> Emitted<T> {
     fn new(l: &Layout) -> Self {
         Emitted {
             blocks: (0..l.nblocks()).map(|_| None).collect(),
-            received: vec![0; l.nblocks()],
+            received: (0..l.nblocks()).map(|_| 0).collect(),
             formed: None,
         }
     }
 
     /// Keeps what the blocks from flat id `first` on emitted.
-    fn put(&mut self, first: usize, landed: Vec<Landed<T>>) {
+    fn put(&mut self, first: usize, landed: Few<Landed<T>>) {
         for (id, landed) in (first..).zip(landed) {
             self.received[id] += landed.received;
             self.blocks[id] = Some(landed.out);
@@ -285,13 +285,13 @@ impl<T: Clone + Send + Sync> Emitted<T> {
     ///
     /// # Panics
     /// Panics if a block's band never arrived.
-    fn close(self, merge: impl FnOnce(&DistMat<T>) -> Vec<Csr<T>>) -> (Vec<Csr<T>>, Vec<usize>) {
+    fn close(self, merge: impl FnOnce(&DistMat<T>) -> Vec<Csr<T>>) -> (Few<Csr<T>>, Few<usize>) {
         let Some(c) = self.formed else {
             let block = |b: Option<Csr<T>>| b.expect("every band lands");
-            return (self.blocks.into_iter().map(block).collect(), self.received);
+            return (self.blocks.map(block), self.received);
         };
         let received = c.layout().blocks().map(|(bi, bj)| c.block(bi, bj).nnz());
-        (merge(&c), received.collect())
+        (merge(&c).into(), received.collect())
     }
 
     /// Drops the first entry of the formed product, or else the first
@@ -314,7 +314,7 @@ impl<T: Clone + Send + Sync> Emitted<T> {
 pub struct Accumulate<'t, K: SpMulKernel, F> {
     table: &'t mut DistTable<KernelOut<K>>,
     keep: &'t F,
-    old: Vec<usize>,
+    old: Few<usize>,
     emitted: Emitted<KernelOut<K>>,
 }
 
@@ -367,7 +367,7 @@ where
         self.table.mask()
     }
 
-    fn bands(&self, shape: Shape) -> Vec<Range<usize>> {
+    fn bands(&self, shape: Shape) -> Few<Range<usize>> {
         block_rows(self.table.layout(), shape)
     }
 
@@ -375,7 +375,7 @@ where
         a
     }
 
-    fn band(&mut self, band: Band<'_, K::Left, K::Right>) -> Vec<(u64, u64)> {
+    fn band(&mut self, band: Band<'_, K::Left, K::Right>) -> Few<(u64, u64)> {
         let ids = row_ids(self.table.layout(), band.index);
         let mut panes = panes(ids.clone(), self.table.blocks_mut());
         let (landed, cells) =
@@ -453,7 +453,7 @@ where
         self.z.mask().or_else(|| self.within.cloned())
     }
 
-    fn bands(&self, shape: Shape) -> Vec<Range<usize>> {
+    fn bands(&self, shape: Shape) -> Few<Range<usize>> {
         block_rows(self.z.layout(), shape)
     }
 
@@ -461,13 +461,13 @@ where
         a
     }
 
-    fn band(&mut self, band: Band<'_, K::Left, K::Right>) -> Vec<(u64, u64)> {
+    fn band(&mut self, band: Band<'_, K::Left, K::Right>) -> Few<(u64, u64)> {
         let l = self.side.layout();
         let within = self
             .within
             .map(|w| w.window(band.rows.clone(), 0..l.ncols()));
         let side = |bj| self.side.block(band.index, bj);
-        let sides: Vec<&Csr<U>> = (0..l.bc()).map(side).collect();
+        let sides: Few<&Csr<U>> = (0..l.bc()).map(side).collect();
         let ids = row_ids(l, band.index);
         let mut panes = panes(ids.clone(), self.z.blocks_mut());
         let (landed, cells) = spgemm_settle_panes::<K, U>(
@@ -511,8 +511,9 @@ pub struct Count<'t, F> {
     t: &'t DistMat<Multpath>,
     /// The seeds, built by [`Land::open`] for a plan that moves them.
     seeds: Option<DistMat<Centpath>>,
-    /// The blocks of `Z` the bands opened so far, in block order.
-    z: Vec<Table<Centpath>>,
+    /// The blocks of `Z`, opened on `T`'s by [`Land::open`] for a plan
+    /// that lands, in block order.
+    z: Option<Few<Table<Centpath>>>,
     within: Option<Mask<'t>>,
     fire: &'t F,
     emitted: Emitted<Centpath>,
@@ -530,7 +531,7 @@ where
         Count {
             t,
             seeds: None,
-            z: Vec::new(),
+            z: None,
             within,
             fire,
             emitted: Emitted::new(t.layout()),
@@ -547,7 +548,7 @@ where
         self,
         m: &Machine,
     ) -> Result<(DistTable<Centpath>, DistMat<Centpath>), MachineError> {
-        let (t, mut z, fire) = (self.t, self.z, self.fire);
+        let (t, mut z, fire) = (self.t, self.z.unwrap_or(Few::Many(Vec::new())), self.fire);
         let (l, track) = (t.layout(), self.within.is_some());
         let (leaves, _) = self.emitted.close(|c| {
             let anchor = |id| {
@@ -556,9 +557,9 @@ where
                 Table::anchor::<CentpathMonoid, _>(t.block(bi, bj), count, mfbr_anchor, fire, track)
             };
             let opened = mfbc_parallel::current().par_map_collect_stats(l.nblocks(), anchor);
-            let leaves;
-            (z, leaves) = merged("dmat_anchor", opened).into_iter().unzip();
-            leaves
+            let (opened, leaves) = Few::from(merged("dmat_anchor", opened)).unzip();
+            z = opened;
+            leaves.into_iter().collect()
         });
         let z = DistTable::from_blocks(l.clone(), z);
         bill_anchor(m, l, t, &z)?;
@@ -574,17 +575,20 @@ where
         self.within.clone()
     }
 
-    fn bands(&self, shape: Shape) -> Vec<Range<usize>> {
+    fn bands(&self, shape: Shape) -> Few<Range<usize>> {
         block_rows(self.t.layout(), shape)
     }
 
     /// Bills the map that makes the `(τ, 0, 1)` seeds of `T`'s entries,
-    /// `nnz(T)` per block, where the product is opened; builds them
+    /// `nnz(T)` per block, where the product is opened, and opens `Z`'s
+    /// blocks on `T`'s for the bands to count into; builds the seeds
     /// only where `plan` moves them.
     fn open(&mut self, m: &Machine, plan: &MmPlan) {
         let t = self.t;
         if plan.lands() {
             charge_blocks(m, t.layout(), |bi, bj| t.block(bi, bj).nnz());
+            let block = |(bi, bj)| Table::on_pattern(t.block(bi, bj), opened);
+            self.z = Some(t.layout().blocks().map(block).collect());
         } else {
             let seed = |_: usize, _: usize, mp: &Multpath| Some(Centpath::new(mp.w, 0.0, 1));
             self.seeds = Some(dmat_map_filter::<CentpathMonoid, _, _>(m, t, seed));
@@ -596,22 +600,23 @@ where
         seeds.expect("a count formed whole multiplies the seeds `Land::open` built")
     }
 
-    fn band(&mut self, band: Band<'_, Multpath, mfbc_algebra::Dist>) -> Vec<(u64, u64)> {
+    fn band(&mut self, band: Band<'_, Multpath, mfbc_algebra::Dist>) -> Few<(u64, u64)> {
         let l = self.t.layout();
-        let sides: Vec<&Csr<Multpath>> =
+        let sides: Few<&Csr<Multpath>> =
             (0..l.bc()).map(|bj| self.t.block(band.index, bj)).collect();
         let ids = row_ids(l, band.index);
-        assert_eq!(self.z.len(), ids.start, "bands arrive in order");
-        self.z
-            .extend(sides.iter().map(|t| Table::on_pattern(t, opened)));
-        let mut panes = panes(ids.clone(), &mut self.z);
+        let z = self
+            .z
+            .as_mut()
+            .expect("`Land::open` opens Z for a plan that lands");
+        let mut panes = panes(ids.clone(), z);
         let tau = |mp: &Multpath| mp.w;
         let masked = self.within.is_some();
         let (mut landed, cells) = count_children_panes(
             band.left, tau, band.right, band.cuts, &mut panes, &sides, masked, self.fire,
         );
         // Each block's one window is the whole block.
-        for (z, landed) in self.z[ids.clone()].iter_mut().zip(&mut landed) {
+        for (z, landed) in z[ids.clone()].iter_mut().zip(&mut *landed) {
             z.pend(landed.pending.take());
         }
         self.emitted.put(ids.start, landed);
@@ -652,7 +657,7 @@ mod tests {
             None
         }
 
-        fn bands(&self, shape: Shape) -> Vec<Range<usize>> {
+        fn bands(&self, shape: Shape) -> Few<Range<usize>> {
             block_rows(&self.layout, shape)
         }
 
@@ -660,7 +665,7 @@ mod tests {
             a
         }
 
-        fn band(&mut self, band: Band<'_, Dist, Dist>) -> Vec<(u64, u64)> {
+        fn band(&mut self, band: Band<'_, Dist, Dist>) -> Few<(u64, u64)> {
             assert_eq!(band.index, self.next, "bands arrive in order");
             self.next += 1;
             assert_eq!(band.left.nrows(), band.rows.len());
@@ -672,7 +677,7 @@ mod tests {
                     self.cells.push((rows, band.right.cols(s), k));
                 }
             }
-            vec![(0, 0); band.ranks.len()]
+            vec![(0, 0); band.ranks.len()].into()
         }
 
         fn formed(&mut self, _: DistMat<Dist>) {
@@ -696,7 +701,7 @@ mod tests {
             Land::<TropicalKernel>::mask(&self.collect)
         }
 
-        fn bands(&self, shape: Shape) -> Vec<Range<usize>> {
+        fn bands(&self, shape: Shape) -> Few<Range<usize>> {
             Land::<TropicalKernel>::bands(&self.collect, shape)
         }
 
@@ -704,7 +709,7 @@ mod tests {
             a
         }
 
-        fn band(&mut self, band: Band<'_, Dist, Dist>) -> Vec<(u64, u64)> {
+        fn band(&mut self, band: Band<'_, Dist, Dist>) -> Few<(u64, u64)> {
             Land::<TropicalKernel>::band(&mut self.collect, band)
         }
 

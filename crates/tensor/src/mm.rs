@@ -40,7 +40,7 @@ use mfbc_algebra::monoid::Monoid;
 use mfbc_algebra::SpMulKernel;
 use mfbc_machine::{Machine, MachineError};
 use mfbc_sparse::slice::{stitch, Slab};
-use mfbc_sparse::Mask;
+use mfbc_sparse::{Few, Mask};
 use std::borrow::Cow;
 
 /// The 1D algorithm variants of §5.2.1, named by the matrix they
@@ -298,7 +298,7 @@ where
         .into_iter()
         .map(|(r0, c0, _pos, piece)| (r0, c0, Cow::Owned(piece)))
         .collect();
-    let blocks = layout
+    let blocks: Few<_> = layout
         .blocks()
         .map(|(bi, bj)| {
             let (rows, cols) = (layout.row_range(bi), layout.col_range(bj));

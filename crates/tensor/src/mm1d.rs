@@ -51,8 +51,8 @@ use mfbc_machine::collectives::Pending;
 use mfbc_machine::cost::CollectiveKind;
 use mfbc_machine::{Group, Machine, MachineError};
 use mfbc_sparse::elementwise::combine;
-use mfbc_sparse::slice::even_ranges;
-use mfbc_sparse::{entry_bytes, Csr, Mask};
+use mfbc_sparse::slice::{even_range, even_ranges};
+use mfbc_sparse::{entry_bytes, Csr, Few, Mask};
 use std::ops::Range;
 use std::sync::Arc;
 
@@ -88,9 +88,19 @@ fn replicated_rhs<K: SpMulKernel>(
     Ok(arrival.map(|()| form.split()))
 }
 
-/// The cache key of `b`'s form under 1D variant `v` over `group`.
-fn one_d_key<T: Clone + Send + Sync>(v: char, group: &Group, b: &DistMat<T>) -> String {
-    format!("1d:{v}:{}:{}", group.len(), b.content_id())
+/// The cache key of `b`'s form under 1D variant `v` over `group`,
+/// written where it is looked up ([`MmCache::prepared`]).
+fn one_d_key<T: Clone + Send + Sync>(v: char, group: &Group, b: &DistMat<T>) -> OneDKey {
+    OneDKey(v, group.len(), b.content_id())
+}
+
+/// A 1D cache key: variant, group size, operand content id.
+struct OneDKey(char, usize, u64);
+
+impl std::fmt::Display for OneDKey {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(f, "1d:{}:{}:{}", self.0, self.1, self.2)
+    }
 }
 
 /// The host copy of `b` a 1D form is built from: the one the `other` 1D
@@ -103,7 +113,7 @@ fn host_copy<K: SpMulKernel>(
     b: &DistMat<K::Right>,
     cache: &MmCache<K::Right>,
 ) -> Arc<Csr<K::Right>> {
-    match cache.peek(&one_d_key(other, group, b)) {
+    match cache.peek(&one_d_key(other, group, b).to_string()) {
         Some(form) => form.clone().split().mat().clone(),
         None => Arc::new(b.to_global::<FirstWins<K::Right>>()),
     }
@@ -127,7 +137,7 @@ where
 /// right operand redistributed into `lb`.
 pub(crate) fn redistributed_rhs<K: SpMulKernel>(
     m: &Machine,
-    key: String,
+    key: impl std::fmt::Display,
     b: &DistMat<K::Right>,
     lb: &Layout,
     cache: &mut MmCache<K::Right>,
@@ -225,7 +235,7 @@ pub(crate) fn run_slabs<K: SpMulKernel, L: Clone + Send + Sync>(
         }
         Variant1D::B => {
             let b_pending = replicated_rhs::<K>(m, group, b, cache)?;
-            let la = row_split_layout(a.nrows(), a.ncols(), group);
+            let la = row_split(a.layout(), group);
             charge_redistribute::<K::Left, _>(m, a, &la)?;
             (None, b_pending.wait(m)?, Some(la))
         }
@@ -234,14 +244,20 @@ pub(crate) fn run_slabs<K: SpMulKernel, L: Clone + Send + Sync>(
     let (right, nnz) = (rhs.slabs(), rhs.nnz());
     // Per rank: its bill, and whether its left and its right operand
     // hold an entry — a rank with an empty operand multiplies nothing.
-    let mut bills = vec![(0u64, 0u64); p];
-    let mut live = vec![(false, false); p];
+    let mut bills: Few<(u64, u64)> = (0..p).map(|_| (0, 0)).collect();
+    let mut live: Few<(bool, bool)> = (0..p).map(|_| (false, false)).collect();
+    let (cuts, ranks) = &mut cache.cells;
     for (index, rows) in land.bands((a.nrows(), b.ncols())).into_iter().enumerate() {
         // The band's row cells and the rank forming each cell.
-        let (cuts, ranks) = match &la {
-            Some(la) => row_cells(la, &rows),
-            None => (vec![0, rows.len()], (0..p).collect()),
-        };
+        cuts.clear();
+        ranks.clear();
+        match &la {
+            Some(la) => row_cells(la, &rows, cuts, ranks),
+            None => {
+                cuts.extend([0, rows.len()]);
+                ranks.extend(0..p);
+            }
+        }
         let left = a.rows(rows.clone());
         for (c, ranks) in ranks.chunks(right.count()).enumerate() {
             let filled = left.rowptr()[cuts[c + 1]] > left.rowptr()[cuts[c]];
@@ -255,8 +271,8 @@ pub(crate) fn run_slabs<K: SpMulKernel, L: Clone + Send + Sync>(
             rows,
             left: &left,
             right,
-            cuts: &cuts,
-            ranks: &ranks,
+            cuts,
+            ranks,
         };
         for (&k, (ops, formed)) in ranks.iter().zip(land.band(band)) {
             bills[k] = (bills[k].0 + ops, bills[k].1 + formed);
@@ -274,16 +290,28 @@ pub(crate) fn run_slabs<K: SpMulKernel, L: Clone + Send + Sync>(
 }
 
 /// The row slabs of `la` that output rows `rows` meet, as row cells of
-/// that band: the cuts, band-relative, and the slab (rank) of each.
-fn row_cells(la: &Layout, rows: &Range<usize>) -> (Vec<usize>, Vec<usize>) {
+/// that band, written to the empty `cuts` and `ranks`: the cuts,
+/// band-relative, and the slab (rank) of each.
+fn row_cells(la: &Layout, rows: &Range<usize>, cuts: &mut Vec<usize>, ranks: &mut Vec<usize>) {
     let meets = |&k: &usize| {
         let slab = la.row_range(k);
         !slab.is_empty() && slab.start < rows.end && rows.start < slab.end
     };
-    let ranks: Vec<usize> = (0..la.br()).filter(meets).collect();
+    ranks.extend((0..la.br()).filter(meets));
     let end = |&k: &usize| la.row_range(k).end.min(rows.end) - rows.start;
-    let cuts = std::iter::once(0).chain(ranks.iter().map(end)).collect();
-    (cuts, ranks)
+    cuts.extend(std::iter::once(0).chain(ranks.iter().map(end)));
+}
+
+/// The layout cutting an operand laid out as `own` into the row slabs
+/// of `group`: `own` itself where it cuts them already (a one-rank
+/// operand's does), so nothing is built.
+fn row_split(own: &Layout, group: &Group) -> Layout {
+    let (nrows, q) = (own.nrows(), group.len());
+    let slab = |k| own.row_range(k) == even_range(nrows, q, k);
+    if own.bc() == 1 && own.owners() == group.ranks() && (0..q).all(slab) {
+        return own.clone();
+    }
+    row_split_layout(nrows, own.ncols(), group)
 }
 
 /// 1D-A's right operand, split by columns over `group`: one matrix in
@@ -308,8 +336,9 @@ fn rhs_for_a<'l, K: SpMulKernel>(
     cache: &mut MmCache<K::Right>,
     mask: impl FnOnce() -> Option<Mask<'l>>,
 ) -> Result<Arc<ColumnSlabs<K::Right>>, MachineError> {
-    let lb = col_split_layout(b.nrows(), b.ncols(), group);
+    // Built where a form is built: a hit moves nothing.
     let split = |b: &DistMat<K::Right>, host| {
+        let lb = col_split_layout(b.nrows(), b.ncols(), group);
         charge_redistribute::<K::Right, _>(m, b, &lb)?;
         let cuts = (1..group.len()).map(|k| lb.col_range(k).start).collect();
         Ok(ColumnSlabs::new(host, cuts))
@@ -515,7 +544,8 @@ mod tests {
                     .unwrap();
                 }
                 let what = format!("p = {p}, {order:?}");
-                let (ka, kb) = (one_d_key('A', &group, &b), one_d_key('B', &group, &b));
+                let key = |v| one_d_key(v, &group, &b).to_string();
+                let (ka, kb) = (key('A'), key('B'));
                 let host = |key: &str| cache.peek(key).unwrap().clone().split().mat().clone();
                 assert!(Arc::ptr_eq(&host(&ka), &host(&kb)), "{what}: one copy");
                 assert_eq!(*host(&ka), x, "{what}: the operand");

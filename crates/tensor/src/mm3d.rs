@@ -34,7 +34,7 @@ use mfbc_algebra::SpMulKernel;
 use mfbc_machine::collectives::{wait_all, Pending};
 use mfbc_machine::{CollectiveKind, Machine, MachineError};
 use mfbc_sparse::slice::even_ranges;
-use mfbc_sparse::{Csr, Mask};
+use mfbc_sparse::{Csr, Few, Mask};
 use std::collections::HashMap;
 use std::sync::Arc;
 
@@ -141,7 +141,7 @@ where
     per_layer.push(x0.clone());
     for l in 1..p1 {
         let ll = Layout::on_grid(x.nrows(), x.ncols(), &grid.layer(l));
-        let blocks = (0..layout0.br())
+        let blocks: Few<_> = (0..layout0.br())
             .flat_map(|bi| (0..layout0.bc()).map(move |bj| (bi, bj)))
             .map(|(bi, bj)| x0.block(bi, bj).clone())
             .collect();

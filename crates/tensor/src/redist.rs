@@ -16,7 +16,7 @@ use mfbc_algebra::monoid::Monoid;
 use mfbc_machine::cost::CollectiveKind;
 use mfbc_machine::{Machine, MachineError, RedistMode};
 use mfbc_sparse::slice::stitch;
-use mfbc_sparse::{entry_bytes, Csr, Idx};
+use mfbc_sparse::{entry_bytes, Csr, Few, Idx};
 use std::borrow::Borrow;
 use std::ops::Range;
 
@@ -139,7 +139,7 @@ where
     for (rows, cols, dst_layout) in specs {
         let dst_layout: &Layout = dst_layout.borrow();
         check_window(src, (rows, cols), dst_layout);
-        let blocks = dst_layout
+        let blocks: Few<_> = dst_layout
             .blocks()
             .map(|(bi, bj)| {
                 let (rr, cr) = (dst_layout.row_range(bi), dst_layout.col_range(bj));

@@ -34,7 +34,7 @@ pub use summary::{
     KindTotals, PlanMixEntry, PoolTotals, RecoveryTotals, StepTotals, Summary,
 };
 
-use std::cell::RefCell;
+use std::cell::{Cell, RefCell};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 
@@ -48,16 +48,36 @@ static GLOBAL: Mutex<Vec<Arc<dyn Recorder>>> = Mutex::new(Vec::new());
 thread_local! {
     /// Sinks installed for the current thread only (see [`scoped`]).
     static SCOPED: RefCell<Vec<Arc<dyn Recorder>>> = const { RefCell::new(Vec::new()) };
+    /// How many [`muted`] scopes the current thread is inside.
+    static MUTED: Cell<usize> = const { Cell::new(0) };
 }
 
-/// Whether at least one recorder is installed anywhere.
+/// Whether at least one recorder is installed anywhere and the current
+/// thread is not inside a [`muted`] scope.
 ///
-/// This is the fast path: a single relaxed atomic load. Instrumented
-/// code may use it to skip gathering event inputs that are not
-/// already at hand.
+/// This is the fast path: with no recorder installed, a single relaxed
+/// atomic load. Instrumented code may use it to skip gathering event
+/// inputs that are not already at hand.
 #[inline]
 pub fn enabled() -> bool {
-    ACTIVE.load(Ordering::Relaxed) != 0
+    ACTIVE.load(Ordering::Relaxed) != 0 && MUTED.with(|m| m.get() == 0)
+}
+
+/// Runs `f` with every event and span it emits on the current thread
+/// dropped, recorders installed or not — also those of a [`scoped`]
+/// recorder installed inside it. What a computation that is not the
+/// traced run announces (a sequential call inside a traced round, say)
+/// stays out of the run's trace. Unwinds on panic.
+pub fn muted<R>(f: impl FnOnce() -> R) -> R {
+    struct Guard;
+    impl Drop for Guard {
+        fn drop(&mut self) {
+            MUTED.with(|m| m.set(m.get() - 1));
+        }
+    }
+    MUTED.with(|m| m.set(m.get() + 1));
+    let _guard = Guard;
+    f()
 }
 
 /// Emits the event produced by `build` to every active recorder.
@@ -242,6 +262,24 @@ mod tests {
         assert!(result.is_err());
         counter("after", 1.0);
         assert_eq!(rec.len(), 0, "scoped recorder leaked past a panic");
+    }
+
+    #[test]
+    fn muted_drops_what_its_thread_emits_and_unwinds() {
+        let rec = Arc::new(MemoryRecorder::new());
+        scoped(rec.clone(), || {
+            muted(|| {
+                counter("hidden", 1.0);
+                let _span = span(|| "hidden".to_string());
+                assert!(!enabled());
+            });
+            let panicked = std::panic::catch_unwind(|| muted(|| panic!("boom")));
+            assert!(panicked.is_err());
+            counter("shown", 2.0);
+        });
+        let records = rec.snapshot();
+        assert_eq!(records.len(), 1, "only the unmuted counter");
+        assert_eq!(records[0].event.tag(), "counter");
     }
 
     #[test]

@@ -34,8 +34,9 @@ fn scores_identical_across_all_execution_paths() {
     let (seq, stats) = mfbc_seq(&g, 16);
     assert!(seq.approx_eq(&oracle, 1e-8));
 
-    // One algorithm over two backends: the simulated machine at p = 1
-    // reproduces the shared-memory run bit for bit, counters included.
+    // The sequential run is the simulated machine's one-rank case:
+    // `mfbc_dist` at p = 1, autotuned on another spec, reproduces it
+    // bit for bit, counters included.
     let cfg = MfbcConfig::default().with_batch_size(16);
     let run = mfbc_dist(&Machine::new(MachineSpec::test(1)), &g, &cfg).unwrap();
     let bits = |s: &BcScores| s.lambda.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
