@@ -27,7 +27,7 @@ impl<T> Few<T> {
     }
 
     /// Splits a list of pairs into the list of firsts and of seconds.
-    pub fn unzip<A, B>(self) -> (Few<A>, Few<B>)
+    pub(crate) fn unzip<A, B>(self) -> (Few<A>, Few<B>)
     where
         T: Into<(A, B)>,
     {

@@ -548,7 +548,7 @@ where
         self,
         m: &Machine,
     ) -> Result<(DistTable<Centpath>, DistMat<Centpath>), MachineError> {
-        let (t, mut z, fire) = (self.t, self.z.unwrap_or(Few::Many(Vec::new())), self.fire);
+        let (t, mut z, fire) = (self.t, self.z, self.fire);
         let (l, track) = (t.layout(), self.within.is_some());
         let (leaves, _) = self.emitted.close(|c| {
             let anchor = |id| {
@@ -557,10 +557,11 @@ where
                 Table::anchor::<CentpathMonoid, _>(t.block(bi, bj), count, mfbr_anchor, fire, track)
             };
             let opened = mfbc_parallel::current().par_map_collect_stats(l.nblocks(), anchor);
-            let (opened, leaves) = Few::from(merged("dmat_anchor", opened)).unzip();
-            z = opened;
-            leaves.into_iter().collect()
+            let (opened, leaves): (Vec<_>, _) = merged("dmat_anchor", opened).into_iter().unzip();
+            z = Some(opened.into());
+            leaves
         });
+        let z = z.expect("the bands or the merge opened Z");
         let z = DistTable::from_blocks(l.clone(), z);
         bill_anchor(m, l, t, &z)?;
         Ok((z, DistMat::from_blocks(l.clone(), leaves)))
