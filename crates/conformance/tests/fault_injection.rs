@@ -135,7 +135,7 @@ fn injected_landing_fault_is_caught() {
 
 /// Driver cases pinned to `1d(C)` (`enumerate_plans(p)[2]`) at p ∈ {2,
 /// 4}: its partial products are reduced across ranks, so the product
-/// reaches the table whole, merged by the landing when it closes.
+/// reaches the table whole, merged by the landing on arrival.
 fn reducing(seed: u64) -> DriverCase {
     let mut case = DriverCase::generate(seed, &[2, 4], false);
     case.plan = DriverPlan::Fixed(2);

@@ -3,20 +3,20 @@
 //! into the table, bit for bit.
 //!
 //! * Backward: MFBr's opening and its loop products —
-//!   `count_children`, which counts each entry's children in place of
-//!   the child-count product, and `spgemm_settle`, which feeds every
-//!   finished accumulator row straight into `Z` — against
+//!   `count_children_panes`, which counts each entry's children in
+//!   place of the child-count product, and `spgemm_settle_panes`, which
+//!   feeds every finished accumulator row straight into `Z` — against
 //!   `Table::anchor` over the materialised count product and
 //!   `Table::settle`: `Z` after every step, the frontier each step
 //!   fires, the pending rows its `mask()` reports and the `ops` it
 //!   forms (the count's too: the products it stands for).
-//! * Forward: `spgemm_accumulate`, which runs `Table::accumulate`'s
-//!   body on every accumulator row, against `Table::accumulate` of the
-//!   matrix, for the three kernels `sweep::sweep` runs — MFBF's
-//!   Bellman–Ford kernel under `mfbf_keep_in_frontier`, SSSP's
-//!   tropical kernel and components' label kernel under
-//!   `sweep::improved`: the frozen `T`, the frontier it keeps, the
-//!   complement rows its `mask()` reports and the `ops`.
+//! * Forward: `spgemm_accumulate_panes`, which runs
+//!   `Table::accumulate`'s body on every accumulator row, against
+//!   `Table::accumulate` of the matrix, for the three kernels
+//!   `sweep::sweep` runs — MFBF's Bellman–Ford kernel under
+//!   `mfbf_keep_in_frontier`, SSSP's tropical kernel and components'
+//!   label kernel under `sweep::improved`: the frozen `T`, the frontier
+//!   it keeps, the complement rows its `mask()` reports and the `ops`.
 //!
 //! Cases are seeded chains of one opening product and several loop
 //! products over random operands — weighted and unit adjacency, masks
@@ -29,6 +29,9 @@
 //! `T` on weighted entries in every row, tracked (masked) or not, so
 //! that stored entries are re-relaxed by tasks other than the first;
 //! multiplicities are non-integral too.
+//!
+//! Each kernel runs as the one-rank step runs it: one pane over the
+//! whole table, one row cell, the right operand one slab.
 //!
 //! `MFBC_CONFORMANCE_CASES` scales the budget, `MFBC_CONFORMANCE_SEED`
 //! replays one printed case.
@@ -43,8 +46,10 @@ use mfbc_conformance::suite::run_suite_or_panic;
 use mfbc_core::cc::LabelKernel;
 use mfbc_core::seq::mfbf_keep_in_frontier;
 use mfbc_core::sweep::improved;
+use mfbc_sparse::spgemm::opened;
 use mfbc_sparse::{
-    count_children, spgemm_accumulate, spgemm_opt, spgemm_settle, Coo, Csr, Mask, MaskKind, Table,
+    count_children_panes, spgemm_accumulate_panes, spgemm_opt, spgemm_settle_panes, Coo, Csr, Few,
+    Landed, Mask, MaskKind, Pane, Slabs, Table,
 };
 
 /// Pool sizes a case draws from: the serial degenerate pool and two
@@ -83,6 +88,12 @@ fn fire(z: &mut Centpath, t: &Multpath) -> Option<Centpath> {
     }
     z.c = -1;
     Some(Centpath::new(z.w, z.p + 1.0 / t.m, -1))
+}
+
+/// What the one pane of a one-cell landing emitted, and the products
+/// formed.
+fn one_pane<T>((landed, cells): (Few<Landed<T>>, Few<(u64, u64)>)) -> (Landed<T>, u64) {
+    (landed.into_iter().next().expect("one pane"), cells[0].0)
 }
 
 /// What a case exercised, for the coverage checks.
@@ -326,11 +337,22 @@ impl SinkCase {
             .then(|| Mask::of_pattern(MaskKind::Structural, &t));
         let seeds = t.map(|_, _, mp| Centpath::new(mp.w, 0.0, 1));
 
-        let (mut z_sink, leaves) = count_children(&t, &adj, self.masked, fire);
+        let mut z_sink = Table::on_pattern(&t, opened);
+        let (leaves, ops) = one_pane(count_children_panes(
+            &t,
+            |mp: &Multpath| mp.w,
+            Slabs::whole(&adj),
+            &[0, t.nrows()],
+            &mut [Pane::whole(&mut z_sink)],
+            &[&t],
+            self.masked,
+            fire,
+        ));
+        z_sink.pend(leaves.pending);
         let counted = spgemm_opt::<BrandesKernel>(&seeds, &adj, reached.as_ref());
         let (mut z_mat, want) =
             Table::anchor::<CentpathMonoid, _>(&t, &counted.mat, init, fire, self.masked);
-        same_step("anchor", &leaves.mat, &want, leaves.ops, counted.ops)?;
+        same_step("anchor", &leaves.out, &want, ops, counted.ops)?;
         same_state("anchor", &z_sink, &z_mat, self.masked)?;
         seen.fired += want.nnz();
         for (s, v, d) in counted.mat.iter() {
@@ -357,10 +379,17 @@ impl SinkCase {
                 .filter(|&(s, v, _)| t.get(s, v).is_none())
                 .count();
 
-            let got =
-                spgemm_settle::<BrandesKernel, _>(&frontier, &adj, None, &mut z_sink, &t, fire);
+            let (got, ops) = one_pane(spgemm_settle_panes::<BrandesKernel, _>(
+                &frontier,
+                Slabs::whole(&adj),
+                &[0, frontier.nrows()],
+                None,
+                &mut [Pane::whole(&mut z_sink)],
+                &[&t],
+                fire,
+            ));
 
-            same_step(&what, &got.mat, &want, got.ops, back.ops)?;
+            same_step(&what, &got.out, &want, ops, back.ops)?;
             same_state(&what, &z_sink, &z_mat, self.masked)?;
             seen.fired += want.nnz();
         }
@@ -399,13 +428,19 @@ impl SinkCase {
                 }
             }
             let want = t_mat.accumulate::<K::Acc>(&explored.mat, keep);
-            let got = spgemm_accumulate::<K>(&frontier, &adj, &mut t_sink, keep);
+            let (got, ops) = one_pane(spgemm_accumulate_panes::<K>(
+                &frontier,
+                Slabs::whole(&adj),
+                &[0, frontier.nrows()],
+                &mut [Pane::whole(&mut t_sink)],
+                keep,
+            ));
 
-            if let Some(d) = bits_difference(&got.mat, &want, bits) {
+            if let Some(d) = bits_difference(&got.out, &want, bits) {
                 return Err(format!("{what}: kept frontier: {d}"));
             }
-            if got.ops != explored.ops {
-                return Err(format!("{what}: ops {} != {}", got.ops, explored.ops));
+            if ops != explored.ops {
+                return Err(format!("{what}: ops {ops} != {}", explored.ops));
             }
             let (frozen_sink, frozen_mat) = (t_sink.clone().freeze(), t_mat.clone().freeze());
             if let Some(d) = bits_difference(&frozen_sink, &frozen_mat, bits) {

@@ -157,15 +157,6 @@ impl<T> Csr<T> {
         &self.vals
     }
 
-    /// The column indices of row `i` next to its values, mutably: the
-    /// in-structure update (CTF `Transform`, §6.1) — values change,
-    /// the pattern cannot.
-    #[inline]
-    pub fn row_mut(&mut self, i: usize) -> (&[Idx], &mut [T]) {
-        let span = self.rowptr[i]..self.rowptr[i + 1];
-        (&self.colind[span.clone()], &mut self.vals[span])
-    }
-
     /// Iterates `(col, &value)` over row `i`.
     #[inline]
     pub fn row(&self, i: usize) -> impl Iterator<Item = (usize, &T)> + '_ {
@@ -254,19 +245,6 @@ impl<T> Csr<T> {
         T: Clone,
     {
         self.filter(|_, _, v| !M::is_identity(v))
-    }
-
-    /// Densifies one row into a `Vec<Option<T>>` of length `ncols`
-    /// (test/oracle helper; not used on hot paths).
-    pub fn dense_row(&self, i: usize) -> Vec<Option<T>>
-    where
-        T: Clone,
-    {
-        let mut out = vec![None; self.ncols];
-        for (j, v) in self.row(i) {
-            out[j] = Some(v.clone());
-        }
-        out
     }
 
     /// Describes the first coordinate at which `self` and `other`
@@ -361,17 +339,6 @@ mod tests {
     }
 
     #[test]
-    fn row_mut_updates_values_in_structure() {
-        let mut m = sample();
-        let (cols, vals) = m.row_mut(2);
-        assert_eq!(cols, &[0, 1]);
-        vals[1] = 40;
-        assert_eq!(m.get(2, 1), Some(&40));
-        assert!(m.row_mut(1).1.is_empty());
-        assert!(m.validate().is_ok());
-    }
-
-    #[test]
     fn zero_matrix() {
         let z = Csr::<i32>::zero(4, 5);
         assert_eq!(z.nnz(), 0);
@@ -429,12 +396,5 @@ mod tests {
         let p = m.prune::<MinDist>();
         assert_eq!(p.nnz(), 2);
         assert_eq!(p.get(0, 1), None);
-    }
-
-    #[test]
-    fn dense_row_round_trip() {
-        let m = sample();
-        assert_eq!(m.dense_row(0), vec![Some(1), None, Some(2)]);
-        assert_eq!(m.dense_row(1), vec![None, None, None]);
     }
 }

@@ -17,6 +17,12 @@
 //! assembled in row order — so parallel results are bit-identical to
 //! the serial kernels at any thread count.
 //!
+//! The sweeps' table steps consume a product where it lands, in
+//! [`Table`]s side by side ([`Pane`]s), and have one entry each:
+//! [`spgemm_accumulate_panes`], [`spgemm_settle_panes`] and
+//! [`count_children_panes`]. One pane over a whole table is the
+//! one-rank step.
+//!
 //! Sparse-zero convention: an entry equal to the accumulating monoid's
 //! identity is never stored; every constructor and kernel filters such
 //! entries on the way in and out.
@@ -47,9 +53,8 @@ pub use mask::{Mask, MaskKind, MaskRow};
 pub use rows::SortedRows;
 pub use slabs::Slabs;
 pub use spgemm::{
-    count_children, count_children_panes, spgemm, spgemm_accumulate, spgemm_accumulate_panes,
-    spgemm_masked, spgemm_masked_serial, spgemm_opt, spgemm_serial, spgemm_settle,
-    spgemm_settle_panes,
+    count_children_panes, spgemm, spgemm_accumulate_panes, spgemm_masked, spgemm_masked_serial,
+    spgemm_opt, spgemm_serial, spgemm_settle_panes,
 };
 pub use table::{Landed, Pane, Table};
 

@@ -12,18 +12,21 @@
 //! consume.
 //!
 //! A finished accumulator row goes to a *row sink*. Draining it into a
-//! sorted CSR row builds the product matrix (every `spgemm*` entry
-//! point). The sweeps' products are consumed where they land instead,
-//! so the product matrix is never built, copied or validated. Three
-//! table steps do that, each one masked product into tables side by
-//! side (panes):
-//! - [`spgemm_accumulate`] runs [`Table::accumulate`]'s body on each
+//! sorted CSR row builds the product matrix ([`spgemm`] and its masked,
+//! serial and optional-mask forms). The sweeps' products are consumed
+//! where they land instead, so the product matrix is never built,
+//! copied or validated. Three table steps do that, each one masked
+//! product into tables side by side (panes) — one pane over a whole
+//! table, or the blocks of one block row of a distributed table:
+//! - [`spgemm_accumulate_panes`] runs
+//!   [`Table::accumulate`](crate::Table::accumulate)'s body on each
 //!   row, in the column order draining would emit it (MFBF's `T`);
-//! - [`spgemm_settle`] feeds the accumulator's touched list into
-//!   [`Table::settle`]'s body (MFBr's `Z`);
-//! - [`count_children`] opens `Z` without forming its product at all:
-//!   all that survives of it is one integer per entry of `T`, counted
-//!   in place by a row kernel of its own, with the product's `ops`.
+//! - [`spgemm_settle_panes`] feeds the accumulator's touched list into
+//!   [`Table::settle`](crate::Table::settle)'s body (MFBr's `Z`);
+//! - [`count_children_panes`] opens `Z` without forming its product at
+//!   all: all that survives of it is one integer per entry of `T`,
+//!   counted in place by a row kernel of its own, with the product's
+//!   `ops`.
 //!
 //! One driver runs the three. It checks the shapes, finds where the
 //! panes sit and builds their mask, runs the rows on the calling thread
@@ -37,7 +40,7 @@ use crate::elementwise::{assemble_rows, RowChunk};
 use crate::few::{Few, FewIter};
 use crate::mask::{Mask, MaskKind, MaskRow};
 use crate::slabs::Slabs;
-use crate::table::{stored, Accumulate, Landed, Landing, Leaves, Pane, Settle, Sink, Table};
+use crate::table::{stored, Accumulate, Landed, Landing, Leaves, Pane, Settle, Sink};
 use mfbc_algebra::kernel::KernelOut;
 use mfbc_algebra::monoid::Monoid;
 use mfbc_algebra::{Centpath, CentpathMonoid, Dist, Multpath, SpMulKernel};
@@ -707,8 +710,9 @@ type Lent<'m, S> = Few<(Option<Mask<'m>>, Few<S>)>;
 /// between the calling thread and the pool ([`row_ranges`]);
 /// [`Drive::run`] runs a step's row kernel over one task's share of
 /// every pane per range and tallies each cell. The three table steps —
-/// [`accumulate`], [`settle`] and [`count`] — lend their tables to the
-/// run and close them; the rest is here, once.
+/// [`spgemm_accumulate_panes`], [`spgemm_settle_panes`] and
+/// [`count_children_panes`] — lend their tables to the run and close
+/// them; the rest is here, once.
 struct Drive<'c> {
     within: Option<&'c Mask<'c>>,
     sits: Few<Sits>,
@@ -857,17 +861,37 @@ where
     }
 }
 
-/// The body of [`spgemm_accumulate_panes`] (MFBF's step, [`Grow`]).
-fn accumulate<K, F>(
-    (a, b): (&Csr<K::Left>, Slabs<'_, K::Right>),
+/// `T := T ⊕ (A •⟨⊕,f⟩ B)`, the product consumed where it lands
+/// (Algorithm 1, lines 4–6): the product of `a` by `b` into `panes`
+/// side by side, under their tables' masks, every finished accumulator
+/// row fed to [`Table::accumulate`](crate::Table::accumulate)'s body in
+/// the column order draining would emit it — no product matrix is
+/// built. Output `(i, j)` is explored entry `(i, j)` of the pane
+/// holding column `j`, at its window. Per pane, what `keep` let through
+/// (in window coordinates) and the explored entries it took in; and per
+/// cell of the output — its rows cut at `cuts`, its columns at `b`'s
+/// slabs, cell `(c, s)` at `c * slabs + s` — the products formed and
+/// the explored entries taken in. Bit-identical, pane for pane, to
+/// [`spgemm_opt`] followed by
+/// [`Table::accumulate`](crate::Table::accumulate) of the window of its
+/// product, at any thread count, and cell for cell to the `ops` and
+/// entries of the product of the cell's rows of `a` by its slab. One
+/// pane over the whole table ([`Pane::whole`]), cuts `[0, a.nrows()]`
+/// and [`Slabs::whole`] is the one-rank step.
+///
+/// # Panics
+/// Panics if the panes do not take `a`'s rows and `b`'s columns between
+/// them, `cuts` does not end at `a`'s rows, and where [`spgemm_opt`] or
+/// [`Table::accumulate`](crate::Table::accumulate) would.
+pub fn spgemm_accumulate_panes<K: SpMulKernel>(
+    a: &Csr<K::Left>,
+    b: Slabs<'_, K::Right>,
     cuts: &[usize],
     panes: &mut [Pane<'_, KernelOut<K>>],
-    keep: &F,
-) -> (Few<Landed<KernelOut<K>>>, Tally)
-where
-    K: SpMulKernel,
-    F: Fn(&KernelOut<K>, Option<&KernelOut<K>>, &KernelOut<K>) -> Option<KernelOut<K>> + Sync,
-{
+    keep: impl Fn(&KernelOut<K>, Option<&KernelOut<K>>, &KernelOut<K>) -> Option<KernelOut<K>> + Sync,
+) -> (Few<Landed<KernelOut<K>>>, Few<(u64, u64)>) {
+    // MFBF's step: each task's share of a pane is a `Grow`.
+    let keep = &keep;
     let drive = Drive::new((a, b), cuts, None, panes);
     let drain = |r: &Range<usize>| Grow::Later((Vec::with_capacity(r.len()), vec![], vec![]));
     let lent = (panes.iter_mut().zip(drive.sits.iter())).map(|(pane, at)| {
@@ -951,20 +975,36 @@ fn keep_z<M: Monoid, U, F>((fired, n): &mut (Vec<Leaves<M::Elem>>, usize), s: Se
     *n += s.received;
 }
 
-/// The body of [`spgemm_settle_panes`] (MFBr's step).
-fn settle<K, U, F>(
-    (a, b): (&Csr<K::Left>, Slabs<'_, K::Right>),
+/// `Z := Z ⊗ (A •⟨⊗,g⟩ B)`, the product consumed where it lands
+/// (Algorithm 2, lines 6–11): the product of `a` by `b` into `panes`
+/// side by side, each table opened on the pattern of the matrix beside
+/// it in `sides`, every finished accumulator row fed as the update to
+/// [`Table::settle`](crate::Table::settle)'s body — the product matrix
+/// itself is never built. It runs under the tables' masks where they
+/// report them, under `within` (of the output's shape) otherwise. Per
+/// pane, what `fire` emitted (in window coordinates) and the updates it
+/// took in, on the pattern or not; and per cell of the output (as
+/// [`spgemm_accumulate_panes`] cuts it) the products formed and the
+/// updates taken in. Bit-identical, pane for pane, to [`spgemm_opt`]
+/// followed by [`Table::settle`](crate::Table::settle) of the window of
+/// its product, at any thread count. Parallel tasks own disjoint row
+/// ranges of every table.
+///
+/// # Panics
+/// Panics if the panes do not take `a`'s rows and `b`'s columns between
+/// them, `cuts` does not end at `a`'s rows, and where [`spgemm_opt`] or
+/// [`Table::settle`](crate::Table::settle) would.
+pub fn spgemm_settle_panes<K: SpMulKernel, U: Sync>(
+    a: &Csr<K::Left>,
+    b: Slabs<'_, K::Right>,
     cuts: &[usize],
     within: Option<&Mask>,
     panes: &mut [Pane<'_, KernelOut<K>>],
-    (sides, fire): (&[&Csr<U>], &F),
-) -> (Few<Landed<KernelOut<K>>>, Tally)
-where
-    K: SpMulKernel,
-    U: Sync,
-    F: Fn(&mut KernelOut<K>, &U) -> Option<KernelOut<K>> + Sync,
-{
+    sides: &[&Csr<U>],
+    fire: impl Fn(&mut KernelOut<K>, &U) -> Option<KernelOut<K>> + Sync,
+) -> (Few<Landed<KernelOut<K>>>, Few<(u64, u64)>) {
     assert_eq!(sides.len(), panes.len(), "one side per pane");
+    let fire = &fire;
     let drive = Drive::new((a, b), cuts, within, panes);
     let run = (&drive.ranges[..], drive.pool);
     // A frontier is followed by one of its own order: the rows' share
@@ -984,7 +1024,7 @@ where
         |mask, counted, rows, spa, part, ops| {
             multiply::<K>(ab, mask, counted, rows, spa, part, ops)
         },
-        keep_z::<K::Acc, U, F>,
+        keep_z::<K::Acc, U, _>,
     );
     let close = |((pane, (fired, received)), at): ((&mut Pane<'_, _>, (Vec<_>, _)), &Sits)| {
         let landed = Leaves::join(fired, (at.rows.len(), at.cols.len()));
@@ -996,124 +1036,7 @@ where
     (landed.collect(), tally)
 }
 
-/// What the one pane of a landing emitted, and the products formed in
-/// its one cell.
-fn one_pane<T>((landed, tally): (Few<Landed<T>>, Tally)) -> SpGemmOut<T> {
-    let mat = landed.into_iter().next().expect("one pane").out;
-    SpGemmOut {
-        mat,
-        ops: tally[0].0,
-    }
-}
-
-/// `T := T ⊕ (A •⟨⊕,f⟩ B)`, the product consumed where it lands
-/// (Algorithm 1, lines 4–6): [`Table::accumulate`] of the product of
-/// `a` and `b` into `t`, with every finished accumulator row as the
-/// explored entries, in column order — no product matrix is built.
-/// The product runs under [`Table::mask`]. Returns the entries `keep`
-/// let through and the products formed, bit-identical to
-/// [`spgemm_opt`] followed by [`Table::accumulate`] at any thread
-/// count. The one-pane, one-cell case of [`spgemm_accumulate_panes`].
-///
-/// # Panics
-/// Panics where [`spgemm_opt`] or [`Table::accumulate`] would.
-pub fn spgemm_accumulate<K: SpMulKernel>(
-    a: &Csr<K::Left>,
-    b: &Csr<K::Right>,
-    t: &mut Table<KernelOut<K>>,
-    keep: impl Fn(&KernelOut<K>, Option<&KernelOut<K>>, &KernelOut<K>) -> Option<KernelOut<K>> + Sync,
-) -> SpGemmOut<KernelOut<K>> {
-    let one = &mut [Pane::whole(t)];
-    one_pane(accumulate::<K, _>(
-        (a, Slabs::whole(b)),
-        &[0, a.nrows()],
-        one,
-        &keep,
-    ))
-}
-
-/// [`spgemm_accumulate`] of `a` by `b` into `panes` side by side, under
-/// their tables' masks: output `(i, j)` is explored entry `(i, j)` of
-/// the pane holding column `j`, at its window. Per pane, what `keep`
-/// let through (in window coordinates) and the explored entries it
-/// took in; and per cell of the output — its rows cut at `cuts`, its
-/// columns at `b`'s slabs, cell `(c, s)` at `c * slabs + s` — the
-/// products formed and the explored entries taken in. Equal, pane for
-/// pane, to [`Table::accumulate`] of the window of the product
-/// [`spgemm_opt`] forms, and cell for cell to the `ops` and entries of
-/// the product of the cell's rows of `a` by its slab. A `b` of one slab
-/// runs the kernel [`spgemm_accumulate`] runs.
-///
-/// # Panics
-/// Panics if the panes do not take `a`'s rows and `b`'s columns
-/// between them, `cuts` does not end at `a`'s rows, and where
-/// [`spgemm_opt`] or [`Table::accumulate`] would.
-pub fn spgemm_accumulate_panes<K: SpMulKernel>(
-    a: &Csr<K::Left>,
-    b: Slabs<'_, K::Right>,
-    cuts: &[usize],
-    panes: &mut [Pane<'_, KernelOut<K>>],
-    keep: impl Fn(&KernelOut<K>, Option<&KernelOut<K>>, &KernelOut<K>) -> Option<KernelOut<K>> + Sync,
-) -> (Few<Landed<KernelOut<K>>>, Few<(u64, u64)>) {
-    accumulate::<K, _>((a, b), cuts, panes, &keep)
-}
-
-/// `Z := Z ⊗ (A •⟨⊗,g⟩ B)`, the product consumed where it lands
-/// (Algorithm 2, lines 6–11): [`Table::settle`] of the product of `a`
-/// and `b` into `z`, which was opened on `side`'s pattern, with every
-/// finished accumulator row as the update — the product matrix itself
-/// is never built. The product runs under [`Table::mask`] where `z`
-/// reports one and under `within` otherwise. Returns what `fire`
-/// emitted and the products formed, bit-identical to [`spgemm_opt`]
-/// followed by [`Table::settle`] at any thread count. The one-pane,
-/// one-cell case of [`spgemm_settle_panes`].
-///
-/// # Panics
-/// Panics where [`spgemm_opt`] or [`Table::settle`] would.
-pub fn spgemm_settle<K: SpMulKernel, U: Sync>(
-    a: &Csr<K::Left>,
-    b: &Csr<K::Right>,
-    within: Option<&Mask>,
-    z: &mut Table<KernelOut<K>>,
-    side: &Csr<U>,
-    fire: impl Fn(&mut KernelOut<K>, &U) -> Option<KernelOut<K>> + Sync,
-) -> SpGemmOut<KernelOut<K>> {
-    let (ab, one) = ((a, Slabs::whole(b)), &mut [Pane::whole(z)]);
-    one_pane(settle::<K, U, _>(
-        ab,
-        &[0, a.nrows()],
-        within,
-        one,
-        (&[side], &fire),
-    ))
-}
-
-/// [`spgemm_settle`] of `a` by `b` into `panes` side by side, each table
-/// opened on the pattern of the matrix beside it in `sides`: under the
-/// tables' masks where they report them, under `within` (of the
-/// output's shape) otherwise. Per pane, what `fire` emitted (in window
-/// coordinates) and the updates it took in, on the pattern or not; and
-/// per cell of the output (as [`spgemm_accumulate_panes`] cuts it) the
-/// products formed and the updates taken in. Parallel tasks own
-/// disjoint row ranges of every table.
-///
-/// # Panics
-/// Panics if the panes do not take `a`'s rows and `b`'s columns
-/// between them, `cuts` does not end at `a`'s rows, and where
-/// [`spgemm_opt`] or [`Table::settle`] would.
-pub fn spgemm_settle_panes<K: SpMulKernel, U: Sync>(
-    a: &Csr<K::Left>,
-    b: Slabs<'_, K::Right>,
-    cuts: &[usize],
-    within: Option<&Mask>,
-    panes: &mut [Pane<'_, KernelOut<K>>],
-    sides: &[&Csr<U>],
-    fire: impl Fn(&mut KernelOut<K>, &U) -> Option<KernelOut<K>> + Sync,
-) -> (Few<Landed<KernelOut<K>>>, Few<(u64, u64)>) {
-    settle::<K, U, _>((a, b), cuts, within, panes, (sides, &fire))
-}
-
-/// One column of [`count_children`]'s dense buffer while a row is
+/// One column of [`count_children_panes`]' dense buffer while a row is
 /// counted: whether `T`'s row lists it, how many candidates reached it,
 /// the weight a child's contribution must match, and how many did.
 #[derive(Clone, Copy, Default)]
@@ -1129,57 +1052,8 @@ struct Child {
     tau: u64,
 }
 
-/// Algorithm 2, lines 1–4, without the product: `Z` opened on `t`'s
-/// pattern, every entry anchored at `(τ, 0, #children)`, and the
-/// leaves `fire` emits. Row by row, `t`'s row is scattered into a
-/// dense buffer; every candidate `(s,w) ∈ t`, `v ∈ at.row(w)` with
-/// `τ(s,w) ≥ A(v,w)` — where `BrandesKernel` forms a product — counts
-/// towards `ops`, and bumps `v`'s count where `τ(s,w) − A(v,w) =
-/// τ(s,v)`; then the row's counts are written, and `fire(&mut z_val,
-/// t_val)` has its one chance to rewrite each entry and emit a leaf.
-///
-/// With `masked`, only candidates with `(s,v) ∈ t` are formed, and the
-/// coordinates `fire` returned `None` on are *pending*: [`Table::mask`]
-/// reports them from here on. Without it, a candidate outside `t`'s
-/// pattern counts towards `ops` and lands nowhere.
-///
-/// Bit-identical to [`Table::anchor`] of `t` against the product of
-/// `(τ, 0, 1)` seeds on `t`'s entries with `at` (under `t`'s structural
-/// pattern when `masked`), with [`mfbr_anchor`] as `init`, and to
-/// that product's `ops`, on any table and at any thread count: a count
-/// is an integer, whatever order it is summed in, and is zeroed where
-/// a contribution heavier than `τ(s,v)` arrived, as the product's
-/// "greater wins" and the anchor's compare zero it. Parallel tasks own
-/// disjoint row ranges of `Z`. The one-pane, one-cell case of
-/// [`count_children_panes`], `t` being its own seeds.
-///
-/// # Panics
-/// Panics if the shapes disagree, `t` stores an infinite weight or
-/// `fire` emits an identity.
-pub fn count_children(
-    t: &Csr<Multpath>,
-    at: &Csr<Dist>,
-    masked: bool,
-    fire: impl Fn(&mut Centpath, &Multpath) -> Option<Centpath> + Sync,
-) -> (Table<Centpath>, SpGemmOut<Centpath>) {
-    let mut z = Table::on_pattern(t, opened);
-    let tau = |mp: &Multpath| mp.w;
-    let (one, at) = (&mut [Pane::whole(&mut z)], Slabs::whole(at));
-    let counting = Counting {
-        left: t,
-        tau,
-        at,
-        masked,
-    };
-    let (landed, tally) = count(&counting, &[0, t.nrows()], one, (&[t], &fire));
-    let Landed { out, pending, .. } = landed.into_iter().next().expect("one pane");
-    z.pend(pending);
-    let ops = tally[0].0;
-    (z, SpGemmOut { mat: out, ops })
-}
-
-/// The entry a table opened for [`count_children`] holds at `T`'s
-/// entry `mp` before it is counted: `(τ, 0, 0)`.
+/// The entry a table opened for [`count_children_panes`] holds at
+/// `T`'s entry `mp` before it is counted: `(τ, 0, 0)`.
 pub fn opened(mp: &Multpath) -> Centpath {
     stored::<CentpathMonoid>(Centpath::new(mp.w, 0.0, 0))
 }
@@ -1198,21 +1072,44 @@ pub fn mfbr_anchor(tau: &Multpath, d: Option<&Centpath>) -> Centpath {
     Centpath::new(tau.w, 0.0, deps)
 }
 
-/// [`count_children`] of the seeds `left` — `τ(s,w)` being `tau` of
-/// each entry — against `at`, into `panes` side by side, each table
-/// [`opened`] on the matrix beside it in `sides` (the window's block of
-/// `T`). Per pane, the leaves `fire` emitted (window coordinates), with
-/// `masked` the table columns of each window row that wait (for
-/// [`Table::pend`]), and how many entries the count product would have
-/// held in the window; and per cell of the output (as
-/// [`spgemm_accumulate_panes`] cuts it) the products the count stands
-/// for and the count product's entries. A candidate counts towards `v`
-/// where `(s,v)` is in a pane's window of `T`.
+/// Algorithm 2, lines 1–4, without the product: `Z` opened on `T`'s
+/// pattern, every entry anchored at `(τ, 0, #children)`, and the leaves
+/// `fire` emits, counted in `panes` side by side — each table [`opened`]
+/// on the matrix beside it in `sides` (the window's block of `T`) —
+/// off the seeds `left`, `τ(s,w)` being `tau` of each entry. Row by
+/// row, the seeds' row is scattered into a dense buffer; every
+/// candidate `(s,w)`, `v ∈ at.row(w)` with `τ(s,w) ≥ A(v,w)` — where
+/// `BrandesKernel` forms a product — counts towards `ops`, and bumps
+/// `v`'s count where `τ(s,w) − A(v,w) = τ(s,v)` and `(s,v)` is in a
+/// pane's window of `T`; then the row's counts are written, and
+/// `fire(&mut z_val, t_val)` has its one chance to rewrite each entry
+/// and emit a leaf.
+///
+/// With `masked`, only candidates with `(s,v) ∈ T` are formed, and the
+/// coordinates `fire` returned `None` on are *pending*: per pane, the
+/// table columns of each window row that wait, for
+/// [`Table::pend`](crate::Table::pend). Without it, a candidate outside
+/// `T`'s pattern counts towards `ops` and lands nowhere.
+///
+/// Per pane, the leaves `fire` emitted (window coordinates) and how
+/// many entries the count product would have held in the window; and
+/// per cell of the output (as [`spgemm_accumulate_panes`] cuts it) the
+/// products the count stands for and the count product's entries.
+/// Bit-identical to [`Table::anchor`](crate::Table::anchor) of each
+/// side against the window of the product of `(τ, 0, 1)` seeds on the
+/// seeds' entries with `at` (under `T`'s structural pattern when
+/// `masked`), with [`mfbr_anchor`] as `init`, and to that product's
+/// `ops`, on any table and at any thread count: a count is an integer,
+/// whatever order it is summed in, and is zeroed where a contribution
+/// heavier than `τ(s,v)` arrived, as the product's "greater wins" and
+/// the anchor's compare zero it. Parallel tasks own disjoint row ranges
+/// of `Z`.
 ///
 /// # Panics
 /// Panics if the panes do not take `left`'s rows and `at`'s columns
 /// between them, `cuts` does not end at `left`'s rows, a table is not
-/// on its side's pattern, or where [`count_children`] would.
+/// on its side's pattern, the seeds store an infinite weight or `fire`
+/// emits an identity.
 #[allow(clippy::too_many_arguments)]
 pub fn count_children_panes<L: Sync>(
     left: &Csr<L>,
@@ -1231,22 +1128,9 @@ pub fn count_children_panes<L: Sync>(
         at,
         masked,
     };
-    count(&counting, cuts, panes, (sides, &fire))
-}
-
-/// The body of [`count_children_panes`]. A task's share of a pane is
-/// a [`Settle`] that the count writes and fires into itself, its
-/// `received` the count product's entries.
-fn count<L: Sync, F>(
-    counting: &Counting<'_, L, impl Fn(&L) -> Dist + Sync>,
-    cuts: &[usize],
-    panes: &mut [Pane<'_, Centpath>],
-    (sides, fire): (&[&Csr<Multpath>], &F),
-) -> (Few<Landed<Centpath>>, Tally)
-where
-    F: Fn(&mut Centpath, &Multpath) -> Option<Centpath> + Sync,
-{
-    assert_eq!(sides.len(), panes.len(), "one side per pane");
+    // A task's share of a pane is a `Settle` that the count writes and
+    // fires into itself, its `received` the count product's entries.
+    let fire = &fire;
     let drive = Drive::new((counting.left, counting.at), cuts, None, panes);
     let run = (&drive.ranges[..], drive.pool);
     let lend = |((pane, side), at)| lend_z((pane, side, at), run, fire, |_| 0, counting.masked).1;
@@ -1261,10 +1145,10 @@ where
         lent.collect(),
         |_| (vec![Child::default(); ncols], Vec::new()),
         |_, counted, rows, scratch, part, ops| match counted {
-            true => counting.rows::<true, F>(rows, scratch, part, ops),
-            false => counting.rows::<false, F>(rows, scratch, part, ops),
+            true => counting.rows::<true, _>(rows, scratch, part, ops),
+            false => counting.rows::<false, _>(rows, scratch, part, ops),
         },
-        keep_z::<CentpathMonoid, Multpath, F>,
+        keep_z::<CentpathMonoid, Multpath, _>,
     );
     let close = |((fired, received), at): ((Vec<_>, _), &Sits)| {
         let joined = Leaves::join(fired, (at.rows.len(), at.cols.len()));
@@ -1471,6 +1355,7 @@ pub(crate) fn chunk_histogram(sizes: impl Iterator<Item = usize>) -> Vec<u64> {
 mod tests {
     use super::*;
     use crate::coo::Coo;
+    use crate::table::Table;
     use mfbc_algebra::kernel::{BellmanFordKernel, BrandesKernel, TropicalKernel};
     use mfbc_algebra::monoid::MinDist;
     use mfbc_algebra::{Dist, Multpath, MultpathMonoid};
@@ -1923,9 +1808,21 @@ mod tests {
         for (masked, want_ops) in [(true, 8), (false, 10)] {
             let product = spgemm_opt::<BrandesKernel>(&seeds, &at, masked.then_some(&reached));
             assert_eq!(product.ops, want_ops, "the product, masked {masked}");
-            let (z, fired) = count_children(&t, &at, masked, fire_and_pin);
-            assert_eq!(fired.ops, want_ops, "masked {masked}");
-            assert_eq!(fired.mat, want_leaves, "masked {masked}");
+            let mut z = Table::on_pattern(&t, opened);
+            let (landed, tally) = count_children_panes(
+                &t,
+                |mp: &Multpath| mp.w,
+                Slabs::whole(&at),
+                &[0, t.nrows()],
+                &mut [Pane::whole(&mut z)],
+                &[&t],
+                masked,
+                fire_and_pin,
+            );
+            let Landed { out, pending, .. } = landed.into_iter().next().expect("one pane");
+            z.pend(pending);
+            assert_eq!(tally[0].0, want_ops, "masked {masked}");
+            assert_eq!(out, want_leaves, "masked {masked}");
             let waits = |s: usize| z.mask().map(|m| m.row(s).cols().collect::<Vec<_>>());
             let want = |cols: Vec<Idx>| masked.then_some(cols);
             assert_eq!((waits(0), waits(1)), (want(vec![0, 1, 2]), want(vec![1])));

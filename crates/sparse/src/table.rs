@@ -9,18 +9,20 @@
 //! to maintain — and is sorted exactly once, by [`Table::freeze`].
 //! The explored entries arrive from a matrix's rows
 //! ([`Table::accumulate`]) or straight from the accumulator of the
-//! product that forms them ([`crate::spgemm_accumulate`]); one body
-//! folds them in, appending to the arena and writing slots in place.
+//! product that forms them ([`crate::spgemm_accumulate_panes`]); one
+//! body folds them in, appending to the arena and writing slots in
+//! place.
 //!
 //! It is also MFBr's `Z`, which never grows: opened on `T`'s frozen
 //! pattern ([`Table::on_pattern`]) — anchored against a materialised
 //! child count ([`Table::anchor`]) or counted in place
-//! ([`crate::count_children`]) — arena position `p` of `Z` is CSR
+//! ([`crate::count_children_panes`]) — arena position `p` of `Z` is CSR
 //! position `p` of `T`, so an update finds the entry it settles into
 //! *and* the `T` entry beside it by one slot lookup
 //! ([`Table::settle`]) — from a matrix's rows or straight from the
 //! accumulator of the product that forms them
-//! ([`crate::spgemm_settle`]).
+//! ([`crate::spgemm_settle_panes`]).
+
 //!
 //! A table opened with tracking also carries the mask of what may
 //! still land in it ([`Table::mask`]), as [`SortedRows`] updated in
@@ -54,9 +56,9 @@ pub struct Table<T> {
 
 /// The window of a table that one product's output lands in: output
 /// `(i, j)` goes to table entry `(rows.start + i, cols.start + j)`. A
-/// product lands in panes side by side — the shared-memory sweeps in
-/// one pane over their whole table ([`Pane::whole`]), a band of a
-/// distributed product in the blocks of one block row of its table.
+/// product lands in panes side by side — on one rank in one pane over
+/// the whole table ([`Pane::whole`]), a band of a distributed product
+/// in the blocks of one block row of its table.
 #[derive(Debug)]
 pub struct Pane<'t, T> {
     /// The table.
@@ -741,7 +743,7 @@ impl<T> Leaves<T> {
 /// [`Table::settle`] over one task's rows of a window: each row's
 /// updates go in, in window coordinates, and the entries `fire` emits
 /// from them collect in `fired`. Opening `Z` fires into the same
-/// [`Leaves`] row by row ([`crate::count_children`]).
+/// [`Leaves`] row by row ([`crate::count_children_panes`]).
 pub(crate) struct Settle<'a, M: Monoid, U, F> {
     pub(crate) rows: Rows<'a, M::Elem, U>,
     /// The table position of the window's `(0, 0)`.

@@ -265,7 +265,8 @@ fn settle_equals_combine_anchored_then_fire_then_pin() {
 fn an_untracked_table_reports_no_mask() {
     use mfbc_algebra::kernel::BrandesKernel;
     use mfbc_algebra::monoid::MinDist;
-    use mfbc_sparse::{count_children, spgemm_settle};
+    use mfbc_sparse::spgemm::opened;
+    use mfbc_sparse::{count_children_panes, spgemm_settle_panes, Pane, Slabs};
     let mut rng = ChaCha8Rng::seed_from_u64(3000);
     // Growing: opened, accumulated into, frozen.
     let seed = explored(&mut rng, 30);
@@ -292,12 +293,34 @@ fn an_untracked_table_reports_no_mask() {
     };
     let (mut z_mat, leaves) =
         Table::anchor::<CentpathMonoid, _>(&t, &seeds, init, fire_and_pin, false);
-    let (mut z_sink, fed) = count_children(&t, &adj, false, fire_and_pin);
+    // The count and the settle over one whole pane, as one rank runs
+    // them.
+    let mut z_sink = Table::on_pattern(&t, opened);
+    let (counted, _) = count_children_panes(
+        &t,
+        |mp: &Multpath| mp.w,
+        Slabs::whole(&adj),
+        &[0, t.nrows()],
+        &mut [Pane::whole(&mut z_sink)],
+        &[&t],
+        false,
+        fire_and_pin,
+    );
+    let fed = counted.into_iter().next().expect("one pane");
+    z_sink.pend(fed.pending);
     assert_eq!((z_mat.mask(), z_sink.mask()), (None, None), "anchored");
     let fired = z_mat.settle::<CentpathMonoid, _>(&leaves, &t, fire_and_pin);
-    let out =
-        spgemm_settle::<BrandesKernel, _>(&fed.mat, &adj, None, &mut z_sink, &t, fire_and_pin);
-    assert!(leaves.nnz() + fed.mat.nnz() > 0 && fired.nnz() + out.mat.nnz() > 0);
+    let (settled, _) = spgemm_settle_panes::<BrandesKernel, _>(
+        &fed.out,
+        Slabs::whole(&adj),
+        &[0, fed.out.nrows()],
+        None,
+        &mut [Pane::whole(&mut z_sink)],
+        &[&t],
+        fire_and_pin,
+    );
+    let out = &settled[0].out;
+    assert!(leaves.nnz() + fed.out.nnz() > 0 && fired.nnz() + out.nnz() > 0);
     assert_eq!((z_mat.mask(), z_sink.mask()), (None, None), "settled");
     assert_eq!(z_mat.freeze().nnz() + z_sink.freeze().nnz(), 2 * t.nnz());
 }

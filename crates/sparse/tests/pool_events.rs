@@ -1,11 +1,12 @@
 //! The pool runs the table steps announce: every call of
-//! `spgemm_accumulate[_panes]`, `spgemm_settle[_panes]` and
-//! `count_children[_panes]` that fans its rows out on a pool of 2 or 4
+//! `spgemm_accumulate_panes`, `spgemm_settle_panes` and
+//! `count_children_panes` that fans its rows out on a pool of 2 or 4
 //! emits one `Pool` event, and its kernel name, participants, task
 //! count and chunk-size histogram are pinned here — busy time is not,
-//! it is the clock's. Covered: the one-pane entry points, and the
-//! `*_panes` forms over two panes side by side, three slabs and two row
-//! cells. At pool 1 the rows run on the caller and nothing is emitted,
+//! it is the clock's. Covered: each step over one whole pane, one row
+//! cell and one slab (the blocks labelled `spgemm_accumulate`,
+//! `spgemm_settle` and `count_children`, as one rank runs them), and
+//! over two panes side by side, three slabs and two row cells. At pool 1 the rows run on the caller and nothing is emitted,
 //! which is why no golden recorded at pool 1 covers these events.
 
 use mfbc_algebra::kernel::TropicalKernel;
@@ -16,8 +17,8 @@ use mfbc_sparse::slice::slice;
 use mfbc_sparse::spgemm::opened;
 use mfbc_sparse::transpose::transpose;
 use mfbc_sparse::{
-    count_children, count_children_panes, spgemm_accumulate, spgemm_accumulate_panes,
-    spgemm_settle, spgemm_settle_panes, Coo, Csr, Pane, Slabs, Table,
+    count_children_panes, spgemm_accumulate_panes, spgemm_settle_panes, Coo, Csr, Pane, Slabs,
+    Table,
 };
 use mfbc_trace::{MemoryRecorder, TraceEvent};
 use std::fmt::Write;
@@ -110,14 +111,27 @@ fn events() -> String {
         };
         step("spgemm_accumulate", &mut || {
             let mut table = Table::from_csr(&seed, true);
-            spgemm_accumulate::<TropicalKernel>(&a, &b, &mut table, keep);
+            let one = &mut [Pane::whole(&mut table)];
+            spgemm_accumulate_panes::<TropicalKernel>(&a, Slabs::whole(&b), &[0, N], one, keep);
         });
         step("spgemm_settle", &mut || {
             let mut z = Table::on_pattern(&side, |s| *s);
-            spgemm_settle::<TropicalKernel, Dist>(&a, &b, None, &mut z, &side, settle_fire);
+            let (b, one) = (Slabs::whole(&b), &mut [Pane::whole(&mut z)]);
+            spgemm_settle_panes::<TropicalKernel, Dist>(
+                &a,
+                b,
+                &[0, N],
+                None,
+                one,
+                &[&side],
+                settle_fire,
+            );
         });
         step("count_children", &mut || {
-            count_children(&t, &at, true, count_fire);
+            let mut z = Table::on_pattern(&t, opened);
+            let (tau, one) = (|mp: &Multpath| mp.w, &mut [Pane::whole(&mut z)]);
+            let at = Slabs::whole(&at);
+            count_children_panes(&t, tau, at, &[0, N], one, &[&t], true, count_fire);
         });
         step("spgemm_accumulate_panes", &mut || {
             let mut tables = cols(&seed).map(|s| Table::from_csr(&s, true));
@@ -147,8 +161,9 @@ fn events() -> String {
 }
 
 /// The events, one block per call and pool. A product's rows are
-/// weighed by its operands: `count_children_panes` multiplies another
-/// left operand than `count_children`, hence its own histograms.
+/// weighed by its operands: `count_children_panes` over two panes
+/// multiplies another left operand than over one, hence its own
+/// histograms.
 const EVENTS: &str = "\
 -- spgemm_accumulate, pool 2\n\
 spgemm threads=2 tasks=8 hist=[0, 0, 0, 4, 0, 4]\n\

@@ -182,23 +182,6 @@ impl Layout {
     }
 }
 
-/// `f(bi, bj, cell)` over the per-block `cells` of layout `l`, on the
-/// `mfbc-parallel` pool, results in block order. Every cell is handed
-/// to exactly one job, so the outcome does not depend on scheduling.
-fn par_update<X: Send, R: Send>(
-    l: &Layout,
-    cells: &mut [X],
-    f: impl Fn(usize, usize, &mut X) -> R + Sync,
-) -> (Vec<R>, ExecStats) {
-    assert_eq!(cells.len(), l.nblocks());
-    let cells: Vec<Mutex<&mut X>> = cells.iter_mut().map(Mutex::new).collect();
-    mfbc_parallel::current().par_map_collect_stats(cells.len(), |id| {
-        // Uncontended: job `id` is the only one that takes cell `id`.
-        let mut cell = cells[id].lock().expect("a block job panicked");
-        f(id / l.bc(), id % l.bc(), &mut cell)
-    })
-}
-
 /// A block-distributed sparse matrix: a layout plus one CSR per
 /// block, indexed by flat block id (a one-block matrix holds its block
 /// in place). Block contents are stored with *local* (block-relative)
@@ -308,26 +291,6 @@ impl<T: Clone + Send + Sync> DistMat<T> {
         let id = self.layout.block_id(bi, bj);
         self.blocks[id] = b;
         self.content_id = next_content_id();
-    }
-
-    /// Mutates every block in place — `f(bi, bj, block)` on the
-    /// `mfbc-parallel` pool, results in block order — and mints a
-    /// fresh content id like [`DistMat::set_block`], so the mutated
-    /// matrix can never answer to a cache key of its old contents.
-    ///
-    /// # Panics
-    /// Panics if `f` changes a block's shape.
-    pub fn update_blocks<R: Send>(
-        &mut self,
-        f: impl Fn(usize, usize, &mut Csr<T>) -> R + Sync,
-    ) -> (Vec<R>, ExecStats) {
-        let out = par_update(&self.layout, &mut self.blocks, f);
-        self.content_id = next_content_id();
-        for ((bi, bj), b) in self.layout.blocks().zip(&self.blocks) {
-            assert_eq!(b.nrows(), self.layout.row_range(bi).len(), "block rows");
-            assert_eq!(b.ncols(), self.layout.col_range(bj).len(), "block cols");
-        }
-        out
     }
 
     /// Total stored entries.
@@ -506,13 +469,21 @@ impl<T: Clone + Send + Sync> DistTable<T> {
         &mut self.blocks
     }
 
-    /// [`DistMat::update_blocks`] for a table (which is never a
-    /// cached operand, so there is no id to mint).
+    /// Updates every block in place — `f(bi, bj, block)` on the
+    /// `mfbc-parallel` pool, results in block order. Every block is
+    /// handed to exactly one job, so the outcome does not depend on
+    /// scheduling.
     pub fn update_blocks<R: Send>(
         &mut self,
         f: impl Fn(usize, usize, &mut Table<T>) -> R + Sync,
     ) -> (Vec<R>, ExecStats) {
-        par_update(&self.layout, &mut self.blocks, f)
+        let bc = self.layout.bc();
+        let blocks: Vec<Mutex<&mut Table<T>>> = self.blocks.iter_mut().map(Mutex::new).collect();
+        mfbc_parallel::current().par_map_collect_stats(blocks.len(), |id| {
+            // Uncontended: job `id` is the only one that takes block `id`.
+            let mut block = blocks[id].lock().expect("a block job panicked");
+            f(id / bc, id % bc, &mut block)
+        })
     }
 
     /// The mask of what can still land in the table — every block's
@@ -653,36 +624,6 @@ mod tests {
         // 5 rows over 2 block rows split 3/2.
         assert_eq!(dm.block(0, 0).nrows(), 3);
         assert_eq!(dm.block(1, 1).nrows(), 2);
-    }
-
-    #[test]
-    fn update_blocks_mints_a_fresh_content_id() {
-        let mut dm = DistMat::from_global(Layout::on_grid(4, 6, &grid22()), &sample_global());
-        let (clone, before) = (dm.clone(), dm.content_id());
-        let (sums, _) = dm.update_blocks(|bi, bj, b| {
-            let mut sum = 0;
-            for i in 0..b.nrows() {
-                for v in b.row_mut(i).1 {
-                    *v *= 10;
-                    sum += *v;
-                }
-            }
-            (bi, bj, sum)
-        });
-        // Results come back in block order, one per block.
-        assert_eq!(sums, vec![(0, 0, 40), (0, 1, 20), (1, 0, 50), (1, 1, 100)]);
-        assert_ne!(dm.content_id(), before);
-        assert_eq!(clone.content_id(), before, "clones keep the old token");
-        dm.validate().unwrap();
-        assert_eq!(dm.block(1, 1).get(1, 2), Some(&60));
-        assert_eq!(clone.block(1, 1).get(1, 2), Some(&6));
-    }
-
-    #[test]
-    #[should_panic(expected = "block rows")]
-    fn update_blocks_rejects_a_reshaped_block() {
-        let mut dm = DistMat::from_global(Layout::on_grid(4, 6, &grid22()), &sample_global());
-        dm.update_blocks(|_, _, b| *b = Csr::zero(1, b.ncols()));
     }
 
     #[test]

@@ -14,8 +14,10 @@
 //! seeds are charged, not built — [`Count`]). Every other plan reduces or
 //! assembles its output across ranks; its product arrives whole, in
 //! the canonical layout ([`Land::formed`]), and the landing merges it
-//! block by block when it closes ([`Table`]'s `accumulate`, `settle`,
-//! `anchor`).
+//! block by block on arrival ([`Table`]'s `accumulate`, `settle`,
+//! `anchor`). Either way the table holds the step's product once the
+//! product has run; `finish` only bills the step and returns what it
+//! emitted.
 //!
 //! A real machine forms the p slabs at once; one host forms them one
 //! after another, so the landing runs the kernel once per *band*, not
@@ -100,13 +102,13 @@ pub trait Land<K: SpMulKernel, L = <K as SpMulKernel>::Left> {
 
     /// Takes the product of a plan that does not land, formed whole
     /// under [`Land::mask`] and assembled in the canonical layout. A
-    /// table landing merges it block by block when it closes, where
-    /// the bands would have landed.
+    /// table landing merges it block by block on arrival, into the
+    /// blocks the bands would have landed in.
     fn formed(&mut self, c: DistMat<KernelOut<K>>);
 
-    /// The sabotage seam (`mfbc_fault::sabotage`): drops the first
-    /// entry of the formed product's first nonempty block, or else one
-    /// entry of what the landing emits. `false` when there is none.
+    /// The sabotage seam (`mfbc_fault::sabotage`): drops one entry of
+    /// what the landing emits — for `Collect`, of the product it keeps.
+    /// `false` when there is none.
     fn corrupt(&mut self) -> bool;
 }
 
@@ -198,7 +200,15 @@ impl<K: SpMulKernel> Land<K> for Collect<'_, KernelOut<K>> {
 
     fn corrupt(&mut self) -> bool {
         if let Some(c) = &mut self.formed {
-            return corrupt_formed(c);
+            let first = c
+                .layout()
+                .blocks()
+                .find(|&(bi, bj)| c.block(bi, bj).nnz() > 0);
+            return first.is_some_and(|(bi, bj)| {
+                let b = drop_first(c.block(bi, bj));
+                c.set_block(bi, bj, b);
+                true
+            });
         }
         let first = self.pieces.iter_mut().find(|p| p.3.nnz() > 0);
         first.is_some_and(|p| {
@@ -212,27 +222,6 @@ impl<K: SpMulKernel> Land<K> for Collect<'_, KernelOut<K>> {
 fn drop_first<T: Clone>(m: &Csr<T>) -> Csr<T> {
     let mut first = true;
     m.filter(|_, _, _| !std::mem::take(&mut first))
-}
-
-/// Drops the first entry of `c`'s first nonempty block; `false` if it
-/// has none.
-fn corrupt_formed<T: Clone + Send + Sync>(c: &mut DistMat<T>) -> bool {
-    let first = c
-        .layout()
-        .blocks()
-        .find(|&(bi, bj)| c.block(bi, bj).nnz() > 0);
-    first.is_some_and(|(bi, bj)| {
-        let b = drop_first(c.block(bi, bj));
-        c.set_block(bi, bj, b);
-        true
-    })
-}
-
-/// The blocks a formed product's merge emitted, its fan-out announced
-/// under `kernel`.
-fn merged<T>(kernel: &'static str, (blocks, stats): (Vec<T>, ExecStats)) -> Vec<T> {
-    emit_pool(kernel, &stats);
-    blocks
 }
 
 /// The block rows of `l`: the bands of a table landing.
@@ -252,13 +241,12 @@ fn panes<T>(ids: Range<usize>, tables: &mut [Table<T>]) -> Few<Pane<'_, T>> {
     tables[ids].iter_mut().map(Pane::whole).collect()
 }
 
-/// What a table landing was handed: per block, what its band emitted
-/// — the one window the band gave it — and the product entries it
-/// received; or the product of a plan that does not land, formed whole.
+/// What a table landing emitted: per block, what its band emitted —
+/// the one window the band gave it — or what merging a formed product
+/// into it emitted, and the product entries it received.
 struct Emitted<T> {
     blocks: Few<Option<Csr<T>>>,
     received: Few<usize>,
-    formed: Option<DistMat<T>>,
 }
 
 impl<T: Clone + Send + Sync> Emitted<T> {
@@ -266,7 +254,6 @@ impl<T: Clone + Send + Sync> Emitted<T> {
         Emitted {
             blocks: (0..l.nblocks()).map(|_| None).collect(),
             received: (0..l.nblocks()).map(|_| 0).collect(),
-            formed: None,
         }
     }
 
@@ -278,28 +265,34 @@ impl<T: Clone + Send + Sync> Emitted<T> {
         }
     }
 
-    /// Every block's emitted matrix and the product entries it
-    /// received. A formed product is merged here: `merge` makes every
-    /// block's matrix of it, and each block received the product's
-    /// entries in it.
-    ///
-    /// # Panics
-    /// Panics if a block's band never arrived.
-    fn close(self, merge: impl FnOnce(&DistMat<T>) -> Vec<Csr<T>>) -> (Few<Csr<T>>, Few<usize>) {
-        let Some(c) = self.formed else {
-            let block = |b: Option<Csr<T>>| b.expect("every band lands");
-            return (self.blocks.map(block), self.received);
-        };
+    /// Keeps what every block emitted merging the formed product `c`,
+    /// each block having received `c`'s entries in it; announces the
+    /// merge's fan-out under `kernel`.
+    fn merged(&mut self, kernel: &'static str, c: &DistMat<T>, merge: (Vec<Csr<T>>, ExecStats)) {
+        let (blocks, stats) = merge;
+        emit_pool(kernel, &stats);
         let received = c.layout().blocks().map(|(bi, bj)| c.block(bi, bj).nnz());
-        (merge(&c).into(), received.collect())
+        let landed = |(out, received)| Landed {
+            out,
+            received,
+            pending: None,
+        };
+        self.put(0, blocks.into_iter().zip(received).map(landed).collect());
     }
 
-    /// Drops the first entry of the formed product, or else the first
-    /// entry emitted, in block order; `false` if there is none.
+    /// Every block's emitted matrix and the product entries it
+    /// received.
+    ///
+    /// # Panics
+    /// Panics if a block's product never arrived.
+    fn close(self) -> (Few<Csr<T>>, Few<usize>) {
+        let block = |b: Option<Csr<T>>| b.expect("every block's product arrives");
+        (self.blocks.map(block), self.received)
+    }
+
+    /// Drops the first entry emitted, in block order; `false` if there
+    /// is none.
     fn corrupt(&mut self) -> bool {
-        if let Some(c) = &mut self.formed {
-            return corrupt_formed(c);
-        }
         let mut blocks = self.blocks.iter_mut().flatten();
         blocks.find(|b| b.nnz() > 0).is_some_and(|b| {
             *b = drop_first(b);
@@ -309,8 +302,8 @@ impl<T: Clone + Send + Sync> Emitted<T> {
 }
 
 /// MFBF's step: [`Table::accumulate`]'s body on every band's rows, in
-/// the table blocks of the band, or on every block of a formed
-/// product.
+/// the table blocks of the band, or [`Table::accumulate`] of every
+/// block of a formed product as it arrives.
 pub struct Accumulate<'t, K: SpMulKernel, F> {
     table: &'t mut DistTable<KernelOut<K>>,
     keep: &'t F,
@@ -339,19 +332,14 @@ where
         }
     }
 
-    /// Closes the step: a formed product merged into the table, the
-    /// entries `keep` let through as the next frontier, billed by
-    /// `bill_accumulate`, the table's residency re-charged at its new
-    /// size.
+    /// Closes the step: the entries `keep` let through as the next
+    /// frontier, billed by `bill_accumulate`, the table's residency
+    /// re-charged at its new size.
     ///
     /// # Errors
     /// Propagates a memory-budget failure of the grown table.
     pub fn finish(self, m: &Machine) -> Result<DistMat<KernelOut<K>>, MachineError> {
-        let (blocks, received) = self.emitted.close(|c| {
-            let step =
-                |bi, bj, t: &mut Table<_>| t.accumulate::<K::Acc>(c.block(bi, bj), self.keep);
-            merged("dmat_accumulate", self.table.update_blocks(step))
-        });
+        let (blocks, received) = self.emitted.close();
         let l = self.table.layout().clone();
         bill_accumulate(m, &l, &self.old, &received, self.table)?;
         Ok(DistMat::from_blocks(l, blocks))
@@ -385,7 +373,10 @@ where
     }
 
     fn formed(&mut self, c: DistMat<KernelOut<K>>) {
-        self.emitted.formed = Some(c);
+        let keep = self.keep;
+        let step = |bi, bj, t: &mut Table<_>| t.accumulate::<K::Acc>(c.block(bi, bj), keep);
+        let merge = self.table.update_blocks(step);
+        self.emitted.merged("dmat_accumulate", &c, merge);
     }
 
     fn corrupt(&mut self) -> bool {
@@ -394,7 +385,8 @@ where
 }
 
 /// MFBr's loop step: [`Table::settle`]'s body on every band's rows, in
-/// the `Z` blocks of the band, or on every block of a formed product.
+/// the `Z` blocks of the band, or [`Table::settle`] of every block of a
+/// formed product as it arrives.
 pub struct Settle<'t, K: SpMulKernel, U, F> {
     z: &'t mut DistTable<KernelOut<K>>,
     side: &'t DistMat<U>,
@@ -427,16 +419,10 @@ where
         }
     }
 
-    /// Closes the step: a formed product settled into `Z`, what fired
-    /// as the next frontier, billed by `bill_settle`.
+    /// Closes the step: what fired as the next frontier, billed by
+    /// `bill_settle`.
     pub fn finish(self, m: &Machine) -> DistMat<KernelOut<K>> {
-        let (blocks, received) = self.emitted.close(|c| {
-            let (side, fire) = (self.side, self.fire);
-            let step = |bi, bj, z: &mut Table<_>| {
-                z.settle::<K::Acc, U>(c.block(bi, bj), side.block(bi, bj), fire)
-            };
-            merged("dmat_settle", self.z.update_blocks(step))
-        });
+        let (blocks, received) = self.emitted.close();
         let l = self.z.layout().clone();
         bill_settle(m, &l, &received, self.z);
         DistMat::from_blocks(l, blocks)
@@ -484,7 +470,12 @@ where
     }
 
     fn formed(&mut self, c: DistMat<KernelOut<K>>) {
-        self.emitted.formed = Some(c);
+        let (side, fire) = (self.side, self.fire);
+        let step = |bi, bj, z: &mut Table<_>| {
+            z.settle::<K::Acc, U>(c.block(bi, bj), side.block(bi, bj), fire)
+        };
+        let merge = self.z.update_blocks(step);
+        self.emitted.merged("dmat_settle", &c, merge);
     }
 
     fn corrupt(&mut self) -> bool {
@@ -495,10 +486,10 @@ where
 /// MFBr's opening: `Z` opened on `T`'s blocks, every band of the
 /// child-count product counted in place in the band's blocks
 /// ([`count_children_panes`]), or every block of a formed count product
-/// anchored ([`Table::anchor`] with [`mfbr_anchor`]). The product is
-/// that of `(τ, 0, 1)` seeds on `T`'s entries times `Aᵀ`, under `T`'s
-/// structural pattern where the machine masks; the executor is handed
-/// `T` ([`Land`]'s `L` is [`Multpath`]).
+/// anchored as it arrives ([`Table::anchor`] with [`mfbr_anchor`]). The
+/// product is that of `(τ, 0, 1)` seeds on `T`'s entries times `Aᵀ`,
+/// under `T`'s structural pattern where the machine masks; the executor
+/// is handed `T` ([`Land`]'s `L` is [`Multpath`]).
 ///
 /// The seeds are charged, not built, where the plan lands: the count
 /// kernel reads only each seed's τ and pattern, so the bands read `T`'s
@@ -511,8 +502,9 @@ pub struct Count<'t, F> {
     t: &'t DistMat<Multpath>,
     /// The seeds, built by [`Land::open`] for a plan that moves them.
     seeds: Option<DistMat<Centpath>>,
-    /// The blocks of `Z`, opened on `T`'s by [`Land::open`] for a plan
-    /// that lands, in block order.
+    /// The blocks of `Z`, in block order: opened on `T`'s by
+    /// [`Land::open`] for a plan that lands, anchored by
+    /// [`Land::formed`] otherwise.
     z: Option<Few<Table<Centpath>>>,
     within: Option<Mask<'t>>,
     fire: &'t F,
@@ -548,20 +540,9 @@ where
         self,
         m: &Machine,
     ) -> Result<(DistTable<Centpath>, DistMat<Centpath>), MachineError> {
-        let (t, mut z, fire) = (self.t, self.z, self.fire);
-        let (l, track) = (t.layout(), self.within.is_some());
-        let (leaves, _) = self.emitted.close(|c| {
-            let anchor = |id| {
-                let (bi, bj) = (id / l.bc(), id % l.bc());
-                let count = c.block(bi, bj);
-                Table::anchor::<CentpathMonoid, _>(t.block(bi, bj), count, mfbr_anchor, fire, track)
-            };
-            let opened = mfbc_parallel::current().par_map_collect_stats(l.nblocks(), anchor);
-            let (opened, leaves): (Vec<_>, _) = merged("dmat_anchor", opened).into_iter().unzip();
-            z = Some(opened.into());
-            leaves
-        });
-        let z = z.expect("the bands or the merge opened Z");
+        let (leaves, _) = self.emitted.close();
+        let (t, l) = (self.t, self.t.layout());
+        let z = self.z.expect("the bands or the formed product opened Z");
         let z = DistTable::from_blocks(l.clone(), z);
         bill_anchor(m, l, t, &z)?;
         Ok((z, DistMat::from_blocks(l.clone(), leaves)))
@@ -625,7 +606,17 @@ where
     }
 
     fn formed(&mut self, c: DistMat<Centpath>) {
-        self.emitted.formed = Some(c);
+        let (t, fire, track) = (self.t, self.fire, self.within.is_some());
+        let l = t.layout();
+        let anchor = |id| {
+            let (bi, bj) = (id / l.bc(), id % l.bc());
+            let count = c.block(bi, bj);
+            Table::anchor::<CentpathMonoid, _>(t.block(bi, bj), count, mfbr_anchor, fire, track)
+        };
+        let (opened, stats) = mfbc_parallel::current().par_map_collect_stats(l.nblocks(), anchor);
+        let (z, leaves): (Vec<_>, _) = opened.into_iter().unzip();
+        self.z = Some(z.into());
+        self.emitted.merged("dmat_anchor", &c, (leaves, stats));
     }
 
     fn corrupt(&mut self) -> bool {
@@ -637,7 +628,9 @@ where
 mod tests {
     use super::*;
     use crate::cache::MmCache;
-    use crate::mm::{canonical_layout, enumerate_plans, mm_land, MmPlan, Variant1D};
+    use crate::mm::{
+        canonical_layout, enumerate_plans, mm_exec_masked, mm_land, MmPlan, Variant1D,
+    };
     use mfbc_algebra::kernel::TropicalKernel;
     use mfbc_algebra::monoid::MinDist;
     use mfbc_algebra::Dist;
@@ -767,6 +760,60 @@ mod tests {
         let triples =
             (0..n).flat_map(|i| [(i, i, Dist::new(1)), (i, (i * 7 + 3) % n, Dist::new(2))]);
         Coo::from_triples(n, n, triples).into_csr::<MinDist>()
+    }
+
+    /// Every block of `t`, frozen, in block order.
+    fn frozen<T: Clone + Send + Sync>(t: &DistTable<T>) -> Vec<Csr<T>> {
+        let t = t.clone().freeze();
+        let l = t.layout().clone();
+        l.blocks().map(|(bi, bj)| t.block(bi, bj).clone()).collect()
+    }
+
+    #[test]
+    fn a_formed_product_is_merged_into_the_table_on_arrival() {
+        // A plan that does not land hands its product over whole. The
+        // table holds it once the product has run — `Table::accumulate`
+        // of every block of the product `mm_exec` forms — and `finish`
+        // leaves the table as it is and returns what the merge let
+        // through.
+        let n = 29;
+        let keep = |g: &Dist, old: Option<&Dist>, t: &Dist| (old != Some(t)).then_some(*g);
+        for p in [4usize, 8, 16] {
+            let m = Machine::new(MachineSpec::test(p));
+            let l = canonical_layout(&m, n, n);
+            let x = DistMat::from_global(l.clone(), &operand(n));
+            let seed = operand(n).filter(|i, j, _| (i * 5 + j) % 4 == 0);
+            let seed = DistMat::from_global(l, &seed);
+            for plan in enumerate_plans(p).into_iter().filter(|pl| !pl.lands()) {
+                for track in [false, true] {
+                    let what = format!("{plan} at p={p}, tracked: {track}");
+                    let mut want = DistTable::from_dmat(&seed, track);
+                    let mask = want.mask();
+                    let c = mm_exec_masked::<TropicalKernel>(&m, &plan, &x, &x, mask.as_ref());
+                    let c = c.unwrap().c;
+                    drop(mask);
+                    let step = |bi, bj, t: &mut Table<Dist>| {
+                        t.accumulate::<MinDist>(c.block(bi, bj), keep)
+                    };
+                    let (kept, _) = want.update_blocks(step);
+                    assert!(kept.iter().any(|k| k.nnz() > 0), "{what}: a product to merge");
+
+                    seed.charge_memory(&m).unwrap();
+                    let mut table = DistTable::from_dmat(&seed, track);
+                    let mut land = Accumulate::<TropicalKernel, _>::new(&mut table, &keep);
+                    let mut cache = MmCache::new();
+                    mm_land::<TropicalKernel, _>(&m, &plan, &x, &x, &mut land, &mut cache)
+                        .unwrap();
+                    cache.release_all(&m);
+                    assert!(frozen(land.table) == frozen(&want), "{what}: merged on arrival");
+                    let frontier = land.finish(&m).unwrap();
+                    assert!(frozen(&table) == frozen(&want), "{what}: finish merges nothing");
+                    let l = frontier.layout();
+                    let got = l.blocks().map(|(bi, bj)| frontier.block(bi, bj));
+                    assert!(got.eq(&kept), "{what}: the frontier");
+                }
+            }
+        }
     }
 
     #[test]
